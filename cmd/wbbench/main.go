@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -62,8 +63,21 @@ import (
 	"wishbone/internal/runtime"
 )
 
+// figures is the -fig vocabulary.
+var figures = []string{"3", "5a", "5b", "6", "7", "8", "9", "10", "text", "scale",
+	"solvers", "batch", "replan", "recovery", "dist", "all"}
+
+// checkFig rejects a -fig value no figure answers to: it would match
+// nothing, build nothing, and exit 0 looking like a successful run.
+func checkFig(name string) error {
+	if slices.Contains(figures, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -fig %q (want one of %s)", name, strings.Join(figures, ", "))
+}
+
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate (3, 5a, 5b, 6, 7, 8, 9, 10, text, scale, solvers, batch, replan, recovery, dist, all; dist only runs when named)")
+	fig := flag.String("fig", "all", "which figure to regenerate ("+strings.Join(figures, ", ")+"; dist only runs when named)")
 	seconds := flag.Float64("seconds", 60, "simulated deployment duration for figures 9-10")
 	fig6n := flag.Int("fig6n", 9, "solver invocations for the figure 6 sweep (paper: 2100)")
 	engineName := flag.String("engine", "compiled", "simulation engine for figures 9-10 and §7.3.1: compiled|legacy")
@@ -76,6 +90,10 @@ func main() {
 	distSeconds := flag.Float64("dist-seconds", 10, "simulated duration for the dist figure")
 	distHosts := flag.String("dist-hosts", "1,2,4,8", "comma-separated host counts for the dist figure")
 	flag.Parse()
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var noBatch bool
 	switch *batch {

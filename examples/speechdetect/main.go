@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,6 +18,8 @@ import (
 func main() {
 	app := speech.New()
 	inputs := []wishbone.Input{app.SampleTrace(42, 3.0)}
+	ctx := context.Background()
+	planner := wishbone.NewPlanner()
 
 	platforms := []*wishbone.Platform{
 		wishbone.TMoteSky(), wishbone.NokiaN80(), wishbone.IPhone(),
@@ -27,7 +30,7 @@ func main() {
 	fmt.Println("--------------------------------------------------")
 	var tmoteDep *wishbone.Deployment
 	for _, plat := range platforms {
-		dep, err := wishbone.AutoPartition(app.Graph, wishbone.Permissive, inputs, plat, nil)
+		dep, err := planner.AutoPartition(ctx, app.Graph, inputs, plat)
 		if err != nil {
 			log.Fatalf("%s: %v", plat.Name, err)
 		}
@@ -49,7 +52,7 @@ func main() {
 	// Validate the TMote decision with a simulated 20-mote deployment.
 	fmt.Println()
 	fmt.Println("Validating the TMote partition on a simulated 20-mote testbed:")
-	res, err := wishbone.Simulate(tmoteDep, wishbone.TMoteSky(), 20, 60,
+	res, err := planner.Simulate(ctx, tmoteDep, wishbone.TMoteSky(), 20, 60,
 		func(nodeID int) []wishbone.Input {
 			return []wishbone.Input{app.SampleTrace(int64(100+nodeID), 2.0)}
 		}, 7)

@@ -183,7 +183,7 @@ func (c *Coordinator) RunControlled(ctx context.Context, spec wire.GraphSpec, cf
 		return nil, nil, false, err
 	}
 	ds.EnableRecovery(c.recovery(st))
-	dcs := runtime.NewDistControlledSession(ds, policy, plannedLoad, runtime.DistPlanner(planner),
+	dcs := runtime.NewDistControlledSession(ds, policy, plannedLoad, planner,
 		func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
 			return st.open(ncfg, snapshot)
 		})

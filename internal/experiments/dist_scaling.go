@@ -55,9 +55,10 @@ func (d *timedDriver) DeliverWindow(ratio float64) error {
 // what varies is wall-clock: the node phase fans out across hosts while
 // the coordinator keeps only the per-window ratio pricing.
 //
-// The hosts here are runtime.ShardHosts behind LocalHost drivers — the
-// same code an HTTP peer runs behind /v1/shard, minus the network — so
-// the table isolates barrier/aggregation cost from transport cost. Each
+// The hosts here are in-process runtime.ShardHosts bound directly as the
+// drivers — the same code an HTTP peer runs behind /v1/shard, minus the
+// network — so the table isolates barrier/aggregation cost from transport
+// cost. Each
 // host runs its node phase single-threaded (Workers=1) unless the env
 // overrides it: one host models one machine, so adding hosts — not
 // cores within a host — is the variable under measurement.
@@ -129,7 +130,7 @@ func distScalingPoint(cfg runtime.Config, hostCount int, ref *runtime.Result) (*
 			abort()
 			return nil, err
 		}
-		d := &timedDriver{HostDriver: runtime.LocalHost{H: sh}}
+		d := &timedDriver{HostDriver: sh}
 		drivers = append(drivers, d)
 		hosts = append(hosts, runtime.HostBinding{Driver: d, Origins: origins})
 		if len(origins) > maxOrigins {

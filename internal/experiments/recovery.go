@@ -105,7 +105,7 @@ func hostFailurePoint(cfg runtime.Config, every, killAt int, ref *runtime.Result
 			abort()
 			return nil, err
 		}
-		var d runtime.HostDriver = runtime.LocalHost{H: sh}
+		var d runtime.HostDriver = sh
 		if hi == 0 {
 			d = &fuseDriver{HostDriver: d, left: killAt}
 		}
@@ -129,7 +129,7 @@ func hostFailurePoint(cfg runtime.Config, every, killAt int, ref *runtime.Result
 			if err != nil {
 				return nil, err
 			}
-			return runtime.LocalHost{H: sh}, nil
+			return sh, nil
 		},
 	})
 	if err := feedMerged(ds, &cfg); err != nil {

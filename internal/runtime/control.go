@@ -226,19 +226,34 @@ func movedOps(g *dataflow.Graph, oldCut, newCut map[int]bool) []int {
 	return moved
 }
 
-// ControlledSession wraps a streaming Session with the control loop: it
-// exposes the Session surface (Offer/OfferRaw/Close/Snapshot), and when
-// drift persists past the hysteresis interval it re-plans mid-stream,
-// handing relocated operators' state off at the last flushed window
-// boundary. The wrapper owns the inner *Session and replaces it across a
-// handoff (an in-place swap is unsafe: the pipeline holds a back-pointer
-// to its session).
+// controlled is what the controller needs of the run it steers — a
+// Session or a DistSession, both of which embed the window coordinator.
+type controlled interface {
+	Offer(nodeID int, a Arrival) error
+	Close() (*Result, error)
+	Snapshot() ([]byte, error)
+	Abort()
+	core() *windowCore
+}
+
+// ControlledSession wraps a streaming run — a Session, or a DistSession
+// across shard hosts — with the control loop: it exposes the session
+// surface (Offer/OfferRaw/Close/Snapshot), and when drift persists past
+// the hysteresis interval it re-plans mid-stream, handing relocated
+// operators' state off at the last flushed window boundary through
+// Snapshot → MigrateSnapshot → resume. The wrapper owns the inner session
+// and replaces it across a handoff (an in-place swap is unsafe: the
+// pipeline holds a back-pointer to its session); the two kinds of run
+// differ only in the resume step.
 type ControlledSession struct {
-	s       *Session
+	s       controlled
 	loop    *ControlLoop
 	planner Planner
-	events  []ReplanEvent
-	dead    error // a failed handoff poisons the session
+	// resume brings the run back up on the new cut's Config from the
+	// migrated snapshot. nil degrades the wrapper to drift detection.
+	resume func(cfg Config, migrated []byte) (controlled, error)
+	events []ReplanEvent
+	dead   error // a failed handoff poisons the session
 }
 
 // NewControlledSession builds the session and attaches the loop.
@@ -261,12 +276,64 @@ func NewControlledSession(cfg Config, policy ReplanPolicy, plannedLoad float64, 
 // plannedLoad is 0). The wrapper takes ownership of s, including its
 // OnWindow hook.
 func ControlSession(s *Session, policy ReplanPolicy, plannedLoad float64, planner Planner) *ControlledSession {
+	return control(s, policy, plannedLoad, planner,
+		func(cfg Config, migrated []byte) (controlled, error) {
+			return ResumeSession(cfg, migrated)
+		})
+}
+
+// NewDistControlledSession attaches the control loop to an open
+// DistSession: the coordinator assembles the global snapshot from the
+// hosts and re-opens them on the new cut, so cross-host relocation rides
+// the identical state encoding. rebind is invoked during a handoff with
+// the new cut's Config and the migrated snapshot; it must return opened
+// host bindings that have restored their origins from that snapshot (the
+// caller owns driver construction: local hosts in tests, /v1/shard peers
+// in the dist coordinator). A nil rebind degrades to drift detection.
+func NewDistControlledSession(s *DistSession, policy ReplanPolicy, plannedLoad float64,
+	planner Planner, rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) *ControlledSession {
+	if rebind == nil {
+		return control(s, policy, plannedLoad, planner, nil)
+	}
+	return control(s, policy, plannedLoad, planner,
+		func(cfg Config, migrated []byte) (controlled, error) {
+			hosts, err := rebind(cfg, migrated)
+			if err != nil {
+				return nil, err
+			}
+			ns, err := ResumeDistSession(cfg, hosts, migrated)
+			if err != nil {
+				for _, b := range hosts {
+					b.Driver.Abort()
+				}
+				return nil, err
+			}
+			// Recovery carries across the handoff: the replacement session
+			// starts with no checkpoints (its hosts resumed from the migrated
+			// snapshot, which the Reopen callback falls back to) and the
+			// recovery history so far; the rebind has already repointed the
+			// callback's host table. s tracks the session the next handoff
+			// replaces.
+			if s.rec != nil {
+				ns.EnableRecovery(s.rec)
+				ns.recoveries = s.recoveries
+			}
+			s = ns
+			return ns, nil
+		})
+}
+
+// control builds the controller over s and points s's window observations
+// at the detector.
+func control(s controlled, policy ReplanPolicy, plannedLoad float64, planner Planner,
+	resume func(Config, []byte) (controlled, error)) *ControlledSession {
 	cs := &ControlledSession{
 		s:       s,
 		loop:    NewControlLoop(policy, plannedLoad),
 		planner: planner,
+		resume:  resume,
 	}
-	s.OnWindow = cs.loop.Observe
+	s.core().OnWindow = cs.loop.Observe
 	return cs
 }
 
@@ -281,12 +348,17 @@ func (cs *ControlledSession) Offer(nodeID int, a Arrival) error {
 	return cs.maybeReplan()
 }
 
-// OfferRaw mirrors Session.OfferRaw.
+// OfferRaw mirrors Session.OfferRaw; a distributed run has no raw ingest
+// path.
 func (cs *ControlledSession) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ string, raw []byte) error {
 	if cs.dead != nil {
 		return cs.dead
 	}
-	if err := cs.s.OfferRaw(nodeID, t, src, typ, raw); err != nil {
+	s, ok := cs.s.(*Session)
+	if !ok {
+		return fmt.Errorf("runtime: OfferRaw on a distributed run")
+	}
+	if err := s.OfferRaw(nodeID, t, src, typ, raw); err != nil {
 		return err
 	}
 	return cs.maybeReplan()
@@ -294,20 +366,20 @@ func (cs *ControlledSession) OfferRaw(nodeID int, t float64, src *dataflow.Opera
 
 // maybeReplan runs between Offers: if the loop has triggered, consult the
 // planner and — when the cut changes — hand off through
-// Snapshot → MigrateSnapshot → ResumeSession at the current window
-// boundary.
+// Snapshot → MigrateSnapshot → resume at the current window boundary.
 func (cs *ControlledSession) maybeReplan() error {
 	multiple, ok := cs.loop.Drift()
 	if !ok {
 		return nil
 	}
+	c := cs.s.core()
 	ev := ReplanEvent{
-		Time:         cs.s.windowStart,
+		Time:         c.windowStart,
 		PlannedLoad:  cs.loop.Baseline(),
 		ObservedLoad: cs.loop.Observed(),
 		RateMultiple: multiple,
 	}
-	if cs.planner == nil {
+	if cs.planner == nil || cs.resume == nil {
 		cs.loop.Replanned()
 		cs.events = append(cs.events, ev)
 		return nil
@@ -318,7 +390,7 @@ func (cs *ControlledSession) maybeReplan() error {
 	}
 	cs.loop.Replanned()
 	if plan != nil {
-		ev.Moved = movedOps(cs.s.cfg.Graph, cs.s.cfg.OnNode, plan.OnNode)
+		ev.Moved = movedOps(c.cfg.Graph, c.cfg.OnNode, plan.OnNode)
 		ev.Solver = plan.Solver
 	}
 	if plan == nil || len(ev.Moved) == 0 {
@@ -338,7 +410,7 @@ func (cs *ControlledSession) maybeReplan() error {
 // boundary; on failure the old session is already torn down and the
 // wrapper is dead.
 func (cs *ControlledSession) relocate(plan *Plan) error {
-	ncfg := cs.s.cfg
+	ncfg := cs.s.core().cfg
 	ncfg.OnNode = plan.OnNode
 	ncfg.NodeProgram = plan.NodeProgram
 	ncfg.ServerProgram = plan.ServerProgram
@@ -347,18 +419,18 @@ func (cs *ControlledSession) relocate(plan *Plan) error {
 		// Snapshot fails before teardown only on a hook-less graph; treat
 		// any failure as fatal to the stream rather than risk a half-frozen
 		// session.
-		cs.s.Close()
+		cs.s.Abort()
 		return err
 	}
 	migrated, err := MigrateSnapshot(ncfg.Graph, data, plan.OnNode)
 	if err != nil {
 		return err
 	}
-	ns, err := ResumeSession(ncfg, migrated)
+	ns, err := cs.resume(ncfg, migrated)
 	if err != nil {
 		return err
 	}
-	ns.OnWindow = cs.loop.Observe
+	ns.core().OnWindow = cs.loop.Observe
 	cs.s = ns
 	return nil
 }
@@ -370,6 +442,15 @@ func (cs *ControlledSession) Close() (*Result, error) {
 		return nil, cs.dead
 	}
 	return cs.s.Close()
+}
+
+// Abort tears the current session down without a result. After a failed
+// handoff there is nothing left to tear down (the old session is already
+// frozen and the replacement never came up), so Abort is a no-op then.
+func (cs *ControlledSession) Abort() {
+	if cs.dead == nil {
+		cs.s.Abort()
+	}
 }
 
 // Snapshot freezes the current session (terminal, like Session.Snapshot).
@@ -386,165 +467,16 @@ func (cs *ControlledSession) Snapshot() ([]byte, error) {
 func (cs *ControlledSession) Events() []ReplanEvent { return cs.events }
 
 // OnNode returns the cut the session is currently running.
-func (cs *ControlledSession) OnNode() map[int]bool { return cs.s.cfg.OnNode }
-
-// PeakBuffered mirrors Session.PeakBuffered.
-func (cs *ControlledSession) PeakBuffered() int { return cs.s.PeakBuffered() }
+func (cs *ControlledSession) OnNode() map[int]bool { return cs.s.core().cfg.OnNode }
 
 // Loop exposes the detector (read-only use: Observed/Baseline/Windows).
 func (cs *ControlledSession) Loop() *ControlLoop { return cs.loop }
 
-// DistPlanner produces, for a replan of a distributed run, the new cut
-// plus the host bindings to resume onto. Binding drivers must be fresh
-// (unopened sessions are created by the caller when the coordinator asks,
-// via the bind callback in NewDistControlledSession).
-type DistPlanner func(rateMultiple float64) (*Plan, error)
-
-// DistControlledSession attaches the control loop to a distributed run.
-// The handoff path is the same Snapshot → MigrateSnapshot → resume
-// sequence, with the coordinator assembling the global snapshot from the
-// hosts and re-opening them on the new cut — cross-host relocation rides
-// the identical state encoding.
-type DistControlledSession struct {
-	s       *DistSession
-	loop    *ControlLoop
-	planner DistPlanner
-	// rebind builds fresh host bindings for a resumed run on the new
-	// cut's Config: the caller owns driver construction (local hosts in
-	// tests, /v1/shard peers in the dist coordinator).
-	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)
-	events []ReplanEvent
-	dead   error
-}
-
-// NewDistControlledSession wraps an open DistSession. rebind is invoked
-// during a handoff with the new cut's Config and the migrated snapshot;
-// it must return opened host bindings that have restored their origins
-// from that snapshot.
-func NewDistControlledSession(s *DistSession, policy ReplanPolicy, plannedLoad float64,
-	planner DistPlanner, rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) *DistControlledSession {
-	cs := &DistControlledSession{
-		s:       s,
-		loop:    NewControlLoop(policy, plannedLoad),
-		planner: planner,
-		rebind:  rebind,
+// Recoveries returns the host recoveries a distributed run has performed
+// so far (carried across replan handoffs); nil for a local one.
+func (cs *ControlledSession) Recoveries() []RecoveryEvent {
+	if s, ok := cs.s.(*DistSession); ok {
+		return s.Recoveries()
 	}
-	s.OnWindow = cs.loop.Observe
-	return cs
-}
-
-// Offer feeds one arrival and runs the control step behind it.
-func (cs *DistControlledSession) Offer(nodeID int, a Arrival) error {
-	if cs.dead != nil {
-		return cs.dead
-	}
-	if err := cs.s.Offer(nodeID, a); err != nil {
-		return err
-	}
-	return cs.maybeReplan()
-}
-
-func (cs *DistControlledSession) maybeReplan() error {
-	multiple, ok := cs.loop.Drift()
-	if !ok {
-		return nil
-	}
-	ev := ReplanEvent{
-		Time:         cs.s.windowStart,
-		PlannedLoad:  cs.loop.Baseline(),
-		ObservedLoad: cs.loop.Observed(),
-		RateMultiple: multiple,
-	}
-	if cs.planner == nil || cs.rebind == nil {
-		cs.loop.Replanned()
-		cs.events = append(cs.events, ev)
-		return nil
-	}
-	plan, err := cs.planner(multiple)
-	if err != nil {
-		return fmt.Errorf("runtime: replan at t=%g: %w", ev.Time, err)
-	}
-	cs.loop.Replanned()
-	if plan != nil {
-		ev.Moved = movedOps(cs.s.cfg.Graph, cs.s.cfg.OnNode, plan.OnNode)
-		ev.Solver = plan.Solver
-	}
-	if plan == nil || len(ev.Moved) == 0 {
-		cs.events = append(cs.events, ev)
-		return nil
-	}
-	if err := cs.relocate(plan); err != nil {
-		cs.dead = fmt.Errorf("runtime: replan handoff at t=%g failed: %w", ev.Time, err)
-		return cs.dead
-	}
-	cs.events = append(cs.events, ev)
 	return nil
 }
-
-func (cs *DistControlledSession) relocate(plan *Plan) error {
-	ncfg := cs.s.cfg
-	ncfg.OnNode = plan.OnNode
-	ncfg.NodeProgram = plan.NodeProgram
-	ncfg.ServerProgram = plan.ServerProgram
-	data, err := cs.s.Snapshot()
-	if err != nil {
-		cs.s.Abort()
-		return err
-	}
-	migrated, err := MigrateSnapshot(ncfg.Graph, data, plan.OnNode)
-	if err != nil {
-		return err
-	}
-	hosts, err := cs.rebind(ncfg, migrated)
-	if err != nil {
-		return err
-	}
-	ns, err := ResumeDistSession(ncfg, hosts, migrated)
-	if err != nil {
-		for _, b := range hosts {
-			b.Driver.Abort()
-		}
-		return err
-	}
-	ns.OnWindow = cs.loop.Observe
-	// Recovery carries across the handoff: the replacement session starts
-	// with no checkpoints (its hosts resumed from the migrated snapshot,
-	// which the Reopen callback falls back to) and the recovery history so
-	// far; the rebind has already repointed the callback's host table.
-	if cs.s.rec != nil {
-		ns.EnableRecovery(cs.s.rec)
-		ns.recoveries = cs.s.recoveries
-	}
-	cs.s = ns
-	return nil
-}
-
-// Abort tears the current session down without a result. After a failed
-// handoff there is nothing left to tear down (the old session is already
-// frozen and the replacement never came up), so Abort is a no-op then.
-func (cs *DistControlledSession) Abort() {
-	if cs.dead == nil {
-		cs.s.Abort()
-	}
-}
-
-// Close flushes the tail and returns the Result.
-func (cs *DistControlledSession) Close() (*Result, error) {
-	if cs.dead != nil {
-		return nil, cs.dead
-	}
-	return cs.s.Close()
-}
-
-// Events returns the replan events recorded so far.
-func (cs *DistControlledSession) Events() []ReplanEvent { return cs.events }
-
-// OnNode returns the cut the run is currently on.
-func (cs *DistControlledSession) OnNode() map[int]bool { return cs.s.cfg.OnNode }
-
-// Loop exposes the detector.
-func (cs *DistControlledSession) Loop() *ControlLoop { return cs.loop }
-
-// Recoveries returns the host recoveries performed so far (carried
-// across replan handoffs).
-func (cs *DistControlledSession) Recoveries() []RecoveryEvent { return cs.s.Recoveries() }

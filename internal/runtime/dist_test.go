@@ -21,7 +21,7 @@ func runDist(t *testing.T, cfg runtime.Config, feed []feedItem, parts [][]int) *
 		if err != nil {
 			t.Fatalf("host %d: %v", i, err)
 		}
-		hosts[i] = runtime.HostBinding{Driver: runtime.LocalHost{H: h}, Origins: origins}
+		hosts[i] = runtime.HostBinding{Driver: h, Origins: origins}
 	}
 	ds, err := runtime.NewDistSession(cfg, hosts)
 	if err != nil {

@@ -151,12 +151,7 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 	for _, src := range cfg.Graph.Sources() {
 		h.sources[src] = true
 	}
-	eidx, err := edgeIndexes(&h.cfg)
-	if err != nil {
-		plan.close()
-		return nil, err
-	}
-	h.eidx = eidx
+	h.eidx = edgeIndexes(&h.cfg)
 	passthrough := !cfg.NoBatch && passthroughPartition(&h.cfg)
 	for _, n := range h.origins {
 		inst := prog.AcquireInstance(n)

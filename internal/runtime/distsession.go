@@ -2,12 +2,10 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"wishbone/internal/dataflow"
-	"wishbone/internal/netsim"
 	"wishbone/internal/wire"
 )
 
@@ -51,25 +49,17 @@ type HostBinding struct {
 // bookkeeping stays on one goroutine in window order, and per-node CPU
 // seconds are summed in global node order at Close.
 type DistSession struct {
-	cfg     Config
-	ch      netsim.Channel
-	agg     *reduceAggregator
+	windowCore
 	aggPlan *deliveryPlan
 	hosts   []HostBinding
 	ownerOf []int // node -> index into hosts
-	sources map[*dataflow.Operator]bool
 	edges   []*dataflow.Edge
-	window  float64
 
 	// Per-window scratch: arrivals grouped per host, and the per-host
 	// window reports.
 	hostArr [][]HostArrival
 	reports []*WindowReport
 	errs    []error
-
-	// OnWindow mirrors Session.OnWindow: every priced window's load
-	// observation, delivered on the Offer caller's goroutine.
-	OnWindow func(WindowObservation)
 
 	// Host-failure recovery (recovery.go): the armed policy, each host's
 	// last boundary checkpoint, and the window tail flushed since it.
@@ -78,23 +68,6 @@ type DistSession struct {
 	tail       []distWindowRec
 	sinceCkpt  int
 	recoveries []RecoveryEvent
-
-	scen *scenarioState
-
-	buf          [][]arrival
-	maxBuffered  int
-	windowStart  float64
-	lastSpan     float64
-	lastTime     float64
-	buffered     int
-	peakBuffered int
-	totalAir     int
-	ratioFirst   float64
-	ratioAir     float64
-	ratioUniform bool
-	sawWindow    bool
-	res          Result
-	closed       bool
 }
 
 // Distributable reports whether cfg's simulation can be split across
@@ -110,45 +83,23 @@ func Distributable(cfg Config) bool {
 // the drivers (and their remote sessions) first; on error the caller
 // aborts them.
 func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
-	if err := validateConfig(&cfg); err != nil {
+	s := &DistSession{}
+	if err := s.init(cfg, "distributed execution"); err != nil {
 		return nil, err
 	}
-	if cfg.Engine == EngineLegacy {
-		return nil, fmt.Errorf("runtime: distributed execution requires the compiled engine")
-	}
-	if !shardable(&cfg) {
+	s.runWindow = s.flushBuffered
+	if !shardable(&s.cfg) {
 		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
-	}
-	if math.IsNaN(cfg.WindowSeconds) || math.IsInf(cfg.WindowSeconds, 0) || cfg.WindowSeconds < 0 {
-		return nil, fmt.Errorf("runtime: bad WindowSeconds %g", cfg.WindowSeconds)
 	}
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("runtime: distributed run needs at least one host")
 	}
-	s := &DistSession{
-		cfg:          cfg,
-		ch:           netsim.ChannelFor(cfg.Platform),
-		agg:          newReduceAggregator(cfg.Nodes),
-		hosts:        hosts,
-		ownerOf:      make([]int, cfg.Nodes),
-		edges:        cfg.Graph.Edges(),
-		window:       cfg.WindowSeconds,
-		hostArr:      make([][]HostArrival, len(hosts)),
-		reports:      make([]*WindowReport, len(hosts)),
-		errs:         make([]error, len(hosts)),
-		buf:          make([][]arrival, cfg.Nodes),
-		maxBuffered:  cfg.MaxBufferedArrivals,
-		ratioUniform: true,
-	}
-	if s.maxBuffered <= 0 || s.maxBuffered > maxWindowArrivals {
-		s.maxBuffered = maxWindowArrivals
-	}
-	if s.window <= 0 {
-		s.window = 10
-	}
-	if s.window > cfg.Duration {
-		s.window = cfg.Duration
-	}
+	s.hosts = hosts
+	s.ownerOf = make([]int, cfg.Nodes)
+	s.edges = cfg.Graph.Edges()
+	s.hostArr = make([][]HostArrival, len(hosts))
+	s.reports = make([]*WindowReport, len(hosts))
+	s.errs = make([]error, len(hosts))
 	for i := range s.ownerOf {
 		s.ownerOf[i] = -1
 	}
@@ -181,74 +132,11 @@ func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
 		return nil, err
 	}
 	s.aggPlan = plan
-	s.lastSpan = s.window
-	s.sources = make(map[*dataflow.Operator]bool)
-	for _, src := range cfg.Graph.Sources() {
-		s.sources[src] = true
-	}
-	s.scen = newScenarioState(&s.cfg)
 	return s, nil
 }
 
-// Offer feeds one arrival, exactly like Session.Offer: globally
-// nondecreasing time, window-boundary crossings flush through the hosts.
-func (s *DistSession) Offer(nodeID int, a Arrival) error {
-	if s.closed {
-		return fmt.Errorf("runtime: Offer on a closed DistSession")
-	}
-	if nodeID < 0 || nodeID >= s.cfg.Nodes {
-		return fmt.Errorf("runtime: arrival for node %d outside [0,%d): %w", nodeID, s.cfg.Nodes, ErrBadArrival)
-	}
-	if !s.sources[a.Source] {
-		return fmt.Errorf("runtime: arrival source %v is not a source of the graph: %w", a.Source, ErrBadArrival)
-	}
-	if a.Time < s.lastTime {
-		return fmt.Errorf("runtime: arrivals out of order (%.6f after %.6f): %w", a.Time, s.lastTime, ErrBadArrival)
-	}
-	s.lastTime = a.Time
-	if a.Time >= s.cfg.Duration {
-		return nil
-	}
-	if err := s.advance(a.Time); err != nil {
-		return err
-	}
-	if s.scen.drops(nodeID, a.Time) {
-		return nil
-	}
-	if s.buffered >= s.maxBuffered {
-		return fmt.Errorf("runtime: window [%g,%g) exceeds %d buffered arrivals: %w",
-			s.windowStart, s.windowStart+s.window, s.maxBuffered, ErrBackpressure)
-	}
-	s.buf[nodeID] = append(s.buf[nodeID], arrival{t: a.Time, src: a.Source, v: a.Value})
-	s.buffered++
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-	return nil
-}
-
-// advance mirrors Session.advance: flush every crossed window boundary,
-// jumping the clock over empty gaps in one step.
-func (s *DistSession) advance(t float64) error {
-	for t >= s.windowStart+s.window {
-		if s.windowStart+s.window <= s.windowStart {
-			return fmt.Errorf("runtime: WindowSeconds %g cannot advance the window clock at t=%g",
-				s.window, s.windowStart)
-		}
-		if s.buffered == 0 {
-			if steps := math.Floor((t - s.windowStart) / s.window); steps > 1 {
-				s.windowStart += (steps - 1) * s.window
-				continue
-			}
-		}
-		if err := s.flushWindow(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushWindow drives one distributed window barrier:
+// flushBuffered is the DistSession's runWindow — one distributed window
+// barrier:
 //
 //  1. ship each host its origins' buffered arrivals; hosts simulate the
 //     node phase and answer with offered air + reduce contributions,
@@ -257,18 +145,8 @@ func (s *DistSession) advance(t float64) error {
 //  3. price the delivery ratio from the global offered air,
 //  4. broadcast the ratio — hosts deliver their held messages — and
 //     deliver the flushed aggregates through the coordinator's plan.
-func (s *DistSession) flushWindow() error {
+func (s *DistSession) flushBuffered(span float64) error {
 	cfg := &s.cfg
-	span := s.window
-	if rest := cfg.Duration - s.windowStart; rest < span {
-		span = rest
-	}
-	s.windowStart += s.window
-	if s.buffered == 0 {
-		return nil
-	}
-	s.lastSpan = span
-
 	for hi := range s.hostArr {
 		s.hostArr[hi] = s.hostArr[hi][:0]
 	}
@@ -365,33 +243,16 @@ func (s *DistSession) deliverWindow(out []message, span float64, active []int) e
 	for i := range out {
 		air += out[i].air
 	}
+	ratio := s.price(air, span, held+len(out))
 	if held+len(out) == 0 {
-		if s.OnWindow != nil {
-			s.OnWindow(WindowObservation{Start: s.windowStart - s.window, Span: span})
-		}
 		return nil
 	}
-	s.totalAir += air
-	ratio := s.ch.DeliveryRatio(float64(air) / span)
-	ratio = s.scen.priceRatio(ratio, s.windowIndex())
 	if len(active) > 0 && len(s.tail) > 0 {
 		// flushWindow-driven deliveries record the priced ratio on the
 		// window's replay record; the Close-tail delivery (active == nil)
 		// has no record — it belongs to the coordinator's aggregates only.
 		rec := &s.tail[len(s.tail)-1]
 		rec.priced, rec.ratio = true, ratio
-	}
-	if !s.sawWindow {
-		s.ratioFirst, s.sawWindow = ratio, true
-	} else if ratio != s.ratioFirst {
-		s.ratioUniform = false
-	}
-	s.ratioAir += ratio * float64(air)
-	if s.OnWindow != nil {
-		s.OnWindow(WindowObservation{
-			Start: s.windowStart - s.window, Span: span,
-			AirBytes: air, Ratio: ratio, Messages: held + len(out),
-		})
 	}
 
 	deliverers := make([]int, 0, len(active))
@@ -459,13 +320,8 @@ func (s *DistSession) Close() (*Result, error) {
 		return nil, fmt.Errorf("runtime: Close on a closed DistSession")
 	}
 	s.closed = true
-	aborted := false
 	abort := func(err error) (*Result, error) {
-		aborted = true
-		for _, b := range s.hosts {
-			b.Driver.Abort()
-		}
-		s.aggPlan.close()
+		s.teardown()
 		return nil, err
 	}
 	cfg := &s.cfg
@@ -479,34 +335,15 @@ func (s *DistSession) Close() (*Result, error) {
 		return abort(err)
 	}
 
-	busy := make([]float64, cfg.Nodes)
-	results := make([]*HostResult, len(s.hosts))
-	all := s.activeHosts(func(int) bool { return true })
-	s.eachHost(all, func(hi int) error {
-		hr, err := s.hosts[hi].Driver.Close()
-		results[hi] = hr
-		return err
-	})
-	for _, hi := range all {
-		if err := s.errs[hi]; err != nil {
-			if _, rerr := s.recoverHost(hi, err, "close"); rerr != nil {
-				s.errs[hi] = rerr
-				continue
-			}
-			results[hi], s.errs[hi] = s.hosts[hi].Driver.Close()
-		}
+	results, err := hostBarrier(s, "close", HostDriver.Close)
+	if err != nil {
+		// Close already tore the answering hosts down; only the
+		// coordinator's plan is left.
+		s.aggPlan.close()
+		return nil, err
 	}
-	for hi := range s.hosts {
-		if err := s.errs[hi]; err != nil {
-			if !aborted {
-				// Close already tore the hosts down; only the coordinator's
-				// plan is left.
-				s.aggPlan.close()
-				aborted = true
-			}
-			return nil, err
-		}
-		hr := results[hi]
+	busy := make([]float64, cfg.Nodes)
+	for hi, hr := range results {
 		s.res.InputEvents += hr.InputEvents
 		s.res.ProcessedEvents += hr.ProcessedEvents
 		s.res.MsgsSent += hr.MsgsSent
@@ -525,16 +362,7 @@ func (s *DistSession) Close() (*Result, error) {
 	for _, b := range busy {
 		s.res.NodeCPU += b
 	}
-	s.res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
-	s.res.OfferedAirBytesPerSec = float64(s.totalAir) / cfg.Duration
-	switch {
-	case !s.sawWindow:
-		s.res.DeliveryRatio = s.ch.DeliveryRatio(0)
-	case s.ratioUniform:
-		s.res.DeliveryRatio = s.ratioFirst
-	default:
-		s.res.DeliveryRatio = s.ratioAir / float64(s.totalAir)
-	}
+	s.finish()
 	s.aggPlan.collect(&s.res)
 	res := s.res
 	return &res, nil
@@ -546,36 +374,16 @@ func (s *DistSession) Abort() {
 		return
 	}
 	s.closed = true
+	s.teardown()
+}
+
+// teardown aborts every host and releases the coordinator's plan.
+func (s *DistSession) teardown() {
 	for _, b := range s.hosts {
 		b.Driver.Abort()
 	}
 	s.aggPlan.close()
 }
-
-// PeakBuffered mirrors Session.PeakBuffered.
-func (s *DistSession) PeakBuffered() int { return s.peakBuffered }
-
-// windowIndex is the zero-based index of the window being priced (its
-// start is windowStart - window: flushWindow has already advanced the
-// clock past it). The index is what the burst model's per-window chain
-// keys on, so it must be identical across placements — it is, because
-// the window clock is identical.
-func (s *DistSession) windowIndex() int {
-	return int(math.Round(s.windowStart/s.window)) - 1
-}
-
-// LocalHost adapts an in-process ShardHost to HostDriver — the degenerate
-// single-machine placement, and the reference the HTTP driver must match.
-type LocalHost struct{ H *ShardHost }
-
-func (l LocalHost) ComputeWindow(span float64, arrivals []HostArrival) (*WindowReport, error) {
-	return l.H.ComputeWindow(span, arrivals)
-}
-func (l LocalHost) DeliverWindow(ratio float64) error { return l.H.DeliverWindow(ratio) }
-func (l LocalHost) Checkpoint() ([]byte, error)       { return l.H.Checkpoint() }
-func (l LocalHost) Snapshot() ([]byte, error)         { return l.H.Snapshot() }
-func (l LocalHost) Close() (*HostResult, error)       { return l.H.Close() }
-func (l LocalHost) Abort()                            { l.H.Abort() }
 
 // PartitionOrigins splits nodes 0..n-1 across h hosts round-robin —
 // placement does not affect Results (per-origin independence), only

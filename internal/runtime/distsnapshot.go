@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"wishbone/internal/wire"
 )
@@ -17,38 +16,9 @@ import (
 // MigrateSnapshot — a different cut. Cross-host operator relocation is
 // exactly this round trip.
 
-// check validates a decoded snapshot against a run Config (the same
-// fields checkSessionHeader pins).
-func (snap *sessionSnap) check(cfg *Config, window float64) error {
-	saved := make(map[int]bool, len(snap.onNode))
-	for _, id := range snap.onNode {
-		saved[id] = true
-	}
-	for _, op := range cfg.Graph.Operators() {
-		if cfg.OnNode[op.ID()] != saved[op.ID()] {
-			return fmt.Errorf("runtime: snapshot is of a different cut (operator %s changed sides)", op)
-		}
-	}
-	if snap.platform != cfg.Platform.Name {
-		return fmt.Errorf("runtime: snapshot platform %q, config platform %q", snap.platform, cfg.Platform.Name)
-	}
-	if snap.nodes != cfg.Nodes {
-		return fmt.Errorf("runtime: snapshot has %d nodes, config %d", snap.nodes, cfg.Nodes)
-	}
-	if snap.duration != cfg.Duration {
-		return fmt.Errorf("runtime: snapshot duration %g, config %g", snap.duration, cfg.Duration)
-	}
-	if snap.seed != cfg.Seed {
-		return fmt.Errorf("runtime: snapshot seed %d, config %d", snap.seed, cfg.Seed)
-	}
-	if snap.window != window {
-		return fmt.Errorf("runtime: snapshot window %g, config %g", snap.window, window)
-	}
-	return nil
-}
-
 // hostSnap is one shard host's frozen contribution: its send-side
-// counters, its per-origin node sides, and its delivery plan's state.
+// counters, its per-origin node sides, and its delivery plan's state
+// (whose counters are the delivery-side accrual the host carries).
 type hostSnap struct {
 	msgsSent     int64
 	payloadBytes int64
@@ -62,60 +32,48 @@ type hostSnap struct {
 // instances release and further calls fail. The coordinator folds the
 // blob into the full run snapshot (DistSession.Snapshot).
 func (h *ShardHost) Snapshot() ([]byte, error) {
-	if h.closed {
-		return nil, fmt.Errorf("runtime: Snapshot on a closed ShardHost")
-	}
-	if len(h.held) > 0 {
-		return nil, fmt.Errorf("runtime: Snapshot with a window awaiting DeliverWindow")
-	}
-	if err := checkSnapshotable(&h.cfg); err != nil {
-		return nil, err
-	}
-	h.closed = true
-	defer func() {
-		h.release()
-		h.plan.close()
-	}()
-	return h.encodeHostBlob()
-}
-
-// Checkpoint freezes the host's state blob at the current window
-// boundary without disturbing the run: the encoding is the same as
-// Snapshot's (the whole encode path is read-only), but the host keeps
-// executing. The coordinator retains the blob so a replacement host can
-// restore it after a failure (RestoreShardHostCheckpoint).
-func (h *ShardHost) Checkpoint() ([]byte, error) {
-	if h.closed {
-		return nil, fmt.Errorf("runtime: Checkpoint on a closed ShardHost")
-	}
-	if len(h.held) > 0 {
-		return nil, fmt.Errorf("runtime: Checkpoint with a window awaiting DeliverWindow")
-	}
-	if err := checkSnapshotable(&h.cfg); err != nil {
-		return nil, err
-	}
-	return h.encodeHostBlob()
-}
-
-// encodeHostBlob writes the host contribution encoding shared by
-// Snapshot and Checkpoint: send-side counters, per-origin node sides,
-// and the delivery plan's state with any checkpoint-carried delivery
-// counters folded in (so a chain of restores keeps reporting the full
-// accrual).
-func (h *ShardHost) encodeHostBlob() ([]byte, error) {
-	eidx, err := edgeIndexes(&h.cfg)
+	data, err := h.freeze("Snapshot")
 	if err != nil {
 		return nil, err
 	}
-	w := wire.NewSnapshotWriter()
-	w.Int(int64(h.res.MsgsSent))
-	w.Int(int64(h.res.PayloadBytes))
-	w.Uvarint(uint64(len(h.origins)))
+	h.Abort()
+	return data, nil
+}
+
+// Checkpoint freezes the host's state blob at the current window
+// boundary without disturbing the run: the encoding is Snapshot's (the
+// whole capture path is read-only), but the host keeps executing. The
+// coordinator retains the blob so a replacement host can restore it
+// after a failure (RestoreShardHostCheckpoint).
+func (h *ShardHost) Checkpoint() ([]byte, error) { return h.freeze("Checkpoint") }
+
+// freeze captures the host contribution Snapshot and Checkpoint share:
+// send-side counters, per-origin node sides, and the delivery plan's
+// state with any checkpoint-carried delivery counters folded in (so a
+// chain of restores keeps reporting the full accrual). It fails, leaving
+// the host running, when the host is closed or mid-window.
+func (h *ShardHost) freeze(what string) ([]byte, error) {
+	if h.closed {
+		return nil, fmt.Errorf("runtime: %s on a closed ShardHost", what)
+	}
+	if len(h.held) > 0 {
+		return nil, fmt.Errorf("runtime: %s with a window awaiting DeliverWindow", what)
+	}
+	if err := checkSnapshotable(&h.cfg); err != nil {
+		return nil, err
+	}
+	hs := &hostSnap{
+		msgsSent:     int64(h.res.MsgsSent),
+		payloadBytes: int64(h.res.PayloadBytes),
+		origins:      h.origins,
+		sides:        make(map[int]nodeSnap, len(h.origins)),
+	}
 	for _, n := range h.origins {
-		w.Int(int64(n))
-		if err := saveNodeSide(w, &h.cfg, h.prog, eidx, h.nodes[n], h.insts[n]); err != nil {
+		var side nodeSnap
+		if err := captureNodeSide(&h.cfg, h.prog, h.eidx, h.nodes[n], h.insts[n], &side); err != nil {
 			return nil, err
 		}
+		hs.sides[n] = side
 	}
 	st, err := h.plan.snapshotState(&h.cfg)
 	if err != nil {
@@ -124,8 +82,22 @@ func (h *ShardHost) encodeHostBlob() ([]byte, error) {
 	st.MsgsReceived += h.carriedRecv
 	st.DeliveredBytes += h.carriedDelivered
 	st.ServerEmits += h.carriedEmits
-	st.save(w)
-	return w.Bytes(), nil
+	hs.shard = st
+	return encodeHostSnap(hs), nil
+}
+
+func encodeHostSnap(hs *hostSnap) []byte {
+	w := wire.NewSnapshotWriter()
+	w.Int(hs.msgsSent)
+	w.Int(hs.payloadBytes)
+	w.Uvarint(uint64(len(hs.origins)))
+	for _, n := range hs.origins {
+		w.Int(int64(n))
+		side := hs.sides[n]
+		encodeNodeSide(w, &side)
+	}
+	hs.shard.save(w)
+	return w.Bytes()
 }
 
 func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
@@ -136,10 +108,9 @@ func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
 	hs := &hostSnap{sides: make(map[int]nodeSnap)}
 	hs.msgsSent = r.Int()
 	hs.payloadBytes = r.Int()
-	nOrigins := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	// One origin is at least its id, two float64s and four one-byte
+	// varints (counters and the two empty-section counts).
+	nOrigins := r.Count(21)
 	nEdges := len(cfg.Graph.Edges())
 	for i := 0; i < nOrigins; i++ {
 		n := int(r.Int())
@@ -170,50 +141,28 @@ func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
 // full session snapshot (the coordinator ships every host the same
 // bytes; each host restores only its origins' node sides and delivery
 // state). The coordinator keeps the snapshot's clock, buffered arrivals
-// and carried counters — a restored host starts its own counters at
-// zero, exactly like the counter split in deliveryPlan.restoreState.
+// and carried counters — seen from one host, a session snapshot is a
+// host contribution whose counters are all zero.
 func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error) {
-	if err := checkSnapshotable(&cfg); err != nil {
-		return nil, err
-	}
-	h, err := NewShardHost(cfg, origins)
-	if err != nil {
-		return nil, err
-	}
-	abort := func(err error) (*ShardHost, error) {
-		h.Abort()
-		return nil, err
-	}
-	snap, err := decodeSessionSnap(cfg.Graph, data)
-	if err != nil {
-		return abort(err)
-	}
-	if err := snap.check(&h.cfg, snap.window); err != nil {
+	return restoreHost(cfg, origins, func(h *ShardHost) (*hostSnap, error) {
+		snap, err := decodeSessionSnap(cfg.Graph, data)
+		if err != nil {
+			return nil, err
+		}
 		// The window is the coordinator's to validate; hosts only pin the
-		// cut/platform/run identity (snap.window self-compares above).
-		return abort(err)
-	}
-	for _, n := range h.origins {
-		side := snap.perNode[n]
-		if err := applyNodeSnap(&h.cfg, h.prog, &side, h.nodes[n], h.insts[n]); err != nil {
-			return abort(err)
+		// cut/platform/run identity (snap.window self-compares).
+		if err := snap.check(&h.cfg, snap.window); err != nil {
+			return nil, err
 		}
-	}
-	// The host's delivery plan restores only its owned origins' state;
-	// AggregateOrigin stays with the coordinator, and the carried counters
-	// stay zero here (the coordinator folds them exactly once).
-	sub := &ShardState{}
-	for i := range snap.shard.Origins {
-		o := snap.shard.Origins[i]
-		if o.Origin == AggregateOrigin || !h.owned[o.Origin] {
-			continue
+		hs := &hostSnap{
+			sides: make(map[int]nodeSnap, len(h.origins)),
+			shard: &ShardState{Origins: snap.shard.Origins},
 		}
-		sub.Origins = append(sub.Origins, o)
-	}
-	if err := h.plan.restoreState(&h.cfg, sub); err != nil {
-		return abort(err)
-	}
-	return h, nil
+		for _, n := range h.origins {
+			hs.sides[n] = snap.perNode[n]
+		}
+		return hs, nil
+	})
 }
 
 // RestoreShardHostCheckpoint builds a shard host resuming from a host
@@ -225,6 +174,29 @@ func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error
 // host's counters are not splittable per origin, so a lost host's origins
 // move to their new home together.
 func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardHost, error) {
+	return restoreHost(cfg, origins, func(h *ShardHost) (*hostSnap, error) {
+		hs, err := decodeHostSnap(&h.cfg, data)
+		if err != nil {
+			return nil, err
+		}
+		if len(hs.origins) != len(h.origins) {
+			return nil, fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(h.origins))
+		}
+		for i, n := range hs.origins {
+			if n != h.origins[i] {
+				return nil, fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, h.origins)
+			}
+		}
+		return hs, nil
+	})
+}
+
+// restoreHost builds a host for origins and loads the contribution load
+// decodes for it: node sides for the owned origins, their delivery state
+// (AggregateOrigin stays with the coordinator), and whatever counters the
+// contribution carries — deliveryPlan.restoreState never folds counters,
+// so they become the host's own here or nobody's.
+func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, error)) (*ShardHost, error) {
 	if err := checkSnapshotable(&cfg); err != nil {
 		return nil, err
 	}
@@ -236,17 +208,9 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 		h.Abort()
 		return nil, err
 	}
-	hs, err := decodeHostSnap(&h.cfg, data)
+	hs, err := load(h)
 	if err != nil {
 		return abort(err)
-	}
-	if len(hs.origins) != len(h.origins) {
-		return abort(fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(h.origins)))
-	}
-	for i, n := range hs.origins {
-		if n != h.origins[i] {
-			return abort(fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, h.origins))
-		}
 	}
 	h.res.MsgsSent = int(hs.msgsSent)
 	h.res.PayloadBytes = int(hs.payloadBytes)
@@ -260,12 +224,10 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 	h.carriedDelivered = hs.shard.DeliveredBytes
 	h.carriedEmits = hs.shard.ServerEmits
 	sub := &ShardState{}
-	for i := range hs.shard.Origins {
-		o := hs.shard.Origins[i]
-		if o.Origin == AggregateOrigin || !h.owned[o.Origin] {
-			continue
+	for _, o := range hs.shard.Origins {
+		if o.Origin != AggregateOrigin && h.owned[o.Origin] {
+			sub.Origins = append(sub.Origins, o)
 		}
-		sub.Origins = append(sub.Origins, o)
 	}
 	if err := h.plan.restoreState(&h.cfg, sub); err != nil {
 		return abort(err)
@@ -286,129 +248,70 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 	}
 	s.closed = true
 	cfg := &s.cfg
-	blobs := make([][]byte, len(s.hosts))
-	all := s.activeHosts(func(int) bool { return true })
-	s.eachHost(all, func(hi int) error {
-		data, err := s.hosts[hi].Driver.Snapshot()
-		blobs[hi] = data
-		return err
-	})
-	abort := func(err error) ([]byte, error) {
+	// The coordinator's plan is only read from here on.
+	defer s.aggPlan.close()
+	blobs, err := hostBarrier(s, "snapshot", HostDriver.Snapshot)
+	if err != nil {
 		// Snapshot is terminal on every driver that succeeded; Abort the
-		// rest and the coordinator's plan.
+		// rest.
 		for hi := range s.hosts {
 			if blobs[hi] == nil {
 				s.hosts[hi].Driver.Abort()
 			}
 		}
-		s.aggPlan.close()
 		return nil, err
-	}
-	for _, hi := range all {
-		if err := s.errs[hi]; err != nil {
-			// A lost host recovers even at the freeze barrier: the
-			// replacement replays the tail, then snapshots in its place.
-			if _, rerr := s.recoverHost(hi, err, "snapshot"); rerr != nil {
-				return abort(rerr)
-			}
-			data, serr := s.hosts[hi].Driver.Snapshot()
-			if serr != nil {
-				return abort(serr)
-			}
-			blobs[hi] = data
-		}
 	}
 	hostSnaps := make([]*hostSnap, len(s.hosts))
 	for hi := range s.hosts {
-		hs, err := decodeHostSnap(cfg, blobs[hi])
-		if err != nil {
-			return abort(err)
+		if hostSnaps[hi], err = decodeHostSnap(cfg, blobs[hi]); err != nil {
+			return nil, err
 		}
-		hostSnaps[hi] = hs
 	}
 	aggSt, err := s.aggPlan.snapshotState(cfg)
 	if err != nil {
-		return abort(err)
-	}
-	s.aggPlan.close()
-
-	eidx, err := edgeIndexes(cfg)
-	if err != nil {
 		return nil, err
 	}
-	w := wire.NewSnapshotWriter()
-	saveSessionHeader(w, cfg, s.window)
-	w.F64(s.lastTime)
-	w.F64(s.windowStart)
-	w.F64(s.lastSpan)
-	w.Int(int64(s.peakBuffered))
-	w.Int(int64(s.totalAir))
-	w.F64(s.ratioFirst)
-	w.F64(s.ratioAir)
-	w.Bool(s.ratioUniform)
-	w.Bool(s.sawWindow)
 
-	res := s.res
-	st := &ShardState{
-		MsgsReceived:   res.MsgsReceived + aggSt.MsgsReceived,
-		DeliveredBytes: res.DeliveredBytes + aggSt.DeliveredBytes,
-		ServerEmits:    res.ServerEmits + aggSt.ServerEmits,
+	snap := &sessionSnap{}
+	if err := s.capture(snap); err != nil {
+		return nil, err
 	}
-	res.MsgsReceived, res.DeliveredBytes, res.ServerEmits = 0, 0, 0
+	// The coordinator's partial Result holds only what it delivered itself;
+	// the send-side counters fold in from the hosts, and every delivery-side
+	// counter moves to the shard section, where a Session's would be.
+	st := &ShardState{
+		MsgsReceived:   snap.res.MsgsReceived + aggSt.MsgsReceived,
+		DeliveredBytes: snap.res.DeliveredBytes + aggSt.DeliveredBytes,
+		ServerEmits:    snap.res.ServerEmits + aggSt.ServerEmits,
+		Server:         aggSt.Server,
+	}
+	snap.res.MsgsReceived, snap.res.DeliveredBytes, snap.res.ServerEmits = 0, 0, 0
 	for _, hs := range hostSnaps {
-		res.MsgsSent += int(hs.msgsSent)
-		res.PayloadBytes += int(hs.payloadBytes)
+		snap.res.MsgsSent += int(hs.msgsSent)
+		snap.res.PayloadBytes += int(hs.payloadBytes)
 		st.MsgsReceived += hs.shard.MsgsReceived
 		st.DeliveredBytes += hs.shard.DeliveredBytes
 		st.ServerEmits += hs.shard.ServerEmits
-	}
-	w.Int(int64(res.InputEvents))
-	w.Int(int64(res.ProcessedEvents))
-	w.Int(int64(res.MsgsSent))
-	w.Int(int64(res.MsgsReceived))
-	w.Int(int64(res.PayloadBytes))
-	w.Int(int64(res.DeliveredBytes))
-	w.Int(int64(res.ServerEmits))
-
-	for n := 0; n < cfg.Nodes; n++ {
-		hs := hostSnaps[s.ownerOf[n]]
-		side, ok := hs.sides[n]
-		if !ok {
-			return nil, fmt.Errorf("runtime: host %d's snapshot is missing origin %d", s.ownerOf[n], n)
-		}
-		encodeNodeSide(w, &side)
-		buf := s.buf[n]
-		w.Uvarint(uint64(len(buf)))
-		for _, a := range buf {
-			w.F64(a.t)
-			w.Uvarint(uint64(a.src.ID()))
-			enc, err := wire.Marshal(a.v)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: buffered arrival at node %d does not marshal: %w", n, err)
+		for _, o := range hs.shard.Origins {
+			// The aggregate origin belongs to the coordinator's plan; a
+			// host plan can hold only a defensive empty entry.
+			if o.Origin != AggregateOrigin {
+				st.Origins = append(st.Origins, o)
 			}
-			w.Blob(enc)
-		}
-	}
-
-	if err := saveAggregator(w, s.agg, eidx); err != nil {
-		return nil, err
-	}
-	for _, hs := range hostSnaps {
-		for i := range hs.shard.Origins {
-			o := hs.shard.Origins[i]
-			if o.Origin == AggregateOrigin {
-				// The aggregate origin belongs to the coordinator's plan; a
-				// host plan can hold only a defensive empty entry.
-				continue
-			}
-			st.Origins = append(st.Origins, o)
 		}
 	}
 	st.Origins = append(st.Origins, aggSt.Origins...)
-	sort.Slice(st.Origins, func(i, j int) bool { return st.Origins[i].Origin < st.Origins[j].Origin })
-	st.Server = aggSt.Server
-	st.save(w)
-	return w.Bytes(), nil
+	st.canonicalize()
+	snap.shard = st
+	for n := range snap.perNode {
+		side, ok := hostSnaps[s.ownerOf[n]].sides[n]
+		if !ok {
+			return nil, fmt.Errorf("runtime: host %d's snapshot is missing origin %d", s.ownerOf[n], n)
+		}
+		side.arrivals = snap.perNode[n].arrivals
+		snap.perNode[n] = side
+	}
+	return encodeSessionSnap(snap), nil
 }
 
 // ResumeDistSession rebuilds a distributed coordinator from a session
@@ -426,109 +329,25 @@ func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*DistSessi
 	if err != nil {
 		return nil, err
 	}
+	fail := func(err error) (*DistSession, error) {
+		s.aggPlan.close()
+		return nil, err
+	}
 	snap, err := decodeSessionSnap(cfg.Graph, data)
 	if err != nil {
-		s.aggPlan.close()
-		return nil, err
+		return fail(err)
 	}
-	if err := snap.check(&s.cfg, s.window); err != nil {
-		s.aggPlan.close()
-		return nil, err
+	if err := s.apply(snap); err != nil {
+		return fail(err)
 	}
-	s.lastTime = snap.lastTime
-	s.windowStart = snap.windowStart
-	s.lastSpan = snap.lastSpan
-	s.peakBuffered = int(snap.peakBuffered)
-	s.totalAir = int(snap.totalAir)
-	s.ratioFirst = snap.ratioFirst
-	s.ratioAir = snap.ratioAir
-	s.ratioUniform = snap.ratioUniform
-	s.sawWindow = snap.sawWindow
-	s.res.InputEvents = int(snap.res[0])
-	s.res.ProcessedEvents = int(snap.res[1])
-	s.res.MsgsSent = int(snap.res[2])
-	s.res.MsgsReceived = int(snap.res[3])
-	s.res.PayloadBytes = int(snap.res[4])
-	s.res.DeliveredBytes = int(snap.res[5])
-	s.res.ServerEmits = int(snap.res[6])
-
-	for n := range snap.perNode {
-		for _, a := range snap.perNode[n].arrivals {
-			src := cfg.Graph.ByID(a.src)
-			if src == nil || !s.sources[src] {
-				s.aggPlan.close()
-				return nil, fmt.Errorf("runtime: snapshot buffered arrival at non-source operator %d", a.src)
-			}
-			v, _, err := wire.Unmarshal(a.blob)
-			if err != nil {
-				s.aggPlan.close()
-				return nil, err
-			}
-			s.buf[n] = append(s.buf[n], arrival{t: a.t, src: src, v: v})
-			s.buffered++
+	sub := &ShardState{Server: snap.shard.Server}
+	for _, o := range snap.shard.Origins {
+		if o.Origin == AggregateOrigin {
+			sub.Origins = append(sub.Origins, o)
 		}
 	}
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-
-	if err := restoreAggFromSnap(&s.cfg, s.agg, snap.agg); err != nil {
-		s.aggPlan.close()
-		return nil, err
-	}
-	// The snapshot's carried delivery counters fold here exactly once
-	// (hosts restore with zeroed counters); the coordinator's plan takes
-	// only the AggregateOrigin state.
-	st := snap.shard
-	s.res.MsgsReceived += st.MsgsReceived
-	s.res.DeliveredBytes += st.DeliveredBytes
-	s.res.ServerEmits += st.ServerEmits
-	sub := &ShardState{}
-	for i := range st.Origins {
-		if st.Origins[i].Origin == AggregateOrigin {
-			sub.Origins = append(sub.Origins, st.Origins[i])
-		}
-	}
-	sub.Server = st.Server
 	if err := s.aggPlan.restoreState(&s.cfg, sub); err != nil {
-		s.aggPlan.close()
-		return nil, err
+		return fail(err)
 	}
 	return s, nil
-}
-
-// restoreAggFromSnap loads decoded aggregator state into a live
-// reduceAggregator — the struct-form twin of loadAggregator.
-func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) error {
-	edges := cfg.Graph.Edges()
-	for i := range snaps {
-		ae := &snaps[i]
-		if ae.edge < 0 || ae.edge >= len(edges) {
-			return fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ae.edge, len(edges))
-		}
-		e := edges[ae.edge]
-		a.edgeOrder = append(a.edgeOrder, e)
-		counts := make([]int, len(ae.counts))
-		for j, c := range ae.counts {
-			counts[j] = int(c)
-		}
-		a.counts[e] = counts
-		a.flushed[e] = int(ae.flushed)
-		a.seq[e] = ae.seq
-		pend := make([]*message, 0, len(ae.pending))
-		for j := range ae.pending {
-			p := &ae.pending[j]
-			if !p.present {
-				pend = append(pend, nil)
-				continue
-			}
-			v, _, err := wire.Unmarshal(p.blob)
-			if err != nil {
-				return err
-			}
-			pend = append(pend, &message{time: p.time, nodeID: AggregateOrigin, edge: e, value: v})
-		}
-		a.pending[e] = pend
-	}
-	return nil
 }

@@ -104,8 +104,7 @@ func (s *DistSession) recordWindow(span float64) {
 
 // maybeCheckpoint runs the per-boundary checkpoint when the cadence is
 // due: every host freezes its state blob (non-terminal), the coordinator
-// retains the blobs and drops the replay tail. A host that fails during
-// its own checkpoint is recovered and re-checkpointed.
+// retains the blobs and drops the replay tail.
 func (s *DistSession) maybeCheckpoint() error {
 	if s.rec == nil {
 		return nil
@@ -114,29 +113,39 @@ func (s *DistSession) maybeCheckpoint() error {
 	if s.sinceCkpt < s.rec.Every {
 		return nil
 	}
-	all := s.activeHosts(func(int) bool { return true })
-	blobs := make([][]byte, len(s.hosts))
-	s.eachHost(all, func(hi int) error {
-		data, err := s.hosts[hi].Driver.Checkpoint()
-		blobs[hi] = data
+	blobs, err := hostBarrier(s, "checkpoint", HostDriver.Checkpoint)
+	if err != nil {
 		return err
-	})
-	for _, hi := range all {
-		if err := s.errs[hi]; err != nil {
-			if _, rerr := s.recoverHost(hi, err, "checkpoint"); rerr != nil {
-				return rerr
-			}
-			data, err := s.hosts[hi].Driver.Checkpoint()
-			if err != nil {
-				return err
-			}
-			blobs[hi] = data
-		}
 	}
 	s.ckpts = blobs
 	s.tail = s.tail[:0]
 	s.sinceCkpt = 0
 	return nil
+}
+
+// hostBarrier runs one whole-run driver call (Checkpoint, Snapshot, Close)
+// on every host concurrently. A host lost during the call is recovered —
+// the replacement replays the tail — and asked again in its place. On
+// error the answers gathered so far return too: a zero entry marks a host
+// the call never completed on.
+func hostBarrier[T any](s *DistSession, op string, call func(HostDriver) (T, error)) ([]T, error) {
+	out := make([]T, len(s.hosts))
+	all := s.activeHosts(func(int) bool { return true })
+	s.eachHost(all, func(hi int) (err error) {
+		out[hi], err = call(s.hosts[hi].Driver)
+		return err
+	})
+	for _, hi := range all {
+		if err := s.errs[hi]; err != nil {
+			if _, rerr := s.recoverHost(hi, err, op); rerr != nil {
+				return out, rerr
+			}
+			if out[hi], err = call(s.hosts[hi].Driver); err != nil {
+				return out, err
+			}
+		}
+	}
+	return out, nil
 }
 
 // recoverHost handles one failed driver call. Unrecoverable failures (no

@@ -95,7 +95,7 @@ func localReopen(cfg runtime.Config) func(host int, origins []int, ckpt []byte) 
 		if err != nil {
 			return nil, err
 		}
-		return runtime.LocalHost{H: h}, nil
+		return h, nil
 	}
 }
 
@@ -145,7 +145,7 @@ func TestDistRecoveryParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: host %d: %v", name, i, err)
 					}
-					var d runtime.HostDriver = runtime.LocalHost{H: h}
+					var d runtime.HostDriver = h
 					if i == 0 {
 						d = &flakyHost{inner: d, fuse: fuse}
 					}
@@ -213,7 +213,7 @@ func TestDistRecoveryRepeatedFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d runtime.HostDriver = runtime.LocalHost{H: h}
+		var d runtime.HostDriver = h
 		if i == 0 {
 			kills++
 			d = &flakyHost{inner: d, fuse: &hostFuse{op: "compute", after: 0}}
@@ -259,7 +259,7 @@ func TestDistRecoverySnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d runtime.HostDriver = runtime.LocalHost{H: h}
+		var d runtime.HostDriver = h
 		if i == 0 {
 			d = &flakyHost{inner: d, fuse: fuse}
 		}
@@ -314,7 +314,7 @@ func TestDistRecoveryDisarmed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d runtime.HostDriver = runtime.LocalHost{H: h}
+		var d runtime.HostDriver = h
 		if i == 0 {
 			d = &flakyHost{inner: d, fuse: &hostFuse{op: "compute", after: 0}}
 		}

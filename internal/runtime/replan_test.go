@@ -385,7 +385,7 @@ func TestDistReplanParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hosts = append(hosts, runtime.HostBinding{Driver: runtime.LocalHost{H: h}, Origins: origins})
+			hosts = append(hosts, runtime.HostBinding{Driver: h, Origins: origins})
 		}
 		ds, err := runtime.NewDistSession(base, hosts)
 		if err != nil {
@@ -403,11 +403,11 @@ func TestDistReplanParity(t *testing.T) {
 					}
 					return nil, err
 				}
-				nh = append(nh, runtime.HostBinding{Driver: runtime.LocalHost{H: h}, Origins: origins})
+				nh = append(nh, runtime.HostBinding{Driver: h, Origins: origins})
 			}
 			return nh, nil
 		}
-		dcs := runtime.NewDistControlledSession(ds, policy, 0, runtime.DistPlanner(planner), rebind)
+		dcs := runtime.NewDistControlledSession(ds, policy, 0, planner, rebind)
 		for i, f := range feed {
 			if err := dcs.Offer(f.node, f.a); err != nil {
 				t.Fatalf("hosts→%d: offer %d: %v", hostsAfter, i, err)

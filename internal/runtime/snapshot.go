@@ -85,12 +85,12 @@ func loadShardState(r *wire.SnapshotReader) *ShardState {
 		DeliveredBytes: int(r.Int()),
 		ServerEmits:    int(r.Int()),
 	}
-	st.Origins = make([]OriginState, r.Uvarint())
+	st.Origins = make([]OriginState, r.Count(4))
 	for i := range st.Origins {
 		o := &st.Origins[i]
 		o.Origin = int(r.Int())
 		o.Draws = r.Uvarint()
-		o.Streams = make([]EdgeStream, r.Uvarint())
+		o.Streams = make([]EdgeStream, r.Count(2))
 		for j := range o.Streams {
 			o.Streams[j].Edge = int(r.Uvarint())
 			o.Streams[j].Data = append([]byte(nil), r.Blob()...)
@@ -110,7 +110,7 @@ func saveOpStates(w *wire.SnapshotWriter, ops []OpState) {
 }
 
 func loadOpStates(r *wire.SnapshotReader) []OpState {
-	ops := make([]OpState, r.Uvarint())
+	ops := make([]OpState, r.Count(2))
 	for i := range ops {
 		ops[i].Op = int(r.Uvarint())
 		ops[i].Data = append([]byte(nil), r.Blob()...)
@@ -140,11 +140,18 @@ func saveOperatorState(op *dataflow.Operator, st any) ([]byte, error) {
 	return op.SaveState(st)
 }
 
-func loadOperatorState(op *dataflow.Operator, data []byte) (any, error) {
-	if op.LoadState == nil {
-		return nil, fmt.Errorf("runtime: operator %s has no LoadState hook", op)
+// loadOpState resolves a serialized state's operator and runs its
+// LoadState hook.
+func loadOpState(cfg *Config, os OpState) (*dataflow.Operator, any, error) {
+	op := cfg.Graph.ByID(os.Op)
+	if op == nil {
+		return nil, nil, fmt.Errorf("runtime: snapshot references operator %d", os.Op)
 	}
-	return op.LoadState(data)
+	if op.LoadState == nil {
+		return nil, nil, fmt.Errorf("runtime: operator %s has no LoadState hook", op)
+	}
+	state, err := op.LoadState(os.Data)
+	return op, state, err
 }
 
 // snapshotState extracts the plan's serializable state. The plan must be
@@ -160,10 +167,7 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 		}
 		return o
 	}
-	eidx, err := edgeIndexes(cfg)
-	if err != nil {
-		return nil, err
-	}
+	eidx := edgeIndexes(cfg)
 	for _, sh := range d.shards {
 		srv, ok := sh.engine.(*compiledServer)
 		if !ok {
@@ -205,13 +209,23 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 		}
 	}
 	for _, o := range origins {
-		sort.Slice(o.Streams, func(i, j int) bool { return o.Streams[i].Edge < o.Streams[j].Edge })
-		sort.Slice(o.Ops, func(i, j int) bool { return o.Ops[i].Op < o.Ops[j].Op })
 		st.Origins = append(st.Origins, *o)
 	}
-	sort.Slice(st.Origins, func(i, j int) bool { return st.Origins[i].Origin < st.Origins[j].Origin })
-	sort.Slice(st.Server, func(i, j int) bool { return st.Server[i].Op < st.Server[j].Op })
+	st.canonicalize()
 	return st, nil
+}
+
+// canonicalize puts the state in its serialized order — origins ascending,
+// each origin's streams by edge and states by operator — which is what
+// makes the bytes independent of map iteration and of placement.
+func (st *ShardState) canonicalize() {
+	for i := range st.Origins {
+		o := &st.Origins[i]
+		sort.Slice(o.Streams, func(a, b int) bool { return o.Streams[a].Edge < o.Streams[b].Edge })
+		sort.Slice(o.Ops, func(a, b int) bool { return o.Ops[a].Op < o.Ops[b].Op })
+	}
+	sort.Slice(st.Origins, func(a, b int) bool { return st.Origins[a].Origin < st.Origins[b].Origin })
+	sort.Slice(st.Server, func(a, b int) bool { return st.Server[a].Op < st.Server[b].Op })
 }
 
 // restoreState rebuilds a fresh plan's per-origin state from a snapshot.
@@ -247,11 +261,7 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 				return fmt.Errorf("runtime: restore requires the compiled engine")
 			}
 			for _, os := range o.Ops {
-				op := cfg.Graph.ByID(os.Op)
-				if op == nil {
-					return fmt.Errorf("runtime: snapshot references operator %d", os.Op)
-				}
-				state, err := loadOperatorState(op, os.Data)
+				op, state, err := loadOpState(cfg, os)
 				if err != nil {
 					return err
 				}
@@ -272,11 +282,7 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 			return fmt.Errorf("runtime: restore requires the compiled engine")
 		}
 		for _, os := range st.Server {
-			op := cfg.Graph.ByID(os.Op)
-			if op == nil {
-				return fmt.Errorf("runtime: snapshot references operator %d", os.Op)
-			}
-			state, err := loadOperatorState(op, os.Data)
+			op, state, err := loadOpState(cfg, os)
 			if err != nil {
 				return err
 			}
@@ -288,172 +294,67 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 
 // edgeIndexes maps edge pointers to their dense index in Graph.Edges() —
 // the portable edge naming every serialized frame uses.
-func edgeIndexes(cfg *Config) (map[*dataflow.Edge]int, error) {
+func edgeIndexes(cfg *Config) map[*dataflow.Edge]int {
 	edges := cfg.Graph.Edges()
 	m := make(map[*dataflow.Edge]int, len(edges))
 	for i, e := range edges {
 		m[e] = i
 	}
-	return m, nil
+	return m
 }
 
-// saveNodeSide serializes one node's simulator, sender sequence counters
-// and stateful operator states.
-func saveNodeSide(w *wire.SnapshotWriter, cfg *Config, prog *dataflow.Program,
-	eidx map[*dataflow.Edge]int, ns *nodeSim, inst *dataflow.Instance) error {
-	w.F64(ns.busyUntil)
-	w.F64(ns.busy)
-	w.Int(int64(ns.inputEvents))
-	w.Int(int64(ns.processedEvents))
-	type seqEntry struct {
-		edge int
-		seq  uint16
-	}
-	var seqs []seqEntry
+// captureNodeSide copies one node's simulator, sender sequence counters
+// and stateful operator states into side (leaving side's buffered
+// arrivals alone — those are the coordinator's). Operator states keep
+// Program.StatefulOps order, sequences sort by dense edge index.
+func captureNodeSide(cfg *Config, prog *dataflow.Program, eidx map[*dataflow.Edge]int,
+	ns *nodeSim, inst *dataflow.Instance, side *nodeSnap) error {
+	side.busyUntil, side.busy = ns.busyUntil, ns.busy
+	side.inputEvents, side.processedEvents = int64(ns.inputEvents), int64(ns.processedEvents)
+	side.seqs = make([]seqSnap, 0, len(ns.s.seqs))
 	for e, q := range ns.s.seqs {
-		seqs = append(seqs, seqEntry{edge: eidx[e], seq: q})
+		side.seqs = append(side.seqs, seqSnap{edge: eidx[e], seq: q})
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i].edge < seqs[j].edge })
-	w.Uvarint(uint64(len(seqs)))
-	for _, se := range seqs {
-		w.Uvarint(uint64(se.edge))
-		w.U16(se.seq)
-	}
+	sort.Slice(side.seqs, func(i, j int) bool { return side.seqs[i].edge < side.seqs[j].edge })
 	ids := prog.StatefulOps()
-	w.Uvarint(uint64(len(ids)))
+	side.ops = make([]OpState, 0, len(ids))
 	for _, id := range ids {
 		op := cfg.Graph.ByID(id)
 		data, err := saveOperatorState(op, inst.State(op))
 		if err != nil {
 			return err
 		}
-		w.Uvarint(uint64(id))
-		w.Blob(data)
+		side.ops = append(side.ops, OpState{Op: id, Data: data})
 	}
 	return nil
 }
 
-func loadNodeSide(r *wire.SnapshotReader, cfg *Config, prog *dataflow.Program,
-	ns *nodeSim, inst *dataflow.Instance) error {
-	edges := cfg.Graph.Edges()
-	ns.busyUntil = r.F64()
-	ns.busy = r.F64()
-	ns.inputEvents = int(r.Int())
-	ns.processedEvents = int(r.Int())
-	nseq := int(r.Uvarint())
-	if nseq > 0 {
-		ns.s.seqs = make(map[*dataflow.Edge]uint16, nseq)
-		for i := 0; i < nseq; i++ {
-			ei := int(r.Uvarint())
-			q := r.U16()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if ei < 0 || ei >= len(edges) {
-				return fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", ei, len(edges))
-			}
-			ns.s.seqs[edges[ei]] = q
-		}
-	}
-	nops := int(r.Uvarint())
-	for i := 0; i < nops; i++ {
-		id := int(r.Uvarint())
-		data := r.Blob()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		op := cfg.Graph.ByID(id)
-		if op == nil || !prog.Included(op) {
-			return fmt.Errorf("runtime: snapshot node state for operator %d outside the node partition", id)
-		}
-		state, err := loadOperatorState(op, data)
-		if err != nil {
-			return err
-		}
-		inst.SetState(op, state)
-	}
-	return r.Err()
-}
-
-// saveAggregator serializes the cross-window reduce-aggregation state:
-// per edge (in deterministic first-seen order) the per-node round counts,
-// the flush watermark, the fragmentation sequence, and every pending
-// round's combined value.
-func saveAggregator(w *wire.SnapshotWriter, a *reduceAggregator, eidx map[*dataflow.Edge]int) error {
-	w.Uvarint(uint64(len(a.edgeOrder)))
+// captureAggregator copies the cross-window reduce-aggregation state: per
+// edge (in deterministic first-seen order) the per-node round counts, the
+// flush watermark, the fragmentation sequence, and every pending round's
+// combined value.
+func captureAggregator(a *reduceAggregator, eidx map[*dataflow.Edge]int) ([]aggEdgeSnap, error) {
+	snaps := make([]aggEdgeSnap, 0, len(a.edgeOrder))
 	for _, e := range a.edgeOrder {
-		w.Uvarint(uint64(eidx[e]))
-		counts := a.counts[e]
-		w.Uvarint(uint64(len(counts)))
-		for _, c := range counts {
-			w.Int(int64(c))
+		ae := aggEdgeSnap{edge: eidx[e], flushed: int64(a.flushed[e]), seq: a.seq[e]}
+		for _, c := range a.counts[e] {
+			ae.counts = append(ae.counts, int64(c))
 		}
-		w.Int(int64(a.flushed[e]))
-		w.U16(a.seq[e])
-		pend := a.pending[e]
-		w.Uvarint(uint64(len(pend)))
-		for _, m := range pend {
+		for _, m := range a.pending[e] {
 			if m == nil {
-				w.Bool(false)
+				ae.pending = append(ae.pending, pendSnap{})
 				continue
 			}
-			w.Bool(true)
-			w.F64(m.time)
 			enc, err := wire.Marshal(m.value)
 			if err != nil {
-				return fmt.Errorf("runtime: pending aggregate on %s→%s does not marshal: %w",
+				return nil, fmt.Errorf("runtime: pending aggregate on %s→%s does not marshal: %w",
 					m.edge.From, m.edge.To, err)
 			}
-			w.Blob(enc)
+			ae.pending = append(ae.pending, pendSnap{present: true, time: m.time, blob: enc})
 		}
+		snaps = append(snaps, ae)
 	}
-	return nil
-}
-
-func loadAggregator(r *wire.SnapshotReader, cfg *Config, a *reduceAggregator) error {
-	edges := cfg.Graph.Edges()
-	nEdges := int(r.Uvarint())
-	for i := 0; i < nEdges; i++ {
-		ei := int(r.Uvarint())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if ei < 0 || ei >= len(edges) {
-			return fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ei, len(edges))
-		}
-		e := edges[ei]
-		a.edgeOrder = append(a.edgeOrder, e)
-		counts := make([]int, r.Uvarint())
-		for j := range counts {
-			counts[j] = int(r.Int())
-		}
-		a.counts[e] = counts
-		a.flushed[e] = int(r.Int())
-		a.seq[e] = r.U16()
-		npend := int(r.Uvarint())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		pend := make([]*message, 0, npend)
-		for j := 0; j < npend; j++ {
-			if !r.Bool() {
-				pend = append(pend, nil)
-				continue
-			}
-			t := r.F64()
-			blob := r.Blob()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			v, _, err := wire.Unmarshal(blob)
-			if err != nil {
-				return err
-			}
-			pend = append(pend, &message{time: t, nodeID: AggregateOrigin, edge: e, value: v})
-		}
-		a.pending[e] = pend
-	}
-	return r.Err()
+	return snaps, nil
 }
 
 // Snapshot freezes the session at its current window boundary and returns
@@ -476,76 +377,27 @@ func (s *Session) Snapshot() ([]byte, error) {
 		return nil, err
 	}
 	s.closed = true
-	defer func() {
-		for _, inst := range s.insts {
-			s.prog.ReleaseInstance(inst)
-		}
-		s.insts, s.nodes = nil, nil
-		for _, a := range s.arenas {
-			releaseArena(a)
-		}
-		s.arenas = nil
-		s.plan.close()
-	}()
-	if s.pipe != nil {
-		// Joining the pipeline drains every in-flight delivery; afterwards
-		// all state is at the last flushed window boundary.
-		if err := s.pipe.shutdown(); err != nil {
-			return nil, err
-		}
+	defer s.release()
+	if err := s.joinPipe(); err != nil {
+		return nil, err
 	}
 	cfg := &s.cfg
-	eidx, err := edgeIndexes(cfg)
-	if err != nil {
+	snap := &sessionSnap{}
+	if err := s.capture(snap); err != nil {
 		return nil, err
 	}
-	w := wire.NewSnapshotWriter()
-	saveSessionHeader(w, cfg, s.window)
-
-	w.F64(s.lastTime)
-	w.F64(s.windowStart)
-	w.F64(s.lastSpan)
-	w.Int(int64(s.peakBuffered))
-	w.Int(int64(s.totalAir))
-	w.F64(s.ratioFirst)
-	w.F64(s.ratioAir)
-	w.Bool(s.ratioUniform)
-	w.Bool(s.sawWindow)
-
-	w.Int(int64(s.res.InputEvents))
-	w.Int(int64(s.res.ProcessedEvents))
-	w.Int(int64(s.res.MsgsSent))
-	w.Int(int64(s.res.MsgsReceived))
-	w.Int(int64(s.res.PayloadBytes))
-	w.Int(int64(s.res.DeliveredBytes))
-	w.Int(int64(s.res.ServerEmits))
-
-	for n := 0; n < cfg.Nodes; n++ {
-		if err := saveNodeSide(w, cfg, s.prog, eidx, s.nodes[n], s.insts[n]); err != nil {
+	eidx := edgeIndexes(cfg)
+	for n := range snap.perNode {
+		if err := captureNodeSide(cfg, s.prog, eidx, s.nodes[n], s.insts[n], &snap.perNode[n]); err != nil {
 			return nil, err
 		}
-		buf := s.buf[n]
-		w.Uvarint(uint64(len(buf)))
-		for _, a := range buf {
-			w.F64(a.t)
-			w.Uvarint(uint64(a.src.ID()))
-			enc, err := wire.Marshal(a.v)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: buffered arrival at node %d does not marshal: %w", n, err)
-			}
-			w.Blob(enc)
-		}
-	}
-
-	if err := saveAggregator(w, s.agg, eidx); err != nil {
-		return nil, err
 	}
 	st, err := s.plan.snapshotState(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.save(w)
-	return w.Bytes(), nil
+	snap.shard = st
+	return encodeSessionSnap(snap), nil
 }
 
 // MigrateSnapshot rewrites a Session snapshot taken on one cut into a
@@ -688,12 +540,7 @@ func MigrateSnapshot(g *dataflow.Graph, data []byte, newOnNode map[int]bool) ([]
 			st.Origins = append(st.Origins, *o)
 		}
 	}
-	for i := range st.Origins {
-		o := &st.Origins[i]
-		sort.Slice(o.Streams, func(a, b int) bool { return o.Streams[a].Edge < o.Streams[b].Edge })
-		sort.Slice(o.Ops, func(a, b int) bool { return o.Ops[a].Op < o.Ops[b].Op })
-	}
-	sort.Slice(st.Origins, func(a, b int) bool { return st.Origins[a].Origin < st.Origins[b].Origin })
+	st.canonicalize()
 	for n := range snap.perNode {
 		ns := &snap.perNode[n]
 		sort.Slice(ns.ops, func(a, b int) bool { return ns.ops[a].Op < ns.ops[b].Op })
@@ -708,14 +555,7 @@ func MigrateSnapshot(g *dataflow.Graph, data []byte, newOnNode map[int]bool) ([]
 	}
 	snap.agg = aggEdges
 
-	var onNode []int
-	for _, op := range g.Operators() {
-		if newOnNode[op.ID()] {
-			onNode = append(onNode, op.ID())
-		}
-	}
-	sort.Ints(onNode)
-	snap.onNode = onNode
+	snap.onNode = onNodeIDs(g, newOnNode)
 	return encodeSessionSnap(snap), nil
 }
 
@@ -730,15 +570,18 @@ type sessionSnap struct {
 	seed     int64
 	window   float64
 
-	lastTime, windowStart, lastSpan float64
-	peakBuffered, totalAir          int64
-	ratioFirst, ratioAir            float64
-	ratioUniform, sawWindow         bool
-	res                             [7]int64
+	windowClock
+	res Result // the seven integer counters only
 
 	perNode []nodeSnap
 	agg     []aggEdgeSnap
 	shard   *ShardState
+}
+
+// counters lists the Result's integer accumulators in snapshot order.
+func (r *Result) counters() [7]*int {
+	return [7]*int{&r.InputEvents, &r.ProcessedEvents, &r.MsgsSent, &r.MsgsReceived,
+		&r.PayloadBytes, &r.DeliveredBytes, &r.ServerEmits}
 }
 
 type nodeSnap struct {
@@ -749,6 +592,9 @@ type nodeSnap struct {
 	arrivals                     []arrivalSnap
 }
 
+// Dense edge indexes in seqSnap and aggEdgeSnap are range-checked against
+// the graph where they decode, so the apply side indexes Graph.Edges()
+// with them directly.
 type seqSnap struct {
 	edge int
 	seq  uint16
@@ -774,15 +620,14 @@ type pendSnap struct {
 	blob    []byte
 }
 
-// decodeNodeSide reads one node side (the saveNodeSide layout) into its
-// decoded form.
+// decodeNodeSide reads one node side into its decoded form.
 func decodeNodeSide(r *wire.SnapshotReader, nEdges int) (nodeSnap, error) {
 	var ns nodeSnap
 	ns.busyUntil = r.F64()
 	ns.busy = r.F64()
 	ns.inputEvents = r.Int()
 	ns.processedEvents = r.Int()
-	ns.seqs = make([]seqSnap, r.Uvarint())
+	ns.seqs = make([]seqSnap, r.Count(3))
 	for i := range ns.seqs {
 		ns.seqs[i].edge = int(r.Uvarint())
 		ns.seqs[i].seq = r.U16()
@@ -793,15 +638,11 @@ func decodeNodeSide(r *wire.SnapshotReader, nEdges int) (nodeSnap, error) {
 			return ns, fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", ns.seqs[i].edge, nEdges)
 		}
 	}
-	ns.ops = make([]OpState, r.Uvarint())
-	for i := range ns.ops {
-		ns.ops[i].Op = int(r.Uvarint())
-		ns.ops[i].Data = append([]byte(nil), r.Blob()...)
-	}
+	ns.ops = loadOpStates(r)
 	return ns, r.Err()
 }
 
-// encodeNodeSide writes one node side in the saveNodeSide layout.
+// encodeNodeSide writes one node side.
 func encodeNodeSide(w *wire.SnapshotWriter, ns *nodeSnap) {
 	w.F64(ns.busyUntil)
 	w.F64(ns.busy)
@@ -812,15 +653,11 @@ func encodeNodeSide(w *wire.SnapshotWriter, ns *nodeSnap) {
 		w.Uvarint(uint64(se.edge))
 		w.U16(se.seq)
 	}
-	w.Uvarint(uint64(len(ns.ops)))
-	for _, os := range ns.ops {
-		w.Uvarint(uint64(os.Op))
-		w.Blob(os.Data)
-	}
+	saveOpStates(w, ns.ops)
 }
 
 // applyNodeSnap loads a decoded node side into a live simulator/instance
-// pair — the struct-form twin of loadNodeSide.
+// pair.
 func applyNodeSnap(cfg *Config, prog *dataflow.Program, snap *nodeSnap, ns *nodeSim, inst *dataflow.Instance) error {
 	edges := cfg.Graph.Edges()
 	ns.busyUntil = snap.busyUntil
@@ -830,20 +667,16 @@ func applyNodeSnap(cfg *Config, prog *dataflow.Program, snap *nodeSnap, ns *node
 	if len(snap.seqs) > 0 {
 		ns.s.seqs = make(map[*dataflow.Edge]uint16, len(snap.seqs))
 		for _, se := range snap.seqs {
-			if se.edge < 0 || se.edge >= len(edges) {
-				return fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", se.edge, len(edges))
-			}
 			ns.s.seqs[edges[se.edge]] = se.seq
 		}
 	}
 	for _, os := range snap.ops {
-		op := cfg.Graph.ByID(os.Op)
-		if op == nil || !prog.Included(op) {
-			return fmt.Errorf("runtime: snapshot node state for operator %d outside the node partition", os.Op)
-		}
-		state, err := loadOperatorState(op, os.Data)
+		op, state, err := loadOpState(cfg, os)
 		if err != nil {
 			return err
+		}
+		if !prog.Included(op) {
+			return fmt.Errorf("runtime: snapshot node state for operator %d outside the node partition", os.Op)
 		}
 		inst.SetState(op, state)
 	}
@@ -860,7 +693,7 @@ func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
 	if snap.hash != g.StructuralHash() {
 		return nil, fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)")
 	}
-	snap.onNode = make([]int, r.Uvarint())
+	snap.onNode = make([]int, r.Count(1))
 	for i := range snap.onNode {
 		snap.onNode[i] = int(r.Uvarint())
 	}
@@ -879,44 +712,40 @@ func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
 	snap.lastTime = r.F64()
 	snap.windowStart = r.F64()
 	snap.lastSpan = r.F64()
-	snap.peakBuffered = r.Int()
-	snap.totalAir = r.Int()
+	snap.peakBuffered = int(r.Int())
+	snap.totalAir = int(r.Int())
 	snap.ratioFirst = r.F64()
 	snap.ratioAir = r.F64()
 	snap.ratioUniform = r.Bool()
 	snap.sawWindow = r.Bool()
-	for i := range snap.res {
-		snap.res[i] = r.Int()
+	for _, c := range snap.res.counters() {
+		*c = int(r.Int())
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 
 	nEdges := len(g.Edges())
-	snap.perNode = make([]nodeSnap, snap.nodes)
-	for n := range snap.perNode {
+	// perNode grows as sides decode rather than being sized from the header's
+	// node count, which no length prefix ties to the bytes that follow.
+	for n := 0; n < snap.nodes; n++ {
 		side, err := decodeNodeSide(r, nEdges)
 		if err != nil {
 			return nil, err
 		}
-		snap.perNode[n] = side
-		ns := &snap.perNode[n]
-		ns.arrivals = make([]arrivalSnap, r.Uvarint())
-		for i := range ns.arrivals {
-			ns.arrivals[i].t = r.F64()
-			ns.arrivals[i].src = int(r.Uvarint())
-			ns.arrivals[i].blob = append([]byte(nil), r.Blob()...)
+		side.arrivals = make([]arrivalSnap, r.Count(10))
+		for i := range side.arrivals {
+			side.arrivals[i].t = r.F64()
+			side.arrivals[i].src = int(r.Uvarint())
+			side.arrivals[i].blob = append([]byte(nil), r.Blob()...)
 		}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
+		snap.perNode = append(snap.perNode, side)
 	}
 
-	nAgg := int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	snap.agg = make([]aggEdgeSnap, nAgg)
+	snap.agg = make([]aggEdgeSnap, r.Count(6))
 	for i := range snap.agg {
 		ae := &snap.agg[i]
 		ae.edge = int(r.Uvarint())
@@ -926,13 +755,13 @@ func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
 		if ae.edge < 0 || ae.edge >= nEdges {
 			return nil, fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ae.edge, nEdges)
 		}
-		ae.counts = make([]int64, r.Uvarint())
+		ae.counts = make([]int64, r.Count(1))
 		for j := range ae.counts {
 			ae.counts[j] = r.Int()
 		}
 		ae.flushed = r.Int()
 		ae.seq = r.U16()
-		ae.pending = make([]pendSnap, r.Uvarint())
+		ae.pending = make([]pendSnap, r.Count(1))
 		for j := range ae.pending {
 			p := &ae.pending[j]
 			p.present = r.Bool()
@@ -973,14 +802,14 @@ func encodeSessionSnap(snap *sessionSnap) []byte {
 	w.F64(snap.lastTime)
 	w.F64(snap.windowStart)
 	w.F64(snap.lastSpan)
-	w.Int(snap.peakBuffered)
-	w.Int(snap.totalAir)
+	w.Int(int64(snap.peakBuffered))
+	w.Int(int64(snap.totalAir))
 	w.F64(snap.ratioFirst)
 	w.F64(snap.ratioAir)
 	w.Bool(snap.ratioUniform)
 	w.Bool(snap.sawWindow)
-	for _, v := range snap.res {
-		w.Int(v)
+	for _, c := range snap.res.counters() {
+		w.Int(int64(*c))
 	}
 
 	for n := range snap.perNode {
@@ -1020,59 +849,69 @@ func encodeSessionSnap(snap *sessionSnap) []byte {
 	return w.Bytes()
 }
 
-// saveSessionHeader pins the run identity a snapshot is only valid for:
-// the graph's structural hash, the cut, the platform, and the simulation
-// parameters that shape every downstream byte.
-func saveSessionHeader(w *wire.SnapshotWriter, cfg *Config, window float64) {
-	w.String(cfg.Graph.StructuralHash())
-	var onNode []int
-	for _, op := range cfg.Graph.Operators() {
-		if cfg.OnNode[op.ID()] {
-			onNode = append(onNode, op.ID())
-		}
-	}
-	sort.Ints(onNode)
-	w.Uvarint(uint64(len(onNode)))
-	for _, id := range onNode {
-		w.Uvarint(uint64(id))
-	}
-	w.String(cfg.Platform.Name)
-	w.Int(int64(cfg.Nodes))
-	w.F64(cfg.Duration)
-	w.Int(cfg.Seed)
-	w.F64(window)
-}
-
-func checkSessionHeader(r *wire.SnapshotReader, cfg *Config, window float64) error {
-	if h := r.String(); h != cfg.Graph.StructuralHash() {
-		return fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)")
-	}
-	n := int(r.Uvarint())
-	saved := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		saved[int(r.Uvarint())] = true
+// check validates a decoded snapshot's run identity against a run Config:
+// a snapshot is only valid for the cut, platform and simulation
+// parameters that shaped every downstream byte (the graph's structural
+// hash is checked at decode).
+func (snap *sessionSnap) check(cfg *Config, window float64) error {
+	saved := make(map[int]bool, len(snap.onNode))
+	for _, id := range snap.onNode {
+		saved[id] = true
 	}
 	for _, op := range cfg.Graph.Operators() {
 		if cfg.OnNode[op.ID()] != saved[op.ID()] {
 			return fmt.Errorf("runtime: snapshot is of a different cut (operator %s changed sides)", op)
 		}
 	}
-	if p := r.String(); p != cfg.Platform.Name {
-		return fmt.Errorf("runtime: snapshot platform %q, config platform %q", p, cfg.Platform.Name)
+	if snap.platform != cfg.Platform.Name {
+		return fmt.Errorf("runtime: snapshot platform %q, config platform %q", snap.platform, cfg.Platform.Name)
 	}
-	if v := int(r.Int()); v != cfg.Nodes {
-		return fmt.Errorf("runtime: snapshot has %d nodes, config %d", v, cfg.Nodes)
+	if snap.nodes != cfg.Nodes {
+		return fmt.Errorf("runtime: snapshot has %d nodes, config %d", snap.nodes, cfg.Nodes)
 	}
-	if v := r.F64(); v != cfg.Duration {
-		return fmt.Errorf("runtime: snapshot duration %g, config %g", v, cfg.Duration)
+	if snap.duration != cfg.Duration {
+		return fmt.Errorf("runtime: snapshot duration %g, config %g", snap.duration, cfg.Duration)
 	}
-	if v := r.Int(); v != cfg.Seed {
-		return fmt.Errorf("runtime: snapshot seed %d, config %d", v, cfg.Seed)
+	if snap.seed != cfg.Seed {
+		return fmt.Errorf("runtime: snapshot seed %d, config %d", snap.seed, cfg.Seed)
 	}
-	if v := r.F64(); v != window {
-		return fmt.Errorf("runtime: snapshot window %g, config %g", v, window)
+	if snap.window != window {
+		return fmt.Errorf("runtime: snapshot window %g, config %g", snap.window, window)
 	}
-	return r.Err()
+	return nil
+}
+
+// restoreAggFromSnap loads decoded aggregator state into a live
+// reduceAggregator.
+func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) error {
+	edges := cfg.Graph.Edges()
+	for i := range snaps {
+		ae := &snaps[i]
+		e := edges[ae.edge]
+		a.edgeOrder = append(a.edgeOrder, e)
+		counts := make([]int, len(ae.counts))
+		for j, c := range ae.counts {
+			counts[j] = int(c)
+		}
+		a.counts[e] = counts
+		a.flushed[e] = int(ae.flushed)
+		a.seq[e] = ae.seq
+		pend := make([]*message, 0, len(ae.pending))
+		for j := range ae.pending {
+			p := &ae.pending[j]
+			if !p.present {
+				pend = append(pend, nil)
+				continue
+			}
+			v, _, err := wire.Unmarshal(p.blob)
+			if err != nil {
+				return err
+			}
+			pend = append(pend, &message{time: p.time, nodeID: AggregateOrigin, edge: e, value: v})
+		}
+		a.pending[e] = pend
+	}
+	return nil
 }
 
 // ResumeSession rebuilds a Session from a Snapshot. cfg must describe the
@@ -1096,78 +935,17 @@ func ResumeSession(cfg Config, data []byte) (*Session, error) {
 
 func (s *Session) restore(data []byte) error {
 	cfg := &s.cfg
-	r, err := wire.NewSnapshotReader(data)
+	snap, err := decodeSessionSnap(cfg.Graph, data)
 	if err != nil {
 		return err
 	}
-	if err := checkSessionHeader(r, cfg, s.window); err != nil {
+	if err := s.apply(snap); err != nil {
 		return err
 	}
-
-	s.lastTime = r.F64()
-	s.windowStart = r.F64()
-	s.lastSpan = r.F64()
-	s.peakBuffered = int(r.Int())
-	s.totalAir = int(r.Int())
-	s.ratioFirst = r.F64()
-	s.ratioAir = r.F64()
-	s.ratioUniform = r.Bool()
-	s.sawWindow = r.Bool()
-
-	s.res.InputEvents = int(r.Int())
-	s.res.ProcessedEvents = int(r.Int())
-	s.res.MsgsSent = int(r.Int())
-	s.res.MsgsReceived = int(r.Int())
-	s.res.PayloadBytes = int(r.Int())
-	s.res.DeliveredBytes = int(r.Int())
-	s.res.ServerEmits = int(r.Int())
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	for n := 0; n < cfg.Nodes; n++ {
-		if err := loadNodeSide(r, cfg, s.prog, s.nodes[n], s.insts[n]); err != nil {
+	for n := range snap.perNode {
+		if err := applyNodeSnap(cfg, s.prog, &snap.perNode[n], s.nodes[n], s.insts[n]); err != nil {
 			return err
 		}
-		nbuf := int(r.Uvarint())
-		for i := 0; i < nbuf; i++ {
-			t := r.F64()
-			srcID := int(r.Uvarint())
-			blob := r.Blob()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			src := cfg.Graph.ByID(srcID)
-			if src == nil || !s.sources[src] {
-				return fmt.Errorf("runtime: snapshot buffered arrival at non-source operator %d", srcID)
-			}
-			v, _, err := wire.Unmarshal(blob)
-			if err != nil {
-				return err
-			}
-			s.buf[n] = append(s.buf[n], arrival{t: t, src: src, v: v})
-			s.buffered++
-		}
 	}
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-
-	if err := loadAggregator(r, cfg, s.agg); err != nil {
-		return err
-	}
-	st := loadShardState(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if !r.Done() {
-		return fmt.Errorf("runtime: trailing bytes after session snapshot")
-	}
-	// The snapshot's carried delivery counters fold into the session's
-	// partial Result now; plan.collect adds only post-resume deltas.
-	s.res.MsgsReceived += st.MsgsReceived
-	s.res.DeliveredBytes += st.DeliveredBytes
-	s.res.ServerEmits += st.ServerEmits
-	st.MsgsReceived, st.DeliveredBytes, st.ServerEmits = 0, 0, 0
-	return s.plan.restoreState(cfg, st)
+	return s.plan.restoreState(cfg, snap.shard)
 }

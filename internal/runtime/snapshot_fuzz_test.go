@@ -1,0 +1,175 @@
+package runtime
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"wishbone/internal/apps/speech"
+	"wishbone/internal/platform"
+	"wishbone/internal/wire"
+)
+
+// allocatedBy reports the heap bytes f allocates (the test runs f on its
+// own goroutine with nothing else allocating).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// goldenConfig is the run identity of testdata/ (snapshot_format_test.go's
+// goldenRun), as far as the decoders consult it.
+func goldenConfig() *Config {
+	app := speech.New()
+	return &Config{Graph: app.Graph, Platform: platform.Gumstix(), Nodes: 4}
+}
+
+// hostile builds a snapshot that is well-formed up to a section count,
+// where it claims count elements and ends.
+func hostile(count uint64, prefix func(w *wire.SnapshotWriter)) []byte {
+	w := wire.NewSnapshotWriter()
+	prefix(w)
+	w.Uvarint(count)
+	return w.Bytes()
+}
+
+// TestSnapshotHostileCounts pins that no decoder sizes an allocation from
+// a count the remaining bytes cannot back: 1<<62 used to panic makeslice,
+// 1<<33 to allocate tens of gigabytes. Every section count of the session
+// and host formats gets both.
+func TestSnapshotHostileCounts(t *testing.T) {
+	cfg := goldenConfig()
+	hash := cfg.Graph.StructuralHash()
+	nEdges := len(cfg.Graph.Edges())
+	nodeScalars := func(w *wire.SnapshotWriter) {
+		w.F64(0)
+		w.F64(0)
+		w.Int(0)
+		w.Int(0)
+	}
+	reader := func(data []byte) *wire.SnapshotReader {
+		r, err := wire.NewSnapshotReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cases := []struct {
+		name   string
+		prefix func(w *wire.SnapshotWriter)
+		decode func(data []byte) error
+	}{
+		{"session onNode", func(w *wire.SnapshotWriter) { w.String(hash) },
+			func(data []byte) error { _, err := decodeSessionSnap(cfg.Graph, data); return err }},
+		{"host origins", func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0) },
+			func(data []byte) error { _, err := decodeHostSnap(cfg, data); return err }},
+		{"node sequences", nodeScalars,
+			func(data []byte) error { _, err := decodeNodeSide(reader(data), nEdges); return err }},
+		{"node operator states", func(w *wire.SnapshotWriter) { nodeScalars(w); w.Uvarint(0) },
+			func(data []byte) error { _, err := decodeNodeSide(reader(data), nEdges); return err }},
+		{"shard origins", func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0); w.Int(0) },
+			func(data []byte) error { r := reader(data); loadShardState(r); return r.Err() }},
+		{"origin streams", func(w *wire.SnapshotWriter) {
+			w.Int(0)
+			w.Int(0)
+			w.Int(0)
+			w.Uvarint(1)
+			w.Int(0)
+			w.Uvarint(0)
+		},
+			func(data []byte) error { r := reader(data); loadShardState(r); return r.Err() }},
+		{"operator states", func(w *wire.SnapshotWriter) {},
+			func(data []byte) error { r := reader(data); loadOpStates(r); return r.Err() }},
+	}
+	for _, tc := range cases {
+		for _, count := range []uint64{1 << 62, 1 << 33} {
+			data := hostile(count, tc.prefix)
+			var err error
+			alloc := allocatedBy(func() { err = tc.decode(data) })
+			if err == nil {
+				t.Errorf("%s: count %d over %d bytes decoded without error", tc.name, count, len(data))
+			}
+			if alloc >= 1<<20 {
+				t.Errorf("%s: count %d allocated %d bytes before failing", tc.name, count, alloc)
+			}
+		}
+	}
+}
+
+// maxDecodeAlloc bounds what decoding n snapshot bytes may allocate. The
+// densest element, an absent pending reduce round, is one byte on the
+// wire and a 40-byte pendSnap decoded; append growth can double that.
+func maxDecodeAlloc(n int) uint64 { return uint64(n)*96 + 64<<10 }
+
+func readGolden(f *testing.F, name string) []byte {
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzDecodeSessionSnap feeds arbitrary bytes to the one session-snapshot
+// decoder: it must never panic, never allocate more than a small multiple
+// of its input, and whatever it accepts must re-encode to bytes that
+// decode to the same snapshot (compared re-encoded, so NaN accumulators
+// compare equal to themselves).
+func FuzzDecodeSessionSnap(f *testing.F) {
+	g := goldenConfig().Graph
+	golden := readGolden(f, "session_v1.snap")
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add(hostile(1<<62, func(w *wire.SnapshotWriter) { w.String(g.StructuralHash()) }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var snap *sessionSnap
+		var err error
+		if alloc := allocatedBy(func() { snap, err = decodeSessionSnap(g, data) }); alloc > maxDecodeAlloc(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		enc := encodeSessionSnap(snap)
+		again, err := decodeSessionSnap(g, enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeSessionSnap(again), enc) {
+			t.Fatal("decode→encode is not a fixed point")
+		}
+	})
+}
+
+// FuzzDecodeHostSnap is FuzzDecodeSessionSnap for the host-contribution
+// blob (ShardHost.Checkpoint/Snapshot, the resumeHost field of
+// /v1/shard/open).
+func FuzzDecodeHostSnap(f *testing.F) {
+	cfg := goldenConfig()
+	golden := readGolden(f, "host_v1.ckpt")
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add(hostile(1<<33, func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0) }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hs *hostSnap
+		var err error
+		if alloc := allocatedBy(func() { hs, err = decodeHostSnap(cfg, data) }); alloc > maxDecodeAlloc(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		enc := encodeHostSnap(hs)
+		again, err := decodeHostSnap(cfg, enc)
+		if err != nil {
+			t.Fatalf("re-encoded host blob does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeHostSnap(again), enc) {
+			t.Fatal("decode→encode is not a fixed point")
+		}
+	})
+}

@@ -3,13 +3,11 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
-	"wishbone/internal/netsim"
 	"wishbone/internal/profile"
 )
 
@@ -127,17 +125,11 @@ func (s *inputStream) Next() (Arrival, bool) {
 // A Session requires the compiled engine and accepts the same
 // Config.Shards/Workers knobs as the batch path.
 type Session struct {
-	cfg     Config
-	ch      netsim.Channel
-	plan    *deliveryPlan
-	agg     *reduceAggregator
-	prog    *dataflow.Program
-	insts   []*dataflow.Instance
-	nodes   []*nodeSim
-	buf     [][]arrival
-	sources map[*dataflow.Operator]bool
-	window  float64
-	scen    *scenarioState
+	windowCore
+	plan  *deliveryPlan
+	prog  *dataflow.Program
+	insts []*dataflow.Instance
+	nodes []*nodeSim
 
 	// pipe is non-nil when the session pipelines its stages (delivery of
 	// window w overlapping simulation of window w+1 — see pipeline.go);
@@ -158,78 +150,29 @@ type Session struct {
 	// arrival. Rotated once per flushed window.
 	ingest ingestArena
 
-	// OnWindow, when set, observes every priced window as it flushes —
-	// the live load signal the control loop (control.go) folds into its
-	// online profile. It always runs on the Offer caller's goroutine
-	// (window pricing is a coordinator-side step even when delivery is
-	// pipelined), so implementations need no locking against the session.
-	OnWindow func(WindowObservation)
-
-	maxBuffered  int
-	started      time.Time
-	stageStart   time.Time
-	windowStart  float64
-	lastSpan     float64
-	lastTime     float64
-	buffered     int
-	peakBuffered int
-	totalAir     int
-	ratioFirst   float64
-	ratioAir     float64
-	ratioUniform bool
-	sawWindow    bool
-	res          Result
-	closed       bool
+	started    time.Time
+	stageStart time.Time
 }
 
 // NewSession validates cfg and builds the persistent node and server
 // state. cfg.Inputs, Duration-derived arrival building and the replay
 // fast path do not apply; arrivals come from Offer.
 func NewSession(cfg Config) (*Session, error) {
-	if err := validateConfig(&cfg); err != nil {
+	s := &Session{started: time.Now()}
+	if err := s.init(cfg, "streaming ingestion"); err != nil {
 		return nil, err
 	}
-	if cfg.Engine == EngineLegacy {
-		return nil, fmt.Errorf("runtime: streaming ingestion requires the compiled engine")
-	}
-	if math.IsNaN(cfg.WindowSeconds) || math.IsInf(cfg.WindowSeconds, 0) || cfg.WindowSeconds < 0 {
-		return nil, fmt.Errorf("runtime: bad WindowSeconds %g", cfg.WindowSeconds)
-	}
-	prog, err := resolveNodeProgram(&cfg)
+	s.runWindow = s.flushBuffered
+	prog, err := resolveNodeProgram(&s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		cfg:          cfg,
-		ch:           netsim.ChannelFor(cfg.Platform),
-		agg:          newReduceAggregator(cfg.Nodes),
-		prog:         prog,
-		buf:          make([][]arrival, cfg.Nodes),
-		window:       cfg.WindowSeconds,
-		ratioUniform: true,
-		maxBuffered:  cfg.MaxBufferedArrivals,
-		started:      time.Now(),
-	}
-	if s.maxBuffered <= 0 || s.maxBuffered > maxWindowArrivals {
-		s.maxBuffered = maxWindowArrivals
-	}
-	if s.window <= 0 {
-		s.window = 10
-	}
-	if s.window > cfg.Duration {
-		s.window = cfg.Duration
-	}
+	s.prog = prog
 	plan, err := newDeliveryPlan(&s.cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.plan = plan
-	s.lastSpan = s.window
-	s.sources = make(map[*dataflow.Operator]bool)
-	for _, src := range cfg.Graph.Sources() {
-		s.sources[src] = true
-	}
-	s.scen = newScenarioState(&s.cfg)
 	passthrough := !cfg.NoBatch && passthroughPartition(&s.cfg)
 	for n := 0; n < cfg.Nodes; n++ {
 		inst := prog.AcquireInstance(n)
@@ -265,31 +208,6 @@ func NewSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Offer feeds one arrival. Arrivals must be globally nondecreasing in
-// time across nodes (per-node interleaving is free); crossing a window
-// boundary flushes the completed window through the node instances and
-// server shards. Arrivals at or beyond cfg.Duration are ignored, like the
-// batch path's arrival builder.
-func (s *Session) Offer(nodeID int, a Arrival) error {
-	if err := s.admit(nodeID, a.Source, a.Time); err != nil {
-		return err
-	}
-	if a.Time >= s.cfg.Duration {
-		return nil
-	}
-	if err := s.advance(a.Time); err != nil {
-		return err
-	}
-	if s.scen.drops(nodeID, a.Time) {
-		// The node is crashed under the failure scenario: the arrival
-		// vanishes, but its time already advanced the window clock so
-		// windows keep flushing (and the control loop keeps observing)
-		// while nodes are down.
-		return nil
-	}
-	return s.push(nodeID, arrival{t: a.Time, src: a.Source, v: a.Value})
-}
-
 // OfferRaw feeds one arrival whose value is still raw JSON, decoding it
 // into the session's ingest arena — this is the zero-copy path behind
 // /v1/simulate/stream, which would otherwise allocate a fresh value per
@@ -300,20 +218,16 @@ func (s *Session) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ st
 	if err := s.admit(nodeID, src, t); err != nil {
 		return err
 	}
-	if t >= s.cfg.Duration {
-		// Dropped like the batch path's arrival builder — but the value
-		// must still validate, matching the decode-then-Offer behavior.
-		if _, err := s.ingest.decode(typ, raw, true); err != nil {
-			return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
+	late := t >= s.cfg.Duration
+	if !late {
+		if err := s.advance(t); err != nil {
+			return err
 		}
-		return nil
 	}
-	if err := s.advance(t); err != nil {
-		return err
-	}
-	if s.scen.drops(nodeID, t) {
-		// Dropped by the churn model, exactly like Offer — but the value
-		// must still validate, matching the decode-then-Offer behavior.
+	if late || s.scen.drops(nodeID, t) {
+		// Dropped — past Duration like the batch path's arrival builder, or
+		// by the churn model — exactly like Offer, but the value must still
+		// validate, matching the decode-then-Offer behavior.
 		if _, err := s.ingest.decode(typ, raw, true); err != nil {
 			return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
 		}
@@ -326,101 +240,13 @@ func (s *Session) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ st
 	return s.push(nodeID, arrival{t: t, src: src, v: v})
 }
 
-// admit applies the per-arrival validity checks shared by Offer and
-// OfferRaw and advances the time-order watermark.
-func (s *Session) admit(nodeID int, src *dataflow.Operator, t float64) error {
-	if s.closed {
-		return fmt.Errorf("runtime: Offer on a closed Session")
-	}
-	if nodeID < 0 || nodeID >= s.cfg.Nodes {
-		return fmt.Errorf("runtime: arrival for node %d outside [0,%d): %w", nodeID, s.cfg.Nodes, ErrBadArrival)
-	}
-	if !s.sources[src] {
-		// Arrivals inject only at the graph's sources (all of which
-		// validateConfig pins to the node partition, §4.2.1) — an
-		// injection at a mid-graph or server-side operator would bypass
-		// upstream processing and silently skew the Result.
-		return fmt.Errorf("runtime: arrival source %v is not a source of the graph: %w", src, ErrBadArrival)
-	}
-	if t < s.lastTime {
-		return fmt.Errorf("runtime: arrivals out of order (%.6f after %.6f): %w", t, s.lastTime, ErrBadArrival)
-	}
-	s.lastTime = t
-	return nil
-}
-
-// advance flushes every window boundary the arrival time crosses.
-func (s *Session) advance(t float64) error {
-	for t >= s.windowStart+s.window {
-		if s.windowStart+s.window <= s.windowStart {
-			return fmt.Errorf("runtime: WindowSeconds %g cannot advance the window clock at t=%g",
-				s.window, s.windowStart)
-		}
-		if s.buffered == 0 {
-			// Nothing pending: jump the window clock over the rest of the
-			// arrival gap in one step rather than one (empty) flush per
-			// window — windows can be arbitrarily small relative to the
-			// gap, and the gap can follow a flushed window.
-			if steps := math.Floor((t - s.windowStart) / s.window); steps > 1 {
-				s.windowStart += (steps - 1) * s.window
-				continue
-			}
-		}
-		if err := s.flushWindow(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// push buffers one validated, in-window arrival.
-func (s *Session) push(nodeID int, a arrival) error {
-	if s.buffered >= s.maxBuffered {
-		// The buffer is the streaming path's entire working set; a window
-		// dense enough to blow past this cap (arrival density × window
-		// size is caller-controlled) must fail rather than grow without
-		// bound — shrink WindowSeconds or thin the trace. Typed as
-		// backpressure so servers can shed the tenant with a 429.
-		return fmt.Errorf("runtime: window [%g,%g) exceeds %d buffered arrivals: %w",
-			s.windowStart, s.windowStart+s.window, s.maxBuffered, ErrBackpressure)
-	}
-	s.buf[nodeID] = append(s.buf[nodeID], a)
-	s.buffered++
-	if s.buffered > s.peakBuffered {
-		s.peakBuffered = s.buffered
-	}
-	return nil
-}
-
-// maxWindowArrivals caps one ingestion window's buffered arrivals — far
-// above any sane window (64 nodes × 40 ev/s × 60 s ≈ 150k) but a hard
-// stop for a hostile or misconfigured stream that never crosses a window
-// boundary.
-const maxWindowArrivals = 1 << 20
-
-// flushWindow runs the buffered arrivals through the node instances,
-// folds reduce rounds that completed, prices the window's offered load,
-// and delivers through the server shards — pipelined (delivery of this
-// window overlapping the next window's simulation) when the session has
-// a pipe, phased otherwise.
-func (s *Session) flushWindow() error {
+// flushBuffered is the Session's runWindow: it runs the buffered arrivals
+// through the node instances, folds reduce rounds that completed, prices
+// the window's offered load, and delivers through the server shards —
+// pipelined (delivery of this window overlapping the next window's
+// simulation) when the session has a pipe, phased otherwise.
+func (s *Session) flushBuffered(span float64) error {
 	cfg := &s.cfg
-	// The window's span is WindowSeconds except for a final partial
-	// window (Duration not a multiple of the window): its messages
-	// occupy only the remaining simulated time, and pricing them over a
-	// full window would understate the offered load.
-	span := s.window
-	if rest := cfg.Duration - s.windowStart; rest < span {
-		span = rest
-	}
-	s.windowStart += s.window
-	if s.buffered == 0 {
-		// Nothing arrived this window: no node work, no new reduce
-		// rounds, nothing to deliver — just advance the window clock
-		// (arrival gaps must not spin up the worker pool per window).
-		return nil
-	}
-	s.lastSpan = span
 	if cfg.Timings != nil {
 		s.stageStart = time.Now()
 	}
@@ -511,9 +337,7 @@ func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) er
 		if win != nil {
 			s.pipe.recycle(win)
 		}
-		if s.OnWindow != nil {
-			s.OnWindow(WindowObservation{Start: s.windowStart - s.window, Span: span})
-		}
+		s.price(0, span, 0)
 		return nil
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].time < out[j].time })
@@ -521,21 +345,7 @@ func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) er
 	for i := range out {
 		air += out[i].air
 	}
-	s.totalAir += air
-	ratio := s.ch.DeliveryRatio(float64(air) / span)
-	ratio = s.scen.priceRatio(ratio, s.windowIndex())
-	if s.OnWindow != nil {
-		s.OnWindow(WindowObservation{
-			Start: s.windowStart - s.window, Span: span,
-			AirBytes: air, Ratio: ratio, Messages: len(out),
-		})
-	}
-	if !s.sawWindow {
-		s.ratioFirst, s.sawWindow = ratio, true
-	} else if ratio != s.ratioFirst {
-		s.ratioUniform = false
-	}
-	s.ratioAir += ratio * float64(air)
+	ratio := s.price(air, span, len(out))
 	if win != nil {
 		return s.pipe.dispatch(out, ratio, win)
 	}
@@ -547,19 +357,6 @@ func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) er
 	return err
 }
 
-// windowIndex is the zero-based index of the window being priced (its
-// start is windowStart - window: flushWindow has already advanced the
-// clock past it). It keys the burst model's per-window loss chain, and
-// is identical across placements because the window clock is.
-func (s *Session) windowIndex() int {
-	return int(math.Round(s.windowStart/s.window)) - 1
-}
-
-// PeakBuffered reports the most arrivals ever buffered at once — the
-// streaming path's working-set bound, a function of the window and the
-// arrival rate but not of the trace duration.
-func (s *Session) PeakBuffered() int { return s.peakBuffered }
-
 // Close flushes the final window and any reduce rounds still pending,
 // joins the pipeline, releases the pooled instances and arenas, and
 // returns the accumulated Result.
@@ -568,26 +365,7 @@ func (s *Session) Close() (*Result, error) {
 		return nil, fmt.Errorf("runtime: Close on a closed Session")
 	}
 	s.closed = true
-	pipeDown := false
-	stopPipe := func() error {
-		if s.pipe == nil || pipeDown {
-			return nil
-		}
-		pipeDown = true
-		return s.pipe.shutdown()
-	}
-	defer func() {
-		stopPipe()
-		for _, inst := range s.insts {
-			s.prog.ReleaseInstance(inst)
-		}
-		s.insts, s.nodes = nil, nil
-		for _, a := range s.arenas {
-			releaseArena(a)
-		}
-		s.arenas = nil
-		s.plan.close()
-	}()
+	defer s.release()
 	cfg := &s.cfg
 	if s.buffered > 0 {
 		if err := s.flushWindow(); err != nil {
@@ -616,7 +394,7 @@ func (s *Session) Close() (*Result, error) {
 		}
 	}
 	// The pipeline must drain before the shard counters are read.
-	if err := stopPipe(); err != nil {
+	if err := s.joinPipe(); err != nil {
 		return nil, err
 	}
 	for _, ns := range s.nodes {
@@ -624,24 +402,45 @@ func (s *Session) Close() (*Result, error) {
 		s.res.ProcessedEvents += ns.processedEvents
 		s.res.NodeCPU += ns.busy
 	}
-	s.res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
-	s.res.OfferedAirBytesPerSec = float64(s.totalAir) / cfg.Duration
-	switch {
-	case !s.sawWindow:
-		s.res.DeliveryRatio = s.ch.DeliveryRatio(0)
-	case s.ratioUniform:
-		// Every window priced identically — report that exact ratio (the
-		// steady-rate case, byte-identical to the batch path's).
-		s.res.DeliveryRatio = s.ratioFirst
-	default:
-		s.res.DeliveryRatio = s.ratioAir / float64(s.totalAir)
-	}
+	s.finish()
 	s.plan.collect(&s.res)
 	if t := cfg.Timings; t != nil {
 		t.addWall(time.Since(s.started))
 	}
 	res := s.res
 	return &res, nil
+}
+
+// Abort tears the session down without a result (error paths).
+func (s *Session) Abort() { s.Close() }
+
+// joinPipe drains every in-flight delivery and joins the pipeline's
+// workers, once; afterwards all state is at the last flushed window
+// boundary and the session runs no further windows.
+func (s *Session) joinPipe() error {
+	p := s.pipe
+	if p == nil {
+		return nil
+	}
+	s.pipe = nil
+	return p.shutdown()
+}
+
+// release joins the pipeline if it is still up (error paths — a failure
+// there already surfaced from the flush that hit it), returns the pooled
+// instances and arenas to their owners and closes the delivery plan: the
+// teardown Close and Snapshot share.
+func (s *Session) release() {
+	s.joinPipe()
+	for _, inst := range s.insts {
+		s.prog.ReleaseInstance(inst)
+	}
+	s.insts, s.nodes = nil, nil
+	for _, a := range s.arenas {
+		releaseArena(a)
+	}
+	s.arenas = nil
+	s.plan.close()
 }
 
 // runStream is Run's streaming path: pull every node's arrival stream,
@@ -654,7 +453,7 @@ func runStream(cfg Config) (*Result, error) {
 	// On any error the session still closes, returning the pooled node
 	// and shard instances to their Program.
 	abort := func(err error) (*Result, error) {
-		sess.Close()
+		sess.Abort()
 		return nil, err
 	}
 	streams := make([]Stream, cfg.Nodes)

@@ -234,3 +234,54 @@ func TestShardCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint-restored session diverged from the original:\norig:     %+v\nrestored: %+v", a, b)
 	}
 }
+
+// TestServerSnapshotHostileCounts sends resume blobs whose first section
+// count claims far more elements than the blob holds — 1<<62 used to
+// panic makeslice inside the handler, 1<<33 to allocate gigabytes — to
+// every endpoint that decodes one. Each must answer a plain 400.
+func TestServerSnapshotHostileCounts(t *testing.T) {
+	_, client := startServer(t, Config{})
+	ctx := context.Background()
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+	var onNode []int
+	for i, op := range e.graph.Operators() {
+		if i < 6 {
+			onNode = append(onNode, op.ID())
+		}
+	}
+	want400 := func(what string, err error) {
+		t.Helper()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.StatusCode != 400 {
+			t.Fatalf("%s: got %v, want a 400 APIError", what, err)
+		}
+	}
+	for _, count := range []uint64{1 << 62, 1 << 33} {
+		session := wire.NewSnapshotWriter()
+		session.String(e.graph.StructuralHash())
+		session.Uvarint(count) // onNode IDs
+		host := wire.NewSnapshotWriter()
+		host.Int(0)
+		host.Int(0)
+		host.Uvarint(count) // origins
+
+		open := wire.ShardOpenRequest{
+			Graph: spec, Platform: "Gumstix", OnNode: onNode,
+			Nodes: 4, Duration: 8, Seed: 7, Origins: []int{0, 1},
+		}
+		open.Resume = session.Bytes()
+		_, err := client.ShardOpen(ctx, open)
+		want400("shard open, resume", err)
+		open.Resume, open.ResumeHost = nil, host.Bytes()
+		_, err = client.ShardOpen(ctx, open)
+		want400("shard open, resumeHost", err)
+
+		_, err = client.SimulateStream(ctx, wire.SimulateStreamRequest{
+			Graph: spec, Platform: "Gumstix", OnNode: onNode,
+			Nodes: 4, Duration: 8, Seed: 7, WindowSeconds: 2,
+			Resume: session.Bytes(),
+		}, func() ([]wire.ArrivalWire, bool) { return nil, false })
+		want400("simulate stream, resume", err)
+	}
+}

@@ -136,6 +136,23 @@ func (r *SnapshotReader) Uvarint() uint64 {
 	return v
 }
 
+// Count reads the element count of a section whose every element occupies
+// at least minElemBytes (>= 1) of the snapshot, failing the reader when the
+// remaining bytes cannot hold that many. Decoders size allocations from
+// counts, so this bounds what a hostile snapshot can make them allocate by
+// the snapshot's own length.
+func (r *SnapshotReader) Count(minElemBytes int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.data)/minElemBytes) {
+		r.fail("count")
+		return 0
+	}
+	return int(n)
+}
+
 // Int reads a signed varint.
 func (r *SnapshotReader) Int() int64 {
 	if r.err != nil {

@@ -96,19 +96,6 @@ func TestPlannerSolverParityExact(t *testing.T) {
 		}
 		assertDeploymentsIdentical(t, got, want)
 	})
-
-	t.Run("deprecated-wrapper", func(t *testing.T) {
-		g, inputs := buildTestProgram(500)
-		want, err := AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewPlanner(WithMode(Permissive)).AutoPartition(ctx, g, inputs, TMoteSky())
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertDeploymentsIdentical(t, got, want)
-	})
 }
 
 // TestPlannerSolverRaceMatchesExact: a raced planner returns verified
@@ -195,10 +182,5 @@ func TestAutoPartitionInfeasibleTyped(t *testing.T) {
 	var ie *core.ErrInfeasible
 	if !errors.As(err, &ie) {
 		t.Fatalf("error must wrap *core.ErrInfeasible, got %T: %v", err, err)
-	}
-	// The deprecated wrapper inherits the typed error.
-	_, err = AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
-	if !errors.As(err, &ie) {
-		t.Fatalf("wrapper error must wrap *core.ErrInfeasible, got %T: %v", err, err)
 	}
 }

@@ -81,11 +81,8 @@
 package wishbone
 
 import (
-	"context"
-
 	"wishbone/internal/core"
 	"wishbone/internal/dataflow"
-	"wishbone/internal/netsim"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
@@ -155,23 +152,6 @@ var (
 	Server     = platform.Server
 )
 
-// Profile executes the graph against sample traces and measures operator
-// costs and stream rates (§3).
-//
-// Deprecated: use NewPlanner().Profile(ctx, g, inputs); this wrapper runs
-// the default Planner under context.Background().
-func Profile(g *Graph, inputs []Input) (*Report, error) {
-	return NewPlanner().Profile(context.Background(), g, inputs)
-}
-
-// Partition solves a partitioning problem exactly (§4.2).
-//
-// Deprecated: use NewPlanner(WithOptions(opts)).Partition(ctx, s), which
-// can also select heuristic or raced backends via WithSolver/WithRace.
-func Partition(s *Spec, opts Options) (*Assignment, error) {
-	return NewPlanner(WithOptions(opts)).Partition(context.Background(), s)
-}
-
 // DefaultOptions returns the paper-default partitioner options
 // (restricted unidirectional formulation, preprocessing enabled).
 func DefaultOptions() Options { return core.DefaultOptions() }
@@ -207,44 +187,5 @@ func (d *Deployment) DOT(title string) string {
 	})
 }
 
-// AutoPartition runs the full Wishbone pipeline: profile the program on
-// sample inputs, classify operators (mode controls stateful relocation),
-// build the platform's partitioning problem, and solve it. When no
-// feasible partition exists at full rate it binary-searches the maximum
-// sustainable rate and returns the partition there.
-//
-// opts may be nil for the paper defaults. When no rate is feasible the
-// error wraps *core.ErrInfeasible.
-//
-// Deprecated: use NewPlanner(WithMode(mode), WithOptions(*opts))
-// .AutoPartition(ctx, g, inputs, plat) — byte-identical results, plus
-// cancellation and solver selection.
-func AutoPartition(g *Graph, mode Mode, inputs []Input, plat *Platform, opts *Options) (*Deployment, error) {
-	popts := []PlannerOption{WithMode(mode)}
-	if opts != nil {
-		popts = append(popts, WithOptions(*opts))
-	}
-	return NewPlanner(popts...).AutoPartition(context.Background(), g, inputs, plat)
-}
-
-// Simulate deploys a partitioned program on a simulated network of the
-// platform's nodes and measures input loss, network loss, and goodput
-// (§7.3's validation methodology).
-//
-// Deprecated: use NewPlanner().Simulate(ctx, d, plat, ...).
-func Simulate(d *Deployment, plat *Platform, nodes int, seconds float64,
-	inputs func(nodeID int) []Input, seed int64) (*runtime.Result, error) {
-	return NewPlanner().Simulate(context.Background(), d, plat, nodes, seconds, inputs, seed)
-}
-
 // SimResult is the deployment-simulation result type.
 type SimResult = runtime.Result
-
-// NetworkProfile sweeps the platform's shared channel and returns the
-// maximum aggregate send rate that keeps reception above target — the
-// paper's network-profiling tool (§7.3.1).
-//
-// Deprecated: use NewPlanner().NetworkProfile(ctx, plat, target).
-func NetworkProfile(plat *Platform, target float64) (maxAirBytesPerSec float64, err error) {
-	return netsim.ChannelFor(plat).MaxSendRate(target)
-}

@@ -1,6 +1,7 @@
 package wishbone
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func buildTestProgram(heavyOps int) (*Graph, []Input) {
 
 func TestAutoPartitionFitsLightProgram(t *testing.T) {
 	g, inputs := buildTestProgram(500)
-	dep, err := AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
+	dep, err := NewPlanner().AutoPartition(context.Background(), g, inputs, TMoteSky())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestAutoPartitionShedsLoadWhenOverloaded(t *testing.T) {
 	// forwarding (800 B/s) exceeds the 450 B/s radio: the program cannot
 	// fit at full rate, so AutoPartition must shed load.
 	g, inputs := buildTestProgram(40_000_000)
-	dep, err := AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
+	dep, err := NewPlanner().AutoPartition(context.Background(), g, inputs, TMoteSky())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestAutoPartitionShedsLoadWhenOverloaded(t *testing.T) {
 
 func TestAutoPartitionPlatformChangesDecision(t *testing.T) {
 	g, inputs := buildTestProgram(2_000_000) // 0.5 s/event on a TMote, trivial on a Gumstix
-	tm, err := AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
+	tm, err := NewPlanner().AutoPartition(context.Background(), g, inputs, TMoteSky())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, err := AutoPartition(g, Permissive, inputs, Gumstix(), nil)
+	gx, err := NewPlanner().AutoPartition(context.Background(), g, inputs, Gumstix())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,11 @@ func TestAutoPartitionPlatformChangesDecision(t *testing.T) {
 
 func TestSimulateEndToEnd(t *testing.T) {
 	g, inputs := buildTestProgram(500)
-	dep, err := AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
+	dep, err := NewPlanner().AutoPartition(context.Background(), g, inputs, TMoteSky())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(dep, TMoteSky(), 3, 20, func(nodeID int) []Input {
+	res, err := NewPlanner().Simulate(context.Background(), dep, TMoteSky(), 3, 20, func(nodeID int) []Input {
 		gTrace, in := buildTestProgram(500)
 		_ = gTrace
 		// Re-point the trace at this graph's source.
@@ -122,7 +123,7 @@ func TestSimulateEndToEnd(t *testing.T) {
 
 func TestDeploymentDOT(t *testing.T) {
 	g, inputs := buildTestProgram(500)
-	dep, err := AutoPartition(g, Permissive, inputs, TMoteSky(), nil)
+	dep, err := NewPlanner().AutoPartition(context.Background(), g, inputs, TMoteSky())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDeploymentDOT(t *testing.T) {
 }
 
 func TestNetworkProfile(t *testing.T) {
-	maxAir, err := NetworkProfile(TMoteSky(), 0.9)
+	maxAir, err := NewPlanner().NetworkProfile(context.Background(), TMoteSky(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +149,7 @@ func TestAutoPartitionSpeechMatchesPaperStory(t *testing.T) {
 	// End-to-end: the full speech app through the public API on a TMote
 	// must shed load and land at an intermediate cutpoint.
 	app := speech.New()
-	dep, err := AutoPartition(app.Graph, Permissive,
-		[]Input{app.SampleTrace(1, 2)}, TMoteSky(), nil)
+	dep, err := NewPlanner().AutoPartition(context.Background(), app.Graph, []Input{app.SampleTrace(1, 2)}, TMoteSky())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAutoPartitionValidatesPlatform(t *testing.T) {
 	g, inputs := buildTestProgram(10)
 	bad := TMoteSky()
 	bad.ClockHz = 0
-	if _, err := AutoPartition(g, Permissive, inputs, bad, nil); err == nil {
+	if _, err := NewPlanner().AutoPartition(context.Background(), g, inputs, bad); err == nil {
 		t.Fatal("invalid platform must be rejected")
 	}
 	if math.IsNaN(bad.ClockHz) {
