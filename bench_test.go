@@ -364,24 +364,23 @@ func BenchmarkILPScale(b *testing.B) {
 	}
 }
 
-// --- Execution engines ---------------------------------------------------
+// --- Execution engine ----------------------------------------------------
 
-// BenchmarkEngine compares the reference tree-walking Executor against the
-// compiled Program/Instance engine on a 16-node deployment simulation of
+// BenchmarkEngine times the engine on a 16-node deployment simulation of
 // the speech pipeline running whole on Gumstix nodes (§7.3.1's scenario at
-// network scale). The shared-trace pairs offer every node the identical
-// recording — the Figure 9/10 bench methodology — which the compiled engine
+// network scale). The shared-trace run offers every node the identical
+// recording — the Figure 9/10 bench methodology — which the engine
 // recognizes and simulates once, replaying the deterministic message
-// stream per node; the distinct-trace pairs force 16 full per-node
-// executions (concurrent on multi-core hosts) and so isolate the
-// per-element win of compiled dispatch alone. Parity tests in
-// internal/runtime assert both engines return byte-identical Results on
-// exactly these configurations.
+// stream per node; the distinct-trace run forces 16 full per-node
+// executions (concurrent on multi-core hosts). Parity tests in
+// internal/runtime hold both configurations to the reference tree-walking
+// Executor, which is test-only code and so is no longer timed here
+// (EXPERIMENTS.md keeps its last measurement).
 func BenchmarkEngine(b *testing.B) {
 	app := speech.New()
 	shared := app.SampleTrace(77, 2.0)
 	const nodes = 16
-	run := func(b *testing.B, engine runtime.Engine, inputs func(int) []profile.Input) {
+	run := func(b *testing.B, inputs func(int) []profile.Input) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			res, err := runtime.Run(runtime.Config{
@@ -392,7 +391,6 @@ func BenchmarkEngine(b *testing.B) {
 				Duration: 15,
 				Inputs:   inputs,
 				Seed:     9,
-				Engine:   engine,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -406,10 +404,8 @@ func BenchmarkEngine(b *testing.B) {
 	distinctInputs := func(nodeID int) []profile.Input {
 		return []profile.Input{app.SampleTrace(int64(1000+nodeID), 2.0)}
 	}
-	b.Run("tree-walk-16nodes", func(b *testing.B) { run(b, runtime.EngineLegacy, sharedInputs) })
-	b.Run("compiled-16nodes", func(b *testing.B) { run(b, runtime.EngineCompiled, sharedInputs) })
-	b.Run("tree-walk-16nodes-distinct", func(b *testing.B) { run(b, runtime.EngineLegacy, distinctInputs) })
-	b.Run("compiled-16nodes-distinct", func(b *testing.B) { run(b, runtime.EngineCompiled, distinctInputs) })
+	b.Run("compiled-16nodes", func(b *testing.B) { run(b, sharedInputs) })
+	b.Run("compiled-16nodes-distinct", func(b *testing.B) { run(b, distinctInputs) })
 }
 
 func speechCut(app *speech.App, prefix int) map[int]bool {
@@ -420,19 +416,12 @@ func speechCut(app *speech.App, prefix int) map[int]bool {
 	return on
 }
 
-// BenchmarkProfileEngine compares the two engines on the profiler's
-// workload: pricing the full 22-channel EEG application (~1.2k operators,
-// where per-element dispatch and the per-event counter fold dominate).
+// BenchmarkProfileEngine times the profiler's workload: pricing the full
+// 22-channel EEG application (~1.2k operators, where per-element dispatch
+// and the per-event counter fold dominate).
 func BenchmarkProfileEngine(b *testing.B) {
 	app := eeg.New()
 	inputs := app.SampleTrace(7, 8)
-	b.Run("tree-walk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := profile.RunLegacy(app.Graph, inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := profile.Run(app.Graph, inputs); err != nil {
@@ -703,12 +692,26 @@ func BenchmarkShardedSimulate(b *testing.B) {
 	if ref.PercentMsgsReceived() < 90 {
 		b.Fatalf("channel collapsed (%.1f%% received); the bench must exercise the server", ref.PercentMsgsReceived())
 	}
+	// The per-element twins run Programs compiled without batch tables,
+	// which is what selects the per-element feed and delivery loops.
+	perElem := func(nodeSide bool) *dataflow.Program {
+		p, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{
+			Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	perElemNode, perElemSrv := perElem(true), perElem(false)
 	run := func(b *testing.B, shards int, pipelined, noBatch bool) {
 		b.Helper()
 		b.ReportAllocs()
 		c := cfg
 		c.Shards = shards
-		c.NoBatch = noBatch
+		if noBatch {
+			c.NodeProgram, c.ServerProgram = perElemNode, perElemSrv
+		}
 		if pipelined {
 			c.Inputs = nil
 			c.WindowSeconds = 1
@@ -740,8 +743,8 @@ func BenchmarkShardedSimulate(b *testing.B) {
 	b.Run("shards=8-64nodes", func(b *testing.B) { run(b, 8, false, false) })
 	b.Run("pipelined=4shards-64nodes", func(b *testing.B) { run(b, 4, true, false) })
 	b.Run("pipelined=8shards-64nodes", func(b *testing.B) { run(b, 8, true, false) })
-	// Per-element (NoBatch) twins of the headline variants: the spread is
-	// the batched-dispatch win, on byte-identical Results.
+	// Per-element twins of the headline variants: the spread is the
+	// batched-dispatch win, on byte-identical Results.
 	b.Run("sequential-64nodes-perelem", func(b *testing.B) { run(b, 1, false, true) })
 	b.Run("shards=8-64nodes-perelem", func(b *testing.B) { run(b, 8, false, true) })
 }
@@ -771,7 +774,16 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 	// reports the maximum — coarse, but it separates an O(window) working
 	// set from an O(duration) one (cumulative B/op cannot: both paths
 	// allocate per event, the difference is what stays reachable).
+	//
+	// The reading is per run: a forced collection first drops whatever the
+	// previous sub-benchmark left unswept and resets the pacer's heap
+	// target (without it a streaming run that follows batch-1h in one
+	// process reads ten times its own peak), and the sampler starts from
+	// zero after it.
 	withPeakHeap := func(b *testing.B, fn func()) {
+		b.StopTimer()
+		goruntime.GC()
+		b.StartTimer()
 		var peak atomic.Uint64
 		done := make(chan struct{})
 		go func() {

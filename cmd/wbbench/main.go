@@ -5,8 +5,7 @@
 // Usage:
 //
 //	wbbench [-fig 5a|5b|6|7|8|9|10|3|text|scale|solvers|batch|replan|recovery|dist|all]
-//	        [-seconds N] [-fig6n N] [-engine compiled|legacy] [-shards N]
-//	        [-stream] [-workers N] [-batch on|off]
+//	        [-seconds N] [-fig6n N] [-shards N] [-stream] [-workers N]
 //	        [-solver exact|lagrangian|greedy|race|all]
 //	        [-dist-nodes N] [-dist-seconds N] [-dist-hosts 1,2,4,8]
 //
@@ -30,14 +29,12 @@
 // -shards splits each deployment simulation — the node phase by origin
 // and the server-side delivery loop — by origin node (byte-identical
 // results, more cores); -stream feeds the traces through streaming
-// ingestion in bounded windows instead of materializing them (requires
-// the compiled engine). With both and -workers > 1, the simulation
-// pipelines: delivery of window w overlaps simulation of window w+1.
+// ingestion in bounded windows instead of materializing them. With both
+// and -workers > 1, the simulation pipelines: delivery of window w
+// overlaps simulation of window w+1.
 //
-// -batch=off disables batched work-function dispatch (compiled engine;
-// byte-identical results, for measuring the difference). The batch
-// figure reports each operator's batch-hit rate — the share of elements
-// dispatched through BatchWork — over the Figure 9 deployment.
+// The batch figure reports each operator's batch-hit rate — the share of
+// elements dispatched through BatchWork — over the Figure 9 deployment.
 //
 // The dist figure runs one large speech deployment (-dist-nodes motes,
 // -dist-seconds simulated seconds) once per host count in -dist-hosts,
@@ -60,7 +57,6 @@ import (
 
 	"wishbone/internal/experiments"
 	"wishbone/internal/platform"
-	"wishbone/internal/runtime"
 )
 
 // figures is the -fig vocabulary.
@@ -80,12 +76,10 @@ func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate ("+strings.Join(figures, ", ")+"; dist only runs when named)")
 	seconds := flag.Float64("seconds", 60, "simulated deployment duration for figures 9-10")
 	fig6n := flag.Int("fig6n", 9, "solver invocations for the figure 6 sweep (paper: 2100)")
-	engineName := flag.String("engine", "compiled", "simulation engine for figures 9-10 and §7.3.1: compiled|legacy")
 	solverName := flag.String("solver", "all", "backend for the solvers figure: exact|lagrangian|greedy|race|all")
 	shards := flag.Int("shards", 0, "origin shards per simulation, node phase and delivery (0/1 = sequential)")
-	stream := flag.Bool("stream", false, "feed simulation traces through streaming ingestion (compiled engine only)")
+	stream := flag.Bool("stream", false, "feed simulation traces through streaming ingestion")
 	workers := flag.Int("workers", 0, "simulation worker bound; with -stream, >1 pipelines node compute against delivery (0 = GOMAXPROCS)")
-	batch := flag.String("batch", "on", "batched work-function dispatch in simulations: on|off (results identical either way)")
 	distNodes := flag.Int("dist-nodes", 640, "motes in the dist figure's deployment")
 	distSeconds := flag.Float64("dist-seconds", 10, "simulated duration for the dist figure")
 	distHosts := flag.String("dist-hosts", "1,2,4,8", "comma-separated host counts for the dist figure")
@@ -93,28 +87,6 @@ func main() {
 	if err := checkFig(*fig); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	var noBatch bool
-	switch *batch {
-	case "on":
-	case "off":
-		noBatch = true
-	default:
-		log.Fatalf("unknown -batch value %q (want on or off)", *batch)
-	}
-
-	var engine runtime.Engine
-	switch *engineName {
-	case "compiled":
-		engine = runtime.EngineCompiled
-	case "legacy":
-		engine = runtime.EngineLegacy
-	default:
-		log.Fatalf("unknown engine %q (want compiled or legacy)", *engineName)
-	}
-	if *stream && engine == runtime.EngineLegacy {
-		log.Fatal("-stream requires the compiled engine")
 	}
 
 	want := func(name string) bool { return *fig == "all" || *fig == name }
@@ -128,11 +100,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			speech.Engine = engine
 			speech.Shards = *shards
 			speech.Stream = *stream
 			speech.Workers = *workers
-			speech.NoBatch = noBatch
 		}
 		return speech
 	}
@@ -224,9 +194,6 @@ func main() {
 		})
 	}
 	if want("batch") {
-		if engine == runtime.EngineLegacy {
-			log.Fatal("the batch figure requires the compiled engine")
-		}
 		rows, err := experiments.BatchHitRates(needSpeech(), 1, *seconds)
 		if err != nil {
 			log.Fatal(err)
@@ -234,9 +201,6 @@ func main() {
 		out(experiments.BatchHitTable(rows))
 	}
 	if *fig == "dist" {
-		if engine == runtime.EngineLegacy {
-			log.Fatal("the dist figure requires the compiled engine")
-		}
 		var hostCounts []int
 		for _, part := range strings.Split(*distHosts, ",") {
 			h, err := strconv.Atoi(strings.TrimSpace(part))
@@ -265,9 +229,6 @@ func main() {
 		fmt.Printf("\nreplan recovery run: %d msgs sent, %d server emits\n", res.MsgsSent, res.ServerEmits)
 	}
 	if want("recovery") {
-		if engine == runtime.EngineLegacy {
-			log.Fatal("the recovery figure requires the compiled engine")
-		}
 		const recNodes, recSeconds = 4, 16
 		rows, err := experiments.HostFailureRecovery(needSpeech(), recNodes, recSeconds,
 			[]int{1, 2, 4}, []int{1, 3, 6})

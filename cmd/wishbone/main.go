@@ -8,9 +8,9 @@
 //	wishbone -src prog.ws [-platform TMoteSky] [-mode permissive]
 //	         [-events 64] [-dot out.dot] [-maxrate]
 //	         [-solver exact|lagrangian|greedy|race]
-//	         [-engine compiled|legacy] [-server http://host:9090]
+//	         [-server http://host:9090]
 //	         [-simulate N] [-simseconds S] [-shards K] [-stream]
-//	         [-batch on|off] [-hosts url1,url2,...] [-checkpoint W]
+//	         [-hosts url1,url2,...] [-checkpoint W]
 //	         [-replan] [-replan-window S]
 //	         [-churn meanUp[,meanDown]] [-burst pGB,pBG,factor]
 //	         [-scenario-seed N]
@@ -36,10 +36,9 @@
 // messages-received and goodput percentages. -shards splits the
 // server-side delivery loop by origin node (byte-identical results);
 // -stream generates the trace lazily and feeds it in bounded windows
-// (constant memory in the simulated span). -batch=off disables batched
-// work-function dispatch (byte-identical results; for differential
-// runs). -hosts places the simulation's origin shards across running
-// wbserved instances via the /v1/shard protocol (internal/dist),
+// (constant memory in the simulated span). -hosts places the
+// simulation's origin shards across running wbserved instances via the
+// /v1/shard protocol (internal/dist),
 // falling back to local execution when the cut has global server state
 // the origin split cannot express. Distributed runs are fault-tolerant:
 // shard RPCs retry transient errors, hosts checkpoint every -checkpoint
@@ -95,7 +94,6 @@ func main() {
 	dotPath := flag.String("dot", "", "write a GraphViz visualization here")
 	maxrate := flag.Bool("maxrate", false, "if infeasible, binary-search the max sustainable rate")
 	solverName := flag.String("solver", "exact", "solver backend: exact|lagrangian|greedy|race (all raced, best feasible wins)")
-	engineName := flag.String("engine", "compiled", "profiling engine: compiled|legacy (reference tree-walker)")
 	serverURL := flag.String("server", "", "partition-service base URL; when set, requests go to wbserved instead of running in process")
 	simNodes := flag.Int("simulate", 0, "deploy the chosen partition on a simulated N-node network")
 	simSeconds := flag.Float64("simseconds", 30, "simulated deployment duration in seconds")
@@ -103,22 +101,12 @@ func main() {
 	stream := flag.Bool("stream", false, "feed the simulation trace through streaming ingestion (bounded windows, constant memory)")
 	replan := flag.Bool("replan", false, "attach the online control loop to the streaming simulation: detect load drift and re-partition mid-stream with -solver (requires -stream)")
 	replanWindow := flag.Float64("replan-window", 2, "ingestion window in simulated seconds for -replan drift detection")
-	batch := flag.String("batch", "on", "batched work-function dispatch for the simulation: on|off (byte-identical results)")
 	hosts := flag.String("hosts", "", "comma-separated wbserved base URLs; the simulation's origin shards are placed across them")
 	checkpoint := flag.Int("checkpoint", 0, "with -hosts, windows per host checkpoint for failure recovery (0 = every window boundary, negative = disable recovery)")
 	churnSpec := flag.String("churn", "", "inject node churn into the simulation: meanUp[,meanDown] mean seconds alive/down (meanDown 0 or omitted = permanent crashes)")
 	burstSpec := flag.String("burst", "", "inject Gilbert–Elliott bursty loss: pGoodBad,pBadGood,badFactor (per-window transition probabilities, delivery-ratio multiplier during bursts)")
 	scenarioSeed := flag.Int64("scenario-seed", 1, "seed for the -churn/-burst failure schedules")
 	flag.Parse()
-
-	noBatch := false
-	switch *batch {
-	case "on":
-	case "off":
-		noBatch = true
-	default:
-		log.Fatalf("unknown -batch %q (want on or off)", *batch)
-	}
 
 	if *srcPath == "" {
 		flag.Usage()
@@ -136,15 +124,6 @@ func main() {
 	if *modeName == "conservative" {
 		mode = dataflow.Conservative
 	}
-	profileRun := profile.Run
-	switch *engineName {
-	case "compiled":
-	case "legacy":
-		profileRun = profile.RunLegacy
-	default:
-		log.Fatalf("unknown engine %q (want compiled or legacy)", *engineName)
-	}
-
 	if *serverURL != "" {
 		// The remote API profiles with its own engine and scalar synthetic
 		// traces and returns no graph artifacts; refuse flags it cannot
@@ -157,9 +136,6 @@ func main() {
 		}
 		if *dotPath != "" {
 			log.Fatal("-dot is not supported with -server")
-		}
-		if *engineName != "compiled" {
-			log.Fatal("-engine is not supported with -server (the service always runs the compiled engine)")
 		}
 		if *maxrate {
 			fmt.Println("note: -maxrate is implied with -server (the service always falls back to the rate search)")
@@ -193,7 +169,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := profileRun(compiled.Graph, inputs)
+	rep, err := profile.Run(compiled.Graph, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -286,7 +262,6 @@ func main() {
 			RateScale: rate,
 			Seed:      1,
 			Shards:    *shards,
-			NoBatch:   noBatch,
 			Timings:   timings,
 			Scenario:  scenario,
 		}

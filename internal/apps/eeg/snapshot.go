@@ -93,12 +93,18 @@ func saveFIRState(st any) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// The load hooks run on bytes a client supplied (the resume fields of the
+// shard and stream endpoints): every count goes through
+// SnapshotReader.Count with the fewest bytes one element can occupy, so a
+// hostile count cannot size an allocation the blob's own length does not
+// back.
+
 func loadFIRState(data []byte) (any, error) {
 	r, err := wire.NewSnapshotReader(data)
 	if err != nil {
 		return nil, err
 	}
-	taps := make([]float64, r.Uvarint())
+	taps := make([]float64, r.Count(8))
 	for i := range taps {
 		taps[i] = r.F64()
 	}
@@ -120,9 +126,9 @@ func saveInt16Queue(w *wire.SnapshotWriter, q [][]int16) {
 }
 
 func loadInt16Queue(r *wire.SnapshotReader) [][]int16 {
-	q := make([][]int16, 0, r.Uvarint())
+	q := make([][]int16, 0, r.Count(1)) // a block is at least its length
 	for i := 0; i < cap(q); i++ {
-		block := make([]int16, r.Uvarint())
+		block := make([]int16, r.Count(2))
 		for j := range block {
 			block[j] = int16(r.U16())
 		}
@@ -161,9 +167,9 @@ func loadZipState(data []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &zipState{q: make([][]dataflow.Value, r.Uvarint())}
+	s := &zipState{q: make([][]dataflow.Value, r.Count(1))} // a port is at least its queue length
 	for p := range s.q {
-		n := int(r.Uvarint())
+		n := r.Count(2) // a value is its kind byte and at least one more
 		if n == 0 {
 			continue
 		}
@@ -173,7 +179,7 @@ func loadZipState(data []byte) (any, error) {
 			case zipValFloat32:
 				q = append(q, f32frombits(uint32(r.Uvarint())))
 			case zipValFeatVec:
-				row := make(featVec, r.Uvarint())
+				row := make(featVec, r.Count(1))
 				for j := range row {
 					row[j] = f32frombits(uint32(r.Uvarint()))
 				}

@@ -44,7 +44,9 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 				if err != nil {
 					return nil, err
 				}
-				taps := make([]float64, r.Uvarint())
+				// Count: the blob may be a client's (see the EEG app's
+				// load hooks).
+				taps := make([]float64, r.Count(8))
 				for i := range taps {
 					taps[i] = r.F64()
 				}

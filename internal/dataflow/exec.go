@@ -13,18 +13,18 @@ import (
 // Executor is the reference tree-walking engine. Production execution goes
 // through Compile/Program/Instance, which lowers the same semantics into a
 // flat scheduled form; the Executor is retained as the independent
-// implementation that parity tests (and EngineLegacy in internal/runtime
-// and profile.RunLegacy) compare the compiled engine against, and as the
-// simplest executable definition of the dataflow semantics. It always runs
+// implementation that parity tests compare the compiled engine against
+// (nothing outside _test.go files constructs one), and as the simplest
+// executable definition of the dataflow semantics. It always runs
 // element at a time through Operator.Work — an operator's BatchWork is a
 // compiled-engine optimization whose contract is defined as equivalence to
 // what this engine computes, so Executor output is also the reference for
 // the batched scheduler's parity suite.
 //
-// The profiler's legacy path uses an Executor with per-operator counters to
-// price every operator; the runtime's legacy path uses one per simulated
-// node with an Include predicate restricting execution to the node
-// partition, and a Boundary hook that captures elements crossing the cut.
+// The profiler's test oracle uses an Executor with per-operator counters to
+// price every operator; the runtime's uses one per simulated node with an
+// Include predicate restricting execution to the node partition, and a
+// Boundary hook that captures elements crossing the cut.
 type Executor struct {
 	g      *Graph
 	states map[int]any

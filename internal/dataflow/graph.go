@@ -54,8 +54,16 @@ type Emit func(v Value)
 // operator's private state instance for that replica.
 type Ctx struct {
 	Counter *cost.Counter
-	NodeID  int
-	State   any
+	// NodeID is informational. The deployment simulator (internal/runtime)
+	// simulates one replica and replays its message stream for every node
+	// whenever all nodes are offered the very same event slices, so a work
+	// function's emits must not depend on NodeID, and a server-side work
+	// function must not mutate a delivered value in place (replayed
+	// messages alias one value across replicas). A caller whose operators
+	// need either gives each node its own copy of the events, which runs
+	// every replica.
+	NodeID int
+	State  any
 }
 
 // WorkFunc processes one input element. port identifies which input stream

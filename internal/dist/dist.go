@@ -16,7 +16,7 @@
 // the policy).
 //
 // A Coordinator with no peers, or a run the origin split cannot express
-// (legacy engine, global server state), falls back to local execution.
+// (global server state), falls back to local execution.
 package dist
 
 import (

@@ -197,7 +197,6 @@ func TestCoordinatorFallback(t *testing.T) {
 		Nodes:    2,
 		Duration: 4,
 		Seed:     1,
-		NoReplay: true,
 		Inputs:   func(int) []profile.Input { return app.SampleTrace(3, 4) },
 	}
 	eegRef, err := runtime.Run(eegCfg)

@@ -73,10 +73,8 @@ func DistScaling(e *SpeechEnv, nodes int, seconds float64, hostCounts []int) ([]
 		Nodes:         nodes,
 		Duration:      seconds,
 		Seed:          int64(nodes),
-		Engine:        e.Engine,
 		Shards:        e.Shards,
 		Workers:       e.Workers,
-		NoBatch:       e.NoBatch,
 		WindowSeconds: 2,
 		ArrivalSource: func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(
@@ -84,7 +82,7 @@ func DistScaling(e *SpeechEnv, nodes int, seconds float64, hostCounts []int) ([]
 		},
 	}
 	if !runtime.Distributable(cfg) {
-		return nil, fmt.Errorf("experiments: distributed scaling requires the compiled engine")
+		return nil, fmt.Errorf("experiments: distributed scaling needs a cut without global server state")
 	}
 	ref, err := runtime.Run(cfg)
 	if err != nil {

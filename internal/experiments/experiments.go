@@ -23,11 +23,6 @@ type SpeechEnv struct {
 	Report *profile.Report
 	Class  *dataflow.Classification
 
-	// Engine selects the simulation engine for the deployment
-	// experiments (Figures 9–10, §7.3.1); the zero value is the compiled
-	// default. cmd/wbbench -engine=legacy sets the reference tree-walker.
-	Engine runtime.Engine
-
 	// Shards splits each simulation's server-side delivery loop by origin
 	// node (cmd/wbbench -shards); results are byte-identical at any
 	// count.
@@ -35,9 +30,8 @@ type SpeechEnv struct {
 
 	// Stream runs the deployment experiments through streaming ingestion
 	// (cmd/wbbench -stream): arrivals are generated lazily and fed in
-	// bounded windows instead of materialized up front. Requires the
-	// compiled engine; each window's delivery ratio prices that window's
-	// offered load.
+	// bounded windows instead of materialized up front; each window's
+	// delivery ratio prices that window's offered load.
 	Stream bool
 
 	// Workers bounds each simulation's worker pool (cmd/wbbench
@@ -45,20 +39,13 @@ type SpeechEnv struct {
 	// the session — delivery of window w overlaps simulation of window
 	// w+1 — still byte-identical to the phased run.
 	Workers int
-
-	// NoBatch disables batched work-function dispatch in the deployment
-	// experiments (cmd/wbbench -batch=off); Results are byte-identical
-	// either way, the flag exists to measure the difference.
-	NoBatch bool
 }
 
-// simConfig applies the env's engine/sharding/streaming selection to one
+// simConfig applies the env's sharding/streaming selection to one
 // deployment simulation config.
 func (e *SpeechEnv) simConfig(cfg runtime.Config) runtime.Config {
-	cfg.Engine = e.Engine
 	cfg.Shards = e.Shards
 	cfg.Workers = e.Workers
-	cfg.NoBatch = e.NoBatch
 	if e.Stream {
 		inputs := cfg.Inputs
 		scale := cfg.RateScale

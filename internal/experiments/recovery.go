@@ -59,7 +59,6 @@ func HostFailureRecovery(e *SpeechEnv, nodes int, seconds float64, cadences, kil
 		Nodes:         nodes,
 		Duration:      seconds,
 		Seed:          int64(nodes),
-		Engine:        e.Engine,
 		WindowSeconds: 2,
 		ArrivalSource: func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(
@@ -67,7 +66,7 @@ func HostFailureRecovery(e *SpeechEnv, nodes int, seconds float64, cadences, kil
 		},
 	}
 	if !runtime.Distributable(cfg) {
-		return nil, fmt.Errorf("experiments: host-failure recovery requires the compiled engine")
+		return nil, fmt.Errorf("experiments: host-failure recovery needs a cut without global server state")
 	}
 	ref, err := runtime.Run(cfg)
 	if err != nil {

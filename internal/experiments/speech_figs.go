@@ -381,9 +381,7 @@ type BatchHitRow struct {
 
 // BatchHitRates runs the Figure 9 deployment at every cutpoint with
 // precompiled partition programs and reports each operator's batch-hit
-// rate. With the env's NoBatch set the simulation still runs (and the
-// Result is byte-identical), but every rate collapses to the per-element
-// path — which is the point of comparing -batch=on and -batch=off.
+// rate.
 func BatchHitRates(e *SpeechEnv, nodes int, seconds float64) ([]BatchHitRow, error) {
 	var rows []BatchHitRow
 	for k := 1; k <= NumSpeechCutpoints; k++ {

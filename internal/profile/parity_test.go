@@ -43,7 +43,7 @@ func assertReportsIdentical(t *testing.T, legacy, compiled *profile.Report) {
 func TestCompiledProfileParitySpeech(t *testing.T) {
 	app := speech.New()
 	inputs := []profile.Input{app.SampleTrace(2009, 3.0)}
-	legacy, err := profile.RunLegacy(app.Graph, inputs)
+	legacy, err := profile.RunReference(app.Graph, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCompiledProfileParityEEG(t *testing.T) {
 	// diamonds, multi-port zips and the cross-channel join.
 	app := eeg.NewWithChannels(4)
 	inputs := app.SampleTrace(7, 8)
-	legacy, err := profile.RunLegacy(app.Graph, inputs)
+	legacy, err := profile.RunReference(app.Graph, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCompiledProfileParityFullEEG(t *testing.T) {
 	}
 	app := eeg.New()
 	inputs := app.SampleTrace(2009, 4)
-	legacy, err := profile.RunLegacy(app.Graph, inputs)
+	legacy, err := profile.RunReference(app.Graph, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ type Report struct {
 // Profiling executes through the compiled engine (dataflow.Compile): the
 // graph is lowered once into a Program and every trace event runs against a
 // single Instance with dense per-operator counters and in-engine edge
-// accounting. RunLegacy is the reference tree-walking path; both produce
-// identical reports.
+// accounting. The package's tests hold it to the report the reference
+// tree-walking Executor produces (RunReference, export_test.go).
 func Run(g *dataflow.Graph, inputs []Input) (*Report, error) {
 	prog, err := CompileForProfiling(g)
 	if err != nil {
@@ -180,63 +180,6 @@ func newReport(g *dataflow.Graph, inputs []Input) (*Report, int, error) {
 		rep.OpPeak[op.ID()] = &cost.Counter{}
 	}
 	return rep, maxEvents, nil
-}
-
-// RunLegacy profiles the graph through the reference tree-walking Executor.
-// It exists for differential testing of the compiled engine (and as a
-// fallback while debugging new operators); Run is the production path.
-func RunLegacy(g *dataflow.Graph, inputs []Input) (*Report, error) {
-	rep, maxEvents, err := newReport(g, inputs)
-	if err != nil {
-		return nil, err
-	}
-	ex := dataflow.NewExecutor(g, 0)
-	// Wrap work functions by measuring counter deltas around each Push:
-	// the executor exposes a per-op counter; we snapshot totals around
-	// each injected event per op to find peaks per invocation.
-	invCounters := make(map[int]*cost.Counter)
-	ex.CounterFor = func(op *dataflow.Operator) *cost.Counter {
-		c, ok := invCounters[op.ID()]
-		if !ok {
-			c = &cost.Counter{}
-			invCounters[op.ID()] = c
-		}
-		rep.OpInvocations[op.ID()]++
-		return c
-	}
-	perEventBytes := make(map[*dataflow.Edge]int64)
-	ex.OnEdge = func(e *dataflow.Edge, v dataflow.Value) {
-		n := int64(dataflow.WireSize(v))
-		rep.EdgeBytes[e] += n
-		rep.EdgeElems[e]++
-		perEventBytes[e] += n
-	}
-
-	for i := 0; i < maxEvents; i++ {
-		for _, in := range inputs {
-			if i >= len(in.Events) {
-				continue
-			}
-			ex.Inject(in.Source, in.Events[i])
-			// Fold this event's per-op deltas into totals and peaks.
-			for id, c := range invCounters {
-				rep.OpTotal[id].AddCounter(c)
-				if c.Total() > rep.OpPeak[id].Total() {
-					peak := &cost.Counter{}
-					peak.AddCounter(c)
-					rep.OpPeak[id] = peak
-				}
-				c.Reset()
-			}
-			for e, n := range perEventBytes {
-				if n > rep.EdgePeak[e] {
-					rep.EdgePeak[e] = n
-				}
-				delete(perEventBytes, e)
-			}
-		}
-	}
-	return rep, nil
 }
 
 // CPUCosts prices every operator on platform p, as fractions of the

@@ -152,7 +152,13 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 		g, src, onNode := build()
 		cfg := Config{
 			Graph: g, OnNode: onNode, Platform: platform.Gumstix(),
-			Nodes: 3, Duration: 6, Seed: 5, NoBatch: noBatch, NoReplay: true,
+			Nodes: 3, Duration: 6, Seed: 5,
+		}
+		if noBatch {
+			var err error
+			if cfg, err = PerElementPrograms(cfg); err != nil {
+				t.Fatal(err)
+			}
 		}
 		inputs := make([][]profile.Input, cfg.Nodes)
 		arrivals := make([][]arrival, cfg.Nodes)
@@ -168,7 +174,7 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 			}
 			arrivals[n] = a
 		}
-		nodeRes, arenas, err := runNodesCompiled(cfg, inputs, arrivals)
+		nodeRes, arenas, err := runNodes(cfg, inputs, arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}

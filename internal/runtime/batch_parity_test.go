@@ -44,14 +44,15 @@ func TestBatchedRunParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.NoBatch = true
-		perElem, err := runtime.Run(cfg)
+		perElemCfg, err := runtime.PerElementPrograms(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.NoBatch = false
-		cfg.Engine = runtime.EngineLegacy
-		legacy, err := runtime.Run(cfg)
+		perElem, err := runtime.Run(perElemCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := runtime.RunReference(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,12 @@ func TestBatchedStreamParity(t *testing.T) {
 	}
 	run := func(noBatch, noPipeline bool) *runtime.Result {
 		cfg := base
-		cfg.NoBatch = noBatch
+		if noBatch {
+			var err error
+			if cfg, err = runtime.PerElementPrograms(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
 		cfg.NoPipeline = noPipeline
 		cfg.WindowSeconds = 10
 		cfg.ArrivalSource = func(nodeID int) (runtime.Stream, error) {

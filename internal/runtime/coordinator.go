@@ -71,13 +71,10 @@ const maxWindowArrivals = 1 << 20
 
 // init validates cfg and builds the coordinator state in place (the
 // embedding session hands out &c.cfg, so the core must not move after
-// this). what names the execution mode in the engine error.
-func (c *windowCore) init(cfg Config, what string) error {
+// this).
+func (c *windowCore) init(cfg Config) error {
 	if err := validateConfig(&cfg); err != nil {
 		return err
-	}
-	if cfg.Engine == EngineLegacy {
-		return fmt.Errorf("runtime: %s requires the compiled engine", what)
 	}
 	if math.IsNaN(cfg.WindowSeconds) || math.IsInf(cfg.WindowSeconds, 0) || cfg.WindowSeconds < 0 {
 		return fmt.Errorf("runtime: bad WindowSeconds %g", cfg.WindowSeconds)

@@ -108,9 +108,6 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Engine == EngineLegacy {
-		return nil, fmt.Errorf("runtime: distributed execution requires the compiled engine")
-	}
 	if !shardable(&cfg) {
 		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
 	}
@@ -137,7 +134,7 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 		}
 		h.owned[n] = true
 	}
-	prog, err := resolveNodeProgram(&h.cfg)
+	prog, err := resolveProgram(&h.cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +149,7 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 		h.sources[src] = true
 	}
 	h.eidx = edgeIndexes(&h.cfg)
-	passthrough := !cfg.NoBatch && passthroughPartition(&h.cfg)
+	passthrough := passthroughPartition(&h.cfg, prog)
 	for _, n := range h.origins {
 		inst := prog.AcquireInstance(n)
 		counter := &cost.Counter{}

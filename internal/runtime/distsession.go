@@ -71,11 +71,10 @@ type DistSession struct {
 }
 
 // Distributable reports whether cfg's simulation can be split across
-// shard hosts: streaming-capable (compiled engine) and free of global
-// server state. Callers with peers configured fall back to a local
-// Session when this is false.
+// shard hosts: valid and free of global server state. Callers with peers
+// configured fall back to a local Session when this is false.
 func Distributable(cfg Config) bool {
-	return cfg.Engine != EngineLegacy && validateConfig(&cfg) == nil && shardable(&cfg)
+	return validateConfig(&cfg) == nil && shardable(&cfg)
 }
 
 // NewDistSession validates the placement and binds the hosts. Every node
@@ -84,7 +83,7 @@ func Distributable(cfg Config) bool {
 // aborts them.
 func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
 	s := &DistSession{}
-	if err := s.init(cfg, "distributed execution"); err != nil {
+	if err := s.init(cfg); err != nil {
 		return nil, err
 	}
 	s.runWindow = s.flushBuffered

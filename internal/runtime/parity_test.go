@@ -11,16 +11,14 @@ import (
 	"wishbone/internal/runtime"
 )
 
-// runBoth executes the same configuration under both engines and asserts
-// byte-identical Results.
+// runBoth executes the same configuration under the shipped engine and the
+// tree-walking reference (RunReference) and asserts byte-identical Results.
 func runBoth(t *testing.T, cfg runtime.Config) *runtime.Result {
 	t.Helper()
-	cfg.Engine = runtime.EngineLegacy
-	legacy, err := runtime.Run(cfg)
+	legacy, err := runtime.RunReference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = runtime.EngineCompiled
 	compiled, err := runtime.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +147,9 @@ func TestParallelNodePoolDeterministic(t *testing.T) {
 }
 
 // TestNoReplayMatchesReplay checks the shared-trace fast path against
-// forced per-node execution.
+// per-node execution: replay is selected by the nodes sharing one event
+// slice, so handing every node its own copy of the same events runs every
+// replica.
 func TestNoReplayMatchesReplay(t *testing.T) {
 	app := speech.New()
 	shared := app.SampleTrace(12, 2.0)
@@ -166,7 +166,9 @@ func TestNoReplayMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoReplay = true
+	cfg.Inputs = func(nodeID int) []profile.Input {
+		return runtime.OwnEvents([]profile.Input{shared})
+	}
 	perNode, err := runtime.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

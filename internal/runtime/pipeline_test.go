@@ -170,8 +170,8 @@ func TestPipelinedParityEEG(t *testing.T) {
 		Nodes:    3,
 		Duration: 12,
 		Seed:     17,
-		NoReplay: true,
-		Inputs:   func(nodeID int) []profile.Input { return inputs },
+		// Own copies of the events: every replica executes, none replays.
+		Inputs: func(nodeID int) []profile.Input { return OwnEvents(inputs) },
 	}
 	if shardable(&cfg) {
 		t.Fatal("EEG app must exercise the sequential-delivery fallback")

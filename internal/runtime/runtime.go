@@ -11,21 +11,21 @@
 // product — the goodput, "the percentage of sample data that was fully
 // processed to produce output" (§7.3.1).
 //
-// # Execution engines
+// # Execution
 //
-// The default engine compiles the node partition once
-// (dataflow.Compile) and executes one dataflow.Instance per simulated node
-// on a bounded worker pool; the server partition runs as a second compiled
-// instance with a precomputed relocated-operator table. When every node is
-// offered the identical trace (the methodology of Figures 9 and 10 when
-// driven with a shared recording), the node phase is simulated once and its
-// deterministic message stream replicated per node — node-side execution is
-// a pure function of (program, partition, platform, arrivals), so the
-// results are identical to executing each replica. Replay assumes work
-// functions do not read ctx.NodeID; set Config.NoReplay for programs that
-// do. EngineLegacy selects the reference tree-walking Executor instead;
-// both engines produce identical Results, which parity tests assert on the
-// paper's applications.
+// Run compiles the node partition once (dataflow.Compile) and executes one
+// dataflow.Instance per simulated node on a bounded worker pool; the server
+// partition runs as a second compiled instance with a precomputed
+// relocated-operator table. When every node is offered the identical trace
+// (the methodology of Figures 9 and 10 when driven with a shared
+// recording), the node phase is simulated once and its deterministic
+// message stream replicated per node — node-side execution is a pure
+// function of (program, partition, platform, arrivals), so the results are
+// identical to executing each replica (see dataflow.Ctx.NodeID for what
+// that asks of work functions). The executable definition of the semantics
+// is the tree-walking dataflow.Executor; the package's tests drive a whole
+// deployment through it (RunReference, export_test.go) and assert
+// identical Results on the paper's applications.
 //
 // The server-side delivery loop shards by origin node (Config.Shards,
 // shard.go): state tables, reassembly streams and the packet-loss RNG are
@@ -46,19 +46,6 @@ import (
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/wire"
-)
-
-// Engine selects the execution engine for a simulation.
-type Engine int
-
-const (
-	// EngineCompiled (the default) executes compiled dataflow.Programs:
-	// node replicas on a bounded worker pool, trace-identical replicas by
-	// replay.
-	EngineCompiled Engine = iota
-	// EngineLegacy executes through the reference tree-walking Executor,
-	// sequentially. It exists for differential testing.
-	EngineLegacy
 )
 
 // reasmKey identifies one node's stream on one cut edge for reassembly.
@@ -94,30 +81,8 @@ type Config struct {
 	// Seed drives packet-loss sampling.
 	Seed int64
 
-	// Engine selects the execution engine (default EngineCompiled).
-	Engine Engine
-
-	// Workers bounds the node worker pool for the compiled engine; 0 means
-	// GOMAXPROCS. The legacy engine always runs sequentially.
+	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-
-	// NoBatch disables batched work-function dispatch: the partitions Run
-	// compiles itself are compiled without batch tables, server delivery
-	// pushes one element at a time, and the node-phase passthrough fast
-	// path is skipped. The zero value (batching on) and NoBatch produce
-	// byte-identical Results — the knob exists for differential testing
-	// and benchmarking. Precompiled Node/ServerPrograms carry their own
-	// Batch compile option; NoBatch still disables the batched feed paths
-	// for them.
-	NoBatch bool
-
-	// NoReplay forces the compiled engine to execute every node replica
-	// individually even when all nodes are offered the identical trace.
-	// Set it when work functions read ctx.NodeID (replay would stamp node
-	// 0's behavior onto every replica) or when server-side operators
-	// mutate delivered values in place (replayed abstract messages alias
-	// one value across replicas).
-	NoReplay bool
 
 	// NodeProgram and ServerProgram optionally supply the two partitions
 	// precompiled (CompilePartition). The multi-tenant partition service
@@ -125,7 +90,13 @@ type Config struct {
 	// (graph, partition) pair skip compilation entirely; Programs are
 	// immutable, so one pair serves concurrent Runs. Both must have been
 	// compiled from Graph with an Include set matching OnNode — Run
-	// verifies and rejects mismatches. Ignored by EngineLegacy.
+	// verifies and rejects mismatches.
+	//
+	// Batched feed and delivery follow the Programs: a side compiled with
+	// batch tables (CompileOptions.Batch, as CompilePartition and the
+	// Programs Run compiles itself are) takes the node-phase passthrough
+	// fast path and batched server delivery; a side compiled without runs
+	// the per-element loop. Results are byte-identical either way.
 	NodeProgram   *dataflow.Program
 	ServerProgram *dataflow.Program
 
@@ -134,9 +105,9 @@ type Config struct {
 	// 0 or 1 means sequential delivery. Results are byte-identical at any
 	// shard and worker count; sharding requires work functions that are
 	// safe to run concurrently across origins (the node-side pool already
-	// requires the same). Ignored by EngineLegacy, and by partitions with
-	// a stateful Server-namespace operator (whose single global state
-	// forces sequential delivery).
+	// requires the same). Ignored by partitions with a stateful
+	// Server-namespace operator (whose single global state forces
+	// sequential delivery).
 	Shards int
 
 	// ArrivalSource switches Run to streaming ingestion: instead of
@@ -144,8 +115,8 @@ type Config struct {
 	// pulled lazily per node and fed through persistent node instances
 	// and server shards in WindowSeconds-sized windows, so a deployment
 	// hours long simulates in memory proportional to one window. Each
-	// window's delivery ratio reflects that window's offered load.
-	// Streaming requires the compiled engine. Inputs is ignored when set.
+	// window's delivery ratio reflects that window's offered load. Inputs
+	// is ignored when set.
 	ArrivalSource func(nodeID int) (Stream, error)
 
 	// WindowSeconds is the streaming ingestion window in simulated
@@ -179,7 +150,7 @@ type Config struct {
 	// runs stay byte-identical across placements, shard counts, pipelined
 	// vs phased execution, and snapshot/resume. Scenario runs always
 	// execute on the streaming path (Run synthesizes an ArrivalSource
-	// from Inputs when needed) and require the compiled engine.
+	// from Inputs when needed).
 	Scenario *netsim.Scenario
 }
 
@@ -272,9 +243,6 @@ func Run(cfg Config) (*Result, error) {
 		// Failure models are windowed phenomena (churn gates arrivals in
 		// time, bursts price per window), so a scenario run executes on
 		// the streaming path even when the caller supplied batch Inputs.
-		if cfg.Engine == EngineLegacy {
-			return nil, fmt.Errorf("runtime: failure scenarios require the compiled engine")
-		}
 		inputs, scale, duration := cfg.Inputs, cfg.RateScale, cfg.Duration
 		cfg.ArrivalSource = func(nodeID int) (Stream, error) {
 			in := inputs(nodeID)
@@ -316,13 +284,7 @@ func Run(cfg Config) (*Result, error) {
 			releaseArena(a)
 		}
 	}()
-	var nodeRes []nodeResult
-	var err error
-	if cfg.Engine == EngineLegacy {
-		nodeRes, err = runNodesLegacy(cfg, arrivals)
-	} else {
-		nodeRes, arenas, err = runNodesCompiled(cfg, inputs, arrivals)
-	}
+	nodeRes, arenas, err := runNodes(cfg, inputs, arrivals)
 	if err != nil {
 		return nil, err
 	}
@@ -349,11 +311,8 @@ func Run(cfg Config) (*Result, error) {
 	// Messages produced by a node-resident reduce operator are combined
 	// inside the collection tree: the root link carries one aggregate per
 	// round instead of one message per node.
-	var aggArena *fragArena
-	if cfg.Engine != EngineLegacy {
-		aggArena = acquireArena()
-		arenas = append(arenas, aggArena)
-	}
+	aggArena := acquireArena()
+	arenas = append(arenas, aggArena)
 	msgs = aggregateReduceMessages(cfg, msgs, res, aggArena)
 
 	// --- Channel -------------------------------------------------------
@@ -473,10 +432,9 @@ type sender struct {
 	// stream through several wraps.
 	seqs map[*dataflow.Edge]uint16
 
-	// arena supplies fragment storage (see fragArena); nil senders — the
-	// legacy reference engine — allocate per message. enc is the marshal
-	// scratch buffer, reused across captures (fragmentation copies out of
-	// it either way).
+	// arena supplies fragment storage (see fragArena); a sender without one
+	// allocates per message. enc is the marshal scratch buffer, reused
+	// across captures (fragmentation copies out of it either way).
 	arena *fragArena
 	enc   []byte
 
@@ -549,8 +507,8 @@ func (s *sender) beginBatch(times []float64) {
 func (s *sender) endBatch() { s.times = nil }
 
 // fragment packetizes one encoded element, carving the fragment storage
-// from the arena when one is attached (the compiled engine's hot path)
-// and allocating per message otherwise.
+// from the arena when one is attached (the hot path) and allocating per
+// message otherwise.
 func fragment(arena *fragArena, enc []byte, seq uint16, payloadSize int) ([][]byte, error) {
 	if arena == nil {
 		return wire.Fragment(enc, seq, payloadSize)
@@ -654,23 +612,7 @@ func simulateNode(cfg *Config, s *sender, arrivals []arrival, ns *nodeSim) nodeR
 	}
 }
 
-// runNodesLegacy executes every node sequentially through the reference
-// tree-walking Executor.
-func runNodesLegacy(cfg Config, arrivals [][]arrival) ([]nodeResult, error) {
-	out := make([]nodeResult, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
-		ex := dataflow.NewExecutor(cfg.Graph, n)
-		ex.Include = func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] }
-		counter := &cost.Counter{}
-		ex.CounterFor = func(op *dataflow.Operator) *cost.Counter { return counter }
-		s := &sender{cfg: &cfg, nodeID: n}
-		ex.Boundary = s.capture
-		out[n] = simulateNode(&cfg, s, arrivals[n], &nodeSim{counter: counter, s: s, inject: ex.Inject})
-	}
-	return out, nil
-}
-
-// runNodesCompiled compiles the node partition once and executes the
+// runNodes compiles the node partition once and executes the
 // replicas through dataflow.Instances. Identical replicas — every node
 // offered the same trace — are simulated once and their deterministic
 // message streams replicated; distinct replicas run sharded by origin on
@@ -679,23 +621,22 @@ func runNodesLegacy(cfg Config, arrivals [][]arrival) ([]nodeResult, error) {
 // Instance and one fragment arena across them instead of round-tripping
 // the Program pool per node. The returned arenas hold the senders'
 // fragment storage; the caller releases them once delivery is done.
-func runNodesCompiled(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) ([]nodeResult, []*fragArena, error) {
-	prog, err := resolveNodeProgram(&cfg)
+func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) ([]nodeResult, []*fragArena, error) {
+	prog, err := resolveProgram(&cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	passthrough := !cfg.NoBatch && passthroughPartition(&cfg)
+	passthrough := passthroughPartition(&cfg, prog)
 	out := make([]nodeResult, cfg.Nodes)
 
-	if !cfg.NoReplay && identicalTraces(inputs) {
+	if identicalTraces(inputs) {
 		// Node-side simulation is a deterministic function of (program,
 		// platform, arrivals): with identical traces every replica
 		// produces the same events, times and marshalled fragments, so
 		// simulate node 0 and restamp its message stream per node (the
 		// replicas alias node 0's fragment storage, which delivery only
-		// reads). This assumes work functions ignore ctx.NodeID (none of
-		// the paper's operators read it); Config.NoReplay opts out
-		// otherwise.
+		// reads). dataflow.Ctx.NodeID states what this asks of work
+		// functions.
 		arena := acquireArena()
 		inst := prog.AcquireInstance(0)
 		counter := &cost.Counter{}
@@ -761,28 +702,33 @@ func runNodesCompiled(cfg Config, inputs [][]profile.Input, arrivals [][]arrival
 // of concurrent Runs via Config.NodeProgram/ServerProgram — the partition
 // service's program cache holds exactly these.
 func CompilePartition(g *dataflow.Graph, onNode map[int]bool) (node, server *dataflow.Program, err error) {
-	node, err = dataflow.Compile(g, dataflow.CompileOptions{
-		Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] },
-		Batch:   true, BatchMode: dataflow.Permissive,
-	})
-	if err != nil {
+	if node, err = compileSide(g, onNode, true); err != nil {
 		return nil, nil, err
 	}
-	server, err = dataflow.Compile(g, dataflow.CompileOptions{
-		Include: func(op *dataflow.Operator) bool { return !onNode[op.ID()] },
-		Batch:   true, BatchMode: dataflow.Permissive,
-	})
-	if err != nil {
+	if server, err = compileSide(g, onNode, false); err != nil {
 		return nil, nil, err
 	}
 	return node, server, nil
 }
 
-// passthroughPartition reports whether the node partition contains no work
-// functions at all — sources and forwarding operators only, as with a cut
-// directly after the sources. Such partitions charge nothing to the node
-// CPU, which is what licenses the batched node-phase fast path.
-func passthroughPartition(cfg *Config) bool {
+// compileSide compiles one side of the cut: the operators with onNode[id]
+// equal to nodeSide.
+func compileSide(g *dataflow.Graph, onNode map[int]bool, nodeSide bool) (*dataflow.Program, error) {
+	return dataflow.Compile(g, dataflow.CompileOptions{
+		Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
+		Batch:   true, BatchMode: dataflow.Permissive,
+	})
+}
+
+// passthroughPartition reports whether the node phase may take the batched
+// fast path: prog (the resolved node Program) carries batch tables and the
+// node partition contains no work functions at all — sources and forwarding
+// operators only, as with a cut directly after the sources. Such partitions
+// charge nothing to the node CPU, which is what licenses the fast path.
+func passthroughPartition(cfg *Config, prog *dataflow.Program) bool {
+	if !prog.Options().Batch {
+		return false
+	}
 	for _, op := range cfg.Graph.Operators() {
 		if cfg.OnNode[op.ID()] && op.Work != nil {
 			return false
@@ -912,68 +858,6 @@ func (srv *compiledServer) close() {
 	srv.prog.ReleaseInstance(srv.inst)
 	srv.inst = nil
 }
-
-// legacyServer is the reference server-side path: a tree-walking Executor
-// with the original per-message scan over all operators.
-type legacyServer struct {
-	cfg        *Config
-	ex         *dataflow.Executor
-	states     map[int]map[int]any
-	emitsCount int
-}
-
-func newLegacyServer(cfg *Config) serverEngine {
-	srv := &legacyServer{
-		cfg:    cfg,
-		ex:     dataflow.NewExecutor(cfg.Graph, -1),
-		states: make(map[int]map[int]any),
-	}
-	srv.ex.Include = func(op *dataflow.Operator) bool { return !cfg.OnNode[op.ID()] }
-	srv.ex.OnEdge = func(e *dataflow.Edge, v dataflow.Value) { srv.emitsCount++ }
-	return srv
-}
-
-func (srv *legacyServer) deliver(m *message, val dataflow.Value) error {
-	// Swap in the origin node's state for every stateful server-side
-	// operator before processing this element.
-	for _, op := range srv.cfg.Graph.Operators() {
-		if srv.cfg.OnNode[op.ID()] || !op.Stateful || op.NewState == nil {
-			continue
-		}
-		if op.NS == dataflow.NSNode {
-			// Relocated node operator: per-node state table.
-			tbl := srv.states[op.ID()]
-			if tbl == nil {
-				tbl = make(map[int]any)
-				srv.states[op.ID()] = tbl
-			}
-			st, ok := tbl[m.nodeID]
-			if !ok {
-				st = op.NewState()
-				tbl[m.nodeID] = st
-			}
-			srv.ex.SetState(op, st)
-		}
-	}
-	return srv.ex.Push(m.edge.To, m.edge.ToPort, val)
-}
-
-// deliverBatch exists only to satisfy serverEngine — the delivery loop
-// never batches on the legacy engine — and degenerates to element-at-a-time
-// delivery.
-func (srv *legacyServer) deliverBatch(nodeID int, e *dataflow.Edge, vals []dataflow.Value) error {
-	m := message{nodeID: nodeID, edge: e}
-	for _, v := range vals {
-		if err := srv.deliver(&m, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (srv *legacyServer) emits() int { return srv.emitsCount }
-
-func (srv *legacyServer) close() {}
 
 // PredictedNodeCPU prices the node partition from a profile report: the
 // prediction the paper compares against measurement (11.5% vs 15% on the

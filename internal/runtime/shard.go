@@ -19,7 +19,7 @@ import (
 // origins across shards and summing the per-shard counters is
 // byte-identical to the sequential loop at any shard count and worker
 // count (the ShardedDelivery parity tests pin this against the sequential
-// and legacy paths).
+// path and the reference engine).
 //
 // The one thing that breaks per-origin independence is a stateful operator
 // declared in the Server namespace: its single state instance is fed by
@@ -233,44 +233,32 @@ func shardable(cfg *Config) bool {
 }
 
 // newDeliveryPlan resolves the shard count and builds one server engine
-// per shard. The legacy engine always runs one sequential shard (it is the
-// reference path); the compiled engine honors cfg.Shards when the
-// partition is shardable, capped at one shard per possible origin
-// (cfg.Nodes real nodes plus the aggregate origin).
+// per shard: cfg.Shards when the partition is shardable, capped at one
+// shard per possible origin (cfg.Nodes real nodes plus the aggregate
+// origin).
 func newDeliveryPlan(cfg *Config) (*deliveryPlan, error) {
+	independent := shardable(cfg)
 	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	if cfg.Engine == EngineLegacy || !shardable(cfg) {
+	if n < 1 || !independent {
 		n = 1
 	}
 	if n > cfg.Nodes+1 {
 		n = cfg.Nodes + 1
 	}
 	d := &deliveryPlan{cfg: cfg, workers: poolWorkers(cfg, n)}
-	var prog *dataflow.Program
-	if cfg.Engine != EngineLegacy {
-		var err error
-		prog, err = resolveServerProgram(cfg)
-		if err != nil {
-			return nil, err
-		}
+	prog, err := resolveProgram(cfg, false)
+	if err != nil {
+		return nil, err
 	}
-	// Batched delivery regroups messages by origin, which is sound exactly
-	// when the partition is shardable (per-origin independence); the legacy
-	// engine and NoBatch runs keep the per-element reference loop.
-	batch := cfg.Engine != EngineLegacy && !cfg.NoBatch && shardable(cfg)
+	// Batched delivery needs a server Program with batch tables, and
+	// regroups messages by origin, which is sound exactly when the
+	// partition is shardable (per-origin independence); otherwise the
+	// shards run the per-element loop.
+	batch := prog.Options().Batch && independent
 	for i := 0; i < n; i++ {
-		var engine serverEngine
-		if cfg.Engine == EngineLegacy {
-			engine = newLegacyServer(cfg)
-		} else {
-			engine = newCompiledServer(cfg, prog)
-		}
 		d.shards = append(d.shards, &shardState{
 			seed:   cfg.Seed,
-			engine: engine,
+			engine: newCompiledServer(cfg, prog),
 			reasm:  make(map[reasmKey]*wire.Reassembler),
 			rng:    make(map[int]*netsim.LossSampler),
 			batch:  batch,
@@ -331,33 +319,21 @@ func (d *deliveryPlan) close() {
 	d.shards = nil
 }
 
-// resolveNodeProgram and resolveServerProgram return one partition's
-// Program: the caller's precompiled one (verified against the run's graph
-// and cut) or a fresh compilation.
-func resolveNodeProgram(cfg *Config) (*dataflow.Program, error) {
-	if cfg.NodeProgram != nil {
-		if err := checkPartitionProgram(cfg.NodeProgram, cfg, true); err != nil {
-			return nil, err
-		}
-		return cfg.NodeProgram, nil
+// resolveProgram returns one partition's Program: the caller's precompiled
+// one (verified against the run's graph and cut) or a fresh compilation, as
+// CompilePartition would produce.
+func resolveProgram(cfg *Config, nodeSide bool) (*dataflow.Program, error) {
+	supplied := cfg.ServerProgram
+	if nodeSide {
+		supplied = cfg.NodeProgram
 	}
-	return dataflow.Compile(cfg.Graph, dataflow.CompileOptions{
-		Include: func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] },
-		Batch:   !cfg.NoBatch, BatchMode: dataflow.Permissive,
-	})
-}
-
-func resolveServerProgram(cfg *Config) (*dataflow.Program, error) {
-	if cfg.ServerProgram != nil {
-		if err := checkPartitionProgram(cfg.ServerProgram, cfg, false); err != nil {
-			return nil, err
-		}
-		return cfg.ServerProgram, nil
+	if supplied == nil {
+		return compileSide(cfg.Graph, cfg.OnNode, nodeSide)
 	}
-	return dataflow.Compile(cfg.Graph, dataflow.CompileOptions{
-		Include: func(op *dataflow.Operator) bool { return !cfg.OnNode[op.ID()] },
-		Batch:   !cfg.NoBatch, BatchMode: dataflow.Permissive,
-	})
+	if err := checkPartitionProgram(supplied, cfg, nodeSide); err != nil {
+		return nil, err
+	}
+	return supplied, nil
 }
 
 // poolWorkers resolves the worker budget for an n-way fan-out.

@@ -20,20 +20,21 @@ func runVariants(t *testing.T, cfg runtime.Config) *runtime.Result {
 	t.Helper()
 	type variant struct {
 		name   string
+		run    func(runtime.Config) (*runtime.Result, error)
 		mutate func(*runtime.Config)
 	}
 	variants := []variant{
-		{"legacy", func(c *runtime.Config) { c.Engine = runtime.EngineLegacy }},
-		{"sequential", func(c *runtime.Config) {}},
-		{"shards=2", func(c *runtime.Config) { c.Shards = 2 }},
-		{"shards=3/workers=2", func(c *runtime.Config) { c.Shards = 3; c.Workers = 2 }},
-		{"shards=8/workers=8", func(c *runtime.Config) { c.Shards = 8; c.Workers = 8 }},
+		{"legacy", runtime.RunReference, func(c *runtime.Config) {}},
+		{"sequential", runtime.Run, func(c *runtime.Config) {}},
+		{"shards=2", runtime.Run, func(c *runtime.Config) { c.Shards = 2 }},
+		{"shards=3/workers=2", runtime.Run, func(c *runtime.Config) { c.Shards = 3; c.Workers = 2 }},
+		{"shards=8/workers=8", runtime.Run, func(c *runtime.Config) { c.Shards = 8; c.Workers = 8 }},
 	}
 	var ref *runtime.Result
 	for _, v := range variants {
 		c := cfg
 		v.mutate(&c)
-		res, err := runtime.Run(c)
+		res, err := v.run(c)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -89,9 +90,9 @@ func TestShardedDeliveryParityEEG(t *testing.T) {
 		Platform: platform.Gumstix(),
 		Nodes:    3,
 		Duration: 12,
-		Inputs:   func(nodeID int) []profile.Input { return inputs },
-		NoReplay: true,
-		Seed:     17,
+		// Own copies of the events: every replica executes, none replays.
+		Inputs: func(nodeID int) []profile.Input { return runtime.OwnEvents(inputs) },
+		Seed:   17,
 	})
 	if res.InputEvents == 0 {
 		t.Fatal("no input offered")

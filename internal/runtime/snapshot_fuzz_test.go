@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"wishbone/internal/apps/eeg"
 	"wishbone/internal/apps/speech"
 	"wishbone/internal/platform"
 	"wishbone/internal/wire"
@@ -41,9 +43,29 @@ func hostile(count uint64, prefix func(w *wire.SnapshotWriter)) []byte {
 // TestSnapshotHostileCounts pins that no decoder sizes an allocation from
 // a count the remaining bytes cannot back: 1<<62 used to panic makeslice,
 // 1<<33 to allocate tens of gigabytes. Every section count of the session
-// and host formats gets both.
+// and host formats gets both, and so does every count inside the built-in
+// apps' operator-state blobs, which their LoadState hooks decode on the
+// apply side of the same resume fields.
 func TestSnapshotHostileCounts(t *testing.T) {
 	cfg := goldenConfig()
+	eegCfg := &Config{Graph: eeg.NewWithChannels(1).Graph}
+	// opState decodes data as the state of c's first operator whose state
+	// has the named type, the way restoring a snapshot would.
+	opState := func(c *Config, stateType string) func(data []byte) error {
+		for _, op := range c.Graph.Operators() {
+			if op.LoadState != nil && fmt.Sprintf("%T", op.NewState()) == stateType {
+				id := op.ID()
+				return func(data []byte) error {
+					_, _, err := loadOpState(c, OpState{Op: id, Data: data})
+					return err
+				}
+			}
+		}
+		t.Fatalf("no operator with %s state", stateType)
+		return nil
+	}
+	none := func(w *wire.SnapshotWriter) {}
+	one := func(w *wire.SnapshotWriter) { w.Uvarint(1) }
 	hash := cfg.Graph.StructuralHash()
 	nEdges := len(cfg.Graph.Edges())
 	nodeScalars := func(w *wire.SnapshotWriter) {
@@ -83,8 +105,16 @@ func TestSnapshotHostileCounts(t *testing.T) {
 			w.Uvarint(0)
 		},
 			func(data []byte) error { r := reader(data); loadShardState(r); return r.Err() }},
-		{"operator states", func(w *wire.SnapshotWriter) {},
+		{"operator states", none,
 			func(data []byte) error { r := reader(data); loadOpStates(r); return r.Err() }},
+		{"speech prefilt taps", none, opState(cfg, "*speech.prefiltState")},
+		{"eeg FIR taps", none, opState(eegCfg, "*eeg.firState")},
+		{"eeg zip2 blocks", none, opState(eegCfg, "*eeg.zip2State")},
+		{"eeg zip2 block samples", one, opState(eegCfg, "*eeg.zip2State")},
+		{"eeg zip ports", none, opState(eegCfg, "*eeg.zipState")},
+		{"eeg zip queue", one, opState(eegCfg, "*eeg.zipState")},
+		{"eeg zip feature vector", func(w *wire.SnapshotWriter) { w.Uvarint(1); w.Uvarint(1); w.Byte(1) },
+			opState(eegCfg, "*eeg.zipState")},
 	}
 	for _, tc := range cases {
 		for _, count := range []uint64{1 << 62, 1 << 33} {

@@ -170,7 +170,6 @@ func TestSessionSnapshotResumeEEG(t *testing.T) {
 			Nodes:         3,
 			Duration:      16,
 			Seed:          17,
-			NoReplay:      true,
 			WindowSeconds: 4,
 		}
 		feed := mergedFeed(t, base.Nodes, base.Duration, func(int) []profile.Input { return inputs })

@@ -122,8 +122,8 @@ func (s *inputStream) Next() (Arrival, bool) {
 // /v1/simulate/stream endpoint drives a Session straight from the
 // request body; Run drives one from Config.ArrivalSource.
 //
-// A Session requires the compiled engine and accepts the same
-// Config.Shards/Workers knobs as the batch path.
+// A Session accepts the same Config.Shards/Workers knobs as the batch
+// path.
 type Session struct {
 	windowCore
 	plan  *deliveryPlan
@@ -159,11 +159,11 @@ type Session struct {
 // fast path do not apply; arrivals come from Offer.
 func NewSession(cfg Config) (*Session, error) {
 	s := &Session{started: time.Now()}
-	if err := s.init(cfg, "streaming ingestion"); err != nil {
+	if err := s.init(cfg); err != nil {
 		return nil, err
 	}
 	s.runWindow = s.flushBuffered
-	prog, err := resolveNodeProgram(&s.cfg)
+	prog, err := resolveProgram(&s.cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +173,7 @@ func NewSession(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	s.plan = plan
-	passthrough := !cfg.NoBatch && passthroughPartition(&s.cfg)
+	passthrough := passthroughPartition(&s.cfg, prog)
 	for n := 0; n < cfg.Nodes; n++ {
 		inst := prog.AcquireInstance(n)
 		counter := &cost.Counter{}

@@ -719,20 +719,12 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire
 	if cfg.Scenario, err = scenarioFromWire(req.Scenario); err != nil {
 		return nil, err
 	}
-	switch req.Engine {
-	case "", "compiled":
-		progs, progHit, err := s.partitionProgramsFor(e, onNode)
-		if err != nil {
-			return nil, err
-		}
-		hit = hit && progHit
-		cfg.NodeProgram, cfg.ServerProgram = progs.node, progs.server
-	case "legacy":
-		cfg.Engine = wbruntime.EngineLegacy
-		hit = false
-	default:
-		return nil, badRequest("unknown engine %q (want compiled or legacy)", req.Engine)
+	progs, progHit, err := s.partitionProgramsFor(e, onNode)
+	if err != nil {
+		return nil, err
 	}
+	hit = hit && progHit
+	cfg.NodeProgram, cfg.ServerProgram = progs.node, progs.server
 
 	t := traceDefaults(req.Trace)
 	if req.DistinctTraces {

@@ -331,8 +331,8 @@ func TestServerSingleflight(t *testing.T) {
 	}
 }
 
-// TestServerAutoSimulate exercises the partition-then-simulate fallback
-// and the legacy engine path.
+// TestServerAutoSimulate exercises the partition-then-simulate fallback,
+// then an explicit cut, with and without the retired "engine" key.
 func TestServerAutoSimulate(t *testing.T) {
 	_, client := startServer(t, Config{})
 	ctx := context.Background()
@@ -355,22 +355,25 @@ func TestServerAutoSimulate(t *testing.T) {
 		t.Fatal("simulation offered no events")
 	}
 
-	req.Engine = "legacy"
 	req.OnNode = []int{0, 1, 2, 3, 4, 5}
-	legacy, err := client.Simulate(ctx, req)
+	explicit, err := client.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.CacheHit {
-		t.Fatal("legacy engine must not report cached compiled Programs")
-	}
-	req.Engine = "compiled"
-	compiled, err := client.Simulate(ctx, req)
-	if err != nil {
+	// A body written for the two-engine API still carries an "engine" key;
+	// it is an unknown field now and must not change the answer.
+	var old wire.SimulateResponse
+	if err := client.post(ctx, "/v1/simulate", struct {
+		wire.SimulateRequest
+		Engine string `json:"engine"`
+	}{req, "legacy"}, &old); err != nil {
 		t.Fatal(err)
 	}
-	if *compiled.Result != *legacy.Result {
-		t.Fatalf("engines disagree: compiled %+v, legacy %+v", compiled.Result, legacy.Result)
+	if *old.Result != *explicit.Result {
+		t.Fatalf("an \"engine\" key changed the result: %+v, want %+v", old.Result, explicit.Result)
+	}
+	if !old.CacheHit {
+		t.Fatal("repeat simulation of one (graph, cut) must be served from the program cache")
 	}
 }
 

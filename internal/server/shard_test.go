@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"sort"
 	"testing"
 
@@ -283,5 +285,50 @@ func TestServerSnapshotHostileCounts(t *testing.T) {
 			Resume: session.Bytes(),
 		}, func() ([]wire.ArrivalWire, bool) { return nil, false })
 		want400("simulate stream, resume", err)
+
+		// A host blob that decodes cleanly and carries, in origin 0's node
+		// side, one operator's state: a FIR delay line claiming count
+		// taps. That count is the operator's LoadState hook's to bound.
+		fir := -1
+		for _, id := range onNode {
+			if op := e.graph.ByID(id); op.LoadState != nil && fmt.Sprintf("%T", op.NewState()) == "*speech.prefiltState" {
+				fir = id
+			}
+		}
+		if fir < 0 {
+			t.Fatal("the cut leaves no FIR operator on the node")
+		}
+		state := wire.NewSnapshotWriter()
+		state.Uvarint(count) // taps
+		host = wire.NewSnapshotWriter()
+		host.Int(0)
+		host.Int(0)
+		host.Uvarint(1) // origins
+		host.Int(0)     // origin 0: busy horizon, busy, two event counters,
+		host.F64(0)     // no sender sequences, one operator state
+		host.F64(0)
+		host.Int(0)
+		host.Int(0)
+		host.Uvarint(0)
+		host.Uvarint(1)
+		host.Uvarint(uint64(fir))
+		host.Blob(state.Bytes())
+		host.Int(0) // delivery state: three counters, no origins, no global states
+		host.Int(0)
+		host.Int(0)
+		host.Uvarint(0)
+		host.Uvarint(0)
+		open.Origins = []int{0}
+		open.ResumeHost = host.Bytes()
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		_, err = client.ShardOpen(ctx, open)
+		goruntime.ReadMemStats(&after)
+		want400("shard open, resumeHost operator state", err)
+		// The whole request (elaboration, compile, host construction) is
+		// in the reading, so the bound is loose; 1<<33 taps would be 64 GiB.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Fatalf("operator-state count %d made the server allocate %d bytes", count, alloc)
+		}
 	}
 }

@@ -107,7 +107,9 @@ func NewVariantRace(base core.Options, variants ...Variant) (Solver, error) {
 // valid upper bound for the base problem; foreign (mean) offers reaching
 // the inner peak solve can only over-prune the *peak* search, degrading
 // this entrant's answer quality — which the race's Verify + objective
-// comparison absorbs — never the base problem's correctness.
+// comparison absorbs — never the base problem's correctness. Neither of its
+// proofs transfers: peak optimality is reported as a plain feasible answer,
+// peak infeasibility as a plain error.
 type peakRescored struct {
 	inner Solver
 }
@@ -122,6 +124,14 @@ func (p peakRescored) Solve(ctx context.Context, s *core.Spec, lim Limits) (*cor
 	ps := *s
 	ps.Load = core.PeakLoad
 	asg, st, err := p.inner.Solve(ctx, &ps, lim)
+	if core.IsInfeasible(err) {
+		// No cut fits the budgets at peak load. Peaks dominate means, so
+		// that proves nothing about the caller's problem: report it as this
+		// entrant's failure, not as an *ErrInfeasible, which core.Race takes
+		// from an "exact" entrant as the proof that ends the race.
+		err = fmt.Errorf("solver: %s found no cut within budgets under the peak statistic", p.inner.Name())
+		st.Err = err.Error()
+	}
 	if err != nil || asg == nil {
 		return asg, st, err
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -112,6 +113,75 @@ func TestVariantRaceDeterministic(t *testing.T) {
 		if canon(t, s, again) != canon(t, s, asg) {
 			t.Fatalf("trial %d: repeated variant race diverged", trial)
 		}
+	}
+}
+
+// TestVariantRaceDeterministicPeakInfeasible pins the case the random specs
+// above only sometimes hit: the mean problem is feasible, the peak problem
+// is not. The peak-statistic exact variant proves *its* problem infeasible
+// almost at once; that must not end the race (it used to cancel the real
+// exact entrant, leaving whichever heuristic had finished — or nothing — as
+// the winner). The race returns the exact optimum, identically every time.
+func TestVariantRaceDeterministicPeakInfeasible(t *testing.T) {
+	variants := []Variant{
+		{Backend: core.SolverExact, Formulation: core.Restricted, PeakLoad: true},
+		{Backend: core.SolverExact, Formulation: core.Restricted},
+		{Backend: core.SolverNewton, Formulation: core.Restricted},
+		{Backend: core.SolverGreedy, Formulation: core.Restricted},
+	}
+	ref, err := New(core.SolverExact, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	tried := 0
+	for trial := 0; trial < 40; trial++ {
+		s := randomSpec(rng)
+		exact, _, err := ref.Solve(ctxBG(), s, Limits{})
+		if err != nil {
+			continue // mean-infeasible: covered by TestVariantRaceDeterministic
+		}
+		// Sources are pinned to the node, so a peak far above any budget
+		// makes every cut peak-infeasible.
+		for id, c := range s.CPU {
+			c.Peak = c.Mean * 1000
+			s.CPU[id] = c
+		}
+		ps := *s
+		ps.Load = core.PeakLoad
+		if _, _, err := ref.Solve(ctxBG(), &ps, Limits{}); !core.IsInfeasible(err) {
+			t.Fatalf("trial %d: peak problem should be infeasible, got %v", trial, err)
+		}
+		tried++
+
+		sv, err := NewVariantRace(core.DefaultOptions(), variants...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first string
+		for run := 0; run < 2; run++ {
+			asg, st, err := sv.Solve(ctxBG(), s, Limits{})
+			if err != nil {
+				t.Fatalf("trial %d run %d: %v", trial, run, err)
+			}
+			if !st.Optimal || !st.Sub[1].Winner {
+				t.Fatalf("trial %d run %d: the mean exact entrant did not decide the race: %+v", trial, run, st.Sub)
+			}
+			if math.Abs(asg.Objective-exact.Objective) > 1e-9 {
+				t.Fatalf("trial %d run %d: race objective %g, exact optimum %g", trial, run, asg.Objective, exact.Objective)
+			}
+			if st.Sub[0].Err == "" || st.Sub[0].Feasible {
+				t.Fatalf("trial %d run %d: peak variant should report its own failure: %+v", trial, run, st.Sub[0])
+			}
+			if c := canon(t, s, asg); run == 0 {
+				first = c
+			} else if c != first {
+				t.Fatalf("trial %d: repeated race diverged", trial)
+			}
+		}
+	}
+	if tried < 10 {
+		t.Fatalf("only %d mean-feasible specs generated", tried)
 	}
 }
 

@@ -70,7 +70,9 @@ type PartitionResponse struct {
 // SimulateRequest asks for a deployment simulation (§7.3). OnNode lists
 // the operator IDs placed on the node; when empty the server partitions
 // first (AutoPartition) and simulates the chosen cut at its sustainable
-// rate.
+// rate. There is one execution engine: an "engine" key, which earlier
+// versions used to select the reference interpreter, is ignored like any
+// unknown JSON field (the Results were byte-identical by contract).
 type SimulateRequest struct {
 	Graph    GraphSpec `json:"graph"`
 	Trace    TraceSpec `json:"trace,omitempty"`
@@ -91,15 +93,11 @@ type SimulateRequest struct {
 	// DistinctTraces gives every node its own trace (seed offset by node
 	// ID) instead of one shared recording.
 	DistinctTraces bool `json:"distinctTraces,omitempty"`
-	// Engine is "compiled" (default; served from the program cache) or
-	// "legacy" (reference tree-walking engine, never cached).
-	Engine string `json:"engine,omitempty"`
 	// Limits caps the tenant's wscript VM execution for this graph; see
 	// LimitsWire. Only valid for wscript graphs.
 	Limits *LimitsWire `json:"limits,omitempty"`
 	// Scenario injects failure models — node churn, Gilbert–Elliott
-	// bursty loss — into the run; see ScenarioWire. Requires the compiled
-	// engine.
+	// bursty loss — into the run; see ScenarioWire.
 	Scenario *ScenarioWire `json:"scenario,omitempty"`
 }
 

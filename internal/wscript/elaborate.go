@@ -17,29 +17,15 @@ type Source struct {
 	Rate float64 // events per second, from the program text
 }
 
-// Engine selects how iterate bodies execute at run time.
-type Engine int
-
-const (
-	// EngineVM compiles iterate bodies to wvm bytecode: metered (fuel and
-	// memory limits), snapshotable (operator state is plain serializable
-	// values), and the production default.
-	EngineVM Engine = iota
-	// EngineTree interprets iterate bodies with the tree-walking
-	// interpreter. It is the reference engine for parity testing; it has
-	// no metering and no snapshot support.
-	EngineTree
-)
-
-// Options configures elaboration.
+// Options configures elaboration. Iterate bodies compile to wvm bytecode:
+// metered (fuel and memory limits) and snapshotable (operator state is
+// plain serializable values).
 type Options struct {
-	// Engine selects the work-function execution engine.
-	Engine Engine
-	// Limits is the per-invocation fuel/memory budget enforced on every VM
-	// operator (EngineVM only; zero means unlimited).
+	// Limits is the per-invocation fuel/memory budget enforced on every
+	// operator (zero means unlimited).
 	Limits wvm.Limits
 	// Meter, when non-nil, accumulates fuel telemetry across all instances
-	// of this program (EngineVM only).
+	// of this program.
 	Meter *wvm.Meter
 	// RetainOutputs makes the sink stateful, buffering every value that
 	// reaches it per instance (drained via Outputs). Hosts running long or
@@ -47,6 +33,11 @@ type Options struct {
 	// stateless, so server cuts stay shardable and snapshotable, and
 	// output counts remain observable via emit statistics.
 	RetainOutputs bool
+
+	// reference, which only this package's tests set (tree_test.go),
+	// installs the tree-walking oracle's work function on an iterate or
+	// zip operator in place of the VM's.
+	reference func(op *dataflow.Operator, ex Expr, defEnv *env) error
 }
 
 // Compiled is an elaborated wscript program: a dataflow graph ready for
@@ -58,9 +49,6 @@ type Compiled struct {
 	Sink *dataflow.Operator
 	opts Options
 }
-
-// Engine reports which engine the program was compiled for.
-func (c *Compiled) Engine() Engine { return c.opts.Engine }
 
 // Meter returns the fuel meter shared by every instance (nil unless one
 // was supplied in Options).
@@ -87,34 +75,13 @@ func (c *Compiled) Outputs(inst *dataflow.Instance) []any {
 	return out
 }
 
-// hostValue converts either engine's value into plain Go data.
+// hostValue converts a VM value into plain Go data.
 func hostValue(v any) any {
 	switch x := v.(type) {
-	case *arrayVal, *fifoVal:
-		return toGo(x)
 	case *wvm.Array, *wvm.Fifo:
 		return wvm.ToGo(x)
 	default:
 		return v
-	}
-}
-
-func toGo(v value) any {
-	switch x := v.(type) {
-	case *arrayVal:
-		out := make([]any, len(x.elems))
-		for i, e := range x.elems {
-			out[i] = toGo(e)
-		}
-		return out
-	case *fifoVal:
-		out := make([]any, len(x.elems))
-		for i, e := range x.elems {
-			out[i] = toGo(e)
-		}
-		return out
-	default:
-		return x
 	}
 }
 
@@ -127,13 +94,13 @@ type elaborator struct {
 }
 
 // Compile parses and partially evaluates a wscript program into a dataflow
-// graph with the default options: VM engine, no limits, outputs retained
-// (the convenient shape for tests and in-process hosts).
+// graph with the default options: no limits, outputs retained (the
+// convenient shape for tests and in-process hosts).
 func Compile(src string) (*Compiled, error) {
 	return CompileOpts(src, Options{RetainOutputs: true})
 }
 
-// CompileOpts is Compile with explicit engine, metering, and sink options.
+// CompileOpts is Compile with explicit metering and sink options.
 // The program must bind `main` to a stream; a server-side sink is attached
 // to it.
 func CompileOpts(src string, opts Options) (*Compiled, error) {
@@ -249,20 +216,14 @@ func (el *elaborator) makeSource(ex *CallExpr, args []value) (value, error) {
 	return &streamVal{op: op}, nil
 }
 
-// iterState is the per-instance private state of a tree-engine iterate
-// operator: its state-variable environment frame.
-type iterState struct {
-	vars map[string]value
-}
-
 // probeFuel bounds state-initializer execution during elaboration, so a
 // runaway initializer is a compile error rather than a hang. Initializers
 // run at compile rate (§2) and are not charged against tenant limits.
 const probeFuel = 1 << 30
 
 // makeIterate elaborates `iterate x in s state { } { body }` into a new
-// operator. Under EngineVM the body is lowered to wvm bytecode and executed
-// with per-tenant metering; under EngineTree the body is interpreted.
+// operator: the body is lowered to wvm bytecode and executed with
+// per-tenant metering.
 func (el *elaborator) makeIterate(ex *IterateExpr, e *env) (value, error) {
 	ip := &interp{elab: el}
 	sv, err := ip.evalExpr(ex.Stream, e)
@@ -286,14 +247,13 @@ func (el *elaborator) makeIterate(ex *IterateExpr, e *env) (value, error) {
 		NS:       ns,
 		Stateful: len(ex.State) > 0,
 	}
-	if el.out.opts.Engine == EngineVM {
-		if err := el.buildVMIterate(op, name, ex, e); err != nil {
-			return nil, err
-		}
+	if ref := el.out.opts.reference; ref != nil {
+		err = ref(op, ex, e)
 	} else {
-		if err := el.buildTreeIterate(op, ex, e); err != nil {
-			return nil, err
-		}
+		err = el.buildVMIterate(op, name, ex, e)
+	}
+	if err != nil {
+		return nil, err
 	}
 	el.g.Add(op)
 	el.g.Connect(strm.op, op, 0)
@@ -353,65 +313,7 @@ func (el *elaborator) buildVMIterate(op *dataflow.Operator, name string, ex *Ite
 	return nil
 }
 
-// buildTreeIterate installs the reference tree-walking work function
-// (unmetered, not snapshotable).
-func (el *elaborator) buildTreeIterate(op *dataflow.Operator, ex *IterateExpr, defEnv *env) error {
-	stateDecls := ex.State
-	body := ex.Body
-	varName := ex.Var
-
-	if len(stateDecls) > 0 {
-		op.NewState = func() any {
-			// State initializers run per instance at compile-rate costs
-			// (they execute once at operator construction, §2).
-			sip := &interp{}
-			frame := newEnv(defEnv)
-			for _, d := range stateDecls {
-				v, err := sip.evalExpr(d.Expr, frame)
-				if err != nil {
-					// Initializers were type-checked during elaboration
-					// below; failures here are programming errors.
-					panic(fmt.Sprintf("wscript: state init: %v", err))
-				}
-				frame.define(d.Name, v)
-			}
-			return &iterState{vars: frame.vars}
-		}
-		// Validate initializers once at compile time so runtime panics
-		// cannot happen for well-typed programs.
-		probe := &interp{}
-		frame := newEnv(defEnv)
-		for _, d := range stateDecls {
-			if _, err := probe.evalExpr(d.Expr, frame); err != nil {
-				return err
-			}
-		}
-	}
-
-	op.Work = func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-		wip := &interp{counter: ctx.Counter}
-		frame := newEnv(defEnv)
-		if st, ok := ctx.State.(*iterState); ok && st != nil {
-			// Splice the persistent state frame between the defining
-			// environment and the per-element frame.
-			stEnv := &env{vars: st.vars, parent: defEnv}
-			frame = newEnv(stEnv)
-		}
-		frame.define(varName, fromDataflow(v))
-		wip.emit = func(out value) { emit(out) }
-		if _, err := wip.evalBlock(body, frame); err != nil {
-			panic(runtimeError{err})
-		}
-	}
-	return nil
-}
-
-// zipState buffers pending elements per input port (tree engine).
-type zipState struct {
-	queues [][]value
-}
-
-// zipVMState is the VM engine's zip buffer: plain serializable values plus
+// zipVMState is the zip buffer: plain serializable values plus
 // the running byte estimate the memory cap is enforced against and the fuel
 // burned so far (so metering survives snapshot/resume).
 type zipVMState struct {
@@ -498,30 +400,12 @@ func (el *elaborator) makeZip(ex *ZipExpr, e *env) (value, error) {
 		NS:       ns,
 		Stateful: true,
 	}
-	if el.out.opts.Engine == EngineVM {
-		el.buildVMZip(op, n, int32(ex.Line))
-	} else {
-		op.NewState = func() any { return &zipState{queues: make([][]value, n)} }
-		op.Work = func(ctx *dataflow.Ctx, port int, v dataflow.Value, emit dataflow.Emit) {
-			st := ctx.State.(*zipState)
-			st.queues[port] = append(st.queues[port], fromDataflow(v))
-			ctx.Counter.Add(cost.Store, 1)
-			for {
-				for _, q := range st.queues {
-					if len(q) == 0 {
-						return
-					}
-				}
-				row := &arrayVal{elems: make([]value, n)}
-				for i := range st.queues {
-					row.elems[i] = st.queues[i][0]
-					st.queues[i] = st.queues[i][1:]
-				}
-				ctx.Counter.Add(cost.Load, n)
-				ctx.Counter.Add(cost.Store, n)
-				emit(row)
-			}
+	if ref := el.out.opts.reference; ref != nil {
+		if err := ref(op, ex, e); err != nil {
+			return nil, err
 		}
+	} else {
+		el.buildVMZip(op, n, int32(ex.Line))
 	}
 	el.g.Add(op)
 	for i, src := range ops {
@@ -530,8 +414,8 @@ func (el *elaborator) makeZip(ex *ZipExpr, e *env) (value, error) {
 	return &streamVal{op: op}, nil
 }
 
-// buildVMZip installs the metered, snapshotable zip work function. Charges
-// match the tree engine (Store 1 per arrival; Load n + Store n per row);
+// buildVMZip installs the metered, snapshotable zip work function. It
+// charges Store 1 per arrival and Load n + Store n per row;
 // fuel is 1 per arrival plus 1+2n per emitted row, and the memory cap
 // bounds the bytes buffered across all queues.
 func (el *elaborator) buildVMZip(op *dataflow.Operator, n int, line int32) {
@@ -592,64 +476,19 @@ func (el *elaborator) buildVMZip(op *dataflow.Operator, n int, line int32) {
 	}
 }
 
-// fromDataflow converts a host-injected element into a wscript value.
-// Values produced by wscript operators pass through unchanged.
-func fromDataflow(v dataflow.Value) value {
-	switch x := v.(type) {
-	case *arrayVal:
-		return x
-	case int64, float64, bool, string, unitVal:
-		return x
-	case int:
-		return int64(x)
-	case int16:
-		return int64(x)
-	case int32:
-		return int64(x)
-	case float32:
-		return float64(x)
-	case []float64:
-		arr := &arrayVal{elems: make([]value, len(x))}
-		for i, f := range x {
-			arr.elems[i] = f
-		}
-		return arr
-	case []int16:
-		arr := &arrayVal{elems: make([]value, len(x))}
-		for i, s := range x {
-			arr.elems[i] = int64(s)
-		}
-		return arr
-	case []int64:
-		arr := &arrayVal{elems: make([]value, len(x))}
-		for i, s := range x {
-			arr.elems[i] = s
-		}
-		return arr
-	default:
-		panic(fmt.Sprintf("wscript: cannot convert %T into a wscript value", v))
-	}
-}
-
 // Inputs builds profiling inputs for the compiled program: the host
 // supplies a trace generator per source name. Each generator is called
-// once per event index. Elements are converted for the engine the program
-// was compiled with.
+// once per event index.
 func (c *Compiled) Inputs(events int, gen func(source string, i int) any) ([]profile.Input, error) {
 	var inputs []profile.Input
 	for name, src := range c.Sources {
 		evs := make([]dataflow.Value, events)
 		for i := range evs {
-			raw := gen(name, i)
-			if c.opts.Engine == EngineVM {
-				v, err := wvm.FromHost(raw)
-				if err != nil {
-					return nil, fmt.Errorf("wscript: source %s: %v", name, err)
-				}
-				evs[i] = v
-			} else {
-				evs[i] = fromDataflow(raw)
+			v, err := wvm.FromHost(gen(name, i))
+			if err != nil {
+				return nil, fmt.Errorf("wscript: source %s: %v", name, err)
 			}
+			evs[i] = v
 		}
 		inputs = append(inputs, profile.Input{Source: src.Op, Events: evs, Rate: src.Rate})
 	}

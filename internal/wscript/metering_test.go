@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
@@ -15,7 +16,7 @@ import (
 // events, and returns the recovered abort error (nil if the run finished).
 func runMetered(t *testing.T, src string, lim wvm.Limits, m *wvm.Meter, n int, gen func(string, int) any) (err error) {
 	t.Helper()
-	c, cerr := CompileOpts(src, Options{Engine: EngineVM, Limits: lim, Meter: m})
+	c, cerr := CompileOpts(src, Options{Limits: lim, Meter: m})
 	if cerr != nil {
 		t.Fatalf("compile: %v", cerr)
 	}
@@ -116,7 +117,7 @@ main = pairs;
 `
 	run := func(cap int64, m *wvm.Meter) (err error) {
 		t.Helper()
-		c, cerr := CompileOpts(src, Options{Engine: EngineVM, Limits: wvm.Limits{MemBytes: cap}, Meter: m})
+		c, cerr := CompileOpts(src, Options{Limits: wvm.Limits{MemBytes: cap}, Meter: m})
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
@@ -205,7 +206,7 @@ main = feat;
 	run := func(mutate func(*runtime.Config)) *wvm.Meter {
 		t.Helper()
 		m := &wvm.Meter{}
-		c, err := CompileOpts(src, Options{Engine: EngineVM, Meter: m})
+		c, err := CompileOpts(src, Options{Meter: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,20 @@ main = feat;
 	}{
 		{"sequential", func(cfg *runtime.Config) { cfg.Workers = 1 }},
 		{"sharded", func(cfg *runtime.Config) { cfg.Workers = 4; cfg.Shards = 4 }},
-		{"unbatched", func(cfg *runtime.Config) { cfg.Workers = 4; cfg.Shards = 4; cfg.NoBatch = true }},
+		{"unbatched", func(cfg *runtime.Config) {
+			// Programs without batch tables select the per-element loops.
+			cfg.Workers, cfg.Shards = 4, 4
+			side := func(nodeSide bool) *dataflow.Program {
+				p, err := dataflow.Compile(cfg.Graph, dataflow.CompileOptions{
+					Include: func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] == nodeSide },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			cfg.NodeProgram, cfg.ServerProgram = side(true), side(false)
+		}},
 		{"stream-phased", func(cfg *runtime.Config) { streaming(cfg); cfg.NoPipeline = true; cfg.Shards = 3; cfg.Workers = 4 }},
 		{"stream-pipelined", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 4 }},
 	}

@@ -11,17 +11,22 @@ import (
 	"wishbone/internal/wvm"
 )
 
-// engineRun executes src under one engine and returns outputs plus the full
-// profiling report, or the runtime panic message when the program aborts.
+// engineRun executes src under one engine — the VM, or the tree-walking
+// oracle when opts came through treeOptions — and returns outputs plus the
+// full profiling report, or the runtime panic message when the program
+// aborts.
 func engineRun(t *testing.T, src string, opts Options, n int, gen func(string, int) any) (out []any, rep *profile.Report, panicMsg string) {
 	t.Helper()
+	tree := opts.reference != nil
 	opts.RetainOutputs = true
 	c, err := CompileOpts(src, opts)
 	if err != nil {
-		t.Fatalf("compile (engine %d): %v\n%s", opts.Engine, err, src)
+		t.Fatalf("compile (tree %v): %v\n%s", tree, err, src)
 	}
-	inputs, err := c.Inputs(n, gen)
-	if err != nil {
+	var inputs []profile.Input
+	if tree {
+		inputs = treeInputs(c, n, gen)
+	} else if inputs, err = c.Inputs(n, gen); err != nil {
 		t.Fatal(err)
 	}
 	prog, err := profile.CompileForProfiling(c.Graph)
@@ -37,6 +42,9 @@ func engineRun(t *testing.T, src string, opts Options, n int, gen func(string, i
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tree {
+		return treeOutputs(c.Outputs(inst)), r, ""
+	}
 	return c.Outputs(inst), r, ""
 }
 
@@ -45,8 +53,8 @@ func engineRun(t *testing.T, src string, opts Options, n int, gen func(string, i
 // error text.
 func assertParity(t *testing.T, src string, n int, gen func(string, int) any) {
 	t.Helper()
-	vmOut, vmRep, vmPanic := engineRun(t, src, Options{Engine: EngineVM}, n, gen)
-	trOut, trRep, trPanic := engineRun(t, src, Options{Engine: EngineTree}, n, gen)
+	vmOut, vmRep, vmPanic := engineRun(t, src, Options{}, n, gen)
+	trOut, trRep, trPanic := engineRun(t, src, treeOptions(Options{}), n, gen)
 
 	if vmPanic != "" || trPanic != "" {
 		if vmPanic != trPanic {
@@ -422,9 +430,8 @@ func TestVMParityFuelIndependence(t *testing.T) {
 	gen := func(_ string, i int) any { return float64(i) * 0.25 }
 	for _, src := range []string{firProg, scaleProg} {
 		m1, m2 := &wvm.Meter{}, &wvm.Meter{}
-		out1, rep1, p1 := engineRun(t, src, Options{Engine: EngineVM, Meter: m1}, 8, gen)
+		out1, rep1, p1 := engineRun(t, src, Options{Meter: m1}, 8, gen)
 		out2, rep2, p2 := engineRun(t, src, Options{
-			Engine: EngineVM,
 			Meter:  m2,
 			Limits: wvm.Limits{Fuel: 1 << 40, MemBytes: 1 << 40},
 		}, 8, gen)
@@ -452,13 +459,16 @@ func TestVMParityFuelIndependence(t *testing.T) {
 // BenchmarkEngineVM and BenchmarkEngineTree measure the per-element cost of
 // each engine on the Figure 1 FIR filter (docs/wscript.md quotes the
 // resulting overhead table).
-func benchEngine(b *testing.B, engine Engine) {
-	c, err := CompileOpts(firProg, Options{Engine: engine})
+func benchEngine(b *testing.B, opts Options) {
+	c, err := CompileOpts(firProg, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs, err := c.Inputs(256, func(_ string, i int) any { return float64(i) * 0.5 })
-	if err != nil {
+	gen := func(_ string, i int) any { return float64(i) * 0.5 }
+	var inputs []profile.Input
+	if opts.reference != nil {
+		inputs = treeInputs(c, 256, gen)
+	} else if inputs, err = c.Inputs(256, gen); err != nil {
 		b.Fatal(err)
 	}
 	prog, err := profile.CompileForProfiling(c.Graph)
@@ -474,5 +484,5 @@ func benchEngine(b *testing.B, engine Engine) {
 	}
 }
 
-func BenchmarkEngineVM(b *testing.B)   { benchEngine(b, EngineVM) }
-func BenchmarkEngineTree(b *testing.B) { benchEngine(b, EngineTree) }
+func BenchmarkEngineVM(b *testing.B)   { benchEngine(b, Options{}) }
+func BenchmarkEngineTree(b *testing.B) { benchEngine(b, treeOptions(Options{})) }

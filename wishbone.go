@@ -48,7 +48,7 @@
 // AutoPartition, Simulate, NetworkProfile) remain as thin wrappers over a
 // default Planner and produce byte-identical results.
 //
-// # Execution engines
+// # Execution
 //
 // All execution — profiling a program and simulating a deployment — goes
 // through a compile/execute split: dataflow.Compile lowers a Graph once
@@ -59,9 +59,10 @@
 // counted Instance; deployment simulation compiles the node partition
 // once and runs one Instance per simulated node on a bounded worker pool
 // (or a single replayed instance when every node is offered the identical
-// trace). The original tree-walking dataflow.Executor is retained as the
-// reference engine; parity tests assert both produce byte-identical
-// profiles and simulation results.
+// trace). That is the only engine the binaries carry. The original
+// tree-walking dataflow.Executor remains as the executable definition of
+// the semantics, driven only from _test.go files: parity tests hold the
+// compiled engine's profiles and simulation results to it byte for byte.
 //
 // # Partition service
 //
