@@ -475,21 +475,12 @@ func (h *httpHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (
 		}
 		req.Arrivals[i] = wire.ShardArrivalWire{Node: a.Node, Time: a.Time, Source: a.Source, Value: data}
 	}
-	var resp *wire.ShardComputeResponse
-	if err := h.rpc("compute", func(ctx context.Context) error {
-		r, err := h.client.ShardCompute(ctx, req)
-		resp = r
+	var rep *runtime.WindowReport
+	err := h.rpc("compute", func(ctx context.Context) (err error) {
+		rep, err = h.client.ShardCompute(ctx, req)
 		return err
-	}); err != nil {
-		return nil, err
-	}
-	rep := &runtime.WindowReport{Held: resp.Held, Air: resp.Air}
-	for _, rm := range resp.Reduce {
-		rep.Reduce = append(rep.Reduce, runtime.ReduceMsg{
-			Node: rm.Node, Edge: rm.Edge, Time: rm.Time, Packets: rm.Packets, Data: rm.Data,
-		})
-	}
-	return rep, nil
+	})
+	return rep, err
 }
 
 func (h *httpHost) DeliverWindow(ratio float64) error {
@@ -512,27 +503,12 @@ func (h *httpHost) Checkpoint() ([]byte, error) {
 }
 
 func (h *httpHost) Close() (*runtime.HostResult, error) {
-	var resp *wire.ShardCloseResponse
-	if err := h.rpc("close", func(ctx context.Context) error {
-		r, err := h.client.ShardClose(ctx, h.session)
-		resp = r
+	var hr *runtime.HostResult
+	err := h.rpc("close", func(ctx context.Context) (err error) {
+		hr, err = h.client.ShardClose(ctx, h.session)
 		return err
-	}); err != nil {
-		return nil, err
-	}
-	hr := &runtime.HostResult{
-		InputEvents:     resp.InputEvents,
-		ProcessedEvents: resp.ProcessedEvents,
-		MsgsSent:        resp.MsgsSent,
-		MsgsReceived:    resp.MsgsReceived,
-		PayloadBytes:    resp.PayloadBytes,
-		DeliveredBytes:  resp.DeliveredBytes,
-		ServerEmits:     resp.ServerEmits,
-	}
-	for _, nb := range resp.NodeBusy {
-		hr.NodeBusy = append(hr.NodeBusy, runtime.NodeBusy{Node: nb.Node, Busy: nb.Busy})
-	}
-	return hr, nil
+	})
+	return hr, err
 }
 
 func (h *httpHost) Snapshot() ([]byte, error) {

@@ -67,6 +67,24 @@ func newReduceAggregator(nodes int) *reduceAggregator {
 	}
 }
 
+// reduceEdge reports whether e carries the output of a node-resident
+// in-network reduce operator — the elements that join the global
+// aggregation rounds instead of crossing the root link themselves.
+func reduceEdge(cfg *Config, e *dataflow.Edge) bool {
+	op := e.From
+	return op.Reduce && op.Combine != nil && cfg.OnNode[op.ID()]
+}
+
+// fold is one streaming window's reduce step: merge the window's messages
+// into their rounds, then flush the rounds every node has emitted past and
+// any pending beyond maxPendingRounds. Session and DistSession both fold
+// exactly this way, which is what keeps their aggregates byte-identical.
+func (a *reduceAggregator) fold(cfg *Config, msgs []message, res *Result, out []message) []message {
+	out = a.add(cfg, msgs, res, out)
+	out = a.flushComplete(cfg, res, out)
+	return a.flushExcess(cfg, res, out)
+}
+
 // add consumes one batch of node messages: elements on in-network reduce
 // edges merge into their round's pending aggregate (their per-node send
 // accounting undone in res), everything else is appended to out.
@@ -74,7 +92,7 @@ func (a *reduceAggregator) add(cfg *Config, msgs []message, res *Result, out []m
 	for i := range msgs {
 		m := msgs[i]
 		op := m.edge.From
-		if !op.Reduce || op.Combine == nil || !cfg.OnNode[op.ID()] {
+		if !reduceEdge(cfg, m.edge) {
 			out = append(out, m)
 			continue
 		}
@@ -223,6 +241,17 @@ func (a *reduceAggregator) finalize(cfg *Config, e *dataflow.Edge, agg *message,
 	res.PayloadBytes += payload
 }
 
+// sortByTime puts one window's messages in time order — stably, so each
+// origin's subsequence stays in emission order, which is all delivery
+// needs — and returns the air bytes they offer the channel.
+func sortByTime(msgs []message) (air int) {
+	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].time < msgs[j].time })
+	for i := range msgs {
+		air += msgs[i].air
+	}
+	return air
+}
+
 // aggregateReduceMessages is the batch path: feed every message, flush
 // every round, and return the time-sorted stream the channel carries.
 // arena (optional) supplies the aggregates' fragment storage and must
@@ -232,6 +261,6 @@ func aggregateReduceMessages(cfg Config, msgs []message, res *Result, arena *fra
 	a.arena = arena
 	out := a.add(&cfg, msgs, res, make([]message, 0, len(msgs)))
 	out = a.flushAll(&cfg, res, out)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].time < out[j].time })
+	sortByTime(out)
 	return out
 }

@@ -185,7 +185,7 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 		}()
 		var msgs []message
 		for n := range nodeRes {
-			msgs = append(msgs, nodeRes[n].msgs...)
+			msgs = append(msgs, nodeRes[n].s.msgs...)
 		}
 		res := &Result{}
 		out := aggregateReduceMessages(cfg, msgs, res, nil)

@@ -1,6 +1,9 @@
 package runtime
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // fragArena carves the per-message fragment storage of the delivery hot
 // path — the encoded bytes and the [][]byte headers that message.frags
@@ -82,4 +85,64 @@ func releaseArena(a *fragArena) {
 	}
 	a.reset()
 	arenaPool.Put(a)
+}
+
+// windowBufs is the recyclable storage of one window of a streaming run:
+// the node-shard fragment arenas (plus one for the aggregator), the merged
+// and post-aggregation message slices, the per-delivery-shard partitions
+// and the per-node-shard feed errors. A phased Session and a ShardHost own
+// exactly one and reset it after the window's synchronous delivery; a
+// pipelined Session keeps one per window in flight, refs counting the
+// delivery shards still reading it — the last release recycles it. Steady
+// state allocates no fragment or message-slice storage.
+type windowBufs struct {
+	refs   atomic.Int32
+	arenas []*fragArena // one per node shard, plus the aggregator's last
+	msgs   []message
+	out    []message
+	parts  [][]message
+	errs   []error // per node shard
+}
+
+func newWindowBufs(nodeShards, deliveryShards int) *windowBufs {
+	w := &windowBufs{
+		arenas: make([]*fragArena, nodeShards+1),
+		parts:  make([][]message, deliveryShards),
+		errs:   make([]error, nodeShards),
+	}
+	for i := range w.arenas {
+		w.arenas[i] = acquireArena()
+	}
+	return w
+}
+
+// release drops one delivery shard's reference; the last one recycles.
+func (w *windowBufs) release(s *Session) {
+	if w.refs.Add(-1) <= 0 {
+		s.recycle(w)
+	}
+}
+
+// reset rewinds the storage once the window's messages are dead: arenas
+// rewound, message slices truncated with their elements cleared so reused
+// buffers do not pin the delivered window's values.
+func (w *windowBufs) reset() {
+	for _, a := range w.arenas {
+		a.reset()
+	}
+	clear(w.msgs)
+	w.msgs = w.msgs[:0]
+	clear(w.out)
+	w.out = w.out[:0]
+	for i := range w.parts {
+		clear(w.parts[i])
+		w.parts[i] = w.parts[i][:0]
+	}
+	clear(w.errs)
+}
+
+func (w *windowBufs) releaseArenas() {
+	for _, a := range w.arenas {
+		releaseArena(a)
+	}
 }

@@ -4,48 +4,43 @@ import (
 	"fmt"
 	"sort"
 
-	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/wire"
 )
 
 // A ShardHost executes one slice of a distributed simulation: the node
 // phase and the server-side delivery for an assigned subset of origin
-// nodes. The coordinator (DistSession) drives it window by window:
-// ComputeWindow feeds the window's arrivals through the host's node
-// simulators and returns the offered-air sum plus the window's reduce
-// contributions; the host holds its non-reduce messages until the
-// coordinator has priced the global delivery ratio and calls
-// DeliverWindow. Per-origin independence (see shard.go) is what makes the
-// split exact: a host's deliveries depend only on its own origins'
-// message subsequences, and every global quantity the ratio depends on is
-// an order-free integer sum.
+// nodes — an originHost over that subset, the same type a Session holds
+// over every origin. What ShardHost adds is the wire side: it validates
+// the arrivals a coordinator (DistSession) ships it, and splits each
+// window's drained messages. ComputeWindow feeds the window's arrivals
+// through the node simulators and returns the offered-air sum plus the
+// window's reduce contributions; the host holds its non-reduce messages
+// until the coordinator has priced the global delivery ratio and calls
+// DeliverWindow. Per-origin independence (see
+// shard.go) is what makes the split exact: a host's deliveries depend only
+// on its own origins' message subsequences, and every global quantity the
+// ratio depends on is an order-free integer sum.
 type ShardHost struct {
 	cfg     Config
-	origins []int
-	owned   map[int]bool
-	prog    *dataflow.Program
-	insts   map[int]*dataflow.Instance
-	nodes   map[int]*nodeSim
-	arenas  map[int]*fragArena
-	plan    *deliveryPlan
+	host    *originHost
+	pos     []int // node → position in host.origins, -1 when not owned
 	sources map[*dataflow.Operator]bool
-	eidx    map[*dataflow.Edge]int
 
-	held     []message // this window's non-reduce messages, awaiting the ratio
-	buf      map[int][]arrival
-	feedErrs []error // indexed by position in origins
-	res      Result
-	closed   bool
+	// buf holds each origin's arrivals for the window, by position. win is
+	// the window's storage, one node shard per origin; win.out is what the
+	// host holds — the window's non-reduce messages, awaiting the ratio.
+	buf [][]arrival
+	win *windowBufs
 
-	// Delivery-side counters carried in from a checkpoint restore
-	// (RestoreShardHostCheckpoint): the dead predecessor's accrued
-	// MsgsReceived/DeliveredBytes/ServerEmits, which this host must
-	// report as its own at Close — unlike a full-session restore, where
-	// the coordinator carries them (RestoreShardHost zeroes counters).
-	carriedRecv      int
-	carriedDelivered int
-	carriedEmits     int
+	// res is the host's partial Result: the send-side counters as windows
+	// accrue them and, after a checkpoint restore
+	// (RestoreShardHostCheckpoint), the dead predecessor's delivery-side
+	// counters, which this host reports as its own at Close on top of what
+	// its plan collects — unlike a full-session restore, where the
+	// coordinator carries them (RestoreShardHost zeroes counters).
+	res    Result
+	closed bool
 }
 
 // HostArrival is one arrival routed to a shard host, with the source
@@ -58,47 +53,27 @@ type HostArrival struct {
 	Value  dataflow.Value
 }
 
-// ReduceMsg is one element a host's node emitted on an in-network reduce
-// edge. It joins the coordinator's global aggregation rounds — rounds
-// combine contributions across every node, so they cannot fold host-
-// locally. Value data travels wire-marshaled; the element type must
-// round-trip exactly (every generated-codec type does).
-type ReduceMsg struct {
-	Node    int
-	Edge    int // dense index into Graph.Edges()
-	Time    float64
-	Packets int
-	Data    []byte
-}
+// The records a host answers with are the /v1/shard protocol's own
+// (internal/wire), so a remote driver hands the coordinator what it decoded
+// and a server what its host returned, neither copying field by field.
+type (
+	// ReduceMsg is one element a host's node emitted on an in-network
+	// reduce edge, wire-marshaled. Rounds combine contributions across
+	// every node, so it folds at the coordinator, not host-locally.
+	ReduceMsg = wire.ShardReduceWire
 
-// WindowReport is a host's answer to ComputeWindow: what its origins
-// offered to the channel this window.
-type WindowReport struct {
-	Held   int // non-reduce messages held for DeliverWindow
-	Air    int // their offered air bytes (pre-aggregation)
-	Reduce []ReduceMsg
-}
+	// WindowReport is a host's answer to ComputeWindow: the non-reduce
+	// messages Held for DeliverWindow, their offered Air bytes, and the
+	// window's Reduce contributions.
+	WindowReport = wire.ShardComputeResponse
 
-// HostResult is a host's final contribution to the run Result: the
-// integer counters sum order-free; per-node CPU seconds return keyed by
-// node so the coordinator can sum them in global node order (float64
-// addition order is part of byte-identity).
-type HostResult struct {
-	InputEvents     int
-	ProcessedEvents int
-	MsgsSent        int
-	MsgsReceived    int
-	PayloadBytes    int
-	DeliveredBytes  int
-	ServerEmits     int
-	NodeBusy        []NodeBusy
-}
-
-// NodeBusy is one node's accumulated CPU-busy seconds.
-type NodeBusy struct {
-	Node int
-	Busy float64
-}
+	// HostResult is a host's final contribution to the run Result. The
+	// integer counters sum order-free; NodeBusy is keyed by node so the
+	// coordinator sums CPU seconds in global node order (float64 addition
+	// order is part of byte-identity).
+	HostResult = wire.ShardCloseResponse
+	NodeBusy   = wire.NodeBusyWire
+)
 
 // NewShardHost builds the host side for the given origins. cfg must be
 // the coordinator's exact Config (graph structure, cut, platform, nodes,
@@ -115,56 +90,40 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 		return nil, fmt.Errorf("runtime: shard host needs at least one origin")
 	}
 	h := &ShardHost{
-		cfg:      cfg,
-		origins:  append([]int(nil), origins...),
-		owned:    make(map[int]bool, len(origins)),
-		insts:    make(map[int]*dataflow.Instance, len(origins)),
-		nodes:    make(map[int]*nodeSim, len(origins)),
-		arenas:   make(map[int]*fragArena, len(origins)),
-		buf:      make(map[int][]arrival, len(origins)),
-		feedErrs: make([]error, len(origins)),
+		cfg:     cfg,
+		pos:     make([]int, cfg.Nodes),
+		sources: make(map[*dataflow.Operator]bool),
+		buf:     make([][]arrival, len(origins)),
 	}
-	sort.Ints(h.origins)
-	for _, n := range h.origins {
+	origins = append([]int(nil), origins...)
+	sort.Ints(origins)
+	for n := range h.pos {
+		h.pos[n] = -1
+	}
+	for i, n := range origins {
 		if n < 0 || n >= cfg.Nodes {
 			return nil, fmt.Errorf("runtime: origin %d outside [0,%d)", n, cfg.Nodes)
 		}
-		if h.owned[n] {
+		if h.pos[n] >= 0 {
 			return nil, fmt.Errorf("runtime: origin %d assigned twice", n)
 		}
-		h.owned[n] = true
+		h.pos[n] = i
 	}
-	prog, err := resolveProgram(&h.cfg, true)
+	host, err := newOriginHost(&h.cfg, origins)
 	if err != nil {
 		return nil, err
 	}
-	h.prog = prog
-	plan, err := newDeliveryPlan(&h.cfg)
-	if err != nil {
-		return nil, err
-	}
-	h.plan = plan
-	h.sources = make(map[*dataflow.Operator]bool)
+	h.host = host
 	for _, src := range cfg.Graph.Sources() {
 		h.sources[src] = true
 	}
-	h.eidx = edgeIndexes(&h.cfg)
-	passthrough := passthroughPartition(&h.cfg, prog)
-	for _, n := range h.origins {
-		inst := prog.AcquireInstance(n)
-		counter := &cost.Counter{}
-		inst.SetCounter(counter)
-		snd := &sender{cfg: &h.cfg, nodeID: n, arena: acquireArena()}
-		inst.Boundary = snd.capture
-		h.insts[n] = inst
-		h.arenas[n] = snd.arena
-		ns := &nodeSim{counter: counter, s: snd, inject: inst.Inject}
-		if passthrough {
-			ns.injectBatch = inst.InjectBatch
-		}
-		h.nodes[n] = ns
-	}
+	h.win = newWindowBufs(len(origins), len(host.plan.shards))
 	return h, nil
+}
+
+// owns reports whether node is one of this host's origins.
+func (h *ShardHost) owns(node int) bool {
+	return node >= 0 && node < len(h.pos) && h.pos[node] >= 0
 }
 
 // ComputeWindow runs one window's arrivals (owned origins only, per-node
@@ -175,79 +134,57 @@ func (h *ShardHost) ComputeWindow(span float64, arrivals []HostArrival) (*Window
 	if h.closed {
 		return nil, fmt.Errorf("runtime: ComputeWindow on a closed ShardHost")
 	}
-	if len(h.held) > 0 {
+	if len(h.win.out) > 0 {
 		return nil, fmt.Errorf("runtime: ComputeWindow before the previous window's DeliverWindow")
 	}
 	for _, a := range arrivals {
-		if !h.owned[a.Node] {
+		if !h.owns(a.Node) {
 			return nil, fmt.Errorf("runtime: arrival for origin %d not owned by this host: %w", a.Node, ErrBadArrival)
 		}
 		src := h.cfg.Graph.ByID(a.Source)
 		if src == nil || !h.sources[src] {
 			return nil, fmt.Errorf("runtime: arrival source %d is not a source of the graph: %w", a.Source, ErrBadArrival)
 		}
-		h.buf[a.Node] = append(h.buf[a.Node], arrival{t: a.Time, src: src, v: a.Value})
+		i := h.pos[a.Node]
+		h.buf[i] = append(h.buf[i], arrival{t: a.Time, src: src, v: a.Value})
 	}
-	for i := range h.feedErrs {
-		h.feedErrs[i] = nil
+	win := h.win
+	if err := h.host.feedPooled(win, h.buf); err != nil {
+		return nil, err
 	}
-	runPool(poolWorkers(&h.cfg, len(h.origins)), len(h.origins), func(i int) {
-		n := h.origins[i]
-		if len(h.buf[n]) == 0 {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				h.feedErrs[i] = workPanicError(r, fmt.Sprintf("node %d", n))
-			}
-		}()
-		h.nodes[n].feed(&h.cfg, h.buf[n])
-	})
-	for _, err := range h.feedErrs {
-		if err != nil {
-			return nil, err
-		}
+	for i := range h.buf {
+		h.buf[i] = h.buf[i][:0]
 	}
-	rep := &WindowReport{}
-	held := h.held[:0]
 	// Origins ascending, per-origin emit order: each origin's message
 	// subsequence is exactly what the single-host merge produces for it.
-	for _, n := range h.origins {
-		ns := h.nodes[n]
-		h.res.MsgsSent += ns.s.msgsSent
-		h.res.PayloadBytes += ns.s.payloadBytes
-		for i := range ns.s.msgs {
-			m := ns.s.msgs[i]
-			op := m.edge.From
-			if op.Reduce && op.Combine != nil && h.cfg.OnNode[op.ID()] {
-				// The send accounting stays as accrued: the coordinator's
-				// aggregator undoes it (reduceAggregator.add) when the
-				// contribution enters its round, exactly once globally.
-				data, err := wire.Marshal(m.value)
-				if err != nil {
-					return nil, fmt.Errorf("runtime: reduce element on %s→%s does not marshal: %w",
-						m.edge.From, m.edge.To, err)
-				}
-				rep.Reduce = append(rep.Reduce, ReduceMsg{
-					Node: m.nodeID, Edge: h.eidx[m.edge], Time: m.time,
-					Packets: m.packets, Data: data,
-				})
-				continue
-			}
-			held = append(held, m)
+	// Reduce-edge elements leave for the coordinator; the rest are held.
+	// Their send accounting stays as accrued: the coordinator's
+	// aggregator undoes it (reduceAggregator.add) when the contribution
+	// enters its round, exactly once globally.
+	rep := &WindowReport{}
+	win.msgs = h.host.nodes.drain(&h.res, win.msgs[:0])
+	held := win.out[:0]
+	for i := range win.msgs {
+		m := &win.msgs[i]
+		if !reduceEdge(&h.cfg, m.edge) {
+			held = append(held, *m)
+			continue
 		}
-		ns.s.msgs = ns.s.msgs[:0]
-		ns.s.msgsSent, ns.s.payloadBytes = 0, 0
-		h.buf[n] = h.buf[n][:0]
+		data, err := wire.Marshal(m.value)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: reduce element on %s→%s does not marshal: %w",
+				m.edge.From, m.edge.To, err)
+		}
+		rep.Reduce = append(rep.Reduce, ReduceMsg{
+			Node: m.nodeID, Edge: h.host.eidx[m.edge], Time: m.time,
+			Packets: m.packets, Data: data,
+		})
 	}
-	sort.SliceStable(held, func(i, j int) bool { return held[i].time < held[j].time })
-	for i := range held {
-		rep.Air += held[i].air
-	}
-	h.held = held
+	rep.Air = sortByTime(held)
+	win.out = held
 	rep.Held = len(held)
 	if len(held) == 0 {
-		h.resetWindow()
+		win.reset()
 	}
 	return rep, nil
 }
@@ -259,22 +196,13 @@ func (h *ShardHost) DeliverWindow(ratio float64) error {
 	if h.closed {
 		return fmt.Errorf("runtime: DeliverWindow on a closed ShardHost")
 	}
-	if len(h.held) == 0 {
+	if len(h.win.out) == 0 {
 		return nil
 	}
-	err := h.plan.deliver(h.held, ratio)
-	h.resetWindow()
+	h.host.plan.partition(h.win.out, h.win.parts)
+	err := h.host.plan.deliverParts(h.win.parts, ratio)
+	h.win.reset()
 	return err
-}
-
-// resetWindow recycles the window's arena storage once no held message
-// can reference it.
-func (h *ShardHost) resetWindow() {
-	clearMessages(h.held)
-	h.held = h.held[:0]
-	for _, a := range h.arenas {
-		a.reset()
-	}
 }
 
 // Close releases the host's instances and returns its partial counters.
@@ -282,27 +210,24 @@ func (h *ShardHost) Close() (*HostResult, error) {
 	if h.closed {
 		return nil, fmt.Errorf("runtime: Close on a closed ShardHost")
 	}
-	if len(h.held) > 0 {
+	if len(h.win.out) > 0 {
 		return nil, fmt.Errorf("runtime: Close with a window awaiting DeliverWindow")
 	}
 	h.closed = true
 	defer h.release()
-	hr := &HostResult{
-		MsgsSent:     h.res.MsgsSent,
-		PayloadBytes: h.res.PayloadBytes,
-	}
-	for _, n := range h.origins {
-		ns := h.nodes[n]
-		hr.InputEvents += ns.inputEvents
-		hr.ProcessedEvents += ns.processedEvents
-		hr.NodeBusy = append(hr.NodeBusy, NodeBusy{Node: n, Busy: ns.busy})
-	}
-	var collected Result
-	h.plan.collect(&collected)
-	hr.MsgsReceived = h.carriedRecv + collected.MsgsReceived
-	hr.DeliveredBytes = h.carriedDelivered + collected.DeliveredBytes
-	hr.ServerEmits = h.carriedEmits + collected.ServerEmits
-	return hr, nil
+	res := h.res
+	busy := h.host.nodes.tally(&res)
+	h.host.plan.collect(&res)
+	return &HostResult{
+		InputEvents:     res.InputEvents,
+		ProcessedEvents: res.ProcessedEvents,
+		MsgsSent:        res.MsgsSent,
+		MsgsReceived:    res.MsgsReceived,
+		PayloadBytes:    res.PayloadBytes,
+		DeliveredBytes:  res.DeliveredBytes,
+		ServerEmits:     res.ServerEmits,
+		NodeBusy:        busy,
+	}, nil
 }
 
 // Abort tears the host down without a result (error paths).
@@ -312,13 +237,9 @@ func (h *ShardHost) Abort() {
 	}
 	h.closed = true
 	h.release()
-	h.plan.close()
 }
 
 func (h *ShardHost) release() {
-	for _, n := range h.origins {
-		h.prog.ReleaseInstance(h.insts[n])
-		releaseArena(h.arenas[n])
-	}
-	h.insts, h.nodes, h.arenas = nil, nil, nil
+	h.host.release()
+	h.win.releaseArenas()
 }

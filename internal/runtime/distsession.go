@@ -208,9 +208,7 @@ func (s *DistSession) flushBuffered(span float64) error {
 			value: v, packets: rm.Packets,
 		})
 	}
-	out := s.agg.add(cfg, msgs, &s.res, nil)
-	out = s.agg.flushComplete(cfg, &s.res, out)
-	out = s.agg.flushExcess(cfg, &s.res, out)
+	out := s.agg.fold(cfg, msgs, &s.res, nil)
 	for i := range out {
 		if out[i].nodeID != AggregateOrigin {
 			// A non-reduce message can only reach the coordinator's out
@@ -239,9 +237,7 @@ func (s *DistSession) deliverWindow(out []message, span float64, active []int) e
 		air += s.reports[hi].Air
 		held += s.reports[hi].Held
 	}
-	for i := range out {
-		air += out[i].air
-	}
+	air += sortByTime(out)
 	ratio := s.price(air, span, held+len(out))
 	if held+len(out) == 0 {
 		return nil
@@ -273,7 +269,6 @@ func (s *DistSession) deliverWindow(out []message, span float64, active []int) e
 		}
 	}
 	if len(out) > 0 {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].time < out[j].time })
 		return s.aggPlan.deliver(out, ratio)
 	}
 	return nil

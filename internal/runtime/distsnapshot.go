@@ -23,7 +23,7 @@ type hostSnap struct {
 	msgsSent     int64
 	payloadBytes int64
 	origins      []int
-	sides        map[int]nodeSnap
+	sides        []nodeSnap // parallel to origins
 	shard        *ShardState
 }
 
@@ -56,7 +56,7 @@ func (h *ShardHost) freeze(what string) ([]byte, error) {
 	if h.closed {
 		return nil, fmt.Errorf("runtime: %s on a closed ShardHost", what)
 	}
-	if len(h.held) > 0 {
+	if len(h.win.out) > 0 {
 		return nil, fmt.Errorf("runtime: %s with a window awaiting DeliverWindow", what)
 	}
 	if err := checkSnapshotable(&h.cfg); err != nil {
@@ -65,23 +65,19 @@ func (h *ShardHost) freeze(what string) ([]byte, error) {
 	hs := &hostSnap{
 		msgsSent:     int64(h.res.MsgsSent),
 		payloadBytes: int64(h.res.PayloadBytes),
-		origins:      h.origins,
-		sides:        make(map[int]nodeSnap, len(h.origins)),
+		origins:      h.host.origins,
+		sides:        make([]nodeSnap, len(h.host.origins)),
 	}
-	for _, n := range h.origins {
-		var side nodeSnap
-		if err := captureNodeSide(&h.cfg, h.prog, h.eidx, h.nodes[n], h.insts[n], &side); err != nil {
-			return nil, err
-		}
-		hs.sides[n] = side
+	if err := h.host.captureSides(hs.sides); err != nil {
+		return nil, err
 	}
-	st, err := h.plan.snapshotState(&h.cfg)
+	st, err := h.host.plan.snapshotState(&h.cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.MsgsReceived += h.carriedRecv
-	st.DeliveredBytes += h.carriedDelivered
-	st.ServerEmits += h.carriedEmits
+	st.MsgsReceived += h.res.MsgsReceived
+	st.DeliveredBytes += h.res.DeliveredBytes
+	st.ServerEmits += h.res.ServerEmits
 	hs.shard = st
 	return encodeHostSnap(hs), nil
 }
@@ -91,10 +87,9 @@ func encodeHostSnap(hs *hostSnap) []byte {
 	w.Int(hs.msgsSent)
 	w.Int(hs.payloadBytes)
 	w.Uvarint(uint64(len(hs.origins)))
-	for _, n := range hs.origins {
+	for i, n := range hs.origins {
 		w.Int(int64(n))
-		side := hs.sides[n]
-		encodeNodeSide(w, &side)
+		encodeNodeSide(w, &hs.sides[i])
 	}
 	hs.shard.save(w)
 	return w.Bytes()
@@ -105,7 +100,7 @@ func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
 	if err != nil {
 		return nil, err
 	}
-	hs := &hostSnap{sides: make(map[int]nodeSnap)}
+	hs := &hostSnap{}
 	hs.msgsSent = r.Int()
 	hs.payloadBytes = r.Int()
 	// One origin is at least its id, two float64s and four one-byte
@@ -125,7 +120,7 @@ func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
 			return nil, err
 		}
 		hs.origins = append(hs.origins, n)
-		hs.sides[n] = side
+		hs.sides = append(hs.sides, side)
 	}
 	hs.shard = loadShardState(r)
 	if err := r.Err(); err != nil {
@@ -154,12 +149,9 @@ func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error
 		if err := snap.check(&h.cfg, snap.window); err != nil {
 			return nil, err
 		}
-		hs := &hostSnap{
-			sides: make(map[int]nodeSnap, len(h.origins)),
-			shard: &ShardState{Origins: snap.shard.Origins},
-		}
-		for _, n := range h.origins {
-			hs.sides[n] = snap.perNode[n]
+		hs := &hostSnap{shard: &ShardState{Origins: snap.shard.Origins}}
+		for _, n := range h.host.origins {
+			hs.sides = append(hs.sides, snap.perNode[n])
 		}
 		return hs, nil
 	})
@@ -179,12 +171,13 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 		if err != nil {
 			return nil, err
 		}
-		if len(hs.origins) != len(h.origins) {
-			return nil, fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(h.origins))
+		origins := h.host.origins
+		if len(hs.origins) != len(origins) {
+			return nil, fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(origins))
 		}
 		for i, n := range hs.origins {
-			if n != h.origins[i] {
-				return nil, fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, h.origins)
+			if n != origins[i] {
+				return nil, fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, origins)
 			}
 		}
 		return hs, nil
@@ -214,22 +207,19 @@ func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, 
 	}
 	h.res.MsgsSent = int(hs.msgsSent)
 	h.res.PayloadBytes = int(hs.payloadBytes)
-	for _, n := range h.origins {
-		side := hs.sides[n]
-		if err := applyNodeSnap(&h.cfg, h.prog, &side, h.nodes[n], h.insts[n]); err != nil {
-			return abort(err)
-		}
+	if err := h.host.applySides(hs.sides); err != nil {
+		return abort(err)
 	}
-	h.carriedRecv = hs.shard.MsgsReceived
-	h.carriedDelivered = hs.shard.DeliveredBytes
-	h.carriedEmits = hs.shard.ServerEmits
+	h.res.MsgsReceived = hs.shard.MsgsReceived
+	h.res.DeliveredBytes = hs.shard.DeliveredBytes
+	h.res.ServerEmits = hs.shard.ServerEmits
 	sub := &ShardState{}
 	for _, o := range hs.shard.Origins {
-		if o.Origin != AggregateOrigin && h.owned[o.Origin] {
+		if h.owns(o.Origin) {
 			sub.Origins = append(sub.Origins, o)
 		}
 	}
-	if err := h.plan.restoreState(&h.cfg, sub); err != nil {
+	if err := h.host.plan.restoreState(&h.cfg, sub); err != nil {
 		return abort(err)
 	}
 	return h, nil
@@ -303,13 +293,20 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 	st.Origins = append(st.Origins, aggSt.Origins...)
 	st.canonicalize()
 	snap.shard = st
-	for n := range snap.perNode {
-		side, ok := hostSnaps[s.ownerOf[n]].sides[n]
-		if !ok {
+	sides := make([]*nodeSnap, len(snap.perNode))
+	for hi, hs := range hostSnaps {
+		for i, n := range hs.origins {
+			if s.ownerOf[n] == hi {
+				sides[n] = &hs.sides[i]
+			}
+		}
+	}
+	for n, side := range sides {
+		if side == nil {
 			return nil, fmt.Errorf("runtime: host %d's snapshot is missing origin %d", s.ownerOf[n], n)
 		}
 		side.arrivals = snap.perNode[n].arrivals
-		snap.perNode[n] = side
+		snap.perNode[n] = *side
 	}
 	return encodeSessionSnap(snap), nil
 }

@@ -31,9 +31,7 @@ func RunReference(cfg Config) (*Result, error) {
 		scale = 1
 	}
 
-	res := &Result{}
-	var msgs []message
-	var busy float64
+	var nodes nodeSims
 	for n := 0; n < cfg.Nodes; n++ {
 		inputs := cfg.Inputs(n)
 		if len(inputs) == 0 {
@@ -49,15 +47,18 @@ func RunReference(cfg Config) (*Result, error) {
 		ex.CounterFor = func(op *dataflow.Operator) *cost.Counter { return counter }
 		s := &sender{cfg: &cfg, nodeID: n}
 		ex.Boundary = s.capture
-		nr := simulateNode(&cfg, s, arrivals, &nodeSim{counter: counter, s: s, inject: ex.Inject})
-		res.InputEvents += nr.inputEvents
-		res.ProcessedEvents += nr.processedEvents
-		res.MsgsSent += nr.msgsSent
-		res.PayloadBytes += nr.payloadBytes
-		busy += nr.busy
-		msgs = append(msgs, nr.msgs...)
+		ns := &nodeSim{counter: counter, s: s, inject: ex.Inject}
+		if err := ns.feed(&cfg, arrivals); err != nil {
+			return nil, err
+		}
+		nodes = append(nodes, ns)
 	}
-	res.NodeCPU = busy / (cfg.Duration * float64(cfg.Nodes))
+	res := &Result{}
+	msgs := nodes.drain(res, nil)
+	for _, nb := range nodes.tally(res) {
+		res.NodeCPU += nb.Busy
+	}
+	res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
 
 	msgs = aggregateReduceMessages(cfg, msgs, res, nil)
 	air := 0

@@ -13,19 +13,20 @@
 //
 // # Execution
 //
-// Run compiles the node partition once (dataflow.Compile) and executes one
-// dataflow.Instance per simulated node on a bounded worker pool; the server
-// partition runs as a second compiled instance with a precomputed
-// relocated-operator table. When every node is offered the identical trace
-// (the methodology of Figures 9 and 10 when driven with a shared
-// recording), the node phase is simulated once and its deterministic
-// message stream replicated per node — node-side execution is a pure
-// function of (program, partition, platform, arrivals), so the results are
-// identical to executing each replica (see dataflow.Ctx.NodeID for what
-// that asks of work functions). The executable definition of the semantics
-// is the tree-walking dataflow.Executor; the package's tests drive a whole
-// deployment through it (RunReference, export_test.go) and assert
-// identical Results on the paper's applications.
+// Every run's node stage is one piece of code: a nodeSim per mote on a
+// compiled dataflow.Instance, fed under one recovery (nodeSim.feed) and
+// merged in node order (nodeSims.drain). Streaming runs hold the nodes in
+// an originHost (host.go) — a Session over every origin, a ShardHost over
+// its subset. Batch Run adds its own instance economy (runNodes): shards
+// Recycle one pinned Instance across their nodes, and when every node is
+// offered the identical trace (Figures 9 and 10 driven with a shared
+// recording) the node phase runs once and its message stream is replayed
+// per node — node-side execution is a pure function of (program, partition,
+// platform, arrivals); dataflow.Ctx.NodeID says what that asks of work
+// functions. The server partition is a second compiled instance with a
+// precomputed relocated-operator table. The executable definition of the
+// semantics is the tree-walking dataflow.Executor; the package's tests
+// drive a whole deployment through it (RunReference, export_test.go).
 //
 // The server-side delivery loop shards by origin node (Config.Shards,
 // shard.go): state tables, reassembly streams and the packet-loss RNG are
@@ -218,16 +219,6 @@ type arrival struct {
 	v   dataflow.Value
 }
 
-// nodeResult is the outcome of simulating one node.
-type nodeResult struct {
-	msgs            []message
-	inputEvents     int
-	processedEvents int
-	msgsSent        int
-	payloadBytes    int
-	busy            float64
-}
-
 // Run simulates the deployment.
 func Run(cfg Config) (*Result, error) {
 	if err := validateConfig(&cfg); err != nil {
@@ -284,28 +275,20 @@ func Run(cfg Config) (*Result, error) {
 			releaseArena(a)
 		}
 	}()
-	nodeRes, arenas, err := runNodes(cfg, inputs, arrivals)
+	nodes, arenas, err := runNodes(cfg, inputs, arrivals)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &Result{}
 	total := 0
-	for n := range nodeRes {
-		total += len(nodeRes[n].msgs)
+	for _, ns := range nodes {
+		total += len(ns.s.msgs)
 	}
-	msgs := make([]message, 0, total)
-	var busyTotal float64
-	for n := range nodeRes {
-		nr := &nodeRes[n]
-		res.InputEvents += nr.inputEvents
-		res.ProcessedEvents += nr.processedEvents
-		res.MsgsSent += nr.msgsSent
-		res.PayloadBytes += nr.payloadBytes
-		busyTotal += nr.busy
-		msgs = append(msgs, nr.msgs...)
+	msgs := nodes.drain(res, make([]message, 0, total))
+	for _, nb := range nodes.tally(res) {
+		res.NodeCPU += nb.Busy
 	}
-	res.NodeCPU = busyTotal / (cfg.Duration * float64(cfg.Nodes))
+	res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
 
 	// --- In-network aggregation (§9) -----------------------------------
 	// Messages produced by a node-resident reduce operator are combined
@@ -547,11 +530,19 @@ type nodeSim struct {
 	busy            float64
 }
 
-// feed offers one batch of time-ordered arrivals.
-func (ns *nodeSim) feed(cfg *Config, arrivals []arrival) {
+// feed offers one batch of time-ordered arrivals. It is the one place a
+// node-side work function runs, on whichever goroutine the caller chose,
+// so it is where a work-function panic — a mistyped value, a wscript abort,
+// a wvm budget trip — becomes an error instead of killing the process.
+func (ns *nodeSim) feed(cfg *Config, arrivals []arrival) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = workPanicError(r, fmt.Sprintf("node %d", ns.s.nodeID))
+		}
+	}()
 	if ns.injectBatch != nil {
 		ns.feedPassthrough(arrivals)
-		return
+		return nil
 	}
 	for _, a := range arrivals {
 		ns.inputEvents++
@@ -566,6 +557,7 @@ func (ns *nodeSim) feed(cfg *Config, arrivals []arrival) {
 		ns.busy += dt
 		ns.processedEvents++
 	}
+	return nil
 }
 
 // feedPassthrough injects runs of consecutive same-source arrivals as
@@ -599,35 +591,25 @@ func (ns *nodeSim) feedPassthrough(arrivals []arrival) {
 	}
 }
 
-// simulateNode runs one node's whole arrival sequence (the batch path).
-func simulateNode(cfg *Config, s *sender, arrivals []arrival, ns *nodeSim) nodeResult {
-	ns.feed(cfg, arrivals)
-	return nodeResult{
-		msgs:            s.msgs,
-		inputEvents:     ns.inputEvents,
-		processedEvents: ns.processedEvents,
-		msgsSent:        s.msgsSent,
-		payloadBytes:    s.payloadBytes,
-		busy:            ns.busy,
-	}
-}
-
-// runNodes compiles the node partition once and executes the
-// replicas through dataflow.Instances. Identical replicas — every node
-// offered the same trace — are simulated once and their deterministic
-// message streams replicated; distinct replicas run sharded by origin on
-// a bounded worker pool: shard s owns nodes n ≡ s (mod shards) — the same
-// origin partition the delivery loop uses — and recycles one pinned
-// Instance and one fragment arena across them instead of round-tripping
-// the Program pool per node. The returned arenas hold the senders'
-// fragment storage; the caller releases them once delivery is done.
-func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) ([]nodeResult, []*fragArena, error) {
+// runNodes is the batch node stage: it compiles the node partition once,
+// executes the replicas through dataflow.Instances and returns every
+// node's fed simulator in node order — with an instance economy of its own
+// rather than an originHost's pooled Instance per origin. Identical
+// replicas — every node offered the same trace — are simulated once and
+// their deterministic message streams replicated; distinct replicas run
+// sharded by origin on a bounded worker pool: shard s owns nodes n ≡ s
+// (mod shards) — the same origin partition the delivery loop uses — and
+// recycles one pinned Instance and one fragment arena across them instead
+// of round-tripping the Program pool per node. The returned arenas hold
+// the senders' fragment storage; the caller releases them once delivery
+// is done, error or not.
+func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeSims, []*fragArena, error) {
 	prog, err := resolveProgram(&cfg, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	passthrough := passthroughPartition(&cfg, prog)
-	out := make([]nodeResult, cfg.Nodes)
+	out := make(nodeSims, cfg.Nodes)
 
 	if identicalTraces(inputs) {
 		// Node-side simulation is a deterministic function of (program,
@@ -637,28 +619,25 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) ([]nod
 		// replicas alias node 0's fragment storage, which delivery only
 		// reads). dataflow.Ctx.NodeID states what this asks of work
 		// functions.
-		arena := acquireArena()
+		arenas := []*fragArena{acquireArena()}
 		inst := prog.AcquireInstance(0)
 		counter := &cost.Counter{}
 		inst.SetCounter(counter)
-		s := &sender{cfg: &cfg, nodeID: 0, arena: arena}
-		inst.Boundary = s.capture
-		ns := &nodeSim{counter: counter, s: s, inject: inst.Inject}
-		if passthrough {
-			ns.injectBatch = inst.InjectBatch
-		}
-		out[0] = simulateNode(&cfg, s, arrivals[0], ns)
+		out[0] = newNodeSim(&cfg, inst, counter, 0, passthrough)
+		out[0].s.arena = arenas[0]
+		err := out[0].feed(&cfg, arrivals[0])
 		prog.ReleaseInstance(inst)
-		for n := 1; n < cfg.Nodes; n++ {
-			nr := out[0]
-			nr.msgs = make([]message, len(out[0].msgs))
-			copy(nr.msgs, out[0].msgs)
-			for i := range nr.msgs {
-				nr.msgs[i].nodeID = n
+		for n := 1; n < cfg.Nodes && err == nil; n++ {
+			ns, snd := *out[0], *out[0].s
+			snd.nodeID = n
+			snd.msgs = append([]message(nil), snd.msgs...)
+			for i := range snd.msgs {
+				snd.msgs[i].nodeID = n
 			}
-			out[n] = nr
+			ns.s = &snd
+			out[n] = &ns
 		}
-		return out, []*fragArena{arena}, nil
+		return out, arenas, err
 	}
 
 	shards := cfg.Nodes
@@ -666,29 +645,21 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) ([]nod
 		shards = cfg.Shards
 	}
 	arenas := make([]*fragArena, shards)
+	errs := make([]error, shards)
 	runPool(poolWorkers(&cfg, shards), shards, func(s int) {
-		arena := acquireArena()
-		arenas[s] = arena
+		arenas[s] = acquireArena()
 		inst := prog.AcquireInstance(s)
 		defer prog.ReleaseInstance(inst)
 		counter := &cost.Counter{}
 		inst.SetCounter(counter)
-		snd := &sender{cfg: &cfg, arena: arena}
-		ns := &nodeSim{counter: counter, s: snd, inject: inst.Inject}
-		if passthrough {
-			ns.injectBatch = inst.InjectBatch
-		}
-		for n := s; n < cfg.Nodes; n += shards {
+		for n := s; n < cfg.Nodes && errs[s] == nil; n += shards {
 			inst.Recycle(n) // pristine per-node state, counter kept, no pool round-trip
-			snd.nodeID = n
-			snd.seqs = nil
-			snd.msgs, snd.msgsSent, snd.payloadBytes = nil, 0, 0
-			inst.Boundary = snd.capture
-			ns.busyUntil, ns.inputEvents, ns.processedEvents, ns.busy = 0, 0, 0, 0
-			out[n] = simulateNode(&cfg, snd, arrivals[n], ns)
+			out[n] = newNodeSim(&cfg, inst, counter, n, passthrough)
+			out[n].s.arena = arenas[s]
+			errs[s] = out[n].feed(&cfg, arrivals[n])
 		}
 	})
-	return out, arenas[:], nil
+	return out, arenas, firstError(errs)
 }
 
 // CompilePartition compiles the two sides of a partitioned deployment

@@ -215,9 +215,9 @@ func (sh *shardState) deliverBatched(msgs []message, ratio float64) error {
 // deliveryPlan is the server side of one run: the resolved shard set and
 // the worker budget for driving it.
 type deliveryPlan struct {
-	cfg     *Config
 	shards  []*shardState
 	workers int
+	errs    []error // per shard, one delivery at a time
 }
 
 // shardable reports whether the server partition's delivery may be split
@@ -245,7 +245,7 @@ func newDeliveryPlan(cfg *Config) (*deliveryPlan, error) {
 	if n > cfg.Nodes+1 {
 		n = cfg.Nodes + 1
 	}
-	d := &deliveryPlan{cfg: cfg, workers: poolWorkers(cfg, n)}
+	d := &deliveryPlan{workers: poolWorkers(cfg, n), errs: make([]error, n)}
 	prog, err := resolveProgram(cfg, false)
 	if err != nil {
 		return nil, err
@@ -277,24 +277,31 @@ func (d *deliveryPlan) shardFor(nodeID int) int {
 // them on the worker pool. Partial counters stay in the shards until
 // collect.
 func (d *deliveryPlan) deliver(msgs []message, ratio float64) error {
-	if len(d.shards) == 1 {
-		return d.shards[0].deliver(msgs, ratio)
-	}
 	parts := make([][]message, len(d.shards))
+	d.partition(msgs, parts)
+	return d.deliverParts(parts, ratio)
+}
+
+// partition splits msgs by delivery shard into parts (one entry per shard,
+// each appended to — callers that reuse parts truncate it between
+// windows). A one-shard plan aliases msgs instead of copying.
+func (d *deliveryPlan) partition(msgs []message, parts [][]message) {
+	if len(parts) == 1 {
+		parts[0] = msgs
+		return
+	}
 	for i := range msgs {
 		s := d.shardFor(msgs[i].nodeID)
 		parts[s] = append(parts[s], msgs[i])
 	}
-	errs := make([]error, len(d.shards))
+}
+
+// deliverParts runs every shard over its partition on the worker pool.
+func (d *deliveryPlan) deliverParts(parts [][]message, ratio float64) error {
 	runPool(d.workers, len(d.shards), func(i int) {
-		errs[i] = d.shards[i].deliver(parts[i], ratio)
+		d.errs[i] = d.shards[i].deliver(parts[i], ratio)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return firstError(d.errs)
 }
 
 // collect folds the per-shard counters into the run result and releases
@@ -304,10 +311,8 @@ func (d *deliveryPlan) collect(res *Result) {
 		res.MsgsReceived += sh.res.MsgsReceived
 		res.DeliveredBytes += sh.res.DeliveredBytes
 		res.ServerEmits += sh.engine.emits()
-		sh.engine.close()
-		sh.releaseSamplers()
 	}
-	d.shards = nil
+	d.close()
 }
 
 // close releases the shard engines without collecting (error paths).
@@ -376,4 +381,14 @@ func runPool(workers, n int, f func(int)) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// firstError returns the lowest-indexed failure of a runPool fan-out.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

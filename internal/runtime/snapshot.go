@@ -386,13 +386,10 @@ func (s *Session) Snapshot() ([]byte, error) {
 	if err := s.capture(snap); err != nil {
 		return nil, err
 	}
-	eidx := edgeIndexes(cfg)
-	for n := range snap.perNode {
-		if err := captureNodeSide(cfg, s.prog, eidx, s.nodes[n], s.insts[n], &snap.perNode[n]); err != nil {
-			return nil, err
-		}
+	if err := s.host.captureSides(snap.perNode); err != nil {
+		return nil, err
 	}
-	st, err := s.plan.snapshotState(cfg)
+	st, err := s.host.plan.snapshotState(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -942,10 +939,8 @@ func (s *Session) restore(data []byte) error {
 	if err := s.apply(snap); err != nil {
 		return err
 	}
-	for n := range snap.perNode {
-		if err := applyNodeSnap(cfg, s.prog, &snap.perNode[n], s.nodes[n], s.insts[n]); err != nil {
-			return err
-		}
+	if err := s.host.applySides(snap.perNode); err != nil {
+		return err
 	}
-	return s.plan.restoreState(cfg, snap.shard)
+	return s.host.plan.restoreState(cfg, snap.shard)
 }

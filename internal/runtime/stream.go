@@ -3,10 +3,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
 	"time"
 
-	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/profile"
 )
@@ -122,28 +121,36 @@ func (s *inputStream) Next() (Arrival, bool) {
 // /v1/simulate/stream endpoint drives a Session straight from the
 // request body; Run drives one from Config.ArrivalSource.
 //
+// A Session is a windowCore (the window clock) over an originHost holding
+// every origin. Each window takes one windowBufs through the same steps —
+// feed, drain, fold, time-sort, price, partition, deliver — and the two
+// execution modes differ only in which goroutines run the feed and the
+// shard deliveries: the caller's worker pool (phased — one windowBufs,
+// recycled after its synchronous delivery) or the pipe's persistent
+// workers (pipelined — see pipeline.go).
+//
 // A Session accepts the same Config.Shards/Workers knobs as the batch
 // path.
 type Session struct {
 	windowCore
-	plan  *deliveryPlan
-	prog  *dataflow.Program
-	insts []*dataflow.Instance
-	nodes []*nodeSim
+	host *originHost
 
-	// pipe is non-nil when the session pipelines its stages (delivery of
-	// window w overlapping simulation of window w+1 — see pipeline.go);
-	// nil sessions run the stages in phase on the caller's goroutine.
+	// nodeShards is the node-phase fan-out (originHost.feedShard): one
+	// shard per node when phased, a few pinned to workers when pipelined.
+	nodeShards int
+
+	// pipe is non-nil when the session pipelines its stages; nil sessions
+	// run them in phase on the caller's goroutine.
 	pipe *pipe
 
-	// Phased-mode window storage, reused across windows: per-node sender
-	// arenas plus one aggregator arena (reset after each window's
-	// synchronous delivery), the merged and post-aggregation message
-	// slices, and the per-node feed error slots.
-	arenas   []*fragArena
-	winMsgs  []message
-	winOut   []message
-	feedErrs []error
+	// free recycles window storage; four covers the deepest the pipeline
+	// gets (one window per stage, the one being built, and a spare).
+	free chan *windowBufs
+
+	// err is the first window failure, from any goroutine; no window runs
+	// on top of it.
+	mu  sync.Mutex
+	err error
 
 	// ingest backs OfferRaw's zero-copy decode: raw JSON arrival values
 	// land in generational typed slabs instead of one allocation per
@@ -158,35 +165,18 @@ type Session struct {
 // state. cfg.Inputs, Duration-derived arrival building and the replay
 // fast path do not apply; arrivals come from Offer.
 func NewSession(cfg Config) (*Session, error) {
-	s := &Session{started: time.Now()}
+	s := &Session{started: time.Now(), free: make(chan *windowBufs, 4)}
 	if err := s.init(cfg); err != nil {
 		return nil, err
 	}
 	s.runWindow = s.flushBuffered
-	prog, err := resolveProgram(&s.cfg, true)
+	// A Session is the one-host placement: every origin on the same host.
+	host, err := newOriginHost(&s.cfg, PartitionOrigins(cfg.Nodes, 1)[0])
 	if err != nil {
 		return nil, err
 	}
-	s.prog = prog
-	plan, err := newDeliveryPlan(&s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.plan = plan
-	passthrough := passthroughPartition(&s.cfg, prog)
-	for n := 0; n < cfg.Nodes; n++ {
-		inst := prog.AcquireInstance(n)
-		counter := &cost.Counter{}
-		inst.SetCounter(counter)
-		snd := &sender{cfg: &s.cfg, nodeID: n}
-		inst.Boundary = snd.capture
-		s.insts = append(s.insts, inst)
-		ns := &nodeSim{counter: counter, s: snd, inject: inst.Inject}
-		if passthrough {
-			ns.injectBatch = inst.InjectBatch
-		}
-		s.nodes = append(s.nodes, ns)
-	}
+	s.host = host
+	s.nodeShards = cfg.Nodes
 	if !cfg.NoPipeline && poolWorkers(&s.cfg, 2) > 1 {
 		// Pipelined by default whenever the worker budget allows true
 		// concurrency (an explicit Workers=1, or a single-core host with
@@ -194,16 +184,6 @@ func NewSession(cfg Config) (*Session, error) {
 		// modes is pinned by the Pipelined parity tests, so the choice is
 		// purely about overlap.
 		s.pipe = newPipe(s)
-	} else {
-		s.arenas = make([]*fragArena, cfg.Nodes+1)
-		for i := range s.arenas {
-			s.arenas[i] = acquireArena()
-		}
-		for n, ns := range s.nodes {
-			ns.s.arena = s.arenas[n]
-		}
-		s.agg.arena = s.arenas[cfg.Nodes]
-		s.feedErrs = make([]error, cfg.Nodes)
 	}
 	return s, nil
 }
@@ -242,90 +222,47 @@ func (s *Session) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ st
 
 // flushBuffered is the Session's runWindow: it runs the buffered arrivals
 // through the node instances, folds reduce rounds that completed, prices
-// the window's offered load, and delivers through the server shards —
-// pipelined (delivery of this window overlapping the next window's
-// simulation) when the session has a pipe, phased otherwise.
+// the window's offered load, and delivers through the server shards.
 func (s *Session) flushBuffered(span float64) error {
-	cfg := &s.cfg
-	if cfg.Timings != nil {
+	if s.cfg.Timings != nil {
 		s.stageStart = time.Now()
 	}
-	if s.pipe != nil {
-		if err := s.pipe.flush(span); err != nil {
-			return err
-		}
-		// Safe to rotate here even though delivery may still be running:
-		// rotation only drops block references; the GC keeps each block
-		// alive while any in-flight value still points into it.
-		s.ingest.rotate()
-		return nil
-	}
-	// A work-function panic on client-supplied input (a value of the
-	// wrong element type, typically) surfaces as an error instead of
-	// crashing the worker goroutine — Sessions feed on external data, so
-	// it is classified as a bad arrival, not an engine failure.
-	feedErrs := s.feedErrs
-	for n := range feedErrs {
-		feedErrs[n] = nil
-	}
-	runPool(poolWorkers(cfg, cfg.Nodes), cfg.Nodes, func(n int) {
-		defer func() {
-			if r := recover(); r != nil {
-				feedErrs[n] = workPanicError(r, fmt.Sprintf("node %d", n))
-			}
-		}()
-		if len(s.buf[n]) == 0 {
-			return
-		}
-		s.nodes[n].feed(cfg, s.buf[n])
-	})
-	for _, err := range feedErrs {
-		if err != nil {
-			return err
-		}
-	}
-	msgs := s.winMsgs[:0]
-	for n, ns := range s.nodes {
-		msgs = append(msgs, ns.s.msgs...)
-		s.res.MsgsSent += ns.s.msgsSent
-		s.res.PayloadBytes += ns.s.payloadBytes
-		ns.s.msgs = ns.s.msgs[:0]
-		ns.s.msgsSent, ns.s.payloadBytes = 0, 0
-		s.buf[n] = s.buf[n][:0]
-	}
-	s.winMsgs = msgs
-	s.buffered = 0
-	out := s.agg.add(cfg, msgs, &s.res, s.winOut[:0])
-	out = s.agg.flushComplete(cfg, &s.res, out)
-	out = s.agg.flushExcess(cfg, &s.res, out)
-	s.winOut = out
-	if err := s.deliverWindow(out, span, nil); err != nil {
+	if err := s.failed(); err != nil {
 		return err
 	}
-	s.resetWindowStorage()
+	win := s.getWin()
+	var err error
+	if s.pipe != nil {
+		err = s.pipe.feed(win)
+	} else {
+		err = s.host.feedPooled(win, s.buf)
+	}
+	if err != nil {
+		s.recycle(win)
+		return s.fail(err)
+	}
+	win.msgs = s.host.nodes.drain(&s.res, win.msgs[:0])
+	for n := range s.buf {
+		s.buf[n] = s.buf[n][:0]
+	}
+	s.buffered = 0
+	s.agg.arena = win.arenas[s.nodeShards]
+	win.out = s.agg.fold(&s.cfg, win.msgs, &s.res, win.out[:0])
+	if err := s.deliverWindow(win, span); err != nil {
+		return err
+	}
+	// Safe to rotate even while a pipelined delivery is still running:
+	// rotation only drops block references; the GC keeps each block alive
+	// while any in-flight value still points into it.
 	s.ingest.rotate()
 	return nil
 }
 
-// resetWindowStorage rewinds the phased path's per-window storage once
-// the window's synchronous delivery is done: the delivered messages are
-// dead, so the arenas and slices can be reused without ever re-entering
-// the allocator.
-func (s *Session) resetWindowStorage() {
-	for _, a := range s.arenas {
-		a.reset()
-	}
-	clearMessages(s.winMsgs)
-	s.winMsgs = s.winMsgs[:0]
-	clearMessages(s.winOut)
-	s.winOut = s.winOut[:0]
-}
-
-// deliverWindow prices one window's message batch (always on the
-// coordinator, in window order — the ratio is a global function of every
-// shard's offered load) and delivers it: dispatched to the pipeline's
-// shard workers when win is non-nil, synchronously otherwise.
-func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) error {
+// deliverWindow prices win.out (always on the coordinator, in window
+// order — the ratio is a global function of every shard's offered load),
+// partitions it by delivery shard and delivers it: handed to the pipe's
+// shard workers, or synchronously on the worker pool.
+func (s *Session) deliverWindow(win *windowBufs, span float64) error {
 	// The node stage ends here even when the window has nothing to
 	// deliver (all messages folded into pending reduce rounds) — accrue
 	// its wall before any early return so StageTimings never drops it.
@@ -333,28 +270,27 @@ func (s *Session) deliverWindow(out []message, span float64, win *windowBufs) er
 		t.addNode(time.Since(s.stageStart))
 		s.stageStart = time.Time{}
 	}
+	out := win.out
 	if len(out) == 0 {
-		if win != nil {
-			s.pipe.recycle(win)
-		}
+		s.recycle(win)
 		s.price(0, span, 0)
 		return nil
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].time < out[j].time })
-	air := 0
-	for i := range out {
-		air += out[i].air
-	}
-	ratio := s.price(air, span, len(out))
-	if win != nil {
-		return s.pipe.dispatch(out, ratio, win)
+	ratio := s.price(sortByTime(out), span, len(out))
+	s.host.plan.partition(out, win.parts)
+	if s.pipe != nil {
+		return s.pipe.dispatch(win, ratio)
 	}
 	start := time.Now()
-	err := s.plan.deliver(out, ratio)
+	err := s.host.plan.deliverParts(win.parts, ratio)
 	if t := s.cfg.Timings; t != nil {
 		t.addDelivery(time.Since(start))
 	}
-	return err
+	s.recycle(win)
+	if err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
 // Close flushes the final window and any reduce rounds still pending,
@@ -378,32 +314,21 @@ func (s *Session) Close() (*Result, error) {
 	if cfg.Timings != nil {
 		s.stageStart = time.Now()
 	}
-	if s.pipe != nil {
-		win := s.pipe.getWin()
-		s.agg.arena = win.arenas[len(win.arenas)-1]
-		tail := s.agg.flushAll(cfg, &s.res, win.out[:0])
-		win.out = tail
-		if err := s.deliverWindow(tail, s.lastSpan, win); err != nil {
-			return nil, err
-		}
-	} else {
-		tail := s.agg.flushAll(cfg, &s.res, s.winOut[:0])
-		s.winOut = tail
-		if err := s.deliverWindow(tail, s.lastSpan, nil); err != nil {
-			return nil, err
-		}
+	win := s.getWin()
+	s.agg.arena = win.arenas[s.nodeShards]
+	win.out = s.agg.flushAll(cfg, &s.res, win.out[:0])
+	if err := s.deliverWindow(win, s.lastSpan); err != nil {
+		return nil, err
 	}
 	// The pipeline must drain before the shard counters are read.
 	if err := s.joinPipe(); err != nil {
 		return nil, err
 	}
-	for _, ns := range s.nodes {
-		s.res.InputEvents += ns.inputEvents
-		s.res.ProcessedEvents += ns.processedEvents
-		s.res.NodeCPU += ns.busy
+	for _, nb := range s.host.nodes.tally(&s.res) {
+		s.res.NodeCPU += nb.Busy
 	}
 	s.finish()
-	s.plan.collect(&s.res)
+	s.host.plan.collect(&s.res)
 	if t := cfg.Timings; t != nil {
 		t.addWall(time.Since(s.started))
 	}
@@ -416,31 +341,42 @@ func (s *Session) Abort() { s.Close() }
 
 // joinPipe drains every in-flight delivery and joins the pipeline's
 // workers, once; afterwards all state is at the last flushed window
-// boundary and the session runs no further windows.
+// boundary and the session runs no further windows. It reports the first
+// window failure.
 func (s *Session) joinPipe() error {
-	p := s.pipe
-	if p == nil {
-		return nil
+	if p := s.pipe; p != nil {
+		s.pipe = nil
+		p.shutdown()
 	}
-	s.pipe = nil
-	return p.shutdown()
+	return s.failed()
 }
 
 // release joins the pipeline if it is still up (error paths — a failure
-// there already surfaced from the flush that hit it), returns the pooled
-// instances and arenas to their owners and closes the delivery plan: the
-// teardown Close and Snapshot share.
+// there already surfaced from the flush that hit it), hands the recycled
+// windows' arenas back to the process-wide pool so the next run starts
+// warm, and releases the host: the teardown Close and Snapshot share.
 func (s *Session) release() {
 	s.joinPipe()
-	for _, inst := range s.insts {
-		s.prog.ReleaseInstance(inst)
+	for len(s.free) > 0 {
+		(<-s.free).releaseArenas()
 	}
-	s.insts, s.nodes = nil, nil
-	for _, a := range s.arenas {
-		releaseArena(a)
+	s.host.release()
+}
+
+// fail records a window failure and returns the first one recorded.
+func (s *Session) fail(err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err == nil {
+		s.err = err
 	}
-	s.arenas = nil
-	s.plan.close()
+	return s.err
+}
+
+func (s *Session) failed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // runStream is Run's streaming path: pull every node's arrival stream,

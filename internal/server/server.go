@@ -305,11 +305,10 @@ func meteringError(err error) error {
 }
 
 // runGuarded invokes f, converting error-typed panics — wscript runtime
-// aborts, VM metering trips — into returned errors. The batch simulate and
-// profile paths execute work functions without the streaming session's
-// per-window recovery, and net/http would silently swallow the panic (one
-// empty 200 and a dead connection). Non-error panics are real bugs and
-// propagate.
+// aborts, VM metering trips — into returned errors. The profile paths
+// execute work functions on the request goroutine without the runtime's
+// recovery, and net/http would silently swallow the panic (one empty 200
+// and a dead connection). Non-error panics are real bugs and propagate.
 func runGuarded(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -351,9 +350,21 @@ func fail(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(wire.ErrorResponse{Error: err.Error(), Code: kind})
 }
 
-// decode parses the request body into v.
+// maxBodyBytes bounds a non-streaming JSON request body. The largest such
+// body the tests and benchmark workloads send is one /v1/shard/compute
+// window (749 064 B for dist-loopback: 1 s of 32 origins); a default 10 s
+// window from `wishbone -hosts` is about ten times that, so the bound
+// leaves room well above it while still refusing to buffer without limit.
+const maxBodyBytes = 64 << 20
+
+// decode parses the request body into v, reading at most maxBodyBytes.
 func decode(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return &httpError{code: http.StatusRequestEntityTooLarge, kind: "body_too_large", err: err}
+	case err != nil:
 		return badRequest("bad request body: %v", err)
 	}
 	return nil
@@ -741,12 +752,10 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire
 		cfg.Inputs = func(nodeID int) []profile.Input { return shared }
 	}
 
-	var res *wbruntime.Result
-	err = runGuarded(func() error {
-		var rerr error
-		res, rerr = wbruntime.Run(cfg)
-		return rerr
-	})
+	// Run executes work functions only under its own recovery (a panic on
+	// any of its goroutines returns as an ErrBadArrival-wrapped error with
+	// the metering error in the chain), so it needs no runGuarded.
+	res, err := wbruntime.Run(cfg)
 	if err != nil {
 		if me := meteringError(err); me != nil {
 			return nil, me

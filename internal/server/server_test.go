@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -614,5 +617,39 @@ func TestServerSolverSelection(t *testing.T) {
 	}
 	if stats.Solvers["exact"].Wins == 0 {
 		t.Fatal("exact should have recorded wins")
+	}
+}
+
+// spaces is an endless run of JSON whitespace: a body the decoder must keep
+// reading, generated without the test holding it.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestServerBodyLimit: a non-streaming JSON body past maxBodyBytes is
+// refused with a typed 413 instead of being buffered without bound, and
+// the server keeps answering.
+func TestServerBodyLimit(t *testing.T) {
+	_, client := startServer(t, Config{})
+	resp, err := client.http.Post(client.base+"/v1/simulate", "application/json",
+		io.LimitReader(spaces{}, maxBodyBytes+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr *APIError
+	if err := apiError(resp); !errors.As(err, &apiErr) ||
+		apiErr.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != "body_too_large" {
+		t.Fatalf("over-limit body: want typed 413 body_too_large, got %v", err)
+	}
+	if _, err := client.Simulate(context.Background(), wire.SimulateRequest{
+		Graph: wire.GraphSpec{App: "speech"}, Platform: "TMoteSky", Nodes: 1, Duration: 2,
+	}); err != nil {
+		t.Fatalf("server did not answer after refusing an over-limit body: %v", err)
 	}
 }

@@ -230,17 +230,11 @@ func (s *Server) handleShardCompute(w http.ResponseWriter, r *http.Request) {
 		respond(w, resp)
 		return
 	}
-	rep, err2 := ss.host.ComputeWindow(req.Span, arrivals)
+	resp, err2 := ss.host.ComputeWindow(req.Span, arrivals)
 	if err = err2; err != nil {
 		ss.mu.Unlock()
 		fail(w, shardRuntimeError(err))
 		return
-	}
-	resp := &wire.ShardComputeResponse{Held: rep.Held, Air: rep.Air}
-	for _, rm := range rep.Reduce {
-		resp.Reduce = append(resp.Reduce, wire.ShardReduceWire{
-			Node: rm.Node, Edge: rm.Edge, Time: rm.Time, Packets: rm.Packets, Data: rm.Data,
-		})
 	}
 	if req.Window != 0 {
 		ss.lastComputeWin, ss.lastComputeResp = req.Window, resp
@@ -303,7 +297,7 @@ func (s *Server) handleShardClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.mu.Lock()
-	hr, err2 := ss.host.Close()
+	resp, err2 := ss.host.Close()
 	if err2 != nil {
 		// The session is already unregistered; abort the host (idempotent)
 		// so a failed close can't leak its pinned instances.
@@ -313,18 +307,6 @@ func (s *Server) handleShardClose(w http.ResponseWriter, r *http.Request) {
 	if err = err2; err != nil {
 		fail(w, err)
 		return
-	}
-	resp := &wire.ShardCloseResponse{
-		InputEvents:     hr.InputEvents,
-		ProcessedEvents: hr.ProcessedEvents,
-		MsgsSent:        hr.MsgsSent,
-		MsgsReceived:    hr.MsgsReceived,
-		PayloadBytes:    hr.PayloadBytes,
-		DeliveredBytes:  hr.DeliveredBytes,
-		ServerEmits:     hr.ServerEmits,
-	}
-	for _, nb := range hr.NodeBusy {
-		resp.NodeBusy = append(resp.NodeBusy, wire.NodeBusyWire{Node: nb.Node, Busy: nb.Busy})
 	}
 	respond(w, resp)
 }

@@ -232,6 +232,25 @@ func TestServerWscriptLimits(t *testing.T) {
 		t.Fatalf("batch simulate under budget: want typed 422 fuel_exhausted, got %v", err)
 	}
 
+	// Distinct traces fan the batch node phase out over the worker pool; a
+	// trip on a pool goroutine is the same typed 422, and the server is
+	// still there for the next request (at the parent commit the panic
+	// escaped past the handler and took the whole process down).
+	_, pooled := startServer(t, Config{SimWorkers: 2})
+	distinct := wire.SimulateRequest{
+		Graph: spec, Trace: trace, Platform: "TMoteSky", OnNode: req.OnNode,
+		Nodes: 3, Duration: 16, Seed: 5, DistinctTraces: true,
+	}
+	limitedDistinct := distinct
+	limitedDistinct.Limits = &wire.LimitsWire{Fuel: 3}
+	_, err = pooled.Simulate(ctx, limitedDistinct)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity || apiErr.Code != "fuel_exhausted" {
+		t.Fatalf("distinct-trace simulate under budget: want typed 422 fuel_exhausted, got %v", err)
+	}
+	if _, err := pooled.Simulate(ctx, distinct); err != nil {
+		t.Fatalf("server did not answer after a pool-goroutine budget trip: %v", err)
+	}
+
 	// Limits on a graph with no VM work functions are a 400, not a
 	// silently ignored knob.
 	_, err = client.Simulate(ctx, wire.SimulateRequest{
