@@ -67,7 +67,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -285,7 +284,7 @@ func main() {
 			if *hosts != "" {
 				log.Fatal("-replan does not compose with -hosts (the partition service coordinates distributed replans)")
 			}
-			res, err = runReplanned(ctx, cfg, *replanWindow, spec.Scaled(rate), sv, inputs, rate, *simSeconds)
+			res, err = runReplanned(ctx, cfg, *replanWindow, spec.Scaled(rate), sv)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -378,9 +377,7 @@ func parseScenario(churn, burst string, seed int64) (*netsim.Scenario, error) {
 // state at the window boundary. Replan events print as they land in the
 // final result.
 func runReplanned(ctx context.Context, cfg runtime.Config, window float64, base *core.Spec,
-	sv solver.Solver, inputs []profile.Input, rate, seconds float64) (*runtime.Result, error) {
-	cfg.ArrivalSource = nil
-	cfg.Inputs = nil
+	sv solver.Solver) (*runtime.Result, error) {
 	cfg.WindowSeconds = window
 	planner := func(multiple float64) (*runtime.Plan, error) {
 		res, err := core.AutoPartitionWith(ctx, base, multiple, 0.005, core.Limits{}, sv)
@@ -393,32 +390,8 @@ func runReplanned(ctx context.Context, cfg runtime.Config, window float64, base 
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge every node's arrival stream into the global offer order.
-	type feedItem struct {
-		node int
-		a    runtime.Arrival
-	}
-	var feed []feedItem
-	for n := 0; n < cfg.Nodes; n++ {
-		st, err := runtime.InputStream(inputs, rate, seconds)
-		if err != nil {
-			return nil, err
-		}
-		for a, ok := st.Next(); ok; a, ok = st.Next() {
-			feed = append(feed, feedItem{node: n, a: a})
-		}
-	}
-	sort.SliceStable(feed, func(i, j int) bool {
-		if feed[i].a.Time != feed[j].a.Time {
-			return feed[i].a.Time < feed[j].a.Time
-		}
-		return feed[i].node < feed[j].node
-	})
-	for _, f := range feed {
-		if err := cs.Offer(f.node, f.a); err != nil {
-			return nil, err
-		}
+	if err := runtime.Feed(cs, &cfg); err != nil {
+		return nil, err
 	}
 	res, err := cs.Close()
 	if err != nil {

@@ -102,16 +102,13 @@ func (c *Coordinator) recovery(st *runShards) *runtime.DistRecovery {
 // server state the origin split cannot express).
 //
 // Arrivals come from cfg.ArrivalSource when set, else from cfg.Inputs
-// (scaled by cfg.RateScale), fed in exactly the order the single-host
-// streaming path uses — the Result is byte-identical either way.
+// (scaled by cfg.RateScale), through runtime.Feed — the merge the
+// single-host streaming path runs — so the Result is byte-identical
+// either way.
 func (c *Coordinator) Run(ctx context.Context, spec wire.GraphSpec, cfg runtime.Config) (res *runtime.Result, distributed bool, err error) {
 	if len(c.peers) == 0 || !runtime.Distributable(cfg) {
 		res, err = runtime.Run(cfg)
 		return res, false, err
-	}
-	source, err := arrivalSource(&cfg)
-	if err != nil {
-		return nil, false, err
 	}
 	st := c.newRunShards(ctx, spec)
 	hosts, err := st.open(cfg, nil)
@@ -126,7 +123,7 @@ func (c *Coordinator) Run(ctx context.Context, spec wire.GraphSpec, cfg runtime.
 		return nil, false, err
 	}
 	ds.EnableRecovery(c.recovery(st))
-	if err := feed(ds, &cfg, source); err != nil {
+	if err := runtime.Feed(ds, &cfg); err != nil {
 		ds.Abort()
 		return nil, true, err
 	}
@@ -154,16 +151,12 @@ func (c *Coordinator) Run(ctx context.Context, spec wire.GraphSpec, cfg runtime.
 // every trigger, moved set, and the load multiple solved for.
 func (c *Coordinator) RunControlled(ctx context.Context, spec wire.GraphSpec, cfg runtime.Config,
 	policy runtime.ReplanPolicy, plannedLoad float64, planner runtime.Planner) (res *runtime.Result, events []runtime.ReplanEvent, distributed bool, err error) {
-	source, err := arrivalSource(&cfg)
-	if err != nil {
-		return nil, nil, false, err
-	}
 	if len(c.peers) == 0 || !runtime.Distributable(cfg) {
 		cs, err := runtime.NewControlledSession(cfg, policy, plannedLoad, planner)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if err := feed(cs, &cfg, source); err != nil {
+		if err := runtime.Feed(cs, &cfg); err != nil {
 			cs.Close()
 			return nil, cs.Events(), false, err
 		}
@@ -187,7 +180,7 @@ func (c *Coordinator) RunControlled(ctx context.Context, spec wire.GraphSpec, cf
 		func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
 			return st.open(ncfg, snapshot)
 		})
-	if err := feed(dcs, &cfg, source); err != nil {
+	if err := runtime.Feed(dcs, &cfg); err != nil {
 		dcs.Abort()
 		return nil, dcs.Events(), true, err
 	}
@@ -369,75 +362,6 @@ func (r *runShards) reopen(host int, origins []int, ckpt []byte) (runtime.HostDr
 		lastErr = fmt.Errorf("dist: every peer is dead: %w", ErrHostDown)
 	}
 	return nil, fmt.Errorf("dist: no surviving peer for host %d's origins: %w", host, lastErr)
-}
-
-// arrivalSource resolves where the run's arrivals come from: the
-// config's explicit streaming source, or its periodic trace inputs
-// adapted per node (the same adaptation the single-host streaming path
-// performs).
-func arrivalSource(cfg *runtime.Config) (func(nodeID int) (runtime.Stream, error), error) {
-	if cfg.ArrivalSource != nil {
-		return cfg.ArrivalSource, nil
-	}
-	if cfg.Inputs == nil {
-		return nil, fmt.Errorf("dist: need Inputs or ArrivalSource")
-	}
-	inputs, scale, duration := cfg.Inputs, cfg.RateScale, cfg.Duration
-	return func(nodeID int) (runtime.Stream, error) {
-		ins := inputs(nodeID)
-		if len(ins) == 0 {
-			return nil, fmt.Errorf("dist: node %d has no inputs", nodeID)
-		}
-		return runtime.InputStream(ins, scale, duration)
-	}, nil
-}
-
-// offerer is feed's arrival sink: plain and controlled sessions, local
-// and distributed, all share the one merge.
-type offerer interface {
-	Offer(nodeID int, a runtime.Arrival) error
-}
-
-// feed merges every node's arrival stream by time and offers the merged
-// sequence to the session — the exact merge the single-host streaming
-// path runs (strictly-earliest head wins, lowest node index on ties),
-// which is what makes the distributed Result byte-identical to it.
-func feed(ds offerer, cfg *runtime.Config, source func(nodeID int) (runtime.Stream, error)) error {
-	streams := make([]runtime.Stream, cfg.Nodes)
-	heads := make([]runtime.Arrival, cfg.Nodes)
-	live := make([]bool, cfg.Nodes)
-	for n := range streams {
-		st, err := source(n)
-		if err != nil {
-			return err
-		}
-		if st == nil {
-			return fmt.Errorf("dist: node %d has no arrival stream", n)
-		}
-		streams[n] = st
-		heads[n], live[n] = st.Next()
-	}
-	for {
-		best := -1
-		for n := range heads {
-			if live[n] && heads[n].Time >= cfg.Duration {
-				live[n] = false
-			}
-			if !live[n] {
-				continue
-			}
-			if best < 0 || heads[n].Time < heads[best].Time {
-				best = n
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		if err := ds.Offer(best, heads[best]); err != nil {
-			return err
-		}
-		heads[best], live[best] = streams[best].Next()
-	}
 }
 
 // httpHost drives one remote shard session over the /v1/shard protocol.

@@ -141,7 +141,7 @@ func distScalingPoint(cfg runtime.Config, hostCount int, ref *runtime.Result) (*
 		return nil, err
 	}
 	start := time.Now()
-	if err := feedMerged(ds, &cfg); err != nil {
+	if err := runtime.Feed(ds, &cfg); err != nil {
 		ds.Abort()
 		return nil, err
 	}
@@ -173,44 +173,6 @@ func distScalingPoint(cfg runtime.Config, hostCount int, ref *runtime.Result) (*
 		row.WindowMs = row.WallMs / float64(windows)
 	}
 	return row, nil
-}
-
-// feedMerged merges the per-node arrival streams by time and offers the
-// sequence to the session — the same merge the single-host streaming
-// path runs (strictly-earliest head wins, lowest node index on ties).
-func feedMerged(ds *runtime.DistSession, cfg *runtime.Config) error {
-	streams := make([]runtime.Stream, cfg.Nodes)
-	heads := make([]runtime.Arrival, cfg.Nodes)
-	live := make([]bool, cfg.Nodes)
-	for n := range streams {
-		st, err := cfg.ArrivalSource(n)
-		if err != nil {
-			return err
-		}
-		streams[n] = st
-		heads[n], live[n] = st.Next()
-	}
-	for {
-		best := -1
-		for n := range heads {
-			if live[n] && heads[n].Time >= cfg.Duration {
-				live[n] = false
-			}
-			if !live[n] {
-				continue
-			}
-			if best < 0 || heads[n].Time < heads[best].Time {
-				best = n
-			}
-		}
-		if best < 0 {
-			return nil
-		}
-		if err := ds.Offer(best, heads[best]); err != nil {
-			return err
-		}
-		heads[best], live[best] = streams[best].Next()
-	}
 }
 
 // DistScalingTable renders the distributed-scaling experiment.

@@ -131,7 +131,7 @@ func hostFailurePoint(cfg runtime.Config, every, killAt int, ref *runtime.Result
 			return sh, nil
 		},
 	})
-	if err := feedMerged(ds, &cfg); err != nil {
+	if err := runtime.Feed(ds, &cfg); err != nil {
 		ds.Abort()
 		return nil, err
 	}
@@ -195,6 +195,9 @@ func ChurnRecovery(nodes int, seconds float64, meanUps []float64) ([]ChurnRecove
 			Graph: se.App.Graph, OnNode: se.CutpointOnNode(4), Platform: platform.Gumstix(),
 			Nodes: nodes, Duration: seconds, Seed: 29, WindowSeconds: 2,
 			Scenario: &netsim.Scenario{Churn: churn},
+			Inputs: func(nodeID int) []profile.Input {
+				return []profile.Input{se.App.SampleTrace(int64(900+nodeID), 2.0)}
+			},
 		}
 		row := ChurnRecoveryRow{MeanUp: mu}
 		for n := 0; n < nodes; n++ {
@@ -210,53 +213,17 @@ func ChurnRecovery(nodes int, seconds float64, meanUps []float64) ([]ChurnRecove
 		if err != nil {
 			return nil, err
 		}
-		streams := make([]runtime.Stream, nodes)
-		for n := range streams {
-			streams[n], err = runtime.InputStream(
-				[]profile.Input{se.App.SampleTrace(int64(900+n), 2.0)}, 1, seconds)
-			if err != nil {
-				return nil, err
-			}
-		}
-		heads := make([]runtime.Arrival, nodes)
-		live := make([]bool, nodes)
-		for n := range streams {
-			heads[n], live[n] = streams[n].Next()
-		}
-		record := func() {
-			evs := cs.Events()
-			if len(evs) > 0 && row.DetectWindow == 0 {
-				row.DetectWindow = int(math.Round(evs[0].Time / cfg.WindowSeconds))
-				row.RateMultiple = evs[0].RateMultiple
-			}
-			row.Replans = len(evs)
-		}
-		for {
-			best := -1
-			for n := range heads {
-				if live[n] && heads[n].Time >= seconds {
-					live[n] = false
-				}
-				if !live[n] {
-					continue
-				}
-				if best < 0 || heads[n].Time < heads[best].Time {
-					best = n
-				}
-			}
-			if best < 0 {
-				break
-			}
-			if err := cs.Offer(best, heads[best]); err != nil {
-				return nil, err
-			}
-			record()
-			heads[best], live[best] = streams[best].Next()
+		if err := runtime.Feed(cs, &cfg); err != nil {
+			return nil, err
 		}
 		if _, err := cs.Close(); err != nil {
 			return nil, err
 		}
-		record()
+		if evs := cs.Events(); len(evs) > 0 {
+			row.DetectWindow = int(math.Round(evs[0].Time / cfg.WindowSeconds))
+			row.RateMultiple = evs[0].RateMultiple
+			row.Replans = len(evs)
+		}
 		rows = append(rows, row)
 	}
 	return rows, nil

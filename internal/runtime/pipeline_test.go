@@ -66,43 +66,12 @@ func runPipelineVariants(t *testing.T, cfg Config, ref *Result, refName string) 
 	}
 }
 
-// feedStreams merges cfg.ArrivalSource's per-node streams by time and
-// pushes them through sess — the runStream loop, but against a Session
-// built by the caller.
+// feedStreams pushes cfg.ArrivalSource's merged streams through sess —
+// runStream, but against a Session built by the caller.
 func feedStreams(sess *Session, cfg *Config) (*Result, error) {
-	streams := make([]Stream, cfg.Nodes)
-	heads := make([]Arrival, cfg.Nodes)
-	live := make([]bool, cfg.Nodes)
-	for n := range streams {
-		st, err := cfg.ArrivalSource(n)
-		if err != nil {
-			sess.Close()
-			return nil, err
-		}
-		streams[n] = st
-		heads[n], live[n] = st.Next()
-	}
-	for {
-		best := -1
-		for n := range heads {
-			if live[n] && heads[n].Time >= cfg.Duration {
-				live[n] = false
-			}
-			if !live[n] {
-				continue
-			}
-			if best < 0 || heads[n].Time < heads[best].Time {
-				best = n
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if err := sess.Offer(best, heads[best]); err != nil {
-			sess.Close()
-			return nil, err
-		}
-		heads[best], live[best] = streams[best].Next()
+	if err := Feed(sess, cfg); err != nil {
+		sess.Close()
+		return nil, err
 	}
 	return sess.Close()
 }

@@ -150,8 +150,8 @@ type Config struct {
 	// ratio. Both models are pure functions of their seeds, so scenario
 	// runs stay byte-identical across placements, shard counts, pipelined
 	// vs phased execution, and snapshot/resume. Scenario runs always
-	// execute on the streaming path (Run synthesizes an ArrivalSource
-	// from Inputs when needed).
+	// execute on the streaming path (Feed adapts Inputs per node when
+	// no ArrivalSource is set).
 	Scenario *netsim.Scenario
 }
 
@@ -224,24 +224,14 @@ func Run(cfg Config) (*Result, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.ArrivalSource != nil {
-		return runStream(cfg)
-	}
-	if cfg.Inputs == nil {
+	if cfg.ArrivalSource == nil && cfg.Inputs == nil {
 		return nil, fmt.Errorf("runtime: need Inputs (or ArrivalSource for streaming)")
 	}
-	if cfg.Scenario != nil {
+	if cfg.ArrivalSource != nil || cfg.Scenario != nil {
 		// Failure models are windowed phenomena (churn gates arrivals in
 		// time, bursts price per window), so a scenario run executes on
-		// the streaming path even when the caller supplied batch Inputs.
-		inputs, scale, duration := cfg.Inputs, cfg.RateScale, cfg.Duration
-		cfg.ArrivalSource = func(nodeID int) (Stream, error) {
-			in := inputs(nodeID)
-			if len(in) == 0 {
-				return nil, fmt.Errorf("runtime: node %d has no inputs", nodeID)
-			}
-			return InputStream(in, scale, duration)
-		}
+		// the streaming path even when the caller supplied batch Inputs
+		// (Feed adapts them per node).
 		return runStream(cfg)
 	}
 	runStart := time.Now()

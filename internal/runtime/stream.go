@@ -379,29 +379,58 @@ func (s *Session) failed() error {
 	return s.err
 }
 
-// runStream is Run's streaming path: pull every node's arrival stream,
-// merge by time, and push through a Session.
+// runStream is Run's streaming path: Feed the merged arrivals through a
+// Session.
 func runStream(cfg Config) (*Result, error) {
 	sess, err := NewSession(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// On any error the session still closes, returning the pooled node
-	// and shard instances to their Program.
-	abort := func(err error) (*Result, error) {
+	if err := Feed(sess, &cfg); err != nil {
+		// The session still closes, returning the pooled node and shard
+		// instances to their Program.
 		sess.Abort()
 		return nil, err
+	}
+	return sess.Close()
+}
+
+// ArrivalSink is what Feed offers the merged arrival sequence to: plain
+// and controlled sessions, local and distributed, all take it through
+// the same Offer.
+type ArrivalSink interface {
+	Offer(nodeID int, a Arrival) error
+}
+
+// Feed pulls every node's arrival stream — cfg.ArrivalSource, or
+// cfg.Inputs adapted per node at cfg.RateScale — merges them by time and
+// offers the merged sequence to sink: the strictly-earliest head wins,
+// the lowest node index on ties. Every placement of a run feeds through
+// this one merge, which is what makes their Results byte-identical.
+func Feed(sink ArrivalSink, cfg *Config) error {
+	source := cfg.ArrivalSource
+	if source == nil {
+		if cfg.Inputs == nil {
+			return fmt.Errorf("runtime: need Inputs (or ArrivalSource for streaming)")
+		}
+		source = func(nodeID int) (Stream, error) {
+			in := cfg.Inputs(nodeID)
+			if len(in) == 0 {
+				return nil, fmt.Errorf("runtime: node %d has no inputs", nodeID)
+			}
+			return InputStream(in, cfg.RateScale, cfg.Duration)
+		}
 	}
 	streams := make([]Stream, cfg.Nodes)
 	heads := make([]Arrival, cfg.Nodes)
 	live := make([]bool, cfg.Nodes)
 	for n := range streams {
-		st, err := cfg.ArrivalSource(n)
+		st, err := source(n)
 		if err != nil {
-			return abort(err)
+			return err
 		}
 		if st == nil {
-			return abort(fmt.Errorf("runtime: node %d has no arrival stream", n))
+			return fmt.Errorf("runtime: node %d has no arrival stream", n)
 		}
 		streams[n] = st
 		heads[n], live[n] = st.Next()
@@ -411,7 +440,7 @@ func runStream(cfg Config) (*Result, error) {
 		for n := range heads {
 			// A head at or past Duration ends its stream: times are
 			// nondecreasing, so nothing useful follows — without this an
-			// endless generator-style Stream would hang Run.
+			// endless generator-style Stream would hang the run.
 			if live[n] && heads[n].Time >= cfg.Duration {
 				live[n] = false
 			}
@@ -423,12 +452,11 @@ func runStream(cfg Config) (*Result, error) {
 			}
 		}
 		if best < 0 {
-			break
+			return nil
 		}
-		if err := sess.Offer(best, heads[best]); err != nil {
-			return abort(err)
+		if err := sink.Offer(best, heads[best]); err != nil {
+			return err
 		}
 		heads[best], live[best] = streams[best].Next()
 	}
-	return sess.Close()
 }

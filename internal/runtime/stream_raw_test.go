@@ -29,41 +29,28 @@ func rawStreamConfig(app *speech.App) runtime.Config {
 }
 
 // mergedArrivals materializes the globally time-ordered arrival sequence
-// runStream would feed: per-node trace streams merged by time, lowest
-// node first on ties.
+// runStream would feed: per-node trace streams merged by runtime.Feed.
 func mergedArrivals(t *testing.T, app *speech.App, cfg runtime.Config) (nodes []int, arrs []runtime.Arrival) {
-	streams := make([]runtime.Stream, cfg.Nodes)
-	heads := make([]runtime.Arrival, cfg.Nodes)
-	live := make([]bool, cfg.Nodes)
-	for n := range streams {
-		st, err := runtime.InputStream(
-			[]profile.Input{app.SampleTrace(int64(4000+n), 2.0)}, 1, cfg.Duration)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[n] = st
-		heads[n], live[n] = st.Next()
+	cfg.Inputs = func(nodeID int) []profile.Input {
+		return []profile.Input{app.SampleTrace(int64(4000+nodeID), 2.0)}
 	}
-	for {
-		best := -1
-		for n := range heads {
-			if live[n] && heads[n].Time >= cfg.Duration {
-				live[n] = false
-			}
-			if !live[n] {
-				continue
-			}
-			if best < 0 || heads[n].Time < heads[best].Time {
-				best = n
-			}
-		}
-		if best < 0 {
-			return nodes, arrs
-		}
-		nodes = append(nodes, best)
-		arrs = append(arrs, heads[best])
-		heads[best], live[best] = streams[best].Next()
+	rec := &recordingSink{}
+	if err := runtime.Feed(rec, &cfg); err != nil {
+		t.Fatal(err)
 	}
+	return rec.nodes, rec.arrs
+}
+
+// recordingSink is the ArrivalSink that keeps what Feed offers it.
+type recordingSink struct {
+	nodes []int
+	arrs  []runtime.Arrival
+}
+
+func (r *recordingSink) Offer(nodeID int, a runtime.Arrival) error {
+	r.nodes = append(r.nodes, nodeID)
+	r.arrs = append(r.arrs, a)
+	return nil
 }
 
 // TestOfferRawParity pins the zero-copy ingestion path end to end: a
@@ -152,5 +139,53 @@ func TestOfferRawErrors(t *testing.T) {
 	}
 	if err := sess.OfferRaw(0, 1, src, "i16s", good); !errors.Is(err, runtime.ErrBadArrival) {
 		t.Errorf("out-of-order after watermark advance: got %v, want ErrBadArrival", err)
+	}
+}
+
+// tickStream is an endless generator-style Stream: one arrival every
+// period seconds, forever.
+type tickStream struct {
+	period float64
+	k      int
+}
+
+func (s *tickStream) Next() (runtime.Arrival, bool) {
+	a := runtime.Arrival{Time: float64(s.k) * s.period}
+	s.k++
+	return a, true
+}
+
+// TestFeedOrderAndDurationCut pins the one merge every placement feeds
+// through: the strictly-earliest head is offered first, the lowest node
+// index wins ties, and a head at or past Duration ends its stream — so
+// endless generators terminate instead of hanging the run.
+func TestFeedOrderAndDurationCut(t *testing.T) {
+	periods := []float64{1, 0.5, 1}
+	cfg := runtime.Config{
+		Nodes:    len(periods),
+		Duration: 3,
+		ArrivalSource: func(nodeID int) (runtime.Stream, error) {
+			return &tickStream{period: periods[nodeID]}, nil
+		},
+	}
+	rec := &recordingSink{}
+	if err := runtime.Feed(rec, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := []int{0, 1, 2, 1, 0, 1, 2, 1, 0, 1, 2, 1}
+	wantTimes := []float64{0, 0, 0, 0.5, 1, 1, 1, 1.5, 2, 2, 2, 2.5}
+	if len(rec.nodes) != len(wantNodes) {
+		t.Fatalf("fed %d arrivals (nodes %v), want %d", len(rec.nodes), rec.nodes, len(wantNodes))
+	}
+	for i := range wantNodes {
+		if rec.nodes[i] != wantNodes[i] || rec.arrs[i].Time != wantTimes[i] {
+			t.Fatalf("offer %d = node %d at t=%g, want node %d at t=%g",
+				i, rec.nodes[i], rec.arrs[i].Time, wantNodes[i], wantTimes[i])
+		}
+	}
+
+	// Neither source set is a caller error, not an empty run.
+	if err := runtime.Feed(rec, &runtime.Config{Nodes: 1, Duration: 1}); err == nil {
+		t.Fatal("Feed accepted a config with neither Inputs nor ArrivalSource")
 	}
 }

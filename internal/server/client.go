@@ -71,6 +71,12 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
+	return c.do(req, out)
+}
+
+// do sends a JSON request and decodes the 200 response into out; any
+// other status comes back as an *APIError.
+func (c *Client) do(req *http.Request, out any) error {
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -130,6 +136,37 @@ func (c *Client) SimulateResult(ctx context.Context, req wire.SimulateRequest) (
 	return wireToResult(resp.Result), resp, nil
 }
 
+// postStream sends a streaming request body — the header, then one
+// StreamChunk per batch next yields (it returns false when the trace is
+// exhausted), then a snapshot chunk when snapshot is set — through a pipe,
+// so the whole trace never resides in client memory, and decodes the JSON
+// response into out.
+func (c *Client) postStream(ctx context.Context, path string, header any,
+	next func() ([]wire.ArrivalWire, bool), snapshot bool, out any) error {
+	pr, pw := io.Pipe()
+	go func() {
+		enc := json.NewEncoder(pw)
+		err := enc.Encode(header)
+		for err == nil {
+			batch, ok := next()
+			if !ok {
+				break
+			}
+			err = enc.Encode(wire.StreamChunk{Arrivals: batch})
+		}
+		if err == nil && snapshot {
+			err = enc.Encode(wire.StreamChunk{Snapshot: true})
+		}
+		pw.CloseWithError(err) // a nil error is a plain Close
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, pr)
+	if err != nil {
+		pr.CloseWithError(err) // unblock the encoder goroutine
+		return err
+	}
+	return c.do(req, out)
+}
+
 // SimulateStream runs a streaming-ingestion simulation: the header is
 // sent first, then next is called repeatedly for arrival batches (return
 // false when the trace is exhausted), each encoded as one chunk of the
@@ -137,41 +174,8 @@ func (c *Client) SimulateResult(ctx context.Context, req wire.SimulateRequest) (
 // server memory. Arrivals must be globally nondecreasing in time.
 func (c *Client) SimulateStream(ctx context.Context, req wire.SimulateStreamRequest,
 	next func() ([]wire.ArrivalWire, bool)) (*wire.SimulateResponse, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		enc := json.NewEncoder(pw)
-		if err := enc.Encode(req); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		for {
-			batch, ok := next()
-			if !ok {
-				break
-			}
-			if err := enc.Encode(wire.StreamChunk{Arrivals: batch}); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		pw.Close()
-	}()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/simulate/stream", pr)
-	if err != nil {
-		pr.CloseWithError(err) // unblock the encoder goroutine
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var out wire.SimulateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.postStream(ctx, "/v1/simulate/stream", req, next, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -184,45 +188,8 @@ func (c *Client) SimulateStream(ctx context.Context, req wire.SimulateStreamRequ
 // later request's Resume field (on this or any other host) to continue.
 func (c *Client) SimulateStreamSnapshot(ctx context.Context, req wire.SimulateStreamRequest,
 	next func() ([]wire.ArrivalWire, bool)) ([]byte, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		enc := json.NewEncoder(pw)
-		if err := enc.Encode(req); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		for {
-			batch, ok := next()
-			if !ok {
-				break
-			}
-			if err := enc.Encode(wire.StreamChunk{Arrivals: batch}); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		if err := enc.Encode(wire.StreamChunk{Snapshot: true}); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		pw.Close()
-	}()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/simulate/stream", pr)
-	if err != nil {
-		pr.CloseWithError(err)
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var out wire.SimulateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.postStream(ctx, "/v1/simulate/stream", req, next, true, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Snapshot) == 0 {
@@ -238,41 +205,8 @@ func (c *Client) SimulateStreamSnapshot(ctx context.Context, req wire.SimulateSt
 // from these arrivals instead of its synthetic trace.
 func (c *Client) ProfileStream(ctx context.Context, req wire.ProfileStreamRequest,
 	next func() ([]wire.ArrivalWire, bool)) (*wire.ProfileResponse, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		enc := json.NewEncoder(pw)
-		if err := enc.Encode(req); err != nil {
-			pw.CloseWithError(err)
-			return
-		}
-		for {
-			batch, ok := next()
-			if !ok {
-				break
-			}
-			if err := enc.Encode(wire.StreamChunk{Arrivals: batch}); err != nil {
-				pw.CloseWithError(err)
-				return
-			}
-		}
-		pw.Close()
-	}()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/profile/stream", pr)
-	if err != nil {
-		pr.CloseWithError(err)
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
 	var out wire.ProfileResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.postStream(ctx, "/v1/profile/stream", req, next, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

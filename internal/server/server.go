@@ -38,7 +38,12 @@
 // latency — under "solvers". Request cancellation propagates into the
 // solve: an abandoned HTTP request aborts its branch-and-bound search.
 //
-// Endpoints (all request/response bodies in internal/wire):
+// Every metered route is one row of the routes table and runs through one
+// adapter (endpoint) that owns timing, the bounded body decode, the job
+// slot and the error→status mapping; docs/service.md has the full table,
+// the typed error codes and the streaming body framing. The tenant-facing
+// endpoints (all request/response bodies in internal/wire; the /v1/shard/*
+// protocol is described in shard.go):
 //
 //	POST /v1/graph           → structure + content hash of a spec's graph
 //	POST /v1/profile         → profile.Report (§3), synthetic trace
@@ -146,19 +151,10 @@ func New(cfg Config) *Server {
 		shardSessions: make(map[string]*shardSession),
 	}
 	s.cache.OnEvict(s.retireEntry)
-	s.mux.HandleFunc("POST /v1/graph", s.handleGraph)
-	s.mux.HandleFunc("POST /v1/profile", s.handleProfile)
-	s.mux.HandleFunc("POST /v1/profile/stream", s.handleProfileStream)
-	s.mux.HandleFunc("POST /v1/partition", s.handlePartition)
-	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/simulate/stream", s.handleSimulateStream)
-	s.mux.HandleFunc("POST /v1/shard/open", s.handleShardOpen)
-	s.mux.HandleFunc("POST /v1/shard/compute", s.handleShardCompute)
-	s.mux.HandleFunc("POST /v1/shard/deliver", s.handleShardDeliver)
-	s.mux.HandleFunc("POST /v1/shard/checkpoint", s.handleShardCheckpoint)
-	s.mux.HandleFunc("POST /v1/shard/close", s.handleShardClose)
-	s.mux.HandleFunc("POST /v1/shard/snapshot", s.handleShardSnapshot)
-	s.mux.HandleFunc("POST /v1/shard/abort", s.handleShardAbort)
+	for i := range routes {
+		rt := &routes[i]
+		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.serve(s, rt, w, r) })
+	}
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -330,6 +326,87 @@ func limitsOf(lw *wire.LimitsWire) wvm.Limits {
 	return wvm.Limits{Fuel: lw.Fuel, MemBytes: lw.MemBytes}
 }
 
+// route is one row of the registration table: where a request arrives,
+// the /v1/stats endpoint key it is metered under, and whether its business
+// function runs inside a job slot. The slot column is a table constant,
+// not a setting: the heavy routes (elaboration is as costly as profiling
+// for large specs, so /v1/graph counts) queue behind MaxJobs, while the
+// shard-session bookkeeping calls must stay answerable with every slot
+// busy — a coordinator tears down the very sessions that occupy them.
+type route struct {
+	pattern string
+	metric  string
+	slot    bool
+	serve   routeHandler
+}
+
+// routeHandler serves one request of route rt on server s.
+type routeHandler func(s *Server, rt *route, w http.ResponseWriter, r *http.Request)
+
+// routes is every metered endpoint of the service. New registers exactly
+// these rows and the route-table test walks the same slice, so a route
+// cannot exist without the body bound, the metric and the slot policy the
+// adapter enforces through the business-function signature.
+var routes = []route{
+	{"POST /v1/graph", "graph", true, plain((*Server).graph)},
+	{"POST /v1/profile", "profile", true, plain((*Server).profile)},
+	{"POST /v1/profile/stream", "profile_stream", true, endpoint((*Server).profileStream)},
+	{"POST /v1/partition", "partition", true, plain((*Server).partition)},
+	{"POST /v1/simulate", "simulate", true, plain((*Server).simulate)},
+	{"POST /v1/simulate/stream", "simulate_stream", true, endpoint((*Server).simulateStream)},
+	{"POST /v1/shard/open", "shard_open", true, plain((*Server).shardOpen)},
+	{"POST /v1/shard/compute", "shard_compute", true, plain((*Server).shardCompute)},
+	{"POST /v1/shard/deliver", "shard_deliver", true, plain((*Server).shardDeliver)},
+	{"POST /v1/shard/checkpoint", "shard_checkpoint", false, plain((*Server).shardCheckpoint)},
+	{"POST /v1/shard/close", "shard_close", false, plain((*Server).shardClose)},
+	{"POST /v1/shard/snapshot", "shard_snapshot", false, plain((*Server).shardSnapshot)},
+	{"POST /v1/shard/abort", "shard_abort", false, plain((*Server).shardAbort)},
+}
+
+// endpoint adapts a business function to a route. It is the one place a
+// request becomes a metered, bounded, slot-governed call: it times the
+// request into the route's metric, decodes the first JSON value of the
+// body — the whole request, or a streaming route's header — under the
+// body budget, holds a job slot around fn when the route says so, and
+// writes fn's response or its error's status. fn reports (response,
+// served-from-cache, error) and sees nothing of HTTP; a streaming fn
+// keeps decoding its chunks from the same budgeted body.
+func endpoint[Req, Resp any](fn func(*Server, context.Context, *Req, *requestBody) (Resp, bool, error)) routeHandler {
+	return func(s *Server, rt *route, w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		var hit bool
+		var err error
+		defer func() { s.metrics.Observe(rt.metric, time.Since(start), hit, err) }()
+		body := &requestBody{src: r.Body}
+		body.Decoder = json.NewDecoder(body)
+		var req Req
+		if err = body.decodeNext(&req); err != nil {
+			fail(w, err)
+			return
+		}
+		if rt.slot {
+			if err = s.acquireJob(r.Context()); err != nil {
+				fail(w, err)
+				return
+			}
+			defer s.releaseJob()
+		}
+		var resp Resp
+		if resp, hit, err = fn(s, r.Context(), &req, body); err != nil {
+			fail(w, err)
+			return
+		}
+		respond(w, resp)
+	}
+}
+
+// plain is endpoint for the routes whose body is one JSON value.
+func plain[Req, Resp any](fn func(*Server, context.Context, *Req) (Resp, bool, error)) routeHandler {
+	return endpoint(func(s *Server, ctx context.Context, req *Req, _ *requestBody) (Resp, bool, error) {
+		return fn(s, ctx, req)
+	})
+}
+
 // respond writes v as JSON.
 func respond(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -350,24 +427,57 @@ func fail(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(wire.ErrorResponse{Error: err.Error(), Code: kind})
 }
 
-// maxBodyBytes bounds a non-streaming JSON request body. The largest such
-// body the tests and benchmark workloads send is one /v1/shard/compute
-// window (749 064 B for dist-loopback: 1 s of 32 origins); a default 10 s
-// window from `wishbone -hosts` is about ten times that, so the bound
-// leaves room well above it while still refusing to buffer without limit.
+// maxBodyBytes bounds how much request body one JSON value may make the
+// decoder buffer. The largest such value the tests and benchmark workloads
+// send is one /v1/shard/compute window (749 064 B for dist-loopback: 1 s
+// of 32 origins); a default 10 s window from `wishbone -hosts` is about
+// ten times that, so the bound leaves room well above it while still
+// refusing to buffer without limit.
 const maxBodyBytes = 64 << 20
 
-// decode parses the request body into v, reading at most maxBodyBytes.
-func decode(r *http.Request, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes)).Decode(v)
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		return &httpError{code: http.StatusRequestEntityTooLarge, kind: "body_too_large", err: err}
-	case err != nil:
-		return badRequest("bad request body: %v", err)
+var errBodyTooLarge = errors.New("request body value exceeds the size limit")
+
+// requestBody is a request's JSON decoder reading through a byte budget.
+// A plain route spends one budget on its whole body. A streaming route's
+// body has no total bound — the trace is never resident — so renew grants
+// a fresh budget after the header and after every arrival: what is capped
+// is the single value the decoder would otherwise buffer whole.
+type requestBody struct {
+	*json.Decoder
+	src   io.Reader
+	spent int64
+}
+
+func (b *requestBody) Read(p []byte) (int, error) {
+	if b.spent >= maxBodyBytes {
+		return 0, errBodyTooLarge
 	}
+	if room := maxBodyBytes - b.spent; int64(len(p)) > room {
+		p = p[:room]
+	}
+	n, err := b.src.Read(p)
+	b.spent += int64(n)
+	return n, err
+}
+
+func (b *requestBody) renew() { b.spent = 0 }
+
+// decodeNext decodes the body's next JSON value into v and renews the
+// budget. An exhausted budget is a typed 413, anything else a 400.
+func (b *requestBody) decodeNext(v any) error {
+	if err := b.Decode(v); err != nil {
+		return bodyError(err)
+	}
+	b.renew()
 	return nil
+}
+
+// bodyError maps a decoder failure on the request body to its status.
+func bodyError(err error) error {
+	if errors.Is(err, errBodyTooLarge) {
+		return &httpError{code: http.StatusRequestEntityTooLarge, kind: "body_too_large", err: err}
+	}
+	return badRequest("bad request body: %v", err)
 }
 
 // acquireJob takes a slot in the bounded pool, waiting in the queue until
@@ -520,139 +630,88 @@ func parsePlatform(name string) (*platform.Platform, error) {
 	return p, nil
 }
 
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req wire.GraphRequest
-	var err error
-	var hit bool
-	defer func() { s.metrics.Observe("graph", time.Since(start), hit, err) }()
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	// Elaboration is as heavy as profiling for large specs (wscript
-	// compilation, 1.2k-operator EEG graphs); it takes a job slot too.
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	var e *entry
-	e, hit, err = s.getEntry(req.Graph, wvm.Limits{})
+func (s *Server) graph(_ context.Context, req *wire.GraphRequest) (*wire.GraphResponse, bool, error) {
+	e, hit, err := s.getEntry(req.Graph, wvm.Limits{})
 	if err != nil {
-		fail(w, err)
-		return
+		return nil, false, err
 	}
-	respond(w, wire.GraphResponse{GraphHash: e.key, Graph: wire.NewGraphWire(e.graph)})
+	return &wire.GraphResponse{GraphHash: e.key, Graph: wire.NewGraphWire(e.graph)}, hit, nil
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	var hit bool
-	defer func() { s.metrics.Observe("profile", time.Since(start), hit, err) }()
-	var req wire.ProfileRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	e, entryHit, err2 := s.getEntry(req.Graph, wvm.Limits{})
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	rep, repHit, err2 := s.profiledReport(e, traceDefaults(req.Trace))
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	hit = entryHit && repHit
-	respond(w, wire.ProfileResponse{
-		GraphHash: e.key,
-		CacheHit:  hit,
-		Report:    wire.NewReportWire(rep),
-	})
-}
-
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	var hit bool
-	defer func() { s.metrics.Observe("partition", time.Since(start), hit, err) }()
-	var req wire.PartitionRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	resp, err2 := s.partition(r.Context(), &req)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	hit = resp.CacheHit
-	respond(w, resp)
-}
-
-// partition runs the shared auto-partition path (also the simulate
-// fallback when no explicit cut is given) with the request's solver
-// backend, and feeds every backend invocation into the per-solver
-// win/latency metrics.
-func (s *Server) partition(ctx context.Context, req *wire.PartitionRequest) (*wire.PartitionResponse, error) {
-	mode, err := parseMode(req.Mode)
-	if err != nil {
-		return nil, err
-	}
-	plat, err := parsePlatform(req.Platform)
-	if err != nil {
-		return nil, err
-	}
-	sv, err := solver.New(req.Solver, core.DefaultOptions())
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
+func (s *Server) profile(_ context.Context, req *wire.ProfileRequest) (*wire.ProfileResponse, bool, error) {
 	e, entryHit, err := s.getEntry(req.Graph, wvm.Limits{})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	rep, repHit, err := s.profiledReport(e, traceDefaults(req.Trace))
 	if err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	hit := entryHit && repHit
+	return &wire.ProfileResponse{GraphHash: e.key, CacheHit: hit, Report: wire.NewReportWire(rep)}, hit, nil
+}
+
+func (s *Server) partition(ctx context.Context, req *wire.PartitionRequest) (*wire.PartitionResponse, bool, error) {
+	e, res, hit, err := s.autoPartition(ctx, req.Graph, req.Trace, req.Platform, req.Mode, req.Solver)
+	if err != nil {
+		return nil, false, err
+	}
+	return &wire.PartitionResponse{
+		GraphHash:    e.key,
+		CacheHit:     hit,
+		RateMultiple: res.RateMultiple,
+		Probes:       res.Probes,
+		Assignment:   wire.NewAssignmentWire(e.graph, res.Assignment),
+	}, hit, nil
+}
+
+// autoPartition is the shared auto-partition step — /v1/partition, and a
+// simulation's cut when the request names none: profile the graph's
+// unmetered entry on the synthetic trace, then run the §4.3 rate search
+// with the named solver backend, feeding every backend invocation into
+// the per-solver win/latency metrics. hit reports whether the entry and
+// its report both came from cache.
+func (s *Server) autoPartition(ctx context.Context, graph wire.GraphSpec, trace wire.TraceSpec,
+	platformName, modeName, solverName string) (e *entry, res *core.AutoResult, hit bool, err error) {
+	mode, err := parseMode(modeName)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	plat, err := parsePlatform(platformName)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	sv, err := solver.New(solverName, core.DefaultOptions())
+	if err != nil {
+		return nil, nil, false, badRequest("%v", err)
+	}
+	e, entryHit, err := s.getEntry(graph, wvm.Limits{})
+	if err != nil {
+		return nil, nil, false, err
+	}
+	rep, repHit, err := s.profiledReport(e, traceDefaults(trace))
+	if err != nil {
+		return nil, nil, false, err
 	}
 	cls, err := e.classify(mode)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, nil, false, badRequest("%v", err)
 	}
 	spec := profile.BuildSpec(cls, rep, plat)
-	res, err := core.AutoPartitionWith(ctx, spec, 1.0, 0.005, core.Limits{}, sv)
+	res, err = core.AutoPartitionWith(ctx, spec, 1.0, 0.005, core.Limits{}, sv)
 	if res != nil {
 		s.observeSolves(res.Solves)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
 	if res.Assignment == nil {
-		return nil, &httpError{
+		return nil, nil, false, &httpError{
 			code: http.StatusUnprocessableEntity,
 			err:  fmt.Errorf("no feasible partition at any rate on %s", plat.Name),
 		}
 	}
-	return &wire.PartitionResponse{
-		GraphHash:    e.key,
-		CacheHit:     entryHit && repHit,
-		RateMultiple: res.RateMultiple,
-		Probes:       res.Probes,
-		Assignment:   wire.NewAssignmentWire(e.graph, res.Assignment),
-	}, nil
+	return e, res, entryHit && repHit, nil
 }
 
 // observeSolves folds per-probe backend stats into the metrics; raced
@@ -674,69 +733,109 @@ func (s *Server) observeSolves(solves []core.BackendStats) {
 	}
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	var hit bool
-	defer func() { s.metrics.Observe("simulate", time.Since(start), hit, err) }()
-	var req wire.SimulateRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	resp, err2 := s.simulate(r.Context(), &req)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	hit = resp.CacheHit
-	respond(w, resp)
+// runSpec is what every simulation entry point's request says about the
+// run itself, lifted out of the three wire shapes (SimulateRequest,
+// SimulateStreamRequest, ShardOpenRequest) that carry it.
+type runSpec struct {
+	graph    wire.GraphSpec
+	limits   *wire.LimitsWire
+	platform string
+
+	// The cut: the explicit on-node operator IDs, or — when auto is set —
+	// the shared auto-partition step over (trace, mode, solver).
+	onNode       []int
+	auto         bool
+	trace        wire.TraceSpec
+	mode, solver string
+	rateScale    float64 // 0 adopts the auto-partition's rate multiple, else 1
+
+	nodes    int
+	duration float64
+	seed     int64
+	shards   int
+	scenario *wire.ScenarioWire
 }
 
-func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire.SimulateResponse, error) {
-	plat, err := parsePlatform(req.Platform)
+// resolveRun turns a runSpec into the run's cached entry and a
+// runtime.Config carrying everything the three entry points share: graph,
+// cut, compiled Programs, platform, deployment size, seed, worker and
+// shard budgets, the applied rate (Config.RateScale) and the scenario.
+// Callers add only what differs — inputs; window, buffer and resume;
+// origins. hit reports whether everything came from cache.
+func (s *Server) resolveRun(ctx context.Context, rs *runSpec) (e *entry, cfg wbruntime.Config, hit bool, err error) {
+	plat, err := parsePlatform(rs.platform)
 	if err != nil {
-		return nil, err
+		return nil, cfg, false, err
 	}
-	if err := checkSimSize(req.Nodes, req.Duration); err != nil {
-		return nil, err
+	if err := checkSimSize(rs.nodes, rs.duration); err != nil {
+		return nil, cfg, false, err
 	}
-	e, entryHit, err := s.getEntry(req.Graph, limitsOf(req.Limits))
+	e, hit, err = s.getEntry(rs.graph, limitsOf(rs.limits))
 	if err != nil {
-		return nil, err
+		return nil, cfg, false, err
 	}
-	onNode, rate, cutHit, err := s.resolveCut(ctx, e, req)
+	rate := rs.rateScale
+	var onNode map[int]bool
+	if rs.auto {
+		_, res, planHit, err := s.autoPartition(ctx, rs.graph, rs.trace, rs.platform, rs.mode, rs.solver)
+		if err != nil {
+			return nil, cfg, false, err
+		}
+		hit = hit && planHit
+		onNode = res.Assignment.OnNode
+		if rate <= 0 {
+			rate = res.RateMultiple
+		}
+	} else {
+		onNode = make(map[int]bool, e.graph.NumOperators())
+		for _, op := range e.graph.Operators() {
+			onNode[op.ID()] = false
+		}
+		for _, id := range rs.onNode {
+			if e.graph.ByID(id) == nil {
+				return nil, cfg, false, badRequest("onNode lists unknown operator %d", id)
+			}
+			onNode[id] = true
+		}
+	}
+	if rate <= 0 {
+		rate = 1
+	}
+	scenario, err := scenarioFromWire(rs.scenario)
 	if err != nil {
-		return nil, err
-	}
-	hit := entryHit && cutHit
-
-	cfg := wbruntime.Config{
-		Graph:     e.graph,
-		OnNode:    onNode,
-		Platform:  plat,
-		Nodes:     req.Nodes,
-		Duration:  req.Duration,
-		RateScale: rate,
-		Seed:      req.Seed,
-		Workers:   s.cfg.SimWorkers,
-		Shards:    req.Shards,
-	}
-	if cfg.Scenario, err = scenarioFromWire(req.Scenario); err != nil {
-		return nil, err
+		return nil, cfg, false, err
 	}
 	progs, progHit, err := s.partitionProgramsFor(e, onNode)
 	if err != nil {
-		return nil, err
+		return nil, cfg, false, err
 	}
-	hit = hit && progHit
-	cfg.NodeProgram, cfg.ServerProgram = progs.node, progs.server
+	return e, wbruntime.Config{
+		Graph:         e.graph,
+		OnNode:        onNode,
+		Platform:      plat,
+		Nodes:         rs.nodes,
+		Duration:      rs.duration,
+		RateScale:     rate,
+		Seed:          rs.seed,
+		Workers:       s.cfg.SimWorkers,
+		Shards:        rs.shards,
+		Scenario:      scenario,
+		NodeProgram:   progs.node,
+		ServerProgram: progs.server,
+	}, hit && progHit, nil
+}
 
+func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire.SimulateResponse, bool, error) {
+	e, cfg, hit, err := s.resolveRun(ctx, &runSpec{
+		graph: req.Graph, limits: req.Limits, platform: req.Platform,
+		onNode: req.OnNode, auto: len(req.OnNode) == 0,
+		trace: req.Trace, mode: req.Mode, solver: req.Solver, rateScale: req.RateScale,
+		nodes: req.Nodes, duration: req.Duration, seed: req.Seed, shards: req.Shards,
+		scenario: req.Scenario,
+	})
+	if err != nil {
+		return nil, false, err
+	}
 	t := traceDefaults(req.Trace)
 	if req.DistinctTraces {
 		cfg.Inputs = func(nodeID int) []profile.Input {
@@ -747,7 +846,7 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire
 	} else {
 		shared := e.traces(t)
 		if len(shared) == 0 {
-			return nil, badRequest("graph has no trace inputs")
+			return nil, false, badRequest("graph has no trace inputs")
 		}
 		cfg.Inputs = func(nodeID int) []profile.Input { return shared }
 	}
@@ -758,87 +857,16 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire
 	res, err := wbruntime.Run(cfg)
 	if err != nil {
 		if me := meteringError(err); me != nil {
-			return nil, me
+			return nil, false, me
 		}
-		return nil, badRequest("%v", err)
+		return nil, false, badRequest("%v", err)
 	}
 	return &wire.SimulateResponse{
 		GraphHash:    e.key,
 		CacheHit:     hit,
-		RateMultiple: rate,
+		RateMultiple: cfg.RateScale,
 		Result:       resultToWire(res),
-	}, nil
-}
-
-// resolveCut resolves a simulate request's partition: explicit operator
-// IDs, or the shared auto-partition path. It returns the on-node map, the
-// applied rate scale, and whether everything came from cache.
-func (s *Server) resolveCut(ctx context.Context, e *entry, req *wire.SimulateRequest) (map[int]bool, float64, bool, error) {
-	hit := true
-	rate := req.RateScale
-	var onNode map[int]bool
-	if len(req.OnNode) > 0 {
-		onNode = make(map[int]bool, e.graph.NumOperators())
-		for _, op := range e.graph.Operators() {
-			onNode[op.ID()] = false
-		}
-		for _, id := range req.OnNode {
-			if e.graph.ByID(id) == nil {
-				return nil, 0, false, badRequest("onNode lists unknown operator %d", id)
-			}
-			onNode[id] = true
-		}
-	} else {
-		presp, err := s.partition(ctx, &wire.PartitionRequest{
-			Graph:    req.Graph,
-			Trace:    req.Trace,
-			Platform: req.Platform,
-			Mode:     req.Mode,
-			Solver:   req.Solver,
-		})
-		if err != nil {
-			return nil, 0, false, err
-		}
-		hit = presp.CacheHit
-		onNode = presp.Assignment.OnNodeMap(e.graph)
-		if rate <= 0 {
-			rate = presp.RateMultiple
-		}
-	}
-	if rate <= 0 {
-		rate = 1
-	}
-	return onNode, rate, hit, nil
-}
-
-// handleSimulateStream is the streaming-ingestion endpoint: the body is a
-// SimulateStreamRequest header followed by StreamChunk objects until EOF
-// (chunked JSON). Arrivals feed straight into a runtime.Session, so the
-// trace is never materialized server-side.
-func (s *Server) handleSimulateStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	var hit bool
-	defer func() { s.metrics.Observe("simulate_stream", time.Since(start), hit, err) }()
-	dec := json.NewDecoder(r.Body)
-	var req wire.SimulateStreamRequest
-	if err2 := dec.Decode(&req); err2 != nil {
-		err = badRequest("bad request header: %v", err2)
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	resp, err2 := s.simulateStream(r.Context(), &req, dec)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	hit = resp.CacheHit
-	respond(w, resp)
+	}, hit, nil
 }
 
 // streamSession is the ingestion surface ingestStream drives: a plain
@@ -848,53 +876,25 @@ type streamSession interface {
 	OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ string, raw []byte) error
 }
 
-func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamRequest, dec *json.Decoder) (*wire.SimulateResponse, error) {
-	plat, err := parsePlatform(req.Platform)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkSimSize(req.Nodes, req.Duration); err != nil {
-		return nil, err
-	}
-	e, entryHit, err := s.getEntry(req.Graph, limitsOf(req.Limits))
-	if err != nil {
-		return nil, err
-	}
-	onNode, rate, cutHit, err := s.resolveCut(ctx, e, &wire.SimulateRequest{
-		Graph:    req.Graph,
-		Trace:    req.Trace,
-		Platform: req.Platform,
-		Mode:     req.Mode,
-		Solver:   req.Solver,
-		OnNode:   req.OnNode,
+// simulateStream is the streaming-ingestion endpoint: the body is a
+// SimulateStreamRequest header followed by StreamChunk objects until EOF
+// (chunked JSON). Arrivals feed straight into a runtime.Session, so the
+// trace is never materialized server-side.
+func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamRequest, body *requestBody) (*wire.SimulateResponse, bool, error) {
+	e, scfg, hit, err := s.resolveRun(ctx, &runSpec{
+		graph: req.Graph, limits: req.Limits, platform: req.Platform,
+		onNode: req.OnNode, auto: len(req.OnNode) == 0,
+		trace: req.Trace, mode: req.Mode, solver: req.Solver,
+		nodes: req.Nodes, duration: req.Duration, seed: req.Seed, shards: req.Shards,
+		scenario: req.Scenario,
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	progs, progHit, err := s.partitionProgramsFor(e, onNode)
-	if err != nil {
-		return nil, err
-	}
-	maxBuffered := s.cfg.StreamMaxBuffered
-	if maxBuffered <= 0 {
-		maxBuffered = defaultStreamMaxBuffered
-	}
-	scfg := wbruntime.Config{
-		Graph:               e.graph,
-		OnNode:              onNode,
-		Platform:            plat,
-		Nodes:               req.Nodes,
-		Duration:            req.Duration,
-		Seed:                req.Seed,
-		Workers:             s.cfg.SimWorkers,
-		Shards:              req.Shards,
-		WindowSeconds:       req.WindowSeconds,
-		MaxBufferedArrivals: maxBuffered,
-		NodeProgram:         progs.node,
-		ServerProgram:       progs.server,
-	}
-	if scfg.Scenario, err = scenarioFromWire(req.Scenario); err != nil {
-		return nil, err
+	scfg.WindowSeconds = req.WindowSeconds
+	scfg.MaxBufferedArrivals = s.cfg.StreamMaxBuffered
+	if scfg.MaxBufferedArrivals <= 0 {
+		scfg.MaxBufferedArrivals = defaultStreamMaxBuffered
 	}
 	var sess *wbruntime.Session
 	if len(req.Resume) > 0 {
@@ -906,7 +906,7 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 		sess, err = wbruntime.NewSession(scfg)
 	}
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, false, badRequest("%v", err)
 	}
 
 	// With Replan set, attach the control loop: the wrapper owns the inner
@@ -918,10 +918,10 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 	closeSess := sess.Close
 	snapSess := sess.Snapshot
 	if req.Replan != nil {
-		planner, perr := s.replanPlanner(ctx, e, req, plat)
+		planner, perr := s.replanPlanner(ctx, e, req, scfg.Platform)
 		if perr != nil {
 			sess.Close()
-			return nil, perr
+			return nil, false, perr
 		}
 		cs = wbruntime.ControlSession(sess, s.sessionReplanPolicy(req.Replan), 0, planner)
 		ingest = cs
@@ -945,10 +945,10 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 		return resp
 	}
 
-	snap, err := s.ingestStream(dec, e, ingest)
+	snap, err := s.ingestStream(body, e, ingest)
 	if err != nil {
 		closeSess()
-		return nil, err
+		return nil, false, err
 	}
 	if snap {
 		data, err := snapSess()
@@ -956,14 +956,14 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 			// A graph without snapshot codecs fails before teardown — the
 			// session is still open; release it and report the fault.
 			closeSess()
-			return nil, badRequest("%v", err)
+			return nil, false, badRequest("%v", err)
 		}
 		return finish(&wire.SimulateResponse{
 			GraphHash:    e.key,
-			CacheHit:     entryHit && cutHit && progHit,
-			RateMultiple: rate,
+			CacheHit:     hit,
+			RateMultiple: scfg.RateScale,
 			Snapshot:     data,
-		}), nil
+		}), hit, nil
 	}
 	res, err := closeSess()
 	if err != nil {
@@ -971,16 +971,16 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 		// runs inside Close) is still the tenant's 422; anything else is
 		// an engine invariant, not a client fault → 500.
 		if me := meteringError(err); me != nil {
-			return nil, me
+			return nil, false, me
 		}
-		return nil, err
+		return nil, false, err
 	}
 	return finish(&wire.SimulateResponse{
 		GraphHash:    e.key,
-		CacheHit:     entryHit && cutHit && progHit,
-		RateMultiple: rate,
+		CacheHit:     hit,
+		RateMultiple: scfg.RateScale,
 		Result:       resultToWire(res),
-	}), nil
+	}), hit, nil
 }
 
 // replanPolicy maps the wire control-loop knobs onto the runtime policy.
@@ -1151,12 +1151,14 @@ func lambdaOf(solves []core.BackendStats) ([3]float64, bool) {
 // JSON value to Session.OfferRaw, which decodes it into the session's
 // ingest arena. Nothing per-chunk or per-arrival is materialized: no
 // []ArrivalWire slice, no RawMessage copy (the wire's Value buffer is
-// reused — OfferRaw does not retain it), no per-value allocation.
+// reused — OfferRaw does not retain it), no per-value allocation. The
+// body budget renews at every chunk and after every decoded value, so no
+// single arrival can make the decoder buffer more than maxBodyBytes.
 //
 // A chunk carrying `"snapshot": true` ends ingestion: the return is
 // (true, nil) and the caller freezes the session instead of closing it;
 // any body bytes after the directive are ignored.
-func (s *Server) ingestStream(dec *json.Decoder, e *entry, sess streamSession) (snapshot bool, err error) {
+func (s *Server) ingestStream(body *requestBody, e *entry, sess streamSession) (snapshot bool, err error) {
 	var aw wire.ArrivalWire
 	offer := func() error {
 		src := e.graph.ByID(aw.Source)
@@ -1187,19 +1189,20 @@ func (s *Server) ingestStream(dec *json.Decoder, e *entry, sess streamSession) (
 		return nil
 	}
 	for {
-		tok, err := dec.Token()
+		tok, err := body.Token()
 		if err == io.EOF {
 			return false, nil
 		} else if err != nil {
-			return false, badRequest("bad stream chunk: %v", err)
+			return false, bodyError(err)
 		}
 		if d, ok := tok.(json.Delim); !ok || d != '{' {
 			return false, badRequest("bad stream chunk: expected object, got %v", tok)
 		}
+		body.renew()
 		for {
-			tok, err := dec.Token()
+			tok, err := body.Token()
 			if err != nil {
-				return false, badRequest("bad stream chunk: %v", err)
+				return false, bodyError(err)
 			}
 			if d, ok := tok.(json.Delim); ok && d == '}' {
 				break
@@ -1210,8 +1213,8 @@ func (s *Server) ingestStream(dec *json.Decoder, e *entry, sess streamSession) (
 			}
 			if key == "snapshot" {
 				var b bool
-				if err := dec.Decode(&b); err != nil {
-					return false, badRequest("bad stream chunk: %v", err)
+				if err := body.decodeNext(&b); err != nil {
+					return false, err
 				}
 				if b {
 					return true, nil
@@ -1222,14 +1225,14 @@ func (s *Server) ingestStream(dec *json.Decoder, e *entry, sess streamSession) (
 				// Unknown chunk fields are skipped whole, like the
 				// Decode-based loop would.
 				aw.Value = aw.Value[:0]
-				if err := dec.Decode(&aw.Value); err != nil {
-					return false, badRequest("bad stream chunk: %v", err)
+				if err := body.decodeNext(&aw.Value); err != nil {
+					return false, err
 				}
 				continue
 			}
-			tok, err = dec.Token()
+			tok, err = body.Token()
 			if err != nil {
-				return false, badRequest("bad stream chunk: %v", err)
+				return false, bodyError(err)
 			}
 			if tok == nil {
 				continue // "arrivals": null — an empty chunk
@@ -1237,72 +1240,48 @@ func (s *Server) ingestStream(dec *json.Decoder, e *entry, sess streamSession) (
 			if d, ok := tok.(json.Delim); !ok || d != '[' {
 				return false, badRequest("bad stream chunk: arrivals must be an array")
 			}
-			for dec.More() {
+			for body.More() {
 				// Reset per element: Decode merges into the struct, so an
 				// absent field would otherwise keep the previous
 				// arrival's value.
 				aw = wire.ArrivalWire{Value: aw.Value[:0]}
-				if err := dec.Decode(&aw); err != nil {
-					return false, badRequest("bad stream chunk: %v", err)
+				if err := body.decodeNext(&aw); err != nil {
+					return false, err
 				}
 				if err := offer(); err != nil {
 					return false, err
 				}
 			}
-			if _, err := dec.Token(); err != nil { // closing ']'
-				return false, badRequest("bad stream chunk: %v", err)
+			if _, err := body.Token(); err != nil { // closing ']'
+				return false, bodyError(err)
 			}
 		}
 	}
 }
 
-// handleProfileStream is the client-trace profiling endpoint: the body is
-// a ProfileStreamRequest header followed by StreamChunk objects until EOF,
+// profileStream is the client-trace profiling endpoint: the body is a
+// ProfileStreamRequest header followed by StreamChunk objects until EOF,
 // exactly like /v1/simulate/stream. Instead of the synthetic trace, the
 // profiler measures operator costs and edge rates against the tenant's
 // own arrivals — the profile the control plane's drift detection and
 // re-planning consume. The resulting report is trace-specific and never
 // cached.
-func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("profile_stream", time.Since(start), false, err) }()
-	dec := json.NewDecoder(r.Body)
-	var req wire.ProfileStreamRequest
-	if err2 := dec.Decode(&req); err2 != nil {
-		err = badRequest("bad request header: %v", err2)
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	resp, err2 := s.profileStream(&req, dec)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	respond(w, resp)
-}
-
-func (s *Server) profileStream(req *wire.ProfileStreamRequest, dec *json.Decoder) (*wire.ProfileResponse, error) {
+func (s *Server) profileStream(_ context.Context, req *wire.ProfileStreamRequest, body *requestBody) (*wire.ProfileResponse, bool, error) {
 	e, _, err := s.getEntry(req.Graph, wvm.Limits{})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	prog, _, err := s.profileProgram(e)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	pc := newProfileCollector(e.graph)
-	if _, err := s.ingestStream(dec, e, pc); err != nil {
-		return nil, err
+	if _, err := s.ingestStream(body, e, pc); err != nil {
+		return nil, false, err
 	}
 	inputs, err := pc.inputs(req.Rate)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var rep *profile.Report
 	rerr := runGuarded(func() error {
@@ -1312,14 +1291,11 @@ func (s *Server) profileStream(req *wire.ProfileStreamRequest, dec *json.Decoder
 	})
 	if rerr != nil {
 		if me := meteringError(rerr); me != nil {
-			return nil, me
+			return nil, false, me
 		}
-		return nil, badRequest("%v", rerr)
+		return nil, false, badRequest("%v", rerr)
 	}
-	return &wire.ProfileResponse{
-		GraphHash: e.key,
-		Report:    wire.NewReportWire(rep),
-	}, nil
+	return &wire.ProfileResponse{GraphHash: e.key, Report: wire.NewReportWire(rep)}, false, nil
 }
 
 // profileCollector is the streamSession that backs /v1/profile/stream: it
@@ -1395,34 +1371,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	respond(w, s.Stats())
 }
 
-// resultToWire and wireToResult copy between runtime.Result and its wire
-// mirror (wire cannot import runtime).
-func resultToWire(r *wbruntime.Result) *wire.ResultWire {
-	return &wire.ResultWire{
-		InputEvents:           r.InputEvents,
-		ProcessedEvents:       r.ProcessedEvents,
-		MsgsSent:              r.MsgsSent,
-		MsgsReceived:          r.MsgsReceived,
-		PayloadBytes:          r.PayloadBytes,
-		DeliveredBytes:        r.DeliveredBytes,
-		ServerEmits:           r.ServerEmits,
-		OfferedAirBytesPerSec: r.OfferedAirBytesPerSec,
-		DeliveryRatio:         r.DeliveryRatio,
-		NodeCPU:               r.NodeCPU,
-	}
-}
+// resultToWire and wireToResult convert between runtime.Result and its
+// wire mirror (wire cannot import runtime). The two structs differ only in
+// their tags, so each is a pointer conversion — a field added to one side
+// alone stops compiling instead of being silently dropped.
+func resultToWire(r *wbruntime.Result) *wire.ResultWire { return (*wire.ResultWire)(r) }
 
-func wireToResult(w *wire.ResultWire) *wbruntime.Result {
-	return &wbruntime.Result{
-		InputEvents:           w.InputEvents,
-		ProcessedEvents:       w.ProcessedEvents,
-		MsgsSent:              w.MsgsSent,
-		MsgsReceived:          w.MsgsReceived,
-		PayloadBytes:          w.PayloadBytes,
-		DeliveredBytes:        w.DeliveredBytes,
-		ServerEmits:           w.ServerEmits,
-		OfferedAirBytesPerSec: w.OfferedAirBytesPerSec,
-		DeliveryRatio:         w.DeliveryRatio,
-		NodeCPU:               w.NodeCPU,
-	}
-}
+func wireToResult(w *wire.ResultWire) *wbruntime.Result { return (*wbruntime.Result)(w) }

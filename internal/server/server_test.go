@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -631,25 +632,118 @@ func (spaces) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestServerBodyLimit: a non-streaming JSON body past maxBodyBytes is
-// refused with a typed 413 instead of being buffered without bound, and
-// the server keeps answering.
-func TestServerBodyLimit(t *testing.T) {
-	_, client := startServer(t, Config{})
-	resp, err := client.http.Post(client.base+"/v1/simulate", "application/json",
-		io.LimitReader(spaces{}, maxBodyBytes+1))
+// postRaw posts body to a route path and returns the typed error the
+// service answered with (nil on 200).
+func postRaw(t *testing.T, client *Client, path string, body io.Reader) *APIError {
+	t.Helper()
+	resp, err := client.http.Post(client.base+path, "application/json", body)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
-	var apiErr *APIError
-	if err := apiError(resp); !errors.As(err, &apiErr) ||
-		apiErr.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != "body_too_large" {
-		t.Fatalf("over-limit body: want typed 413 body_too_large, got %v", err)
+	if resp.StatusCode == http.StatusOK {
+		return nil
 	}
-	if _, err := client.Simulate(context.Background(), wire.SimulateRequest{
-		Graph: wire.GraphSpec{App: "speech"}, Platform: "TMoteSky", Nodes: 1, Duration: 2,
-	}); err != nil {
-		t.Fatalf("server did not answer after refusing an over-limit body: %v", err)
+	var apiErr *APIError
+	if !errors.As(apiError(resp), &apiErr) {
+		t.Fatalf("POST %s: non-200 without an APIError", path)
+	}
+	return apiErr
+}
+
+// TestServerBodyLimit: a JSON value past maxBodyBytes is refused with a
+// typed 413 instead of being buffered without bound — a plain route's
+// whole body, a streaming route's header, and a single arrival inside an
+// otherwise unbounded stream — and the server keeps answering.
+func TestServerBodyLimit(t *testing.T) {
+	_, client := startServer(t, Config{})
+	e := localEntry(t, wire.GraphSpec{App: "speech"})
+	src := e.graph.Sources()[0].ID()
+	simHeader := fmt.Sprintf(`{"graph":{"app":"speech"},"platform":"TMoteSky","onNode":[%d],"nodes":1,"duration":2}`, src)
+	const profHeader = `{"graph":{"app":"speech"}}`
+	// The decoder reads ahead of the value it is on, so the padding
+	// overshoots the budget by more than any read-ahead it can hold.
+	pad := func() io.Reader { return io.LimitReader(spaces{}, maxBodyBytes+64<<10) }
+	for _, tc := range []struct{ name, path, prefix string }{
+		{"plain", "/v1/simulate", ""},
+		{"simulate-stream-header", "/v1/simulate/stream", `{"graph":`},
+		{"profile-stream-header", "/v1/profile/stream", `{"graph":`},
+		{"simulate-stream-arrival", "/v1/simulate/stream", simHeader + `{"arrivals":[{"node":0,`},
+		{"profile-stream-arrival", "/v1/profile/stream", profHeader + `{"arrivals":[{"node":0,`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			apiErr := postRaw(t, client, tc.path, io.MultiReader(strings.NewReader(tc.prefix), pad()))
+			if apiErr == nil || apiErr.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != "body_too_large" {
+				t.Fatalf("over-limit body: want typed 413 body_too_large, got %v", apiErr)
+			}
+			if _, err := client.Simulate(context.Background(), wire.SimulateRequest{
+				Graph: wire.GraphSpec{App: "speech"}, Platform: "TMoteSky", OnNode: []int{src}, Nodes: 1, Duration: 2,
+			}); err != nil {
+				t.Fatalf("server did not answer after refusing an over-limit body: %v", err)
+			}
+		})
+	}
+
+	// The budget is per value, not per stream: two arrivals that each stay
+	// under it but together exceed it are both ingested.
+	frame := wireBytes(t, e.traces(wire.TraceSpec{Seed: 1, Seconds: 2})[0].Events[0])
+	arrival := func(at float64) io.Reader {
+		return io.MultiReader(strings.NewReader(`{"node":0,`), io.LimitReader(spaces{}, maxBodyBytes*5/8),
+			strings.NewReader(fmt.Sprintf(`"t":%g,"source":%d,"type":"i16s","v":%s}`, at, src, frame)))
+	}
+	if apiErr := postRaw(t, client, "/v1/simulate/stream", io.MultiReader(
+		strings.NewReader(simHeader+`{"arrivals":[`), arrival(0), strings.NewReader(","), arrival(0.5),
+		strings.NewReader("]}"))); apiErr != nil {
+		t.Fatalf("two under-limit arrivals in an over-limit stream: %v", apiErr)
+	}
+}
+
+// TestServerRouteTable walks the table New registers, so a route cannot be
+// added without these properties: a malformed body is a 400, a draining
+// server answers 503 on every slot-holding route (and still serves the
+// slot-free ones), and each request — failed or not — is counted exactly
+// once under the route's own /v1/stats key.
+func TestServerRouteTable(t *testing.T) {
+	svc, client := startServer(t, Config{})
+	delta := func(t *testing.T, rt *route, do func()) {
+		t.Helper()
+		before := svc.Stats().Endpoints[rt.metric]
+		do()
+		after := svc.Stats().Endpoints[rt.metric]
+		if after.Requests != before.Requests+1 || after.Errors != before.Errors+1 {
+			t.Fatalf("%s: stats moved by requests %+d errors %+d, want +1 +1",
+				rt.metric, after.Requests-before.Requests, after.Errors-before.Errors)
+		}
+	}
+	path := func(rt *route) string { return strings.TrimPrefix(rt.pattern, "POST ") }
+	seen := make(map[string]bool)
+	for i := range routes {
+		rt := &routes[i]
+		if seen[rt.metric] {
+			t.Fatalf("two routes share the stats key %q", rt.metric)
+		}
+		seen[rt.metric] = true
+		t.Run(rt.metric+"/malformed", func(t *testing.T) {
+			delta(t, rt, func() {
+				if apiErr := postRaw(t, client, path(rt), strings.NewReader(`{"graph":`)); apiErr == nil || apiErr.StatusCode != http.StatusBadRequest {
+					t.Fatalf("malformed JSON: want 400, got %v", apiErr)
+				}
+			})
+		})
+	}
+	svc.Close()
+	for i := range routes {
+		rt := &routes[i]
+		t.Run(rt.metric+"/closed", func(t *testing.T) {
+			delta(t, rt, func() {
+				apiErr := postRaw(t, client, path(rt), strings.NewReader(`{}`))
+				if apiErr == nil {
+					t.Fatal("empty request answered 200")
+				}
+				if closed := apiErr.StatusCode == http.StatusServiceUnavailable; closed != rt.slot {
+					t.Fatalf("draining server: slot=%v route answered %v", rt.slot, apiErr)
+				}
+			})
+		})
 	}
 }

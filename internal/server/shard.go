@@ -1,17 +1,16 @@
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	wbruntime "wishbone/internal/runtime"
 	"wishbone/internal/wire"
-	"wishbone/internal/wvm"
 )
 
 // Shard-host mode: the /v1/shard/* endpoints let a coordinator
@@ -68,72 +67,19 @@ func newShardID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-func (s *Server) handleShardOpen(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	var hit bool
-	defer func() { s.metrics.Observe("shard_open", time.Since(start), hit, err) }()
-	var req wire.ShardOpenRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardOpen(ctx context.Context, req *wire.ShardOpenRequest) (*wire.ShardOpenResponse, bool, error) {
+	if len(req.Resume) > 0 && len(req.ResumeHost) > 0 {
+		return nil, false, badRequest("resume and resumeHost are mutually exclusive")
 	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	resp, hit2, err2 := s.shardOpen(&req)
-	if hit, err = hit2, err2; err != nil {
-		fail(w, err)
-		return
-	}
-	respond(w, resp)
-}
-
-func (s *Server) shardOpen(req *wire.ShardOpenRequest) (*wire.ShardOpenResponse, bool, error) {
-	plat, err := parsePlatform(req.Platform)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := checkSimSize(req.Nodes, req.Duration); err != nil {
-		return nil, false, err
-	}
-	e, entryHit, err := s.getEntry(req.Graph, wvm.Limits{})
+	e, cfg, hit, err := s.resolveRun(ctx, &runSpec{
+		graph: req.Graph, platform: req.Platform, onNode: req.OnNode,
+		nodes: req.Nodes, duration: req.Duration, seed: req.Seed, shards: req.Shards,
+	})
 	if err != nil {
 		return nil, false, err
 	}
 	if req.GraphHash != "" && req.GraphHash != e.graph.StructuralHash() {
 		return nil, false, badRequest("coordinator and host elaborate different graphs from the spec (structural hash mismatch)")
-	}
-	onNode := make(map[int]bool, e.graph.NumOperators())
-	for _, op := range e.graph.Operators() {
-		onNode[op.ID()] = false
-	}
-	for _, id := range req.OnNode {
-		if e.graph.ByID(id) == nil {
-			return nil, false, badRequest("onNode lists unknown operator %d", id)
-		}
-		onNode[id] = true
-	}
-	progs, progHit, err := s.partitionProgramsFor(e, onNode)
-	if err != nil {
-		return nil, false, err
-	}
-	cfg := wbruntime.Config{
-		Graph:         e.graph,
-		OnNode:        onNode,
-		Platform:      plat,
-		Nodes:         req.Nodes,
-		Duration:      req.Duration,
-		Seed:          req.Seed,
-		Workers:       s.cfg.SimWorkers,
-		Shards:        req.Shards,
-		NodeProgram:   progs.node,
-		ServerProgram: progs.server,
-	}
-	if len(req.Resume) > 0 && len(req.ResumeHost) > 0 {
-		return nil, false, badRequest("resume and resumeHost are mutually exclusive")
 	}
 	var host *wbruntime.ShardHost
 	switch {
@@ -169,7 +115,7 @@ func (s *Server) shardOpen(req *wire.ShardOpenRequest) (*wire.ShardOpenResponse,
 	}
 	s.shardSessions[id] = &shardSession{host: host}
 	s.shardMu.Unlock()
-	return &wire.ShardOpenResponse{Session: id, GraphHash: e.key}, entryHit && progHit, nil
+	return &wire.ShardOpenResponse{Session: id, GraphHash: e.key}, hit, nil
 }
 
 // shardLookup resolves a session handle; remove also unregisters it
@@ -193,194 +139,113 @@ func (s *Server) shardLookup(id string, remove bool) (*shardSession, error) {
 	return ss, nil
 }
 
-func (s *Server) handleShardCompute(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("shard_compute", time.Since(start), false, err) }()
-	var req wire.ShardComputeRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	ss, err2 := s.shardLookup(req.Session, false)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest) (*wire.ShardComputeResponse, bool, error) {
+	ss, err := s.shardLookup(req.Session, false)
+	if err != nil {
+		return nil, false, err
 	}
 	arrivals := make([]wbruntime.HostArrival, len(req.Arrivals))
 	for i, a := range req.Arrivals {
-		v, _, err2 := wire.Unmarshal(a.Value)
-		if err = err2; err != nil {
-			fail(w, badRequest("arrival %d value does not decode: %v", i, err2))
-			return
+		v, _, err := wire.Unmarshal(a.Value)
+		if err != nil {
+			return nil, false, badRequest("arrival %d value does not decode: %v", i, err)
 		}
 		arrivals[i] = wbruntime.HostArrival{Node: a.Node, Time: a.Time, Source: a.Source, Value: v}
 	}
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	if req.Window != 0 && req.Window == ss.lastComputeWin && ss.lastComputeResp != nil {
 		// Retry of the window we already computed: replay the cached
 		// reply rather than double-applying the arrivals.
-		resp := ss.lastComputeResp
-		ss.mu.Unlock()
-		respond(w, resp)
-		return
+		return ss.lastComputeResp, false, nil
 	}
-	resp, err2 := ss.host.ComputeWindow(req.Span, arrivals)
-	if err = err2; err != nil {
-		ss.mu.Unlock()
-		fail(w, shardRuntimeError(err))
-		return
+	resp, err := ss.host.ComputeWindow(req.Span, arrivals)
+	if err != nil {
+		return nil, false, shardRuntimeError(err)
 	}
 	if req.Window != 0 {
 		ss.lastComputeWin, ss.lastComputeResp = req.Window, resp
 	}
-	ss.mu.Unlock()
-	respond(w, resp)
+	return resp, false, nil
 }
 
-func (s *Server) handleShardDeliver(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("shard_deliver", time.Since(start), false, err) }()
-	var req wire.ShardDeliverRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	if err = s.acquireJob(r.Context()); err != nil {
-		fail(w, err)
-		return
-	}
-	defer s.releaseJob()
-	ss, err2 := s.shardLookup(req.Session, false)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardDeliver(_ context.Context, req *wire.ShardDeliverRequest) (struct{}, bool, error) {
+	ss, err := s.shardLookup(req.Session, false)
+	if err != nil {
+		return struct{}{}, false, err
 	}
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	if req.Window != 0 && req.Window == ss.lastDeliverWin {
 		// Retry of a delivery that already ran: acknowledge without
 		// delivering the window twice.
-		ss.mu.Unlock()
-		respond(w, struct{}{})
-		return
+		return struct{}{}, false, nil
 	}
-	err2 = ss.host.DeliverWindow(req.Ratio)
-	if err2 == nil && req.Window != 0 {
+	if err := ss.host.DeliverWindow(req.Ratio); err != nil {
+		return struct{}{}, false, err
+	}
+	if req.Window != 0 {
 		ss.lastDeliverWin = req.Window
 	}
-	ss.mu.Unlock()
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	respond(w, struct{}{})
+	return struct{}{}, false, nil
 }
 
-func (s *Server) handleShardClose(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("shard_close", time.Since(start), false, err) }()
-	var req wire.ShardSessionRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	ss, err2 := s.shardLookup(req.Session, true)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardClose(_ context.Context, req *wire.ShardSessionRequest) (*wire.ShardCloseResponse, bool, error) {
+	ss, err := s.shardLookup(req.Session, true)
+	if err != nil {
+		return nil, false, err
 	}
 	ss.mu.Lock()
-	resp, err2 := ss.host.Close()
-	if err2 != nil {
+	defer ss.mu.Unlock()
+	resp, err := ss.host.Close()
+	if err != nil {
 		// The session is already unregistered; abort the host (idempotent)
 		// so a failed close can't leak its pinned instances.
 		ss.host.Abort()
+		return nil, false, err
 	}
-	ss.mu.Unlock()
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	respond(w, resp)
+	return resp, false, nil
 }
 
-func (s *Server) handleShardSnapshot(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("shard_snapshot", time.Since(start), false, err) }()
-	var req wire.ShardSessionRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	ss, err2 := s.shardLookup(req.Session, true)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardSnapshot(_ context.Context, req *wire.ShardSessionRequest) (*wire.ShardSnapshotResponse, bool, error) {
+	ss, err := s.shardLookup(req.Session, true)
+	if err != nil {
+		return nil, false, err
 	}
 	ss.mu.Lock()
-	data, err2 := ss.host.Snapshot()
-	if err2 != nil {
+	defer ss.mu.Unlock()
+	data, err := ss.host.Snapshot()
+	if err != nil {
 		// Unregistered above; don't leak the host on a failed freeze.
 		ss.host.Abort()
+		return nil, false, err
 	}
-	ss.mu.Unlock()
-	if err = err2; err != nil {
-		fail(w, err)
-		return
-	}
-	respond(w, &wire.ShardSnapshotResponse{Snapshot: data})
+	return &wire.ShardSnapshotResponse{Snapshot: data}, false, nil
 }
 
-func (s *Server) handleShardCheckpoint(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("shard_checkpoint", time.Since(start), false, err) }()
-	var req wire.ShardSessionRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	ss, err2 := s.shardLookup(req.Session, false)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardCheckpoint(_ context.Context, req *wire.ShardSessionRequest) (*wire.ShardCheckpointResponse, bool, error) {
+	ss, err := s.shardLookup(req.Session, false)
+	if err != nil {
+		return nil, false, err
 	}
 	ss.mu.Lock()
-	data, err2 := ss.host.Checkpoint()
-	ss.mu.Unlock()
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+	defer ss.mu.Unlock()
+	data, err := ss.host.Checkpoint()
+	if err != nil {
+		return nil, false, err
 	}
-	respond(w, &wire.ShardCheckpointResponse{Checkpoint: data})
+	return &wire.ShardCheckpointResponse{Checkpoint: data}, false, nil
 }
 
-func (s *Server) handleShardAbort(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var err error
-	defer func() { s.metrics.Observe("shard_abort", time.Since(start), false, err) }()
-	var req wire.ShardSessionRequest
-	if err = decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	ss, err2 := s.shardLookup(req.Session, true)
-	if err = err2; err != nil {
-		fail(w, err)
-		return
+func (s *Server) shardAbort(_ context.Context, req *wire.ShardSessionRequest) (struct{}, bool, error) {
+	ss, err := s.shardLookup(req.Session, true)
+	if err != nil {
+		return struct{}{}, false, err
 	}
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	ss.host.Abort()
-	ss.mu.Unlock()
-	respond(w, struct{}{})
+	return struct{}{}, false, nil
 }
 
 // shardRuntimeError maps VM budget trips to typed 422s and arrival-shaped

@@ -349,16 +349,3 @@ func (w *AssignmentWire) Assignment(g *dataflow.Graph) (*core.Assignment, error)
 	}
 	return a, nil
 }
-
-// OnNodeMap expands the on-node ID list into the map form runtime.Config
-// consumes.
-func (w *AssignmentWire) OnNodeMap(g *dataflow.Graph) map[int]bool {
-	on := make(map[int]bool, g.NumOperators())
-	for _, op := range g.Operators() {
-		on[op.ID()] = false
-	}
-	for _, id := range w.OnNode {
-		on[id] = true
-	}
-	return on
-}
