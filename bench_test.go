@@ -871,10 +871,10 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 		frames := int(duration * speech.FrameRate)
 		// feed drives one full session; raw selects zero-copy OfferRaw or
 		// the pre-arena shape (json.Unmarshal into a fresh slice, then
-		// Offer). Returns mallocs per arrival for the whole session —
-		// the simulated pipeline's own allocations are identical across
-		// the two, so the difference is pure ingest.
-		feed := func(raw bool) float64 {
+		// Offer). Returns mallocs and allocated bytes per arrival for the
+		// whole session — the simulated pipeline's own allocations are
+		// identical across the two, so the difference is pure ingest.
+		feed := func(raw bool) (mallocs, allocBytes float64) {
 			sess, err := runtime.NewSession(c)
 			if err != nil {
 				b.Fatal(err)
@@ -882,7 +882,7 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 			arrivals := int64(0)
 			var ms goruntime.MemStats
 			goruntime.ReadMemStats(&ms)
-			before := ms.Mallocs
+			before, beforeBytes := ms.Mallocs, ms.TotalAlloc
 			for k := 0; k < frames; k++ {
 				t := float64(k) * period
 				if t >= duration {
@@ -909,17 +909,19 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 				b.Fatal(err)
 			}
 			goruntime.ReadMemStats(&ms)
-			return float64(ms.Mallocs-before) / float64(arrivals)
+			return float64(ms.Mallocs-before) / float64(arrivals), float64(ms.TotalAlloc-beforeBytes) / float64(arrivals)
 		}
-		perDecoded := feed(false)
+		perDecoded, bytesDecoded := feed(false)
 		b.ResetTimer()
-		perRaw := 0.0
+		perRaw, bytesRaw := 0.0, 0.0
 		for i := 0; i < b.N; i++ {
-			perRaw = feed(true)
+			perRaw, bytesRaw = feed(true)
 		}
 		b.StopTimer()
 		b.ReportMetric(perRaw, "ingest-allocs/arrival")
 		b.ReportMetric(perDecoded, "decoded-allocs/arrival")
+		b.ReportMetric(bytesRaw, "ingest-bytes/arrival")
+		b.ReportMetric(bytesDecoded, "decoded-bytes/arrival")
 		// Decoding a 200-sample frame into a fresh slice costs several
 		// mallocs (incremental growth inside Unmarshal plus the value
 		// itself); the arena path amortizes all of that into slab blocks.
@@ -929,6 +931,14 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 		if perRaw > perDecoded-2 {
 			b.Fatalf("zero-copy ingest lost its allocation advantage: %.2f mallocs/arrival raw vs %.2f decoded",
 				perRaw, perDecoded)
+		}
+		// The malloc count cannot see what a malloc costs: a block per
+		// arrival is one malloc of 32 KB. In bytes the arena (the frame
+		// itself, carved) must undercut the fresh-slice path (the frame
+		// plus Unmarshal's growth steps).
+		if bytesRaw >= bytesDecoded {
+			b.Fatalf("zero-copy ingest allocates more than decode-then-Offer: %.0f B/arrival raw vs %.0f decoded",
+				bytesRaw, bytesDecoded)
 		}
 	})
 }

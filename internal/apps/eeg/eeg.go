@@ -14,8 +14,8 @@ package eeg
 
 import (
 	"fmt"
-	"sync"
 
+	"wishbone/internal/apps/kernel"
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/dsp"
@@ -71,36 +71,6 @@ type featVec []float32
 // WireSize implements dataflow.Sized.
 func (f featVec) WireSize() int { return 4 * len(f) }
 
-// batchScratch holds the float64 conversion buffers a BatchWork reuses
-// across a batch's elements; emitted values are never backed by it.
-type batchScratch struct{ a, b []float64 }
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func (s *batchScratch) f64a(n int) []float64 {
-	if cap(s.a) < n {
-		s.a = make([]float64, n)
-	}
-	return s.a[:n]
-}
-
-func (s *batchScratch) f64b(n int) []float64 {
-	if cap(s.b) < n {
-		s.b = make([]float64, n)
-	}
-	return s.b[:n]
-}
-
-// totalLen16 sums the lengths of a batch of []int16 values, sizing one
-// output slab for the whole batch.
-func totalLen16(vs []dataflow.Value) int {
-	total := 0
-	for _, v := range vs {
-		total += len(v.([]int16))
-	}
-	return total
-}
-
 // App is a constructed EEG application.
 type App struct {
 	Graph *dataflow.Graph
@@ -142,31 +112,16 @@ func NewWithChannels(channels int) *App {
 	}
 
 	weights := svmWeights(channels * FeaturesPerChannel)
-	svm := g.Add(&dataflow.Operator{
+	svm := g.Add(kernel.Scalars(&dataflow.Operator{
 		Name: "svm", NS: dataflow.NSServer,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			feats := v.(featVec)
-			margin := -0.35 // bias
-			for i, f := range feats {
-				margin += weights[i] * float64(f)
-			}
-			countDot(ctx, len(feats))
-			emit(float32(margin))
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				feats := v.(featVec)
-				margin := -0.35 // bias
-				for j, f := range feats {
-					margin += weights[j] * float64(f)
-				}
-				countDot(ctx, len(feats))
-				out[i] = float32(margin)
-			}
-			emit(out)
-		},
-	})
+	}, func(ctx *dataflow.Ctx, _ *dsp.Scratch, feats featVec) float32 {
+		margin := -0.35 // bias
+		for i, f := range feats {
+			margin += weights[i] * float64(f)
+		}
+		countDot(ctx, len(feats))
+		return float32(margin)
+	}))
 	g.Connect(zipAll, svm, 0)
 
 	detect := g.Add(&dataflow.Operator{
@@ -206,53 +161,32 @@ func countDot(ctx *dataflow.Ctx, n int) {
 }
 
 // buildChannel elaborates one channel's filter cascade and returns its
-// source operator and its per-channel feature (zipN) operator.
+// source operator and its per-channel feature (zipN) operator. The
+// frame→frame and frame→scalar operators (scale, getEven/getOdd, the FIRs,
+// add, the magnitudes, the SVM) are each one kernel from which
+// kernel.Frames / kernel.Scalars derive Work and BatchWork; only the
+// queueing operators (zip2, zipN, zipAll, detect) are hand-written Work
+// functions.
 func buildChannel(g *dataflow.Graph, ch int) (src, out *dataflow.Operator) {
 	name := func(stage string) string { return fmt.Sprintf("ch%02d.%s", ch, stage) }
 
 	src = g.Add(&dataflow.Operator{
 		Name: name("source"), NS: dataflow.NSNode, SideEffect: true,
 	})
-	scale := g.Add(&dataflow.Operator{
-		Name: name("scale"), NS: dataflow.NSNode, Stateful: true,
+	scale := g.Add(kernel.Frames(&dataflow.Operator{
+		Name: name("scale"), NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &dcState{} },
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			// Remove the running DC offset (electrode drift).
-			st := ctx.State.(*dcState)
-			in := v.([]int16)
-			out := make([]int16, len(in))
-			for i, s := range in {
-				st.mean = 0.999*st.mean + 0.001*float64(s)
-				out[i] = s - int16(st.mean)
-				ctx.Counter.Add(cost.FloatMul, 2)
-				ctx.Counter.Add(cost.FloatAdd, 2)
-				ctx.Counter.Add(cost.Store, 1)
-			}
-			emit(out)
-		},
-		BatchStateSafe: true,
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			st := ctx.State.(*dcState)
-			slab := make([]int16, totalLen16(vs))
-			out := make([]dataflow.Value, len(vs))
-			n := 0
-			for i, v := range vs {
-				in := v.([]int16)
-				o := slab[:len(in)]
-				slab = slab[len(in):]
-				for j, s := range in {
-					st.mean = 0.999*st.mean + 0.001*float64(s)
-					o[j] = s - int16(st.mean)
-				}
-				n += len(in)
-				out[i] = o
-			}
-			ctx.Counter.Add(cost.FloatMul, 2*n)
-			ctx.Counter.Add(cost.FloatAdd, 2*n)
-			ctx.Counter.Add(cost.Store, n)
-			emit(out)
-		},
-	})
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []int16) {
+		// Remove the running DC offset (electrode drift).
+		st := ctx.State.(*dcState)
+		for i, s := range in {
+			st.mean = 0.999*st.mean + 0.001*float64(s)
+			out[i] = s - int16(st.mean)
+		}
+		ctx.Counter.Add(cost.FloatMul, 2*len(in))
+		ctx.Counter.Add(cost.FloatAdd, 2*len(in))
+		ctx.Counter.Add(cost.Store, len(in))
+	}))
 	g.Connect(src, scale, 0)
 
 	// Cascade: low1 low2 low3, then (high4,low4), (high5,low5), high6.
@@ -292,22 +226,8 @@ type firState struct{ fir *dsp.FIRState }
 // the halves are zipped and added. Returns the Add operator (the block's
 // output).
 func buildWavelet(g *dataflow.Graph, base string, in *dataflow.Operator, evenC, oddC []float64) *dataflow.Operator {
-	getEven := g.Add(&dataflow.Operator{
-		Name: base + ".getEven", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			even, _ := splitInt16(ctx, v.([]int16))
-			emit(even)
-		},
-		BatchWork: splitBatch(0),
-	})
-	getOdd := g.Add(&dataflow.Operator{
-		Name: base + ".getOdd", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			_, odd := splitInt16(ctx, v.([]int16))
-			emit(odd)
-		},
-		BatchWork: splitBatch(1),
-	})
+	getEven := g.Add(splitOp(base+".getEven", 0))
+	getOdd := g.Add(splitOp(base+".getOdd", 1))
 	g.Connect(in, getEven, 0)
 	g.Connect(in, getOdd, 0)
 
@@ -335,54 +255,17 @@ func buildWavelet(g *dataflow.Graph, base string, in *dataflow.Operator, evenC, 
 	g.Connect(firE, zip2, 0)
 	g.Connect(firO, zip2, 1)
 
-	add := g.Add(&dataflow.Operator{
+	add := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: base + ".add", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			p := v.(pairVal)
-			n := len(p.a)
-			if len(p.b) < n {
-				n = len(p.b)
-			}
-			out := make([]int16, n)
-			for i := 0; i < n; i++ {
+	}, func(p pairVal) int { return min(len(p.a), len(p.b)) },
+		func(ctx *dataflow.Ctx, _ *dsp.Scratch, p pairVal, out []int16) {
+			for i := range out {
 				out[i] = p.a[i] + p.b[i]
 			}
-			ctx.Counter.Add(cost.IntOp, n)
-			ctx.Counter.Add(cost.Load, 2*n)
-			ctx.Counter.Add(cost.Store, n)
-			emit(out)
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			total := 0
-			for _, v := range vs {
-				p := v.(pairVal)
-				n := len(p.a)
-				if len(p.b) < n {
-					n = len(p.b)
-				}
-				total += n
-			}
-			slab := make([]int16, total)
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				p := v.(pairVal)
-				n := len(p.a)
-				if len(p.b) < n {
-					n = len(p.b)
-				}
-				o := slab[:n]
-				slab = slab[n:]
-				for j := 0; j < n; j++ {
-					o[j] = p.a[j] + p.b[j]
-				}
-				out[i] = o
-			}
-			ctx.Counter.Add(cost.IntOp, total)
-			ctx.Counter.Add(cost.Load, 2*total)
-			ctx.Counter.Add(cost.Store, total)
-			emit(out)
-		},
-	})
+			ctx.Counter.Add(cost.IntOp, len(out))
+			ctx.Counter.Add(cost.Load, 2*len(out))
+			ctx.Counter.Add(cost.Store, len(out))
+		}))
 	g.Connect(zip2, add, 0)
 	return add
 }
@@ -391,57 +274,14 @@ type zip2State struct{ a, b [][]int16 }
 
 // buildFIR elaborates one FIRFilter operator with a persistent delay line.
 func buildFIR(g *dataflow.Graph, name string, in *dataflow.Operator, coeffs []float64) *dataflow.Operator {
-	op := g.Add(&dataflow.Operator{
-		Name: name, NS: dataflow.NSNode, Stateful: true,
+	op := g.Add(kernel.Frames(&dataflow.Operator{
+		Name: name, NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &firState{fir: dsp.NewFIRState(len(coeffs))} },
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			st := ctx.State.(*firState)
-			in := v.([]int16)
-			x := make([]float64, len(in))
-			for i, s := range in {
-				x[i] = float64(s)
-			}
-			y := dsp.FIRBlock(ctx.Counter, st.fir, coeffs, x)
-			out := make([]int16, len(y))
-			for i, s := range y {
-				if s > 32767 {
-					s = 32767
-				} else if s < -32768 {
-					s = -32768
-				}
-				out[i] = int16(s)
-			}
-			emit(out)
-		},
-		BatchStateSafe: true,
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			st := ctx.State.(*firState)
-			sc := batchScratchPool.Get().(*batchScratch)
-			slab := make([]int16, totalLen16(vs))
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]int16)
-				x := sc.f64a(len(in))
-				for j, s := range in {
-					x[j] = float64(s)
-				}
-				y := dsp.FIRBlockInto(ctx.Counter, st.fir, coeffs, x, sc.f64b(len(in)))
-				o := slab[:len(y)]
-				slab = slab[len(y):]
-				for j, s := range y {
-					if s > 32767 {
-						s = 32767
-					} else if s < -32768 {
-						s = -32768
-					}
-					o[j] = int16(s)
-				}
-				out[i] = o
-			}
-			batchScratchPool.Put(sc)
-			emit(out)
-		},
-	})
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
+		st := ctx.State.(*firState)
+		x := dsp.Widen(in, sc.A(len(in)))
+		dsp.Clamp16(dsp.FIRBlockInto(ctx.Counter, st.fir, coeffs, x, sc.B(len(in))), out)
+	}))
 	g.Connect(in, op, 0)
 	return op
 }
@@ -449,31 +289,11 @@ func buildFIR(g *dataflow.Graph, name string, in *dataflow.Operator, coeffs []fl
 // buildMag elaborates a MagWithScale operator producing one float32 energy
 // per window.
 func buildMag(g *dataflow.Graph, name string, in *dataflow.Operator, gain float64) *dataflow.Operator {
-	op := g.Add(&dataflow.Operator{
+	op := g.Add(kernel.Scalars(&dataflow.Operator{
 		Name: name, NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			in := v.([]int16)
-			x := make([]float64, len(in))
-			for i, s := range in {
-				x[i] = float64(s)
-			}
-			emit(float32(dsp.MagWithScale(ctx.Counter, gain, x)))
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := batchScratchPool.Get().(*batchScratch)
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]int16)
-				x := sc.f64a(len(in))
-				for j, s := range in {
-					x[j] = float64(s)
-				}
-				out[i] = float32(dsp.MagWithScale(ctx.Counter, gain, x))
-			}
-			batchScratchPool.Put(sc)
-			emit(out)
-		},
-	})
+	}, func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []int16) float32 {
+		return float32(dsp.MagWithScale(ctx.Counter, gain, dsp.Widen(in, sc.A(len(in)))))
+	}))
 	g.Connect(in, op, 0)
 	return op
 }
@@ -513,61 +333,19 @@ func zipWork(ports int) dataflow.WorkFunc {
 	}
 }
 
-// splitBatch is the batched GetEven (half 0) / GetOdd (half 1) kernel:
-// each element keeps the selected polyphase half, with the same counter
-// charges as splitInt16 per element.
-func splitBatch(half int) dataflow.BatchWorkFunc {
-	return func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-		total, loads, stores := 0, 0, 0
-		for _, v := range vs {
-			n := len(v.([]int16))
-			loads += n
-			stores += n / 2 // splitInt16 charges len/2 per element, rounded down
-			if half == 0 {
-				total += (n + 1) / 2
-			} else {
-				total += n / 2
+// splitOp is the GetEven (half 0) / GetOdd (half 1) operator: each frame
+// keeps the selected polyphase half.
+func splitOp(name string, half int) *dataflow.Operator {
+	return kernel.Frames(&dataflow.Operator{Name: name, NS: dataflow.NSNode},
+		func(in []int16) int { return (len(in) + 1 - half) / 2 },
+		func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []int16) {
+			for i := range out {
+				out[i] = in[2*i+half]
 			}
-		}
-		slab := make([]int16, total)
-		out := make([]dataflow.Value, len(vs))
-		for i, v := range vs {
-			in := v.([]int16)
-			var m int
-			if half == 0 {
-				m = (len(in) + 1) / 2
-			} else {
-				m = len(in) / 2
-			}
-			o := slab[:m]
-			slab = slab[m:]
-			for j := 0; j < m; j++ {
-				o[j] = in[2*j+half]
-			}
-			out[i] = o
-		}
-		ctx.Counter.Add(cost.Load, loads)
-		ctx.Counter.Add(cost.Store, stores)
-		ctx.Counter.Add(cost.Branch, loads)
-		emit(out)
-	}
-}
-
-// splitInt16 is the GetEven/GetOdd kernel on int16 blocks.
-func splitInt16(ctx *dataflow.Ctx, x []int16) (even, odd []int16) {
-	even = make([]int16, 0, (len(x)+1)/2)
-	odd = make([]int16, 0, len(x)/2)
-	for i, v := range x {
-		if i%2 == 0 {
-			even = append(even, v)
-		} else {
-			odd = append(odd, v)
-		}
-	}
-	ctx.Counter.Add(cost.Load, len(x))
-	ctx.Counter.Add(cost.Store, len(x)/2)
-	ctx.Counter.Add(cost.Branch, len(x))
-	return even, odd
+			ctx.Counter.Add(cost.Load, len(in))
+			ctx.Counter.Add(cost.Store, len(in)/2)
+			ctx.Counter.Add(cost.Branch, len(in))
+		})
 }
 
 // svmWeights returns the fixed synthetic patient-specific weight vector:

@@ -13,8 +13,8 @@ package speech
 
 import (
 	"math"
-	"sync"
 
+	"wishbone/internal/apps/kernel"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/dsp"
 	"wishbone/internal/profile"
@@ -63,43 +63,16 @@ type prefiltState struct{ fir *dsp.FIRState }
 
 var prefiltCoeffs = []float64{0.35, 0.4, 0.2, 0.05}
 
-// scratch holds the per-batch intermediate buffers a BatchWork reuses
-// across elements: float64 conversion/kernel space and the FFT's complex
-// workspace. Emitted values are never backed by scratch — each batch
-// invocation allocates one output slab shared by its emitted slices, so
-// ~2 allocations replace ~2 per element.
-type scratch struct {
-	a, b []float64
-	cplx []dsp.Complex
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func (s *scratch) f64a(n int) []float64 {
-	if cap(s.a) < n {
-		s.a = make([]float64, n)
-	}
-	return s.a[:n]
-}
-
-func (s *scratch) f64b(n int) []float64 {
-	if cap(s.b) < n {
-		s.b = make([]float64, n)
-	}
-	return s.b[:n]
-}
-
-func (s *scratch) complexBuf(n int) []dsp.Complex {
-	if cap(s.cplx) < n {
-		s.cplx = make([]dsp.Complex, n)
-	}
-	return s.cplx[:n]
-}
-
 // New builds the application graph. Every operator is declared in the Node
 // namespace except the sink, so the partitioner is free to place the whole
 // pipeline (§2.1's program skeleton with the sink's consumer on the
 // server).
+//
+// Each stage's arithmetic is written once, as a kernel over the dsp *Into
+// forms: widen the frame into pooled scratch, filter scratch to scratch,
+// narrow into the output frame kernel.Frames supplies. Frames derives both
+// the per-element Work and the BatchWork from that body, so a dispatch on
+// either path allocates the frame it emits and nothing else.
 func New() *App {
 	g := dataflow.New()
 	hamming := dsp.HammingWindow(FrameSamples)
@@ -108,190 +81,66 @@ func New() *App {
 	source := g.Add(&dataflow.Operator{
 		Name: "source", NS: dataflow.NSNode, SideEffect: true,
 	})
-	preemph := g.Add(&dataflow.Operator{
-		Name: "preemph", NS: dataflow.NSNode, Stateful: true,
+	preemph := g.Add(kernel.Frames(&dataflow.Operator{
+		Name: "preemph", NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &preemphState{} },
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			st := ctx.State.(*preemphState)
-			in := v.([]int16)
-			x := make([]float64, len(in))
-			for i, s := range in {
-				x[i] = float64(s)
-			}
-			y, prev := dsp.PreEmphasis(ctx.Counter, x, 0.97, st.prev)
-			st.prev = prev
-			emit(toInt16(y))
-		},
-		BatchStateSafe: true,
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			st := ctx.State.(*preemphState)
-			sc := scratchPool.Get().(*scratch)
-			slab := make([]int16, totalLen16(vs))
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]int16)
-				x := toFloatInto(in, sc.f64a(len(in)))
-				y, prev := dsp.PreEmphasisInto(ctx.Counter, x, 0.97, st.prev, sc.f64b(len(in)))
-				st.prev = prev
-				out[i], slab = toInt16Carve(y, slab)
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
-	hammingOp := g.Add(&dataflow.Operator{
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
+		st := ctx.State.(*preemphState)
+		x := dsp.Widen(in, sc.A(len(in)))
+		y, prev := dsp.PreEmphasisInto(ctx.Counter, x, 0.97, st.prev, sc.B(len(in)))
+		st.prev = prev
+		dsp.Clamp16(y, out)
+	}))
+	hammingOp := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "hamming", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			x := toFloat(v.([]int16))
-			emit(toInt16(dsp.ApplyWindow(ctx.Counter, x, hamming)))
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := scratchPool.Get().(*scratch)
-			slab := make([]int16, totalLen16(vs))
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]int16)
-				x := toFloatInto(in, sc.f64a(len(in)))
-				y := dsp.ApplyWindowInto(ctx.Counter, x, hamming, sc.f64b(len(in)))
-				out[i], slab = toInt16Carve(y, slab)
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
-	prefilt := g.Add(&dataflow.Operator{
-		Name: "prefilt", NS: dataflow.NSNode, Stateful: true,
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
+		x := dsp.Widen(in, sc.A(len(in)))
+		dsp.Clamp16(dsp.ApplyWindowInto(ctx.Counter, x, hamming, sc.B(len(in))), out)
+	}))
+	prefilt := g.Add(kernel.Frames(&dataflow.Operator{
+		Name: "prefilt", NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &prefiltState{fir: dsp.NewFIRState(len(prefiltCoeffs))} },
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			st := ctx.State.(*prefiltState)
-			x := toFloat(v.([]int16))
-			emit(toInt16(dsp.FIRBlock(ctx.Counter, st.fir, prefiltCoeffs, x)))
-		},
-		BatchStateSafe: true,
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			st := ctx.State.(*prefiltState)
-			sc := scratchPool.Get().(*scratch)
-			slab := make([]int16, totalLen16(vs))
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]int16)
-				x := toFloatInto(in, sc.f64a(len(in)))
-				y := dsp.FIRBlockInto(ctx.Counter, st.fir, prefiltCoeffs, x, sc.f64b(len(in)))
-				out[i], slab = toInt16Carve(y, slab)
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
-	fft := g.Add(&dataflow.Operator{
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
+		st := ctx.State.(*prefiltState)
+		x := dsp.Widen(in, sc.A(len(in)))
+		dsp.Clamp16(dsp.FIRBlockInto(ctx.Counter, st.fir, prefiltCoeffs, x, sc.B(len(in))), out)
+	}))
+	fft := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "FFT", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			x := toFloat(v.([]int16))
-			ps := dsp.PowerSpectrum(ctx.Counter, x)
-			emit(toFloat32(ps))
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := scratchPool.Get().(*scratch)
-			total := 0
-			for _, v := range vs {
-				total += dsp.NextPow2(len(v.([]int16))) / 2
-			}
-			slab := make([]float32, total)
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]int16)
-				n := dsp.NextPow2(len(in))
-				x := toFloatInto(in, sc.f64a(len(in)))
-				ps := dsp.PowerSpectrumInto(ctx.Counter, x, sc.complexBuf(n), sc.f64b(n/2))
-				out[i], slab = toFloat32Carve(ps, slab)
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
-	filtBank := g.Add(&dataflow.Operator{
+	}, func(in []int16) int { return dsp.NextPow2(len(in)) / 2 },
+		func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []int16, out []float32) {
+			n := dsp.NextPow2(len(in))
+			x := dsp.Widen(in, sc.A(len(in)))
+			dsp.Narrow32(dsp.PowerSpectrumInto(ctx.Counter, x, sc.Complex(n), sc.B(n/2)), out)
+		}))
+	filtBank := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "filtBank", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			spec := toFloat64From32(v.([]float32))
-			emit(toFloat32(mel.Apply(ctx.Counter, spec)))
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := scratchPool.Get().(*scratch)
-			slab := make([]float32, len(vs)*mel.NumFilters())
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]float32)
-				spec := toFloat64From32Into(in, sc.f64a(len(in)))
-				en := mel.ApplyInto(ctx.Counter, spec, sc.f64b(mel.NumFilters()))
-				out[i], slab = toFloat32Carve(en, slab)
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
-	logs := g.Add(&dataflow.Operator{
+	}, func([]float32) int { return mel.NumFilters() },
+		func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []float32) {
+			spec := dsp.Widen(in, sc.A(len(in)))
+			dsp.Narrow32(mel.ApplyInto(ctx.Counter, spec, sc.B(mel.NumFilters())), out)
+		}))
+	logs := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "logs", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			energies := toFloat64From32(v.([]float32))
-			lg := dsp.Log10Block(ctx.Counter, energies)
-			// Quantize to 8.8 fixed point: halves the element size, making
-			// logs a viable (data-reducing) cutpoint as in Figure 5(b).
-			q := make([]int16, len(lg))
-			for i, e := range lg {
-				q[i] = int16(math.Max(-128, math.Min(127, e)) * 256)
-			}
-			emit(q)
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := scratchPool.Get().(*scratch)
-			total := 0
-			for _, v := range vs {
-				total += len(v.([]float32))
-			}
-			slab := make([]int16, total)
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				in := v.([]float32)
-				energies := toFloat64From32Into(in, sc.f64a(len(in)))
-				lg := dsp.Log10BlockInto(ctx.Counter, energies, sc.f64b(len(in)))
-				q := slab[:len(lg)]
-				slab = slab[len(lg):]
-				for j, e := range lg {
-					q[j] = int16(math.Max(-128, math.Min(127, e)) * 256)
-				}
-				out[i] = q
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
-	cepstrals := g.Add(&dataflow.Operator{
+	}, kernel.SameLen[float32], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []float32, out []int16) {
+		energies := dsp.Widen(in, sc.A(len(in)))
+		lg := dsp.Log10BlockInto(ctx.Counter, energies, sc.B(len(in)))
+		// Quantize to 8.8 fixed point: halves the element size, making
+		// logs a viable (data-reducing) cutpoint as in Figure 5(b).
+		for i, e := range lg {
+			out[i] = int16(math.Max(-128, math.Min(127, e)) * 256)
+		}
+	}))
+	cepstrals := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "cepstrals", NS: dataflow.NSNode,
-		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			q := v.([]int16)
-			lg := make([]float64, len(q))
-			for i, e := range q {
+	}, func([]int16) int { return NumCepstra },
+		func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []int16, out []float32) {
+			lg := sc.A(len(in))
+			for i, e := range in {
 				lg[i] = float64(e) / 256
 			}
-			emit(toFloat32(dsp.DCTII(ctx.Counter, lg, NumCepstra)))
-		},
-		BatchWork: func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-			sc := scratchPool.Get().(*scratch)
-			slab := make([]float32, len(vs)*NumCepstra)
-			out := make([]dataflow.Value, len(vs))
-			for i, v := range vs {
-				q := v.([]int16)
-				lg := sc.f64a(len(q))
-				for j, e := range q {
-					lg[j] = float64(e) / 256
-				}
-				cc := dsp.DCTIIInto(ctx.Counter, lg, NumCepstra, sc.f64b(NumCepstra))
-				out[i], slab = toFloat32Carve(cc, slab)
-			}
-			scratchPool.Put(sc)
-			emit(out)
-		},
-	})
+			dsp.Narrow32(dsp.DCTIIInto(ctx.Counter, lg, NumCepstra, sc.B(NumCepstra)), out)
+		}))
 	sink := g.Add(&dataflow.Operator{
 		Name: "sink", NS: dataflow.NSServer, SideEffect: true,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
@@ -327,92 +176,4 @@ func (a *App) CutpointNames() []string {
 		names[i] = op.Name
 	}
 	return names
-}
-
-func toFloat(x []int16) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-func toInt16(x []float64) []int16 {
-	out := make([]int16, len(x))
-	for i, v := range x {
-		if v > 32767 {
-			v = 32767
-		} else if v < -32768 {
-			v = -32768
-		}
-		out[i] = int16(v)
-	}
-	return out
-}
-
-func toFloat32(x []float64) []float32 {
-	out := make([]float32, len(x))
-	for i, v := range x {
-		out[i] = float32(v)
-	}
-	return out
-}
-
-func toFloat64From32(x []float32) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// totalLen16 sums the lengths of a batch of []int16 values, sizing one
-// output slab for the whole batch.
-func totalLen16(vs []dataflow.Value) int {
-	total := 0
-	for _, v := range vs {
-		total += len(v.([]int16))
-	}
-	return total
-}
-
-func toFloatInto(x []int16, out []float64) []float64 {
-	out = out[:len(x)]
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-func toFloat64From32Into(x []float32, out []float64) []float64 {
-	out = out[:len(x)]
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
-}
-
-// toInt16Carve converts x into the front of slab (with the same clamping
-// as toInt16) and returns the converted slice plus the remaining slab.
-func toInt16Carve(x []float64, slab []int16) ([]int16, []int16) {
-	out := slab[:len(x)]
-	for i, v := range x {
-		if v > 32767 {
-			v = 32767
-		} else if v < -32768 {
-			v = -32768
-		}
-		out[i] = int16(v)
-	}
-	return out, slab[len(x):]
-}
-
-// toFloat32Carve converts x into the front of slab and returns the
-// converted slice plus the remaining slab.
-func toFloat32Carve(x []float64, slab []float32) ([]float32, []float32) {
-	out := slab[:len(x)]
-	for i, v := range x {
-		out[i] = float32(v)
-	}
-	return out, slab[len(x):]
 }

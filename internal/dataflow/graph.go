@@ -69,6 +69,18 @@ type Ctx struct {
 // WorkFunc processes one input element. port identifies which input stream
 // the element arrived on (0 for single-input operators). The function may
 // call emit zero or more times.
+//
+// The memory contract both engines rely on: values are immutable once
+// emitted, so the function never writes to v and does not keep it beyond
+// the call except by queueing it in operator state or passing it along;
+// every value it emits is its to give away — never backed by a buffer the
+// function, or a pool it draws from, will write again; and reusable scratch
+// is borrowed and released within the call, before emit, because emit may
+// run the downstream work function to completion before it returns (the
+// depth-first Executor does) and other goroutines may be running this same
+// operator for other nodes. A dispatch should allocate the values it emits
+// and nothing else (internal/apps/kernel derives conforming functions from
+// one kernel).
 type WorkFunc func(ctx *Ctx, port int, v Value, emit Emit)
 
 // EmitBatch sends a run of elements downstream, in order, as one batch.
@@ -85,7 +97,11 @@ type EmitBatch func(vs []Value)
 // and the same cost-counter charges — so batched and per-element execution
 // produce byte-identical results. The function must not retain vs beyond
 // the call (the engine reuses the backing array), and every slice it passes
-// to emit must be freshly produced, never its input.
+// to emit must be freshly produced, never its input. WorkFunc's memory
+// contract holds element by element: inputs are never written, emitted
+// values are never backed by reused scratch (several may share one slab
+// allocated for the batch, as disjoint cap-limited pieces), and scratch is
+// released before emit.
 type BatchWorkFunc func(ctx *Ctx, port int, vs []Value, emit EmitBatch)
 
 // Operator is one vertex of the dataflow graph.

@@ -1,6 +1,8 @@
 package runtime_test
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"wishbone/internal/apps/eeg"
@@ -120,6 +122,64 @@ func TestDistributedParityReduce(t *testing.T) {
 	ref := checkDistParity(t, base, feed)
 	if ref.MsgsSent == 0 || ref.ServerEmits == 0 {
 		t.Fatalf("degenerate run %+v", *ref)
+	}
+}
+
+// corruptReduceHost replaces the payload of every reduce contribution its
+// host reports with bytes a buggy or hostile peer could send.
+type corruptReduceHost struct {
+	runtime.HostDriver
+	data []byte
+}
+
+func (h corruptReduceHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
+	rep, err := h.HostDriver.ComputeWindow(span, arrivals)
+	if err == nil {
+		for i := range rep.Reduce {
+			rep.Reduce[i].Data = h.data
+		}
+	}
+	return rep, err
+}
+
+// TestDistMalformedReduceReply pins what the coordinator does with a
+// reduce reply that does not decode — here the element-count overflow that
+// used to panic inside wire.Unmarshal, in the coordinator's own process
+// with no recover above it: the caller gets the wrapped decode error.
+func TestDistMalformedReduceReply(t *testing.T) {
+	g, src, onNode := snapshotReduceApp()
+	cfg := runtime.Config{
+		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
+		Nodes: 2, Duration: 8, Seed: 21, WindowSeconds: 4,
+	}
+	feed := mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
+		return []profile.Input{{Source: src,
+			Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
+	})
+	origins := []int{0, 1}
+	h, err := runtime.NewShardHost(cfg, origins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tagFloat64s, then uvarint(1<<61): 10 bytes claiming 2^64 bytes of payload.
+	bad := binary.AppendUvarint([]byte{0x14}, 1<<61)
+	ds, err := runtime.NewDistSession(cfg, []runtime.HostBinding{
+		{Driver: corruptReduceHost{HostDriver: h, data: bad}, Origins: origins},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Abort()
+	for _, f := range feed {
+		if err = ds.Offer(f.node, f.a); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		_, err = ds.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "reduce contribution does not decode") {
+		t.Fatalf("malformed reduce reply: got %v, want the wrapped decode error", err)
 	}
 }
 

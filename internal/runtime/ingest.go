@@ -25,8 +25,9 @@ import (
 // state). Memory safety never depends on window lifetime; rotation only
 // bounds how much dead trace each live block can pin.
 
-// ingestBlockElems sizes a fresh slab block, in elements. One block
-// serves ~80 512-sample windows before the next allocation.
+// ingestBlockElems sizes a fresh slab block, in elements: one block serves
+// ~80 200-sample speech frames (32 of the EEG's 512-sample windows) before
+// the next allocation.
 const ingestBlockElems = 1 << 14
 
 // ingestArena holds the current generation's typed slabs plus the decode
@@ -51,21 +52,19 @@ func (a *ingestArena) rotate() {
 	a.i16, a.i32, a.f32, a.f64, a.by = nil, nil, nil, nil, nil
 }
 
-// carve returns an n-element slice from the block, growing into a fresh
-// block when full (values carved earlier keep the old block alive).
+// carve returns the next n elements of the block, starting a fresh block
+// only when there is none (so an empty value is non-nil, as encoding/json
+// decodes it) or the current one cannot fit them (values carved earlier
+// keep the old block alive). The block keeps its capacity; each result is
+// cap-limited to its own n elements, so an append through one value can
+// never grow into its neighbour.
 func carve[T any](blk *[]T, n int) []T {
 	if *blk == nil || cap(*blk)-len(*blk) < n {
-		c := ingestBlockElems
-		if n > c {
-			c = n
-		}
-		*blk = make([]T, 0, c)
+		*blk = make([]T, 0, max(n, ingestBlockElems))
 	}
-	s := *blk
-	start := len(s)
-	s = s[: start+n : start+n]
-	*blk = s
-	return s[start:]
+	start := len(*blk)
+	*blk = (*blk)[:start+n]
+	return (*blk)[start : start+n : start+n]
 }
 
 // decode maps one raw JSON arrival value onto the element types sensor

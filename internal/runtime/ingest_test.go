@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
+	"wishbone/internal/apps/speech"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/platform"
 )
 
 // refDecode is the reference the arena decode must match exactly: the
@@ -132,5 +135,86 @@ func TestIngestDecodeDoesNotAliasInput(t *testing.T) {
 	}
 	if got := v3.([]int16); !reflect.DeepEqual(got, []int16{4, 5}) {
 		t.Fatalf("post-rotation value wrong: %v", got)
+	}
+}
+
+// TestIngestArenaReusesBlocks pins the arena's whole point in bytes (the
+// malloc-count guard in BenchmarkStreamingSimulate never saw one 32 KB
+// block per arrival): carve must keep serving a block until it is full,
+// hand out disjoint cap-limited pieces of it, and start a new one after
+// rotate.
+func TestIngestArenaReusesBlocks(t *testing.T) {
+	a := &ingestArena{}
+	decode := func(raw string) []int16 {
+		t.Helper()
+		v, err := a.decode("i16s", []byte(raw), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.([]int16)
+	}
+	// block identifies the arena's current int16 block by its first element.
+	block := func() *int16 { return &a.i16[0] }
+
+	v1 := decode("[1,2,3]")
+	b1 := block()
+	v2 := decode("[4,5]")
+	if block() != b1 {
+		t.Fatal("two values carved in one generation do not share a block")
+	}
+	if cap(v1) != len(v1) || cap(v2) != len(v2) {
+		t.Fatalf("carved values can grow into their neighbours: cap %d/%d, len %d/%d", cap(v1), cap(v2), len(v1), len(v2))
+	}
+	if &a.i16[len(v1)] != &v2[0] {
+		t.Fatal("second value is not carved right after the first")
+	}
+	_ = append(v1, 99) // must reallocate, not scribble on v2
+	if !reflect.DeepEqual(v2, []int16{4, 5}) {
+		t.Fatalf("append through the first value corrupted the second: %v", v2)
+	}
+	a.rotate()
+	decode("[6]")
+	if block() == b1 {
+		t.Fatal("a value carved after rotate shares the previous generation's block")
+	}
+	// An oversized value gets a block of its own size, not a clamp.
+	if big := carve(&a.i16, 2*ingestBlockElems); len(big) != 2*ingestBlockElems || cap(big) != len(big) {
+		t.Fatalf("oversized carve: len %d cap %d", len(big), cap(big))
+	}
+
+	// End to end: 1 000 speech frames through OfferRaw inside one window
+	// (nothing flushes, so this is the ingest path alone) cost the frame's
+	// own 400 bytes plus its interface box and buffer slot — not a 32 KB
+	// block each.
+	app := speech.New()
+	onNode := make(map[int]bool)
+	for i, op := range app.Pipeline {
+		onNode[op.ID()] = i < 1
+	}
+	sess, err := NewSession(Config{
+		Graph: app.Graph, OnNode: onNode, Platform: platform.TMoteSky(),
+		Nodes: 1, Duration: 100, WindowSeconds: 100, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := json.Marshal(app.SampleTrace(1, 1).Events[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const arrivals = 1000
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for k := 0; k < arrivals; k++ {
+		if err := sess.OfferRaw(0, float64(k)/speech.FrameRate, app.Pipeline[0], "i16s", frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goruntime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / arrivals; per >= 1024 {
+		t.Errorf("OfferRaw ingest allocates %d B per %d-byte arrival, want < 1 KB", per, 2*speech.FrameSamples)
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

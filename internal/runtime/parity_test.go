@@ -113,6 +113,57 @@ func TestEngineParityEEG(t *testing.T) {
 	}
 }
 
+// TestScratchReentrancyParity covers the two ways pooled kernel scratch
+// could be shared when it must not be: the reference executor runs each
+// downstream Work inside its upstream's emit (so a scratch still held
+// across emit would be reused mid-kernel), and Run at Shards=2, Workers=2
+// runs the same operators on two goroutines at once (CI runs this under
+// -race). Whole pipeline on the node, every replica on its own trace;
+// both engines must still agree byte for byte.
+func TestScratchReentrancyParity(t *testing.T) {
+	sp := speech.New()
+	spRes := runBoth(t, runtime.Config{
+		Graph:    sp.Graph,
+		OnNode:   speechCutOnNode(sp, 8),
+		Platform: platform.Gumstix(),
+		Nodes:    6,
+		Duration: 10,
+		Shards:   2,
+		Workers:  2,
+		Inputs: func(nodeID int) []profile.Input {
+			return []profile.Input{sp.SampleTrace(int64(1700+nodeID), 1.0)}
+		},
+		Seed: 17,
+	})
+
+	ee := eeg.NewWithChannels(2)
+	onNode := make(map[int]bool)
+	for _, op := range ee.Graph.Operators() {
+		onNode[op.ID()] = op.NS == dataflow.NSNode
+	}
+	eeRes := runBoth(t, runtime.Config{
+		Graph:    ee.Graph,
+		OnNode:   onNode,
+		Platform: platform.Gumstix(),
+		Nodes:    4,
+		Duration: 30,
+		Shards:   2,
+		Workers:  2,
+		Inputs: func(nodeID int) []profile.Input {
+			// Skew the second channel's clock: the non-reentrant node drops
+			// an arrival that lands while it is busy, so two channels
+			// sampled at the same instants would never complete a zipAll row.
+			ins := ee.SampleTrace(int64(1700+nodeID), 16)
+			ins[1].Rate *= 0.98
+			return ins
+		},
+		Seed: 17,
+	})
+	if spRes.MsgsSent == 0 || eeRes.MsgsSent == 0 {
+		t.Fatalf("degenerate runs: speech %+v, eeg %+v", *spRes, *eeRes)
+	}
+}
+
 // TestParallelNodePoolDeterministic forces the compiled engine's worker
 // pool (Workers > 1, per-node traces) and checks the result matches a
 // sequential run — exercised under -race in CI to cover the parallel node

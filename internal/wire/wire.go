@@ -171,10 +171,14 @@ func Unmarshal(data []byte) (dataflow.Value, int, error) {
 			return nil, 0, fmt.Errorf("wire: bad length varint (tag 0x%02x)", tag)
 		}
 		rest = rest[used:]
-		total := int(n) * sliceElemSize(tag)
-		if err := need(total); err != nil {
-			return nil, 0, err
+		// n is untrusted: bound it by what the buffer can hold before
+		// multiplying, or a huge count wraps total past the length check
+		// and make panics.
+		size := sliceElemSize(tag)
+		if n > uint64(len(rest)/size) {
+			return nil, 0, fmt.Errorf("wire: truncated element (tag 0x%02x: %d elements of %d bytes, have %d bytes)", tag, n, size, len(rest))
 		}
+		total := int(n) * size
 		consumed := 1 + used + total
 		switch tag {
 		case tagBytes:

@@ -1,8 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -312,4 +316,70 @@ func prevWant(seq int) []int16 {
 		val[i] = int16(seq*31 + i)
 	}
 	return val
+}
+
+// hostileLen is a slice header whose uvarint count no buffer can back:
+// tag, then n. At 1<<61 with an 8-byte element n*size wraps to 0; at
+// 1<<63 int(n) is negative — either used to slip past the length check
+// and panic in make or in the slice expression.
+func hostileLen(tag byte, n uint64) []byte {
+	return binary.AppendUvarint([]byte{tag}, n)
+}
+
+// TestUnmarshalLengthOverflow is the regression for the count overflow: a
+// 10-byte input must come back as the truncated-element error from every
+// slice-carrying tag, not as a panic.
+func TestUnmarshalLengthOverflow(t *testing.T) {
+	for _, tag := range []byte{tagBytes, tagString, tagInt16s, tagInt32s, tagFloat32s, tagFloat64s} {
+		for _, n := range []uint64{1 << 61, 1 << 62, 1 << 63, math.MaxUint64, 3} {
+			in := append(hostileLen(tag, n), 0, 0)
+			_, _, err := Unmarshal(in)
+			if err == nil || !strings.Contains(err.Error(), "truncated element") {
+				t.Errorf("tag 0x%02x n=%d: got %v, want a truncated-element error", tag, n, err)
+			}
+		}
+	}
+}
+
+// FuzzUnmarshal holds the element codec to the decoder contract: never
+// panic on arbitrary bytes, never produce a value larger than the input
+// that described it, and re-encoding a decoded value is a fixed point (the
+// canonical form of the consumed prefix: minimal varints, bools as 0/1).
+func FuzzUnmarshal(f *testing.F) {
+	for _, v := range []dataflow.Value{
+		nil, true, int16(-7), int32(1 << 20), int64(-1 << 40), float32(1.5), float64(-2.5),
+		"wishbone", []byte{1, 2, 3}, []int16{-1, 0, 32767}, []int32{5, -9},
+		[]float32{1.5, -2.25}, []float64{3.14159, 0},
+	} {
+		enc, err := Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add(hostileLen(tagFloat64s, 1<<61))
+	f.Add(hostileLen(tagBytes, 1<<63))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, n, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		enc, err := Marshal(v)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", v, err)
+		}
+		if len(enc) > n {
+			t.Fatalf("canonical form (%d bytes) longer than the consumed prefix (%d)", len(enc), n)
+		}
+		v2, n2, err := Unmarshal(enc)
+		if err != nil || n2 != len(enc) {
+			t.Fatalf("re-encoded value does not decode whole: n=%d of %d, err=%v", n2, len(enc), err)
+		}
+		if enc2, err := Marshal(v2); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("decode→encode is not a fixed point: % x vs % x (err %v)", enc, enc2, err)
+		}
+	})
 }
