@@ -650,7 +650,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 // the sequential run). The pipelined variants feed the same steady-rate
 // trace through streaming ingestion (1 s windows divide the 25 ms frame
 // period, so streaming == batch byte-for-byte) with delivery of window w
-// overlapping simulation of window w+1 on multi-core hosts.
+// behind the merge that buffers window w+1.
 //
 // Run with -benchmem: the fragment arenas, reassembly scratch and pooled
 // samplers make allocs/op the tracked regression metric. Per-stage wall
@@ -816,13 +816,11 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 			}
 		})
 	})
-	stream := func(b *testing.B, phased bool) {
-		b.Helper()
+	b.Run("stream-1h", func(b *testing.B) {
 		b.ReportAllocs()
 		c := cfg
 		c.Shards = 4
 		c.WindowSeconds = 60
-		c.NoPipeline = phased
 		c.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(cfg.Inputs(nodeID), 1, duration)
 		}
@@ -839,9 +837,7 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 		b.ReportMetric(1e3*timings.NodeSeconds()/n, "node-ms")
 		b.ReportMetric(1e3*timings.DeliverySeconds()/n, "deliver-ms")
 		b.ReportMetric(1e3*timings.OverlapSeconds()/n, "overlap-ms")
-	}
-	b.Run("stream-1h", func(b *testing.B) { stream(b, false) })
-	b.Run("stream-1h-phased", func(b *testing.B) { stream(b, true) })
+	})
 	// The zero-copy ingestion path: the same hour driven through
 	// Session.OfferRaw on pre-encoded JSON frames, the way the streaming
 	// endpoint feeds it. The assertion is the satellite's point — decoding

@@ -29,9 +29,8 @@
 // -shards splits each deployment simulation — the node phase by origin
 // and the server-side delivery loop — by origin node (byte-identical
 // results, more cores); -stream feeds the traces through streaming
-// ingestion in bounded windows instead of materializing them. With both
-// and -workers > 1, the simulation pipelines: delivery of window w
-// overlaps simulation of window w+1.
+// ingestion in bounded windows instead of materializing them; delivery of
+// window w then runs behind the ingest of window w+1.
 //
 // The batch figure reports each operator's batch-hit rate — the share of
 // elements dispatched through BatchWork — over the Figure 9 deployment.
@@ -79,7 +78,7 @@ func main() {
 	solverName := flag.String("solver", "all", "backend for the solvers figure: exact|lagrangian|greedy|race|all")
 	shards := flag.Int("shards", 0, "origin shards per simulation, node phase and delivery (0/1 = sequential)")
 	stream := flag.Bool("stream", false, "feed simulation traces through streaming ingestion")
-	workers := flag.Int("workers", 0, "simulation worker bound; with -stream, >1 pipelines node compute against delivery (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "simulation worker bound, node phase and delivery (0 = GOMAXPROCS)")
 	distNodes := flag.Int("dist-nodes", 640, "motes in the dist figure's deployment")
 	distSeconds := flag.Float64("dist-seconds", 10, "simulated duration for the dist figure")
 	distHosts := flag.String("dist-hosts", "1,2,4,8", "comma-separated host counts for the dist figure")

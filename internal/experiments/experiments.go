@@ -35,9 +35,8 @@ type SpeechEnv struct {
 	Stream bool
 
 	// Workers bounds each simulation's worker pool (cmd/wbbench
-	// -workers); with Stream set and Workers > 1 the runtime pipelines
-	// the session — delivery of window w overlaps simulation of window
-	// w+1 — still byte-identical to the phased run.
+	// -workers), node phase and delivery alike; results are byte-identical
+	// at any setting.
 	Workers int
 }
 

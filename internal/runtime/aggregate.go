@@ -50,7 +50,7 @@ type reduceAggregator struct {
 
 	// arena supplies finalize's fragment storage (nil: allocate per
 	// aggregate). The batch path attaches one arena for the whole run;
-	// the pipelined streaming session swaps in the current window's — an
+	// the streaming session swaps in the current window's — an
 	// aggregate's fragments are encoded in the window that flushes it, so
 	// they share that window's lifetime. enc is the marshal scratch.
 	arena *fragArena

@@ -1,20 +1,17 @@
 package runtime
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // fragArena carves the per-message fragment storage of the delivery hot
 // path — the encoded bytes and the [][]byte headers that message.frags
 // points at — out of large reusable chunks. A message's fragments live
 // until the message is delivered, so an arena is reset only once every
 // message allocated from it is dead: the batch path keeps one arena per
-// node-phase shard for the whole run, the pipelined streaming path one
-// set per in-flight window (recycled when the window's last delivery
-// shard finishes). Arenas recycle through a process-wide pool, so
-// steady-state simulation — batch runs back to back, or windows through
-// a long session — allocates no fragment storage at all.
+// node-phase shard for the whole run, the streaming path one set per
+// window (recycled when the window's delivery ends). Arenas recycle
+// through a process-wide pool, so steady-state simulation — batch runs
+// back to back, or windows through a long session — allocates no fragment
+// storage at all.
 //
 // An arena is single-goroutine: exactly one sender (or the reduce
 // aggregator) carves from it at a time.
@@ -90,13 +87,12 @@ func releaseArena(a *fragArena) {
 // windowBufs is the recyclable storage of one window of a streaming run:
 // the node-shard fragment arenas (plus one for the aggregator), the merged
 // and post-aggregation message slices, the per-delivery-shard partitions
-// and the per-node-shard feed errors. A phased Session and a ShardHost own
-// exactly one and reset it after the window's synchronous delivery; a
-// pipelined Session keeps one per window in flight, refs counting the
-// delivery shards still reading it — the last release recycles it. Steady
-// state allocates no fragment or message-slice storage.
+// and the per-node-shard feed errors. A ShardHost owns exactly one and
+// resets it after the window's delivery; a Session recycles its own
+// through a free list (the window delivering behind the caller owns its
+// buffers until that delivery ends). Steady state allocates no fragment or
+// message-slice storage.
 type windowBufs struct {
-	refs   atomic.Int32
 	arenas []*fragArena // one per node shard, plus the aggregator's last
 	msgs   []message
 	out    []message
@@ -114,13 +110,6 @@ func newWindowBufs(nodeShards, deliveryShards int) *windowBufs {
 		w.arenas[i] = acquireArena()
 	}
 	return w
-}
-
-// release drops one delivery shard's reference; the last one recycles.
-func (w *windowBufs) release(s *Session) {
-	if w.refs.Add(-1) <= 0 {
-		s.recycle(w)
-	}
 }
 
 // reset rewinds the storage once the window's messages are dead: arenas

@@ -70,8 +70,8 @@ func TestBatchedRunParity(t *testing.T) {
 	}
 }
 
-// TestBatchedStreamParity runs the streaming Session — pipelined and
-// phased — with batching on and off; all four Results must be identical.
+// TestBatchedStreamParity runs the streaming Session with batching on and
+// off; both Results must be identical.
 func TestBatchedStreamParity(t *testing.T) {
 	app := speech.New()
 	base := runtime.Config{
@@ -84,7 +84,7 @@ func TestBatchedStreamParity(t *testing.T) {
 		Workers:  4,
 		Seed:     7,
 	}
-	run := func(noBatch, noPipeline bool) *runtime.Result {
+	run := func(noBatch bool) *runtime.Result {
 		cfg := base
 		if noBatch {
 			var err error
@@ -92,7 +92,6 @@ func TestBatchedStreamParity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cfg.NoPipeline = noPipeline
 		cfg.WindowSeconds = 10
 		cfg.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(
@@ -104,20 +103,11 @@ func TestBatchedStreamParity(t *testing.T) {
 		}
 		return res
 	}
-	ref := run(true, true)
+	ref := run(true)
 	if ref.MsgsSent == 0 {
 		t.Fatalf("degenerate streaming run %+v", *ref)
 	}
-	for _, tc := range []struct {
-		name                string
-		noBatch, noPipeline bool
-	}{
-		{"batched-phased", false, true},
-		{"batched-pipelined", false, false},
-		{"perElem-pipelined", true, false},
-	} {
-		if got := run(tc.noBatch, tc.noPipeline); *got != *ref {
-			t.Errorf("%s diverged:\nref: %+v\ngot: %+v", tc.name, *ref, *got)
-		}
+	if got := run(false); *got != *ref {
+		t.Errorf("batched diverged from per-element:\nref: %+v\ngot: %+v", *ref, *got)
 	}
 }

@@ -242,9 +242,8 @@ type controlled interface {
 // the hysteresis interval it re-plans mid-stream, handing relocated
 // operators' state off at the last flushed window boundary through
 // Snapshot → MigrateSnapshot → resume. The wrapper owns the inner session
-// and replaces it across a handoff (an in-place swap is unsafe: the
-// pipeline holds a back-pointer to its session); the two kinds of run
-// differ only in the resume step.
+// and replaces it across a handoff (Snapshot is terminal); the two kinds
+// of run differ only in the resume step.
 type ControlledSession struct {
 	s       controlled
 	loop    *ControlLoop

@@ -36,9 +36,9 @@ type windowCore struct {
 	// OnWindow, when set, observes every priced window as it flushes —
 	// the live load signal the control loop (control.go) folds into its
 	// online profile. It always runs on the Offer caller's goroutine
-	// (window pricing is a coordinator-side step even when delivery is
-	// pipelined or remote), so implementations need no locking against
-	// the session.
+	// (window pricing is a coordinator-side step even when delivery runs
+	// behind the caller or remotely), so implementations need no locking
+	// against the session.
 	OnWindow func(WindowObservation)
 
 	windowClock

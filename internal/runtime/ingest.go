@@ -13,8 +13,8 @@ import (
 // carved per value — instead of allocating a fresh slice per arrival the
 // way decode-then-Offer does. Integer arrays (the dominant sensor types)
 // parse with a hand-rolled exact scanner; float arrays and byte strings
-// go through encoding/json into reused scratch and are copied into the
-// slab, so values and errors are identical to json.Unmarshal in every
+// go through encoding/json into reused, zeroed scratch and are copied into
+// the slab, so values and errors are identical to json.Unmarshal in every
 // case (the scanner falls back to encoding/json on anything but the plain
 // happy path: leading zeros, floats, exponents, overflow, garbage).
 //
@@ -67,6 +67,16 @@ func carve[T any](blk *[]T, n int) []T {
 	return (*blk)[start : start+n : start+n]
 }
 
+// zeroed empties a decode scratch for encoding/json, clearing its whole
+// capacity: json leaves a reused element untouched on a null, so a stale
+// one would decode [null] as the previous arrival's sample where a fresh
+// slice gives 0.
+func zeroed[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
+}
+
 // decode maps one raw JSON arrival value onto the element types sensor
 // traces carry, mirroring the decode-then-Offer path exactly: with no
 // type hint a number becomes float64 and an array []float64; the hint
@@ -95,7 +105,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if jsonNull(trimmed) {
 			return []float64(nil), nil
 		}
-		a.sF64 = a.sF64[:0]
+		a.sF64 = zeroed(a.sF64)
 		if err := json.Unmarshal(trimmed, &a.sF64); err != nil {
 			return nil, bad(err)
 		}
@@ -121,7 +131,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if jsonNull(trimmed) {
 			return []float32(nil), nil
 		}
-		a.sF32 = a.sF32[:0]
+		a.sF32 = zeroed(a.sF32)
 		if err := json.Unmarshal(trimmed, &a.sF32); err != nil {
 			return nil, bad(err)
 		}
@@ -137,7 +147,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		}
 		s, ok := scanInts(a.s32[:0], trimmed, -1<<31, 1<<31-1)
 		if !ok {
-			s = s[:0]
+			s = zeroed(s)
 			if err := json.Unmarshal(trimmed, &s); err != nil {
 				a.s32 = s
 				return nil, bad(err)
@@ -156,7 +166,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		}
 		s, ok := scanInts(a.s16[:0], trimmed, -1<<15, 1<<15-1)
 		if !ok {
-			s = s[:0]
+			s = zeroed(s)
 			if err := json.Unmarshal(trimmed, &s); err != nil {
 				a.s16 = s
 				return nil, bad(err)
@@ -173,7 +183,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if jsonNull(trimmed) {
 			return []byte(nil), nil
 		}
-		a.sBy = a.sBy[:0]
+		a.sBy = zeroed(a.sBy)
 		if err := json.Unmarshal(trimmed, &a.sBy); err != nil {
 			return nil, bad(err)
 		}

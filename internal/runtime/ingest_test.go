@@ -51,35 +51,43 @@ func refDecode(typ string, raw []byte) (dataflow.Value, error) {
 	}
 }
 
+// ingestDecodeCases is every supported type and the malformed inputs a
+// client can send: TestIngestDecodeParity's table and FuzzIngestDecode's
+// seeds.
+var ingestDecodeCases = []struct{ typ, raw string }{
+	{"", "3.5"}, {"", "-0"}, {"", "1e3"}, {"", "[1.5,2.5]"}, {"", "[]"},
+	{"", "null"}, {"", `"x"`}, {"", ""}, {"", "  "},
+	{"f64", "2.25"}, {"f64", "bad"},
+	{"i64", "123456789012"}, {"i64", "1.5"}, {"i64", "1e3"},
+	{"f64s", "[0.125, -7]"}, {"f64s", "[1,2"}, {"f64s", "null"},
+	{"f32s", "[0.5,1.5]"}, {"f32s", "{}"},
+	{"bytes", `"aGVsbG8="`}, {"bytes", `"!!!"`}, {"bytes", "[1,2]"},
+	// Integer arrays: the scanner's happy path...
+	{"i16s", "[1,2,3]"}, {"i16s", "[]"}, {"i16s", "[ -5 ,\t7 ,\n0 ]"},
+	{"i16s", "[-32768,32767]"}, {"i16s", "[-0]"},
+	{"i32s", "[2147483647,-2147483648]"}, {"i32s", "[1000000]"},
+	// ...and every shape that must fall back to encoding/json.
+	{"i16s", "[32768]"}, {"i16s", "[-32769]"}, {"i16s", "[1.5]"},
+	{"i16s", "[1e2]"}, {"i16s", "[01]"}, {"i16s", "[+1]"},
+	{"i16s", "[1,]"}, {"i16s", "[1 2]"}, {"i16s", "[1,2]x"},
+	{"i16s", "[99999999999999999999999]"}, {"i16s", "null"},
+	{"i16s", `["1"]`}, {"i16s", "[--1]"}, {"i16s", "[-]"}, {"i16s", "["},
+	{"i32s", "[2147483648]"}, {"i32s", "[1.0]"},
+	// A null element leaves encoding/json's target untouched: what the
+	// previous value left in the reused scratch must not show through.
+	{"f64s", "[null,2]"}, {"f32s", "[null]"}, {"bytes", "[null,3]"},
+	{"i16s", "[null,4]"}, {"i32s", "[5,null]"},
+	// Unknown hint.
+	{"nope", "1"},
+}
+
 // TestIngestDecodeParity pins the zero-copy decode — including the
 // hand-rolled integer scanner and its fallback — against encoding/json on
 // every supported type and the malformed inputs a client can send: values
 // and error messages must both match.
 func TestIngestDecodeParity(t *testing.T) {
-	cases := []struct{ typ, raw string }{
-		{"", "3.5"}, {"", "-0"}, {"", "1e3"}, {"", "[1.5,2.5]"}, {"", "[]"},
-		{"", "null"}, {"", `"x"`}, {"", ""}, {"", "  "},
-		{"f64", "2.25"}, {"f64", "bad"},
-		{"i64", "123456789012"}, {"i64", "1.5"}, {"i64", "1e3"},
-		{"f64s", "[0.125, -7]"}, {"f64s", "[1,2"}, {"f64s", "null"},
-		{"f32s", "[0.5,1.5]"}, {"f32s", "{}"},
-		{"bytes", `"aGVsbG8="`}, {"bytes", `"!!!"`}, {"bytes", "[1,2]"},
-		// Integer arrays: the scanner's happy path...
-		{"i16s", "[1,2,3]"}, {"i16s", "[]"}, {"i16s", "[ -5 ,\t7 ,\n0 ]"},
-		{"i16s", "[-32768,32767]"}, {"i16s", "[-0]"},
-		{"i32s", "[2147483647,-2147483648]"}, {"i32s", "[1000000]"},
-		// ...and every shape that must fall back to encoding/json.
-		{"i16s", "[32768]"}, {"i16s", "[-32769]"}, {"i16s", "[1.5]"},
-		{"i16s", "[1e2]"}, {"i16s", "[01]"}, {"i16s", "[+1]"},
-		{"i16s", "[1,]"}, {"i16s", "[1 2]"}, {"i16s", "[1,2]x"},
-		{"i16s", "[99999999999999999999999]"}, {"i16s", "null"},
-		{"i16s", `["1"]`}, {"i16s", "[--1]"}, {"i16s", "[-]"}, {"i16s", "["},
-		{"i32s", "[2147483648]"}, {"i32s", "[1.0]"},
-		// Unknown hint.
-		{"nope", "1"},
-	}
 	a := &ingestArena{}
-	for _, tc := range cases {
+	for _, tc := range ingestDecodeCases {
 		want, wantErr := refDecode(tc.typ, []byte(tc.raw))
 		got, gotErr := a.decode(tc.typ, []byte(tc.raw), false)
 		if (gotErr == nil) != (wantErr == nil) {
@@ -101,6 +109,40 @@ func TestIngestDecodeParity(t *testing.T) {
 			t.Errorf("decode(%q, %q, discard): err %v, want %v", tc.typ, tc.raw, err, wantErr)
 		}
 	}
+}
+
+// FuzzIngestDecode holds the arena decode — scanner, fallback and reused
+// scratch — to encoding/json under every type hint: the same value, an
+// error exactly when json reports one, and never a panic (scanInts
+// indexing past its input would be one). Each input is decoded behind an
+// earlier value of the same type, the way a session decodes a stream
+// through one arena: nothing the earlier value left in the scratch may
+// show in the later one.
+func FuzzIngestDecode(f *testing.F) {
+	types := []string{"", "f64", "i64", "f64s", "f32s", "i32s", "i16s", "bytes", "nope"}
+	for _, tc := range ingestDecodeCases {
+		for i, typ := range types {
+			if typ == tc.typ {
+				f.Add(uint8(i), []byte(tc.raw))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, hint uint8, raw []byte) {
+		typ := types[int(hint)%len(types)]
+		a := &ingestArena{}
+		a.decode(typ, []byte("[7,7,7,7,7,7,7,7]"), false)
+		want, wantErr := refDecode(typ, raw)
+		got, gotErr := a.decode(typ, raw, false)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decode(%q, %q): err %v, json says %v", typ, raw, gotErr, wantErr)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode(%q, %q) = %#v, json says %#v", typ, raw, got, want)
+		}
+		if _, err := a.decode(typ, raw, true); (err == nil) != (wantErr == nil) {
+			t.Fatalf("decode(%q, %q, discard): err %v, json says %v", typ, raw, err, wantErr)
+		}
+	})
 }
 
 // TestIngestDecodeDoesNotAliasInput pins OfferRaw's buffer-reuse

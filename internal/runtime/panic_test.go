@@ -129,7 +129,6 @@ func TestNodePanicSurfaces(t *testing.T) {
 			c.Inputs = func(int) []profile.Input { return shared }
 		}, batch},
 		{"run/distinct/workers=2", nodes, func(c *Config) { c.Inputs = distinct }, batch},
-		{"session/phased", nodes, func(c *Config) { c.NoPipeline = true }, stream(local)},
 		{"session/pipelined", nodes, func(c *Config) {}, stream(local)},
 		{"dist/2hosts", nodes, func(c *Config) {}, stream(func(cfg Config) (session, error) {
 			var hosts []HostBinding

@@ -124,14 +124,6 @@ type Config struct {
 	// seconds; 0 means 10.
 	WindowSeconds float64
 
-	// NoPipeline forces a streaming Session to run its stages strictly in
-	// phase: node compute, then delivery, window by window. By default a
-	// session with a multi-worker budget pipelines the two (see
-	// pipeline.go) — shard s delivers window w while window w+1
-	// simulates — which is byte-identical to the phased run at any
-	// Shards/Workers setting (the Pipelined parity tests pin this).
-	NoPipeline bool
-
 	// MaxBufferedArrivals bounds how many arrivals a streaming Session
 	// may hold for the window in progress; 0 means the built-in cap.
 	// Exceeding it fails the Offer with ErrBackpressure — the partition
@@ -141,15 +133,15 @@ type Config struct {
 
 	// Timings, when non-nil, accumulates per-stage wall-clock for the run
 	// (node compute vs server delivery) — the instrumentation behind the
-	// pipelining benchmarks. It does not influence the Result.
+	// stage benchmarks. It does not influence the Result.
 	Timings *StageTimings
 
 	// Scenario injects failure models into the run (netsim.Scenario):
 	// node churn drops a crashed node's arrivals at the source, and
 	// Gilbert–Elliott bursts multiply each window's priced delivery
 	// ratio. Both models are pure functions of their seeds, so scenario
-	// runs stay byte-identical across placements, shard counts, pipelined
-	// vs phased execution, and snapshot/resume. Scenario runs always
+	// runs stay byte-identical across placements, shard and worker
+	// counts, and snapshot/resume. Scenario runs always
 	// execute on the streaming path (Feed adapts Inputs per node when
 	// no ArrivalSource is set).
 	Scenario *netsim.Scenario

@@ -11,50 +11,38 @@ import (
 	"wishbone/internal/profile"
 )
 
-// The pipelined parity suite pins the tentpole invariant: a streaming
-// session that overlaps delivery of window w with simulation of window
-// w+1 (pipeline.go) produces a Result byte-identical to the phased
-// session and — for steady-rate, window-divisible traces — to the batch
-// path, at every Shards/Workers combination. CI runs these under -race:
-// the pipeline's node shards, delivery shards and coordinator all touch
-// the session concurrently.
+// The session parity suite pins the streaming invariant: a Session —
+// whose window w delivers behind the caller's ingest of window w+1
+// (stream.go) — produces a Result byte-identical, for steady-rate,
+// window-divisible traces, to the batch path at every Shards/Workers
+// combination. CI runs these under -race: the delivery goroutine and the
+// Offer caller both touch the session.
 
-// pipelineVariant is one Shards/Workers/pipelining combination.
-type pipelineVariant struct {
-	name     string
-	shards   int
-	workers  int
-	phased   bool // force NoPipeline
-	wantPipe bool // the variant must actually engage the pipeline
+// sessionVariants are the Shards/Workers placements every parity test
+// sweeps.
+var sessionVariants = []struct {
+	name            string
+	shards, workers int
+}{
+	{"shards=0/workers=1", 0, 1},
+	{"shards=4/workers=1", 4, 1},
+	{"shards=0/workers=4", 0, 4},
+	{"shards=2/workers=2", 2, 2},
+	{"shards=4/workers=4", 4, 4},
+	{"shards=8/workers=8", 8, 8},
 }
 
-func pipelineVariants() []pipelineVariant {
-	return []pipelineVariant{
-		{name: "phased/workers=1", workers: 1},
-		{name: "phased/shards=4/workers=4", shards: 4, workers: 4, phased: true},
-		{name: "pipelined/shards=0/workers=4", shards: 0, workers: 4, wantPipe: true},
-		{name: "pipelined/shards=2/workers=2", shards: 2, workers: 2, wantPipe: true},
-		{name: "pipelined/shards=4/workers=4", shards: 4, workers: 4, wantPipe: true},
-		{name: "pipelined/shards=8/workers=8", shards: 8, workers: 8, wantPipe: true},
-	}
-}
-
-// runPipelineVariants drives cfg's arrival streams through a Session per
-// variant (asserting the pipeline engages exactly when expected) and
-// requires byte-identical Results across all of them and against ref.
-func runPipelineVariants(t *testing.T, cfg Config, ref *Result, refName string) {
+// runSessionVariants drives cfg's arrival streams through a Session per
+// variant and requires every Result to be byte-identical to ref.
+func runSessionVariants(t *testing.T, cfg Config, ref *Result, refName string) {
 	t.Helper()
-	for _, v := range pipelineVariants() {
+	for _, v := range sessionVariants {
 		c := cfg
 		c.Shards = v.shards
 		c.Workers = v.workers
-		c.NoPipeline = v.phased
 		sess, err := NewSession(c)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
-		}
-		if (sess.pipe != nil) != v.wantPipe {
-			t.Fatalf("%s: pipeline engaged=%v, want %v", v.name, sess.pipe != nil, v.wantPipe)
 		}
 		res, err := feedStreams(sess, &c)
 		if err != nil {
@@ -76,13 +64,13 @@ func feedStreams(sess *Session, cfg *Config) (*Result, error) {
 	return sess.Close()
 }
 
-// TestPipelinedParitySpeech sweeps a server-heavy and a node-heavy speech
+// TestSessionParitySpeech sweeps a server-heavy and a node-heavy speech
 // cut on a multi-node network with per-node traces. The prefix-1 cut
 // relocates the stateful preemph/prefilt operators, exercising per-origin
 // state tables across concurrently delivering shards; the trace is steady
 // rate (40 ev/s, period 1/40 s) and the window (2 s) divides the duration
 // (12 s), so the streaming Results must also be byte-identical to batch.
-func TestPipelinedParitySpeech(t *testing.T) {
+func TestSessionParitySpeech(t *testing.T) {
 	app := speech.New()
 	for _, prefix := range []int{1, 5} {
 		onNode := make(map[int]bool, len(app.Pipeline))
@@ -115,17 +103,16 @@ func TestPipelinedParitySpeech(t *testing.T) {
 		stream.ArrivalSource = func(nodeID int) (Stream, error) {
 			return InputStream(traces[nodeID], 1, cfg.Duration)
 		}
-		runPipelineVariants(t, stream, batch, "batch")
+		runSessionVariants(t, stream, batch, "batch")
 	}
 }
 
-// TestPipelinedParityEEG covers the sequential-delivery fallback under
-// pipelining: the EEG app's `detect` operator is stateful in the Server
-// namespace, so the delivery plan quietly collapses to one shard — the
-// pipeline still overlaps that single delivery worker with the sharded
-// node phase, and the Result must stay byte-identical to phased and
-// batch (window 4 s divides the 2 s trace period and the 12 s duration).
-func TestPipelinedParityEEG(t *testing.T) {
+// TestSessionParityEEG covers the sequential-delivery fallback: the EEG
+// app's `detect` operator is stateful in the Server namespace, so the
+// delivery plan quietly collapses to one shard behind the sharded node
+// phase, and the Result must stay byte-identical to batch (window 4 s
+// divides the 2 s trace period and the 12 s duration).
+func TestSessionParityEEG(t *testing.T) {
 	app := eeg.NewWithChannels(4)
 	onNode := make(map[int]bool)
 	for _, op := range app.Graph.Operators() {
@@ -158,14 +145,14 @@ func TestPipelinedParityEEG(t *testing.T) {
 	stream.ArrivalSource = func(nodeID int) (Stream, error) {
 		return InputStream(inputs, 1, cfg.Duration)
 	}
-	runPipelineVariants(t, stream, batch, "batch")
+	runSessionVariants(t, stream, batch, "batch")
 }
 
-// TestPipelinedReduceParity runs the reduce-aggregation stream app
-// pipelined: aggregates are finalized by the coordinator between the
-// stages and delivered on the AggregateOrigin shard, and must match the
-// phased and batch paths exactly.
-func TestPipelinedReduceParity(t *testing.T) {
+// TestSessionParityReduce runs the reduce-aggregation stream app:
+// aggregates are finalized by the caller between the stages and delivered
+// on the AggregateOrigin shard — Close's reduce tail behind the last
+// window's delivery — and must match the batch path exactly.
+func TestSessionParityReduce(t *testing.T) {
 	g, src, onNode := streamApp()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -186,7 +173,7 @@ func TestPipelinedReduceParity(t *testing.T) {
 	stream.ArrivalSource = func(nodeID int) (Stream, error) {
 		return InputStream(inputs, 1, cfg.Duration)
 	}
-	runPipelineVariants(t, stream, batch, "batch")
+	runSessionVariants(t, stream, batch, "batch")
 }
 
 // TestSessionBackpressure pins the typed backpressure bound: a stream
@@ -220,10 +207,10 @@ func TestSessionBackpressure(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchShardedNodePhase pins the batch path's origin-sharded
+// TestBatchShardedNodePhase pins the batch path's origin-sharded
 // node phase: Shards also partitions node simulation (pinned instances),
 // and the Result must match the unsharded run exactly.
-func TestPipelinedBatchShardedNodePhase(t *testing.T) {
+func TestBatchShardedNodePhase(t *testing.T) {
 	app := speech.New()
 	onNode := make(map[int]bool, len(app.Pipeline))
 	for i, op := range app.Pipeline {

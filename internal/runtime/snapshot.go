@@ -358,15 +358,16 @@ func captureAggregator(a *reduceAggregator, eidx map[*dataflow.Edge]int) ([]aggE
 }
 
 // Snapshot freezes the session at its current window boundary and returns
-// the versioned byte encoding. The call is terminal: the pipeline joins,
-// pooled instances and arenas are released, and the session is closed —
-// continuing the run means ResumeSession in this or any other process.
+// the versioned byte encoding. The call is terminal: the window still
+// delivering is joined, pooled instances and arenas are released, and the
+// session is closed — continuing the run means ResumeSession in this or
+// any other process.
 // Arrivals buffered for the window in progress are part of the snapshot,
 // so callers may snapshot at any point between Offers; internally the
 // persistent state is always window-aligned.
 //
 // The resumed run's Results are byte-identical to the uninterrupted one
-// at any Shards/Workers/pipelining setting on either side.
+// at any Shards/Workers setting on either side.
 func (s *Session) Snapshot() ([]byte, error) {
 	if s.closed {
 		return nil, fmt.Errorf("runtime: Snapshot on a closed Session")
@@ -378,7 +379,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	s.closed = true
 	defer s.release()
-	if err := s.joinPipe(); err != nil {
+	if err := s.joinDelivery(); err != nil {
 		return nil, err
 	}
 	cfg := &s.cfg
@@ -427,8 +428,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 // global, not per-origin, so neither direction has a well-defined handoff.
 //
 // The migrated snapshot resumes through ResumeSession (or a distributed
-// placement) with cfg.OnNode = newOnNode; Shards/Workers/pipelining stay
-// free. By construction, resuming it IS the run that "started on the new
+// placement) with cfg.OnNode = newOnNode; Shards/Workers stay free. By construction, resuming it IS the run that "started on the new
 // cut at that boundary" — the replan parity tests pin byte-identity
 // between the in-place handoff and an external migrate+resume at any
 // placement.
@@ -913,7 +913,7 @@ func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) e
 
 // ResumeSession rebuilds a Session from a Snapshot. cfg must describe the
 // same run (graph structure, cut, platform, nodes, duration, seed,
-// window); the placement knobs — Shards, Workers, NoPipeline — are free,
+// window); the placement knobs — Shards, Workers — are free,
 // because the snapshot's layout is placement-independent.
 func ResumeSession(cfg Config, data []byte) (*Session, error) {
 	if err := checkSnapshotable(&cfg); err != nil {

@@ -140,7 +140,7 @@ func TestSnapshotBytesPlacementInvariant(t *testing.T) {
 			}
 			two := r.cfg
 			two.Shards, two.Workers = 2, 2
-			check("pipelined Shards=Workers=2 Session", sessionSnapshot(t, two, r.feed, cut))
+			check("Shards=Workers=2 Session", sessionSnapshot(t, two, r.feed, cut))
 			for _, hosts := range []int{1, 2, r.cfg.Nodes} {
 				check("DistSession", distSnapshot(t, r.cfg, r.feed, cut, runtime.PartitionOrigins(r.cfg.Nodes, hosts)))
 			}

@@ -91,7 +91,7 @@ func checkSnapshotParity(t *testing.T, base runtime.Config, feed []feedItem, see
 	t.Helper()
 	variants := []runtime.Config{base, base, base}
 	variants[1].Shards, variants[1].Workers = 3, 2
-	variants[2].Shards, variants[2].Workers, variants[2].NoPipeline = 2, 1, true
+	variants[2].Shards, variants[2].Workers = 2, 1
 	ref := runChained(t, variants[:1], feed, nil)
 
 	rng := rand.New(rand.NewSource(seed))

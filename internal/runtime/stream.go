@@ -123,11 +123,14 @@ func (s *inputStream) Next() (Arrival, bool) {
 //
 // A Session is a windowCore (the window clock) over an originHost holding
 // every origin. Each window takes one windowBufs through the same steps —
-// feed, drain, fold, time-sort, price, partition, deliver — and the two
-// execution modes differ only in which goroutines run the feed and the
-// shard deliveries: the caller's worker pool (phased — one windowBufs,
-// recycled after its synchronous delivery) or the pipe's persistent
-// workers (pipelined — see pipeline.go).
+// feed, drain, fold, time-sort, price, partition, deliver — on the Offer
+// caller, the feed and the shard deliveries each fanned out over the
+// Config.Workers pool. The last step alone runs behind the caller: window
+// w delivers on one goroutine while the caller ingests window w+1, and
+// joinDelivery waits for it before w+1's feed, so the two stages never run
+// at once and simulation work stays within Config.Workers. Every shard's
+// state is touched by one delivery at a time, in window order, and pricing
+// stays on the caller, so the Result does not depend on the overlap.
 //
 // A Session accepts the same Config.Shards/Workers knobs as the batch
 // path.
@@ -135,22 +138,16 @@ type Session struct {
 	windowCore
 	host *originHost
 
-	// nodeShards is the node-phase fan-out (originHost.feedShard): one
-	// shard per node when phased, a few pinned to workers when pipelined.
-	nodeShards int
-
-	// pipe is non-nil when the session pipelines its stages; nil sessions
-	// run them in phase on the caller's goroutine.
-	pipe *pipe
-
-	// free recycles window storage; four covers the deepest the pipeline
-	// gets (one window per stage, the one being built, and a spare).
+	// free recycles window storage: the window delivering and, in Close,
+	// the reduce tail built behind it are the two that can be live.
 	free chan *windowBufs
 
-	// err is the first window failure, from any goroutine; no window runs
-	// on top of it.
-	mu  sync.Mutex
-	err error
+	// delivery counts the window delivering behind the caller (at most
+	// one); err is the first window failure — written by that goroutine
+	// or the caller, read only after joinDelivery — and no window runs on
+	// top of it.
+	delivery sync.WaitGroup
+	err      error
 
 	// ingest backs OfferRaw's zero-copy decode: raw JSON arrival values
 	// land in generational typed slabs instead of one allocation per
@@ -165,7 +162,7 @@ type Session struct {
 // state. cfg.Inputs, Duration-derived arrival building and the replay
 // fast path do not apply; arrivals come from Offer.
 func NewSession(cfg Config) (*Session, error) {
-	s := &Session{started: time.Now(), free: make(chan *windowBufs, 4)}
+	s := &Session{started: time.Now(), free: make(chan *windowBufs, 2)}
 	if err := s.init(cfg); err != nil {
 		return nil, err
 	}
@@ -176,15 +173,6 @@ func NewSession(cfg Config) (*Session, error) {
 		return nil, err
 	}
 	s.host = host
-	s.nodeShards = cfg.Nodes
-	if !cfg.NoPipeline && poolWorkers(&s.cfg, 2) > 1 {
-		// Pipelined by default whenever the worker budget allows true
-		// concurrency (an explicit Workers=1, or a single-core host with
-		// Workers unset, runs phased). Byte-identity between the two
-		// modes is pinned by the Pipelined parity tests, so the choice is
-		// purely about overlap.
-		s.pipe = newPipe(s)
-	}
 	return s, nil
 }
 
@@ -224,20 +212,16 @@ func (s *Session) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ st
 // through the node instances, folds reduce rounds that completed, prices
 // the window's offered load, and delivers through the server shards.
 func (s *Session) flushBuffered(span float64) error {
+	// The previous window's delivery ends before this window's feed starts:
+	// the wait is not node-stage time, so the stage clock starts after it.
+	if err := s.joinDelivery(); err != nil {
+		return err
+	}
 	if s.cfg.Timings != nil {
 		s.stageStart = time.Now()
 	}
-	if err := s.failed(); err != nil {
-		return err
-	}
 	win := s.getWin()
-	var err error
-	if s.pipe != nil {
-		err = s.pipe.feed(win)
-	} else {
-		err = s.host.feedPooled(win, s.buf)
-	}
-	if err != nil {
+	if err := s.host.feedPooled(win, s.buf); err != nil {
 		s.recycle(win)
 		return s.fail(err)
 	}
@@ -246,22 +230,23 @@ func (s *Session) flushBuffered(span float64) error {
 		s.buf[n] = s.buf[n][:0]
 	}
 	s.buffered = 0
-	s.agg.arena = win.arenas[s.nodeShards]
+	s.agg.arena = win.arenas[s.cfg.Nodes]
 	win.out = s.agg.fold(&s.cfg, win.msgs, &s.res, win.out[:0])
 	if err := s.deliverWindow(win, span); err != nil {
 		return err
 	}
-	// Safe to rotate even while a pipelined delivery is still running:
+	// Safe to rotate while the window's delivery is still running:
 	// rotation only drops block references; the GC keeps each block alive
 	// while any in-flight value still points into it.
 	s.ingest.rotate()
 	return nil
 }
 
-// deliverWindow prices win.out (always on the coordinator, in window
-// order — the ratio is a global function of every shard's offered load),
-// partitions it by delivery shard and delivers it: handed to the pipe's
-// shard workers, or synchronously on the worker pool.
+// deliverWindow prices win.out (always on the caller, in window order —
+// the ratio is a global function of every shard's offered load),
+// partitions it by delivery shard and starts its delivery on the worker
+// pool, behind the caller; a failure there surfaces from the next
+// joinDelivery.
 func (s *Session) deliverWindow(win *windowBufs, span float64) error {
 	// The node stage ends here even when the window has nothing to
 	// deliver (all messages folded into pending reduce rounds) — accrue
@@ -278,23 +263,29 @@ func (s *Session) deliverWindow(win *windowBufs, span float64) error {
 	}
 	ratio := s.price(sortByTime(out), span, len(out))
 	s.host.plan.partition(out, win.parts)
-	if s.pipe != nil {
-		return s.pipe.dispatch(win, ratio)
+	// Close's reduce tail gets here with the last window still delivering.
+	if err := s.joinDelivery(); err != nil {
+		s.recycle(win)
+		return err
 	}
-	start := time.Now()
-	err := s.host.plan.deliverParts(win.parts, ratio)
-	if t := s.cfg.Timings; t != nil {
-		t.addDelivery(time.Since(start))
-	}
-	s.recycle(win)
-	if err != nil {
-		return s.fail(err)
-	}
+	s.delivery.Add(1)
+	go func() {
+		defer s.delivery.Done()
+		start := time.Now()
+		err := s.host.plan.deliverParts(win.parts, ratio)
+		if t := s.cfg.Timings; t != nil {
+			t.addDelivery(time.Since(start))
+		}
+		s.recycle(win)
+		if err != nil {
+			s.fail(err)
+		}
+	}()
 	return nil
 }
 
 // Close flushes the final window and any reduce rounds still pending,
-// joins the pipeline, releases the pooled instances and arenas, and
+// joins their delivery, releases the pooled instances and arenas, and
 // returns the accumulated Result.
 func (s *Session) Close() (*Result, error) {
 	if s.closed {
@@ -315,13 +306,13 @@ func (s *Session) Close() (*Result, error) {
 		s.stageStart = time.Now()
 	}
 	win := s.getWin()
-	s.agg.arena = win.arenas[s.nodeShards]
+	s.agg.arena = win.arenas[cfg.Nodes]
 	win.out = s.agg.flushAll(cfg, &s.res, win.out[:0])
 	if err := s.deliverWindow(win, s.lastSpan); err != nil {
 		return nil, err
 	}
-	// The pipeline must drain before the shard counters are read.
-	if err := s.joinPipe(); err != nil {
+	// The last delivery must end before the shard counters are read.
+	if err := s.joinDelivery(); err != nil {
 		return nil, err
 	}
 	for _, nb := range s.host.nodes.tally(&s.res) {
@@ -339,24 +330,20 @@ func (s *Session) Close() (*Result, error) {
 // Abort tears the session down without a result (error paths).
 func (s *Session) Abort() { s.Close() }
 
-// joinPipe drains every in-flight delivery and joins the pipeline's
-// workers, once; afterwards all state is at the last flushed window
-// boundary and the session runs no further windows. It reports the first
-// window failure.
-func (s *Session) joinPipe() error {
-	if p := s.pipe; p != nil {
-		s.pipe = nil
-		p.shutdown()
-	}
-	return s.failed()
+// joinDelivery waits for the window delivering behind the caller, if any;
+// afterwards all state is at the last flushed window boundary. It reports
+// the first window failure.
+func (s *Session) joinDelivery() error {
+	s.delivery.Wait()
+	return s.err
 }
 
-// release joins the pipeline if it is still up (error paths — a failure
-// there already surfaced from the flush that hit it), hands the recycled
-// windows' arenas back to the process-wide pool so the next run starts
-// warm, and releases the host: the teardown Close and Snapshot share.
+// release joins a delivery still running (error paths), hands the
+// recycled windows' arenas back to the process-wide pool so the next run
+// starts warm, and releases the host: the teardown Close and Snapshot
+// share.
 func (s *Session) release() {
-	s.joinPipe()
+	s.joinDelivery()
 	for len(s.free) > 0 {
 		(<-s.free).releaseArenas()
 	}
@@ -365,18 +352,31 @@ func (s *Session) release() {
 
 // fail records a window failure and returns the first one recorded.
 func (s *Session) fail(err error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.err == nil {
 		s.err = err
 	}
 	return s.err
 }
 
-func (s *Session) failed() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+// getWin returns recycled window storage, or builds a fresh set when
+// every buffer is still live.
+func (s *Session) getWin() *windowBufs {
+	select {
+	case w := <-s.free:
+		return w
+	default:
+		return newWindowBufs(s.cfg.Nodes, len(s.host.plan.shards))
+	}
+}
+
+// recycle returns a window whose messages are dead to the free list.
+func (s *Session) recycle(w *windowBufs) {
+	w.reset()
+	select {
+	case s.free <- w:
+	default:
+		w.releaseArenas() // free list full (deep error paths only)
+	}
 }
 
 // runStream is Run's streaming path: Feed the merged arrivals through a

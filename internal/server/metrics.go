@@ -232,6 +232,10 @@ type Snapshot struct {
 	// Job pool gauges.
 	InFlightJobs int64 `json:"inFlightJobs"`
 	QueuedJobs   int64 `json:"queuedJobs"`
+
+	// ShardSessionsExpired counts shard sessions a full table evicted
+	// because their coordinator went silent past the idle lease.
+	ShardSessionsExpired int64 `json:"shardSessionsExpired"`
 }
 
 func (s *solverStats) snapshot() SolverSnapshot {

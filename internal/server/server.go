@@ -134,6 +134,10 @@ type Server struct {
 	shardMu       sync.Mutex
 	shardSessions map[string]*shardSession
 	shardClosed   bool
+	shardExpired  int64 // idle sessions a full table evicted
+
+	// now is the lease clock (tests substitute a fake one).
+	now func() time.Time
 }
 
 // New returns a ready Server.
@@ -149,6 +153,7 @@ func New(cfg Config) *Server {
 		mux:           http.NewServeMux(),
 		retiredFuel:   make(map[string]FuelSnapshot),
 		shardSessions: make(map[string]*shardSession),
+		now:           time.Now,
 	}
 	s.cache.OnEvict(s.retireEntry)
 	for i := range routes {
@@ -181,6 +186,9 @@ func (s *Server) Stats() Snapshot {
 	snap := s.metrics.Snapshot(s.cache)
 	snap.Batch = s.batchStats()
 	snap.Fuel = s.fuelStats()
+	s.shardMu.Lock()
+	snap.ShardSessionsExpired = s.shardExpired
+	s.shardMu.Unlock()
 	return snap
 }
 

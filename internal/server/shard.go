@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	wbruntime "wishbone/internal/runtime"
 	"wishbone/internal/wire"
@@ -37,6 +38,18 @@ import (
 // code "unknown_session", which the coordinator's retry loop reads as
 // "this host lost my state" (restart or drain) and triggers recovery
 // rather than pointless retries.
+//
+// Leases: every RPC that names a session renews it. A coordinator that
+// died without closing leaves its sessions idle; when the table is full,
+// the next open aborts the ones idle longer than shardSessionIdle before
+// it answers 429, so a vanished coordinator cannot pin the table until
+// drain. An evicted handle answers "unknown_session" like any lost one.
+
+// shardSessionIdle is how long a shard session may go without an RPC
+// before a full table gives its slot away — far above the coordinator's
+// whole retry budget for one call (dist.RetryPolicy: 15 s × 4 attempts),
+// so a live run is never evicted between two of its windows.
+const shardSessionIdle = 5 * time.Minute
 
 // maxShardSessionsDefault bounds concurrently open shard sessions per
 // server (each pins instances for its origins) when Config leaves it 0.
@@ -49,6 +62,10 @@ const maxShardSessionsDefault = 256
 type shardSession struct {
 	mu   sync.Mutex
 	host *wbruntime.ShardHost
+
+	// lastUsed is when the session was opened or last looked up; guarded
+	// by Server.shardMu, not mu.
+	lastUsed time.Time
 
 	// At-most-once reply cache for the coordinator's retries of the two
 	// non-idempotent calls. Guarded by mu; sequence 0 means "no window
@@ -108,18 +125,43 @@ func (s *Server) shardOpen(ctx context.Context, req *wire.ShardOpenRequest) (*wi
 		host.Abort()
 		return nil, false, &httpError{code: http.StatusServiceUnavailable, err: fmt.Errorf("server: shutting down")}
 	}
+	now := s.now()
+	var idle []*shardSession
 	if len(s.shardSessions) >= max {
-		s.shardMu.Unlock()
+		for sid, ss := range s.shardSessions {
+			if now.Sub(ss.lastUsed) > shardSessionIdle {
+				delete(s.shardSessions, sid)
+				idle = append(idle, ss)
+			}
+		}
+		s.shardExpired += int64(len(idle))
+	}
+	full := len(s.shardSessions) >= max
+	if !full {
+		s.shardSessions[id] = &shardSession{host: host, lastUsed: now}
+	}
+	s.shardMu.Unlock()
+	for _, ss := range idle {
+		ss.abort()
+	}
+	if full {
 		host.Abort()
 		return nil, false, overloaded(fmt.Errorf("server: %d shard sessions already open", max))
 	}
-	s.shardSessions[id] = &shardSession{host: host}
-	s.shardMu.Unlock()
 	return &wire.ShardOpenResponse{Session: id, GraphHash: e.key}, hit, nil
 }
 
-// shardLookup resolves a session handle; remove also unregisters it
-// (close/abort paths — the caller still owns the final host call).
+// abort tears the session's host down (idempotent); the caller has already
+// unregistered it.
+func (ss *shardSession) abort() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.host.Abort()
+}
+
+// shardLookup resolves a session handle and renews its lease; remove also
+// unregisters it (close/abort paths — the caller still owns the final host
+// call).
 func (s *Server) shardLookup(id string, remove bool) (*shardSession, error) {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()
@@ -133,6 +175,7 @@ func (s *Server) shardLookup(id string, remove bool) (*shardSession, error) {
 			err:  fmt.Errorf("unknown shard session %q", id),
 		}
 	}
+	ss.lastUsed = s.now()
 	if remove {
 		delete(s.shardSessions, id)
 	}
@@ -242,9 +285,7 @@ func (s *Server) shardAbort(_ context.Context, req *wire.ShardSessionRequest) (s
 	if err != nil {
 		return struct{}{}, false, err
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.host.Abort()
+	ss.abort()
 	return struct{}{}, false, nil
 }
 
@@ -268,8 +309,6 @@ func (s *Server) abortShardSessions() {
 	s.shardSessions = make(map[string]*shardSession)
 	s.shardMu.Unlock()
 	for _, ss := range sessions {
-		ss.mu.Lock()
-		ss.host.Abort()
-		ss.mu.Unlock()
+		ss.abort()
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	goruntime "runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wishbone/internal/runtime"
 	"wishbone/internal/wire"
@@ -155,6 +158,125 @@ func TestShardUnknownSessionCode(t *testing.T) {
 	if ae.Code != "unknown_session" || ae.StatusCode != 400 {
 		t.Fatalf("lookup failure carries code %q status %d, want unknown_session/400", ae.Code, ae.StatusCode)
 	}
+}
+
+// TestShardSessionLease pins the idle expiry of shard sessions on a fake
+// clock: a full table still answers 429 while its sessions are live; once
+// a session has gone shardSessionIdle without an RPC the next open takes
+// its slot (the handle then answers unknown_session and /v1/stats counts
+// the eviction); a session touched inside the lease survives and its
+// compute/deliver/close sequence answers exactly as on an idle server; and
+// a table full of abandoned sessions frees whole.
+func TestShardSessionLease(t *testing.T) {
+	var skew atomic.Int64
+	advance := func(d time.Duration) { skew.Add(int64(d)) }
+	svc := New(Config{MaxShardSessions: 2})
+	svc.now = func() time.Time { return time.Unix(0, skew.Load()) }
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
+	_, refClient := startServer(t, Config{})
+	ctx := context.Background()
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+
+	var onNode []int
+	for i, op := range e.graph.Operators() {
+		if i < 6 {
+			onNode = append(onNode, op.ID())
+		}
+	}
+	const nodes, duration, span = 2, 4.0, 2.0
+	open := func(c *Client) (string, error) {
+		resp, err := c.ShardOpen(ctx, wire.ShardOpenRequest{
+			Graph: spec, Platform: "Gumstix", OnNode: onNode,
+			Nodes: nodes, Duration: duration, Seed: 7, Origins: []int{0, 1},
+		})
+		if err != nil {
+			return "", err
+		}
+		return resp.Session, nil
+	}
+	mustOpen := func(c *Client) string {
+		t.Helper()
+		id, err := open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	batches := speechShardWindows(t, e, nodes, duration, span)
+	window := func(c *Client, session string, wi int) {
+		t.Helper()
+		rep, err := c.ShardCompute(ctx, wire.ShardComputeRequest{
+			Session: session, Window: int64(wi + 1), Span: batches[wi].span, Arrivals: batches[wi].arrivals,
+		})
+		if err != nil {
+			t.Fatalf("window %d: %v", wi, err)
+		}
+		if rep.Held == 0 {
+			return
+		}
+		if err := c.ShardDeliver(ctx, wire.ShardDeliverRequest{Session: session, Window: int64(wi + 1), Ratio: 0.85}); err != nil {
+			t.Fatalf("window %d deliver: %v", wi, err)
+		}
+	}
+	wantCode := func(err error, status int, code string) {
+		t.Helper()
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.StatusCode != status || ae.Code != code {
+			t.Fatalf("got %v, want status %d code %q", err, status, code)
+		}
+	}
+
+	kept, abandoned := mustOpen(client), mustOpen(client)
+	_, err := open(client)
+	wantCode(err, 429, "backpressure")
+
+	// kept is driven inside the lease, abandoned never hears from its
+	// coordinator again.
+	advance(shardSessionIdle - time.Minute)
+	window(client, kept, 0)
+	_, err = open(client)
+	wantCode(err, 429, "backpressure")
+	advance(2 * time.Minute)
+	third := mustOpen(client)
+	if got := svc.Stats().ShardSessionsExpired; got != 1 {
+		t.Fatalf("shardSessionsExpired = %d after one eviction", got)
+	}
+	err = client.ShardDeliver(ctx, wire.ShardDeliverRequest{Session: abandoned, Window: 1, Ratio: 0.85})
+	wantCode(err, 400, "unknown_session")
+
+	window(client, kept, 1)
+	got, err := client.ShardClose(ctx, kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := mustOpen(refClient)
+	window(refClient, ref, 0)
+	window(refClient, ref, 1)
+	want, err := refClient.ShardClose(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.MsgsSent == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("session driven across an eviction closed differently:\ngot:  %+v\nwant: %+v", got, want)
+	}
+
+	// The table is full again (third + fourth), and both go silent.
+	mustOpen(client)
+	advance(shardSessionIdle + time.Second)
+	mustOpen(client)
+	mustOpen(client)
+	stats, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShardSessionsExpired != 3 {
+		t.Fatalf("/v1/stats shardSessionsExpired = %d, want 3", stats.ShardSessionsExpired)
+	}
+	err = client.ShardAbort(ctx, third)
+	wantCode(err, 400, "unknown_session")
 }
 
 // TestShardCheckpointResume pins the non-terminal checkpoint call and

@@ -128,6 +128,41 @@ func TestGraphWireRejectsBadInput(t *testing.T) {
 	}
 }
 
+// FuzzUnmarshalGraph holds the graph decoder — /v1/graph and every request
+// that names a graph by structure — to the decoder contract: never panic on
+// arbitrary bytes, and a graph it accepts survives the wire again with the
+// structural hash it was accepted under.
+func FuzzUnmarshalGraph(f *testing.F) {
+	for _, g := range []*dataflow.Graph{speech.New().Graph, eeg.NewWithChannels(2).Graph} {
+		data, err := wire.MarshalGraph(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte(`{"ops":[{"name":"a","ns":7}]}`))
+	f.Add([]byte(`{"ops":[{"name":"a","ns":0}],"edges":[{"from":0,"to":9}]}`))
+	f.Add([]byte(`{"ops":[{"name":"a","ns":0},{"name":"b","ns":0}],"edges":[{"from":0,"to":1},{"from":1,"to":0}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := wire.UnmarshalGraph(data)
+		if err != nil {
+			return
+		}
+		enc, err := wire.MarshalGraph(g)
+		if err != nil {
+			t.Fatalf("accepted graph does not re-marshal: %v", err)
+		}
+		g2, err := wire.UnmarshalGraph(enc)
+		if err != nil {
+			t.Fatalf("re-marshalled graph does not rebuild: %v\n%s", err, enc)
+		}
+		if g.StructuralHash() != g2.StructuralHash() {
+			t.Fatalf("structural hash changed across the wire:\n%s", enc)
+		}
+	})
+}
+
 // randomGraph builds a random valid layered DAG: sources in the Node
 // namespace, edges only from earlier to later operators, random flags.
 func randomGraph(rng *rand.Rand) *dataflow.Graph {

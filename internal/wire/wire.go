@@ -348,6 +348,12 @@ func (r *Reassembler) Offer(frag []byte) (dataflow.Value, bool, error) {
 		r.started = true
 	}
 	if r.parts[idx] == nil {
+		if r.store[idx] == nil {
+			// nil marks a missing fragment; an empty payload is not one (or
+			// its duplicate would count again and complete the element
+			// with fragments never received).
+			r.store[idx] = []byte{}
+		}
 		b := append(r.store[idx][:0], frag[4:]...)
 		r.store[idx] = b
 		r.parts[idx] = b

@@ -383,3 +383,84 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// packetStream frames packets for FuzzReassemble: one length byte, then
+// that many bytes (fewer if the input ends first).
+func packetStream(packets ...[]byte) []byte {
+	var out []byte
+	for _, p := range packets {
+		out = append(out, byte(len(p)))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// FuzzReassemble feeds a Reassembler fuzzer-chosen packets, headers
+// included — duplicated, reordered, truncated, from interleaved elements.
+// It must never panic; it completes an element exactly when every index of
+// the fragment set in progress has been offered; and a value it returns is
+// no longer than the payload bytes offered for it.
+func FuzzReassemble(f *testing.F) {
+	for i, v := range []dataflow.Value{
+		nil, true, int16(-7), int32(1 << 20), int64(-1 << 40), float32(1.5), float64(-2.5),
+		"wishbone", []byte{1, 2, 3}, []int16{-1, 0, 32767, 12, 13, 14, 15, 16, 17}, []int32{5, -9, 11, 13},
+		[]float32{1.5, -2.25, 3, 4}, []float64{3.14159, 0, 7},
+	} {
+		enc, err := Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frags, err := Fragment(enc, uint16(i), 12)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(packetStream(frags...))
+		if n := len(frags); n > 1 {
+			swapped := append([][]byte(nil), frags...)
+			swapped[0], swapped[n-1] = swapped[n-1], swapped[0]
+			f.Add(packetStream(swapped...))
+			f.Add(packetStream(frags[:n-1]...))
+			f.Add(packetStream(frags[0], frags[0][:3], frags[1][:fragHeader]))
+		}
+	}
+	// A duplicated empty-payload fragment once counted twice and completed
+	// an element whose last fragment never arrived.
+	f.Add(packetStream([]byte{0, 1, 0, 3, tagInt16, 0, 5}, []byte{0, 1, 1, 3}, []byte{0, 1, 1, 3}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Reassembler
+		var seq uint16
+		var count, offered int // the fragment set in progress
+		seen := map[int]bool{}
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			pkt := data[1 : 1+n]
+			data = data[1+n:]
+			v, ok, err := r.Offer(pkt)
+			if len(pkt) < fragHeader || pkt[3] == 0 || pkt[2] >= pkt[3] {
+				if err == nil {
+					t.Fatalf("bad header % x accepted", pkt)
+				}
+				continue
+			}
+			if s, c := binary.BigEndian.Uint16(pkt), int(pkt[3]); len(seen) == 0 || s != seq || c != count {
+				seq, count, offered = s, c, 0
+				clear(seen)
+			}
+			if !seen[int(pkt[2])] {
+				seen[int(pkt[2])] = true
+				offered += len(pkt) - fragHeader
+			}
+			if done := ok || err != nil; done != (len(seen) == count) {
+				t.Fatalf("element %d: completed=%v with %d of %d fragments offered", seq, done, len(seen), count)
+			}
+			if ok {
+				if enc, err := Marshal(v); err != nil || len(enc) > offered {
+					t.Fatalf("returned %T encodes to %d bytes (err %v), %d were offered", v, len(enc), err, offered)
+				}
+			}
+			if len(seen) == count {
+				clear(seen)
+			}
+		}
+	})
+}

@@ -184,7 +184,7 @@ main = spin;
 
 // TestMeteringFuelAcrossStrategies runs one wscript deployment through the
 // runtime's execution strategies — sequential, sharded+parallel, unbatched,
-// streaming phased, streaming pipelined — and requires the consumed-fuel
+// streaming on one worker and on four — and requires the consumed-fuel
 // and metered-call counters to be identical everywhere. Fuel is an
 // accounting surface tenants are billed on; it must not depend on how the
 // simulator schedules the work. Rate 4 / window 16 / duration 64 keeps
@@ -271,8 +271,8 @@ main = feat;
 			}
 			cfg.NodeProgram, cfg.ServerProgram = side(true), side(false)
 		}},
-		{"stream-phased", func(cfg *runtime.Config) { streaming(cfg); cfg.NoPipeline = true; cfg.Shards = 3; cfg.Workers = 4 }},
-		{"stream-pipelined", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 4 }},
+		{"stream-workers=1", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 1 }},
+		{"stream-workers=4", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 4 }},
 	}
 	var refFuel, refCalls uint64
 	for i, s := range strategies {

@@ -20,7 +20,7 @@ var ErrMemLimit = errors.New("wvm: memory limit exceeded")
 // operator): every executed opcode costs one unit, and allocating builtins
 // cost extra in proportion to the allocation. Charging per element keeps
 // accounting deterministic under any execution strategy — sequential,
-// sharded, pipelined, or batched runs charge each element identically, so
+// sharded, streamed, or batched runs charge each element identically, so
 // totals agree everywhere.
 //
 // MemBytes caps the estimated bytes a single invocation can touch: its
