@@ -49,7 +49,8 @@ func burstySpec() (*core.Spec, error) {
 			ctx.Counter.Add(cost.FloatAdd, len(frame))
 			if energy > 1000 {
 				// Loud frame: full spectral analysis.
-				dsp.PowerSpectrum(ctx.Counter, frame)
+				n := dsp.NextPow2(len(frame))
+				dsp.PowerSpectrumInto(ctx.Counter, frame, make([]dsp.Complex, n), make([]float64, n/2))
 				emit([]float32{float32(energy)})
 			}
 		},

@@ -20,11 +20,9 @@
 // detection latency under node churn, swept over the mean time to
 // failure.
 //
-// The replan figure evaluates the online control plane: dual
-// iterations-to-gap for re-plan pricing (plain subgradient vs Newton vs
-// warm-started Newton on the drift-scaled specs) and the control loop's
-// window-by-window recovery trajectory through a mid-stream re-partition
-// of a drift-injected speech deployment.
+// The replan figure evaluates the online control plane: the control
+// loop's window-by-window recovery trajectory through a mid-stream
+// re-partition of a drift-injected speech deployment.
 //
 // -shards splits each deployment simulation — the node phase by origin
 // and the server-side delivery loop — by origin node (byte-identical
@@ -215,11 +213,6 @@ func main() {
 		out(experiments.DistScalingTable(*distNodes, *distSeconds, rows))
 	}
 	if want("replan") {
-		iters, err := experiments.NewtonIterations(1.5)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(experiments.NewtonIterationsTable(1.5, iters))
 		rows, res, err := experiments.ReplanRecovery(4, 16)
 		if err != nil {
 			log.Fatal(err)

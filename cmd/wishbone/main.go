@@ -27,7 +27,10 @@
 // each ingestion window's observed load folds into a decaying profile,
 // and when it drifts past the policy threshold the partition is re-solved
 // with -solver at the observed multiple and operator state relocates
-// mid-stream (results stay deterministic for a fixed input).
+// mid-stream (results stay deterministic for a fixed input). With -hosts
+// the coordinator runs the same loop over the shard hosts: a re-plan
+// freezes them, migrates their snapshots onto the new cut and re-opens
+// them (dist.Coordinator.RunControlled).
 //
 // With -simulate N, the chosen partition is additionally deployed on a
 // simulated N-node network (§7.3): each node runs the node partition
@@ -275,42 +278,44 @@ func main() {
 		if *stream {
 			mode = "streaming"
 		}
+		// One coordinator for every placement: no -hosts means no peers,
+		// and a coordinator without peers runs locally.
+		var peers []string
+		for _, u := range strings.Split(*hosts, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				peers = append(peers, u)
+			}
+		}
+		coord := dist.NewWithOptions(peers, dist.Options{CheckpointEvery: *checkpoint})
+		graphSpec := wire.GraphSpec{App: "wscript", Source: string(src)}
 		var res *runtime.Result
-		distributed := false
+		var distributed bool
 		if *replan {
 			if !*stream {
 				log.Fatal("-replan requires -stream (drift detection rides the ingestion windows)")
 			}
-			if *hosts != "" {
-				log.Fatal("-replan does not compose with -hosts (the partition service coordinates distributed replans)")
-			}
-			res, err = runReplanned(ctx, cfg, *replanWindow, spec.Scaled(rate), sv)
+			cfg.WindowSeconds = *replanWindow
+			var events []runtime.ReplanEvent
+			res, events, distributed, err = coord.RunControlled(ctx, graphSpec, cfg,
+				runtime.ReplanPolicy{}, 0, replanPlanner(ctx, spec.Scaled(rate), sv))
 			if err != nil {
 				log.Fatal(err)
 			}
+			printReplans(events)
 			mode = "streaming+replan"
-		} else if *hosts != "" {
-			var peers []string
-			for _, u := range strings.Split(*hosts, ",") {
-				if u = strings.TrimSpace(u); u != "" {
-					peers = append(peers, u)
-				}
-			}
-			coord := dist.NewWithOptions(peers, dist.Options{CheckpointEvery: *checkpoint})
-			res, distributed, err = coord.Run(ctx, wire.GraphSpec{App: "wscript", Source: string(src)}, cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if distributed {
-				mode = fmt.Sprintf("distributed across %d host(s)", len(peers))
-			} else {
-				fmt.Println("note: partition not distributable (global server state) or no usable peers; ran locally")
-			}
 		} else {
-			res, err = runtime.Run(cfg)
+			res, distributed, err = coord.Run(ctx, graphSpec, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
+		}
+		switch {
+		case distributed && *replan:
+			fmt.Printf("control loop: coordinated across %d host(s)\n", len(peers))
+		case distributed:
+			mode = fmt.Sprintf("distributed across %d host(s)", len(peers))
+		case *hosts != "":
+			fmt.Println("note: partition not distributable (global server state) or no usable peers; ran locally")
 		}
 		fmt.Printf("simulated %d node(s) for %.0fs (%s, %d shard(s)): input %.1f%%, msgs %.1f%%, goodput %.1f%%, node CPU %.1f%%\n",
 			*simNodes, *simSeconds, mode, *shards,
@@ -369,35 +374,22 @@ func parseScenario(churn, burst string, seed int64) (*netsim.Scenario, error) {
 	return sc, nil
 }
 
-// runReplanned drives the streaming simulation through a
-// ControlledSession: the control loop folds each ingestion window's load
-// into a decaying online profile, and when it drifts past the policy
-// threshold for the hysteresis interval, re-solves the partition with the
-// chosen backend at the observed load multiple and relocates operator
-// state at the window boundary. Replan events print as they land in the
-// final result.
-func runReplanned(ctx context.Context, cfg runtime.Config, window float64, base *core.Spec,
-	sv solver.Solver) (*runtime.Result, error) {
-	cfg.WindowSeconds = window
-	planner := func(multiple float64) (*runtime.Plan, error) {
+// replanPlanner is the control loop's re-solve: when the folded window
+// load drifts past the policy threshold for the hysteresis interval, the
+// partition is re-solved with the chosen backend at the observed load
+// multiple, and operator state relocates at the window boundary.
+func replanPlanner(ctx context.Context, base *core.Spec, sv solver.Solver) runtime.Planner {
+	return func(multiple float64) (*runtime.Plan, error) {
 		res, err := core.AutoPartitionWith(ctx, base, multiple, 0.005, core.Limits{}, sv)
 		if err != nil || res.Assignment == nil {
 			return nil, nil // keep the incumbent cut
 		}
 		return &runtime.Plan{OnNode: res.Assignment.OnNode, Solver: res.Assignment.Stats.Solver}, nil
 	}
-	cs, err := runtime.NewControlledSession(cfg, runtime.ReplanPolicy{}, 0, planner)
-	if err != nil {
-		return nil, err
-	}
-	if err := runtime.Feed(cs, &cfg); err != nil {
-		return nil, err
-	}
-	res, err := cs.Close()
-	if err != nil {
-		return nil, err
-	}
-	events := cs.Events()
+}
+
+// printReplans reports the replan events a controlled run recorded.
+func printReplans(events []runtime.ReplanEvent) {
 	if len(events) == 0 {
 		fmt.Println("control loop: no drift past threshold; cut unchanged")
 	}
@@ -409,7 +401,6 @@ func runReplanned(ctx context.Context, cfg runtime.Config, window float64, base 
 		fmt.Printf("control loop: replan at t=%.0fs (load ×%.2f): moved %d operator(s)%s\n",
 			ev.Time, ev.RateMultiple, len(ev.Moved), via)
 	}
-	return res, nil
 }
 
 // runRemote is the client mode: submit the program to a wbserved

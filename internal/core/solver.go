@@ -13,7 +13,6 @@ import (
 const (
 	SolverExact      = "exact"
 	SolverLagrangian = "lagrangian"
-	SolverNewton     = "newton"
 	SolverGreedy     = "greedy"
 	SolverRace       = "race"
 )
@@ -75,11 +74,6 @@ type BackendStats struct {
 	// Iterations counts backend-specific work: branch-and-bound nodes,
 	// subgradient iterations, or candidate cuts evaluated.
 	Iterations int `json:"iterations,omitempty"`
-
-	// Lambda records the final dual multipliers (λcpu, λnet, λram) for
-	// backends that price the budgets (lagrangian, newton); a re-plan
-	// warm-starts the newton backend from these instead of zero.
-	Lambda []float64 `json:"lambda,omitempty"`
 
 	// Winner marks the backend whose assignment a race returned.
 	Winner bool `json:"winner,omitempty"`

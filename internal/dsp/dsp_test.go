@@ -88,7 +88,7 @@ func TestPowerSpectrumOfSine(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * float64(k) * float64(i) / float64(n))
 	}
-	ps := PowerSpectrum(nil, x)
+	ps := PowerSpectrumInto(nil, x, make([]Complex, n), make([]float64, n/2))
 	best := 0
 	for i := range ps {
 		if ps[i] > ps[best] {
@@ -104,7 +104,7 @@ func TestFIRImpulseResponse(t *testing.T) {
 	coeffs := []float64{0.5, 0.25, -0.125, 1.5}
 	s := NewFIRState(len(coeffs))
 	impulse := []float64{1, 0, 0, 0, 0, 0}
-	out := FIRBlock(nil, s, coeffs, impulse)
+	out := FIRBlockInto(nil, s, coeffs, impulse, make([]float64, len(impulse)))
 	for i, want := range coeffs {
 		if math.Abs(out[i]-want) > 1e-12 {
 			t.Fatalf("tap %d: got %v want %v", i, out[i], want)
@@ -120,8 +120,8 @@ func TestFIRImpulseResponse(t *testing.T) {
 func TestFIRStateCarriesAcrossBlocks(t *testing.T) {
 	coeffs := []float64{1, 1}
 	s := NewFIRState(2)
-	out1 := FIRBlock(nil, s, coeffs, []float64{1})
-	out2 := FIRBlock(nil, s, coeffs, []float64{0})
+	out1 := FIRBlockInto(nil, s, coeffs, []float64{1}, make([]float64, 1))
+	out2 := FIRBlockInto(nil, s, coeffs, []float64{0}, make([]float64, 1))
 	if out1[0] != 1 || out2[0] != 1 {
 		t.Fatalf("got %v then %v; the delay line must carry the 1 across blocks", out1, out2)
 	}
@@ -137,22 +137,12 @@ func TestFIRCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestSplitEvenOdd(t *testing.T) {
-	even, odd := SplitEvenOdd(nil, []float64{0, 1, 2, 3, 4})
-	if len(even) != 3 || len(odd) != 2 {
-		t.Fatalf("lengths %d,%d want 3,2", len(even), len(odd))
-	}
-	if even[0] != 0 || even[1] != 2 || even[2] != 4 || odd[0] != 1 || odd[1] != 3 {
-		t.Fatalf("even=%v odd=%v", even, odd)
-	}
-}
-
 func TestPreEmphasisCarriesPrev(t *testing.T) {
-	out1, prev := PreEmphasis(nil, []float64{1, 1}, 0.97, 0)
+	out1, prev := PreEmphasisInto(nil, []float64{1, 1}, 0.97, 0, make([]float64, 2))
 	if out1[0] != 1 || math.Abs(out1[1]-(1-0.97)) > 1e-12 {
 		t.Fatalf("out1=%v", out1)
 	}
-	out2, _ := PreEmphasis(nil, []float64{0}, 0.97, prev)
+	out2, _ := PreEmphasisInto(nil, []float64{0}, 0.97, prev, make([]float64, 1))
 	if math.Abs(out2[0]-(-0.97)) > 1e-12 {
 		t.Fatalf("out2=%v, prev not carried", out2)
 	}
@@ -161,7 +151,7 @@ func TestPreEmphasisCarriesPrev(t *testing.T) {
 func TestDCTIIConstantInput(t *testing.T) {
 	// DCT-II of a constant is nonzero only at k=0.
 	x := []float64{2, 2, 2, 2, 2, 2, 2, 2}
-	out := DCTII(nil, x, 4)
+	out := DCTIIInto(nil, x, 4, make([]float64, 4))
 	if math.Abs(out[0]-16) > 1e-9 {
 		t.Fatalf("k=0: got %v want 16", out[0])
 	}
@@ -205,7 +195,7 @@ func TestMelBankLocalized(t *testing.T) {
 }
 
 func TestLog10BlockFloorsZeros(t *testing.T) {
-	out := Log10Block(nil, []float64{0, 1, 100})
+	out := Log10BlockInto(nil, []float64{0, 1, 100}, make([]float64, 3))
 	if math.IsInf(out[0], -1) || math.IsNaN(out[0]) {
 		t.Fatalf("log of 0 not floored: %v", out[0])
 	}
@@ -222,7 +212,7 @@ func TestMagWithScale(t *testing.T) {
 }
 
 func TestDecimate(t *testing.T) {
-	out := Decimate(nil, []float64{0, 1, 2, 3, 4, 5, 6, 7}, 4)
+	out := DecimateInto(nil, []float64{0, 1, 2, 3, 4, 5, 6, 7}, 4, nil)
 	if len(out) != 2 || out[0] != 0 || out[1] != 4 {
 		t.Fatalf("out=%v", out)
 	}
@@ -235,17 +225,17 @@ func TestKernelsCountOperations(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i)
 	}
-	PowerSpectrum(&c, x)
+	PowerSpectrumInto(&c, x, make([]Complex, 64), make([]float64, 32))
 	if c.Count(cost.FloatMul) == 0 || c.Count(cost.FloatAdd) == 0 {
 		t.Fatal("FFT reported no float work")
 	}
 	c.Reset()
-	DCTII(&c, x, 13)
+	DCTIIInto(&c, x, 13, make([]float64, 13))
 	if c.Count(cost.Trig) != 13*64 {
 		t.Fatalf("DCT trig count %d, want %d", c.Count(cost.Trig), 13*64)
 	}
 	c.Reset()
-	Log10Block(&c, x)
+	Log10BlockInto(&c, x, make([]float64, 64))
 	if c.Count(cost.Log) != 64 {
 		t.Fatalf("log count %d, want 64", c.Count(cost.Log))
 	}

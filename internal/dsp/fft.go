@@ -1,19 +1,14 @@
 // Package dsp provides the signal-processing kernels the paper's two
 // applications are built from: FFT, FIR filtering, windowing, pre-emphasis,
 // mel filter banks, log-spectra and the DCT (speech detection, §6.2), plus
-// polyphase even/odd splitting and magnitude scaling (EEG wavelet
-// decomposition, §6.1).
+// magnitude scaling (EEG wavelet decomposition, §6.1).
 //
 // Every kernel takes a *cost.Counter and records the primitive operations
 // it performs; a nil counter disables instrumentation at negligible cost.
 // The counts are what the profiler converts into per-platform CPU time.
 package dsp
 
-import (
-	"math"
-
-	"wishbone/internal/cost"
-)
+import "wishbone/internal/cost"
 
 // Complex is a complex sample as two float64s; the FFT uses its own type to
 // keep operation counting explicit.
@@ -88,17 +83,11 @@ func mulC(c *cost.Counter, a, b Complex) Complex {
 	return Complex{a.Re*b.Re - a.Im*b.Im, a.Re*b.Im + a.Im*b.Re}
 }
 
-// PowerSpectrum computes the one-sided power spectrum of a real signal.
-// The input is zero-padded to the next power of two; the output has
-// fftLen/2 bins (bin 0 = DC). The result length is NextPow2(len(x))/2.
-func PowerSpectrum(c *cost.Counter, x []float64) []float64 {
-	n := NextPow2(len(x))
-	return PowerSpectrumInto(c, x, make([]Complex, n), make([]float64, n/2))
-}
-
-// PowerSpectrumInto is PowerSpectrum using caller-supplied scratch: buf
-// must have len ≥ NextPow2(len(x)) (its contents are overwritten) and out
-// len ≥ NextPow2(len(x))/2. It returns the filled prefix of out.
+// PowerSpectrumInto computes the one-sided power spectrum of a real
+// signal. The input is zero-padded to the next power of two; the output
+// has fftLen/2 bins (bin 0 = DC). buf must have len ≥ NextPow2(len(x))
+// (its contents are overwritten) and out len ≥ NextPow2(len(x))/2. It
+// returns the filled prefix of out.
 func PowerSpectrumInto(c *cost.Counter, x []float64, buf []Complex, out []float64) []float64 {
 	n := NextPow2(len(x))
 	buf = buf[:n]
@@ -118,26 +107,5 @@ func PowerSpectrumInto(c *cost.Counter, x []float64, buf []Complex, out []float6
 	c.Add(cost.FloatMul, 2*(n/2))
 	c.Add(cost.FloatAdd, n/2)
 	c.Add(cost.Store, n/2)
-	return out
-}
-
-// naiveDFT is the O(n²) reference transform used by tests.
-func naiveDFT(x []Complex, inverse bool) []Complex {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	out := make([]Complex, n)
-	for k := 0; k < n; k++ {
-		var sumRe, sumIm float64
-		for t := 0; t < n; t++ {
-			ang := sign * 2 * math.Pi * float64(k) * float64(t) / float64(n)
-			wr, wi := math.Cos(ang), math.Sin(ang)
-			sumRe += x[t].Re*wr - x[t].Im*wi
-			sumIm += x[t].Re*wi + x[t].Im*wr
-		}
-		out[k] = Complex{sumRe, sumIm}
-	}
 	return out
 }

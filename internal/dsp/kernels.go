@@ -6,18 +6,13 @@ import (
 	"wishbone/internal/cost"
 )
 
-// PreEmphasis applies the first-order high-pass y[i] = x[i] − coef·x[i−1]
-// used at the front of speech pipelines; prev is the last sample of the
-// previous frame and the updated value is returned (the operator keeps it
-// as private state).
-func PreEmphasis(c *cost.Counter, x []float64, coef, prev float64) ([]float64, float64) {
-	return PreEmphasisInto(c, x, coef, prev, make([]float64, len(x)))
-}
-
-// PreEmphasisInto is PreEmphasis writing into a caller-supplied buffer
-// (len(out) ≥ len(x)); it returns the filled prefix and the updated carry.
-// Counter charges are identical to the allocating form (bulk-charged: the
-// counter is a pure count, so n adds of one equal one add of n).
+// PreEmphasisInto applies the first-order high-pass
+// y[i] = x[i] − coef·x[i−1] used at the front of speech pipelines; prev is
+// the last sample of the previous frame and the updated value is returned
+// (the operator keeps it as private state). It writes into out
+// (len(out) ≥ len(x)) and returns the filled prefix. Counter charges are
+// bulk-charged: the counter is a pure count, so n adds of one equal one
+// add of n.
 func PreEmphasisInto(c *cost.Counter, x []float64, coef, prev float64, out []float64) ([]float64, float64) {
 	out = out[:len(x)]
 	for i, v := range x {
@@ -47,13 +42,9 @@ func HammingWindow(n int) []float64 {
 	return p.([]float64)
 }
 
-// ApplyWindow multiplies x elementwise by the window w (len(w) ≥ len(x)).
-func ApplyWindow(c *cost.Counter, x, w []float64) []float64 {
-	return ApplyWindowInto(c, x, w, make([]float64, len(x)))
-}
-
-// ApplyWindowInto is ApplyWindow writing into a caller-supplied buffer
-// (len(out) ≥ len(x)); it returns the filled prefix.
+// ApplyWindowInto multiplies x elementwise by the window w
+// (len(w) ≥ len(x)) into out (len(out) ≥ len(x)); it returns the filled
+// prefix.
 func ApplyWindowInto(c *cost.Counter, x, w, out []float64) []float64 {
 	out = out[:len(x)]
 	for i, v := range x {
@@ -111,12 +102,7 @@ func (s *FIRState) Step(c *cost.Counter, coeffs []float64, x float64) float64 {
 	return sum
 }
 
-// FIRBlock filters a whole block through the delay line.
-func FIRBlock(c *cost.Counter, s *FIRState, coeffs, x []float64) []float64 {
-	return FIRBlockInto(c, s, coeffs, x, make([]float64, len(x)))
-}
-
-// FIRBlockInto is FIRBlock writing into a caller-supplied buffer
+// FIRBlockInto filters a whole block through the delay line into out
 // (len(out) ≥ len(x)); it returns the filled prefix. The per-sample Step
 // charges are bulk-charged once for the block.
 func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []float64 {
@@ -143,42 +129,6 @@ func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []floa
 	return out
 }
 
-// SplitEvenOdd separates a block into its even- and odd-indexed samples
-// (the polyphase decomposition step of the EEG filter cascade, §6.1).
-func SplitEvenOdd(c *cost.Counter, x []float64) (even, odd []float64) {
-	even = make([]float64, 0, (len(x)+1)/2)
-	odd = make([]float64, 0, len(x)/2)
-	for i, v := range x {
-		if i%2 == 0 {
-			even = append(even, v)
-		} else {
-			odd = append(odd, v)
-		}
-	}
-	c.Add(cost.Load, len(x))
-	c.Add(cost.Store, len(x))
-	c.Add(cost.IntOp, len(x))
-	c.Add(cost.Branch, len(x))
-	return even, odd
-}
-
-// AddBlocks sums two equal-length blocks elementwise (recombining the
-// even/odd polyphase branches).
-func AddBlocks(c *cost.Counter, a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] + b[i]
-		c.Add(cost.FloatAdd, 1)
-		c.Add(cost.Load, 2)
-		c.Add(cost.Store, 1)
-	}
-	return out
-}
-
 // MagWithScale computes scale·Σ|x[i]| — the windowed energy feature the
 // EEG application extracts from each high-pass band (Figure 1).
 func MagWithScale(c *cost.Counter, scale float64, x []float64) float64 {
@@ -193,15 +143,10 @@ func MagWithScale(c *cost.Counter, scale float64, x []float64) float64 {
 	return scale * sum
 }
 
-// Log10Block takes log10 of every element, flooring tiny values to avoid
-// −Inf (the log-spectrum step that makes convolutional components
-// additive, §6.2.1).
-func Log10Block(c *cost.Counter, x []float64) []float64 {
-	return Log10BlockInto(c, x, make([]float64, len(x)))
-}
-
-// Log10BlockInto is Log10Block writing into a caller-supplied buffer
-// (len(out) ≥ len(x)); it returns the filled prefix.
+// Log10BlockInto takes log10 of every element, flooring tiny values to
+// avoid −Inf (the log-spectrum step that makes convolutional components
+// additive, §6.2.1). It writes into out (len(out) ≥ len(x)) and returns
+// the filled prefix.
 func Log10BlockInto(c *cost.Counter, x, out []float64) []float64 {
 	out = out[:len(x)]
 	for i, v := range x {
@@ -217,18 +162,13 @@ func Log10BlockInto(c *cost.Counter, x, out []float64) []float64 {
 	return out
 }
 
-// DCTII computes the first nOut coefficients of the DCT-II of x. The
-// counter charges a runtime cosine per term — the ported C implementation
-// evaluates them on every invocation, which is why cepstral extraction
-// dominates CPU on FPU-less platforms (Figure 8) — but the host reads the
-// identical values from a cached per-size cosine plan (plan.go), which is
-// where most of a simulation's math.Cos time used to go.
-func DCTII(c *cost.Counter, x []float64, nOut int) []float64 {
-	return DCTIIInto(c, x, nOut, make([]float64, nOut))
-}
-
-// DCTIIInto is DCTII writing into a caller-supplied buffer
-// (len(out) ≥ nOut); it returns the filled prefix.
+// DCTIIInto computes the first nOut coefficients of the DCT-II of x into
+// out (len(out) ≥ nOut) and returns the filled prefix. The counter charges
+// a runtime cosine per term — the ported C implementation evaluates them
+// on every invocation, which is why cepstral extraction dominates CPU on
+// FPU-less platforms (Figure 8) — but the host reads the identical values
+// from a cached per-size cosine plan (plan.go), which is where most of a
+// simulation's math.Cos time used to go.
 func DCTIIInto(c *cost.Counter, x []float64, nOut int, out []float64) []float64 {
 	n := len(x)
 	tbl := dctCosTable(n, nOut)
@@ -249,20 +189,11 @@ func DCTIIInto(c *cost.Counter, x []float64, nOut int, out []float64) []float64 
 	return out
 }
 
-// Decimate keeps every factor-th sample, after the caller has low-passed
-// the signal (the TMote audio path samples at 32 ks/s and decimates to
-// 8 ks/s, §6.2.3).
-func Decimate(c *cost.Counter, x []float64, factor int) []float64 {
-	if factor <= 1 {
-		return x
-	}
-	return DecimateInto(c, x, factor, make([]float64, 0, len(x)/factor+1))
-}
-
-// DecimateInto is Decimate appending into a caller-supplied buffer (which
-// should have capacity ≥ len(x)/factor+1 to avoid growth); it returns the
-// filled slice. Unlike Decimate it copies even when factor ≤ 1, so the
-// result never aliases x.
+// DecimateInto keeps every factor-th sample, after the caller has
+// low-passed the signal (the TMote audio path samples at 32 ks/s and
+// decimates to 8 ks/s, §6.2.3), appending into out (which should have
+// capacity ≥ len(x)/factor+1 to avoid growth); it returns the filled
+// slice. It copies even when factor ≤ 1, so the result never aliases x.
 func DecimateInto(c *cost.Counter, x []float64, factor int, out []float64) []float64 {
 	if factor <= 1 {
 		return append(out, x...)

@@ -115,7 +115,7 @@ func TestDCTPlanBitIdentical(t *testing.T) {
 		for _, nOut := range []int{0, 1, n/2 + 1} {
 			x := testSignal(n)
 			ca, cb := &cost.Counter{}, &cost.Counter{}
-			got := DCTII(ca, x, nOut)
+			got := DCTIIInto(ca, x, nOut, make([]float64, nOut))
 			want := dctIIDirect(cb, x, nOut)
 			for k := range want {
 				if got[k] != want[k] {
@@ -173,8 +173,9 @@ func BenchmarkFFT256(b *testing.B) {
 func BenchmarkDCTII32x13(b *testing.B) {
 	x := testSignal(32)
 	b.Run("planned", func(b *testing.B) {
+		out := make([]float64, 13)
 		for i := 0; i < b.N; i++ {
-			DCTII(nil, x, 13)
+			DCTIIInto(nil, x, 13, out)
 		}
 	})
 	b.Run("direct", func(b *testing.B) {

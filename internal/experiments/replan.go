@@ -3,261 +3,18 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
-	"time"
 
 	"wishbone/internal/core"
-	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 	"wishbone/internal/solver"
 )
 
-// The replan experiments evaluate the online control plane: how many dual
-// iterations warm-started Newton pricing saves on a re-plan solve, and how
-// a drifting deployment's load signal recovers after the mid-stream
+// The replan experiment evaluates the online control plane: how a
+// drifting deployment's load signal recovers after the mid-stream
 // re-partition.
-
-// NewtonIterRow is one backend's iterations-to-gap result on a re-plan
-// spec (the incumbent spec scaled by the drift multiple).
-type NewtonIterRow struct {
-	Spec       string
-	Backend    string // "lagrangian", "newton", "newton+warm"
-	Iterations int
-	ProvenGap  float64 // -1 = no certified bound
-	Feasible   bool
-	Millis     float64
-}
-
-// NewtonIterations measures iterations-to-gap for the priced dual ascent
-// on re-plan solves: each benchmark spec is scaled by a drift multiple
-// (the situation the control loop puts the solver in) and solved by the
-// plain subgradient backend, cold Newton, and Newton warm-started from the
-// incumbent multipliers of the pre-drift solve — the configuration the
-// partition service uses mid-stream.
-func NewtonIterations(multiple float64) ([]NewtonIterRow, error) {
-	ctx := context.Background()
-	specs := []struct {
-		name string
-		spec *core.Spec
-	}{}
-
-	se, err := NewSpeechEnv()
-	if err != nil {
-		return nil, err
-	}
-	sp := se.Spec(platform.TMoteSky()).Scaled(0.09)
-	sp.NetBudget = 0
-	specs = append(specs, struct {
-		name string
-		spec *core.Spec
-	}{"speech×0.09", sp})
-
-	ee, err := NewEEGEnv(4, 8)
-	if err != nil {
-		return nil, err
-	}
-	ep := ee.Spec(platform.TMoteSky())
-	ep.NetBudget = 0
-	specs = append(specs, struct {
-		name string
-		spec *core.Spec
-	}{"eeg-4ch", ep})
-
-	var rows []NewtonIterRow
-	for _, s := range specs {
-		// Incumbent prices: solve the pre-drift spec once with Newton and
-		// keep its final multipliers.
-		var warm [3]float64
-		pre := solver.NewNewton(core.DefaultOptions())
-		if _, st, err := pre.Solve(ctx, s.spec, solver.Limits{}); err == nil && len(st.Lambda) == 3 {
-			copy(warm[:], st.Lambda)
-		}
-
-		drifted := s.spec.Scaled(multiple)
-		lag, err := solver.New(core.SolverLagrangian, core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		wn := solver.NewNewton(core.DefaultOptions())
-		wn.Warm = warm
-		backends := []struct {
-			label string
-			sv    solver.Solver
-		}{
-			{"lagrangian", lag},
-			{"newton", solver.NewNewton(core.DefaultOptions())},
-			{"newton+warm", wn},
-		}
-
-		// Iterations-to-gap methodology (TestSolverNewtonFewerIterations):
-		// run every backend to convergence to establish a gap target all of
-		// them can certify, then re-run with that target as GapTol and
-		// count iterations to reach it.
-		target := 0.0
-		for _, b := range backends {
-			_, st, err := b.sv.Solve(ctx, drifted, solver.Limits{})
-			if err != nil || st.Gap < 0 {
-				target = -1
-				break
-			}
-			if st.Gap > target {
-				target = st.Gap
-			}
-		}
-		if target < 0 {
-			continue // a backend found the drifted spec infeasible
-		}
-		target = target*1.02 + 1e-4
-		for _, b := range backends {
-			start := time.Now()
-			asg, st, err := b.sv.Solve(ctx, drifted, solver.Limits{GapTol: target})
-			row := NewtonIterRow{
-				Spec: s.name, Backend: b.label, Iterations: st.Iterations,
-				ProvenGap: -1, Millis: float64(time.Since(start)) / float64(time.Millisecond),
-			}
-			if err == nil && asg != nil {
-				row.Feasible = true
-				row.ProvenGap = st.Gap
-			}
-			rows = append(rows, row)
-		}
-	}
-
-	// The benchmark specs have few binding budgets, so a per-spec count is
-	// coarse; the aggregate over a random-spec population is where the
-	// stepper's advantage shows. Same drift shape: solve at 1× for the
-	// incumbent prices, count iterations to a shared gap target at the
-	// scaled spec.
-	rng := rand.New(rand.NewSource(1507))
-	agg := map[string]*NewtonIterRow{}
-	for _, label := range []string{"lagrangian", "newton", "newton+warm"} {
-		agg[label] = &NewtonIterRow{Spec: "random×120", Backend: label, ProvenGap: -1, Feasible: true}
-	}
-	for trial := 0; trial < 120; trial++ {
-		spec := replanRandomSpec(rng)
-		var warm [3]float64
-		if _, st, err := solver.NewNewton(core.DefaultOptions()).Solve(ctx, spec, solver.Limits{}); err == nil && len(st.Lambda) == 3 {
-			copy(warm[:], st.Lambda)
-		}
-		drifted := spec.Scaled(multiple)
-		lag, _ := solver.New(core.SolverLagrangian, core.DefaultOptions())
-		wn := solver.NewNewton(core.DefaultOptions())
-		wn.Warm = warm
-		backends := []struct {
-			label string
-			sv    solver.Solver
-		}{{"lagrangian", lag}, {"newton", solver.NewNewton(core.DefaultOptions())}, {"newton+warm", wn}}
-		target := 0.0
-		for _, b := range backends {
-			_, st, err := b.sv.Solve(ctx, drifted, solver.Limits{})
-			if err != nil || st.Gap < 0 {
-				target = -1
-				break
-			}
-			if st.Gap > target {
-				target = st.Gap
-			}
-		}
-		if target < 0 {
-			continue
-		}
-		target = target*1.02 + 1e-4
-		for _, b := range backends {
-			start := time.Now()
-			_, st, err := b.sv.Solve(ctx, drifted, solver.Limits{GapTol: target})
-			if err != nil {
-				continue
-			}
-			agg[b.label].Iterations += st.Iterations
-			agg[b.label].Millis += float64(time.Since(start)) / float64(time.Millisecond)
-		}
-	}
-	rows = append(rows, *agg["lagrangian"], *agg["newton"], *agg["newton+warm"])
-	return rows, nil
-}
-
-// replanRandomSpec generates a random layered DAG spec (the population the
-// solver differential tests fuzz over): a few sources, a sparse middle
-// layer, one server sink, random integer costs and budgets.
-func replanRandomSpec(rng *rand.Rand) *core.Spec {
-	g := dataflow.New()
-	nMid := 2 + rng.Intn(7)
-	nSrc := 1 + rng.Intn(2)
-	var srcs, mids []*dataflow.Operator
-	for i := 0; i < nSrc; i++ {
-		srcs = append(srcs, g.Add(&dataflow.Operator{Name: "src", NS: dataflow.NSNode, SideEffect: true}))
-	}
-	for i := 0; i < nMid; i++ {
-		mids = append(mids, g.Add(&dataflow.Operator{Name: "mid", NS: dataflow.NSNode}))
-	}
-	sink := g.Add(&dataflow.Operator{Name: "sink", NS: dataflow.NSServer, SideEffect: true})
-	spec := &core.Spec{
-		Graph:     g,
-		CPU:       map[int]core.OpCost{},
-		Bandwidth: map[*dataflow.Edge]core.EdgeCost{},
-		Alpha:     float64(rng.Intn(2)),
-		Beta:      1,
-	}
-	addEdge := func(a, b *dataflow.Operator, port int) {
-		e := g.Connect(a, b, port)
-		spec.Bandwidth[e] = core.EdgeCost{Mean: float64(1 + rng.Intn(9))}
-	}
-	for _, s := range srcs {
-		addEdge(s, mids[rng.Intn(len(mids))], 0)
-	}
-	for i := 0; i < nMid; i++ {
-		for j := i + 1; j < nMid; j++ {
-			if rng.Float64() < 0.3 {
-				addEdge(mids[i], mids[j], 0)
-			}
-		}
-	}
-	for _, mOp := range mids {
-		if len(g.Out(mOp)) == 0 {
-			addEdge(mOp, sink, 0)
-		}
-		if len(g.In(mOp)) == 0 {
-			addEdge(srcs[rng.Intn(len(srcs))], mOp, 0)
-		}
-	}
-	for _, op := range g.Operators() {
-		if op != sink {
-			spec.CPU[op.ID()] = core.OpCost{Mean: float64(1 + rng.Intn(5))}
-		}
-	}
-	spec.CPUBudget = float64(1 + rng.Intn(15))
-	if rng.Intn(2) == 0 {
-		spec.NetBudget = float64(3 + rng.Intn(20))
-	}
-	cls, err := dataflow.Classify(g, dataflow.Conservative)
-	if err != nil {
-		panic(err) // unreachable: the generator builds a valid DAG
-	}
-	spec.Class = cls
-	return spec
-}
-
-// NewtonIterationsTable renders NewtonIterations.
-func NewtonIterationsTable(multiple float64, rows []NewtonIterRow) *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Re-plan pricing: dual iterations to gap at %.2g× drift", multiple),
-		Header: []string{"spec", "backend", "iters", "proven gap", "feasible", "ms"},
-	}
-	for _, r := range rows {
-		pg := "-"
-		if r.ProvenGap >= 0 {
-			pg = fmt.Sprintf("%.2f%%", 100*r.ProvenGap)
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Spec, r.Backend, fmt.Sprint(r.Iterations), pg,
-			fmt.Sprint(r.Feasible), fmt.Sprintf("%.1f", r.Millis),
-		})
-	}
-	return t
-}
 
 // RecoveryRow is one priced window of a drift-injected controlled run.
 type RecoveryRow struct {

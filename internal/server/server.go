@@ -1056,17 +1056,14 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 	name := req.Replan.Solver
 	// Validate the solver choice now — a planner error mid-stream poisons
 	// the session, a bad request should fail before ingestion starts.
-	if _, err := s.replanSolver(name, [3]float64{}, false); err != nil {
+	if _, err := s.replanSolver(name); err != nil {
 		return nil, badRequest("%v", err)
 	}
-	// Incumbent dual prices warm-start the next replan's Newton solve.
-	var warm [3]float64
-	var haveWarm bool
 	return func(multiple float64) (*wbruntime.Plan, error) {
 		if multiple <= 0 {
 			return nil, nil // load vanished; nothing to re-fit
 		}
-		sv, err := s.replanSolver(name, warm, haveWarm)
+		sv, err := s.replanSolver(name)
 		if err != nil {
 			return nil, err
 		}
@@ -1079,9 +1076,6 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 		}
 		if res.Assignment == nil {
 			return nil, nil // infeasible at any rate: keep the incumbent cut
-		}
-		if lam, ok := lambdaOf(res.Solves); ok {
-			warm, haveWarm = lam, true
 		}
 		progs, _, err := s.partitionProgramsFor(e, res.Assignment.OnNode)
 		if err != nil {
@@ -1100,9 +1094,8 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 // races the historically best (backend, formulation) pairs from the
 // per-solver win/latency metrics — heterogeneous Options, not just
 // algorithms — falling back to the full homogeneous race until history
-// accumulates. An explicit "newton" choice warm-starts from the previous
-// replan's final multipliers.
-func (s *Server) replanSolver(name string, warm [3]float64, haveWarm bool) (solver.Solver, error) {
+// accumulates.
+func (s *Server) replanSolver(name string) (solver.Solver, error) {
 	switch name {
 	case "", "auto":
 		choices := s.metrics.SolverChoices(3)
@@ -1121,36 +1114,9 @@ func (s *Server) replanSolver(name string, warm [3]float64, haveWarm bool) (solv
 			return solver.New(core.SolverRace, core.DefaultOptions())
 		}
 		return solver.NewVariantRace(core.DefaultOptions(), variants...)
-	case core.SolverNewton:
-		n := solver.NewNewton(core.DefaultOptions())
-		if haveWarm {
-			n.Warm = warm
-		}
-		return n, nil
 	default:
 		return solver.New(name, core.DefaultOptions())
 	}
-}
-
-// lambdaOf scans a rate search's backend stats (racing breakdowns
-// included) for the most recent final dual multipliers a priced backend
-// recorded.
-func lambdaOf(solves []core.BackendStats) ([3]float64, bool) {
-	var out [3]float64
-	found := false
-	scan := func(st core.BackendStats) {
-		if len(st.Lambda) == 3 {
-			copy(out[:], st.Lambda)
-			found = true
-		}
-	}
-	for _, st := range solves {
-		scan(st)
-		for _, sub := range st.Sub {
-			scan(sub)
-		}
-	}
-	return out, found
 }
 
 // ingestStream walks the request body's StreamChunk sequence at the

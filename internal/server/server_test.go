@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -402,6 +403,33 @@ main = doubled;
 	}
 	if _, err := client.Profile(ctx, wire.ProfileRequest{Graph: spec}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerWscriptElaborationBudget: tenant source that would allocate
+// without bound while it elaborates — at top level, or in a state
+// initializer — is a 400 from the first route that sees it, not memory
+// the daemon has to find.
+func TestServerWscriptElaborationBudget(t *testing.T) {
+	_, client := startServer(t, Config{})
+	for _, src := range []string{
+		`big = Array.make(300000000, 0);
+namespace Node { s = source("x", 1); }
+main = iterate v in s { emit v; };`,
+		`namespace Node { s = source("x", 1); }
+main = iterate v in s state { a = Array.make(50000000, 0); } { emit v; };`,
+	} {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		_, err := client.Graph(context.Background(), wire.GraphSpec{App: "wscript", Source: src})
+		goruntime.ReadMemStats(&after)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("want a 400, got %v for:\n%s", err, src)
+		}
+		if mib := (after.TotalAlloc - before.TotalAlloc) >> 20; mib > 64 {
+			t.Fatalf("the refusal allocated %d MiB for:\n%s", mib, src)
+		}
 	}
 }
 

@@ -170,64 +170,14 @@ func (p *lagProblem) repair(sel []bool) []bool {
 	}
 }
 
-// dualStepper drives the multiplier update of the priced dual ascent.
-// The loop hands it the current multipliers (λcpu, λnet, λram), the
-// subgradient (budget violations), the iterate's dual value, the best
-// known upper bound (+Inf when none), and whether the dual just
-// improved; it returns the next multipliers. Implementations are the
-// Polyak subgradient rule and the diagonal quasi-Newton step.
-type dualStepper interface {
-	init() [3]float64
-	step(lam, g [3]float64, dual, ub float64, improved bool, iter int) [3]float64
-}
-
-// polyakStepper is the classic rule: step length θ·(ub−dual)/‖g‖² when
-// an upper bound exists (Polyak), a divergent series otherwise, with θ
-// halved after 8 non-improving iterations.
-type polyakStepper struct {
-	theta float64
-	since int
-}
-
-func newPolyakStepper() *polyakStepper { return &polyakStepper{theta: 2} }
-
-func (p *polyakStepper) init() [3]float64 { return [3]float64{} }
-
-func (p *polyakStepper) step(lam, g [3]float64, dual, ub float64, improved bool, iter int) [3]float64 {
-	if improved {
-		p.since = 0
-	} else if p.since++; p.since >= 8 {
-		p.theta /= 2
-		p.since = 0
-	}
-	norm := g[0]*g[0] + g[1]*g[1] + g[2]*g[2]
-	step := 0.0
-	if !math.IsInf(ub, 1) {
-		step = p.theta * math.Max(1e-9, ub-dual) / norm
-	} else {
-		step = p.theta * (math.Abs(dual) + 1) / (norm * float64(iter+1))
-	}
-	var out [3]float64
-	for i := range lam {
-		out[i] = math.Max(0, lam[i]+step*g[i])
-	}
-	return out
-}
-
-// Solve runs the subgradient loop.
+// Solve runs the dual-ascent loop: price the budgets into the objective,
+// solve each priced subproblem exactly as a minimum closure, repair
+// iterates to feasible cuts, and move the multipliers by a subgradient
+// step. Every iterate's dual value is a true lower bound, so the answer
+// carries a proven gap (Restricted formulation only).
 func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core.Assignment, Stats, error) {
-	return solveDual(ctx, s, lim, core.SolverLagrangian, l.MaxIter, l.Opts, newPolyakStepper())
-}
-
-// solveDual is the shared dual-ascent loop: price the budgets into the
-// objective, solve each priced subproblem exactly as a minimum closure,
-// repair iterates to feasible cuts, and let the stepper drive the
-// multipliers. Every iterate's dual value is a true lower bound, so the
-// answer carries a proven gap (Restricted formulation only).
-func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
-	maxIter int, lopts core.Options, st dualStepper) (*core.Assignment, Stats, error) {
 	start := time.Now()
-	stats := Stats{Backend: name, Formulation: core.FormulationTag(lopts.Formulation, s.Load), Gap: -1}
+	stats := Stats{Backend: core.SolverLagrangian, Formulation: core.FormulationTag(l.Opts.Formulation, s.Load), Gap: -1}
 	fail := func(err error) (*core.Assignment, Stats, error) {
 		stats.Seconds = time.Since(start).Seconds()
 		stats.Err = err.Error()
@@ -239,6 +189,7 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 	p := newLagProblem(s)
 	n := len(p.ops)
 
+	maxIter := l.MaxIter
 	if maxIter <= 0 {
 		maxIter = 120
 	}
@@ -251,21 +202,16 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 		gapTol = 1e-4
 	}
 
-	// Multipliers only for budgets that exist; a warm start on a budget
-	// that does not is discarded.
+	// Multipliers (λcpu, λnet, λram), only for budgets that exist: an
+	// absent budget's subgradient component stays 0, and so does its λ.
 	useCPU := s.CPUBudget > 0
 	useNet := s.NetBudget > 0
 	useRAM := s.RAMBudget > 0 && len(s.RAM) > 0
-	lam := st.init()
-	if !useCPU {
-		lam[0] = 0
-	}
-	if !useNet {
-		lam[1] = 0
-	}
-	if !useRAM {
-		lam[2] = 0
-	}
+	var lam [3]float64
+	// Polyak step length θ·(ub−dual)/‖g‖² when an upper bound exists, a
+	// divergent series otherwise; θ halves after 8 non-improving
+	// iterations.
+	theta, since := 2.0, 0
 
 	var bestSel []bool
 	bestObj := math.Inf(1)
@@ -275,9 +221,9 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 	// Combinatorial duals usually carry an intrinsic gap the gap test can
 	// never close; stop once the dual has made no meaningful gain for a
 	// while, so Iterations measures time-to-converged-bound rather than
-	// always hitting maxIter. The window is longer than the Polyak
-	// stepper's 8-iteration halving period, so slow ascent gets at least
-	// two step-length reductions before being called stalled.
+	// always hitting maxIter. The window is longer than θ's 8-iteration
+	// halving period, so slow ascent gets at least two step-length
+	// reductions before being called stalled.
 	const stallLimit = 16
 	lastGain := 0
 
@@ -353,15 +299,29 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 		if useRAM {
 			g[2] = ram - s.RAMBudget
 		}
-		if g[0]*g[0]+g[1]*g[1]+g[2]*g[2] <= 1e-18 {
+		norm := g[0]*g[0] + g[1]*g[1] + g[2]*g[2]
+		if norm <= 1e-18 {
 			break // relaxed optimum satisfies the budgets exactly
 		}
-		lam = st.step(lam, g, dual, ub, improved, iter)
+		if improved {
+			since = 0
+		} else if since++; since >= 8 {
+			theta /= 2
+			since = 0
+		}
+		var step float64
+		if !math.IsInf(ub, 1) {
+			step = theta * math.Max(1e-9, ub-dual) / norm
+		} else {
+			step = theta * (math.Abs(dual) + 1) / (norm * float64(iter+1))
+		}
+		for i := range lam {
+			lam[i] = math.Max(0, lam[i]+step*g[i])
+		}
 	}
 
 	stats.Seconds = time.Since(start).Seconds()
-	stats.Lambda = []float64{lam[0], lam[1], lam[2]}
-	if bestDual > math.Inf(-1) && lopts.Formulation != core.General {
+	if bestDual > math.Inf(-1) && l.Opts.Formulation != core.General {
 		stats.Bound = bestDual
 	}
 	if bestSel == nil {
@@ -369,8 +329,8 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 		if cerr := ctx.Err(); cerr != nil {
 			return fail(cerr)
 		}
-		err := fmt.Errorf("solver: %s found no feasible cut in %d iterations: %w",
-			name, stats.Iterations, &core.ErrInfeasible{Spec: s})
+		err := fmt.Errorf("solver: lagrangian found no feasible cut in %d iterations: %w",
+			stats.Iterations, &core.ErrInfeasible{Spec: s})
 		stats.Err = err.Error()
 		return nil, stats, err
 	}
@@ -384,11 +344,11 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 	// the General formulation bidirectional cuts may beat it, so no gap
 	// can be claimed there.
 	gap := -1.0
-	if !math.IsInf(bestDual, -1) && lopts.Formulation != core.General {
+	if !math.IsInf(bestDual, -1) && l.Opts.Formulation != core.General {
 		gap = math.Max(0, (asg.Objective-bestDual)/math.Max(1, math.Abs(asg.Objective)))
 	}
 	asg.Stats = core.SolveStats{
-		Solver:         name,
+		Solver:         core.SolverLagrangian,
 		Gap:            gap,
 		Feasible:       true,
 		Nodes:          stats.Iterations,
@@ -398,7 +358,7 @@ func solveDual(ctx context.Context, s *core.Spec, lim Limits, name string,
 		ProveTime:      stats.Seconds,
 	}
 	if err := asg.Verify(s); err != nil {
-		return fail(fmt.Errorf("solver: %s produced an invalid cut: %w", name, err))
+		return fail(fmt.Errorf("solver: lagrangian produced an invalid cut: %w", err))
 	}
 	stats.Feasible = true
 	stats.Objective = asg.Objective

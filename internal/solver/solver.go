@@ -9,9 +9,6 @@
 //     updates; each subproblem is a minimum-closure cut solved exactly by
 //     max-flow, and infeasible iterates are repaired to a legal cut. It
 //     produces a true dual lower bound, so its answers carry a proven gap.
-//   - "newton"      — the same relaxation driven by a damped diagonal
-//     quasi-Newton (secant) multiplier step with optional warm-started
-//     prices; equal dual gap in fewer iterations on budget-bound specs.
 //   - "greedy"      — the cut-ordering baseline: enumerate monotone cuts
 //     along a topological order and keep the best feasible one.
 //   - "race"        — all of the above raced concurrently (core.Race):
@@ -86,7 +83,7 @@ func Names() []string {
 
 // RaceBackends are the backends a "race" solve runs, in tie-breaking
 // order (exact first, so optimal answers win ties deterministically).
-var RaceBackends = []string{core.SolverExact, core.SolverLagrangian, core.SolverNewton, core.SolverGreedy}
+var RaceBackends = []string{core.SolverExact, core.SolverLagrangian, core.SolverGreedy}
 
 // NewRace builds a racing solver over the named backends (RaceBackends
 // when none are given).
@@ -111,7 +108,6 @@ func NewRace(opts core.Options, backends ...string) (Solver, error) {
 func init() {
 	Register(core.SolverExact, func(opts core.Options) Solver { return core.NewExact(opts) })
 	Register(core.SolverLagrangian, func(opts core.Options) Solver { return NewLagrangian(opts) })
-	Register(core.SolverNewton, func(opts core.Options) Solver { return NewNewton(opts) })
 	Register(core.SolverGreedy, func(opts core.Options) Solver { return NewGreedy(opts) })
 	Register(core.SolverRace, func(opts core.Options) Solver {
 		sv, err := NewRace(opts)

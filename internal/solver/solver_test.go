@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -137,18 +138,26 @@ func canon(t testing.TB, s *core.Spec, a *core.Assignment) string {
 	return string(b)
 }
 
+// TestSolverRegistry: the built-in names are exactly these four, and a
+// default race runs three entrants, exact first.
 func TestSolverRegistry(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"exact", "lagrangian", "greedy", "race"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry missing %q (have %v)", want, names)
-		}
+	want := []string{"exact", "greedy", "lagrangian", "race"}
+	if names := Names(); !slices.Equal(names, want) {
+		t.Fatalf("registry = %v, want exactly %v", names, want)
+	}
+	if !slices.Equal(RaceBackends, []string{core.SolverExact, core.SolverLagrangian, core.SolverGreedy}) {
+		t.Fatalf("RaceBackends = %v", RaceBackends)
+	}
+	race, err := New(core.SolverRace, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rstats, err := race.Solve(ctxBG(), fig3Spec(t, 3), core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rstats.Sub) != 3 {
+		t.Fatalf("race ran %d backends, want 3: %+v", len(rstats.Sub), rstats.Sub)
 	}
 	if _, err := New("nope", core.DefaultOptions()); err == nil {
 		t.Fatal("unknown backend must error")
@@ -332,6 +341,97 @@ func TestSolverLagrangianBoundValid(t *testing.T) {
 	}
 }
 
+// TestSolverLagrangianIterationsPinned guards the dual-ascent loop's
+// arithmetic: per-spec iteration counts, dual bounds and objectives over
+// the Fig. 3 budgets and 50 seeded random specs, recorded at the commit
+// that still ran the loop behind the stepper interface (objective -1 =
+// no feasible cut found). A change to the step rule, the stall test or
+// the repair order moves these.
+func TestSolverLagrangianIterationsPinned(t *testing.T) {
+	want := []struct {
+		iters      int
+		bound, obj float64
+	}{
+		{2, 8, 8},
+		{2, 6, 6},
+		{3, 5, 5},
+		{1, 12, 12},
+		{15, 23, 23},
+		{120, 108899, -1},
+		{1, 29, 29},
+		{1, 7, 7},
+		{65, 18.714285714285023, 21},
+		{120, 135720.66666666666, -1},
+		{120, 863.8798923453869, -1},
+		{120, 1799, -1},
+		{1, 11, 11},
+		{1, 25, 25},
+		{70, 11.197481366452186, 15},
+		{120, 118312.57798165131, -1},
+		{120, 50819, -1},
+		{1, 3, 3},
+		{120, 58.544721692156656, -1},
+		{120, 130679, -1},
+		{1, 14, 14},
+		{1, 8, 8},
+		{54, 8.694482827430829, 12},
+		{120, 1638.3615813940132, -1},
+		{1, 21, 21},
+		{1, 10, 10},
+		{1, 2, 2},
+		{120, 359.88653995292964, -1},
+		{120, 3665.0450500551397, -1},
+		{1, 21, 21},
+		{1, 9, 9},
+		{1, 16, 16},
+		{2, 24, 24},
+		{1, 18, 18},
+		{2, 16, 16},
+		{1, 18, 18},
+		{120, 81795, -1},
+		{1, 10, 10},
+		{1, 14, 14},
+		{120, 1250.5145400557124, -1},
+		{120, 6371.650199615237, -1},
+		{120, 149875.35484079696, -1},
+		{1, 23, 23},
+		{120, 175620.68482851365, -1},
+		{2, 16, 16},
+		{1, 20, 20},
+		{120, 48179.00000000001, -1},
+		{1, 6, 6},
+		{1, 18, 18},
+		{1, 16, 16},
+		{120, 1888.2056017492732, -1},
+		{33, 4.398530915182207, 6},
+		{120, 210539, -1},
+	}
+	var specs []*core.Spec
+	for _, budget := range []float64{2, 3, 4} {
+		specs = append(specs, fig3Spec(t, budget))
+	}
+	rng := rand.New(rand.NewSource(2020))
+	for len(specs) < len(want) {
+		specs = append(specs, randomSpec(rng))
+	}
+	lag := NewLagrangian(core.DefaultOptions())
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for i, spec := range specs {
+		_, st, err := lag.Solve(ctxBG(), spec, core.Limits{})
+		obj := st.Objective
+		if err != nil {
+			if !core.IsInfeasible(err) {
+				t.Fatalf("spec %d: %v", i, err)
+			}
+			obj = -1
+		}
+		if w := want[i]; st.Iterations != w.iters || !near(st.Bound, w.bound) || !near(obj, w.obj) {
+			t.Errorf("spec %d: iterations %d bound %v objective %v, pinned %d / %v / %v",
+				i, st.Iterations, st.Bound, obj, w.iters, w.bound, w.obj)
+		}
+	}
+}
+
 // TestSolverGreedyChainOptimal: on a linear pipeline the greedy chain
 // enumerates every prefix cut, so it must match the exact optimum.
 func TestSolverGreedyChainOptimal(t *testing.T) {
@@ -455,4 +555,53 @@ func TestSolverContextDeadline(t *testing.T) {
 	if err := asg.Verify(spec); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSolverExactCutoffDeterministic: feeding the exact backend an
+// external incumbent bound (as a race does) must discard doomed subtrees
+// without changing the returned assignment, byte for byte, or the count
+// of LP-solved nodes (best-bound search never LP-solves a subtree the
+// final incumbent would not also kill — the cutoff saves heap work, not
+// relaxation solves).
+func TestSolverExactCutoffDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(462))
+	greedySv, _ := New(core.SolverGreedy, core.DefaultOptions())
+	pruned, checked := 0, 0
+	for trial := 0; trial < 120; trial++ {
+		spec := randomSpec(rng)
+		plain, _, err := core.NewExact(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
+		if err != nil {
+			continue
+		}
+		if plain.Stats.CutoffPruned != 0 {
+			t.Fatalf("trial %d: un-cut-off solve reported cutoff prunes", trial)
+		}
+		inc := &core.Incumbent{}
+		if g, _, gerr := greedySv.Solve(ctxBG(), spec, core.Limits{}); gerr == nil {
+			inc.Offer(g.Objective)
+		} else {
+			// No heuristic bound: seed the optimum itself, the harshest
+			// legal cutoff.
+			inc.Offer(plain.Objective)
+		}
+		cut, _, err := core.NewExact(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{Incumbent: inc})
+		if err != nil {
+			t.Fatalf("trial %d: exact with cutoff: %v", trial, err)
+		}
+		if got, want := canon(t, spec, cut), canon(t, spec, plain); got != want {
+			t.Fatalf("trial %d: cutoff changed the assignment:\n  with %s\n  plain %s", trial, got, want)
+		}
+		if cut.Stats.Nodes != plain.Stats.Nodes {
+			t.Fatalf("trial %d: cutoff changed LP-solved nodes: %d vs %d (exploration diverged)",
+				trial, cut.Stats.Nodes, plain.Stats.Nodes)
+		}
+		checked++
+		if cut.Stats.CutoffPruned > 0 {
+			pruned++
+		}
+	}
+	// The Restricted rounder installs near-optimal incumbents at the
+	// root, so on specs this small the internal prune usually dominates;
+	// internal/ilp's TestCutoffDeterministic exercises the prune itself.
+	t.Logf("cutoff discarded subtrees on %d/%d feasible specs", pruned, checked)
 }

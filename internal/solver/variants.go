@@ -26,7 +26,7 @@ import (
 
 // Variant names one heterogeneous race entrant.
 type Variant struct {
-	// Backend is a registered solver name ("exact", "newton", ...; not
+	// Backend is a registered solver name ("exact", "lagrangian", ...; not
 	// "race").
 	Backend string
 	// Formulation selects the ILP encoding this entrant solves under.

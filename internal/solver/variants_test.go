@@ -30,7 +30,7 @@ func TestVariantTagRoundTrip(t *testing.T) {
 	for _, v := range []Variant{
 		{Backend: core.SolverExact, Formulation: core.Restricted},
 		{Backend: core.SolverExact, Formulation: core.Restricted, PeakLoad: true},
-		{Backend: core.SolverNewton, Formulation: core.General},
+		{Backend: core.SolverLagrangian, Formulation: core.General},
 		{Backend: core.SolverGreedy, Formulation: core.General, PeakLoad: true},
 	} {
 		got, err := VariantFromTag(v.Backend, v.Tag())
@@ -58,7 +58,7 @@ func TestVariantRaceDeterministic(t *testing.T) {
 	variants := []Variant{
 		{Backend: core.SolverExact, Formulation: core.Restricted},
 		{Backend: core.SolverExact, Formulation: core.Restricted, PeakLoad: true},
-		{Backend: core.SolverNewton, Formulation: core.Restricted},
+		{Backend: core.SolverLagrangian, Formulation: core.Restricted},
 		{Backend: core.SolverGreedy, Formulation: core.Restricted},
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -126,7 +126,7 @@ func TestVariantRaceDeterministicPeakInfeasible(t *testing.T) {
 	variants := []Variant{
 		{Backend: core.SolverExact, Formulation: core.Restricted, PeakLoad: true},
 		{Backend: core.SolverExact, Formulation: core.Restricted},
-		{Backend: core.SolverNewton, Formulation: core.Restricted},
+		{Backend: core.SolverLagrangian, Formulation: core.Restricted},
 		{Backend: core.SolverGreedy, Formulation: core.Restricted},
 	}
 	ref, err := New(core.SolverExact, core.DefaultOptions())

@@ -91,6 +91,18 @@ type elaborator struct {
 	inNode  bool
 	nameSeq int
 	out     *Compiled
+	// budget is what is left of elabBudget for this program.
+	budget int64
+}
+
+// spend charges units of the elaboration budget; running out is a
+// compile error.
+func (el *elaborator) spend(line int, units int64) error {
+	if units > el.budget {
+		return fmt.Errorf("wscript:%d: elaboration budget exhausted (%d array elements, string bytes, loop iterations and calls per program)", line, elabBudget)
+	}
+	el.budget -= units
+	return nil
 }
 
 // Compile parses and partially evaluates a wscript program into a dataflow
@@ -110,7 +122,7 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 	}
 	g := dataflow.New()
 	compiled := &Compiled{Graph: g, Sources: make(map[string]*Source), opts: opts}
-	el := &elaborator{g: g, out: compiled}
+	el := &elaborator{g: g, out: compiled, budget: elabBudget}
 	ip := &interp{elab: el}
 	top := newEnv(nil)
 
@@ -209,6 +221,9 @@ func (el *elaborator) makeSource(ex *CallExpr, args []value) (value, error) {
 	if _, dup := el.out.Sources[name]; dup {
 		return nil, fmt.Errorf("wscript:%d: duplicate source %q", ex.Line, name)
 	}
+	if err := el.spend(ex.Line, elabOpCost); err != nil {
+		return nil, err
+	}
 	op := el.g.Add(&dataflow.Operator{
 		Name: name, NS: dataflow.NSNode, SideEffect: true,
 	})
@@ -216,10 +231,27 @@ func (el *elaborator) makeSource(ex *CallExpr, args []value) (value, error) {
 	return &streamVal{op: op}, nil
 }
 
-// probeFuel bounds state-initializer execution during elaboration, so a
-// runaway initializer is a compile error rather than a hang. Initializers
-// run at compile rate (§2) and are not charged against tenant limits.
-const probeFuel = 1 << 30
+// probeFuel and initMemBytes bound state-initializer execution — the
+// probe during elaboration and every instance's NewState — so a runaway
+// initializer is a compile error rather than a hang or an allocation the
+// host cannot refuse. Initializers run at compile rate (§2) and are not
+// charged against tenant limits.
+const (
+	probeFuel    = 1 << 30
+	initMemBytes = 16 << 20
+)
+
+// elabBudget bounds what partially evaluating one program may do before
+// any operator runs: one unit per array or fifo element created (literals,
+// Array.make, appends, and the copy of a captured structure into an
+// operator's template pool), per string byte built by +, per loop
+// iteration and per function call, and elabOpCost per operator added to
+// the graph. A value is 16 bytes, so the elements a program may build
+// while it elaborates come to initMemBytes.
+const (
+	elabBudget = 1 << 20
+	elabOpCost = 1 << 8
+)
 
 // makeIterate elaborates `iterate x in s state { } { body }` into a new
 // operator: the body is lowered to wvm bytecode and executed with
@@ -235,6 +267,9 @@ func (el *elaborator) makeIterate(ex *IterateExpr, e *env) (value, error) {
 		return nil, fmt.Errorf("wscript:%d: iterate over %s, not a stream", ex.Line, typeName(sv))
 	}
 
+	if err := el.spend(ex.Line, elabOpCost); err != nil {
+		return nil, err
+	}
 	el.nameSeq++
 	ns := dataflow.NSServer
 	if el.inNode {
@@ -263,7 +298,7 @@ func (el *elaborator) makeIterate(ex *IterateExpr, e *env) (value, error) {
 // buildVMIterate compiles the body to bytecode and installs metered VM work
 // and snapshot hooks.
 func (el *elaborator) buildVMIterate(op *dataflow.Operator, name string, ex *IterateExpr, defEnv *env) error {
-	prog, err := compileIterateVM(name, ex.Var, ex.State, ex.Body, defEnv)
+	prog, err := compileIterateVM(name, ex.Var, ex.State, ex.Body, defEnv, el)
 	if err != nil {
 		return err
 	}
@@ -271,15 +306,17 @@ func (el *elaborator) buildVMIterate(op *dataflow.Operator, name string, ex *Ite
 	meter := el.out.opts.Meter
 
 	if prog.Init >= 0 {
-		// Validate the initializer once at compile time (bounded fuel) so
-		// instance construction cannot fail for well-typed programs.
+		// Validate the initializer once at compile time (bounded fuel and
+		// memory) so instance construction cannot fail for well-typed
+		// programs.
+		initLimits := wvm.Limits{Fuel: probeFuel, MemBytes: initMemBytes}
 		probe := &wvm.State{}
-		if err := prog.RunInit(wvm.Env{State: probe, Limits: wvm.Limits{Fuel: probeFuel}}); err != nil {
+		if err := prog.RunInit(wvm.Env{State: probe, Limits: initLimits}); err != nil {
 			return err
 		}
 		op.NewState = func() any {
 			st := &wvm.State{}
-			if err := prog.RunInit(wvm.Env{State: st}); err != nil {
+			if err := prog.RunInit(wvm.Env{State: st, Limits: initLimits}); err != nil {
 				// Initializers are deterministic and were probed above;
 				// failures here are programming errors.
 				panic(fmt.Sprintf("wscript: state init: %v", err))
@@ -388,6 +425,9 @@ func (el *elaborator) makeZip(ex *ZipExpr, e *env) (value, error) {
 				ex.Line, i+1, typeName(sv))
 		}
 		ops[i] = strm.op
+	}
+	if err := el.spend(ex.Line, elabOpCost); err != nil {
+		return nil, err
 	}
 	el.nameSeq++
 	ns := dataflow.NSServer

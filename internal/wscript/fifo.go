@@ -28,12 +28,18 @@ func init() {
 		if !ok || n < 0 {
 			return nil, ip.failf(ex, "Fifo.make hint must be a non-negative int")
 		}
+		if err := ip.spend(ex, n); err != nil {
+			return nil, err
+		}
 		return &fifoVal{elems: make([]value, 0, n)}, nil
 	}
 	builtins["Fifo.enqueue"] = func(ip *interp, ex *CallExpr, args []value) (value, error) {
 		f, ok := args[0].(*fifoVal)
 		if !ok || len(args) != 2 {
 			return nil, ip.failf(ex, "Fifo.enqueue(fifo, x)")
+		}
+		if err := ip.spend(ex, 1); err != nil {
+			return nil, err
 		}
 		f.elems = append(f.elems, args[1])
 		ip.count(cost.Store, 1)

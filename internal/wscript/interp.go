@@ -47,6 +47,16 @@ func (ip *interp) failf(n Node, format string, args ...any) error {
 	return fmt.Errorf("wscript:%d: %s", n.nodeLine(), fmt.Sprintf(format, args...))
 }
 
+// spend charges units of the program's elaboration budget (elabBudget).
+// At run time there is no elaborator and nothing to charge: work
+// functions are metered by wvm.Limits.
+func (ip *interp) spend(n Node, units int64) error {
+	if ip.elab == nil {
+		return nil
+	}
+	return ip.elab.spend(n.nodeLine(), units)
+}
+
 // returnSignal unwinds a `return` statement to the function boundary.
 type returnSignal struct{ v value }
 
@@ -160,6 +170,9 @@ func (ip *interp) evalStmt(s Stmt, e *env) (value, error) {
 		}
 		inner := newEnv(e)
 		for i := lo; i <= hi; i++ {
+			if err := ip.spend(st, 1); err != nil {
+				return nil, err
+			}
 			inner.define(st.Var, i)
 			ip.count(cost.Branch, 1)
 			ip.count(cost.IntOp, 1)
@@ -174,6 +187,9 @@ func (ip *interp) evalStmt(s Stmt, e *env) (value, error) {
 		for iter := 0; ; iter++ {
 			if iter > 10_000_000 {
 				return nil, ip.failf(st, "while loop exceeded 10M iterations")
+			}
+			if err := ip.spend(st, 1); err != nil {
+				return nil, err
 			}
 			c, err := ip.evalExpr(st.Cond, inner)
 			if err != nil {
@@ -238,6 +254,9 @@ func (ip *interp) evalExpr(x Expr, e *env) (value, error) {
 		return v, nil
 
 	case *ArrayLit:
+		if err := ip.spend(ex, int64(len(ex.Elems))); err != nil {
+			return nil, err
+		}
 		arr := &arrayVal{elems: make([]value, len(ex.Elems))}
 		for i, el := range ex.Elems {
 			v, err := ip.evalExpr(el, e)
@@ -439,6 +458,9 @@ func (ip *interp) binop(n Node, op string, l, r value) (value, error) {
 		if ok {
 			switch op {
 			case "+":
+				if err := ip.spend(n, int64(len(lv)+len(rv))); err != nil {
+					return nil, err
+				}
 				return lv + rv, nil
 			case "==", "!=":
 				return (lv == rv) == (op == "=="), nil
@@ -518,6 +540,9 @@ func (ip *interp) evalCall(ex *CallExpr, e *env) (value, error) {
 	if ip.depth >= maxDepth {
 		return nil, ip.failf(ex, "call depth exceeded (%d)", maxDepth)
 	}
+	if err := ip.spend(ex, 1); err != nil {
+		return nil, err
+	}
 	ip.depth++
 	defer func() { ip.depth-- }()
 	ip.count(cost.Call, 1)
@@ -557,6 +582,9 @@ var builtins = map[string]builtinFn{
 		if !ok || n < 0 {
 			return nil, ip.failf(ex, "Array.make size must be a non-negative int")
 		}
+		if err := ip.spend(ex, n); err != nil {
+			return nil, err
+		}
 		arr := &arrayVal{elems: make([]value, n)}
 		for i := range arr.elems {
 			arr.elems[i] = args[1]
@@ -576,6 +604,9 @@ var builtins = map[string]builtinFn{
 		arr, ok := args[0].(*arrayVal)
 		if !ok {
 			return nil, ip.failf(ex, "Array.append to %s", typeName(args[0]))
+		}
+		if err := ip.spend(ex, 1); err != nil {
+			return nil, err
 		}
 		arr.elems = append(arr.elems, args[1])
 		ip.count(cost.Store, 1)

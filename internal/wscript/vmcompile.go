@@ -31,6 +31,7 @@ import (
 // vmCompiler compiles one operator body (entry + state initializers +
 // reachable user functions) into a wvm.Program.
 type vmCompiler struct {
+	el       *elaborator // charged for every captured element copied
 	prog     *wvm.Program
 	constIdx map[wvm.Value]int32
 	tmplIdx  map[value]int32
@@ -39,8 +40,9 @@ type vmCompiler struct {
 
 // compileIterateVM lowers an iterate operator to bytecode. defEnv is the
 // elaboration-time environment the body closes over.
-func compileIterateVM(name, varName string, stateDecls []*LetStmt, body *Block, defEnv *env) (*wvm.Program, error) {
+func compileIterateVM(name, varName string, stateDecls []*LetStmt, body *Block, defEnv *env, el *elaborator) (*wvm.Program, error) {
 	c := &vmCompiler{
+		el:       el,
 		prog:     &wvm.Program{Name: name, Init: -1},
 		constIdx: make(map[wvm.Value]int32),
 		tmplIdx:  make(map[value]int32),
@@ -99,7 +101,7 @@ func (c *vmCompiler) templateOf(v value, line int32) (int32, error) {
 	if i, ok := c.tmplIdx[v]; ok {
 		return i, nil
 	}
-	conv, err := captureValue(v, line)
+	conv, err := c.captureValue(v, line, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -109,36 +111,42 @@ func (c *vmCompiler) templateOf(v value, line int32) (int32, error) {
 	return i, nil
 }
 
-// captureValue converts an elaboration-time value for the VM pools.
-func captureValue(v value, line int32) (wvm.Value, error) {
+// captureValue converts an elaboration-time value for the VM pools. The
+// copy is charged to the elaboration budget element by element — a
+// structure that shares substructure unfolds into a tree here — and
+// nesting is bounded, so one that contains itself is an error.
+func (c *vmCompiler) captureValue(v value, line int32, depth int) (wvm.Value, error) {
+	var src []value
 	switch x := v.(type) {
 	case int64, float64, bool, string:
 		return x, nil
 	case unitVal:
 		return wvm.Unit{}, nil
 	case *arrayVal:
-		out := &wvm.Array{Elems: make([]wvm.Value, len(x.elems))}
-		for i, e := range x.elems {
-			c, err := captureValue(e, line)
-			if err != nil {
-				return nil, err
-			}
-			out.Elems[i] = c
-		}
-		return out, nil
+		src = x.elems
 	case *fifoVal:
-		out := &wvm.Fifo{Elems: make([]wvm.Value, len(x.elems))}
-		for i, e := range x.elems {
-			c, err := captureValue(e, line)
-			if err != nil {
-				return nil, err
-			}
-			out.Elems[i] = c
-		}
-		return out, nil
+		src = x.elems
 	default:
 		return nil, fmt.Errorf("wscript:%d: cannot capture %s in an operator body", line, typeName(v))
 	}
+	if depth >= maxDepth {
+		return nil, fmt.Errorf("wscript:%d: captured value nests deeper than %d", line, maxDepth)
+	}
+	if err := c.el.spend(int(line), int64(len(src))); err != nil {
+		return nil, err
+	}
+	out := make([]wvm.Value, len(src))
+	for i, e := range src {
+		cv, err := c.captureValue(e, line, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = cv
+	}
+	if _, ok := v.(*fifoVal); ok {
+		return &wvm.Fifo{Elems: out}, nil
+	}
+	return &wvm.Array{Elems: out}, nil
 }
 
 func (c *vmCompiler) newFn(name string, numParams int, defEnv *env) *fnCompiler {

@@ -28,25 +28,22 @@
 //
 // # Solver backends and racing
 //
-// The solving layer is pluggable (internal/solver): "exact" is the
-// branch-and-bound ILP of §4.2; "lagrangian" is the §9-style relaxation
-// (budgets priced by subgradient-driven multipliers, each subproblem an
-// exact min-closure cut, answers carrying a proven dual gap);
-// "greedy" is a cut-ordering baseline. Backends can be raced:
+// The solving layer is pluggable (internal/solver), with three backends:
+// "exact" is the branch-and-bound ILP of §4.2; "lagrangian" is the
+// §9-style relaxation (budgets priced by subgradient-driven multipliers,
+// each subproblem an exact min-closure cut, answers carrying a proven
+// dual gap); "greedy" is a cut-ordering baseline. A fourth name races
+// them:
 //
 //	p := wishbone.NewPlanner(wishbone.WithSolver("race"))
 //
-// runs every backend concurrently under one context, shares the first
+// runs all three concurrently under one context, shares the first
 // feasible objective as an incumbent bound, cancels the losers, and
 // returns the best feasible assignment — the exact backend wins ties, so
 // an un-deadlined race is byte-identical to the exact solve. Under a
 // deadline the heuristics' fast answers stand in wherever the tree search
 // has not caught up. Deployment.Solves records per-backend win/latency
 // telemetry.
-//
-// The deprecated package-level functions (Profile, Partition,
-// AutoPartition, Simulate, NetworkProfile) remain as thin wrappers over a
-// default Planner and produce byte-identical results.
 //
 // # Execution
 //
