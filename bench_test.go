@@ -1,22 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§7). Each benchmark times the computation that produces one artifact and
-// prints the resulting rows once, so `go test -bench=. -benchmem` doubles
-// as the reproduction harness (see EXPERIMENTS.md for paper-vs-measured).
+// Ablation benchmarks for the partitioner's design choices (EXPERIMENTS.md
+// "Ablations"). The paper's figures are regenerated by cmd/wbbench and the
+// systems numbers by ./bench; these four are the only benchmarks with no
+// twin in either.
 package wishbone
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
-	goruntime "runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"wishbone/internal/apps/eeg"
-	"wishbone/internal/apps/speech"
 	"wishbone/internal/baseline"
 	"wishbone/internal/core"
 	"wishbone/internal/cost"
@@ -25,9 +18,6 @@ import (
 	"wishbone/internal/experiments"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
-	"wishbone/internal/runtime"
-	"wishbone/internal/server"
-	"wishbone/internal/wire"
 )
 
 // burstySpec builds a partitioning problem with a data-dependent operator:
@@ -86,354 +76,6 @@ func burstySpec() (*core.Spec, error) {
 	return spec, nil
 }
 
-var (
-	benchSpeechOnce sync.Once
-	benchSpeech     *experiments.SpeechEnv
-	benchSpeechErr  error
-
-	benchEEG1Once sync.Once
-	benchEEG1     *experiments.EEGEnv
-	benchEEG1Err  error
-
-	benchEEG22Once sync.Once
-	benchEEG22     *experiments.EEGEnv
-	benchEEG22Err  error
-
-	printOnce sync.Map
-)
-
-func speechEnv(b *testing.B) *experiments.SpeechEnv {
-	b.Helper()
-	benchSpeechOnce.Do(func() { benchSpeech, benchSpeechErr = experiments.NewSpeechEnv() })
-	if benchSpeechErr != nil {
-		b.Fatal(benchSpeechErr)
-	}
-	return benchSpeech
-}
-
-func eegEnv1(b *testing.B) *experiments.EEGEnv {
-	b.Helper()
-	benchEEG1Once.Do(func() { benchEEG1, benchEEG1Err = experiments.NewEEGEnv(1, 16) })
-	if benchEEG1Err != nil {
-		b.Fatal(benchEEG1Err)
-	}
-	return benchEEG1
-}
-
-func eegEnv22(b *testing.B) *experiments.EEGEnv {
-	b.Helper()
-	benchEEG22Once.Do(func() { benchEEG22, benchEEG22Err = experiments.NewEEGEnv(22, 8) })
-	if benchEEG22Err != nil {
-		b.Fatal(benchEEG22Err)
-	}
-	return benchEEG22
-}
-
-// printTable prints an artifact once per process, keyed by its title.
-func printTable(t *experiments.Table) {
-	if _, loaded := printOnce.LoadOrStore(t.Title, true); !loaded {
-		fmt.Println()
-		fmt.Print(t.String())
-	}
-}
-
-// BenchmarkFig3BudgetSweep regenerates Figure 3: the optimal cut of the
-// motivating 6-operator example as the CPU budget sweeps 2→3→4.
-func BenchmarkFig3BudgetSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(experiments.Fig3Table(rows))
-		}
-	}
-}
-
-// BenchmarkFig5aEEGRateSweep regenerates Figure 5(a): operators in the
-// optimal node partition versus input rate for one EEG channel, on
-// TMoteSky/TinyOS and NokiaN80/JavaME.
-func BenchmarkFig5aEEGRateSweep(b *testing.B) {
-	env := eegEnv1(b)
-	rates := []float64{0.25, 0.5, 1, 2, 3, 4, 6, 8, 12, 16, 20}
-	plats := []*platform.Platform{platform.TMoteSky(), platform.NokiaN80()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig5a(env, rates, plats)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(experiments.Fig5aTable(rows))
-		}
-	}
-}
-
-// BenchmarkFig5bSpeechCutpointRates regenerates Figure 5(b): the maximum
-// compute-bound sustainable data rate at each viable cutpoint per platform.
-func BenchmarkFig5bSpeechCutpointRates(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig5b(env)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		if i == 0 {
-			printTable(experiments.Fig5bTable(env))
-		}
-	}
-}
-
-// BenchmarkFig6SolverRuntimeCDF regenerates Figure 6: the CDF of solver
-// time to discover versus prove the optimal partition of the full
-// 22-channel EEG application across a sweep of data rates. The paper ran
-// 2100 invocations; the bench runs a 9-point sweep with the §7.1
-// gap-based termination (1% / 60 s) — see EXPERIMENTS.md.
-func BenchmarkFig6SolverRuntimeCDF(b *testing.B) {
-	env := eegEnv22(b)
-	opts := experiments.DefaultFig6Options()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig6(env, 9, 0.1, 4, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(experiments.Fig6Table(pts))
-		}
-	}
-}
-
-// BenchmarkFig7SpeechProfile regenerates Figure 7: per-operator CPU µs and
-// cut bandwidth along the speech pipeline on the TMote Sky.
-func BenchmarkFig7SpeechProfile(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig7(env)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		if i == 0 {
-			printTable(experiments.Fig7Table(env))
-		}
-	}
-}
-
-// BenchmarkFig8RelativeOpCosts regenerates Figure 8: normalized cumulative
-// CPU per operator on Mote, N80 and PC.
-func BenchmarkFig8RelativeOpCosts(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig8(env)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		if i == 0 {
-			printTable(experiments.Fig8Table(env))
-		}
-	}
-}
-
-// BenchmarkFig9SingleMoteLoss regenerates Figure 9: input loss, network
-// loss and goodput for 1 TMote + basestation across the six cutpoints.
-func BenchmarkFig9SingleMoteLoss(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(env, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(experiments.Fig9Table(rows))
-		}
-	}
-}
-
-// BenchmarkFig10NetworkGoodput regenerates Figure 10: goodput for a single
-// TMote versus a 20-TMote network across cutpoints.
-func BenchmarkFig10NetworkGoodput(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(env, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(experiments.Fig10Table(rows))
-		}
-	}
-}
-
-// BenchmarkTextMerakiCutpoint regenerates §7.3.1's Meraki Mini result: its
-// optimal partition ships raw data (cutpoint 1).
-func BenchmarkTextMerakiCutpoint(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TextMeraki(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(&experiments.Table{
-				Title:  "§7.3.1: Meraki Mini optimal cut",
-				Header: []string{"ops on node", "net B/s", "raw-data cut?"},
-				Rows: [][]string{{
-					fmt.Sprint(res.OnNodeOps), fmt.Sprintf("%.0f", res.NetLoad),
-					fmt.Sprint(res.RawIsBest),
-				}},
-			})
-		}
-	}
-}
-
-// BenchmarkTextRateSearch regenerates §7.3.1's binary search: the maximum
-// sustainable rate on the TMote (paper: 3 events/s) and the cut chosen
-// there (paper: after the filter bank).
-func BenchmarkTextRateSearch(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TextRateSearch(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(&experiments.Table{
-				Title:  "§7.3.1: max sustainable rate (binary search)",
-				Header: []string{"events/s", "rate ×", "cut after", "probes"},
-				Rows: [][]string{{
-					fmt.Sprintf("%.2f", res.EventsPerSec), fmt.Sprintf("%.3f", res.RateMultiple),
-					res.CutAfter, fmt.Sprint(res.Probes),
-				}},
-			})
-		}
-	}
-}
-
-// BenchmarkTextGumstixPrediction regenerates §7.3.1's predicted-vs-measured
-// CPU comparison on the Gumstix (paper: 11.5% vs 15%).
-func BenchmarkTextGumstixPrediction(b *testing.B) {
-	env := speechEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TextGumstix(env, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(&experiments.Table{
-				Title:  "§7.3.1: Gumstix predicted vs measured CPU",
-				Header: []string{"predicted %", "measured %"},
-				Rows: [][]string{{
-					fmt.Sprintf("%.1f", 100*res.PredictedCPU),
-					fmt.Sprintf("%.1f", 100*res.MeasuredCPU),
-				}},
-			})
-		}
-	}
-}
-
-// BenchmarkILPScale regenerates §4.2's claim: graphs with over a thousand
-// operators partition in seconds (with the 1% gap termination of §7.1).
-func BenchmarkILPScale(b *testing.B) {
-	env := eegEnv22(b)
-	opts := experiments.DefaultFig6Options()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ILPScale(env, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTable(&experiments.Table{
-				Title:  "§4.2: ILP scale on the full EEG app",
-				Header: []string{"operators", "clusters", "vars", "cons", "solve s", "B&B nodes"},
-				Rows: [][]string{{
-					fmt.Sprint(res.Operators), fmt.Sprint(res.ClustersAfter),
-					fmt.Sprint(res.Variables), fmt.Sprint(res.Constraints),
-					fmt.Sprintf("%.2f", res.SolveSeconds), fmt.Sprint(res.SolverBBNodes),
-				}},
-			})
-		}
-	}
-}
-
-// --- Execution engine ----------------------------------------------------
-
-// BenchmarkEngine times the engine on a 16-node deployment simulation of
-// the speech pipeline running whole on Gumstix nodes (§7.3.1's scenario at
-// network scale). The shared-trace run offers every node the identical
-// recording — the Figure 9/10 bench methodology — which the engine
-// recognizes and simulates once, replaying the deterministic message
-// stream per node; the distinct-trace run forces 16 full per-node
-// executions (concurrent on multi-core hosts). Parity tests in
-// internal/runtime hold both configurations to the reference tree-walking
-// Executor, which is test-only code and so is no longer timed here
-// (EXPERIMENTS.md keeps its last measurement).
-func BenchmarkEngine(b *testing.B) {
-	app := speech.New()
-	shared := app.SampleTrace(77, 2.0)
-	const nodes = 16
-	run := func(b *testing.B, inputs func(int) []profile.Input) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			res, err := runtime.Run(runtime.Config{
-				Graph:    app.Graph,
-				OnNode:   speechCut(app, 8),
-				Platform: platform.Gumstix(),
-				Nodes:    nodes,
-				Duration: 15,
-				Inputs:   inputs,
-				Seed:     9,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.ProcessedEvents == 0 {
-				b.Fatal("simulation processed nothing")
-			}
-		}
-	}
-	sharedInputs := func(nodeID int) []profile.Input { return []profile.Input{shared} }
-	distinctInputs := func(nodeID int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(1000+nodeID), 2.0)}
-	}
-	b.Run("compiled-16nodes", func(b *testing.B) { run(b, sharedInputs) })
-	b.Run("compiled-16nodes-distinct", func(b *testing.B) { run(b, distinctInputs) })
-}
-
-func speechCut(app *speech.App, prefix int) map[int]bool {
-	on := make(map[int]bool, len(app.Pipeline))
-	for i, op := range app.Pipeline {
-		on[op.ID()] = i < prefix
-	}
-	return on
-}
-
-// BenchmarkProfileEngine times the profiler's workload: pricing the full
-// 22-channel EEG application (~1.2k operators, where per-element dispatch
-// and the per-event counter fold dominate).
-func BenchmarkProfileEngine(b *testing.B) {
-	app := eeg.New()
-	inputs := app.SampleTrace(7, 8)
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := profile.Run(app.Graph, inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Ablations (design choices called out in DESIGN.md §5) ---------------
-
 // BenchmarkAblationPreprocessing compares partitioning with and without
 // the §4.1 search-space reduction on a 4-channel EEG app.
 func BenchmarkAblationPreprocessing(b *testing.B) {
@@ -462,7 +104,10 @@ func BenchmarkAblationPreprocessing(b *testing.B) {
 // BenchmarkAblationFormulation compares the restricted (|V| variables)
 // against the general (|V|+2|E|) ILP encoding on the speech app.
 func BenchmarkAblationFormulation(b *testing.B) {
-	env := speechEnv(b)
+	env, err := experiments.NewSpeechEnv()
+	if err != nil {
+		b.Fatal(err)
+	}
 	spec := env.Spec(platform.TMoteSky())
 	spec.NetBudget = 0
 	for _, f := range []core.Formulation{core.Restricted, core.General} {
@@ -483,7 +128,10 @@ func BenchmarkAblationFormulation(b *testing.B) {
 // decision is non-trivial). KL reports budget violations instead of an
 // objective — the §4 argument for why balanced partitioners don't fit.
 func BenchmarkAblationBaselines(b *testing.B) {
-	env := speechEnv(b)
+	env, err := experiments.NewSpeechEnv()
+	if err != nil {
+		b.Fatal(err)
+	}
 	// Scale to the TMote's sustainable rate so intermediate cuts fit.
 	spec := env.Spec(platform.TMoteSky()).Scaled(0.09)
 	spec.NetBudget = 0
@@ -559,383 +207,4 @@ func BenchmarkAblationMeanVsPeak(b *testing.B) {
 			b.ReportMetric(onNode, "opsOnNode")
 		})
 	}
-}
-
-// BenchmarkServerThroughput drives the multi-tenant partition service
-// over real HTTP: N concurrent tenants issuing profile and simulate
-// requests against M distinct graphs. After the first build of each
-// (graph, partition) key every request is served from the cached compiled
-// Programs — the reported hit-rate metric must come out positive under
-// this distinct-tenant, same-graph load, and request latency collapses to
-// execution (no compile, no re-elaboration).
-func BenchmarkServerThroughput(b *testing.B) {
-	svc := server.New(server.Config{CacheEntries: 64})
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	client := server.NewClient(ts.URL, ts.Client())
-	ctx := context.Background()
-
-	specs := []wire.GraphSpec{
-		{App: "speech"},
-		{App: "eeg", Channels: 2},
-	}
-	trace := wire.TraceSpec{Seed: 21, Seconds: 3}
-	// One fixed cut per graph: the natural Node-namespace placement.
-	onNode := make([][]int, len(specs))
-	for i, spec := range specs {
-		info, err := client.Graph(ctx, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for id, op := range info.Graph.Ops {
-			if op.NS == int(dataflow.NSNode) {
-				onNode[i] = append(onNode[i], id)
-			}
-		}
-	}
-
-	const tenants = 8
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	errCh := make(chan error, tenants)
-	for t := 0; t < tenants; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				g := (t + i) % len(specs)
-				if (t+i)%2 == 0 {
-					if _, err := client.Profile(ctx, wire.ProfileRequest{
-						Graph: specs[g], Trace: trace,
-					}); err != nil {
-						errCh <- err
-						return
-					}
-				} else {
-					if _, err := client.Simulate(ctx, wire.SimulateRequest{
-						Graph: specs[g], Trace: trace, Platform: "Gumstix",
-						OnNode: onNode[g], Nodes: 2, Duration: 3, Seed: int64(g),
-					}); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	b.StopTimer()
-	close(errCh)
-	for err := range errCh {
-		b.Fatal(err)
-	}
-
-	snap := svc.Stats()
-	if snap.CacheHitRate <= 0 {
-		b.Fatalf("cache hit rate %v, want > 0 (hits=%d misses=%d)",
-			snap.CacheHitRate, snap.CacheHits, snap.CacheMisses)
-	}
-	b.ReportMetric(snap.CacheHitRate, "hit-rate")
-	b.ReportMetric(float64(tenants*b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// --- Sharded + streaming simulation --------------------------------------
-
-// BenchmarkShardedSimulate measures server-side scale-out: 64 Gumstix
-// nodes stream raw audio windows to the basestation (cut after the
-// source), so the run is dominated by the server-side delivery loop —
-// reassembly, per-origin state swaps (preemph/prefilt relocate with
-// per-node state tables), and the relocated pipeline's DSP. The sharded
-// variants split both the node phase and that loop by origin node;
-// results are byte-identical at every shard count (asserted here against
-// the sequential run). The pipelined variants feed the same steady-rate
-// trace through streaming ingestion (1 s windows divide the 25 ms frame
-// period, so streaming == batch byte-for-byte) with delivery of window w
-// behind the merge that buffers window w+1.
-//
-// Run with -benchmem: the fragment arenas, reassembly scratch and pooled
-// samplers make allocs/op the tracked regression metric. Per-stage wall
-// (node-ms, deliver-ms) and their overlap (overlap-ms, pipelined only)
-// are reported as custom metrics; see EXPERIMENTS.md for the multi-core
-// scaling table.
-func BenchmarkShardedSimulate(b *testing.B) {
-	app := speech.New()
-	const nodes = 64
-	onNode := speechCut(app, 1)
-	node, srv, err := runtime.CompilePartition(app.Graph, onNode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A basestation-class uplink that absorbs 64 raw streams without
-	// congestion collapse, so the server actually processes the load.
-	plat := platform.Gumstix()
-	plat.Radio.BytesPerSec = 4e6
-	plat.Radio.CollapseBytesPerSec = 8e6
-	traces := make([][]profile.Input, nodes)
-	for n := range traces {
-		traces[n] = []profile.Input{app.SampleTrace(int64(2000+n), 2.0)}
-	}
-	cfg := runtime.Config{
-		Graph:         app.Graph,
-		OnNode:        onNode,
-		Platform:      plat,
-		Nodes:         nodes,
-		Duration:      10,
-		Inputs:        func(nodeID int) []profile.Input { return traces[nodeID] },
-		Seed:          3,
-		NodeProgram:   node,
-		ServerProgram: srv,
-	}
-	ref, err := runtime.Run(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if ref.PercentMsgsReceived() < 90 {
-		b.Fatalf("channel collapsed (%.1f%% received); the bench must exercise the server", ref.PercentMsgsReceived())
-	}
-	// The per-element twins run Programs compiled without batch tables,
-	// which is what selects the per-element feed and delivery loops.
-	perElem := func(nodeSide bool) *dataflow.Program {
-		p, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{
-			Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return p
-	}
-	perElemNode, perElemSrv := perElem(true), perElem(false)
-	run := func(b *testing.B, shards int, pipelined, noBatch bool) {
-		b.Helper()
-		b.ReportAllocs()
-		c := cfg
-		c.Shards = shards
-		if noBatch {
-			c.NodeProgram, c.ServerProgram = perElemNode, perElemSrv
-		}
-		if pipelined {
-			c.Inputs = nil
-			c.WindowSeconds = 1
-			c.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
-				return runtime.InputStream(traces[nodeID], 1, cfg.Duration)
-			}
-		}
-		timings := &runtime.StageTimings{}
-		c.Timings = timings
-		for i := 0; i < b.N; i++ {
-			res, err := runtime.Run(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if *res != *ref {
-				b.Fatalf("shards=%d pipelined=%v diverges from sequential", shards, pipelined)
-			}
-		}
-		n := float64(b.N)
-		b.ReportMetric(1e3*timings.NodeSeconds()/n, "node-ms")
-		b.ReportMetric(1e3*timings.DeliverySeconds()/n, "deliver-ms")
-		if pipelined {
-			b.ReportMetric(1e3*timings.OverlapSeconds()/n, "overlap-ms")
-		}
-	}
-	b.Run("sequential-64nodes", func(b *testing.B) { run(b, 1, false, false) })
-	b.Run("shards=2-64nodes", func(b *testing.B) { run(b, 2, false, false) })
-	b.Run("shards=4-64nodes", func(b *testing.B) { run(b, 4, false, false) })
-	b.Run("shards=8-64nodes", func(b *testing.B) { run(b, 8, false, false) })
-	b.Run("pipelined=4shards-64nodes", func(b *testing.B) { run(b, 4, true, false) })
-	b.Run("pipelined=8shards-64nodes", func(b *testing.B) { run(b, 8, true, false) })
-	// Per-element twins of the headline variants: the spread is the
-	// batched-dispatch win, on byte-identical Results.
-	b.Run("sequential-64nodes-perelem", func(b *testing.B) { run(b, 1, false, true) })
-	b.Run("shards=8-64nodes-perelem", func(b *testing.B) { run(b, 8, false, true) })
-}
-
-// BenchmarkStreamingSimulate compares batch and streaming ingestion on an
-// hour-long deployment: the batch path materializes every arrival and
-// in-flight message up front (allocations grow with the simulated span),
-// the streaming path feeds 60-second windows through persistent node
-// instances and server shards (allocations per window, working set flat
-// in the span). Run with -benchmem; the B/op gap is the point.
-func BenchmarkStreamingSimulate(b *testing.B) {
-	app := speech.New()
-	const nodes = 4
-	const duration = 3600.0
-	cfg := runtime.Config{
-		Graph:    app.Graph,
-		OnNode:   speechCut(app, 1),
-		Platform: platform.Gumstix(),
-		Nodes:    nodes,
-		Duration: duration,
-		Inputs: func(nodeID int) []profile.Input {
-			return []profile.Input{app.SampleTrace(int64(3000+nodeID), 2.0)}
-		},
-		Seed: 6,
-	}
-	// withPeakHeap samples the live heap at 20 Hz while fn runs and
-	// reports the maximum — coarse, but it separates an O(window) working
-	// set from an O(duration) one (cumulative B/op cannot: both paths
-	// allocate per event, the difference is what stays reachable).
-	//
-	// The reading is per run: a forced collection first drops whatever the
-	// previous sub-benchmark left unswept and resets the pacer's heap
-	// target (without it a streaming run that follows batch-1h in one
-	// process reads ten times its own peak), and the sampler starts from
-	// zero after it.
-	withPeakHeap := func(b *testing.B, fn func()) {
-		b.StopTimer()
-		goruntime.GC()
-		b.StartTimer()
-		var peak atomic.Uint64
-		done := make(chan struct{})
-		go func() {
-			var ms goruntime.MemStats
-			tick := time.NewTicker(50 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					goruntime.ReadMemStats(&ms)
-					if ms.HeapAlloc > peak.Load() {
-						peak.Store(ms.HeapAlloc)
-					}
-				}
-			}
-		}()
-		fn()
-		close(done)
-		b.ReportMetric(float64(peak.Load())/(1<<20), "peak-heap-MB")
-	}
-	b.Run("batch-1h", func(b *testing.B) {
-		b.ReportAllocs()
-		withPeakHeap(b, func() {
-			for i := 0; i < b.N; i++ {
-				if _, err := runtime.Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-	b.Run("stream-1h", func(b *testing.B) {
-		b.ReportAllocs()
-		c := cfg
-		c.Shards = 4
-		c.WindowSeconds = 60
-		c.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
-			return runtime.InputStream(cfg.Inputs(nodeID), 1, duration)
-		}
-		timings := &runtime.StageTimings{}
-		c.Timings = timings
-		withPeakHeap(b, func() {
-			for i := 0; i < b.N; i++ {
-				if _, err := runtime.Run(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		n := float64(b.N)
-		b.ReportMetric(1e3*timings.NodeSeconds()/n, "node-ms")
-		b.ReportMetric(1e3*timings.DeliverySeconds()/n, "deliver-ms")
-		b.ReportMetric(1e3*timings.OverlapSeconds()/n, "overlap-ms")
-	})
-	// The zero-copy ingestion path: the same hour driven through
-	// Session.OfferRaw on pre-encoded JSON frames, the way the streaming
-	// endpoint feeds it. The assertion is the satellite's point — decoding
-	// into the ingest arena must hold steady-state ingest allocations to a
-	// couple of mallocs per arrival (the interface box plus amortized slab
-	// blocks), where the decode-then-Offer path paid a fresh slice per
-	// value.
-	b.Run("stream-1h-offerraw", func(b *testing.B) {
-		b.ReportAllocs()
-		c := cfg
-		c.Inputs = nil
-		c.Shards = 4
-		c.WindowSeconds = 60
-		src := app.Pipeline[0]
-		encs := make([][][]byte, nodes)
-		for n := range encs {
-			in := app.SampleTrace(int64(3000+n), 2.0)
-			for _, ev := range in.Events {
-				raw, err := json.Marshal(ev)
-				if err != nil {
-					b.Fatal(err)
-				}
-				encs[n] = append(encs[n], raw)
-			}
-		}
-		const period = 1 / speech.FrameRate
-		frames := int(duration * speech.FrameRate)
-		// feed drives one full session; raw selects zero-copy OfferRaw or
-		// the pre-arena shape (json.Unmarshal into a fresh slice, then
-		// Offer). Returns mallocs and allocated bytes per arrival for the
-		// whole session — the simulated pipeline's own allocations are
-		// identical across the two, so the difference is pure ingest.
-		feed := func(raw bool) (mallocs, allocBytes float64) {
-			sess, err := runtime.NewSession(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			arrivals := int64(0)
-			var ms goruntime.MemStats
-			goruntime.ReadMemStats(&ms)
-			before, beforeBytes := ms.Mallocs, ms.TotalAlloc
-			for k := 0; k < frames; k++ {
-				t := float64(k) * period
-				if t >= duration {
-					break
-				}
-				for n := 0; n < nodes; n++ {
-					enc := encs[n][k%len(encs[n])]
-					if raw {
-						err = sess.OfferRaw(n, t, src, "i16s", enc)
-					} else {
-						var v []int16
-						if err := json.Unmarshal(enc, &v); err != nil {
-							b.Fatal(err)
-						}
-						err = sess.Offer(n, runtime.Arrival{Time: t, Source: src, Value: v})
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					arrivals++
-				}
-			}
-			if _, err := sess.Close(); err != nil {
-				b.Fatal(err)
-			}
-			goruntime.ReadMemStats(&ms)
-			return float64(ms.Mallocs-before) / float64(arrivals), float64(ms.TotalAlloc-beforeBytes) / float64(arrivals)
-		}
-		perDecoded, bytesDecoded := feed(false)
-		b.ResetTimer()
-		perRaw, bytesRaw := 0.0, 0.0
-		for i := 0; i < b.N; i++ {
-			perRaw, bytesRaw = feed(true)
-		}
-		b.StopTimer()
-		b.ReportMetric(perRaw, "ingest-allocs/arrival")
-		b.ReportMetric(perDecoded, "decoded-allocs/arrival")
-		b.ReportMetric(bytesRaw, "ingest-bytes/arrival")
-		b.ReportMetric(bytesDecoded, "decoded-bytes/arrival")
-		// Decoding a 200-sample frame into a fresh slice costs several
-		// mallocs (incremental growth inside Unmarshal plus the value
-		// itself); the arena path amortizes all of that into slab blocks.
-		// Asserting a ≥2 malloc/arrival gap catches any regression that
-		// reintroduces per-value allocation without being sensitive to
-		// what the simulated pipeline itself allocates.
-		if perRaw > perDecoded-2 {
-			b.Fatalf("zero-copy ingest lost its allocation advantage: %.2f mallocs/arrival raw vs %.2f decoded",
-				perRaw, perDecoded)
-		}
-		// The malloc count cannot see what a malloc costs: a block per
-		// arrival is one malloc of 32 KB. In bytes the arena (the frame
-		// itself, carved) must undercut the fresh-slice path (the frame
-		// plus Unmarshal's growth steps).
-		if bytesRaw >= bytesDecoded {
-			b.Fatalf("zero-copy ingest allocates more than decode-then-Offer: %.0f B/arrival raw vs %.0f decoded",
-				bytesRaw, bytesDecoded)
-		}
-	})
 }

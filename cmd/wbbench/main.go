@@ -1,37 +1,13 @@
-// Command wbbench regenerates every table and figure of the paper's
-// evaluation and prints them as aligned text tables. It is the interactive
-// counterpart of bench_test.go.
+// Command wbbench regenerates the tables and figures of the paper's
+// evaluation (§7: Figures 3, 5a/b, 6-10, the §7.3.1 in-text results and
+// §4.2's scale claim) and prints them as aligned text tables. Systems
+// numbers (throughput, allocation, per-layer timings) belong to ./bench.
 //
 // Usage:
 //
-//	wbbench [-fig 5a|5b|6|7|8|9|10|3|text|scale|solvers|batch|replan|recovery|dist|all]
-//	        [-seconds N] [-fig6n N] [-shards N] [-stream] [-workers N]
-//	        [-solver exact|lagrangian|greedy|race|all]
+//	wbbench [-fig 3|5a|5b|6|7|8|9|10|text|scale|dist|all]
+//	        [-seconds N] [-fig6n N]
 //	        [-dist-nodes N] [-dist-seconds N] [-dist-hosts 1,2,4,8]
-//
-// The solvers figure compares the pluggable solver backends (objective,
-// proven gap, latency, race wins) on the speech and EEG specs; -solver
-// restricts it to one backend (plus the exact reference).
-//
-// The recovery figure evaluates the fault-tolerance machinery: the
-// windows replayed to restore a shard host killed mid-run at every
-// (checkpoint cadence, failure window) pair — the recovered result must
-// be byte-identical to the clean run — and the control plane's drift
-// detection latency under node churn, swept over the mean time to
-// failure.
-//
-// The replan figure evaluates the online control plane: the control
-// loop's window-by-window recovery trajectory through a mid-stream
-// re-partition of a drift-injected speech deployment.
-//
-// -shards splits each deployment simulation — the node phase by origin
-// and the server-side delivery loop — by origin node (byte-identical
-// results, more cores); -stream feeds the traces through streaming
-// ingestion in bounded windows instead of materializing them; delivery of
-// window w then runs behind the ingest of window w+1.
-//
-// The batch figure reports each operator's batch-hit rate — the share of
-// elements dispatched through BatchWork — over the Figure 9 deployment.
 //
 // The dist figure runs one large speech deployment (-dist-nodes motes,
 // -dist-seconds simulated seconds) once per host count in -dist-hosts,
@@ -57,8 +33,7 @@ import (
 )
 
 // figures is the -fig vocabulary.
-var figures = []string{"3", "5a", "5b", "6", "7", "8", "9", "10", "text", "scale",
-	"solvers", "batch", "replan", "recovery", "dist", "all"}
+var figures = []string{"3", "5a", "5b", "6", "7", "8", "9", "10", "text", "scale", "dist", "all"}
 
 // checkFig rejects a -fig value no figure answers to: it would match
 // nothing, build nothing, and exit 0 looking like a successful run.
@@ -73,10 +48,6 @@ func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate ("+strings.Join(figures, ", ")+"; dist only runs when named)")
 	seconds := flag.Float64("seconds", 60, "simulated deployment duration for figures 9-10")
 	fig6n := flag.Int("fig6n", 9, "solver invocations for the figure 6 sweep (paper: 2100)")
-	solverName := flag.String("solver", "all", "backend for the solvers figure: exact|lagrangian|greedy|race|all")
-	shards := flag.Int("shards", 0, "origin shards per simulation, node phase and delivery (0/1 = sequential)")
-	stream := flag.Bool("stream", false, "feed simulation traces through streaming ingestion")
-	workers := flag.Int("workers", 0, "simulation worker bound, node phase and delivery (0 = GOMAXPROCS)")
 	distNodes := flag.Int("dist-nodes", 640, "motes in the dist figure's deployment")
 	distSeconds := flag.Float64("dist-seconds", 10, "simulated duration for the dist figure")
 	distHosts := flag.String("dist-hosts", "1,2,4,8", "comma-separated host counts for the dist figure")
@@ -97,9 +68,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			speech.Shards = *shards
-			speech.Stream = *stream
-			speech.Workers = *workers
 		}
 		return speech
 	}
@@ -190,13 +158,6 @@ func main() {
 			},
 		})
 	}
-	if want("batch") {
-		rows, err := experiments.BatchHitRates(needSpeech(), 1, *seconds)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(experiments.BatchHitTable(rows))
-	}
 	if *fig == "dist" {
 		var hostCounts []int
 		for _, part := range strings.Split(*distHosts, ",") {
@@ -211,43 +172,6 @@ func main() {
 			log.Fatal(err)
 		}
 		out(experiments.DistScalingTable(*distNodes, *distSeconds, rows))
-	}
-	if want("replan") {
-		rows, res, err := experiments.ReplanRecovery(4, 16)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(experiments.ReplanRecoveryTable(rows))
-		fmt.Printf("\nreplan recovery run: %d msgs sent, %d server emits\n", res.MsgsSent, res.ServerEmits)
-	}
-	if want("recovery") {
-		const recNodes, recSeconds = 4, 16
-		rows, err := experiments.HostFailureRecovery(needSpeech(), recNodes, recSeconds,
-			[]int{1, 2, 4}, []int{1, 3, 6})
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(experiments.HostFailureRecoveryTable(recNodes, recSeconds, rows))
-		churn, err := experiments.ChurnRecovery(recNodes, 40, []float64{40, 20, 10, 5})
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(experiments.ChurnRecoveryTable(recNodes, 40, churn))
-	}
-	if want("solvers") {
-		backends := []string{"exact", "lagrangian", "greedy", "race"}
-		switch *solverName {
-		case "all":
-		case "exact":
-			backends = []string{"exact"}
-		default:
-			backends = []string{"exact", *solverName}
-		}
-		rows, err := experiments.SolverCompare(backends)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(experiments.SolverCompareTable(rows))
 	}
 	if want("scale") {
 		env, err := experiments.NewEEGEnv(22, 8)

@@ -58,10 +58,9 @@ func (d *timedDriver) DeliverWindow(ratio float64) error {
 // The hosts here are in-process runtime.ShardHosts bound directly as the
 // drivers — the same code an HTTP peer runs behind /v1/shard, minus the
 // network — so the table isolates barrier/aggregation cost from transport
-// cost. Each
-// host runs its node phase single-threaded (Workers=1) unless the env
-// overrides it: one host models one machine, so adding hosts — not
-// cores within a host — is the variable under measurement.
+// cost. Each host runs its node phase single-threaded (Workers=1): one
+// host models one machine, so adding hosts — not cores within a host — is
+// the variable under measurement.
 func DistScaling(e *SpeechEnv, nodes int, seconds float64, hostCounts []int) ([]DistScalingRow, error) {
 	if len(hostCounts) == 0 {
 		return nil, fmt.Errorf("experiments: no host counts")
@@ -73,8 +72,6 @@ func DistScaling(e *SpeechEnv, nodes int, seconds float64, hostCounts []int) ([]
 		Nodes:         nodes,
 		Duration:      seconds,
 		Seed:          int64(nodes),
-		Shards:        e.Shards,
-		Workers:       e.Workers,
 		WindowSeconds: 2,
 		ArrivalSource: func(nodeID int) (runtime.Stream, error) {
 			return runtime.InputStream(
@@ -118,9 +115,7 @@ func distScalingPoint(cfg runtime.Config, hostCount int, ref *runtime.Result) (*
 		}
 	}
 	hostCfg := cfg
-	if hostCfg.Workers <= 0 {
-		hostCfg.Workers = 1
-	}
+	hostCfg.Workers = 1
 	maxOrigins := 0
 	for _, origins := range parts {
 		sh, err := runtime.NewShardHost(hostCfg, origins)

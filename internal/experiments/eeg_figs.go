@@ -277,10 +277,3 @@ func Fig3Table(rows []Fig3Row) *Table {
 	}
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

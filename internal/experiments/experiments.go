@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure in the paper's
 // evaluation (§7), plus the in-text numeric claims. Each Fig* function
-// regenerates one artifact and returns printable rows; bench_test.go and
-// cmd/wbbench drive them. DESIGN.md §4 is the experiment index.
+// regenerates one artifact and returns printable rows; cmd/wbbench prints
+// them. EXPERIMENTS.md is the experiment index.
 package experiments
 
 import (
@@ -13,7 +13,6 @@ import (
 	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
-	"wishbone/internal/runtime"
 )
 
 // SpeechEnv is a profiled speech-detection application shared by the
@@ -22,38 +21,6 @@ type SpeechEnv struct {
 	App    *speech.App
 	Report *profile.Report
 	Class  *dataflow.Classification
-
-	// Shards splits each simulation's server-side delivery loop by origin
-	// node (cmd/wbbench -shards); results are byte-identical at any
-	// count.
-	Shards int
-
-	// Stream runs the deployment experiments through streaming ingestion
-	// (cmd/wbbench -stream): arrivals are generated lazily and fed in
-	// bounded windows instead of materialized up front; each window's
-	// delivery ratio prices that window's offered load.
-	Stream bool
-
-	// Workers bounds each simulation's worker pool (cmd/wbbench
-	// -workers), node phase and delivery alike; results are byte-identical
-	// at any setting.
-	Workers int
-}
-
-// simConfig applies the env's sharding/streaming selection to one
-// deployment simulation config.
-func (e *SpeechEnv) simConfig(cfg runtime.Config) runtime.Config {
-	cfg.Shards = e.Shards
-	cfg.Workers = e.Workers
-	if e.Stream {
-		inputs := cfg.Inputs
-		scale := cfg.RateScale
-		duration := cfg.Duration
-		cfg.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
-			return runtime.InputStream(inputs(nodeID), scale, duration)
-		}
-	}
-	return cfg
 }
 
 // NewSpeechEnv builds and profiles the speech app on a deterministic trace.

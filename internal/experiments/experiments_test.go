@@ -328,3 +328,21 @@ func TestILPScaleSolvesQuickly(t *testing.T) {
 		res.Operators, res.ClustersAfter, res.Variables, res.Constraints,
 		res.SolveSeconds, res.SolverBBNodes)
 }
+
+func TestDistScalingIdentical(t *testing.T) {
+	rows, err := DistScaling(getSpeech(t), 8, 2, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want one per host count", len(rows))
+	}
+	for _, r := range rows {
+		if !r.Identical {
+			t.Errorf("%d host(s): Result diverges from the single-host run", r.Hosts)
+		}
+	}
+	if rows[0].Speedup != 1 {
+		t.Errorf("first row's speedup %v, want 1 (it is the baseline)", rows[0].Speedup)
+	}
+}

@@ -214,7 +214,7 @@ func Fig10(e *SpeechEnv, seconds float64) (*Fig10Rows, error) {
 func runCutpointSweep(e *SpeechEnv, nodes int, seconds float64) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for k := 1; k <= NumSpeechCutpoints; k++ {
-		res, err := runtime.Run(e.simConfig(runtime.Config{
+		res, err := runtime.Run(runtime.Config{
 			Graph:    e.App.Graph,
 			OnNode:   e.CutpointOnNode(k),
 			Platform: platform.TMoteSky(),
@@ -224,7 +224,7 @@ func runCutpointSweep(e *SpeechEnv, nodes int, seconds float64) ([]Fig9Row, erro
 				return []profile.Input{e.App.SampleTrace(int64(1000+nodeID), 2.0)}
 			},
 			Seed: int64(k),
-		}))
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -351,14 +351,14 @@ type GumstixResult struct {
 func TextGumstix(e *SpeechEnv, seconds float64) (*GumstixResult, error) {
 	gum := platform.Gumstix()
 	onNode := e.CutpointOnNode(NumSpeechCutpoints) // entire app on the node
-	res, err := runtime.Run(e.simConfig(runtime.Config{
+	res, err := runtime.Run(runtime.Config{
 		Graph: e.App.Graph, OnNode: onNode, Platform: gum,
 		Nodes: 1, Duration: seconds,
 		Inputs: func(nodeID int) []profile.Input {
 			return []profile.Input{e.App.SampleTrace(55, 2.0)}
 		},
 		Seed: 7,
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -366,72 +366,4 @@ func TextGumstix(e *SpeechEnv, seconds float64) (*GumstixResult, error) {
 		PredictedCPU: runtime.PredictedNodeCPU(e.Report, gum, onNode, 1),
 		MeasuredCPU:  res.NodeCPU,
 	}, nil
-}
-
-// BatchHitRow is one operator's batched-dispatch share over a deployment
-// simulation: how many of its elements arrived through BatchWork versus
-// per-element Work.
-type BatchHitRow struct {
-	Cutpoint int
-	Side     string // "node" or "server"
-	Op       string
-	Batched  int64
-	Total    int64
-}
-
-// BatchHitRates runs the Figure 9 deployment at every cutpoint with
-// precompiled partition programs and reports each operator's batch-hit
-// rate.
-func BatchHitRates(e *SpeechEnv, nodes int, seconds float64) ([]BatchHitRow, error) {
-	var rows []BatchHitRow
-	for k := 1; k <= NumSpeechCutpoints; k++ {
-		onNode := e.CutpointOnNode(k)
-		node, srv, err := runtime.CompilePartition(e.App.Graph, onNode)
-		if err != nil {
-			return nil, err
-		}
-		_, err = runtime.Run(e.simConfig(runtime.Config{
-			Graph:    e.App.Graph,
-			OnNode:   onNode,
-			Platform: platform.TMoteSky(),
-			Nodes:    nodes,
-			Duration: seconds,
-			Inputs: func(nodeID int) []profile.Input {
-				return []profile.Input{e.App.SampleTrace(int64(1000+nodeID), 2.0)}
-			},
-			Seed:          int64(k),
-			NodeProgram:   node,
-			ServerProgram: srv,
-		}))
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range node.BatchStats() {
-			rows = append(rows, BatchHitRow{Cutpoint: k, Side: "node", Op: s.Op.Name, Batched: s.Batched, Total: s.Total})
-		}
-		for _, s := range srv.BatchStats() {
-			rows = append(rows, BatchHitRow{Cutpoint: k, Side: "server", Op: s.Op.Name, Batched: s.Batched, Total: s.Total})
-		}
-	}
-	return rows, nil
-}
-
-// BatchHitTable renders BatchHitRates, one row per (cutpoint, operator)
-// that processed any elements.
-func BatchHitTable(rows []BatchHitRow) *Table {
-	t := &Table{
-		Title:  "Batched dispatch: per-operator batch-hit rate (Figure 9 deployment)",
-		Header: []string{"cut", "side", "op", "batched", "total", "hit %"},
-	}
-	for _, r := range rows {
-		if r.Total == 0 {
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Cutpoint), r.Side, r.Op,
-			fmt.Sprint(r.Batched), fmt.Sprint(r.Total),
-			f1(100 * float64(r.Batched) / float64(r.Total)),
-		})
-	}
-	return t
 }

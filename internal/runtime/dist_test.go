@@ -183,6 +183,80 @@ func TestDistMalformedReduceReply(t *testing.T) {
 	}
 }
 
+// corruptCloseHost rewrites the first busy entry of its host's close reply
+// to name another node, and counts the Aborts the coordinator sends it.
+type corruptCloseHost struct {
+	runtime.HostDriver
+	node   int
+	aborts *int
+}
+
+func (h corruptCloseHost) Close() (*runtime.HostResult, error) {
+	hr, err := h.HostDriver.Close()
+	if err == nil {
+		hr.NodeBusy[0].Node = h.node
+	}
+	return hr, err
+}
+
+func (h corruptCloseHost) Abort() {
+	*h.aborts++
+	h.HostDriver.Abort()
+}
+
+// TestDistMalformedCloseReply pins what Close does with busy seconds for a
+// node the reporting host does not own — out of range, or another host's
+// (which used to overwrite the owner's entry in the NodeCPU sum): an error,
+// and a session that is closed, so the deferred Abort reaches no host.
+func TestDistMalformedCloseReply(t *testing.T) {
+	app := speech.New()
+	cfg := runtime.Config{
+		Graph: app.Graph, OnNode: speechCutOnNode(app, 1), Platform: platform.Gumstix(),
+		Nodes: 2, Duration: 2, Seed: 5, WindowSeconds: 1,
+	}
+	feed := mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
+		return []profile.Input{app.SampleTrace(int64(700+n), 2.0)}
+	})
+	for _, tc := range []struct {
+		name string
+		node int
+	}{
+		{"negative node", -1},
+		{"node past the deployment", cfg.Nodes},
+		{"another host's node", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			aborts := 0
+			hosts := make([]runtime.HostBinding, cfg.Nodes)
+			for n := range hosts {
+				h, err := runtime.NewShardHost(cfg, []int{n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hosts[n] = runtime.HostBinding{Driver: h, Origins: []int{n}}
+			}
+			hosts[0].Driver = corruptCloseHost{HostDriver: hosts[0].Driver, node: tc.node, aborts: &aborts}
+			ds, err := runtime.NewDistSession(cfg, hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range feed {
+				if err := ds.Offer(f.node, f.a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = ds.Close()
+			if err == nil || !strings.Contains(err.Error(), "which it does not own") {
+				t.Fatalf("got %v, want the busy-for-foreign-node error", err)
+			}
+			ds.Abort()
+			if aborts != 0 {
+				t.Errorf("Abort after a failed Close reached the host %d time(s)", aborts)
+			}
+		})
+	}
+}
+
 // TestDistributedSnapshotInterplay chains both tentpole pieces: the
 // single-host reference, a distributed run, and a run that streams
 // through a Session, snapshots mid-stream, and resumes — all three must

@@ -346,8 +346,10 @@ func (s *DistSession) Close() (*Result, error) {
 		s.res.DeliveredBytes += hr.DeliveredBytes
 		s.res.ServerEmits += hr.ServerEmits
 		for _, nb := range hr.NodeBusy {
-			if nb.Node < 0 || nb.Node >= cfg.Nodes {
-				return nil, fmt.Errorf("runtime: host %d reports busy for node %d", hi, nb.Node)
+			if nb.Node < 0 || nb.Node >= cfg.Nodes || s.ownerOf[nb.Node] != hi {
+				// The hosts are closed; as above, only the plan is left.
+				s.aggPlan.close()
+				return nil, fmt.Errorf("runtime: host %d reports busy for node %d, which it does not own", hi, nb.Node)
 			}
 			busy[nb.Node] = nb.Busy
 		}

@@ -180,11 +180,10 @@ func TestIngestDecodeDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestIngestArenaReusesBlocks pins the arena's whole point in bytes (the
-// malloc-count guard in BenchmarkStreamingSimulate never saw one 32 KB
-// block per arrival): carve must keep serving a block until it is full,
-// hand out disjoint cap-limited pieces of it, and start a new one after
-// rotate.
+// TestIngestArenaReusesBlocks pins the arena's whole point in bytes (a
+// malloc count cannot see one 32 KB block per arrival: it is one malloc):
+// carve must keep serving a block until it is full, hand out disjoint
+// cap-limited pieces of it, and start a new one after rotate.
 func TestIngestArenaReusesBlocks(t *testing.T) {
 	a := &ingestArena{}
 	decode := func(raw string) []int16 {

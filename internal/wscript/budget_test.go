@@ -61,7 +61,14 @@ main = iterate v in s { emit t[0]; };`,
 	`fun chain(s) { cur = s; while true { cur = iterate v in cur { emit v; }; } return cur; }
 namespace Node { s = source("x", 1); }
 main = chain(s);`,
+	initSpin,
 }
+
+// initSpin burns time, not memory, in a state initializer: 10⁹ iterations
+// are ≈ 20 s of VM time per instance unless probeFuel cuts them short.
+const initSpin = `fun spin() { n = 0; for i = 0 to 1000000000 { n = n + 1; } return n; }
+namespace Node { s = source("x", 1); }
+main = iterate v in s state { x = spin(); } { emit v + x; };`
 
 // TestElaborationBudget: every hostile program is a compile error, and
 // the two allocation bombs are refused before they allocate — quickly,
@@ -86,6 +93,15 @@ func TestElaborationBudget(t *testing.T) {
 		t.Logf("program %d: %.1f ms, %.1f MiB allocated: %v", i, 1e3*elapsed.Seconds(), allocMiB, err)
 		if i < 2 && (elapsed > 100*time.Millisecond || allocMiB > 64) {
 			t.Errorf("program %d took %v and allocated %.1f MiB; want < 100 ms and < 64 MiB", i, elapsed, allocMiB)
+		}
+		if src == initSpin {
+			limit := 2 * time.Second
+			if raceEnabled {
+				limit *= 10
+			}
+			if !errors.Is(err, wvm.ErrFuelExhausted) || elapsed > limit {
+				t.Errorf("initializer spin failed with %v after %v; want wvm.ErrFuelExhausted in < %v", err, elapsed, limit)
+			}
 		}
 		if elapsed > 10*time.Second {
 			t.Errorf("program %d ran %v on its way to the budget", i, elapsed)

@@ -237,7 +237,7 @@ func (el *elaborator) makeSource(ex *CallExpr, args []value) (value, error) {
 // host cannot refuse. Initializers run at compile rate (§2) and are not
 // charged against tenant limits.
 const (
-	probeFuel    = 1 << 30
+	probeFuel    = 1 << 24
 	initMemBytes = 16 << 20
 )
 
