@@ -9,7 +9,7 @@
 // Usage:
 //
 //	wbserved [-addr :9090] [-cache 256] [-jobs N] [-sim-workers N]
-//	         [-shard-sessions N] [-replan-max N]
+//	         [-shard-sessions N] [-replan-max N] [-pprof 127.0.0.1:6060]
 //
 // Try it:
 //
@@ -27,6 +27,7 @@ import (
 	"flag"
 	"log"
 	"net/http"
+	_ "net/http/pprof" // registers on http.DefaultServeMux, which only the -pprof listener serves
 	"os"
 	"os/signal"
 	"syscall"
@@ -44,6 +45,7 @@ func main() {
 	shardSessions := flag.Int("shard-sessions", 0, "max concurrently open /v1/shard sessions (0 = default 256)")
 	replanMax := flag.Int("replan-max", 0, "server-side cap on mid-stream re-partitions per controlled session, overriding larger tenant requests (0 = uncapped)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off; the API listener never serves /debug/pprof/)")
 	// Note: http.Server.ReadTimeout is an absolute whole-body deadline —
 	// it caps every upload's total duration, progressing or stalled, so
 	// it defaults off (a legitimate /v1/simulate/stream trace can take as
@@ -68,6 +70,11 @@ func main() {
 		ReadHeaderTimeout: 30 * time.Second,
 		ReadTimeout:       *readTimeout,
 		IdleTimeout:       2 * time.Minute,
+	}
+
+	if *pprofAddr != "" {
+		go func() { log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, http.DefaultServeMux)) }()
+		log.Printf("pprof on http://%s/debug/pprof/", *pprofAddr)
 	}
 
 	errCh := make(chan error, 1)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"wishbone/internal/apps/kernel"
 	"wishbone/internal/dataflow"
-	"wishbone/internal/dsp"
 	"wishbone/internal/wire"
 )
 
@@ -29,7 +29,7 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 		if !op.Stateful || op.NewState == nil {
 			continue
 		}
-		switch op.NewState().(type) {
+		switch st := op.NewState().(type) {
 		case *detectState:
 			op.SaveState = func(st any) ([]byte, error) {
 				w := wire.NewSnapshotWriter()
@@ -57,8 +57,16 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 				return &dcState{mean: r.F64()}, r.Err()
 			}
 		case *firState:
-			op.SaveState = saveFIRState
-			op.LoadState = loadFIRState
+			fresh, _ := st.fir.Snapshot() // one tap per coefficient
+			n := len(fresh)
+			op.SaveState = func(st any) ([]byte, error) { return kernel.SaveFIR(st.(*firState).fir), nil }
+			op.LoadState = func(data []byte) (any, error) {
+				fir, err := kernel.LoadFIR(data, n)
+				if err != nil {
+					return nil, err
+				}
+				return &firState{fir: fir}, nil
+			}
 		case *zip2State:
 			op.SaveState = func(st any) ([]byte, error) {
 				s := st.(*zip2State)
@@ -82,38 +90,11 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 	}
 }
 
-func saveFIRState(st any) ([]byte, error) {
-	taps, pos := st.(*firState).fir.Snapshot()
-	w := wire.NewSnapshotWriter()
-	w.Uvarint(uint64(len(taps)))
-	for _, t := range taps {
-		w.F64(t)
-	}
-	w.Int(int64(pos))
-	return w.Bytes(), nil
-}
-
 // The load hooks run on bytes a client supplied (the resume fields of the
 // shard and stream endpoints): every count goes through
 // SnapshotReader.Count with the fewest bytes one element can occupy, so a
 // hostile count cannot size an allocation the blob's own length does not
 // back.
-
-func loadFIRState(data []byte) (any, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, err
-	}
-	taps := make([]float64, r.Count(8))
-	for i := range taps {
-		taps[i] = r.F64()
-	}
-	pos := int(r.Int())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return &firState{fir: dsp.RestoreFIRState(taps, pos)}, nil
-}
 
 func saveInt16Queue(w *wire.SnapshotWriter, q [][]int16) {
 	w.Uvarint(uint64(len(q)))

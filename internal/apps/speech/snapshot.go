@@ -1,8 +1,8 @@
 package speech
 
 import (
+	"wishbone/internal/apps/kernel"
 	"wishbone/internal/dataflow"
-	"wishbone/internal/dsp"
 	"wishbone/internal/wire"
 )
 
@@ -29,32 +29,13 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 				return &preemphState{prev: r.F64()}, r.Err()
 			}
 		case *prefiltState:
-			op.SaveState = func(st any) ([]byte, error) {
-				taps, pos := st.(*prefiltState).fir.Snapshot()
-				w := wire.NewSnapshotWriter()
-				w.Uvarint(uint64(len(taps)))
-				for _, t := range taps {
-					w.F64(t)
-				}
-				w.Int(int64(pos))
-				return w.Bytes(), nil
-			}
+			op.SaveState = func(st any) ([]byte, error) { return kernel.SaveFIR(st.(*prefiltState).fir), nil }
 			op.LoadState = func(data []byte) (any, error) {
-				r, err := wire.NewSnapshotReader(data)
+				fir, err := kernel.LoadFIR(data, len(prefiltCoeffs))
 				if err != nil {
 					return nil, err
 				}
-				// Count: the blob may be a client's (see the EEG app's
-				// load hooks).
-				taps := make([]float64, r.Count(8))
-				for i := range taps {
-					taps[i] = r.F64()
-				}
-				pos := int(r.Int())
-				if err := r.Err(); err != nil {
-					return nil, err
-				}
-				return &prefiltState{fir: dsp.RestoreFIRState(taps, pos)}, nil
+				return &prefiltState{fir: fir}, nil
 			}
 		}
 	}

@@ -127,6 +127,92 @@ func TestFIRStateCarriesAcrossBlocks(t *testing.T) {
 	}
 }
 
+// Step pushes sample x into the delay line and returns Σ coeffs[i]·x[n−i]:
+// the per-sample filter FIRBlockInto must reproduce bit for bit.
+func (s *FIRState) Step(c *cost.Counter, coeffs []float64, x float64) float64 {
+	s.taps[s.pos] = x
+	s.pos = (s.pos + 1) % len(s.taps)
+	sum := 0.0
+	for i, co := range coeffs {
+		idx := s.pos - 1 - i
+		if idx < 0 {
+			idx += len(s.taps)
+		}
+		sum += co * s.taps[idx]
+	}
+	c.Add(cost.FloatMul, len(coeffs))
+	c.Add(cost.FloatAdd, len(coeffs))
+	c.Add(cost.Load, 2*len(coeffs))
+	c.Add(cost.IntOp, 2*len(coeffs))
+	c.Add(cost.Store, 1)
+	return sum
+}
+
+// TestFIRBlockMatchesStep drives one delay line block by block and a twin
+// sample by sample: outputs (as bit patterns), the delay line's taps and
+// cursor after every block, and the counter totals must agree, for blocks
+// shorter than, equal to and longer than the filter.
+func TestFIRBlockMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, nc := range []int{1, 2, 4, 5, 16, 33} {
+		coeffs := make([]float64, nc)
+		for i := range coeffs {
+			coeffs[i] = rng.NormFloat64()
+		}
+		coeffs[rng.Intn(nc)] = 0 // signed zeros must survive too
+		block, step := NewFIRState(nc), NewFIRState(nc)
+		cb, cs := &cost.Counter{}, &cost.Counter{}
+		for round := 0; round < 200; round++ {
+			x := make([]float64, rng.Intn(71))
+			for i := range x {
+				x[i] = float64(int16(rng.Intn(1<<16))) * float64(rng.Intn(3)-1)
+				if rng.Intn(8) == 0 {
+					x[i] = math.Copysign(0, -1)
+				}
+			}
+			got := FIRBlockInto(cb, block, coeffs, x, make([]float64, len(x)))
+			for i, v := range x {
+				if want := step.Step(cs, coeffs, v); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%d taps, block %d (len %d): out[%d] = %v, per-sample %v", nc, round, len(x), i, got[i], want)
+				}
+			}
+			bt, bp := block.Snapshot()
+			st, sp := step.Snapshot()
+			if bp != sp {
+				t.Fatalf("%d taps, block %d (len %d): cursor %d, per-sample %d", nc, round, len(x), bp, sp)
+			}
+			for i := range bt {
+				if math.Float64bits(bt[i]) != math.Float64bits(st[i]) {
+					t.Fatalf("%d taps, block %d (len %d): tap %d = %v, per-sample %v", nc, round, len(x), i, bt[i], st[i])
+				}
+			}
+		}
+		if cb.Counts() != cs.Counts() {
+			t.Fatalf("%d taps: cost counts differ: block %v, per-sample %v", nc, cb, cs)
+		}
+	}
+}
+
+// TestRestoreFIRStateRejects pins that a snapshot's cursor and tap count
+// are validated before they can index the delay line.
+func TestRestoreFIRStateRejects(t *testing.T) {
+	for _, tc := range []struct {
+		taps []float64
+		pos  int
+	}{{nil, 0}, {[]float64{1, 2}, -1}, {[]float64{1, 2}, 2}} {
+		if _, err := RestoreFIRState(tc.taps, tc.pos); err == nil {
+			t.Errorf("RestoreFIRState(%v, %d) accepted", tc.taps, tc.pos)
+		}
+	}
+	s, err := RestoreFIRState([]float64{1, 2, 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if taps, pos := s.Snapshot(); pos != 2 || len(taps) != 3 {
+		t.Fatalf("restored %v at %d", taps, pos)
+	}
+}
+
 func TestFIRCloneIndependent(t *testing.T) {
 	s := NewFIRState(3)
 	s.Step(nil, []float64{1, 0, 0}, 7)

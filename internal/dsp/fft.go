@@ -29,58 +29,40 @@ func NextPow2(n int) int {
 // of x must be a power of two; FFT panics otherwise. When inverse is true
 // it computes the unscaled inverse transform (callers divide by len(x)).
 //
-// Per-stage twiddle bases come from a cached per-size plan (plan.go); the
-// counter still records the trig evaluations the embedded device would
-// perform, so profiles are unaffected.
+// The permutation, every butterfly's twiddle and the call's operation
+// counts come from a cached per-size plan (plan.go). Its table holds the
+// twiddle recurrence's own iterates, so the output is bit-identical to
+// running the recurrence; the counter still records it and the trig
+// evaluations — the embedded device's work — so profiles are unaffected.
 func FFT(c *cost.Counter, x []Complex, inverse bool) {
 	n := len(x)
 	if n&(n-1) != 0 || n == 0 {
 		panic("dsp: FFT length must be a power of two")
 	}
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-			c.Add(cost.IntOp, 2)
-		}
-		j |= bit
-		c.Add(cost.IntOp, 2)
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-			c.Add(cost.Load, 2)
-			c.Add(cost.Store, 2)
-		}
+	p := fftPlanFor(n)
+	for _, s := range p.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
 	}
-	twiddles := fftStageTwiddles(n)
-	for stage, length := 0, 2; length <= n; stage, length = stage+1, length<<1 {
-		wl := twiddles[stage]
-		if inverse {
-			wl.Im = -wl.Im
-		}
-		c.Add(cost.Trig, 2)
-		half := length / 2
-		for start := 0; start < n; start += length {
-			w := Complex{1, 0}
-			for k := 0; k < half; k++ {
-				u := x[start+k]
-				v := mulC(c, x[start+k+half], w)
-				x[start+k] = Complex{u.Re + v.Re, u.Im + v.Im}
-				x[start+k+half] = Complex{u.Re - v.Re, u.Im - v.Im}
-				w = mulC(c, w, wl)
-				c.Add(cost.FloatAdd, 4)
-				c.Add(cost.Load, 4)
-				c.Add(cost.Store, 4)
-				c.Add(cost.Branch, 1)
+	tw := p.fwd
+	if inverse {
+		tw = p.inv
+	}
+	for half := 1; half < n; half <<= 1 {
+		t := tw[half-1 : 2*half-1]
+		for start := 0; start < n; start += 2 * half {
+			// One length for all three: no bounds checks in the loop.
+			a := x[start : start+half]
+			b := x[start+half:][:len(a)]
+			t := t[:len(a)]
+			for k, u := range a {
+				y, w := b[k], t[k]
+				v := Complex{y.Re*w.Re - y.Im*w.Im, y.Re*w.Im + y.Im*w.Re}
+				a[k] = Complex{u.Re + v.Re, u.Im + v.Im}
+				b[k] = Complex{u.Re - v.Re, u.Im - v.Im}
 			}
 		}
 	}
-}
-
-func mulC(c *cost.Counter, a, b Complex) Complex {
-	c.Add(cost.FloatMul, 4)
-	c.Add(cost.FloatAdd, 2)
-	return Complex{a.Re*b.Re - a.Im*b.Im, a.Re*b.Im + a.Im*b.Re}
+	c.AddCounter(&p.counts)
 }
 
 // PowerSpectrumInto computes the one-sided power spectrum of a real

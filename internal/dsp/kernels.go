@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 
 	"wishbone/internal/cost"
@@ -77,48 +78,62 @@ func (s *FIRState) Snapshot() (taps []float64, pos int) {
 	return append([]float64(nil), s.taps...), s.pos
 }
 
-// RestoreFIRState rebuilds a delay line from Snapshot output.
-func RestoreFIRState(taps []float64, pos int) *FIRState {
-	return &FIRState{taps: append([]float64(nil), taps...), pos: pos}
-}
-
-// Step pushes sample x into the delay line and returns Σ coeffs[i]·x[n−i].
-func (s *FIRState) Step(c *cost.Counter, coeffs []float64, x float64) float64 {
-	s.taps[s.pos] = x
-	s.pos = (s.pos + 1) % len(s.taps)
-	sum := 0.0
-	for i, co := range coeffs {
-		idx := s.pos - 1 - i
-		if idx < 0 {
-			idx += len(s.taps)
-		}
-		sum += co * s.taps[idx]
+// RestoreFIRState rebuilds a delay line from Snapshot output — possibly a
+// client's resume blob, so no taps or a cursor outside them is an error.
+func RestoreFIRState(taps []float64, pos int) (*FIRState, error) {
+	if len(taps) == 0 || pos < 0 || pos >= len(taps) {
+		return nil, fmt.Errorf("dsp: FIR delay line of %d taps with cursor %d", len(taps), pos)
 	}
-	c.Add(cost.FloatMul, len(coeffs))
-	c.Add(cost.FloatAdd, len(coeffs))
-	c.Add(cost.Load, 2*len(coeffs))
-	c.Add(cost.IntOp, 2*len(coeffs))
-	c.Add(cost.Store, 1)
-	return sum
+	return &FIRState{taps: append([]float64(nil), taps...), pos: pos}, nil
 }
 
-// FIRBlockInto filters a whole block through the delay line into out
-// (len(out) ≥ len(x)); it returns the filled prefix. The per-sample Step
-// charges are bulk-charged once for the block.
+// FIRBlockInto filters a block through the delay line s (len(coeffs) taps
+// or more) into out (len(out) ≥ len(x)): out[i] = Σ coeffs[j]·x[i−j],
+// summed from zero in coefficient order; it returns the filled prefix.
+// Only the first len(coeffs)−1 outputs reach into the previous block and
+// walk the delay line. The rest read x directly — the same products added
+// in the same order, so the same bits — and the block's tail is then left
+// in the line where pushing sample by sample would have put it. The
+// device's per-sample charges are bulk-charged once for the block.
 func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []float64 {
 	out = out[:len(x)]
-	for i, v := range x {
+	nt := len(s.taps)
+	head := min(len(x), len(coeffs)-1)
+	for i, v := range x[:head] {
 		s.taps[s.pos] = v
-		s.pos = (s.pos + 1) % len(s.taps)
+		s.pos = (s.pos + 1) % nt
 		sum := 0.0
 		for j, co := range coeffs {
 			idx := s.pos - 1 - j
 			if idx < 0 {
-				idx += len(s.taps)
+				idx += nt
 			}
 			sum += co * s.taps[idx]
 		}
 		out[i] = sum
+	}
+	if len(coeffs) == 4 { // both applications' filters
+		c0, c1, c2, c3 := coeffs[0], coeffs[1], coeffs[2], coeffs[3]
+		for i := 3; i < len(x); i++ { // from zero, as below: 0 + −0 is +0
+			out[i] = 0.0 + c0*x[i] + c1*x[i-1] + c2*x[i-2] + c3*x[i-3]
+		}
+	} else {
+		for i := head; i < len(x); i++ {
+			sum := 0.0
+			for j, co := range coeffs {
+				sum += co * x[i-j]
+			}
+			out[i] = sum
+		}
+	}
+	tail := x[head:]
+	if skip := len(tail) - nt; skip > 0 {
+		s.pos = (s.pos + skip) % nt
+		tail = tail[skip:]
+	}
+	for _, v := range tail {
+		s.taps[s.pos] = v
+		s.pos = (s.pos + 1) % nt
 	}
 	nc := len(x) * len(coeffs)
 	c.Add(cost.FloatMul, nc)
@@ -135,10 +150,10 @@ func MagWithScale(c *cost.Counter, scale float64, x []float64) float64 {
 	sum := 0.0
 	for _, v := range x {
 		sum += math.Abs(v)
-		c.Add(cost.FloatAdd, 1)
-		c.Add(cost.Branch, 1)
-		c.Add(cost.Load, 1)
 	}
+	c.Add(cost.FloatAdd, len(x))
+	c.Add(cost.Branch, len(x))
+	c.Add(cost.Load, len(x))
 	c.Add(cost.FloatMul, 1)
 	return scale * sum
 }

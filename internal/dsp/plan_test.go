@@ -2,14 +2,17 @@ package dsp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"wishbone/internal/cost"
 )
 
-// fftDirect is the pre-plan FFT: identical butterflies, but stage twiddle
-// bases evaluated with math.Cos/math.Sin on every call. The plan-backed
-// FFT must match it bit for bit.
+// fftDirect is the pre-plan FFT, the loop the modelled device runs: stage
+// twiddle bases evaluated with math.Cos/math.Sin on every call, each
+// stage's twiddles carried through the butterflies by the recurrence
+// w ← w·w_len, and one counter charge per primitive operation. The
+// plan-backed FFT must match it bit for bit, counts included.
 func fftDirect(c *cost.Counter, x []Complex, inverse bool) {
 	n := len(x)
 	for i, j := 1, 0; i < n; i++ {
@@ -39,10 +42,10 @@ func fftDirect(c *cost.Counter, x []Complex, inverse bool) {
 			w := Complex{1, 0}
 			for k := 0; k < half; k++ {
 				u := x[start+k]
-				v := mulC(c, x[start+k+half], w)
+				v := mulCounted(c, x[start+k+half], w)
 				x[start+k] = Complex{u.Re + v.Re, u.Im + v.Im}
 				x[start+k+half] = Complex{u.Re - v.Re, u.Im - v.Im}
-				w = mulC(c, w, wl)
+				w = mulCounted(c, w, wl)
 				c.Add(cost.FloatAdd, 4)
 				c.Add(cost.Load, 4)
 				c.Add(cost.Store, 4)
@@ -50,6 +53,12 @@ func fftDirect(c *cost.Counter, x []Complex, inverse bool) {
 			}
 		}
 	}
+}
+
+func mulCounted(c *cost.Counter, a, b Complex) Complex {
+	c.Add(cost.FloatMul, 4)
+	c.Add(cost.FloatAdd, 2)
+	return Complex{a.Re*b.Re - a.Im*b.Im, a.Re*b.Im + a.Im*b.Re}
 }
 
 // dctIIDirect is the pre-plan DCT-II, evaluating every cosine at runtime.
@@ -80,30 +89,53 @@ func testSignal(n int) []float64 {
 }
 
 // TestFFTPlanBitIdentical checks that the plan-backed FFT produces
-// bit-identical outputs AND identical cost counts to direct twiddle
-// evaluation, in both directions, across sizes.
+// bit-identical outputs — compared as float64 bit patterns, so a −0 that
+// became +0 fails — AND identical cost counts to the direct loop, in both
+// directions, for every size up to 4096 and the three input shapes the
+// applications feed it: complex, real-only, and a real frame zero-padded
+// to the next power of two (speech: 200 of 256).
 func TestFFTPlanBitIdentical(t *testing.T) {
-	for _, n := range []int{2, 8, 64, 256, 1024} {
+	rng := rand.New(rand.NewSource(24))
+	shapes := []struct {
+		name string
+		fill func(x []Complex)
+	}{
+		{"complex", func(x []Complex) {
+			for i := range x {
+				x[i] = Complex{rng.NormFloat64() * 1e3, rng.NormFloat64() * 1e3}
+			}
+		}},
+		{"real", func(x []Complex) {
+			for i := range x {
+				x[i] = Complex{Re: rng.NormFloat64() * 1e3}
+			}
+		}},
+		{"zero-padded", func(x []Complex) {
+			for i := range x[:len(x)*200/256] {
+				x[i] = Complex{Re: float64(int16(rng.Intn(1 << 16)))}
+			}
+		}},
+	}
+	for n := 1; n <= 4096; n <<= 1 {
 		for _, inverse := range []bool{false, true} {
-			sig := testSignal(n)
-			a := make([]Complex, n)
-			b := make([]Complex, n)
-			for i, v := range sig {
-				a[i] = Complex{Re: v, Im: -v / 2}
-				b[i] = a[i]
-			}
-			ca, cb := &cost.Counter{}, &cost.Counter{}
-			FFT(ca, a, inverse)
-			fftDirect(cb, b, inverse)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("n=%d inverse=%v: bin %d differs: planned %v, direct %v",
-						n, inverse, i, a[i], b[i])
+			for _, shape := range shapes {
+				a := make([]Complex, n)
+				shape.fill(a)
+				b := append([]Complex(nil), a...)
+				ca, cb := &cost.Counter{}, &cost.Counter{}
+				FFT(ca, a, inverse)
+				fftDirect(cb, b, inverse)
+				for i := range a {
+					if math.Float64bits(a[i].Re) != math.Float64bits(b[i].Re) ||
+						math.Float64bits(a[i].Im) != math.Float64bits(b[i].Im) {
+						t.Fatalf("n=%d inverse=%v %s: bin %d differs: planned %v, direct %v",
+							n, inverse, shape.name, i, a[i], b[i])
+					}
 				}
-			}
-			if ca.Counts() != cb.Counts() {
-				t.Fatalf("n=%d inverse=%v: cost counts differ: planned %v, direct %v",
-					n, inverse, ca, cb)
+				if ca.Counts() != cb.Counts() {
+					t.Fatalf("n=%d inverse=%v %s: cost counts differ: planned %v, direct %v",
+						n, inverse, shape.name, ca, cb)
+				}
 			}
 		}
 	}
@@ -158,6 +190,15 @@ func BenchmarkFFT256(b *testing.B) {
 				buf[j] = Complex{Re: v}
 			}
 			FFT(nil, buf, false)
+		}
+	})
+	b.Run("planned-counted", func(b *testing.B) {
+		var c cost.Counter
+		for i := 0; i < b.N; i++ {
+			for j, v := range sig {
+				buf[j] = Complex{Re: v}
+			}
+			FFT(&c, buf, false)
 		}
 	})
 	b.Run("direct", func(b *testing.B) {

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"sort"
-
 	"wishbone/internal/dataflow"
 	"wishbone/internal/wire"
 )
@@ -243,13 +241,14 @@ func (a *reduceAggregator) finalize(cfg *Config, e *dataflow.Edge, agg *message,
 
 // sortByTime puts one window's messages in time order — stably, so each
 // origin's subsequence stays in emission order, which is all delivery
-// needs — and returns the air bytes they offer the channel.
-func sortByTime(msgs []message) (air int) {
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].time < msgs[j].time })
+// needs — and returns the air bytes they offer the channel, and scratch
+// as sortRuns hands it back.
+func sortByTime(msgs, scratch []message) (air int, _ []message) {
+	scratch = sortRuns(msgs, scratch, func(a, b *message) bool { return a.time < b.time })
 	for i := range msgs {
 		air += msgs[i].air
 	}
-	return air
+	return air, scratch
 }
 
 // aggregateReduceMessages is the batch path: feed every message, flush
@@ -261,6 +260,6 @@ func aggregateReduceMessages(cfg Config, msgs []message, res *Result, arena *fra
 	a.arena = arena
 	out := a.add(&cfg, msgs, res, make([]message, 0, len(msgs)))
 	out = a.flushAll(&cfg, res, out)
-	sortByTime(out)
+	sortByTime(out, msgs) // msgs is consumed: every element was copied or combined
 	return out
 }

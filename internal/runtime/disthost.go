@@ -180,7 +180,7 @@ func (h *ShardHost) ComputeWindow(span float64, arrivals []HostArrival) (*Window
 			Packets: m.packets, Data: data,
 		})
 	}
-	rep.Air = sortByTime(held)
+	rep.Air, win.msgs = sortByTime(held, win.msgs)
 	win.out = held
 	rep.Held = len(held)
 	if len(held) == 0 {

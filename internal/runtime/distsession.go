@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"wishbone/internal/dataflow"
@@ -193,7 +192,7 @@ func (s *DistSession) flushBuffered(span float64) error {
 	for _, hi := range active {
 		reduce = append(reduce, s.reports[hi].Reduce...)
 	}
-	sort.SliceStable(reduce, func(i, j int) bool { return reduce[i].Node < reduce[j].Node })
+	sortRuns(reduce, nil, func(a, b *ReduceMsg) bool { return a.Node < b.Node })
 	msgs := make([]message, 0, len(reduce))
 	for _, rm := range reduce {
 		if rm.Edge < 0 || rm.Edge >= len(s.edges) {
@@ -237,7 +236,9 @@ func (s *DistSession) deliverWindow(out []message, span float64, active []int) e
 		air += s.reports[hi].Air
 		held += s.reports[hi].Held
 	}
-	air += sortByTime(out)
+	// Aggregates only: a handful per window, so no buffer is kept for them.
+	outAir, _ := sortByTime(out, nil)
+	air += outAir
 	ratio := s.price(air, span, held+len(out))
 	if held+len(out) == 0 {
 		return nil

@@ -38,7 +38,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"wishbone/internal/cost"
@@ -370,7 +369,7 @@ func buildArrivals(inputs []profile.Input, scale, duration float64) ([]arrival, 
 			arrivals = append(arrivals, arrival{t: t, src: in.Source, v: ev})
 		}
 	}
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].t < arrivals[j].t })
+	sortRuns(arrivals, nil, func(a, b *arrival) bool { return a.t < b.t })
 	return arrivals, nil
 }
 

@@ -31,6 +31,18 @@ func goldenConfig() *Config {
 	return &Config{Graph: app.Graph, Platform: platform.Gumstix(), Nodes: 4}
 }
 
+// opWithState returns the ID of c's first operator whose state has the
+// named type and a load hook.
+func opWithState(t testing.TB, c *Config, stateType string) int {
+	for _, op := range c.Graph.Operators() {
+		if op.LoadState != nil && fmt.Sprintf("%T", op.NewState()) == stateType {
+			return op.ID()
+		}
+	}
+	t.Fatalf("no operator with %s state", stateType)
+	return -1
+}
+
 // hostile builds a snapshot that is well-formed up to a section count,
 // where it claims count elements and ends.
 func hostile(count uint64, prefix func(w *wire.SnapshotWriter)) []byte {
@@ -49,20 +61,12 @@ func hostile(count uint64, prefix func(w *wire.SnapshotWriter)) []byte {
 func TestSnapshotHostileCounts(t *testing.T) {
 	cfg := goldenConfig()
 	eegCfg := &Config{Graph: eeg.NewWithChannels(1).Graph}
-	// opState decodes data as the state of c's first operator whose state
-	// has the named type, the way restoring a snapshot would.
 	opState := func(c *Config, stateType string) func(data []byte) error {
-		for _, op := range c.Graph.Operators() {
-			if op.LoadState != nil && fmt.Sprintf("%T", op.NewState()) == stateType {
-				id := op.ID()
-				return func(data []byte) error {
-					_, _, err := loadOpState(c, OpState{Op: id, Data: data})
-					return err
-				}
-			}
+		id := opWithState(t, c, stateType)
+		return func(data []byte) error {
+			_, _, err := loadOpState(c, OpState{Op: id, Data: data})
+			return err
 		}
-		t.Fatalf("no operator with %s state", stateType)
-		return nil
 	}
 	none := func(w *wire.SnapshotWriter) {}
 	one := func(w *wire.SnapshotWriter) { w.Uvarint(1) }
@@ -131,6 +135,99 @@ func TestSnapshotHostileCounts(t *testing.T) {
 	}
 }
 
+// hostileFIRStates are four delay-line blobs that decode cleanly and used
+// to be stored unchecked, to panic in FIRBlockInto on the session's first
+// delivered frame: a cursor before the line, a cursor past it, no taps,
+// and fewer taps than the 4-tap filter has coefficients.
+func hostileFIRStates() map[string][]byte {
+	blob := func(taps int, pos int64) []byte {
+		w := wire.NewSnapshotWriter()
+		w.Uvarint(uint64(taps))
+		for i := 0; i < taps; i++ {
+			w.F64(float64(i))
+		}
+		w.Int(pos)
+		return w.Bytes()
+	}
+	return map[string][]byte{
+		"cursor -1":       blob(4, -1),
+		"cursor past end": blob(4, 4),
+		"no taps":         blob(0, 0),
+		"three taps":      blob(3, 0),
+	}
+}
+
+// TestSnapshotHostileFIRState pins that both applications' FIR load hooks
+// refuse those blobs (and still accept a well-formed line).
+func TestSnapshotHostileFIRState(t *testing.T) {
+	eegCfg := &Config{Graph: eeg.NewWithChannels(1).Graph}
+	for _, app := range []struct {
+		cfg       *Config
+		stateType string
+	}{{goldenConfig(), "*speech.prefiltState"}, {eegCfg, "*eeg.firState"}} {
+		id := opWithState(t, app.cfg, app.stateType)
+		for name, data := range hostileFIRStates() {
+			if _, _, err := loadOpState(app.cfg, OpState{Op: id, Data: data}); err == nil {
+				t.Errorf("%s: %s loaded without error", app.stateType, name)
+			}
+		}
+		op := app.cfg.Graph.ByID(id)
+		good, err := op.SaveState(op.NewState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := loadOpState(app.cfg, OpState{Op: id, Data: good}); err != nil {
+			t.Errorf("%s: a fresh state does not load: %v", app.stateType, err)
+		}
+	}
+}
+
+// carriedStates lists every operator state a decoded snapshot carries:
+// the node sides' and the delivery shards' (st may be nil).
+func carriedStates(sides []nodeSnap, st *ShardState) []*OpState {
+	var all []*OpState
+	for i := range sides {
+		for j := range sides[i].ops {
+			all = append(all, &sides[i].ops[j])
+		}
+	}
+	if st != nil {
+		for i := range st.Origins {
+			for j := range st.Origins[i].Ops {
+				all = append(all, &st.Origins[i].Ops[j])
+			}
+		}
+		for j := range st.Server {
+			all = append(all, &st.Server[j])
+		}
+	}
+	return all
+}
+
+// withFIRState replaces every state of the golden run's prefilt operator;
+// a golden blob that carries none makes no seed.
+func withFIRState(f *testing.F, cfg *Config, states []*OpState, data []byte) {
+	fir, replaced := opWithState(f, cfg, "*speech.prefiltState"), 0
+	for _, os := range states {
+		if os.Op == fir {
+			os.Data = data
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		f.Fatal("the golden blob carries no prefilt state")
+	}
+}
+
+// loadStates hands every carried state to its operator's load hook, as
+// restoring would: the decoders leave those blobs opaque, and a hook must
+// answer a client's bytes with a state or an error, never a panic.
+func loadStates(cfg *Config, states []*OpState) {
+	for _, os := range states {
+		loadOpState(cfg, *os)
+	}
+}
+
 // maxDecodeAlloc bounds what decoding n snapshot bytes may allocate. The
 // densest element, an absent pending reduce round, is one byte on the
 // wire and a 40-byte pendSnap decoded; append growth can double that.
@@ -150,11 +247,20 @@ func readGolden(f *testing.F, name string) []byte {
 // decode to the same snapshot (compared re-encoded, so NaN accumulators
 // compare equal to themselves).
 func FuzzDecodeSessionSnap(f *testing.F) {
-	g := goldenConfig().Graph
+	cfg := goldenConfig()
+	g := cfg.Graph
 	golden := readGolden(f, "session_v1.snap")
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
 	f.Add(hostile(1<<62, func(w *wire.SnapshotWriter) { w.String(g.StructuralHash()) }))
+	for _, data := range hostileFIRStates() {
+		snap, err := decodeSessionSnap(g, golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		withFIRState(f, cfg, carriedStates(snap.perNode, snap.shard), data)
+		f.Add(encodeSessionSnap(snap))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap *sessionSnap
 		var err error
@@ -172,6 +278,7 @@ func FuzzDecodeSessionSnap(f *testing.F) {
 		if !bytes.Equal(encodeSessionSnap(again), enc) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
+		loadStates(cfg, carriedStates(snap.perNode, snap.shard))
 	})
 }
 
@@ -184,6 +291,14 @@ func FuzzDecodeHostSnap(f *testing.F) {
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
 	f.Add(hostile(1<<33, func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0) }))
+	for _, data := range hostileFIRStates() {
+		hs, err := decodeHostSnap(cfg, golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		withFIRState(f, cfg, carriedStates(hs.sides, hs.shard), data)
+		f.Add(encodeHostSnap(hs))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hs *hostSnap
 		var err error
@@ -201,5 +316,6 @@ func FuzzDecodeHostSnap(f *testing.F) {
 		if !bytes.Equal(encodeHostSnap(again), enc) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
+		loadStates(cfg, carriedStates(hs.sides, hs.shard))
 	})
 }

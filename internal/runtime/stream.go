@@ -261,7 +261,9 @@ func (s *Session) deliverWindow(win *windowBufs, span float64) error {
 		s.price(0, span, 0)
 		return nil
 	}
-	ratio := s.price(sortByTime(out), span, len(out))
+	var air int
+	air, win.msgs = sortByTime(out, win.msgs) // fold consumed win.msgs
+	ratio := s.price(air, span, len(out))
 	s.host.plan.partition(out, win.parts)
 	// Close's reduce tail gets here with the last window still delivering.
 	if err := s.joinDelivery(); err != nil {
