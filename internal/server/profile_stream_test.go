@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"net/http"
+	"strings"
 	"testing"
 
 	"wishbone/internal/profile"
@@ -84,5 +86,21 @@ func TestServerProfileStream(t *testing.T) {
 	}
 	if _, err := client.ProfileStream(ctx, wire.ProfileStreamRequest{Graph: spec}, mid); err == nil {
 		t.Fatal("profile stream accepted arrivals at a non-source operator")
+	}
+
+	// The snapshot directive belongs to simulate/stream: on a profile
+	// stream it is a 400, not a silent end of the trace before the
+	// arrivals that follow it.
+	var body []byte
+	next := feeder()
+	for _, chunk := range []wire.StreamChunk{{}, {Snapshot: true}, {}} {
+		if !chunk.Snapshot {
+			chunk.Arrivals, _ = next()
+		}
+		body = append(body, wireBytes(t, chunk)...)
+	}
+	apiErr := postRaw(t, client, "/v1/profile/stream", strings.NewReader(`{"graph":{"app":"speech"}}`+string(body)))
+	if apiErr == nil || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("profile stream with a snapshot chunk: want 400, got %v", apiErr)
 	}
 }

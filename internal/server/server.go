@@ -388,10 +388,12 @@ func endpoint[Req, Resp any](fn func(*Server, context.Context, *Req, *requestBod
 		body := &requestBody{src: r.Body}
 		body.Decoder = json.NewDecoder(body)
 		var req Req
-		if err = body.decodeNext(&req); err != nil {
+		if err = body.Decode(&req); err != nil {
+			err = bodyError(err)
 			fail(w, err)
 			return
 		}
+		body.renew()
 		if rt.slot {
 			if err = s.acquireJob(r.Context()); err != nil {
 				fail(w, err)
@@ -469,16 +471,6 @@ func (b *requestBody) Read(p []byte) (int, error) {
 }
 
 func (b *requestBody) renew() { b.spent = 0 }
-
-// decodeNext decodes the body's next JSON value into v and renews the
-// budget. An exhausted budget is a typed 413, anything else a 400.
-func (b *requestBody) decodeNext(v any) error {
-	if err := b.Decode(v); err != nil {
-		return bodyError(err)
-	}
-	b.renew()
-	return nil
-}
 
 // bodyError maps a decoder failure on the request body to its status.
 func bodyError(err error) error {
@@ -953,7 +945,7 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 		return resp
 	}
 
-	snap, err := s.ingestStream(body, e, ingest)
+	snap, err := ingestStream(body, e, ingest)
 	if err != nil {
 		closeSess()
 		return nil, false, err
@@ -1119,120 +1111,6 @@ func (s *Server) replanSolver(name string) (solver.Solver, error) {
 	}
 }
 
-// ingestStream walks the request body's StreamChunk sequence at the
-// token level — `{"arrivals":[{...},...]}` until EOF — decoding each
-// arrival object into ONE reused ArrivalWire and handing its still-raw
-// JSON value to Session.OfferRaw, which decodes it into the session's
-// ingest arena. Nothing per-chunk or per-arrival is materialized: no
-// []ArrivalWire slice, no RawMessage copy (the wire's Value buffer is
-// reused — OfferRaw does not retain it), no per-value allocation. The
-// body budget renews at every chunk and after every decoded value, so no
-// single arrival can make the decoder buffer more than maxBodyBytes.
-//
-// A chunk carrying `"snapshot": true` ends ingestion: the return is
-// (true, nil) and the caller freezes the session instead of closing it;
-// any body bytes after the directive are ignored.
-func (s *Server) ingestStream(body *requestBody, e *entry, sess streamSession) (snapshot bool, err error) {
-	var aw wire.ArrivalWire
-	offer := func() error {
-		src := e.graph.ByID(aw.Source)
-		if src == nil {
-			return badRequest("arrival names unknown source operator %d", aw.Source)
-		}
-		if err := sess.OfferRaw(aw.Node, aw.Time, src, aw.Type, aw.Value); err != nil {
-			if errors.Is(err, wbruntime.ErrBackpressure) {
-				// The tenant's window buffer hit the server bound: shed
-				// the stream with a typed 429 instead of holding the job
-				// slot while it grows.
-				return overloaded(err)
-			}
-			// Metering trips outrank the generic bad-arrival 400: a
-			// work-function abort inside the session is tagged
-			// ErrBadArrival, but a fuel or memory trip is the tenant's
-			// budget, not a malformed arrival.
-			if me := meteringError(err); me != nil {
-				return me
-			}
-			if errors.Is(err, wbruntime.ErrBadArrival) {
-				return badRequest("%v", err)
-			}
-			// Engine failures mid-stream (node feed, shard delivery) are
-			// not client faults → 500.
-			return err
-		}
-		return nil
-	}
-	for {
-		tok, err := body.Token()
-		if err == io.EOF {
-			return false, nil
-		} else if err != nil {
-			return false, bodyError(err)
-		}
-		if d, ok := tok.(json.Delim); !ok || d != '{' {
-			return false, badRequest("bad stream chunk: expected object, got %v", tok)
-		}
-		body.renew()
-		for {
-			tok, err := body.Token()
-			if err != nil {
-				return false, bodyError(err)
-			}
-			if d, ok := tok.(json.Delim); ok && d == '}' {
-				break
-			}
-			key, ok := tok.(string)
-			if !ok {
-				return false, badRequest("bad stream chunk: expected field name, got %v", tok)
-			}
-			if key == "snapshot" {
-				var b bool
-				if err := body.decodeNext(&b); err != nil {
-					return false, err
-				}
-				if b {
-					return true, nil
-				}
-				continue
-			}
-			if key != "arrivals" {
-				// Unknown chunk fields are skipped whole, like the
-				// Decode-based loop would.
-				aw.Value = aw.Value[:0]
-				if err := body.decodeNext(&aw.Value); err != nil {
-					return false, err
-				}
-				continue
-			}
-			tok, err = body.Token()
-			if err != nil {
-				return false, bodyError(err)
-			}
-			if tok == nil {
-				continue // "arrivals": null — an empty chunk
-			}
-			if d, ok := tok.(json.Delim); !ok || d != '[' {
-				return false, badRequest("bad stream chunk: arrivals must be an array")
-			}
-			for body.More() {
-				// Reset per element: Decode merges into the struct, so an
-				// absent field would otherwise keep the previous
-				// arrival's value.
-				aw = wire.ArrivalWire{Value: aw.Value[:0]}
-				if err := body.decodeNext(&aw); err != nil {
-					return false, err
-				}
-				if err := offer(); err != nil {
-					return false, err
-				}
-			}
-			if _, err := body.Token(); err != nil { // closing ']'
-				return false, bodyError(err)
-			}
-		}
-	}
-}
-
 // profileStream is the client-trace profiling endpoint: the body is a
 // ProfileStreamRequest header followed by StreamChunk objects until EOF,
 // exactly like /v1/simulate/stream. Instead of the synthetic trace, the
@@ -1250,8 +1128,11 @@ func (s *Server) profileStream(_ context.Context, req *wire.ProfileStreamRequest
 		return nil, false, err
 	}
 	pc := newProfileCollector(e.graph)
-	if _, err := s.ingestStream(body, e, pc); err != nil {
+	if snap, err := ingestStream(body, e, pc); err != nil {
 		return nil, false, err
+	} else if snap {
+		// Stopping here would profile a truncated trace.
+		return nil, false, badRequest("the snapshot directive is for /v1/simulate/stream only")
 	}
 	inputs, err := pc.inputs(req.Rate)
 	if err != nil {

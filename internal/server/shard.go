@@ -204,7 +204,7 @@ func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest) 
 	}
 	resp, err := ss.host.ComputeWindow(req.Span, arrivals)
 	if err != nil {
-		return nil, false, shardRuntimeError(err)
+		return nil, false, runtimeError(err)
 	}
 	if req.Window != 0 {
 		ss.lastComputeWin, ss.lastComputeResp = req.Window, resp
@@ -289,9 +289,9 @@ func (s *Server) shardAbort(_ context.Context, req *wire.ShardSessionRequest) (s
 	return struct{}{}, false, nil
 }
 
-// shardRuntimeError maps VM budget trips to typed 422s and arrival-shaped
-// failures to 400s; engine invariants stay 500s.
-func shardRuntimeError(err error) error {
+// runtimeError maps a session's failure: VM budget trips to typed 422s,
+// arrival-shaped failures to 400s; engine invariants stay 500s.
+func runtimeError(err error) error {
 	if me := meteringError(err); me != nil {
 		return me
 	}
