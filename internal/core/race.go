@@ -119,21 +119,11 @@ func Race(ctx context.Context, s *Spec, lim Limits, solvers ...Solver) (*Assignm
 	stats.Seconds = time.Since(start).Seconds()
 
 	if win == -1 {
-		// Prefer an exact entrant's error, and among those an infeasibility
-		// proof: a peak-statistic exact variant (solver.NewVariantRace) also
-		// answers to "exact" but never claims one.
 		err := outcomes[0].err
-		haveExact := false
 		for i, sv := range solvers {
-			if sv.Name() != SolverExact || outcomes[i].err == nil {
-				continue
-			}
-			if IsInfeasible(outcomes[i].err) {
+			if sv.Name() == SolverExact && outcomes[i].err != nil {
 				err = outcomes[i].err
 				break
-			}
-			if !haveExact {
-				err, haveExact = outcomes[i].err, true
 			}
 		}
 		if err == nil {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Canonical backend names. The full registry (including construction by
-// name) lives in internal/solver; core knows only the names it needs for
+// Canonical backend names. Construction by name lives in
+// internal/solver (solver.New); core knows only the names it needs for
 // tie-breaking and stats.
 const (
 	SolverExact      = "exact"
@@ -43,14 +43,8 @@ type Limits struct {
 // BackendStats reports one backend's Solve call. Race aggregates its
 // backends' stats under Sub.
 type BackendStats struct {
-	// Backend is the solver's registered name.
+	// Backend is the solver's name.
 	Backend string `json:"backend"`
-
-	// Formulation tags the (ILP encoding, load statistic) variant the
-	// solve ran under, e.g. "restricted/mean" — see FormulationTag. The
-	// service breaks per-backend win/latency metrics down by it, so an
-	// auto-picker can race heterogeneous Options, not just algorithms.
-	Formulation string `json:"formulation,omitempty"`
 
 	// Seconds is the wall-clock solve time.
 	Seconds float64 `json:"seconds"`
@@ -96,7 +90,7 @@ type BackendStats struct {
 // feasible assignment", which is what a rate search needs; only the exact
 // backend's infeasibility is a proof.
 type Solver interface {
-	// Name returns the backend's registered name.
+	// Name returns the backend's name.
 	Name() string
 
 	// Solve computes an assignment for s within the limits.
@@ -176,11 +170,7 @@ func (e Exact) Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, Bac
 	}
 	start := time.Now()
 	asg, err := Partition(ctx, s, opts)
-	stats := BackendStats{
-		Backend:     SolverExact,
-		Formulation: FormulationTag(opts.Formulation, s.Load),
-		Seconds:     time.Since(start).Seconds(),
-	}
+	stats := BackendStats{Backend: SolverExact, Seconds: time.Since(start).Seconds()}
 	if asg != nil {
 		stats.Iterations = asg.Stats.Nodes
 	}

@@ -62,14 +62,6 @@ func (k LoadKind) String() string {
 	return "peak"
 }
 
-// FormulationTag names the (ILP encoding, load statistic) variant a solve
-// ran under, e.g. "restricted/mean". BackendStats carries it so solver
-// metrics attribute wins and latency per (backend, formulation) — the
-// auto-picker races heterogeneous Options, not just algorithms.
-func FormulationTag(f Formulation, load LoadKind) string {
-	return f.String() + "/" + load.String()
-}
-
 // EdgeCost carries the profiled bandwidth of one stream edge in bytes/s.
 type EdgeCost struct {
 	Mean float64

@@ -125,27 +125,30 @@ func TestDistributedParityReduce(t *testing.T) {
 	}
 }
 
-// corruptReduceHost replaces the payload of every reduce contribution its
-// host reports with bytes a buggy or hostile peer could send.
+// corruptReduceHost rewrites every reduce contribution its host reports
+// the way a buggy or hostile peer could.
 type corruptReduceHost struct {
 	runtime.HostDriver
-	data []byte
+	corrupt func(*runtime.ReduceMsg)
 }
 
 func (h corruptReduceHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
 	rep, err := h.HostDriver.ComputeWindow(span, arrivals)
 	if err == nil {
 		for i := range rep.Reduce {
-			rep.Reduce[i].Data = h.data
+			h.corrupt(&rep.Reduce[i])
 		}
 	}
 	return rep, err
 }
 
 // TestDistMalformedReduceReply pins what the coordinator does with a
-// reduce reply that does not decode — here the element-count overflow that
-// used to panic inside wire.Unmarshal, in the coordinator's own process
-// with no recover above it: the caller gets the wrapped decode error.
+// reduce reply it cannot trust, in its own process with no recover above
+// it: a payload that does not decode (the element-count overflow that used
+// to panic inside wire.Unmarshal) and a contribution for a node outside
+// the deployment or owned by another host (an out-of-range node used to
+// panic in the aggregator's round counters; another host's node advanced
+// the wrong one). The caller gets an error for each.
 func TestDistMalformedReduceReply(t *testing.T) {
 	g, src, onNode := snapshotReduceApp()
 	cfg := runtime.Config{
@@ -156,30 +159,48 @@ func TestDistMalformedReduceReply(t *testing.T) {
 		return []profile.Input{{Source: src,
 			Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
 	})
-	origins := []int{0, 1}
-	h, err := runtime.NewShardHost(cfg, origins)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// tagFloat64s, then uvarint(1<<61): 10 bytes claiming 2^64 bytes of payload.
 	bad := binary.AppendUvarint([]byte{0x14}, 1<<61)
-	ds, err := runtime.NewDistSession(cfg, []runtime.HostBinding{
-		{Driver: corruptReduceHost{HostDriver: h, data: bad}, Origins: origins},
-	})
-	if err != nil {
-		t.Fatal(err)
+	node := func(n int) func(*runtime.ReduceMsg) {
+		return func(rm *runtime.ReduceMsg) { rm.Node = n }
 	}
-	defer ds.Abort()
-	for _, f := range feed {
-		if err = ds.Offer(f.node, f.a); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		_, err = ds.Close()
-	}
-	if err == nil || !strings.Contains(err.Error(), "reduce contribution does not decode") {
-		t.Fatalf("malformed reduce reply: got %v, want the wrapped decode error", err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*runtime.ReduceMsg)
+		want    string
+	}{
+		{"undecodable payload", func(rm *runtime.ReduceMsg) { rm.Data = bad }, "reduce contribution does not decode"},
+		{"negative node", node(-1), "which it does not own"},
+		{"node past the deployment", node(cfg.Nodes), "which it does not own"},
+		{"another host's node", node(1), "which it does not own"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hosts := make([]runtime.HostBinding, cfg.Nodes)
+			for n := range hosts {
+				h, err := runtime.NewShardHost(cfg, []int{n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				hosts[n] = runtime.HostBinding{Driver: h, Origins: []int{n}}
+			}
+			hosts[0].Driver = corruptReduceHost{HostDriver: hosts[0].Driver, corrupt: tc.corrupt}
+			ds, err := runtime.NewDistSession(cfg, hosts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Abort()
+			for _, f := range feed {
+				if err = ds.Offer(f.node, f.a); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				_, err = ds.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

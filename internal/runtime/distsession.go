@@ -190,6 +190,14 @@ func (s *DistSession) flushBuffered(span float64) error {
 	// aggregator the single-host session uses.
 	var reduce []ReduceMsg
 	for _, hi := range active {
+		for _, rm := range s.reports[hi].Reduce {
+			// The node indexes the aggregator's round counters: one off the
+			// deployment would panic there, another host's would advance
+			// the wrong round.
+			if rm.Node < 0 || rm.Node >= cfg.Nodes || s.ownerOf[rm.Node] != hi {
+				return fmt.Errorf("runtime: host %d reports a reduce contribution for node %d, which it does not own", hi, rm.Node)
+			}
+		}
 		reduce = append(reduce, s.reports[hi].Reduce...)
 	}
 	sortRuns(reduce, nil, func(a, b *ReduceMsg) bool { return a.Node < b.Node })

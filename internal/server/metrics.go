@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -19,10 +18,7 @@ type Metrics struct {
 	queued    int64
 }
 
-// solverStats accumulates one backend's solve telemetry across requests,
-// with a per-formulation breakdown ("restricted/mean", "general/peak",
-// ...) underneath — the auto-picker ranks (backend, formulation) pairs,
-// not just algorithms.
+// solverStats accumulates one backend's solve telemetry across requests.
 type solverStats struct {
 	Runs     int64
 	Wins     int64
@@ -30,8 +26,6 @@ type solverStats struct {
 	Feasible int64
 	total    time.Duration
 	maxTime  time.Duration
-
-	forms map[string]*solverStats
 }
 
 // replanCounters accumulates control-loop activity across streaming
@@ -62,10 +56,8 @@ func NewMetrics() *Metrics {
 
 // ObserveSolver records one backend's solve: its latency, whether it
 // produced a feasible answer, whether it errored, and — for raced solves —
-// whether its answer won. formulation tags the Options variant the solve
-// ran under (BackendStats.Formulation, e.g. "restricted/mean"); empty
-// skips the per-formulation breakdown.
-func (m *Metrics) ObserveSolver(backend, formulation string, d time.Duration, feasible, won, errored bool) {
+// whether its answer won.
+func (m *Metrics) ObserveSolver(backend string, d time.Duration, feasible, won, errored bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.solvers[backend]
@@ -73,22 +65,6 @@ func (m *Metrics) ObserveSolver(backend, formulation string, d time.Duration, fe
 		s = &solverStats{}
 		m.solvers[backend] = s
 	}
-	s.observe(d, feasible, won, errored)
-	if formulation == "" {
-		return
-	}
-	if s.forms == nil {
-		s.forms = make(map[string]*solverStats)
-	}
-	f := s.forms[formulation]
-	if f == nil {
-		f = &solverStats{}
-		s.forms[formulation] = f
-	}
-	f.observe(d, feasible, won, errored)
-}
-
-func (s *solverStats) observe(d time.Duration, feasible, won, errored bool) {
 	s.Runs++
 	if feasible {
 		s.Feasible++
@@ -158,17 +134,14 @@ type EndpointSnapshot struct {
 
 // SolverSnapshot is one solver backend's externally visible stats: how
 // often it ran, won a race, found a feasible cut, or failed, and its
-// latency profile. ByFormulation breaks the same counters down by the
-// Options variant each solve ran under ("restricted/mean",
-// "general/peak", ...).
+// latency profile.
 type SolverSnapshot struct {
-	Runs          int64                     `json:"runs"`
-	Wins          int64                     `json:"wins"`
-	Feasible      int64                     `json:"feasible"`
-	Errors        int64                     `json:"errors"`
-	MeanMs        float64                   `json:"meanMs"`
-	MaxMs         float64                   `json:"maxMs"`
-	ByFormulation map[string]SolverSnapshot `json:"byFormulation,omitempty"`
+	Runs     int64   `json:"runs"`
+	Wins     int64   `json:"wins"`
+	Feasible int64   `json:"feasible"`
+	Errors   int64   `json:"errors"`
+	MeanMs   float64 `json:"meanMs"`
+	MaxMs    float64 `json:"maxMs"`
 }
 
 // ReplanSnapshot is the control-plane section of /v1/stats: replan
@@ -238,77 +211,6 @@ type Snapshot struct {
 	ShardSessionsExpired int64 `json:"shardSessionsExpired"`
 }
 
-func (s *solverStats) snapshot() SolverSnapshot {
-	ss := SolverSnapshot{
-		Runs: s.Runs, Wins: s.Wins, Feasible: s.Feasible, Errors: s.Errors,
-		MaxMs: float64(s.maxTime) / float64(time.Millisecond),
-	}
-	if s.Runs > 0 {
-		ss.MeanMs = float64(s.total) / float64(s.Runs) / float64(time.Millisecond)
-	}
-	return ss
-}
-
-// SolverChoice names one (backend, formulation) pair the auto-picker can
-// enter into a race. Formulation is a core.FormulationTag string and may
-// be empty when the backend has no per-formulation history.
-type SolverChoice struct {
-	Backend     string
-	Formulation string
-}
-
-// SolverChoices ranks every observed (backend, formulation) pair by win
-// rate (descending), then mean latency (ascending), then name — a
-// deterministic order the service's "auto" solver uses to pick race
-// lineups from /v1/stats history. At most max pairs are returned; max <= 0
-// means all.
-func (m *Metrics) SolverChoices(max int) []SolverChoice {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	type ranked struct {
-		SolverChoice
-		winRate float64
-		meanDur time.Duration
-	}
-	var rs []ranked
-	for backend, s := range m.solvers {
-		pairs := s.forms
-		if len(pairs) == 0 {
-			pairs = map[string]*solverStats{"": s}
-		}
-		for tag, f := range pairs {
-			if f.Runs == 0 {
-				continue
-			}
-			rs = append(rs, ranked{
-				SolverChoice: SolverChoice{Backend: backend, Formulation: tag},
-				winRate:      float64(f.Wins) / float64(f.Runs),
-				meanDur:      f.total / time.Duration(f.Runs),
-			})
-		}
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].winRate != rs[j].winRate {
-			return rs[i].winRate > rs[j].winRate
-		}
-		if rs[i].meanDur != rs[j].meanDur {
-			return rs[i].meanDur < rs[j].meanDur
-		}
-		if rs[i].Backend != rs[j].Backend {
-			return rs[i].Backend < rs[j].Backend
-		}
-		return rs[i].Formulation < rs[j].Formulation
-	})
-	if max > 0 && len(rs) > max {
-		rs = rs[:max]
-	}
-	out := make([]SolverChoice, len(rs))
-	for i, r := range rs {
-		out[i] = r.SolverChoice
-	}
-	return out
-}
-
 // Snapshot captures current values, folding in the cache's counters.
 func (m *Metrics) Snapshot(c *Cache) Snapshot {
 	m.mu.Lock()
@@ -329,12 +231,12 @@ func (m *Metrics) Snapshot(c *Cache) Snapshot {
 	if len(m.solvers) > 0 {
 		out.Solvers = make(map[string]SolverSnapshot, len(m.solvers))
 		for name, s := range m.solvers {
-			ss := s.snapshot()
-			if len(s.forms) > 0 {
-				ss.ByFormulation = make(map[string]SolverSnapshot, len(s.forms))
-				for tag, f := range s.forms {
-					ss.ByFormulation[tag] = f.snapshot()
-				}
+			ss := SolverSnapshot{
+				Runs: s.Runs, Wins: s.Wins, Feasible: s.Feasible, Errors: s.Errors,
+				MaxMs: float64(s.maxTime) / float64(time.Millisecond),
+			}
+			if s.Runs > 0 {
+				ss.MeanMs = float64(s.total) / float64(s.Runs) / float64(time.Millisecond)
 			}
 			out.Solvers[name] = ss
 		}

@@ -9,72 +9,36 @@ import (
 	"wishbone/internal/wire"
 )
 
-// TestMetricsSolverChoices pins the auto-picker's ranking over
-// per-(backend, formulation) history: win rate first, mean latency as the
-// tie-break, then names for determinism.
-func TestMetricsSolverChoices(t *testing.T) {
+// TestMetricsSolverCounters pins the per-backend /v1/stats counters:
+// runs, wins, feasible answers and errors add up per backend, and the
+// latency columns are the mean and max of its solves.
+func TestMetricsSolverCounters(t *testing.T) {
 	m := NewMetrics()
-	obs := func(backend, form string, d time.Duration, won bool, n int) {
+	obs := func(backend string, d time.Duration, feasible, won, errored bool, n int) {
 		for i := 0; i < n; i++ {
-			m.ObserveSolver(backend, form, d, true, won, false)
+			m.ObserveSolver(backend, d, feasible, won, errored)
 		}
 	}
-	// exact restricted/mean: 3 wins in 3 runs, slow.
-	obs(core.SolverExact, "restricted/mean", 40*time.Millisecond, true, 3)
-	// exact restricted/peak: 0 wins in 2 runs.
-	obs(core.SolverExact, "restricted/peak", 5*time.Millisecond, false, 2)
-	// lagrangian restricted/mean: 2 wins in 2 runs, fast — ties exact on win
-	// rate, beats it on latency.
-	obs(core.SolverLagrangian, "restricted/mean", 2*time.Millisecond, true, 2)
-	// greedy restricted/mean: 1 win in 2 runs.
-	obs(core.SolverGreedy, "restricted/mean", 1*time.Millisecond, true, 1)
-	obs(core.SolverGreedy, "restricted/mean", 1*time.Millisecond, false, 1)
+	obs(core.SolverExact, 40*time.Millisecond, true, true, false, 3)
+	obs(core.SolverExact, 5*time.Millisecond, true, false, false, 2)
+	obs(core.SolverLagrangian, 2*time.Millisecond, true, true, false, 2)
+	obs(core.SolverGreedy, 1*time.Millisecond, true, true, false, 1)
+	obs(core.SolverGreedy, 1*time.Millisecond, true, false, false, 1)
+	obs(core.SolverGreedy, 4*time.Millisecond, false, false, true, 1)
 
-	got := m.SolverChoices(3)
-	want := []SolverChoice{
-		{Backend: core.SolverLagrangian, Formulation: "restricted/mean"},
-		{Backend: core.SolverExact, Formulation: "restricted/mean"},
-		{Backend: core.SolverGreedy, Formulation: "restricted/mean"},
+	want := map[string]SolverSnapshot{
+		core.SolverExact:      {Runs: 5, Wins: 3, Feasible: 5, MeanMs: 26, MaxMs: 40},
+		core.SolverLagrangian: {Runs: 2, Wins: 2, Feasible: 2, MeanMs: 2, MaxMs: 2},
+		core.SolverGreedy:     {Runs: 3, Wins: 1, Feasible: 2, Errors: 1, MeanMs: 2, MaxMs: 4},
 	}
+	got := m.Snapshot(nil).Solvers
 	if len(got) != len(want) {
-		t.Fatalf("SolverChoices(3) returned %d entries: %+v", len(got), got)
+		t.Fatalf("snapshot has %d backends, want %d: %+v", len(got), len(want), got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("choice %d: got %+v, want %+v (full: %+v)", i, got[i], want[i], got)
+	for backend, w := range want {
+		if got[backend] != w {
+			t.Errorf("%s: got %+v, want %+v", backend, got[backend], w)
 		}
-	}
-	if all := m.SolverChoices(0); len(all) != 4 {
-		t.Fatalf("SolverChoices(0) should return every pair with runs, got %d", len(all))
-	}
-
-	snap := m.Snapshot(nil)
-	ex, ok := snap.Solvers[core.SolverExact]
-	if !ok {
-		t.Fatal("snapshot missing exact backend")
-	}
-	if ex.Runs != 5 || ex.Wins != 3 {
-		t.Fatalf("exact aggregate: %+v", ex)
-	}
-	mean, ok := ex.ByFormulation["restricted/mean"]
-	if !ok || mean.Runs != 3 || mean.Wins != 3 {
-		t.Fatalf("exact restricted/mean split: %+v (ok=%v)", mean, ok)
-	}
-	peak, ok := ex.ByFormulation["restricted/peak"]
-	if !ok || peak.Runs != 2 || peak.Wins != 0 {
-		t.Fatalf("exact restricted/peak split: %+v (ok=%v)", peak, ok)
-	}
-}
-
-// TestMetricsSolverChoicesLegacy pins the fallback for history recorded
-// before formulation tags existed: a backend with no per-formulation split
-// still ranks, with an empty Formulation.
-func TestMetricsSolverChoicesLegacy(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveSolver(core.SolverGreedy, "", time.Millisecond, true, true, false)
-	got := m.SolverChoices(0)
-	if len(got) != 1 || got[0] != (SolverChoice{Backend: core.SolverGreedy}) {
-		t.Fatalf("legacy history should rank as bare backend, got %+v", got)
 	}
 }
 

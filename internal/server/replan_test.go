@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"wishbone/internal/core"
 	"wishbone/internal/profile"
 	"wishbone/internal/wire"
 )
@@ -222,10 +223,13 @@ func TestServerReplanMaxPerSession(t *testing.T) {
 	}
 }
 
-// TestServerStreamReplanAuto exercises the "auto" solver choice: with no
-// solve history the server falls back to racing every backend, and the
-// replan still fires and relocates under drift.
-func TestServerStreamReplanAuto(t *testing.T) {
+// TestServerStreamReplanIgnoresHistory pins that a replan is a function
+// of the request: server A has only ever solved greedy and lagrangian
+// partitions, server B nothing, and the same drifting stream with the
+// solver omitted (on both), spelled "auto", or "race" adopts the same cut,
+// names the same winning backend — exact, as race's answer is exact's —
+// and returns the same Result.
+func TestServerStreamReplanIgnoresHistory(t *testing.T) {
 	spec := wire.GraphSpec{App: "speech"}
 	e := localEntry(t, spec)
 	trace := e.traces(wire.TraceSpec{Seed: 42, Seconds: 2})[0]
@@ -242,37 +246,75 @@ func TestServerStreamReplanAuto(t *testing.T) {
 		window   = 2.0
 	)
 	feed := driftArrivals(t, trace, nodes, duration)
-	req := wire.SimulateStreamRequest{
-		Graph:         spec,
-		Platform:      "Gumstix",
-		OnNode:        onNodeIDs,
-		Nodes:         nodes,
-		Duration:      duration,
-		Seed:          7,
-		WindowSeconds: window,
-		Replan: &wire.ReplanWire{
-			Threshold: 0.5, Hysteresis: 2, Decay: 0.5, MaxReplans: 1,
-		},
+	ctx := context.Background()
+	withSolver := func(name string) wire.SimulateStreamRequest {
+		return wire.SimulateStreamRequest{
+			Graph:         spec,
+			Platform:      "Gumstix",
+			OnNode:        onNodeIDs,
+			Nodes:         nodes,
+			Duration:      duration,
+			Seed:          7,
+			WindowSeconds: window,
+			Replan: &wire.ReplanWire{
+				Threshold: 0.5, Hysteresis: 2, Decay: 0.5, MaxReplans: 1,
+				Solver: name,
+			},
+		}
 	}
-	svc, client := startServer(t, Config{})
-	resp, err := client.SimulateStream(context.Background(), req, sliceFeeder(feed, 0, len(feed)))
-	if err != nil {
-		t.Fatal(err)
+
+	svcA, clientA := startServer(t, Config{})
+	for _, name := range []string{core.SolverGreedy, core.SolverLagrangian} {
+		for seed := int64(1); seed <= 2; seed++ {
+			if _, err := clientA.Partition(ctx, wire.PartitionRequest{
+				Graph: spec, Trace: wire.TraceSpec{Seed: seed, Seconds: 2},
+				Platform: "Gumstix", Solver: name,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if len(resp.Replans) != 1 || len(resp.Replans[0].Moved) == 0 {
-		t.Fatalf("auto-solver replan did not relocate: %+v", resp.Replans)
+	if hist := svcA.Stats().Solvers; len(hist) != 2 || hist[core.SolverExact].Runs != 0 {
+		t.Fatalf("warm-up history should hold greedy and lagrangian only: %+v", hist)
 	}
-	// The re-plan solves feed the per-(backend, formulation) history the
-	// next auto pick draws from.
-	snap := svc.Stats()
-	if len(snap.Solvers) == 0 {
-		t.Fatal("auto replan recorded no solver history")
+	_, clientB := startServer(t, Config{})
+
+	type run struct {
+		name   string
+		client *Client
+		solver string
+	}
+	var ref *wire.SimulateResponse
+	for _, r := range []run{
+		{"omitted on the warm server", clientA, ""},
+		{"omitted on the cold server", clientB, ""},
+		{"auto on the warm server", clientA, "auto"},
+		{"race on the warm server", clientA, core.SolverRace},
+	} {
+		resp, err := r.client.SimulateStream(ctx, withSolver(r.solver), sliceFeeder(feed, 0, len(feed)))
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if ref == nil {
+			if len(resp.Replans) != 1 || len(resp.Replans[0].Moved) == 0 {
+				t.Fatalf("%s: replan did not relocate: %+v", r.name, resp.Replans)
+			}
+			if got := resp.Replans[0].Solver; got != core.SolverExact {
+				t.Fatalf("%s: replan event names %q, want exact", r.name, got)
+			}
+			ref = resp
+			continue
+		}
+		if got, want := wireBytes(t, resp.Replans), wireBytes(t, ref.Replans); string(got) != string(want) {
+			t.Errorf("%s: replans %s, want %s", r.name, got, want)
+		}
+		if got, want := wireBytes(t, resp.Result), wireBytes(t, ref.Result); string(got) != string(want) {
+			t.Errorf("%s: result %s, want %s", r.name, got, want)
+		}
 	}
 
 	// An unknown backend is rejected up front, before any arrival streams.
-	bad := req
-	bad.Replan = &wire.ReplanWire{Solver: "nope"}
-	if _, err := client.SimulateStream(context.Background(), bad, sliceFeeder(feed, 0, 1)); err == nil {
+	if _, err := clientA.SimulateStream(ctx, withSolver("nope"), sliceFeeder(feed, 0, 1)); err == nil {
 		t.Fatal("unknown replan solver accepted")
 	}
 }

@@ -720,15 +720,13 @@ func (s *Server) observeSolves(solves []core.BackendStats) {
 	for _, st := range solves {
 		if len(st.Sub) > 0 {
 			for _, sub := range st.Sub {
-				s.metrics.ObserveSolver(sub.Backend, sub.Formulation,
-					time.Duration(sub.Seconds*float64(time.Second)),
+				s.metrics.ObserveSolver(sub.Backend, time.Duration(sub.Seconds*float64(time.Second)),
 					sub.Feasible, sub.Winner, sub.Err != "")
 			}
 			continue
 		}
 		// A lone backend's feasible answer is trivially the winner.
-		s.metrics.ObserveSolver(st.Backend, st.Formulation,
-			time.Duration(st.Seconds*float64(time.Second)),
+		s.metrics.ObserveSolver(st.Backend, time.Duration(st.Seconds*float64(time.Second)),
 			st.Feasible, st.Feasible, st.Err != "")
 	}
 }
@@ -1027,10 +1025,10 @@ func replansToWire(events []wbruntime.ReplanEvent) []wire.ReplanEventWire {
 // replanPlanner builds a streaming session's mid-stream planner: on drift
 // it re-solves the partition on the profiled spec scaled by the observed
 // load multiple (§4.3: load is linear in rate, so the incumbent profile
-// re-prices by scaling), through the tenant's chosen backend or the
-// auto-picked lineup, and compiles the new cut's programs from cache.
-// Every solve feeds the per-(backend, formulation) metrics — the same
-// history the auto-picker draws its next lineup from.
+// re-prices by scaling), through the tenant's chosen backend, and compiles
+// the new cut's programs from cache. An omitted or "auto" solver is
+// "race", so a replan depends only on the profile, the observed multiple
+// and the request — never on what earlier tenants solved.
 func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.SimulateStreamRequest, plat *platform.Platform) (wbruntime.Planner, error) {
 	mode, err := parseMode(req.Mode)
 	if err != nil {
@@ -1046,18 +1044,18 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 	}
 	spec := profile.BuildSpec(cls, rep, plat)
 	name := req.Replan.Solver
-	// Validate the solver choice now — a planner error mid-stream poisons
-	// the session, a bad request should fail before ingestion starts.
-	if _, err := s.replanSolver(name); err != nil {
+	if name == "" || name == "auto" {
+		name = core.SolverRace
+	}
+	// Build the solver now — a planner error mid-stream poisons the
+	// session, a bad request should fail before ingestion starts.
+	sv, err := solver.New(name, core.DefaultOptions())
+	if err != nil {
 		return nil, badRequest("%v", err)
 	}
 	return func(multiple float64) (*wbruntime.Plan, error) {
 		if multiple <= 0 {
 			return nil, nil // load vanished; nothing to re-fit
-		}
-		sv, err := s.replanSolver(name)
-		if err != nil {
-			return nil, err
 		}
 		res, err := core.AutoPartitionWith(ctx, spec, multiple, 0.005, core.Limits{}, sv)
 		if res != nil {
@@ -1080,35 +1078,6 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 			Solver:        res.Assignment.Stats.Solver,
 		}, nil
 	}, nil
-}
-
-// replanSolver resolves a ReplanWire.Solver choice. "auto" (or empty)
-// races the historically best (backend, formulation) pairs from the
-// per-solver win/latency metrics — heterogeneous Options, not just
-// algorithms — falling back to the full homogeneous race until history
-// accumulates.
-func (s *Server) replanSolver(name string) (solver.Solver, error) {
-	switch name {
-	case "", "auto":
-		choices := s.metrics.SolverChoices(3)
-		var variants []solver.Variant
-		for _, c := range choices {
-			if c.Formulation == "" {
-				continue
-			}
-			v, err := solver.VariantFromTag(c.Backend, c.Formulation)
-			if err != nil {
-				continue
-			}
-			variants = append(variants, v)
-		}
-		if len(variants) == 0 {
-			return solver.New(core.SolverRace, core.DefaultOptions())
-		}
-		return solver.NewVariantRace(core.DefaultOptions(), variants...)
-	default:
-		return solver.New(name, core.DefaultOptions())
-	}
 }
 
 // profileStream is the client-trace profiling endpoint: the body is a

@@ -34,9 +34,7 @@ func (Greedy) Name() string { return core.SolverGreedy }
 // Solve enumerates the greedy cut chain and returns the best feasible cut.
 func (g Greedy) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core.Assignment, Stats, error) {
 	start := time.Now()
-	// Greedy's monotone chain is single-crossing, i.e. the restricted
-	// encoding; only the load statistic varies.
-	stats := Stats{Backend: core.SolverGreedy, Formulation: core.FormulationTag(core.Restricted, s.Load), Gap: -1}
+	stats := Stats{Backend: core.SolverGreedy, Gap: -1}
 	fail := func(err error) (*core.Assignment, Stats, error) {
 		stats.Seconds = time.Since(start).Seconds()
 		stats.Err = err.Error()

@@ -177,7 +177,7 @@ func (p *lagProblem) repair(sel []bool) []bool {
 // carries a proven gap (Restricted formulation only).
 func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core.Assignment, Stats, error) {
 	start := time.Now()
-	stats := Stats{Backend: core.SolverLagrangian, Formulation: core.FormulationTag(l.Opts.Formulation, s.Load), Gap: -1}
+	stats := Stats{Backend: core.SolverLagrangian, Gap: -1}
 	fail := func(err error) (*core.Assignment, Stats, error) {
 		stats.Seconds = time.Since(start).Seconds()
 		stats.Err = err.Error()

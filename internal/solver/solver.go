@@ -1,6 +1,6 @@
 // Package solver is the pluggable solving layer over Wishbone's
 // partitioner. It defines the Solver contract (shared with internal/core,
-// which hosts the Race combinator) and a registry of backends:
+// which hosts the Race combinator) and a fixed lineup of backends:
 //
 //   - "exact"       — the branch-and-bound ILP (§4.2), optimal and the
 //     tie-breaking reference for every other backend.
@@ -16,13 +16,11 @@
 //     backend wins ties, and cancellation stops the losers.
 //
 // Backends construct from core.Options so the formulation/limit knobs flow
-// through one type; register additional backends with Register.
+// through one type; New builds one by name.
 package solver
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"wishbone/internal/core"
 )
@@ -39,46 +37,24 @@ type (
 	Stats = core.BackendStats
 )
 
-// Factory builds a backend from partitioner options.
-type Factory func(opts core.Options) Solver
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register installs a backend factory under name, replacing any previous
-// registration. The four built-ins register themselves at init.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = f
-}
-
 // New builds the named backend over opts. Name "" defaults to "exact".
 func New(name string, opts core.Options) (Solver, error) {
-	if name == "" {
-		name = core.SolverExact
+	switch name {
+	case "", core.SolverExact:
+		return core.NewExact(opts), nil
+	case core.SolverLagrangian:
+		return NewLagrangian(opts), nil
+	case core.SolverGreedy:
+		return NewGreedy(opts), nil
+	case core.SolverRace:
+		return NewRace(opts)
 	}
-	regMu.RLock()
-	f := registry[name]
-	regMu.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("solver: unknown backend %q (have %v)", name, Names())
-	}
-	return f(opts), nil
+	return nil, fmt.Errorf("solver: unknown backend %q (have %v)", name, Names())
 }
 
-// Names returns the registered backend names, sorted.
+// Names returns the backend names New accepts, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return []string{core.SolverExact, core.SolverGreedy, core.SolverLagrangian, core.SolverRace}
 }
 
 // RaceBackends are the backends a "race" solve runs, in tie-breaking
@@ -103,17 +79,4 @@ func NewRace(opts core.Options, backends ...string) (Solver, error) {
 		svs = append(svs, sv)
 	}
 	return core.NewRaced(svs...), nil
-}
-
-func init() {
-	Register(core.SolverExact, func(opts core.Options) Solver { return core.NewExact(opts) })
-	Register(core.SolverLagrangian, func(opts core.Options) Solver { return NewLagrangian(opts) })
-	Register(core.SolverGreedy, func(opts core.Options) Solver { return NewGreedy(opts) })
-	Register(core.SolverRace, func(opts core.Options) Solver {
-		sv, err := NewRace(opts)
-		if err != nil { // unreachable: built-ins are registered above
-			panic(err)
-		}
-		return sv
-	})
 }

@@ -168,6 +168,17 @@ func TestSolverRegistry(t *testing.T) {
 	}
 }
 
+// TestSolverRaceRejectsNesting pins NewRace's guard rails: a race cannot
+// enter itself, and an unknown entrant is New's error.
+func TestSolverRaceRejectsNesting(t *testing.T) {
+	if _, err := NewRace(core.DefaultOptions(), core.SolverExact, core.SolverRace); err == nil {
+		t.Fatal("nested race must not construct")
+	}
+	if _, err := NewRace(core.DefaultOptions(), "nope"); err == nil {
+		t.Fatal("race over an unknown backend must not construct")
+	}
+}
+
 // TestSolverDifferentialFig3 pins all backends on the paper's motivating
 // example: heuristics must Verify and match the exact optimum here (the
 // graph is small enough that both find it), and race must be

@@ -219,10 +219,9 @@ type ReplanWire struct {
 	Decay float64 `json:"decay,omitempty"`
 	// MaxReplans caps replans per session; 0 means unlimited.
 	MaxReplans int `json:"maxReplans,omitempty"`
-	// Solver picks the re-planning backend: a registered backend name,
-	// "race", or "auto" (default) — auto races the historically best
-	// (backend, formulation) pairs from this server's /v1/stats
-	// win/latency record.
+	// Solver picks the re-planning backend: "exact", "lagrangian",
+	// "greedy" or "race". Omitted or "auto" means "race", whose answer
+	// equals exact's; the choice never depends on earlier requests.
 	Solver string `json:"solver,omitempty"`
 }
 

@@ -40,7 +40,7 @@ type Planner struct {
 // PlannerOption configures a Planner.
 type PlannerOption func(*Planner)
 
-// WithSolver selects the solving backend by registered name: "exact"
+// WithSolver selects the solving backend by name: "exact"
 // (default), "lagrangian", "greedy", or "race".
 func WithSolver(name string) PlannerOption {
 	return func(p *Planner) { p.solverName = name; p.raceWith = nil }

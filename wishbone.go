@@ -72,7 +72,7 @@
 //
 // The subsystems are available directly for finer control: see
 // internal/core (cut formulations, solver racing), internal/solver (the
-// backend registry), internal/profile, internal/runtime (deployment
+// backends by name), internal/profile, internal/runtime (deployment
 // simulation), internal/netsim (radio model), internal/server (the
 // partition service), and internal/experiments (every figure of the
 // paper's evaluation).
