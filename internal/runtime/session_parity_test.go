@@ -148,32 +148,70 @@ func TestSessionParityEEG(t *testing.T) {
 	runSessionVariants(t, stream, batch, "batch")
 }
 
+// orderedStreamApp is streamApp with report made stateful in the Server
+// namespace and fed twice: the aggregates from sum on port 0 and every
+// node's counts on port 1. It emits on each port switch, so its output
+// depends on how the two streams interleave — the one order an
+// unshardable partition delivers aggregates and per-node messages in.
+func orderedStreamApp() (*dataflow.Graph, *dataflow.Operator, map[int]bool) {
+	g, src, onNode := streamApp()
+	report, counts := g.ByName("report"), g.ByName("counts")
+	report.Stateful = true
+	report.NewState = func() any { last := -1; return &last }
+	report.Work = func(ctx *dataflow.Ctx, port int, v dataflow.Value, emit dataflow.Emit) {
+		if last := ctx.State.(*int); *last != port {
+			*last = port
+			emit(v)
+		}
+	}
+	out := g.Add(&dataflow.Operator{Name: "switches", NS: dataflow.NSServer, SideEffect: true,
+		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {}})
+	g.Connect(counts, report, 1)
+	g.Connect(report, out, 0)
+	return g, src, onNode
+}
+
 // TestSessionParityReduce runs the reduce-aggregation stream app:
 // aggregates are finalized by the caller between the stages and delivered
 // on the AggregateOrigin shard — Close's reduce tail behind the last
-// window's delivery — and must match the batch path exactly.
+// window's delivery — and must match the batch path exactly. The ordered
+// row makes the partition unshardable and order-sensitive: aggregates and
+// per-node messages must reach its one server instance in the batch
+// path's single stable time order.
 func TestSessionParityReduce(t *testing.T) {
-	g, src, onNode := streamApp()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		app   func() (*dataflow.Graph, *dataflow.Operator, map[int]bool)
+		order bool
+	}{
+		{"shardable", streamApp, false},
+		{"unshardable-ordered", orderedStreamApp, true},
+	} {
+		g, src, onNode := tc.app()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		inputs := streamInputs(src, 4)
+		cfg := Config{
+			Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
+			Nodes: 4, Duration: 64, Seed: 11,
+			Inputs: func(nodeID int) []profile.Input { return inputs },
+		}
+		if shardable(&cfg) == tc.order {
+			t.Fatalf("%s: shardable=%v", tc.name, shardable(&cfg))
+		}
+		batch, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := cfg
+		stream.Inputs = nil
+		stream.WindowSeconds = 16
+		stream.ArrivalSource = func(nodeID int) (Stream, error) {
+			return InputStream(inputs, 1, cfg.Duration)
+		}
+		runSessionVariants(t, stream, batch, tc.name+" batch")
 	}
-	inputs := streamInputs(src, 4)
-	cfg := Config{
-		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
-		Nodes: 4, Duration: 64, Seed: 11,
-		Inputs: func(nodeID int) []profile.Input { return inputs },
-	}
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := cfg
-	stream.Inputs = nil
-	stream.WindowSeconds = 16
-	stream.ArrivalSource = func(nodeID int) (Stream, error) {
-		return InputStream(inputs, 1, cfg.Duration)
-	}
-	runSessionVariants(t, stream, batch, "batch")
 }
 
 // TestSessionBackpressure pins the typed backpressure bound: a stream
