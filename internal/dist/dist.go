@@ -1,7 +1,7 @@
 // Package dist places one simulation's shard set across hosts: a
 // Coordinator partitions the origin nodes over a set of wbserved peers
 // (speaking the /v1/shard protocol, internal/server), drives the
-// per-window barrier through a runtime.DistSession, and assembles the
+// per-window barrier through a runtime.Session, and assembles the
 // global Result. Results are byte-identical to a single-host run at
 // every host count and origin placement — per-origin independence makes
 // the split exact, and the coordinator keeps the only globally coupled
@@ -176,7 +176,7 @@ func (c *Coordinator) RunControlled(ctx context.Context, spec wire.GraphSpec, cf
 		return nil, nil, false, err
 	}
 	ds.EnableRecovery(c.recovery(st))
-	dcs := runtime.NewDistControlledSession(ds, policy, plannedLoad, planner,
+	dcs := runtime.ControlSession(ds, policy, plannedLoad, planner,
 		func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
 			return st.open(ncfg, snapshot)
 		})
@@ -388,9 +388,9 @@ func (h *httpHost) rpc(op string, f func(ctx context.Context) error) error {
 	return retryRPC(h.ctx, h.retry, h.url, op, f)
 }
 
-func (h *httpHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
+func (h *httpHost) ComputeWindow(arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
 	h.seq++
-	req := wire.ShardComputeRequest{Session: h.session, Window: h.seq, Span: span}
+	req := wire.ShardComputeRequest{Session: h.session, Window: h.seq}
 	req.Arrivals = make([]wire.ShardArrivalWire, len(arrivals))
 	for i, a := range arrivals {
 		data, err := wire.Marshal(a.Value)

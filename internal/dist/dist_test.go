@@ -1,8 +1,14 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"wishbone/internal/apps/eeg"
@@ -126,6 +132,135 @@ main = feat;
 		}
 		if *got != *ref {
 			t.Fatalf("%d hosts: distributed wscript result diverges:\nref: %+v\ngot: %+v", hosts, *ref, *got)
+		}
+	}
+}
+
+// deliverCounter wraps a peer's handler and counts the /v1/shard/deliver
+// requests it receives per (session, window), and how many it failed.
+type deliverCounter struct {
+	next http.Handler
+
+	mu     sync.Mutex
+	sent   map[wire.ShardDeliverRequest]int
+	failed int
+}
+
+type statusRecorder struct {
+	http.ResponseWriter
+	code int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	r.code = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+func (d *deliverCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/shard/deliver" {
+		d.next.ServeHTTP(w, r)
+		return
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var req wire.ShardDeliverRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	d.next.ServeHTTP(rec, r)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.sent[wire.ShardDeliverRequest{Session: req.Session, Window: req.Window}]++
+	if rec.code != http.StatusOK {
+		d.failed++
+	}
+}
+
+// TestCoordinatorDeliverFailure pins a server-side work-function failure
+// on a shard host: the run fails with the abort, as the local run does,
+// instead of retrying the delivery into a host that has already dropped
+// the window and carrying on without it — the failing window's deliver
+// RPC reaches its host exactly once.
+func TestCoordinatorDeliverFailure(t *testing.T) {
+	const src = `
+namespace Node {
+  s = source("x", 4);
+  feat = iterate v in s { emit v; };
+}
+main = iterate y in feat {
+  a = [1.0];
+  if y > 6.0 { emit a[2]; } else { emit y; }
+};
+`
+	c, err := wscript.CompileOpts(src, wscript.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onNode := make(map[int]bool)
+	for _, op := range c.Graph.Operators() {
+		onNode[op.ID()] = op.NS == dataflow.NSNode
+	}
+	const duration = 8.0
+	cfg := runtime.Config{
+		Graph:         c.Graph,
+		OnNode:        onNode,
+		Platform:      platform.TMoteSky(),
+		Nodes:         4,
+		Duration:      duration,
+		Seed:          3,
+		WindowSeconds: 2,
+		ArrivalSource: func(nodeID int) (runtime.Stream, error) {
+			// v passes 6 in the second window.
+			inputs, err := c.Inputs(32, func(_ string, i int) any { return float64(i) * 0.5 })
+			if err != nil {
+				return nil, err
+			}
+			return runtime.InputStream(inputs, 1, duration)
+		},
+	}
+	const abort = "index 2 out of bounds"
+	if _, err := runtime.Run(cfg); err == nil || !strings.Contains(err.Error(), abort) {
+		t.Fatalf("local run: got %v, want the %q abort", err, abort)
+	}
+	spec := wire.GraphSpec{App: "wscript", Source: src}
+	for _, hosts := range []int{1, 2} {
+		var counters []*deliverCounter
+		var urls []string
+		for i := 0; i < hosts; i++ {
+			svc := server.New(server.Config{})
+			d := &deliverCounter{next: svc.Handler(), sent: make(map[wire.ShardDeliverRequest]int)}
+			ts := httptest.NewServer(d)
+			t.Cleanup(ts.Close)
+			t.Cleanup(svc.Close)
+			counters = append(counters, d)
+			urls = append(urls, ts.URL)
+		}
+		_, distributed, err := dist.New(urls, nil).Run(context.Background(), spec, cfg)
+		if err == nil || !strings.Contains(err.Error(), abort) {
+			t.Fatalf("%d hosts: got %v, want the %q abort", hosts, err, abort)
+		}
+		if !distributed {
+			t.Fatalf("%d hosts: run fell back to local execution", hosts)
+		}
+		failed := 0
+		for hi, d := range counters {
+			d.mu.Lock()
+			for key, n := range d.sent {
+				if n != 1 {
+					t.Errorf("%d hosts: host %d received window %d's deliver %d times", hosts, hi, key.Window, n)
+				}
+			}
+			failed += d.failed
+			d.mu.Unlock()
+		}
+		if failed == 0 {
+			t.Fatalf("%d hosts: no deliver RPC failed (run error: %v)", hosts, err)
 		}
 	}
 }

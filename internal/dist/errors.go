@@ -24,7 +24,7 @@ import (
 //     retrying or recovering would just repeat it.
 //
 // Exhausted retries and lost hosts surface as a *HostError matching
-// ErrHostDown via errors.Is — the signal runtime.DistSession's recovery
+// ErrHostDown via errors.Is — the signal runtime.Session's recovery
 // treats as "re-open this host's origins elsewhere". Exhausted retries
 // additionally match ErrRetryExhausted.
 

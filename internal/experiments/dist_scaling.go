@@ -32,10 +32,10 @@ type timedDriver struct {
 	busy    time.Duration
 }
 
-func (d *timedDriver) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
+func (d *timedDriver) ComputeWindow(arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
 	d.windows++
 	start := time.Now()
-	rep, err := d.HostDriver.ComputeWindow(span, arrivals)
+	rep, err := d.HostDriver.ComputeWindow(arrivals)
 	d.busy += time.Since(start)
 	return rep, err
 }

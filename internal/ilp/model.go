@@ -102,20 +102,6 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // NumConstraints returns the number of constraints.
 func (m *Model) NumConstraints() int { return len(m.constraints) }
 
-// NumIntegerVars returns the number of integrality-constrained variables.
-func (m *Model) NumIntegerVars() int {
-	n := 0
-	for _, v := range m.vars {
-		if v.integer {
-			n++
-		}
-	}
-	return n
-}
-
-// VarName returns the name given to v at creation.
-func (m *Model) VarName(v Var) string { return m.vars[v].name }
-
 // Bounds returns the bounds of v.
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.vars[v].lo, m.vars[v].hi }
 
@@ -136,9 +122,6 @@ func (m *Model) SetObjCoef(v Var, c float64) { m.vars[v].obj = c }
 
 // AddObjCoef adds c to the objective coefficient of v.
 func (m *Model) AddObjCoef(v Var, c float64) { m.vars[v].obj += c }
-
-// ObjCoef returns the objective coefficient of v.
-func (m *Model) ObjCoef(v Var) float64 { return m.vars[v].obj }
 
 // SetObjConst sets the constant term of the objective.
 func (m *Model) SetObjConst(c float64) { m.objConst = c }

@@ -121,11 +121,6 @@ func (p *Platform) Seconds(c *cost.Counter) float64 {
 	return p.Cycles(c) / p.ClockHz
 }
 
-// Micros converts an operation counter into microseconds.
-func (p *Platform) Micros(c *cost.Counter) float64 {
-	return p.Seconds(c) * 1e6
-}
-
 // String returns the platform name.
 func (p *Platform) String() string { return p.Name }
 

@@ -13,9 +13,7 @@
 package profile
 
 import (
-	"context"
 	"fmt"
-	"math"
 
 	"wishbone/internal/core"
 	"wishbone/internal/cost"
@@ -249,23 +247,4 @@ func BuildSpec(cls *dataflow.Classification, r *Report, p *platform.Platform) *c
 		Alpha:     p.Alpha,
 		Beta:      p.Beta,
 	}
-}
-
-// MaxRateMultiple is a convenience wrapper around core.MaxRate returning
-// the highest input-rate multiple in (0, hi] that yields a feasible
-// partition on p (§4.3).
-func MaxRateMultiple(ctx context.Context, cls *dataflow.Classification, r *Report, p *platform.Platform, hi float64) (float64, *core.Assignment, error) {
-	spec := BuildSpec(cls, r, p)
-	res, err := core.MaxRate(ctx, spec, hi, 0.005, core.DefaultOptions())
-	if err != nil {
-		return 0, nil, err
-	}
-	if res.Rate <= 0 {
-		return 0, nil, nil
-	}
-	// Guard against pathological zero-cost graphs reporting +Inf.
-	if math.IsInf(res.Rate, 1) {
-		return hi, res.Assignment, nil
-	}
-	return res.Rate, res.Assignment, nil
 }

@@ -7,8 +7,9 @@ import "sync"
 // points at — out of large reusable chunks. A message's fragments live
 // until the message is delivered, so an arena is reset only once every
 // message allocated from it is dead: the batch path keeps one arena per
-// node-phase shard for the whole run, the streaming path one set per
-// window (recycled when the window's delivery ends). Arenas recycle
+// node-phase shard for the whole run, a streaming host one per origin
+// (rewound when the window's delivery ends) and the coordinator one for
+// the aggregates (rewound at each join). Arenas recycle
 // through a process-wide pool, so steady-state simulation — batch runs
 // back to back, or windows through a long session — allocates no fragment
 // storage at all.
@@ -82,56 +83,4 @@ func releaseArena(a *fragArena) {
 	}
 	a.reset()
 	arenaPool.Put(a)
-}
-
-// windowBufs is the recyclable storage of one window of a streaming run:
-// the node-shard fragment arenas (plus one for the aggregator), the merged
-// and post-aggregation message slices, the per-delivery-shard partitions
-// and the per-node-shard feed errors. A ShardHost owns exactly one and
-// resets it after the window's delivery; a Session recycles its own
-// through a free list (the window delivering behind the caller owns its
-// buffers until that delivery ends). Steady state allocates no fragment or
-// message-slice storage.
-type windowBufs struct {
-	arenas []*fragArena // one per node shard, plus the aggregator's last
-	msgs   []message
-	out    []message
-	parts  [][]message
-	errs   []error // per node shard
-}
-
-func newWindowBufs(nodeShards, deliveryShards int) *windowBufs {
-	w := &windowBufs{
-		arenas: make([]*fragArena, nodeShards+1),
-		parts:  make([][]message, deliveryShards),
-		errs:   make([]error, nodeShards),
-	}
-	for i := range w.arenas {
-		w.arenas[i] = acquireArena()
-	}
-	return w
-}
-
-// reset rewinds the storage once the window's messages are dead: arenas
-// rewound, message slices truncated with their elements cleared so reused
-// buffers do not pin the delivered window's values.
-func (w *windowBufs) reset() {
-	for _, a := range w.arenas {
-		a.reset()
-	}
-	clear(w.msgs)
-	w.msgs = w.msgs[:0]
-	clear(w.out)
-	w.out = w.out[:0]
-	for i := range w.parts {
-		clear(w.parts[i])
-		w.parts[i] = w.parts[i][:0]
-	}
-	clear(w.errs)
-}
-
-func (w *windowBufs) releaseArenas() {
-	for _, a := range w.arenas {
-		releaseArena(a)
-	}
 }

@@ -25,7 +25,7 @@ import (
 // partition service wires its solver racing in, tests wire canned cuts.
 
 // WindowObservation is one priced ingestion window's load signal, as seen
-// by Session.OnWindow / DistSession.OnWindow. A window whose buffered
+// by Session.OnWindow. A window whose buffered
 // arrivals all folded into pending reduce rounds still observes (with
 // AirBytes zero); windows with no arrivals at all are skipped along with
 // the window clock.
@@ -178,16 +178,6 @@ func (c *ControlLoop) Replanned() {
 	c.replans++
 }
 
-// Windows reports how many windows the loop has observed.
-func (c *ControlLoop) Windows() int { return c.seen }
-
-// Observed reports the current online profile (EWMA offered load,
-// bytes/sec).
-func (c *ControlLoop) Observed() float64 { return c.ewma }
-
-// Baseline reports the load the current cut is planned for.
-func (c *ControlLoop) Baseline() float64 { return c.baseline }
-
 // Plan is a planner's answer: the new cut and, optionally, its
 // precompiled partition programs (nil programs compile on resume).
 // Solver is informational — the backend whose answer the plan adopted —
@@ -226,38 +216,28 @@ func movedOps(g *dataflow.Graph, oldCut, newCut map[int]bool) []int {
 	return moved
 }
 
-// controlled is what the controller needs of the run it steers — a
-// Session or a DistSession, both of which embed the window coordinator.
-type controlled interface {
-	Offer(nodeID int, a Arrival) error
-	Close() (*Result, error)
-	Snapshot() ([]byte, error)
-	Abort()
-	core() *windowCore
-}
-
-// ControlledSession wraps a streaming run — a Session, or a DistSession
-// across shard hosts — with the control loop: it exposes the session
-// surface (Offer/OfferRaw/Close/Snapshot), and when drift persists past
-// the hysteresis interval it re-plans mid-stream, handing relocated
-// operators' state off at the last flushed window boundary through
-// Snapshot → MigrateSnapshot → resume. The wrapper owns the inner session
-// and replaces it across a handoff (Snapshot is terminal); the two kinds
-// of run differ only in the resume step.
+// ControlledSession wraps a streaming run with the control loop: it
+// exposes the session surface (Offer/OfferRaw/Close/Snapshot), and when
+// drift persists past the hysteresis interval it re-plans mid-stream,
+// handing relocated operators' state off at the last flushed window
+// boundary through Snapshot → MigrateSnapshot → resume. The wrapper owns
+// the inner session and replaces it across a handoff (Snapshot is
+// terminal); placements differ only in how the hosts reopen on the new
+// cut (rebind).
 type ControlledSession struct {
-	s       controlled
+	s       *Session
 	loop    *ControlLoop
 	planner Planner
-	// resume brings the run back up on the new cut's Config from the
-	// migrated snapshot. nil degrades the wrapper to drift detection.
-	resume func(cfg Config, migrated []byte) (controlled, error)
+	// rebind reopens the hosts on the new cut's Config from the migrated
+	// snapshot; nil means one in-process host (ResumeSession).
+	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)
 	events []ReplanEvent
 	dead   error // a failed handoff poisons the session
 }
 
-// NewControlledSession builds the session and attaches the loop.
-// plannedLoad is the offered-load rate the initial cut was planned for
-// (0: adopt the first window). planner may be nil, which degrades the
+// NewControlledSession builds an in-process session and attaches the
+// loop. plannedLoad is the offered-load rate the initial cut was planned
+// for (0: adopt the first window). planner may be nil, which degrades the
 // wrapper to drift *detection* only — events record triggers, nothing
 // relocates.
 func NewControlledSession(cfg Config, policy ReplanPolicy, plannedLoad float64, planner Planner) (*ControlledSession, error) {
@@ -265,74 +245,28 @@ func NewControlledSession(cfg Config, policy ReplanPolicy, plannedLoad float64, 
 	if err != nil {
 		return nil, err
 	}
-	return ControlSession(s, policy, plannedLoad, planner), nil
+	return ControlSession(s, policy, plannedLoad, planner, nil), nil
 }
 
-// ControlSession attaches the control loop to an existing session — the
-// path a resumed stream takes (ResumeSession followed by ControlSession
-// keeps drift detection running across snapshot/resume; the loop state
-// itself restarts, adopting the post-resume load as its baseline when
+// ControlSession attaches the control loop to an open session — a resumed
+// stream's, or a distributed coordinator's (the loop state itself starts
+// afresh, adopting the first observed load as its baseline when
 // plannedLoad is 0). The wrapper takes ownership of s, including its
-// OnWindow hook.
-func ControlSession(s *Session, policy ReplanPolicy, plannedLoad float64, planner Planner) *ControlledSession {
-	return control(s, policy, plannedLoad, planner,
-		func(cfg Config, migrated []byte) (controlled, error) {
-			return ResumeSession(cfg, migrated)
-		})
-}
-
-// NewDistControlledSession attaches the control loop to an open
-// DistSession: the coordinator assembles the global snapshot from the
-// hosts and re-opens them on the new cut, so cross-host relocation rides
-// the identical state encoding. rebind is invoked during a handoff with
-// the new cut's Config and the migrated snapshot; it must return opened
-// host bindings that have restored their origins from that snapshot (the
-// caller owns driver construction: local hosts in tests, /v1/shard peers
-// in the dist coordinator). A nil rebind degrades to drift detection.
-func NewDistControlledSession(s *DistSession, policy ReplanPolicy, plannedLoad float64,
-	planner Planner, rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) *ControlledSession {
-	if rebind == nil {
-		return control(s, policy, plannedLoad, planner, nil)
-	}
-	return control(s, policy, plannedLoad, planner,
-		func(cfg Config, migrated []byte) (controlled, error) {
-			hosts, err := rebind(cfg, migrated)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := ResumeDistSession(cfg, hosts, migrated)
-			if err != nil {
-				for _, b := range hosts {
-					b.Driver.Abort()
-				}
-				return nil, err
-			}
-			// Recovery carries across the handoff: the replacement session
-			// starts with no checkpoints (its hosts resumed from the migrated
-			// snapshot, which the Reopen callback falls back to) and the
-			// recovery history so far; the rebind has already repointed the
-			// callback's host table. s tracks the session the next handoff
-			// replaces.
-			if s.rec != nil {
-				ns.EnableRecovery(s.rec)
-				ns.recoveries = s.recoveries
-			}
-			s = ns
-			return ns, nil
-		})
-}
-
-// control builds the controller over s and points s's window observations
-// at the detector.
-func control(s controlled, policy ReplanPolicy, plannedLoad float64, planner Planner,
-	resume func(Config, []byte) (controlled, error)) *ControlledSession {
+// OnWindow hook. rebind is invoked during a handoff with the new cut's
+// Config and the migrated snapshot; it must return opened host bindings
+// that have restored their origins from that snapshot (the caller owns
+// driver construction: local hosts in tests, /v1/shard peers in the dist
+// coordinator). A nil rebind resumes on one in-process host owning every
+// origin.
+func ControlSession(s *Session, policy ReplanPolicy, plannedLoad float64, planner Planner,
+	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) *ControlledSession {
 	cs := &ControlledSession{
 		s:       s,
 		loop:    NewControlLoop(policy, plannedLoad),
 		planner: planner,
-		resume:  resume,
+		rebind:  rebind,
 	}
-	s.core().OnWindow = cs.loop.Observe
+	s.OnWindow = cs.loop.Observe
 	return cs
 }
 
@@ -347,17 +281,12 @@ func (cs *ControlledSession) Offer(nodeID int, a Arrival) error {
 	return cs.maybeReplan()
 }
 
-// OfferRaw mirrors Session.OfferRaw; a distributed run has no raw ingest
-// path.
+// OfferRaw mirrors Session.OfferRaw.
 func (cs *ControlledSession) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ string, raw []byte) error {
 	if cs.dead != nil {
 		return cs.dead
 	}
-	s, ok := cs.s.(*Session)
-	if !ok {
-		return fmt.Errorf("runtime: OfferRaw on a distributed run")
-	}
-	if err := s.OfferRaw(nodeID, t, src, typ, raw); err != nil {
+	if err := cs.s.OfferRaw(nodeID, t, src, typ, raw); err != nil {
 		return err
 	}
 	return cs.maybeReplan()
@@ -371,14 +300,14 @@ func (cs *ControlledSession) maybeReplan() error {
 	if !ok {
 		return nil
 	}
-	c := cs.s.core()
+	c := cs.s
 	ev := ReplanEvent{
 		Time:         c.windowStart,
-		PlannedLoad:  cs.loop.Baseline(),
-		ObservedLoad: cs.loop.Observed(),
+		PlannedLoad:  cs.loop.baseline,
+		ObservedLoad: cs.loop.ewma,
 		RateMultiple: multiple,
 	}
-	if cs.planner == nil || cs.resume == nil {
+	if cs.planner == nil {
 		cs.loop.Replanned()
 		cs.events = append(cs.events, ev)
 		return nil
@@ -409,16 +338,17 @@ func (cs *ControlledSession) maybeReplan() error {
 // boundary; on failure the old session is already torn down and the
 // wrapper is dead.
 func (cs *ControlledSession) relocate(plan *Plan) error {
-	ncfg := cs.s.core().cfg
+	old := cs.s
+	ncfg := old.cfg
 	ncfg.OnNode = plan.OnNode
 	ncfg.NodeProgram = plan.NodeProgram
 	ncfg.ServerProgram = plan.ServerProgram
-	data, err := cs.s.Snapshot()
+	data, err := old.Snapshot()
 	if err != nil {
 		// Snapshot fails before teardown only on a hook-less graph; treat
 		// any failure as fatal to the stream rather than risk a half-frozen
 		// session.
-		cs.s.Abort()
+		old.Abort()
 		return err
 	}
 	migrated, err := MigrateSnapshot(ncfg.Graph, data, plan.OnNode)
@@ -429,9 +359,37 @@ func (cs *ControlledSession) relocate(plan *Plan) error {
 	if err != nil {
 		return err
 	}
-	ns.core().OnWindow = cs.loop.Observe
+	// Recovery carries across the handoff: the replacement session starts
+	// with no checkpoints (its hosts resumed from the migrated snapshot,
+	// which the Reopen callback falls back to) and the recovery history so
+	// far; the rebind has already repointed the callback's host table.
+	if old.rec != nil {
+		ns.EnableRecovery(old.rec)
+		ns.recoveries = old.recoveries
+	}
+	ns.OnWindow = cs.loop.Observe
 	cs.s = ns
 	return nil
+}
+
+// resume brings the run back up on the new cut's Config from the migrated
+// snapshot, on the hosts rebind reopens.
+func (cs *ControlledSession) resume(cfg Config, migrated []byte) (*Session, error) {
+	if cs.rebind == nil {
+		return ResumeSession(cfg, migrated)
+	}
+	hosts, err := cs.rebind(cfg, migrated)
+	if err != nil {
+		return nil, err
+	}
+	ns, err := ResumeDistSession(cfg, hosts, migrated)
+	if err != nil {
+		for _, b := range hosts {
+			b.Driver.Abort()
+		}
+		return nil, err
+	}
+	return ns, nil
 }
 
 // Close flushes the tail through the current session and returns the
@@ -453,7 +411,8 @@ func (cs *ControlledSession) Abort() {
 }
 
 // Snapshot freezes the current session (terminal, like Session.Snapshot).
-// The bytes are on the *current* cut — resume with OnNode()'s cut.
+// The bytes are on the *current* cut: the one the last relocating replan
+// adopted.
 func (cs *ControlledSession) Snapshot() ([]byte, error) {
 	if cs.dead != nil {
 		return nil, cs.dead
@@ -464,18 +423,3 @@ func (cs *ControlledSession) Snapshot() ([]byte, error) {
 // Events returns the replan events recorded so far. The slice is live;
 // callers must not mutate it.
 func (cs *ControlledSession) Events() []ReplanEvent { return cs.events }
-
-// OnNode returns the cut the session is currently running.
-func (cs *ControlledSession) OnNode() map[int]bool { return cs.s.core().cfg.OnNode }
-
-// Loop exposes the detector (read-only use: Observed/Baseline/Windows).
-func (cs *ControlledSession) Loop() *ControlLoop { return cs.loop }
-
-// Recoveries returns the host recoveries a distributed run has performed
-// so far (carried across replan handoffs); nil for a local one.
-func (cs *ControlledSession) Recoveries() []RecoveryEvent {
-	if s, ok := cs.s.(*DistSession); ok {
-		return s.Recoveries()
-	}
-	return nil
-}

@@ -132,8 +132,8 @@ type corruptReduceHost struct {
 	corrupt func(*runtime.ReduceMsg)
 }
 
-func (h corruptReduceHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
-	rep, err := h.HostDriver.ComputeWindow(span, arrivals)
+func (h corruptReduceHost) ComputeWindow(arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
+	rep, err := h.HostDriver.ComputeWindow(arrivals)
 	if err == nil {
 		for i := range rep.Reduce {
 			h.corrupt(&rep.Reduce[i])

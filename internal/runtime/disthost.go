@@ -8,30 +8,48 @@ import (
 	"wishbone/internal/wire"
 )
 
-// A ShardHost executes one slice of a distributed simulation: the node
-// phase and the server-side delivery for an assigned subset of origin
-// nodes — an originHost over that subset, the same type a Session holds
-// over every origin. What ShardHost adds is the wire side: it validates
-// the arrivals a coordinator (DistSession) ships it, and splits each
-// window's drained messages. ComputeWindow feeds the window's arrivals
+// A ShardHost executes one slice of a streaming simulation: the node
+// phase and the server-side delivery for its origin nodes (host.go) —
+// all of them in process, a subset each across hosts. It validates the
+// arrivals its coordinator (a Session) ships it and splits each window's
+// drained messages: ComputeWindow feeds the window's arrivals
 // through the node simulators and returns the offered-air sum plus the
 // window's reduce contributions; the host holds its non-reduce messages
 // until the coordinator has priced the global delivery ratio and calls
-// DeliverWindow. Per-origin independence (see
-// shard.go) is what makes the split exact: a host's deliveries depend only
-// on its own origins' message subsequences, and every global quantity the
-// ratio depends on is an order-free integer sum.
+// DeliverWindow. Per-origin independence (see shard.go) is what makes the
+// split exact: a host's deliveries depend only on its own origins' message
+// subsequences, and every global quantity the ratio depends on is an
+// order-free integer sum. In process, arrivals and held messages stay
+// values; only reduce contributions take the wire encoding.
 type ShardHost struct {
 	cfg     Config
-	host    *originHost
-	pos     []int // node → position in host.origins, -1 when not owned
+	origins []int // ascending
+	prog    *dataflow.Program
+	insts   []*dataflow.Instance
+	nodes   nodeSims
+	plan    *deliveryPlan
+	eidx    map[*dataflow.Edge]int
+	pos     []int // node → position in origins, -1 when not owned
 	sources map[*dataflow.Operator]bool
 
-	// buf holds each origin's arrivals for the window, by position. win is
-	// the window's storage, one node shard per origin; win.out is what the
-	// host holds — the window's non-reduce messages, awaiting the ratio.
-	buf [][]arrival
-	win *windowBufs
+	// global marks an unshardable partition (a stateful Server-namespace
+	// operator): the host owns every origin, its plan also delivers the
+	// coordinator's aggregates (deliver), and its snapshots carry
+	// AggregateOrigin's row and the Server states.
+	global bool
+
+	// buf holds each origin's arrivals for the window, by position. The
+	// window's storage is one node shard per origin — its fragment arena
+	// and feed error slot — the drained messages (then sort scratch) in
+	// msgs, and in out what the host holds: the window's non-reduce
+	// messages, awaiting the ratio, split per delivery shard into parts.
+	// Steady state allocates no fragment or message-slice storage.
+	buf    [][]arrival
+	arenas []*fragArena
+	errs   []error
+	msgs   []message
+	out    []message
+	parts  [][]message
 
 	// res is the host's partial Result: the send-side counters as windows
 	// accrue them and, after a checkpoint restore
@@ -41,6 +59,9 @@ type ShardHost struct {
 	// coordinator carries them (RestoreShardHost zeroes counters).
 	res    Result
 	closed bool
+	// err is the first window failure: every later call but Abort answers
+	// with it, so no window runs on top of a failed one.
+	err error
 }
 
 // HostArrival is one arrival routed to a shard host, with the source
@@ -78,29 +99,31 @@ type (
 // NewShardHost builds the host side for the given origins. cfg must be
 // the coordinator's exact Config (graph structure, cut, platform, nodes,
 // duration, seed — Shards/Workers are per-host knobs); origins must be a
-// subset of [0, cfg.Nodes).
+// subset of [0, cfg.Nodes) — all of it for a partition with global server
+// state.
 func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
-	}
-	if !shardable(&cfg) {
-		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
-	}
-	if len(origins) == 0 {
-		return nil, fmt.Errorf("runtime: shard host needs at least one origin")
 	}
 	h := &ShardHost{
 		cfg:     cfg,
 		pos:     make([]int, cfg.Nodes),
 		sources: make(map[*dataflow.Operator]bool),
 		buf:     make([][]arrival, len(origins)),
+		global:  !shardable(&cfg),
 	}
-	origins = append([]int(nil), origins...)
-	sort.Ints(origins)
+	if h.global && len(origins) != cfg.Nodes {
+		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
+	}
+	if len(origins) == 0 {
+		return nil, fmt.Errorf("runtime: shard host needs at least one origin")
+	}
+	h.origins = append([]int(nil), origins...)
+	sort.Ints(h.origins)
 	for n := range h.pos {
 		h.pos[n] = -1
 	}
-	for i, n := range origins {
+	for i, n := range h.origins {
 		if n < 0 || n >= cfg.Nodes {
 			return nil, fmt.Errorf("runtime: origin %d outside [0,%d)", n, cfg.Nodes)
 		}
@@ -109,15 +132,25 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 		}
 		h.pos[n] = i
 	}
-	host, err := newOriginHost(&h.cfg, origins)
+	prog, err := resolveProgram(&h.cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	h.host = host
+	plan, err := newDeliveryPlan(&h.cfg)
+	if err != nil {
+		return nil, err
+	}
+	h.prog, h.plan, h.eidx = prog, plan, edgeIndexes(&h.cfg)
+	h.acquireNodes()
 	for _, src := range cfg.Graph.Sources() {
 		h.sources[src] = true
 	}
-	h.win = newWindowBufs(len(origins), len(host.plan.shards))
+	h.arenas = make([]*fragArena, len(h.origins))
+	for i := range h.arenas {
+		h.arenas[i] = acquireArena()
+	}
+	h.errs = make([]error, len(h.origins))
+	h.parts = make([][]message, len(plan.shards))
 	return h, nil
 }
 
@@ -126,31 +159,46 @@ func (h *ShardHost) owns(node int) bool {
 	return node >= 0 && node < len(h.pos) && h.pos[node] >= 0
 }
 
+// usable fails a call on a closed host, or on one whose window failed.
+func (h *ShardHost) usable(what string) error {
+	if h.closed {
+		return fmt.Errorf("runtime: %s on a closed ShardHost", what)
+	}
+	return h.err
+}
+
+// fail records a window failure and returns the first one recorded.
+func (h *ShardHost) fail(err error) error {
+	if h.err == nil {
+		h.err = err
+	}
+	return h.err
+}
+
 // ComputeWindow runs one window's arrivals (owned origins only, per-node
 // nondecreasing time) through the node simulators. Non-reduce messages
 // are held for DeliverWindow; reduce-edge elements return to the
 // coordinator as contributions to the global aggregation rounds.
-func (h *ShardHost) ComputeWindow(span float64, arrivals []HostArrival) (*WindowReport, error) {
-	if h.closed {
-		return nil, fmt.Errorf("runtime: ComputeWindow on a closed ShardHost")
+func (h *ShardHost) ComputeWindow(arrivals []HostArrival) (*WindowReport, error) {
+	if err := h.usable("ComputeWindow"); err != nil {
+		return nil, err
 	}
-	if len(h.win.out) > 0 {
+	if len(h.out) > 0 {
 		return nil, fmt.Errorf("runtime: ComputeWindow before the previous window's DeliverWindow")
 	}
 	for _, a := range arrivals {
 		if !h.owns(a.Node) {
-			return nil, fmt.Errorf("runtime: arrival for origin %d not owned by this host: %w", a.Node, ErrBadArrival)
+			return nil, h.fail(fmt.Errorf("runtime: arrival for origin %d not owned by this host: %w", a.Node, ErrBadArrival))
 		}
 		src := h.cfg.Graph.ByID(a.Source)
 		if src == nil || !h.sources[src] {
-			return nil, fmt.Errorf("runtime: arrival source %d is not a source of the graph: %w", a.Source, ErrBadArrival)
+			return nil, h.fail(fmt.Errorf("runtime: arrival source %d is not a source of the graph: %w", a.Source, ErrBadArrival))
 		}
 		i := h.pos[a.Node]
 		h.buf[i] = append(h.buf[i], arrival{t: a.Time, src: src, v: a.Value})
 	}
-	win := h.win
-	if err := h.host.feedPooled(win, h.buf); err != nil {
-		return nil, err
+	if err := h.feedPooled(); err != nil {
+		return nil, h.fail(err)
 	}
 	for i := range h.buf {
 		h.buf[i] = h.buf[i][:0]
@@ -162,29 +210,29 @@ func (h *ShardHost) ComputeWindow(span float64, arrivals []HostArrival) (*Window
 	// aggregator undoes it (reduceAggregator.add) when the contribution
 	// enters its round, exactly once globally.
 	rep := &WindowReport{}
-	win.msgs = h.host.nodes.drain(&h.res, win.msgs[:0])
-	held := win.out[:0]
-	for i := range win.msgs {
-		m := &win.msgs[i]
+	h.msgs = h.nodes.drain(&h.res, h.msgs[:0])
+	held := h.out[:0]
+	for i := range h.msgs {
+		m := &h.msgs[i]
 		if !reduceEdge(&h.cfg, m.edge) {
 			held = append(held, *m)
 			continue
 		}
 		data, err := wire.Marshal(m.value)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: reduce element on %s→%s does not marshal: %w",
-				m.edge.From, m.edge.To, err)
+			return nil, h.fail(fmt.Errorf("runtime: reduce element on %s→%s does not marshal: %w",
+				m.edge.From, m.edge.To, err))
 		}
 		rep.Reduce = append(rep.Reduce, ReduceMsg{
-			Node: m.nodeID, Edge: h.host.eidx[m.edge], Time: m.time,
+			Node: m.nodeID, Edge: h.eidx[m.edge], Time: m.time,
 			Packets: m.packets, Data: data,
 		})
 	}
-	rep.Air, win.msgs = sortByTime(held, win.msgs)
-	win.out = held
+	rep.Air, h.msgs = sortByTime(held, h.msgs)
+	h.out = held
 	rep.Held = len(held)
 	if len(held) == 0 {
-		win.reset()
+		h.resetWindow()
 	}
 	return rep, nil
 }
@@ -192,32 +240,45 @@ func (h *ShardHost) ComputeWindow(span float64, arrivals []HostArrival) (*Window
 // DeliverWindow replays the held messages at the coordinator's priced
 // ratio. A host whose window held nothing may be skipped — the call is
 // then a no-op.
-func (h *ShardHost) DeliverWindow(ratio float64) error {
-	if h.closed {
-		return fmt.Errorf("runtime: DeliverWindow on a closed ShardHost")
+func (h *ShardHost) DeliverWindow(ratio float64) error { return h.deliver(ratio, nil) }
+
+// deliver is DeliverWindow with the coordinator's aggregates, on a global
+// host, merged into the held messages' stable time sort: one order through
+// one server instance (an aggregate sorts after a held message of equal
+// time, as in the batch path).
+func (h *ShardHost) deliver(ratio float64, aggs []message) error {
+	if err := h.usable("DeliverWindow"); err != nil {
+		return err
 	}
-	if len(h.win.out) == 0 {
+	if len(aggs) > 0 {
+		h.out = append(h.out, aggs...)
+		_, h.msgs = sortByTime(h.out, h.msgs)
+	}
+	if len(h.out) == 0 {
 		return nil
 	}
-	h.host.plan.partition(h.win.out, h.win.parts)
-	err := h.host.plan.deliverParts(h.win.parts, ratio)
-	h.win.reset()
-	return err
+	h.plan.partition(h.out, h.parts)
+	err := h.plan.deliverParts(h.parts, ratio)
+	h.resetWindow()
+	if err != nil {
+		return h.fail(err)
+	}
+	return nil
 }
 
 // Close releases the host's instances and returns its partial counters.
 func (h *ShardHost) Close() (*HostResult, error) {
-	if h.closed {
-		return nil, fmt.Errorf("runtime: Close on a closed ShardHost")
+	if err := h.usable("Close"); err != nil {
+		return nil, err
 	}
-	if len(h.win.out) > 0 {
+	if len(h.out) > 0 {
 		return nil, fmt.Errorf("runtime: Close with a window awaiting DeliverWindow")
 	}
 	h.closed = true
 	defer h.release()
 	res := h.res
-	busy := h.host.nodes.tally(&res)
-	h.host.plan.collect(&res)
+	busy := h.nodes.tally(&res)
+	h.plan.collect(&res)
 	return &HostResult{
 		InputEvents:     res.InputEvents,
 		ProcessedEvents: res.ProcessedEvents,
@@ -237,9 +298,4 @@ func (h *ShardHost) Abort() {
 	}
 	h.closed = true
 	h.release()
-}
-
-func (h *ShardHost) release() {
-	h.host.release()
-	h.win.releaseArenas()
 }

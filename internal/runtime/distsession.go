@@ -3,17 +3,20 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"time"
 
-	"wishbone/internal/dataflow"
 	"wishbone/internal/wire"
 )
+
+// The window loop: a Session's hosts and how one window runs across them.
+// Every streaming run, in process or across hosts, flushes through here.
 
 // HostDriver is the coordinator's view of one shard host — a local
 // ShardHost or an HTTP peer speaking the /v1/shard protocol. Calls arrive
 // strictly phased per host: ComputeWindow, then (if the window held
 // messages) DeliverWindow, repeating; finally Close or Abort.
 type HostDriver interface {
-	ComputeWindow(span float64, arrivals []HostArrival) (*WindowReport, error)
+	ComputeWindow(arrivals []HostArrival) (*WindowReport, error)
 	DeliverWindow(ratio float64) error
 	// Checkpoint freezes the host's state blob at the current window
 	// boundary without disturbing the run (non-terminal) — the
@@ -21,7 +24,7 @@ type HostDriver interface {
 	Checkpoint() ([]byte, error)
 	// Snapshot freezes the host at the current window boundary and
 	// returns its contribution blob (terminal — the coordinator folds it
-	// into the full run snapshot; see DistSession.Snapshot).
+	// into the full run snapshot; see Session.Snapshot).
 	Snapshot() ([]byte, error)
 	Close() (*HostResult, error)
 	Abort()
@@ -31,42 +34,6 @@ type HostDriver interface {
 type HostBinding struct {
 	Driver  HostDriver
 	Origins []int
-}
-
-// DistSession is the coordinator of a distributed run. It exposes the
-// same Offer/Close surface as Session, but the node phase and per-origin
-// delivery run on the bound shard hosts; the coordinator keeps exactly
-// the global pieces: the window clock, the in-network reduce aggregation
-// (rounds combine across all nodes), the delivery-ratio pricing (a
-// function of every host's offered air), and the aggregate-origin
-// delivery (AggregateOrigin's RNG, reassembly and relocated state live
-// in the coordinator's own one-shard plan).
-//
-// Results are byte-identical to the single-host Session at every host
-// count and origin placement: integer counters sum order-free across
-// hosts, reduce contributions re-merge in global node order, the ratio
-// bookkeeping stays on one goroutine in window order, and per-node CPU
-// seconds are summed in global node order at Close.
-type DistSession struct {
-	windowCore
-	aggPlan *deliveryPlan
-	hosts   []HostBinding
-	ownerOf []int // node -> index into hosts
-	edges   []*dataflow.Edge
-
-	// Per-window scratch: arrivals grouped per host, and the per-host
-	// window reports.
-	hostArr [][]HostArrival
-	reports []*WindowReport
-	errs    []error
-
-	// Host-failure recovery (recovery.go): the armed policy, each host's
-	// last boundary checkpoint, and the window tail flushed since it.
-	rec        *DistRecovery
-	ckpts      [][]byte
-	tail       []distWindowRec
-	sinceCkpt  int
-	recoveries []RecoveryEvent
 }
 
 // Distributable reports whether cfg's simulation can be split across
@@ -79,22 +46,24 @@ func Distributable(cfg Config) bool {
 // NewDistSession validates the placement and binds the hosts. Every node
 // in [0, cfg.Nodes) must be owned by exactly one host. The caller builds
 // the drivers (and their remote sessions) first; on error the caller
-// aborts them.
-func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
-	s := &DistSession{}
+// aborts them. An unshardable partition binds only one in-process
+// ShardHost owning every origin (NewSession's placement).
+func NewDistSession(cfg Config, hosts []HostBinding) (*Session, error) {
+	s := &Session{started: time.Now()}
 	if err := s.init(cfg); err != nil {
 		return nil, err
-	}
-	s.runWindow = s.flushBuffered
-	if !shardable(&s.cfg) {
-		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
 	}
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("runtime: distributed run needs at least one host")
 	}
+	if _, local := hosts[0].Driver.(*ShardHost); !shardable(&s.cfg) && (len(hosts) != 1 || !local) {
+		// The aggregates and the held messages of an unshardable partition
+		// share one stable time sort and one server instance: the one
+		// in-process host's plan (deliverWindow).
+		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
+	}
 	s.hosts = hosts
 	s.ownerOf = make([]int, cfg.Nodes)
-	s.edges = cfg.Graph.Edges()
 	s.hostArr = make([][]HostArrival, len(hosts))
 	s.reports = make([]*WindowReport, len(hosts))
 	s.errs = make([]error, len(hosts))
@@ -120,55 +89,68 @@ func NewDistSession(cfg Config, hosts []HostBinding) (*DistSession, error) {
 			return nil, fmt.Errorf("runtime: origin %d owned by no host", n)
 		}
 	}
-	// The coordinator's own plan delivers only AggregateOrigin's messages;
-	// one shard suffices and keeps the relocated-state table, reassembly
-	// streams and RNG of the aggregate origin in one place.
-	aggCfg := s.cfg
-	aggCfg.Shards = 1
-	plan, err := newDeliveryPlan(&aggCfg)
-	if err != nil {
-		return nil, err
+	if shardable(&s.cfg) {
+		// The coordinator's own plan delivers only AggregateOrigin's
+		// messages; one shard suffices and keeps the relocated-state table,
+		// reassembly streams and RNG of the aggregate origin in one place.
+		aggCfg := s.cfg
+		aggCfg.Shards = 1
+		plan, err := newDeliveryPlan(&aggCfg)
+		if err != nil {
+			return nil, err
+		}
+		s.aggPlan = plan
 	}
-	s.aggPlan = plan
+	s.aggArena = acquireArena()
+	s.agg.arena = s.aggArena
 	return s, nil
 }
 
-// flushBuffered is the DistSession's runWindow — one distributed window
-// barrier:
+// flushBuffered is one window of span simulated seconds:
 //
+//  0. join the previous window's deliveries,
 //  1. ship each host its origins' buffered arrivals; hosts simulate the
 //     node phase and answer with offered air + reduce contributions,
 //  2. fold the contributions into the global aggregation rounds in node
-//     order (byte-identical to the single-host merge),
+//     order (byte-identical to a single host's merge),
 //  3. price the delivery ratio from the global offered air,
-//  4. broadcast the ratio — hosts deliver their held messages — and
-//     deliver the flushed aggregates through the coordinator's plan.
-func (s *DistSession) flushBuffered(span float64) error {
-	cfg := &s.cfg
+//  4. start the deliveries behind the caller: the hosts replay their held
+//     messages at the ratio, then the aggregates deliver.
+func (s *Session) flushBuffered(span float64) error {
+	// The wait for the previous window is not node-stage time, so the
+	// stage clock starts after it.
+	if err := s.join(); err != nil {
+		return err
+	}
+	var start time.Time
+	if s.cfg.Timings != nil {
+		start = time.Now()
+	}
 	for hi := range s.hostArr {
 		s.hostArr[hi] = s.hostArr[hi][:0]
 	}
 	// Nodes ascending: each host receives its origins' arrivals in the
-	// same per-node order the single-host path feeds them.
-	for n := 0; n < cfg.Nodes; n++ {
-		buf := s.buf[n]
-		if len(buf) == 0 {
-			continue
-		}
+	// same per-node order a single host is fed them.
+	for n, buf := range s.buf {
 		hi := s.ownerOf[n]
 		for _, a := range buf {
 			s.hostArr[hi] = append(s.hostArr[hi], HostArrival{
 				Node: n, Time: a.t, Source: a.src.ID(), Value: a.v,
 			})
 		}
-		s.buf[n] = s.buf[n][:0]
+		s.buf[n] = buf[:0]
 	}
 	s.buffered = 0
-	s.recordWindow(span)
+	s.recordWindow()
 
-	active := s.activeHosts(func(hi int) bool { return len(s.hostArr[hi]) > 0 })
+	var active []int
+	for hi, arr := range s.hostArr {
+		if len(arr) > 0 {
+			active = append(active, hi)
+		}
+	}
 	s.eachHost(active, func(hi int) error {
-		rep, err := s.hosts[hi].Driver.ComputeWindow(span, s.hostArr[hi])
+		rep, err := s.hosts[hi].Driver.ComputeWindow(s.hostArr[hi])
 		s.reports[hi] = rep
 		return err
 	})
@@ -179,15 +161,33 @@ func (s *DistSession) flushBuffered(span float64) error {
 			// have (recovery.go).
 			rep, rerr := s.recoverHost(hi, err, "compute")
 			if rerr != nil {
-				return rerr
+				return s.fail(rerr)
 			}
 			s.reports[hi] = rep
 		}
 	}
+	out, err := s.fold(active)
+	if err != nil {
+		return s.fail(err)
+	}
+	if n := len(s.tail); n > 0 {
+		// The window's reduce contributions are in the global rounds now;
+		// a replay of this record must not fold them again.
+		s.tail[n-1].folded = true
+	}
+	s.deliverWindow(out, span, active, start)
+	// Safe to rotate while the window delivers: rotation only drops block
+	// references; the GC keeps each block alive while any in-flight value
+	// still points into it.
+	s.ingest.rotate()
+	return s.maybeCheckpoint()
+}
 
-	// Merge the reduce contributions in global node order (stable within
-	// a node), rebuild runtime messages, and run them through the same
-	// aggregator the single-host session uses.
+// fold merges the active hosts' reduce contributions in global node order
+// (stable within a node), rebuilds runtime messages, and runs them through
+// the aggregation rounds, returning the window's aggregates.
+func (s *Session) fold(active []int) ([]message, error) {
+	cfg := &s.cfg
 	var reduce []ReduceMsg
 	for _, hi := range active {
 		for _, rm := range s.reports[hi].Reduce {
@@ -195,109 +195,135 @@ func (s *DistSession) flushBuffered(span float64) error {
 			// deployment would panic there, another host's would advance
 			// the wrong round.
 			if rm.Node < 0 || rm.Node >= cfg.Nodes || s.ownerOf[rm.Node] != hi {
-				return fmt.Errorf("runtime: host %d reports a reduce contribution for node %d, which it does not own", hi, rm.Node)
+				return nil, fmt.Errorf("runtime: host %d reports a reduce contribution for node %d, which it does not own", hi, rm.Node)
 			}
 		}
 		reduce = append(reduce, s.reports[hi].Reduce...)
 	}
 	sortRuns(reduce, nil, func(a, b *ReduceMsg) bool { return a.Node < b.Node })
+	edges := cfg.Graph.Edges()
 	msgs := make([]message, 0, len(reduce))
 	for _, rm := range reduce {
-		if rm.Edge < 0 || rm.Edge >= len(s.edges) {
-			return fmt.Errorf("runtime: reduce contribution on edge %d of %d", rm.Edge, len(s.edges))
+		if rm.Edge < 0 || rm.Edge >= len(edges) {
+			return nil, fmt.Errorf("runtime: reduce contribution on edge %d of %d", rm.Edge, len(edges))
 		}
 		v, _, err := wire.Unmarshal(rm.Data)
 		if err != nil {
-			return fmt.Errorf("runtime: reduce contribution does not decode: %w", err)
+			return nil, fmt.Errorf("runtime: reduce contribution does not decode: %w", err)
 		}
 		msgs = append(msgs, message{
-			time: rm.Time, nodeID: rm.Node, edge: s.edges[rm.Edge],
+			time: rm.Time, nodeID: rm.Node, edge: edges[rm.Edge],
 			value: v, packets: rm.Packets,
 		})
 	}
-	out := s.agg.fold(cfg, msgs, &s.res, nil)
-	for i := range out {
-		if out[i].nodeID != AggregateOrigin {
+	s.out = s.agg.fold(cfg, msgs, &s.res, s.out[:0])
+	for i := range s.out {
+		if s.out[i].nodeID != AggregateOrigin {
 			// A non-reduce message can only reach the coordinator's out
 			// queue if a host misclassified it; fail loudly rather than
 			// deliver it against the wrong plan.
-			return fmt.Errorf("runtime: non-aggregate message from origin %d in the coordinator's window", out[i].nodeID)
+			return nil, fmt.Errorf("runtime: non-aggregate message from origin %d in the coordinator's window", s.out[i].nodeID)
 		}
 	}
-	if n := len(s.tail); n > 0 {
-		// The window's reduce contributions are in the global rounds now;
-		// a replay of this record must not fold them again.
-		s.tail[n-1].folded = true
-	}
-	if err := s.deliverWindow(out, span, active); err != nil {
-		return err
-	}
-	return s.maybeCheckpoint()
+	return s.out, nil
 }
 
-// deliverWindow prices one window's global offered load and fans the
-// ratio out: the hosts deliver their held messages, the coordinator its
-// aggregates.
-func (s *DistSession) deliverWindow(out []message, span float64, active []int) error {
+// deliverWindow prices one window's global offered load — on the caller,
+// in window order — and starts its deliveries behind the caller; join
+// waits for them. start is when the window's node stage began (zero when
+// the run is untimed): the stage ends with pricing.
+func (s *Session) deliverWindow(out []message, span float64, active []int, start time.Time) {
 	air, held := 0, 0
 	for _, hi := range active {
 		air += s.reports[hi].Air
 		held += s.reports[hi].Held
 	}
-	// Aggregates only: a handful per window, so no buffer is kept for them.
-	outAir, _ := sortByTime(out, nil)
+	var outAir int
+	outAir, s.scratch = sortByTime(out, s.scratch)
 	air += outAir
 	ratio := s.price(air, span, held+len(out))
+	if t := s.cfg.Timings; t != nil {
+		t.addNode(time.Since(start))
+	}
 	if held+len(out) == 0 {
-		return nil
+		return
 	}
 	if len(active) > 0 && len(s.tail) > 0 {
-		// flushWindow-driven deliveries record the priced ratio on the
+		// flushBuffered-driven deliveries record the priced ratio on the
 		// window's replay record; the Close-tail delivery (active == nil)
-		// has no record — it belongs to the coordinator's aggregates only.
+		// has no record — it belongs to the aggregates only.
 		rec := &s.tail[len(s.tail)-1]
 		rec.priced, rec.ratio = true, ratio
 	}
-
-	deliverers := make([]int, 0, len(active))
-	for _, hi := range active {
-		if s.reports[hi].Held > 0 {
-			deliverers = append(deliverers, hi)
-		}
-	}
-	s.eachHost(deliverers, func(hi int) error {
-		return s.hosts[hi].Driver.DeliverWindow(ratio)
-	})
-	for _, hi := range deliverers {
-		if err := s.errs[hi]; err != nil {
-			// The window is folded and priced by now, so the replacement's
-			// tail replay performs this delivery too.
-			if _, rerr := s.recoverHost(hi, err, "deliver"); rerr != nil {
-				return rerr
+	if s.aggPlan != nil {
+		for _, hi := range active {
+			if s.reports[hi].Held > 0 {
+				s.delivering = append(s.delivering, hi)
 			}
 		}
 	}
-	if len(out) > 0 {
-		return s.aggPlan.deliver(out, ratio)
+	s.delivery.Add(1)
+	go func() {
+		defer s.delivery.Done()
+		began := time.Now()
+		// The hosts holding messages deliver concurrently, then the
+		// aggregates: never beside an in-process host's delivery, so the two
+		// never share the worker budget. An unshardable partition's one host
+		// delivers the aggregates sorted in with its held messages.
+		if s.aggPlan == nil {
+			s.aggErr = s.hosts[0].Driver.(*ShardHost).deliver(ratio, out)
+		} else {
+			s.eachHost(s.delivering, func(hi int) error {
+				return s.hosts[hi].Driver.DeliverWindow(ratio)
+			})
+			if len(out) > 0 {
+				s.aggErr = s.aggPlan.deliver(out, ratio)
+			}
+		}
+		if t := s.cfg.Timings; t != nil {
+			t.addDelivery(time.Since(began))
+		}
+	}()
+}
+
+// join waits for the window delivering behind the caller, if any, and
+// settles it: a host whose delivery failed recovers here (the
+// replacement's tail replay performs the delivery), and any other failure
+// sticks to the session. Afterwards all state is at the last flushed
+// window boundary.
+func (s *Session) join() error {
+	s.delivery.Wait()
+	if s.err != nil {
+		return s.err
 	}
+	delivering := s.delivering
+	s.delivering = s.delivering[:0]
+	for _, hi := range delivering {
+		if err := s.errs[hi]; err != nil {
+			if _, rerr := s.recoverHost(hi, err, "deliver"); rerr != nil {
+				return s.fail(rerr)
+			}
+		}
+	}
+	if s.aggErr != nil {
+		return s.fail(s.aggErr)
+	}
+	s.aggArena.reset()
 	return nil
 }
 
-// activeHosts filters host indices by keep.
-func (s *DistSession) activeHosts(keep func(int) bool) []int {
-	active := make([]int, 0, len(s.hosts))
-	for hi := range s.hosts {
-		if keep(hi) {
-			active = append(active, hi)
-		}
+// fail records a window failure and returns the first one recorded.
+func (s *Session) fail(err error) error {
+	if s.err == nil {
+		s.err = err
 	}
-	return active
+	return s.err
 }
 
 // eachHost runs f concurrently across the given hosts (the whole point of
 // distribution: the per-window barrier costs one round-trip, not one per
 // host), parking each error in s.errs.
-func (s *DistSession) eachHost(hosts []int, f func(hi int) error) {
+func (s *Session) eachHost(hosts []int, f func(hi int) error) {
 	for _, hi := range hosts {
 		s.errs[hi] = nil
 	}
@@ -316,11 +342,12 @@ func (s *DistSession) eachHost(hosts []int, f func(hi int) error) {
 	wg.Wait()
 }
 
-// Close flushes the tail window and the still-pending reduce rounds,
-// closes every host, and assembles the global Result.
-func (s *DistSession) Close() (*Result, error) {
+// Close flushes the final window and the reduce rounds still pending,
+// joins their delivery, closes every host, and assembles the global
+// Result.
+func (s *Session) Close() (*Result, error) {
 	if s.closed {
-		return nil, fmt.Errorf("runtime: Close on a closed DistSession")
+		return nil, fmt.Errorf("runtime: Close on a closed Session")
 	}
 	s.closed = true
 	abort := func(err error) (*Result, error) {
@@ -333,16 +360,28 @@ func (s *DistSession) Close() (*Result, error) {
 			return abort(err)
 		}
 	}
-	tail := s.agg.flushAll(cfg, &s.res, nil)
-	if err := s.deliverWindow(tail, s.lastSpan, nil); err != nil {
+	// Rounds still pending (some node never emitted past them) flush as
+	// one last batch, priced over the final window's actual span — no
+	// additional simulated time exists to spread them over.
+	if err := s.join(); err != nil {
+		return abort(err)
+	}
+	var start time.Time
+	if cfg.Timings != nil {
+		start = time.Now()
+	}
+	s.out = s.agg.flushAll(cfg, &s.res, s.out[:0])
+	s.deliverWindow(s.out, s.lastSpan, nil, start)
+	// The last delivery must end before the hosts' counters are read.
+	if err := s.join(); err != nil {
 		return abort(err)
 	}
 
+	// Close tears the answering hosts down; from here on only the
+	// coordinator's own pieces are left.
+	defer s.release()
 	results, err := hostBarrier(s, "close", HostDriver.Close)
 	if err != nil {
-		// Close already tore the answering hosts down; only the
-		// coordinator's plan is left.
-		s.aggPlan.close()
 		return nil, err
 	}
 	busy := make([]float64, cfg.Nodes)
@@ -356,8 +395,6 @@ func (s *DistSession) Close() (*Result, error) {
 		s.res.ServerEmits += hr.ServerEmits
 		for _, nb := range hr.NodeBusy {
 			if nb.Node < 0 || nb.Node >= cfg.Nodes || s.ownerOf[nb.Node] != hi {
-				// The hosts are closed; as above, only the plan is left.
-				s.aggPlan.close()
 				return nil, fmt.Errorf("runtime: host %d reports busy for node %d, which it does not own", hi, nb.Node)
 			}
 			busy[nb.Node] = nb.Busy
@@ -368,13 +405,19 @@ func (s *DistSession) Close() (*Result, error) {
 		s.res.NodeCPU += b
 	}
 	s.finish()
-	s.aggPlan.collect(&s.res)
+	if s.aggPlan != nil {
+		s.aggPlan.collect(&s.res)
+	}
+	if t := cfg.Timings; t != nil {
+		t.addWall(time.Since(s.started))
+	}
 	res := s.res
 	return &res, nil
 }
 
-// Abort tears the coordinator and every host down (error paths).
-func (s *DistSession) Abort() {
+// Abort tears the session and every host down without a result (error
+// paths).
+func (s *Session) Abort() {
 	if s.closed {
 		return
 	}
@@ -382,21 +425,32 @@ func (s *DistSession) Abort() {
 	s.teardown()
 }
 
-// teardown aborts every host and releases the coordinator's plan.
-func (s *DistSession) teardown() {
+// teardown waits out the window delivering behind the caller, aborts
+// every host and releases the coordinator.
+func (s *Session) teardown() {
+	s.delivery.Wait()
 	for _, b := range s.hosts {
 		b.Driver.Abort()
 	}
-	s.aggPlan.close()
+	s.release()
+}
+
+// release returns the coordinator's plan and aggregate arena (idempotent;
+// a collected plan closes as a no-op).
+func (s *Session) release() {
+	if s.aggPlan != nil {
+		s.aggPlan.close()
+	}
+	releaseArena(s.aggArena)
+	s.aggArena = nil
 }
 
 // PartitionOrigins splits nodes 0..n-1 across h hosts round-robin —
 // placement does not affect Results (per-origin independence), only
-// balance, and round-robin balances any node-indexed rate skew.
+// balance, and round-robin balances any node-indexed rate skew. There is
+// always at least one part, empty when n is not positive.
 func PartitionOrigins(n, h int) [][]int {
-	if h > n {
-		h = n
-	}
+	h = max(min(h, n), 1)
 	parts := make([][]int, h)
 	for i := 0; i < n; i++ {
 		parts[i%h] = append(parts[i%h], i)

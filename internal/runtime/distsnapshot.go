@@ -6,15 +6,14 @@ import (
 	"wishbone/internal/wire"
 )
 
-// Distributed snapshot/handoff: a distributed run freezes into the SAME
-// versioned session-snapshot encoding a single-host Session produces —
-// the coordinator assembles its global pieces (clock, ratio bookkeeping,
-// buffered arrivals, reduce-aggregation rounds, AggregateOrigin delivery
-// state) with each host's per-origin contribution (node sides and
-// per-origin delivery state), and the result resumes anywhere: a local
-// Session, the same placement, a different placement, or — after
-// MigrateSnapshot — a different cut. Cross-host operator relocation is
-// exactly this round trip.
+// Whole-run snapshot/handoff: every run freezes one way — the coordinator
+// assembles its global pieces (clock, ratio bookkeeping, buffered
+// arrivals, reduce-aggregation rounds, AggregateOrigin delivery state)
+// with each host's frozen contribution (node sides and per-origin delivery
+// state) into the versioned session-snapshot encoding, and the result
+// resumes anywhere: one in-process host, the same placement, a different
+// placement, or — after MigrateSnapshot — a different cut. Cross-host
+// operator relocation is exactly this round trip.
 
 // hostSnap is one shard host's frozen contribution: its send-side
 // counters, its per-origin node sides, and its delivery plan's state
@@ -30,7 +29,7 @@ type hostSnap struct {
 // Snapshot freezes the host at the current window boundary and returns
 // its contribution blob. Terminal, like Session.Snapshot: the host's
 // instances release and further calls fail. The coordinator folds the
-// blob into the full run snapshot (DistSession.Snapshot).
+// blob into the full run snapshot (Session.Snapshot).
 func (h *ShardHost) Snapshot() ([]byte, error) {
 	data, err := h.freeze("Snapshot")
 	if err != nil {
@@ -53,10 +52,10 @@ func (h *ShardHost) Checkpoint() ([]byte, error) { return h.freeze("Checkpoint")
 // chain of restores keeps reporting the full accrual). It fails, leaving
 // the host running, when the host is closed or mid-window.
 func (h *ShardHost) freeze(what string) ([]byte, error) {
-	if h.closed {
-		return nil, fmt.Errorf("runtime: %s on a closed ShardHost", what)
+	if err := h.usable(what); err != nil {
+		return nil, err
 	}
-	if len(h.win.out) > 0 {
+	if len(h.out) > 0 {
 		return nil, fmt.Errorf("runtime: %s with a window awaiting DeliverWindow", what)
 	}
 	if err := checkSnapshotable(&h.cfg); err != nil {
@@ -65,13 +64,13 @@ func (h *ShardHost) freeze(what string) ([]byte, error) {
 	hs := &hostSnap{
 		msgsSent:     int64(h.res.MsgsSent),
 		payloadBytes: int64(h.res.PayloadBytes),
-		origins:      h.host.origins,
-		sides:        make([]nodeSnap, len(h.host.origins)),
+		origins:      h.origins,
+		sides:        make([]nodeSnap, len(h.origins)),
 	}
-	if err := h.host.captureSides(hs.sides); err != nil {
+	if err := h.captureSides(hs.sides); err != nil {
 		return nil, err
 	}
-	st, err := h.host.plan.snapshotState(&h.cfg)
+	st, err := h.plan.snapshotState(&h.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +148,8 @@ func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error
 		if err := snap.check(&h.cfg, snap.window); err != nil {
 			return nil, err
 		}
-		hs := &hostSnap{shard: &ShardState{Origins: snap.shard.Origins}}
-		for _, n := range h.host.origins {
+		hs := &hostSnap{shard: &ShardState{Origins: snap.shard.Origins, Server: snap.shard.Server}}
+		for _, n := range h.origins {
 			hs.sides = append(hs.sides, snap.perNode[n])
 		}
 		return hs, nil
@@ -171,7 +170,7 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 		if err != nil {
 			return nil, err
 		}
-		origins := h.host.origins
+		origins := h.origins
 		if len(hs.origins) != len(origins) {
 			return nil, fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(origins))
 		}
@@ -186,9 +185,10 @@ func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardH
 
 // restoreHost builds a host for origins and loads the contribution load
 // decodes for it: node sides for the owned origins, their delivery state
-// (AggregateOrigin stays with the coordinator), and whatever counters the
-// contribution carries — deliveryPlan.restoreState never folds counters,
-// so they become the host's own here or nobody's.
+// (AggregateOrigin's row and the Server states too on a global host; the
+// coordinator's otherwise), and whatever counters the contribution carries
+// — deliveryPlan.restoreState never folds counters, so they become the
+// host's own here or nobody's.
 func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, error)) (*ShardHost, error) {
 	if err := checkSnapshotable(&cfg); err != nil {
 		return nil, err
@@ -207,7 +207,7 @@ func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, 
 	}
 	h.res.MsgsSent = int(hs.msgsSent)
 	h.res.PayloadBytes = int(hs.payloadBytes)
-	if err := h.host.applySides(hs.sides); err != nil {
+	if err := h.applySides(hs.sides); err != nil {
 		return abort(err)
 	}
 	h.res.MsgsReceived = hs.shard.MsgsReceived
@@ -215,31 +215,46 @@ func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, 
 	h.res.ServerEmits = hs.shard.ServerEmits
 	sub := &ShardState{}
 	for _, o := range hs.shard.Origins {
-		if h.owns(o.Origin) {
+		if h.owns(o.Origin) || (h.global && o.Origin == AggregateOrigin) {
 			sub.Origins = append(sub.Origins, o)
 		}
 	}
-	if err := h.host.plan.restoreState(&h.cfg, sub); err != nil {
+	if h.global {
+		sub.Server = hs.shard.Server
+	}
+	if err := h.plan.restoreState(&h.cfg, sub); err != nil {
 		return abort(err)
 	}
 	return h, nil
 }
 
-// Snapshot freezes a distributed run at the current window boundary into
-// the standard session-snapshot encoding. Terminal for the coordinator
-// and every host. The bytes resume through ResumeSession (single-host),
-// ResumeDistSession (any placement) or MigrateSnapshot (a new cut).
-func (s *DistSession) Snapshot() ([]byte, error) {
+// Snapshot freezes the session at its current window boundary and
+// returns the versioned byte encoding: every host's frozen contribution
+// plus the coordinator's capture. The call is terminal for the session
+// and every host — continuing the run means ResumeSession (one in-process
+// host), ResumeDistSession (any placement) or, after MigrateSnapshot, a
+// new cut, in this or any other process. Arrivals buffered for the window
+// in progress are part of the snapshot, so callers may snapshot at any
+// point between Offers; the persistent state is always window-aligned.
+// The resumed run's Results are byte-identical to the uninterrupted one at
+// any placement on either side.
+func (s *Session) Snapshot() ([]byte, error) {
 	if s.closed {
-		return nil, fmt.Errorf("runtime: Snapshot on a closed DistSession")
+		return nil, fmt.Errorf("runtime: Snapshot on a closed Session")
 	}
+	// Fail before committing to teardown: a hook-less graph leaves the
+	// session usable (the caller can still Close normally).
 	if err := checkSnapshotable(&s.cfg); err != nil {
 		return nil, err
 	}
 	s.closed = true
 	cfg := &s.cfg
 	// The coordinator's plan is only read from here on.
-	defer s.aggPlan.close()
+	defer s.release()
+	if err := s.join(); err != nil {
+		s.teardown()
+		return nil, err
+	}
 	blobs, err := hostBarrier(s, "snapshot", HostDriver.Snapshot)
 	if err != nil {
 		// Snapshot is terminal on every driver that succeeded; Abort the
@@ -257,10 +272,6 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 			return nil, err
 		}
 	}
-	aggSt, err := s.aggPlan.snapshotState(cfg)
-	if err != nil {
-		return nil, err
-	}
 
 	snap := &sessionSnap{}
 	if err := s.capture(snap); err != nil {
@@ -268,12 +279,21 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 	}
 	// The coordinator's partial Result holds only what it delivered itself;
 	// the send-side counters fold in from the hosts, and every delivery-side
-	// counter moves to the shard section, where a Session's would be.
+	// counter moves to the shard section.
 	st := &ShardState{
-		MsgsReceived:   snap.res.MsgsReceived + aggSt.MsgsReceived,
-		DeliveredBytes: snap.res.DeliveredBytes + aggSt.DeliveredBytes,
-		ServerEmits:    snap.res.ServerEmits + aggSt.ServerEmits,
-		Server:         aggSt.Server,
+		MsgsReceived:   snap.res.MsgsReceived,
+		DeliveredBytes: snap.res.DeliveredBytes,
+		ServerEmits:    snap.res.ServerEmits,
+	}
+	if s.aggPlan != nil {
+		aggSt, err := s.aggPlan.snapshotState(cfg)
+		if err != nil {
+			return nil, err
+		}
+		st.MsgsReceived += aggSt.MsgsReceived
+		st.DeliveredBytes += aggSt.DeliveredBytes
+		st.ServerEmits += aggSt.ServerEmits
+		st.Origins = aggSt.Origins
 	}
 	snap.res.MsgsReceived, snap.res.DeliveredBytes, snap.res.ServerEmits = 0, 0, 0
 	for _, hs := range hostSnaps {
@@ -282,15 +302,15 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 		st.MsgsReceived += hs.shard.MsgsReceived
 		st.DeliveredBytes += hs.shard.DeliveredBytes
 		st.ServerEmits += hs.shard.ServerEmits
+		st.Server = append(st.Server, hs.shard.Server...)
 		for _, o := range hs.shard.Origins {
-			// The aggregate origin belongs to the coordinator's plan; a
-			// host plan can hold only a defensive empty entry.
-			if o.Origin != AggregateOrigin {
+			// The aggregate origin belongs to the coordinator's plan when it
+			// has one; a host plan can then hold only a defensive empty entry.
+			if o.Origin != AggregateOrigin || s.aggPlan == nil {
 				st.Origins = append(st.Origins, o)
 			}
 		}
 	}
-	st.Origins = append(st.Origins, aggSt.Origins...)
 	st.canonicalize()
 	snap.shard = st
 	sides := make([]*nodeSnap, len(snap.perNode))
@@ -311,14 +331,25 @@ func (s *DistSession) Snapshot() ([]byte, error) {
 	return encodeSessionSnap(snap), nil
 }
 
-// ResumeDistSession rebuilds a distributed coordinator from a session
-// snapshot. The host bindings must already hold drivers whose sessions
-// restored their origins from the same snapshot (RestoreShardHost
-// locally, /v1/shard/open with Resume remotely) — this call restores
-// only the coordinator's pieces: clock, ratio bookkeeping, carried
-// counters, buffered arrivals, reduce rounds and the AggregateOrigin
-// delivery state.
-func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*DistSession, error) {
+// ResumeSession rebuilds a Session on one in-process host from a
+// Snapshot: RestoreShardHost over every origin, then the coordinator's
+// resume. cfg must describe the same run (graph structure, cut, platform,
+// nodes, duration, seed, window); the placement knobs — Shards, Workers —
+// are free, because the snapshot's layout is placement-independent.
+func ResumeSession(cfg Config, data []byte) (*Session, error) {
+	h, err := RestoreShardHost(cfg, PartitionOrigins(cfg.Nodes, 1)[0], data)
+	return bindLocal(h, err, func(hosts []HostBinding) (*Session, error) {
+		return ResumeDistSession(cfg, hosts, data)
+	})
+}
+
+// ResumeDistSession rebuilds a coordinator from a session snapshot. The
+// host bindings must already hold drivers whose sessions restored their
+// origins from the same snapshot (RestoreShardHost locally, /v1/shard/open
+// with Resume remotely) — this call restores only the coordinator's
+// pieces: clock, ratio bookkeeping, carried counters, buffered arrivals,
+// reduce rounds and the AggregateOrigin delivery state.
+func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*Session, error) {
 	if err := checkSnapshotable(&cfg); err != nil {
 		return nil, err
 	}
@@ -326,8 +357,8 @@ func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*DistSessi
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*DistSession, error) {
-		s.aggPlan.close()
+	fail := func(err error) (*Session, error) {
+		s.release()
 		return nil, err
 	}
 	snap, err := decodeSessionSnap(cfg.Graph, data)
@@ -337,14 +368,16 @@ func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*DistSessi
 	if err := s.apply(snap); err != nil {
 		return fail(err)
 	}
-	sub := &ShardState{Server: snap.shard.Server}
-	for _, o := range snap.shard.Origins {
-		if o.Origin == AggregateOrigin {
-			sub.Origins = append(sub.Origins, o)
+	if s.aggPlan != nil {
+		sub := &ShardState{}
+		for _, o := range snap.shard.Origins {
+			if o.Origin == AggregateOrigin {
+				sub.Origins = append(sub.Origins, o)
+			}
 		}
-	}
-	if err := s.aggPlan.restoreState(&s.cfg, sub); err != nil {
-		return fail(err)
+		if err := s.aggPlan.restoreState(&s.cfg, sub); err != nil {
+			return fail(err)
+		}
 	}
 	return s, nil
 }

@@ -5,45 +5,15 @@ import (
 	"wishbone/internal/dataflow"
 )
 
-// originHost is the node stage of a streaming run for an ascending set of
-// origins: one non-reentrant node runtime per mote (§5.2) — a pooled
-// dataflow.Instance, its sender and its nodeSim — plus the delivery plan
-// their cut-edge output replays against (§2.1.1). It is the only code that
-// builds those triples, feeds them a window, drains and tallies them,
-// captures and applies their snapshot sides, and releases the instances.
-// A Session holds one over every origin, a ShardHost one over its subset;
-// they add which goroutines feed and where the drained messages go.
-// Everything is indexed by position in origins.
-type originHost struct {
-	cfg     *Config
-	origins []int
-	prog    *dataflow.Program
-	insts   []*dataflow.Instance
-	nodes   nodeSims
-	plan    *deliveryPlan
-	eidx    map[*dataflow.Edge]int
-}
-
-func newOriginHost(cfg *Config, origins []int) (*originHost, error) {
-	prog, err := resolveProgram(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := newDeliveryPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	h := &originHost{cfg: cfg, origins: origins, prog: prog, plan: plan, eidx: edgeIndexes(cfg)}
-	passthrough := passthroughPartition(cfg, prog)
-	for _, n := range origins {
-		inst := prog.AcquireInstance(n)
-		counter := &cost.Counter{}
-		inst.SetCounter(counter)
-		h.insts = append(h.insts, inst)
-		h.nodes = append(h.nodes, newNodeSim(cfg, inst, counter, n, passthrough))
-	}
-	return h, nil
-}
+// The node stage of a streaming run: one non-reentrant node runtime per
+// mote (§5.2) — a pooled dataflow.Instance, its sender and its nodeSim —
+// held by a ShardHost for an ascending set of origins, beside the delivery
+// plan their cut-edge output replays against (§2.1.1). A Session binds one
+// ShardHost over every origin; a distributed run one per origin subset.
+// The methods here are the only code that feeds those runtimes a window,
+// captures and applies their snapshot sides, and releases the instances;
+// batch Run shares newNodeSim, drain and tally. Everything is indexed by
+// position in the host's origins.
 
 // newNodeSim wires one node runtime onto inst, whose operators charge
 // counter: a sender on the Boundary hook, and the batched injection entry
@@ -58,18 +28,30 @@ func newNodeSim(cfg *Config, inst *dataflow.Instance, counter *cost.Counter, nod
 	return ns
 }
 
+// acquireNodes builds one node runtime per origin on pooled instances.
+func (h *ShardHost) acquireNodes() {
+	passthrough := passthroughPartition(&h.cfg, h.prog)
+	for _, n := range h.origins {
+		inst := h.prog.AcquireInstance(n)
+		counter := &cost.Counter{}
+		inst.SetCounter(counter)
+		h.insts = append(h.insts, inst)
+		h.nodes = append(h.nodes, newNodeSim(&h.cfg, inst, counter, n, passthrough))
+	}
+}
+
 // feedShard feeds node shard i of a window: the origins at positions i,
-// i+shards, … run their arrivals in buf, their senders carving fragment
-// storage from the window's i-th arena; the shard's first failure stops
-// it and lands in its error slot. Shards may run concurrently.
-func (h *originHost) feedShard(win *windowBufs, i int, buf [][]arrival) {
-	for n := i; n < len(buf); n += len(win.errs) {
-		if len(buf[n]) == 0 {
+// i+shards, … run their buffered arrivals, their senders carving fragment
+// storage from the i-th arena; the shard's first failure stops it and
+// lands in its error slot. Shards may run concurrently.
+func (h *ShardHost) feedShard(i int) {
+	for n := i; n < len(h.buf); n += len(h.errs) {
+		if len(h.buf[n]) == 0 {
 			continue
 		}
 		ns := h.nodes[n]
-		ns.s.arena = win.arenas[i]
-		if win.errs[i] = ns.feed(h.cfg, buf[n]); win.errs[i] != nil {
+		ns.s.arena = h.arenas[i]
+		if h.errs[i] = ns.feed(&h.cfg, h.buf[n]); h.errs[i] != nil {
 			return
 		}
 	}
@@ -77,10 +59,28 @@ func (h *originHost) feedShard(win *windowBufs, i int, buf [][]arrival) {
 
 // feedPooled feeds every node shard of a window on the worker pool and
 // returns the lowest shard's failure.
-func (h *originHost) feedPooled(win *windowBufs, buf [][]arrival) error {
-	shards := len(win.errs)
-	runPool(poolWorkers(h.cfg, shards), shards, func(i int) { h.feedShard(win, i, buf) })
-	return firstError(win.errs)
+func (h *ShardHost) feedPooled() error {
+	shards := len(h.errs)
+	runPool(poolWorkers(&h.cfg, shards), shards, h.feedShard)
+	return firstError(h.errs)
+}
+
+// resetWindow rewinds the window storage once its messages are dead:
+// arenas rewound, message slices truncated with their elements cleared so
+// reused buffers do not pin the delivered window's values.
+func (h *ShardHost) resetWindow() {
+	for _, a := range h.arenas {
+		a.reset()
+	}
+	clear(h.msgs)
+	h.msgs = h.msgs[:0]
+	clear(h.out)
+	h.out = h.out[:0]
+	for i := range h.parts {
+		clear(h.parts[i])
+		h.parts[i] = h.parts[i][:0]
+	}
+	clear(h.errs)
 }
 
 // nodeSims is node runtimes in ascending origin order (a host's, or Run's).
@@ -116,9 +116,9 @@ func (nodes nodeSims) tally(res *Result) []NodeBusy {
 }
 
 // captureSides fills sides[i] with origin i's node side.
-func (h *originHost) captureSides(sides []nodeSnap) error {
+func (h *ShardHost) captureSides(sides []nodeSnap) error {
 	for i, ns := range h.nodes {
-		if err := captureNodeSide(h.cfg, h.prog, h.eidx, ns, h.insts[i], &sides[i]); err != nil {
+		if err := captureNodeSide(&h.cfg, h.prog, h.eidx, ns, h.insts[i], &sides[i]); err != nil {
 			return err
 		}
 	}
@@ -126,21 +126,25 @@ func (h *originHost) captureSides(sides []nodeSnap) error {
 }
 
 // applySides loads sides[i] into origin i's simulator and instance.
-func (h *originHost) applySides(sides []nodeSnap) error {
+func (h *ShardHost) applySides(sides []nodeSnap) error {
 	for i, ns := range h.nodes {
-		if err := applyNodeSnap(h.cfg, h.prog, &sides[i], ns, h.insts[i]); err != nil {
+		if err := applyNodeSnap(&h.cfg, h.prog, &sides[i], ns, h.insts[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// release returns the pooled instances to their Program and closes the
-// delivery plan (a no-op once the plan was collected).
-func (h *originHost) release() {
+// release returns the pooled instances to their Program, closes the
+// delivery plan (a no-op once the plan was collected) and hands the
+// arenas back to the process-wide pool.
+func (h *ShardHost) release() {
 	for _, inst := range h.insts {
 		h.prog.ReleaseInstance(inst)
 	}
 	h.insts, h.nodes = nil, nil
 	h.plan.close()
+	for _, a := range h.arenas {
+		releaseArena(a)
+	}
 }

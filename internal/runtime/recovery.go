@@ -29,7 +29,7 @@ import (
 // ErrHostDown) holds.
 var ErrHostDown = errors.New("shard host down")
 
-// DistRecovery configures host-failure recovery for a DistSession.
+// DistRecovery configures host-failure recovery for a Session.
 type DistRecovery struct {
 	// Every is the checkpoint cadence in flushed windows; <= 0 means 1
 	// (every window boundary). A larger cadence trades checkpoint RPCs
@@ -59,7 +59,6 @@ type RecoveryEvent struct {
 // distWindowRec is one flushed window retained for replay: the per-host
 // arrival batches and how far the window got before the next boundary.
 type distWindowRec struct {
-	span   float64
 	arr    [][]HostArrival // indexed by host; nil for hosts with no arrivals
 	folded bool            // reduce contributions joined the global rounds
 	priced bool            // the window was priced and delivered
@@ -69,7 +68,7 @@ type distWindowRec struct {
 // EnableRecovery arms host-failure recovery. Call before the first Offer
 // (the tail is only retained from this point). A nil rec — or one with no
 // Reopen — disarms it.
-func (s *DistSession) EnableRecovery(rec *DistRecovery) {
+func (s *Session) EnableRecovery(rec *DistRecovery) {
 	if rec == nil || rec.Reopen == nil {
 		s.rec = nil
 		return
@@ -85,15 +84,15 @@ func (s *DistSession) EnableRecovery(rec *DistRecovery) {
 }
 
 // Recoveries returns the recoveries performed so far, in order.
-func (s *DistSession) Recoveries() []RecoveryEvent { return s.recoveries }
+func (s *Session) Recoveries() []RecoveryEvent { return s.recoveries }
 
 // recordWindow retains the window being flushed for replay (recovery
 // sessions only). hostArr is per-window scratch, so the batches copy.
-func (s *DistSession) recordWindow(span float64) {
+func (s *Session) recordWindow() {
 	if s.rec == nil {
 		return
 	}
-	rec := distWindowRec{span: span, arr: make([][]HostArrival, len(s.hosts))}
+	rec := distWindowRec{arr: make([][]HostArrival, len(s.hosts))}
 	for hi := range s.hostArr {
 		if len(s.hostArr[hi]) > 0 {
 			rec.arr[hi] = append([]HostArrival(nil), s.hostArr[hi]...)
@@ -103,9 +102,10 @@ func (s *DistSession) recordWindow(span float64) {
 }
 
 // maybeCheckpoint runs the per-boundary checkpoint when the cadence is
-// due: every host freezes its state blob (non-terminal), the coordinator
-// retains the blobs and drops the replay tail.
-func (s *DistSession) maybeCheckpoint() error {
+// due: the window's deliveries are joined, every host freezes its state
+// blob (non-terminal), the coordinator retains the blobs and drops the
+// replay tail.
+func (s *Session) maybeCheckpoint() error {
 	if s.rec == nil {
 		return nil
 	}
@@ -113,9 +113,12 @@ func (s *DistSession) maybeCheckpoint() error {
 	if s.sinceCkpt < s.rec.Every {
 		return nil
 	}
+	if err := s.join(); err != nil {
+		return err
+	}
 	blobs, err := hostBarrier(s, "checkpoint", HostDriver.Checkpoint)
 	if err != nil {
-		return err
+		return s.fail(err)
 	}
 	s.ckpts = blobs
 	s.tail = s.tail[:0]
@@ -128,9 +131,12 @@ func (s *DistSession) maybeCheckpoint() error {
 // the replacement replays the tail — and asked again in its place. On
 // error the answers gathered so far return too: a zero entry marks a host
 // the call never completed on.
-func hostBarrier[T any](s *DistSession, op string, call func(HostDriver) (T, error)) ([]T, error) {
+func hostBarrier[T any](s *Session, op string, call func(HostDriver) (T, error)) ([]T, error) {
 	out := make([]T, len(s.hosts))
-	all := s.activeHosts(func(int) bool { return true })
+	all := make([]int, len(s.hosts))
+	for hi := range all {
+		all[hi] = hi
+	}
 	s.eachHost(all, func(hi int) (err error) {
 		out[hi], err = call(s.hosts[hi].Driver)
 		return err
@@ -154,9 +160,9 @@ func hostBarrier[T any](s *DistSession, op string, call func(HostDriver) (T, err
 // partitioned host may still hold the session), a replacement opens from
 // the host's last checkpoint, and the tail replays into it. When the
 // failure hit ComputeWindow of the current (not yet folded) window, the
-// replayed report for that window returns so flushWindow can fold it
+// replayed report for that window returns so flushBuffered can fold it
 // exactly as the original would have been.
-func (s *DistSession) recoverHost(hi int, cause error, op string) (*WindowReport, error) {
+func (s *Session) recoverHost(hi int, cause error, op string) (*WindowReport, error) {
 	if s.rec == nil || !errors.Is(cause, ErrHostDown) {
 		return nil, cause
 	}
@@ -174,14 +180,14 @@ func (s *DistSession) recoverHost(hi int, cause error, op string) (*WindowReport
 		if len(rec.arr[hi]) == 0 {
 			continue
 		}
-		rep, err := d.ComputeWindow(rec.span, rec.arr[hi])
+		rep, err := d.ComputeWindow(rec.arr[hi])
 		if err != nil {
 			return nil, fmt.Errorf("runtime: replay window %d on host %d: %w", i, hi, err)
 		}
 		replayed++
 		if !rec.folded {
 			// Only the in-flight window can be unfolded; its fresh report
-			// joins the normal merge in flushWindow (reduce contributions
+			// joins the normal merge in flushBuffered (reduce contributions
 			// included — they never reached the rounds).
 			cur = rep
 			continue

@@ -43,11 +43,11 @@ func (f *flakyHost) trip(op string) error {
 	return nil
 }
 
-func (f *flakyHost) ComputeWindow(span float64, arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
+func (f *flakyHost) ComputeWindow(arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
 	if err := f.trip("compute"); err != nil {
 		return nil, err
 	}
-	return f.inner.ComputeWindow(span, arrivals)
+	return f.inner.ComputeWindow(arrivals)
 }
 
 func (f *flakyHost) DeliverWindow(ratio float64) error {

@@ -407,7 +407,7 @@ func TestDistReplanParity(t *testing.T) {
 			}
 			return nh, nil
 		}
-		dcs := runtime.NewDistControlledSession(ds, policy, 0, planner, rebind)
+		dcs := runtime.ControlSession(ds, policy, 0, planner, rebind)
 		for i, f := range feed {
 			if err := dcs.Offer(f.node, f.a); err != nil {
 				t.Fatalf("hosts→%d: offer %d: %v", hostsAfter, i, err)

@@ -16,8 +16,9 @@
 // Every run's node stage is one piece of code: a nodeSim per mote on a
 // compiled dataflow.Instance, fed under one recovery (nodeSim.feed) and
 // merged in node order (nodeSims.drain). Streaming runs hold the nodes in
-// an originHost (host.go) — a Session over every origin, a ShardHost over
-// its subset. Batch Run adds its own instance economy (runNodes): shards
+// ShardHosts (host.go) under one window loop, the Session (coordinator.go):
+// one in-process host over every origin, or one per origin subset across
+// processes. Batch Run adds its own instance economy (runNodes): shards
 // Recycle one pinned Instance across their nodes, and when every node is
 // offered the identical trace (Figures 9 and 10 driven with a shared
 // recording) the node phase runs once and its message stream is replayed
@@ -575,7 +576,7 @@ func (ns *nodeSim) feedPassthrough(arrivals []arrival) {
 // runNodes is the batch node stage: it compiles the node partition once,
 // executes the replicas through dataflow.Instances and returns every
 // node's fed simulator in node order — with an instance economy of its own
-// rather than an originHost's pooled Instance per origin. Identical
+// rather than a ShardHost's pooled Instance per origin. Identical
 // replicas — every node offered the same trace — are simulated once and
 // their deterministic message streams replicated; distinct replicas run
 // sharded by origin on a bounded worker pool: shard s owns nodes n ≡ s

@@ -357,47 +357,6 @@ func captureAggregator(a *reduceAggregator, eidx map[*dataflow.Edge]int) ([]aggE
 	return snaps, nil
 }
 
-// Snapshot freezes the session at its current window boundary and returns
-// the versioned byte encoding. The call is terminal: the window still
-// delivering is joined, pooled instances and arenas are released, and the
-// session is closed — continuing the run means ResumeSession in this or
-// any other process.
-// Arrivals buffered for the window in progress are part of the snapshot,
-// so callers may snapshot at any point between Offers; internally the
-// persistent state is always window-aligned.
-//
-// The resumed run's Results are byte-identical to the uninterrupted one
-// at any Shards/Workers setting on either side.
-func (s *Session) Snapshot() ([]byte, error) {
-	if s.closed {
-		return nil, fmt.Errorf("runtime: Snapshot on a closed Session")
-	}
-	// Fail before committing to teardown: a hook-less graph leaves the
-	// session usable (the caller can still Close normally).
-	if err := checkSnapshotable(&s.cfg); err != nil {
-		return nil, err
-	}
-	s.closed = true
-	defer s.release()
-	if err := s.joinDelivery(); err != nil {
-		return nil, err
-	}
-	cfg := &s.cfg
-	snap := &sessionSnap{}
-	if err := s.capture(snap); err != nil {
-		return nil, err
-	}
-	if err := s.host.captureSides(snap.perNode); err != nil {
-		return nil, err
-	}
-	st, err := s.host.plan.snapshotState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	snap.shard = st
-	return encodeSessionSnap(snap), nil
-}
-
 // MigrateSnapshot rewrites a Session snapshot taken on one cut into a
 // snapshot valid for another cut of the same graph — the state-handoff
 // step behind mid-stream re-partitioning (§2.1.1 relocation, live). The
@@ -909,38 +868,4 @@ func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) e
 		a.pending[e] = pend
 	}
 	return nil
-}
-
-// ResumeSession rebuilds a Session from a Snapshot. cfg must describe the
-// same run (graph structure, cut, platform, nodes, duration, seed,
-// window); the placement knobs — Shards, Workers — are free,
-// because the snapshot's layout is placement-independent.
-func ResumeSession(cfg Config, data []byte) (*Session, error) {
-	if err := checkSnapshotable(&cfg); err != nil {
-		return nil, err
-	}
-	s, err := NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restore(data); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *Session) restore(data []byte) error {
-	cfg := &s.cfg
-	snap, err := decodeSessionSnap(cfg.Graph, data)
-	if err != nil {
-		return err
-	}
-	if err := s.apply(snap); err != nil {
-		return err
-	}
-	if err := s.host.applySides(snap.perNode); err != nil {
-		return err
-	}
-	return s.host.plan.restoreState(cfg, snap.shard)
 }

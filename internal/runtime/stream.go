@@ -3,8 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"wishbone/internal/dataflow"
 	"wishbone/internal/profile"
@@ -115,64 +113,28 @@ func (s *inputStream) Next() (Arrival, bool) {
 	return Arrival{Time: bt, Source: in.Source, Value: ev}, true
 }
 
-// Session is the incremental simulation API behind streaming ingestion:
-// Offer arrivals in nondecreasing time order (any node interleaving),
-// Close to flush the tail and read the Result. The partition service's
-// /v1/simulate/stream endpoint drives a Session straight from the
-// request body; Run drives one from Config.ArrivalSource.
-//
-// A Session is a windowCore (the window clock) over an originHost holding
-// every origin. Each window takes one windowBufs through the same steps —
-// feed, drain, fold, time-sort, price, partition, deliver — on the Offer
-// caller, the feed and the shard deliveries each fanned out over the
-// Config.Workers pool. The last step alone runs behind the caller: window
-// w delivers on one goroutine while the caller ingests window w+1, and
-// joinDelivery waits for it before w+1's feed, so the two stages never run
-// at once and simulation work stays within Config.Workers. Every shard's
-// state is touched by one delivery at a time, in window order, and pricing
-// stays on the caller, so the Result does not depend on the overlap.
-//
-// A Session accepts the same Config.Shards/Workers knobs as the batch
-// path.
-type Session struct {
-	windowCore
-	host *originHost
-
-	// free recycles window storage: the window delivering and, in Close,
-	// the reduce tail built behind it are the two that can be live.
-	free chan *windowBufs
-
-	// delivery counts the window delivering behind the caller (at most
-	// one); err is the first window failure — written by that goroutine
-	// or the caller, read only after joinDelivery — and no window runs on
-	// top of it.
-	delivery sync.WaitGroup
-	err      error
-
-	// ingest backs OfferRaw's zero-copy decode: raw JSON arrival values
-	// land in generational typed slabs instead of one allocation per
-	// arrival. Rotated once per flushed window.
-	ingest ingestArena
-
-	started    time.Time
-	stageStart time.Time
+// NewSession validates cfg and binds a Session to one in-process
+// ShardHost owning every origin — the single-host placement of the one
+// window loop. cfg.Inputs, Duration-derived arrival building and the
+// replay fast path do not apply; arrivals come from Offer.
+func NewSession(cfg Config) (*Session, error) {
+	h, err := NewShardHost(cfg, PartitionOrigins(cfg.Nodes, 1)[0])
+	return bindLocal(h, err, func(hosts []HostBinding) (*Session, error) {
+		return NewDistSession(cfg, hosts)
+	})
 }
 
-// NewSession validates cfg and builds the persistent node and server
-// state. cfg.Inputs, Duration-derived arrival building and the replay
-// fast path do not apply; arrivals come from Offer.
-func NewSession(cfg Config) (*Session, error) {
-	s := &Session{started: time.Now(), free: make(chan *windowBufs, 2)}
-	if err := s.init(cfg); err != nil {
-		return nil, err
-	}
-	s.runWindow = s.flushBuffered
-	// A Session is the one-host placement: every origin on the same host.
-	host, err := newOriginHost(&s.cfg, PartitionOrigins(cfg.Nodes, 1)[0])
+// bindLocal binds a coordinator to h, the one in-process host owning
+// every origin, if opening it succeeded; h aborts when the bind fails.
+func bindLocal(h *ShardHost, err error, bind func([]HostBinding) (*Session, error)) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.host = host
+	s, err := bind([]HostBinding{{Driver: h, Origins: h.origins}})
+	if err != nil {
+		h.Abort()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -180,205 +142,18 @@ func NewSession(cfg Config) (*Session, error) {
 // into the session's ingest arena — this is the zero-copy path behind
 // /v1/simulate/stream, which would otherwise allocate a fresh value per
 // arrival. The decode runs after any window flush the arrival triggers,
-// so the carved value belongs to the window that will consume it. raw is
-// not retained; callers may reuse the buffer immediately.
+// so the carved value belongs to the window that will consume it; a
+// dropped arrival's value must still validate, matching the
+// decode-then-Offer behavior. raw is not retained; callers may reuse the
+// buffer immediately.
 func (s *Session) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ string, raw []byte) error {
-	if err := s.admit(nodeID, src, t); err != nil {
-		return err
-	}
-	late := t >= s.cfg.Duration
-	if !late {
-		if err := s.advance(t); err != nil {
-			return err
-		}
-	}
-	if late || s.scen.drops(nodeID, t) {
-		// Dropped — past Duration like the batch path's arrival builder, or
-		// by the churn model — exactly like Offer, but the value must still
-		// validate, matching the decode-then-Offer behavior.
-		if _, err := s.ingest.decode(typ, raw, true); err != nil {
-			return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
-		}
-		return nil
-	}
-	v, err := s.ingest.decode(typ, raw, false)
-	if err != nil {
-		return fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
-	}
-	return s.push(nodeID, arrival{t: t, src: src, v: v})
-}
-
-// flushBuffered is the Session's runWindow: it runs the buffered arrivals
-// through the node instances, folds reduce rounds that completed, prices
-// the window's offered load, and delivers through the server shards.
-func (s *Session) flushBuffered(span float64) error {
-	// The previous window's delivery ends before this window's feed starts:
-	// the wait is not node-stage time, so the stage clock starts after it.
-	if err := s.joinDelivery(); err != nil {
-		return err
-	}
-	if s.cfg.Timings != nil {
-		s.stageStart = time.Now()
-	}
-	win := s.getWin()
-	if err := s.host.feedPooled(win, s.buf); err != nil {
-		s.recycle(win)
-		return s.fail(err)
-	}
-	win.msgs = s.host.nodes.drain(&s.res, win.msgs[:0])
-	for n := range s.buf {
-		s.buf[n] = s.buf[n][:0]
-	}
-	s.buffered = 0
-	s.agg.arena = win.arenas[s.cfg.Nodes]
-	win.out = s.agg.fold(&s.cfg, win.msgs, &s.res, win.out[:0])
-	if err := s.deliverWindow(win, span); err != nil {
-		return err
-	}
-	// Safe to rotate while the window's delivery is still running:
-	// rotation only drops block references; the GC keeps each block alive
-	// while any in-flight value still points into it.
-	s.ingest.rotate()
-	return nil
-}
-
-// deliverWindow prices win.out (always on the caller, in window order —
-// the ratio is a global function of every shard's offered load),
-// partitions it by delivery shard and starts its delivery on the worker
-// pool, behind the caller; a failure there surfaces from the next
-// joinDelivery.
-func (s *Session) deliverWindow(win *windowBufs, span float64) error {
-	// The node stage ends here even when the window has nothing to
-	// deliver (all messages folded into pending reduce rounds) — accrue
-	// its wall before any early return so StageTimings never drops it.
-	if t := s.cfg.Timings; t != nil && !s.stageStart.IsZero() {
-		t.addNode(time.Since(s.stageStart))
-		s.stageStart = time.Time{}
-	}
-	out := win.out
-	if len(out) == 0 {
-		s.recycle(win)
-		s.price(0, span, 0)
-		return nil
-	}
-	var air int
-	air, win.msgs = sortByTime(out, win.msgs) // fold consumed win.msgs
-	ratio := s.price(air, span, len(out))
-	s.host.plan.partition(out, win.parts)
-	// Close's reduce tail gets here with the last window still delivering.
-	if err := s.joinDelivery(); err != nil {
-		s.recycle(win)
-		return err
-	}
-	s.delivery.Add(1)
-	go func() {
-		defer s.delivery.Done()
-		start := time.Now()
-		err := s.host.plan.deliverParts(win.parts, ratio)
-		if t := s.cfg.Timings; t != nil {
-			t.addDelivery(time.Since(start))
-		}
-		s.recycle(win)
+	return s.offer(nodeID, t, src, func(drop bool) (dataflow.Value, error) {
+		v, err := s.ingest.decode(typ, raw, drop)
 		if err != nil {
-			s.fail(err)
+			return nil, fmt.Errorf("runtime: %v: %w", err, ErrBadArrival)
 		}
-	}()
-	return nil
-}
-
-// Close flushes the final window and any reduce rounds still pending,
-// joins their delivery, releases the pooled instances and arenas, and
-// returns the accumulated Result.
-func (s *Session) Close() (*Result, error) {
-	if s.closed {
-		return nil, fmt.Errorf("runtime: Close on a closed Session")
-	}
-	s.closed = true
-	defer s.release()
-	cfg := &s.cfg
-	if s.buffered > 0 {
-		if err := s.flushWindow(); err != nil {
-			return nil, err
-		}
-	}
-	// Rounds still pending (some node never emitted past them) flush as
-	// one last batch, priced over the final window's actual span — no
-	// additional simulated time exists to spread them over.
-	if cfg.Timings != nil {
-		s.stageStart = time.Now()
-	}
-	win := s.getWin()
-	s.agg.arena = win.arenas[cfg.Nodes]
-	win.out = s.agg.flushAll(cfg, &s.res, win.out[:0])
-	if err := s.deliverWindow(win, s.lastSpan); err != nil {
-		return nil, err
-	}
-	// The last delivery must end before the shard counters are read.
-	if err := s.joinDelivery(); err != nil {
-		return nil, err
-	}
-	for _, nb := range s.host.nodes.tally(&s.res) {
-		s.res.NodeCPU += nb.Busy
-	}
-	s.finish()
-	s.host.plan.collect(&s.res)
-	if t := cfg.Timings; t != nil {
-		t.addWall(time.Since(s.started))
-	}
-	res := s.res
-	return &res, nil
-}
-
-// Abort tears the session down without a result (error paths).
-func (s *Session) Abort() { s.Close() }
-
-// joinDelivery waits for the window delivering behind the caller, if any;
-// afterwards all state is at the last flushed window boundary. It reports
-// the first window failure.
-func (s *Session) joinDelivery() error {
-	s.delivery.Wait()
-	return s.err
-}
-
-// release joins a delivery still running (error paths), hands the
-// recycled windows' arenas back to the process-wide pool so the next run
-// starts warm, and releases the host: the teardown Close and Snapshot
-// share.
-func (s *Session) release() {
-	s.joinDelivery()
-	for len(s.free) > 0 {
-		(<-s.free).releaseArenas()
-	}
-	s.host.release()
-}
-
-// fail records a window failure and returns the first one recorded.
-func (s *Session) fail(err error) error {
-	if s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// getWin returns recycled window storage, or builds a fresh set when
-// every buffer is still live.
-func (s *Session) getWin() *windowBufs {
-	select {
-	case w := <-s.free:
-		return w
-	default:
-		return newWindowBufs(s.cfg.Nodes, len(s.host.plan.shards))
-	}
-}
-
-// recycle returns a window whose messages are dead to the free list.
-func (s *Session) recycle(w *windowBufs) {
-	w.reset()
-	select {
-	case s.free <- w:
-	default:
-		w.releaseArenas() // free list full (deep error paths only)
-	}
+		return v, nil
+	})
 }
 
 // runStream is Run's streaming path: Feed the merged arrivals through a
@@ -389,8 +164,7 @@ func runStream(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if err := Feed(sess, &cfg); err != nil {
-		// The session still closes, returning the pooled node and shard
-		// instances to their Program.
+		// Abort returns the pooled node and shard instances to their Program.
 		sess.Abort()
 		return nil, err
 	}

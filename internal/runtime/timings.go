@@ -7,14 +7,14 @@ import (
 
 // StageTimings, attached via Config.Timings, measures where a simulation's
 // wall clock goes: the node stage (per-node dataflow execution plus reduce
-// aggregation and channel pricing) versus server-side delivery. Delivery
-// is the span of each delivery phase — the one of a batch run, each
-// window's deliverParts in a streaming one. A Session's two stages never
-// run at once (window w's delivery is joined before window w+1's feed,
-// and the wait is billed to neither), so node+delivery exceeds the wall
-// only by clock jitter; what a Session's delivery does overlap is the
-// caller's ingest of the next window, which is in WallSeconds but in
-// neither stage.
+// aggregation and channel pricing — a streaming window's compute and fold)
+// versus server-side delivery (the one phase of a batch run, each window's
+// deliver span in a streaming one). A Session's two stages never run at
+// once (window w's deliveries are joined before window w+1's compute, and
+// the wait is billed to neither), so node+delivery exceeds the wall only by
+// clock jitter; what a delivery does overlap is the caller's ingest of the
+// next window, which is in WallSeconds (recorded at Close) but in neither
+// stage.
 //
 // Counters are atomic (a window delivers behind the caller) and accumulate
 // across runs; Reset between measurements. The zero value is ready to use.

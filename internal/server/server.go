@@ -921,7 +921,7 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 			sess.Close()
 			return nil, false, perr
 		}
-		cs = wbruntime.ControlSession(sess, s.sessionReplanPolicy(req.Replan), 0, planner)
+		cs = wbruntime.ControlSession(sess, s.sessionReplanPolicy(req.Replan), 0, planner, nil)
 		ingest = cs
 		closeSess = cs.Close
 		snapSess = cs.Snapshot

@@ -202,7 +202,7 @@ func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest) 
 		// reply rather than double-applying the arrivals.
 		return ss.lastComputeResp, false, nil
 	}
-	resp, err := ss.host.ComputeWindow(req.Span, arrivals)
+	resp, err := ss.host.ComputeWindow(arrivals)
 	if err != nil {
 		return nil, false, runtimeError(err)
 	}
@@ -225,7 +225,9 @@ func (s *Server) shardDeliver(_ context.Context, req *wire.ShardDeliverRequest) 
 		return struct{}{}, false, nil
 	}
 	if err := ss.host.DeliverWindow(req.Ratio); err != nil {
-		return struct{}{}, false, err
+		// The host keeps answering with this failure: a retry must not find
+		// the window gone and acknowledge a delivery that never ran.
+		return struct{}{}, false, runtimeError(err)
 	}
 	if req.Window != 0 {
 		ss.lastDeliverWin = req.Window
@@ -245,7 +247,7 @@ func (s *Server) shardClose(_ context.Context, req *wire.ShardSessionRequest) (*
 		// The session is already unregistered; abort the host (idempotent)
 		// so a failed close can't leak its pinned instances.
 		ss.host.Abort()
-		return nil, false, err
+		return nil, false, runtimeError(err)
 	}
 	return resp, false, nil
 }
@@ -261,7 +263,7 @@ func (s *Server) shardSnapshot(_ context.Context, req *wire.ShardSessionRequest)
 	if err != nil {
 		// Unregistered above; don't leak the host on a failed freeze.
 		ss.host.Abort()
-		return nil, false, err
+		return nil, false, runtimeError(err)
 	}
 	return &wire.ShardSnapshotResponse{Snapshot: data}, false, nil
 }
@@ -275,7 +277,7 @@ func (s *Server) shardCheckpoint(_ context.Context, req *wire.ShardSessionReques
 	defer ss.mu.Unlock()
 	data, err := ss.host.Checkpoint()
 	if err != nil {
-		return nil, false, err
+		return nil, false, runtimeError(err)
 	}
 	return &wire.ShardCheckpointResponse{Checkpoint: data}, false, nil
 }

@@ -18,7 +18,6 @@ import (
 
 // shardWindowBatch is one window's worth of arrivals, wire-encoded.
 type shardWindowBatch struct {
-	span     float64
 	arrivals []wire.ShardArrivalWire
 }
 
@@ -33,9 +32,6 @@ func speechShardWindows(t *testing.T, e *entry, nodes int, duration, span float6
 	}
 	n := int(duration / span)
 	batches := make([]shardWindowBatch, n)
-	for i := range batches {
-		batches[i].span = span
-	}
 	for node := 0; node < nodes; node++ {
 		st, err := runtime.InputStream(inputs, 1, duration)
 		if err != nil {
@@ -99,7 +95,7 @@ func TestShardRetryDedupe(t *testing.T) {
 		session := open()
 		for wi, b := range batches {
 			req := wire.ShardComputeRequest{
-				Session: session, Window: int64(wi + 1), Span: b.span, Arrivals: b.arrivals,
+				Session: session, Window: int64(wi + 1), Arrivals: b.arrivals,
 			}
 			rep, err := client.ShardCompute(ctx, req)
 			if err != nil {
@@ -149,7 +145,7 @@ func TestShardRetryDedupe(t *testing.T) {
 func TestShardUnknownSessionCode(t *testing.T) {
 	_, client := startServer(t, Config{})
 	_, err := client.ShardCompute(context.Background(), wire.ShardComputeRequest{
-		Session: "nope", Window: 1, Span: 1,
+		Session: "nope", Window: 1,
 	})
 	var ae *APIError
 	if !errors.As(err, &ae) {
@@ -209,7 +205,7 @@ func TestShardSessionLease(t *testing.T) {
 	window := func(c *Client, session string, wi int) {
 		t.Helper()
 		rep, err := c.ShardCompute(ctx, wire.ShardComputeRequest{
-			Session: session, Window: int64(wi + 1), Span: batches[wi].span, Arrivals: batches[wi].arrivals,
+			Session: session, Window: int64(wi + 1), Arrivals: batches[wi].arrivals,
 		})
 		if err != nil {
 			t.Fatalf("window %d: %v", wi, err)
@@ -312,7 +308,7 @@ func TestShardCheckpointResume(t *testing.T) {
 	drive := func(session string, wi int, b shardWindowBatch) {
 		t.Helper()
 		rep, err := client.ShardCompute(ctx, wire.ShardComputeRequest{
-			Session: session, Window: int64(wi + 1), Span: b.span, Arrivals: b.arrivals,
+			Session: session, Window: int64(wi + 1), Arrivals: b.arrivals,
 		})
 		if err != nil {
 			t.Fatalf("window %d: %v", wi, err)

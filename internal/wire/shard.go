@@ -34,7 +34,7 @@ type ShardOpenRequest struct {
 	// Origins is the subset of [0, Nodes) this host owns.
 	Origins []int `json:"origins"`
 	// Resume, when non-empty, is a full session snapshot (the versioned
-	// encoding Session.Snapshot / DistSession.Snapshot produce, possibly
+	// encoding Session.Snapshot produces, possibly
 	// rewritten by MigrateSnapshot); the host restores its owned origins'
 	// node sides and delivery state from it instead of starting fresh —
 	// the state-handoff half of mid-run shard migration and cross-host
@@ -70,11 +70,12 @@ type ShardArrivalWire struct {
 // host answers a repeat of the last sequence from its reply cache
 // instead of recomputing, which is what makes the coordinator's
 // retry-after-timeout safe on this non-idempotent call (the first
-// attempt may have executed even though its response was lost).
+// attempt may have executed even though its response was lost). A
+// request from an older coordinator that still carries the window's
+// span ("span") decodes unchanged: unknown JSON fields are ignored.
 type ShardComputeRequest struct {
 	Session  string             `json:"session"`
 	Window   int64              `json:"window,omitempty"`
-	Span     float64            `json:"span"`
 	Arrivals []ShardArrivalWire `json:"arrivals"`
 }
 

@@ -29,9 +29,6 @@ func BuiltinIndex(name string) int {
 // NumBuiltins is the table size, used by the verifier to bound OpCallB.
 func NumBuiltins() int { return len(builtinTable) }
 
-// BuiltinName returns the name at a verified table index.
-func BuiltinName(i int) string { return builtinTable[i].name }
-
 // argOr returns args[i], or Unit if the list is short. It keeps builtins
 // total on malformed argument lists where the tree-walker would panic.
 func argOr(args []Value, i int) Value {
