@@ -13,7 +13,7 @@
 // -dist-seconds simulated seconds) once per host count in -dist-hosts,
 // splitting the origin nodes across that many in-process shard hosts
 // behind the coordinator's per-window barrier (internal/runtime
-// DistSession — the same code path wbserved peers run behind /v1/shard,
+// Session — the same code path wbserved peers run behind /v1/shard,
 // minus HTTP). Every placement must be byte-identical to the
 // single-host run. It is not part of -fig all: the default 640-mote
 // deployment is deliberately 10× the largest single-host benchmark.

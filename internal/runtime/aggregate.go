@@ -75,8 +75,8 @@ func reduceEdge(cfg *Config, e *dataflow.Edge) bool {
 
 // fold is one streaming window's reduce step: merge the window's messages
 // into their rounds, then flush the rounds every node has emitted past and
-// any pending beyond maxPendingRounds. Session and DistSession both fold
-// exactly this way, which is what keeps their aggregates byte-identical.
+// any pending beyond maxPendingRounds. Every placement folds on the
+// coordinator exactly this way, which keeps its aggregates byte-identical.
 func (a *reduceAggregator) fold(cfg *Config, msgs []message, res *Result, out []message) []message {
 	out = a.add(cfg, msgs, res, out)
 	out = a.flushComplete(cfg, res, out)

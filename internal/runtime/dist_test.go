@@ -13,7 +13,7 @@ import (
 	"wishbone/internal/runtime"
 )
 
-// runDist replays feed through a DistSession over in-process shard hosts
+// runDist replays feed through a Session over in-process shard hosts
 // with the given origin placement.
 func runDist(t *testing.T, cfg runtime.Config, feed []feedItem, parts [][]int) *runtime.Result {
 	t.Helper()

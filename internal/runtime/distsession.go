@@ -360,12 +360,12 @@ func (s *Session) Close() (*Result, error) {
 			return abort(err)
 		}
 	}
-	// Rounds still pending (some node never emitted past them) flush as
-	// one last batch, priced over the final window's actual span — no
-	// additional simulated time exists to spread them over.
 	if err := s.join(); err != nil {
 		return abort(err)
 	}
+	// Rounds still pending (some node never emitted past them) flush as
+	// one last batch, priced over the final window's actual span — no
+	// additional simulated time exists to spread them over.
 	var start time.Time
 	if cfg.Timings != nil {
 		start = time.Now()

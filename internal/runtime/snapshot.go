@@ -9,9 +9,9 @@ import (
 	"wishbone/internal/wire"
 )
 
-// Serializable simulation state. A streaming Session (and a distributed
-// ShardHost, which reuses the same pieces) can be frozen at a window
-// boundary into a versioned byte snapshot and restored in a fresh process
+// Serializable simulation state. A streaming Session, with its ShardHosts,
+// can be frozen at a window boundary (distsnapshot.go) into a versioned
+// byte snapshot and restored in a fresh process
 // — same or different host — with byte-identical continuation: the
 // snapshot pins every accumulator that feeds the Result (including
 // floating-point ones, saved bit-exact), every piece of cross-window

@@ -47,7 +47,7 @@ func sessionSnapshot(t *testing.T, cfg runtime.Config, feed []feedItem, cut int)
 	return data
 }
 
-// distSnapshot offers feed[:cut] to a DistSession over in-process hosts
+// distSnapshot offers feed[:cut] to a Session over in-process hosts
 // and freezes it.
 func distSnapshot(t *testing.T, cfg runtime.Config, feed []feedItem, cut int, parts [][]int) []byte {
 	t.Helper()
@@ -80,7 +80,7 @@ func boundaryCut(feed []feedItem, t float64) int {
 }
 
 // TestSnapshotBytesPlacementInvariant pins that the snapshot encoding has
-// one spelling: a Session at any Shards/Workers, a DistSession at any
+// one spelling: a Session at any Shards/Workers, a Session at any
 // host count, and MigrateSnapshot's decode→encode onto the unchanged cut
 // all freeze the same run at the same point into the same bytes.
 func TestSnapshotBytesPlacementInvariant(t *testing.T) {
@@ -142,7 +142,7 @@ func TestSnapshotBytesPlacementInvariant(t *testing.T) {
 			two.Shards, two.Workers = 2, 2
 			check("Shards=Workers=2 Session", sessionSnapshot(t, two, r.feed, cut))
 			for _, hosts := range []int{1, 2, r.cfg.Nodes} {
-				check("DistSession", distSnapshot(t, r.cfg, r.feed, cut, runtime.PartitionOrigins(r.cfg.Nodes, hosts)))
+				check("multi-host Session", distSnapshot(t, r.cfg, r.feed, cut, runtime.PartitionOrigins(r.cfg.Nodes, hosts)))
 			}
 			migrated, err := runtime.MigrateSnapshot(r.cfg.Graph, ref, r.cfg.OnNode)
 			if err != nil {
