@@ -300,9 +300,8 @@ func (cs *ControlledSession) maybeReplan() error {
 	if !ok {
 		return nil
 	}
-	c := cs.s
 	ev := ReplanEvent{
-		Time:         c.windowStart,
+		Time:         cs.s.windowStart,
 		PlannedLoad:  cs.loop.baseline,
 		ObservedLoad: cs.loop.ewma,
 		RateMultiple: multiple,
@@ -318,7 +317,7 @@ func (cs *ControlledSession) maybeReplan() error {
 	}
 	cs.loop.Replanned()
 	if plan != nil {
-		ev.Moved = movedOps(c.cfg.Graph, c.cfg.OnNode, plan.OnNode)
+		ev.Moved = movedOps(cs.s.cfg.Graph, cs.s.cfg.OnNode, plan.OnNode)
 		ev.Solver = plan.Solver
 	}
 	if plan == nil || len(ev.Moved) == 0 {
