@@ -152,7 +152,7 @@ func main() {
 					fmt.Sprintf("%.2f events/s", rs.EventsPerSec)},
 				{"optimal cut at that rate", "after filterbank",
 					"after " + rs.CutAfter},
-				{"Gumstix CPU", "11.5%% predicted, 15%% measured",
+				{"Gumstix CPU", "11.5% predicted, 15% measured",
 					fmt.Sprintf("%.1f%% predicted, %.1f%% measured",
 						100*gm.PredictedCPU, 100*gm.MeasuredCPU)},
 			},

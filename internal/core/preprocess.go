@@ -26,7 +26,7 @@ type clusterEdge struct {
 type reduced struct {
 	clusters []*cluster
 	edges    []*clusterEdge
-	byOp     map[int]int // operator ID → cluster index
+	byOp     []int // operator ID → cluster index
 }
 
 // buildReduced clusters the graph per §4.1: any movable operator whose
@@ -86,35 +86,47 @@ func buildReduced(s *Spec, enabled bool) *reduced {
 		// to the server, cutting its inputs instead of its outputs")
 		// requires that cutting the cluster's outputs means cutting the
 		// whole bundle, which fails if consumers could be split across the
-		// cut.
+		// cut. The per-cluster slices are indexed by root operator ID and
+		// cleared each pass; edges are summed in graph order every pass.
+		const multi = -2 // target of a cluster with >1 downstream cluster
+		edges := g.Edges()
+		bw := make([]float64, len(edges))
+		for k, e := range edges {
+			bw[k] = s.edgeBW(e)
+		}
+		inBW := make([]float64, n)
+		outBW := make([]float64, n)
+		hasIn := make([]bool, n)
+		target := make([]int, n) // cluster → sole downstream cluster, -1 none
 		for changed := true; changed; {
 			changed = false
-			inBW := make(map[int]float64)
-			outBW := make(map[int]float64)
-			hasIn := make(map[int]bool)
-			target := make(map[int]int) // cluster → sole downstream cluster
-			multi := make(map[int]bool) // cluster has >1 downstream cluster
-			for _, e := range g.Edges() {
+			clear(inBW)
+			clear(outBW)
+			clear(hasIn)
+			for i := range target {
+				target[i] = -1
+			}
+			for k, e := range edges {
 				cf, ct := find(e.From.ID()), find(e.To.ID())
 				if cf == ct {
 					continue
 				}
-				bw := s.edgeBW(e)
-				outBW[cf] += bw
-				inBW[ct] += bw
+				outBW[cf] += bw[k]
+				inBW[ct] += bw[k]
 				hasIn[ct] = true
-				if prev, ok := target[cf]; ok && prev != ct {
-					multi[cf] = true
+				if target[cf] == -1 {
+					target[cf] = ct
+				} else if target[cf] != ct {
+					target[cf] = multi
 				}
-				target[cf] = ct
 			}
-			for _, op := range g.Operators() {
-				c := find(op.ID())
-				if !hasIn[c] || multi[c] {
+			for id := range parent {
+				c := find(id)
+				if !hasIn[c] || target[c] == multi {
 					continue // source cluster, or split-able consumers
 				}
-				ct, ok := target[c]
-				if !ok {
+				ct := target[c]
+				if ct == -1 {
 					continue // sink cluster
 				}
 				if place(c) == dataflow.PinNode {
@@ -127,42 +139,31 @@ func buildReduced(s *Spec, enabled bool) *reduced {
 				}
 				if union(c, ct) {
 					changed = true
-					break // bandwidth maps are stale; recompute
+					break // bandwidth sums are stale; recompute
 				}
 			}
 		}
 	}
 
-	// Materialize clusters with dense indices (deterministic order by
-	// smallest member ID).
-	roots := make(map[int][]int)
-	for _, op := range g.Operators() {
-		r := find(op.ID())
-		roots[r] = append(roots[r], op.ID())
-	}
-	var rootIDs []int
-	for r := range roots {
-		rootIDs = append(rootIDs, r)
-	}
-	sort.Slice(rootIDs, func(i, j int) bool {
-		return minOf(roots[rootIDs[i]]) < minOf(roots[rootIDs[j]])
-	})
-
-	red := &reduced{byOp: make(map[int]int, n)}
-	for idx, r := range rootIDs {
-		members := roots[r]
-		sort.Ints(members)
-		c := &cluster{index: idx, ops: members, place: dataflow.Movable}
-		for _, id := range members {
-			c.cpu += s.opCPU(id)
-			red.byOp[id] = idx
-			// Any pinned member pins the cluster (pins are consistent by
-			// construction of union).
-			if p := place(id); p != dataflow.Movable {
-				c.place = p
-			}
+	// Materialize clusters with dense indices, in order of smallest member
+	// ID: walking IDs upward meets each cluster first at its smallest one.
+	red := &reduced{byOp: make([]int, n)}
+	index := make([]int, n) // root → cluster index + 1
+	for id := range parent {
+		r := find(id)
+		if index[r] == 0 {
+			red.clusters = append(red.clusters, &cluster{index: len(red.clusters), place: dataflow.Movable})
+			index[r] = len(red.clusters)
 		}
-		red.clusters = append(red.clusters, c)
+		c := red.clusters[index[r]-1]
+		c.ops = append(c.ops, id)
+		c.cpu += s.opCPU(id)
+		red.byOp[id] = c.index
+		// Any pinned member pins the cluster (pins are consistent by
+		// construction of union).
+		if p := place(id); p != dataflow.Movable {
+			c.place = p
+		}
 	}
 
 	// Aggregate inter-cluster edges.
@@ -189,14 +190,4 @@ func buildReduced(s *Spec, enabled bool) *reduced {
 		return red.edges[i].to < red.edges[j].to
 	})
 	return red
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }

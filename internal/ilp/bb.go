@@ -164,6 +164,13 @@ func (h *nodeHeap) Pop() any {
 // incumbent and its proven gap rather than an error; only an interruption
 // before any incumbent exists surfaces ctx.Err().
 func Solve(ctx context.Context, m *Model, opts Options) (*Result, error) {
+	return search(ctx, m, opts, (*tableau).iterate)
+}
+
+// search is Solve with the simplex's pivot loop as a parameter (the tests
+// run their dense oracle through it). One relaxation and one work model
+// serve every node: a node's LP reuses the previous node's rows.
+func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, []float64, int) lpStatus) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return &Result{Status: StatusError}, err
@@ -189,8 +196,9 @@ func Solve(ctx context.Context, m *Model, opts Options) (*Result, error) {
 
 	res := &Result{Status: StatusInfeasible, BestBound: math.Inf(-1)}
 
+	lp := &relaxation{iterate: iterate}
 	work := m.Clone()
-	status, x, obj, err := SolveLP(work)
+	status, x, obj, err := lp.solve(work)
 	if err != nil {
 		return &Result{Status: StatusError}, err
 	}
@@ -280,9 +288,9 @@ func Solve(ctx context.Context, m *Model, opts Options) (*Result, error) {
 		}
 
 		// Solve this node's relaxation.
-		work := m.Clone()
+		work.vars = append(work.vars[:0], m.vars...)
 		node.apply(work)
-		status, x, obj, err := SolveLP(work)
+		status, x, obj, err := lp.solve(work)
 		if err != nil {
 			return &Result{Status: StatusError}, err
 		}

@@ -221,38 +221,44 @@ func bruteForceBinary(m *Model, minimize bool) float64 {
 	return best
 }
 
+// randomBinaryProgram draws a small binary program: 2..10 binaries, 1..5
+// LE/GE/EQ rows with small integer coefficients, either direction.
+func randomBinaryProgram(rng *rand.Rand) *Model {
+	n := 2 + rng.Intn(9) // 2..10 binaries
+	m := NewModel()
+	for j := 0; j < n; j++ {
+		v := m.AddBinary("b")
+		m.SetObjCoef(v, float64(rng.Intn(21)-10))
+	}
+	if rng.Intn(2) != 0 {
+		m.SetDirection(Maximize)
+	}
+	nCons := 1 + rng.Intn(5)
+	for k := 0; k < nCons; k++ {
+		var terms []Term
+		for j := 0; j < n; j++ {
+			if rng.Intn(2) == 0 {
+				terms = append(terms, Term{Var(j), float64(rng.Intn(11) - 5)})
+			}
+		}
+		if len(terms) == 0 {
+			terms = append(terms, Term{Var(rng.Intn(n)), 1})
+		}
+		sense := []Sense{LE, GE, EQ}[rng.Intn(3)]
+		rhs := float64(rng.Intn(15) - 7)
+		m.AddConstraint("r", terms, sense, rhs)
+	}
+	return m
+}
+
 // TestILPAgainstBruteForce is the core correctness property: on random
 // small binary programs, branch-and-bound must agree exactly with
 // exhaustive enumeration, both on feasibility and on the optimal value.
 func TestILPAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 120; trial++ {
-		n := 2 + rng.Intn(9) // 2..10 binaries
-		m := NewModel()
-		for j := 0; j < n; j++ {
-			v := m.AddBinary("b")
-			m.SetObjCoef(v, float64(rng.Intn(21)-10))
-		}
-		minimize := rng.Intn(2) == 0
-		if !minimize {
-			m.SetDirection(Maximize)
-		}
-		nCons := 1 + rng.Intn(5)
-		for k := 0; k < nCons; k++ {
-			var terms []Term
-			for j := 0; j < n; j++ {
-				if rng.Intn(2) == 0 {
-					terms = append(terms, Term{Var(j), float64(rng.Intn(11) - 5)})
-				}
-			}
-			if len(terms) == 0 {
-				terms = append(terms, Term{Var(rng.Intn(n)), 1})
-			}
-			sense := []Sense{LE, GE, EQ}[rng.Intn(3)]
-			rhs := float64(rng.Intn(15) - 7)
-			m.AddConstraint("r", terms, sense, rhs)
-		}
-
+		m := randomBinaryProgram(rng)
+		minimize := m.Direction() == Minimize
 		want := bruteForceBinary(m, minimize)
 		res, err := Solve(context.Background(), m, Options{TimeLimit: 20 * time.Second})
 		if err != nil {
@@ -279,25 +285,33 @@ func TestILPAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// randomLP2 draws a 2-variable LP over the box [0,10]²: 1..4 LE rows with
+// small integer coefficients and a small integer objective.
+func randomLP2(rng *rand.Rand) *Model {
+	m := NewModel()
+	x := m.AddVar("x", 0, 10, false)
+	y := m.AddVar("y", 0, 10, false)
+	m.SetObjCoef(x, float64(rng.Intn(11)-5))
+	m.SetObjCoef(y, float64(rng.Intn(11)-5))
+	nCons := 1 + rng.Intn(4)
+	for k := 0; k < nCons; k++ {
+		a, b, rhs := float64(rng.Intn(9)-4), float64(rng.Intn(9)-4), float64(rng.Intn(21)-5)
+		m.AddConstraint("c", []Term{{x, a}, {y, b}}, LE, rhs)
+	}
+	return m
+}
+
 // TestLPAgainstVertexEnum checks the LP solver on random 2-variable
 // problems by enumerating constraint intersections.
 func TestLPAgainstVertexEnum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 80; trial++ {
-		m := NewModel()
-		x := m.AddVar("x", 0, 10, false)
-		y := m.AddVar("y", 0, 10, false)
-		cx := float64(rng.Intn(11) - 5)
-		cy := float64(rng.Intn(11) - 5)
-		m.SetObjCoef(x, cx)
-		m.SetObjCoef(y, cy)
+		m := randomLP2(rng)
+		cx, cy := m.vars[0].obj, m.vars[1].obj
 		type cons struct{ a, b, rhs float64 }
 		var cs []cons
-		nCons := 1 + rng.Intn(4)
-		for k := 0; k < nCons; k++ {
-			c := cons{float64(rng.Intn(9) - 4), float64(rng.Intn(9) - 4), float64(rng.Intn(21) - 5)}
-			cs = append(cs, c)
-			m.AddConstraint("c", []Term{{x, c.a}, {y, c.b}}, LE, c.rhs)
+		for _, c := range m.constraints {
+			cs = append(cs, cons{c.Terms[0].Coef, c.Terms[1].Coef, c.RHS})
 		}
 		// Candidate vertices: intersections of all pairs of constraint
 		// lines plus the box corners and axis intersections.

@@ -12,6 +12,15 @@
 // *discovered* (last incumbent improvement) from the time it was *proved*
 // optimal (search exhausted or gap closed) — the two CDFs of the paper's
 // Figure 6.
+//
+// Storage is reused per search: every branch-and-bound node standardizes
+// into the same slab of tableau rows and one work model, and a pivot
+// updates only the pivot row's nonzero columns. The arithmetic is that of
+// a fresh dense tableau per node — the same operations on the same values
+// in the same order, short of the skipped x −= f·0, which can flip only
+// the sign of a zero — so statuses, iteration and node counts, solutions
+// and objectives are unchanged. The dense pivot is kept in the tests as
+// the oracle.
 package ilp
 
 import "fmt"

@@ -45,102 +45,134 @@ const (
 // bounds are shifted to zero (y_j = x_j − lo_j); GE rows are negated to LE
 // before slacks are added, so every slack has bounds [0, +inf) except EQ
 // rows, which get no slack.
+//
+// The rows are laid out at tableau width: after the n structural and slack
+// columns come the artificials newTableau will need (one per EQ row and per
+// row whose b is negative), so the tableau pivots on these rows in place.
+// A standard's slices are reused by the next standardize into it.
 type standard struct {
 	m, n     int // rows, columns (structurals + slacks)
 	nStruct  int // structural variable count
+	nArt     int // artificial columns after the n real ones
 	a        [][]float64
+	slab     []float64 // backing store of a
 	b        []float64
-	c        []float64
-	u        []float64 // upper bounds (math.Inf(1) when unbounded)
+	c        []float64 // costs at tableau width (artificials 0)
+	u        []float64 // upper bounds at tableau width (math.Inf(1) when unbounded)
+	slack    []int     // slack column of each row, -1 for EQ rows
 	objConst float64
 	lo       []float64 // original lower bounds of structurals (for unshifting)
+	x        []float64 // model-space solution of the last solve
 	negate   bool      // true when the model was a maximization
 }
 
-// standardize converts a Model to standard form. It returns an error for
-// malformed bounds (lo > hi).
-func standardize(m *Model) (*standard, error) {
+// grow returns s resized to n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// standardize converts a Model to standard form in st. It returns an error
+// for malformed bounds (lo > hi).
+func standardize(m *Model, st *standard) error {
 	ns := len(m.vars)
-	st := &standard{nStruct: ns, objConst: m.objConst}
-	st.lo = make([]float64, ns)
+	st.nStruct = ns
+	st.lo = grow(st.lo, ns)
 
 	for j, v := range m.vars {
 		if v.lo > v.hi+eps {
-			return nil, fmt.Errorf("ilp: variable %s has lo %g > hi %g", v.name, v.lo, v.hi)
+			return fmt.Errorf("ilp: variable %s has lo %g > hi %g", v.name, v.lo, v.hi)
 		}
 		st.lo[j] = v.lo
 	}
-
-	// Count slacks: one per inequality row.
-	nSlack := 0
-	for _, con := range m.constraints {
-		if con.Sense != EQ {
-			nSlack++
-		}
-	}
-	st.m = len(m.constraints)
-	st.n = ns + nSlack
-
-	st.a = make([][]float64, st.m)
-	st.b = make([]float64, st.m)
-	st.c = make([]float64, st.n)
-	st.u = make([]float64, st.n)
 
 	// z = objConst + Σ obj_j·x_j with x_j = lo_j + y_j, so in shifted space
 	// z = (objConst + Σ obj_j·lo_j) + Σ obj_j·y_j. Maximization becomes
 	// minimization of −z; the final objective is negated back in solveLP.
 	sign := 1.0
-	if m.dir == Maximize {
+	st.negate = m.dir == Maximize
+	if st.negate {
 		sign = -1
-		st.negate = true
 	}
+
+	// Slacks (one per inequality row), right-hand sides with the lower
+	// bounds shifted in, and the rows that will need an artificial.
+	st.m = len(m.constraints)
+	st.b = grow(st.b, st.m)
+	st.slack = grow(st.slack, st.m)
+	nSlack, nArt := 0, 0
+	for i, con := range m.constraints {
+		rhs := con.RHS
+		for _, t := range con.Terms {
+			rhs -= t.Coef * m.vars[t.Var].lo
+		}
+		st.slack[i] = -1
+		switch con.Sense {
+		case GE:
+			rhs *= -1 // negate to LE
+			fallthrough
+		case LE:
+			st.slack[i] = ns + nSlack
+			nSlack++
+		}
+		if st.slack[i] < 0 || rhs < 0 {
+			nArt++
+		}
+		st.b[i] = rhs
+	}
+	st.n = ns + nSlack
+	st.nArt = nArt
+	w := st.n + nArt
+
+	st.c = grow(st.c, w)
+	st.u = grow(st.u, w)
 	st.objConst = sign * m.objConst
 	for j, v := range m.vars {
 		st.c[j] = sign * v.obj
 		st.u[j] = v.hi - v.lo
 		st.objConst += sign * v.obj * v.lo
 	}
-	for j := ns; j < st.n; j++ {
+	for j := ns; j < w; j++ {
+		st.c[j] = 0
 		st.u[j] = math.Inf(1)
 	}
 
-	slack := ns
+	// Sized once for the widest tableau (an artificial on every row), the
+	// slab serves every node of a search without regrowing.
+	if cap(st.slab) < st.m*w {
+		st.slab = make([]float64, 0, st.m*(st.n+st.m))
+	}
+	st.slab = st.slab[:st.m*w]
+	clear(st.slab)
+	st.a = grow(st.a, st.m)
 	for i, con := range m.constraints {
-		row := make([]float64, st.n)
-		rhs := con.RHS
+		row := st.slab[i*w : (i+1)*w : (i+1)*w]
 		for _, t := range con.Terms {
 			row[t.Var] += t.Coef
-			rhs -= t.Coef * m.vars[t.Var].lo // shift lower bounds into RHS
 		}
-		rowSign := 1.0
-		switch con.Sense {
-		case GE:
-			rowSign = -1 // negate to LE
-			fallthrough
-		case LE:
-			for j := range row {
-				row[j] *= rowSign
+		if con.Sense == GE {
+			for j := range row[:st.n] {
+				row[j] *= -1
 			}
-			rhs *= rowSign
-			row[slack] = 1
-			slack++
-		case EQ:
-			// no slack
+		}
+		if k := st.slack[i]; k >= 0 {
+			row[k] = 1
 		}
 		st.a[i] = row
-		st.b[i] = rhs
 	}
-	return st, nil
+	return nil
 }
 
 // unshift converts a standard-form solution back to model-space values for
-// the structural variables.
+// the structural variables, in st.x.
 func (st *standard) unshift(y []float64) []float64 {
-	x := make([]float64, st.nStruct)
+	st.x = grow(st.x, st.nStruct)
 	for j := 0; j < st.nStruct; j++ {
-		x[j] = y[j] + st.lo[j]
+		st.x[j] = y[j] + st.lo[j]
 	}
-	return x
+	return st.x
 }
 
 // varStatus is the position of a nonbasic variable.
@@ -152,9 +184,10 @@ const (
 	inBasis
 )
 
-// tableau is the dense working state of the bounded-variable simplex.
+// tableau is the dense working state of the bounded-variable simplex. It
+// pivots on its standard form's rows in place; its own slices are reused
+// by the next newTableau into it.
 type tableau struct {
-	st    *standard
 	m, n  int // rows, total columns including artificials
 	nReal int // structurals + slacks (artificials have index ≥ nReal)
 	t     [][]float64
@@ -163,110 +196,54 @@ type tableau struct {
 	stat  []varStatus
 	u     []float64 // bounds including artificials (u=0 after phase 1)
 	iters int
+
+	cost, red, cb, y []float64 // phase-1 costs and iterate/solution scratch
+	nz               []int     // nonzero columns of the pivot row
 }
 
-// newTableau builds the initial tableau with artificial variables for every
-// row that lacks a natural basic slack (EQ rows, and rows whose RHS was
+// newTableau sets tb up over st with artificial variables for every row
+// that lacks a natural basic slack (EQ rows, and rows whose RHS was
 // negative after normalization).
-func newTableau(st *standard) *tableau {
+func newTableau(st *standard, tb *tableau) {
 	m, n := st.m, st.n
-	tb := &tableau{st: st, m: m, nReal: n}
+	*tb = tableau{
+		m: m, n: n + st.nArt, nReal: n, t: st.a, xB: st.b, u: st.u,
+		basis: grow(tb.basis, m), stat: grow(tb.stat, n+st.nArt),
+		cost: tb.cost, red: tb.red, cb: tb.cb, y: tb.y, nz: tb.nz,
+	}
+	clear(tb.stat)
 
-	// Normalize b ≥ 0 by negating rows.
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for i := 0; i < m; i++ {
-		a[i] = append([]float64(nil), st.a[i]...)
-		b[i] = st.b[i]
-		if b[i] < 0 {
-			for j := range a[i] {
-				a[i][j] = -a[i][j]
-			}
-			b[i] = -b[i]
-		}
-	}
-
-	// Identify rows with a usable identity slack column (coefficient +1
-	// and the slack appears in no other row — true by construction unless
-	// the row was negated).
-	needArt := make([]bool, m)
-	slackCol := make([]int, m)
-	for i := range slackCol {
-		slackCol[i] = -1
-	}
-	for i := 0; i < m; i++ {
-		needArt[i] = true
-		for j := st.nStruct; j < st.n; j++ {
-			if a[i][j] == 1 {
-				// Slack columns have exactly one nonzero entry overall.
-				needArt[i] = false
-				slackCol[i] = j
-				break
-			}
-		}
-	}
-
-	nArt := 0
-	for i := range needArt {
-		if needArt[i] {
-			nArt++
-		}
-	}
-	tb.n = n + nArt
-	tb.t = make([][]float64, m)
-	tb.u = make([]float64, tb.n)
-	copy(tb.u, st.u)
-	for j := n; j < tb.n; j++ {
-		tb.u[j] = math.Inf(1)
-	}
-	tb.basis = make([]int, m)
-	tb.xB = make([]float64, m)
-	tb.stat = make([]varStatus, tb.n)
-
+	// Normalize b ≥ 0 by negating rows; a negated row's slack has
+	// coefficient −1 and cannot start basic.
 	art := n
-	for i := 0; i < m; i++ {
-		row := make([]float64, tb.n)
-		copy(row, a[i])
-		if needArt[i] {
-			row[art] = 1
-			tb.basis[i] = art
-			tb.stat[art] = inBasis
-			art++
-		} else {
-			tb.basis[i] = slackCol[i]
-			tb.stat[slackCol[i]] = inBasis
-		}
-		tb.t[i] = row
-		tb.xB[i] = b[i]
-	}
-	return tb
-}
-
-// value returns the current value of column j.
-func (tb *tableau) value(j int) float64 {
-	switch tb.stat[j] {
-	case atLower:
-		return 0
-	case atUpper:
-		return tb.u[j]
-	default:
-		for i, bj := range tb.basis {
-			if bj == j {
-				return tb.xB[i]
+	for i, row := range tb.t {
+		j := st.slack[i]
+		if tb.xB[i] < 0 {
+			for k := range row[:n] {
+				row[k] = -row[k]
 			}
+			tb.xB[i] = -tb.xB[i]
+			j = -1
 		}
-		return 0
+		if j < 0 {
+			row[art] = 1
+			j = art
+			art++
+		}
+		tb.basis[i] = j
+		tb.stat[j] = inBasis
 	}
 }
 
 // solution extracts all column values.
 func (tb *tableau) solution() []float64 {
-	y := make([]float64, tb.n)
+	tb.y = grow(tb.y, tb.n)
+	y := tb.y
 	for j := 0; j < tb.n; j++ {
 		switch tb.stat[j] {
 		case atUpper:
 			y[j] = tb.u[j]
-		case atLower:
+		default:
 			y[j] = 0
 		}
 	}
@@ -279,11 +256,13 @@ func (tb *tableau) solution() []float64 {
 // reducedCosts computes c̄ = c − c_B·T for the given cost vector (length
 // tb.n; artificial costs included).
 func (tb *tableau) reducedCosts(c []float64) []float64 {
-	cb := make([]float64, tb.m)
+	tb.cb = grow(tb.cb, tb.m)
+	cb := tb.cb
 	for i, j := range tb.basis {
 		cb[i] = c[j]
 	}
-	red := make([]float64, tb.n)
+	tb.red = grow(tb.red, tb.n)
+	red := tb.red
 	copy(red, c)
 	for i := 0; i < tb.m; i++ {
 		if cb[i] == 0 {
@@ -429,32 +408,32 @@ func (tb *tableau) iterate(c []float64, maxIters int) lpStatus {
 		tb.basis[leave] = enter
 		tb.xB[leave] = enterVal
 
-		// Pivot the tableau on (leave, enter).
+		// Pivot the tableau on (leave, enter). Only the pivot row's nonzero
+		// columns change the other rows and the reduced costs: the skipped
+		// x −= f·0 could only flip the sign of a zero, never a value.
 		pr := tb.t[leave]
-		pv := pr[enter]
-		inv := 1.0 / pv
-		for j := 0; j < tb.n; j++ {
+		inv := 1.0 / pr[enter]
+		nz := tb.nz[:0]
+		for j := range pr {
 			pr[j] *= inv
+			if pr[j] != 0 {
+				nz = append(nz, j)
+			}
 		}
+		tb.nz = nz
 		pr[enter] = 1
-		for i := 0; i < tb.m; i++ {
-			if i == leave {
+		for i, row := range tb.t {
+			f := row[enter]
+			if i == leave || f == 0 {
 				continue
 			}
-			f := tb.t[i][enter]
-			if f == 0 {
-				continue
-			}
-			row := tb.t[i]
-			for j := 0; j < tb.n; j++ {
+			for _, j := range nz {
 				row[j] -= f * pr[j]
 			}
 			row[enter] = 0
 		}
-		// Update reduced costs.
-		f := red[enter]
-		if f != 0 {
-			for j := 0; j < tb.n; j++ {
+		if f := red[enter]; f != 0 {
+			for _, j := range nz {
 				red[j] -= f * pr[j]
 			}
 		}
@@ -463,10 +442,11 @@ func (tb *tableau) iterate(c []float64, maxIters int) lpStatus {
 	return lpIterLimit
 }
 
-// solveLP solves the standard-form LP. On lpOptimal it returns the
-// structural solution (model space) and objective value.
-func solveLP(st *standard) (lpStatus, []float64, float64) {
-	tb := newTableau(st)
+// solveLP solves the standard-form LP on tb with the given pivot loop. On
+// lpOptimal it returns the structural solution (model space, in st.x) and
+// objective value.
+func solveLP(st *standard, tb *tableau, iterate func(*tableau, []float64, int) lpStatus) (lpStatus, []float64, float64) {
+	newTableau(st, tb)
 	maxIters := iterFactor * (tb.m + tb.n)
 	if maxIters < minIters {
 		maxIters = minIters
@@ -474,11 +454,15 @@ func solveLP(st *standard) (lpStatus, []float64, float64) {
 
 	// Phase 1: minimize the sum of artificials.
 	if tb.nReal < tb.n {
-		c1 := make([]float64, tb.n)
-		for j := tb.nReal; j < tb.n; j++ {
-			c1[j] = 1
+		tb.cost = grow(tb.cost, tb.n)
+		c1 := tb.cost
+		for j := range c1 {
+			c1[j] = 0
+			if j >= tb.nReal {
+				c1[j] = 1
+			}
 		}
-		status := tb.iterate(c1, maxIters)
+		status := iterate(tb, c1, maxIters)
 		if status == lpIterLimit {
 			return lpIterLimit, nil, 0
 		}
@@ -498,9 +482,7 @@ func solveLP(st *standard) (lpStatus, []float64, float64) {
 	}
 
 	// Phase 2: the real objective (artificial costs zero).
-	c2 := make([]float64, tb.n)
-	copy(c2, st.c)
-	status := tb.iterate(c2, maxIters)
+	status := iterate(tb, st.c, maxIters)
 	if status != lpOptimal {
 		return status, nil, 0
 	}
@@ -517,14 +499,21 @@ func solveLP(st *standard) (lpStatus, []float64, float64) {
 	return lpOptimal, x, obj
 }
 
-// SolveLP solves the linear relaxation of m (ignoring integrality) and
-// returns the status, the solution (model space) and the objective value.
-func SolveLP(m *Model) (Status, []float64, float64, error) {
-	st, err := standardize(m)
-	if err != nil {
+// relaxation is the storage a sequence of LP solves shares: Solve keeps one
+// for its whole branch-and-bound, so a node costs no new rows.
+type relaxation struct {
+	st      standard
+	tb      tableau
+	iterate func(*tableau, []float64, int) lpStatus
+}
+
+// solve solves the linear relaxation of m (ignoring integrality). The
+// returned solution aliases the relaxation's storage until the next solve.
+func (r *relaxation) solve(m *Model) (Status, []float64, float64, error) {
+	if err := standardize(m, &r.st); err != nil {
 		return StatusError, nil, 0, err
 	}
-	status, x, obj := solveLP(st)
+	status, x, obj := solveLP(&r.st, &r.tb, r.iterate)
 	switch status {
 	case lpOptimal:
 		return StatusOptimal, x, obj, nil
@@ -535,4 +524,11 @@ func SolveLP(m *Model) (Status, []float64, float64, error) {
 	default:
 		return StatusError, nil, 0, fmt.Errorf("ilp: simplex iteration limit exceeded")
 	}
+}
+
+// SolveLP solves the linear relaxation of m (ignoring integrality) and
+// returns the status, the solution (model space) and the objective value.
+func SolveLP(m *Model) (Status, []float64, float64, error) {
+	r := relaxation{iterate: (*tableau).iterate}
+	return r.solve(m)
 }

@@ -49,9 +49,13 @@ type lagProblem struct {
 	index map[int]int // operator ID → dense index
 	edges [][2]int    // dense (from, to)
 	edgeW []float64
+	inc   [][]int // per vertex: indices of its in- and out-edges, in edge order
 	cpu   []float64
 	ram   []float64
 	force []int8 // +1 node-pinned, -1 server-pinned
+
+	out    []bool // repair's cut
+	succOn []int  // repair's on-node successor counts
 }
 
 func newLagProblem(s *core.Spec) *lagProblem {
@@ -63,6 +67,7 @@ func newLagProblem(s *core.Spec) *lagProblem {
 	p.cpu = make([]float64, n)
 	p.ram = make([]float64, n)
 	p.force = make([]int8, n)
+	p.succOn = make([]int, n)
 	for i, op := range p.ops {
 		p.cpu[i] = s.OpCPU(op.ID())
 		p.ram[i] = s.RAM[op.ID()]
@@ -73,9 +78,13 @@ func newLagProblem(s *core.Spec) *lagProblem {
 			p.force[i] = -1
 		}
 	}
-	for _, e := range s.Graph.Edges() {
-		p.edges = append(p.edges, [2]int{p.index[e.From.ID()], p.index[e.To.ID()]})
+	p.inc = make([][]int, n)
+	for k, e := range s.Graph.Edges() {
+		from, to := p.index[e.From.ID()], p.index[e.To.ID()]
+		p.edges = append(p.edges, [2]int{from, to})
 		p.edgeW = append(p.edgeW, s.EdgeBW(e))
+		p.inc[from] = append(p.inc[from], k)
+		p.inc[to] = append(p.inc[to], k)
 	}
 	return p
 }
@@ -107,11 +116,12 @@ func (p *lagProblem) feasible(cpu, net, ram float64) bool {
 // repair peels maximal on-node movable operators (every successor already
 // off-node, so removal keeps the cut monotone) until the budgets hold,
 // preferring the peel that most reduces the total relative violation. It
-// returns nil when no feasible cut is reachable this way.
+// returns nil when no feasible cut is reachable this way. The repaired
+// cut lives in p's storage until the next repair.
 func (p *lagProblem) repair(sel []bool) []bool {
-	out := append([]bool(nil), sel...)
-	n := len(out)
-	succOn := make([]int, n) // on-node successors per vertex
+	p.out = append(p.out[:0], sel...)
+	out := p.out
+	succOn := p.succOn // on-node successors per vertex
 	for {
 		cpu, net, ram := p.loads(out)
 		if p.feasible(cpu, net, ram) {
@@ -147,7 +157,8 @@ func (p *lagProblem) repair(sel []bool) []bool {
 			// Removing i: its on-node in-edges become cut, its cut
 			// out-edges heal.
 			dNet := 0.0
-			for k, e := range p.edges {
+			for _, k := range p.inc[i] {
+				e := p.edges[k]
 				if e[1] == i && out[e[0]] {
 					dNet += p.edgeW[k]
 				}
@@ -217,6 +228,7 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 	bestObj := math.Inf(1)
 	bestDual := math.Inf(-1)
 	w := make([]float64, n)
+	var net flowNet
 
 	// Combinatorial duals usually carry an intrinsic gap the gap test can
 	// never close; stop once the dual has made no meaningful gain for a
@@ -257,7 +269,7 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 			w[e[0]] += (s.Beta + lam[1]) * p.edgeW[k]
 			w[e[1]] -= (s.Beta + lam[1]) * p.edgeW[k]
 		}
-		sel, inner := minClosure(n, p.edges, w, p.force)
+		sel, inner := net.minClosure(n, p.edges, w, p.force)
 		dual := inner - lam[0]*s.CPUBudget - lam[1]*s.NetBudget
 		if useRAM {
 			dual -= lam[2] * s.RAMBudget

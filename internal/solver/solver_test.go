@@ -616,3 +616,30 @@ func TestSolverExactCutoffDeterministic(t *testing.T) {
 	// internal/ilp's TestCutoffDeterministic exercises the prune itself.
 	t.Logf("cutoff discarded subtrees on %d/%d feasible specs", pruned, checked)
 }
+
+// BenchmarkAutoPartition runs the paper's decision procedure on the Fig. 3
+// program overloaded past its CPU budget (the two node-pinned sources alone
+// need 2 at full rate, the budget is 1), so every plan is the full-rate
+// probe plus the §4.3 rate search, with the exact and the Lagrangian
+// backend. Its allocations are the solve path's storage per plan.
+func BenchmarkAutoPartition(b *testing.B) {
+	spec := fig3Spec(b, 1)
+	for _, name := range []string{core.SolverExact, core.SolverLagrangian} {
+		b.Run(name, func(b *testing.B) {
+			sv, err := New(name, core.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := core.AutoPartitionWith(ctxBG(), spec, 1, 0.005, core.Limits{}, sv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Assignment == nil || res.Probes < 2 {
+					b.Fatalf("plan at rate %v after %d probes: want a load-shed partition", res.RateMultiple, res.Probes)
+				}
+			}
+		})
+	}
+}
