@@ -84,8 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rates := []float64{0.25, 0.5, 1, 2, 3, 4, 6, 8, 12, 16, 20}
-		rows, err := experiments.Fig5a(env, rates,
+		rows, err := experiments.Fig5a(env, experiments.Fig5aRates,
 			[]*platform.Platform{platform.TMoteSky(), platform.NokiaN80()})
 		if err != nil {
 			log.Fatal(err)
@@ -129,34 +128,11 @@ func main() {
 		out(experiments.Fig10Table(rows))
 	}
 	if want("text") {
-		e := needSpeech()
-		mk, err := experiments.TextMeraki(e)
+		t, err := experiments.TextTable(needSpeech())
 		if err != nil {
 			log.Fatal(err)
 		}
-		rs, err := experiments.TextRateSearch(e)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gm, err := experiments.TextGumstix(e, 30)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out(&experiments.Table{
-			Title:  "§7.3.1 in-text results",
-			Header: []string{"claim", "paper", "measured"},
-			Rows: [][]string{
-				{"Meraki optimal cut", "raw data (1 op on node)",
-					fmt.Sprintf("%d op(s) on node, raw=%v", mk.OnNodeOps, mk.RawIsBest)},
-				{"max sustainable rate", "3 events/s",
-					fmt.Sprintf("%.2f events/s", rs.EventsPerSec)},
-				{"optimal cut at that rate", "after filterbank",
-					"after " + rs.CutAfter},
-				{"Gumstix CPU", "11.5% predicted, 15% measured",
-					fmt.Sprintf("%.1f%% predicted, %.1f%% measured",
-						100*gm.PredictedCPU, 100*gm.MeasuredCPU)},
-			},
-		})
+		out(t)
 	}
 	if *fig == "dist" {
 		var hostCounts []int

@@ -55,6 +55,9 @@ type Fig5aRow struct {
 	OpsOnNode    int
 }
 
+// Fig5aRates are the input-rate multiples Figure 5(a) sweeps.
+var Fig5aRates = []float64{0.25, 0.5, 1, 2, 3, 4, 6, 8, 12, 16, 20}
+
 // Fig5a sweeps the input rate on a single EEG channel and reports how many
 // operators fit in the optimal node partition on each platform.
 func Fig5a(e *EEGEnv, rates []float64, platforms []*platform.Platform) ([]Fig5aRow, error) {

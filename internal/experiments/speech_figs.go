@@ -367,3 +367,35 @@ func TextGumstix(e *SpeechEnv, seconds float64) (*GumstixResult, error) {
 		MeasuredCPU:  res.NodeCPU,
 	}, nil
 }
+
+// TextTable runs the three §7.3.1 in-text experiments and sets each
+// measurement beside the paper's claim.
+func TextTable(e *SpeechEnv) (*Table, error) {
+	mk, err := TextMeraki(e)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := TextRateSearch(e)
+	if err != nil {
+		return nil, err
+	}
+	gm, err := TextGumstix(e, 30)
+	if err != nil {
+		return nil, err
+	}
+	return &Table{
+		Title:  "§7.3.1 in-text results",
+		Header: []string{"claim", "paper", "measured"},
+		Rows: [][]string{
+			{"Meraki optimal cut", "raw data (1 op on node)",
+				fmt.Sprintf("%d op(s) on node, raw=%v", mk.OnNodeOps, mk.RawIsBest)},
+			{"max sustainable rate", "3 events/s",
+				fmt.Sprintf("%.2f events/s", rs.EventsPerSec)},
+			{"optimal cut at that rate", "after filterbank",
+				"after " + rs.CutAfter},
+			{"Gumstix CPU", "11.5% predicted, 15% measured",
+				fmt.Sprintf("%.1f%% predicted, %.1f%% measured",
+					100*gm.PredictedCPU, 100*gm.MeasuredCPU)},
+		},
+	}, nil
+}
