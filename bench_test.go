@@ -1,6 +1,6 @@
 // Ablation benchmarks for the partitioner's design choices (EXPERIMENTS.md
 // "Ablations"). The paper's figures are regenerated by cmd/wbbench and the
-// systems numbers by ./bench; these four are the only benchmarks with no
+// systems numbers by ./bench; these three are the only benchmarks with no
 // twin in either.
 package wishbone
 
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"wishbone/internal/baseline"
 	"wishbone/internal/core"
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
@@ -120,64 +119,6 @@ func BenchmarkAblationFormulation(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationBaselines compares the exact ILP against the greedy
-// heuristic, exhaustive chain enumeration, and the Kernighan–Lin balanced
-// min-cut on the speech pipeline at its sustainable rate (where the cut
-// decision is non-trivial). KL reports budget violations instead of an
-// objective — the §4 argument for why balanced partitioners don't fit.
-func BenchmarkAblationBaselines(b *testing.B) {
-	env, err := experiments.NewSpeechEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Scale to the TMote's sustainable rate so intermediate cuts fit.
-	spec := env.Spec(platform.TMoteSky()).Scaled(0.09)
-	spec.NetBudget = 0
-	type solver struct {
-		name string
-		run  func() (*core.Assignment, error)
-	}
-	solvers := []solver{
-		{"ilp", func() (*core.Assignment, error) {
-			return core.Partition(context.Background(), spec, core.DefaultOptions())
-		}},
-		{"greedy", func() (*core.Assignment, error) { return baseline.Greedy(spec) }},
-		{"chain-exhaustive", func() (*core.Assignment, error) { return baseline.ChainExhaustive(spec) }},
-	}
-	for _, s := range solvers {
-		b.Run(s.name, func(b *testing.B) {
-			var obj float64
-			for i := 0; i < b.N; i++ {
-				asg, err := s.run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				obj = asg.Objective
-			}
-			b.ReportMetric(obj, "objective")
-		})
-	}
-	b.Run("kernighan-lin", func(b *testing.B) {
-		var violations float64
-		for i := 0; i < b.N; i++ {
-			asg := baseline.KernighanLin(spec, 0.5)
-			v := baseline.Check(spec, asg)
-			violations = 0
-			if v.CPUOver {
-				violations++
-			}
-			if v.NetOver {
-				violations++
-			}
-			if v.NonMonotone {
-				violations++
-			}
-			violations += float64(v.PinBreaks)
-		}
-		b.ReportMetric(violations, "violations")
-	})
 }
 
 // BenchmarkAblationMeanVsPeak compares partitioning on mean versus peak

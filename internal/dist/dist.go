@@ -78,9 +78,6 @@ func NewWithOptions(peers []string, opts Options) *Coordinator {
 	return c
 }
 
-// Peers returns the configured peer URLs.
-func (c *Coordinator) Peers() []string { return append([]string(nil), c.urls...) }
-
 // recovery builds the DistRecovery policy for one run's shard state, or
 // nil when recovery is disabled.
 func (c *Coordinator) recovery(st *runShards) *runtime.DistRecovery {

@@ -297,13 +297,6 @@ func TestMagWithScale(t *testing.T) {
 	}
 }
 
-func TestDecimate(t *testing.T) {
-	out := DecimateInto(nil, []float64{0, 1, 2, 3, 4, 5, 6, 7}, 4, nil)
-	if len(out) != 2 || out[0] != 0 || out[1] != 4 {
-		t.Fatalf("out=%v", out)
-	}
-}
-
 func TestKernelsCountOperations(t *testing.T) {
 	// Profiling correctness depends on kernels actually reporting work.
 	var c cost.Counter

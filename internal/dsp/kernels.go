@@ -203,23 +203,3 @@ func DCTIIInto(c *cost.Counter, x []float64, nOut int, out []float64) []float64 
 	c.Add(cost.Store, nOut)
 	return out
 }
-
-// DecimateInto keeps every factor-th sample, after the caller has
-// low-passed the signal (the TMote audio path samples at 32 ks/s and
-// decimates to 8 ks/s, §6.2.3), appending into out (which should have
-// capacity ≥ len(x)/factor+1 to avoid growth); it returns the filled
-// slice. It copies even when factor ≤ 1, so the result never aliases x.
-func DecimateInto(c *cost.Counter, x []float64, factor int, out []float64) []float64 {
-	if factor <= 1 {
-		return append(out, x...)
-	}
-	n := 0
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-		n++
-	}
-	c.Add(cost.Load, n)
-	c.Add(cost.Store, n)
-	c.Add(cost.IntOp, n)
-	return out
-}

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,8 @@ import (
 
 	"wishbone/internal/core"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/experiments"
+	"wishbone/internal/platform"
 )
 
 func ctxBG() context.Context { return context.Background() }
@@ -444,8 +447,25 @@ func TestSolverLagrangianIterationsPinned(t *testing.T) {
 }
 
 // TestSolverGreedyChainOptimal: on a linear pipeline the greedy chain
-// enumerates every prefix cut, so it must match the exact optimum.
+// enumerates every prefix cut, so it must match the exact optimum — on a
+// hand-built chain, on seeded random chains, and on the speech pipeline
+// at five rate multiples around its TMote cut points.
 func TestSolverGreedyChainOptimal(t *testing.T) {
+	agree := func(name string, spec *core.Spec) {
+		t.Helper()
+		exact, _, errExact := core.NewExact(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
+		greedy, _, errGreedy := NewGreedy(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
+		if errExact != nil || errGreedy != nil {
+			if !core.IsInfeasible(errExact) || !core.IsInfeasible(errGreedy) {
+				t.Fatalf("%s: exact err %v, greedy err %v", name, errExact, errGreedy)
+			}
+			return
+		}
+		if math.Abs(greedy.Objective-exact.Objective) > 1e-9 {
+			t.Fatalf("%s: greedy %v != exact %v on a chain", name, greedy.Objective, exact.Objective)
+		}
+	}
+
 	g := dataflow.New()
 	src := g.Add(&dataflow.Operator{Name: "src", NS: dataflow.NSNode, SideEffect: true})
 	a := g.Add(&dataflow.Operator{Name: "a", NS: dataflow.NSNode})
@@ -460,7 +480,7 @@ func TestSolverGreedyChainOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &core.Spec{
+	agree("hand-built", &core.Spec{
 		Graph: g, Class: cls,
 		CPU: map[int]core.OpCost{
 			src.ID(): {Mean: 0.01}, a.ID(): {Mean: 0.2}, b.ID(): {Mean: 0.3}, c.ID(): {Mean: 0.4},
@@ -469,18 +489,58 @@ func TestSolverGreedyChainOptimal(t *testing.T) {
 			e1: {Mean: 800}, e2: {Mean: 400}, e3: {Mean: 60}, e4: {Mean: 90},
 		},
 		Alpha: 0, Beta: 1, CPUBudget: 0.6,
+	})
+
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		agree(fmt.Sprintf("random chain %d", trial), randomChainSpec(rng))
 	}
-	exact, _, err := core.NewExact(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
+
+	env, err := experiments.NewSpeechEnv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, _, err := NewGreedy(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
+	for _, m := range []float64{0.05, 0.09, 0.2, 0.5, 1} {
+		spec := env.Spec(platform.TMoteSky()).Scaled(m)
+		spec.NetBudget = 0
+		agree(fmt.Sprintf("speech ×%v", m), spec)
+	}
+}
+
+// randomChainSpec builds src → op₁ → … → opₙ → sink with random costs and
+// budgets; about one in six is infeasible even with only the source on
+// the node, and greedy must then say so too.
+func randomChainSpec(rng *rand.Rand) *core.Spec {
+	g := dataflow.New()
+	spec := &core.Spec{
+		Graph:     g,
+		CPU:       map[int]core.OpCost{},
+		Bandwidth: map[*dataflow.Edge]core.EdgeCost{},
+		Alpha:     float64(rng.Intn(2)),
+		Beta:      1,
+	}
+	prev := g.Add(&dataflow.Operator{Name: "src", NS: dataflow.NSNode, SideEffect: true})
+	spec.CPU[prev.ID()] = core.OpCost{Mean: float64(rng.Intn(3))}
+	cpu := spec.CPU[prev.ID()].Mean
+	for i, n := 0, 1+rng.Intn(10); i < n; i++ {
+		op := g.Add(&dataflow.Operator{Name: "op", NS: dataflow.NSNode})
+		spec.CPU[op.ID()] = core.OpCost{Mean: float64(1 + rng.Intn(9))}
+		cpu += spec.CPU[op.ID()].Mean
+		spec.Bandwidth[g.Connect(prev, op, 0)] = core.EdgeCost{Mean: float64(1 + rng.Intn(100))}
+		prev = op
+	}
+	sink := g.Add(&dataflow.Operator{Name: "sink", NS: dataflow.NSServer, SideEffect: true})
+	spec.Bandwidth[g.Connect(prev, sink, 0)] = core.EdgeCost{Mean: float64(1 + rng.Intn(100))}
+	spec.CPUBudget = float64(1+rng.Intn(int(cpu)+1)) - 0.5
+	if rng.Intn(2) == 0 {
+		spec.NetBudget = float64(1 + rng.Intn(100))
+	}
+	cls, err := dataflow.Classify(g, dataflow.Conservative)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	if math.Abs(greedy.Objective-exact.Objective) > 1e-9 {
-		t.Fatalf("greedy %v != exact %v on a chain", greedy.Objective, exact.Objective)
-	}
+	spec.Class = cls
+	return spec
 }
 
 // TestSolverRaceCancellation: a canceled context aborts the race with its

@@ -6,8 +6,9 @@
 // GraphSpec says how to rebuild an executable graph (work functions cannot
 // cross a process boundary — the server re-elaborates from the spec, as
 // the paper's compiler re-elaborates WaveScript source), and a GraphWire
-// is the canonical structural encoding used for content hashing and for
-// clients that only need the shape (operator names, IDs, edges).
+// is the structural description a server sends back to clients that only
+// need the shape (operator names, IDs, edges). A GraphWire is outbound
+// only: requests name their graph by GraphSpec, never by structure.
 package wire
 
 import (
@@ -85,60 +86,6 @@ func NewGraphWire(g *dataflow.Graph) *GraphWire {
 		w.Edges = append(w.Edges, EdgeWire{From: e.From.ID(), To: e.To.ID(), Port: e.ToPort})
 	}
 	return w
-}
-
-// Build reconstructs a structural skeleton graph: operators keep their
-// IDs, names, namespaces and flags, but work functions are absent and
-// stateful/reduce operators get stub constructors so the graph validates
-// and compiles. The skeleton is sufficient for hashing, classification,
-// and partition-problem geometry — not for execution.
-func (w *GraphWire) Build() (*dataflow.Graph, error) {
-	g := dataflow.New()
-	for i, ow := range w.Ops {
-		if ow.NS != int(dataflow.NSNode) && ow.NS != int(dataflow.NSServer) {
-			return nil, fmt.Errorf("wire: operator %d has unknown namespace %d", i, ow.NS)
-		}
-		op := &dataflow.Operator{
-			Name:       ow.Name,
-			NS:         dataflow.Namespace(ow.NS),
-			Stateful:   ow.Stateful,
-			SideEffect: ow.SideEffect,
-			Reduce:     ow.Reduce,
-		}
-		if ow.Stateful {
-			op.NewState = func() any { return nil }
-		}
-		if ow.Reduce {
-			op.Combine = func(a, b dataflow.Value) dataflow.Value { return a }
-		}
-		g.Add(op)
-	}
-	for _, ew := range w.Edges {
-		from, to := g.ByID(ew.From), g.ByID(ew.To)
-		if from == nil || to == nil {
-			return nil, fmt.Errorf("wire: edge %d->%d refers to unknown operators", ew.From, ew.To)
-		}
-		g.Connect(from, to, ew.Port)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// MarshalGraph encodes g's structure as canonical JSON bytes.
-func MarshalGraph(g *dataflow.Graph) ([]byte, error) {
-	return json.Marshal(NewGraphWire(g))
-}
-
-// UnmarshalGraph decodes bytes produced by MarshalGraph into a skeleton
-// graph (see GraphWire.Build).
-func UnmarshalGraph(data []byte) (*dataflow.Graph, error) {
-	var w GraphWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, err
-	}
-	return w.Build()
 }
 
 // OpProfileWire is one operator's profile: invocation count plus total and

@@ -10,6 +10,12 @@
 // Encoding: one tag byte, then big-endian payload. Slices carry a uvarint
 // length. Unknown tags fail decoding loudly so node and server builds
 // cannot silently disagree about the format.
+//
+// The package also holds the service's bodies: the partition API (api.go),
+// graph specs, reports and assignments (graph.go), the shard-host protocol
+// (shard.go) and the snapshot framing (snapshot.go). A request names its
+// graph by GraphSpec; a graph's structure (GraphWire) is only ever sent,
+// never decoded.
 package wire
 
 import (
