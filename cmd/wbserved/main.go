@@ -46,13 +46,6 @@ func main() {
 	replanMax := flag.Int("replan-max", 0, "server-side cap on mid-stream re-partitions per controlled session, overriding larger tenant requests (0 = uncapped)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown timeout")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty = off; the API listener never serves /debug/pprof/)")
-	// Note: http.Server.ReadTimeout is an absolute whole-body deadline —
-	// it caps every upload's total duration, progressing or stalled, so
-	// it defaults off (a legitimate /v1/simulate/stream trace can take as
-	// long as the client needs to generate it). A firehose that outpaces
-	// its simulated-time progress is shed by the window-buffer bound
-	// (-stream-buffer) with a typed 429 instead.
-	readTimeout := flag.Duration("read-timeout", 0, "absolute per-request body deadline, killing uploads that exceed it regardless of progress (0 = none)")
 	flag.Parse()
 
 	svc := server.New(server.Config{
@@ -68,7 +61,6 @@ func main() {
 		Addr:              *addr,
 		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 30 * time.Second,
-		ReadTimeout:       *readTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
 

@@ -62,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -138,6 +139,8 @@ type Server struct {
 
 	// now is the lease clock (tests substitute a fake one).
 	now func() time.Time
+	// bodyIdle bounds a request body's silence (tests shorten it).
+	bodyIdle time.Duration
 }
 
 // New returns a ready Server.
@@ -154,6 +157,7 @@ func New(cfg Config) *Server {
 		retiredFuel:   make(map[string]FuelSnapshot),
 		shardSessions: make(map[string]*shardSession),
 		now:           time.Now,
+		bodyIdle:      bodyIdle,
 	}
 	s.cache.OnEvict(s.retireEntry)
 	for i := range routes {
@@ -385,7 +389,7 @@ func endpoint[Req, Resp any](fn func(*Server, context.Context, *Req, *requestBod
 		var hit bool
 		var err error
 		defer func() { s.metrics.Observe(rt.metric, time.Since(start), hit, err) }()
-		body := &requestBody{src: r.Body}
+		body := &requestBody{src: r.Body, rc: http.NewResponseController(w), idle: s.bodyIdle}
 		body.Decoder = json.NewDecoder(body)
 		var req Req
 		if err = body.Decode(&req); err != nil {
@@ -445,17 +449,24 @@ func fail(w http.ResponseWriter, err error) {
 // refusing to buffer without limit.
 const maxBodyBytes = 64 << 20
 
-var errBodyTooLarge = errors.New("request body value exceeds the size limit")
+var (
+	errBodyTooLarge = errors.New("request body value exceeds the size limit")
+	errBodyIdle     = errors.New("request body stalled past the idle bound")
+)
 
 // requestBody is a request's JSON decoder reading through a byte budget.
 // A plain route spends one budget on its whole body. A streaming route's
 // body has no total bound — the trace is never resident — so renew grants
 // a fresh budget after the header and after every arrival: what is capped
-// is the single value the decoder would otherwise buffer whole.
+// is the single value the decoder would otherwise buffer whole. Every read
+// gets idle to deliver a byte; net/http lifts the deadline when the body
+// ends, so a handler computing past it keeps its connection and context.
 type requestBody struct {
 	*json.Decoder
 	src   io.Reader
 	spent int64
+	rc    *http.ResponseController // nil: no idle bound
+	idle  time.Duration
 }
 
 func (b *requestBody) Read(p []byte) (int, error) {
@@ -465,8 +476,16 @@ func (b *requestBody) Read(p []byte) (int, error) {
 	if room := maxBodyBytes - b.spent; int64(len(p)) > room {
 		p = p[:room]
 	}
+	if b.rc != nil {
+		// A writer without deadlines (ErrNotSupported) leaves the body
+		// unbounded in time, as before; the read itself is still valid.
+		_ = b.rc.SetReadDeadline(time.Now().Add(b.idle))
+	}
 	n, err := b.src.Read(p)
 	b.spent += int64(n)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = errBodyIdle
+	}
 	return n, err
 }
 
@@ -474,8 +493,11 @@ func (b *requestBody) renew() { b.spent = 0 }
 
 // bodyError maps a decoder failure on the request body to its status.
 func bodyError(err error) error {
-	if errors.Is(err, errBodyTooLarge) {
+	switch {
+	case errors.Is(err, errBodyTooLarge):
 		return &httpError{code: http.StatusRequestEntityTooLarge, kind: "body_too_large", err: err}
+	case errors.Is(err, errBodyIdle):
+		return &httpError{code: http.StatusRequestTimeout, kind: "idle", err: err}
 	}
 	return badRequest("bad request body: %v", err)
 }

@@ -51,6 +51,14 @@ import (
 // so a live run is never evicted between two of its windows.
 const shardSessionIdle = 5 * time.Minute
 
+// bodyIdle is how long a request body may go without a byte before its
+// read fails with a typed 408 (code "idle"). A streaming route holds a job
+// slot from its header to its close, so without it a client that stalls
+// mid-upload keeps the slot for as long as it keeps the socket open. The
+// bound is on silence, not on the upload's length: it restarts at every
+// read of the body.
+const bodyIdle = time.Minute
+
 // maxShardSessionsDefault bounds concurrently open shard sessions per
 // server (each pins instances for its origins) when Config leaves it 0.
 const maxShardSessionsDefault = 256

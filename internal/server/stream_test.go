@@ -3,8 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
@@ -361,5 +364,83 @@ func TestServerSimulateStreamBackpressure(t *testing.T) {
 	}
 	if _, err := client.SimulateStream(context.Background(), pacedReq, paced); err != nil {
 		t.Fatalf("well-paced stream rejected: %v", err)
+	}
+}
+
+// TestStreamIdleReleasesSlot: a streaming upload that sends its header and
+// then nothing is cut at the body idle bound with a typed 408 (code
+// "idle"), and the job slot it held goes to the plain simulate queued
+// behind it; an upload that keeps sending runs past the bound in total and
+// still succeeds.
+func TestStreamIdleReleasesSlot(t *testing.T) {
+	const idle = 300 * time.Millisecond
+	svc := New(Config{MaxJobs: 1})
+	svc.bodyIdle = idle
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
+
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+	trace := e.traces(wire.TraceSpec{Seed: 1, Seconds: 2})[0]
+	src := trace.Source.ID()
+	req := wire.SimulateStreamRequest{
+		Graph: spec, Platform: "TMoteSky", OnNode: []int{src}, Nodes: 1, Duration: 2, WindowSeconds: 1,
+	}
+
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
+	stalled := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/simulate/stream", "application/json", pr)
+		if err == nil {
+			err = apiError(resp)
+			resp.Body.Close()
+		}
+		stalled <- err
+	}()
+	if _, err := pw.Write(wireBytes(t, req)); err != nil {
+		t.Fatal(err)
+	}
+	for svc.Stats().InFlightJobs == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	if _, err := client.Simulate(ctx, wire.SimulateRequest{
+		Graph: spec, Platform: "TMoteSky", OnNode: []int{src}, Nodes: 1, Duration: 2,
+	}); err != nil {
+		t.Fatalf("simulate behind a stalled stream: %v (after %v)", err, time.Since(start))
+	}
+	select {
+	case err := <-stalled:
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusRequestTimeout || apiErr.Code != "idle" {
+			t.Fatalf("stalled stream: want typed 408 idle, got %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("stalled stream got no answer")
+	}
+
+	// Ten arrivals a third of the bound apart: three bounds in total, never
+	// one bound of silence.
+	i := 0
+	resp, err := client.SimulateStream(context.Background(), req, func() ([]wire.ArrivalWire, bool) {
+		if i == 10 {
+			return nil, false
+		}
+		time.Sleep(idle / 3)
+		a := wire.ArrivalWire{Node: 0, Time: float64(i) / 10, Source: src, Type: "i16s",
+			Value: wireBytes(t, trace.Events[i%len(trace.Events)])}
+		i++
+		return []wire.ArrivalWire{a}, true
+	})
+	if err != nil {
+		t.Fatalf("progressing stream longer than the idle bound: %v", err)
+	}
+	if resp.Result.MsgsSent == 0 {
+		t.Fatalf("degenerate progressing stream: %+v", resp.Result)
 	}
 }
