@@ -297,7 +297,7 @@ func main() {
 			cfg.WindowSeconds = *replanWindow
 			var events []runtime.ReplanEvent
 			res, events, distributed, err = coord.RunControlled(ctx, graphSpec, cfg,
-				runtime.ReplanPolicy{}, 0, replanPlanner(ctx, spec.Scaled(rate), sv))
+				runtime.ReplanPolicy{}, replanPlanner(ctx, spec.Scaled(rate), sv))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -103,86 +103,70 @@ func (c *Coordinator) recovery(st *runShards) *runtime.DistRecovery {
 // single-host streaming path runs — so the Result is byte-identical
 // either way.
 func (c *Coordinator) Run(ctx context.Context, spec wire.GraphSpec, cfg runtime.Config) (res *runtime.Result, distributed bool, err error) {
-	if len(c.peers) == 0 || !runtime.Distributable(cfg) {
-		res, err = runtime.Run(cfg)
-		return res, false, err
-	}
-	st := c.newRunShards(ctx, spec)
-	hosts, err := st.open(cfg, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	ds, err := runtime.NewDistSession(cfg, hosts)
-	if err != nil {
-		for _, b := range hosts {
-			b.Driver.Abort()
-		}
-		return nil, false, err
-	}
-	ds.EnableRecovery(c.recovery(st))
-	if err := runtime.Feed(ds, &cfg); err != nil {
-		ds.Abort()
-		return nil, true, err
-	}
-	res, err = ds.Close()
-	if err != nil {
-		return nil, true, err
-	}
-	return res, true, nil
+	res, _, distributed, err = c.run(ctx, spec, cfg, nil, nil)
+	return res, distributed, err
 }
 
-// RunControlled is Run with the online control plane attached: the
-// per-window load observations drive a drift detector, and when drift
-// persists the planner is consulted for a new cut. Relocated operators
-// hand state off mid-stream — on the distributed path the coordinator
-// freezes every host (/v1/shard/snapshot), folds the blobs into one
-// session snapshot, rewrites it onto the new cut with MigrateSnapshot,
-// and re-opens the hosts with the migrated snapshot as their Resume
-// blob; the local fallback runs the same handoff in-process. Either way
-// the continuation is byte-identical to a run that started on the new
-// cut at the handoff boundary.
+// RunControlled is Run with the online control plane attached
+// (runtime.Session.EnableReplan): the per-window load observations drive
+// a drift detector, and when drift persists the planner is consulted for
+// a new cut. Relocated operators hand state off mid-stream — on the
+// distributed path the coordinator checkpoints every host, folds the
+// blobs into one session snapshot, rewrites it onto the new cut with
+// MigrateSnapshot, and re-opens the hosts with the migrated snapshot as
+// their Resume blob; the local fallback runs the same handoff in-process.
+// Either way the continuation is byte-identical to a run that started on
+// the new cut at the handoff boundary.
 //
-// plannedLoad is the offered-load rate (air bytes/sec) the initial cut
-// was planned for; 0 adopts the first observed window. planner may be
-// nil for drift detection without relocation. The returned events record
-// every trigger, moved set, and the load multiple solved for.
+// The first observed window is the baseline load. The returned events
+// record every trigger, moved set, and the load multiple solved for.
 func (c *Coordinator) RunControlled(ctx context.Context, spec wire.GraphSpec, cfg runtime.Config,
-	policy runtime.ReplanPolicy, plannedLoad float64, planner runtime.Planner) (res *runtime.Result, events []runtime.ReplanEvent, distributed bool, err error) {
-	if len(c.peers) == 0 || !runtime.Distributable(cfg) {
-		cs, err := runtime.NewControlledSession(cfg, policy, plannedLoad, planner)
+	policy runtime.ReplanPolicy, planner runtime.Planner) (res *runtime.Result, events []runtime.ReplanEvent, distributed bool, err error) {
+	return c.run(ctx, spec, cfg, &policy, planner)
+}
+
+// run is Run and RunControlled: one session, distributed when the peers
+// and the partition allow it, with the control loop armed when policy is
+// non-nil.
+func (c *Coordinator) run(ctx context.Context, spec wire.GraphSpec, cfg runtime.Config,
+	policy *runtime.ReplanPolicy, planner runtime.Planner) (*runtime.Result, []runtime.ReplanEvent, bool, error) {
+	distributed := len(c.peers) > 0 && runtime.Distributable(cfg)
+	var sess *runtime.Session
+	var rebind func(runtime.Config, []byte) ([]runtime.HostBinding, error)
+	switch {
+	case distributed:
+		st := c.newRunShards(ctx, spec)
+		hosts, err := st.open(cfg, nil)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if err := runtime.Feed(cs, &cfg); err != nil {
-			cs.Close()
-			return nil, cs.Events(), false, err
+		if sess, err = runtime.NewDistSession(cfg, hosts); err != nil {
+			for _, b := range hosts {
+				b.Driver.Abort()
+			}
+			return nil, nil, false, err
 		}
-		res, err = cs.Close()
-		return res, cs.Events(), false, err
-	}
-	st := c.newRunShards(ctx, spec)
-	hosts, err := st.open(cfg, nil)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	ds, err := runtime.NewDistSession(cfg, hosts)
-	if err != nil {
-		for _, b := range hosts {
-			b.Driver.Abort()
+		sess.EnableRecovery(c.recovery(st))
+		rebind = st.open
+	case policy == nil:
+		// Nothing to steer: the local runtime picks its own path.
+		res, err := runtime.Run(cfg)
+		return res, nil, false, err
+	default:
+		var err error
+		if sess, err = runtime.NewSession(cfg); err != nil {
+			return nil, nil, false, err
 		}
-		return nil, nil, false, err
 	}
-	ds.EnableRecovery(c.recovery(st))
-	dcs := runtime.ControlSession(ds, policy, plannedLoad, planner,
-		func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
-			return st.open(ncfg, snapshot)
-		})
-	if err := runtime.Feed(dcs, &cfg); err != nil {
-		dcs.Abort()
-		return nil, dcs.Events(), true, err
+	if policy != nil {
+		sess.EnableReplan(*policy, planner, rebind)
 	}
-	res, err = dcs.Close()
-	return res, dcs.Events(), true, err
+	if err := runtime.Feed(sess, &cfg); err != nil {
+		sess.Abort()
+		return nil, sess.Replans(), distributed, err
+	}
+	res, err := sess.Close()
+	return res, sess.Replans(), distributed, err
 }
 
 // runShards is one run's live placement: which peer serves each host
@@ -430,18 +414,6 @@ func (h *httpHost) Close() (*runtime.HostResult, error) {
 		return err
 	})
 	return hr, err
-}
-
-func (h *httpHost) Snapshot() ([]byte, error) {
-	var data []byte
-	if err := h.rpc("snapshot", func(ctx context.Context) error {
-		d, err := h.client.ShardSnapshot(ctx, h.session)
-		data = d
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 func (h *httpHost) Abort() {

@@ -417,7 +417,7 @@ func TestCoordinatorReplanParity(t *testing.T) {
 	planner := func(float64) (*runtime.Plan, error) { return &runtime.Plan{OnNode: cutB}, nil }
 	ctx := context.Background()
 
-	ref, refEvents, distributed, err := dist.New(nil, nil).RunControlled(ctx, spec, cfg, policy, 0, planner)
+	ref, refEvents, distributed, err := dist.New(nil, nil).RunControlled(ctx, spec, cfg, policy, planner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestCoordinatorReplanParity(t *testing.T) {
 
 	for _, hosts := range []int{1, 2, 3} {
 		coord := dist.New(startPeers(t, hosts), nil)
-		got, events, distributed, err := coord.RunControlled(ctx, spec, cfg, policy, 0, planner)
+		got, events, distributed, err := coord.RunControlled(ctx, spec, cfg, policy, planner)
 		if err != nil {
 			t.Fatalf("%d hosts: %v", hosts, err)
 		}

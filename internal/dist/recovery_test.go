@@ -3,8 +3,12 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,18 +23,22 @@ import (
 // stack: after killAfter successful compute calls to target, onKill runs
 // once (synchronously — e.g. drain the server or kill its process) and,
 // when cut is requested, every further request to target fails at the
-// transport like a partitioned peer.
+// transport like a partitioned peer. Independently, the first request to
+// target for one of the shard RPCs named in dropReply ("checkpoint" for
+// /v1/shard/checkpoint) runs on the peer but loses its reply in transit.
 type chaosTransport struct {
 	base      http.RoundTripper
 	target    string // URL host ("127.0.0.1:port") to fail
 	killAfter int
 	cutOnKill bool
 	onKill    func()
+	dropReply []string
 
 	mu       sync.Mutex
 	computes int
 	cut      bool
 	killed   bool
+	dropped  bool
 }
 
 func (c *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -42,6 +50,18 @@ func (c *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if c.cut {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("chaos: host partitioned")
+	}
+	if !c.dropped && slices.Contains(c.dropReply, path.Base(req.URL.Path)) {
+		c.dropped = true
+		c.mu.Unlock()
+		resp, err := c.base.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		// Read the reply whole, so the peer has finished the call.
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("chaos: reply to %s lost", req.URL.Path)
 	}
 	if !c.killed && strings.HasSuffix(req.URL.Path, "/v1/shard/compute") {
 		c.computes++
@@ -67,6 +87,12 @@ func (c *chaosTransport) didKill() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.killed
+}
+
+func (c *chaosTransport) didDrop() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped
 }
 
 // fastRetry keeps the fault-injection tests quick without changing the
@@ -236,5 +262,60 @@ func TestCoordinatorAllPeersDead(t *testing.T) {
 	}
 	if !chaos.didKill() {
 		t.Fatal("chaos transport never fired")
+	}
+}
+
+// TestCoordinatorReplanLostFreezeReply loses the reply to one host's
+// freeze RPC during a replan handoff, with recovery disabled. The freeze
+// must be safe to retry — a terminal freeze would find its session gone
+// on the retry and fail the run — so the run finishes with the local
+// controlled run's Result.
+func TestCoordinatorReplanLostFreezeReply(t *testing.T) {
+	spec, cfg := speechConfig(t)
+	cfg.WindowSeconds = 1
+	base := cfg.ArrivalSource
+	cfg.ArrivalSource = func(nodeID int) (runtime.Stream, error) {
+		st, err := base(nodeID)
+		if err != nil {
+			return nil, err
+		}
+		return &burstStream{base: st, half: cfg.Duration / 2}, nil
+	}
+	cutB := make(map[int]bool)
+	for i, op := range cfg.Graph.Operators() {
+		cutB[op.ID()] = i < 4
+	}
+	policy := runtime.ReplanPolicy{Threshold: 0.5, Hysteresis: 2, Decay: 0.5, MaxReplans: 1}
+	planner := func(float64) (*runtime.Plan, error) { return &runtime.Plan{OnNode: cutB}, nil }
+	ctx := context.Background()
+	ref, _, _, err := dist.New(nil, nil).RunControlled(ctx, spec, cfg, policy, planner)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	urls := startPeers(t, 2)
+	chaos := &chaosTransport{
+		base:      http.DefaultTransport,
+		target:    strings.TrimPrefix(urls[0], "http://"),
+		killAfter: math.MaxInt,
+		// Both freeze RPCs a coordinator has used: the retry-safe checkpoint
+		// and the terminal snapshot it replaced.
+		dropReply: []string{"checkpoint", "snapshot"},
+	}
+	coord := dist.NewWithOptions(urls, dist.Options{
+		HTTPClient:      &http.Client{Transport: chaos},
+		Retry:           fastRetry,
+		CheckpointEvery: -1,
+	})
+	got, events, distributed, err := coord.RunControlled(ctx, spec, cfg, policy, planner)
+	if err != nil {
+		t.Fatalf("handoff with a lost freeze reply: %v", err)
+	}
+	if !distributed || !chaos.didDrop() || len(events) != 1 || len(events[0].Moved) == 0 {
+		t.Fatalf("no freeze reply lost in a relocating handoff (distributed=%v dropped=%v events=%+v)",
+			distributed, chaos.didDrop(), events)
+	}
+	if *got != *ref {
+		t.Fatalf("result after a lost freeze reply diverges:\nref: %+v\ngot: %+v", *ref, *got)
 	}
 }

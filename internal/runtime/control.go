@@ -15,20 +15,22 @@ import (
 // was planned for, and — after the drift has persisted for a hysteresis
 // interval — asks a caller-supplied planner for a new cut. Relocated
 // operators hand their state off at the window boundary through
-// Snapshot → MigrateSnapshot → ResumeSession, so the continuation is
-// byte-identical (by construction) to a run that started on the new cut
-// at that boundary; the replan parity tests pin this against an external
-// migrate+resume at any Shards/Workers placement and across hosts.
+// Snapshot → MigrateSnapshot → resume, in place on the same Session, so
+// the continuation is byte-identical (by construction) to a run that
+// started on the new cut at that boundary; the replan parity tests pin
+// this against an external migrate+resume at any Shards/Workers placement
+// and across hosts. Replanning is a Session capability (EnableReplan),
+// like host-failure recovery: the loop is fed from the window pricing
+// step, and the two carry across each other's handoffs.
 //
 // The planner is a callback rather than a solver call because the runtime
 // deliberately does not import the planning layers (core/solver); the
 // partition service wires its solver racing in, tests wire canned cuts.
 
-// WindowObservation is one priced ingestion window's load signal, as seen
-// by Session.OnWindow. A window whose buffered
-// arrivals all folded into pending reduce rounds still observes (with
-// AirBytes zero); windows with no arrivals at all are skipped along with
-// the window clock.
+// WindowObservation is one priced ingestion window's load signal, as the
+// control loop observes it. A window whose buffered arrivals all folded
+// into pending reduce rounds still observes (with AirBytes zero); windows
+// with no arrivals at all are skipped along with the window clock.
 type WindowObservation struct {
 	Start    float64 // window start, simulated seconds
 	Span     float64 // priced span (shorter than WindowSeconds only at the tail)
@@ -89,44 +91,32 @@ func (p ReplanPolicy) withDefaults() ReplanPolicy {
 // ControlLoop is the drift detector: a decaying online profile of the
 // offered load, compared window by window against the load the current
 // cut was planned from. It is plain single-goroutine state — observations
-// arrive on the Offer caller's goroutine (see Session.OnWindow).
+// arrive on the Offer caller's goroutine (Session.price).
 type ControlLoop struct {
 	policy   ReplanPolicy
-	baseline float64 // planned offered load, bytes/sec (0 until first window adopts it)
-	haveBase bool
+	baseline float64 // planned offered load, bytes/sec
 	ewma     float64
-	seen     int
-	drifted  int // consecutive windows beyond Threshold
+	seen     bool // the first window adopted the baseline
+	drifted  int  // consecutive windows beyond Threshold
 	cooldown int
 	replans  int
 }
 
-// NewControlLoop builds a detector. plannedLoad is the offered-load rate
-// (air bytes/sec) the current cut was planned for; pass 0 to adopt the
-// first observed window as the baseline (a session started without an
-// offline profile).
-func NewControlLoop(policy ReplanPolicy, plannedLoad float64) *ControlLoop {
-	c := &ControlLoop{policy: policy.withDefaults()}
-	if plannedLoad > 0 {
-		c.baseline, c.haveBase = plannedLoad, true
-	}
-	return c
+// NewControlLoop builds a detector. Its first observed window becomes the
+// baseline: the load the current cut counts as planned for.
+func NewControlLoop(policy ReplanPolicy) *ControlLoop {
+	return &ControlLoop{policy: policy.withDefaults()}
 }
 
 // Observe folds one window into the online profile and updates the drift
 // counters.
 func (c *ControlLoop) Observe(w WindowObservation) {
 	rate := w.Rate()
-	if c.seen == 0 {
-		c.ewma = rate
-	} else {
-		c.ewma = c.policy.Decay*rate + (1-c.policy.Decay)*c.ewma
-	}
-	c.seen++
-	if !c.haveBase {
-		c.baseline, c.haveBase = c.ewma, true
+	if !c.seen {
+		c.ewma, c.baseline, c.seen = rate, rate, true
 		return
 	}
+	c.ewma = c.policy.Decay*rate + (1-c.policy.Decay)*c.ewma
 	if c.cooldown > 0 {
 		c.cooldown--
 		c.drifted = 0
@@ -172,7 +162,7 @@ func (c *ControlLoop) Drift() (multiple float64, triggered bool) {
 // not the planner actually moved an operator — either way the current cut
 // is now "planned for" this load) and starts the cooldown.
 func (c *ControlLoop) Replanned() {
-	c.baseline, c.haveBase = c.ewma, true
+	c.baseline = c.ewma
 	c.drifted = 0
 	c.cooldown = c.policy.Cooldown
 	c.replans++
@@ -216,209 +206,123 @@ func movedOps(g *dataflow.Graph, oldCut, newCut map[int]bool) []int {
 	return moved
 }
 
-// ControlledSession wraps a streaming run with the control loop: it
-// exposes the session surface (Offer/OfferRaw/Close/Snapshot), and when
-// drift persists past the hysteresis interval it re-plans mid-stream,
-// handing relocated operators' state off at the last flushed window
-// boundary through Snapshot → MigrateSnapshot → resume. The wrapper owns
-// the inner session and replaces it across a handoff (Snapshot is
-// terminal); placements differ only in how the hosts reopen on the new
-// cut (rebind).
-type ControlledSession struct {
-	s       *Session
+// replanner is a Session's armed control plane (EnableReplan).
+type replanner struct {
 	loop    *ControlLoop
 	planner Planner
-	// rebind reopens the hosts on the new cut's Config from the migrated
-	// snapshot; nil means one in-process host (ResumeSession).
-	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)
-	events []ReplanEvent
-	dead   error // a failed handoff poisons the session
+	rebind  func(cfg Config, snapshot []byte) ([]HostBinding, error)
+	events  []ReplanEvent
 }
 
-// NewControlledSession builds an in-process session and attaches the
-// loop. plannedLoad is the offered-load rate the initial cut was planned
-// for (0: adopt the first window). planner may be nil, which degrades the
-// wrapper to drift *detection* only — events record triggers, nothing
-// relocates.
-func NewControlledSession(cfg Config, policy ReplanPolicy, plannedLoad float64, planner Planner) (*ControlledSession, error) {
-	s, err := NewSession(cfg)
+// EnableReplan attaches the control loop: every priced window feeds its
+// online profile, and when drift persists past the hysteresis interval
+// the session asks planner for a new cut and — when operators move —
+// hands their state off in place at the current window boundary through
+// Snapshot → MigrateSnapshot → resume. Call before the first Offer; a
+// resumed session restarts detection with its first window as baseline.
+//
+// rebind reopens the hosts on the new cut's Config from the migrated
+// snapshot and returns bindings whose hosts have restored their origins
+// from it (in-process hosts in tests, /v1/shard peers in the dist
+// coordinator); nil means one in-process host owning every origin. An
+// armed recovery policy and its history carry across the handoff.
+func (s *Session) EnableReplan(policy ReplanPolicy, planner Planner,
+	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) {
+	if rebind == nil {
+		rebind = restoreLocal
+	}
+	s.replan = &replanner{loop: NewControlLoop(policy), planner: planner, rebind: rebind}
+}
+
+// restoreLocal is the in-process rebind: one host owning every origin.
+func restoreLocal(cfg Config, snapshot []byte) ([]HostBinding, error) {
+	h, err := RestoreShardHost(cfg, PartitionOrigins(cfg.Nodes, 1)[0], snapshot)
 	if err != nil {
 		return nil, err
 	}
-	return ControlSession(s, policy, plannedLoad, planner, nil), nil
+	return []HostBinding{{Driver: h, Origins: h.origins}}, nil
 }
 
-// ControlSession attaches the control loop to an open session — a resumed
-// stream's, or a distributed coordinator's (the loop state itself starts
-// afresh, adopting the first observed load as its baseline when
-// plannedLoad is 0). The wrapper takes ownership of s, including its
-// OnWindow hook. rebind is invoked during a handoff with the new cut's
-// Config and the migrated snapshot; it must return opened host bindings
-// that have restored their origins from that snapshot (the caller owns
-// driver construction: local hosts in tests, /v1/shard peers in the dist
-// coordinator). A nil rebind resumes on one in-process host owning every
-// origin.
-func ControlSession(s *Session, policy ReplanPolicy, plannedLoad float64, planner Planner,
-	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) *ControlledSession {
-	cs := &ControlledSession{
-		s:       s,
-		loop:    NewControlLoop(policy, plannedLoad),
-		planner: planner,
-		rebind:  rebind,
+// Replans returns the replan events recorded so far, in order. The slice
+// is live; callers must not mutate it.
+func (s *Session) Replans() []ReplanEvent {
+	if s.replan == nil {
+		return nil
 	}
-	s.OnWindow = cs.loop.Observe
-	return cs
+	return s.replan.events
 }
 
-// Offer feeds one arrival and runs the control step behind it.
-func (cs *ControlledSession) Offer(nodeID int, a Arrival) error {
-	if cs.dead != nil {
-		return cs.dead
-	}
-	if err := cs.s.Offer(nodeID, a); err != nil {
-		return err
-	}
-	return cs.maybeReplan()
-}
-
-// OfferRaw mirrors Session.OfferRaw.
-func (cs *ControlledSession) OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ string, raw []byte) error {
-	if cs.dead != nil {
-		return cs.dead
-	}
-	if err := cs.s.OfferRaw(nodeID, t, src, typ, raw); err != nil {
-		return err
-	}
-	return cs.maybeReplan()
-}
-
-// maybeReplan runs between Offers: if the loop has triggered, consult the
-// planner and — when the cut changes — hand off through
-// Snapshot → MigrateSnapshot → resume at the current window boundary.
-func (cs *ControlledSession) maybeReplan() error {
-	multiple, ok := cs.loop.Drift()
+// maybeReplan runs after each Offer: if the loop has triggered, consult
+// the planner and — when the cut changes — relocate. A failed handoff
+// leaves the session closed on its error.
+func (s *Session) maybeReplan() error {
+	r := s.replan
+	multiple, ok := r.loop.Drift()
 	if !ok {
 		return nil
 	}
 	ev := ReplanEvent{
-		Time:         cs.s.windowStart,
-		PlannedLoad:  cs.loop.baseline,
-		ObservedLoad: cs.loop.ewma,
+		Time:         s.windowStart,
+		PlannedLoad:  r.loop.baseline,
+		ObservedLoad: r.loop.ewma,
 		RateMultiple: multiple,
 	}
-	if cs.planner == nil {
-		cs.loop.Replanned()
-		cs.events = append(cs.events, ev)
-		return nil
-	}
-	plan, err := cs.planner(multiple)
+	plan, err := r.planner(multiple)
 	if err != nil {
 		return fmt.Errorf("runtime: replan at t=%g: %w", ev.Time, err)
 	}
-	cs.loop.Replanned()
+	r.loop.Replanned()
 	if plan != nil {
-		ev.Moved = movedOps(cs.s.cfg.Graph, cs.s.cfg.OnNode, plan.OnNode)
+		ev.Moved = movedOps(s.cfg.Graph, s.cfg.OnNode, plan.OnNode)
 		ev.Solver = plan.Solver
 	}
-	if plan == nil || len(ev.Moved) == 0 {
-		cs.events = append(cs.events, ev)
-		return nil
+	if len(ev.Moved) > 0 {
+		if err := s.relocate(plan); err != nil {
+			s.err = fmt.Errorf("runtime: replan handoff at t=%g failed: %w", ev.Time, err)
+			return s.err
+		}
 	}
-	if err := cs.relocate(plan); err != nil {
-		cs.dead = fmt.Errorf("runtime: replan handoff at t=%g failed: %w", ev.Time, err)
-		return cs.dead
-	}
-	cs.events = append(cs.events, ev)
+	r.events = append(r.events, ev)
 	return nil
 }
 
-// relocate performs the state handoff onto plan's cut. On success cs.s is
-// a fresh session resumed on the new cut at the last flushed window
-// boundary; on failure the old session is already torn down and the
-// wrapper is dead.
-func (cs *ControlledSession) relocate(plan *Plan) error {
-	old := cs.s
-	ncfg := old.cfg
-	ncfg.OnNode = plan.OnNode
-	ncfg.NodeProgram = plan.NodeProgram
-	ncfg.ServerProgram = plan.ServerProgram
-	data, err := old.Snapshot()
+// relocate hands the run off onto plan's cut in place: freeze every host
+// (Snapshot), migrate the snapshot, reopen the hosts from it, and rebuild
+// the coordinator over them. s must not move — the scenario gates hold
+// &s.cfg. The control plane, the recovery policy and its history carry
+// over; the old cut's checkpoints and replay tail do not (a host lost
+// before the first new checkpoint reopens from the migrated snapshot).
+// On failure the session stays closed.
+func (s *Session) relocate(plan *Plan) error {
+	cfg := s.cfg
+	cfg.OnNode = plan.OnNode
+	cfg.NodeProgram = plan.NodeProgram
+	cfg.ServerProgram = plan.ServerProgram
+	data, err := s.Snapshot()
 	if err != nil {
-		// Snapshot fails before teardown only on a hook-less graph; treat
-		// any failure as fatal to the stream rather than risk a half-frozen
-		// session.
-		old.Abort()
+		s.Abort()
 		return err
 	}
-	migrated, err := MigrateSnapshot(ncfg.Graph, data, plan.OnNode)
-	if err != nil {
-		return err
-	}
-	ns, err := cs.resume(ncfg, migrated)
+	migrated, err := MigrateSnapshot(cfg.Graph, data, plan.OnNode)
 	if err != nil {
 		return err
 	}
-	// Recovery carries across the handoff: the replacement session starts
-	// with no checkpoints (its hosts resumed from the migrated snapshot,
-	// which the Reopen callback falls back to) and the recovery history so
-	// far; the rebind has already repointed the callback's host table.
-	if old.rec != nil {
-		ns.EnableRecovery(old.rec)
-		ns.recoveries = old.recoveries
-	}
-	ns.OnWindow = cs.loop.Observe
-	cs.s = ns
-	return nil
-}
-
-// resume brings the run back up on the new cut's Config from the migrated
-// snapshot, on the hosts rebind reopens.
-func (cs *ControlledSession) resume(cfg Config, migrated []byte) (*Session, error) {
-	if cs.rebind == nil {
-		return ResumeSession(cfg, migrated)
-	}
-	hosts, err := cs.rebind(cfg, migrated)
+	hosts, err := s.replan.rebind(cfg, migrated)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ns, err := ResumeDistSession(cfg, hosts, migrated)
-	if err != nil {
+	// Snapshot joined the last delivery and tore the old hosts down, so the
+	// reset discards no live state.
+	*s = Session{started: s.started, replan: s.replan, rec: s.rec, recoveries: s.recoveries}
+	if err := s.resume(cfg, hosts, migrated); err != nil {
 		for _, b := range hosts {
 			b.Driver.Abort()
 		}
-		return nil, err
+		s.closed = true
+		return err
 	}
-	return ns, nil
-}
-
-// Close flushes the tail through the current session and returns the
-// Result.
-func (cs *ControlledSession) Close() (*Result, error) {
-	if cs.dead != nil {
-		return nil, cs.dead
+	if s.rec != nil {
+		s.ckpts = make([][]byte, len(s.hosts))
 	}
-	return cs.s.Close()
+	return nil
 }
-
-// Abort tears the current session down without a result. After a failed
-// handoff there is nothing left to tear down (the old session is already
-// frozen and the replacement never came up), so Abort is a no-op then.
-func (cs *ControlledSession) Abort() {
-	if cs.dead == nil {
-		cs.s.Abort()
-	}
-}
-
-// Snapshot freezes the current session (terminal, like Session.Snapshot).
-// The bytes are on the *current* cut: the one the last relocating replan
-// adopted.
-func (cs *ControlledSession) Snapshot() ([]byte, error) {
-	if cs.dead != nil {
-		return nil, cs.dead
-	}
-	return cs.s.Snapshot()
-}
-
-// Events returns the replan events recorded so far. The slice is live;
-// callers must not mutate it.
-func (cs *ControlledSession) Events() []ReplanEvent { return cs.events }

@@ -46,13 +46,11 @@ type Session struct {
 	window  float64
 	buf     [][]arrival
 
-	// OnWindow, when set, observes every priced window as it flushes —
-	// the live load signal the control loop (control.go) folds into its
-	// online profile. It always runs on the Offer caller's goroutine
-	// (window pricing is a coordinator-side step even when delivery runs
-	// behind the caller or remotely), so implementations need no locking
-	// against the session.
-	OnWindow func(WindowObservation)
+	// replan is the armed control loop (control.go), nil when off. Every
+	// priced window feeds it on the Offer caller's goroutine — pricing is
+	// a coordinator-side step even when delivery runs behind the caller
+	// or remotely — and it may relocate the run after an Offer.
+	replan *replanner
 
 	windowClock
 	maxBuffered int
@@ -170,7 +168,9 @@ func (s *Session) Offer(nodeID int, a Arrival) error {
 // Duration, or at a node the failure scenario has crashed (whose arrival
 // vanishes, but whose time already advanced the window clock, so windows
 // keep flushing and the control loop keeps observing while nodes are
-// down). value yields the arrival's value, told whether it drops.
+// down). value yields the arrival's value, told whether it drops. The
+// control loop's handoff, when it triggers, runs last: the arrival is
+// already buffered and travels in the snapshot.
 func (s *Session) offer(nodeID int, t float64, src *dataflow.Operator, value func(drop bool) (dataflow.Value, error)) error {
 	if err := s.admit(nodeID, src, t); err != nil {
 		return err
@@ -183,10 +183,18 @@ func (s *Session) offer(nodeID int, t float64, src *dataflow.Operator, value fun
 		drop = s.scen.drops(nodeID, t)
 	}
 	v, err := value(drop)
-	if err != nil || drop {
+	if err != nil {
 		return err
 	}
-	return s.push(nodeID, arrival{t: t, src: src, v: v})
+	if !drop {
+		if err := s.push(nodeID, arrival{t: t, src: src, v: v}); err != nil {
+			return err
+		}
+	}
+	if s.replan != nil {
+		return s.maybeReplan()
+	}
+	return nil
 }
 
 // admit applies the per-arrival validity checks shared by Offer and
@@ -296,8 +304,8 @@ func (s *Session) price(air int, span float64, messages int) float64 {
 		s.ratioAir += ratio * float64(air)
 		obs.AirBytes, obs.Ratio, obs.Messages = air, ratio, messages
 	}
-	if s.OnWindow != nil {
-		s.OnWindow(obs)
+	if s.replan != nil {
+		s.replan.loop.Observe(obs)
 	}
 	return obs.Ratio
 }

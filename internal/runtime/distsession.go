@@ -19,13 +19,11 @@ type HostDriver interface {
 	ComputeWindow(arrivals []HostArrival) (*WindowReport, error)
 	DeliverWindow(ratio float64) error
 	// Checkpoint freezes the host's state blob at the current window
-	// boundary without disturbing the run (non-terminal) — the
-	// coordinator retains it for host-failure recovery (recovery.go).
+	// boundary without disturbing the run — the one freeze: the
+	// coordinator retains it for host-failure recovery (recovery.go), and
+	// Session.Snapshot folds every host's into the run snapshot before
+	// aborting them.
 	Checkpoint() ([]byte, error)
-	// Snapshot freezes the host at the current window boundary and
-	// returns its contribution blob (terminal — the coordinator folds it
-	// into the full run snapshot; see Session.Snapshot).
-	Snapshot() ([]byte, error)
 	Close() (*HostResult, error)
 	Abort()
 }
@@ -50,17 +48,26 @@ func Distributable(cfg Config) bool {
 // ShardHost owning every origin (NewSession's placement).
 func NewDistSession(cfg Config, hosts []HostBinding) (*Session, error) {
 	s := &Session{started: time.Now()}
-	if err := s.init(cfg); err != nil {
+	if err := s.bind(cfg, hosts); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// bind builds the coordinator state for cfg in place over the hosts:
+// NewDistSession's body, and the first step of every resume.
+func (s *Session) bind(cfg Config, hosts []HostBinding) error {
+	if err := s.init(cfg); err != nil {
+		return err
+	}
 	if len(hosts) == 0 {
-		return nil, fmt.Errorf("runtime: distributed run needs at least one host")
+		return fmt.Errorf("runtime: distributed run needs at least one host")
 	}
 	if _, local := hosts[0].Driver.(*ShardHost); !shardable(&s.cfg) && (len(hosts) != 1 || !local) {
 		// The aggregates and the held messages of an unshardable partition
 		// share one stable time sort and one server instance: the one
 		// in-process host's plan (deliverWindow).
-		return nil, fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
+		return fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
 	}
 	s.hosts = hosts
 	s.ownerOf = make([]int, cfg.Nodes)
@@ -72,21 +79,21 @@ func NewDistSession(cfg Config, hosts []HostBinding) (*Session, error) {
 	}
 	for hi, b := range hosts {
 		if b.Driver == nil || len(b.Origins) == 0 {
-			return nil, fmt.Errorf("runtime: host %d has no driver or no origins", hi)
+			return fmt.Errorf("runtime: host %d has no driver or no origins", hi)
 		}
 		for _, n := range b.Origins {
 			if n < 0 || n >= cfg.Nodes {
-				return nil, fmt.Errorf("runtime: origin %d outside [0,%d)", n, cfg.Nodes)
+				return fmt.Errorf("runtime: origin %d outside [0,%d)", n, cfg.Nodes)
 			}
 			if s.ownerOf[n] != -1 {
-				return nil, fmt.Errorf("runtime: origin %d assigned to hosts %d and %d", n, s.ownerOf[n], hi)
+				return fmt.Errorf("runtime: origin %d assigned to hosts %d and %d", n, s.ownerOf[n], hi)
 			}
 			s.ownerOf[n] = hi
 		}
 	}
 	for n, hi := range s.ownerOf {
 		if hi == -1 {
-			return nil, fmt.Errorf("runtime: origin %d owned by no host", n)
+			return fmt.Errorf("runtime: origin %d owned by no host", n)
 		}
 	}
 	if shardable(&s.cfg) {
@@ -97,13 +104,13 @@ func NewDistSession(cfg Config, hosts []HostBinding) (*Session, error) {
 		aggCfg.Shards = 1
 		plan, err := newDeliveryPlan(&aggCfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.aggPlan = plan
 	}
 	s.aggArena = acquireArena()
 	s.agg.arena = s.aggArena
-	return s, nil
+	return nil
 }
 
 // flushBuffered is one window of span simulated seconds:

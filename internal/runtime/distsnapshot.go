@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"time"
 
 	"wishbone/internal/wire"
 )
@@ -26,37 +27,21 @@ type hostSnap struct {
 	shard        *ShardState
 }
 
-// Snapshot freezes the host at the current window boundary and returns
-// its contribution blob. Terminal, like Session.Snapshot: the host's
-// instances release and further calls fail. The coordinator folds the
-// blob into the full run snapshot (Session.Snapshot).
-func (h *ShardHost) Snapshot() ([]byte, error) {
-	data, err := h.freeze("Snapshot")
-	if err != nil {
-		return nil, err
-	}
-	h.Abort()
-	return data, nil
-}
-
-// Checkpoint freezes the host's state blob at the current window
-// boundary without disturbing the run: the encoding is Snapshot's (the
-// whole capture path is read-only), but the host keeps executing. The
-// coordinator retains the blob so a replacement host can restore it
-// after a failure (RestoreShardHostCheckpoint).
-func (h *ShardHost) Checkpoint() ([]byte, error) { return h.freeze("Checkpoint") }
-
-// freeze captures the host contribution Snapshot and Checkpoint share:
+// Checkpoint freezes the host's contribution blob at the current window
+// boundary without disturbing the run (the capture path is read-only):
 // send-side counters, per-origin node sides, and the delivery plan's
 // state with any checkpoint-carried delivery counters folded in (so a
-// chain of restores keeps reporting the full accrual). It fails, leaving
-// the host running, when the host is closed or mid-window.
-func (h *ShardHost) freeze(what string) ([]byte, error) {
-	if err := h.usable(what); err != nil {
+// chain of restores keeps reporting the full accrual). The coordinator
+// retains the blob so a replacement host can restore it after a failure
+// (RestoreShardHostCheckpoint), and Session.Snapshot folds every host's
+// into the run snapshot. It fails, leaving the host running, when the
+// host is closed or mid-window.
+func (h *ShardHost) Checkpoint() ([]byte, error) {
+	if err := h.usable("Checkpoint"); err != nil {
 		return nil, err
 	}
 	if len(h.out) > 0 {
-		return nil, fmt.Errorf("runtime: %s with a window awaiting DeliverWindow", what)
+		return nil, fmt.Errorf("runtime: Checkpoint with a window awaiting DeliverWindow")
 	}
 	if err := checkSnapshotable(&h.cfg); err != nil {
 		return nil, err
@@ -229,15 +214,16 @@ func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, 
 }
 
 // Snapshot freezes the session at its current window boundary and
-// returns the versioned byte encoding: every host's frozen contribution
-// plus the coordinator's capture. The call is terminal for the session
-// and every host — continuing the run means ResumeSession (one in-process
-// host), ResumeDistSession (any placement) or, after MigrateSnapshot, a
-// new cut, in this or any other process. Arrivals buffered for the window
-// in progress are part of the snapshot, so callers may snapshot at any
-// point between Offers; the persistent state is always window-aligned.
-// The resumed run's Results are byte-identical to the uninterrupted one at
-// any placement on either side.
+// returns the versioned byte encoding: every host's checkpoint blob plus
+// the coordinator's capture. The call is terminal for the session and
+// every host (each is aborted once the blobs are in) — continuing the run
+// means ResumeSession (one in-process host), ResumeDistSession (any
+// placement) or, after MigrateSnapshot, a new cut, in this or any other
+// process. Arrivals buffered for the window in progress are part of the
+// snapshot, so callers may snapshot at any point between Offers; the
+// persistent state is always window-aligned. The resumed run's Results
+// are byte-identical to the uninterrupted one at any placement on either
+// side.
 func (s *Session) Snapshot() ([]byte, error) {
 	if s.closed {
 		return nil, fmt.Errorf("runtime: Snapshot on a closed Session")
@@ -249,21 +235,15 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	s.closed = true
 	cfg := &s.cfg
-	// The coordinator's plan is only read from here on.
-	defer s.release()
+	// The coordinator's plan is only read until teardown.
+	defer s.teardown()
 	if err := s.join(); err != nil {
-		s.teardown()
 		return nil, err
 	}
-	blobs, err := hostBarrier(s, "snapshot", HostDriver.Snapshot)
+	// The freeze is the non-terminal checkpoint, so a retried freeze whose
+	// first reply was lost just freezes again.
+	blobs, err := hostBarrier(s, "snapshot", HostDriver.Checkpoint)
 	if err != nil {
-		// Snapshot is terminal on every driver that succeeded; Abort the
-		// rest.
-		for hi := range s.hosts {
-			if blobs[hi] == nil {
-				s.hosts[hi].Driver.Abort()
-			}
-		}
 		return nil, err
 	}
 	hostSnaps := make([]*hostSnap, len(s.hosts))
@@ -350,34 +330,48 @@ func ResumeSession(cfg Config, data []byte) (*Session, error) {
 // pieces: clock, ratio bookkeeping, carried counters, buffered arrivals,
 // reduce rounds and the AggregateOrigin delivery state.
 func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*Session, error) {
-	if err := checkSnapshotable(&cfg); err != nil {
+	s := &Session{started: time.Now()}
+	if err := s.resume(cfg, hosts, data); err != nil {
 		return nil, err
-	}
-	s, err := NewDistSession(cfg, hosts)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*Session, error) {
-		s.release()
-		return nil, err
-	}
-	snap, err := decodeSessionSnap(cfg.Graph, data)
-	if err != nil {
-		return fail(err)
-	}
-	if err := s.apply(snap); err != nil {
-		return fail(err)
-	}
-	if s.aggPlan != nil {
-		sub := &ShardState{}
-		for _, o := range snap.shard.Origins {
-			if o.Origin == AggregateOrigin {
-				sub.Origins = append(sub.Origins, o)
-			}
-		}
-		if err := s.aggPlan.restoreState(&s.cfg, sub); err != nil {
-			return fail(err)
-		}
 	}
 	return s, nil
+}
+
+// resume is ResumeDistSession in place: bind the hosts, then restore the
+// coordinator's pieces from the snapshot. A replan handoff runs it on the
+// live session (Session.relocate).
+func (s *Session) resume(cfg Config, hosts []HostBinding, data []byte) error {
+	if err := checkSnapshotable(&cfg); err != nil {
+		return err
+	}
+	if err := s.bind(cfg, hosts); err != nil {
+		return err
+	}
+	if err := s.restore(data); err != nil {
+		s.release()
+		return err
+	}
+	return nil
+}
+
+// restore loads a session snapshot's coordinator-owned sections into a
+// freshly bound session.
+func (s *Session) restore(data []byte) error {
+	snap, err := decodeSessionSnap(s.cfg.Graph, data)
+	if err != nil {
+		return err
+	}
+	if err := s.apply(snap); err != nil {
+		return err
+	}
+	if s.aggPlan == nil {
+		return nil
+	}
+	sub := &ShardState{}
+	for _, o := range snap.shard.Origins {
+		if o.Origin == AggregateOrigin {
+			sub.Origins = append(sub.Origins, o)
+		}
+	}
+	return s.aggPlan.restoreState(&s.cfg, sub)
 }

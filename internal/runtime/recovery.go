@@ -7,8 +7,8 @@ import (
 
 // Host-failure recovery for distributed runs. The coordinator keeps, per
 // host, the last window-boundary checkpoint (ShardHost.Checkpoint — the
-// host's whole state in the same encoding its terminal Snapshot uses)
-// plus the tail of windows flushed since: each tail record holds the
+// host's whole state, the blob Session.Snapshot also folds in) plus the
+// tail of windows flushed since: each tail record holds the
 // window's per-host arrival batches, whether its reduce contributions
 // were folded into the coordinator's aggregation rounds, and — once
 // priced — the delivery ratio the hosts were told. When a driver call
@@ -52,7 +52,7 @@ type RecoveryEvent struct {
 	Host    int     // index into the session's host bindings
 	Origins []int   // the origins that moved to the replacement driver
 	Windows int     // tail windows replayed into the replacement
-	Op      string  // driver call that failed: compute, deliver, checkpoint, close, snapshot
+	Op      string  // call that failed: compute, deliver, checkpoint, close; snapshot for a Snapshot's checkpoint
 	Cause   string  // the failure, for the trajectory artifact
 }
 
@@ -126,8 +126,8 @@ func (s *Session) maybeCheckpoint() error {
 	return nil
 }
 
-// hostBarrier runs one whole-run driver call (Checkpoint, Snapshot, Close)
-// on every host concurrently. A host lost during the call is recovered —
+// hostBarrier runs one whole-run driver call (Checkpoint, Close) on every
+// host concurrently; op names it in a recovery event. A host lost during the call is recovered —
 // the replacement replays the tail — and asked again in its place. On
 // error the answers gathered so far return too: a zero entry marks a host
 // the call never completed on.

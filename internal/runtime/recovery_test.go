@@ -64,13 +64,6 @@ func (f *flakyHost) Checkpoint() ([]byte, error) {
 	return f.inner.Checkpoint()
 }
 
-func (f *flakyHost) Snapshot() ([]byte, error) {
-	if err := f.trip("snapshot"); err != nil {
-		return nil, err
-	}
-	return f.inner.Snapshot()
-}
-
 func (f *flakyHost) Close() (*runtime.HostResult, error) {
 	if err := f.trip("close"); err != nil {
 		return nil, err
@@ -251,7 +244,9 @@ func TestDistRecoverySnapshot(t *testing.T) {
 	cut := len(feed) / 2
 	ref := runChained(t, []runtime.Config{base}, feed, []int{cut})
 
-	fuse := &hostFuse{op: "snapshot", after: 0}
+	// The freeze barrier is a checkpoint: arm the fuse for it only once the
+	// window checkpoints before it have run.
+	fuse := &hostFuse{}
 	parts := runtime.PartitionOrigins(base.Nodes, 2)
 	hosts := make([]runtime.HostBinding, len(parts))
 	for i, origins := range parts {
@@ -275,6 +270,7 @@ func TestDistRecoverySnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fuse.op = "checkpoint"
 	snap, err := ds.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot with host loss: %v", err)

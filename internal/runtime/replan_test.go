@@ -161,22 +161,23 @@ func TestMigrateSnapshotFreshStart(t *testing.T) {
 	}
 }
 
-// runControlled streams feed through a ControlledSession and reports the
-// result, the replan events, and the feed index right after which each
-// replan fired.
+// runControlled streams feed through a Session with the control loop
+// armed and reports the result, the replan events, and the feed index
+// right after which each replan fired.
 func runControlled(t *testing.T, cfg runtime.Config, policy runtime.ReplanPolicy,
 	planner runtime.Planner, feed []feedItem) (*runtime.Result, []runtime.ReplanEvent, []int) {
 	t.Helper()
-	cs, err := runtime.NewControlledSession(cfg, policy, 0, planner)
+	cs, err := runtime.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs.EnableReplan(policy, planner, nil)
 	var bounds []int
 	for i, f := range feed {
 		if err := cs.Offer(f.node, f.a); err != nil {
 			t.Fatalf("offer %d: %v", i, err)
 		}
-		if len(cs.Events()) > len(bounds) {
+		if len(cs.Replans()) > len(bounds) {
 			bounds = append(bounds, i)
 		}
 	}
@@ -184,7 +185,7 @@ func runControlled(t *testing.T, cfg runtime.Config, policy runtime.ReplanPolicy
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, cs.Events(), bounds
+	return res, cs.Replans(), bounds
 }
 
 // TestReplanParity is the tentpole pin: a drift-injected trace replanned
@@ -356,9 +357,9 @@ func TestReplanParitySpeech(t *testing.T) {
 }
 
 // TestDistReplanParity drives the same drift-injected trace through a
-// DistControlledSession over in-process shard hosts — rebinding onto a
-// different host count mid-run — and requires the Result byte-identical
-// to the single-host ControlledSession run.
+// distributed session over in-process shard hosts with the control loop
+// armed — rebinding onto a different host count mid-run — and requires
+// the Result byte-identical to the single-host controlled run.
 func TestDistReplanParity(t *testing.T) {
 	g, src, onNode := snapshotReduceApp()
 	if err := g.Validate(); err != nil {
@@ -407,24 +408,116 @@ func TestDistReplanParity(t *testing.T) {
 			}
 			return nh, nil
 		}
-		dcs := runtime.ControlSession(ds, policy, 0, planner, rebind)
+		ds.EnableReplan(policy, planner, rebind)
 		for i, f := range feed {
-			if err := dcs.Offer(f.node, f.a); err != nil {
+			if err := ds.Offer(f.node, f.a); err != nil {
 				t.Fatalf("hosts→%d: offer %d: %v", hostsAfter, i, err)
 			}
 		}
-		got, err := dcs.Close()
+		got, err := ds.Close()
 		if err != nil {
 			t.Fatalf("hosts→%d: %v", hostsAfter, err)
 		}
 		if !rebound {
 			t.Fatalf("hosts→%d: replan never relocated across hosts", hostsAfter)
 		}
-		if len(dcs.Events()) != 1 {
-			t.Fatalf("hosts→%d: %d replan events, want 1", hostsAfter, len(dcs.Events()))
+		if len(ds.Replans()) != 1 {
+			t.Fatalf("hosts→%d: %d replan events, want 1", hostsAfter, len(ds.Replans()))
 		}
 		if *got != *ref {
 			t.Fatalf("hosts→%d: distributed replan diverges:\nref: %+v\ngot: %+v", hostsAfter, *ref, *got)
+		}
+	}
+}
+
+// TestDistRecoveryAfterReplan loses a host in the first window after a
+// relocating replan, before any checkpoint on the new cut. The handoff
+// must drop the old cut's checkpoints and replay tail, so the replacement
+// reopens from the migrated snapshot and replays only the in-flight
+// window; the Result stays byte-identical to the single-host controlled
+// run, and the recovery is on record.
+func TestDistRecoveryAfterReplan(t *testing.T) {
+	g, src, onNode := snapshotReduceApp()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cutB := reduceCutB(g, onNode)
+	base := runtime.Config{
+		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
+		Nodes: 4, Duration: 24, Seed: 31, WindowSeconds: 2,
+	}
+	feed := driftFeed(base.Nodes, base.Duration, 4, 16, src)
+	policy := runtime.ReplanPolicy{Threshold: 0.5, Hysteresis: 2, Decay: 0.5, MaxReplans: 1}
+	planner := func(float64) (*runtime.Plan, error) { return &runtime.Plan{OnNode: cutB}, nil }
+	ref, _, _ := runControlled(t, base, policy, planner, feed)
+	// Cadence 1 leaves old-cut checkpoints at the handoff; 3 leaves an
+	// old-cut replay tail as well.
+	for _, every := range []int{1, 3} {
+		// The run's current Config and resume blob, as a coordinator keeps
+		// them for its Reopen callback.
+		cur, resume := base, []byte(nil)
+		reopen := func(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
+			if ckpt != nil {
+				return runtime.RestoreShardHostCheckpoint(cur, origins, ckpt)
+			}
+			if resume == nil {
+				t.Fatalf("host %d lost before the handoff", host)
+			}
+			return runtime.RestoreShardHost(cur, origins, resume)
+		}
+		fuse := &hostFuse{op: "compute"}
+		rebind := func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
+			cur, resume = ncfg, snapshot
+			var nh []runtime.HostBinding
+			for i, origins := range runtime.PartitionOrigins(ncfg.Nodes, 2) {
+				h, err := runtime.RestoreShardHost(ncfg, origins, snapshot)
+				if err != nil {
+					return nil, err
+				}
+				var d runtime.HostDriver = h
+				if i == 0 {
+					d = &flakyHost{inner: h, fuse: fuse}
+				}
+				nh = append(nh, runtime.HostBinding{Driver: d, Origins: origins})
+			}
+			return nh, nil
+		}
+
+		var hosts []runtime.HostBinding
+		for _, origins := range runtime.PartitionOrigins(base.Nodes, 2) {
+			h, err := runtime.NewShardHost(base, origins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts = append(hosts, runtime.HostBinding{Driver: h, Origins: origins})
+		}
+		ds, err := runtime.NewDistSession(base, hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.EnableRecovery(&runtime.DistRecovery{Every: every, Reopen: reopen})
+		ds.EnableReplan(policy, planner, rebind)
+		for i, f := range feed {
+			if err := ds.Offer(f.node, f.a); err != nil {
+				t.Fatalf("every=%d: offer %d: %v", every, i, err)
+			}
+		}
+		got, err := ds.Close()
+		if err != nil {
+			t.Fatalf("every=%d: %v", every, err)
+		}
+		if len(ds.Replans()) != 1 || resume == nil {
+			t.Fatalf("every=%d: want one relocating replan, got %+v", every, ds.Replans())
+		}
+		if !fuse.fired {
+			t.Fatalf("every=%d: the post-handoff host never failed", every)
+		}
+		recs := ds.Recoveries()
+		if len(recs) != 1 || recs[0].Host != 0 || recs[0].Op != "compute" || recs[0].Windows != 1 {
+			t.Fatalf("every=%d: want one recovery of host 0 replaying the in-flight window, got %+v", every, recs)
+		}
+		if *got != *ref {
+			t.Fatalf("every=%d: recovery after replan diverges:\nref: %+v\ngot: %+v", every, *ref, *got)
 		}
 	}
 }
@@ -439,7 +532,8 @@ func TestControlLoopHysteresis(t *testing.T) {
 	}
 	policy := runtime.ReplanPolicy{Threshold: 0.2, Hysteresis: 3, Decay: 1} // Decay 1: EWMA = last window
 
-	loop := runtime.NewControlLoop(policy, 100)
+	loop := runtime.NewControlLoop(policy)
+	loop.Observe(win(100)) // the first window is the planned baseline
 	for i := 0; i < 40; i++ {
 		if i%2 == 0 {
 			loop.Observe(win(160)) // 60% over: drifted
@@ -451,7 +545,8 @@ func TestControlLoopHysteresis(t *testing.T) {
 		}
 	}
 
-	loop = runtime.NewControlLoop(policy, 100)
+	loop = runtime.NewControlLoop(policy)
+	loop.Observe(win(100))
 	for i := 0; i < 3; i++ {
 		if _, ok := loop.Drift(); ok {
 			t.Fatalf("triggered after only %d drifted windows", i)
@@ -481,7 +576,8 @@ func TestControlLoopHysteresis(t *testing.T) {
 	}
 
 	// MaxReplans caps the loop outright.
-	capped := runtime.NewControlLoop(runtime.ReplanPolicy{Threshold: 0.2, Hysteresis: 1, Cooldown: -1, Decay: 1, MaxReplans: 1}, 100)
+	capped := runtime.NewControlLoop(runtime.ReplanPolicy{Threshold: 0.2, Hysteresis: 1, Cooldown: -1, Decay: 1, MaxReplans: 1})
+	capped.Observe(win(100))
 	capped.Observe(win(300))
 	if _, ok := capped.Drift(); !ok {
 		t.Fatal("capped loop never triggered its one replan")

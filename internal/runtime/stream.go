@@ -171,9 +171,9 @@ func runStream(cfg Config) (*Result, error) {
 	return sess.Close()
 }
 
-// ArrivalSink is what Feed offers the merged arrival sequence to: plain
-// and controlled sessions, local and distributed, all take it through
-// the same Offer.
+// ArrivalSink is what Feed offers the merged arrival sequence to: every
+// Session, local or distributed, controlled or not, takes it through the
+// same Offer.
 type ArrivalSink interface {
 	Offer(nodeID int, a Arrival) error
 }

@@ -261,21 +261,6 @@ func (c *Client) ShardClose(ctx context.Context, session string) (*wire.ShardClo
 	return &out, nil
 }
 
-// ShardSnapshot freezes a shard session and returns the host's
-// contribution blob; the session ends (terminal, like close). The
-// coordinator folds every host's blob into one full session snapshot
-// that MigrateSnapshot can rewrite onto a new cut.
-func (c *Client) ShardSnapshot(ctx context.Context, session string) ([]byte, error) {
-	var out wire.ShardSnapshotResponse
-	if err := c.post(ctx, "/v1/shard/snapshot", wire.ShardSessionRequest{Session: session}, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Snapshot) == 0 {
-		return nil, fmt.Errorf("server returned no shard snapshot")
-	}
-	return out.Snapshot, nil
-}
-
 // ShardAbort tears down a shard session without a result.
 func (c *Client) ShardAbort(ctx context.Context, session string) error {
 	var out struct{}

@@ -371,7 +371,6 @@ var routes = []route{
 	{"POST /v1/shard/deliver", "shard_deliver", true, plain((*Server).shardDeliver)},
 	{"POST /v1/shard/checkpoint", "shard_checkpoint", false, plain((*Server).shardCheckpoint)},
 	{"POST /v1/shard/close", "shard_close", false, plain((*Server).shardClose)},
-	{"POST /v1/shard/snapshot", "shard_snapshot", false, plain((*Server).shardSnapshot)},
 	{"POST /v1/shard/abort", "shard_abort", false, plain((*Server).shardAbort)},
 }
 
@@ -889,9 +888,8 @@ func (s *Server) simulate(ctx context.Context, req *wire.SimulateRequest) (*wire
 	}, hit, nil
 }
 
-// streamSession is the ingestion surface ingestStream drives: a plain
-// runtime Session, a control-loop-wrapped one, or the profile-stream
-// collector.
+// streamSession is the ingestion surface ingestStream drives: a runtime
+// Session or the profile-stream collector.
 type streamSession interface {
 	OfferRaw(nodeID int, t float64, src *dataflow.Operator, typ string, raw []byte) error
 }
@@ -929,30 +927,22 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 		return nil, false, badRequest("%v", err)
 	}
 
-	// With Replan set, attach the control loop: the wrapper owns the inner
-	// session across handoffs, so all teardown goes through it. This
-	// composes with Resume — a resumed stream restarts drift detection
-	// with the post-resume load as its baseline.
-	var cs *wbruntime.ControlledSession
-	ingest := streamSession(sess)
-	closeSess := sess.Close
-	snapSess := sess.Snapshot
+	// With Replan set, attach the control loop. This composes with Resume
+	// — a resumed stream restarts drift detection with the post-resume
+	// load as its baseline.
 	if req.Replan != nil {
 		planner, perr := s.replanPlanner(ctx, e, req, scfg.Platform)
 		if perr != nil {
 			sess.Close()
 			return nil, false, perr
 		}
-		cs = wbruntime.ControlSession(sess, s.sessionReplanPolicy(req.Replan), 0, planner, nil)
-		ingest = cs
-		closeSess = cs.Close
-		snapSess = cs.Snapshot
+		sess.EnableReplan(s.sessionReplanPolicy(req.Replan), planner, nil)
 	}
 	finish := func(resp *wire.SimulateResponse) *wire.SimulateResponse {
-		if cs == nil {
+		if req.Replan == nil {
 			return resp
 		}
-		events := cs.Events()
+		events := sess.Replans()
 		moves, kept := 0, 0
 		for _, ev := range events {
 			if len(ev.Moved) == 0 {
@@ -965,17 +955,17 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 		return resp
 	}
 
-	snap, err := ingestStream(body, e, ingest)
+	snap, err := ingestStream(body, e, sess)
 	if err != nil {
-		closeSess()
+		sess.Close()
 		return nil, false, err
 	}
 	if snap {
-		data, err := snapSess()
+		data, err := sess.Snapshot()
 		if err != nil {
 			// A graph without snapshot codecs fails before teardown — the
 			// session is still open; release it and report the fault.
-			closeSess()
+			sess.Close()
 			return nil, false, badRequest("%v", err)
 		}
 		return finish(&wire.SimulateResponse{
@@ -985,7 +975,7 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 			Snapshot:     data,
 		}), hit, nil
 	}
-	res, err := closeSess()
+	res, err := sess.Close()
 	if err != nil {
 		// A budget trip surfacing at teardown (the final window's work
 		// runs inside Close) is still the tenant's 422; anything else is

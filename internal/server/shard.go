@@ -260,22 +260,6 @@ func (s *Server) shardClose(_ context.Context, req *wire.ShardSessionRequest) (*
 	return resp, false, nil
 }
 
-func (s *Server) shardSnapshot(_ context.Context, req *wire.ShardSessionRequest) (*wire.ShardSnapshotResponse, bool, error) {
-	ss, err := s.shardLookup(req.Session, true)
-	if err != nil {
-		return nil, false, err
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	data, err := ss.host.Snapshot()
-	if err != nil {
-		// Unregistered above; don't leak the host on a failed freeze.
-		ss.host.Abort()
-		return nil, false, runtimeError(err)
-	}
-	return &wire.ShardSnapshotResponse{Snapshot: data}, false, nil
-}
-
 func (s *Server) shardCheckpoint(_ context.Context, req *wire.ShardSessionRequest) (*wire.ShardCheckpointResponse, bool, error) {
 	ss, err := s.shardLookup(req.Session, false)
 	if err != nil {

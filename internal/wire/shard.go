@@ -114,18 +114,11 @@ type ShardSessionRequest struct {
 	Session string `json:"session"`
 }
 
-// ShardSnapshotResponse carries one host's frozen contribution blob (the
-// coordinator folds every host's into a full session snapshot). The call
-// is terminal for the session, like close.
-type ShardSnapshotResponse struct {
-	Snapshot []byte `json:"snapshot"`
-}
-
-// ShardCheckpointResponse carries one host's boundary checkpoint blob —
-// the same encoding as ShardSnapshotResponse.Snapshot, but the call is
-// NOT terminal: the session keeps running, and the coordinator retains
-// the blob to restore the host elsewhere if it later fails
-// (ShardOpenRequest.ResumeHost).
+// ShardCheckpointResponse carries one host's boundary checkpoint blob.
+// The call is not terminal: the session keeps running, and the
+// coordinator retains the blob to restore the host elsewhere if it later
+// fails (ShardOpenRequest.ResumeHost), or folds every host's into a full
+// session snapshot before aborting them.
 type ShardCheckpointResponse struct {
 	Checkpoint []byte `json:"checkpoint"`
 }
