@@ -113,10 +113,10 @@ func (c *Coordinator) Run(ctx context.Context, spec wire.GraphSpec, cfg runtime.
 // a new cut. Relocated operators hand state off mid-stream — on the
 // distributed path the coordinator checkpoints every host, folds the
 // blobs into one session snapshot, rewrites it onto the new cut with
-// MigrateSnapshot, and re-opens the hosts with the migrated snapshot as
-// their Resume blob; the local fallback runs the same handoff in-process.
-// Either way the continuation is byte-identical to a run that started on
-// the new cut at the handoff boundary.
+// MigrateSnapshot, and re-opens each host from its share of the migrated
+// snapshot (runtime.HostShares); the local fallback runs the same handoff
+// in-process. Either way the continuation is byte-identical to a run that
+// started on the new cut at the handoff boundary.
 //
 // The first observed window is the baseline load. The returned events
 // record every trigger, moved set, and the load multiple solved for.
@@ -170,18 +170,15 @@ func (c *Coordinator) run(ctx context.Context, spec wire.GraphSpec, cfg runtime.
 }
 
 // runShards is one run's live placement: which peer serves each host
-// slot, which peers are considered dead, and what a replacement host
-// must restore (the latest session resume blob, superseded per host by
-// its checkpoint). It is both the opener (initial placement, replan
-// rebind) and the recovery reopener for runtime.DistRecovery.
+// slot and which peers are considered dead. It is both the opener
+// (initial placement, replan rebind) and the recovery reopener for
+// runtime.DistRecovery, whose session keeps what a replacement restores.
 type runShards struct {
 	c    *Coordinator
 	ctx  context.Context
 	spec wire.GraphSpec
 
 	mu       sync.Mutex
-	cfg      runtime.Config
-	resume   []byte       // session blob hosts resumed from (nil = fresh)
 	hostPeer []int        // host slot -> peer index currently serving it
 	dead     map[int]bool // peer indices considered lost for this run
 }
@@ -206,10 +203,10 @@ func (r *runShards) alivePeers() []int {
 // open places one shard-host session per live peer, each owning a
 // round-robin slice of the origins (PartitionOrigins drops surplus peers
 // when there are more hosts than nodes). A non-nil resume blob — a full
-// session snapshot, typically MigrateSnapshot's output during a replan
-// handoff — makes each host restore its owned origins from it instead of
-// starting fresh. A peer that proves dead during placement is dropped
-// and the placement retried over the survivors. On error every
+// session snapshot, MigrateSnapshot's output during a replan handoff —
+// makes each host restore from its share of it (runtime.HostShares)
+// instead of starting fresh. A peer that proves dead during placement is
+// dropped and the placement retried over the survivors. On error every
 // already-opened session is aborted.
 func (r *runShards) open(cfg runtime.Config, resume []byte) ([]runtime.HostBinding, error) {
 	for {
@@ -218,6 +215,13 @@ func (r *runShards) open(cfg runtime.Config, resume []byte) ([]runtime.HostBindi
 			return nil, fmt.Errorf("dist: no live peers to place shards on: %w", ErrHostDown)
 		}
 		parts := runtime.PartitionOrigins(cfg.Nodes, len(alive))
+		shares := make([][]byte, len(parts))
+		if resume != nil {
+			var err error
+			if shares, err = runtime.HostShares(cfg, resume, parts); err != nil {
+				return nil, err
+			}
+		}
 		hosts := make([]runtime.HostBinding, 0, len(parts))
 		abortHosts := func() {
 			for _, b := range hosts {
@@ -227,7 +231,7 @@ func (r *runShards) open(cfg runtime.Config, resume []byte) ([]runtime.HostBindi
 		retry := false
 		for hi, origins := range parts {
 			pi := alive[hi]
-			d, err := r.openOne(pi, cfg, origins, resume, nil)
+			d, err := r.openOne(pi, cfg, origins, shares[hi])
 			if err != nil {
 				abortHosts()
 				if errors.Is(err, ErrHostDown) {
@@ -247,7 +251,6 @@ func (r *runShards) open(cfg runtime.Config, resume []byte) ([]runtime.HostBindi
 			continue
 		}
 		r.mu.Lock()
-		r.cfg, r.resume = cfg, resume
 		r.hostPeer = make([]int, len(parts))
 		for hi := range parts {
 			r.hostPeer[hi] = alive[hi]
@@ -257,10 +260,9 @@ func (r *runShards) open(cfg runtime.Config, resume []byte) ([]runtime.HostBindi
 	}
 }
 
-// openOne opens one shard session on peer pi. ckpt non-nil opens from a
-// host checkpoint blob (recovery); else resume non-nil opens from the
-// run's session snapshot; else fresh.
-func (r *runShards) openOne(pi int, cfg runtime.Config, origins []int, resume, ckpt []byte) (runtime.HostDriver, error) {
+// openOne opens one shard session on peer pi, restored from blob (a host
+// checkpoint or snapshot share) when it is non-nil, else fresh.
+func (r *runShards) openOne(pi int, cfg runtime.Config, origins []int, blob []byte) (runtime.HostDriver, error) {
 	var onNode []int
 	for _, op := range cfg.Graph.Operators() {
 		if cfg.OnNode[op.ID()] {
@@ -268,20 +270,16 @@ func (r *runShards) openOne(pi int, cfg runtime.Config, origins []int, resume, c
 		}
 	}
 	req := wire.ShardOpenRequest{
-		Graph:     r.spec,
-		GraphHash: cfg.Graph.StructuralHash(),
-		Platform:  cfg.Platform.Name,
-		OnNode:    onNode,
-		Nodes:     cfg.Nodes,
-		Duration:  cfg.Duration,
-		Seed:      cfg.Seed,
-		Shards:    cfg.Shards,
-		Origins:   origins,
-	}
-	if ckpt != nil {
-		req.ResumeHost = ckpt
-	} else {
-		req.Resume = resume
+		Graph:      r.spec,
+		GraphHash:  cfg.Graph.StructuralHash(),
+		Platform:   cfg.Platform.Name,
+		OnNode:     onNode,
+		Nodes:      cfg.Nodes,
+		Duration:   cfg.Duration,
+		Seed:       cfg.Seed,
+		Shards:     cfg.Shards,
+		Origins:    origins,
+		ResumeHost: blob,
 	}
 	var open *wire.ShardOpenResponse
 	err := retryRPC(r.ctx, r.c.opts.Retry, r.c.urls[pi], "open", func(ctx context.Context) error {
@@ -299,17 +297,17 @@ func (r *runShards) openOne(pi int, cfg runtime.Config, origins []int, resume, c
 }
 
 // reopen is the DistRecovery.Reopen callback: host slot host died; mark
-// its peer dead and re-open its origins on the next surviving peer —
-// from the host's checkpoint when one exists, else from the run's resume
-// blob, else fresh (the coordinator replays the window tail either way).
-func (r *runShards) reopen(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
+// its peer dead and re-open its origins on the next surviving peer from
+// the blob the session kept for it (its checkpoint or snapshot share;
+// nil = fresh), under the run's current cfg. The coordinator replays the
+// window tail either way.
+func (r *runShards) reopen(cfg runtime.Config, host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
 	r.mu.Lock()
 	failed := 0
 	if host >= 0 && host < len(r.hostPeer) {
 		failed = r.hostPeer[host]
 		r.dead[failed] = true
 	}
-	cfg, resume := r.cfg, r.resume
 	n := len(r.c.peers)
 	cands := make([]int, 0, n)
 	for i := 1; i <= n; i++ {
@@ -321,7 +319,7 @@ func (r *runShards) reopen(host int, origins []int, ckpt []byte) (runtime.HostDr
 	r.mu.Unlock()
 	var lastErr error
 	for _, pi := range cands {
-		d, err := r.openOne(pi, cfg, origins, resume, ckpt)
+		d, err := r.openOne(pi, cfg, origins, ckpt)
 		if err == nil {
 			r.mu.Lock()
 			if host >= 0 && host < len(r.hostPeer) {

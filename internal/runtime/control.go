@@ -222,25 +222,14 @@ type replanner struct {
 // resumed session restarts detection with its first window as baseline.
 //
 // rebind reopens the hosts on the new cut's Config from the migrated
-// snapshot and returns bindings whose hosts have restored their origins
-// from it (in-process hosts in tests, /v1/shard peers in the dist
-// coordinator); nil means one in-process host owning every origin. An
-// armed recovery policy and its history carry across the handoff.
+// snapshot and returns bindings whose hosts have each restored their
+// share of it (HostShares → RestoreShardHost; in-process hosts in tests,
+// /v1/shard peers in the dist coordinator); nil means one in-process host
+// owning every origin. An armed recovery policy and its history carry
+// across the handoff.
 func (s *Session) EnableReplan(policy ReplanPolicy, planner Planner,
 	rebind func(cfg Config, snapshot []byte) ([]HostBinding, error)) {
-	if rebind == nil {
-		rebind = restoreLocal
-	}
 	s.replan = &replanner{loop: NewControlLoop(policy), planner: planner, rebind: rebind}
-}
-
-// restoreLocal is the in-process rebind: one host owning every origin.
-func restoreLocal(cfg Config, snapshot []byte) ([]HostBinding, error) {
-	h, err := RestoreShardHost(cfg, PartitionOrigins(cfg.Nodes, 1)[0], snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return []HostBinding{{Driver: h, Origins: h.origins}}, nil
 }
 
 // Replans returns the replan events recorded so far, in order. The slice
@@ -291,7 +280,8 @@ func (s *Session) maybeReplan() error {
 // the coordinator over them. s must not move — the scenario gates hold
 // &s.cfg. The control plane, the recovery policy and its history carry
 // over; the old cut's checkpoints and replay tail do not (a host lost
-// before the first new checkpoint reopens from the migrated snapshot).
+// before the first new checkpoint reopens from its share of the migrated
+// snapshot, which resume seeds as its checkpoint).
 // On failure the session stays closed.
 func (s *Session) relocate(plan *Plan) error {
 	cfg := s.cfg
@@ -307,22 +297,30 @@ func (s *Session) relocate(plan *Plan) error {
 	if err != nil {
 		return err
 	}
-	hosts, err := s.replan.rebind(cfg, migrated)
+	snap, err := decodeSessionSnap(cfg.Graph, migrated)
+	if err != nil {
+		return err
+	}
+	var hosts []HostBinding
+	if s.replan.rebind != nil {
+		hosts, err = s.replan.rebind(cfg, migrated)
+	} else if h, herr := localHost(cfg, snap); herr == nil {
+		hosts = []HostBinding{{Driver: h, Origins: h.origins}}
+	} else {
+		err = herr
+	}
 	if err != nil {
 		return err
 	}
 	// Snapshot joined the last delivery and tore the old hosts down, so the
 	// reset discards no live state.
 	*s = Session{started: s.started, replan: s.replan, rec: s.rec, recoveries: s.recoveries}
-	if err := s.resume(cfg, hosts, migrated); err != nil {
+	if err := s.resume(cfg, hosts, snap); err != nil {
 		for _, b := range hosts {
 			b.Driver.Abort()
 		}
 		s.closed = true
 		return err
-	}
-	if s.rec != nil {
-		s.ckpts = make([][]byte, len(s.hosts))
 	}
 	return nil
 }

@@ -375,7 +375,9 @@ func (s *Session) capture(snap *sessionSnap) error {
 }
 
 // apply loads a decoded snapshot's coordinator-owned sections into a
-// freshly built session, after checking it is a snapshot of this run. The
+// freshly bound session, after checking it is a snapshot of this run:
+// everything capture took, plus AggregateOrigin's delivery row when the
+// coordinator's own plan delivers the aggregates. The
 // delivery counters the snapshot carries fold into the partial Result
 // here — the coordinator is their one owner; deliveryPlan.restoreState
 // never folds them.
@@ -407,7 +409,16 @@ func (s *Session) apply(snap *sessionSnap) error {
 	if s.buffered > s.peakBuffered {
 		s.peakBuffered = s.buffered
 	}
-	return restoreAggFromSnap(cfg, s.agg, snap.agg)
+	if err := restoreAggFromSnap(cfg, s.agg, snap.agg); err != nil || s.aggPlan == nil {
+		return err
+	}
+	sub := &ShardState{}
+	for _, o := range snap.shard.Origins {
+		if o.Origin == AggregateOrigin {
+			sub.Origins = append(sub.Origins, o)
+		}
+	}
+	return s.aggPlan.restoreState(cfg, sub)
 }
 
 // onNodeIDs lists a cut's node-side operator IDs in ascending order — the

@@ -52,11 +52,11 @@ type ShardHost struct {
 	parts  [][]message
 
 	// res is the host's partial Result: the send-side counters as windows
-	// accrue them and, after a checkpoint restore
-	// (RestoreShardHostCheckpoint), the dead predecessor's delivery-side
-	// counters, which this host reports as its own at Close on top of what
-	// its plan collects — unlike a full-session restore, where the
-	// coordinator carries them (RestoreShardHost zeroes counters).
+	// accrue them and, after a restore (RestoreShardHost), the blob's
+	// delivery-side counters, which this host reports as its own at Close
+	// on top of what its plan collects. A checkpoint carries the dead
+	// predecessor's; a snapshot share carries zeros, because the
+	// coordinator restores the snapshot's counters.
 	res    Result
 	closed bool
 	// err is the first window failure: every later call but Abort answers

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"wishbone/internal/wire"
@@ -33,7 +34,7 @@ type hostSnap struct {
 // state with any checkpoint-carried delivery counters folded in (so a
 // chain of restores keeps reporting the full accrual). The coordinator
 // retains the blob so a replacement host can restore it after a failure
-// (RestoreShardHostCheckpoint), and Session.Snapshot folds every host's
+// (RestoreShardHost), and Session.Snapshot folds every host's
 // into the run snapshot. It fails, leaving the host running, when the
 // host is closed or mid-window.
 func (h *ShardHost) Checkpoint() ([]byte, error) {
@@ -116,65 +117,29 @@ func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
 	return hs, nil
 }
 
-// RestoreShardHost builds a shard host whose owned origins resume from a
-// full session snapshot (the coordinator ships every host the same
-// bytes; each host restores only its origins' node sides and delivery
-// state). The coordinator keeps the snapshot's clock, buffered arrivals
-// and carried counters — seen from one host, a session snapshot is a
-// host contribution whose counters are all zero.
+// RestoreShardHost builds a shard host resuming from a host blob — the
+// only state a host ever reads: a host's checkpoint (ShardHost.Checkpoint,
+// the recovery path) or its share of a session snapshot (HostShares, the
+// resume and handoff path). The restored host takes over the blob's
+// counters (send-side into res, delivery-side as carried values folded in
+// at Close and into future checkpoints; a share's are zero, because the
+// coordinator restores those). origins must be exactly the blob's origin
+// set — a host's counters are not splittable per origin, so a lost host's
+// origins move to their new home together.
 func RestoreShardHost(cfg Config, origins []int, data []byte) (*ShardHost, error) {
-	return restoreHost(cfg, origins, func(h *ShardHost) (*hostSnap, error) {
-		snap, err := decodeSessionSnap(cfg.Graph, data)
-		if err != nil {
-			return nil, err
-		}
-		// The window is the coordinator's to validate; hosts only pin the
-		// cut/platform/run identity (snap.window self-compares).
-		if err := snap.check(&h.cfg, snap.window); err != nil {
-			return nil, err
-		}
-		hs := &hostSnap{shard: &ShardState{Origins: snap.shard.Origins, Server: snap.shard.Server}}
-		for _, n := range h.origins {
-			hs.sides = append(hs.sides, snap.perNode[n])
-		}
-		return hs, nil
-	})
+	hs, err := decodeHostSnap(&cfg, data)
+	if err != nil {
+		return nil, err
+	}
+	return restoreHost(cfg, origins, hs)
 }
 
-// RestoreShardHostCheckpoint builds a shard host resuming from a host
-// checkpoint blob (ShardHost.Checkpoint) — the recovery path: the blob is
-// one host's whole contribution, so unlike RestoreShardHost the restored
-// host takes over the dead host's counters too (send-side into res,
-// delivery-side as carried values folded in at Close and into future
-// checkpoints). origins must be exactly the checkpoint's origin set — a
-// host's counters are not splittable per origin, so a lost host's origins
-// move to their new home together.
-func RestoreShardHostCheckpoint(cfg Config, origins []int, data []byte) (*ShardHost, error) {
-	return restoreHost(cfg, origins, func(h *ShardHost) (*hostSnap, error) {
-		hs, err := decodeHostSnap(&h.cfg, data)
-		if err != nil {
-			return nil, err
-		}
-		origins := h.origins
-		if len(hs.origins) != len(origins) {
-			return nil, fmt.Errorf("runtime: checkpoint holds %d origins, host owns %d", len(hs.origins), len(origins))
-		}
-		for i, n := range hs.origins {
-			if n != origins[i] {
-				return nil, fmt.Errorf("runtime: checkpoint origin set %v does not match host origins %v", hs.origins, origins)
-			}
-		}
-		return hs, nil
-	})
-}
-
-// restoreHost builds a host for origins and loads the contribution load
-// decodes for it: node sides for the owned origins, their delivery state
-// (AggregateOrigin's row and the Server states too on a global host; the
-// coordinator's otherwise), and whatever counters the contribution carries
-// — deliveryPlan.restoreState never folds counters, so they become the
-// host's own here or nobody's.
-func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, error)) (*ShardHost, error) {
+// restoreHost builds a host for origins and loads hs into it: node sides
+// for the owned origins, their delivery state (AggregateOrigin's row and
+// the Server states too on a global host; the coordinator's otherwise),
+// and the counters hs carries — deliveryPlan.restoreState never folds
+// counters, so they become the host's own here or nobody's.
+func restoreHost(cfg Config, origins []int, hs *hostSnap) (*ShardHost, error) {
 	if err := checkSnapshotable(&cfg); err != nil {
 		return nil, err
 	}
@@ -186,9 +151,9 @@ func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, 
 		h.Abort()
 		return nil, err
 	}
-	hs, err := load(h)
-	if err != nil {
-		return abort(err)
+	// NewShardHost sorted the origins; a blob lists its own ascending.
+	if !slices.Equal(hs.origins, h.origins) {
+		return abort(fmt.Errorf("runtime: host blob origin set %v does not match host origins %v", hs.origins, h.origins))
 	}
 	h.res.MsgsSent = int(hs.msgsSent)
 	h.res.PayloadBytes = int(hs.payloadBytes)
@@ -213,15 +178,70 @@ func restoreHost(cfg Config, origins []int, load func(h *ShardHost) (*hostSnap, 
 	return h, nil
 }
 
+// hostShare is Snapshot's merge run backwards: the blob of a host owning
+// origins (ascending) — their node sides and delivery rows, plus
+// AggregateOrigin's row and the Server states, which only a global host
+// keeps (restoreHost). Its counters are zero: the coordinator restores
+// the snapshot's.
+func hostShare(snap *sessionSnap, origins []int) *hostSnap {
+	hs := &hostSnap{origins: origins, shard: &ShardState{Server: snap.shard.Server}}
+	owned := make(map[int]bool, len(origins))
+	for _, n := range origins {
+		hs.sides = append(hs.sides, snap.perNode[n])
+		owned[n] = true
+	}
+	for _, o := range snap.shard.Origins {
+		if owned[o.Origin] || o.Origin == AggregateOrigin {
+			hs.shard.Origins = append(hs.shard.Origins, o)
+		}
+	}
+	return hs
+}
+
+// HostShares splits a session snapshot of cfg's run into one host blob per
+// placement part, each what RestoreShardHost restores that part's host
+// from: a host reads its own origins' share, never the whole run.
+func HostShares(cfg Config, snapshot []byte, parts [][]int) ([][]byte, error) {
+	snap, err := decodeFor(&cfg, snapshot)
+	if err != nil {
+		return nil, err
+	}
+	shares := make([][]byte, len(parts))
+	for i, origins := range parts {
+		origins = slices.Sorted(slices.Values(origins))
+		if len(origins) > 0 && (origins[0] < 0 || origins[len(origins)-1] >= snap.nodes) {
+			return nil, fmt.Errorf("runtime: origins %v outside [0,%d)", origins, snap.nodes)
+		}
+		shares[i] = encodeHostSnap(hostShare(snap, origins))
+	}
+	return shares, nil
+}
+
+// decodeFor decodes a session snapshot and checks it is of cfg's run. The
+// window self-compares: it is the coordinator's to check (Session.apply).
+func decodeFor(cfg *Config, data []byte) (*sessionSnap, error) {
+	if err := validateConfig(cfg); err != nil {
+		return nil, err
+	}
+	snap, err := decodeSessionSnap(cfg.Graph, data)
+	if err != nil {
+		return nil, err
+	}
+	if err := snap.check(cfg, snap.window); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
 // Snapshot freezes the session at its current window boundary and
 // returns the versioned byte encoding: every host's checkpoint blob plus
 // the coordinator's capture. The call is terminal for the session and
 // every host (each is aborted once the blobs are in) — continuing the run
-// means ResumeSession (one in-process host), ResumeDistSession (any
-// placement) or, after MigrateSnapshot, a new cut, in this or any other
-// process. Arrivals buffered for the window in progress are part of the
-// snapshot, so callers may snapshot at any point between Offers; the
-// persistent state is always window-aligned. The resumed run's Results
+// means ResumeSession (one in-process host), HostShares for any placement
+// (a replan handoff's rebind) or, after MigrateSnapshot, a new cut, in
+// this or any other process. Arrivals buffered for the window in progress
+// are part of the snapshot, so callers may snapshot at any point between
+// Offers; the persistent state is always window-aligned. The resumed run's Results
 // are byte-identical to the uninterrupted one at any placement on either
 // side.
 func (s *Session) Snapshot() ([]byte, error) {
@@ -312,66 +332,52 @@ func (s *Session) Snapshot() ([]byte, error) {
 }
 
 // ResumeSession rebuilds a Session on one in-process host from a
-// Snapshot: RestoreShardHost over every origin, then the coordinator's
-// resume. cfg must describe the same run (graph structure, cut, platform,
-// nodes, duration, seed, window); the placement knobs — Shards, Workers —
-// are free, because the snapshot's layout is placement-independent.
+// Snapshot: the host restores its share (every origin), then the
+// coordinator its own pieces. cfg must describe the same run (graph
+// structure, cut, platform, nodes, duration, seed, window); the placement
+// knobs — Shards, Workers — are free, because the snapshot's layout is
+// placement-independent.
 func ResumeSession(cfg Config, data []byte) (*Session, error) {
-	h, err := RestoreShardHost(cfg, PartitionOrigins(cfg.Nodes, 1)[0], data)
+	snap, err := decodeFor(&cfg, data)
+	if err != nil {
+		return nil, err
+	}
+	h, err := localHost(cfg, snap)
 	return bindLocal(h, err, func(hosts []HostBinding) (*Session, error) {
-		return ResumeDistSession(cfg, hosts, data)
+		s := &Session{started: time.Now()}
+		if err := s.resume(cfg, hosts, snap); err != nil {
+			return nil, err
+		}
+		return s, nil
 	})
 }
 
-// ResumeDistSession rebuilds a coordinator from a session snapshot. The
-// host bindings must already hold drivers whose sessions restored their
-// origins from the same snapshot (RestoreShardHost locally, /v1/shard/open
-// with Resume remotely) — this call restores only the coordinator's
-// pieces: clock, ratio bookkeeping, carried counters, buffered arrivals,
-// reduce rounds and the AggregateOrigin delivery state.
-func ResumeDistSession(cfg Config, hosts []HostBinding, data []byte) (*Session, error) {
-	s := &Session{started: time.Now()}
-	if err := s.resume(cfg, hosts, data); err != nil {
-		return nil, err
-	}
-	return s, nil
+// localHost restores the one in-process host owning every origin from its
+// share of snap, as a remote host restores from its HostShares entry.
+func localHost(cfg Config, snap *sessionSnap) (*ShardHost, error) {
+	all := PartitionOrigins(cfg.Nodes, 1)[0]
+	return restoreHost(cfg, all, hostShare(snap, all))
 }
 
-// resume is ResumeDistSession in place: bind the hosts, then restore the
-// coordinator's pieces from the snapshot. A replan handoff runs it on the
-// live session (Session.relocate).
-func (s *Session) resume(cfg Config, hosts []HostBinding, data []byte) error {
-	if err := checkSnapshotable(&cfg); err != nil {
-		return err
-	}
+// resume binds hosts that already restored their shares of snap, then
+// restores the coordinator's pieces — clock, ratio bookkeeping, carried
+// counters, buffered arrivals, reduce rounds and the AggregateOrigin
+// delivery state. A replan handoff runs it on the live session
+// (Session.relocate). With recovery armed, each host's share seeds its
+// checkpoint, so a host lost before its first checkpoint reopens from it.
+func (s *Session) resume(cfg Config, hosts []HostBinding, snap *sessionSnap) error {
 	if err := s.bind(cfg, hosts); err != nil {
 		return err
 	}
-	if err := s.restore(data); err != nil {
+	if err := s.apply(snap); err != nil {
 		s.release()
 		return err
 	}
-	return nil
-}
-
-// restore loads a session snapshot's coordinator-owned sections into a
-// freshly bound session.
-func (s *Session) restore(data []byte) error {
-	snap, err := decodeSessionSnap(s.cfg.Graph, data)
-	if err != nil {
-		return err
-	}
-	if err := s.apply(snap); err != nil {
-		return err
-	}
-	if s.aggPlan == nil {
-		return nil
-	}
-	sub := &ShardState{}
-	for _, o := range snap.shard.Origins {
-		if o.Origin == AggregateOrigin {
-			sub.Origins = append(sub.Origins, o)
+	if s.rec != nil {
+		s.ckpts = make([][]byte, len(hosts))
+		for hi, b := range hosts {
+			s.ckpts[hi] = encodeHostSnap(hostShare(snap, slices.Sorted(slices.Values(b.Origins))))
 		}
 	}
-	return s.aggPlan.restoreState(&s.cfg, sub)
+	return nil
 }

@@ -35,12 +35,15 @@ type DistRecovery struct {
 	// (every window boundary). A larger cadence trades checkpoint RPCs
 	// for a longer replay tail on failure.
 	Every int
-	// Reopen builds a replacement driver for failed host index host,
-	// owning the same origins, restored from the given checkpoint blob
-	// (nil when the host failed before its first checkpoint — the
-	// replacement starts fresh, or from the run's resume snapshot if the
-	// caller kept one). The old driver has already been aborted.
-	Reopen func(host int, origins []int, checkpoint []byte) (HostDriver, error)
+	// Reopen builds a replacement driver for failed host index host of a
+	// run currently configured as cfg (a replan handoff changes the cut),
+	// owning the same origins, restored from the given host blob: the
+	// host's last checkpoint, or its share of the snapshot the session
+	// resumed from with recovery armed (a replan handoff). It is nil only
+	// when the host failed before its first checkpoint of a run that
+	// started fresh — the replacement starts fresh too. The old driver has
+	// already been aborted.
+	Reopen func(cfg Config, host int, origins []int, checkpoint []byte) (HostDriver, error)
 	// OnRecover, when set, observes each completed recovery on the
 	// coordinator's goroutine.
 	OnRecover func(RecoveryEvent)
@@ -168,7 +171,7 @@ func (s *Session) recoverHost(hi int, cause error, op string) (*WindowReport, er
 	}
 	b := &s.hosts[hi]
 	b.Driver.Abort()
-	d, err := s.rec.Reopen(hi, b.Origins, s.ckpts[hi])
+	d, err := s.rec.Reopen(s.cfg, hi, b.Origins, s.ckpts[hi])
 	if err != nil {
 		return nil, fmt.Errorf("runtime: reopen host %d after %v: %w", hi, cause, err)
 	}

@@ -76,20 +76,18 @@ func (f *flakyHost) Abort() { f.inner.Abort() }
 // localReopen is the in-process DistRecovery.Reopen: restore the lost
 // origins from the checkpoint blob on a fresh local host (or start fresh
 // when the host died before its first checkpoint).
-func localReopen(cfg runtime.Config) func(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
-	return func(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
-		var h *runtime.ShardHost
-		var err error
-		if len(ckpt) > 0 {
-			h, err = runtime.RestoreShardHostCheckpoint(cfg, origins, ckpt)
-		} else {
-			h, err = runtime.NewShardHost(cfg, origins)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return h, nil
+func localReopen(cfg runtime.Config, host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
+	var h *runtime.ShardHost
+	var err error
+	if len(ckpt) > 0 {
+		h, err = runtime.RestoreShardHost(cfg, origins, ckpt)
+	} else {
+		h, err = runtime.NewShardHost(cfg, origins)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 func recoverySpeechConfig() (runtime.Config, *speech.App) {
@@ -148,7 +146,7 @@ func TestDistRecoveryParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				ds.EnableRecovery(&runtime.DistRecovery{Every: every, Reopen: localReopen(base)})
+				ds.EnableRecovery(&runtime.DistRecovery{Every: every, Reopen: localReopen})
 				for i, f := range feed {
 					if err := ds.Offer(f.node, f.a); err != nil {
 						t.Fatalf("%s: offer %d: %v", name, i, err)
@@ -189,9 +187,8 @@ func TestDistRecoveryRepeatedFailures(t *testing.T) {
 
 	kills := 0
 	const maxKills = 3
-	inner := localReopen(base)
-	reopen := func(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
-		d, err := inner(host, origins, ckpt)
+	reopen := func(cfg runtime.Config, host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
+		d, err := localReopen(cfg, host, origins, ckpt)
 		if err != nil || kills >= maxKills {
 			return d, err
 		}
@@ -264,7 +261,7 @@ func TestDistRecoverySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.EnableRecovery(&runtime.DistRecovery{Every: 1, Reopen: localReopen(base)})
+	ds.EnableRecovery(&runtime.DistRecovery{Every: 1, Reopen: localReopen})
 	for _, f := range feed[:cut] {
 		if err := ds.Offer(f.node, f.a); err != nil {
 			t.Fatal(err)

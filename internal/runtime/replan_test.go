@@ -395,9 +395,14 @@ func TestDistReplanParity(t *testing.T) {
 		rebound := false
 		rebind := func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
 			rebound = true
+			parts := runtime.PartitionOrigins(ncfg.Nodes, hostsAfter)
+			shares, err := runtime.HostShares(ncfg, snapshot, parts)
+			if err != nil {
+				return nil, err
+			}
 			var nh []runtime.HostBinding
-			for _, origins := range runtime.PartitionOrigins(ncfg.Nodes, hostsAfter) {
-				h, err := runtime.RestoreShardHost(ncfg, origins, snapshot)
+			for i, origins := range parts {
+				h, err := runtime.RestoreShardHost(ncfg, origins, shares[i])
 				if err != nil {
 					for _, b := range nh {
 						b.Driver.Abort()
@@ -453,24 +458,26 @@ func TestDistRecoveryAfterReplan(t *testing.T) {
 	// Cadence 1 leaves old-cut checkpoints at the handoff; 3 leaves an
 	// old-cut replay tail as well.
 	for _, every := range []int{1, 3} {
-		// The run's current Config and resume blob, as a coordinator keeps
-		// them for its Reopen callback.
-		cur, resume := base, []byte(nil)
-		reopen := func(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
-			if ckpt != nil {
-				return runtime.RestoreShardHostCheckpoint(cur, origins, ckpt)
+		// The session seeds each host's checkpoint with its share of the
+		// migrated snapshot, so the reopen always has a blob.
+		reopen := func(cfg runtime.Config, host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
+			if ckpt == nil {
+				t.Fatalf("host %d reopened without a blob", host)
 			}
-			if resume == nil {
-				t.Fatalf("host %d lost before the handoff", host)
-			}
-			return runtime.RestoreShardHost(cur, origins, resume)
+			return runtime.RestoreShardHost(cfg, origins, ckpt)
 		}
 		fuse := &hostFuse{op: "compute"}
+		rebound := false
 		rebind := func(ncfg runtime.Config, snapshot []byte) ([]runtime.HostBinding, error) {
-			cur, resume = ncfg, snapshot
+			rebound = true
+			parts := runtime.PartitionOrigins(ncfg.Nodes, 2)
+			shares, err := runtime.HostShares(ncfg, snapshot, parts)
+			if err != nil {
+				return nil, err
+			}
 			var nh []runtime.HostBinding
-			for i, origins := range runtime.PartitionOrigins(ncfg.Nodes, 2) {
-				h, err := runtime.RestoreShardHost(ncfg, origins, snapshot)
+			for i, origins := range parts {
+				h, err := runtime.RestoreShardHost(ncfg, origins, shares[i])
 				if err != nil {
 					return nil, err
 				}
@@ -506,7 +513,7 @@ func TestDistRecoveryAfterReplan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("every=%d: %v", every, err)
 		}
-		if len(ds.Replans()) != 1 || resume == nil {
+		if len(ds.Replans()) != 1 || !rebound {
 			t.Fatalf("every=%d: want one relocating replan, got %+v", every, ds.Replans())
 		}
 		if !fuse.fired {

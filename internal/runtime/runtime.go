@@ -338,39 +338,25 @@ func validateConfig(cfg *Config) error {
 	return nil
 }
 
-// buildArrivals merges a node's input traces into one time-sorted arrival
-// sequence (ties keep input order, so synchronized sensors interleave
-// deterministically).
+// buildArrivals materializes a node's InputStream: its input traces
+// merged into one time-sorted arrival sequence (ties keep input order, so
+// synchronized sensors interleave deterministically).
 func buildArrivals(inputs []profile.Input, scale, duration float64) ([]arrival, error) {
+	st, err := InputStream(inputs, scale, duration)
+	if err != nil {
+		return nil, err
+	}
 	// Size the sequence up front (one allocation instead of append
 	// growth): each input contributes one event per period below the
-	// duration — an estimate only, the loop below remains authoritative.
+	// duration — an estimate only, the stream remains authoritative.
 	est := 0
 	for _, in := range inputs {
-		if r := in.Rate * scale; r > 0 {
-			est += int(duration*r) + 1
-		}
+		est += int(duration*in.Rate*scale) + 1
 	}
 	arrivals := make([]arrival, 0, est)
-	for _, in := range inputs {
-		rate := in.Rate * scale
-		if rate <= 0 {
-			return nil, fmt.Errorf("runtime: input with non-positive rate")
-		}
-		if len(in.Events) == 0 {
-			return nil, fmt.Errorf("runtime: input source %s has an empty trace", in.Source)
-		}
-		period := 1 / rate
-		for i := 0; ; i++ {
-			t := float64(i) * period
-			if t >= duration {
-				break
-			}
-			ev := in.Events[i%len(in.Events)]
-			arrivals = append(arrivals, arrival{t: t, src: in.Source, v: ev})
-		}
+	for a, ok := st.Next(); ok; a, ok = st.Next() {
+		arrivals = append(arrivals, arrival{t: a.Time, src: a.Source, v: a.Value})
 	}
-	sortRuns(arrivals, nil, func(a, b *arrival) bool { return a.t < b.t })
 	return arrivals, nil
 }
 

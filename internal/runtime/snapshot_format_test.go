@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"wishbone/internal/apps/speech"
@@ -229,11 +230,11 @@ func TestSnapshotGoldenV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened := false
-	ds.EnableRecovery(&runtime.DistRecovery{Every: 1, Reopen: func(host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
+	ds.EnableRecovery(&runtime.DistRecovery{Every: 1, Reopen: func(cfg runtime.Config, host int, origins []int, ckpt []byte) (runtime.HostDriver, error) {
 		if !bytes.Equal(ckpt, goldenHost) {
 			t.Errorf("host 0's retained checkpoint (%d bytes) differs from host_v1.ckpt (%d bytes)", len(ckpt), len(goldenHost))
 		}
-		h, err := runtime.RestoreShardHostCheckpoint(cfg, origins, goldenHost)
+		h, err := runtime.RestoreShardHost(cfg, origins, goldenHost)
 		if err != nil {
 			return nil, err
 		}
@@ -261,5 +262,70 @@ func TestSnapshotGoldenV1(t *testing.T) {
 	}
 	if *got != *ref {
 		t.Fatalf("host_v1.ckpt recovers to a different Result:\nref: %+v\ngot: %+v", *ref, *got)
+	}
+}
+
+// TestHostShareRoundTrip pins the split every resume and replan handoff
+// ships: testdata/session_v1.snap cut into per-host shares at each host
+// count restores through RestoreShardHost, and each restored host
+// checkpoints back exactly its share's bytes, whatever order the caller
+// lists its origins in. A share for an origin outside the run, one of a
+// different cut, and one restored under the wrong origin set are errors,
+// not panics.
+func TestHostShareRoundTrip(t *testing.T) {
+	cfg, _, _ := goldenRun(t)
+	golden, err := os.ReadFile(filepath.Join("testdata", "session_v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hosts := 1; hosts <= 4; hosts++ {
+		parts := runtime.PartitionOrigins(cfg.Nodes, hosts)
+		shares, err := runtime.HostShares(cfg, golden, parts)
+		if err != nil {
+			t.Fatalf("%d hosts: %v", hosts, err)
+		}
+		for i, origins := range parts {
+			// Listed descending: the host sorts its origins, and the share
+			// lists them ascending.
+			desc := slices.Clone(origins)
+			slices.Reverse(desc)
+			h, err := runtime.RestoreShardHost(cfg, desc, shares[i])
+			if err != nil {
+				t.Fatalf("%d hosts, host %d: %v", hosts, i, err)
+			}
+			again, err := h.Checkpoint()
+			h.Abort()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, shares[i]) {
+				t.Fatalf("%d hosts, host %d: restore→checkpoint gives %d bytes, the share is %d", hosts, i, len(again), len(shares[i]))
+			}
+		}
+	}
+
+	if _, err := runtime.HostShares(cfg, golden, [][]int{{0, cfg.Nodes}}); err == nil {
+		t.Fatal("a share for an origin outside [0, Nodes) succeeded")
+	}
+	other := cfg
+	other.OnNode = map[int]bool{}
+	for _, src := range cfg.Graph.Sources() {
+		other.OnNode[src.ID()] = true
+	}
+	parts := runtime.PartitionOrigins(cfg.Nodes, 2)
+	if _, err := runtime.HostShares(other, golden, parts); err == nil {
+		t.Fatal("a share for a different cut succeeded")
+	}
+	shares, err := runtime.HostShares(cfg, golden, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := runtime.RestoreShardHost(other, parts[0], shares[0]); err == nil {
+		h.Abort()
+		t.Fatal("a share restored under a different cut succeeded")
+	}
+	if h, err := runtime.RestoreShardHost(cfg, parts[1], shares[0]); err == nil {
+		h.Abort()
+		t.Fatal("a share restored under the wrong origin set succeeded")
 	}
 }

@@ -282,14 +282,21 @@ func FuzzDecodeSessionSnap(f *testing.F) {
 	})
 }
 
-// FuzzDecodeHostSnap is FuzzDecodeSessionSnap for the host-contribution
-// blob (ShardHost.Checkpoint/Snapshot, the resumeHost field of
-// /v1/shard/open).
+// FuzzDecodeHostSnap is FuzzDecodeSessionSnap for the host blob
+// (ShardHost.Checkpoint or a HostShares share — the resumeHost field of
+// /v1/shard/open, the only state that route decodes).
 func FuzzDecodeHostSnap(f *testing.F) {
 	cfg := goldenConfig()
 	golden := readGolden(f, "host_v1.ckpt")
 	f.Add(golden)
 	f.Add(golden[:len(golden)/2])
+	snap, err := decodeSessionSnap(cfg.Graph, readGolden(f, "session_v1.snap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, origins := range PartitionOrigins(cfg.Nodes, 2) {
+		f.Add(encodeHostSnap(hostShare(snap, origins)))
+	}
 	f.Add(hostile(1<<33, func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0) }))
 	for _, data := range hostileFIRStates() {
 		hs, err := decodeHostSnap(cfg, golden)

@@ -63,8 +63,9 @@ type Stream interface {
 }
 
 // InputStream adapts periodic trace inputs (the same shape Config.Inputs
-// supplies) into a Stream producing exactly the arrival sequence the
-// batch path would materialize — lazily, one element at a time.
+// supplies) into a Stream: the one merge of a node's inputs, which the
+// batch path drains up front (buildArrivals) and streaming callers lazily,
+// one element at a time.
 func InputStream(inputs []profile.Input, scale, duration float64) (Stream, error) {
 	if scale <= 0 {
 		scale = 1
@@ -98,8 +99,8 @@ func (s *inputStream) Next() (Arrival, bool) {
 		if t >= s.duration {
 			continue
 		}
-		// Strict < keeps the earliest input on ties, matching
-		// buildArrivals' stable sort.
+		// Strict < keeps the earliest input on ties, so synchronized
+		// sensors interleave in input order.
 		if best < 0 || t < bt {
 			best, bt = i, t
 		}

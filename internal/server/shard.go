@@ -23,7 +23,7 @@ import (
 // per-session mutex serializes stray concurrent calls rather than
 // corrupting the host.
 //
-//	POST /v1/shard/open       → build the host for an origin subset
+//	POST /v1/shard/open       → build the host for an origin subset (fresh, or from a host blob)
 //	POST /v1/shard/compute    → one window's node phase (arrivals in, air + reduce out)
 //	POST /v1/shard/deliver    → replay the held window at the priced ratio
 //	POST /v1/shard/checkpoint → boundary state blob, session keeps running
@@ -93,9 +93,6 @@ func newShardID() (string, error) {
 }
 
 func (s *Server) shardOpen(ctx context.Context, req *wire.ShardOpenRequest) (*wire.ShardOpenResponse, bool, error) {
-	if len(req.Resume) > 0 && len(req.ResumeHost) > 0 {
-		return nil, false, badRequest("resume and resumeHost are mutually exclusive")
-	}
 	e, cfg, hit, err := s.resolveRun(ctx, &runSpec{
 		graph: req.Graph, platform: req.Platform, onNode: req.OnNode,
 		nodes: req.Nodes, duration: req.Duration, seed: req.Seed, shards: req.Shards,
@@ -107,12 +104,9 @@ func (s *Server) shardOpen(ctx context.Context, req *wire.ShardOpenRequest) (*wi
 		return nil, false, badRequest("coordinator and host elaborate different graphs from the spec (structural hash mismatch)")
 	}
 	var host *wbruntime.ShardHost
-	switch {
-	case len(req.ResumeHost) > 0:
-		host, err = wbruntime.RestoreShardHostCheckpoint(cfg, req.Origins, req.ResumeHost)
-	case len(req.Resume) > 0:
-		host, err = wbruntime.RestoreShardHost(cfg, req.Origins, req.Resume)
-	default:
+	if len(req.ResumeHost) > 0 {
+		host, err = wbruntime.RestoreShardHost(cfg, req.Origins, req.ResumeHost)
+	} else {
 		host, err = wbruntime.NewShardHost(cfg, req.Origins)
 	}
 	if err != nil {

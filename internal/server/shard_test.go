@@ -390,11 +390,8 @@ func TestServerSnapshotHostileCounts(t *testing.T) {
 			Graph: spec, Platform: "Gumstix", OnNode: onNode,
 			Nodes: 4, Duration: 8, Seed: 7, Origins: []int{0, 1},
 		}
-		open.Resume = session.Bytes()
+		open.ResumeHost = host.Bytes()
 		_, err := client.ShardOpen(ctx, open)
-		want400("shard open, resume", err)
-		open.Resume, open.ResumeHost = nil, host.Bytes()
-		_, err = client.ShardOpen(ctx, open)
 		want400("shard open, resumeHost", err)
 
 		_, err = client.SimulateStream(ctx, wire.SimulateStreamRequest{

@@ -12,6 +12,11 @@ package wire
 // value encoding (Marshal/Unmarshal, base64 inside JSON) rather than as
 // JSON numbers: the round trip is bit-exact by construction, which is
 // what keeps distributed Results byte-identical to single-host runs.
+//
+// A host reads one kind of state: a host blob (ShardOpenRequest.ResumeHost),
+// never a whole-run session snapshot — the coordinator splits one into
+// per-host shares. The protocol has no version field and JSON decoding
+// ignores unknown fields, so coordinator and hosts must run the same build.
 
 // ShardOpenRequest opens a shard session hosting the given origin nodes.
 // The peer re-elaborates Graph locally; GraphHash (the graph's structural
@@ -33,18 +38,13 @@ type ShardOpenRequest struct {
 	Shards int `json:"shards,omitempty"`
 	// Origins is the subset of [0, Nodes) this host owns.
 	Origins []int `json:"origins"`
-	// Resume, when non-empty, is a full session snapshot (the versioned
-	// encoding Session.Snapshot produces, possibly
-	// rewritten by MigrateSnapshot); the host restores its owned origins'
-	// node sides and delivery state from it instead of starting fresh —
-	// the state-handoff half of mid-run shard migration and cross-host
-	// operator relocation.
-	Resume []byte `json:"resume,omitempty"`
-	// ResumeHost, when non-empty, is one host's checkpoint blob
-	// (/v1/shard/checkpoint): the recovery path. The opened session takes
-	// over the dead host's whole contribution — Origins must equal the
-	// checkpoint's origin set exactly, and the host carries the
-	// checkpoint's counters forward. Mutually exclusive with Resume.
+	// ResumeHost, when non-empty, is the host blob the session restores
+	// from instead of starting fresh — the only state a host reads: a
+	// host's checkpoint (/v1/shard/checkpoint; recovery) or its share of a
+	// session snapshot (runtime.HostShares; resume and the state handoff
+	// of a replan's cross-host operator relocation). The session takes
+	// over the blob's node sides, delivery state and counters; Origins
+	// must equal the blob's origin set exactly.
 	ResumeHost []byte `json:"resumeHost,omitempty"`
 }
 
