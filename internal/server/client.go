@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 
 	"wishbone/internal/runtime"
 	"wishbone/internal/wire"
@@ -140,38 +142,151 @@ func (c *Client) SimulateResult(ctx context.Context, req wire.SimulateRequest) (
 // StreamChunk per batch next yields (it returns false when the trace is
 // exhausted), then a snapshot chunk when snapshot is set — through a pipe,
 // so the whole trace never resides in client memory, and decodes the JSON
-// response into out.
+// response into out. next is never running once postStream has returned:
+// a response that comes back while the body is still being written (an
+// early 4xx, say) stops the writer, and postStream waits for it.
 func (c *Client) postStream(ctx context.Context, path string, header any,
 	next func() ([]wire.ArrivalWire, bool), snapshot bool, out any) error {
 	pr, pw := io.Pipe()
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		enc := json.NewEncoder(pw)
 		err := enc.Encode(header)
+		var buf []byte
 		for err == nil {
 			batch, ok := next()
 			if !ok {
 				break
 			}
-			err = enc.Encode(wire.StreamChunk{Arrivals: batch})
+			if buf, err = appendChunk(buf[:0], batch); err == nil {
+				_, err = pw.Write(buf)
+			}
 		}
 		if err == nil && snapshot {
 			err = enc.Encode(wire.StreamChunk{Snapshot: true})
 		}
 		pw.CloseWithError(err) // a nil error is a plain Close
 	}()
+	defer func() {
+		pr.Close() // fails the writer's next write
+		<-done
+	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, pr)
 	if err != nil {
-		pr.CloseWithError(err) // unblock the encoder goroutine
 		return err
 	}
 	return c.do(req, out)
+}
+
+// appendChunk appends wire.StreamChunk{Arrivals: as} to b byte for byte as
+// a json.Encoder writes it, trailing newline included, or returns the
+// error Encode would. Each arrival goes through appendArrival, or, off its
+// path, through json.Marshal, whose bytes and errors are the Encoder's.
+func appendChunk(b []byte, as []wire.ArrivalWire) ([]byte, error) {
+	if as == nil {
+		return append(b, `{"arrivals":null}`+"\n"...), nil
+	}
+	b = append(b, `{"arrivals":[`...)
+	for i := range as {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var ok bool
+		if b, ok = appendArrival(b, &as[i]); !ok {
+			raw, err := json.Marshal(&as[i])
+			if err != nil {
+				return nil, err
+			}
+			b = append(b, raw...)
+		}
+	}
+	return append(b, "]}\n"...), nil
+}
+
+// appendArrival appends a as encoding/json writes it, if every field is on
+// the path the walker reads by hand (docs/service.md, "Streaming body
+// framing"): a finite t, a type of printable ASCII that encoding/json does
+// not escape, and a value that is a number or a flat array of numbers
+// without whitespace, which encoding/json copies unchanged. Otherwise it
+// returns b as it was and false.
+func appendArrival(b []byte, a *wire.ArrivalWire) ([]byte, bool) {
+	if math.IsNaN(a.Time) || math.IsInf(a.Time, 0) || !plainType(a.Type) || !plainValue(a.Value) {
+		return b, false
+	}
+	b = append(b, `{"node":`...)
+	b = strconv.AppendInt(b, int64(a.Node), 10)
+	b = append(b, `,"t":`...)
+	b = appendFloat(b, a.Time)
+	b = append(b, `,"source":`...)
+	b = strconv.AppendInt(b, int64(a.Source), 10)
+	if a.Type != "" {
+		b = append(b, `,"type":"`...)
+		b = append(b, a.Type...)
+		b = append(b, '"')
+	}
+	b = append(b, `,"v":`...)
+	b = append(b, a.Value...)
+	return append(b, '}'), true
+}
+
+// appendFloat appends a finite f in encoding/json's spelling: the shortest
+// 'f' form, or 'e' outside [1e-6, 1e21), with a one-digit negative
+// exponent unpadded.
+func appendFloat(b []byte, f float64) []byte {
+	abs, format := math.Abs(f), byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// plainType reports whether encoding/json writes s between its quotes
+// unchanged: printable ASCII without '"', '\\' or the HTML characters an
+// Encoder escapes.
+func plainType(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// plainValue reports whether v is a JSON number, or an array of numbers,
+// with no whitespace.
+func plainValue(v []byte) bool {
+	if len(v) == 0 || v[0] != '[' {
+		return number(v) == len(v)
+	}
+	if string(v) == "[]" {
+		return true
+	}
+	for i := 1; i < len(v); i++ {
+		n := number(v[i:])
+		if n < 0 {
+			return false
+		}
+		if i += n; i == len(v)-1 && v[i] == ']' {
+			return true
+		} else if i >= len(v) || v[i] != ',' {
+			return false
+		}
+	}
+	return false
 }
 
 // SimulateStream runs a streaming-ingestion simulation: the header is
 // sent first, then next is called repeatedly for arrival batches (return
 // false when the trace is exhausted), each encoded as one chunk of the
 // chunked request body — the whole trace never resides in client or
-// server memory. Arrivals must be globally nondecreasing in time.
+// server memory. Arrivals must be globally nondecreasing in time. next is
+// not running once SimulateStream has returned, whatever the outcome.
 func (c *Client) SimulateStream(ctx context.Context, req wire.SimulateStreamRequest,
 	next func() ([]wire.ArrivalWire, bool)) (*wire.SimulateResponse, error) {
 	var out wire.SimulateResponse
@@ -273,16 +388,8 @@ func (c *Client) Stats(ctx context.Context) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server: %s", resp.Status)
-	}
 	var out Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.do(req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

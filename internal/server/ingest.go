@@ -230,7 +230,7 @@ func (w *chunkWalker) parse() bool {
 
 // field cuts key and the value after it, as scan measures it, off the
 // front of b; nil, nil if b does not start with them. A scanner returns
-// the length it read, or -1; b ends in '}', which stops every scanner.
+// the length it read, or -1; b ends in '}', so no scanner sees it empty.
 func field(b []byte, key string, scan func([]byte) int) (rest, v []byte) {
 	if b, ok := bytes.CutPrefix(b, []byte(key)); ok {
 		if n := scan(b); n > 0 {
@@ -249,23 +249,25 @@ func quoted(b []byte) int {
 	return n
 }
 
-// number reads a JSON number.
+// number reads a JSON number from the front of b. It is the one number
+// grammar of the streaming routes: the walker reads node, t, source and a
+// scalar v with it, and appendArrival copies only values it accepts.
 func number(b []byte) int {
 	i := 0
-	if b[0] == '-' {
-		i++
+	if len(b) > 0 && b[0] == '-' {
+		i = 1
 	}
 	j := digits(b, i)
 	if j == i || b[i] == '0' && j > i+1 {
 		return -1
 	}
-	if b[j] == '.' {
+	if j < len(b) && b[j] == '.' {
 		if i, j = j+1, digits(b, j+1); j == i {
 			return -1
 		}
 	}
-	if b[j] == 'e' || b[j] == 'E' {
-		if j++; b[j] == '+' || b[j] == '-' {
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		if j++; j < len(b) && (b[j] == '+' || b[j] == '-') {
 			j++
 		}
 		if i, j = j, digits(b, j); j == i {
@@ -277,7 +279,7 @@ func number(b []byte) int {
 
 // digits reads a possibly empty run of decimal digits from b[i].
 func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+	for i < len(b) && b[i]-'0' < 10 {
 		i++
 	}
 	return i

@@ -203,25 +203,31 @@ func valueType(v dataflow.Value) string {
 	return ""
 }
 
-// clientChunks encodes n events of a trace as Client.postStream does: one
-// StreamChunk per `per` arrivals, through one json.Encoder.
-func clientChunks(tb testing.TB, events []dataflow.Value, src, n, per int) []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	var batch []wire.ArrivalWire
-	for i := 0; i < n; i++ {
+// clientArrivals is n events of a trace as a client would send them: four
+// nodes in turn, 100 arrivals a second.
+func clientArrivals(tb testing.TB, events []dataflow.Value, src, n int) []wire.ArrivalWire {
+	as := make([]wire.ArrivalWire, n)
+	for i := range as {
 		ev := events[i%len(events)]
-		batch = append(batch, wire.ArrivalWire{
+		as[i] = wire.ArrivalWire{
 			Node: i % 4, Time: float64(i) / 100, Source: src, Type: valueType(ev), Value: wireBytes(tb, ev),
-		})
-		if len(batch) == per || i == n-1 {
-			if err := enc.Encode(wire.StreamChunk{Arrivals: batch}); err != nil {
-				tb.Fatal(err)
-			}
-			batch = batch[:0]
 		}
 	}
-	return buf.Bytes()
+	return as
+}
+
+// clientChunks is the body Client.postStream sends after its header for n
+// events of a trace: one appendChunk per `per` arrivals.
+func clientChunks(tb testing.TB, events []dataflow.Value, src, n, per int) []byte {
+	var buf []byte
+	as := clientArrivals(tb, events, src, n)
+	for i := 0; i < n; i += per {
+		var err error
+		if buf, err = appendChunk(buf, as[i:min(i+per, n)]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf
 }
 
 // ingestSeeds is the corpus both walks are held to: Client-encoded speech
