@@ -29,17 +29,17 @@ func burstySpec() (*core.Spec, error) {
 	detect := g.Add(&dataflow.Operator{
 		Name: "detect", NS: dataflow.NSNode,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			frame := v.([]float64)
+			frame := v.([]int16)
 			var energy float64
 			for _, s := range frame {
-				energy += s * s
+				energy += float64(s) * float64(s)
 			}
 			ctx.Counter.Add(cost.FloatMul, len(frame))
 			ctx.Counter.Add(cost.FloatAdd, len(frame))
 			if energy > 1000 {
 				// Loud frame: full spectral analysis.
 				n := dsp.NextPow2(len(frame))
-				dsp.PowerSpectrumInto(ctx.Counter, frame, make([]dsp.Complex, n), make([]float64, n/2))
+				dsp.PowerSpectrum(ctx.Counter, frame, make([]dsp.Complex, n), make([]float32, n/2))
 				emit([]float32{float32(energy)})
 			}
 		},
@@ -50,7 +50,7 @@ func burstySpec() (*core.Spec, error) {
 
 	events := make([]dataflow.Value, 100)
 	for i := range events {
-		frame := make([]float64, 128)
+		frame := make([]int16, 128)
 		if i%10 == 0 { // every tenth frame is loud
 			for k := range frame {
 				frame[k] = 50

@@ -277,10 +277,8 @@ func buildFIR(g *dataflow.Graph, name string, in *dataflow.Operator, coeffs []fl
 	op := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: name, NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &firState{fir: dsp.NewFIRState(len(coeffs))} },
-	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
-		st := ctx.State.(*firState)
-		x := dsp.Widen(in, sc.A(len(in)))
-		dsp.Clamp16(dsp.FIRBlockInto(ctx.Counter, st.fir, coeffs, x, sc.B(len(in))), out)
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []int16) {
+		dsp.FIRBlock(ctx.Counter, ctx.State.(*firState).fir, coeffs, in, out)
 	}))
 	g.Connect(in, op, 0)
 	return op
@@ -291,8 +289,8 @@ func buildFIR(g *dataflow.Graph, name string, in *dataflow.Operator, coeffs []fl
 func buildMag(g *dataflow.Graph, name string, in *dataflow.Operator, gain float64) *dataflow.Operator {
 	op := g.Add(kernel.Scalars(&dataflow.Operator{
 		Name: name, NS: dataflow.NSNode,
-	}, func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []int16) float32 {
-		return float32(dsp.MagWithScale(ctx.Counter, gain, dsp.Widen(in, sc.A(len(in)))))
+	}, func(ctx *dataflow.Ctx, _ *dsp.Scratch, in []int16) float32 {
+		return float32(dsp.MagWithScale(ctx.Counter, gain, in))
 	}))
 	g.Connect(in, op, 0)
 	return op

@@ -2,9 +2,12 @@
 // per-element Work and the slice-at-a-time BatchWork — from one arithmetic
 // body, so the two cannot drift apart and both hold dataflow.WorkFunc's
 // memory contract: a dispatch allocates the values it emits and nothing
-// else. The kernel borrows a pooled dsp.Scratch for its temporaries; the
-// adapters acquire it per call and release it before emit, and the output
-// a kernel fills is always freshly made, never scratch.
+// else. A kernel reads its input frame and fills its output frame in their
+// own element types (the dsp kernels convert inside their loops); the few
+// that need a temporary — the FFT's complex workspace, the cepstral stage's
+// dequantized frame — borrow it from a pooled dsp.Scratch, which the
+// adapters acquire per call and release before emit. The output a kernel
+// fills is always freshly made, never scratch.
 package kernel
 
 import (

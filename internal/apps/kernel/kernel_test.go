@@ -96,7 +96,7 @@ func TestWorkAllocatesOnlyItsOutput(t *testing.T) {
 				limit = 1
 			}
 			if raceEnabled {
-				limit += 4 // a rebuilt Scratch: the struct and its three buffers
+				limit += 3 // a rebuilt Scratch: the struct and its two buffers
 			}
 			drop := func(dataflow.Value) {}
 			got := testing.AllocsPerRun(50, func() { c.op.Work(ctx, c.port, c.a, drop) })

@@ -12,8 +12,6 @@
 package speech
 
 import (
-	"math"
-
 	"wishbone/internal/apps/kernel"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/dsp"
@@ -68,11 +66,12 @@ var prefiltCoeffs = []float64{0.35, 0.4, 0.2, 0.05}
 // pipeline (§2.1's program skeleton with the sink's consumer on the
 // server).
 //
-// Each stage's arithmetic is written once, as a kernel over the dsp *Into
-// forms: widen the frame into pooled scratch, filter scratch to scratch,
-// narrow into the output frame kernel.Frames supplies. Frames derives both
-// the per-element Work and the BatchWork from that body, so a dispatch on
-// either path allocates the frame it emits and nothing else.
+// Each stage's arithmetic is written once, as a call of the dsp kernel that
+// reads the stage's input frame (int16 samples or a float32 spectrum) and
+// writes the output frame kernel.Frames supplies, computing in float64 in
+// between. Frames derives both the per-element Work and the BatchWork from
+// that body, so a dispatch on either path allocates the frame it emits and
+// nothing else.
 func New() *App {
 	g := dataflow.New()
 	hamming := dsp.HammingWindow(FrameSamples)
@@ -84,52 +83,39 @@ func New() *App {
 	preemph := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "preemph", NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &preemphState{} },
-	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []int16) {
 		st := ctx.State.(*preemphState)
-		x := dsp.Widen(in, sc.A(len(in)))
-		y, prev := dsp.PreEmphasisInto(ctx.Counter, x, 0.97, st.prev, sc.B(len(in)))
-		st.prev = prev
-		dsp.Clamp16(y, out)
+		st.prev = dsp.PreEmphasis(ctx.Counter, in, 0.97, st.prev, out)
 	}))
 	hammingOp := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "hamming", NS: dataflow.NSNode,
-	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
-		x := dsp.Widen(in, sc.A(len(in)))
-		dsp.Clamp16(dsp.ApplyWindowInto(ctx.Counter, x, hamming, sc.B(len(in))), out)
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []int16) {
+		dsp.ApplyWindow(ctx.Counter, in, hamming, out)
 	}))
 	prefilt := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "prefilt", NS: dataflow.NSNode, Stateful: true, BatchStateSafe: true,
 		NewState: func() any { return &prefiltState{fir: dsp.NewFIRState(len(prefiltCoeffs))} },
-	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []int16) {
-		st := ctx.State.(*prefiltState)
-		x := dsp.Widen(in, sc.A(len(in)))
-		dsp.Clamp16(dsp.FIRBlockInto(ctx.Counter, st.fir, prefiltCoeffs, x, sc.B(len(in))), out)
+	}, kernel.SameLen[int16], func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []int16) {
+		dsp.FIRBlock(ctx.Counter, ctx.State.(*prefiltState).fir, prefiltCoeffs, in, out)
 	}))
 	fft := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "FFT", NS: dataflow.NSNode,
 	}, func(in []int16) int { return dsp.NextPow2(len(in)) / 2 },
 		func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []int16, out []float32) {
-			n := dsp.NextPow2(len(in))
-			x := dsp.Widen(in, sc.A(len(in)))
-			dsp.Narrow32(dsp.PowerSpectrumInto(ctx.Counter, x, sc.Complex(n), sc.B(n/2)), out)
+			dsp.PowerSpectrum(ctx.Counter, in, sc.Complex(dsp.NextPow2(len(in))), out)
 		}))
 	filtBank := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "filtBank", NS: dataflow.NSNode,
 	}, func([]float32) int { return mel.NumFilters() },
-		func(ctx *dataflow.Ctx, sc *dsp.Scratch, in, out []float32) {
-			spec := dsp.Widen(in, sc.A(len(in)))
-			dsp.Narrow32(mel.ApplyInto(ctx.Counter, spec, sc.B(mel.NumFilters())), out)
+		func(ctx *dataflow.Ctx, _ *dsp.Scratch, in, out []float32) {
+			mel.Energies(ctx.Counter, in, out)
 		}))
 	logs := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "logs", NS: dataflow.NSNode,
-	}, kernel.SameLen[float32], func(ctx *dataflow.Ctx, sc *dsp.Scratch, in []float32, out []int16) {
-		energies := dsp.Widen(in, sc.A(len(in)))
-		lg := dsp.Log10BlockInto(ctx.Counter, energies, sc.B(len(in)))
-		// Quantize to 8.8 fixed point: halves the element size, making
+	}, kernel.SameLen[float32], func(ctx *dataflow.Ctx, _ *dsp.Scratch, in []float32, out []int16) {
+		// Quantized to 8.8 fixed point: halves the element size, making
 		// logs a viable (data-reducing) cutpoint as in Figure 5(b).
-		for i, e := range lg {
-			out[i] = int16(math.Max(-128, math.Min(127, e)) * 256)
-		}
+		dsp.Log10Fixed88(ctx.Counter, in, out)
 	}))
 	cepstrals := g.Add(kernel.Frames(&dataflow.Operator{
 		Name: "cepstrals", NS: dataflow.NSNode,
@@ -139,7 +125,7 @@ func New() *App {
 			for i, e := range in {
 				lg[i] = float64(e) / 256
 			}
-			dsp.Narrow32(dsp.DCTIIInto(ctx.Counter, lg, NumCepstra, sc.B(NumCepstra)), out)
+			dsp.DCTIIInto(ctx.Counter, lg, NumCepstra, out)
 		}))
 	sink := g.Add(&dataflow.Operator{
 		Name: "sink", NS: dataflow.NSServer, SideEffect: true,

@@ -6,6 +6,12 @@
 // Every kernel takes a *cost.Counter and records the primitive operations
 // it performs; a nil counter disables instrumentation at negligible cost.
 // The counts are what the profiler converts into per-platform CPU time.
+//
+// The frame kernels read and write the element types the operators carry
+// (int16 samples, float32 spectra) and compute in float64: widening either
+// type to float64 is exact, and a result is clamped to int16 or rounded to
+// float32 in the loop that produces it, so no pass over a scratch frame
+// converts values on the way in or out.
 package dsp
 
 import "wishbone/internal/cost"
@@ -28,6 +34,8 @@ func NextPow2(n int) int {
 // FFT computes the in-place radix-2 decimation-in-time FFT of x. The length
 // of x must be a power of two; FFT panics otherwise. When inverse is true
 // it computes the unscaled inverse transform (callers divide by len(x)).
+// The speech pipeline does not call it: its frames are real, and
+// PowerSpectrum runs the same stages on them with the first two specialized.
 //
 // The permutation, every butterfly's twiddle and the call's operation
 // counts come from a cached per-size plan (plan.go). Its table holds the
@@ -40,14 +48,25 @@ func FFT(c *cost.Counter, x []Complex, inverse bool) {
 		panic("dsp: FFT length must be a power of two")
 	}
 	p := fftPlanFor(n)
-	for _, s := range p.swaps {
-		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
+	for i, j := range p.rev {
+		if i < int(j) {
+			x[i], x[j] = x[j], x[i]
+		}
 	}
 	tw := p.fwd
 	if inverse {
 		tw = p.inv
 	}
-	for half := 1; half < n; half <<= 1 {
+	butterflies(x, tw, 1)
+	c.AddCounter(&p.counts)
+}
+
+// butterflies runs the radix-2 stages of half-length h0, 2·h0, … on x,
+// whose earlier stages are done, reading each stage's twiddles from tw in
+// the plan's layout.
+func butterflies(x, tw []Complex, h0 int) {
+	n := len(x)
+	for half := h0; half < n; half <<= 1 {
 		t := tw[half-1 : 2*half-1]
 		for start := 0; start < n; start += 2 * half {
 			// One length for all three: no bounds checks in the loop.
@@ -62,30 +81,65 @@ func FFT(c *cost.Counter, x []Complex, inverse bool) {
 			}
 		}
 	}
-	c.AddCounter(&p.counts)
 }
 
-// PowerSpectrumInto computes the one-sided power spectrum of a real
-// signal. The input is zero-padded to the next power of two; the output
-// has fftLen/2 bins (bin 0 = DC). buf must have len ≥ NextPow2(len(x))
-// (its contents are overwritten) and out len ≥ NextPow2(len(x))/2. It
-// returns the filled prefix of out.
-func PowerSpectrumInto(c *cost.Counter, x []float64, buf []Complex, out []float64) []float64 {
+// PowerSpectrum computes the one-sided power spectrum of a real frame: x
+// zero-padded to n = NextPow2(len(x)), transformed, and each of the first
+// n/2 bins' |X|² (bin 0 = DC) rounded to float32 into out
+// (len(out) ≥ n/2). buf is the transform's workspace (len ≥ n, contents
+// overwritten). It returns the filled prefix of out.
+//
+// The frame is scattered straight into bit-reversed order: the zero fill,
+// the copy and FFT's swaps in one pass. While the data is still real, the
+// first two stages skip the products of an imaginary part that is +0.
+// Stage 1's twiddle is {1,0}, so its butterflies are a sum and a
+// difference whose imaginary parts stay +0, bit for bit. Stage 2 multiplies
+// each odd leg's real value by the plan's own twiddle; that real×complex
+// product can differ from the complex one only in the sign of a zero, such
+// differences stay zeros through +, − and ×, and |X|² squares them away.
+// So the spectrum has FFT's bits even where a bin's zero sign might not
+// (TestFusedKernelsBitIdentical). Stages ≥ 3 are FFT's. The counter records
+// what the device does: the copy, FFT's charges (permutation swaps
+// included) and the squares.
+func PowerSpectrum(c *cost.Counter, x []int16, buf []Complex, out []float32) []float32 {
 	n := NextPow2(len(x))
+	p := fftPlanFor(n)
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = Complex{}
-	}
+	rev := p.rev[:n]
 	for i, v := range x {
-		buf[i].Re = v
+		buf[rev[i]] = Complex{Re: float64(v)}
 	}
-	c.Add(cost.Store, len(x))
-	FFT(c, buf, false)
+	for _, j := range rev[len(x):] {
+		buf[j] = Complex{}
+	}
+	h0 := 1
+	if n >= 4 {
+		// Stages 1 and 2 on each run of four: the butterfly above with
+		// every imaginary input written as the +0 it is. w1 is the plan's
+		// {cos(−π/2), sin(−π/2)}, whose real part is 6.1e-17, not 0: the
+		// device's loop multiplies by it, and so does this one.
+		w0, w1 := p.fwd[1], p.fwd[2]
+		for s := 0; s+3 < len(buf); s += 4 {
+			q := (*[4]Complex)(buf[s:])
+			a0, a1 := q[0].Re+q[1].Re, q[0].Re-q[1].Re
+			b0, b1 := q[2].Re+q[3].Re, q[2].Re-q[3].Re
+			v0 := Complex{b0 * w0.Re, b0 * w0.Im}
+			v1 := Complex{b1 * w1.Re, b1 * w1.Im}
+			q[0] = Complex{a0 + v0.Re, 0 + v0.Im}
+			q[1] = Complex{a1 + v1.Re, 0 + v1.Im}
+			q[2] = Complex{a0 - v0.Re, 0 - v0.Im}
+			q[3] = Complex{a1 - v1.Re, 0 - v1.Im}
+		}
+		h0 = 4
+	}
+	butterflies(buf, p.fwd, h0)
 	out = out[:n/2]
 	for i := range out {
 		re, im := buf[i].Re, buf[i].Im
-		out[i] = re*re + im*im
+		out[i] = float32(re*re + im*im)
 	}
+	c.Add(cost.Store, len(x))
+	c.AddCounter(&p.counts)
 	c.Add(cost.FloatMul, 2*(n/2))
 	c.Add(cost.FloatAdd, n/2)
 	c.Add(cost.Store, n/2)

@@ -7,24 +7,37 @@ import (
 	"wishbone/internal/cost"
 )
 
-// PreEmphasisInto applies the first-order high-pass
-// y[i] = x[i] − coef·x[i−1] used at the front of speech pipelines; prev is
-// the last sample of the previous frame and the updated value is returned
-// (the operator keeps it as private state). It writes into out
-// (len(out) ≥ len(x)) and returns the filled prefix. Counter charges are
-// bulk-charged: the counter is a pure count, so n adds of one equal one
-// add of n.
-func PreEmphasisInto(c *cost.Counter, x []float64, coef, prev float64, out []float64) ([]float64, float64) {
+// clamp16 converts v to int16, saturating at the int16 range and
+// truncating toward zero: the narrowing step of every kernel that emits
+// samples. It is two branches, not builtin min/max, which cost twice as
+// much here.
+func clamp16(v float64) int16 {
+	if v > 32767 {
+		v = 32767
+	} else if v < -32768 {
+		v = -32768
+	}
+	return int16(v)
+}
+
+// PreEmphasis applies the first-order high-pass y[i] = x[i] − coef·x[i−1]
+// used at the front of speech pipelines into out (len(out) ≥ len(x)),
+// clamped to int16; prev is the last sample of the previous frame and the
+// updated value is returned (the operator keeps it as private state).
+// Counter charges are bulk-charged: the counter is a pure count, so n adds
+// of one equal one add of n.
+func PreEmphasis(c *cost.Counter, x []int16, coef, prev float64, out []int16) float64 {
 	out = out[:len(x)]
 	for i, v := range x {
-		out[i] = v - coef*prev
-		prev = v
+		f := float64(v)
+		out[i] = clamp16(f - coef*prev)
+		prev = f
 	}
 	c.Add(cost.FloatMul, len(x))
 	c.Add(cost.FloatAdd, len(x))
 	c.Add(cost.Load, len(x))
 	c.Add(cost.Store, len(x))
-	return out, prev
+	return prev
 }
 
 // HammingWindow returns the n-point Hamming window coefficients. Windows
@@ -43,18 +56,17 @@ func HammingWindow(n int) []float64 {
 	return p.([]float64)
 }
 
-// ApplyWindowInto multiplies x elementwise by the window w
-// (len(w) ≥ len(x)) into out (len(out) ≥ len(x)); it returns the filled
-// prefix.
-func ApplyWindowInto(c *cost.Counter, x, w, out []float64) []float64 {
+// ApplyWindow multiplies x elementwise by the window w (len(w) ≥ len(x))
+// into out (len(out) ≥ len(x)), clamped to int16.
+func ApplyWindow(c *cost.Counter, x []int16, w []float64, out []int16) {
 	out = out[:len(x)]
+	w = w[:len(x)]
 	for i, v := range x {
-		out[i] = v * w[i]
+		out[i] = clamp16(float64(v) * w[i])
 	}
 	c.Add(cost.FloatMul, len(x))
 	c.Add(cost.Load, 2*len(x))
 	c.Add(cost.Store, len(x))
-	return out
 }
 
 // FIRState is the tapped delay line of one FIR filter instance.
@@ -87,20 +99,21 @@ func RestoreFIRState(taps []float64, pos int) (*FIRState, error) {
 	return &FIRState{taps: append([]float64(nil), taps...), pos: pos}, nil
 }
 
-// FIRBlockInto filters a block through the delay line s (len(coeffs) taps
-// or more) into out (len(out) ≥ len(x)): out[i] = Σ coeffs[j]·x[i−j],
-// summed from zero in coefficient order; it returns the filled prefix.
-// Only the first len(coeffs)−1 outputs reach into the previous block and
-// walk the delay line. The rest read x directly — the same products added
-// in the same order, so the same bits — and the block's tail is then left
-// in the line where pushing sample by sample would have put it. The
-// device's per-sample charges are bulk-charged once for the block.
-func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []float64 {
+// FIRBlock filters a block through the delay line s (len(coeffs) taps or
+// more) into out (len(out) ≥ len(x)): out[i] = Σ coeffs[j]·x[i−j], summed
+// from zero in coefficient order and clamped to int16. Only the first
+// len(coeffs)−1 outputs reach into the previous block and walk the delay
+// line. The rest read x directly — the same products added in the same
+// order, so the same bits as pushing sample by sample (FIRState.Step in
+// the tests) — and the block's tail is then left in the line where pushing
+// would have put it. The device's per-sample charges are bulk-charged once
+// for the block.
+func FIRBlock(c *cost.Counter, s *FIRState, coeffs []float64, x, out []int16) {
 	out = out[:len(x)]
 	nt := len(s.taps)
 	head := min(len(x), len(coeffs)-1)
 	for i, v := range x[:head] {
-		s.taps[s.pos] = v
+		s.taps[s.pos] = float64(v)
 		s.pos = (s.pos + 1) % nt
 		sum := 0.0
 		for j, co := range coeffs {
@@ -110,20 +123,28 @@ func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []floa
 			}
 			sum += co * s.taps[idx]
 		}
-		out[i] = sum
+		out[i] = clamp16(sum)
 	}
 	if len(coeffs) == 4 { // both applications' filters
-		c0, c1, c2, c3 := coeffs[0], coeffs[1], coeffs[2], coeffs[3]
-		for i := 3; i < len(x); i++ { // from zero, as below: 0 + −0 is +0
-			out[i] = 0.0 + c0*x[i] + c1*x[i-1] + c2*x[i-2] + c3*x[i-3]
+		if len(x) > 3 {
+			c0, c1, c2, c3 := coeffs[0], coeffs[1], coeffs[2], coeffs[3]
+			// x[i−1], x[i−2], x[i−3], each widened once.
+			p1, p2, p3 := float64(x[2]), float64(x[1]), float64(x[0])
+			xs := x[3:]
+			o := out[3:][:len(xs)]
+			for i, v := range xs {
+				f := float64(v)
+				o[i] = clamp16(0.0 + c0*f + c1*p1 + c2*p2 + c3*p3) // from zero, as below: 0 + −0 is +0
+				p1, p2, p3 = f, p1, p2
+			}
 		}
 	} else {
 		for i := head; i < len(x); i++ {
 			sum := 0.0
 			for j, co := range coeffs {
-				sum += co * x[i-j]
+				sum += co * float64(x[i-j])
 			}
-			out[i] = sum
+			out[i] = clamp16(sum)
 		}
 	}
 	tail := x[head:]
@@ -132,7 +153,7 @@ func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []floa
 		tail = tail[skip:]
 	}
 	for _, v := range tail {
-		s.taps[s.pos] = v
+		s.taps[s.pos] = float64(v)
 		s.pos = (s.pos + 1) % nt
 	}
 	nc := len(x) * len(coeffs)
@@ -141,15 +162,15 @@ func FIRBlockInto(c *cost.Counter, s *FIRState, coeffs, x, out []float64) []floa
 	c.Add(cost.Load, 2*nc)
 	c.Add(cost.IntOp, 2*nc)
 	c.Add(cost.Store, len(x))
-	return out
 }
 
-// MagWithScale computes scale·Σ|x[i]| — the windowed energy feature the
-// EEG application extracts from each high-pass band (Figure 1).
-func MagWithScale(c *cost.Counter, scale float64, x []float64) float64 {
+// MagWithScale computes scale·Σ|x[i]| in float64 — the windowed energy
+// feature the EEG application extracts from each high-pass band
+// (Figure 1).
+func MagWithScale[T int16 | float64](c *cost.Counter, scale float64, x []T) float64 {
 	sum := 0.0
 	for _, v := range x {
-		sum += math.Abs(v)
+		sum += math.Abs(float64(v))
 	}
 	c.Add(cost.FloatAdd, len(x))
 	c.Add(cost.Branch, len(x))
@@ -158,33 +179,40 @@ func MagWithScale(c *cost.Counter, scale float64, x []float64) float64 {
 	return scale * sum
 }
 
-// Log10BlockInto takes log10 of every element, flooring tiny values to
+// Log10Fixed88 takes log10 of every element, flooring tiny values to
 // avoid −Inf (the log-spectrum step that makes convolutional components
-// additive, §6.2.1). It writes into out (len(out) ≥ len(x)) and returns
-// the filled prefix.
-func Log10BlockInto(c *cost.Counter, x, out []float64) []float64 {
+// additive, §6.2.1), and writes it into out (len(out) ≥ len(x)) in 8.8
+// fixed point, saturating at [−128, 127] and truncating toward zero.
+func Log10Fixed88(c *cost.Counter, x []float32, out []int16) {
 	out = out[:len(x)]
 	for i, v := range x {
-		if v < 1e-12 {
-			v = 1e-12
+		e := float64(v)
+		if e < 1e-12 {
+			e = 1e-12
 		}
-		out[i] = math.Log10(v)
+		e = math.Log10(e)
+		if e > 127 {
+			e = 127
+		} else if e < -128 {
+			e = -128
+		}
+		out[i] = int16(e * 256)
 	}
 	c.Add(cost.Log, len(x))
 	c.Add(cost.Branch, len(x))
 	c.Add(cost.Load, len(x))
 	c.Add(cost.Store, len(x))
-	return out
 }
 
 // DCTIIInto computes the first nOut coefficients of the DCT-II of x into
-// out (len(out) ≥ nOut) and returns the filled prefix. The counter charges
-// a runtime cosine per term — the ported C implementation evaluates them
-// on every invocation, which is why cepstral extraction dominates CPU on
-// FPU-less platforms (Figure 8) — but the host reads the identical values
-// from a cached per-size cosine plan (plan.go), which is where most of a
-// simulation's math.Cos time used to go.
-func DCTIIInto(c *cost.Counter, x []float64, nOut int, out []float64) []float64 {
+// out (len(out) ≥ nOut), each rounded to out's element type, and returns
+// the filled prefix. The counter charges a runtime cosine per term — the
+// ported C implementation evaluates them on every invocation, which is why
+// cepstral extraction dominates CPU on FPU-less platforms (Figure 8) — but
+// the host reads the identical values from a cached per-size cosine plan
+// (plan.go), which is where most of a simulation's math.Cos time used to
+// go.
+func DCTIIInto[T float32 | float64](c *cost.Counter, x []float64, nOut int, out []T) []T {
 	n := len(x)
 	tbl := dctCosTable(n, nOut)
 	out = out[:nOut]
@@ -194,7 +222,7 @@ func DCTIIInto(c *cost.Counter, x []float64, nOut int, out []float64) []float64 
 		for i := 0; i < n; i++ {
 			sum += x[i] * row[i]
 		}
-		out[k] = sum
+		out[k] = T(sum)
 	}
 	c.Add(cost.Trig, n*nOut)
 	c.Add(cost.FloatMul, 3*n*nOut)

@@ -64,28 +64,22 @@ func NewMelBank(nFilters, nBins int, sampleRate, lowHz, highHz float64) *MelBank
 // NumFilters returns the number of filters in the bank.
 func (mb *MelBank) NumFilters() int { return len(mb.filters) }
 
-// Apply computes the filter-bank energies of a power spectrum with
-// mb.nBins bins.
-func (mb *MelBank) Apply(c *cost.Counter, spectrum []float64) []float64 {
-	return mb.ApplyInto(c, spectrum, make([]float64, len(mb.filters)))
-}
-
-// ApplyInto is Apply writing into a caller-supplied buffer
-// (len(out) ≥ NumFilters()); it returns the filled prefix.
-func (mb *MelBank) ApplyInto(c *cost.Counter, spectrum, out []float64) []float64 {
+// Energies computes the filter-bank energies of a power spectrum with
+// mb.nBins bins into out (len(out) ≥ NumFilters()), each summed in float64
+// and rounded to float32.
+func (mb *MelBank) Energies(c *cost.Counter, spectrum, out []float32) {
 	out = out[:len(mb.filters)]
 	taps := 0
 	for f, ft := range mb.filters {
 		sum := 0.0
 		for _, t := range ft {
-			sum += spectrum[t.bin] * t.weight
+			sum += float64(spectrum[t.bin]) * t.weight
 		}
-		out[f] = sum
+		out[f] = float32(sum)
 		taps += len(ft)
 	}
 	c.Add(cost.FloatMul, taps)
 	c.Add(cost.FloatAdd, taps)
 	c.Add(cost.Load, 2*taps)
 	c.Add(cost.Store, len(mb.filters))
-	return out
 }

@@ -27,8 +27,11 @@ import (
 
 // fftPlan is what an n-point radix-2 FFT owes to n alone.
 type fftPlan struct {
-	// swaps is the bit-reversal permutation: the in-place loop's exchanges.
-	swaps [][2]int32
+	// rev is the bit-reversal permutation: rev[i] is i with its log₂n bits
+	// reversed. FFT exchanges x[i] and x[rev[i]] for i < rev[i], the pairs
+	// the device's in-place loop swaps; PowerSpectrum writes sample i
+	// straight to rev[i].
+	rev []int32
 	// fwd and inv hold every butterfly's twiddle, stage by stage: the stage
 	// of half-length h reads [h−1, 2h−1). A stage is filled by the
 	// recurrence the device's loop runs — w₀ = {1,0}, w_{k+1} = w_k·w_len,
@@ -49,8 +52,8 @@ func fftPlanFor(n int) *fftPlan {
 	if p, ok := fftPlans.Load(n); ok {
 		return p.(*fftPlan)
 	}
-	p := &fftPlan{fwd: make([]Complex, 0, n-1), inv: make([]Complex, 0, n-1)}
-	intOps := 0
+	p := &fftPlan{rev: make([]int32, n), fwd: make([]Complex, 0, n-1), inv: make([]Complex, 0, n-1)}
+	intOps, swaps := 0, 0
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
@@ -59,8 +62,9 @@ func fftPlanFor(n int) *fftPlan {
 		}
 		j |= bit
 		intOps += 2
+		p.rev[i] = int32(j)
 		if i < j {
-			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
+			swaps++
 		}
 	}
 	for length := 2; length <= n; length <<= 1 {
@@ -82,8 +86,8 @@ func fftPlanFor(n int) *fftPlan {
 	p.counts.Add(cost.Trig, 2*stages)
 	p.counts.Add(cost.FloatMul, 8*butterflies)
 	p.counts.Add(cost.FloatAdd, 8*butterflies)
-	p.counts.Add(cost.Load, 2*len(p.swaps)+4*butterflies)
-	p.counts.Add(cost.Store, 2*len(p.swaps)+4*butterflies)
+	p.counts.Add(cost.Load, 2*swaps+4*butterflies)
+	p.counts.Add(cost.Store, 2*swaps+4*butterflies)
 	p.counts.Add(cost.Branch, butterflies)
 	q, _ := fftPlans.LoadOrStore(n, p)
 	return q.(*fftPlan)

@@ -209,6 +209,27 @@ func BenchmarkFFT256(b *testing.B) {
 			fftDirect(nil, buf, false)
 		}
 	})
+	// The speech FFT stage's whole kernel on its real input, a 200-sample
+	// int16 frame, and the widen → complex FFT → narrow composition it
+	// replaced.
+	frame := make([]int16, 200)
+	for j := range frame {
+		frame[j] = int16(sig[j] * 500)
+	}
+	b.Run("power-spectrum-int16", func(b *testing.B) {
+		var c cost.Counter
+		out := make([]float32, 128)
+		for i := 0; i < b.N; i++ {
+			PowerSpectrum(&c, frame, buf, out)
+		}
+	})
+	b.Run("power-spectrum-composed", func(b *testing.B) {
+		var c cost.Counter
+		wide, power, out := make([]float64, 200), make([]float64, 128), make([]float32, 128)
+		for i := 0; i < b.N; i++ {
+			Narrow32(PowerSpectrumInto(&c, Widen(frame, wide), buf, power), out)
+		}
+	})
 }
 
 func BenchmarkDCTII32x13(b *testing.B) {

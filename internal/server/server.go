@@ -977,13 +977,11 @@ func (s *Server) simulateStream(ctx context.Context, req *wire.SimulateStreamReq
 	}
 	res, err := sess.Close()
 	if err != nil {
-		// A budget trip surfacing at teardown (the final window's work
-		// runs inside Close) is still the tenant's 422; anything else is
-		// an engine invariant, not a client fault → 500.
-		if me := meteringError(err); me != nil {
-			return nil, false, me
-		}
-		return nil, false, err
+		// The final window's work runs inside Close, so what surfaces at
+		// teardown maps as an Offer failure does: a budget trip is the
+		// tenant's 422, a work-function panic on an arrival a 400, and
+		// only an engine invariant a 500.
+		return nil, false, runtimeError(err)
 	}
 	return finish(&wire.SimulateResponse{
 		GraphHash:    e.key,

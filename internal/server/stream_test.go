@@ -291,6 +291,35 @@ func TestServerSimulateStreamRejectsBadArrivals(t *testing.T) {
 	}
 }
 
+// TestServerSimulateStreamFinalWindowPanic pins that a work-function panic
+// on a client's arrival is a 400 whichever window runs it. One 50-sample
+// speech frame, with the whole pipeline on the server, makes a 32-bin
+// spectrum the mel bank indexes past; the only window runs inside the
+// session's Close, and its panic — an ErrBadArrival like any other — must
+// not come back as the engine's 500.
+func TestServerSimulateStreamFinalWindowPanic(t *testing.T) {
+	_, client := startServer(t, Config{})
+	spec := wire.GraphSpec{App: "speech"}
+	src := localEntry(t, spec).traces(wire.TraceSpec{Seed: 1, Seconds: 1})[0].Source
+	req := wire.SimulateStreamRequest{
+		Graph: spec, Platform: "TMoteSky", OnNode: []int{src.ID()},
+		Nodes: 1, Duration: 2,
+	}
+	sent := false
+	short := func() ([]wire.ArrivalWire, bool) {
+		if sent {
+			return nil, false
+		}
+		sent = true
+		return []wire.ArrivalWire{{Node: 0, Time: 0, Source: src.ID(), Type: "i16s", Value: wireBytes(t, make([]int16, 50))}}, true
+	}
+	_, err := client.SimulateStream(context.Background(), req, short)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a work-function panic in the final window: want 400, got %v", err)
+	}
+}
+
 // TestServerSimulateStreamBackpressure pins the firehose bound: a tenant
 // pouring arrivals into one ingestion window past Config.StreamMaxBuffered
 // is shed with 429 and code "backpressure" (a typed *APIError), freeing
