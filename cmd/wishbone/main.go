@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wishbone -src prog.ws [-platform TMoteSky] [-mode permissive]
-//	         [-events 64] [-dot out.dot] [-maxrate]
+//	         [-events 64] [-dot out.dot]
 //	         [-solver exact|lagrangian|greedy|race]
 //	         [-server http://host:9090]
 //	         [-simulate N] [-simseconds S] [-shards K] [-stream]
@@ -14,6 +14,10 @@
 //	         [-replan] [-replan-window S]
 //	         [-churn meanUp[,meanDown]] [-burst pGB,pBG,factor]
 //	         [-scenario-seed N]
+//
+// When no partition fits at full rate, the command binary-searches the
+// maximum sustainable rate (§4.3) and reports the partition there, as the
+// partition service does.
 //
 // -churn and -burst inject failure models into the simulation
 // (internal/netsim): node churn with exponential MTTF/MTTR (MeanDown
@@ -94,7 +98,6 @@ func main() {
 	events := flag.Int("events", 64, "synthetic sample events per source for profiling")
 	window := flag.Int("window", 0, "feed each source windows of N samples instead of scalars")
 	dotPath := flag.String("dot", "", "write a GraphViz visualization here")
-	maxrate := flag.Bool("maxrate", false, "if infeasible, binary-search the max sustainable rate")
 	solverName := flag.String("solver", "exact", "solver backend: exact|lagrangian|greedy|race (all raced, best feasible wins)")
 	serverURL := flag.String("server", "", "partition-service base URL; when set, requests go to wbserved instead of running in process")
 	simNodes := flag.Int("simulate", 0, "deploy the chosen partition on a simulated N-node network")
@@ -138,9 +141,6 @@ func main() {
 		}
 		if *dotPath != "" {
 			log.Fatal("-dot is not supported with -server")
-		}
-		if *maxrate {
-			fmt.Println("note: -maxrate is implied with -server (the service always falls back to the rate search)")
 		}
 		runRemote(*serverURL, string(src), *platName, *modeName, *solverName, *events)
 		return
@@ -186,26 +186,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	asg, sstats, err := sv.Solve(ctx, spec, core.Limits{})
-	rate := 1.0
+	// Full rate first; when infeasible, the §4.3 search for the maximum
+	// sustainable rate — the same call the Planner and the service make.
+	res, err := core.AutoPartitionWith(ctx, spec, 1, 0.005, core.Limits{}, sv)
 	if err != nil {
-		if !core.IsInfeasible(err) {
-			log.Fatal(err)
-		}
-		if !*maxrate {
-			log.Fatalf("no feasible partition on %s at full rate; rerun with -maxrate", plat.Name)
-		}
-		res, err := core.MaxRateWith(ctx, spec, 1, 0.005, core.Limits{}, sv)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if res.Rate <= 0 {
-			log.Fatalf("no feasible partition at any rate on %s", plat.Name)
-		}
-		asg, rate = res.Assignment, res.Rate
+		log.Fatal(err)
+	}
+	if res.Assignment == nil {
+		log.Fatalf("no feasible partition at any rate on %s", plat.Name)
+	}
+	asg, rate := res.Assignment, res.RateMultiple
+	if rate < 1 {
 		fmt.Printf("full rate infeasible; max sustainable rate = %.3f×\n", rate)
 	} else if *solverName != core.SolverExact {
 		// Which backend actually answered, and how tight is its bound?
+		sstats := res.Solves[0]
 		gap := "no bound"
 		if asg.Stats.Gap >= 0 {
 			gap = fmt.Sprintf("gap ≤ %.2f%%", 100*asg.Stats.Gap)

@@ -61,12 +61,12 @@ func main() {
 	}
 
 	// Step 3: binary search the maximum sustainable rate.
-	res, err := core.MaxRate(ctx, spec, 2.0, 0.002, core.DefaultOptions())
+	res, err := core.AutoPartitionWith(ctx, spec, 2.0, 0.002, core.Limits{}, core.NewExact(core.DefaultOptions()))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nbinary search: max sustainable rate = %.3f× (%.1f events/s; paper: ≈3/s) in %d probes\n",
-		res.Rate, res.Rate*speech.FrameRate, res.Probes)
+		res.RateMultiple, res.RateMultiple*speech.FrameRate, res.Probes)
 	cutAfter := "(nothing)"
 	for _, op := range app.Pipeline {
 		if res.Assignment.OnNode[op.ID()] {

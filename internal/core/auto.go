@@ -1,8 +1,11 @@
 package core
 
-import "context"
+import (
+	"context"
+	"math"
+)
 
-// AutoResult is the outcome of AutoPartition.
+// AutoResult is the outcome of AutoPartitionWith.
 type AutoResult struct {
 	// Assignment is the chosen partition, nil when no rate in (0, hi] is
 	// feasible.
@@ -21,8 +24,9 @@ type AutoResult struct {
 	Solves []BackendStats
 }
 
-// AutoPartition is the paper's full decision procedure as one re-entrant
-// call: solve spec at rate scale hi with the exact backend; if infeasible,
+// AutoPartitionWith is the paper's full decision procedure as one
+// re-entrant call: solve spec at rate scale hi with sv (exact,
+// lagrangian, greedy, or a Raced combination); if infeasible,
 // binary-search the maximum sustainable rate (§4.3) with relative
 // precision tol and return the partition there. It is a pure function of
 // its arguments — no global or package state — so any number of
@@ -32,12 +36,15 @@ type AutoResult struct {
 // hi ≤ 0 defaults to 1 (the profiled full rate); tol ≤ 0 defaults to
 // 0.005. A nil error with a nil Assignment means no probed rate was
 // feasible.
-func AutoPartition(ctx context.Context, spec *Spec, hi, tol float64, opts Options) (*AutoResult, error) {
-	return AutoPartitionWith(ctx, spec, hi, tol, Limits{}, Exact{Opts: opts})
-}
-
-// AutoPartitionWith is AutoPartition with an arbitrary solver backend
-// (exact, lagrangian, greedy, or a Raced combination).
+//
+// The search relies on monotonicity: CPU and network load scale linearly
+// with input rate, so if scale X is feasible every Y < X is too. With a
+// heuristic backend "feasible" means "this backend found a cut", so the
+// returned rate is a lower bound on the true maximum. The monotone
+// assumption breaks above the radio's congestion-collapse point, where
+// offered load no longer translates into received data; the caller should
+// cap hi at the network profiler's maximum send rate (§7.3.1), as the
+// paper's deployment procedure does.
 func AutoPartitionWith(ctx context.Context, spec *Spec, hi, tol float64, lim Limits, sv Solver) (*AutoResult, error) {
 	if hi <= 0 {
 		hi = 1
@@ -46,23 +53,45 @@ func AutoPartitionWith(ctx context.Context, spec *Spec, hi, tol float64, lim Lim
 		tol = 0.005
 	}
 	asg, st, err := sv.Solve(ctx, spec.Scaled(hi), lim)
+	res := &AutoResult{Probes: 1, Solves: []BackendStats{st}}
 	if err == nil {
-		return &AutoResult{Assignment: asg, RateMultiple: hi, Probes: 1, Solves: []BackendStats{st}}, nil
+		res.Assignment, res.RateMultiple = asg, hi
+		return res, nil
 	}
 	if !IsInfeasible(err) {
 		return nil, err
 	}
-	// The full-rate probe above is the rate search's fast path; enter the
-	// binary search directly rather than proving infeasibility twice.
-	res, err := maxRateBelow(ctx, spec, hi, tol, lim, sv,
-		&RateSearchResult{Probes: 1, Solves: []BackendStats{st}})
-	if err != nil {
+	if err := maxRateBelow(ctx, spec, hi, tol, lim, sv, res); err != nil {
 		return nil, err
 	}
-	return &AutoResult{
-		Assignment:   res.Assignment,
-		RateMultiple: res.Rate,
-		Probes:       res.Probes,
-		Solves:       res.Solves,
-	}, nil
+	return res, nil
+}
+
+// maxRateBelow runs the §4.3 binary search below hi, which the full-rate
+// probe has shown infeasible, accumulating probes into res.
+func maxRateBelow(ctx context.Context, spec *Spec, hi, tol float64, lim Limits, sv Solver, res *AutoResult) error {
+	lo := 0.0 // highest known-feasible scale (0 = unknown/none)
+	cur := hi
+	for cur-lo > tol*math.Max(lo, tol) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		mid := (lo + cur) / 2
+		if mid <= 0 {
+			break
+		}
+		asg, st, err := sv.Solve(ctx, spec.Scaled(mid), lim)
+		res.Probes++
+		res.Solves = append(res.Solves, st)
+		if err == nil {
+			lo = mid
+			res.Assignment = asg
+		} else if !IsInfeasible(err) {
+			return err
+		} else {
+			cur = mid
+		}
+	}
+	res.RateMultiple = lo
+	return nil
 }

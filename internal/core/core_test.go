@@ -121,42 +121,42 @@ func TestNetBudgetForcesDeeperCut(t *testing.T) {
 	}
 }
 
-func TestMaxRateBinarySearch(t *testing.T) {
+func TestAutoPartitionRateSearch(t *testing.T) {
 	_, spec := fig3Graph(t)
 	s := *spec
 	s.CPUBudget = 4 // at scale 1 the problem fits (cpu 4, bw 5)
 	s.NetBudget = 5
 	// At scale 2 it does not fit: cheapest full-node cut needs cpu 8... so
 	// the max scale is where both budgets hold.
-	res, err := MaxRate(context.Background(), &s, 4, 0.001, DefaultOptions())
+	res, err := AutoPartitionWith(context.Background(), &s, 4, 0.001, Limits{}, NewExact(DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rate <= 0 {
+	if res.RateMultiple <= 0 {
 		t.Fatal("expected a feasible rate")
 	}
 	// Verify the reported rate is feasible and 1.35× it is not.
-	if _, err := Partition(context.Background(), s.Scaled(res.Rate), DefaultOptions()); err != nil {
-		t.Fatalf("reported rate %v infeasible: %v", res.Rate, err)
+	if _, err := Partition(context.Background(), s.Scaled(res.RateMultiple), DefaultOptions()); err != nil {
+		t.Fatalf("reported rate %v infeasible: %v", res.RateMultiple, err)
 	}
-	if _, err := Partition(context.Background(), s.Scaled(res.Rate*1.35), DefaultOptions()); err == nil {
-		t.Fatalf("rate %v should be near the feasibility boundary", res.Rate)
+	if _, err := Partition(context.Background(), s.Scaled(res.RateMultiple*1.35), DefaultOptions()); err == nil {
+		t.Fatalf("rate %v should be near the feasibility boundary", res.RateMultiple)
 	}
 }
 
-func TestMaxRateAllInfeasible(t *testing.T) {
+func TestAutoPartitionRateSearchSmallRate(t *testing.T) {
 	_, spec := fig3Graph(t)
 	s := *spec
 	s.CPUBudget = 0.5 // sources can never fit
-	res, err := MaxRate(context.Background(), &s, 8, 0.01, DefaultOptions())
+	res, err := AutoPartitionWith(context.Background(), &s, 8, 0.01, Limits{}, NewExact(DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// CPU cost scales with rate, so some tiny rate is always feasible for
 	// budget > 0 — unless bandwidth is also capped. Here only CPU binds
 	// and scaling makes it fit, so the rate should be small but positive.
-	if res.Rate <= 0 || res.Rate > 0.5 {
-		t.Fatalf("rate=%v, want small positive", res.Rate)
+	if res.RateMultiple <= 0 || res.RateMultiple > 0.5 {
+		t.Fatalf("rate=%v, want small positive", res.RateMultiple)
 	}
 }
 

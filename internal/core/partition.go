@@ -38,8 +38,8 @@ func DefaultOptions() Options {
 }
 
 // ErrInfeasible is returned by Partition when no cut satisfies the budgets;
-// callers fall back to MaxRate (§4.3) to compute how far the data rate must
-// drop.
+// AutoPartitionWith then falls back to the §4.3 rate search to compute how
+// far the data rate must drop.
 type ErrInfeasible struct {
 	Spec *Spec
 }
@@ -49,7 +49,7 @@ type ErrInfeasible struct {
 func (e *ErrInfeasible) Error() string {
 	return fmt.Sprintf(
 		"core: no feasible partition within budgets (cpu ≤ %g, net ≤ %g); "+
-			"reduce the input data rate (see MaxRate), use a more powerful platform, or accept overload",
+			"reduce the input data rate (see AutoPartitionWith), use a more powerful platform, or accept overload",
 		e.Spec.CPUBudget, e.Spec.NetBudget)
 }
 

@@ -163,9 +163,6 @@ type Raced struct {
 	Backends []Solver
 }
 
-// NewRaced returns a racing Solver over the given backends.
-func NewRaced(backends ...Solver) Raced { return Raced{Backends: backends} }
-
 // Name returns "race".
 func (Raced) Name() string { return SolverRace }
 

@@ -17,21 +17,10 @@ const (
 	SolverRace       = "race"
 )
 
-// Limits bounds one Solve call. The zero value means "run to completion /
-// proof". Limits are advisory for heuristic backends (they have no search
-// tree to bound) but every backend must honor ctx cancellation.
+// Limits carries per-call state into one Solve call; a solve's bounds
+// (TimeLimit, MaxNodes, GapTol) live in the backend's Options. Every
+// backend must honor ctx cancellation.
 type Limits struct {
-	// TimeLimit bounds the solve; ctx deadlines compose with it (the
-	// tighter one wins).
-	TimeLimit time.Duration
-
-	// MaxNodes bounds branch-and-bound nodes (exact backend only).
-	MaxNodes int
-
-	// GapTol lets a backend stop once its incumbent is provably within
-	// this relative gap of optimal.
-	GapTol float64
-
 	// Incumbent optionally shares feasible objectives between concurrently
 	// racing backends: every backend Offers what it finds, and bound-aware
 	// backends (the Lagrangian relaxation) read it to tighten their own
@@ -132,8 +121,8 @@ func (inc *Incumbent) Best() (float64, bool) {
 }
 
 // Exact is the branch-and-bound ILP backend (§4.2): Partition behind the
-// Solver interface. Opts carries the formulation and preprocessing choice;
-// per-call Limits override the Opts limit fields when set.
+// Solver interface. Opts carries the formulation, preprocessing choice and
+// solve limits.
 type Exact struct {
 	Opts Options
 }
@@ -156,15 +145,6 @@ func (Exact) Name() string { return SolverExact }
 // result to the shared bound for the other backends' benefit.
 func (e Exact) Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, BackendStats, error) {
 	opts := e.Opts
-	if lim.TimeLimit > 0 && (opts.TimeLimit == 0 || lim.TimeLimit < opts.TimeLimit) {
-		opts.TimeLimit = lim.TimeLimit
-	}
-	if lim.MaxNodes > 0 && (opts.MaxNodes == 0 || lim.MaxNodes < opts.MaxNodes) {
-		opts.MaxNodes = lim.MaxNodes
-	}
-	if lim.GapTol > opts.GapTol {
-		opts.GapTol = lim.GapTol
-	}
 	if inc := lim.Incumbent; inc != nil && opts.Cutoff == nil {
 		opts.Cutoff = inc.Best
 	}

@@ -22,19 +22,6 @@ func getSpeech(t *testing.T) *SpeechEnv {
 	return speechEnv
 }
 
-func TestFig3Trajectory(t *testing.T) {
-	rows, err := Fig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{8, 6, 5}
-	for i, r := range rows {
-		if r.Bandwidth != want[i] {
-			t.Errorf("budget %v: bandwidth %v want %v", r.Budget, r.Bandwidth, want[i])
-		}
-	}
-}
-
 func TestFig5bShape(t *testing.T) {
 	e := getSpeech(t)
 	rows := Fig5b(e)
@@ -197,17 +184,6 @@ func TestFig10Shape(t *testing.T) {
 	}
 	if got := argmax(rows.Network); got != 6 {
 		t.Errorf("20-mote peak at cut %d, want 6 (cepstral)", got)
-	}
-}
-
-func TestTextMerakiRawCut(t *testing.T) {
-	e := getSpeech(t)
-	res, err := TextMeraki(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.RawIsBest {
-		t.Errorf("Meraki optimal partition keeps %d ops on node; paper: raw data (1)", res.OnNodeOps)
 	}
 }
 

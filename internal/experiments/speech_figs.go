@@ -320,16 +320,16 @@ func TextRateSearch(e *SpeechEnv) (*RateSearchResult, error) {
 	}
 	spec.NetBudget = netsim.PerNodePayloadBudget(tm.Radio, maxAir, 1)
 
-	res, err := core.MaxRate(context.Background(), spec, 4.0, 0.002, core.DefaultOptions())
+	res, err := core.AutoPartitionWith(context.Background(), spec, 4.0, 0.002, core.Limits{}, core.NewExact(core.DefaultOptions()))
 	if err != nil {
 		return nil, err
 	}
 	out := &RateSearchResult{Probes: res.Probes}
-	if res.Rate <= 0 || res.Assignment == nil {
+	if res.Assignment == nil {
 		return out, nil
 	}
-	out.RateMultiple = res.Rate
-	out.EventsPerSec = res.Rate * speechFrameRate
+	out.RateMultiple = res.RateMultiple
+	out.EventsPerSec = res.RateMultiple * speechFrameRate
 	// Find the deepest node-side pipeline operator.
 	for _, op := range e.App.Pipeline {
 		if res.Assignment.OnNode[op.ID()] {

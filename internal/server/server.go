@@ -702,9 +702,9 @@ func (s *Server) autoPartition(ctx context.Context, graph wire.GraphSpec, trace 
 	if err != nil {
 		return nil, nil, false, err
 	}
-	sv, err := solver.New(solverName, core.DefaultOptions())
+	search, err := s.rateSearch(solverName)
 	if err != nil {
-		return nil, nil, false, badRequest("%v", err)
+		return nil, nil, false, err
 	}
 	e, entryHit, err := s.getEntry(graph, wvm.Limits{})
 	if err != nil {
@@ -719,10 +719,7 @@ func (s *Server) autoPartition(ctx context.Context, graph wire.GraphSpec, trace 
 		return nil, nil, false, badRequest("%v", err)
 	}
 	spec := profile.BuildSpec(cls, rep, plat)
-	res, err = core.AutoPartitionWith(ctx, spec, 1.0, 0.005, core.Limits{}, sv)
-	if res != nil {
-		s.observeSolves(res.Solves)
-	}
+	res, err = search(ctx, spec, 1.0)
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -733,6 +730,26 @@ func (s *Server) autoPartition(ctx context.Context, graph wire.GraphSpec, trace 
 		}
 	}
 	return e, res, entryHit && repHit, nil
+}
+
+// rateSearch builds the named solver backend and returns the paper's
+// decision procedure over it: core.AutoPartitionWith from rate scale hi,
+// every probe's backend stats folded into the per-solver metrics. Every
+// served solve — /v1/partition and a stream's replans — runs through it,
+// so this is the one place a served solve is bounded. An unknown backend
+// is a bad request.
+func (s *Server) rateSearch(solverName string) (func(ctx context.Context, spec *core.Spec, hi float64) (*core.AutoResult, error), error) {
+	sv, err := solver.New(solverName, core.DefaultOptions())
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return func(ctx context.Context, spec *core.Spec, hi float64) (*core.AutoResult, error) {
+		res, err := core.AutoPartitionWith(ctx, spec, hi, 0.005, core.Limits{}, sv)
+		if res != nil {
+			s.observeSolves(res.Solves)
+		}
+		return res, err
+	}, nil
 }
 
 // observeSolves folds per-probe backend stats into the metrics; raced
@@ -1059,18 +1076,15 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 	}
 	// Build the solver now — a planner error mid-stream poisons the
 	// session, a bad request should fail before ingestion starts.
-	sv, err := solver.New(name, core.DefaultOptions())
+	search, err := s.rateSearch(name)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, err
 	}
 	return func(multiple float64) (*wbruntime.Plan, error) {
 		if multiple <= 0 {
 			return nil, nil // load vanished; nothing to re-fit
 		}
-		res, err := core.AutoPartitionWith(ctx, spec, multiple, 0.005, core.Limits{}, sv)
-		if res != nil {
-			s.observeSolves(res.Solves)
-		}
+		res, err := search(ctx, spec, multiple)
 		if err != nil {
 			return nil, err
 		}

@@ -180,7 +180,7 @@ func TestServerSimulateParity(t *testing.T) {
 }
 
 // TestServerPartitionParity checks the partition endpoint against an
-// in-process core.AutoPartition over the same profiled spec.
+// in-process core.AutoPartitionWith over the same profiled spec.
 func TestServerPartitionParity(t *testing.T) {
 	_, client := startServer(t, Config{})
 	ctx := context.Background()
@@ -203,12 +203,12 @@ func TestServerPartitionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.AutoPartition(context.Background(), profile.BuildSpec(cls, rep, platform.TMoteSky()), 1.0, 0.005, core.DefaultOptions())
+	res, err := core.AutoPartitionWith(context.Background(), profile.BuildSpec(cls, rep, platform.TMoteSky()), 1.0, 0.005, core.Limits{}, core.NewExact(core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Assignment == nil {
-		t.Fatal("in-process AutoPartition found no feasible rate")
+		t.Fatal("in-process AutoPartitionWith found no feasible rate")
 	}
 	if resp.RateMultiple != res.RateMultiple {
 		t.Fatalf("rate %v != in-process %v", resp.RateMultiple, res.RateMultiple)

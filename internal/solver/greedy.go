@@ -19,14 +19,9 @@ import (
 //
 // This is the paper's "try cutpoints in stream order" intuition
 // generalized to DAGs; for linear pipelines it enumerates exactly the
-// prefix cuts of §7.2's brute force.
-type Greedy struct {
-	Opts core.Options
-}
-
-// NewGreedy returns the greedy backend (Opts is kept for interface
-// symmetry; greedy has no formulation knobs).
-func NewGreedy(opts core.Options) Greedy { return Greedy{Opts: opts} }
+// prefix cuts of §7.2's brute force. It has no formulation knobs or
+// solve limits.
+type Greedy struct{}
 
 // Name returns "greedy".
 func (Greedy) Name() string { return core.SolverGreedy }

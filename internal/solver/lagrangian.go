@@ -30,11 +30,13 @@ import (
 // It does not prove infeasibility: a no-feasible-cut error only means this
 // backend found none.
 type Lagrangian struct {
+	// Opts supplies the solve limits: TimeLimit bounds the wall clock and
+	// GapTol the proven gap at which the ascent stops (default 1e-4).
 	Opts core.Options
-
-	// MaxIter bounds subgradient iterations (default 120).
-	MaxIter int
 }
+
+// lagIterCap bounds subgradient iterations.
+const lagIterCap = 120
 
 // NewLagrangian returns the relaxation backend.
 func NewLagrangian(opts core.Options) *Lagrangian { return &Lagrangian{Opts: opts} }
@@ -200,15 +202,11 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 	p := newLagProblem(s)
 	n := len(p.ops)
 
-	maxIter := l.MaxIter
-	if maxIter <= 0 {
-		maxIter = 120
-	}
 	deadline := time.Time{}
-	if lim.TimeLimit > 0 {
-		deadline = start.Add(lim.TimeLimit)
+	if l.Opts.TimeLimit > 0 {
+		deadline = start.Add(l.Opts.TimeLimit)
 	}
-	gapTol := lim.GapTol
+	gapTol := l.Opts.GapTol
 	if gapTol <= 0 {
 		gapTol = 1e-4
 	}
@@ -233,7 +231,7 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 	// Combinatorial duals usually carry an intrinsic gap the gap test can
 	// never close; stop once the dual has made no meaningful gain for a
 	// while, so Iterations measures time-to-converged-bound rather than
-	// always hitting maxIter. The window is longer than θ's 8-iteration
+	// always hitting lagIterCap. The window is longer than θ's 8-iteration
 	// halving period, so slow ascent gets at least two step-length
 	// reductions before being called stalled.
 	const stallLimit = 16
@@ -251,11 +249,14 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 		}
 	}
 
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < lagIterCap; iter++ {
 		if ctx.Err() != nil {
 			break
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		// Past the deadline, stop — but only after one iterate: an
+		// unlooked-at spec is no evidence of infeasibility, and the first
+		// iterate's repair usually yields a cut.
+		if iter > 0 && !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
 		stats.Iterations = iter + 1

@@ -11,12 +11,13 @@
 //     produces a true dual lower bound, so its answers carry a proven gap.
 //   - "greedy"      — the cut-ordering baseline: enumerate monotone cuts
 //     along a topological order and keep the best feasible one.
-//   - "race"        — all of the above raced concurrently (core.Race):
-//     first feasible answer seeds a shared incumbent bound, the exact
-//     backend wins ties, and cancellation stops the losers.
+//   - "race"        — exact, lagrangian and greedy raced concurrently
+//     (core.Race): first feasible answer seeds a shared incumbent bound,
+//     the exact backend wins ties, and cancellation stops the losers.
 //
-// Backends construct from core.Options so the formulation/limit knobs flow
-// through one type; New builds one by name.
+// Backends construct from core.Options so the formulation and the solve
+// limits (TimeLimit, MaxNodes, GapTol) flow through one type; New builds
+// one by name.
 package solver
 
 import (
@@ -31,7 +32,7 @@ import (
 type (
 	// Solver is one partitioning backend.
 	Solver = core.Solver
-	// Limits bounds one Solve call.
+	// Limits carries per-call state (a race's shared Incumbent).
 	Limits = core.Limits
 	// Stats is per-backend solve telemetry.
 	Stats = core.BackendStats
@@ -45,9 +46,10 @@ func New(name string, opts core.Options) (Solver, error) {
 	case core.SolverLagrangian:
 		return NewLagrangian(opts), nil
 	case core.SolverGreedy:
-		return NewGreedy(opts), nil
+		return Greedy{}, nil
 	case core.SolverRace:
-		return NewRace(opts)
+		// Exact first, so optimal answers win ties deterministically.
+		return core.Raced{Backends: []Solver{core.NewExact(opts), NewLagrangian(opts), Greedy{}}}, nil
 	}
 	return nil, fmt.Errorf("solver: unknown backend %q (have %v)", name, Names())
 }
@@ -55,28 +57,4 @@ func New(name string, opts core.Options) (Solver, error) {
 // Names returns the backend names New accepts, sorted.
 func Names() []string {
 	return []string{core.SolverExact, core.SolverGreedy, core.SolverLagrangian, core.SolverRace}
-}
-
-// RaceBackends are the backends a "race" solve runs, in tie-breaking
-// order (exact first, so optimal answers win ties deterministically).
-var RaceBackends = []string{core.SolverExact, core.SolverLagrangian, core.SolverGreedy}
-
-// NewRace builds a racing solver over the named backends (RaceBackends
-// when none are given).
-func NewRace(opts core.Options, backends ...string) (Solver, error) {
-	if len(backends) == 0 {
-		backends = RaceBackends
-	}
-	svs := make([]Solver, 0, len(backends))
-	for _, name := range backends {
-		if name == core.SolverRace {
-			return nil, fmt.Errorf("solver: race cannot nest itself")
-		}
-		sv, err := New(name, opts)
-		if err != nil {
-			return nil, err
-		}
-		svs = append(svs, sv)
-	}
-	return core.NewRaced(svs...), nil
 }

@@ -148,9 +148,6 @@ func TestSolverRegistry(t *testing.T) {
 	if names := Names(); !slices.Equal(names, want) {
 		t.Fatalf("registry = %v, want exactly %v", names, want)
 	}
-	if !slices.Equal(RaceBackends, []string{core.SolverExact, core.SolverLagrangian, core.SolverGreedy}) {
-		t.Fatalf("RaceBackends = %v", RaceBackends)
-	}
 	race, err := New(core.SolverRace, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -159,8 +156,12 @@ func TestSolverRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rstats.Sub) != 3 {
-		t.Fatalf("race ran %d backends, want 3: %+v", len(rstats.Sub), rstats.Sub)
+	var entrants []string
+	for _, sub := range rstats.Sub {
+		entrants = append(entrants, sub.Backend)
+	}
+	if want := []string{core.SolverExact, core.SolverLagrangian, core.SolverGreedy}; !slices.Equal(entrants, want) {
+		t.Fatalf("race entrants = %v, want %v", entrants, want)
 	}
 	if _, err := New("nope", core.DefaultOptions()); err == nil {
 		t.Fatal("unknown backend must error")
@@ -168,17 +169,6 @@ func TestSolverRegistry(t *testing.T) {
 	sv, err := New("", core.DefaultOptions())
 	if err != nil || sv.Name() != core.SolverExact {
 		t.Fatalf("empty name should default to exact, got %v, %v", sv, err)
-	}
-}
-
-// TestSolverRaceRejectsNesting pins NewRace's guard rails: a race cannot
-// enter itself, and an unknown entrant is New's error.
-func TestSolverRaceRejectsNesting(t *testing.T) {
-	if _, err := NewRace(core.DefaultOptions(), core.SolverExact, core.SolverRace); err == nil {
-		t.Fatal("nested race must not construct")
-	}
-	if _, err := NewRace(core.DefaultOptions(), "nope"); err == nil {
-		t.Fatal("race over an unknown backend must not construct")
 	}
 }
 
@@ -446,6 +436,53 @@ func TestSolverLagrangianIterationsPinned(t *testing.T) {
 	}
 }
 
+// TestSolverLagrangianHonorsOptions: a backend built by New from Options
+// is bounded by their GapTol and TimeLimit, over the corpus of
+// TestSolverLagrangianIterationsPinned. A loose GapTol only adds an early
+// exit to the same deterministic ascent, so it never runs longer and, on
+// specs whose dual stays open, stops sooner; a 1 ns TimeLimit returns
+// after the first iteration.
+func TestSolverLagrangianHonorsOptions(t *testing.T) {
+	specs := []*core.Spec{fig3Spec(t, 2), fig3Spec(t, 3), fig3Spec(t, 4)}
+	rng := rand.New(rand.NewSource(2020))
+	for len(specs) < 50 {
+		specs = append(specs, randomSpec(rng))
+	}
+	build := func(opts core.Options) Solver {
+		sv, err := New(core.SolverLagrangian, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sv
+	}
+	loose, tight := core.DefaultOptions(), core.DefaultOptions()
+	loose.GapTol = 0.5
+	tight.TimeLimit = time.Nanosecond
+	def, gap, timed := build(core.DefaultOptions()), build(loose), build(tight)
+	solve := func(sv Solver, spec *core.Spec) Stats {
+		_, st, err := sv.Solve(ctxBG(), spec, core.Limits{})
+		if err != nil && !core.IsInfeasible(err) {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var defIters, gapIters int
+	for i, spec := range specs {
+		d, g, tl := solve(def, spec), solve(gap, spec), solve(timed, spec)
+		if g.Iterations > d.Iterations {
+			t.Errorf("spec %d: GapTol 0.5 ran %d iterations, default %d", i, g.Iterations, d.Iterations)
+		}
+		if tl.Iterations != 1 {
+			t.Errorf("spec %d: TimeLimit 1ns ran %d iterations, want 1", i, tl.Iterations)
+		}
+		defIters += d.Iterations
+		gapIters += g.Iterations
+	}
+	if gapIters >= defIters {
+		t.Errorf("GapTol 0.5 ran %d iterations in total, no fewer than the default's %d", gapIters, defIters)
+	}
+}
+
 // TestSolverGreedyChainOptimal: on a linear pipeline the greedy chain
 // enumerates every prefix cut, so it must match the exact optimum — on a
 // hand-built chain, on seeded random chains, and on the speech pipeline
@@ -454,7 +491,7 @@ func TestSolverGreedyChainOptimal(t *testing.T) {
 	agree := func(name string, spec *core.Spec) {
 		t.Helper()
 		exact, _, errExact := core.NewExact(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
-		greedy, _, errGreedy := NewGreedy(core.DefaultOptions()).Solve(ctxBG(), spec, core.Limits{})
+		greedy, _, errGreedy := Greedy{}.Solve(ctxBG(), spec, core.Limits{})
 		if errExact != nil || errGreedy != nil {
 			if !core.IsInfeasible(errExact) || !core.IsInfeasible(errGreedy) {
 				t.Fatalf("%s: exact err %v, greedy err %v", name, errExact, errGreedy)

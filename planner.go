@@ -14,24 +14,19 @@ import (
 
 // Planner is the composable front door to the Wishbone pipeline: one
 // configured object exposing Profile, Partition, AutoPartition, and
-// Simulate, with the solving backend, relocation mode, partitioner
-// options, and rate-search parameters fixed at construction. A Planner is
-// immutable and safe for concurrent use; the zero-configuration
+// Simulate, with the solving backend, relocation mode and partitioner
+// options (which carry the solve limits) fixed at construction. A Planner
+// is immutable and safe for concurrent use; the zero-configuration
 // NewPlanner() reproduces the paper's defaults (exact ILP, permissive
 // relocation, restricted formulation, §4.3 rate search to 0.5%
-// precision) — and is exactly what the deprecated package-level free
-// functions delegate to.
+// precision).
 //
 //	p := wishbone.NewPlanner(wishbone.WithSolver("race"))
 //	dep, err := p.AutoPartition(ctx, g, inputs, wishbone.TMoteSky())
 type Planner struct {
 	mode       Mode
 	opts       Options
-	limits     core.Limits
 	solverName string
-	raceWith   []string
-	rateHi     float64
-	rateTol    float64
 
 	sv     core.Solver
 	buildE error
@@ -43,14 +38,7 @@ type PlannerOption func(*Planner)
 // WithSolver selects the solving backend by name: "exact"
 // (default), "lagrangian", "greedy", or "race".
 func WithSolver(name string) PlannerOption {
-	return func(p *Planner) { p.solverName = name; p.raceWith = nil }
-}
-
-// WithRace races the named backends concurrently and keeps the best
-// feasible answer (exact wins ties); with no arguments it races every
-// built-in backend.
-func WithRace(backends ...string) PlannerOption {
-	return func(p *Planner) { p.solverName = core.SolverRace; p.raceWith = backends }
+	return func(p *Planner) { p.solverName = name }
 }
 
 // WithMode selects conservative or permissive stateful-operator
@@ -65,20 +53,6 @@ func WithOptions(o Options) PlannerOption {
 	return func(p *Planner) { p.opts = o }
 }
 
-// WithRateSearch tunes the §4.3 fallback: hi is the highest rate scale
-// probed (≤0 keeps 1.0, the profiled full rate) and tol its relative
-// precision (≤0 keeps 0.005).
-func WithRateSearch(hi, tol float64) PlannerOption {
-	return func(p *Planner) {
-		if hi > 0 {
-			p.rateHi = hi
-		}
-		if tol > 0 {
-			p.rateTol = tol
-		}
-	}
-}
-
 // NewPlanner builds a Planner; with no options it reproduces the paper
 // defaults. An unknown solver name surfaces as an error from the first
 // method call.
@@ -87,22 +61,11 @@ func NewPlanner(options ...PlannerOption) *Planner {
 		mode:       Permissive,
 		opts:       core.DefaultOptions(),
 		solverName: core.SolverExact,
-		rateHi:     1.0,
-		rateTol:    0.005,
 	}
 	for _, o := range options {
 		o(p)
 	}
-	p.limits = core.Limits{
-		TimeLimit: p.opts.TimeLimit,
-		MaxNodes:  p.opts.MaxNodes,
-		GapTol:    p.opts.GapTol,
-	}
-	if p.solverName == core.SolverRace && len(p.raceWith) > 0 {
-		p.sv, p.buildE = solver.NewRace(p.opts, p.raceWith...)
-	} else {
-		p.sv, p.buildE = solver.New(p.solverName, p.opts)
-	}
+	p.sv, p.buildE = solver.New(p.solverName, p.opts)
 	return p
 }
 
@@ -124,7 +87,7 @@ func (p *Planner) Partition(ctx context.Context, s *Spec) (*Assignment, error) {
 	if err := p.err(ctx); err != nil {
 		return nil, err
 	}
-	asg, _, err := p.sv.Solve(ctx, s, p.limits)
+	asg, _, err := p.sv.Solve(ctx, s, core.Limits{})
 	return asg, err
 }
 
@@ -158,7 +121,7 @@ func (p *Planner) AutoPartition(ctx context.Context, g *Graph, inputs []Input, p
 	// Full rate first; when overloaded, the maximum sustainable rate
 	// (§4.3) — one re-entrant core call, shared with the partition
 	// service.
-	res, err := core.AutoPartitionWith(ctx, spec, p.rateHi, p.rateTol, p.limits, p.sv)
+	res, err := core.AutoPartitionWith(ctx, spec, 1.0, 0.005, core.Limits{}, p.sv)
 	if err != nil {
 		return nil, err
 	}

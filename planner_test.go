@@ -22,8 +22,8 @@ func stripTimes(a *Assignment) *Assignment {
 }
 
 // legacyAutoPartition reproduces the pre-redesign wishbone.AutoPartition
-// pipeline verbatim: profile → classify → BuildSpec → core.AutoPartition
-// with the exact ILP. The Planner must match it byte for byte.
+// pipeline verbatim: profile → classify → BuildSpec →
+// core.AutoPartitionWith with the exact ILP. The Planner must match it byte for byte.
 func legacyAutoPartition(t *testing.T, g *Graph, mode Mode, inputs []Input, plat *Platform) *Deployment {
 	t.Helper()
 	if err := plat.Validate(); err != nil {
@@ -38,7 +38,7 @@ func legacyAutoPartition(t *testing.T, g *Graph, mode Mode, inputs []Input, plat
 		t.Fatal(err)
 	}
 	spec := profile.BuildSpec(cls, rep, plat)
-	res, err := core.AutoPartition(context.Background(), spec, 1.0, 0.005, core.DefaultOptions())
+	res, err := core.AutoPartitionWith(context.Background(), spec, 1.0, 0.005, core.Limits{}, core.NewExact(core.DefaultOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,6 @@ func TestPlannerSolverSelection(t *testing.T) {
 	}
 	if _, err := NewPlanner(WithSolver("nope")).AutoPartition(ctx, g, inputs, TMoteSky()); err == nil {
 		t.Fatal("unknown backend must error")
-	}
-	if _, err := NewPlanner(WithRace("exact", "greedy")).AutoPartition(ctx, g, inputs, TMoteSky()); err != nil {
-		t.Fatalf("explicit race set: %v", err)
 	}
 }
 

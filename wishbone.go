@@ -33,7 +33,7 @@
 // §9-style relaxation (budgets priced by subgradient-driven multipliers,
 // each subproblem an exact min-closure cut, answers carrying a proven
 // dual gap); "greedy" is a cut-ordering baseline. A fourth name races
-// them:
+// all three, exact first:
 //
 //	p := wishbone.NewPlanner(wishbone.WithSolver("race"))
 //
@@ -43,7 +43,9 @@
 // an un-deadlined race is byte-identical to the exact solve. Under a
 // deadline the heuristics' fast answers stand in wherever the tree search
 // has not caught up. Deployment.Solves records per-backend win/latency
-// telemetry.
+// telemetry. A solve's limits (TimeLimit, MaxNodes, GapTol) are fields of
+// the Planner's Options (WithOptions); every backend, raced or alone,
+// reads them there.
 //
 // # Execution
 //
