@@ -45,14 +45,6 @@ type reduceAggregator struct {
 	// gaps and can collide after the uint16 wraps. Like sender.seq it
 	// wraps at 65535 rounds; see the wrap note there.
 	seq map[*dataflow.Edge]uint16
-
-	// arena supplies finalize's fragment storage (nil: allocate per
-	// aggregate). The batch path attaches one arena for the whole run;
-	// the streaming session swaps in the current window's — an
-	// aggregate's fragments are encoded in the window that flushes it, so
-	// they share that window's lifetime. enc is the marshal scratch.
-	arena *fragArena
-	enc   []byte
 }
 
 func newReduceAggregator(nodes int) *reduceAggregator {
@@ -135,11 +127,6 @@ func (a *reduceAggregator) add(cfg *Config, msgs []message, res *Result, out []m
 		} else {
 			cp := m
 			cp.nodeID = AggregateOrigin
-			// A pending round may wait across ingestion windows, and
-			// finalize re-encodes from the combined value anyway — drop
-			// the contributor's fragments so the pending table never pins
-			// (possibly recycled) sender arena storage.
-			cp.frags = nil
 			pend[idx] = &cp
 		}
 		a.pending[m.edge] = pend
@@ -210,33 +197,16 @@ func (a *reduceAggregator) flush(cfg *Config, e *dataflow.Edge, upto int, res *R
 }
 
 // finalize turns a combined aggregate into the message that crosses the
-// root link: the original fragments are replaced by a fresh encoding (or
-// abstract packets) numbered on the edge's contiguous sequence stream,
-// and send accounting is rebuilt.
+// root link: it is packetized afresh from the combined value (packetize)
+// under the next number of the edge's contiguous sequence stream, and
+// send accounting is rebuilt.
 func (a *reduceAggregator) finalize(cfg *Config, e *dataflow.Edge, agg *message, res *Result) {
-	radio := cfg.Platform.Radio
-	agg.frags, agg.packets, agg.air = nil, 0, 0
 	a.seq[e]++
-	if enc, err := wire.AppendMarshal(a.enc[:0], agg.value); err == nil && radio.PacketPayload > 4 {
-		a.enc = enc
-		if frags, err := fragment(a.arena, enc, a.seq[e], radio.PacketPayload); err == nil {
-			agg.frags = frags
-			agg.packets = len(frags)
-			for _, f := range frags {
-				agg.air += len(f) + radio.PacketOverhead
-			}
-		}
-	}
-	payload := dataflow.WireSize(agg.value)
-	if agg.frags == nil {
-		pkts, air := radio.PacketsFor(payload)
-		if pkts == 0 {
-			pkts, air = 1, payload+radio.PacketOverhead
-		}
-		agg.packets, agg.air = pkts, air
-	}
+	agg.seq = a.seq[e]
+	n, ok := wire.Size(agg.value)
+	packetize(cfg.Platform.Radio, agg, n, ok)
 	res.MsgsSent += agg.packets
-	res.PayloadBytes += payload
+	res.PayloadBytes += dataflow.WireSize(agg.value)
 }
 
 // sortByTime puts one window's messages in time order — stably, so each
@@ -253,11 +223,8 @@ func sortByTime(msgs, scratch []message) (air int, _ []message) {
 
 // aggregateReduceMessages is the batch path: feed every message, flush
 // every round, and return the time-sorted stream the channel carries.
-// arena (optional) supplies the aggregates' fragment storage and must
-// outlive delivery.
-func aggregateReduceMessages(cfg Config, msgs []message, res *Result, arena *fragArena) []message {
+func aggregateReduceMessages(cfg Config, msgs []message, res *Result) []message {
 	a := newReduceAggregator(cfg.Nodes)
-	a.arena = arena
 	out := a.add(&cfg, msgs, res, make([]message, 0, len(msgs)))
 	out = a.flushAll(&cfg, res, out)
 	sortByTime(out, msgs) // msgs is consumed: every element was copied or combined

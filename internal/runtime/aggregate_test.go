@@ -75,15 +75,19 @@ func TestAggregateFragmentSeqPerEdge(t *testing.T) {
 	}
 	cfg := Config{Graph: g, OnNode: onNode, Platform: platform.Gumstix(), Nodes: 3, Duration: 10}
 	res := &Result{}
-	out := aggregateReduceMessages(cfg, contributions(ea, eb, 3, 4), res, nil)
+	out := aggregateReduceMessages(cfg, contributions(ea, eb, 3, 4), res)
 
 	seqs := map[*dataflow.Edge][]uint16{}
 	for i := range out {
 		m := &out[i]
-		if len(m.frags) == 0 {
-			t.Fatalf("aggregate on %s has no marshalled fragments", m.edge)
+		frags := codecFragments(cfg.Platform.Radio, m)
+		if !m.wired || len(frags) == 0 {
+			t.Fatalf("aggregate on %s is not sized as marshalled fragments", m.edge)
 		}
-		seqs[m.edge] = append(seqs[m.edge], binary.BigEndian.Uint16(m.frags[0]))
+		if hdr := binary.BigEndian.Uint16(frags[0]); hdr != m.seq {
+			t.Fatalf("aggregate on %s: fragment header seq %d, message seq %d", m.edge, hdr, m.seq)
+		}
+		seqs[m.edge] = append(seqs[m.edge], m.seq)
 	}
 	if len(seqs[ea]) != 4 || len(seqs[eb]) != 4 {
 		t.Fatalf("want 4 aggregates per edge, got %d/%d", len(seqs[ea]), len(seqs[eb]))
@@ -108,7 +112,7 @@ func TestAggregateDedicatedOrigin(t *testing.T) {
 	g, onNode, ea, eb := twoReduceApp()
 	cfg := Config{Graph: g, OnNode: onNode, Platform: platform.Gumstix(), Nodes: 2, Duration: 10}
 	res := &Result{}
-	out := aggregateReduceMessages(cfg, contributions(ea, eb, 2, 3), res, nil)
+	out := aggregateReduceMessages(cfg, contributions(ea, eb, 2, 3), res)
 	if len(out) == 0 {
 		t.Fatal("no aggregates produced")
 	}
@@ -174,26 +178,21 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 			}
 			arrivals[n] = a
 		}
-		nodeRes, arenas, err := runNodes(cfg, inputs, arrivals)
+		nodeRes, err := runNodes(cfg, inputs, arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() {
-			for _, a := range arenas {
-				releaseArena(a)
-			}
-		}()
 		var msgs []message
 		for n := range nodeRes {
 			msgs = append(msgs, nodeRes[n].s.msgs...)
 		}
 		res := &Result{}
-		out := aggregateReduceMessages(cfg, msgs, res, nil)
+		out := aggregateReduceMessages(cfg, msgs, res)
 		var got []string
 		for i := range out {
 			m := &out[i]
 			var frags bytes.Buffer
-			for _, f := range m.frags {
+			for _, f := range codecFragments(cfg.Platform.Radio, m) {
 				frags.Write(f)
 			}
 			got = append(got, fmt.Sprintf("t=%.3f origin=%d edge=%v pkts=%d air=%d frags=%x",

@@ -60,11 +60,10 @@ type Session struct {
 
 	// The bound hosts (distsession.go). aggPlan delivers AggregateOrigin's
 	// messages — nil for an unshardable partition, whose one in-process
-	// host sorts them in with its own — from fragments carved in aggArena.
-	hosts    []HostBinding
-	ownerOf  []int // node -> index into hosts
-	aggPlan  *deliveryPlan
-	aggArena *fragArena
+	// host sorts them in with its own.
+	hosts   []HostBinding
+	ownerOf []int // node -> index into hosts
+	aggPlan *deliveryPlan
 
 	// Per-window scratch: arrivals grouped per host, each host's report
 	// and call error, the window's aggregates and their sort scratch.

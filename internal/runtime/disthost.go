@@ -39,17 +39,16 @@ type ShardHost struct {
 	global bool
 
 	// buf holds each origin's arrivals for the window, by position. The
-	// window's storage is one node shard per origin — its fragment arena
-	// and feed error slot — the drained messages (then sort scratch) in
-	// msgs, and in out what the host holds: the window's non-reduce
-	// messages, awaiting the ratio, split per delivery shard into parts.
-	// Steady state allocates no fragment or message-slice storage.
-	buf    [][]arrival
-	arenas []*fragArena
-	errs   []error
-	msgs   []message
-	out    []message
-	parts  [][]message
+	// window's storage is one node shard per origin — its feed error slot
+	// — the drained messages (then sort scratch) in msgs, and in out what
+	// the host holds: the window's non-reduce messages, awaiting the
+	// ratio, split per delivery shard into parts. Steady state allocates
+	// no message-slice storage.
+	buf   [][]arrival
+	errs  []error
+	msgs  []message
+	out   []message
+	parts [][]message
 
 	// res is the host's partial Result: the send-side counters as windows
 	// accrue them and, after a restore (RestoreShardHost), the blob's
@@ -144,10 +143,6 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 	h.acquireNodes()
 	for _, src := range cfg.Graph.Sources() {
 		h.sources[src] = true
-	}
-	h.arenas = make([]*fragArena, len(h.origins))
-	for i := range h.arenas {
-		h.arenas[i] = acquireArena()
 	}
 	h.errs = make([]error, len(h.origins))
 	h.parts = make([][]message, len(plan.shards))

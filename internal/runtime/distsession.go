@@ -108,8 +108,6 @@ func (s *Session) bind(cfg Config, hosts []HostBinding) error {
 		}
 		s.aggPlan = plan
 	}
-	s.aggArena = acquireArena()
-	s.agg.arena = s.aggArena
 	return nil
 }
 
@@ -315,7 +313,6 @@ func (s *Session) join() error {
 	if s.aggErr != nil {
 		return s.fail(s.aggErr)
 	}
-	s.aggArena.reset()
 	return nil
 }
 
@@ -442,14 +439,12 @@ func (s *Session) teardown() {
 	s.release()
 }
 
-// release returns the coordinator's plan and aggregate arena (idempotent;
-// a collected plan closes as a no-op).
+// release returns the coordinator's plan (idempotent; a collected plan
+// closes as a no-op).
 func (s *Session) release() {
 	if s.aggPlan != nil {
 		s.aggPlan.close()
 	}
-	releaseArena(s.aggArena)
-	s.aggArena = nil
 }
 
 // PartitionOrigins splits nodes 0..n-1 across h hosts round-robin —

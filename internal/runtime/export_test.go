@@ -6,6 +6,7 @@ import (
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/netsim"
+	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/wire"
 )
@@ -13,12 +14,14 @@ import (
 // RunReference simulates a batch deployment through the reference
 // tree-walking dataflow.Executor: one Executor per node, every replica
 // executed, strictly sequential, one element at a time, the server side
-// scanning the whole graph per message for relocated state. It is the
-// oracle the differential tests hold Run to — byte-identical Results — and
-// is built from the same framing, aggregation, pricing and reception code
-// as Run (sender, nodeSim, aggregateReduceMessages, shardState.receive), so
-// what it checks independently is the execution engine and Run's replay,
-// pooling, sharding and batching around it.
+// scanning the whole graph per message for relocated state, and every
+// cut-edge element received as bytes through the real codec
+// (codecReceiver). It is the oracle the differential tests hold Run to —
+// byte-identical Results. It shares Run's framing, aggregation and pricing
+// code (sender, nodeSim, aggregateReduceMessages), so what it checks
+// independently is the execution engine, closed-form reception
+// (shardState.receive) and Run's replay, pooling, sharding and batching
+// around them.
 func RunReference(cfg Config) (*Result, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
@@ -60,7 +63,7 @@ func RunReference(cfg Config) (*Result, error) {
 	}
 	res.NodeCPU /= cfg.Duration * float64(cfg.Nodes)
 
-	msgs = aggregateReduceMessages(cfg, msgs, res, nil)
+	msgs = aggregateReduceMessages(cfg, msgs, res)
 	air := 0
 	for _, m := range msgs {
 		air += m.air
@@ -69,20 +72,128 @@ func RunReference(cfg Config) (*Result, error) {
 	res.DeliveryRatio = netsim.ChannelFor(cfg.Platform).DeliveryRatio(res.OfferedAirBytesPerSec)
 
 	srv := newLegacyServer(&cfg)
-	sh := &shardState{
-		seed:   cfg.Seed,
-		engine: srv,
-		reasm:  make(map[reasmKey]*wire.Reassembler),
-		rng:    make(map[int]*netsim.LossSampler),
-	}
-	defer sh.releaseSamplers()
-	if err := sh.deliver(msgs, res.DeliveryRatio); err != nil {
+	if err := deliverReference(srv, newCodecReceiver(&cfg), msgs, res); err != nil {
 		return nil, err
 	}
-	res.MsgsReceived = sh.res.MsgsReceived
-	res.DeliveredBytes = sh.res.DeliveredBytes
-	res.ServerEmits = srv.emits()
+	res.ServerEmits = srv.emitsCount
 	return res, nil
+}
+
+// deliverReference receives every message through rx at res's delivery
+// ratio and pushes the survivors into srv, accruing the delivery counters;
+// a server-side work-function panic becomes an error, as in Run.
+func deliverReference(srv *legacyServer, rx *codecReceiver, msgs []message, res *Result) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = workPanicError(r, "server")
+		}
+	}()
+	for i := range msgs {
+		m := &msgs[i]
+		val, ok, err := rx.receive(m, res.DeliveryRatio)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		res.DeliveredBytes += dataflow.WireSize(val)
+		if err := srv.deliver(m, val); err != nil {
+			return err
+		}
+	}
+	res.MsgsReceived = rx.received
+	return nil
+}
+
+// codecReceiver is reception as bytes — the definition shardState.receive
+// computes in closed form. A message the codec encodes is marshalled and
+// fragmented into the radio's packets (checking the sender's closed-form
+// packet count and air bytes against them), its surviving fragments are
+// offered to the (origin, edge) stream's wire.Reassembler, and the
+// completed element is the one Unmarshal decodes. Losses come from the
+// same per-origin LossSampler streams the shards draw.
+type codecReceiver struct {
+	cfg      *Config
+	reasm    map[reasmKey]*wire.Reassembler
+	rng      map[int]*netsim.LossSampler
+	received int // MsgsReceived
+}
+
+func newCodecReceiver(cfg *Config) *codecReceiver {
+	return &codecReceiver{
+		cfg:   cfg,
+		reasm: make(map[reasmKey]*wire.Reassembler),
+		rng:   make(map[int]*netsim.LossSampler),
+	}
+}
+
+// codecFragments is m's element as the radio carries it: its encoding
+// split into fragments numbered m.seq, or nil when the codec does not
+// encode it into at most 255 fragments.
+func codecFragments(radio platform.Radio, m *message) [][]byte {
+	enc, err := wire.Marshal(m.value)
+	if err != nil || radio.PacketPayload <= 4 {
+		return nil
+	}
+	frags, _ := wire.Fragment(enc, m.seq, radio.PacketPayload)
+	return frags
+}
+
+func (c *codecReceiver) receive(m *message, ratio float64) (dataflow.Value, bool, error) {
+	sam := c.rng[m.nodeID]
+	if sam == nil {
+		sam = netsim.NewLossSampler(netsim.NodeSeed(c.cfg.Seed, m.nodeID))
+		c.rng[m.nodeID] = sam
+	}
+	radio := c.cfg.Platform.Radio
+	frags := codecFragments(radio, m)
+	if (frags != nil) != m.wired {
+		return nil, false, fmt.Errorf("codec oracle: %T on %s: sender wired=%v, codec fragments=%d",
+			m.value, m.edge, m.wired, len(frags))
+	}
+	if frags == nil {
+		delivered := true
+		for _, d := range sam.Draws(m.packets) {
+			if d < ratio {
+				c.received++
+			} else {
+				delivered = false
+			}
+		}
+		return m.value, delivered, nil
+	}
+	air := 0
+	for _, f := range frags {
+		air += len(f) + radio.PacketOverhead
+	}
+	if len(frags) != m.packets || air != m.air {
+		return nil, false, fmt.Errorf("codec oracle: %T on %s: sender sized %d packets/%d air bytes, codec %d/%d",
+			m.value, m.edge, m.packets, m.air, len(frags), air)
+	}
+	key := reasmKey{node: m.nodeID, edge: m.edge}
+	r := c.reasm[key]
+	if r == nil {
+		r = &wire.Reassembler{}
+		c.reasm[key] = r
+	}
+	var decoded dataflow.Value
+	complete := false
+	draws := sam.Draws(len(frags))
+	for fi, f := range frags {
+		if draws[fi] >= ratio {
+			continue // fragment lost
+		}
+		c.received++
+		v, done, err := r.Offer(f)
+		if err != nil {
+			return nil, false, fmt.Errorf("runtime: reassembly: %w", err)
+		}
+		if done {
+			decoded, complete = v, true
+		}
+	}
+	return decoded, complete, nil
 }
 
 // legacyServer is the reference server-side path: a tree-walking Executor
@@ -129,16 +240,6 @@ func (srv *legacyServer) deliver(m *message, val dataflow.Value) error {
 	}
 	return srv.ex.Push(m.edge.To, m.edge.ToPort, val)
 }
-
-// deliverBatch exists only to satisfy serverEngine — a shardState with
-// batch unset never calls it.
-func (srv *legacyServer) deliverBatch(nodeID int, e *dataflow.Edge, vals []dataflow.Value) error {
-	return fmt.Errorf("runtime: the reference server delivers one element at a time")
-}
-
-func (srv *legacyServer) emits() int { return srv.emitsCount }
-
-func (srv *legacyServer) close() {}
 
 // OwnEvents returns inputs with every Events slice copied, so a Config
 // whose Inputs hands these out executes every node replica instead of

@@ -41,17 +41,14 @@ func (h *ShardHost) acquireNodes() {
 }
 
 // feedShard feeds node shard i of a window: the origins at positions i,
-// i+shards, … run their buffered arrivals, their senders carving fragment
-// storage from the i-th arena; the shard's first failure stops it and
-// lands in its error slot. Shards may run concurrently.
+// i+shards, … run their buffered arrivals; the shard's first failure stops
+// it and lands in its error slot. Shards may run concurrently.
 func (h *ShardHost) feedShard(i int) {
 	for n := i; n < len(h.buf); n += len(h.errs) {
 		if len(h.buf[n]) == 0 {
 			continue
 		}
-		ns := h.nodes[n]
-		ns.s.arena = h.arenas[i]
-		if h.errs[i] = ns.feed(&h.cfg, h.buf[n]); h.errs[i] != nil {
+		if h.errs[i] = h.nodes[n].feed(&h.cfg, h.buf[n]); h.errs[i] != nil {
 			return
 		}
 	}
@@ -66,12 +63,9 @@ func (h *ShardHost) feedPooled() error {
 }
 
 // resetWindow rewinds the window storage once its messages are dead:
-// arenas rewound, message slices truncated with their elements cleared so
-// reused buffers do not pin the delivered window's values.
+// message slices truncated with their elements cleared so reused buffers
+// do not pin the delivered window's values.
 func (h *ShardHost) resetWindow() {
-	for _, a := range h.arenas {
-		a.reset()
-	}
 	clear(h.msgs)
 	h.msgs = h.msgs[:0]
 	clear(h.out)
@@ -135,16 +129,12 @@ func (h *ShardHost) applySides(sides []nodeSnap) error {
 	return nil
 }
 
-// release returns the pooled instances to their Program, closes the
-// delivery plan (a no-op once the plan was collected) and hands the
-// arenas back to the process-wide pool.
+// release returns the pooled instances to their Program and closes the
+// delivery plan (a no-op once the plan was collected).
 func (h *ShardHost) release() {
 	for _, inst := range h.insts {
 		h.prog.ReleaseInstance(inst)
 	}
 	h.insts, h.nodes = nil, nil
 	h.plan.close()
-	for _, a := range h.arenas {
-		releaseArena(a)
-	}
 }

@@ -190,16 +190,20 @@ func (r *Result) Goodput() float64 {
 	return r.PercentInputProcessed() * r.PercentMsgsReceived() / 100
 }
 
-// message is one cut-edge element in flight. Elements whose type the wire
-// codec supports travel as real marshalled fragments (§3's generated
-// marshal/unmarshal code); other types fall back to size-accurate abstract
-// packets.
+// message is one cut-edge element in flight. An element whose type the
+// wire codec supports is wired: it is priced as its marshalled encoding
+// (§3's generated marshal code) split into seq-numbered fragments (§5.2),
+// sized in closed form by wire.Size and wire.FragmentSpan — the bytes
+// themselves are never built, because in process the receiver reassembles
+// from the value (shardState.receive). Other types fall back to
+// size-accurate abstract packets.
 type message struct {
 	time    float64
 	nodeID  int
 	edge    *dataflow.Edge
 	value   dataflow.Value
-	frags   [][]byte // nil for abstract messages
+	wired   bool
+	seq     uint16 // fragment header sequence number, when wired
 	packets int
 	air     int
 }
@@ -248,16 +252,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// --- Node side ---------------------------------------------------
-	// Fragment storage carved by the senders lives until delivery ends;
-	// the arenas recycle into the process-wide pool when the run's
-	// messages are dead.
-	var arenas []*fragArena
-	defer func() {
-		for _, a := range arenas {
-			releaseArena(a)
-		}
-	}()
-	nodes, arenas, err := runNodes(cfg, inputs, arrivals)
+	nodes, err := runNodes(cfg, inputs, arrivals)
 	if err != nil {
 		return nil, err
 	}
@@ -276,9 +271,7 @@ func Run(cfg Config) (*Result, error) {
 	// Messages produced by a node-resident reduce operator are combined
 	// inside the collection tree: the root link carries one aggregate per
 	// round instead of one message per node.
-	aggArena := acquireArena()
-	arenas = append(arenas, aggArena)
-	msgs = aggregateReduceMessages(cfg, msgs, res, aggArena)
+	msgs = aggregateReduceMessages(cfg, msgs, res)
 
 	// --- Channel -------------------------------------------------------
 	totalAir := 0
@@ -383,12 +376,6 @@ type sender struct {
 	// stream through several wraps.
 	seqs map[*dataflow.Edge]uint16
 
-	// arena supplies fragment storage (see fragArena); a sender without one
-	// allocates per message. enc is the marshal scratch buffer, reused
-	// across captures (fragmentation copies out of it either way).
-	arena *fragArena
-	enc   []byte
-
 	// times, when non-nil, is the arrival-time schedule of an in-flight
 	// batched source injection (the passthrough fast path): element i of
 	// the batch arrived at times[i]. Fan-out delivers a batch in element
@@ -403,42 +390,51 @@ type sender struct {
 	payloadBytes int
 }
 
-// capture is the Boundary hook: marshal (or abstract-package) one cut-edge
-// element at the current simulation time.
+// capture is the Boundary hook: package one cut-edge element at the
+// current simulation time.
 func (s *sender) capture(e *dataflow.Edge, v dataflow.Value) {
 	if s.times != nil {
 		s.curTime = s.times[s.tcur[e]]
 		s.tcur[e]++
 	}
-	radio := s.cfg.Platform.Radio
 	m := message{time: s.curTime, nodeID: s.nodeID, edge: e, value: v}
-	if enc, err := wire.AppendMarshal(s.enc[:0], v); err == nil && radio.PacketPayload > 4 {
-		s.enc = enc
+	n, ok := wire.Size(v)
+	if ok && s.cfg.Platform.Radio.PacketPayload > 4 {
 		if s.seqs == nil {
 			s.seqs = make(map[*dataflow.Edge]uint16)
 		}
+		// The sequence advances even for an element too large to
+		// fragment: it was numbered before packetization failed.
 		s.seqs[e]++
-		if frags, err := fragment(s.arena, enc, s.seqs[e], radio.PacketPayload); err == nil {
-			m.frags = frags
-			m.packets = len(frags)
-			for _, f := range frags {
-				m.air += len(f) + radio.PacketOverhead
-			}
-		}
+		m.seq = s.seqs[e]
 	}
-	if m.frags == nil {
-		// Abstract fallback for element types without generated
-		// marshalling code.
-		payload := dataflow.WireSize(v)
-		pkts, air := radio.PacketsFor(payload)
-		if pkts == 0 {
-			pkts, air = 1, payload+radio.PacketOverhead // even empty elements cost a packet
-		}
-		m.packets, m.air = pkts, air
-	}
+	packetize(s.cfg.Platform.Radio, &m, n, ok)
 	s.msgs = append(s.msgs, m)
 	s.msgsSent += m.packets
 	s.payloadBytes += dataflow.WireSize(v)
+}
+
+// packetize prices m on the radio. An element the codec encodes in encLen
+// bytes (encodable, per wire.Size) travels as that encoding's fragments
+// under m.seq: each a wire.FragmentSpan header plus the radio's per-packet
+// overhead. Anything else, including an element past the fragment-count
+// limit, costs abstract packets of its payload.
+func packetize(radio platform.Radio, m *message, encLen int, encodable bool) {
+	m.wired = false
+	if encodable && radio.PacketPayload > 4 {
+		if count, total, err := wire.FragmentSpan(encLen, radio.PacketPayload); err == nil {
+			m.wired, m.packets = true, count
+			m.air = total + count*radio.PacketOverhead
+			return
+		}
+	}
+	// Abstract fallback for element types without generated marshalling
+	// code.
+	payload := dataflow.WireSize(m.value)
+	m.packets, m.air = radio.PacketsFor(payload)
+	if m.packets == 0 {
+		m.packets, m.air = 1, payload+radio.PacketOverhead // even empty elements cost a packet
+	}
 }
 
 // beginBatch and endBatch bracket one batched source injection: times
@@ -456,20 +452,6 @@ func (s *sender) beginBatch(times []float64) {
 }
 
 func (s *sender) endBatch() { s.times = nil }
-
-// fragment packetizes one encoded element, carving the fragment storage
-// from the arena when one is attached (the hot path) and allocating per
-// message otherwise.
-func fragment(arena *fragArena, enc []byte, seq uint16, payloadSize int) ([][]byte, error) {
-	if arena == nil {
-		return wire.Fragment(enc, seq, payloadSize)
-	}
-	count, total, err := wire.FragmentSpan(len(enc), payloadSize)
-	if err != nil {
-		return nil, err
-	}
-	return wire.FragmentTo(enc, seq, payloadSize, arena.bytes(total), arena.frags(count))
-}
 
 // nodeSim models one node's non-reentrant depth-first runtime: while an
 // event is being processed, newly arriving events are missed (§5.2's
@@ -567,14 +549,12 @@ func (ns *nodeSim) feedPassthrough(arrivals []arrival) {
 // their deterministic message streams replicated; distinct replicas run
 // sharded by origin on a bounded worker pool: shard s owns nodes n ≡ s
 // (mod shards) — the same origin partition the delivery loop uses — and
-// recycles one pinned Instance and one fragment arena across them instead
-// of round-tripping the Program pool per node. The returned arenas hold
-// the senders' fragment storage; the caller releases them once delivery
-// is done, error or not.
-func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeSims, []*fragArena, error) {
+// recycles one pinned Instance across them instead of round-tripping the
+// Program pool per node.
+func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeSims, error) {
 	prog, err := resolveProgram(&cfg, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	passthrough := passthroughPartition(&cfg, prog)
 	out := make(nodeSims, cfg.Nodes)
@@ -582,17 +562,14 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 	if identicalTraces(inputs) {
 		// Node-side simulation is a deterministic function of (program,
 		// platform, arrivals): with identical traces every replica
-		// produces the same events, times and marshalled fragments, so
-		// simulate node 0 and restamp its message stream per node (the
-		// replicas alias node 0's fragment storage, which delivery only
-		// reads). dataflow.Ctx.NodeID states what this asks of work
-		// functions.
-		arenas := []*fragArena{acquireArena()}
+		// produces the same events, times and packets, so simulate node 0
+		// and restamp its message stream per node (the replicas alias node
+		// 0's values, which delivery only reads). dataflow.Ctx.NodeID
+		// states what this asks of work functions.
 		inst := prog.AcquireInstance(0)
 		counter := &cost.Counter{}
 		inst.SetCounter(counter)
 		out[0] = newNodeSim(&cfg, inst, counter, 0, passthrough)
-		out[0].s.arena = arenas[0]
 		err := out[0].feed(&cfg, arrivals[0])
 		prog.ReleaseInstance(inst)
 		for n := 1; n < cfg.Nodes && err == nil; n++ {
@@ -605,17 +582,15 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 			ns.s = &snd
 			out[n] = &ns
 		}
-		return out, arenas, err
+		return out, err
 	}
 
 	shards := cfg.Nodes
 	if cfg.Shards > 1 && cfg.Shards < shards {
 		shards = cfg.Shards
 	}
-	arenas := make([]*fragArena, shards)
 	errs := make([]error, shards)
 	runPool(poolWorkers(&cfg, shards), shards, func(s int) {
-		arenas[s] = acquireArena()
 		inst := prog.AcquireInstance(s)
 		defer prog.ReleaseInstance(inst)
 		counter := &cost.Counter{}
@@ -623,11 +598,10 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 		for n := s; n < cfg.Nodes && errs[s] == nil; n += shards {
 			inst.Recycle(n) // pristine per-node state, counter kept, no pool round-trip
 			out[n] = newNodeSim(&cfg, inst, counter, n, passthrough)
-			out[n].s.arena = arenas[s]
 			errs[s] = out[n].feed(&cfg, arrivals[n])
 		}
 	})
-	return out, arenas, firstError(errs)
+	return out, firstError(errs)
 }
 
 // CompilePartition compiles the two sides of a partitioned deployment

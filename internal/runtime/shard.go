@@ -28,15 +28,16 @@ import (
 // way, only the parallelism is lost.
 
 // shardState is one delivery shard: a server engine plus the per-origin
-// reassembly and loss-sampling state for the origins assigned to it. All
+// reception and loss-sampling state for the origins assigned to it. All
 // counters that the delivery loop accumulates land in the shard's partial
 // Result and are summed by deliveryPlan.collect.
 type shardState struct {
-	seed   int64
-	engine serverEngine
-	reasm  map[reasmKey]*wire.Reassembler
-	rng    map[int]*netsim.LossSampler
-	res    Result
+	seed    int64
+	payload int // the radio's packet payload, which fragments are cut to
+	engine  serverEngine
+	streams map[reasmKey]*edgeStream
+	rng     map[int]*netsim.LossSampler
+	res     Result
 
 	// batch enables batched delivery: the shard's messages are regrouped
 	// by origin (per-origin time order preserved — per-origin independence
@@ -79,9 +80,8 @@ func (sh *shardState) releaseSamplers() {
 // deliver replays one batch of messages (each origin's subsequence in time
 // order) against the shard's engine at the given delivery ratio. Packets
 // are lost independently; an element is usable at the server only if every
-// fragment survives. Marshalled messages actually travel as bytes and are
-// reassembled and decoded at the basestation; the decoded value is what
-// the server processes.
+// fragment survives, and the server processes what the basestation would
+// decode (receive).
 func (sh *shardState) deliver(msgs []message, ratio float64) (err error) {
 	// Server-side work functions can run on pool goroutines against
 	// client-supplied stream data; a panic there (wrong element type,
@@ -113,17 +113,42 @@ func (sh *shardState) deliver(msgs []message, ratio float64) (err error) {
 	return nil
 }
 
+// edgeStream is the reception state of one (origin, edge) stream — what
+// a wire.Reassembler fed the stream's surviving fragments would hold,
+// kept by value. A partially received element is (seq, count, have,
+// value): its number, fragment count, surviving fragment indexes and the
+// sent value, whose encoding is the fragments' bytes. re is the real
+// Reassembler, set only while the bytes are observable (a restored
+// partial, or one a wrapped sequence number aliased); the lazy fields are
+// then unused.
+type edgeStream struct {
+	seq   uint16
+	count int // 0: no partial element
+	have  wire.FragmentMask
+	value dataflow.Value
+	re    *wire.Reassembler
+}
+
 // receive samples one message's packet losses and reassembles it; ok
 // reports whether the element survived intact. The loss draws and the
-// reassembly stream are both keyed by the message's origin, so receive
+// reception stream are both keyed by the message's origin, so receive
 // order only matters within one origin.
+//
+// A wired element is reassembled in closed form, exactly as
+// wire.Reassembler would from the fragments (the package's tests hold it
+// to that, RunReference delivering through the codec): every fragment
+// received means the element decodes to wire.Canonical(value); some
+// received, and it becomes the stream's partial, abandoning the old one;
+// none, and the stream is untouched. Fragments of an element whose
+// (seq, count) equals the partial's merge with it byte by byte — the
+// 16-bit wrap the sender notes — and only there, or on a partial
+// restored from a snapshot, does delivery build bytes.
 func (sh *shardState) receive(m *message, ratio float64) (dataflow.Value, bool, error) {
-	sam := sh.sampler(m.nodeID)
-	if m.frags == nil {
+	draws := sh.sampler(m.nodeID).Draws(m.packets)
+	if !m.wired {
 		delivered := true
-		draws := sam.Draws(m.packets)
-		for p := 0; p < m.packets; p++ {
-			if draws[p] < ratio {
+		for _, d := range draws {
+			if d < ratio {
 				sh.res.MsgsReceived++
 			} else {
 				delivered = false
@@ -132,20 +157,63 @@ func (sh *shardState) receive(m *message, ratio float64) (dataflow.Value, bool, 
 		return m.value, delivered, nil
 	}
 	key := reasmKey{node: m.nodeID, edge: m.edge}
-	r := sh.reasm[key]
-	if r == nil {
-		r = &wire.Reassembler{}
-		sh.reasm[key] = r
+	st := sh.streams[key]
+	if st == nil {
+		st = &edgeStream{}
+		sh.streams[key] = st
+	}
+	var got wire.FragmentMask
+	n := 0
+	for p, d := range draws {
+		if d < ratio {
+			got.Set(p)
+			n++
+		}
+	}
+	sh.res.MsgsReceived += n
+	if n == 0 {
+		return nil, false, nil
+	}
+	if st.re == nil && st.count == m.packets && st.seq == m.seq {
+		st.re = &wire.Reassembler{}
+		if _, _, err := offer(st.re, st.value, st.seq, sh.payload, &st.have); err != nil {
+			return nil, false, err
+		}
+		st.count, st.value = 0, nil
+	}
+	if st.re != nil {
+		if seq, count, ok := st.re.Pending(); ok && seq == m.seq && count == m.packets {
+			return offer(st.re, m.value, m.seq, sh.payload, &got)
+		}
+		st.re = nil // this element's first fragment abandons the partial
+	}
+	if n == m.packets {
+		st.count, st.value = 0, nil
+		return wire.Canonical(m.value), true, nil
+	}
+	st.seq, st.count, st.have, st.value = m.seq, m.packets, got, m.value
+	return nil, false, nil
+}
+
+// offer feeds re the fragments in got of v's encoding, numbered seq and
+// cut to payload-byte packets, in index order, returning the element it
+// completes, if any. It is the byte path: rare, so it allocates.
+func offer(re *wire.Reassembler, v dataflow.Value, seq uint16, payload int, got *wire.FragmentMask) (dataflow.Value, bool, error) {
+	enc, err := wire.Marshal(v)
+	if err != nil {
+		return nil, false, err
+	}
+	frags, err := wire.Fragment(enc, seq, payload)
+	if err != nil {
+		return nil, false, err
 	}
 	var decoded dataflow.Value
 	complete := false
-	draws := sam.Draws(len(m.frags))
-	for fi, f := range m.frags {
-		if draws[fi] >= ratio {
-			continue // fragment lost
+	for i, f := range frags {
+		if !got.Has(i) {
+			continue
 		}
-		sh.res.MsgsReceived++
-		v, done, err := r.Offer(f)
+		v, done, err := re.Offer(f)
 		if err != nil {
 			return nil, false, fmt.Errorf("runtime: reassembly: %w", err)
 		}
@@ -257,11 +325,12 @@ func newDeliveryPlan(cfg *Config) (*deliveryPlan, error) {
 	batch := prog.Options().Batch && independent
 	for i := 0; i < n; i++ {
 		d.shards = append(d.shards, &shardState{
-			seed:   cfg.Seed,
-			engine: newCompiledServer(cfg, prog),
-			reasm:  make(map[reasmKey]*wire.Reassembler),
-			rng:    make(map[int]*netsim.LossSampler),
-			batch:  batch,
+			seed:    cfg.Seed,
+			payload: cfg.Platform.Radio.PacketPayload,
+			engine:  newCompiledServer(cfg, prog),
+			streams: make(map[reasmKey]*edgeStream),
+			rng:     make(map[int]*netsim.LossSampler),
+			batch:   batch,
 		})
 	}
 	return d, nil

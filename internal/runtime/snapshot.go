@@ -168,6 +168,7 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 		return o
 	}
 	eidx := edgeIndexes(cfg)
+	var enc []byte // a lazy partial's encoding, reused across streams
 	for _, sh := range d.shards {
 		srv, ok := sh.engine.(*compiledServer)
 		if !ok {
@@ -179,9 +180,12 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 		for id, sam := range sh.rng {
 			originOf(id).Draws = sam.DrawCount()
 		}
-		for key, re := range sh.reasm {
+		for key, es := range sh.streams {
 			w := wire.NewSnapshotWriter()
-			re.SaveSnapshot(w)
+			var err error
+			if enc, err = es.save(w, enc, sh.payload); err != nil {
+				return nil, err
+			}
 			originOf(key.node).Streams = append(originOf(key.node).Streams,
 				EdgeStream{Edge: eidx[key.edge], Data: w.Bytes()})
 		}
@@ -215,6 +219,44 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 	return st, nil
 }
 
+// save writes the stream's frame — the one wire.Reassembler.SaveSnapshot
+// writes for the equivalent reassembler — marshalling a lazy partial's
+// value into enc, which it returns grown for the next stream.
+func (es *edgeStream) save(w *wire.SnapshotWriter, enc []byte, payload int) ([]byte, error) {
+	switch {
+	case es.re != nil:
+		es.re.SaveSnapshot(w)
+	case es.count == 0:
+		w.Bool(false)
+	default:
+		var err error
+		if enc, err = wire.AppendMarshal(enc[:0], es.value); err != nil {
+			return enc, err
+		}
+		wire.SavePartialSnapshot(w, es.seq, es.count, enc, payload, &es.have)
+	}
+	return enc, nil
+}
+
+// loadEdgeStream restores a stream from its frame. A restored partial is
+// bytes, not a value, so it stays in its Reassembler until the stream
+// moves past it (shardState.receive).
+func loadEdgeStream(data []byte) (*edgeStream, error) {
+	r, err := wire.NewSnapshotReader(data)
+	if err != nil {
+		return nil, err
+	}
+	re := &wire.Reassembler{}
+	if err := re.LoadSnapshot(r); err != nil {
+		return nil, err
+	}
+	st := &edgeStream{}
+	if _, _, ok := re.Pending(); ok {
+		st.re = re
+	}
+	return st, nil
+}
+
 // canonicalize puts the state in its serialized order — origins ascending,
 // each origin's streams by edge and states by operator — which is what
 // makes the bytes independent of map iteration and of placement.
@@ -245,15 +287,11 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 			if es.Edge < 0 || es.Edge >= len(edges) {
 				return fmt.Errorf("runtime: snapshot reassembly stream on edge %d of %d", es.Edge, len(edges))
 			}
-			r, err := wire.NewSnapshotReader(es.Data)
+			st, err := loadEdgeStream(es.Data)
 			if err != nil {
 				return err
 			}
-			re := &wire.Reassembler{}
-			if err := re.LoadSnapshot(r); err != nil {
-				return err
-			}
-			sh.reasm[reasmKey{node: o.Origin, edge: edges[es.Edge]}] = re
+			sh.streams[reasmKey{node: o.Origin, edge: edges[es.Edge]}] = st
 		}
 		if len(o.Ops) > 0 {
 			srv, ok := sh.engine.(*compiledServer)

@@ -230,3 +230,23 @@ func BenchmarkAppendChunk(b *testing.B) {
 		})
 	}
 }
+
+// TestClientPostEncodeError pins what a request value that does not encode
+// costs a caller: json's own error, not a transport's report of a failed
+// body — the contract a post that streams its body would have to keep —
+// and a server that answers the next call.
+func TestClientPostEncodeError(t *testing.T) {
+	_, client := startServer(t, Config{})
+	ctx := context.Background()
+	in := map[string]float64{"x": math.NaN()}
+	_, want := json.Marshal(in)
+	var out wire.GraphResponse
+	err := client.post(ctx, "/v1/graph", in, &out)
+	var uv *json.UnsupportedValueError
+	if !errors.As(err, &uv) || want == nil || err.Error() != want.Error() {
+		t.Fatalf("post error %v (%T), want json's %v", err, err, want)
+	}
+	if _, err := client.Graph(ctx, wire.GraphSpec{App: "speech"}); err != nil {
+		t.Fatal(err)
+	}
+}

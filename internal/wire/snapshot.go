@@ -228,6 +228,36 @@ func (re *Reassembler) SaveSnapshot(w *SnapshotWriter) {
 	}
 }
 
+// FragmentMask is a set of fragment indexes of one element (at most 255,
+// FragmentSpan's bound).
+type FragmentMask [4]uint64
+
+// Set adds fragment i.
+func (m *FragmentMask) Set(i int) { m[i>>6] |= 1 << (i & 63) }
+
+// Has reports whether fragment i is in the set.
+func (m *FragmentMask) Has(i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
+
+// SavePartialSnapshot writes the frame SaveSnapshot writes for a
+// reassembler holding the fragments in have of element encoded, numbered
+// seq and split into count payloadSize-byte packets — the frame of a
+// partial element known by its value, cut straight from the encoding
+// instead of through a Reassembler.
+func SavePartialSnapshot(w *SnapshotWriter, seq uint16, count int, encoded []byte, payloadSize int, have *FragmentMask) {
+	w.Bool(true)
+	w.U16(seq)
+	w.Uvarint(uint64(count))
+	chunk := payloadSize - fragHeader
+	for i := 0; i < count; i++ {
+		if !have.Has(i) {
+			w.Bool(false)
+			continue
+		}
+		w.Bool(true)
+		w.Blob(encoded[i*chunk : min((i+1)*chunk, len(encoded))])
+	}
+}
+
 // LoadSnapshot restores a reassembler from a SaveSnapshot frame, leaving
 // it byte-identical in behavior to the saved one.
 func (re *Reassembler) LoadSnapshot(r *SnapshotReader) error {

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"wishbone/internal/dataflow"
 )
@@ -43,12 +44,13 @@ const (
 	tagString   = 0x15
 )
 
-// Marshal encodes a stream element. It supports the same concrete types as
-// dataflow.WireSize; unsupported types return an error (cut edges carrying
-// custom structs must convert to slices first, as generated marshalling
-// code would).
+// Marshal encodes a stream element into a buffer of exactly its Size. It
+// supports the same concrete types as dataflow.WireSize; unsupported types
+// return an error (cut edges carrying custom structs must convert to
+// slices first, as generated marshalling code would).
 func Marshal(v dataflow.Value) ([]byte, error) {
-	return AppendMarshal(nil, v)
+	n, _ := Size(v)
+	return AppendMarshal(make([]byte, 0, n), v)
 }
 
 // AppendMarshal encodes a stream element like Marshal, appending to dst
@@ -122,6 +124,85 @@ func AppendMarshal(dst []byte, v dataflow.Value) ([]byte, error) {
 func lenHeader(dst []byte, tag byte, n int) []byte {
 	dst = append(dst, tag)
 	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// Size returns len(AppendMarshal(nil, v)) without encoding: the element's
+// size on the wire, which is all packet sizing needs. ok is false exactly
+// when Marshal rejects v's type.
+func Size(v dataflow.Value) (n int, ok bool) {
+	switch x := v.(type) {
+	case nil:
+		return 1, true
+	case bool:
+		return 2, true
+	case int16:
+		return 3, true
+	case int32, float32:
+		return 5, true
+	case int, int64, float64:
+		return 9, true
+	case []byte:
+		return sliceSize(len(x), 1), true
+	case string:
+		return sliceSize(len(x), 1), true
+	case []int16:
+		return sliceSize(len(x), 2), true
+	case []int32:
+		return sliceSize(len(x), 4), true
+	case []float32:
+		return sliceSize(len(x), 4), true
+	case []float64:
+		return sliceSize(len(x), 8), true
+	default:
+		return 0, false
+	}
+}
+
+// sliceSize is the encoded size of an n-element slice: tag, uvarint
+// length, payload.
+func sliceSize(n, width int) int {
+	return 1 + (bits.Len64(uint64(n)|1)+6)/7 + n*width
+}
+
+// Canonical returns the value Unmarshal(Marshal(v)) decodes, without the
+// bytes: int becomes int64, an empty []byte nil and a nil numeric slice
+// empty, and a slice with spare capacity is trimmed to its length (a
+// decoded slice never shares spare room with a neighbour). Everything
+// else is v itself — values are immutable once emitted, so the receiver
+// may share the sender's. v must be of a type Marshal supports.
+func Canonical(v dataflow.Value) dataflow.Value {
+	switch x := v.(type) {
+	case int:
+		return int64(x)
+	case []byte:
+		if len(x) == 0 {
+			return []byte(nil)
+		}
+		if cap(x) != len(x) {
+			return x[:len(x):len(x)]
+		}
+	case []int16:
+		return canonicalSlice(v, x)
+	case []int32:
+		return canonicalSlice(v, x)
+	case []float32:
+		return canonicalSlice(v, x)
+	case []float64:
+		return canonicalSlice(v, x)
+	}
+	return v
+}
+
+// canonicalSlice is Canonical for a numeric slice x boxed in v: the
+// decoder makes an empty slice, never nil, and one exactly len long.
+func canonicalSlice[T any](v dataflow.Value, x []T) dataflow.Value {
+	switch {
+	case x == nil:
+		return []T{}
+	case cap(x) != len(x):
+		return x[:len(x):len(x)]
+	}
+	return v
 }
 
 // Unmarshal decodes one element, returning it and the number of bytes
@@ -272,9 +353,8 @@ func Fragment(encoded []byte, seq uint16, payloadSize int) ([][]byte, error) {
 // FragmentTo is Fragment with caller-supplied storage: the fragments are
 // written back-to-back into buf — which must be at least FragmentSpan
 // bytes long, and must not be recycled until every fragment is consumed —
-// and their subslices appended to frags. The runtime's sender carves buf
-// out of a per-window arena, so fragmenting a steady message stream
-// allocates nothing.
+// and their subslices appended to frags, so fragmenting a steady element
+// stream through reused buffers allocates nothing.
 func FragmentTo(encoded []byte, seq uint16, payloadSize int, buf []byte, frags [][]byte) ([][]byte, error) {
 	count, total, err := FragmentSpan(len(encoded), payloadSize)
 	if err != nil {
@@ -307,6 +387,12 @@ func FragmentTo(encoded []byte, seq uint16, payloadSize int, buf []byte, frags [
 // elements, so a long-lived stream's reassembly allocates only while the
 // largest element size is still growing (the decoded values Unmarshal
 // returns are always fresh).
+//
+// It is the byte-level definition of reception. The runtime's in-process
+// delivery computes the same outcome from each element's fragment count
+// and loss draws alone, and falls back to a Reassembler only where the
+// bytes are observable: a partial restored from a snapshot, and a stale
+// partial that a wrapped sequence number aliases.
 type Reassembler struct {
 	seq     uint16
 	have    int
@@ -315,6 +401,12 @@ type Reassembler struct {
 	parts   [][]byte // parts[i] == nil ⇒ fragment i missing; set entries alias store
 	store   [][]byte // per-index payload buffers, capacity kept across elements
 	buf     []byte   // concatenation scratch, reused across elements
+}
+
+// Pending reports the element being assembled — its sequence number and
+// fragment count — with ok false when none is.
+func (r *Reassembler) Pending() (seq uint16, count int, ok bool) {
+	return r.seq, r.count, r.started
 }
 
 // Offer feeds one received fragment. When the element completes, it

@@ -464,3 +464,153 @@ func FuzzReassemble(f *testing.F) {
 		}
 	})
 }
+
+// fuzzValue builds a value from fuzzer bytes: kind picks the type — every
+// one the codec encodes, and a few it rejects — data the contents, and
+// shape a slice's form: nil (0), exactly its length (1), or with spare
+// capacity (2).
+func fuzzValue(kind, shape byte, data []byte) dataflow.Value {
+	var w [8]byte
+	copy(w[:], data)
+	u := binary.BigEndian.Uint64(w[:])
+	switch kind % 17 {
+	case 0:
+		return nil
+	case 1:
+		return u&1 == 1
+	case 2:
+		return int16(u)
+	case 3:
+		return int32(u)
+	case 4:
+		return int64(u)
+	case 5:
+		return int(u)
+	case 6:
+		return math.Float32frombits(uint32(u))
+	case 7:
+		return math.Float64frombits(u)
+	case 8:
+		return fuzzSlice(shape, len(data), func(i int) byte { return data[i] })
+	case 9:
+		return string(data)
+	case 10:
+		return fuzzSlice(shape, len(data)/2, func(i int) int16 { return int16(binary.BigEndian.Uint16(data[2*i:])) })
+	case 11:
+		return fuzzSlice(shape, len(data)/4, func(i int) int32 { return int32(binary.BigEndian.Uint32(data[4*i:])) })
+	case 12:
+		return fuzzSlice(shape, len(data)/4, func(i int) float32 { return math.Float32frombits(binary.BigEndian.Uint32(data[4*i:])) })
+	case 13:
+		return fuzzSlice(shape, len(data)/8, func(i int) float64 { return math.Float64frombits(binary.BigEndian.Uint64(data[8*i:])) })
+	case 14:
+		return struct{ X uint64 }{u}
+	case 15:
+		return fuzzSlice(shape, len(data)/8, func(i int) int { return int(binary.BigEndian.Uint64(data[8*i:])) })
+	default:
+		return uint8(u)
+	}
+}
+
+func fuzzSlice[T any](shape byte, n int, elem func(int) T) []T {
+	if shape%3 == 0 && n == 0 {
+		return nil
+	}
+	s := make([]T, n, n+int(shape%3/2)*3)
+	for i := range s {
+		s[i] = elem(i)
+	}
+	return s
+}
+
+// FuzzWireSize holds the closed forms in-process delivery relies on to the
+// codec: Size is the length Marshal encodes to (and fails exactly where
+// Marshal does), and Canonical is what Unmarshal decodes — the same
+// dynamic type, the same bits, a slice nil exactly when the decoder's is,
+// and no spare capacity.
+func FuzzWireSize(f *testing.F) {
+	for kind := byte(0); kind < 17; kind++ {
+		for shape := byte(0); shape < 3; shape++ {
+			f.Add(kind, shape, []byte{})
+			f.Add(kind, shape, []byte{0x80, 1, 2, 3, 0xff, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+		}
+	}
+	for _, n := range []int{127, 128, 16383, 16384} { // uvarint length boundaries
+		f.Add(byte(8), byte(1), make([]byte, n))
+		f.Add(byte(10), byte(2), make([]byte, 2*n))
+	}
+	f.Fuzz(func(t *testing.T, kind, shape byte, data []byte) {
+		v := fuzzValue(kind, shape, data)
+		n, ok := Size(v)
+		enc, err := Marshal(v)
+		if ok != (err == nil) {
+			t.Fatalf("%T: Size ok=%v, Marshal err=%v", v, ok, err)
+		}
+		if !ok {
+			return
+		}
+		if n != len(enc) {
+			t.Fatalf("%T: Size %d, Marshal %d bytes", v, n, len(enc))
+		}
+		want, _, err := Unmarshal(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Canonical(v)
+		if reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Fatalf("Canonical(%T) is %T, Unmarshal gives %T", v, got, want)
+		}
+		if genc, err := Marshal(got); err != nil || !bytes.Equal(genc, enc) {
+			t.Fatalf("Canonical(%T) encodes to % x (err %v), want % x", v, genc, err, enc)
+		}
+		if rw := reflect.ValueOf(want); rw.Kind() == reflect.Slice {
+			rg := reflect.ValueOf(got)
+			if rg.IsNil() != rw.IsNil() || rg.Cap() != rg.Len() {
+				t.Fatalf("Canonical(%T): nil=%v cap=%d len=%d, Unmarshal nil=%v",
+					v, rg.IsNil(), rg.Cap(), rg.Len(), rw.IsNil())
+			}
+		}
+	})
+}
+
+// TestSavePartialSnapshot pins the by-value partial frame against the
+// Reassembler's own: offered the fragments in a mask, a Reassembler saves
+// exactly what SavePartialSnapshot writes from the encoding.
+func TestSavePartialSnapshot(t *testing.T) {
+	frame := make([]int16, 203)
+	for i := range frame {
+		frame[i] = int16(i*7 - 300)
+	}
+	enc, err := Marshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payload = 28
+	frags, err := Fragment(enc, 65535, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var have FragmentMask
+		var r Reassembler
+		for i, f := range frags[:len(frags)-1] { // one always missing: a partial
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			have.Set(i)
+			if _, done, err := r.Offer(f); err != nil || done {
+				t.Fatalf("offer %d: done=%v err=%v", i, done, err)
+			}
+		}
+		if _, _, ok := r.Pending(); !ok {
+			continue // nothing offered: no partial to compare
+		}
+		want := NewSnapshotWriter()
+		r.SaveSnapshot(want)
+		got := NewSnapshotWriter()
+		SavePartialSnapshot(got, 65535, len(frags), enc, payload, &have)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: partial frame\n% x\nwant\n% x", trial, got.Bytes(), want.Bytes())
+		}
+	}
+}
