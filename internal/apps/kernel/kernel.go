@@ -7,7 +7,11 @@
 // that need a temporary — the FFT's complex workspace, the cepstral stage's
 // dequantized frame — borrow it from a pooled dsp.Scratch, which the
 // adapters acquire per call and release before emit. The output a kernel
-// fills is always freshly made, never scratch.
+// fills is never scratch: it comes from dataflow.Frame, which makes it
+// fresh unless the compiled engine recycles the operator — every consumer
+// borrows its input, so the frame is dead once the dispatch run that
+// emitted it is over. Both adapters declare Borrows: a kernel reads its
+// input only while it runs.
 package kernel
 
 import (
@@ -15,16 +19,18 @@ import (
 	"wishbone/internal/dsp"
 )
 
-// Frames sets op's Work and BatchWork from a frame→frame kernel and
-// returns op. k reads in and fills out, which arrives zeroed at length
-// outLen(in); it must not retain in, out or any slice of sc. Work makes one
-// output per element; BatchWork makes one slab per batch and hands k
-// consecutive cap-limited pieces of it, so emitted frames never overlap.
+// Frames sets op's Work and BatchWork from a frame→frame kernel, marks op
+// Borrows and returns op. k reads in and fills out, which arrives zeroed at
+// length outLen(in); it must not retain in, out or any slice of sc. Work
+// takes one dataflow.Frame per element; BatchWork takes one per batch and
+// hands k consecutive cap-limited pieces of it, so emitted frames never
+// overlap.
 func Frames[In, E any](op *dataflow.Operator, outLen func(In) int,
 	k func(ctx *dataflow.Ctx, sc *dsp.Scratch, in In, out []E)) *dataflow.Operator {
+	op.Borrows = true
 	op.Work = func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 		in := v.(In)
-		out := make([]E, outLen(in))
+		out := dataflow.Frame[E](ctx, outLen(in))
 		sc := dsp.GetScratch()
 		k(ctx, sc, in, out)
 		dsp.PutScratch(sc)
@@ -35,7 +41,7 @@ func Frames[In, E any](op *dataflow.Operator, outLen func(In) int,
 		for _, v := range vs {
 			total += outLen(v.(In))
 		}
-		slab := make([]E, total)
+		slab := dataflow.Frame[E](ctx, total)
 		outs := make([]dataflow.Value, len(vs))
 		sc := dsp.GetScratch()
 		for i, v := range vs {
@@ -53,9 +59,11 @@ func Frames[In, E any](op *dataflow.Operator, outLen func(In) int,
 }
 
 // Scalars is Frames for a frame→scalar kernel: k's result is the emitted
-// value.
+// value. k must not retain in, and must not return it (or anything backed
+// by it): the operator Borrows its input.
 func Scalars[In, Out any](op *dataflow.Operator,
 	k func(ctx *dataflow.Ctx, sc *dsp.Scratch, in In) Out) *dataflow.Operator {
+	op.Borrows = true
 	op.Work = func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 		sc := dsp.GetScratch()
 		out := k(ctx, sc, v.(In))

@@ -69,6 +69,11 @@ type Program struct {
 	batch    []BatchWorkFunc // non-nil only when opts.Batch; per-op nil = not batch-capable
 	newState []func() any
 
+	// recycle marks operators whose output frames may come from a slab
+	// reused across dispatch runs (see Frame): included, with no cut
+	// out-edge, and every internal consumer Borrows.
+	recycle []bool
+
 	// Batch-hit accounting, indexed by operator ID (allocated only when
 	// opts.Batch): how many elements each operator processed in total and
 	// how many of those arrived through a BatchWork dispatch. Instances
@@ -171,9 +176,15 @@ func Compile(g *Graph, opts CompileOptions) (*Program, error) {
 			p.outCut[from] = append(p.outCut[from], f)
 		}
 	}
+	p.recycle = make([]bool, n)
 	for _, op := range g.Operators() {
-		if p.included[op.ID()] && p.newState[op.ID()] != nil {
-			p.statefulIDs = append(p.statefulIDs, int32(op.ID()))
+		id := op.ID()
+		if p.included[id] && p.newState[id] != nil {
+			p.statefulIDs = append(p.statefulIDs, int32(id))
+		}
+		p.recycle[id] = p.included[id] && p.work[id] != nil && len(p.outCut[id]) == 0
+		for _, f := range p.outInt[id] {
+			p.recycle[id] = p.recycle[id] && g.ops[f.op].Borrows
 		}
 	}
 	if opts.Batch {

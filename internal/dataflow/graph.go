@@ -64,6 +64,12 @@ type Ctx struct {
 	// every replica.
 	NodeID int
 	State  any
+
+	// epoch and slab back Frame: epoch points at the owning Instance's
+	// run counter when the compiled Program recycles this operator's
+	// output (nil otherwise), and slab is the operator's *frameSlab.
+	epoch *uint64
+	slab  any
 }
 
 // WorkFunc processes one input element. port identifies which input stream
@@ -74,13 +80,16 @@ type Ctx struct {
 // emitted, so the function never writes to v and does not keep it beyond
 // the call except by queueing it in operator state or passing it along;
 // every value it emits is its to give away — never backed by a buffer the
-// function, or a pool it draws from, will write again; and reusable scratch
-// is borrowed and released within the call, before emit, because emit may
-// run the downstream work function to completion before it returns (the
-// depth-first Executor does) and other goroutines may be running this same
-// operator for other nodes. A dispatch should allocate the values it emits
-// and nothing else (internal/apps/kernel derives conforming functions from
-// one kernel).
+// function, or a pool it draws from, will write again, with one exception:
+// a frame from Frame, which the engine hands out from a slab it reuses only
+// once the dispatch run that emitted the frame is over, and only for an
+// operator whose every consumer Borrows its input (nothing can then hold
+// the frame past that run). Reusable scratch is borrowed and released
+// within the call, before emit, because emit may run the downstream work
+// function to completion before it returns (the depth-first Executor does)
+// and other goroutines may be running this same operator for other nodes.
+// A dispatch should allocate the values it emits and nothing else
+// (internal/apps/kernel derives conforming functions from one kernel).
 type WorkFunc func(ctx *Ctx, port int, v Value, emit Emit)
 
 // EmitBatch sends a run of elements downstream, in order, as one batch.
@@ -100,8 +109,8 @@ type EmitBatch func(vs []Value)
 // to emit must be freshly produced, never its input. WorkFunc's memory
 // contract holds element by element: inputs are never written, emitted
 // values are never backed by reused scratch (several may share one slab
-// allocated for the batch, as disjoint cap-limited pieces), and scratch is
-// released before emit.
+// allocated for the batch, or one frame from Frame, as disjoint cap-limited
+// pieces), and scratch is released before emit.
 type BatchWorkFunc func(ctx *Ctx, port int, vs []Value, emit EmitBatch)
 
 // Operator is one vertex of the dataflow graph.
@@ -139,6 +148,13 @@ type Operator struct {
 	// BatchWorkFunc for the equivalence contract). Operators without one
 	// always run element at a time.
 	BatchWork BatchWorkFunc
+
+	// Borrows declares that Work and BatchWork read their input only
+	// during the dispatch: they neither keep it (in state or anywhere else)
+	// nor emit it. It is what lets a compiled Program recycle a producer's
+	// output frames (see Frame): a producer recycles iff it has no cut
+	// out-edge and every consumer inside its partition Borrows.
+	Borrows bool
 
 	// BatchStateSafe opts a stateful operator into batched dispatch: the
 	// operator asserts its BatchWork applies state updates in per-element

@@ -42,6 +42,13 @@ type Instance struct {
 	heap    []int32 // min-heap of schedule positions with pending input
 	running bool
 
+	// epoch counts top-level dispatch runs. Nothing a run emits outlives
+	// it except through a cut edge, operator state or an operator that
+	// re-emits its input, which the Program's recycle table rules out, so
+	// a recycling operator's Frame slab restarts whenever epoch moves (a
+	// Reset needs no tick of its own: every Frame call is inside a run).
+	epoch uint64
+
 	// scratch gathers a multi-entry run into one contiguous slice for a
 	// BatchWork dispatch. Drains never nest (re-entrant run calls return
 	// immediately) and a BatchWork may not retain its input, so one scratch
@@ -99,6 +106,9 @@ func (p *Program) NewInstance(nodeID int) *Instance {
 	for i := range in.ctxs {
 		in.ctxs[i].NodeID = nodeID
 		in.ctxs[i].State = in.states[i]
+		if p.recycle[i] {
+			in.ctxs[i].epoch = &in.epoch
+		}
 	}
 	for i := range in.emits {
 		id := int32(i)
@@ -460,6 +470,7 @@ func (in *Instance) run() {
 		return
 	}
 	in.running = true
+	in.epoch++
 	p := in.p
 	for len(in.heap) > 0 {
 		pos := in.heapPop()

@@ -40,10 +40,12 @@ func TestBatchedRunParity(t *testing.T) {
 			},
 			Seed: int64(tc.prefix),
 		}
+		rec, restore := runtime.RecordServerSinks(cfg.Graph, cfg.OnNode)
 		batched, err := runtime.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		batchedSinks := rec.Take(t)
 		perElemCfg, err := runtime.PerElementPrograms(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -52,9 +54,16 @@ func TestBatchedRunParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		perElemSinks := rec.Take(t)
 		legacy, err := runtime.RunReference(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		legacySinks := rec.Take(t)
+		restore()
+		if batchedSinks != perElemSinks || batchedSinks != legacySinks {
+			t.Errorf("cut %d shards %d: server sinks got different values: batched %+v, per-element %+v, legacy %+v",
+				tc.prefix, tc.shards, batchedSinks, perElemSinks, legacySinks)
 		}
 		if *batched != *perElem {
 			t.Errorf("cut %d shards %d: batched diverged from per-element:\nbatched: %+v\nperElem: %+v",

@@ -12,19 +12,29 @@ import (
 )
 
 // runBoth executes the same configuration under the shipped engine and the
-// tree-walking reference (RunReference) and asserts byte-identical Results.
+// tree-walking reference (RunReference) and asserts byte-identical Results
+// and the same values at every server-side sink (a Result holds counts,
+// which a frame overwritten after its consumer read it does not move).
 func runBoth(t *testing.T, cfg runtime.Config) *runtime.Result {
 	t.Helper()
+	rec, restore := runtime.RecordServerSinks(cfg.Graph, cfg.OnNode)
+	defer restore()
 	legacy, err := runtime.RunReference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	legacySinks := rec.Take(t)
 	compiled, err := runtime.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	compiledSinks := rec.Take(t)
 	if *legacy != *compiled {
 		t.Fatalf("engines diverge:\nlegacy:   %+v\ncompiled: %+v", *legacy, *compiled)
+	}
+	if legacySinks != compiledSinks {
+		t.Fatalf("engines hand the server sinks different values:\nlegacy:   %+v\ncompiled: %+v",
+			legacySinks, compiledSinks)
 	}
 	return compiled
 }

@@ -33,9 +33,12 @@ var sessionVariants = []struct {
 }
 
 // runSessionVariants drives cfg's arrival streams through a Session per
-// variant and requires every Result to be byte-identical to ref.
-func runSessionVariants(t *testing.T, cfg Config, ref *Result, refName string) {
+// variant and requires every Result to be byte-identical to ref, and the
+// values every variant hands the server-side sinks to match refSinks.
+func runSessionVariants(t *testing.T, cfg Config, ref *Result, refSinks SinkDigest, refName string) {
 	t.Helper()
+	rec, restore := RecordServerSinks(cfg.Graph, cfg.OnNode)
+	defer restore()
 	for _, v := range sessionVariants {
 		c := cfg
 		c.Shards = v.shards
@@ -51,7 +54,24 @@ func runSessionVariants(t *testing.T, cfg Config, ref *Result, refName string) {
 		if *res != *ref {
 			t.Fatalf("%s diverges from %s:\nref: %+v\ngot: %+v", v.name, refName, *ref, *res)
 		}
+		if got := rec.Take(t); got != refSinks {
+			t.Fatalf("%s hands the server sinks different values from %s:\nref: %+v\ngot: %+v",
+				v.name, refName, refSinks, got)
+		}
 	}
+}
+
+// runSinks is Run with the values reaching cfg's server-side sinks
+// digested.
+func runSinks(t *testing.T, cfg Config) (*Result, SinkDigest) {
+	t.Helper()
+	rec, restore := RecordServerSinks(cfg.Graph, cfg.OnNode)
+	defer restore()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rec.Take(t)
 }
 
 // feedStreams pushes cfg.ArrivalSource's merged streams through sess —
@@ -90,10 +110,7 @@ func TestSessionParitySpeech(t *testing.T) {
 			Seed:     int64(40 + prefix),
 			Inputs:   func(nodeID int) []profile.Input { return traces[nodeID] },
 		}
-		batch, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batch, batchSinks := runSinks(t, cfg)
 		if batch.MsgsSent == 0 || batch.ServerEmits == 0 {
 			t.Fatalf("cut %d: degenerate run %+v", prefix, *batch)
 		}
@@ -103,7 +120,7 @@ func TestSessionParitySpeech(t *testing.T) {
 		stream.ArrivalSource = func(nodeID int) (Stream, error) {
 			return InputStream(traces[nodeID], 1, cfg.Duration)
 		}
-		runSessionVariants(t, stream, batch, "batch")
+		runSessionVariants(t, stream, batch, batchSinks, "batch")
 	}
 }
 
@@ -132,10 +149,7 @@ func TestSessionParityEEG(t *testing.T) {
 	if shardable(&cfg) {
 		t.Fatal("EEG app must exercise the sequential-delivery fallback")
 	}
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch, batchSinks := runSinks(t, cfg)
 	if batch.InputEvents == 0 {
 		t.Fatal("no input offered")
 	}
@@ -145,7 +159,7 @@ func TestSessionParityEEG(t *testing.T) {
 	stream.ArrivalSource = func(nodeID int) (Stream, error) {
 		return InputStream(inputs, 1, cfg.Duration)
 	}
-	runSessionVariants(t, stream, batch, "batch")
+	runSessionVariants(t, stream, batch, batchSinks, "batch")
 }
 
 // orderedStreamApp is streamApp with report made stateful in the Server
@@ -200,17 +214,14 @@ func TestSessionParityReduce(t *testing.T) {
 		if shardable(&cfg) == tc.order {
 			t.Fatalf("%s: shardable=%v", tc.name, shardable(&cfg))
 		}
-		batch, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batch, batchSinks := runSinks(t, cfg)
 		stream := cfg
 		stream.Inputs = nil
 		stream.WindowSeconds = 16
 		stream.ArrivalSource = func(nodeID int) (Stream, error) {
 			return InputStream(inputs, 1, cfg.Duration)
 		}
-		runSessionVariants(t, stream, batch, tc.name+" batch")
+		runSessionVariants(t, stream, batch, batchSinks, tc.name+" batch")
 	}
 }
 
