@@ -85,11 +85,12 @@ func BenchmarkAblationPreprocessing(b *testing.B) {
 	spec := env.Spec(platform.TMoteSky())
 	for _, pre := range []bool{true, false} {
 		b.Run(fmt.Sprintf("preprocess=%v", pre), func(b *testing.B) {
-			opts := core.Options{Formulation: core.Restricted, Preprocess: pre,
-				GapTol: 0.01, TimeLimit: 60 * time.Second}
+			opts := core.Options{Formulation: core.Restricted, Preprocess: pre, GapTol: 0.01}
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				asg, err := core.Partition(context.Background(), spec, opts)
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				asg, err := core.Partition(ctx, spec, opts)
+				cancel()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -160,11 +160,12 @@ func main() {
 		}
 		out(&experiments.Table{
 			Title:  "§4.2: ILP scale",
-			Header: []string{"operators", "clusters", "vars", "constraints", "solve s", "B&B nodes"},
+			Header: []string{"operators", "clusters", "vars", "constraints", "solve s", "B&B nodes", "objective", "gap %"},
 			Rows: [][]string{{
 				fmt.Sprint(res.Operators), fmt.Sprint(res.ClustersAfter),
 				fmt.Sprint(res.Variables), fmt.Sprint(res.Constraints),
 				fmt.Sprintf("%.2f", res.SolveSeconds), fmt.Sprint(res.SolverBBNodes),
+				fmt.Sprintf("%.0f", res.Objective), fmt.Sprintf("%.3f", 100*res.Gap),
 			}},
 		})
 	}

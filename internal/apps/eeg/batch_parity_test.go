@@ -56,7 +56,7 @@ func TestBatchedChannelParity(t *testing.T) {
 	}
 
 	ref, _ := run(dataflow.CompileOptions{})
-	got, prog := run(dataflow.CompileOptions{Batch: true, BatchMode: dataflow.Permissive})
+	got, prog := run(dataflow.CompileOptions{Batch: true})
 
 	if len(ref.boundary) == 0 {
 		t.Fatal("reference run produced no boundary traffic")
@@ -112,10 +112,9 @@ func TestSVMBatchDeliveryParity(t *testing.T) {
 		// Include the server ops only up to svm so svm→detect is a cut
 		// edge and its margins are observable.
 		prog, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{
-			Include:   func(op *dataflow.Operator) bool { return op.Name != "detect" && op.Name != "sink" },
-			CountOps:  true,
-			Batch:     true,
-			BatchMode: dataflow.Permissive,
+			Include:  func(op *dataflow.Operator) bool { return op.Name != "detect" && op.Name != "sink" },
+			CountOps: true,
+			Batch:    true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -55,7 +55,7 @@ func TestBatchedPipelineParity(t *testing.T) {
 	}
 
 	ref, _ := run(dataflow.CompileOptions{})
-	got, prog := run(dataflow.CompileOptions{Batch: true, BatchMode: dataflow.Permissive})
+	got, prog := run(dataflow.CompileOptions{Batch: true})
 
 	if len(ref.boundary) == 0 {
 		t.Fatal("reference run produced no boundary traffic")

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"wishbone/internal/dataflow"
 	"wishbone/internal/ilp"
@@ -18,17 +17,10 @@ type Options struct {
 	// DefaultOptions; the ablation bench turns it off).
 	Preprocess bool
 
-	// Solver limits (zero values mean unlimited / exact proof).
-	TimeLimit time.Duration
-	GapTol    float64
-	MaxNodes  int
-
-	// Cutoff optionally feeds the branch-and-bound an external upper
-	// bound — a feasible α·cpu + β·net objective some other backend
-	// already holds (the race incumbent). Only sound for the Restricted
-	// formulation, where the ILP objective equals the assignment
-	// objective exactly; Exact.Solve installs it there and nowhere else.
-	Cutoff func() (float64, bool)
+	// Solver limits (zero values mean unlimited / exact proof). A
+	// wall-clock budget is a ctx deadline, not an option.
+	GapTol   float64
+	MaxNodes int
 }
 
 // DefaultOptions returns the paper-default options: restricted formulation
@@ -56,12 +48,21 @@ func (e *ErrInfeasible) Error() string {
 // Partition solves the partitioning problem exactly and returns the optimal
 // assignment. It returns *ErrInfeasible when the budgets cannot be met.
 //
-// ctx interrupts the branch-and-bound search (alongside Options.TimeLimit
-// and MaxNodes): when the search stops early with a feasible incumbent in
+// ctx interrupts the branch-and-bound search (alongside Options.MaxNodes
+// and GapTol): when the search stops early with a feasible incumbent in
 // hand, Partition returns that incumbent with its proven optimality gap
 // recorded in Stats.Gap instead of an error; cancellation before any
 // incumbent exists returns ctx's error.
 func Partition(ctx context.Context, s *Spec, opts Options) (*Assignment, error) {
+	return partition(ctx, s, opts, nil)
+}
+
+// partition is Partition with an optional external upper bound: bound
+// reads a feasible α·cpu + β·net objective some other backend already
+// holds (the race incumbent), which the branch-and-bound prunes against.
+// Only the Restricted formulation uses it, where the ILP objective equals
+// the assignment objective exactly.
+func partition(ctx context.Context, s *Spec, opts Options, bound func() (float64, bool)) (*Assignment, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,14 +188,13 @@ func Partition(ctx context.Context, s *Spec, opts Options) (*Assignment, error) 
 	// assignment-space bound unsound there).
 	var cutoff func() (float64, bool)
 	if opts.Formulation == Restricted {
-		cutoff = opts.Cutoff
+		cutoff = bound
 	}
 	res, err := ilp.Solve(ctx, m, ilp.Options{
-		TimeLimit: opts.TimeLimit,
-		GapTol:    opts.GapTol,
-		MaxNodes:  opts.MaxNodes,
-		Rounder:   rounder,
-		Cutoff:    cutoff,
+		GapTol:   opts.GapTol,
+		MaxNodes: opts.MaxNodes,
+		Rounder:  rounder,
+		Cutoff:   cutoff,
 	})
 	if err != nil {
 		return nil, err
@@ -214,7 +214,7 @@ func Partition(ctx context.Context, s *Spec, opts Options) (*Assignment, error) 
 	case ilp.StatusOptimal:
 		// fall through to extraction with a proved (zero) gap
 	case ilp.StatusFeasible:
-		// Interrupted by a limit or ctx deadline with an incumbent: return
+		// Interrupted by a limit or by ctx with an incumbent: return
 		// it and record how far from proved-optimal it may be.
 		stats.Gap = res.Gap
 	case ilp.StatusInfeasible:

@@ -17,9 +17,9 @@ const (
 	SolverRace       = "race"
 )
 
-// Limits carries per-call state into one Solve call; a solve's bounds
-// (TimeLimit, MaxNodes, GapTol) live in the backend's Options. Every
-// backend must honor ctx cancellation.
+// Limits carries per-call state into one Solve call; a solve's count
+// limits (MaxNodes, GapTol) live in the backend's Options and its
+// wall-clock budget is ctx. Every backend must honor ctx cancellation.
 type Limits struct {
 	// Incumbent optionally shares feasible objectives between concurrently
 	// racing backends: every backend Offers what it finds, and bound-aware
@@ -144,12 +144,12 @@ func (Exact) Name() string { return SolverExact }
 // racing ties stay exact wins by construction. Exact also Offers its
 // result to the shared bound for the other backends' benefit.
 func (e Exact) Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, BackendStats, error) {
-	opts := e.Opts
-	if inc := lim.Incumbent; inc != nil && opts.Cutoff == nil {
-		opts.Cutoff = inc.Best
+	var bound func() (float64, bool)
+	if inc := lim.Incumbent; inc != nil {
+		bound = inc.Best
 	}
 	start := time.Now()
-	asg, err := Partition(ctx, s, opts)
+	asg, err := partition(ctx, s, e.Opts, bound)
 	stats := BackendStats{Backend: SolverExact, Seconds: time.Since(start).Seconds()}
 	if asg != nil {
 		stats.Iterations = asg.Stats.Nodes

@@ -233,7 +233,7 @@ type SolveStats struct {
 	Solver string
 
 	// Gap is the relative optimality gap at termination: 0 when optimality
-	// was proved, positive when a time/node limit (or ctx deadline) stopped
+	// was proved, positive when a node or gap limit (or the ctx) stopped
 	// the search with an incumbent, or when a heuristic backend bounded its
 	// answer against a dual bound. Negative means no bound is known (the
 	// greedy baseline).

@@ -65,68 +65,52 @@ func TestBatchCapableClassification(t *testing.T) {
 	cases := []struct {
 		name string
 		op   *Operator
-		mode Mode
 		want bool
 	}{
-		{"stateless with BatchWork", &Operator{Work: work, BatchWork: bwork}, Conservative, true},
-		{"stateless without BatchWork", &Operator{Work: work}, Permissive, false},
-		{"source (no Work)", &Operator{BatchWork: bwork}, Permissive, false},
-		{"stateful without opt-in", &Operator{Stateful: true, Work: work, BatchWork: bwork}, Permissive, false},
-		{"stateful server opt-in conservative", &Operator{NS: NSServer, Stateful: true, BatchStateSafe: true, Work: work, BatchWork: bwork}, Conservative, true},
-		{"stateful node opt-in permissive", &Operator{NS: NSNode, Stateful: true, BatchStateSafe: true, Work: work, BatchWork: bwork}, Permissive, true},
-		// The satellite requirement: a stateful Node-namespace operator is
-		// never auto-batched in Conservative mode, opt-in or not.
-		{"stateful node opt-in conservative", &Operator{NS: NSNode, Stateful: true, BatchStateSafe: true, Work: work, BatchWork: bwork}, Conservative, false},
+		{"stateless with BatchWork", &Operator{Work: work, BatchWork: bwork}, true},
+		{"stateless without BatchWork", &Operator{Work: work}, false},
+		{"source (no Work)", &Operator{BatchWork: bwork}, false},
+		{"stateful without opt-in", &Operator{Stateful: true, Work: work, BatchWork: bwork}, false},
+		{"stateful server opt-in", &Operator{NS: NSServer, Stateful: true, BatchStateSafe: true, Work: work, BatchWork: bwork}, true},
+		{"stateful node opt-in", &Operator{NS: NSNode, Stateful: true, BatchStateSafe: true, Work: work, BatchWork: bwork}, true},
 	}
 	for _, c := range cases {
-		if got := BatchCapable(c.op, c.mode); got != c.want {
+		if got := BatchCapable(c.op); got != c.want {
 			t.Errorf("%s: BatchCapable = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
-// TestConservativeNeverBatchesStatefulNodeOp pins the compile-level half of
-// the classification rule: a Conservative Batch program must route a
-// stateful Node-namespace operator through its per-element Work even when
-// input arrives as one batch, while Permissive dispatches its BatchWork.
-func TestConservativeNeverBatchesStatefulNodeOp(t *testing.T) {
-	build := func() (*Graph, *Operator, *int, *int) {
-		g := New()
-		batchCalls, elemCalls := new(int), new(int)
-		src := g.Add(&Operator{Name: "src", NS: NSNode, SideEffect: true})
-		st := g.Add(&Operator{Name: "st", NS: NSNode, Stateful: true,
-			BatchStateSafe: true,
-			NewState:       func() any { return new(int) },
-			Work: func(ctx *Ctx, _ int, v Value, emit Emit) {
-				*elemCalls++
-				emit(v)
-			},
-			BatchWork: func(ctx *Ctx, _ int, vs []Value, emit EmitBatch) {
-				*batchCalls++
-				out := make([]Value, len(vs))
-				copy(out, vs)
-				emit(out)
-			}})
-		g.Connect(src, st, 0)
-		return g, src, batchCalls, elemCalls
-	}
+// TestStateSafeNodeOpBatches pins the compile-level half of the
+// classification rule: a Batch program dispatches a stateful
+// Node-namespace operator that opted in with BatchStateSafe through its
+// BatchWork when input arrives as one batch.
+func TestStateSafeNodeOpBatches(t *testing.T) {
+	g := New()
+	batchCalls, elemCalls := 0, 0
+	src := g.Add(&Operator{Name: "src", NS: NSNode, SideEffect: true})
+	st := g.Add(&Operator{Name: "st", NS: NSNode, Stateful: true,
+		BatchStateSafe: true,
+		NewState:       func() any { return new(int) },
+		Work: func(ctx *Ctx, _ int, v Value, emit Emit) {
+			elemCalls++
+			emit(v)
+		},
+		BatchWork: func(ctx *Ctx, _ int, vs []Value, emit EmitBatch) {
+			batchCalls++
+			out := make([]Value, len(vs))
+			copy(out, vs)
+			emit(out)
+		}})
+	g.Connect(src, st, 0)
 
-	for _, mode := range []Mode{Conservative, Permissive} {
-		g, src, batchCalls, elemCalls := build()
-		prog, err := Compile(g, CompileOptions{Batch: true, BatchMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog.NewInstance(0).InjectBatch(src, []Value{1, 2, 3})
-		if mode == Conservative {
-			if *batchCalls != 0 || *elemCalls != 3 {
-				t.Fatalf("conservative: batch=%d elem=%d, want 0/3", *batchCalls, *elemCalls)
-			}
-		} else {
-			if *batchCalls != 1 || *elemCalls != 0 {
-				t.Fatalf("permissive: batch=%d elem=%d, want 1/0", *batchCalls, *elemCalls)
-			}
-		}
+	prog, err := Compile(g, CompileOptions{Batch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.NewInstance(0).InjectBatch(src, []Value{1, 2, 3})
+	if batchCalls != 1 || elemCalls != 0 {
+		t.Fatalf("batch=%d elem=%d, want 1/0", batchCalls, elemCalls)
 	}
 }
 
@@ -192,8 +176,8 @@ func TestBatchedParity(t *testing.T) {
 	// per-event peaks legitimately differ from element-at-a-time Inject —
 	// for both engines identically).
 	compare := map[string][2]result{
-		"batched-seq":    {run(CompileOptions{}, false), run(CompileOptions{Batch: true, BatchMode: Permissive}, false)},
-		"batched-inject": {run(CompileOptions{}, true), run(CompileOptions{Batch: true, BatchMode: Permissive}, true)},
+		"batched-seq":    {run(CompileOptions{}, false), run(CompileOptions{Batch: true}, false)},
+		"batched-inject": {run(CompileOptions{}, true), run(CompileOptions{Batch: true}, true)},
 	}
 	for name, pair := range compare {
 		ref, got := pair[0], pair[1]
@@ -217,7 +201,7 @@ func TestBatchedParity(t *testing.T) {
 	// The batch-injected run must actually have exercised BatchWork.
 	stats := func() []BatchStat {
 		g, src := batchedGraph()
-		prog, err := Compile(g, CompileOptions{Include: include, Batch: true, BatchMode: Permissive})
+		prog, err := Compile(g, CompileOptions{Include: include, Batch: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +263,7 @@ func TestPushBatchMatchesRepeatedPush(t *testing.T) {
 	feed := [][2]any{{0, 1}, {0, 2}, {1, 10}, {1, 20}, {0, 3}, {1, 30}}
 
 	g1, join1, out1 := build()
-	prog1, err := Compile(g1, CompileOptions{Batch: true, BatchMode: Permissive})
+	prog1, err := Compile(g1, CompileOptions{Batch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +275,7 @@ func TestPushBatchMatchesRepeatedPush(t *testing.T) {
 	}
 
 	g2, join2, out2 := build()
-	prog2, err := Compile(g2, CompileOptions{Batch: true, BatchMode: Permissive})
+	prog2, err := Compile(g2, CompileOptions{Batch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +336,7 @@ func TestInjectBatchReentrantEmit(t *testing.T) {
 		// Sequential injection: the re-entrant event is enqueued while
 		// echo's single-item queue is mid-drain.
 		g1, src1, out1, ip1 := build()
-		prog1, err := Compile(g1, CompileOptions{Batch: batch, BatchMode: Permissive})
+		prog1, err := Compile(g1, CompileOptions{Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +348,7 @@ func TestInjectBatchReentrantEmit(t *testing.T) {
 		// Batched injection: the re-entrant event is enqueued while echo is
 		// draining a multi-item batch.
 		g2, src2, out2, ip2 := build()
-		prog2, err := Compile(g2, CompileOptions{Batch: batch, BatchMode: Permissive})
+		prog2, err := Compile(g2, CompileOptions{Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,28 +49,16 @@ func (p Placement) String() string {
 }
 
 // BatchCapable reports whether op's BatchWork may replace element-at-a-time
-// Work dispatch under mode. Stateless operators with a BatchWork qualify
+// Work dispatch. Stateless operators with a BatchWork qualify
 // unconditionally (they are insensitive to how input is grouped). Stateful
 // operators must opt in with BatchStateSafe, asserting per-element
-// state-update order inside the batch; and in Conservative mode a stateful
-// Node-namespace operator is never batched even then — the same caution
-// Classify applies when deciding whether such state may be relocated.
-// Operators without both a Work and a BatchWork never qualify (sources are
-// injected, not invoked).
-func BatchCapable(op *Operator, mode Mode) bool {
+// state-update order inside the batch. Operators without both a Work and a
+// BatchWork never qualify (sources are injected, not invoked).
+func BatchCapable(op *Operator) bool {
 	if op.BatchWork == nil || op.Work == nil {
 		return false
 	}
-	if !op.Stateful {
-		return true
-	}
-	if !op.BatchStateSafe {
-		return false
-	}
-	if mode == Conservative && op.NS == NSNode {
-		return false
-	}
-	return true
+	return !op.Stateful || op.BatchStateSafe
 }
 
 // Classification records, for every operator, whether it is pinned and

@@ -29,17 +29,12 @@ type CompileOptions struct {
 	MeasureEdges bool
 
 	// Batch enables the coalescing scheduler: operators that are
-	// BatchCapable under BatchMode have runs of same-port queued input
-	// dispatched through their BatchWork in one invocation, and batches
-	// forwarded whole along internal edges. Results, cost counters, and
-	// invocation counts are bit-identical to per-element dispatch (the
-	// BatchWorkFunc contract); single-element runs always take the
-	// per-element Work path.
+	// BatchCapable have runs of same-port queued input dispatched through
+	// their BatchWork in one invocation, and batches forwarded whole along
+	// internal edges. Results, cost counters, and invocation counts are
+	// bit-identical to per-element dispatch (the BatchWorkFunc contract);
+	// single-element runs always take the per-element Work path.
 	Batch bool
-
-	// BatchMode is the classification mode batch capability is judged
-	// under (see BatchCapable); only meaningful when Batch is set.
-	BatchMode Mode
 }
 
 // fanout is one precomputed output edge of an operator: where the element
@@ -192,7 +187,7 @@ func Compile(g *Graph, opts CompileOptions) (*Program, error) {
 		p.statBatched = make([]int64, n)
 		p.statTotal = make([]int64, n)
 		for _, op := range g.Operators() {
-			if p.included[op.ID()] && BatchCapable(op, opts.BatchMode) {
+			if p.included[op.ID()] && BatchCapable(op) {
 				p.batch[op.ID()] = op.BatchWork
 			}
 		}

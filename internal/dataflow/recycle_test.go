@@ -16,7 +16,7 @@ func compileSides(t *testing.T, g *dataflow.Graph, onNode map[int]bool) (node, s
 	side := func(nodeSide bool) *dataflow.Program {
 		p, err := dataflow.Compile(g, dataflow.CompileOptions{
 			Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
-			Batch:   true, BatchMode: dataflow.Permissive,
+			Batch:   true,
 		})
 		if err != nil {
 			t.Fatal(err)

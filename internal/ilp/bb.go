@@ -14,7 +14,8 @@ const (
 	// StatusOptimal means an optimal solution was found and proved.
 	StatusOptimal Status = iota
 	// StatusFeasible means an incumbent exists but optimality was not
-	// proved within the limits (time, nodes, or gap tolerance reached).
+	// proved: the node cap or gap tolerance was reached, or ctx ended the
+	// search.
 	StatusFeasible
 	// StatusInfeasible means the problem has no feasible solution.
 	StatusInfeasible
@@ -40,10 +41,9 @@ func (s Status) String() string {
 	}
 }
 
-// Options control the branch-and-bound search.
+// Options control the branch-and-bound search. A search stops on these
+// counts or on its ctx; wall-clock budgets are ctx deadlines.
 type Options struct {
-	// TimeLimit bounds total solve time; zero means no limit.
-	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch-and-bound nodes; zero means no
 	// limit.
 	MaxNodes int
@@ -51,8 +51,6 @@ type Options struct {
 	// falls below this value; zero demands a full optimality proof. This is
 	// the paper's "approximate lower bound … termination condition" (§7.1).
 	GapTol float64
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
 	// Rounder optionally converts a fractional relaxation solution into a
 	// candidate integer solution using problem structure (Wishbone's
 	// partitioner rounds fractional placements toward the server, which is
@@ -78,6 +76,9 @@ type Options struct {
 	Cutoff func() (float64, bool)
 }
 
+// intTol is the integrality tolerance.
+const intTol = 1e-6
+
 // cutoffMargin is how far a subtree's bound must exceed the external
 // cutoff before it is pruned. It is wider than the race's tie tolerance
 // (1e-9) so equal-objective ties still surface the exact solution.
@@ -95,8 +96,7 @@ type Result struct {
 	DiscoverTime time.Duration
 	ProveTime    time.Duration
 
-	// Nodes is the number of branch-and-bound nodes solved; SimplexIters
-	// is unused padding for future reporting.
+	// Nodes is the number of branch-and-bound nodes solved.
 	Nodes int
 
 	// CutoffPruned counts subtrees discarded against the external
@@ -158,11 +158,10 @@ func (h *nodeHeap) Pop() any {
 // minimization bounds.
 //
 // The search is interruptible: it checks ctx between branch-and-bound
-// nodes (and folds any ctx deadline into the effective time limit). When
-// interrupted — by cancellation, deadline, TimeLimit, or MaxNodes — with a
-// feasible incumbent in hand, Solve returns StatusFeasible with the
-// incumbent and its proven gap rather than an error; only an interruption
-// before any incumbent exists surfaces ctx.Err().
+// nodes. When interrupted — by cancellation, a ctx deadline, or MaxNodes —
+// with a feasible incumbent in hand, Solve returns StatusFeasible with the
+// incumbent and its proven gap rather than an error; only a ctx
+// interruption before any incumbent exists surfaces ctx.Err().
 func Solve(ctx context.Context, m *Model, opts Options) (*Result, error) {
 	return search(ctx, m, opts, (*tableau).iterate)
 }
@@ -174,18 +173,6 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return &Result{Status: StatusError}, err
-	}
-	// Fold a ctx deadline into the time limit so both interrupt the same
-	// way: incumbent-with-gap when one exists.
-	timeLimit := opts.TimeLimit
-	if deadline, ok := ctx.Deadline(); ok {
-		if d := time.Until(deadline); timeLimit == 0 || d < timeLimit {
-			timeLimit = d
-		}
-	}
-	intTol := opts.IntTol
-	if intTol == 0 {
-		intTol = 1e-6
 	}
 	minimize := m.Direction() == Minimize
 	// Internal bound comparisons are on the minimization scale.
@@ -259,10 +246,6 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		if err := ctx.Err(); err != nil {
 			proved = false
 			canceled = true
-			break
-		}
-		if timeLimit > 0 && time.Since(start) > timeLimit {
-			proved = false
 			break
 		}
 		if opts.MaxNodes > 0 && nodes >= opts.MaxNodes {

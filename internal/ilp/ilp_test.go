@@ -10,7 +10,9 @@ import (
 
 func solveOrDie(t *testing.T, m *Model) *Result {
 	t.Helper()
-	res, err := Solve(context.Background(), m, Options{TimeLimit: 30 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := Solve(ctx, m, Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -260,7 +262,9 @@ func TestILPAgainstBruteForce(t *testing.T) {
 		m := randomBinaryProgram(rng)
 		minimize := m.Direction() == Minimize
 		want := bruteForceBinary(m, minimize)
-		res, err := Solve(context.Background(), m, Options{TimeLimit: 20 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		res, err := Solve(ctx, m, Options{})
+		cancel()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -43,11 +43,13 @@ func TestMaxNodesLimit(t *testing.T) {
 
 func TestGapTolStopsEarly(t *testing.T) {
 	m := hardKnapsack(16, 7)
-	exact, err := Solve(context.Background(), m, Options{TimeLimit: 20 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Second)
+	defer cancel()
+	exact, err := Solve(ctx, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Solve(context.Background(), m, Options{GapTol: 0.05, TimeLimit: 20 * time.Second})
+	loose, err := Solve(ctx, m, Options{GapTol: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +65,14 @@ func TestGapTolStopsEarly(t *testing.T) {
 	}
 }
 
+// TestTimeLimitRespected: a wall-clock budget is a ctx deadline, and the
+// search stops on it between nodes.
 func TestTimeLimitRespected(t *testing.T) {
 	m := hardKnapsack(40, 11)
 	start := time.Now()
-	res, err := Solve(context.Background(), m, Options{TimeLimit: 300 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	res, err := Solve(ctx, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

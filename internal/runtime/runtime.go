@@ -629,7 +629,7 @@ func CompilePartition(g *dataflow.Graph, onNode map[int]bool) (node, server *dat
 func compileSide(g *dataflow.Graph, onNode map[int]bool, nodeSide bool) (*dataflow.Program, error) {
 	return dataflow.Compile(g, dataflow.CompileOptions{
 		Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
-		Batch:   true, BatchMode: dataflow.Permissive,
+		Batch:   true,
 	})
 }
 
@@ -698,17 +698,9 @@ func identicalTraces(inputs [][]profile.Input) bool {
 	return true
 }
 
-// serverEngine abstracts the basestation-side executor: deliver one decoded
+// compiledServer is the basestation-side executor: it delivers one decoded
 // cut-edge element — or one origin's run of same-edge elements — with the
-// origin node's relocated state swapped in.
-type serverEngine interface {
-	deliver(m *message, val dataflow.Value) error
-	deliverBatch(nodeID int, e *dataflow.Edge, vals []dataflow.Value) error
-	emits() int
-	close()
-}
-
-// compiledServer executes the server partition as a compiled instance. The
+// origin node's relocated state swapped in, as a compiled instance. The
 // relocated stateful operators (§2.1.1) are precomputed at compile time, so
 // swapping in a message's origin-node state touches only those operators
 // instead of scanning the whole graph per message. One compiled Program
@@ -721,7 +713,7 @@ type compiledServer struct {
 	states    map[int]map[int]any // opID → nodeID → state
 }
 
-func newCompiledServer(cfg *Config, prog *dataflow.Program) serverEngine {
+func newCompiledServer(cfg *Config, prog *dataflow.Program) *compiledServer {
 	srv := &compiledServer{
 		prog:   prog,
 		inst:   prog.AcquireInstance(AggregateOrigin),

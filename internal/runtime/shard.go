@@ -34,7 +34,7 @@ import (
 type shardState struct {
 	seed    int64
 	payload int // the radio's packet payload, which fragments are cut to
-	engine  serverEngine
+	engine  *compiledServer
 	streams map[reasmKey]*edgeStream
 	rng     map[int]*netsim.LossSampler
 	res     Result

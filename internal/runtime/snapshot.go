@@ -170,10 +170,6 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 	eidx := edgeIndexes(cfg)
 	var enc []byte // a lazy partial's encoding, reused across streams
 	for _, sh := range d.shards {
-		srv, ok := sh.engine.(*compiledServer)
-		if !ok {
-			return nil, fmt.Errorf("runtime: snapshot requires the compiled engine")
-		}
 		st.MsgsReceived += sh.res.MsgsReceived
 		st.DeliveredBytes += sh.res.DeliveredBytes
 		st.ServerEmits += sh.engine.emits()
@@ -189,7 +185,7 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 			originOf(key.node).Streams = append(originOf(key.node).Streams,
 				EdgeStream{Edge: eidx[key.edge], Data: w.Bytes()})
 		}
-		for opID, tbl := range srv.states {
+		for opID, tbl := range sh.engine.states {
 			op := cfg.Graph.ByID(opID)
 			for nodeID, state := range tbl {
 				data, err := saveOperatorState(op, state)
@@ -205,7 +201,7 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 			if cfg.OnNode[op.ID()] || !op.Stateful || op.NewState == nil || op.NS != dataflow.NSServer {
 				continue
 			}
-			data, err := saveOperatorState(op, srv.inst.State(op))
+			data, err := saveOperatorState(op, sh.engine.inst.State(op))
 			if err != nil {
 				return nil, err
 			}
@@ -294,16 +290,12 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 			sh.streams[reasmKey{node: o.Origin, edge: edges[es.Edge]}] = st
 		}
 		if len(o.Ops) > 0 {
-			srv, ok := sh.engine.(*compiledServer)
-			if !ok {
-				return fmt.Errorf("runtime: restore requires the compiled engine")
-			}
 			for _, os := range o.Ops {
 				op, state, err := loadOpState(cfg, os)
 				if err != nil {
 					return err
 				}
-				tbl := srv.states[os.Op]
+				tbl := sh.engine.states[os.Op]
 				if tbl == nil {
 					return fmt.Errorf("runtime: snapshot state for %s, which is not relocated in this partition", op)
 				}
@@ -315,10 +307,7 @@ func (d *deliveryPlan) restoreState(cfg *Config, st *ShardState) error {
 		if len(d.shards) != 1 {
 			return fmt.Errorf("runtime: snapshot carries global server state but the plan has %d shards", len(d.shards))
 		}
-		srv, ok := d.shards[0].engine.(*compiledServer)
-		if !ok {
-			return fmt.Errorf("runtime: restore requires the compiled engine")
-		}
+		srv := d.shards[0].engine
 		for _, os := range st.Server {
 			op, state, err := loadOpState(cfg, os)
 			if err != nil {

@@ -30,8 +30,8 @@ import (
 // It does not prove infeasibility: a no-feasible-cut error only means this
 // backend found none.
 type Lagrangian struct {
-	// Opts supplies the solve limits: TimeLimit bounds the wall clock and
-	// GapTol the proven gap at which the ascent stops (default 1e-4).
+	// Opts supplies the solve limit: GapTol is the proven gap at which the
+	// ascent stops (default 1e-4). The wall clock is ctx's.
 	Opts core.Options
 }
 
@@ -202,10 +202,6 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 	p := newLagProblem(s)
 	n := len(p.ops)
 
-	deadline := time.Time{}
-	if l.Opts.TimeLimit > 0 {
-		deadline = start.Add(l.Opts.TimeLimit)
-	}
 	gapTol := l.Opts.GapTol
 	if gapTol <= 0 {
 		gapTol = 1e-4
@@ -251,12 +247,6 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 
 	for iter := 0; iter < lagIterCap; iter++ {
 		if ctx.Err() != nil {
-			break
-		}
-		// Past the deadline, stop — but only after one iterate: an
-		// unlooked-at spec is no evidence of infeasibility, and the first
-		// iterate's repair usually yields a cut.
-		if iter > 0 && !deadline.IsZero() && time.Now().After(deadline) {
 			break
 		}
 		stats.Iterations = iter + 1

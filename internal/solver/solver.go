@@ -16,8 +16,8 @@
 //     the exact backend wins ties, and cancellation stops the losers.
 //
 // Backends construct from core.Options so the formulation and the solve
-// limits (TimeLimit, MaxNodes, GapTol) flow through one type; New builds
-// one by name.
+// limits (MaxNodes, GapTol) flow through one type; a wall-clock budget is
+// the ctx deadline. New builds one by name.
 package solver
 
 import (

@@ -43,9 +43,9 @@
 // an un-deadlined race is byte-identical to the exact solve. Under a
 // deadline the heuristics' fast answers stand in wherever the tree search
 // has not caught up. Deployment.Solves records per-backend win/latency
-// telemetry. A solve's limits (TimeLimit, MaxNodes, GapTol) are fields of
-// the Planner's Options (WithOptions); every backend, raced or alone,
-// reads them there.
+// telemetry. A solve's count limits (MaxNodes, GapTol) are fields of the
+// Planner's Options (WithOptions); every backend, raced or alone, reads
+// them there, and stops on the ctx for wall-clock budgets.
 //
 // # Execution
 //
