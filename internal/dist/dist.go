@@ -344,10 +344,13 @@ func (r *runShards) reopen(cfg runtime.Config, host int, origins []int, ckpt []b
 }
 
 // httpHost drives one remote shard session over the /v1/shard protocol.
-// Arrival values and reduce contributions travel wire-marshaled (binary,
-// base64 in the JSON envelope), so every element round-trips bit-exactly;
-// the plain float64 fields (times, ratio, busy seconds) are exact under
-// JSON's shortest-round-trip encoding.
+// Arrival values and reduce contributions travel wire-marshaled, so every
+// element round-trips bit-exactly: a window's arrivals as the binary
+// records behind the compute body's JSON header, appended straight into
+// one buffer the host reuses window after window, and reduce
+// contributions base64 in the JSON reply. The plain float64 fields
+// (ratio, busy seconds) are exact under JSON's shortest-round-trip
+// encoding.
 //
 // Every call runs under the coordinator's retry policy. The compute and
 // deliver calls are not idempotent, so each carries the coordinator's
@@ -361,6 +364,9 @@ type httpHost struct {
 	session string
 	retry   RetryPolicy
 	seq     int64 // window sequence: bumped per ComputeWindow, shared by its DeliverWindow
+	// body is the compute body buffer, nil while a failed call may have
+	// left it with the transport.
+	body []byte
 }
 
 func (h *httpHost) rpc(op string, f func(ctx context.Context) error) error {
@@ -369,20 +375,25 @@ func (h *httpHost) rpc(op string, f func(ctx context.Context) error) error {
 
 func (h *httpHost) ComputeWindow(arrivals []runtime.HostArrival) (*runtime.WindowReport, error) {
 	h.seq++
-	req := wire.ShardComputeRequest{Session: h.session, Window: h.seq}
-	req.Arrivals = make([]wire.ShardArrivalWire, len(arrivals))
-	for i, a := range arrivals {
-		data, err := wire.Marshal(a.Value)
-		if err != nil {
-			return nil, fmt.Errorf("dist: arrival value for node %d does not marshal: %w", a.Node, err)
-		}
-		req.Arrivals[i] = wire.ShardArrivalWire{Node: a.Node, Time: a.Time, Source: a.Source, Value: data}
+	body, err := wire.AppendShardCompute(h.body[:0], &wire.ShardComputeRequest{
+		Session: h.session, Window: h.seq, Arrivals: arrivals,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dist: window %d does not encode: %w", h.seq, err)
 	}
+	// An attempt that failed may leave its transport still reading body
+	// after the retry returns, so the buffer comes back only if none did.
+	h.body = nil
+	failed := false
 	var rep *runtime.WindowReport
-	err := h.rpc("compute", func(ctx context.Context) (err error) {
-		rep, err = h.client.ShardCompute(ctx, req)
+	err = h.rpc("compute", func(ctx context.Context) (err error) {
+		rep, err = h.client.ShardComputeBody(ctx, body)
+		failed = failed || err != nil
 		return err
 	})
+	if !failed {
+		h.body = body
+	}
 	return rep, err
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"wishbone/internal/apps/eeg"
@@ -114,12 +115,16 @@ func DefaultFig6Options() core.Options {
 	return o
 }
 
-// Fig6Point is one solver invocation's timing.
+// Fig6Point is one solver invocation's timing. ProveSec is when the
+// search stopped: a proof, the gap tolerance, or (Capped) the node cap,
+// with Gap the relative optimality gap it stopped at.
 type Fig6Point struct {
 	RateMultiple float64
 	DiscoverSec  float64
 	ProveSec     float64
 	Nodes        int
+	Gap          float64
+	Capped       bool
 	Feasible     bool
 }
 
@@ -150,6 +155,8 @@ func Fig6(e *EEGEnv, invocations int, loRate, hiRate float64, opts core.Options)
 			DiscoverSec:  asg.Stats.DiscoverTime,
 			ProveSec:     asg.Stats.ProveTime,
 			Nodes:        asg.Stats.Nodes,
+			Gap:          asg.Stats.Gap,
+			Capped:       opts.MaxNodes > 0 && asg.Stats.Nodes >= opts.MaxNodes,
 			Feasible:     true,
 		})
 	}
@@ -171,23 +178,36 @@ func CDF(xs []float64) []struct{ Pct, Value float64 } {
 	return out
 }
 
-// Fig6Table renders the discover/prove CDFs.
+// Fig6Table renders the discover and stop-time CDFs, and how many
+// invocations stopped at the node cap rather than on a proof or the gap
+// tolerance, with the gaps they stopped at.
 func Fig6Table(pts []Fig6Point) *Table {
-	var disc, prove []float64
+	var disc, stop []float64
+	capped, gapLo, gapHi := 0, math.Inf(1), math.Inf(-1)
 	for _, p := range pts {
-		if p.Feasible {
-			disc = append(disc, p.DiscoverSec)
-			prove = append(prove, p.ProveSec)
+		if !p.Feasible {
+			continue
+		}
+		disc = append(disc, p.DiscoverSec)
+		stop = append(stop, p.ProveSec)
+		if p.Capped {
+			capped++
+			gapLo, gapHi = math.Min(gapLo, p.Gap), math.Max(gapHi, p.Gap)
 		}
 	}
 	t := &Table{
 		Title:  "Figure 6: CDF of solver runtime (full EEG app)",
-		Header: []string{"percentile", "discover s", "prove s"},
+		Header: []string{"percentile", "discover s", "stop s"},
 	}
-	dc, pc := CDF(disc), CDF(prove)
+	dc, sc := CDF(disc), CDF(stop)
 	for i := range dc {
-		t.Rows = append(t.Rows, []string{f1(dc[i].Pct), f3(dc[i].Value), f3(pc[i].Value)})
+		t.Rows = append(t.Rows, []string{f1(dc[i].Pct), f3(dc[i].Value), f3(sc[i].Value)})
 	}
+	note := fmt.Sprintf("%d of %d stopped at the node cap", capped, len(stop))
+	if capped > 0 {
+		note += fmt.Sprintf(" (gap %.2f–%.2f %%)", 100*gapLo, 100*gapHi)
+	}
+	t.Footer = append(t.Footer, note)
 	return t
 }
 

@@ -99,6 +99,7 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	Footer []string // lines printed under the rows
 }
 
 // String renders the table in aligned columns.
@@ -128,6 +129,10 @@ func (t *Table) String() string {
 	line(t.Header)
 	for _, row := range t.Rows {
 		line(row)
+	}
+	for _, f := range t.Footer {
+		b.WriteString(f)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

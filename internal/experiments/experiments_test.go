@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -274,6 +275,25 @@ func TestFig6DiscoverBeforeProve(t *testing.T) {
 	}
 	if feasible == 0 {
 		t.Fatal("no feasible points in the sweep")
+	}
+}
+
+// TestFig6TableCountsCappedSolves pins what Figure 6 says about its stop
+// times: the column is a stop time, and the footer counts the invocations
+// the node cap stopped, with the gaps they stopped at.
+func TestFig6TableCountsCappedSolves(t *testing.T) {
+	pts := []Fig6Point{
+		{Feasible: true, DiscoverSec: 0.1, ProveSec: 0.2},
+		{Feasible: true, DiscoverSec: 0.1, ProveSec: 0.9, Capped: true, Gap: 0.0034},
+		{Feasible: true, DiscoverSec: 0.3, ProveSec: 1.1, Capped: true, Gap: 0.0272},
+		{Feasible: false},
+	}
+	tab := Fig6Table(pts)
+	if got := tab.Header[2]; got != "stop s" {
+		t.Errorf("third column %q, want \"stop s\"", got)
+	}
+	if want := "2 of 3 stopped at the node cap (gap 0.34–2.72 %)\n"; !strings.HasSuffix(tab.String(), want) {
+		t.Errorf("table ends\n%s\nwant footer %q", tab, want)
 	}
 }
 

@@ -63,20 +63,16 @@ type ShardHost struct {
 	err error
 }
 
-// HostArrival is one arrival routed to a shard host, with the source
-// operator named by ID (the coordinator and host hold separate Graph
-// instances of the same structure).
-type HostArrival struct {
-	Node   int
-	Time   float64
-	Source int
-	Value  dataflow.Value
-}
-
-// The records a host answers with are the /v1/shard protocol's own
-// (internal/wire), so a remote driver hands the coordinator what it decoded
-// and a server what its host returned, neither copying field by field.
+// The records a host reads and answers with are the /v1/shard protocol's
+// own (internal/wire), so a remote driver hands the coordinator what it
+// decoded and a server what its host returned, neither copying field by
+// field.
 type (
+	// HostArrival is one arrival routed to a shard host, with the source
+	// operator named by ID (the coordinator and host hold separate Graph
+	// instances of the same structure).
+	HostArrival = wire.ShardArrival
+
 	// ReduceMsg is one element a host's node emitted on an in-network
 	// reduce edge, wire-marshaled. Rounds combine contributions across
 	// every node, so it folds at the coordinator, not host-locally.

@@ -69,6 +69,13 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
+	return c.postBytes(ctx, path, body, out)
+}
+
+// postBytes sends body as it is and decodes the JSON response into out.
+// The body is a bytes.Reader, so the request carries its ContentLength
+// and a GetBody that replays it.
+func (c *Client) postBytes(ctx context.Context, path string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -339,8 +346,20 @@ func (c *Client) ShardOpen(ctx context.Context, req wire.ShardOpenRequest) (*wir
 
 // ShardCompute runs one window's node phase on an open shard session.
 func (c *Client) ShardCompute(ctx context.Context, req wire.ShardComputeRequest) (*wire.ShardComputeResponse, error) {
+	body, err := wire.AppendShardCompute(nil, &req)
+	if err != nil {
+		return nil, err
+	}
+	return c.ShardComputeBody(ctx, body)
+}
+
+// ShardComputeBody is ShardCompute with the request already encoded by
+// wire.AppendShardCompute. After a nil error the host has read body whole
+// (it answers only then), so the caller may reuse the buffer; after an
+// error the transport may still be reading it.
+func (c *Client) ShardComputeBody(ctx context.Context, body []byte) (*wire.ShardComputeResponse, error) {
 	var out wire.ShardComputeResponse
-	if err := c.post(ctx, "/v1/shard/compute", req, &out); err != nil {
+	if err := c.postBytes(ctx, "/v1/shard/compute", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -367,7 +367,7 @@ var routes = []route{
 	{"POST /v1/simulate", "simulate", true, plain((*Server).simulate)},
 	{"POST /v1/simulate/stream", "simulate_stream", true, endpoint((*Server).simulateStream)},
 	{"POST /v1/shard/open", "shard_open", true, plain((*Server).shardOpen)},
-	{"POST /v1/shard/compute", "shard_compute", true, plain((*Server).shardCompute)},
+	{"POST /v1/shard/compute", "shard_compute", true, endpoint((*Server).shardCompute)},
 	{"POST /v1/shard/deliver", "shard_deliver", true, plain((*Server).shardDeliver)},
 	{"POST /v1/shard/checkpoint", "shard_checkpoint", false, plain((*Server).shardCheckpoint)},
 	{"POST /v1/shard/close", "shard_close", false, plain((*Server).shardClose)},
@@ -441,11 +441,11 @@ func fail(w http.ResponseWriter, err error) {
 }
 
 // maxBodyBytes bounds how much request body one JSON value may make the
-// decoder buffer. The largest such value the tests and benchmark workloads
-// send is one /v1/shard/compute window (749 064 B for dist-loopback: 1 s
-// of 32 origins); a default 10 s window from `wishbone -hosts` is about
-// ten times that, so the bound leaves room well above it while still
-// refusing to buffer without limit.
+// decoder buffer, and how long a /v1/shard/compute tail may be. The largest
+// body the tests and benchmark workloads send is one compute window
+// (528 698 B for dist-loopback: 1 s of 32 origins); a default 10 s window
+// from `wishbone -hosts` is about ten times that, so the bound leaves room
+// well above it while still refusing to buffer without limit.
 const maxBodyBytes = 64 << 20
 
 var (
@@ -454,7 +454,8 @@ var (
 )
 
 // requestBody is a request's JSON decoder reading through a byte budget.
-// A plain route spends one budget on its whole body. A streaming route's
+// A plain route spends one budget on its whole body; the compute route one
+// on its header and one on its binary tail. A streaming route's
 // body has no total bound — the trace is never resident — so renew grants
 // a fresh budget after the header and after every arrival: what is capped
 // is the single value the decoder would otherwise buffer whole. Every read

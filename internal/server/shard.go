@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -24,7 +26,7 @@ import (
 // corrupting the host.
 //
 //	POST /v1/shard/open       → build the host for an origin subset (fresh, or from a host blob)
-//	POST /v1/shard/compute    → one window's node phase (arrivals in, air + reduce out)
+//	POST /v1/shard/compute    → one window's node phase (JSON header + binary arrivals in, air + reduce out)
 //	POST /v1/shard/deliver    → replay the held window at the priced ratio
 //	POST /v1/shard/checkpoint → boundary state blob, session keeps running
 //	POST /v1/shard/close      → final partial counters, session ends
@@ -184,18 +186,40 @@ func (s *Server) shardLookup(id string, remove bool) (*shardSession, error) {
 	return ss, nil
 }
 
-func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest) (*wire.ShardComputeResponse, bool, error) {
+// computeScratch is one compute request's tail and its decoded arrivals,
+// recycled across requests so that a window costs no whole-body buffer.
+type computeScratch struct {
+	tail     bytes.Buffer
+	arrivals []wire.ShardArrival
+}
+
+var computeScratches = sync.Pool{New: func() any { return new(computeScratch) }}
+
+// shardCompute reads the body's tail behind the header the adapter decoded
+// — a newline, then the window's arrival records — under a fresh body
+// budget, and runs the window. The reply cache answers a repeated window
+// only after its tail has been read whole and decodes.
+func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest, body *requestBody) (*wire.ShardComputeResponse, bool, error) {
 	ss, err := s.shardLookup(req.Session, false)
 	if err != nil {
 		return nil, false, err
 	}
-	arrivals := make([]wbruntime.HostArrival, len(req.Arrivals))
-	for i, a := range req.Arrivals {
-		v, _, err := wire.Unmarshal(a.Value)
-		if err != nil {
-			return nil, false, badRequest("arrival %d value does not decode: %v", i, err)
-		}
-		arrivals[i] = wbruntime.HostArrival{Node: a.Node, Time: a.Time, Source: a.Source, Value: v}
+	sc := computeScratches.Get().(*computeScratch)
+	defer func() {
+		clear(sc.arrivals) // the values are the host's now
+		sc.arrivals = sc.arrivals[:0]
+		sc.tail.Reset()
+		computeScratches.Put(sc)
+	}()
+	if _, err := sc.tail.ReadFrom(io.MultiReader(body.Buffered(), body)); err != nil {
+		return nil, false, bodyError(err)
+	}
+	tail := sc.tail.Bytes()
+	if len(tail) == 0 || tail[0] != '\n' {
+		return nil, false, badRequest("compute body: the header must end in a newline")
+	}
+	if sc.arrivals, err = wire.DecodeShardArrivals(sc.arrivals, tail[1:]); err != nil {
+		return nil, false, badRequest("compute body: %v", err)
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -204,7 +228,7 @@ func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest) 
 		// reply rather than double-applying the arrivals.
 		return ss.lastComputeResp, false, nil
 	}
-	resp, err := ss.host.ComputeWindow(arrivals)
+	resp, err := ss.host.ComputeWindow(sc.arrivals)
 	if err != nil {
 		return nil, false, runtimeError(err)
 	}

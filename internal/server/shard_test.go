@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	goruntime "runtime"
@@ -16,9 +19,9 @@ import (
 	"wishbone/internal/wire"
 )
 
-// shardWindowBatch is one window's worth of arrivals, wire-encoded.
+// shardWindowBatch is one window's worth of arrivals.
 type shardWindowBatch struct {
-	arrivals []wire.ShardArrivalWire
+	arrivals []wire.ShardArrival
 }
 
 // speechShardWindows materializes the speech app's arrivals grouped into
@@ -42,12 +45,8 @@ func speechShardWindows(t *testing.T, e *entry, nodes int, duration, span float6
 			if w >= n {
 				continue
 			}
-			data, err := wire.Marshal(a.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batches[w].arrivals = append(batches[w].arrivals, wire.ShardArrivalWire{
-				Node: node, Time: a.Time, Source: a.Source.ID(), Value: data,
+			batches[w].arrivals = append(batches[w].arrivals, wire.ShardArrival{
+				Node: node, Time: a.Time, Source: a.Source.ID(), Value: a.Value,
 			})
 		}
 	}
@@ -153,6 +152,99 @@ func TestShardUnknownSessionCode(t *testing.T) {
 	}
 	if ae.Code != "unknown_session" || ae.StatusCode != 400 {
 		t.Fatalf("lookup failure carries code %q status %d, want unknown_session/400", ae.Code, ae.StatusCode)
+	}
+}
+
+// TestShardComputeHostileBodies sends a live session compute bodies that
+// break the header-plus-records framing: a record cut short is a 400, a
+// tail past the body budget a 413 body_too_large, a tail that stalls a 408
+// idle, and a header naming no session unknown_session. None of them
+// reaches the host, so the session then computes its first window, and
+// answers the window's repeat from the reply cache.
+func TestShardComputeHostileBodies(t *testing.T) {
+	const idle = 300 * time.Millisecond
+	svc := New(Config{})
+	svc.bodyIdle = idle
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
+	ctx := context.Background()
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+	var onNode []int
+	for i, op := range e.graph.Operators() {
+		if i < 6 {
+			onNode = append(onNode, op.ID())
+		}
+	}
+	open, err := client.ShardOpen(ctx, wire.ShardOpenRequest{
+		Graph: spec, Platform: "Gumstix", OnNode: onNode,
+		Nodes: 2, Duration: 4, Seed: 7, Origins: []int{0, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := wire.ShardComputeRequest{
+		Session: open.Session, Window: 1, Arrivals: speechShardWindows(t, e, 2, 4, 2)[0].arrivals,
+	}
+	body, err := wire.AppendShardCompute(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := body[:bytes.IndexByte(body, '\n')+1]
+	const path = "/v1/shard/compute"
+	want := func(what string, apiErr *APIError, status int, code string) {
+		t.Helper()
+		if apiErr == nil || apiErr.StatusCode != status || apiErr.Code != code {
+			t.Fatalf("%s: want %d %q, got %v", what, status, code, apiErr)
+		}
+	}
+
+	want("truncated record", postRaw(t, client, path, bytes.NewReader(body[:len(body)-1])), http.StatusBadRequest, "")
+	want("tail past the budget", postRaw(t, client, path, io.MultiReader(
+		bytes.NewReader(header), io.LimitReader(spaces{}, maxBodyBytes+64<<10))),
+		http.StatusRequestEntityTooLarge, "body_too_large")
+
+	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
+	stalled := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", pr)
+		if err == nil {
+			err = apiError(resp)
+			resp.Body.Close()
+		}
+		stalled <- err
+	}()
+	if _, err := pw.Write(body[:len(header)+100]); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *APIError
+	select {
+	case err := <-stalled:
+		errors.As(err, &apiErr)
+		want("stalled tail", apiErr, http.StatusRequestTimeout, "idle")
+	case <-time.After(10 * idle):
+		t.Fatal("stalled tail got no answer")
+	}
+
+	stray := req
+	stray.Session = "nope"
+	_, err = client.ShardCompute(ctx, stray)
+	apiErr = nil
+	errors.As(err, &apiErr)
+	want("unknown session", apiErr, http.StatusBadRequest, "unknown_session")
+
+	rep, err := client.ShardCompute(ctx, req)
+	if err != nil {
+		t.Fatalf("window 1 after the refusals: %v", err)
+	}
+	again, err := client.ShardCompute(ctx, req)
+	if err != nil || !reflect.DeepEqual(rep, again) {
+		t.Fatalf("repeated window 1: %+v (err %v), want the cached %+v", again, err, rep)
+	}
+	if rep.Air == 0 {
+		t.Fatalf("degenerate window: %+v", rep)
 	}
 }
 

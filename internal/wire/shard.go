@@ -1,5 +1,15 @@
 package wire
 
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+
+	"wishbone/internal/dataflow"
+)
+
 // Request and response bodies of the shard-host protocol: the HTTP/JSON
 // surface a coordinator (internal/dist) drives to place one simulation's
 // origin shards on recruited wbserved peers. A shard session is one
@@ -9,9 +19,12 @@ package wire
 // close (collect the host's partial counters) or abort.
 //
 // Arrival values and reduce contributions travel in the repo's binary
-// value encoding (Marshal/Unmarshal, base64 inside JSON) rather than as
-// JSON numbers: the round trip is bit-exact by construction, which is
-// what keeps distributed Results byte-identical to single-host runs.
+// value encoding (Marshal/Unmarshal) rather than as JSON numbers: the
+// round trip is bit-exact by construction, which is what keeps
+// distributed Results byte-identical to single-host runs. A compute
+// request is the one body that is not all JSON: a JSON header line, then
+// the window's arrivals as binary records (AppendShardCompute). A reduce
+// contribution rides base64 inside the JSON response.
 //
 // A host reads one kind of state: a host blob (ShardOpenRequest.ResumeHost),
 // never a whole-run session snapshot — the coordinator splits one into
@@ -55,13 +68,13 @@ type ShardOpenResponse struct {
 	GraphHash string `json:"graphHash"`
 }
 
-// ShardArrivalWire is one arrival shipped to a shard host: node, time,
-// source operator ID, and the value in the binary codec (base64 in JSON).
-type ShardArrivalWire struct {
-	Node   int     `json:"node"`
-	Time   float64 `json:"t"`
-	Source int     `json:"source"`
-	Value  []byte  `json:"v"`
+// ShardArrival is one arrival shipped to a shard host: origin node, time,
+// source operator ID and the element itself.
+type ShardArrival struct {
+	Node   int
+	Time   float64
+	Source int
+	Value  dataflow.Value
 }
 
 // ShardComputeRequest ships one window's arrivals (owned origins only,
@@ -70,13 +83,109 @@ type ShardArrivalWire struct {
 // host answers a repeat of the last sequence from its reply cache
 // instead of recomputing, which is what makes the coordinator's
 // retry-after-timeout safe on this non-idempotent call (the first
-// attempt may have executed even though its response was lost). A
-// request from an older coordinator that still carries the window's
-// span ("span") decodes unchanged: unknown JSON fields are ignored.
+// attempt may have executed even though its response was lost).
+//
+// On the wire Session and Window are the JSON header line and Arrivals
+// the binary records behind it (AppendShardCompute, DecodeShardArrivals).
 type ShardComputeRequest struct {
-	Session  string             `json:"session"`
-	Window   int64              `json:"window,omitempty"`
-	Arrivals []ShardArrivalWire `json:"arrivals"`
+	Session  string         `json:"session"`
+	Window   int64          `json:"window,omitempty"`
+	Arrivals []ShardArrival `json:"-"`
+}
+
+// maxShardID bounds a record's node and source IDs: both are indices into
+// a run's nodes and a graph's operators.
+const maxShardID = math.MaxInt32
+
+// AppendShardCompute appends req as a /v1/shard/compute body: the header
+// {"session":…,"window":N} and a newline, then AppendShardArrivals' records.
+// The header comes first and is short, so the window number sits in the
+// body's first bytes.
+func AppendShardCompute(dst []byte, req *ShardComputeRequest) ([]byte, error) {
+	dst = append(dst, `{"session":`...)
+	dst = appendJSONString(dst, req.Session)
+	dst = append(dst, `,"window":`...)
+	dst = strconv.AppendInt(dst, req.Window, 10)
+	dst = append(dst, "}\n"...)
+	return AppendShardArrivals(dst, req.Arrivals)
+}
+
+// appendJSONString appends s as a JSON string that decodes back to what
+// encoding/json decodes json.Marshal(s) to.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c < ' ':
+			dst = append(dst, `\u00`...)
+			dst = append(dst, "0123456789abcdef"[c>>4], "0123456789abcdef"[c&0xf])
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
+}
+
+// AppendShardArrivals appends one record per arrival: uvarint node,
+// uvarint source, the time's float64 bits big-endian, then the element as
+// AppendMarshal writes it (self-delimiting, so records need no length).
+func AppendShardArrivals(dst []byte, as []ShardArrival) ([]byte, error) {
+	for i := range as {
+		a := &as[i]
+		if uint(a.Node) > maxShardID || uint(a.Source) > maxShardID {
+			return nil, fmt.Errorf("wire: arrival %d: node %d or source %d out of range", i, a.Node, a.Source)
+		}
+		dst = binary.AppendUvarint(dst, uint64(a.Node))
+		dst = binary.AppendUvarint(dst, uint64(a.Source))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a.Time))
+		var err error
+		if dst, err = AppendMarshal(dst, a.Value); err != nil {
+			return nil, fmt.Errorf("wire: arrival %d for node %d: %w", i, a.Node, err)
+		}
+	}
+	return dst, nil
+}
+
+// DecodeShardArrivals appends the arrivals of data, a run of whole records
+// as AppendShardArrivals writes them, to dst. Each value is decoded into
+// its own memory: data may be reused once it returns.
+func DecodeShardArrivals(dst []ShardArrival, data []byte) ([]ShardArrival, error) {
+	for i, off := 0, 0; off < len(data); i++ {
+		a, n, err := decodeShardArrival(data[off:])
+		if err != nil {
+			return dst, fmt.Errorf("wire: arrival record %d at byte %d: %w", i, off, err)
+		}
+		dst = append(dst, a)
+		off += n
+	}
+	return dst, nil
+}
+
+// decodeShardArrival decodes the record at the head of data and its length.
+func decodeShardArrival(data []byte) (ShardArrival, int, error) {
+	node, n1 := binary.Uvarint(data)
+	if n1 <= 0 || node > maxShardID {
+		return ShardArrival{}, 0, errors.New("node: bad varint or past 2^31-1")
+	}
+	src, n2 := binary.Uvarint(data[n1:])
+	if n2 <= 0 || src > maxShardID {
+		return ShardArrival{}, 0, errors.New("source: bad varint or past 2^31-1")
+	}
+	rest := data[n1+n2:]
+	if len(rest) < 8 {
+		return ShardArrival{}, 0, errors.New("truncated time")
+	}
+	v, n, err := Unmarshal(rest[8:])
+	if err != nil {
+		return ShardArrival{}, 0, err
+	}
+	a := ShardArrival{
+		Node: int(node), Source: int(src),
+		Time: math.Float64frombits(binary.BigEndian.Uint64(rest)), Value: v,
+	}
+	return a, n1 + n2 + 8 + n, nil
 }
 
 // ShardReduceWire is one in-network reduce contribution returning to the
