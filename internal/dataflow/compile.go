@@ -91,11 +91,6 @@ type Program struct {
 	// edges is the dense edge table: edges[i] is Graph.Edges()[i].
 	edges []*Edge
 
-	// hash caches the content hash (see Hash); Programs are immutable so
-	// it is computed at most once.
-	hashOnce sync.Once
-	hash     string
-
 	// pool recycles Instances across shards and requests (see
 	// AcquireInstance); it never affects the Program's compiled tables.
 	pool sync.Pool

@@ -55,41 +55,3 @@ func writeStructure(h hash.Hash, g *Graph) {
 		writeInt(e.ToPort)
 	}
 }
-
-// Hash returns a stable content hash of the compiled program: the source
-// graph's structural hash plus everything compilation resolved — the
-// included-operator set, the topological schedule, and the counting
-// options. Two Compile calls over structurally identical graphs with the
-// same options produce the same hash, even across processes; the wire
-// round-trip tests pin this (graph → bytes → graph → Compile yields an
-// identical hash).
-func (p *Program) Hash() string {
-	p.hashOnce.Do(func() {
-		h := sha256.New()
-		writeStructure(h, p.g)
-		var buf [8]byte
-		writeInt := func(v int) {
-			binary.BigEndian.PutUint64(buf[:], uint64(int64(v)))
-			h.Write(buf[:])
-		}
-		flags := byte(0)
-		if p.opts.CountOps {
-			flags |= 1
-		}
-		if p.opts.MeasureEdges {
-			flags |= 2
-		}
-		h.Write([]byte{flags})
-		for id, inc := range p.included {
-			if inc {
-				writeInt(id)
-			}
-		}
-		writeInt(len(p.schedule))
-		for _, id := range p.schedule {
-			writeInt(int(id))
-		}
-		p.hash = hex.EncodeToString(h.Sum(nil))
-	})
-	return p.hash
-}

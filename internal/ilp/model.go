@@ -89,7 +89,6 @@ type Model struct {
 	vars        []varInfo
 	constraints []Constraint
 	dir         Direction
-	objConst    float64
 }
 
 // NewModel returns an empty minimization model.
@@ -132,9 +131,6 @@ func (m *Model) SetObjCoef(v Var, c float64) { m.vars[v].obj = c }
 // AddObjCoef adds c to the objective coefficient of v.
 func (m *Model) AddObjCoef(v Var, c float64) { m.vars[v].obj += c }
 
-// SetObjConst sets the constant term of the objective.
-func (m *Model) SetObjConst(c float64) { m.objConst = c }
-
 // AddConstraint adds Σ terms (sense) rhs and returns its index.
 func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float64) int {
 	for _, t := range terms {
@@ -155,14 +151,13 @@ func (m *Model) Clone() *Model {
 		vars:        append([]varInfo(nil), m.vars...),
 		constraints: m.constraints, // immutable after creation
 		dir:         m.dir,
-		objConst:    m.objConst,
 	}
 	return c
 }
 
 // EvalObjective computes the objective value of an assignment.
 func (m *Model) EvalObjective(x []float64) float64 {
-	z := m.objConst
+	var z float64
 	for i, v := range m.vars {
 		z += v.obj * x[i]
 	}

@@ -88,9 +88,10 @@ func standardize(m *Model, st *standard) error {
 		st.lo[j] = v.lo
 	}
 
-	// z = objConst + Σ obj_j·x_j with x_j = lo_j + y_j, so in shifted space
-	// z = (objConst + Σ obj_j·lo_j) + Σ obj_j·y_j. Maximization becomes
-	// minimization of −z; the final objective is negated back in solveLP.
+	// z = Σ obj_j·x_j with x_j = lo_j + y_j, so in shifted space
+	// z = Σ obj_j·lo_j + Σ obj_j·y_j, and objConst is the first sum.
+	// Maximization becomes minimization of −z; the final objective is
+	// negated back in solveLP.
 	sign := 1.0
 	st.negate = m.dir == Maximize
 	if st.negate {
@@ -128,7 +129,7 @@ func standardize(m *Model, st *standard) error {
 
 	st.c = grow(st.c, w)
 	st.u = grow(st.u, w)
-	st.objConst = sign * m.objConst
+	st.objConst = 0
 	for j, v := range m.vars {
 		st.c[j] = sign * v.obj
 		st.u[j] = v.hi - v.lo

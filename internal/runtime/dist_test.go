@@ -2,128 +2,16 @@ package runtime_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
 	"wishbone/internal/apps/eeg"
 	"wishbone/internal/apps/speech"
-	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 )
-
-// runDist replays feed through a Session over in-process shard hosts
-// with the given origin placement.
-func runDist(t *testing.T, cfg runtime.Config, feed []feedItem, parts [][]int) *runtime.Result {
-	t.Helper()
-	hosts := make([]runtime.HostBinding, len(parts))
-	for i, origins := range parts {
-		h, err := runtime.NewShardHost(cfg, origins)
-		if err != nil {
-			t.Fatalf("host %d: %v", i, err)
-		}
-		hosts[i] = runtime.HostBinding{Driver: h, Origins: origins}
-	}
-	ds, err := runtime.NewDistSession(cfg, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range feed {
-		if err := ds.Offer(f.node, f.a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := ds.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// placements sweeps the ISSUE's required host layouts: everything on one
-// host (1×N), an even two-way split (2×N/2), one origin per host (N×1),
-// and the round-robin layout the coordinator uses by default.
-func placements(nodes int) [][][]int {
-	var all []int
-	for n := 0; n < nodes; n++ {
-		all = append(all, n)
-	}
-	single := [][]int{all}
-	half := [][]int{all[:nodes/2], all[nodes/2:]}
-	perNode := make([][]int, nodes)
-	for n := 0; n < nodes; n++ {
-		perNode[n] = []int{n}
-	}
-	return [][][]int{single, half, perNode, runtime.PartitionOrigins(nodes, 3)}
-}
-
-// checkDistParity runs the single-host streaming reference and requires
-// byte-identical Results from every distributed placement.
-func checkDistParity(t *testing.T, base runtime.Config, feed []feedItem) *runtime.Result {
-	t.Helper()
-	ref := runChained(t, []runtime.Config{base}, feed, nil)
-	for pi, parts := range placements(base.Nodes) {
-		for _, shards := range []int{0, 2} {
-			cfg := base
-			cfg.Shards = shards
-			if got := runDist(t, cfg, feed, parts); *got != *ref {
-				t.Fatalf("placement %d (%d hosts, shards=%d) diverges:\nref: %+v\ngot: %+v",
-					pi, len(parts), shards, *ref, *got)
-			}
-		}
-	}
-	return ref
-}
-
-// TestDistributedParitySpeech pins distributed byte-identity on the
-// speech app: the prefix-1 cut relocates the stateful preemph/prefilt
-// operators, so each host's per-origin state tables, loss RNG streams and
-// reassembly must behave exactly as their slice of the single-host run.
-func TestDistributedParitySpeech(t *testing.T) {
-	app := speech.New()
-	for _, prefix := range []int{1, 5} {
-		base := runtime.Config{
-			Graph:         app.Graph,
-			OnNode:        speechCutOnNode(app, prefix),
-			Platform:      platform.Gumstix(),
-			Nodes:         6,
-			Duration:      10,
-			Seed:          int64(80 + prefix),
-			WindowSeconds: 2,
-		}
-		feed := mergedFeed(t, base.Nodes, base.Duration, func(n int) []profile.Input {
-			return []profile.Input{app.SampleTrace(int64(500+n), 2.0)}
-		})
-		ref := checkDistParity(t, base, feed)
-		if ref.MsgsSent == 0 || ref.ServerEmits == 0 {
-			t.Fatalf("cut %d: degenerate run %+v", prefix, *ref)
-		}
-	}
-}
-
-// TestDistributedParityReduce covers in-network aggregation: reduce
-// rounds combine contributions across origins owned by different hosts,
-// so every contribution crosses the barrier to the coordinator and the
-// aggregates deliver through the coordinator's own plan.
-func TestDistributedParityReduce(t *testing.T) {
-	g, src, onNode := snapshotReduceApp()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	base := runtime.Config{
-		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
-		Nodes: 5, Duration: 24, Seed: 21, WindowSeconds: 4,
-	}
-	feed := mergedFeed(t, base.Nodes, base.Duration, func(n int) []profile.Input {
-		return []profile.Input{{Source: src,
-			Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
-	})
-	ref := checkDistParity(t, base, feed)
-	if ref.MsgsSent == 0 || ref.ServerEmits == 0 {
-		t.Fatalf("degenerate run %+v", *ref)
-	}
-}
 
 // corruptReduceHost rewrites every reduce contribution its host reports
 // the way a buggy or hostile peer could.
@@ -150,15 +38,8 @@ func (h corruptReduceHost) ComputeWindow(arrivals []runtime.HostArrival) (*runti
 // panic in the aggregator's round counters; another host's node advanced
 // the wrong one). The caller gets an error for each.
 func TestDistMalformedReduceReply(t *testing.T) {
-	g, src, onNode := snapshotReduceApp()
-	cfg := runtime.Config{
-		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
-		Nodes: 2, Duration: 8, Seed: 21, WindowSeconds: 4,
-	}
-	feed := mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
-		return []profile.Input{{Source: src,
-			Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
-	})
+	c := reduceCase(t, 21, 2, 8)
+	cfg, feed := c.cfg, c.feed
 	// tagFloat64s, then uvarint(1<<61): 10 bytes claiming 2^64 bytes of payload.
 	bad := binary.AppendUvarint([]byte{0x14}, 1<<61)
 	node := func(n int) func(*runtime.ReduceMsg) {
@@ -175,14 +56,7 @@ func TestDistMalformedReduceReply(t *testing.T) {
 		{"another host's node", node(1), "which it does not own"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hosts := make([]runtime.HostBinding, cfg.Nodes)
-			for n := range hosts {
-				h, err := runtime.NewShardHost(cfg, []int{n})
-				if err != nil {
-					t.Fatal(err)
-				}
-				hosts[n] = runtime.HostBinding{Driver: h, Origins: []int{n}}
-			}
+			hosts := localHosts(t, cfg, runtime.PartitionOrigins(cfg.Nodes, cfg.Nodes))
 			hosts[0].Driver = corruptReduceHost{HostDriver: hosts[0].Driver, corrupt: tc.corrupt}
 			ds, err := runtime.NewDistSession(cfg, hosts)
 			if err != nil {
@@ -248,14 +122,7 @@ func TestDistMalformedCloseReply(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			aborts := 0
-			hosts := make([]runtime.HostBinding, cfg.Nodes)
-			for n := range hosts {
-				h, err := runtime.NewShardHost(cfg, []int{n})
-				if err != nil {
-					t.Fatal(err)
-				}
-				hosts[n] = runtime.HostBinding{Driver: h, Origins: []int{n}}
-			}
+			hosts := localHosts(t, cfg, runtime.PartitionOrigins(cfg.Nodes, cfg.Nodes))
 			hosts[0].Driver = corruptCloseHost{HostDriver: hosts[0].Driver, node: tc.node, aborts: &aborts}
 			ds, err := runtime.NewDistSession(cfg, hosts)
 			if err != nil {
@@ -278,41 +145,12 @@ func TestDistMalformedCloseReply(t *testing.T) {
 	}
 }
 
-// TestDistributedSnapshotInterplay chains both tentpole pieces: the
-// single-host reference, a distributed run, and a run that streams
-// through a Session, snapshots mid-stream, and resumes — all three must
-// agree byte-for-byte.
-func TestDistributedSnapshotInterplay(t *testing.T) {
-	app := speech.New()
-	base := runtime.Config{
-		Graph:         app.Graph,
-		OnNode:        speechCutOnNode(app, 1),
-		Platform:      platform.Gumstix(),
-		Nodes:         4,
-		Duration:      8,
-		Seed:          33,
-		WindowSeconds: 2,
-	}
-	feed := mergedFeed(t, base.Nodes, base.Duration, func(n int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(900+n), 2.0)}
-	})
-	ref := runChained(t, []runtime.Config{base}, feed, nil)
-	dist := runDist(t, base, feed, runtime.PartitionOrigins(base.Nodes, 2))
-	snap := runChained(t, []runtime.Config{base}, feed, []int{len(feed) / 2})
-	if *dist != *ref || *snap != *ref {
-		t.Fatalf("paths diverge:\nref:  %+v\ndist: %+v\nsnap: %+v", *ref, *dist, *snap)
-	}
-}
-
 // TestDistributableFallback pins the local-fallback predicate: the EEG
 // app's global `detect` state cannot be split by origin, and host
 // construction refuses it too.
 func TestDistributableFallback(t *testing.T) {
 	app := eeg.NewWithChannels(2)
-	onNode := make(map[int]bool)
-	for _, op := range app.Graph.Operators() {
-		onNode[op.ID()] = op.NS == dataflow.NSNode
-	}
+	onNode, _ := eegCuts(app)
 	cfg := runtime.Config{
 		Graph: app.Graph, OnNode: onNode, Platform: platform.Gumstix(),
 		Nodes: 2, Duration: 4, Seed: 1, WindowSeconds: 2,
@@ -330,5 +168,15 @@ func TestDistributableFallback(t *testing.T) {
 	}
 	if !runtime.Distributable(good) {
 		t.Fatal("speech partition reported not distributable")
+	}
+}
+
+// TestDistRecoveryDisarmed pins the pre-recovery contract: without
+// EnableRecovery a host death is fatal, surfaces the cause unchanged,
+// and matches runtime.ErrHostDown for callers that classify.
+func TestDistRecoveryDisarmed(t *testing.T) {
+	c := recoveryCase(t)
+	if _, err := c.run(t, lossAt(c, 0, 0, "compute", 0)); !errors.Is(err, runtime.ErrHostDown) {
+		t.Fatalf("unrecovered host death surfaced as %v; want ErrHostDown", err)
 	}
 }

@@ -118,37 +118,58 @@ func TestEngineParitySharedTrace(t *testing.T) {
 	}
 }
 
-// TestEngineParityEEG runs the seizure-detection app with the whole node
-// namespace on the node (features cross to the server SVM).
+// TestEngineParityEEG runs the seizure-detection app on two rows. The
+// node-cut row puts the whole node namespace on the node (features cross
+// to the server SVM); its synchronized channel arrivals collide on the
+// node CPU, so no feature vector completes and no value reaches the sink.
+// The seizure row ships raw windows (sources on the node, everything else
+// on the server) of runtime.SeizureTrace, whose bursts the detector
+// declares, so the engines must agree on the values at the sink.
 func TestEngineParityEEG(t *testing.T) {
 	app := eeg.NewWithChannels(4)
-	onNode := make(map[int]bool)
-	for _, op := range app.Graph.Operators() {
-		onNode[op.ID()] = op.NS == dataflow.NSNode
-	}
+	nodeCut, sourceCut := eegCuts(app)
 	inputs := app.SampleTrace(3, 16)
-	res := runBoth(t, runtime.Config{
-		Graph:    app.Graph,
-		OnNode:   onNode,
-		Platform: platform.Gumstix(),
-		Nodes:    3,
-		Duration: 30,
-		Inputs: func(nodeID int) []profile.Input {
-			// Shift each node's channel traces so replicas stay distinct.
-			shifted := make([]profile.Input, len(inputs))
-			copy(shifted, inputs)
-			for i := range shifted {
-				rot := append([]dataflow.Value{}, shifted[i].Events[nodeID%len(shifted[i].Events):]...)
-				rot = append(rot, shifted[i].Events[:nodeID%len(shifted[i].Events)]...)
-				shifted[i].Events = rot
-			}
-			return shifted
-		},
-		Seed: 11,
+	t.Run("node-cut", func(t *testing.T) {
+		res := runBoth(t, runtime.Config{
+			Graph:    app.Graph,
+			OnNode:   nodeCut,
+			Platform: platform.Gumstix(),
+			Nodes:    3,
+			Duration: 30,
+			Inputs: func(nodeID int) []profile.Input {
+				// Shift each node's channel traces so replicas stay distinct.
+				shifted := make([]profile.Input, len(inputs))
+				copy(shifted, inputs)
+				for i := range shifted {
+					rot := append([]dataflow.Value{}, shifted[i].Events[nodeID%len(shifted[i].Events):]...)
+					rot = append(rot, shifted[i].Events[:nodeID%len(shifted[i].Events)]...)
+					shifted[i].Events = rot
+				}
+				return shifted
+			},
+			Seed: 11,
+		})
+		if res.InputEvents == 0 {
+			t.Fatal("no input offered")
+		}
 	})
-	if res.InputEvents == 0 {
-		t.Fatal("no input offered")
-	}
+	t.Run("seizure", func(t *testing.T) {
+		_, sinks := runBothSinks(t, runtime.Config{
+			Graph:    app.Graph,
+			OnNode:   sourceCut,
+			Platform: platform.Gumstix(),
+			Nodes:    3,
+			Duration: 30,
+			Inputs: func(nodeID int) []profile.Input {
+				return runtime.SeizureTrace(app, int64(40+nodeID), 30)
+			},
+			Seed: 11,
+		})
+		if sinks.Values == 0 {
+			t.Fatal("the detector declared no seizure")
+		}
+		t.Logf("%d seizures declared", sinks.Values)
+	})
 }
 
 // TestScratchReentrancyParity covers the two ways pooled kernel scratch

@@ -3,58 +3,10 @@ package runtime_test
 import (
 	"testing"
 
-	"wishbone/internal/apps/speech"
 	"wishbone/internal/netsim"
 	"wishbone/internal/platform"
-	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 )
-
-// TestScenarioParityAcrossPlacements pins the failure models' purity
-// end-to-end: a run under node churn plus Gilbert–Elliott bursty loss
-// must stay byte-identical across the single-host session, every
-// distributed placement, and a snapshot/resume chain — the models are
-// pure functions of (seed, node, window), so no placement can observe a
-// different failure schedule.
-func TestScenarioParityAcrossPlacements(t *testing.T) {
-	app := speech.New()
-	base := runtime.Config{
-		Graph:         app.Graph,
-		OnNode:        speechCutOnNode(app, 1),
-		Platform:      platform.Gumstix(),
-		Nodes:         6,
-		Duration:      12,
-		Seed:          55,
-		WindowSeconds: 2,
-		Scenario: &netsim.Scenario{
-			Churn: &netsim.Churn{Seed: 9, MeanUp: 6, MeanDown: 3},
-			Burst: &netsim.Burst{Seed: 4, PGoodBad: 0.4, PBadGood: 0.5, BadFactor: 0.5},
-		},
-	}
-	feed := mergedFeed(t, base.Nodes, base.Duration, func(n int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(300+n), 2.0)}
-	})
-
-	ref := runChained(t, []runtime.Config{base}, feed, nil)
-	if ref.MsgsSent == 0 {
-		t.Fatalf("scenario run degenerate: %+v", *ref)
-	}
-	clean := base
-	clean.Scenario = nil
-	if got := runChained(t, []runtime.Config{clean}, feed, nil); *got == *ref {
-		t.Fatal("scenario had no observable effect on the run")
-	}
-
-	for pi, parts := range placements(base.Nodes) {
-		if got := runDist(t, base, feed, parts); *got != *ref {
-			t.Fatalf("placement %d (%d hosts) diverges under scenario:\nref: %+v\ngot: %+v",
-				pi, len(parts), *ref, *got)
-		}
-	}
-	if got := runChained(t, []runtime.Config{base}, feed, []int{len(feed) / 3, 2 * len(feed) / 3}); *got != *ref {
-		t.Fatalf("snapshot/resume chain diverges under scenario:\nref: %+v\ngot: %+v", *ref, *got)
-	}
-}
 
 // TestScenarioCrashTriggersReplan composes the failure models with the
 // control plane: permanent node crashes shrink the observed window load,
@@ -62,41 +14,38 @@ func TestScenarioParityAcrossPlacements(t *testing.T) {
 // consulted — a crashed node fires the drift→replan loop with no extra
 // wiring between the two subsystems.
 func TestScenarioCrashTriggersReplan(t *testing.T) {
-	g, src, onNode := snapshotReduceApp()
+	g, src, onNode := runtime.StreamApp()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.Config{
+	cfg := runtime.Config{
 		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
 		Nodes: 5, Duration: 40, Seed: 13, WindowSeconds: 2,
-		Scenario: &netsim.Scenario{
-			// Aggressive permanent churn: most nodes crash mid-run, so the
-			// offered load falls well past the drift threshold.
-			Churn: &netsim.Churn{Seed: 2, MeanUp: 10},
-		},
 	}
-	// Steady offered rate: without churn this run never drifts.
-	feed := driftFeed(base.Nodes, base.Duration, 4, 4, src)
+	// Steady offered rate: without churn this run never drifts. The planner
+	// keeps the cut, so a trigger is recorded without a handoff.
+	feed := driftFeed(cfg.Nodes, cfg.Duration, 4, 4, src)
 	policy := runtime.ReplanPolicy{Threshold: 0.3, Hysteresis: 2, Decay: 0.5, MaxReplans: 1}
-	planned := 0
-	planner := func(float64) (*runtime.Plan, error) {
-		planned++
-		return &runtime.Plan{OnNode: onNode}, nil
+	clean := newCase("steady", cfg, feed)
+	clean.cutB, clean.policy = onNode, &policy
+	cleanRun, err := clean.run(t, schedule{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cleanRun.replans) != 0 {
+		t.Fatalf("steady run without churn replanned %d times", len(cleanRun.replans))
 	}
 
-	clean := base
-	clean.Scenario = nil
-	_, cleanEvents, _ := runControlled(t, clean, policy, planner, feed)
-	if len(cleanEvents) != 0 {
-		t.Fatalf("steady run without churn replanned %d times", len(cleanEvents))
-	}
-
-	_, events, _ := runControlled(t, base, policy, planner, feed)
-	if len(events) == 0 || planned == 0 {
+	// Aggressive permanent churn: most nodes crash mid-run, so the offered
+	// load falls well past the drift threshold.
+	crash := *clean
+	crash.cfg.Scenario = &netsim.Scenario{Churn: &netsim.Churn{Seed: 2, MeanUp: 10}}
+	got := crash.reference(t)
+	if len(got.replans) == 0 || len(got.multiples) == 0 {
 		t.Fatalf("node crashes never fired the drift→replan loop (events=%d planner calls=%d)",
-			len(events), planned)
+			len(got.replans), len(got.multiples))
 	}
-	if events[0].RateMultiple >= 1 {
-		t.Fatalf("crash-driven drift should solve for a load multiple < 1, got %g", events[0].RateMultiple)
+	if got.replans[0].RateMultiple >= 1 {
+		t.Fatalf("crash-driven drift should solve for a load multiple < 1, got %g", got.replans[0].RateMultiple)
 	}
 }

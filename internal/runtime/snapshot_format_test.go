@@ -2,16 +2,12 @@ package runtime_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"wishbone/internal/apps/speech"
-	"wishbone/internal/dataflow"
-	"wishbone/internal/platform"
-	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 )
 
@@ -29,10 +25,18 @@ func localHosts(t *testing.T, cfg runtime.Config, parts [][]int) []runtime.HostB
 	return hosts
 }
 
-// sessionSnapshot offers feed[:cut] to a fresh Session and freezes it.
-func sessionSnapshot(t *testing.T, cfg runtime.Config, feed []feedItem, cut int) []byte {
+// sessionSnapshot offers feed[:cut] to a fresh Session — over in-process
+// hosts owning parts, or on NewSession's one host when parts is nil — and
+// freezes it.
+func sessionSnapshot(t *testing.T, cfg runtime.Config, feed []feedItem, cut int, parts [][]int) []byte {
 	t.Helper()
-	sess, err := runtime.NewSession(cfg)
+	var sess *runtime.Session
+	var err error
+	if parts == nil {
+		sess, err = runtime.NewSession(cfg)
+	} else {
+		sess, err = runtime.NewDistSession(cfg, localHosts(t, cfg, parts))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,26 +46,6 @@ func sessionSnapshot(t *testing.T, cfg runtime.Config, feed []feedItem, cut int)
 		}
 	}
 	data, err := sess.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// distSnapshot offers feed[:cut] to a Session over in-process hosts
-// and freezes it.
-func distSnapshot(t *testing.T, cfg runtime.Config, feed []feedItem, cut int, parts [][]int) []byte {
-	t.Helper()
-	ds, err := runtime.NewDistSession(cfg, localHosts(t, cfg, parts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range feed[:cut] {
-		if err := ds.Offer(f.node, f.a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := ds.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,41 +69,8 @@ func boundaryCut(feed []feedItem, t float64) int {
 // host count, and MigrateSnapshot's decode→encode onto the unchanged cut
 // all freeze the same run at the same point into the same bytes.
 func TestSnapshotBytesPlacementInvariant(t *testing.T) {
-	type run struct {
-		name string
-		cfg  runtime.Config
-		feed []feedItem
-	}
-	var runs []run
 	app := speech.New()
-	for _, prefix := range []int{1, 3} {
-		cfg := runtime.Config{
-			Graph: app.Graph, OnNode: speechCutOnNode(app, prefix), Platform: platform.Gumstix(),
-			Nodes: 4, Duration: 8, Seed: int64(40 + prefix), WindowSeconds: 2,
-		}
-		runs = append(runs, run{
-			name: fmt.Sprintf("speech-cut%d", prefix), cfg: cfg,
-			feed: mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
-				return []profile.Input{app.SampleTrace(int64(300+n), 2.0)}
-			}),
-		})
-	}
-	g, src, onNode := snapshotReduceApp()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rcfg := runtime.Config{
-		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
-		Nodes: 5, Duration: 24, Seed: 11, WindowSeconds: 4,
-	}
-	runs = append(runs, run{
-		name: "reduce", cfg: rcfg,
-		feed: mergedFeed(t, rcfg.Nodes, rcfg.Duration, func(n int) []profile.Input {
-			return []profile.Input{{Source: src,
-				Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
-		}),
-	})
-
+	runs := []*schedCase{speechCase(t, app, 1, 4, 8, 41, 300), speechCase(t, app, 3, 4, 8, 43, 300), reduceCase(t, 11, 5, 24)}
 	for _, r := range runs {
 		cuts := map[string]int{
 			"mid-window": len(r.feed) * 5 / 8,
@@ -128,7 +79,7 @@ func TestSnapshotBytesPlacementInvariant(t *testing.T) {
 		for where, cut := range cuts {
 			one := r.cfg
 			one.Shards, one.Workers = 1, 1
-			ref := sessionSnapshot(t, one, r.feed, cut)
+			ref := sessionSnapshot(t, one, r.feed, cut, nil)
 			if len(ref) < 64 {
 				t.Fatalf("%s %s: degenerate %d-byte snapshot", r.name, where, len(ref))
 			}
@@ -141,9 +92,9 @@ func TestSnapshotBytesPlacementInvariant(t *testing.T) {
 			}
 			two := r.cfg
 			two.Shards, two.Workers = 2, 2
-			check("Shards=Workers=2 Session", sessionSnapshot(t, two, r.feed, cut))
+			check("Shards=Workers=2 Session", sessionSnapshot(t, two, r.feed, cut, nil))
 			for _, hosts := range []int{1, 2, r.cfg.Nodes} {
-				check("multi-host Session", distSnapshot(t, r.cfg, r.feed, cut, runtime.PartitionOrigins(r.cfg.Nodes, hosts)))
+				check("multi-host Session", sessionSnapshot(t, r.cfg, r.feed, cut, runtime.PartitionOrigins(r.cfg.Nodes, hosts)))
 			}
 			migrated, err := runtime.MigrateSnapshot(r.cfg.Graph, ref, r.cfg.OnNode)
 			if err != nil {
@@ -159,15 +110,8 @@ func TestSnapshotBytesPlacementInvariant(t *testing.T) {
 // third window — mid-window, yet small enough to commit.
 func goldenRun(t *testing.T) (runtime.Config, []feedItem, int) {
 	t.Helper()
-	app := speech.New()
-	cfg := runtime.Config{
-		Graph: app.Graph, OnNode: speechCutOnNode(app, 3), Platform: platform.Gumstix(),
-		Nodes: 4, Duration: 8, Seed: 43, WindowSeconds: 2,
-	}
-	feed := mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(300+n), 2.0)}
-	})
-	return cfg, feed, boundaryCut(feed, 2*cfg.WindowSeconds) + 9
+	c := speechCase(t, speech.New(), 3, 4, 8, 43, 300)
+	return c.cfg, c.feed, boundaryCut(c.feed, 2*c.cfg.WindowSeconds) + 9
 }
 
 // goldenCheckpointAfter is how many Checkpoint calls host 0 answers
@@ -182,13 +126,13 @@ const goldenCheckpointAfter = 1
 // recover a killed host to the uninterrupted Result.
 func TestSnapshotGoldenV1(t *testing.T) {
 	cfg, feed, cut := goldenRun(t)
-	ref := runChained(t, []runtime.Config{cfg}, feed, nil)
+	ref := &newCase("golden", cfg, feed).reference(t).res
 
 	golden, err := os.ReadFile(filepath.Join("testdata", "session_v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sessionSnapshot(t, cfg, feed, cut); !bytes.Equal(got, golden) {
+	if got := sessionSnapshot(t, cfg, feed, cut, nil); !bytes.Equal(got, golden) {
 		t.Fatalf("this build freezes the golden run into %d bytes that differ from session_v1.snap (%d bytes)", len(got), len(golden))
 	}
 	reenc, err := runtime.MigrateSnapshot(cfg.Graph, golden, cfg.OnNode)
@@ -223,8 +167,7 @@ func TestSnapshotGoldenV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := localHosts(t, cfg, runtime.PartitionOrigins(cfg.Nodes, 2))
-	fuse := &hostFuse{op: "compute", after: goldenCheckpointAfter + 1}
-	hosts[0].Driver = &flakyHost{inner: hosts[0].Driver, fuse: fuse}
+	hosts[0].Driver = &flakyHost{inner: hosts[0].Driver, op: "compute", after: goldenCheckpointAfter + 1}
 	ds, err := runtime.NewDistSession(cfg, hosts)
 	if err != nil {
 		t.Fatal(err)

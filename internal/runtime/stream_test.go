@@ -6,6 +6,7 @@ import (
 	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
+	"wishbone/internal/wire"
 )
 
 // losslessPlatform is a WiFi-class platform with zero baseline loss and a
@@ -19,12 +20,12 @@ func losslessPlatform() *platform.Platform {
 	return p
 }
 
-// streamApp builds src → feat → counts(server) plus src → sum(reduce) →
-// report(server): one plain cut edge into a relocated stateful operator
-// and one in-network aggregation edge. Work functions charge no CPU cost,
-// so every offered event is processed and the message stream is exactly
-// periodic — the steady-rate case where streaming windows price exactly
-// the batch path's mean load.
+// streamApp builds src → feat → counts(server, with snapshot hooks) plus
+// src → sum(reduce) → report(server): one plain cut edge into a relocated
+// stateful operator and one in-network aggregation edge. Work functions
+// charge no CPU cost, so every offered event is processed and the message
+// stream is exactly periodic — the steady-rate case where streaming
+// windows price exactly the batch path's mean load.
 func streamApp() (*dataflow.Graph, *dataflow.Operator, map[int]bool) {
 	g := dataflow.New()
 	src := g.Add(&dataflow.Operator{Name: "src", NS: dataflow.NSNode, SideEffect: true})
@@ -40,6 +41,20 @@ func streamApp() (*dataflow.Graph, *dataflow.Operator, map[int]bool) {
 			n := ctx.State.(*int)
 			*n++
 			emit(*n)
+		},
+		SaveState: func(st any) ([]byte, error) {
+			w := wire.NewSnapshotWriter()
+			w.Int(int64(*st.(*int)))
+			return w.Bytes(), nil
+		},
+		LoadState: func(data []byte) (any, error) {
+			r, err := wire.NewSnapshotReader(data)
+			if err != nil {
+				return nil, err
+			}
+			n := new(int)
+			*n = int(r.Int())
+			return n, r.Err()
 		},
 	})
 	sum := g.Add(&dataflow.Operator{

@@ -7,11 +7,11 @@ import (
 	"wishbone/internal/cost"
 )
 
-// interp evaluates wscript code. The same interpreter runs in two phases:
-// at compile time it partially evaluates the program (graph wiring, loops,
-// arithmetic — all executed; `iterate` allocates operators), and at run
-// time it executes iterate bodies as operator work functions, counting
-// primitive operations into ctx.counter.
+// interp evaluates wscript code at compile time: it partially evaluates
+// the program (graph wiring, loops, arithmetic — all executed; `iterate`
+// allocates operators). Shipped iterate bodies run as wvm bytecode
+// (buildVMIterate); only the tree-walking oracle in tree_test.go runs them
+// in this interpreter, counting primitive operations into counter.
 type interp struct {
 	// counter records run-time operation costs; nil during compile-time
 	// evaluation (partial evaluation is free — it happens in the compiler).
