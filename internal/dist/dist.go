@@ -36,9 +36,6 @@ import (
 type Options struct {
 	// HTTPClient carries the shard RPCs; nil means http.DefaultClient.
 	HTTPClient *http.Client
-	// Retry shapes every shard RPC's timeout/retry loop; zero fields
-	// select the defaults (see RetryPolicy).
-	Retry RetryPolicy
 	// CheckpointEvery is the host-checkpoint cadence in flushed windows:
 	// 0 means 1 (checkpoint every window boundary — shortest replay tail),
 	// larger values trade checkpoint RPCs for longer replays on failure,
@@ -57,6 +54,7 @@ type Coordinator struct {
 	peers []*server.Client
 	urls  []string
 	opts  Options
+	retry retryPolicy
 }
 
 // New returns a coordinator over the given peer base URLs (wbserved
@@ -67,11 +65,11 @@ func New(peers []string, httpClient *http.Client) *Coordinator {
 	return NewWithOptions(peers, Options{HTTPClient: httpClient})
 }
 
-// NewWithOptions returns a coordinator with explicit retry/recovery
-// options.
+// NewWithOptions returns a coordinator with explicit recovery options.
+// Every shard RPC runs the fixed retry schedule (retryTimeout and the
+// constants beside it).
 func NewWithOptions(peers []string, opts Options) *Coordinator {
-	opts.Retry = opts.Retry.withDefaults()
-	c := &Coordinator{urls: append([]string(nil), peers...), opts: opts}
+	c := &Coordinator{urls: append([]string(nil), peers...), opts: opts, retry: defaultRetry}
 	for _, u := range peers {
 		c.peers = append(c.peers, server.NewClient(u, opts.HTTPClient))
 	}
@@ -282,7 +280,7 @@ func (r *runShards) openOne(pi int, cfg runtime.Config, origins []int, blob []by
 		ResumeHost: blob,
 	}
 	var open *wire.ShardOpenResponse
-	err := retryRPC(r.ctx, r.c.opts.Retry, r.c.urls[pi], "open", func(ctx context.Context) error {
+	err := retryRPC(r.ctx, r.c.retry, r.c.urls[pi], "open", func(ctx context.Context) error {
 		resp, err := r.c.peers[pi].ShardOpen(ctx, req)
 		open = resp
 		return err
@@ -292,7 +290,7 @@ func (r *runShards) openOne(pi int, cfg runtime.Config, origins []int, blob []by
 	}
 	return &httpHost{
 		ctx: r.ctx, client: r.c.peers[pi], url: r.c.urls[pi],
-		session: open.Session, retry: r.c.opts.Retry,
+		session: open.Session, retry: r.c.retry,
 	}, nil
 }
 
@@ -362,7 +360,7 @@ type httpHost struct {
 	client  *server.Client
 	url     string
 	session string
-	retry   RetryPolicy
+	retry   retryPolicy
 	seq     int64 // window sequence: bumped per ComputeWindow, shared by its DeliverWindow
 	// body is the compute body buffer, nil while a failed call may have
 	// left it with the transport.

@@ -77,37 +77,26 @@ func (e *HostError) Is(target error) bool {
 	return false
 }
 
-// RetryPolicy shapes the per-RPC retry loop. The zero value selects the
-// defaults noted per field.
-type RetryPolicy struct {
-	// Timeout bounds one attempt; 0 means 15s. Negative disables the
-	// per-attempt bound (the parent context still applies).
-	Timeout time.Duration
-	// Attempts is the total tries per RPC (first call included); 0 means
-	// 4. 1 disables retry.
-	Attempts int
-	// Backoff is the delay before the first retry, doubling per retry;
-	// 0 means 50ms.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling; 0 means 2s.
-	MaxBackoff time.Duration
+// The per-RPC retry schedule: one attempt is bounded by retryTimeout (the
+// parent context still applies), an RPC is tried retryAttempts times in
+// all, the first call included, and the delay before a retry starts at
+// retryBackoff and doubles per retry up to retryMaxBackoff.
+const (
+	retryTimeout    = 15 * time.Second
+	retryAttempts   = 4
+	retryBackoff    = 50 * time.Millisecond
+	retryMaxBackoff = 2 * time.Second
+)
+
+// retryPolicy is one retry schedule. A Coordinator runs defaultRetry;
+// fault-injection tests install a faster one.
+type retryPolicy struct {
+	timeout             time.Duration
+	attempts            int
+	backoff, maxBackoff time.Duration
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Timeout == 0 {
-		p.Timeout = 15 * time.Second
-	}
-	if p.Attempts <= 0 {
-		p.Attempts = 4
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 50 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
-	return p
-}
+var defaultRetry = retryPolicy{retryTimeout, retryAttempts, retryBackoff, retryMaxBackoff}
 
 // errClass buckets one RPC failure for the retry loop.
 type errClass int
@@ -142,17 +131,14 @@ func classify(err error) errClass {
 	return errTransient
 }
 
-// retryRPC runs one shard RPC under policy p (already defaulted): each
-// attempt gets its own timeout context, transient failures back off
-// exponentially (capped), and the final failure wraps into a *HostError
-// classified per the taxonomy above.
-func retryRPC(ctx context.Context, p RetryPolicy, url, op string, f func(ctx context.Context) error) error {
-	backoff := p.Backoff
+// retryRPC runs one shard RPC under schedule p: each attempt gets its own
+// timeout context, transient failures back off exponentially (capped), and
+// the final failure wraps into a *HostError classified per the taxonomy
+// above.
+func retryRPC(ctx context.Context, p retryPolicy, url, op string, f func(ctx context.Context) error) error {
+	backoff := p.backoff
 	for attempt := 1; ; attempt++ {
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if p.Timeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.Timeout)
-		}
+		actx, cancel := context.WithTimeout(ctx, p.timeout)
 		err := f(actx)
 		cancel()
 		if err == nil {
@@ -169,7 +155,7 @@ func retryRPC(ctx context.Context, p RetryPolicy, url, op string, f func(ctx con
 		case errPermanent:
 			return &HostError{URL: url, Op: op, Attempts: attempt, Err: err}
 		}
-		if attempt >= p.Attempts {
+		if attempt >= p.attempts {
 			return &HostError{URL: url, Op: op, Attempts: attempt, Err: err, down: true, exhausted: true}
 		}
 		select {
@@ -178,8 +164,8 @@ func retryRPC(ctx context.Context, p RetryPolicy, url, op string, f func(ctx con
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if backoff > p.MaxBackoff {
-			backoff = p.MaxBackoff
+		if backoff > p.maxBackoff {
+			backoff = p.maxBackoff
 		}
 	}
 }

@@ -11,13 +11,8 @@ import (
 	"wishbone/internal/server"
 )
 
-func testPolicy() RetryPolicy {
-	return RetryPolicy{
-		Timeout:    time.Second,
-		Attempts:   3,
-		Backoff:    time.Millisecond,
-		MaxBackoff: 4 * time.Millisecond,
-	}
+func testPolicy() retryPolicy {
+	return retryPolicy{timeout: time.Second, attempts: 3, backoff: time.Millisecond, maxBackoff: 4 * time.Millisecond}
 }
 
 // TestClassify pins the error taxonomy: which failures retry, which mean

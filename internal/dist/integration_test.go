@@ -152,11 +152,10 @@ func TestDistProcessKillRecovery(t *testing.T) {
 			},
 		}
 		var recovered []runtime.RecoveryEvent
-		coord := dist.NewWithOptions([]string{url0, url1}, dist.Options{
+		coord := fastRetry(dist.NewWithOptions([]string{url0, url1}, dist.Options{
 			HTTPClient: &http.Client{Transport: chaos},
-			Retry:      fastRetry,
 			OnRecover:  func(ev runtime.RecoveryEvent) { recovered = append(recovered, ev) },
-		})
+		}))
 		got, distributed, err := coord.Run(context.Background(), spec, cfg)
 		if err != nil {
 			t.Fatalf("killAfter=%d: %v", killAfter, err)

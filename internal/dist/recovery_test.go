@@ -95,13 +95,11 @@ func (c *chaosTransport) didDrop() bool {
 	return c.dropped
 }
 
-// fastRetry keeps the fault-injection tests quick without changing the
-// retry semantics under test.
-var fastRetry = dist.RetryPolicy{
-	Attempts:   3,
-	Timeout:    10 * time.Second,
-	Backoff:    time.Millisecond,
-	MaxBackoff: 20 * time.Millisecond,
+// fastRetry gives c a retry schedule that keeps the fault-injection tests
+// quick without changing the retry semantics under test.
+func fastRetry(c *dist.Coordinator) *dist.Coordinator {
+	c.SetRetry(10*time.Second, 3, time.Millisecond, 20*time.Millisecond)
+	return c
 }
 
 // startPeerServers is startPeers, additionally returning the Server
@@ -144,12 +142,11 @@ func TestCoordinatorPartitionRecovery(t *testing.T) {
 				cutOnKill: true,
 			}
 			var recovered []runtime.RecoveryEvent
-			coord := dist.NewWithOptions(urls, dist.Options{
+			coord := fastRetry(dist.NewWithOptions(urls, dist.Options{
 				HTTPClient:      &http.Client{Transport: chaos},
-				Retry:           fastRetry,
 				CheckpointEvery: every,
 				OnRecover:       func(ev runtime.RecoveryEvent) { recovered = append(recovered, ev) },
-			})
+			}))
 			got, distributed, err := coord.Run(ctx, spec, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -190,11 +187,10 @@ func TestCoordinatorDrainRecovery(t *testing.T) {
 		onKill:    func() { svcs[0].Close() },
 	}
 	var recovered []runtime.RecoveryEvent
-	coord := dist.NewWithOptions(urls, dist.Options{
+	coord := fastRetry(dist.NewWithOptions(urls, dist.Options{
 		HTTPClient: &http.Client{Transport: chaos},
-		Retry:      fastRetry,
 		OnRecover:  func(ev runtime.RecoveryEvent) { recovered = append(recovered, ev) },
-	})
+	}))
 	got, distributed, err := coord.Run(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +223,7 @@ func TestCoordinatorMidOpenAbort(t *testing.T) {
 	}))
 	t.Cleanup(bad.Close)
 
-	coord := dist.NewWithOptions([]string{goodURLs[0], bad.URL}, dist.Options{Retry: fastRetry})
+	coord := fastRetry(dist.New([]string{goodURLs[0], bad.URL}, nil))
 	got, distributed, err := coord.Run(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatalf("placement with one dead peer failed: %v", err)
@@ -252,10 +248,9 @@ func TestCoordinatorAllPeersDead(t *testing.T) {
 		killAfter: 1,
 		cutOnKill: true,
 	}
-	coord := dist.NewWithOptions(urls, dist.Options{
+	coord := fastRetry(dist.NewWithOptions(urls, dist.Options{
 		HTTPClient: &http.Client{Transport: chaos},
-		Retry:      fastRetry,
-	})
+	}))
 	_, _, err := coord.Run(context.Background(), spec, cfg)
 	if err == nil {
 		t.Fatal("run with every peer dead succeeded")
@@ -302,11 +297,10 @@ func TestCoordinatorReplanLostFreezeReply(t *testing.T) {
 		// and the terminal snapshot it replaced.
 		dropReply: []string{"checkpoint", "snapshot"},
 	}
-	coord := dist.NewWithOptions(urls, dist.Options{
+	coord := fastRetry(dist.NewWithOptions(urls, dist.Options{
 		HTTPClient:      &http.Client{Transport: chaos},
-		Retry:           fastRetry,
 		CheckpointEvery: -1,
-	})
+	}))
 	got, events, distributed, err := coord.RunControlled(ctx, spec, cfg, policy, planner)
 	if err != nil {
 		t.Fatalf("handoff with a lost freeze reply: %v", err)

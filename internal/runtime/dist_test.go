@@ -9,7 +9,6 @@ import (
 	"wishbone/internal/apps/eeg"
 	"wishbone/internal/apps/speech"
 	"wishbone/internal/platform"
-	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 )
 
@@ -104,14 +103,9 @@ func (h corruptCloseHost) Abort() {
 // (which used to overwrite the owner's entry in the NodeCPU sum): an error,
 // and a session that is closed, so the deferred Abort reaches no host.
 func TestDistMalformedCloseReply(t *testing.T) {
-	app := speech.New()
-	cfg := runtime.Config{
-		Graph: app.Graph, OnNode: speechCutOnNode(app, 1), Platform: platform.Gumstix(),
-		Nodes: 2, Duration: 2, Seed: 5, WindowSeconds: 1,
-	}
-	feed := mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(700+n), 2.0)}
-	})
+	c := speechCase(t, speech.New(), 1, 2, 2, 5, 700)
+	cfg, feed := c.cfg, c.feed
+	cfg.WindowSeconds = 1
 	for _, tc := range []struct {
 		name string
 		node int
@@ -151,22 +145,14 @@ func TestDistMalformedCloseReply(t *testing.T) {
 func TestDistributableFallback(t *testing.T) {
 	app := eeg.NewWithChannels(2)
 	onNode, _ := eegCuts(app)
-	cfg := runtime.Config{
-		Graph: app.Graph, OnNode: onNode, Platform: platform.Gumstix(),
-		Nodes: 2, Duration: 4, Seed: 1, WindowSeconds: 2,
-	}
+	cfg := eegCfg(app, onNode, 2, 4, 1, 2)
 	if runtime.Distributable(cfg) {
 		t.Fatal("EEG partition reported distributable despite global server state")
 	}
 	if _, err := runtime.NewShardHost(cfg, []int{0}); err == nil {
 		t.Fatal("NewShardHost accepted a partition with global server state")
 	}
-	sp := speech.New()
-	good := runtime.Config{
-		Graph: sp.Graph, OnNode: speechCutOnNode(sp, 1), Platform: platform.Gumstix(),
-		Nodes: 2, Duration: 4, Seed: 1, WindowSeconds: 2,
-	}
-	if !runtime.Distributable(good) {
+	if !runtime.Distributable(speechRun(speech.New(), platform.Gumstix(), 1, 2, 4, 1, 0, 2).cfg) {
 		t.Fatal("speech partition reported not distributable")
 	}
 }

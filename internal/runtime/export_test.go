@@ -275,6 +275,21 @@ func PerElementPrograms(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
+// BatchSelection reports which batched paths Run takes for cfg's resolved
+// Programs: the node phase's passthrough fast path and batched delivery.
+func BatchSelection(cfg Config) (passthrough, delivery bool, err error) {
+	node, err := resolveProgram(&cfg, true)
+	if err != nil {
+		return false, false, err
+	}
+	plan, err := newDeliveryPlan(&cfg)
+	if err != nil {
+		return false, false, err
+	}
+	defer plan.close()
+	return passthroughPartition(&cfg, node), plan.shards[0].batch, nil
+}
+
 // StreamApp is streamApp: the reduce-aggregation graph and its cut.
 var StreamApp = streamApp
 

@@ -1,13 +1,16 @@
 package runtime_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"maps"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wishbone/internal/apps/eeg"
@@ -19,15 +22,18 @@ import (
 	"wishbone/internal/runtime"
 )
 
-// The schedule harness: byte-identity across hosts, snapshots, replans and
-// host loss, checked by one runner over generated schedules. A case is a
-// run (config, arrivals, optionally a control loop); a schedule is where
-// it starts and what happens between Offers. Every schedule must reproduce
-// the case's single-host reference (with a control loop, the single-host
-// controlled run): the Result byte for byte, and the digest of the values
-// reaching the server-side sinks unless a host was lost (the replacement's
-// replay delivers to the sinks again). A failing schedule is shrunk by
-// dropping steps one at a time and reported with its seed.
+// The schedule harness: byte-identity across hosts, snapshots, replans,
+// host loss and batch placements, checked by one runner over generated
+// schedules. A case is a run (config, arrivals, optionally a control loop,
+// and the batch Inputs its arrivals were merged from). A session schedule
+// is where the run starts and what happens between Offers; it must
+// reproduce the case's single-host reference (with a control loop, the
+// single-host controlled run): the Result byte for byte, and the digest of
+// the values reaching the server-side sinks unless a host was lost (the
+// replacement's replay delivers to the sinks again). A batch schedule, one
+// placement of runtime.Run, must reproduce runtime.RunReference on the
+// same traces. A failing schedule is shrunk one change at a time and
+// reported with its seed.
 
 // feedItem is one arrival bound to its node: a run's whole input, replayed
 // through any schedule in one globally time-ordered sequence.
@@ -84,7 +90,9 @@ func driftFeed(nodes int, duration, baseRate, burstRate float64, src *dataflow.O
 // step moves the run and what the control loop's planner answers (nil:
 // the run's own cut); policy arms the control loop; local marks a
 // partition that cannot be split by origin, so it runs on the one
-// in-process host only.
+// in-process host only, and its batch delivery on one shard. inputs, when
+// set, are the batch Inputs feed was merged from; traces and refs cache
+// them and the reference engine's runs of them (per-node and shared).
 type schedCase struct {
 	name   string
 	cfg    runtime.Config
@@ -92,10 +100,27 @@ type schedCase struct {
 	cutB   map[int]bool
 	policy *runtime.ReplanPolicy
 	local  bool
+	inputs func(int) []profile.Input
+	traces [][]profile.Input
+	refs   [2]*outcome
 }
 
 func newCase(name string, cfg runtime.Config, feed []feedItem) *schedCase {
 	return &schedCase{name: name, cfg: cfg, feed: feed, local: !runtime.Distributable(cfg)}
+}
+
+// batchCase is cfg's batch run with node n offered inputs(n).
+func batchCase(name string, cfg runtime.Config, inputs func(int) []profile.Input) *schedCase {
+	c := newCase(name, cfg, nil)
+	c.inputs = inputs
+	return c
+}
+
+// inputCase is batchCase with inputs also merged into the feed.
+func inputCase(t *testing.T, name string, cfg runtime.Config, inputs func(int) []profile.Input) *schedCase {
+	c := batchCase(name, cfg, inputs)
+	c.feed = mergedFeed(t, cfg.Nodes, cfg.Duration, inputs)
+	return c
 }
 
 // withReplan arms c's control loop, its planner answering cutB.
@@ -135,21 +160,92 @@ type step struct {
 	after, again int
 }
 
-// schedule is a start placement, a recovery cadence (0: disarmed) and
-// steps in feed order.
+// progKind is where a run's Programs come from.
+type progKind int
+
+const (
+	progRun        progKind = iota // compiled by Run, or by each session host
+	progShared                     // one CompilePartition pair for every Run or host
+	progPerElement                 // PerElementPrograms: no batch tables, the per-element loops
+)
+
+func (k progKind) String() string { return [...]string{"run", "shared", "per-element"}[k] }
+
+// apply gives cfg k's Programs for its cut.
+func (k progKind) apply(cfg runtime.Config) (runtime.Config, error) {
+	cfg.NodeProgram, cfg.ServerProgram = nil, nil
+	var err error
+	switch k {
+	case progShared:
+		cfg.NodeProgram, cfg.ServerProgram, err = runtime.CompilePartition(cfg.Graph, cfg.OnNode)
+	case progPerElement:
+		cfg, err = runtime.PerElementPrograms(cfg)
+	}
+	return cfg, err
+}
+
+// traceKind is how a batch schedule hands a case's traces to Run.
+type traceKind int
+
+const (
+	tracePerNode traceKind = iota // node n its own trace
+	traceShared                   // node 0's slice to every node: Run simulates node 0 and replays it
+	traceOwn                      // a copy of node 0's slice per node: every replica runs
+)
+
+func (k traceKind) String() string { return [...]string{"per-node", "shared", "own"}[k] }
+
+// schedule is a start placement, its Programs, a recovery cadence (0:
+// disarmed), steps in feed order and whether arrivals go in raw
+// (runner.offer); or, when batch, one placement of runtime.Run: start's
+// Shards and Workers, progs, traces, four Runs sharing the Programs when
+// concurrent, and Run's streaming path (c's window) when stream.
 type schedule struct {
-	seed  int64
-	start place
-	every int
-	steps []step
+	seed       int64
+	start      place
+	progs      progKind
+	every      int
+	steps      []step
+	raw        bool
+	batch      bool
+	traces     traceKind
+	concurrent bool
+	stream     bool
 }
 
 func (sc schedule) String() string {
-	s := fmt.Sprintf("seed %d: start %+v, recovery every %d", sc.seed, sc.start, sc.every)
+	if sc.batch {
+		return fmt.Sprintf("seed %d: batch shards=%d workers=%d programs=%v traces=%v concurrent=%v stream=%v",
+			sc.seed, sc.start.shards, sc.start.workers, sc.progs, sc.traces, sc.concurrent, sc.stream)
+	}
+	s := fmt.Sprintf("seed %d: start %+v, programs %v, raw %v, recovery every %d", sc.seed, sc.start, sc.progs, sc.raw, sc.every)
 	for _, st := range sc.steps {
 		s += fmt.Sprintf("\n\t%+v", st)
 	}
 	return s
+}
+
+// simpler is every schedule one step shorter than sc or with one setting
+// put back to its plainest: Programs compiled by Run, arrivals offered as
+// values, per-node traces, one Run, Shards 0, one worker.
+func (sc schedule) simpler() []schedule {
+	var out []schedule
+	for j := range sc.steps {
+		c := sc
+		c.steps = slices.Delete(slices.Clone(sc.steps), j, j+1)
+		out = append(out, c)
+	}
+	for _, plain := range []func(*schedule){
+		func(c *schedule) { c.progs = progRun }, func(c *schedule) { c.raw = false },
+		func(c *schedule) { c.traces = tracePerNode }, func(c *schedule) { c.concurrent = false },
+		func(c *schedule) { c.start.shards = 0 }, func(c *schedule) { c.start.workers = 1 },
+	} {
+		c := sc
+		if plain(&c); c.String() != sc.String() {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func (sc schedule) has(kind stepKind) bool {
@@ -206,7 +302,16 @@ func (c *schedCase) generate(seed int64, ref *outcome) schedule {
 		sc.steps = append(sc.steps, s)
 	}
 	sort.SliceStable(sc.steps, func(i, j int) bool { return sc.steps[i].at < sc.steps[j].at })
+	sc.progs, sc.raw = progKind(rng.Intn(3)), rng.Intn(2) == 0
 	return sc
+}
+
+// generateBatch draws a batch placement of c from seed.
+func (c *schedCase) generateBatch(seed int64) schedule {
+	rng := rand.New(rand.NewSource(seed))
+	start := place{shards: []int{0, 1, 2, 3, 8, c.cfg.Nodes + 1}[rng.Intn(6)], workers: []int{1, 2, 4, 8}[rng.Intn(4)]}
+	return schedule{seed: seed, batch: true, start: start, progs: progKind(rng.Intn(3)),
+		traces: traceKind(rng.Intn(3)), concurrent: rng.Intn(2) == 1}
 }
 
 // outcome is what one schedule's run left behind.
@@ -220,6 +325,7 @@ type outcome struct {
 	fired      []*flakyHost // hosts whose fuse blew
 	rebinds    int          // control-loop handoffs onto hosts
 	snapshots  int          // snapshot and migrate steps run
+	nodeIDs    int          // batch: nodes the node-side work ran as (0: it has none)
 }
 
 // flakyHost wraps an in-process driver with a fuse (see step); an empty op
@@ -338,7 +444,7 @@ func (c *schedCase) run(t testing.TB, sc schedule) (*outcome, error) {
 		if i == len(c.feed) {
 			break
 		}
-		if err := r.sess.Offer(c.feed[i].node, c.feed[i].a); err != nil {
+		if err := r.offer(c.feed[i]); err != nil {
 			return nil, fmt.Errorf("offer %d: %w", i, err)
 		}
 		for evs := r.sess.Replans(); r.seen < len(evs); r.seen++ {
@@ -363,12 +469,29 @@ func (c *schedCase) run(t testing.TB, sc schedule) (*outcome, error) {
 	return &r.out, nil
 }
 
+// offer hands the session f through Offer or, in a raw schedule, as the
+// JSON a /v1/simulate/stream chunk carries, through OfferRaw.
+func (r *runner) offer(f feedItem) error {
+	if !r.sc.raw {
+		return r.sess.Offer(f.node, f.a)
+	}
+	raw, err := json.Marshal(f.a.Value)
+	if err != nil {
+		return err
+	}
+	typ := map[string]string{"[]int16": "i16s", "[]float64": "f64s"}[fmt.Sprintf("%T", f.a.Value)]
+	return r.sess.OfferRaw(f.node, f.a.Time, f.a.Source, typ, raw)
+}
+
 // bind opens the session at p on cfg, fresh or resumed from data, with
 // recovery armed on hosts.
 func (r *runner) bind(cfg runtime.Config, p place, data []byte) error {
 	cfg.Shards, cfg.Workers = p.shards, p.workers
+	cfg, err := r.sc.progs.apply(cfg)
+	if err != nil {
+		return err
+	}
 	r.cfg, r.wrap = cfg, nil
-	var err error
 	switch {
 	case p.parts == nil && data == nil:
 		r.sess, err = runtime.NewSession(cfg)
@@ -525,6 +648,15 @@ func (c *schedCase) live(t *testing.T) *outcome {
 // Snapshot's checkpoint barrier names itself snapshot), and the control
 // loop fired where it fired in the reference.
 func (c *schedCase) check(t testing.TB, ref *outcome, sc schedule) (*outcome, error) {
+	if sc.batch || ref == nil {
+		var err error
+		if ref, err = c.batchRef(t, sc.traces); err != nil {
+			return nil, err
+		}
+	}
+	if sc.batch {
+		return c.checkBatch(t, ref, sc)
+	}
 	got, err := c.run(t, sc)
 	switch {
 	case err != nil:
@@ -553,8 +685,107 @@ next:
 	return got, nil
 }
 
+// batchInputs hands Run c's traces as k says; every node's trace is built
+// once.
+func (c *schedCase) batchInputs(k traceKind) func(int) []profile.Input {
+	if c.traces == nil {
+		for n := range c.cfg.Nodes {
+			c.traces = append(c.traces, c.inputs(n))
+		}
+	}
+	tr := c.traces
+	switch k {
+	case traceShared:
+		return func(int) []profile.Input { return tr[0] }
+	case traceOwn:
+		return func(int) []profile.Input { return runtime.OwnEvents(tr[0]) }
+	}
+	// Copies, so that a case offering every node one slice still runs each.
+	return func(n int) []profile.Input { return runtime.OwnEvents(tr[n]) }
+}
+
+// batchRef is runtime.RunReference over c's traces under k, with its sink
+// digest: per-node, or node 0's on every node (shared and own alike).
+func (c *schedCase) batchRef(t testing.TB, k traceKind) (*outcome, error) {
+	i := min(int(k), 1)
+	if c.refs[i] == nil {
+		rec, restore := runtime.RecordServerSinks(c.cfg.Graph, c.cfg.OnNode)
+		defer restore()
+		cfg := c.cfg
+		cfg.WindowSeconds, cfg.Inputs = 0, c.batchInputs(k)
+		res, err := runtime.RunReference(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("reference run: %w", err)
+		}
+		c.refs[i] = &outcome{res: *res, sinks: rec.Take(t)}
+	}
+	return c.refs[i], nil
+}
+
+// checkBatch runs batch schedule sc and holds it to runtime.RunReference on
+// the same traces: every Run's Result byte for byte, the sink digest (once
+// per Run), and the nodes node-side work ran as: node 0 alone when the
+// traces are shared (Run replays it), every node otherwise.
+func (c *schedCase) checkBatch(t testing.TB, ref *outcome, sc schedule) (*outcome, error) {
+	rec, restore := runtime.RecordServerSinks(c.cfg.Graph, c.cfg.OnNode)
+	defer restore()
+	// Mark each node the node-side work runs as.
+	ran := make([]atomic.Bool, c.cfg.Nodes)
+	defer runtime.WrapWork(c.cfg.Graph, func(op *dataflow.Operator) bool { return c.cfg.OnNode[op.ID()] },
+		func(ctx *dataflow.Ctx, _ ...dataflow.Value) { ran[ctx.NodeID].Store(true) })()
+	cfg := c.cfg
+	cfg.WindowSeconds, cfg.Inputs = 0, c.batchInputs(sc.traces)
+	if in := cfg.Inputs; sc.stream {
+		cfg.WindowSeconds, cfg.Inputs = c.cfg.WindowSeconds, nil
+		cfg.ArrivalSource = func(n int) (runtime.Stream, error) { return runtime.InputStream(in(n), 1, cfg.Duration) }
+	}
+	cfg.Shards, cfg.Workers = sc.start.shards, sc.start.workers
+	cfg, err := sc.progs.apply(cfg)
+	if err != nil {
+		return nil, err
+	}
+	runs := 1
+	if sc.concurrent {
+		runs = 4
+	}
+	res, errs := make([]*runtime.Result, runs), make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() { defer wg.Done(); res[i], errs[i] = runtime.Run(cfg) }()
+	}
+	wg.Wait()
+	got, want, wantIDs := &outcome{sinks: rec.Take(t)}, ref.sinks, c.cfg.Nodes
+	want.Values, want.Sum = want.Values*runs, want.Sum*uint64(runs)
+	if sc.traces == traceShared {
+		wantIDs = 1
+	}
+	for i := range ran {
+		if ran[i].Load() {
+			got.nodeIDs++
+		}
+	}
+	for i, r := range res {
+		switch {
+		case errs[i] != nil:
+			return nil, fmt.Errorf("run %d: %w", i, errs[i])
+		case *r != ref.res:
+			return got, fmt.Errorf("run %d: Result diverges from the reference:\nref: %+v\ngot: %+v", i, ref.res, *r)
+		}
+	}
+	switch {
+	case got.sinks != want:
+		return got, fmt.Errorf("the server sinks receive different values:\nref: %+v × %d\ngot: %+v", ref.sinks, runs, got.sinks)
+	case got.nodeIDs > 0 && got.nodeIDs != wantIDs:
+		return got, fmt.Errorf("node-side work ran as %d nodes, want %d", got.nodeIDs, wantIDs)
+	}
+	got.res, got.sinks = ref.res, ref.sinks
+	return got, nil
+}
+
 // verify runs each schedule and fails t on the first that breaks, shrunk:
-// steps are dropped one at a time while the schedule still fails.
+// made simpler one change at a time while it still fails. Batch schedules,
+// and all when ref is nil, are held to the reference engine (batchRef).
 func (c *schedCase) verify(t *testing.T, ref *outcome, scs ...schedule) []*outcome {
 	t.Helper()
 	outs := make([]*outcome, len(scs))
@@ -564,9 +795,7 @@ func (c *schedCase) verify(t *testing.T, ref *outcome, scs ...schedule) []*outco
 		small, serr := sc, err
 		for shrunk := err != nil; shrunk; {
 			shrunk = false
-			for j := range small.steps {
-				cand := small
-				cand.steps = slices.Delete(slices.Clone(small.steps), j, j+1)
+			for _, cand := range small.simpler() {
 				if _, e := c.check(t, ref, cand); e != nil {
 					small, serr, shrunk = cand, e, true
 					break
@@ -578,6 +807,19 @@ func (c *schedCase) verify(t *testing.T, ref *outcome, scs ...schedule) []*outco
 		}
 	}
 	return outs
+}
+
+// expect verifies scs over c and fails t unless ok holds for every
+// outcome.
+func (c *schedCase) expect(t *testing.T, ok func(*outcome) bool, scs ...schedule) {
+	t.Helper()
+	for i, got := range c.verify(t, nil, scs...) {
+		if !ok(got) {
+			t.Fatalf("%s: %v: degenerate run %+v, %d sink values, node work on %d nodes", c.name, scs[i], got.res, got.sinks.Values, got.nodeIDs)
+		}
+		t.Logf("%s: %d of %d events processed, %d messages sent, %d sink values", c.name,
+			got.res.ProcessedEvents, got.res.InputEvents, got.res.MsgsSent, got.sinks.Values)
+	}
 }
 
 // fuzz verifies n schedules generated over c from seeds derived from the
@@ -610,16 +852,32 @@ func harnessCases(t *testing.T) []*schedCase {
 	}
 }
 
-// speechCase is speech on Gumstix cut after prefix operators, window 2 s,
-// node n replaying app's trace seeded traceSeed+n.
-func speechCase(t *testing.T, app *speech.App, prefix, nodes int, duration float64, seed, traceSeed int64) *schedCase {
+// speechRun is speech on plat cut after prefix operators, node n offered
+// app's secs-second trace seeded traceSeed+n.
+func speechRun(app *speech.App, plat *platform.Platform, prefix, nodes int, duration float64, seed, traceSeed int64, secs float64) *schedCase {
 	cfg := runtime.Config{
-		Graph: app.Graph, OnNode: speechCutOnNode(app, prefix), Platform: platform.Gumstix(),
-		Nodes: nodes, Duration: duration, Seed: seed, WindowSeconds: 2,
+		Graph: app.Graph, OnNode: speechCutOnNode(app, prefix), Platform: plat,
+		Nodes: nodes, Duration: duration, Seed: seed,
 	}
-	return newCase(fmt.Sprintf("speech cut %d", prefix), cfg, mergedFeed(t, nodes, duration, func(n int) []profile.Input {
-		return []profile.Input{app.SampleTrace(traceSeed+int64(n), 2.0)}
-	}))
+	return batchCase(fmt.Sprintf("%s cut %d", plat.Name, prefix), cfg, func(n int) []profile.Input {
+		return []profile.Input{app.SampleTrace(traceSeed+int64(n), secs)}
+	})
+}
+
+// speechCase is speechRun on Gumstix with 2 s traces, window 2 s.
+func speechCase(t *testing.T, app *speech.App, prefix, nodes int, duration float64, seed, traceSeed int64) *schedCase {
+	c := speechRun(app, platform.Gumstix(), prefix, nodes, duration, seed, traceSeed, 2)
+	c.name, c.cfg.WindowSeconds = fmt.Sprintf("speech cut %d", prefix), 2
+	c.feed = mergedFeed(t, nodes, duration, c.inputs)
+	return c
+}
+
+// oneEvent offers node n of runtime.StreamApp (or orderedStreamApp) the
+// event {n+2, 7} at 4/s.
+func oneEvent(src *dataflow.Operator) func(int) []profile.Input {
+	return func(n int) []profile.Input {
+		return []profile.Input{{Source: src, Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
+	}
 }
 
 // reduceCase is runtime.StreamApp on TMote, window 4 s, every node
@@ -630,9 +888,7 @@ func reduceCase(t *testing.T, seed int64, nodes int, duration float64) *schedCas
 		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
 		Nodes: nodes, Duration: duration, Seed: seed, WindowSeconds: 4,
 	}
-	return newCase("reduce", cfg, mergedFeed(t, nodes, cfg.Duration, func(n int) []profile.Input {
-		return []profile.Input{{Source: src, Events: []dataflow.Value{[]float64{float64(n + 2), 7}}, Rate: 4}}
-	}))
+	return inputCase(t, "reduce", cfg, oneEvent(src))
 }
 
 // reduceCutB is runtime.StreamApp's cut with the stateful counts operator
@@ -667,6 +923,12 @@ func eegCuts(app *eeg.App) (nodeCut, sourceCut map[int]bool) {
 	return nodeCut, sourceCut
 }
 
+// eegCfg is app on Gumstix cut at onNode.
+func eegCfg(app *eeg.App, onNode map[int]bool, nodes int, duration float64, seed int64, window float64) runtime.Config {
+	return runtime.Config{Graph: app.Graph, OnNode: onNode, Platform: platform.Gumstix(),
+		Nodes: nodes, Duration: duration, Seed: seed, WindowSeconds: window}
+}
+
 // eegCase is 4-channel EEG cut after its sources on Gumstix, every node
 // replaying runtime.SeizureTrace: the wavelet cascade, zip queues, SVM and
 // global detector run server-side.
@@ -674,11 +936,48 @@ func eegCase(t *testing.T) *schedCase {
 	app := eeg.NewWithChannels(4)
 	_, sourceCut := eegCuts(app)
 	inputs := runtime.SeizureTrace(app, 3, 16)
-	cfg := runtime.Config{
-		Graph: app.Graph, OnNode: sourceCut, Platform: platform.Gumstix(),
-		Nodes: 3, Duration: 16, Seed: 17, WindowSeconds: 4,
+	return inputCase(t, "eeg seizure", eegCfg(app, sourceCut, 3, 16, 17, 4), func(int) []profile.Input { return inputs })
+}
+
+// eegNodeCase is 4-channel EEG with its node namespace on 3 Gumstix nodes
+// for 30 s, node n replaying runtime.SeizureTrace seeded 40+n with channel
+// i's clock at ×(1 − 0.02·i). Synchronized channels collide on the node CPU
+// (nodeSim.feed drops an arrival that finds it busy); skewed, they deliver.
+func eegNodeCase(t *testing.T) *schedCase {
+	app := eeg.NewWithChannels(4)
+	nodeCut, _ := eegCuts(app)
+	return inputCase(t, "eeg node cut", eegCfg(app, nodeCut, 3, 30, 11, 0), func(n int) []profile.Input {
+		ins := runtime.SeizureTrace(app, int64(40+n), 30)
+		for i := range ins {
+			ins[i].Rate *= 1 - 0.02*float64(i)
+		}
+		return ins
+	})
+}
+
+// batchCases, each on its own graph: speech on Gumstix at cuts 1, 5, 6 and
+// 7 (at 7 the sinks keep cepstrals computed on the server), the reduce
+// app, both EEG cuts, and orderedStreamApp, whose partition is unshardable
+// and order-sensitive.
+func batchCases(t *testing.T) []*schedCase {
+	var cs []*schedCase
+	for _, prefix := range []int{1, 5, 6, 7} {
+		cs = append(cs, speechCase(t, speech.New(), prefix, 4, 8, int64(60+prefix), 300))
 	}
-	return newCase("eeg seizure", cfg, mergedFeed(t, cfg.Nodes, cfg.Duration, func(int) []profile.Input { return inputs }))
+	g, src, onNode := orderedStreamApp()
+	ordered := inputCase(t, "ordered", runtime.Config{
+		Graph: g, OnNode: onNode, Platform: platform.TMoteSky(), Nodes: 4, Duration: 24, Seed: 11,
+	}, oneEvent(src))
+	return append(cs, reduceCase(t, 21, 4, 24), eegCase(t), eegNodeCase(t), ordered)
+}
+
+// servedPlacements are, by the batch case they run on, the placements of
+// the benchmark's sim-fanin and sim-edge and of /v1/simulate (one trace
+// for every node, Programs from the service's cache).
+var servedPlacements = map[string][]schedule{
+	"speech cut 1": {{batch: true, start: place{shards: 1, workers: 1}, progs: progShared}},
+	"speech cut 6": {{batch: true, start: place{shards: 2, workers: 2}, progs: progShared}},
+	"speech cut 5": {{batch: true, progs: progShared, traces: traceShared}},
 }
 
 // churnBurst is node churn plus Gilbert–Elliott bursty loss.
@@ -689,13 +988,23 @@ func churnBurst() *netsim.Scenario {
 	}
 }
 
-// TestScheduleHarness crosses harnessCases with scheduleSeeds and reports
-// what the schedules reached. It fails unless every step kind ran, a host
-// was lost at each of the four ops, a schedule combined a replan, a host
-// loss and a snapshot, and every sink digest compared covered values.
+// TestScheduleHarness crosses harnessCases with scheduleSeeds as session
+// schedules, and batchCases with them as batch placements (plus
+// servedPlacements), and reports what the schedules reached. It fails
+// unless every step kind ran, a host was lost at each of the four ops, a
+// schedule combined a replan, a host loss and a snapshot, every batch
+// setting was drawn, a batch run replayed a shared trace and one sharded an
+// unshardable partition, and every sink digest compared covered values.
 func TestScheduleHarness(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]int{}
+	tally := func(n int, keys ...string) {
+		mu.Lock()
+		for _, k := range keys {
+			seen[k] += n
+		}
+		mu.Unlock()
+	}
 	t.Run("cases", func(t *testing.T) {
 		for _, c := range harnessCases(t) {
 			t.Run(c.name, func(t *testing.T) {
@@ -708,28 +1017,64 @@ func TestScheduleHarness(t *testing.T) {
 					sc := c.generate(seed, ref)
 					got := c.verify(t, ref, sc)[0]
 					replanned, lost := len(got.replans) > 0 || sc.has(stepMigrate), len(got.fired) > 0
-					mu.Lock()
-					seen["replan"] += len(got.replans)
-					seen["snapshot"] += got.snapshots
+					tally(1, "schedules", "session-programs="+sc.progs.String(), fmt.Sprintf("raw=%v", sc.raw))
+					tally(len(got.replans), "replan")
+					tally(got.snapshots, "snapshot")
 					for _, f := range got.fired {
-						seen["loss at "+f.op]++
+						tally(1, "loss-at-"+f.op)
 					}
-					for k, hit := range map[string]bool{"schedules": true, "migrate": sc.has(stepMigrate),
-						"sink digests compared": !lost, "replan+loss+snapshot": replanned && lost && got.snapshots > 0} {
+					for k, hit := range map[string]bool{"migrate": sc.has(stepMigrate), "sink-digests-compared": !lost,
+						"replan+loss+snapshot": replanned && lost && got.snapshots > 0} {
 						if hit {
-							seen[k]++
+							tally(1, k)
 						}
 					}
-					mu.Unlock()
+				}
+			})
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		for _, c := range batchCases(t) {
+			t.Run(c.name, func(t *testing.T) {
+				t.Parallel()
+				scs := slices.Clone(servedPlacements[c.name])
+				for _, seed := range scheduleSeeds {
+					scs = append(scs, c.generateBatch(seed))
+				}
+				for i, got := range c.verify(t, nil, scs...) {
+					sc, shards := scs[i], fmt.Sprint(scs[i].start.shards)
+					if got.sinks.Values == 0 {
+						t.Fatalf("%s: %v compared an empty sink digest", c.name, sc)
+					}
+					if sc.start.shards == c.cfg.Nodes+1 {
+						shards = "nodes+1"
+					}
+					tally(1, "batch-schedules", "shards="+shards, fmt.Sprintf("workers=%d", sc.start.workers),
+						"programs="+sc.progs.String(), "traces="+sc.traces.String(), fmt.Sprintf("concurrent=%v", sc.concurrent))
+					if sc.traces == traceShared && got.nodeIDs == 1 {
+						tally(1, "replay")
+					}
+					if c.local && sc.start.shards > 1 {
+						tally(1, "unshardable-fallback")
+					}
 				}
 			})
 		}
 	})
 	t.Logf("coverage: %v", seen)
-	for _, k := range []string{"snapshot", "migrate", "replan", "loss at compute", "loss at deliver",
-		"loss at checkpoint", "loss at close", "replan+loss+snapshot", "sink digests compared"} {
-		if seen[k] == 0 {
-			t.Errorf("no schedule reached %s", k)
+	// Each group's keys are required when it ran (-run may select one).
+	for group, keys := range map[string]string{
+		"schedules": `snapshot migrate replan loss-at-compute loss-at-deliver loss-at-checkpoint loss-at-close
+			replan+loss+snapshot sink-digests-compared session-programs=run session-programs=shared session-programs=per-element
+			raw=false raw=true`,
+		"batch-schedules": `replay unshardable-fallback shards=0 shards=1 shards=2 shards=3 shards=8 shards=nodes+1
+			workers=1 workers=2 workers=4 workers=8 programs=run programs=shared programs=per-element
+			traces=per-node traces=shared traces=own concurrent=false concurrent=true`,
+	} {
+		for _, k := range strings.Fields(keys) {
+			if seen[group] > 0 && seen[k] == 0 {
+				t.Errorf("no schedule reached %s", k)
+			}
 		}
 	}
 }
@@ -791,11 +1136,7 @@ func TestSessionSnapshotResumeEEG(t *testing.T) {
 	inputs := app.SampleTrace(3, 16)
 	nodeCut, sourceCut := eegCuts(app)
 	for name, onNode := range map[string]map[int]bool{"source-cut": sourceCut, "node-cut": nodeCut} {
-		cfg := runtime.Config{
-			Graph: app.Graph, OnNode: onNode, Platform: platform.Gumstix(),
-			Nodes: 3, Duration: 16, Seed: 17, WindowSeconds: 4,
-		}
-		c := newCase(name, cfg, mergedFeed(t, cfg.Nodes, cfg.Duration, func(int) []profile.Input { return inputs }))
+		c := inputCase(t, name, eegCfg(app, onNode, 3, 16, 17, 4), func(int) []profile.Input { return inputs })
 		ref := c.reference(t)
 		if ref.res.InputEvents == 0 || ref.res.ProcessedEvents == 0 ||
 			name == "source-cut" && (ref.res.MsgsSent == 0 || ref.res.ServerEmits == 0) {
@@ -943,16 +1284,13 @@ func TestReplanParity(t *testing.T) {
 func TestReplanParitySpeech(t *testing.T) {
 	t.Parallel()
 	app := speech.New()
-	cfg := runtime.Config{
-		Graph: app.Graph, OnNode: speechCutOnNode(app, 1), Platform: platform.Gumstix(),
-		Nodes: 4, Duration: 8, Seed: 71, WindowSeconds: 1,
-	}
+	steady := speechCase(t, app, 1, 4, 8, 71, 700)
+	cfg := steady.cfg
+	cfg.WindowSeconds = 1
 	// Drift: past mid-run each arrival is offered with two echoes 10 and
 	// 20 ms later.
 	var feed []feedItem
-	for _, f := range mergedFeed(t, cfg.Nodes, cfg.Duration, func(n int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(700+n), 2.0)}
-	}) {
+	for _, f := range steady.feed {
 		feed = append(feed, f)
 		for d := 1; d <= 2 && f.a.Time > cfg.Duration/2; d++ {
 			e := f
@@ -1033,27 +1371,14 @@ func TestScenarioParityAcrossPlacements(t *testing.T) {
 // for a steady-rate, window-divisible trace, a Session, whose window w
 // delivers behind the caller's ingest of window w+1, reproduces the batch
 // Run byte for byte, sink values included, at every Shards/Workers of its
-// one in-process host. CI runs them under -race: the delivery goroutine
-// and the Offer caller both touch the session.
+// one in-process host. Both are held to the reference engine on the
+// case's Inputs. CI runs them under -race: the delivery goroutine and the
+// Offer caller both touch the session.
 
-// batch is c's batch Run over inputs, with its sink digest.
-func (c *schedCase) batch(t *testing.T, inputs func(int) []profile.Input) *outcome {
-	t.Helper()
-	rec, restore := runtime.RecordServerSinks(c.cfg.Graph, c.cfg.OnNode)
-	defer restore()
-	cfg := c.cfg
-	cfg.WindowSeconds, cfg.Inputs = 0, inputs
-	res, err := runtime.Run(cfg)
-	if err != nil {
-		t.Fatalf("%s: batch run: %v", c.name, err)
-	}
-	return &outcome{res: *res, sinks: rec.Take(t)}
-}
-
-// sessionVariants start the run on its one in-process host at each
-// Shards/Workers pair the session-parity rows sweep.
+// sessionVariants are the batch Run and a session on its one in-process
+// host at each Shards/Workers pair the session-parity rows sweep.
 func sessionVariants() []schedule {
-	var scs []schedule
+	scs := []schedule{batchAt(0, 0)}
 	for _, v := range [][2]int{{0, 1}, {4, 1}, {0, 4}, {2, 2}, {4, 4}, {8, 8}} {
 		scs = append(scs, schedule{start: place{shards: v[0], workers: v[1]}})
 	}
@@ -1068,12 +1393,7 @@ func TestSessionParitySpeech(t *testing.T) {
 	t.Parallel()
 	app := speech.New()
 	for _, prefix := range []int{1, 5} {
-		c := speechCase(t, app, prefix, 6, 12, int64(40+prefix), 300)
-		ref := c.batch(t, func(n int) []profile.Input { return []profile.Input{app.SampleTrace(int64(300+n), 2.0)} })
-		if ref.res.MsgsSent == 0 || ref.res.ServerEmits == 0 {
-			t.Fatalf("cut %d: degenerate run %+v", prefix, ref.res)
-		}
-		c.verify(t, ref, sessionVariants()...)
+		speechCase(t, app, prefix, 6, 12, int64(40+prefix), 300).expect(t, emits, sessionVariants()...)
 	}
 }
 
@@ -1091,25 +1411,17 @@ func TestSessionParityEEG(t *testing.T) {
 		name   string
 		onNode map[int]bool
 		inputs []profile.Input
+		ok     func(*outcome) bool
 	}{
-		{"node-cut", nodeCut, app.SampleTrace(3, 12)},
-		{"seizure", sourceCut, runtime.SeizureTrace(app, 3, 12)},
+		{"node-cut", nodeCut, app.SampleTrace(3, 12), offers},
+		{"seizure", sourceCut, runtime.SeizureTrace(app, 3, 12), delivers},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := runtime.Config{
-				Graph: app.Graph, OnNode: tc.onNode, Platform: platform.Gumstix(),
-				Nodes: 3, Duration: 12, Seed: 17, WindowSeconds: 4,
-			}
-			c := newCase(tc.name, cfg, mergedFeed(t, cfg.Nodes, cfg.Duration, func(int) []profile.Input { return tc.inputs }))
+			c := inputCase(t, tc.name, eegCfg(app, tc.onNode, 3, 12, 17, 4), func(int) []profile.Input { return tc.inputs })
 			if !c.local {
 				t.Fatal("EEG app must exercise the sequential-delivery fallback")
 			}
-			// Own copies of the events: every replica executes, none replays.
-			ref := c.batch(t, func(int) []profile.Input { return runtime.OwnEvents(tc.inputs) })
-			if ref.res.InputEvents == 0 || tc.name == "seizure" && ref.sinks.Values == 0 {
-				t.Fatalf("degenerate run %+v, %d sink values", ref.res, ref.sinks.Values)
-			}
-			c.verify(t, ref, sessionVariants()...)
+			c.expect(t, tc.ok, sessionVariants()...)
 		})
 	}
 }
@@ -1159,10 +1471,10 @@ func TestSessionParityReduce(t *testing.T) {
 			Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
 			Nodes: 4, Duration: 64, Seed: 11, WindowSeconds: 16,
 		}
-		c := newCase(tc.name, cfg, mergedFeed(t, cfg.Nodes, cfg.Duration, func(int) []profile.Input { return inputs }))
+		c := inputCase(t, tc.name, cfg, func(int) []profile.Input { return inputs })
 		if c.local != tc.order {
 			t.Fatalf("%s: distributable=%v", tc.name, !c.local)
 		}
-		c.verify(t, c.batch(t, func(int) []profile.Input { return inputs }), sessionVariants()...)
+		c.verify(t, nil, sessionVariants()...)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // no matter how the other origins' messages interleave, so partitioning
 // origins across shards and summing the per-shard counters is
 // byte-identical to the sequential loop at any shard count and worker
-// count (the ShardedDelivery parity tests pin this against the sequential
-// path and the reference engine).
+// count (the batch schedules of schedule_test.go pin this against the
+// reference engine at generated Shards/Workers).
 //
 // The one thing that breaks per-origin independence is a stateful operator
 // declared in the Server namespace: its single state instance is fed by

@@ -29,32 +29,40 @@ type SinkRecorder struct {
 	vals []dataflow.Value
 }
 
-// RecordServerSinks wraps the Work and BatchWork of every SideEffect
-// operator of g that onNode leaves on the server so that each value it
-// receives is retained by the returned recorder, on every engine that
-// compiles or walks g afterwards. restore puts the original functions
-// back; call it before the graph is recorded under another cut.
+// RecordServerSinks wraps every SideEffect operator of g that onNode
+// leaves on the server (WrapWork) so that each value it receives is
+// retained by the returned recorder, on every engine that compiles or
+// walks g afterwards. restore puts the original functions back; call it
+// before the graph is recorded under another cut.
 func RecordServerSinks(g *dataflow.Graph, onNode map[int]bool) (rec *SinkRecorder, restore func()) {
 	rec = &SinkRecorder{}
+	return rec, WrapWork(g, func(op *dataflow.Operator) bool { return op.SideEffect && !onNode[op.ID()] },
+		func(_ *dataflow.Ctx, vs ...dataflow.Value) { rec.keep(vs...) })
+}
+
+// WrapWork wraps the Work and BatchWork of every operator of g with a Work
+// that pick selects so that see observes each call's context and values
+// first. restore puts the original functions back.
+func WrapWork(g *dataflow.Graph, pick func(*dataflow.Operator) bool, see func(*dataflow.Ctx, ...dataflow.Value)) (restore func()) {
 	var undo []func()
 	for _, op := range g.Operators() {
-		if !op.SideEffect || onNode[op.ID()] || op.Work == nil {
+		if op.Work == nil || !pick(op) {
 			continue
 		}
 		work, batch := op.Work, op.BatchWork
 		op.Work = func(ctx *dataflow.Ctx, port int, v dataflow.Value, emit dataflow.Emit) {
-			rec.keep(v)
+			see(ctx, v)
 			work(ctx, port, v, emit)
 		}
 		if batch != nil {
 			op.BatchWork = func(ctx *dataflow.Ctx, port int, vs []dataflow.Value, emit dataflow.EmitBatch) {
-				rec.keep(vs...)
+				see(ctx, vs...)
 				batch(ctx, port, vs, emit)
 			}
 		}
 		undo = append(undo, func() { op.Work, op.BatchWork = work, batch })
 	}
-	return rec, func() {
+	return func() {
 		for _, f := range undo {
 			f()
 		}

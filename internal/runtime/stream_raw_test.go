@@ -1,44 +1,22 @@
 package runtime_test
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 
 	"wishbone/internal/apps/speech"
 	"wishbone/internal/platform"
-	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 )
 
-// rawStreamConfig is the shared fixture: a speech pipeline cut after the
+// rawStreamCase is the shared fixture: a speech pipeline cut after the
 // source, several windows, sharded delivery — the configuration the
 // streaming endpoint runs.
-func rawStreamConfig(app *speech.App) runtime.Config {
-	return runtime.Config{
-		Graph:         app.Graph,
-		OnNode:        speechCutOnNode(app, 1),
-		Platform:      platform.TMoteSky(),
-		Nodes:         3,
-		Duration:      30,
-		Shards:        2,
-		Workers:       2,
-		WindowSeconds: 10,
-		Seed:          11,
-	}
-}
-
-// mergedArrivals materializes the globally time-ordered arrival sequence
-// runStream would feed: per-node trace streams merged by runtime.Feed.
-func mergedArrivals(t *testing.T, app *speech.App, cfg runtime.Config) (nodes []int, arrs []runtime.Arrival) {
-	cfg.Inputs = func(nodeID int) []profile.Input {
-		return []profile.Input{app.SampleTrace(int64(4000+nodeID), 2.0)}
-	}
-	rec := &recordingSink{}
-	if err := runtime.Feed(rec, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	return rec.nodes, rec.arrs
+func rawStreamCase(t *testing.T, app *speech.App) *schedCase {
+	c := speechRun(app, platform.TMoteSky(), 1, 3, 30, 11, 4000, 2)
+	c.cfg.Shards, c.cfg.Workers, c.cfg.WindowSeconds = 2, 2, 10
+	c.feed = mergedFeed(t, c.cfg.Nodes, c.cfg.Duration, c.inputs)
+	return c
 }
 
 // recordingSink is the ArrivalSink that keeps what Feed offers it.
@@ -56,52 +34,10 @@ func (r *recordingSink) Offer(nodeID int, a runtime.Arrival) error {
 // TestOfferRawParity pins the zero-copy ingestion path end to end: a
 // session fed raw JSON through OfferRaw must produce a Result
 // byte-identical to one fed the same arrivals as materialized values
-// through Offer.
+// through Offer (both held to the reference engine).
 func TestOfferRawParity(t *testing.T) {
-	app := speech.New()
-	cfg := rawStreamConfig(app)
-	nodes, arrs := mergedArrivals(t, app, cfg)
-	if len(arrs) == 0 {
-		t.Fatal("no arrivals generated")
-	}
-
-	sessA, err := runtime.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range arrs {
-		if err := sessA.Offer(nodes[i], a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := sessA.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.MsgsSent == 0 {
-		t.Fatalf("degenerate reference run %+v", *want)
-	}
-
-	sessB, err := runtime.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range arrs {
-		raw, err := json.Marshal(a.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sessB.OfferRaw(nodes[i], a.Time, a.Source, "i16s", raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := sessB.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *want {
-		t.Errorf("OfferRaw diverged from Offer:\nwant: %+v\ngot:  %+v", *want, *got)
-	}
+	at := place{shards: 2, workers: 2}
+	rawStreamCase(t, speech.New()).expect(t, sends, schedule{start: at}, schedule{start: at, raw: true})
 }
 
 // TestOfferRawErrors pins OfferRaw's error classification: arrival faults
@@ -110,7 +46,7 @@ func TestOfferRawParity(t *testing.T) {
 // beyond the duration are silently dropped.
 func TestOfferRawErrors(t *testing.T) {
 	app := speech.New()
-	cfg := rawStreamConfig(app)
+	cfg := rawStreamCase(t, app).cfg
 	sess, err := runtime.NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -83,54 +83,6 @@ func streamInputs(src *dataflow.Operator, rate float64) []profile.Input {
 	return []profile.Input{{Source: src, Events: []dataflow.Value{[]float64{5, 7}}, Rate: rate}}
 }
 
-// TestStreamingMatchesBatchUniform pins streaming ingestion against the
-// batch path: with a steady-rate trace whose period (1/4 s) divides the
-// window (16 s) and the duration (64 s) — all powers of two, so the
-// per-window and whole-run mean loads are the same float64 — the Results
-// must be byte-identical, at any shard count on either path.
-func TestStreamingMatchesBatchUniform(t *testing.T) {
-	g, src, onNode := streamApp()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	inputs := streamInputs(src, 4)
-	// Duration 64 exercises whole windows only; 24 ends on a partial
-	// window ([16,24), span 8) whose messages must be priced over the
-	// remaining span — per-second load stays uniform, so parity holds.
-	for _, duration := range []float64{64, 24} {
-		base := Config{
-			Graph: g, OnNode: onNode, Platform: platform.TMoteSky(),
-			Nodes: 4, Duration: duration, Seed: 11,
-			Inputs: func(nodeID int) []profile.Input { return inputs },
-		}
-		batch, err := Run(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch.MsgsSent == 0 || batch.MsgsReceived == 0 {
-			t.Fatalf("degenerate batch run: %+v", *batch)
-		}
-
-		stream := base
-		stream.Inputs = nil
-		stream.WindowSeconds = 16
-		stream.ArrivalSource = func(nodeID int) (Stream, error) {
-			return InputStream(inputs, 1, duration)
-		}
-		for _, shards := range []int{0, 3} {
-			stream.Shards = shards
-			got, err := Run(stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *got != *batch {
-				t.Fatalf("streaming (duration=%g, shards=%d) diverges from batch:\nbatch:  %+v\nstream: %+v",
-					duration, shards, *batch, *got)
-			}
-		}
-	}
-}
-
 // TestStreamingBoundedMemory asserts the streaming working set is a
 // function of the window, not the trace duration: quadrupling the
 // simulated span leaves the peak number of buffered arrivals unchanged.

@@ -344,19 +344,11 @@ func (c *Client) ShardOpen(ctx context.Context, req wire.ShardOpenRequest) (*wir
 	return &out, nil
 }
 
-// ShardCompute runs one window's node phase on an open shard session.
-func (c *Client) ShardCompute(ctx context.Context, req wire.ShardComputeRequest) (*wire.ShardComputeResponse, error) {
-	body, err := wire.AppendShardCompute(nil, &req)
-	if err != nil {
-		return nil, err
-	}
-	return c.ShardComputeBody(ctx, body)
-}
-
-// ShardComputeBody is ShardCompute with the request already encoded by
-// wire.AppendShardCompute. After a nil error the host has read body whole
-// (it answers only then), so the caller may reuse the buffer; after an
-// error the transport may still be reading it.
+// ShardComputeBody runs one window's node phase on an open shard session,
+// the request already encoded by wire.AppendShardCompute. After a nil
+// error the host has read body whole (it answers only then), so the
+// caller may reuse the buffer; after an error the transport may still be
+// reading it.
 func (c *Client) ShardComputeBody(ctx context.Context, body []byte) (*wire.ShardComputeResponse, error) {
 	var out wire.ShardComputeResponse
 	if err := c.postBytes(ctx, "/v1/shard/compute", body, &out); err != nil {

@@ -49,7 +49,7 @@ import (
 
 // shardSessionIdle is how long a shard session may go without an RPC
 // before a full table gives its slot away — far above the coordinator's
-// whole retry budget for one call (dist.RetryPolicy: 15 s × 4 attempts),
+// whole retry budget for one call (internal/dist's retry schedule: 15 s × 4 attempts),
 // so a live run is never evicted between two of its windows.
 const shardSessionIdle = 5 * time.Minute
 

@@ -24,6 +24,15 @@ type shardWindowBatch struct {
 	arrivals []wire.ShardArrival
 }
 
+// shardCompute encodes req as a /v1/shard/compute body and posts it.
+func shardCompute(ctx context.Context, c *Client, req wire.ShardComputeRequest) (*wire.ShardComputeResponse, error) {
+	body, err := wire.AppendShardCompute(nil, &req)
+	if err != nil {
+		return nil, err
+	}
+	return c.ShardComputeBody(ctx, body)
+}
+
 // speechShardWindows materializes the speech app's arrivals grouped into
 // fixed windows, nodes ascending within a window (the coordinator's
 // shipping order).
@@ -96,12 +105,12 @@ func TestShardRetryDedupe(t *testing.T) {
 			req := wire.ShardComputeRequest{
 				Session: session, Window: int64(wi + 1), Arrivals: b.arrivals,
 			}
-			rep, err := client.ShardCompute(ctx, req)
+			rep, err := shardCompute(ctx, client, req)
 			if err != nil {
 				t.Fatalf("window %d: %v", wi, err)
 			}
 			if retry {
-				again, err := client.ShardCompute(ctx, req)
+				again, err := shardCompute(ctx, client, req)
 				if err != nil {
 					t.Fatalf("window %d retry: %v", wi, err)
 				}
@@ -143,7 +152,7 @@ func TestShardRetryDedupe(t *testing.T) {
 // coordinator's recovery classifier keys on.
 func TestShardUnknownSessionCode(t *testing.T) {
 	_, client := startServer(t, Config{})
-	_, err := client.ShardCompute(context.Background(), wire.ShardComputeRequest{
+	_, err := shardCompute(context.Background(), client, wire.ShardComputeRequest{
 		Session: "nope", Window: 1,
 	})
 	var ae *APIError
@@ -230,16 +239,16 @@ func TestShardComputeHostileBodies(t *testing.T) {
 
 	stray := req
 	stray.Session = "nope"
-	_, err = client.ShardCompute(ctx, stray)
+	_, err = shardCompute(ctx, client, stray)
 	apiErr = nil
 	errors.As(err, &apiErr)
 	want("unknown session", apiErr, http.StatusBadRequest, "unknown_session")
 
-	rep, err := client.ShardCompute(ctx, req)
+	rep, err := shardCompute(ctx, client, req)
 	if err != nil {
 		t.Fatalf("window 1 after the refusals: %v", err)
 	}
-	again, err := client.ShardCompute(ctx, req)
+	again, err := shardCompute(ctx, client, req)
 	if err != nil || !reflect.DeepEqual(rep, again) {
 		t.Fatalf("repeated window 1: %+v (err %v), want the cached %+v", again, err, rep)
 	}
@@ -296,7 +305,7 @@ func TestShardSessionLease(t *testing.T) {
 	batches := speechShardWindows(t, e, nodes, duration, span)
 	window := func(c *Client, session string, wi int) {
 		t.Helper()
-		rep, err := c.ShardCompute(ctx, wire.ShardComputeRequest{
+		rep, err := shardCompute(ctx, c, wire.ShardComputeRequest{
 			Session: session, Window: int64(wi + 1), Arrivals: batches[wi].arrivals,
 		})
 		if err != nil {
@@ -399,7 +408,7 @@ func TestShardCheckpointResume(t *testing.T) {
 
 	drive := func(session string, wi int, b shardWindowBatch) {
 		t.Helper()
-		rep, err := client.ShardCompute(ctx, wire.ShardComputeRequest{
+		rep, err := shardCompute(ctx, client, wire.ShardComputeRequest{
 			Session: session, Window: int64(wi + 1), Arrivals: b.arrivals,
 		})
 		if err != nil {
