@@ -7,7 +7,7 @@
 //
 //	wishbone -src prog.ws [-platform TMoteSky] [-mode permissive]
 //	         [-events 64] [-dot out.dot]
-//	         [-solver exact|lagrangian|greedy|race]
+//	         [-solver exact|lagrangian|greedy]
 //	         [-server http://host:9090]
 //	         [-simulate N] [-simseconds S] [-shards K] [-stream]
 //	         [-hosts url1,url2,...] [-checkpoint W]
@@ -98,7 +98,7 @@ func main() {
 	events := flag.Int("events", 64, "synthetic sample events per source for profiling")
 	window := flag.Int("window", 0, "feed each source windows of N samples instead of scalars")
 	dotPath := flag.String("dot", "", "write a GraphViz visualization here")
-	solverName := flag.String("solver", "exact", "solver backend: exact|lagrangian|greedy|race (all raced, best feasible wins)")
+	solverName := flag.String("solver", "exact", "solver backend: exact|lagrangian|greedy")
 	serverURL := flag.String("server", "", "partition-service base URL; when set, requests go to wbserved instead of running in process")
 	simNodes := flag.Int("simulate", 0, "deploy the chosen partition on a simulated N-node network")
 	simSeconds := flag.Float64("simseconds", 30, "simulated deployment duration in seconds")
@@ -199,7 +199,7 @@ func main() {
 	if rate < 1 {
 		fmt.Printf("full rate infeasible; max sustainable rate = %.3f×\n", rate)
 	} else if *solverName != core.SolverExact {
-		// Which backend actually answered, and how tight is its bound?
+		// How long did the backend take, and how tight is its bound?
 		sstats := res.Solves[0]
 		gap := "no bound"
 		if asg.Stats.Gap >= 0 {
@@ -207,16 +207,6 @@ func main() {
 		}
 		fmt.Printf("solver %s answered in %.0f ms (%s)\n",
 			asg.Stats.Solver, 1000*sstats.Seconds, gap)
-		for _, sub := range sstats.Sub {
-			state := "lost"
-			if sub.Winner {
-				state = "won"
-			}
-			if sub.Err != "" {
-				state = "failed"
-			}
-			fmt.Printf("  raced %-11s %7.0f ms  %s\n", sub.Backend, 1000*sub.Seconds, state)
-		}
 	}
 
 	fmt.Printf("partition on %s (rate ×%.3f): node CPU %.1f%%, radio %.0f B/s, %d/%d operators on node\n",

@@ -104,7 +104,7 @@ func main() {
 	// The Planner is the configured front door: solver backend, relocation
 	// mode, and rate search are fixed once; the defaults reproduce the
 	// paper (exact ILP, permissive relocation). Try
-	// wishbone.WithSolver("race") to hedge with the heuristic backends.
+	// wishbone.WithSolver("lagrangian") for the §9-style relaxation.
 	planner := wishbone.NewPlanner(wishbone.WithMode(wishbone.Permissive))
 	ctx := context.Background()
 

@@ -19,23 +19,21 @@ type AutoResult struct {
 	// Probes counts solver invocations (1 when full rate fits).
 	Probes int
 
-	// Solves records per-probe backend telemetry in probe order — for
-	// raced solves each entry carries the per-backend breakdown in Sub.
+	// Solves records per-probe backend telemetry in probe order.
 	Solves []BackendStats
 }
 
 // AutoPartitionWith is the paper's full decision procedure as one
 // re-entrant call: solve spec at rate scale hi with sv (exact,
-// lagrangian, greedy, or a Raced combination); if infeasible,
-// binary-search the maximum sustainable rate (§4.3) with relative
-// precision tol and return the partition there. It is a pure function of
-// its arguments — no global or package state — so any number of
-// goroutines may run it concurrently over shared Specs, which is how the
-// partition service serves tenants.
+// lagrangian or greedy); if infeasible, binary-search the maximum
+// sustainable rate (§4.3) with relative precision tol and return the
+// partition there. It is a pure function of its arguments — no global or
+// package state — so any number of goroutines may run it concurrently
+// over shared Specs, which is how the partition service serves tenants.
 //
 // hi ≤ 0 defaults to 1 (the profiled full rate); tol ≤ 0 defaults to
 // 0.005. A nil error with a nil Assignment means no probed rate was
-// feasible.
+// feasible. The Limits argument is unused (see Limits).
 //
 // The search relies on monotonicity: CPU and network load scale linearly
 // with input rate, so if scale X is feasible every Y < X is too. With a
@@ -45,14 +43,14 @@ type AutoResult struct {
 // offered load no longer translates into received data; the caller should
 // cap hi at the network profiler's maximum send rate (§7.3.1), as the
 // paper's deployment procedure does.
-func AutoPartitionWith(ctx context.Context, spec *Spec, hi, tol float64, lim Limits, sv Solver) (*AutoResult, error) {
+func AutoPartitionWith(ctx context.Context, spec *Spec, hi, tol float64, _ Limits, sv Solver) (*AutoResult, error) {
 	if hi <= 0 {
 		hi = 1
 	}
 	if tol <= 0 {
 		tol = 0.005
 	}
-	asg, st, err := sv.Solve(ctx, spec.Scaled(hi), lim)
+	asg, st, err := sv.Solve(ctx, spec.Scaled(hi))
 	res := &AutoResult{Probes: 1, Solves: []BackendStats{st}}
 	if err == nil {
 		res.Assignment, res.RateMultiple = asg, hi
@@ -61,7 +59,7 @@ func AutoPartitionWith(ctx context.Context, spec *Spec, hi, tol float64, lim Lim
 	if !IsInfeasible(err) {
 		return nil, err
 	}
-	if err := maxRateBelow(ctx, spec, hi, tol, lim, sv, res); err != nil {
+	if err := maxRateBelow(ctx, spec, hi, tol, sv, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -69,7 +67,7 @@ func AutoPartitionWith(ctx context.Context, spec *Spec, hi, tol float64, lim Lim
 
 // maxRateBelow runs the §4.3 binary search below hi, which the full-rate
 // probe has shown infeasible, accumulating probes into res.
-func maxRateBelow(ctx context.Context, spec *Spec, hi, tol float64, lim Limits, sv Solver, res *AutoResult) error {
+func maxRateBelow(ctx context.Context, spec *Spec, hi, tol float64, sv Solver, res *AutoResult) error {
 	lo := 0.0 // highest known-feasible scale (0 = unknown/none)
 	cur := hi
 	for cur-lo > tol*math.Max(lo, tol) {
@@ -80,7 +78,7 @@ func maxRateBelow(ctx context.Context, spec *Spec, hi, tol float64, lim Limits, 
 		if mid <= 0 {
 			break
 		}
-		asg, st, err := sv.Solve(ctx, spec.Scaled(mid), lim)
+		asg, st, err := sv.Solve(ctx, spec.Scaled(mid))
 		res.Probes++
 		res.Solves = append(res.Solves, st)
 		if err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wishbone/internal/dataflow"
@@ -104,6 +105,26 @@ func TestInfeasibleWhenBudgetTiny(t *testing.T) {
 	_, err := Partition(context.Background(), &s, DefaultOptions())
 	if _, ok := err.(*ErrInfeasible); !ok {
 		t.Fatalf("err=%v, want ErrInfeasible", err)
+	}
+}
+
+// TestPartitionNodeCapWithoutIncumbent: the General formulation has no
+// rounder, so a MaxNodes cap reached at a fractional root leaves no cut
+// and no infeasibility proof — an error that names the cap, not a
+// solver failure and not ErrInfeasible.
+func TestPartitionNodeCapWithoutIncumbent(t *testing.T) {
+	_, spec := fig3Graph(t)
+	s := *spec
+	s.CPUBudget = 3.5 // the root relaxation is fractional at this budget
+	asg, err := Partition(context.Background(), &s, Options{Formulation: General, Preprocess: true, MaxNodes: 1})
+	if err == nil {
+		t.Fatalf("capped solve returned a cut with no search: %+v", asg)
+	}
+	if IsInfeasible(err) {
+		t.Fatalf("a node cap is not an infeasibility proof: %v", err)
+	}
+	if want := "MaxNodes 1"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %q, want it to name %q", err, want)
 	}
 }
 

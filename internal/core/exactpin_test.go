@@ -19,9 +19,9 @@ type recordingSolver struct {
 	specs *[]*Spec
 }
 
-func (r recordingSolver) Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, BackendStats, error) {
+func (r recordingSolver) Solve(ctx context.Context, s *Spec) (*Assignment, BackendStats, error) {
 	*r.specs = append(*r.specs, s)
-	return r.Exact.Solve(ctx, s, lim)
+	return r.Exact.Solve(ctx, s)
 }
 
 // restrictedModel writes the ILP Partition solves for s under

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"wishbone/internal/dataflow"
@@ -45,6 +46,13 @@ func (e *ErrInfeasible) Error() string {
 		e.Spec.CPUBudget, e.Spec.NetBudget)
 }
 
+// IsInfeasible reports whether err (possibly wrapped) is an *ErrInfeasible
+// — the signal rate searches branch on.
+func IsInfeasible(err error) bool {
+	var ie *ErrInfeasible
+	return errors.As(err, &ie)
+}
+
 // Partition solves the partitioning problem exactly and returns the optimal
 // assignment. It returns *ErrInfeasible when the budgets cannot be met.
 //
@@ -52,17 +60,9 @@ func (e *ErrInfeasible) Error() string {
 // and GapTol): when the search stops early with a feasible incumbent in
 // hand, Partition returns that incumbent with its proven optimality gap
 // recorded in Stats.Gap instead of an error; cancellation before any
-// incumbent exists returns ctx's error.
+// incumbent exists returns ctx's error, and MaxNodes before any incumbent
+// exists an error naming the cap.
 func Partition(ctx context.Context, s *Spec, opts Options) (*Assignment, error) {
-	return partition(ctx, s, opts, nil)
-}
-
-// partition is Partition with an optional external upper bound: bound
-// reads a feasible α·cpu + β·net objective some other backend already
-// holds (the race incumbent), which the branch-and-bound prunes against.
-// Only the Restricted formulation uses it, where the ILP objective equals
-// the assignment objective exactly.
-func partition(ctx context.Context, s *Spec, opts Options, bound func() (float64, bool)) (*Assignment, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -182,19 +182,10 @@ func partition(ctx context.Context, s *Spec, opts Options, bound func() (float64
 		}
 	}
 
-	// The external cutoff shares objective space with the model only in
-	// the Restricted formulation (General's tiny edge-variable weights
-	// shift the model objective above α·cpu + β·net, which would make an
-	// assignment-space bound unsound there).
-	var cutoff func() (float64, bool)
-	if opts.Formulation == Restricted {
-		cutoff = bound
-	}
 	res, err := ilp.Solve(ctx, m, ilp.Options{
 		GapTol:   opts.GapTol,
 		MaxNodes: opts.MaxNodes,
 		Rounder:  rounder,
-		Cutoff:   cutoff,
 	})
 	if err != nil {
 		return nil, err
@@ -202,7 +193,6 @@ func partition(ctx context.Context, s *Spec, opts Options, bound func() (float64
 	stats := SolveStats{
 		Solver:         SolverExact,
 		Nodes:          res.Nodes,
-		CutoffPruned:   res.CutoffPruned,
 		DiscoverTime:   res.DiscoverTime.Seconds(),
 		ProveTime:      res.ProveTime.Seconds(),
 		ClustersBefore: s.Graph.NumOperators(),
@@ -219,6 +209,9 @@ func partition(ctx context.Context, s *Spec, opts Options, bound func() (float64
 		stats.Gap = res.Gap
 	case ilp.StatusInfeasible:
 		return &Assignment{Stats: stats}, &ErrInfeasible{Spec: s}
+	case ilp.StatusNodeLimit:
+		// Neither a cut nor a proof that none exists.
+		return nil, fmt.Errorf("core: branch-and-bound stopped at MaxNodes %d before finding a feasible cut", opts.MaxNodes)
 	default:
 		return nil, fmt.Errorf("core: solver failed with status %v", res.Status)
 	}

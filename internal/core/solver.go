@@ -3,34 +3,25 @@ package core
 import (
 	"context"
 	"math"
-	"sync"
 	"time"
 )
 
 // Canonical backend names. Construction by name lives in
-// internal/solver (solver.New); core knows only the names it needs for
-// tie-breaking and stats.
+// internal/solver (solver.New); core knows only the names it stamps on
+// stats.
 const (
 	SolverExact      = "exact"
 	SolverLagrangian = "lagrangian"
 	SolverGreedy     = "greedy"
-	SolverRace       = "race"
 )
 
-// Limits carries per-call state into one Solve call; a solve's count
-// limits (MaxNodes, GapTol) live in the backend's Options and its
-// wall-clock budget is ctx. Every backend must honor ctx cancellation.
-type Limits struct {
-	// Incumbent optionally shares feasible objectives between concurrently
-	// racing backends: every backend Offers what it finds, and bound-aware
-	// backends (the Lagrangian relaxation) read it to tighten their own
-	// termination test. Race installs one automatically; single solves may
-	// leave it nil.
-	Incumbent *Incumbent
-}
+// Limits carries nothing: a solve's count limits (MaxNodes, GapTol) live
+// in the backend's Options and its wall-clock budget is ctx. The type and
+// AutoPartitionWith's parameter of it remain only because bench/sut.go
+// passes core.Limits{} to AutoPartitionWith.
+type Limits struct{}
 
-// BackendStats reports one backend's Solve call. Race aggregates its
-// backends' stats under Sub.
+// BackendStats reports one backend's Solve call.
 type BackendStats struct {
 	// Backend is the solver's name.
 	Backend string `json:"backend"`
@@ -58,21 +49,15 @@ type BackendStats struct {
 	// subgradient iterations, or candidate cuts evaluated.
 	Iterations int `json:"iterations,omitempty"`
 
-	// Winner marks the backend whose assignment a race returned.
-	Winner bool `json:"winner,omitempty"`
-
-	// Err carries a losing or failing backend's error text.
+	// Err carries a failing backend's error text.
 	Err string `json:"error,omitempty"`
-
-	// Sub is the per-backend breakdown when Backend is "race".
-	Sub []BackendStats `json:"sub,omitempty"`
 }
 
 // Solver is one partitioning backend: the exact branch-and-bound ILP, the
-// §9-style Lagrangian relaxation, the greedy cut-ordering baseline, or a
-// racer over several of them. Implementations must be safe for concurrent
-// use (Solve may be called from many goroutines over shared Specs) and
-// must return assignments that pass Assignment.Verify, or an error.
+// §9-style Lagrangian relaxation, or the greedy cut-ordering baseline.
+// Implementations must be safe for concurrent use (Solve may be called
+// from many goroutines over shared Specs) and must return assignments
+// that pass Assignment.Verify, or an error.
 //
 // Infeasibility is reported as an error matching *ErrInfeasible via
 // errors.As. For heuristic backends this means "this backend found no
@@ -82,42 +67,8 @@ type Solver interface {
 	// Name returns the backend's name.
 	Name() string
 
-	// Solve computes an assignment for s within the limits.
-	Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, BackendStats, error)
-}
-
-// Incumbent is a concurrency-safe shared upper bound: the best feasible
-// objective any racing backend has found so far. The first feasible
-// solution to arrive seeds the bound; later offers tighten it.
-type Incumbent struct {
-	mu  sync.Mutex
-	obj float64
-	ok  bool
-}
-
-// Offer records obj if it improves the shared bound and reports whether it
-// did.
-func (inc *Incumbent) Offer(obj float64) bool {
-	if inc == nil {
-		return false
-	}
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if !inc.ok || obj < inc.obj {
-		inc.obj, inc.ok = obj, true
-		return true
-	}
-	return false
-}
-
-// Best returns the current bound and whether one exists.
-func (inc *Incumbent) Best() (float64, bool) {
-	if inc == nil {
-		return 0, false
-	}
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.obj, inc.ok
+	// Solve computes an assignment for s; ctx bounds it.
+	Solve(ctx context.Context, s *Spec) (*Assignment, BackendStats, error)
 }
 
 // Exact is the branch-and-bound ILP backend (§4.2): Partition behind the
@@ -133,23 +84,10 @@ func NewExact(opts Options) Exact { return Exact{Opts: opts} }
 // Name returns "exact".
 func (Exact) Name() string { return SolverExact }
 
-// Solve runs the exact ILP. The result is deterministic for a given spec
-// and limits even when raced: Limits.Incumbent feeds the branch-and-bound
-// an external prune cutoff (Restricted formulation, where the model and
-// assignment objectives coincide exactly), but the cutoff margin is wider
-// than the race tie tolerance and the search's best-bound order is a
-// total order, so the pruned subtrees are exactly those that could never
-// have produced the returned incumbent — a raced exact solve returns
-// byte-identical assignments to a standalone one in fewer nodes, and
-// racing ties stay exact wins by construction. Exact also Offers its
-// result to the shared bound for the other backends' benefit.
-func (e Exact) Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, BackendStats, error) {
-	var bound func() (float64, bool)
-	if inc := lim.Incumbent; inc != nil {
-		bound = inc.Best
-	}
+// Solve runs the exact ILP.
+func (e Exact) Solve(ctx context.Context, s *Spec) (*Assignment, BackendStats, error) {
 	start := time.Now()
-	asg, err := partition(ctx, s, e.Opts, bound)
+	asg, err := Partition(ctx, s, e.Opts)
 	stats := BackendStats{Backend: SolverExact, Seconds: time.Since(start).Seconds()}
 	if asg != nil {
 		stats.Iterations = asg.Stats.Nodes
@@ -164,6 +102,5 @@ func (e Exact) Solve(ctx context.Context, s *Spec, lim Limits) (*Assignment, Bac
 	// Invert the ILP's relative-gap convention to recover the bound.
 	stats.Bound = asg.Objective - asg.Stats.Gap*math.Max(1, math.Abs(asg.Objective))
 	stats.Gap = asg.Stats.Gap
-	lim.Incumbent.Offer(asg.Objective)
 	return asg, stats, nil
 }

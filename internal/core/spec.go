@@ -229,7 +229,7 @@ type Assignment struct {
 // SolveStats carries solver telemetry (Figure 6's discover/prove split).
 type SolveStats struct {
 	// Solver names the backend that produced the assignment ("exact",
-	// "lagrangian", "greedy", "race", …).
+	// "lagrangian" or "greedy").
 	Solver string
 
 	// Gap is the relative optimality gap at termination: 0 when optimality
@@ -241,7 +241,6 @@ type SolveStats struct {
 
 	Feasible       bool
 	Nodes          int
-	CutoffPruned   int     // subtrees discarded against an external race bound
 	DiscoverTime   float64 // seconds until the final incumbent
 	ProveTime      float64 // seconds until optimality was proved
 	ClustersBefore int     // movable vertices before preprocessing

@@ -23,6 +23,9 @@ const (
 	StatusUnbounded
 	// StatusError covers numerical failure or malformed input.
 	StatusError
+	// StatusNodeLimit means MaxNodes stopped the search before it found
+	// an incumbent: neither a solution nor a proof that none exists.
+	StatusNodeLimit
 )
 
 // String returns a human-readable status.
@@ -36,6 +39,8 @@ func (s Status) String() string {
 		return "infeasible"
 	case StatusUnbounded:
 		return "unbounded"
+	case StatusNodeLimit:
+		return "node limit"
 	default:
 		return "error"
 	}
@@ -58,31 +63,10 @@ type Options struct {
 	// the model before being accepted as incumbents, so an unsound rounder
 	// costs time but never correctness.
 	Rounder func(m *Model, x []float64) []float64
-
-	// Cutoff optionally reads an external upper bound: the objective (in
-	// model space) of a feasible solution some other solver already holds —
-	// a racing heuristic's incumbent. Children whose relaxation bound
-	// cannot beat it by more than the cutoff margin (1e-6, wider than any
-	// tie tolerance) are never pushed, and stale nodes above it are
-	// dropped at pop. Because the external bound is a feasible objective
-	// of the same problem, it is never below the optimum; best-bound
-	// search pops bounds in nondecreasing order and the optimum's path has
-	// bounds at most the optimum, so every pruned node would anyway have
-	// been discarded against the final incumbent after the winner was
-	// installed. The returned X is therefore byte-identical to an
-	// un-cut-off solve; only heap work (Result.CutoffPruned) and memory
-	// shrink. The callback may tighten over time; it must never report a
-	// value below a feasible objective.
-	Cutoff func() (float64, bool)
 }
 
 // intTol is the integrality tolerance.
 const intTol = 1e-6
-
-// cutoffMargin is how far a subtree's bound must exceed the external
-// cutoff before it is pruned. It is wider than the race's tie tolerance
-// (1e-9) so equal-objective ties still surface the exact solution.
-const cutoffMargin = 1e-6
 
 // Result reports the outcome of a Solve.
 type Result struct {
@@ -98,10 +82,6 @@ type Result struct {
 
 	// Nodes is the number of branch-and-bound nodes solved.
 	Nodes int
-
-	// CutoffPruned counts subtrees discarded against the external
-	// Options.Cutoff bound (never pushed, or dropped at pop).
-	CutoffPruned int
 
 	// BestBound is the proven lower bound (for minimization) at
 	// termination; Gap is the final relative gap.
@@ -138,9 +118,10 @@ func (h nodeHeap) Less(i, j int) bool {
 	if h[i].depth != h[j].depth {
 		return h[i].depth > h[j].depth // deeper first to find incumbents sooner
 	}
-	// Total order: push sequence breaks exact ties, so the exploration
-	// order of surviving nodes cannot depend on which other nodes an
-	// external cutoff pruned (container/heap is not otherwise stable).
+	// Total order: push sequence breaks exact ties, so tied nodes pop
+	// first-pushed first rather than in whatever order container/heap's
+	// sifts leave them. The node counts TestExactSolvePinned and the
+	// benchmark's solver.iterations.exact pin follow from this order.
 	return h[i].seq < h[j].seq
 }
 func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
@@ -160,8 +141,9 @@ func (h *nodeHeap) Pop() any {
 // The search is interruptible: it checks ctx between branch-and-bound
 // nodes. When interrupted — by cancellation, a ctx deadline, or MaxNodes —
 // with a feasible incumbent in hand, Solve returns StatusFeasible with the
-// incumbent and its proven gap rather than an error; only a ctx
-// interruption before any incumbent exists surfaces ctx.Err().
+// incumbent and its proven gap rather than an error. A ctx interruption
+// before any incumbent exists surfaces ctx.Err(); MaxNodes before any
+// incumbent exists returns StatusNodeLimit.
 func Solve(ctx context.Context, m *Model, opts Options) (*Result, error) {
 	return search(ctx, m, opts, (*tableau).iterate)
 }
@@ -256,12 +238,6 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		if node.bound >= incumbentObj-1e-9 {
 			continue // pruned by bound
 		}
-		if opts.Cutoff != nil {
-			if co, ok := opts.Cutoff(); ok && node.bound > scale*co+cutoffMargin {
-				res.CutoffPruned++
-				continue // pruned by the external (raced) incumbent
-			}
-		}
 		if opts.GapTol > 0 && !math.IsInf(incumbentObj, 1) {
 			gap := (incumbentObj - node.bound) / math.Max(1, math.Abs(incumbentObj))
 			if gap <= opts.GapTol {
@@ -314,32 +290,15 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 			parent: node, v: fv, lo: math.Ceil(xf), hi: hi,
 			bound: bound, depth: node.depth + 1, hasFixes: true,
 		}
-		// An external cutoff keeps doomed children out of the heap
-		// entirely; their pops could only ever have been discarded.
-		cutChild := func(b float64) bool {
-			if opts.Cutoff == nil {
-				return false
-			}
-			co, ok := opts.Cutoff()
-			return ok && b > scale*co+cutoffMargin
-		}
 		if down.hi >= down.lo-1e-9 {
-			if cutChild(down.bound) {
-				res.CutoffPruned++
-			} else {
-				seq++
-				down.seq = seq
-				heap.Push(h, down)
-			}
+			seq++
+			down.seq = seq
+			heap.Push(h, down)
 		}
 		if up.lo <= up.hi+1e-9 {
-			if cutChild(up.bound) {
-				res.CutoffPruned++
-			} else {
-				seq++
-				up.seq = seq
-				heap.Push(h, up)
-			}
+			seq++
+			up.seq = seq
+			heap.Push(h, up)
 		}
 	}
 
@@ -361,7 +320,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 			return res, ctx.Err()
 		}
 		if !proved {
-			res.Status = StatusError
+			res.Status = StatusNodeLimit
 			return res, nil
 		}
 		res.Status = StatusInfeasible

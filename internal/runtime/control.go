@@ -25,7 +25,7 @@ import (
 //
 // The planner is a callback rather than a solver call because the runtime
 // deliberately does not import the planning layers (core/solver); the
-// partition service wires its solver racing in, tests wire canned cuts.
+// partition service wires its §4.3 rate search in, tests wire canned cuts.
 
 // WindowObservation is one priced ingestion window's load signal, as the
 // control loop observes it. A window whose buffered arrivals all folded

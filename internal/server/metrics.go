@@ -21,7 +21,6 @@ type Metrics struct {
 // solverStats accumulates one backend's solve telemetry across requests.
 type solverStats struct {
 	Runs     int64
-	Wins     int64
 	Errors   int64
 	Feasible int64
 	total    time.Duration
@@ -55,9 +54,8 @@ func NewMetrics() *Metrics {
 }
 
 // ObserveSolver records one backend's solve: its latency, whether it
-// produced a feasible answer, whether it errored, and — for raced solves —
-// whether its answer won.
-func (m *Metrics) ObserveSolver(backend string, d time.Duration, feasible, won, errored bool) {
+// produced a feasible answer, and whether it errored.
+func (m *Metrics) ObserveSolver(backend string, d time.Duration, feasible, errored bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.solvers[backend]
@@ -68,9 +66,6 @@ func (m *Metrics) ObserveSolver(backend string, d time.Duration, feasible, won, 
 	s.Runs++
 	if feasible {
 		s.Feasible++
-	}
-	if won {
-		s.Wins++
 	}
 	if errored {
 		s.Errors++
@@ -133,11 +128,9 @@ type EndpointSnapshot struct {
 }
 
 // SolverSnapshot is one solver backend's externally visible stats: how
-// often it ran, won a race, found a feasible cut, or failed, and its
-// latency profile.
+// often it ran, found a feasible cut, or failed, and its latency profile.
 type SolverSnapshot struct {
 	Runs     int64   `json:"runs"`
-	Wins     int64   `json:"wins"`
 	Feasible int64   `json:"feasible"`
 	Errors   int64   `json:"errors"`
 	MeanMs   float64 `json:"meanMs"`
@@ -179,8 +172,8 @@ type FuelSnapshot struct {
 type Snapshot struct {
 	Endpoints map[string]EndpointSnapshot `json:"endpoints"`
 
-	// Solvers is the per-backend win/latency breakdown of every solve the
-	// partition endpoints ran (raced backends report individually).
+	// Solvers is the per-backend run, outcome and latency breakdown of
+	// every solve the partition endpoints ran.
 	Solvers map[string]SolverSnapshot `json:"solvers,omitempty"`
 
 	// Batch is the per-operator batch-hit breakdown of every simulation
@@ -232,7 +225,7 @@ func (m *Metrics) Snapshot(c *Cache) Snapshot {
 		out.Solvers = make(map[string]SolverSnapshot, len(m.solvers))
 		for name, s := range m.solvers {
 			ss := SolverSnapshot{
-				Runs: s.Runs, Wins: s.Wins, Feasible: s.Feasible, Errors: s.Errors,
+				Runs: s.Runs, Feasible: s.Feasible, Errors: s.Errors,
 				MaxMs: float64(s.maxTime) / float64(time.Millisecond),
 			}
 			if s.Runs > 0 {

@@ -10,26 +10,25 @@ import (
 )
 
 // TestMetricsSolverCounters pins the per-backend /v1/stats counters:
-// runs, wins, feasible answers and errors add up per backend, and the
-// latency columns are the mean and max of its solves.
+// runs, feasible answers and errors add up per backend, and the latency
+// columns are the mean and max of its solves.
 func TestMetricsSolverCounters(t *testing.T) {
 	m := NewMetrics()
-	obs := func(backend string, d time.Duration, feasible, won, errored bool, n int) {
+	obs := func(backend string, d time.Duration, feasible, errored bool, n int) {
 		for i := 0; i < n; i++ {
-			m.ObserveSolver(backend, d, feasible, won, errored)
+			m.ObserveSolver(backend, d, feasible, errored)
 		}
 	}
-	obs(core.SolverExact, 40*time.Millisecond, true, true, false, 3)
-	obs(core.SolverExact, 5*time.Millisecond, true, false, false, 2)
-	obs(core.SolverLagrangian, 2*time.Millisecond, true, true, false, 2)
-	obs(core.SolverGreedy, 1*time.Millisecond, true, true, false, 1)
-	obs(core.SolverGreedy, 1*time.Millisecond, true, false, false, 1)
-	obs(core.SolverGreedy, 4*time.Millisecond, false, false, true, 1)
+	obs(core.SolverExact, 40*time.Millisecond, true, false, 3)
+	obs(core.SolverExact, 5*time.Millisecond, true, false, 2)
+	obs(core.SolverLagrangian, 2*time.Millisecond, true, false, 2)
+	obs(core.SolverGreedy, 1*time.Millisecond, true, false, 2)
+	obs(core.SolverGreedy, 4*time.Millisecond, false, true, 1)
 
 	want := map[string]SolverSnapshot{
-		core.SolverExact:      {Runs: 5, Wins: 3, Feasible: 5, MeanMs: 26, MaxMs: 40},
-		core.SolverLagrangian: {Runs: 2, Wins: 2, Feasible: 2, MeanMs: 2, MaxMs: 2},
-		core.SolverGreedy:     {Runs: 3, Wins: 1, Feasible: 2, Errors: 1, MeanMs: 2, MaxMs: 4},
+		core.SolverExact:      {Runs: 5, Feasible: 5, MeanMs: 26, MaxMs: 40},
+		core.SolverLagrangian: {Runs: 2, Feasible: 2, MeanMs: 2, MaxMs: 2},
+		core.SolverGreedy:     {Runs: 3, Feasible: 2, Errors: 1, MeanMs: 2, MaxMs: 4},
 	}
 	got := m.Snapshot(nil).Solvers
 	if len(got) != len(want) {

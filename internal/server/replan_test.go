@@ -226,9 +226,8 @@ func TestServerReplanMaxPerSession(t *testing.T) {
 // TestServerStreamReplanIgnoresHistory pins that a replan is a function
 // of the request: server A has only ever solved greedy and lagrangian
 // partitions, server B nothing, and the same drifting stream with the
-// solver omitted (on both), spelled "auto", or "race" adopts the same cut,
-// names the same winning backend — exact, as race's answer is exact's —
-// and returns the same Result.
+// solver omitted (on both) or spelled "auto" adopts the same cut, names
+// the same backend — exact — and returns the same Result.
 func TestServerStreamReplanIgnoresHistory(t *testing.T) {
 	spec := wire.GraphSpec{App: "speech"}
 	e := localEntry(t, spec)
@@ -289,7 +288,6 @@ func TestServerStreamReplanIgnoresHistory(t *testing.T) {
 		{"omitted on the warm server", clientA, ""},
 		{"omitted on the cold server", clientB, ""},
 		{"auto on the warm server", clientA, "auto"},
-		{"race on the warm server", clientA, core.SolverRace},
 	} {
 		resp, err := r.client.SimulateStream(ctx, withSolver(r.solver), sliceFeeder(feed, 0, len(feed)))
 		if err != nil {
@@ -331,31 +329,32 @@ func (r *trapReader) Read([]byte) (int, error) {
 // not have is refused with a 400 naming the ones it has, before the
 // first arrival chunk is read off the body.
 func TestServerStreamReplanUnknownSolver(t *testing.T) {
-	// The backend name the registry answered to until PR 20 — now one
-	// more unknown name. Spelled in halves so that a grep for it over the
-	// Go sources keeps finding only the paper's author list.
-	removed := "new" + "ton"
-	header, err := json.Marshal(wire.SimulateStreamRequest{
-		Graph: wire.GraphSpec{App: "speech"}, Platform: "Gumstix",
-		Nodes: 2, Duration: 4, WindowSeconds: 2,
-		Replan: &wire.ReplanWire{Solver: removed},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks := &trapReader{}
-	body := io.MultiReader(strings.NewReader(string(header)+"\n"), chunks)
-	rec := httptest.NewRecorder()
-	New(Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate/stream", body))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
-	}
-	for _, name := range []string{removed, "exact", "greedy", "lagrangian", "race"} {
-		if !strings.Contains(rec.Body.String(), name) {
-			t.Errorf("400 body does not name %q: %s", name, rec.Body)
+	// Backend names the registry once answered to, now unknown. The first
+	// is spelled in halves so that a grep for it over the Go sources
+	// keeps finding only the paper's author list.
+	for _, removed := range []string{"new" + "ton", "race"} {
+		header, err := json.Marshal(wire.SimulateStreamRequest{
+			Graph: wire.GraphSpec{App: "speech"}, Platform: "Gumstix",
+			Nodes: 2, Duration: 4, WindowSeconds: 2,
+			Replan: &wire.ReplanWire{Solver: removed},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if chunks.read {
-		t.Error("the server read past the stream header before refusing the solver")
+		chunks := &trapReader{}
+		body := io.MultiReader(strings.NewReader(string(header)+"\n"), chunks)
+		rec := httptest.NewRecorder()
+		New(Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate/stream", body))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", removed, rec.Code, rec.Body)
+		}
+		for _, want := range []string{removed, "(have [exact greedy lagrangian])"} {
+			if !strings.Contains(rec.Body.String(), want) {
+				t.Errorf("%s: 400 body does not name %q: %s", removed, want, rec.Body)
+			}
+		}
+		if chunks.read {
+			t.Errorf("%s: the server read past the stream header before refusing the solver", removed)
+		}
 	}
 }

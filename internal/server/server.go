@@ -30,13 +30,12 @@
 // Partition (and auto-partitioned simulate) requests carry an optional
 // "solver" field naming a backend from internal/solver: "exact" (default,
 // the branch-and-bound ILP), "lagrangian" (§9-style relaxation with a
-// proven dual gap), "greedy" (cut-ordering baseline), or "race" (all of
-// them concurrently under the request context; the best feasible answer
-// wins and exact wins ties). The response's assignment is stamped with
-// the producing backend's name and objective gap, and /v1/stats exposes a
-// per-backend breakdown — runs, race wins, feasible answers, errors, and
-// latency — under "solvers". Request cancellation propagates into the
-// solve: an abandoned HTTP request aborts its branch-and-bound search.
+// proven dual gap) or "greedy" (cut-ordering baseline); any other name is
+// a 400. The response's assignment is stamped with the producing
+// backend's name and objective gap, and /v1/stats exposes a per-backend
+// breakdown — runs, feasible answers, errors, and latency — under
+// "solvers". Request cancellation propagates into the solve: an abandoned
+// HTTP request aborts its branch-and-bound search.
 //
 // Every metered route is one row of the routes table and runs through one
 // adapter (endpoint) that owns timing, the bounded body decode, the job
@@ -691,7 +690,7 @@ func (s *Server) partition(ctx context.Context, req *wire.PartitionRequest) (*wi
 // simulation's cut when the request names none: profile the graph's
 // unmetered entry on the synthetic trace, then run the §4.3 rate search
 // with the named solver backend, feeding every backend invocation into
-// the per-solver win/latency metrics. hit reports whether the entry and
+// the per-solver latency metrics. hit reports whether the entry and
 // its report both came from cache.
 func (s *Server) autoPartition(ctx context.Context, graph wire.GraphSpec, trace wire.TraceSpec,
 	platformName, modeName, solverName string) (e *entry, res *core.AutoResult, hit bool, err error) {
@@ -753,20 +752,11 @@ func (s *Server) rateSearch(solverName string) (func(ctx context.Context, spec *
 	}, nil
 }
 
-// observeSolves folds per-probe backend stats into the metrics; raced
-// probes report their per-backend breakdown individually.
+// observeSolves folds per-probe backend stats into the metrics.
 func (s *Server) observeSolves(solves []core.BackendStats) {
 	for _, st := range solves {
-		if len(st.Sub) > 0 {
-			for _, sub := range st.Sub {
-				s.metrics.ObserveSolver(sub.Backend, time.Duration(sub.Seconds*float64(time.Second)),
-					sub.Feasible, sub.Winner, sub.Err != "")
-			}
-			continue
-		}
-		// A lone backend's feasible answer is trivially the winner.
 		s.metrics.ObserveSolver(st.Backend, time.Duration(st.Seconds*float64(time.Second)),
-			st.Feasible, st.Feasible, st.Err != "")
+			st.Feasible, st.Err != "")
 	}
 }
 
@@ -1055,7 +1045,7 @@ func replansToWire(events []wbruntime.ReplanEvent) []wire.ReplanEventWire {
 // load multiple (§4.3: load is linear in rate, so the incumbent profile
 // re-prices by scaling), through the tenant's chosen backend, and compiles
 // the new cut's programs from cache. An omitted or "auto" solver is
-// "race", so a replan depends only on the profile, the observed multiple
+// "exact", so a replan depends only on the profile, the observed multiple
 // and the request — never on what earlier tenants solved.
 func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.SimulateStreamRequest, plat *platform.Platform) (wbruntime.Planner, error) {
 	mode, err := parseMode(req.Mode)
@@ -1073,7 +1063,7 @@ func (s *Server) replanPlanner(ctx context.Context, e *entry, req *wire.Simulate
 	spec := profile.BuildSpec(cls, rep, plat)
 	name := req.Replan.Solver
 	if name == "" || name == "auto" {
-		name = core.SolverRace
+		name = core.SolverExact
 	}
 	// Build the solver now — a planner error mid-stream poisons the
 	// session, a bad request should fail before ingestion starts.

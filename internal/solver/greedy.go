@@ -27,7 +27,7 @@ type Greedy struct{}
 func (Greedy) Name() string { return core.SolverGreedy }
 
 // Solve enumerates the greedy cut chain and returns the best feasible cut.
-func (g Greedy) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core.Assignment, Stats, error) {
+func (g Greedy) Solve(ctx context.Context, s *core.Spec) (*core.Assignment, Stats, error) {
 	start := time.Now()
 	stats := Stats{Backend: core.SolverGreedy, Gap: -1}
 	fail := func(err error) (*core.Assignment, Stats, error) {
@@ -179,6 +179,5 @@ func (g Greedy) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core.Assi
 	}
 	stats.Feasible = true
 	stats.Objective = asg.Objective
-	lim.Incumbent.Offer(asg.Objective)
 	return asg, stats, nil
 }

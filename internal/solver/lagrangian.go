@@ -188,7 +188,7 @@ func (p *lagProblem) repair(sel []bool) []bool {
 // iterates to feasible cuts, and move the multipliers by a subgradient
 // step. Every iterate's dual value is a true lower bound, so the answer
 // carries a proven gap (Restricted formulation only).
-func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core.Assignment, Stats, error) {
+func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec) (*core.Assignment, Stats, error) {
 	start := time.Now()
 	stats := Stats{Backend: core.SolverLagrangian, Gap: -1}
 	fail := func(err error) (*core.Assignment, Stats, error) {
@@ -213,9 +213,9 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 	useNet := s.NetBudget > 0
 	useRAM := s.RAMBudget > 0 && len(s.RAM) > 0
 	var lam [3]float64
-	// Polyak step length θ·(ub−dual)/‖g‖² when an upper bound exists, a
-	// divergent series otherwise; θ halves after 8 non-improving
-	// iterations.
+	// Polyak step length θ·(bestObj−dual)/‖g‖² once a feasible cut
+	// exists, a divergent series otherwise; θ halves after 8
+	// non-improving iterations.
 	theta, since := 2.0, 0
 
 	var bestSel []bool
@@ -241,7 +241,6 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 		if obj := s.Alpha*cpu + s.Beta*net; obj < bestObj-1e-12 {
 			bestObj = obj
 			bestSel = append([]bool(nil), sel...)
-			lim.Incumbent.Offer(obj)
 		}
 	}
 
@@ -278,12 +277,8 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 			record(repaired)
 		}
 
-		// Converged? The shared incumbent can close the gap for us.
-		ub := bestObj
-		if sharedUB, ok := lim.Incumbent.Best(); ok && sharedUB < ub {
-			ub = sharedUB
-		}
-		if !math.IsInf(ub, 1) && ub-bestDual <= gapTol*math.Max(1, math.Abs(ub)) {
+		// Converged?
+		if !math.IsInf(bestObj, 1) && bestObj-bestDual <= gapTol*math.Max(1, math.Abs(bestObj)) {
 			break
 		}
 		if iter-lastGain >= stallLimit {
@@ -313,8 +308,8 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 			since = 0
 		}
 		var step float64
-		if !math.IsInf(ub, 1) {
-			step = theta * math.Max(1e-9, ub-dual) / norm
+		if !math.IsInf(bestObj, 1) {
+			step = theta * math.Max(1e-9, bestObj-dual) / norm
 		} else {
 			step = theta * (math.Abs(dual) + 1) / (norm * float64(iter+1))
 		}
@@ -366,8 +361,8 @@ func (l *Lagrangian) Solve(ctx context.Context, s *core.Spec, lim Limits) (*core
 	stats.Feasible = true
 	stats.Objective = asg.Objective
 	stats.Gap = gap
-	// Never claim Optimal: a raced optimality claim cancels the exact
-	// backend, and ties must stay exact's to win (float-exact duality
-	// closure is not a proof worth that trade).
+	// Optimal stays false: the loop stops at a gap within gapTol (1e-4 by
+	// default), not at a proof, and stats.Gap already says how close it
+	// came.
 	return asg, stats, nil
 }

@@ -49,10 +49,9 @@ type PartitionRequest struct {
 	Platform string    `json:"platform"`
 	// Mode is "permissive" (default) or "conservative" (§2.1.1).
 	Mode string `json:"mode,omitempty"`
-	// Solver selects the backend: "exact" (default), "lagrangian",
-	// "greedy", or "race" (all backends concurrently, best feasible
-	// answer wins, exact breaking ties). Per-backend win/latency metrics
-	// are served at /v1/stats.
+	// Solver selects the backend: "exact" (default), "lagrangian" or
+	// "greedy"; any other name is a 400. Per-backend latency metrics are
+	// served at /v1/stats.
 	Solver string `json:"solver,omitempty"`
 }
 
@@ -219,9 +218,9 @@ type ReplanWire struct {
 	Decay float64 `json:"decay,omitempty"`
 	// MaxReplans caps replans per session; 0 means unlimited.
 	MaxReplans int `json:"maxReplans,omitempty"`
-	// Solver picks the re-planning backend: "exact", "lagrangian",
-	// "greedy" or "race". Omitted or "auto" means "race", whose answer
-	// equals exact's; the choice never depends on earlier requests.
+	// Solver picks the re-planning backend: "exact", "lagrangian" or
+	// "greedy"; any other name is a 400. Omitted or "auto" means "exact";
+	// the choice never depends on earlier requests.
 	Solver string `json:"solver,omitempty"`
 }
 

@@ -21,7 +21,7 @@ import (
 // relocation, restricted formulation, §4.3 rate search to 0.5%
 // precision).
 //
-//	p := wishbone.NewPlanner(wishbone.WithSolver("race"))
+//	p := wishbone.NewPlanner(wishbone.WithSolver("lagrangian"))
 //	dep, err := p.AutoPartition(ctx, g, inputs, wishbone.TMoteSky())
 type Planner struct {
 	mode       Mode
@@ -36,7 +36,7 @@ type Planner struct {
 type PlannerOption func(*Planner)
 
 // WithSolver selects the solving backend by name: "exact"
-// (default), "lagrangian", "greedy", or "race".
+// (default), "lagrangian" or "greedy".
 func WithSolver(name string) PlannerOption {
 	return func(p *Planner) { p.solverName = name }
 }
@@ -82,12 +82,12 @@ func (p *Planner) Profile(ctx context.Context, g *Graph, inputs []Input) (*Repor
 }
 
 // Partition solves a fully specified partitioning problem with the
-// configured backend (§4.2 exact, or a heuristic / race).
+// configured backend (§4.2 exact, or a heuristic).
 func (p *Planner) Partition(ctx context.Context, s *Spec) (*Assignment, error) {
 	if err := p.err(ctx); err != nil {
 		return nil, err
 	}
-	asg, _, err := p.sv.Solve(ctx, s, core.Limits{})
+	asg, _, err := p.sv.Solve(ctx, s)
 	return asg, err
 }
 

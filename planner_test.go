@@ -98,33 +98,9 @@ func TestPlannerSolverParityExact(t *testing.T) {
 	})
 }
 
-// TestPlannerSolverRaceMatchesExact: a raced planner returns verified
-// assignments identical to the exact planner's (exact wins ties, and
-// without a deadline it always finishes).
-func TestPlannerSolverRaceMatchesExact(t *testing.T) {
-	ctx := context.Background()
-	g, inputs := buildTestProgram(500)
-	exact, err := NewPlanner().AutoPartition(ctx, g, inputs, TMoteSky())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raced, err := NewPlanner(WithSolver("race")).AutoPartition(ctx, g, inputs, TMoteSky())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := raced.Assignment.Verify(raced.Spec.Scaled(raced.RateMultiple)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripTimes(raced.Assignment), stripTimes(exact.Assignment)) {
-		t.Fatal("raced assignment differs from exact")
-	}
-	if len(raced.Solves) == 0 || len(raced.Solves[0].Sub) == 0 {
-		t.Fatal("raced deployment should carry per-backend telemetry")
-	}
-}
-
 // TestPlannerSolverSelection: every registered backend works end to end
-// through the Planner, and unknown names surface as errors.
+// through the Planner, and unknown names — the removed "race" among them —
+// surface as errors from the first call.
 func TestPlannerSolverSelection(t *testing.T) {
 	ctx := context.Background()
 	g, inputs := buildTestProgram(500)
@@ -137,8 +113,10 @@ func TestPlannerSolverSelection(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := NewPlanner(WithSolver("nope")).AutoPartition(ctx, g, inputs, TMoteSky()); err == nil {
-		t.Fatal("unknown backend must error")
+	for _, name := range []string{"nope", "race"} {
+		if _, err := NewPlanner(WithSolver(name)).AutoPartition(ctx, g, inputs, TMoteSky()); err == nil {
+			t.Fatalf("unknown backend %q must error", name)
+		}
 	}
 }
 

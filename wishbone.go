@@ -26,26 +26,22 @@
 // search, which then returns its best incumbent with a recorded optimality
 // gap instead of failing.
 //
-// # Solver backends and racing
+// # Solver backends
 //
 // The solving layer is pluggable (internal/solver), with three backends:
 // "exact" is the branch-and-bound ILP of §4.2; "lagrangian" is the
 // §9-style relaxation (budgets priced by subgradient-driven multipliers,
 // each subproblem an exact min-closure cut, answers carrying a proven
-// dual gap); "greedy" is a cut-ordering baseline. A fourth name races
-// all three, exact first:
+// dual gap); "greedy" is a cut-ordering baseline.
 //
-//	p := wishbone.NewPlanner(wishbone.WithSolver("race"))
+//	p := wishbone.NewPlanner(wishbone.WithSolver("lagrangian"))
 //
-// runs all three concurrently under one context, shares the first
-// feasible objective as an incumbent bound, cancels the losers, and
-// returns the best feasible assignment — the exact backend wins ties, so
-// an un-deadlined race is byte-identical to the exact solve. Under a
-// deadline the heuristics' fast answers stand in wherever the tree search
-// has not caught up. Deployment.Solves records per-backend win/latency
-// telemetry. A solve's count limits (MaxNodes, GapTol) are fields of the
-// Planner's Options (WithOptions); every backend, raced or alone, reads
-// them there, and stops on the ctx for wall-clock budgets.
+// A solve's count limits (MaxNodes, GapTol) are fields of the Planner's
+// Options (WithOptions); every backend reads them there, and stops on the
+// ctx for wall-clock budgets. A ctx deadline stops exact with its best
+// incumbent and that incumbent's proven gap, or with ctx's error when it
+// has no incumbent yet. Deployment.Solves records per-probe backend
+// telemetry.
 //
 // # Execution
 //
@@ -69,11 +65,11 @@
 // multi-tenant service (internal/server, cmd/wbserved): clients submit
 // graphs by description over an HTTP/JSON API and pick a solver backend
 // per request; the server serves compiled Programs from a
-// content-addressed LRU cache and reports per-backend win/latency metrics
-// at /v1/stats. See the internal/server package docs.
+// content-addressed LRU cache and reports per-backend latency metrics at
+// /v1/stats. See the internal/server package docs.
 //
 // The subsystems are available directly for finer control: see
-// internal/core (cut formulations, solver racing), internal/solver (the
+// internal/core (cut formulations, §4.3 rate search), internal/solver (the
 // backends by name), internal/profile, internal/runtime (deployment
 // simulation), internal/netsim (radio model), internal/server (the
 // partition service), and internal/experiments (every figure of the
@@ -126,7 +122,7 @@ type (
 	// Options tune the partitioner.
 	Options = core.Options
 	// SolverStats is per-backend solve telemetry (latency, objective,
-	// bound, race winner).
+	// bound).
 	SolverStats = core.BackendStats
 )
 
@@ -169,7 +165,7 @@ type Deployment struct {
 	// search had to shed load.
 	RateMultiple float64
 	// Solves is per-probe solver telemetry (one entry per solver
-	// invocation; raced probes carry per-backend breakdowns in Sub).
+	// invocation).
 	Solves []SolverStats
 }
 
