@@ -5,8 +5,8 @@
 // else. A kernel reads its input frame and fills its output frame in their
 // own element types (the dsp kernels convert inside their loops); the few
 // that need a temporary — the FFT's complex workspace, the cepstral stage's
-// dequantized frame — borrow it from a pooled dsp.Scratch, which the
-// adapters acquire per call and release before emit. The output a kernel
+// dequantized frame — compute through a dsp.Scratch the operator's
+// context owns (dataflow.Workspace), used only within the call. The output a kernel
 // fills is never scratch: it comes from dataflow.Frame, which makes it
 // fresh unless the compiled engine recycles the operator — every consumer
 // borrows its input, so the frame is dead once the dispatch run that
@@ -31,9 +31,7 @@ func Frames[In, E any](op *dataflow.Operator, outLen func(In) int,
 	op.Work = func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
 		in := v.(In)
 		out := dataflow.Frame[E](ctx, outLen(in))
-		sc := dsp.GetScratch()
-		k(ctx, sc, in, out)
-		dsp.PutScratch(sc)
+		k(ctx, dataflow.Workspace[dsp.Scratch](ctx), in, out)
 		emit(out)
 	}
 	op.BatchWork = func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
@@ -43,7 +41,7 @@ func Frames[In, E any](op *dataflow.Operator, outLen func(In) int,
 		}
 		slab := dataflow.Frame[E](ctx, total)
 		outs := make([]dataflow.Value, len(vs))
-		sc := dsp.GetScratch()
+		sc := dataflow.Workspace[dsp.Scratch](ctx)
 		for i, v := range vs {
 			in := v.(In)
 			n := outLen(in)
@@ -52,7 +50,6 @@ func Frames[In, E any](op *dataflow.Operator, outLen func(In) int,
 			k(ctx, sc, in, out)
 			outs[i] = out
 		}
-		dsp.PutScratch(sc)
 		emit(outs)
 	}
 	return op
@@ -65,18 +62,14 @@ func Scalars[In, Out any](op *dataflow.Operator,
 	k func(ctx *dataflow.Ctx, sc *dsp.Scratch, in In) Out) *dataflow.Operator {
 	op.Borrows = true
 	op.Work = func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-		sc := dsp.GetScratch()
-		out := k(ctx, sc, v.(In))
-		dsp.PutScratch(sc)
-		emit(out)
+		emit(k(ctx, dataflow.Workspace[dsp.Scratch](ctx), v.(In)))
 	}
 	op.BatchWork = func(ctx *dataflow.Ctx, _ int, vs []dataflow.Value, emit dataflow.EmitBatch) {
 		outs := make([]dataflow.Value, len(vs))
-		sc := dsp.GetScratch()
+		sc := dataflow.Workspace[dsp.Scratch](ctx)
 		for i, v := range vs {
 			outs[i] = k(ctx, sc, v.(In))
 		}
-		dsp.PutScratch(sc)
 		emit(outs)
 	}
 	return op

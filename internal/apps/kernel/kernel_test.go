@@ -81,8 +81,8 @@ func newCtx(op *dataflow.Operator) *dataflow.Ctx {
 	return ctx
 }
 
-// TestWorkAllocatesOnlyItsOutput is the allocation guard: once the pooled
-// scratch is warm, a per-element dispatch allocates the frame it emits and
+// TestWorkAllocatesOnlyItsOutput is the allocation guard: once the
+// operator's workspace is warm, a per-element dispatch allocates the frame it emits and
 // that frame's interface box — one allocation for a scalar — and nothing
 // else. (The hand-written bodies this replaced made three to five.)
 func TestWorkAllocatesOnlyItsOutput(t *testing.T) {
@@ -90,13 +90,10 @@ func TestWorkAllocatesOnlyItsOutput(t *testing.T) {
 		for _, c := range cases {
 			ctx := newCtx(c.op)
 			var out dataflow.Value
-			c.op.Work(ctx, c.port, c.a, func(v dataflow.Value) { out = v }) // warm the scratch
+			c.op.Work(ctx, c.port, c.a, func(v dataflow.Value) { out = v }) // warm the workspace
 			limit := 2.0
 			if reflect.ValueOf(out).Kind() != reflect.Slice {
 				limit = 1
-			}
-			if raceEnabled {
-				limit += 3 // a rebuilt Scratch: the struct and its two buffers
 			}
 			drop := func(dataflow.Value) {}
 			got := testing.AllocsPerRun(50, func() { c.op.Work(ctx, c.port, c.a, drop) })
@@ -109,7 +106,7 @@ func TestWorkAllocatesOnlyItsOutput(t *testing.T) {
 
 // TestEmittedValuesNeverAliasScratch is the aliasing guard for the one new
 // way to be wrong: a value emitted for input A must survive the same
-// operator (and so the same pooled scratch) processing input B, per element
+// operator (and so the same workspace) processing input B, per element
 // and as one batch, and the two dispatch forms must agree on both outputs.
 func TestEmittedValuesNeverAliasScratch(t *testing.T) {
 	for name, cases := range apps(t) {

@@ -73,7 +73,7 @@ type Program struct {
 	// opts.Batch): how many elements each operator processed in total and
 	// how many of those arrived through a BatchWork dispatch. Instances
 	// accumulate locally and fold in with atomics at Reset, so the totals
-	// aggregate across shards and pooled instances; read via BatchStats.
+	// aggregate across shards and recycled instances; read via BatchStats.
 	statBatched []int64
 	statTotal   []int64
 	pos         []int32    // operator ID → schedule position, -1 if excluded
@@ -91,9 +91,23 @@ type Program struct {
 	// edges is the dense edge table: edges[i] is Graph.Edges()[i].
 	edges []*Edge
 
-	// pool recycles Instances across shards and requests (see
-	// AcquireInstance); it never affects the Program's compiled tables.
-	pool sync.Pool
+	// insts is the free list AcquireInstance draws from (see
+	// instanceList); it never affects the Program's compiled tables.
+	insts instanceList
+}
+
+// instanceList is a Program's own free list of released Instances: a
+// mutex and a slice, holding no more than the most Instances ever
+// acquired at once. Unlike a sync.Pool, what it holds does not depend on
+// which P released an Instance or on how many GC cycles ran since: once
+// the Program has served its peak, every acquire finds a warm Instance
+// (its dense tables and frame slabs grown). The list dies with the
+// Program, which a cache eviction drops.
+type instanceList struct {
+	mu   sync.Mutex
+	free []*Instance
+	out  int // acquired and not yet released
+	peak int // most ever acquired at once
 }
 
 // Compile lowers g into an immutable Program. It validates the graph, fixes
@@ -188,6 +202,52 @@ func Compile(g *Graph, opts CompileOptions) (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// BorrowsInjected reports whether nothing can keep an element injected at
+// g's sources, or emit it again, once the dispatch that received it is
+// over: every operator that can receive the element itself Borrows it.
+// The element travels as itself through the sources and every operator
+// without Work (both forward what they receive) and across cut edges (in
+// process a cut edge hands the value itself to the far partition), so the
+// answer reads only the graph and holds under every cut. It is the
+// recycle rule of Compile applied to the sources' input and extended
+// across the cut: what lets a streaming session reuse an arrival's
+// storage once its window is delivered.
+func BorrowsInjected(g *Graph) bool {
+	carries := InjectedEdges(g)
+	for i, e := range g.Edges() {
+		if carries[i] && e.To.Work != nil && !e.To.Borrows {
+			return false
+		}
+	}
+	return true
+}
+
+// InjectedEdges marks, by position in g.Edges(), the edges an element
+// injected at g's sources can travel as itself: the out-edges of the
+// sources and of the operators without Work those reach.
+func InjectedEdges(g *Graph) []bool {
+	forwards := make([]bool, g.NumOperators())
+	stack := g.Sources()
+	for len(stack) > 0 {
+		op := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if forwards[op.ID()] {
+			continue
+		}
+		forwards[op.ID()] = true
+		for _, e := range g.Out(op) {
+			if e.To.Work == nil {
+				stack = append(stack, e.To)
+			}
+		}
+	}
+	carries := make([]bool, g.NumEdges())
+	for i, e := range g.Edges() {
+		carries[i] = forwards[e.From.ID()]
+	}
+	return carries
 }
 
 // BatchStat is one operator's batch-hit accounting: how many elements it

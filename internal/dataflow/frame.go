@@ -22,6 +22,26 @@ func Frame[E any](ctx *Ctx, n int) []E {
 	return s.take(*ctx.epoch, n)
 }
 
+// Workspace returns the workspace of the operator running under ctx: a *T
+// the context keeps for that operator's later dispatches, so the
+// temporaries a work function computes through (a kernel's dsp.Scratch, a
+// wscript operator's VM thread) belong to the Instance that runs it
+// instead of a pool whose hits depend on which P ran the call and when the
+// GC last ran. A context keeps one workspace; asking for another type
+// replaces it. The work function uses it only within the dispatch, holds
+// no slice of it past the dispatch and emits nothing backed by it. An
+// Instance runs on one goroutine and gives each operator its own context,
+// so no two dispatches share one; a bare Ctx (the reference Executor
+// makes one per call) starts empty.
+func Workspace[T any](ctx *Ctx) *T {
+	w, ok := ctx.ws.(*T)
+	if !ok {
+		w = new(T)
+		ctx.ws = w
+	}
+	return w
+}
+
 // frameSlab is one operator's recycled output storage: frames are carved
 // from buf at off, and off returns to 0 when the Instance's run epoch
 // moves on.

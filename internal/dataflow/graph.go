@@ -68,8 +68,10 @@ type Ctx struct {
 	// epoch and slab back Frame: epoch points at the owning Instance's
 	// run counter when the compiled Program recycles this operator's
 	// output (nil otherwise), and slab is the operator's *frameSlab.
+	// ws backs Workspace.
 	epoch *uint64
 	slab  any
+	ws    any
 }
 
 // WorkFunc processes one input element. port identifies which input stream
@@ -84,10 +86,11 @@ type Ctx struct {
 // a frame from Frame, which the engine hands out from a slab it reuses only
 // once the dispatch run that emitted the frame is over, and only for an
 // operator whose every consumer Borrows its input (nothing can then hold
-// the frame past that run). Reusable scratch is borrowed and released
-// within the call, before emit, because emit may run the downstream work
-// function to completion before it returns (the depth-first Executor does)
-// and other goroutines may be running this same operator for other nodes.
+// the frame past that run). Reusable scratch is the context's Workspace,
+// used only within the call and done with before emit, because emit may
+// run the downstream work function to completion before it returns (the
+// depth-first Executor does); other goroutines running this same operator
+// for other nodes do so under contexts of their own.
 // A dispatch should allocate the values it emits and nothing else
 // (internal/apps/kernel derives conforming functions from one kernel).
 type WorkFunc func(ctx *Ctx, port int, v Value, emit Emit)
@@ -110,7 +113,7 @@ type EmitBatch func(vs []Value)
 // contract holds element by element: inputs are never written, emitted
 // values are never backed by reused scratch (several may share one slab
 // allocated for the batch, or one frame from Frame, as disjoint cap-limited
-// pieces), and scratch is released before emit.
+// pieces), and scratch is done with before emit.
 type BatchWorkFunc func(ctx *Ctx, port int, vs []Value, emit EmitBatch)
 
 // Operator is one vertex of the dataflow graph.

@@ -148,40 +148,59 @@ func (p *Program) NewInstance(nodeID int) *Instance {
 // previously Released one when available (Reset to pristine state) and
 // allocating otherwise. For programs with large operator tables — the
 // 1.2k-operator EEG app compiles to per-Instance slices of that length —
-// recycling avoids reallocating every dense table per simulated node, per
-// delivery shard, per request. The caller must stop using the Instance
-// once it Releases it.
+// recycling avoids reallocating every dense table (and regrowing every
+// recycled frame slab) per simulated node, per delivery shard, per
+// request. The caller must stop using the Instance once it Releases it.
 func (p *Program) AcquireInstance(nodeID int) *Instance {
-	if v := p.pool.Get(); v != nil {
-		in := v.(*Instance)
-		in.rebind(nodeID)
-		return in
+	l := &p.insts
+	l.mu.Lock()
+	l.out++
+	l.peak = max(l.peak, l.out)
+	var in *Instance
+	if n := len(l.free); n > 0 {
+		in = l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
 	}
-	return p.NewInstance(nodeID)
+	l.mu.Unlock()
+	if in == nil {
+		return p.NewInstance(nodeID)
+	}
+	in.rebind(nodeID)
+	return in
 }
 
 // ReleaseInstance returns an Instance obtained from AcquireInstance (or
-// NewInstance) to p's recycle pool. It Resets the instance immediately —
-// a pooled instance must not pin the released run's Boundary closure,
-// queued values, or state (potentially a whole simulation's message
-// stream) while it sits in the pool.
+// NewInstance) to p's free list, which keeps it only while it holds fewer
+// than the most Instances ever acquired at once. It Resets the instance
+// immediately — a listed instance must not pin the released run's
+// Boundary closure, queued values, or state (potentially a whole
+// simulation's message stream) while it waits.
 func (p *Program) ReleaseInstance(in *Instance) {
 	if in == nil || in.p != p {
 		return
 	}
 	in.Reset(in.nodeID)
-	p.pool.Put(in)
+	l := &p.insts
+	l.mu.Lock()
+	if l.out > 0 {
+		l.out--
+	}
+	if len(l.free) < l.peak {
+		l.free = append(l.free, in)
+	}
+	l.mu.Unlock()
 }
 
 // Recycle re-prepares the instance for a fresh run as nodeID without a
-// pool round-trip: Release/Acquire semantics (pristine state, empty
-// queues, detached Boundary) minus the shared sync.Pool — except that a
+// free-list round-trip: Release/Acquire semantics (pristine state, empty
+// queues, detached Boundary) minus the Program's shared list — except that a
 // shared cost counter installed with SetCounter stays installed, saving
 // the O(operators) re-attach pass per run. Shard-affine callers — the
 // runtime's origin-sharded node phase pins one instance per shard and
 // recycles it across that shard's nodes — keep the instance's dense
 // tables (and counter wiring) with one goroutine instead of migrating
-// them through the pool on every node.
+// them through the free list on every node.
 func (in *Instance) Recycle(nodeID int) {
 	var c *cost.Counter
 	if !in.p.opts.CountOps && len(in.ctxs) > 0 {
@@ -193,7 +212,7 @@ func (in *Instance) Recycle(nodeID int) {
 	}
 }
 
-// rebind points a pristine pooled instance (Reset at release time) at a
+// rebind points a pristine listed instance (Reset at release time) at a
 // new node identity without re-creating its freshly-reset state.
 func (in *Instance) rebind(nodeID int) {
 	if in.nodeID == nodeID {
@@ -215,7 +234,7 @@ func (in *Instance) Reset(nodeID int) {
 	in.nodeID = nodeID
 	for i := range in.queues {
 		// Zero before truncating: a panic mid-event can leave queued
-		// Values behind, and a pooled instance must not keep them
+		// Values behind, and a listed instance must not keep them
 		// reachable through the backing arrays.
 		q := in.queues[i]
 		for j := range q {

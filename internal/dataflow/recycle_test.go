@@ -183,13 +183,100 @@ func TestEngineAllocatesOnlyFreshOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	push() // warm the queues, the slabs and the pooled scratch
+	push() // warm the queues, the slabs and the workspaces
 	const stages = 7
 	limit := float64(stages*(len(frames)+1) + 1)
-	if raceEnabled {
-		limit += 3 * stages // a rebuilt Scratch per stage: the struct and its two buffers
-	}
 	if got := testing.AllocsPerRun(20, push); got > limit {
 		t.Errorf("%v allocations per 40-frame push, want ≤ %v", got, limit)
+	}
+}
+
+// TestBorrowsInjected pins the proof a streaming session's ingest arena
+// reuses its blocks under: every operator a source's element reaches as
+// itself — through Work-less forwarders and across any cut — Borrows it.
+// Both apps' first stages are kernels, so the proof holds for them; a
+// consumer that keeps its input breaks it, in front of a Work-less
+// forwarder or not.
+func TestBorrowsInjected(t *testing.T) {
+	app := speech.New()
+	if !dataflow.BorrowsInjected(app.Graph) {
+		t.Error("speech: the source feeds preemph, a kernel that borrows")
+	}
+	if !dataflow.BorrowsInjected(eeg.NewWithChannels(2).Graph) {
+		t.Error("eeg: every source feeds scale, a kernel that borrows")
+	}
+	carries := dataflow.InjectedEdges(app.Graph)
+	for i, e := range app.Graph.Edges() {
+		if want := e.From == app.Pipeline[0]; carries[i] != want {
+			t.Errorf("speech: edge %v carries the arrival = %v, want %v", e, carries[i], want)
+		}
+	}
+
+	keep := func(*dataflow.Ctx, int, dataflow.Value, dataflow.Emit) {}
+	for _, tc := range []struct {
+		name     string
+		borrows  bool // the far consumer's declaration
+		forward  bool // a Work-less operator between source and consumer
+		want     bool
+		carrying int // edges that carry the arrival
+	}{
+		{"borrowing consumer", true, false, true, 1},
+		{"keeping consumer", false, false, false, 1},
+		{"forwarder, borrowing consumer", true, true, true, 2},
+		{"forwarder, keeping consumer", false, true, false, 2},
+	} {
+		g := dataflow.New()
+		ops := []*dataflow.Operator{g.Add(&dataflow.Operator{Name: "src", NS: dataflow.NSNode, SideEffect: true})}
+		if tc.forward {
+			ops = append(ops, g.Add(&dataflow.Operator{Name: "fwd", NS: dataflow.NSServer}))
+		}
+		ops = append(ops,
+			g.Add(&dataflow.Operator{Name: "use", NS: dataflow.NSServer, Borrows: tc.borrows, Work: func(_ *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) { emit(len(v.([]int16))) }}),
+			g.Add(&dataflow.Operator{Name: "sink", NS: dataflow.NSServer, SideEffect: true, Work: keep}))
+		g.Chain(ops...)
+		if got := dataflow.BorrowsInjected(g); got != tc.want {
+			t.Errorf("%s: BorrowsInjected = %v, want %v", tc.name, got, tc.want)
+		}
+		n := 0
+		for _, c := range dataflow.InjectedEdges(g) {
+			if c {
+				n++
+			}
+		}
+		if n != tc.carrying {
+			t.Errorf("%s: %d edges carry the arrival, want %d", tc.name, n, tc.carrying)
+		}
+	}
+}
+
+// TestInstanceFreeList pins the Program's own free list: a released
+// Instance comes back to the next acquire whichever goroutine asks, and
+// the list never holds more than the most Instances acquired at once.
+func TestInstanceFreeList(t *testing.T) {
+	app := speech.New()
+	node, _ := compileSides(t, app.Graph, speechCut(app, 8))
+	a, b := node.AcquireInstance(0), node.AcquireInstance(1)
+	node.ReleaseInstance(a)
+	node.ReleaseInstance(b)
+	if got := node.FreeInstances(); got != 2 {
+		t.Fatalf("%d listed after releasing two, want 2", got)
+	}
+	done := make(chan [2]*dataflow.Instance)
+	go func() { done <- [2]*dataflow.Instance{node.AcquireInstance(2), node.AcquireInstance(3)} }()
+	got := <-done
+	if !(got[0] == b && got[1] == a) {
+		t.Error("acquires on another goroutine did not get the released instances back, last released first")
+	}
+	if got[0].NodeID() != 2 || got[1].NodeID() != 3 {
+		t.Errorf("recycled instances act as nodes %d, %d; want 2, 3", got[0].NodeID(), got[1].NodeID())
+	}
+	node.ReleaseInstance(got[0])
+	node.ReleaseInstance(got[1])
+	// Instances never acquired from the list do not grow it past the peak.
+	for i := 0; i < 4; i++ {
+		node.ReleaseInstance(node.NewInstance(i))
+	}
+	if got := node.FreeInstances(); got != 2 {
+		t.Errorf("%d listed, want the peak of 2", got)
 	}
 }

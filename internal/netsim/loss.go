@@ -45,7 +45,7 @@ func NewLossSampler(seed int64) *LossSampler {
 
 // Reseed restarts the sampler's draw sequence exactly as if it had been
 // freshly constructed with seed, keeping the grown draw buffer. The
-// runtime pools samplers across simulation runs: a recycled sampler must
+// runtime recycles samplers across simulation runs: a recycled sampler must
 // produce the byte-identical sequence a new one would (Float64 draws
 // stream straight from the source, so reseeding the source suffices).
 func (s *LossSampler) Reseed(seed int64) {

@@ -92,7 +92,9 @@ type Session struct {
 
 	// ingest backs OfferRaw's zero-copy decode: raw JSON arrival values
 	// land in generational typed slabs instead of one allocation per
-	// arrival. Rotated once per flushed window.
+	// arrival. Rotated once per flushed window; under the proof bind
+	// runs, a generation's blocks are carved again once its window is
+	// joined and out of the replay tail (ingest.go).
 	ingest ingestArena
 
 	started time.Time

@@ -32,6 +32,13 @@ type ShardHost struct {
 	pos     []int // node → position in origins, -1 when not owned
 	sources map[*dataflow.Operator]bool
 
+	// own marks the cut edges whose elements are arrivals themselves
+	// (dataflow.InjectedEdges): a partial element one of them leaves
+	// behind a window takes a copy of its value once the window is
+	// delivered (shardState.ownPartials), because a session may carve the
+	// arrival's storage again after that.
+	own map[*dataflow.Edge]bool
+
 	// global marks an unshardable partition (a stateful Server-namespace
 	// operator): the host owns every origin, its plan also delivers the
 	// coordinator's aggregates (deliver), and its snapshots carry
@@ -136,6 +143,14 @@ func NewShardHost(cfg Config, origins []int) (*ShardHost, error) {
 		return nil, err
 	}
 	h.prog, h.plan, h.eidx = prog, plan, edgeIndexes(&h.cfg)
+	for i, carries := range dataflow.InjectedEdges(cfg.Graph) {
+		if e := cfg.Graph.Edges()[i]; carries && cfg.OnNode[e.From.ID()] && !cfg.OnNode[e.To.ID()] {
+			if h.own == nil {
+				h.own = make(map[*dataflow.Edge]bool)
+			}
+			h.own[e] = true
+		}
+	}
 	h.acquireNodes()
 	for _, src := range cfg.Graph.Sources() {
 		h.sources[src] = true
@@ -250,6 +265,9 @@ func (h *ShardHost) deliver(ratio float64, aggs []message) error {
 	}
 	h.plan.partition(h.out, h.parts)
 	err := h.plan.deliverParts(h.parts, ratio)
+	for i := 0; err == nil && h.own != nil && i < len(h.plan.shards); i++ {
+		err = h.plan.shards[i].ownPartials(h.own)
+	}
 	h.resetWindow()
 	if err != nil {
 		return h.fail(err)

@@ -70,6 +70,9 @@ func (s *Session) bind(cfg Config, hosts []HostBinding) error {
 		return fmt.Errorf("runtime: partition has global server state; it cannot be distributed by origin")
 	}
 	s.hosts = hosts
+	// The ingest arena's proof, run at every bind (a replan's rebind
+	// included).
+	s.ingest.reuse = ingestProof(&s.cfg)
 	s.ownerOf = make([]int, cfg.Nodes)
 	s.hostArr = make([][]HostArrival, len(hosts))
 	s.reports = make([]*WindowReport, len(hosts))
@@ -127,6 +130,7 @@ func (s *Session) flushBuffered(span float64) error {
 	if err := s.join(); err != nil {
 		return err
 	}
+	s.settleIngest()
 	var start time.Time
 	if s.cfg.Timings != nil {
 		start = time.Now()
@@ -181,9 +185,9 @@ func (s *Session) flushBuffered(span float64) error {
 		s.tail[n-1].folded = true
 	}
 	s.deliverWindow(out, span, active, start)
-	// Safe to rotate while the window delivers: rotation only drops block
-	// references; the GC keeps each block alive while any in-flight value
-	// still points into it.
+	// Safe to rotate while the window delivers: rotation only closes the
+	// generation; its blocks are carved again no sooner than the join that
+	// ends this delivery.
 	s.ingest.rotate()
 	return s.maybeCheckpoint()
 }

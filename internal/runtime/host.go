@@ -6,7 +6,7 @@ import (
 )
 
 // The node stage of a streaming run: one non-reentrant node runtime per
-// mote (§5.2) — a pooled dataflow.Instance, its sender and its nodeSim —
+// mote (§5.2) — a recycled dataflow.Instance, its sender and its nodeSim —
 // held by a ShardHost for an ascending set of origins, beside the delivery
 // plan their cut-edge output replays against (§2.1.1). A Session binds one
 // ShardHost over every origin; a distributed run one per origin subset.
@@ -28,7 +28,7 @@ func newNodeSim(cfg *Config, inst *dataflow.Instance, counter *cost.Counter, nod
 	return ns
 }
 
-// acquireNodes builds one node runtime per origin on pooled instances.
+// acquireNodes builds one node runtime per origin on recycled instances.
 func (h *ShardHost) acquireNodes() {
 	passthrough := passthroughPartition(&h.cfg, h.prog)
 	for _, n := range h.origins {
@@ -129,7 +129,7 @@ func (h *ShardHost) applySides(sides []nodeSnap) error {
 	return nil
 }
 
-// release returns the pooled instances to their Program and closes the
+// release returns the instances to their Program's free list and closes the
 // delivery plan (a no-op once the plan was collected).
 func (h *ShardHost) release() {
 	for _, inst := range h.insts {

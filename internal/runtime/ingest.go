@@ -18,53 +18,49 @@ import (
 // case (the scanner falls back to encoding/json on anything but the plain
 // happy path: leading zeros, floats, exponents, overflow, garbage).
 //
-// The arena is generational, not reused in place: rotate — called once
-// per flushed window — drops the block references, so a block lives
-// exactly as long as the values carved from it (delivered elements,
-// reduce rounds pending across windows, values buffered in server-side
-// state). Memory safety never depends on window lifetime; rotation only
-// bounds how much dead trace each live block can pin.
+// The arena is generational, and a session owns its blocks. Each flushed
+// window closes the generation its arrivals were carved from (rotate),
+// and a closed generation's blocks go back to carve (release) once
+// nothing can still read a value carved from them. The session releases
+// only when two things hold:
+//
+//   - the proof over the graph in force, dataflow.BorrowsInjected, run at
+//     every bind: every operator an arrival reaches as itself — through
+//     Work-less forwarders and across the cut, where in process the value
+//     itself is handed over — Borrows it, so no operator state keeps one
+//     past its dispatch (the one other keeper, a partial element on a cut
+//     edge, takes a copy when its window is delivered: ownPartials);
+//   - the window is over: its deliveries are joined and no replay-tail
+//     record names it (with recovery armed, only the checkpoint that drops
+//     the tail frees what the tail held).
+//
+// When the proof fails the arena is what it always was: rotate drops the
+// block references, the GC reclaims each block once the last value
+// carved from it dies, and nothing is reused. arena.go holds the two
+// decisions and the slabs.
 
 // ingestBlockElems sizes a fresh slab block, in elements: one block serves
 // ~80 200-sample speech frames (32 of the EEG's 512-sample windows) before
 // the next allocation.
 const ingestBlockElems = 1 << 14
 
-// ingestArena holds the current generation's typed slabs plus the decode
-// scratch (scratch is copied out of, so it survives rotation).
+// ingestArena holds each element type's slab plus the decode scratch
+// (scratch is copied out of, so it survives rotation). reuse is the
+// session's proof: without it carve keeps no block once it has moved on.
 type ingestArena struct {
-	i16 []int16
-	i32 []int32
-	f32 []float32
-	f64 []float64
-	by  []byte
+	i16 slab[int16]
+	i32 slab[int32]
+	f32 slab[float32]
+	f64 slab[float64]
+	by  slab[byte]
+
+	reuse bool
 
 	s16  []int16
 	s32  []int32
 	sF32 []float32
 	sF64 []float64
 	sBy  []byte
-}
-
-// rotate starts a new generation: block references drop, the GC reclaims
-// each block once the last value carved from it dies.
-func (a *ingestArena) rotate() {
-	a.i16, a.i32, a.f32, a.f64, a.by = nil, nil, nil, nil, nil
-}
-
-// carve returns the next n elements of the block, starting a fresh block
-// only when there is none (so an empty value is non-nil, as encoding/json
-// decodes it) or the current one cannot fit them (values carved earlier
-// keep the old block alive). The block keeps its capacity; each result is
-// cap-limited to its own n elements, so an append through one value can
-// never grow into its neighbour.
-func carve[T any](blk *[]T, n int) []T {
-	if *blk == nil || cap(*blk)-len(*blk) < n {
-		*blk = make([]T, 0, max(n, ingestBlockElems))
-	}
-	start := len(*blk)
-	*blk = (*blk)[:start+n]
-	return (*blk)[start : start+n : start+n]
 }
 
 // zeroed empties a decode scratch for encoding/json, clearing its whole
@@ -112,7 +108,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if discard {
 			return nil, nil
 		}
-		out := carve(&a.f64, len(a.sF64))
+		out := a.f64.carve(len(a.sF64), a.reuse)
 		copy(out, a.sF64)
 		return out, nil
 	case "f64":
@@ -138,7 +134,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if discard {
 			return nil, nil
 		}
-		out := carve(&a.f32, len(a.sF32))
+		out := a.f32.carve(len(a.sF32), a.reuse)
 		copy(out, a.sF32)
 		return out, nil
 	case "i32s":
@@ -157,7 +153,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if discard {
 			return nil, nil
 		}
-		out := carve(&a.i32, len(s))
+		out := a.i32.carve(len(s), a.reuse)
 		copy(out, s)
 		return out, nil
 	case "i16s":
@@ -176,7 +172,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if discard {
 			return nil, nil
 		}
-		out := carve(&a.i16, len(s))
+		out := a.i16.carve(len(s), a.reuse)
 		copy(out, s)
 		return out, nil
 	case "bytes":
@@ -190,7 +186,7 @@ func (a *ingestArena) decode(typ string, raw []byte, discard bool) (dataflow.Val
 		if discard {
 			return nil, nil
 		}
-		out := carve(&a.by, len(a.sBy))
+		out := a.by.carve(len(a.sBy), a.reuse)
 		copy(out, a.sBy)
 		return out, nil
 	default:

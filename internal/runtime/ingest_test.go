@@ -183,7 +183,10 @@ func TestIngestDecodeDoesNotAliasInput(t *testing.T) {
 // TestIngestArenaReusesBlocks pins the arena's whole point in bytes (a
 // malloc count cannot see one 32 KB block per arrival: it is one malloc):
 // carve must keep serving a block until it is full, hand out disjoint
-// cap-limited pieces of it, and start a new one after rotate.
+// cap-limited pieces of it, and start a new one after rotate. In a session
+// a block is carved again only after the rotate that follows its window's
+// join, and never while the proof fails or a replay tail still names the
+// window.
 func TestIngestArenaReusesBlocks(t *testing.T) {
 	a := &ingestArena{}
 	decode := func(raw string) []int16 {
@@ -195,7 +198,7 @@ func TestIngestArenaReusesBlocks(t *testing.T) {
 		return v.([]int16)
 	}
 	// block identifies the arena's current int16 block by its first element.
-	block := func() *int16 { return &a.i16[0] }
+	block := func() *int16 { return &a.i16.blk[:1][0] }
 
 	v1 := decode("[1,2,3]")
 	b1 := block()
@@ -206,7 +209,7 @@ func TestIngestArenaReusesBlocks(t *testing.T) {
 	if cap(v1) != len(v1) || cap(v2) != len(v2) {
 		t.Fatalf("carved values can grow into their neighbours: cap %d/%d, len %d/%d", cap(v1), cap(v2), len(v1), len(v2))
 	}
-	if &a.i16[len(v1)] != &v2[0] {
+	if &a.i16.blk[len(v1)] != &v2[0] {
 		t.Fatal("second value is not carved right after the first")
 	}
 	_ = append(v1, 99) // must reallocate, not scribble on v2
@@ -219,15 +222,96 @@ func TestIngestArenaReusesBlocks(t *testing.T) {
 		t.Fatal("a value carved after rotate shares the previous generation's block")
 	}
 	// An oversized value gets a block of its own size, not a clamp.
-	if big := carve(&a.i16, 2*ingestBlockElems); len(big) != 2*ingestBlockElems || cap(big) != len(big) {
+	if big := a.i16.carve(2*ingestBlockElems, a.reuse); len(big) != 2*ingestBlockElems || cap(big) != len(big) {
 		t.Fatalf("oversized carve: len %d cap %d", len(big), cap(big))
+	}
+	// Under the proof, a released generation's blocks come back — but not
+	// before the release, and not to the generation they were closed from.
+	a = &ingestArena{reuse: true}
+	decode("[1]")
+	b1 = block()
+	a.rotate()
+	decode("[2]")
+	b2 := block()
+	if b2 == b1 {
+		t.Fatal("a block was carved again before its generation was released")
+	}
+	a.release()
+	decode("[3]")
+	if block() != b2 {
+		t.Fatal("a release moved the open generation off its block")
+	}
+	a.rotate()
+	decode("[4]")
+	if block() != b1 {
+		t.Fatal("the block of a released generation was not carved again")
+	}
+
+	// In a session: one 200-sample frame per window, so each window's
+	// first value starts its own block (blocks[w]).
+	app := speech.New()
+	frame, err := json.Marshal(app.SampleTrace(1, 1).Events[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		keeps bool  // preemph declared as keeping its input: the proof fails
+		every int   // recovery cadence; 0 disarmed
+		same  []int // windows with one number carve one block
+	}{
+		// Window 0's deliveries are joined when window 1 flushes; the
+		// rotate after that join is the first that lets window 2 carve
+		// window 0's block. Two blocks then take turns.
+		{name: "proof", same: []int{0, 1, 0, 1, 0, 1}},
+		{name: "failing proof", keeps: true, same: []int{0, 1, 2, 3, 4, 5}},
+		// The checkpoint after window 2 drops the tail that named windows
+		// 0–2; only then are their blocks carved again.
+		{name: "pinning tail", every: 3, same: []int{0, 1, 2, 2, 1, 0}},
+	} {
+		app := speech.New()
+		app.Pipeline[1].Borrows = !tc.keeps
+		onNode := map[int]bool{app.Pipeline[0].ID(): true}
+		cfg := Config{
+			Graph: app.Graph, OnNode: onNode, Platform: platform.TMoteSky(),
+			Nodes: 1, Duration: 7, WindowSeconds: 1, Seed: 1,
+		}
+		h, err := NewShardHost(cfg, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewDistSession(cfg, []HostBinding{{Driver: h, Origins: []int{0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.every > 0 {
+			sess.EnableRecovery(&DistRecovery{Every: tc.every, Reopen: func(Config, int, []int, []byte) (HostDriver, error) {
+				return nil, fmt.Errorf("no host is lost in this test")
+			}})
+		}
+		var blocks []*int16
+		for w := 0; w < 6; w++ {
+			if err := sess.OfferRaw(0, float64(w), app.Pipeline[0], "i16s", frame); err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, &sess.ingest.i16.blk[:1][0])
+		}
+		if _, err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for w := range blocks {
+			for prev := 0; prev < w; prev++ {
+				if got, want := blocks[w] == blocks[prev], tc.same[w] == tc.same[prev]; got != want {
+					t.Errorf("%s: window %d carves window %d's block = %v, want %v", tc.name, w, prev, got, want)
+				}
+			}
+		}
 	}
 
 	// End to end: 1 000 speech frames through OfferRaw inside one window
 	// (nothing flushes, so this is the ingest path alone) cost the frame's
 	// own 400 bytes plus its interface box and buffer slot — not a 32 KB
 	// block each.
-	app := speech.New()
 	onNode := make(map[int]bool)
 	for i, op := range app.Pipeline {
 		onNode[op.ID()] = i < 1
@@ -236,10 +320,6 @@ func TestIngestArenaReusesBlocks(t *testing.T) {
 		Graph: app.Graph, OnNode: onNode, Platform: platform.TMoteSky(),
 		Nodes: 1, Duration: 100, WindowSeconds: 100, Seed: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := json.Marshal(app.SampleTrace(1, 1).Events[0])
 	if err != nil {
 		t.Fatal(err)
 	}

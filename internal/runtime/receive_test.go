@@ -230,3 +230,76 @@ func TestReceiveDeliversDecodedForm(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialsOwnTheirValue: a partial element is the one value delivery
+// keeps past its window, so on an edge that carries arrivals a ShardHost's
+// shard copies it once the window is delivered (ownPartials). Writing the
+// sender's slice afterwards — a session carving that storage again — must
+// not reach the stream's snapshot frame; a partial on another edge, and
+// one already owned, are left as they are.
+func TestPartialsOwnTheirValue(t *testing.T) {
+	r := newReceiveRig(t)
+	sent := wrapFrame(1)
+	if r.step(r.msg(sent, 1), 0.5) {
+		t.Fatal("element delivered whole; the test needs a partial")
+	}
+	want := r.frame()
+	st := r.sh.streams[r.key()]
+	if err := r.sh.ownPartials(nil); err != nil {
+		t.Fatal(err)
+	}
+	if &st.value.([]int16)[0] != &sent[0] {
+		t.Fatal("a partial on an edge outside own was copied")
+	}
+	own := map[*dataflow.Edge]bool{r.edge: true}
+	if err := r.sh.ownPartials(own); err != nil {
+		t.Fatal(err)
+	}
+	owned := st.value.([]int16)
+	if &owned[0] == &sent[0] {
+		t.Fatal("the partial still shares the sender's storage")
+	}
+	copy(sent, wrapFrame(9))
+	if got := r.frame(); !bytes.Equal(got, want) {
+		t.Fatal("writing the sent slice changed the partial's snapshot frame")
+	}
+	if err := r.sh.ownPartials(own); err != nil {
+		t.Fatal(err)
+	}
+	if &st.value.([]int16)[0] != &owned[0] {
+		t.Fatal("an owned partial was copied again")
+	}
+	next := wrapFrame(2)
+	for seq := uint16(2); ; seq++ {
+		if r.step(r.msg(next, seq), 0.5); st.count > 0 && &st.value.([]int16)[0] == &next[0] {
+			break
+		}
+		if seq > 40 {
+			t.Fatal("no later element was left partial")
+		}
+	}
+	if st.owned {
+		t.Fatal("a new partial kept the old one's owned mark")
+	}
+}
+
+// TestSamplersComeBack: the loss samplers a shard releases at the end of
+// its run are the ones the next run's shard draws with — not whatever a
+// pool kept for the P that asks — and a recycled sampler restarts its
+// sequence as a fresh one would.
+func TestSamplersComeBack(t *testing.T) {
+	cfg := &Config{Seed: 3, Platform: platform.TMoteSky()}
+	first := newReceiveShard(cfg)
+	a, b := first.sampler(0), first.sampler(1)
+	want := append([]float64(nil), netsim.NewLossSampler(netsim.NodeSeed(cfg.Seed, 7)).Draws(4)...)
+	first.releaseSamplers()
+	done := make(chan *netsim.LossSampler)
+	go func() { done <- newReceiveShard(cfg).sampler(7) }()
+	got := <-done
+	if got != a && got != b {
+		t.Fatal("the next run's shard built a sampler while released ones were listed")
+	}
+	if draws := got.Draws(4); !reflect.DeepEqual(draws, want) {
+		t.Fatalf("recycled sampler draws %v, a fresh one %v", draws, want)
+	}
+}

@@ -107,7 +107,8 @@ func (s *Session) recordWindow() {
 // maybeCheckpoint runs the per-boundary checkpoint when the cadence is
 // due: the window's deliveries are joined, every host freezes its state
 // blob (non-terminal), the coordinator retains the blobs and drops the
-// replay tail.
+// replay tail — and with it the last hold on the ingest blocks the tail's
+// windows were carved from.
 func (s *Session) maybeCheckpoint() error {
 	if s.rec == nil {
 		return nil
@@ -126,6 +127,7 @@ func (s *Session) maybeCheckpoint() error {
 	s.ckpts = blobs
 	s.tail = s.tail[:0]
 	s.sinceCkpt = 0
+	s.settleIngest()
 	return nil
 }
 

@@ -544,13 +544,13 @@ func (ns *nodeSim) feedPassthrough(arrivals []arrival) {
 // runNodes is the batch node stage: it compiles the node partition once,
 // executes the replicas through dataflow.Instances and returns every
 // node's fed simulator in node order — with an instance economy of its own
-// rather than a ShardHost's pooled Instance per origin. Identical
+// rather than a ShardHost's recycled Instance per origin. Identical
 // replicas — every node offered the same trace — are simulated once and
 // their deterministic message streams replicated; distinct replicas run
 // sharded by origin on a bounded worker pool: shard s owns nodes n ≡ s
 // (mod shards) — the same origin partition the delivery loop uses — and
 // recycles one pinned Instance across them instead of round-tripping the
-// Program pool per node.
+// Program's free list per node.
 func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeSims, error) {
 	prog, err := resolveProgram(&cfg, true)
 	if err != nil {
@@ -596,7 +596,7 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 		counter := &cost.Counter{}
 		inst.SetCounter(counter)
 		for n := s; n < cfg.Nodes && errs[s] == nil; n += shards {
-			inst.Recycle(n) // pristine per-node state, counter kept, no pool round-trip
+			inst.Recycle(n) // pristine per-node state, counter kept, no free-list round-trip
 			out[n] = newNodeSim(&cfg, inst, counter, n, passthrough)
 			errs[s] = out[n].feed(&cfg, arrivals[n])
 		}
@@ -705,7 +705,7 @@ func identicalTraces(inputs [][]profile.Input) bool {
 // swapping in a message's origin-node state touches only those operators
 // instead of scanning the whole graph per message. One compiled Program
 // serves every shard; each shard gets its own Instance (recycled through
-// the Program's pool).
+// the Program's free list).
 type compiledServer struct {
 	prog      *dataflow.Program
 	inst      *dataflow.Instance

@@ -52,27 +52,52 @@ type shardState struct {
 	vals   []dataflow.Value
 }
 
-// samplerPool recycles LossSamplers (and their grown draw buffers) across
-// runs and sessions; a recycled sampler is Reseeded, which restarts its
-// draw sequence exactly as construction would.
-var samplerPool = sync.Pool{New: func() any { return netsim.NewLossSampler(0) }}
+// samplers is the process's free list of LossSamplers (and their grown
+// draw buffers): a mutex and a slice, holding no more than the most
+// samplers ever out at once, so a run's loss draws cost no allocation
+// after the first run of its size, whichever goroutine ran the last one
+// and however many GC cycles passed since. A recycled sampler is
+// Reseeded, which restarts its draw sequence exactly as construction
+// would.
+var samplers struct {
+	sync.Mutex
+	free      []*netsim.LossSampler
+	out, peak int
+}
 
 // sampler returns the loss sampler for one origin's stream, derived
 // deterministically from (run seed, nodeID).
 func (sh *shardState) sampler(nodeID int) *netsim.LossSampler {
 	s := sh.rng[nodeID]
 	if s == nil {
-		s = samplerPool.Get().(*netsim.LossSampler)
+		samplers.Lock()
+		samplers.out++
+		samplers.peak = max(samplers.peak, samplers.out)
+		if n := len(samplers.free); n > 0 {
+			s = samplers.free[n-1]
+			samplers.free[n-1] = nil
+			samplers.free = samplers.free[:n-1]
+		}
+		samplers.Unlock()
+		if s == nil {
+			s = netsim.NewLossSampler(0)
+		}
 		s.Reseed(netsim.NodeSeed(sh.seed, nodeID))
 		sh.rng[nodeID] = s
 	}
 	return s
 }
 
-// releaseSamplers returns the shard's samplers to the pool (end of run).
+// releaseSamplers returns the shard's samplers to the free list (end of
+// run).
 func (sh *shardState) releaseSamplers() {
+	samplers.Lock()
+	defer samplers.Unlock()
 	for id, s := range sh.rng {
-		samplerPool.Put(s)
+		samplers.out--
+		if len(samplers.free) < samplers.peak {
+			samplers.free = append(samplers.free, s)
+		}
 		delete(sh.rng, id)
 	}
 }
@@ -126,7 +151,31 @@ type edgeStream struct {
 	count int // 0: no partial element
 	have  wire.FragmentMask
 	value dataflow.Value
+	owned bool // value is the stream's own copy (ownPartials)
 	re    *wire.Reassembler
+}
+
+// ownPartials gives every partial element on an edge in own a copy of
+// its value — the element as it decodes, whose encoding is the one the
+// fragments carry. A partial is the one place delivery keeps a value past
+// its window (a later fragment of the same element, or a snapshot, reads
+// it), and at most one waits per stream, so this copies at most once per
+// stream and window.
+func (sh *shardState) ownPartials(own map[*dataflow.Edge]bool) error {
+	for key, st := range sh.streams {
+		if st.count == 0 || st.owned || !own[key.edge] {
+			continue
+		}
+		enc, err := wire.Marshal(st.value)
+		if err != nil {
+			return err
+		}
+		if st.value, _, err = wire.Unmarshal(enc); err != nil {
+			return err
+		}
+		st.owned = true
+	}
+	return nil
 }
 
 // receive samples one message's packet losses and reassembles it; ok
@@ -191,7 +240,7 @@ func (sh *shardState) receive(m *message, ratio float64) (dataflow.Value, bool, 
 		st.count, st.value = 0, nil
 		return wire.Canonical(m.value), true, nil
 	}
-	st.seq, st.count, st.have, st.value = m.seq, m.packets, got, m.value
+	st.seq, st.count, st.have, st.value, st.owned = m.seq, m.packets, got, m.value, false
 	return nil, false, nil
 }
 

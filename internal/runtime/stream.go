@@ -165,7 +165,7 @@ func runStream(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if err := Feed(sess, &cfg); err != nil {
-		// Abort returns the pooled node and shard instances to their Program.
+		// Abort returns the node and shard instances to their Program.
 		sess.Abort()
 		return nil, err
 	}

@@ -135,6 +135,7 @@ type Server struct {
 	shardSessions map[string]*shardSession
 	shardClosed   bool
 	shardExpired  int64 // idle sessions a full table evicted
+	scratches     computeScratches
 
 	// now is the lease clock (tests substitute a fake one).
 	now func() time.Time

@@ -193,7 +193,48 @@ type computeScratch struct {
 	arrivals []wire.ShardArrival
 }
 
-var computeScratches = sync.Pool{New: func() any { return new(computeScratch) }}
+// maxKeptScratch bounds the tail buffer a released scratch may keep: a
+// window tail is ≈ 530 KB on the dist-loopback benchmark, and one an
+// outsized window grew past this is dropped, not pinned for the Server's
+// life.
+const maxKeptScratch = 4 << 20
+
+// computeScratches is the Server's free list of compute scratches. A
+// compute holds a job slot, so no more than MaxJobs scratches are out at
+// once, and the list keeps no more than that: after warm-up every compute
+// finds one, whichever goroutine released it.
+type computeScratches struct {
+	mu   sync.Mutex
+	free []*computeScratch
+}
+
+func (l *computeScratches) get() *computeScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(computeScratch)
+	}
+	sc := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return sc
+}
+
+// put empties sc and keeps it while the list holds fewer than limit.
+func (l *computeScratches) put(sc *computeScratch, limit int) {
+	clear(sc.arrivals) // the values are the host's now
+	sc.arrivals = sc.arrivals[:0]
+	sc.tail.Reset()
+	if sc.tail.Cap() > maxKeptScratch {
+		return
+	}
+	l.mu.Lock()
+	if len(l.free) < limit {
+		l.free = append(l.free, sc)
+	}
+	l.mu.Unlock()
+}
 
 // shardCompute reads the body's tail behind the header the adapter decoded
 // — a newline, then the window's arrival records — under a fresh body
@@ -204,13 +245,8 @@ func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest, 
 	if err != nil {
 		return nil, false, err
 	}
-	sc := computeScratches.Get().(*computeScratch)
-	defer func() {
-		clear(sc.arrivals) // the values are the host's now
-		sc.arrivals = sc.arrivals[:0]
-		sc.tail.Reset()
-		computeScratches.Put(sc)
-	}()
+	sc := s.scratches.get()
+	defer s.scratches.put(sc, s.cfg.MaxJobs)
 	if _, err := sc.tail.ReadFrom(io.MultiReader(body.Buffered(), body)); err != nil {
 		return nil, false, bodyError(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -546,5 +547,69 @@ func TestServerSnapshotHostileCounts(t *testing.T) {
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
 			t.Fatalf("operator-state count %d made the server allocate %d bytes", count, alloc)
 		}
+	}
+}
+
+// TestShardComputeScratchesOwned pins the Server's free list of compute
+// scratches: a window after the first finds the scratch the last one
+// released — sequential computes hold one, however they were scheduled —
+// and the list keeps no more than MaxJobs scratches, nor one an outsized
+// window grew past maxKeptScratch.
+func TestShardComputeScratchesOwned(t *testing.T) {
+	svc, client := startServer(t, Config{MaxJobs: 2})
+	ctx := context.Background()
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+	var onNode []int
+	for i, op := range e.graph.Operators() {
+		if i < 6 {
+			onNode = append(onNode, op.ID())
+		}
+	}
+	resp, err := client.ShardOpen(ctx, wire.ShardOpenRequest{
+		Graph: spec, Platform: "Gumstix", OnNode: onNode,
+		Nodes: 2, Duration: 8, Seed: 7, Origins: []int{0, 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *computeScratch
+	for wi, b := range speechShardWindows(t, e, 2, 8, 2) {
+		rep, err := shardCompute(ctx, client, wire.ShardComputeRequest{Session: resp.Session, Window: int64(wi + 1), Arrivals: b.arrivals})
+		if err != nil {
+			t.Fatalf("window %d: %v", wi, err)
+		}
+		svc.scratches.mu.Lock()
+		free := slices.Clone(svc.scratches.free)
+		svc.scratches.mu.Unlock()
+		if first == nil && len(free) == 1 {
+			first = free[0]
+		}
+		if len(free) != 1 || free[0] != first {
+			t.Fatalf("window %d: %d scratches listed, want the first one back", wi, len(free))
+		}
+		if rep.Held > 0 {
+			if err := client.ShardDeliver(ctx, wire.ShardDeliverRequest{Session: resp.Session, Window: int64(wi + 1), Ratio: 0.9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := client.ShardClose(ctx, resp.Session); err != nil {
+		t.Fatal(err)
+	}
+
+	var l computeScratches
+	big := l.get()
+	big.tail.Grow(maxKeptScratch + 1)
+	l.put(big, 2)
+	for range 3 {
+		l.put(l.get(), 2)
+	}
+	held := []*computeScratch{l.get(), l.get(), l.get()}
+	for _, sc := range held {
+		l.put(sc, 2)
+	}
+	if len(l.free) != 2 || slices.Contains(l.free, big) {
+		t.Fatalf("list holds %d scratches (outsized kept: %v), want the limit of 2 and not the outsized one", len(l.free), slices.Contains(l.free, big))
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -471,5 +473,76 @@ func TestStreamIdleReleasesSlot(t *testing.T) {
 	}
 	if resp.Result.MsgsSent == 0 {
 		t.Fatalf("degenerate progressing stream: %+v", resp.Result)
+	}
+}
+
+// TestStreamBytesRepeatStable repeats one /v1/simulate/stream request — the
+// stream-http shape: speech shipping raw audio from four nodes, four
+// delivery shards, four windows — in one process. After two warm-up
+// requests every repeat must allocate the same bytes within 2 %, also
+// when two GC cycles run between repeats: what a request costs may not
+// depend on which P ran the last one or on what the GC emptied since.
+// (The pooled session read ≈ 934 or ≈ 1 076 B per arrival by chance, and
+// 1 504 B after two collections.)
+func TestStreamBytesRepeatStable(t *testing.T) {
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+	trace := e.traces(wire.TraceSpec{Seed: 1, Seconds: 4})
+	src := trace[0].Source
+	const nodes, duration, chunk = 4, 60.0, 64
+	req := wire.SimulateStreamRequest{
+		Graph: spec, Platform: "Gumstix", OnNode: []int{src.ID()},
+		Nodes: nodes, Duration: duration, Seed: 1, Shards: 4, WindowSeconds: 15,
+	}
+	period := 1 / trace[0].Rate
+	var batches [][]wire.ArrivalWire
+	for k := 0; float64(k)*period < duration; k += chunk {
+		var b []wire.ArrivalWire
+		for f := k; f < k+chunk && float64(f)*period < duration; f++ {
+			v := wireBytes(t, trace[0].Events[f%len(trace[0].Events)])
+			for n := 0; n < nodes; n++ {
+				b = append(b, wire.ArrivalWire{Node: n, Time: float64(f) * period, Source: src.ID(), Type: "i16s", Value: v})
+			}
+		}
+		batches = append(batches, b)
+	}
+	_, client := startServer(t, Config{})
+	request := func() uint64 {
+		next := 0
+		feed := func() ([]wire.ArrivalWire, bool) {
+			if next == len(batches) {
+				return nil, false
+			}
+			next++
+			return batches[next-1], true
+		}
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		resp, err := client.SimulateStream(context.Background(), req, feed)
+		goruntime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.MsgsReceived == 0 {
+			t.Fatalf("degenerate run: %+v", resp.Result)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	request()
+	request()
+	var bytes []uint64
+	for _, gcs := range []int{0, 2} {
+		for r := 0; r < 3; r++ {
+			for range gcs {
+				goruntime.GC()
+			}
+			bytes = append(bytes, request())
+		}
+	}
+	lo, hi := slices.Min(bytes), slices.Max(bytes)
+	t.Logf("bytes per request after warm-up (3 plain, 3 after two GCs): %v", bytes)
+	if float64(hi) > 1.02*float64(lo) {
+		t.Errorf("repeats allocate %d–%d B, a spread of %.1f %%; want within 2 %%: %v",
+			lo, hi, 100*(float64(hi)/float64(lo)-1), bytes)
 	}
 }

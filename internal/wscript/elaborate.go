@@ -342,6 +342,7 @@ func (el *elaborator) buildVMIterate(op *dataflow.Operator, name string, ex *Ite
 			Limits:  limits,
 			Meter:   meter,
 			State:   st,
+			Thread:  dataflow.Workspace[wvm.Thread](ctx),
 		})
 		if err != nil {
 			panic(runtimeError{err})

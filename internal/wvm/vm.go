@@ -3,7 +3,6 @@ package wvm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"wishbone/internal/cost"
 )
@@ -24,10 +23,16 @@ type Env struct {
 	// State is the operator instance's state (nil for stateless
 	// operators).
 	State *State
+	// Thread is the invocation's execution context, owned by the caller
+	// and reused across its invocations (a dataflow operator's Workspace);
+	// nil runs on a fresh one.
+	Thread *Thread
 }
 
-// Thread is the reusable execution context of one invocation. Threads are
-// pooled; all persistent results live in Env.State, never in the Thread.
+// Thread is the reusable execution context of one invocation: its caller
+// owns it and hands it to each invocation in turn (Env.Thread), never to
+// two at once. All persistent results live in Env.State, never in the
+// Thread.
 type Thread struct {
 	prog    *Program
 	stack   []Value
@@ -53,8 +58,6 @@ type frame struct {
 	whiles []int32
 }
 
-var threadPool = sync.Pool{New: func() any { return &Thread{} }}
-
 // RunEntry executes the program's entry function on one stream element.
 func (p *Program) RunEntry(arg Value, env Env) error {
 	return p.run(p.Entry, []Value{arg}, env)
@@ -70,11 +73,11 @@ func (p *Program) RunInit(env Env) error {
 }
 
 func (p *Program) run(fn int, args []Value, env Env) error {
-	t := threadPool.Get().(*Thread)
-	defer func() {
-		t.reset()
-		threadPool.Put(t)
-	}()
+	t := env.Thread
+	if t == nil {
+		t = &Thread{}
+	}
+	defer t.reset()
 	t.prog = p
 	t.counter = env.Counter
 	t.emit = env.Emit
