@@ -2,8 +2,9 @@ package dataflow
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"wishbone/internal/freelist"
 )
 
 // CompileOptions selects what Compile bakes into a Program. Everything here
@@ -91,24 +92,20 @@ type Program struct {
 	// edges is the dense edge table: edges[i] is Graph.Edges()[i].
 	edges []*Edge
 
-	// insts is the free list AcquireInstance draws from (see
-	// instanceList); it never affects the Program's compiled tables.
-	insts instanceList
+	// insts is the free list AcquireInstance draws from; it never affects
+	// the Program's compiled tables. It dies with the Program, which a
+	// cache eviction drops.
+	insts freelist.List[*Instance]
 }
 
-// instanceList is a Program's own free list of released Instances: a
-// mutex and a slice, holding no more than the most Instances ever
-// acquired at once. Unlike a sync.Pool, what it holds does not depend on
-// which P released an Instance or on how many GC cycles ran since: once
-// the Program has served its peak, every acquire finds a warm Instance
-// (its dense tables and frame slabs grown). The list dies with the
-// Program, which a cache eviction drops.
-type instanceList struct {
-	mu   sync.Mutex
-	free []*Instance
-	out  int // acquired and not yet released
-	peak int // most ever acquired at once
-}
+// MaxListedInstances is the most released Instances a Program keeps warm
+// (their dense tables, state and frame slabs grown) for AcquireInstance.
+// It is what the engine runs at once on a small host — a node shard or a
+// delivery shard per worker, a streaming session's few origins — and not
+// what a request asks for: a session over thousands of origins holds one
+// Instance each while it runs, and all but this many go to the GC when it
+// closes.
+const MaxListedInstances = 8
 
 // Compile lowers g into an immutable Program. It validates the graph, fixes
 // the topological schedule, evaluates opts.Include once per operator, and
@@ -148,6 +145,7 @@ func Compile(g *Graph, opts CompileOptions) (*Program, error) {
 		outInt:   make([][]fanout, n),
 		outCut:   make([][]fanout, n),
 		edges:    g.Edges(),
+		insts:    freelist.List[*Instance]{Max: MaxListedInstances},
 	}
 	for _, op := range g.Operators() {
 		id := op.ID()

@@ -2,10 +2,3 @@ package dataflow
 
 // Recycles reports whether p hands op's Frame calls a recycled slab.
 func (p *Program) Recycles(op *Operator) bool { return p.recycle[op.ID()] }
-
-// FreeInstances reports how many released Instances p's free list holds.
-func (p *Program) FreeInstances() int {
-	p.insts.mu.Lock()
-	defer p.insts.mu.Unlock()
-	return len(p.insts.free)
-}

@@ -152,18 +152,8 @@ func (p *Program) NewInstance(nodeID int) *Instance {
 // recycled frame slab) per simulated node, per delivery shard, per
 // request. The caller must stop using the Instance once it Releases it.
 func (p *Program) AcquireInstance(nodeID int) *Instance {
-	l := &p.insts
-	l.mu.Lock()
-	l.out++
-	l.peak = max(l.peak, l.out)
-	var in *Instance
-	if n := len(l.free); n > 0 {
-		in = l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-	}
-	l.mu.Unlock()
-	if in == nil {
+	in, ok := p.insts.Get()
+	if !ok {
 		return p.NewInstance(nodeID)
 	}
 	in.rebind(nodeID)
@@ -171,26 +161,21 @@ func (p *Program) AcquireInstance(nodeID int) *Instance {
 }
 
 // ReleaseInstance returns an Instance obtained from AcquireInstance (or
-// NewInstance) to p's free list, which keeps it only while it holds fewer
-// than the most Instances ever acquired at once. It Resets the instance
-// immediately — a listed instance must not pin the released run's
-// Boundary closure, queued values, or state (potentially a whole
-// simulation's message stream) while it waits.
+// NewInstance) to p's free list, which keeps at most MaxListedInstances.
+// It Resets the instance immediately — a listed instance must not pin the
+// released run's Boundary closure, queued values, or state (potentially a
+// whole simulation's message stream) while it waits.
 func (p *Program) ReleaseInstance(in *Instance) {
 	if in == nil || in.p != p {
 		return
 	}
 	in.Reset(in.nodeID)
-	l := &p.insts
-	l.mu.Lock()
-	if l.out > 0 {
-		l.out--
-	}
-	if len(l.free) < l.peak {
-		l.free = append(l.free, in)
-	}
-	l.mu.Unlock()
+	p.insts.Put(in)
 }
+
+// ListedInstances reports how many released Instances p keeps for
+// AcquireInstance: at most MaxListedInstances.
+func (p *Program) ListedInstances() int { return p.insts.Len() }
 
 // Recycle re-prepares the instance for a fresh run as nodeID without a
 // free-list round-trip: Release/Acquire semantics (pristine state, empty

@@ -251,14 +251,15 @@ func TestBorrowsInjected(t *testing.T) {
 
 // TestInstanceFreeList pins the Program's own free list: a released
 // Instance comes back to the next acquire whichever goroutine asks, and
-// the list never holds more than the most Instances acquired at once.
+// the list keeps no more than MaxListedInstances however many were out at
+// once.
 func TestInstanceFreeList(t *testing.T) {
 	app := speech.New()
 	node, _ := compileSides(t, app.Graph, speechCut(app, 8))
 	a, b := node.AcquireInstance(0), node.AcquireInstance(1)
 	node.ReleaseInstance(a)
 	node.ReleaseInstance(b)
-	if got := node.FreeInstances(); got != 2 {
+	if got := node.ListedInstances(); got != 2 {
 		t.Fatalf("%d listed after releasing two, want 2", got)
 	}
 	done := make(chan [2]*dataflow.Instance)
@@ -270,13 +271,21 @@ func TestInstanceFreeList(t *testing.T) {
 	if got[0].NodeID() != 2 || got[1].NodeID() != 3 {
 		t.Errorf("recycled instances act as nodes %d, %d; want 2, 3", got[0].NodeID(), got[1].NodeID())
 	}
-	node.ReleaseInstance(got[0])
-	node.ReleaseInstance(got[1])
-	// Instances never acquired from the list do not grow it past the peak.
-	for i := 0; i < 4; i++ {
-		node.ReleaseInstance(node.NewInstance(i))
+	// A run over many origins holds one Instance each; releasing them
+	// keeps the cap, not the peak.
+	wide := make([]*dataflow.Instance, 4*dataflow.MaxListedInstances)
+	wide[0], wide[1] = got[0], got[1]
+	for i := 2; i < len(wide); i++ {
+		wide[i] = node.AcquireInstance(i)
 	}
-	if got := node.FreeInstances(); got != 2 {
-		t.Errorf("%d listed, want the peak of 2", got)
+	for _, in := range wide {
+		node.ReleaseInstance(in)
+	}
+	if got := node.ListedInstances(); got != dataflow.MaxListedInstances {
+		t.Errorf("%d listed after releasing %d, want MaxListedInstances %d", got, len(wide), dataflow.MaxListedInstances)
+	}
+	node.ReleaseInstance(node.NewInstance(0))
+	if got := node.ListedInstances(); got != dataflow.MaxListedInstances {
+		t.Errorf("%d listed after releasing one more, want MaxListedInstances %d", got, dataflow.MaxListedInstances)
 	}
 }

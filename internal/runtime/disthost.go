@@ -34,9 +34,9 @@ type ShardHost struct {
 
 	// own marks the cut edges whose elements are arrivals themselves
 	// (dataflow.InjectedEdges): a partial element one of them leaves
-	// behind a window takes a copy of its value once the window is
-	// delivered (shardState.ownPartials), because a session may carve the
-	// arrival's storage again after that.
+	// behind a window keeps its encoding in place of its value once the
+	// window is delivered (shardState.ownPartials), because a session may
+	// carve the arrival's storage again after that.
 	own map[*dataflow.Edge]bool
 
 	// global marks an unshardable partition (a stateful Server-namespace

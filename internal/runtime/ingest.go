@@ -29,7 +29,8 @@ import (
 //     Work-less forwarders and across the cut, where in process the value
 //     itself is handed over — Borrows it, so no operator state keeps one
 //     past its dispatch (the one other keeper, a partial element on a cut
-//     edge, takes a copy when its window is delivered: ownPartials);
+//     edge, keeps its encoding instead once its window is delivered:
+//     ownPartials);
 //   - the window is over: its deliveries are joined and no replay-tail
 //     record names it (with recovery armed, only the checkpoint that drops
 //     the tail frees what the tail held).

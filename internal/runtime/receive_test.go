@@ -233,10 +233,11 @@ func TestReceiveDeliversDecodedForm(t *testing.T) {
 
 // TestPartialsOwnTheirValue: a partial element is the one value delivery
 // keeps past its window, so on an edge that carries arrivals a ShardHost's
-// shard copies it once the window is delivered (ownPartials). Writing the
-// sender's slice afterwards — a session carving that storage again — must
-// not reach the stream's snapshot frame; a partial on another edge, and
-// one already owned, are left as they are.
+// shard keeps its encoding in place of the value once the window is
+// delivered (ownPartials). Writing the sender's slice afterwards — a
+// session carving that storage again — must not reach the stream's
+// snapshot frame; a partial on another edge, and one already owned, are
+// left as they are, and the next partial reuses the stream's buffer.
 func TestPartialsOwnTheirValue(t *testing.T) {
 	r := newReceiveRig(t)
 	sent := wrapFrame(1)
@@ -248,17 +249,17 @@ func TestPartialsOwnTheirValue(t *testing.T) {
 	if err := r.sh.ownPartials(nil); err != nil {
 		t.Fatal(err)
 	}
-	if &st.value.([]int16)[0] != &sent[0] {
-		t.Fatal("a partial on an edge outside own was copied")
+	if len(st.enc) > 0 || &st.value.([]int16)[0] != &sent[0] {
+		t.Fatal("a partial on an edge outside own was encoded")
 	}
 	own := map[*dataflow.Edge]bool{r.edge: true}
 	if err := r.sh.ownPartials(own); err != nil {
 		t.Fatal(err)
 	}
-	owned := st.value.([]int16)
-	if &owned[0] == &sent[0] {
-		t.Fatal("the partial still shares the sender's storage")
+	if st.value != nil || len(st.enc) == 0 {
+		t.Fatal("an owned partial still holds the sender's value")
 	}
+	enc := &st.enc[0]
 	copy(sent, wrapFrame(9))
 	if got := r.frame(); !bytes.Equal(got, want) {
 		t.Fatal("writing the sent slice changed the partial's snapshot frame")
@@ -266,8 +267,8 @@ func TestPartialsOwnTheirValue(t *testing.T) {
 	if err := r.sh.ownPartials(own); err != nil {
 		t.Fatal(err)
 	}
-	if &st.value.([]int16)[0] != &owned[0] {
-		t.Fatal("an owned partial was copied again")
+	if &st.enc[0] != enc {
+		t.Fatal("an owned partial was encoded again")
 	}
 	next := wrapFrame(2)
 	for seq := uint16(2); ; seq++ {
@@ -278,15 +279,29 @@ func TestPartialsOwnTheirValue(t *testing.T) {
 			t.Fatal("no later element was left partial")
 		}
 	}
-	if st.owned {
-		t.Fatal("a new partial kept the old one's owned mark")
+	if len(st.enc) > 0 {
+		t.Fatal("a new partial kept the old one's encoding")
+	}
+	if err := r.sh.ownPartials(own); err != nil {
+		t.Fatal(err)
+	}
+	if &st.enc[0] != enc {
+		t.Fatal("the next owned partial did not reuse the stream's buffer")
+	}
+	// Another element under the partial's number (a wrapped seq) merges
+	// with it byte by byte: the owned bytes, not the rewritten sender's
+	// slice, fill the fragments the partial kept, as in the codec.
+	copy(next, wrapFrame(8))
+	if !r.step(r.msg(wrapFrame(3), st.seq), 1) {
+		t.Fatal("the colliding element was not delivered whole")
 	}
 }
 
 // TestSamplersComeBack: the loss samplers a shard releases at the end of
 // its run are the ones the next run's shard draws with — not whatever a
-// pool kept for the P that asks — and a recycled sampler restarts its
-// sequence as a fresh one would.
+// pool kept for the P that asks — a recycled sampler restarts its
+// sequence as a fresh one would, and a run over more origins than
+// maxListedSamplers leaves only that many listed.
 func TestSamplersComeBack(t *testing.T) {
 	cfg := &Config{Seed: 3, Platform: platform.TMoteSky()}
 	first := newReceiveShard(cfg)
@@ -301,5 +316,14 @@ func TestSamplersComeBack(t *testing.T) {
 	}
 	if draws := got.Draws(4); !reflect.DeepEqual(draws, want) {
 		t.Fatalf("recycled sampler draws %v, a fresh one %v", draws, want)
+	}
+
+	wide := newReceiveShard(cfg)
+	for n := 0; n < 2*maxListedSamplers; n++ {
+		wide.sampler(n)
+	}
+	wide.releaseSamplers()
+	if n := samplers.Len(); n != maxListedSamplers {
+		t.Fatalf("%d samplers listed after a %d-origin run, want maxListedSamplers %d", n, 2*maxListedSamplers, maxListedSamplers)
 	}
 }

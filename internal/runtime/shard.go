@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"wishbone/internal/dataflow"
+	"wishbone/internal/freelist"
 	"wishbone/internal/netsim"
 	"wishbone/internal/wire"
 )
@@ -53,33 +54,24 @@ type shardState struct {
 }
 
 // samplers is the process's free list of LossSamplers (and their grown
-// draw buffers): a mutex and a slice, holding no more than the most
-// samplers ever out at once, so a run's loss draws cost no allocation
-// after the first run of its size, whichever goroutine ran the last one
-// and however many GC cycles passed since. A recycled sampler is
-// Reseeded, which restarts its draw sequence exactly as construction
-// would.
-var samplers struct {
-	sync.Mutex
-	free      []*netsim.LossSampler
-	out, peak int
-}
+// draw buffers), so a run's loss draws cost no allocation once a run of
+// its size has warmed it up, whichever goroutine ran the last one and
+// however many GC cycles passed since. A recycled sampler is Reseeded,
+// which restarts its draw sequence exactly as construction would.
+var samplers = freelist.List[*netsim.LossSampler]{Max: maxListedSamplers}
+
+// maxListedSamplers bounds the samplers the process keeps: one per origin
+// of a 128-mote deployment, ≈ 5 KB each (the source's state), so ≈ 640 KB
+// at most. A wider run's extra samplers go to the GC when it ends.
+const maxListedSamplers = 128
 
 // sampler returns the loss sampler for one origin's stream, derived
 // deterministically from (run seed, nodeID).
 func (sh *shardState) sampler(nodeID int) *netsim.LossSampler {
 	s := sh.rng[nodeID]
 	if s == nil {
-		samplers.Lock()
-		samplers.out++
-		samplers.peak = max(samplers.peak, samplers.out)
-		if n := len(samplers.free); n > 0 {
-			s = samplers.free[n-1]
-			samplers.free[n-1] = nil
-			samplers.free = samplers.free[:n-1]
-		}
-		samplers.Unlock()
-		if s == nil {
+		var ok bool
+		if s, ok = samplers.Get(); !ok {
 			s = netsim.NewLossSampler(0)
 		}
 		s.Reseed(netsim.NodeSeed(sh.seed, nodeID))
@@ -91,13 +83,8 @@ func (sh *shardState) sampler(nodeID int) *netsim.LossSampler {
 // releaseSamplers returns the shard's samplers to the free list (end of
 // run).
 func (sh *shardState) releaseSamplers() {
-	samplers.Lock()
-	defer samplers.Unlock()
 	for id, s := range sh.rng {
-		samplers.out--
-		if len(samplers.free) < samplers.peak {
-			samplers.free = append(samplers.free, s)
-		}
+		samplers.Put(s)
 		delete(sh.rng, id)
 	}
 }
@@ -142,7 +129,8 @@ func (sh *shardState) deliver(msgs []message, ratio float64) (err error) {
 // a wire.Reassembler fed the stream's surviving fragments would hold,
 // kept by value. A partially received element is (seq, count, have,
 // value): its number, fragment count, surviving fragment indexes and the
-// sent value, whose encoding is the fragments' bytes. re is the real
+// sent value, whose encoding is the fragments' bytes — or, once
+// ownPartials took it, that encoding itself (enc). re is the real
 // Reassembler, set only while the bytes are observable (a restored
 // partial, or one a wrapped sequence number aliased); the lazy fields are
 // then unused.
@@ -151,29 +139,35 @@ type edgeStream struct {
 	count int // 0: no partial element
 	have  wire.FragmentMask
 	value dataflow.Value
-	owned bool // value is the stream's own copy (ownPartials)
+	enc   []byte // the partial's encoding when non-empty (ownPartials)
 	re    *wire.Reassembler
 }
 
-// ownPartials gives every partial element on an edge in own a copy of
-// its value — the element as it decodes, whose encoding is the one the
-// fragments carry. A partial is the one place delivery keeps a value past
-// its window (a later fragment of the same element, or a snapshot, reads
-// it), and at most one waits per stream, so this copies at most once per
-// stream and window.
+// encoding returns the partial element's bytes: the copy ownPartials
+// kept, or its value's encoding.
+func (st *edgeStream) encoding() ([]byte, error) {
+	if len(st.enc) > 0 {
+		return st.enc, nil
+	}
+	return wire.Marshal(st.value)
+}
+
+// ownPartials has every partial element on an edge in own keep its
+// encoding in place of its value. A partial is the one place delivery
+// keeps a value past its window (a later fragment of the same element,
+// or a snapshot, reads it — as bytes), and at most one waits per stream,
+// so this encodes at most once per stream and window, into the stream's
+// own buffer.
 func (sh *shardState) ownPartials(own map[*dataflow.Edge]bool) error {
 	for key, st := range sh.streams {
-		if st.count == 0 || st.owned || !own[key.edge] {
+		if st.count == 0 || len(st.enc) > 0 || !own[key.edge] {
 			continue
 		}
-		enc, err := wire.Marshal(st.value)
-		if err != nil {
+		var err error
+		if st.enc, err = wire.AppendMarshal(st.enc[:0], st.value); err != nil {
 			return err
 		}
-		if st.value, _, err = wire.Unmarshal(enc); err != nil {
-			return err
-		}
-		st.owned = true
+		st.value = nil
 	}
 	return nil
 }
@@ -225,14 +219,22 @@ func (sh *shardState) receive(m *message, ratio float64) (dataflow.Value, bool, 
 	}
 	if st.re == nil && st.count == m.packets && st.seq == m.seq {
 		st.re = &wire.Reassembler{}
-		if _, _, err := offer(st.re, st.value, st.seq, sh.payload, &st.have); err != nil {
+		enc, err := st.encoding()
+		if err != nil {
+			return nil, false, err
+		}
+		if _, _, err := offer(st.re, enc, st.seq, sh.payload, &st.have); err != nil {
 			return nil, false, err
 		}
 		st.count, st.value = 0, nil
 	}
 	if st.re != nil {
 		if seq, count, ok := st.re.Pending(); ok && seq == m.seq && count == m.packets {
-			return offer(st.re, m.value, m.seq, sh.payload, &got)
+			enc, err := wire.Marshal(m.value)
+			if err != nil {
+				return nil, false, err
+			}
+			return offer(st.re, enc, m.seq, sh.payload, &got)
 		}
 		st.re = nil // this element's first fragment abandons the partial
 	}
@@ -240,18 +242,15 @@ func (sh *shardState) receive(m *message, ratio float64) (dataflow.Value, bool, 
 		st.count, st.value = 0, nil
 		return wire.Canonical(m.value), true, nil
 	}
-	st.seq, st.count, st.have, st.value, st.owned = m.seq, m.packets, got, m.value, false
+	st.seq, st.count, st.have, st.value, st.enc = m.seq, m.packets, got, m.value, st.enc[:0]
 	return nil, false, nil
 }
 
-// offer feeds re the fragments in got of v's encoding, numbered seq and
-// cut to payload-byte packets, in index order, returning the element it
-// completes, if any. It is the byte path: rare, so it allocates.
-func offer(re *wire.Reassembler, v dataflow.Value, seq uint16, payload int, got *wire.FragmentMask) (dataflow.Value, bool, error) {
-	enc, err := wire.Marshal(v)
-	if err != nil {
-		return nil, false, err
-	}
+// offer feeds re the fragments in got of an element's encoding enc,
+// numbered seq and cut to payload-byte packets, in index order, returning
+// the element it completes, if any. It is the byte path: rare, so it
+// allocates.
+func offer(re *wire.Reassembler, enc []byte, seq uint16, payload int, got *wire.FragmentMask) (dataflow.Value, bool, error) {
 	frags, err := wire.Fragment(enc, seq, payload)
 	if err != nil {
 		return nil, false, err

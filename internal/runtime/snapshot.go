@@ -216,14 +216,17 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 }
 
 // save writes the stream's frame — the one wire.Reassembler.SaveSnapshot
-// writes for the equivalent reassembler — marshalling a lazy partial's
-// value into enc, which it returns grown for the next stream.
+// writes for the equivalent reassembler — from the encoding ownPartials
+// kept, or by marshalling a lazy partial's value into enc, which it
+// returns grown for the next stream.
 func (es *edgeStream) save(w *wire.SnapshotWriter, enc []byte, payload int) ([]byte, error) {
 	switch {
 	case es.re != nil:
 		es.re.SaveSnapshot(w)
 	case es.count == 0:
 		w.Bool(false)
+	case len(es.enc) > 0:
+		wire.SavePartialSnapshot(w, es.seq, es.count, es.enc, payload, &es.have)
 	default:
 		var err error
 		if enc, err = wire.AppendMarshal(enc[:0], es.value); err != nil {

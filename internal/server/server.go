@@ -68,6 +68,7 @@ import (
 
 	"wishbone/internal/core"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/freelist"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	wbruntime "wishbone/internal/runtime"
@@ -135,7 +136,9 @@ type Server struct {
 	shardSessions map[string]*shardSession
 	shardClosed   bool
 	shardExpired  int64 // idle sessions a full table evicted
-	scratches     computeScratches
+	// scratches lists released compute scratches, at most MaxJobs
+	// (releaseScratch).
+	scratches freelist.List[*computeScratch]
 
 	// now is the lease clock (tests substitute a fake one).
 	now func() time.Time
@@ -159,6 +162,7 @@ func New(cfg Config) *Server {
 		now:           time.Now,
 		bodyIdle:      bodyIdle,
 	}
+	s.scratches.Max = cfg.MaxJobs
 	s.cache.OnEvict(s.retireEntry)
 	for i := range routes {
 		rt := &routes[i]

@@ -199,41 +199,18 @@ type computeScratch struct {
 // life.
 const maxKeptScratch = 4 << 20
 
-// computeScratches is the Server's free list of compute scratches. A
-// compute holds a job slot, so no more than MaxJobs scratches are out at
-// once, and the list keeps no more than that: after warm-up every compute
-// finds one, whichever goroutine released it.
-type computeScratches struct {
-	mu   sync.Mutex
-	free []*computeScratch
-}
-
-func (l *computeScratches) get() *computeScratch {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.free)
-	if n == 0 {
-		return new(computeScratch)
-	}
-	sc := l.free[n-1]
-	l.free[n-1] = nil
-	l.free = l.free[:n-1]
-	return sc
-}
-
-// put empties sc and keeps it while the list holds fewer than limit.
-func (l *computeScratches) put(sc *computeScratch, limit int) {
+// releaseScratch empties sc and lists it on the Server's scratches,
+// unless an outsized window grew its tail past maxKeptScratch. A compute
+// holds a job slot, so no more than MaxJobs scratches are out at once,
+// and the list (Max MaxJobs) keeps all of them: after warm-up every
+// compute finds one, whichever goroutine released it.
+func (s *Server) releaseScratch(sc *computeScratch) {
 	clear(sc.arrivals) // the values are the host's now
 	sc.arrivals = sc.arrivals[:0]
 	sc.tail.Reset()
-	if sc.tail.Cap() > maxKeptScratch {
-		return
+	if sc.tail.Cap() <= maxKeptScratch {
+		s.scratches.Put(sc)
 	}
-	l.mu.Lock()
-	if len(l.free) < limit {
-		l.free = append(l.free, sc)
-	}
-	l.mu.Unlock()
 }
 
 // shardCompute reads the body's tail behind the header the adapter decoded
@@ -245,8 +222,11 @@ func (s *Server) shardCompute(_ context.Context, req *wire.ShardComputeRequest, 
 	if err != nil {
 		return nil, false, err
 	}
-	sc := s.scratches.get()
-	defer s.scratches.put(sc, s.cfg.MaxJobs)
+	sc, ok := s.scratches.Get()
+	if !ok {
+		sc = new(computeScratch)
+	}
+	defer s.releaseScratch(sc)
 	if _, err := sc.tail.ReadFrom(io.MultiReader(body.Buffered(), body)); err != nil {
 		return nil, false, bodyError(err)
 	}

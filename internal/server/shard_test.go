@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	goruntime "runtime"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -579,15 +578,15 @@ func TestShardComputeScratchesOwned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("window %d: %v", wi, err)
 		}
-		svc.scratches.mu.Lock()
-		free := slices.Clone(svc.scratches.free)
-		svc.scratches.mu.Unlock()
-		if first == nil && len(free) == 1 {
-			first = free[0]
+		listed := svc.scratches.Len()
+		sc, _ := svc.scratches.Get()
+		if first == nil && listed == 1 {
+			first = sc
 		}
-		if len(free) != 1 || free[0] != first {
-			t.Fatalf("window %d: %d scratches listed, want the first one back", wi, len(free))
+		if listed != 1 || sc != first {
+			t.Fatalf("window %d: %d scratches listed, want the first one back", wi, listed)
 		}
+		svc.scratches.Put(sc)
 		if rep.Held > 0 {
 			if err := client.ShardDeliver(ctx, wire.ShardDeliverRequest{Session: resp.Session, Window: int64(wi + 1), Ratio: 0.9}); err != nil {
 				t.Fatal(err)
@@ -598,18 +597,19 @@ func TestShardComputeScratchesOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var l computeScratches
-	big := l.get()
+	svc = New(Config{MaxJobs: 2})
+	big := new(computeScratch)
 	big.tail.Grow(maxKeptScratch + 1)
-	l.put(big, 2)
+	svc.releaseScratch(big)
 	for range 3 {
-		l.put(l.get(), 2)
+		svc.releaseScratch(new(computeScratch))
 	}
-	held := []*computeScratch{l.get(), l.get(), l.get()}
-	for _, sc := range held {
-		l.put(sc, 2)
+	if n := svc.scratches.Len(); n != 2 {
+		t.Fatalf("list holds %d scratches, want MaxJobs 2", n)
 	}
-	if len(l.free) != 2 || slices.Contains(l.free, big) {
-		t.Fatalf("list holds %d scratches (outsized kept: %v), want the limit of 2 and not the outsized one", len(l.free), slices.Contains(l.free, big))
+	for range 2 {
+		if sc, _ := svc.scratches.Get(); sc == big {
+			t.Fatal("the list kept a scratch an outsized window grew")
+		}
 	}
 }

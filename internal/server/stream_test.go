@@ -6,15 +6,19 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	goruntime "runtime"
 	"slices"
 	"testing"
 	"time"
 
+	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
 	"wishbone/internal/wire"
+	"wishbone/internal/wvm"
 )
 
 // TestServerSimulateStreamParity streams a client-supplied speech trace
@@ -476,15 +480,31 @@ func TestStreamIdleReleasesSlot(t *testing.T) {
 	}
 }
 
+// repeatBytesProcess, set in the environment, marks the process
+// TestStreamBytesRepeatStable re-runs itself in to measure.
+const repeatBytesProcess = "WISHBONE_REPEAT_BYTES_PROCESS"
+
 // TestStreamBytesRepeatStable repeats one /v1/simulate/stream request — the
 // stream-http shape: speech shipping raw audio from four nodes, four
-// delivery shards, four windows — in one process. After two warm-up
-// requests every repeat must allocate the same bytes within 2 %, also
-// when two GC cycles run between repeats: what a request costs may not
-// depend on which P ran the last one or on what the GC emptied since.
-// (The pooled session read ≈ 934 or ≈ 1 076 B per arrival by chance, and
-// 1 504 B after two collections.)
+// delivery shards, four windows. After two warm-up requests every repeat
+// must allocate the same bytes within 2 %, also when two GC cycles run
+// between repeats: what a request costs may not depend on which P ran the
+// last one or on what the GC emptied since. (The pooled session read
+// ≈ 934 or ≈ 1 076 B per arrival by chance, and 1 504 B after two
+// collections.) The bytes are the process's TotalAlloc, which counts every
+// goroutine, so the test measures in a process of its own: servers and
+// connections the package's other tests leave behind cannot move it.
 func TestStreamBytesRepeatStable(t *testing.T) {
+	if os.Getenv(repeatBytesProcess) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStreamBytesRepeatStable$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), repeatBytesProcess+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("measuring process:\n%s", out)
+		if err != nil {
+			t.Fatalf("measuring process: %v", err)
+		}
+		return
+	}
 	spec := wire.GraphSpec{App: "speech"}
 	e := localEntry(t, spec)
 	trace := e.traces(wire.TraceSpec{Seed: 1, Seconds: 4})
@@ -544,5 +564,59 @@ func TestStreamBytesRepeatStable(t *testing.T) {
 	if float64(hi) > 1.02*float64(lo) {
 		t.Errorf("repeats allocate %d–%d B, a spread of %.1f %%; want within 2 %%: %v",
 			lo, hi, 100*(float64(hi)/float64(lo)-1), bytes)
+	}
+}
+
+// TestWideStreamKeepsBoundedInstances: a stream over maxSimNodes origins
+// holds one node Instance per origin while it runs, and leaves no more
+// than dataflow.MaxListedInstances on each cached Program's free list
+// when it closes — a client's node count must not set what the server
+// keeps warm for as long as the cache holds the Program.
+func TestWideStreamKeepsBoundedInstances(t *testing.T) {
+	svc, client := startServer(t, Config{})
+	spec := wire.GraphSpec{App: "speech"}
+	e := localEntry(t, spec)
+	trace := e.traces(wire.TraceSpec{Seed: 1, Seconds: 1})
+	src := trace[0].Source
+	req := wire.SimulateStreamRequest{
+		Graph: spec, Platform: "Gumstix", OnNode: []int{src.ID()},
+		Nodes: maxSimNodes, Duration: 1, Seed: 1, Shards: 4,
+	}
+	v := wireBytes(t, trace[0].Events[0])
+	sent := false
+	resp, err := client.SimulateStream(context.Background(), req, func() ([]wire.ArrivalWire, bool) {
+		if sent {
+			return nil, false
+		}
+		sent = true
+		var b []wire.ArrivalWire
+		for n := 0; n < maxSimNodes; n += 64 {
+			b = append(b, wire.ArrivalWire{Node: n, Source: src.ID(), Type: "i16s", Value: v})
+		}
+		return b, true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result.MsgsReceived == 0 {
+		t.Fatalf("degenerate run: %+v", resp.Result)
+	}
+	served, _, err := svc.getEntry(spec, wvm.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onNode := make(map[int]bool, served.graph.NumOperators())
+	for _, op := range served.graph.Operators() {
+		onNode[op.ID()] = op.ID() == src.ID()
+	}
+	progs, hit, err := svc.partitionProgramsFor(served, onNode)
+	if err != nil || !hit {
+		t.Fatalf("the stream's Programs are not cached (hit %v): %v", hit, err)
+	}
+	if n := progs.node.ListedInstances(); n != dataflow.MaxListedInstances {
+		t.Errorf("node Program lists %d Instances after a %d-origin stream, want MaxListedInstances %d", n, maxSimNodes, dataflow.MaxListedInstances)
+	}
+	if n := progs.server.ListedInstances(); n > dataflow.MaxListedInstances {
+		t.Errorf("server Program lists %d Instances, want at most %d", n, dataflow.MaxListedInstances)
 	}
 }
