@@ -9,8 +9,9 @@ import (
 )
 
 // TestBatchedChannelParity runs identical multi-window traces through the
-// node partition of a 2-channel graph with and without batching: the
-// feature vectors crossing the zipAll→svm cut edge, per-op counters, and
+// node partition of a 2-channel graph, batched, and through the reference
+// Executor, element at a time: the feature vectors crossing the zipAll→svm
+// cut edge, the shared cost counter per channel trace, traversals and
 // invocation counts must match exactly, and the batched run must report
 // batch hits on the wavelet-cascade kernels.
 func TestBatchedChannelParity(t *testing.T) {
@@ -19,44 +20,56 @@ func TestBatchedChannelParity(t *testing.T) {
 	type result struct {
 		boundary []string
 		trav     int64
-		counters map[string]cost.Counter
+		counters []cost.Counter // one per channel trace
 		invokes  map[string]int
 	}
-	run := func(opts dataflow.CompileOptions) (result, *dataflow.Program) {
-		app := NewWithChannels(2)
-		inputs := app.SampleTrace(3, 8) // 4 windows per channel
-		opts.Include = include
-		opts.CountOps = true
-		prog, err := dataflow.Compile(app.Graph, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst := prog.NewInstance(0)
-		var r result
-		inst.Boundary = func(e *dataflow.Edge, v dataflow.Value) {
+	capture := func(r *result) func(*dataflow.Edge, dataflow.Value) {
+		return func(e *dataflow.Edge, v dataflow.Value) {
 			r.boundary = append(r.boundary, fmt.Sprintf("%s=%v", e, v))
 		}
-		for _, in := range inputs {
-			inst.InjectBatch(in.Source, in.Events)
-			inst.EndEvent()
-		}
-		r.trav = inst.Traversals()
-		r.counters = make(map[string]cost.Counter)
-		r.invokes = make(map[string]int)
-		for _, op := range app.Graph.Operators() {
-			if c := inst.OpTotal(op.ID()); c != nil && c.Total() > 0 {
-				r.counters[op.Name] = *c
-			}
-			if n := inst.Invocations(op.ID()); n > 0 {
-				r.invokes[op.Name] = n
-			}
-		}
-		inst.Reset(0)
-		return r, prog
 	}
 
-	ref, _ := run(dataflow.CompileOptions{})
-	got, prog := run(dataflow.CompileOptions{Batch: true})
+	app := NewWithChannels(2)
+	inputs := app.SampleTrace(3, 8) // 4 windows per channel
+	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex.Include = include
+	ref := result{invokes: map[string]int{}}
+	ex.Boundary = capture(&ref)
+	ex.OnEdge = func(*dataflow.Edge, dataflow.Value) { ref.trav++ }
+	var counter cost.Counter
+	ex.CounterFor = func(op *dataflow.Operator) *cost.Counter {
+		ref.invokes[op.Name]++
+		return &counter
+	}
+	for _, in := range inputs {
+		for _, v := range in.Events {
+			ex.Inject(in.Source, v)
+		}
+		ref.counters = append(ref.counters, counter)
+		counter = cost.Counter{}
+	}
+
+	app = NewWithChannels(2)
+	inputs = app.SampleTrace(3, 8)
+	prog, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{Include: include})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := prog.NewInstance(0)
+	got := result{invokes: map[string]int{}}
+	inst.Boundary = capture(&got)
+	inst.SetCounter(&counter)
+	for _, in := range inputs {
+		inst.InjectBatch(in.Source, in.Events)
+		got.counters = append(got.counters, counter)
+		counter = cost.Counter{}
+	}
+	got.trav = inst.Traversals()
+	inst.Reset(0) // folds the instance's batch-hit counters into the program
+	stats := prog.BatchStats()
+	for _, s := range stats {
+		got.invokes[s.Op.Name] = int(s.Total)
+	}
 
 	if len(ref.boundary) == 0 {
 		t.Fatal("reference run produced no boundary traffic")
@@ -77,7 +90,7 @@ func TestBatchedChannelParity(t *testing.T) {
 	// The scale operator heads each channel; with whole-trace InjectBatch
 	// it must have run fully batched.
 	var scaleHit bool
-	for _, s := range prog.BatchStats() {
+	for _, s := range stats {
 		if s.Op.Name == "ch00.scale" || s.Op.Name == "ch01.scale" {
 			if s.Batched != s.Total || s.Total == 0 {
 				t.Errorf("%s: batched %d/%d, want full coverage", s.Op.Name, s.Batched, s.Total)
@@ -86,14 +99,14 @@ func TestBatchedChannelParity(t *testing.T) {
 		}
 	}
 	if !scaleHit {
-		t.Errorf("no scale operator in batch stats: %+v", prog.BatchStats())
+		t.Errorf("no scale operator in batch stats: %+v", stats)
 	}
 }
 
 // TestSVMBatchDeliveryParity feeds the server-side classifier the same
-// feature vectors via PushBatch and repeated Push — the delivery paths the
-// runtime uses with and without batched delivery — and compares the margin
-// stream crossing svm→detect plus the svm cost counter.
+// feature vectors via PushBatch — the runtime's delivery path — and via the
+// reference Executor's repeated Push, and compares the margin stream
+// crossing svm→detect plus the svm cost counter.
 func TestSVMBatchDeliveryParity(t *testing.T) {
 	mkVec := func(seed int) dataflow.Value {
 		v := make(featVec, 2*FeaturesPerChannel)
@@ -107,39 +120,40 @@ func TestSVMBatchDeliveryParity(t *testing.T) {
 		vecs = append(vecs, mkVec(i))
 	}
 
-	run := func(batchPush bool) ([]string, cost.Counter) {
-		app := NewWithChannels(2)
-		// Include the server ops only up to svm so svm→detect is a cut
-		// edge and its margins are observable.
-		prog, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{
-			Include:  func(op *dataflow.Operator) bool { return op.Name != "detect" && op.Name != "sink" },
-			CountOps: true,
-			Batch:    true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst := prog.NewInstance(0)
-		var margins []string
-		inst.Boundary = func(e *dataflow.Edge, v dataflow.Value) {
-			margins = append(margins, fmt.Sprintf("%v", v))
-		}
-		if batchPush {
-			if err := inst.PushBatch(app.SVM, 0, append([]dataflow.Value(nil), vecs...)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			for _, v := range vecs {
-				if err := inst.Push(app.SVM, 0, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return margins, *inst.OpTotal(app.SVM.ID())
+	// Include the server ops only up to svm so svm→detect is a cut edge
+	// and its margins are observable.
+	include := func(op *dataflow.Operator) bool { return op.Name != "detect" && op.Name != "sink" }
+	capture := func(margins *[]string) func(*dataflow.Edge, dataflow.Value) {
+		return func(e *dataflow.Edge, v dataflow.Value) { *margins = append(*margins, fmt.Sprintf("%v", v)) }
 	}
 
-	refMargins, refCost := run(false)
-	gotMargins, gotCost := run(true)
+	app := NewWithChannels(2)
+	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex.Include = include
+	var refMargins []string
+	var refCost cost.Counter
+	ex.Boundary = capture(&refMargins)
+	ex.CounterFor = func(*dataflow.Operator) *cost.Counter { return &refCost }
+	for _, v := range vecs {
+		if err := ex.Push(app.SVM, 0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	app = NewWithChannels(2)
+	prog, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{Include: include})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := prog.NewInstance(0)
+	var gotMargins []string
+	var gotCost cost.Counter
+	inst.Boundary = capture(&gotMargins)
+	inst.SetCounter(&gotCost)
+	if err := inst.PushBatch(app.SVM, 0, append([]dataflow.Value(nil), vecs...)); err != nil {
+		t.Fatal(err)
+	}
+
 	if len(refMargins) != len(vecs) {
 		t.Fatalf("expected %d margins, got %v", len(vecs), refMargins)
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // TestBatchedPipelineParity runs the same audio trace through the compiled
-// node partition with and without batching and requires the cut-edge value
-// stream (the cepstral vectors crossing to the server), per-op cost
-// counters, invocation counts, and traversal totals to match exactly. The
-// batched run must also report full batch coverage for the stateless
-// kernels.
+// node partition, batched, and through the reference Executor, element at
+// a time, and requires the cut-edge value stream (the cepstral vectors
+// crossing to the server), the shared cost counter, invocation counts, and
+// traversal totals to match exactly. The batched run must also report full
+// batch coverage for the stateless kernels.
 func TestBatchedPipelineParity(t *testing.T) {
 	trace := New().SampleTrace(1, 1.0) // 40 frames
 	include := func(op *dataflow.Operator) bool { return op.NS == dataflow.NSNode }
@@ -21,41 +21,45 @@ func TestBatchedPipelineParity(t *testing.T) {
 	type result struct {
 		boundary []string
 		trav     int64
-		counters map[string]cost.Counter
+		counter  cost.Counter
 		invokes  map[string]int
 	}
-	run := func(opts dataflow.CompileOptions) (result, *dataflow.Program) {
-		app := New()
-		opts.Include = include
-		opts.CountOps = true
-		prog, err := dataflow.Compile(app.Graph, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst := prog.NewInstance(0)
-		var r result
-		inst.Boundary = func(e *dataflow.Edge, v dataflow.Value) {
+	capture := func(r *result) func(*dataflow.Edge, dataflow.Value) {
+		return func(e *dataflow.Edge, v dataflow.Value) {
 			r.boundary = append(r.boundary, fmt.Sprintf("%s=%v", e, v))
 		}
-		inst.InjectBatch(app.Pipeline[0], trace.Events)
-		inst.EndEvent()
-		r.trav = inst.Traversals()
-		r.counters = make(map[string]cost.Counter)
-		r.invokes = make(map[string]int)
-		for _, op := range app.Graph.Operators() {
-			if c := inst.OpTotal(op.ID()); c != nil && c.Total() > 0 {
-				r.counters[op.Name] = *c
-			}
-			if n := inst.Invocations(op.ID()); n > 0 {
-				r.invokes[op.Name] = n
-			}
-		}
-		inst.Reset(0)
-		return r, prog
 	}
 
-	ref, _ := run(dataflow.CompileOptions{})
-	got, prog := run(dataflow.CompileOptions{Batch: true})
+	app := New()
+	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex.Include = include
+	ref := result{invokes: map[string]int{}}
+	ex.Boundary = capture(&ref)
+	ex.OnEdge = func(*dataflow.Edge, dataflow.Value) { ref.trav++ }
+	ex.CounterFor = func(op *dataflow.Operator) *cost.Counter {
+		ref.invokes[op.Name]++
+		return &ref.counter
+	}
+	for _, v := range trace.Events {
+		ex.Inject(app.Pipeline[0], v)
+	}
+
+	app = New()
+	prog, err := dataflow.Compile(app.Graph, dataflow.CompileOptions{Include: include})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := prog.NewInstance(0)
+	got := result{invokes: map[string]int{}}
+	inst.Boundary = capture(&got)
+	inst.SetCounter(&got.counter)
+	inst.InjectBatch(app.Pipeline[0], trace.Events)
+	got.trav = inst.Traversals()
+	inst.Reset(0) // folds the instance's batch-hit counters into the program
+	stats := prog.BatchStats()
+	for _, s := range stats {
+		got.invokes[s.Op.Name] = int(s.Total)
+	}
 
 	if len(ref.boundary) == 0 {
 		t.Fatal("reference run produced no boundary traffic")
@@ -66,8 +70,8 @@ func TestBatchedPipelineParity(t *testing.T) {
 	if got.trav != ref.trav {
 		t.Errorf("traversals %d, ref %d", got.trav, ref.trav)
 	}
-	if fmt.Sprint(got.counters) != fmt.Sprint(ref.counters) {
-		t.Errorf("counters diverged:\nref: %v\ngot: %v", ref.counters, got.counters)
+	if got.counter != ref.counter {
+		t.Errorf("counter diverged:\nref: %v\ngot: %v", ref.counter, got.counter)
 	}
 	if fmt.Sprint(got.invokes) != fmt.Sprint(ref.invokes) {
 		t.Errorf("invocations diverged:\nref: %v\ngot: %v", ref.invokes, got.invokes)
@@ -76,7 +80,6 @@ func TestBatchedPipelineParity(t *testing.T) {
 	// Every pipeline kernel (preemph through cepstrals) declares a
 	// BatchWork; the single InjectBatch must have dispatched all of them
 	// fully batched.
-	stats := prog.BatchStats()
 	want := int64(len(trace.Events))
 	seen := make(map[string]bool)
 	for _, s := range stats {

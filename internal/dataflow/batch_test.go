@@ -82,7 +82,7 @@ func TestBatchCapableClassification(t *testing.T) {
 }
 
 // TestStateSafeNodeOpBatches pins the compile-level half of the
-// classification rule: a Batch program dispatches a stateful
+// classification rule: a deployment Program dispatches a stateful
 // Node-namespace operator that opted in with BatchStateSafe through its
 // BatchWork when input arrives as one batch.
 func TestStateSafeNodeOpBatches(t *testing.T) {
@@ -104,7 +104,7 @@ func TestStateSafeNodeOpBatches(t *testing.T) {
 		}})
 	g.Connect(src, st, 0)
 
-	prog, err := Compile(g, CompileOptions{Batch: true})
+	prog, err := Compile(g, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,12 @@ func TestStateSafeNodeOpBatches(t *testing.T) {
 	}
 }
 
-// TestBatchedParity runs the same event stream through (a) the per-element
-// compiled program, (b) the Batch compiled program fed element at a time,
-// and (c) the Batch compiled program fed via InjectBatch, comparing the
-// boundary capture streams, traversal counts, per-op cost counters,
-// invocation counts, and edge measurements byte for byte.
+// TestBatchedParity runs the same event stream through the reference
+// Executor and through (a) a deployment Program fed element at a time,
+// (b) a deployment Program fed via InjectBatch and (c) a profiling Program
+// fed via InjectBatch, comparing the boundary capture streams, traversal
+// counts, cost and invocation counts byte for byte — per operator, and
+// with edge measurements, where the Program profiles.
 func TestBatchedParity(t *testing.T) {
 	events := []Value{1, 2, 3, 4, 5, 6, 7}
 	include := func(op *Operator) bool { return op.NS == NSNode }
@@ -126,25 +127,81 @@ func TestBatchedParity(t *testing.T) {
 	type result struct {
 		boundary  []string
 		trav      int64
-		counters  map[string]cost.Counter
+		total     cost.Counter
 		invokes   map[string]int
-		edgeStats []string
+		counters  map[string]cost.Counter // reference and profiling runs
+		edgeStats []string                // reference and profiling runs
 	}
-	run := func(opts CompileOptions, batchInject bool) result {
+	capture := func(r *result) func(*Edge, Value) {
+		return func(e *Edge, v Value) { r.boundary = append(r.boundary, fmt.Sprintf("%s=%v", e, v)) }
+	}
+	// reference folds each event into the per-event edge peaks on its own,
+	// or, when batched, the whole stream as one event (as InjectBatch
+	// followed by one EndEvent does).
+	reference := func(batched bool) result {
 		g, src := batchedGraph()
-		opts.Include = include
-		opts.CountOps = true
-		opts.MeasureEdges = true
-		prog, err := Compile(g, opts)
+		ex := NewExecutor(g, 0)
+		ex.Include = include
+		r := result{invokes: map[string]int{}, counters: map[string]cost.Counter{}}
+		ex.Boundary = capture(&r)
+		counters := make(map[*Operator]*cost.Counter)
+		ex.CounterFor = func(op *Operator) *cost.Counter {
+			r.invokes[op.Name]++
+			if counters[op] == nil {
+				counters[op] = &cost.Counter{}
+			}
+			return counters[op]
+		}
+		n := g.NumEdges()
+		bytes, elems, peak, event := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+		index := make(map[*Edge]int)
+		for i, e := range g.Edges() {
+			index[e] = i
+		}
+		ex.OnEdge = func(e *Edge, v Value) {
+			r.trav++
+			i, size := index[e], int64(WireSize(v))
+			bytes[i] += size
+			elems[i]++
+			event[i] += size
+		}
+		endEvent := func() {
+			for i := range event {
+				peak[i] = max(peak[i], event[i])
+				event[i] = 0
+			}
+		}
+		for _, v := range events {
+			ex.Inject(src, v)
+			if !batched {
+				endEvent()
+			}
+		}
+		endEvent()
+		for op, c := range counters {
+			r.counters[op.Name] = *c
+			r.total.AddCounter(c)
+		}
+		for i := range elems {
+			if elems[i] > 0 {
+				r.edgeStats = append(r.edgeStats, fmt.Sprintf("%d:%d/%d/%d", i, bytes[i], elems[i], peak[i]))
+			}
+		}
+		return r
+	}
+	run := func(profile, batched bool) result {
+		g, src := batchedGraph()
+		prog, err := Compile(g, CompileOptions{Include: include, Profile: profile})
 		if err != nil {
 			t.Fatal(err)
 		}
 		inst := prog.NewInstance(0)
-		var r result
-		inst.Boundary = func(e *Edge, v Value) {
-			r.boundary = append(r.boundary, fmt.Sprintf("%s=%v", e, v))
+		r := result{invokes: map[string]int{}}
+		if !profile {
+			inst.SetCounter(&r.total)
 		}
-		if batchInject {
+		inst.Boundary = capture(&r)
+		if batched {
 			inst.InjectBatch(src, events)
 			inst.EndEvent()
 		} else {
@@ -154,30 +211,35 @@ func TestBatchedParity(t *testing.T) {
 			}
 		}
 		r.trav = inst.Traversals()
+		if !profile {
+			inst.Reset(0) // folds the instance's batch-hit counters into the program
+			for _, st := range prog.BatchStats() {
+				r.invokes[st.Op.Name] = int(st.Total)
+			}
+			return r
+		}
 		r.counters = make(map[string]cost.Counter)
-		r.invokes = make(map[string]int)
 		for _, op := range g.Operators() {
 			if c := inst.OpTotal(op.ID()); c != nil && c.Total() > 0 {
 				r.counters[op.Name] = *c
+				r.total.AddCounter(c)
 			}
 			if n := inst.Invocations(op.ID()); n > 0 {
 				r.invokes[op.Name] = n
 			}
 		}
 		for e := range g.Edges() {
-			bytes, elems, peak, seen := inst.EdgeStats(e)
-			r.edgeStats = append(r.edgeStats, fmt.Sprintf("%d:%d/%d/%d/%v", e, bytes, elems, peak, seen))
+			if bytes, elems, peak, seen := inst.EdgeStats(e); seen {
+				r.edgeStats = append(r.edgeStats, fmt.Sprintf("%d:%d/%d/%d", e, bytes, elems, peak))
+			}
 		}
 		return r
 	}
 
-	// Each batched run compares against a per-element program driven the
-	// same way (InjectBatch folds the whole batch into one EndEvent, so its
-	// per-event peaks legitimately differ from element-at-a-time Inject —
-	// for both engines identically).
 	compare := map[string][2]result{
-		"batched-seq":    {run(CompileOptions{}, false), run(CompileOptions{Batch: true}, false)},
-		"batched-inject": {run(CompileOptions{}, true), run(CompileOptions{Batch: true}, true)},
+		"batched-seq":    {reference(false), run(false, false)},
+		"batched-inject": {reference(true), run(false, true)},
+		"profile-inject": {reference(true), run(true, true)},
 	}
 	for name, pair := range compare {
 		ref, got := pair[0], pair[1]
@@ -187,11 +249,17 @@ func TestBatchedParity(t *testing.T) {
 		if got.trav != ref.trav {
 			t.Errorf("%s traversals %d, ref %d", name, got.trav, ref.trav)
 		}
-		if fmt.Sprint(got.counters) != fmt.Sprint(ref.counters) {
-			t.Errorf("%s counters diverged:\nref: %v\ngot: %v", name, ref.counters, got.counters)
+		if got.total != ref.total {
+			t.Errorf("%s cost %v, ref %v", name, got.total, ref.total)
 		}
 		if fmt.Sprint(got.invokes) != fmt.Sprint(ref.invokes) {
 			t.Errorf("%s invocations diverged:\nref: %v\ngot: %v", name, ref.invokes, got.invokes)
+		}
+		if got.counters == nil {
+			continue
+		}
+		if fmt.Sprint(got.counters) != fmt.Sprint(ref.counters) {
+			t.Errorf("%s counters diverged:\nref: %v\ngot: %v", name, ref.counters, got.counters)
 		}
 		if fmt.Sprint(got.edgeStats) != fmt.Sprint(ref.edgeStats) {
 			t.Errorf("%s edge stats diverged:\nref: %v\ngot: %v", name, ref.edgeStats, got.edgeStats)
@@ -201,7 +269,7 @@ func TestBatchedParity(t *testing.T) {
 	// The batch-injected run must actually have exercised BatchWork.
 	stats := func() []BatchStat {
 		g, src := batchedGraph()
-		prog, err := Compile(g, CompileOptions{Include: include, Batch: true})
+		prog, err := Compile(g, CompileOptions{Include: include})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +291,8 @@ func TestBatchedParity(t *testing.T) {
 
 // TestPushBatchMatchesRepeatedPush covers mid-graph batch delivery — the
 // runtime's server side pushes delivered values to the cut operator's input
-// port — including a multi-port operator receiving interleaved batches.
+// port — including a multi-port operator receiving interleaved batches,
+// against the reference Executor's Push per element.
 func TestPushBatchMatchesRepeatedPush(t *testing.T) {
 	build := func() (*Graph, *Operator, *[]Value) {
 		g := New()
@@ -263,19 +332,15 @@ func TestPushBatchMatchesRepeatedPush(t *testing.T) {
 	feed := [][2]any{{0, 1}, {0, 2}, {1, 10}, {1, 20}, {0, 3}, {1, 30}}
 
 	g1, join1, out1 := build()
-	prog1, err := Compile(g1, CompileOptions{Batch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in1 := prog1.NewInstance(0)
+	ex := NewExecutor(g1, 0)
 	for _, f := range feed {
-		if err := in1.Push(join1, f[0].(int), f[1]); err != nil {
+		if err := ex.Push(join1, f[0].(int), f[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	g2, join2, out2 := build()
-	prog2, err := Compile(g2, CompileOptions{Batch: true})
+	prog2, err := Compile(g2, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +360,7 @@ func TestPushBatchMatchesRepeatedPush(t *testing.T) {
 	}
 
 	if fmt.Sprint(*out1) != fmt.Sprint(*out2) {
-		t.Fatalf("PushBatch diverged from repeated Push: %v vs %v", *out1, *out2)
+		t.Fatalf("PushBatch diverged from the reference's repeated Push: %v vs %v", *out1, *out2)
 	}
 	if len(*out1) != 3 {
 		t.Fatalf("expected 3 joined outputs, got %v", *out1)
@@ -332,11 +397,14 @@ func TestInjectBatchReentrantEmit(t *testing.T) {
 		return g, src, out, instp
 	}
 
-	for _, batch := range []bool{false, true} {
+	// The reference Executor runs a re-entrant Inject depth first, so its
+	// order differs by design; both kinds of Program, element-at-a-time
+	// profiling and batch-dispatching deployment, drain it in schedule order.
+	for _, profile := range []bool{false, true} {
 		// Sequential injection: the re-entrant event is enqueued while
 		// echo's single-item queue is mid-drain.
 		g1, src1, out1, ip1 := build()
-		prog1, err := Compile(g1, CompileOptions{Batch: batch})
+		prog1, err := Compile(g1, CompileOptions{Profile: profile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +416,7 @@ func TestInjectBatchReentrantEmit(t *testing.T) {
 		// Batched injection: the re-entrant event is enqueued while echo is
 		// draining a multi-item batch.
 		g2, src2, out2, ip2 := build()
-		prog2, err := Compile(g2, CompileOptions{Batch: batch})
+		prog2, err := Compile(g2, CompileOptions{Profile: profile})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,10 +426,10 @@ func TestInjectBatchReentrantEmit(t *testing.T) {
 
 		want := fmt.Sprint([]Value{1, 2, 100})
 		if got := fmt.Sprint(*out1); got != want {
-			t.Fatalf("batch=%v sequential inject: captured %v, want %v", batch, got, want)
+			t.Fatalf("profile=%v sequential inject: captured %v, want %v", profile, got, want)
 		}
 		if got := fmt.Sprint(*out2); got != want {
-			t.Fatalf("batch=%v InjectBatch: captured %v, want %v", batch, got, want)
+			t.Fatalf("profile=%v InjectBatch: captured %v, want %v", profile, got, want)
 		}
 	}
 }

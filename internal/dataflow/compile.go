@@ -18,24 +18,23 @@ type CompileOptions struct {
 	// compiles the whole graph.
 	Include func(op *Operator) bool
 
-	// CountOps allocates one dense cost counter and invocation counter per
-	// operator in every Instance, accumulated per injected event (the
-	// profiler's measurement mode). When false, instances either run
-	// uncounted or share a single counter set with Instance.SetCounter.
-	CountOps bool
-
-	// MeasureEdges accumulates per-edge element and byte totals (and
-	// per-event peaks) in every Instance, replacing the profiler's OnEdge
-	// callback with dense in-engine accounting.
-	MeasureEdges bool
-
-	// Batch enables the coalescing scheduler: operators that are
-	// BatchCapable have runs of same-port queued input dispatched through
-	// their BatchWork in one invocation, and batches forwarded whole along
-	// internal edges. Results, cost counters, and invocation counts are
+	// Profile compiles the profiler's measurement Program (§3): every
+	// Instance carries one dense cost counter and invocation counter per
+	// operator, accumulated per injected event, and per-edge element and
+	// byte totals with per-event peaks, in place of the reference
+	// engine's CounterFor and OnEdge callbacks. A profiling Program
+	// dispatches element at a time: the profiler injects one event at a
+	// time, so batch tables would only cost each Instance its batch emit
+	// closures and batch-hit counters.
+	//
+	// Without it, Compile builds a deployment Program: instances run
+	// uncounted or share one counter set (Instance.SetCounter), and
+	// operators that are BatchCapable have runs of same-port queued input
+	// dispatched through their BatchWork in one invocation, with batches
+	// forwarded whole along internal edges. Results and cost counters are
 	// bit-identical to per-element dispatch (the BatchWorkFunc contract);
 	// single-element runs always take the per-element Work path.
-	Batch bool
+	Profile bool
 }
 
 // fanout is one precomputed output edge of an operator: where the element
@@ -62,7 +61,7 @@ type Program struct {
 	// Dense per-operator tables, indexed by operator ID.
 	included []bool
 	work     []WorkFunc
-	batch    []BatchWorkFunc // non-nil only when opts.Batch; per-op nil = not batch-capable
+	batch    []BatchWorkFunc // nil on profiling Programs; per-op nil = not batch-capable
 	newState []func() any
 
 	// recycle marks operators whose output frames may come from a slab
@@ -70,8 +69,8 @@ type Program struct {
 	// out-edge, and every internal consumer Borrows.
 	recycle []bool
 
-	// Batch-hit accounting, indexed by operator ID (allocated only when
-	// opts.Batch): how many elements each operator processed in total and
+	// Batch-hit accounting, indexed by operator ID (deployment Programs
+	// only): how many elements each operator processed in total and
 	// how many of those arrived through a BatchWork dispatch. Instances
 	// accumulate locally and fold in with atomics at Reset, so the totals
 	// aggregate across shards and recycled instances; read via BatchStats.
@@ -189,7 +188,7 @@ func Compile(g *Graph, opts CompileOptions) (*Program, error) {
 			p.recycle[id] = p.recycle[id] && g.ops[f.op].Borrows
 		}
 	}
-	if opts.Batch {
+	if !opts.Profile {
 		p.batch = make([]BatchWorkFunc, n)
 		p.statBatched = make([]int64, n)
 		p.statTotal = make([]int64, n)
@@ -260,9 +259,9 @@ type BatchStat struct {
 
 // BatchStats snapshots the program's accumulated batch-hit counters, in
 // operator ID order, skipping operators that processed nothing. Instances
-// fold their local counters in when Reset (which ReleaseInstance and
-// Recycle both do), so a snapshot taken after a run's instances are
-// released covers the whole run.
+// fold their local counters in when Reset (which ReleaseInstance does), so
+// a snapshot taken after a run's instances are released covers the whole
+// run. Profiling Programs keep no batch-hit counters and report nil.
 func (p *Program) BatchStats() []BatchStat {
 	if p.statTotal == nil {
 		return nil

@@ -28,13 +28,13 @@ func diamondGraph() (*Graph, *Operator) {
 			q := ctx.State.(*[2][]int)
 			q[port] = append(q[port], v.(int))
 			for len(q[0]) > 0 && len(q[1]) > 0 {
-				emit([2]int{q[0][0], q[1][0]})
+				emit(pair{q[0][0], q[1][0]})
 				q[0], q[1] = q[0][1:], q[1][1:]
 			}
 		}})
 	tail := g.Add(&Operator{Name: "tail", NS: NSNode,
 		Work: func(ctx *Ctx, _ int, v Value, emit Emit) {
-			p := v.([2]int)
+			p := v.(pair)
 			emit(p[0] + p[1])
 		}})
 	sink := g.Add(&Operator{Name: "sink", NS: NSServer, SideEffect: true,
@@ -47,6 +47,12 @@ func diamondGraph() (*Graph, *Operator) {
 	g.Connect(join, tail, 0)
 	return g, src
 }
+
+// pair is the diamond's joined element; a profiling Program measures it
+// on join → tail.
+type pair [2]int
+
+func (pair) WireSize() int { return 16 }
 
 // trace records every delivery an engine makes, for order-sensitive parity.
 type trace struct {
@@ -137,7 +143,7 @@ func TestCompiledCountOpsMatchesExecutorCounters(t *testing.T) {
 		ex.Inject(src, v)
 	}
 
-	prog, err := Compile(g, CompileOptions{CountOps: true})
+	prog, err := Compile(g, CompileOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +206,10 @@ func TestCompiledPushExcludedReturnsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := prog.NewInstance(0)
-	if err := inst.Push(sink, 0, 1); err == nil {
+	if err := inst.PushBatch(sink, 0, []Value{1}); err == nil {
 		t.Fatal("Push to excluded operator must error")
 	}
-	if err := inst.Push(g.ByName("a"), 0, 1); err != nil {
+	if err := inst.PushBatch(g.ByName("a"), 0, []Value{1}); err != nil {
 		t.Fatalf("Push to included operator errored: %v", err)
 	}
 	_ = src
@@ -290,11 +296,11 @@ func TestCompiledInjectOnExcludedSourceCrossesBoundary(t *testing.T) {
 	}
 }
 
-// TestInstanceRecycle pins the shard-affinity contract: Recycle restores
-// pristine per-node state and identity like Release/Acquire would, but
-// keeps a shared cost counter installed — the runtime's origin-sharded
-// node phase relies on both halves.
-func TestInstanceRecycle(t *testing.T) {
+// TestInstanceReset pins what the runtime's origin-sharded node phase
+// relies on when it resets one pinned Instance per node: Reset restores
+// pristine per-node state and identity and detaches the shared cost
+// counter, and SetCounter attaches it again.
+func TestInstanceReset(t *testing.T) {
 	g, src := diamondGraph()
 	prog, err := Compile(g, CompileOptions{})
 	if err != nil {
@@ -313,19 +319,26 @@ func TestInstanceRecycle(t *testing.T) {
 	in.Inject(src, 5)
 	in.Inject(src, 9) // dirty the stateful join across two events
 
-	in.Recycle(7)
+	in.Reset(7)
 	if in.NodeID() != 7 {
-		t.Fatalf("NodeID %d after Recycle(7)", in.NodeID())
+		t.Fatalf("NodeID %d after Reset(7)", in.NodeID())
 	}
 	if in.Traversals() != 0 {
-		t.Fatalf("Traversals %d after Recycle, want 0", in.Traversals())
+		t.Fatalf("Traversals %d after Reset, want 0", in.Traversals())
 	}
 	counter.Reset()
 	in.Inject(src, 1)
+	if counter.Total() != 0 {
+		t.Fatalf("reset instance charged %v to the counter it had before Reset", counter.Total())
+	}
+
+	in.Reset(7)
+	in.SetCounter(counter)
+	in.Inject(src, 1)
 	if in.Traversals() != wantTrav {
-		t.Fatalf("recycled instance traversed %d, fresh %d — stale state survived", in.Traversals(), wantTrav)
+		t.Fatalf("reset instance traversed %d, fresh %d — stale state survived", in.Traversals(), wantTrav)
 	}
 	if counter.Total() != wantCost {
-		t.Fatalf("recycled instance charged %v, fresh %v — counter detached by Recycle", counter.Total(), wantCost)
+		t.Fatalf("reset instance charged %v, fresh %v", counter.Total(), wantCost)
 	}
 }

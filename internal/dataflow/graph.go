@@ -147,7 +147,7 @@ type Operator struct {
 	Work WorkFunc
 
 	// BatchWork is an optional slice-at-a-time variant of Work, dispatched
-	// by batch-compiled Programs for runs of same-port input (see
+	// by every deployment Program for runs of same-port input (see
 	// BatchWorkFunc for the equivalence contract). Operators without one
 	// always run element at a time.
 	BatchWork BatchWorkFunc
@@ -163,9 +163,9 @@ type Operator struct {
 	// operator asserts its BatchWork applies state updates in per-element
 	// order, so a batch is indistinguishable from the same elements one at
 	// a time. Stateless operators need no opt-in; stateful ones without it
-	// are never batched. Conservative-mode programs additionally refuse to
-	// batch stateful Node-namespace operators regardless of the flag (the
-	// same caution Classify applies to relocating them).
+	// are never batched. The flag alone decides (BatchCapable): a stateful
+	// Node-namespace operator that opts in batches on either side of the
+	// cut, whatever relocation mode Classify ran under.
 	BatchStateSafe bool
 
 	// Reduce marks a tree-aggregation operator (the paper's §9 extension):

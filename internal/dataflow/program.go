@@ -35,7 +35,7 @@ type Instance struct {
 	states []any
 	ctxs   []Ctx
 	emits  []Emit
-	bemits []EmitBatch // batch emit closures (Batch programs only)
+	bemits []EmitBatch // batch emit closures (deployment Programs only)
 
 	queues  [][]queued
 	inHeap  []bool  // operator ID → queued for scheduling
@@ -55,7 +55,7 @@ type Instance struct {
 	// per instance suffices.
 	scratch []Value
 
-	// Batch-hit accounting (Batch programs only), folded into the
+	// Batch-hit accounting (deployment Programs only), folded into the
 	// Program's shared counters at Reset.
 	batchElems []int64
 	totalElems []int64
@@ -69,15 +69,14 @@ type Instance struct {
 	// count); the runtime's server side reads it via Traversals.
 	traversals int64
 
-	// CountOps mode (per-event, folded by EndEvent).
+	// Profiling Programs only: per-operator cost and invocations
+	// (per-event, folded by EndEvent) and per-edge traffic.
 	opEvent     []cost.Counter
 	opTotal     []cost.Counter
 	opPeak      []cost.Counter
 	invocations []int
 	opTouched   []int32
 	opInEvent   []bool
-
-	// MeasureEdges mode.
 	edgeBytes   []int64
 	edgeElems   []int64
 	edgePeak    []int64
@@ -123,7 +122,7 @@ func (p *Program) NewInstance(nodeID int) *Instance {
 		in.batchElems = make([]int64, n)
 		in.totalElems = make([]int64, n)
 	}
-	if p.opts.CountOps {
+	if p.opts.Profile {
 		in.opEvent = make([]cost.Counter, n)
 		in.opTotal = make([]cost.Counter, n)
 		in.opPeak = make([]cost.Counter, n)
@@ -132,8 +131,6 @@ func (p *Program) NewInstance(nodeID int) *Instance {
 		for i := range in.ctxs {
 			in.ctxs[i].Counter = &in.opEvent[i]
 		}
-	}
-	if p.opts.MeasureEdges {
 		ne := len(p.edges)
 		in.edgeBytes = make([]int64, ne)
 		in.edgeElems = make([]int64, ne)
@@ -177,26 +174,6 @@ func (p *Program) ReleaseInstance(in *Instance) {
 // AcquireInstance: at most MaxListedInstances.
 func (p *Program) ListedInstances() int { return p.insts.Len() }
 
-// Recycle re-prepares the instance for a fresh run as nodeID without a
-// free-list round-trip: Release/Acquire semantics (pristine state, empty
-// queues, detached Boundary) minus the Program's shared list — except that a
-// shared cost counter installed with SetCounter stays installed, saving
-// the O(operators) re-attach pass per run. Shard-affine callers — the
-// runtime's origin-sharded node phase pins one instance per shard and
-// recycles it across that shard's nodes — keep the instance's dense
-// tables (and counter wiring) with one goroutine instead of migrating
-// them through the free list on every node.
-func (in *Instance) Recycle(nodeID int) {
-	var c *cost.Counter
-	if !in.p.opts.CountOps && len(in.ctxs) > 0 {
-		c = in.ctxs[0].Counter
-	}
-	in.Reset(nodeID)
-	if c != nil {
-		in.SetCounter(c)
-	}
-}
-
 // rebind points a pristine listed instance (Reset at release time) at a
 // new node identity without re-creating its freshly-reset state.
 func (in *Instance) rebind(nodeID int) {
@@ -212,8 +189,8 @@ func (in *Instance) rebind(nodeID int) {
 // Reset restores the instance to the state NewInstance would produce for
 // nodeID: fresh state in every stateful slot, empty queues, zeroed
 // traversal and measurement counters, and no Boundary hook. Shared cost
-// counters installed with SetCounter are detached (CountOps instances keep
-// their per-operator counters, zeroed).
+// counters installed with SetCounter are detached (profiling instances
+// keep their per-operator counters, zeroed).
 func (in *Instance) Reset(nodeID int) {
 	p := in.p
 	in.nodeID = nodeID
@@ -235,7 +212,7 @@ func (in *Instance) Reset(nodeID int) {
 	for i := range in.ctxs {
 		in.ctxs[i].NodeID = nodeID
 		in.ctxs[i].State = in.states[i]
-		if !p.opts.CountOps {
+		if !p.opts.Profile {
 			in.ctxs[i].Counter = nil
 		}
 	}
@@ -257,7 +234,7 @@ func (in *Instance) Reset(nodeID int) {
 			}
 		}
 	}
-	if p.opts.CountOps {
+	if p.opts.Profile {
 		for i := range in.opEvent {
 			in.opEvent[i] = cost.Counter{}
 			in.opTotal[i] = cost.Counter{}
@@ -266,8 +243,6 @@ func (in *Instance) Reset(nodeID int) {
 			in.opInEvent[i] = false
 		}
 		in.opTouched = in.opTouched[:0]
-	}
-	if p.opts.MeasureEdges {
 		for i := range in.edgeBytes {
 			in.edgeBytes[i] = 0
 			in.edgeElems[i] = 0
@@ -296,10 +271,10 @@ func (in *Instance) SetState(op *Operator, state any) {
 
 // SetCounter points every operator's context at one shared cost counter
 // (the runtime's per-event CPU accounting). It may not be combined with a
-// CountOps program.
+// profiling Program.
 func (in *Instance) SetCounter(c *cost.Counter) {
-	if in.p.opts.CountOps {
-		panic("dataflow: SetCounter on a CountOps program")
+	if in.p.opts.Profile {
+		panic("dataflow: SetCounter on a profiling Program")
 	}
 	for i := range in.ctxs {
 		in.ctxs[i].Counter = c
@@ -318,24 +293,6 @@ func (in *Instance) Inject(op *Operator, v Value) {
 	in.run()
 }
 
-// Push delivers element v to the given input port of op and executes the
-// triggered dataflow to quiescence. Pushing to an operator outside the
-// compiled partition is an error (the reference Executor's contract, with
-// an error instead of a panic).
-func (in *Instance) Push(op *Operator, port int, v Value) error {
-	id := op.ID()
-	if !in.p.included[id] {
-		return fmt.Errorf("dataflow: Push to excluded operator %s", op)
-	}
-	if in.p.work[id] == nil {
-		in.Inject(op, v)
-		return nil
-	}
-	in.enqueue(int32(id), int32(port), v)
-	in.run()
-	return nil
-}
-
 // InjectBatch delivers a whole slice of source events in one scheduling
 // pass: the batch is fanned out whole, then each operator drains its
 // accumulated inputs once, in schedule order. For pipelines this produces
@@ -351,10 +308,12 @@ func (in *Instance) InjectBatch(op *Operator, events []Value) {
 
 // PushBatch delivers a run of elements to the given input port of op and
 // executes the triggered dataflow to quiescence. It is equivalent to
-// calling Push once per element, in order, but touches the scheduler once;
-// on Batch programs the run reaches a batch-capable op's BatchWork in one
-// invocation. Like InjectBatch, vs is not retained past a non-re-entrant
-// call.
+// delivering the elements one at a time, in order, each run to quiescence
+// before the next, but touches the scheduler once; on deployment Programs
+// the run reaches a batch-capable op's BatchWork in one invocation.
+// Pushing to an operator outside the compiled partition is an error (the
+// reference Executor's contract, with an error instead of a panic). Like
+// InjectBatch, vs is not retained past a non-re-entrant call.
 func (in *Instance) PushBatch(op *Operator, port int, vs []Value) error {
 	id := op.ID()
 	if !in.p.included[id] {
@@ -423,14 +382,14 @@ func (in *Instance) fanOut(from int32, v Value) {
 // fanOutBatch delivers a whole emitted batch: cut edges see the elements
 // one at a time in per-element order (element-outer, edge-inner — the
 // Boundary capture stream is byte-identical to len(vs) fanOut calls), while
-// internal edges receive the batch as a single queue entry. Traversal and
-// edge-measurement accounting matches per-element delivery exactly.
+// internal edges receive the batch as a single queue entry. A profiling
+// instance, which measures every edge per element, fans the elements out
+// one at a time instead; the per-operator input sequences are the same.
 func (in *Instance) fanOutBatch(from int32, vs []Value) {
-	switch len(vs) {
-	case 0:
-		return
-	case 1:
-		in.fanOut(from, vs[0])
+	if len(vs) < 2 || in.edgeBytes != nil {
+		for _, v := range vs {
+			in.fanOut(from, v)
+		}
 		return
 	}
 	p := in.p
@@ -444,21 +403,6 @@ func (in *Instance) fanOutBatch(from int32, vs []Value) {
 	for i := range p.outInt[from] {
 		f := &p.outInt[from][i]
 		in.traversals += int64(len(vs))
-		if in.edgeBytes != nil {
-			e := f.edge
-			for _, v := range vs {
-				n := int64(WireSize(v))
-				in.edgeBytes[e] += n
-				in.edgeElems[e]++
-				if !in.edgeSeen[e] {
-					in.edgeSeen[e] = true
-				}
-				if in.eventBytes[e] == 0 {
-					in.edgeTouched = append(in.edgeTouched, e)
-				}
-				in.eventBytes[e] += n
-			}
-		}
 		in.enqueueBatch(f.op, f.port, vs)
 	}
 }
@@ -512,11 +456,10 @@ func (in *Instance) run() {
 	in.running = false
 }
 
-// countInvocations records n work-function elements for op id (CountOps
-// mode): Invocations counts elements, not dispatches, so batched and
-// per-element execution report identical numbers.
-func (in *Instance) countInvocations(id int32, n int) {
-	in.invocations[id] += n
+// countInvocation records one work-function element for op id (profiling
+// Programs only).
+func (in *Instance) countInvocation(id int32) {
+	in.invocations[id]++
 	if !in.opInEvent[id] {
 		in.opInEvent[id] = true
 		in.opTouched = append(in.opTouched, id)
@@ -534,7 +477,7 @@ func (in *Instance) drainElems(id int32, items []queued, work WorkFunc) {
 		if it.vs != nil {
 			for _, v := range it.vs {
 				if count {
-					in.countInvocations(id, 1)
+					in.countInvocation(id)
 				}
 				work(ctx, int(it.port), v, emit)
 			}
@@ -543,7 +486,7 @@ func (in *Instance) drainElems(id int32, items []queued, work WorkFunc) {
 			}
 		} else {
 			if count {
-				in.countInvocations(id, 1)
+				in.countInvocation(id)
 			}
 			work(ctx, int(it.port), it.v, emit)
 			if in.totalElems != nil {
@@ -561,7 +504,6 @@ func (in *Instance) drainElems(id int32, items []queued, work WorkFunc) {
 // into the instance's scratch slice.
 func (in *Instance) drainBatched(id int32, items []queued, work WorkFunc, bw BatchWorkFunc) {
 	ctx := &in.ctxs[id]
-	count := in.invocations != nil
 	k := 0
 	for k < len(items) {
 		port := items[k].port
@@ -583,16 +525,10 @@ func (in *Instance) drainBatched(id int32, items []queued, work WorkFunc, bw Bat
 			if items[k].vs != nil {
 				v = items[k].vs[0]
 			}
-			if count {
-				in.countInvocations(id, 1)
-			}
 			work(ctx, int(port), v, in.emits[id])
 			in.totalElems[id]++
 		case j == k+1:
 			// The run is exactly one forwarded batch: dispatch in place.
-			if count {
-				in.countInvocations(id, n)
-			}
 			bw(ctx, int(port), items[k].vs, in.bemits[id])
 			in.totalElems[id] += int64(n)
 			in.batchElems[id] += int64(n)
@@ -604,9 +540,6 @@ func (in *Instance) drainBatched(id int32, items []queued, work WorkFunc, bw Bat
 				} else {
 					vs = append(vs, items[i].v)
 				}
-			}
-			if count {
-				in.countInvocations(id, n)
 			}
 			bw(ctx, int(port), vs, in.bemits[id])
 			for i := range vs {
@@ -621,10 +554,9 @@ func (in *Instance) drainBatched(id int32, items []queued, work WorkFunc, bw Bat
 }
 
 // EndEvent folds this event's measurements into running totals and peaks:
-// per-operator event counters into OpTotal/OpPeak (CountOps mode) and
-// per-event edge bytes into EdgePeak (MeasureEdges mode). The profiler
-// calls it after every injected event; uncounted instances need not call
-// it.
+// per-operator event counters into OpTotal/OpPeak and per-event edge
+// bytes into EdgePeak (profiling Programs). The profiler calls it after
+// every injected event; other instances need not call it.
 func (in *Instance) EndEvent() {
 	if in.opEvent != nil {
 		for _, id := range in.opTouched {
@@ -650,8 +582,8 @@ func (in *Instance) EndEvent() {
 	}
 }
 
-// OpTotal returns operator id's accumulated cost counter (CountOps mode;
-// nil otherwise). The returned counter is live — callers must not modify
+// OpTotal returns operator id's accumulated cost counter (profiling
+// Programs; nil otherwise). The returned counter is live — callers must not modify
 // it.
 func (in *Instance) OpTotal(id int) *cost.Counter {
 	if in.opTotal == nil {
@@ -660,8 +592,8 @@ func (in *Instance) OpTotal(id int) *cost.Counter {
 	return &in.opTotal[id]
 }
 
-// OpPeak returns operator id's costliest single-event counter (CountOps
-// mode; nil otherwise).
+// OpPeak returns operator id's costliest single-event counter (profiling
+// Programs; nil otherwise).
 func (in *Instance) OpPeak(id int) *cost.Counter {
 	if in.opPeak == nil {
 		return nil
@@ -670,7 +602,7 @@ func (in *Instance) OpPeak(id int) *cost.Counter {
 }
 
 // Invocations returns how many times operator id's work function ran
-// (CountOps mode; 0 otherwise).
+// (profiling Programs; 0 otherwise).
 func (in *Instance) Invocations(id int) int {
 	if in.invocations == nil {
 		return 0
@@ -678,8 +610,8 @@ func (in *Instance) Invocations(id int) int {
 	return in.invocations[id]
 }
 
-// EdgeStats returns dense edge index e's accumulated traffic (MeasureEdges
-// mode): total bytes, total elements, peak bytes in one event, and whether
+// EdgeStats returns dense edge index e's accumulated traffic (profiling
+// Programs): total bytes, total elements, peak bytes in one event, and whether
 // the edge was ever traversed.
 func (in *Instance) EdgeStats(e int) (bytes, elems, peak int64, seen bool) {
 	if in.edgeBytes == nil {

@@ -9,14 +9,12 @@ import (
 	"wishbone/internal/dataflow"
 )
 
-// compileSides compiles both sides of a cut the way the runtime does
-// (batch tables, Permissive).
+// compileSides compiles both sides of a cut the way the runtime does.
 func compileSides(t *testing.T, g *dataflow.Graph, onNode map[int]bool) (node, server *dataflow.Program) {
 	t.Helper()
 	side := func(nodeSide bool) *dataflow.Program {
 		p, err := dataflow.Compile(g, dataflow.CompileOptions{
 			Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
-			Batch:   true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -73,29 +73,27 @@ func Run(g *dataflow.Graph, inputs []Input) (*Report, error) {
 // CompileForProfiling lowers g into the Program Run executes: the whole
 // graph, with dense per-operator counters and in-engine edge accounting.
 // The Program is immutable and shareable; a long-running service compiles
-// it once per graph and serves every profile request from it (one fresh
-// Instance per request).
+// it once per graph and serves every profile request from it (one pristine
+// Instance per request, recycled through the Program's free list).
 func CompileForProfiling(g *dataflow.Graph) (*dataflow.Program, error) {
-	return dataflow.Compile(g, dataflow.CompileOptions{
-		CountOps:     true,
-		MeasureEdges: true,
-	})
+	return dataflow.Compile(g, dataflow.CompileOptions{Profile: true})
 }
 
 // RunProgram profiles through an already-compiled Program (from
 // CompileForProfiling). Run is equivalent to CompileForProfiling followed
 // by RunProgram; the reports are identical.
 func RunProgram(prog *dataflow.Program, inputs []Input) (*Report, error) {
-	rep, _, err := RunProgramInstance(prog, inputs)
+	rep, inst, err := RunProgramInstance(prog, inputs)
+	prog.ReleaseInstance(inst)
 	return rep, err
 }
 
 // RunProgramInstance is RunProgram exposing the Instance the trace executed
 // on, so callers can read per-instance operator state afterwards (e.g.
-// values a sink retained).
+// values a sink retained). The Instance comes from prog.AcquireInstance;
+// the caller may hand it back with prog.ReleaseInstance once done.
 func RunProgramInstance(prog *dataflow.Program, inputs []Input) (*Report, *dataflow.Instance, error) {
-	opts := prog.Options()
-	if !opts.CountOps || !opts.MeasureEdges {
+	if !prog.Options().Profile {
 		return nil, nil, fmt.Errorf("profile: program was not compiled with CompileForProfiling")
 	}
 	g := prog.Graph()
@@ -106,7 +104,7 @@ func RunProgramInstance(prog *dataflow.Program, inputs []Input) (*Report, *dataf
 	if err != nil {
 		return nil, nil, err
 	}
-	inst := prog.NewInstance(0)
+	inst := prog.AcquireInstance(0)
 	for i := 0; i < maxEvents; i++ {
 		for _, in := range inputs {
 			if i >= len(in.Events) {

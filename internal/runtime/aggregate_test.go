@@ -129,7 +129,7 @@ func TestAggregateDedicatedOrigin(t *testing.T) {
 // passthrough fast path injects whole runs of arrivals as one batch, which
 // the work-less reduce operator forwards as a batch to its cut edge) must
 // produce aggregates with exactly the fragment bytes, timestamps, origins
-// and accounting of the per-element path.
+// and accounting of the reference engine's per-element node stage.
 func TestAggregateParityBatchedUpstream(t *testing.T) {
 	build := func() (*dataflow.Graph, *dataflow.Operator, map[int]bool) {
 		g := dataflow.New()
@@ -152,17 +152,11 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 		return g, src, map[int]bool{src.ID(): true, sum.ID(): true}
 	}
 
-	aggregates := func(noBatch bool) []string {
+	aggregates := func(reference bool) []string {
 		g, src, onNode := build()
 		cfg := Config{
 			Graph: g, OnNode: onNode, Platform: platform.Gumstix(),
 			Nodes: 3, Duration: 6, Seed: 5,
-		}
-		if noBatch {
-			var err error
-			if cfg, err = PerElementPrograms(cfg); err != nil {
-				t.Fatal(err)
-			}
 		}
 		inputs := make([][]profile.Input, cfg.Nodes)
 		arrivals := make([][]arrival, cfg.Nodes)
@@ -178,7 +172,14 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 			}
 			arrivals[n] = a
 		}
-		nodeRes, err := runNodes(cfg, inputs, arrivals)
+		var nodeRes nodeSims
+		var err error
+		if reference {
+			cfg.Inputs = func(n int) []profile.Input { return inputs[n] }
+			nodeRes, err = referenceNodes(cfg, 1)
+		} else {
+			nodeRes, err = runNodes(cfg, inputs, arrivals)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,13 +202,13 @@ func TestAggregateParityBatchedUpstream(t *testing.T) {
 		return got
 	}
 
-	perElem := aggregates(true)
+	ref := aggregates(true)
 	batched := aggregates(false)
-	if len(perElem) == 0 {
-		t.Fatal("per-element run produced no aggregates")
+	if len(ref) == 0 {
+		t.Fatal("reference run produced no aggregates")
 	}
-	if fmt.Sprint(batched) != fmt.Sprint(perElem) {
-		t.Errorf("aggregate fragments diverged:\nperElem: %v\nbatched: %v", perElem, batched)
+	if fmt.Sprint(batched) != fmt.Sprint(ref) {
+		t.Errorf("aggregate fragments diverged:\nref:     %v\nbatched: %v", ref, batched)
 	}
 }
 

@@ -36,27 +36,9 @@ func RunReference(cfg Config) (*Result, error) {
 		scale = 1
 	}
 
-	var nodes nodeSims
-	for n := 0; n < cfg.Nodes; n++ {
-		inputs := cfg.Inputs(n)
-		if len(inputs) == 0 {
-			return nil, fmt.Errorf("runtime: node %d has no inputs", n)
-		}
-		arrivals, err := buildArrivals(inputs, scale, cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-		ex := dataflow.NewExecutor(cfg.Graph, n)
-		ex.Include = func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] }
-		counter := &cost.Counter{}
-		ex.CounterFor = func(op *dataflow.Operator) *cost.Counter { return counter }
-		s := &sender{cfg: &cfg, nodeID: n}
-		ex.Boundary = s.capture
-		ns := &nodeSim{counter: counter, s: s, inject: ex.Inject}
-		if err := ns.feed(&cfg, arrivals); err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, ns)
+	nodes, err := referenceNodes(cfg, scale)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
 	msgs := nodes.drain(res, nil)
@@ -79,6 +61,35 @@ func RunReference(cfg Config) (*Result, error) {
 	}
 	res.ServerEmits = srv.emitsCount
 	return res, nil
+}
+
+// referenceNodes is RunReference's node stage: one Executor per node,
+// every replica executed, element at a time, fed cfg.Inputs at the given
+// rate scale.
+func referenceNodes(cfg Config, scale float64) (nodeSims, error) {
+	var nodes nodeSims
+	for n := 0; n < cfg.Nodes; n++ {
+		inputs := cfg.Inputs(n)
+		if len(inputs) == 0 {
+			return nil, fmt.Errorf("runtime: node %d has no inputs", n)
+		}
+		arrivals, err := buildArrivals(inputs, scale, cfg.Duration)
+		if err != nil {
+			return nil, err
+		}
+		ex := dataflow.NewExecutor(cfg.Graph, n)
+		ex.Include = func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] }
+		counter := &cost.Counter{}
+		ex.CounterFor = func(op *dataflow.Operator) *cost.Counter { return counter }
+		s := &sender{cfg: &cfg, nodeID: n}
+		ex.Boundary = s.capture
+		ns := &nodeSim{counter: counter, s: s, inject: ex.Inject}
+		if err := ns.feed(&cfg, arrivals); err != nil {
+			return nil, err
+		}
+		nodes = append(nodes, ns)
+	}
+	return nodes, nil
 }
 
 // deliverReference receives every message through rx at res's delivery
@@ -254,40 +265,6 @@ func OwnEvents(inputs []profile.Input) []profile.Input {
 		out[i] = in
 	}
 	return out
-}
-
-// PerElementPrograms compiles cfg's two partitions without batch tables
-// and returns cfg carrying them — the configuration that selects the
-// per-element feed and delivery loops.
-func PerElementPrograms(cfg Config) (Config, error) {
-	compile := func(nodeSide bool) (*dataflow.Program, error) {
-		return dataflow.Compile(cfg.Graph, dataflow.CompileOptions{
-			Include: func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] == nodeSide },
-		})
-	}
-	var err error
-	if cfg.NodeProgram, err = compile(true); err != nil {
-		return cfg, err
-	}
-	if cfg.ServerProgram, err = compile(false); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
-// BatchSelection reports which batched paths Run takes for cfg's resolved
-// Programs: the node phase's passthrough fast path and batched delivery.
-func BatchSelection(cfg Config) (passthrough, delivery bool, err error) {
-	node, err := resolveProgram(&cfg, true)
-	if err != nil {
-		return false, false, err
-	}
-	plan, err := newDeliveryPlan(&cfg)
-	if err != nil {
-		return false, false, err
-	}
-	defer plan.close()
-	return passthroughPartition(&cfg, node), plan.shards[0].batch, nil
 }
 
 // StreamApp is streamApp: the reduce-aggregation graph and its cut.

@@ -30,7 +30,7 @@ func newNodeSim(cfg *Config, inst *dataflow.Instance, counter *cost.Counter, nod
 
 // acquireNodes builds one node runtime per origin on recycled instances.
 func (h *ShardHost) acquireNodes() {
-	passthrough := passthroughPartition(&h.cfg, h.prog)
+	passthrough := passthroughPartition(&h.cfg)
 	for _, n := range h.origins {
 		inst := h.prog.AcquireInstance(n)
 		counter := &cost.Counter{}

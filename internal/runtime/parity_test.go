@@ -133,35 +133,28 @@ func TestNoReplayMatchesReplay(t *testing.T) {
 }
 
 // TestBatchedRunParity pins the batched paths (batched server delivery,
-// the node-phase passthrough fast path, batch-compiled partitions) and the
-// per-element Programs at each cutpoint and Shards/Workers setting. Cut 1
-// runs both batched paths at once: the node partition is the bare source
-// (passthrough) and the whole stateful pipeline runs relocated on the
-// server, fed by batched delivery. The Gumstix rows repeat the TMote rows
-// on a network that delivers.
+// the node-phase passthrough fast path) at each cutpoint and Shards/Workers
+// setting. Cut 1 runs both batched paths at once: the node
+// partition is the bare source (passthrough) and the whole stateful
+// pipeline runs relocated on the server, fed by batched delivery. The
+// Gumstix rows repeat the TMote rows on a network that delivers.
 func TestBatchedRunParity(t *testing.T) {
 	t.Parallel()
 	app := speech.New()
 	for i, plat := range []*platform.Platform{platform.TMoteSky(), platform.Gumstix()} {
 		ok := []func(*outcome) bool{sends, delivers}[i]
 		for _, v := range [][3]int{{1, 1, 1}, {1, 4, 4}, {3, 2, 2}, {6, 4, 2}} {
-			perElement := batchAt(v[1], v[2])
-			perElement.progs = progPerElement
-			speechRun(app, plat, v[0], 5, 20, int64(v[0]), 2000, 2).expect(t, ok, batchAt(v[1], v[2]), perElement)
+			speechRun(app, plat, v[0], 5, 20, int64(v[0]), 2000, 2).expect(t, ok, batchAt(v[1], v[2]))
 		}
 	}
 }
 
-// TestBatchedStreamParity runs Run's streaming path (window 10 s) with
-// the Programs it compiles and as PerElementPrograms.
+// TestBatchedStreamParity runs Run's streaming path (window 10 s).
 func TestBatchedStreamParity(t *testing.T) {
 	t.Parallel()
 	c := speechRun(speech.New(), platform.TMoteSky(), 1, 4, 30, 7, 3000, 2)
 	c.cfg.WindowSeconds = 10
-	at := schedule{batch: true, stream: true, start: place{shards: 3, workers: 4}}
-	perElement := at
-	perElement.progs = progPerElement
-	c.expect(t, sends, at, perElement)
+	c.expect(t, sends, schedule{batch: true, stream: true, start: place{shards: 3, workers: 4}})
 }
 
 // TestStreamingMatchesBatchUniform runs Run's streaming and batch paths on
@@ -260,40 +253,4 @@ func TestBadOnNodeMapFailsSimulation(t *testing.T) {
 	if _, err := runtime.Run(c.cfg); err == nil {
 		t.Fatal("bad OnNode map must fail the simulation with an error")
 	}
-}
-
-// TestBatchSelectionFollowsPrograms pins the derived selector from both
-// sides: batched feed and delivery are on exactly when the resolved
-// Programs carry batch tables, and only batch-compiled Programs count
-// batched elements. Cut 1 has both batched paths in play: the node
-// partition is the bare source (passthrough) and the stateful pipeline
-// runs relocated on the server (batched delivery).
-func TestBatchSelectionFollowsPrograms(t *testing.T) {
-	t.Parallel()
-	c := speechRun(speech.New(), platform.Gumstix(), 1, 4, 10, 5, 4000, 2)
-	c.cfg.Shards = 2
-	for _, progs := range []progKind{progShared, progPerElement} {
-		cfg, err := progs.apply(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched := progs == progShared
-		if pt, dl, err := runtime.BatchSelection(cfg); err != nil || pt != batched || dl != batched {
-			t.Fatalf("%v Programs selected passthrough=%v batched delivery=%v (%v), want %v", progs, pt, dl, err, batched)
-		}
-		cfg.Inputs = c.inputs
-		if _, err := runtime.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		n := int64(0)
-		for _, st := range append(cfg.NodeProgram.BatchStats(), cfg.ServerProgram.BatchStats()...) {
-			n += st.Batched
-		}
-		if (n > 0) != batched {
-			t.Fatalf("%v Programs report %d batched elements", progs, n)
-		}
-	}
-	at := place{shards: 2}
-	c.expect(t, emits, schedule{batch: true, start: at, progs: progShared},
-		schedule{batch: true, start: at, progs: progPerElement}, schedule{batch: true, start: at})
 }

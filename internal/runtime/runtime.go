@@ -19,7 +19,7 @@
 // ShardHosts (host.go) under one window loop, the Session (coordinator.go):
 // one in-process host over every origin, or one per origin subset across
 // processes. Batch Run adds its own instance economy (runNodes): shards
-// Recycle one pinned Instance across their nodes, and when every node is
+// reset one pinned Instance for each of their nodes, and when every node is
 // offered the identical trace (Figures 9 and 10 driven with a shared
 // recording) the node phase runs once and its message stream is replayed
 // per node — node-side execution is a pure function of (program, partition,
@@ -91,13 +91,10 @@ type Config struct {
 	// (graph, partition) pair skip compilation entirely; Programs are
 	// immutable, so one pair serves concurrent Runs. Both must have been
 	// compiled from Graph with an Include set matching OnNode — Run
-	// verifies and rejects mismatches.
-	//
-	// Batched feed and delivery follow the Programs: a side compiled with
-	// batch tables (CompileOptions.Batch, as CompilePartition and the
-	// Programs Run compiles itself are) takes the node-phase passthrough
-	// fast path and batched server delivery; a side compiled without runs
-	// the per-element loop. Results are byte-identical either way.
+	// verifies and rejects mismatches, and rejects a profiling Program
+	// (CompileOptions.Profile): a deployment Program is what batch
+	// dispatch, the node-phase passthrough fast path and the shared
+	// per-node cost counter run on.
 	NodeProgram   *dataflow.Program
 	ServerProgram *dataflow.Program
 
@@ -549,14 +546,14 @@ func (ns *nodeSim) feedPassthrough(arrivals []arrival) {
 // their deterministic message streams replicated; distinct replicas run
 // sharded by origin on a bounded worker pool: shard s owns nodes n ≡ s
 // (mod shards) — the same origin partition the delivery loop uses — and
-// recycles one pinned Instance across them instead of round-tripping the
-// Program's free list per node.
+// resets one pinned Instance for each of them instead of round-tripping
+// the Program's free list per node.
 func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeSims, error) {
 	prog, err := resolveProgram(&cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	passthrough := passthroughPartition(&cfg, prog)
+	passthrough := passthroughPartition(&cfg)
 	out := make(nodeSims, cfg.Nodes)
 
 	if identicalTraces(inputs) {
@@ -594,9 +591,9 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 		inst := prog.AcquireInstance(s)
 		defer prog.ReleaseInstance(inst)
 		counter := &cost.Counter{}
-		inst.SetCounter(counter)
 		for n := s; n < cfg.Nodes && errs[s] == nil; n += shards {
-			inst.Recycle(n) // pristine per-node state, counter kept, no free-list round-trip
+			inst.Reset(n) // pristine per-node state, no free-list round-trip
+			inst.SetCounter(counter)
 			out[n] = newNodeSim(&cfg, inst, counter, n, passthrough)
 			errs[s] = out[n].feed(&cfg, arrivals[n])
 		}
@@ -606,11 +603,10 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 
 // CompilePartition compiles the two sides of a partitioned deployment
 // exactly as Run would: the node Program includes operators with
-// onNode[id] true, the server Program the rest, neither with counting
-// options. Both sides carry batch dispatch tables (Permissive — the
-// runtime emulates permissive relocation, so a relocated stateful node
-// operator batches on the server exactly as it would on the node); a
-// batch-capable operator still executes per element unless fed a batch.
+// onNode[id] true, the server Program the rest. Both are deployment
+// Programs, so both carry batch dispatch tables (a relocated stateful
+// node operator batches on the server exactly as it would on the node);
+// a batch-capable operator still executes per element unless fed a batch.
 // The returned Programs are immutable and may be shared across any number
 // of concurrent Runs via Config.NodeProgram/ServerProgram — the partition
 // service's program cache holds exactly these.
@@ -629,19 +625,15 @@ func CompilePartition(g *dataflow.Graph, onNode map[int]bool) (node, server *dat
 func compileSide(g *dataflow.Graph, onNode map[int]bool, nodeSide bool) (*dataflow.Program, error) {
 	return dataflow.Compile(g, dataflow.CompileOptions{
 		Include: func(op *dataflow.Operator) bool { return onNode[op.ID()] == nodeSide },
-		Batch:   true,
 	})
 }
 
 // passthroughPartition reports whether the node phase may take the batched
-// fast path: prog (the resolved node Program) carries batch tables and the
-// node partition contains no work functions at all — sources and forwarding
-// operators only, as with a cut directly after the sources. Such partitions
-// charge nothing to the node CPU, which is what licenses the fast path.
-func passthroughPartition(cfg *Config, prog *dataflow.Program) bool {
-	if !prog.Options().Batch {
-		return false
-	}
+// fast path: the node partition contains no work functions at all —
+// sources and forwarding operators only, as with a cut directly after the
+// sources. Such partitions charge nothing to the node CPU, which is what
+// licenses the fast path.
+func passthroughPartition(cfg *Config) bool {
 	for _, op := range cfg.Graph.Operators() {
 		if cfg.OnNode[op.ID()] && op.Work != nil {
 			return false
@@ -652,9 +644,8 @@ func passthroughPartition(cfg *Config, prog *dataflow.Program) bool {
 
 // checkPartitionProgram verifies a caller-supplied precompiled Program
 // against the run's graph and partition: same graph, matching include
-// set, and no counting instrumentation (counting programs reject
-// SetCounter, which the node side requires, and would skew the server
-// side).
+// set, and a deployment Program (profiling Programs reject SetCounter,
+// which the node side requires, and would skew the server side).
 func checkPartitionProgram(p *dataflow.Program, cfg *Config, nodeSide bool) error {
 	side := "server"
 	if nodeSide {
@@ -663,8 +654,7 @@ func checkPartitionProgram(p *dataflow.Program, cfg *Config, nodeSide bool) erro
 	if p.Graph() != cfg.Graph {
 		return fmt.Errorf("runtime: %s program was compiled from a different graph", side)
 	}
-	opts := p.Options()
-	if opts.CountOps || opts.MeasureEdges {
+	if p.Options().Profile {
 		return fmt.Errorf("runtime: %s program carries profiling instrumentation", side)
 	}
 	for _, op := range cfg.Graph.Operators() {
@@ -698,12 +688,12 @@ func identicalTraces(inputs [][]profile.Input) bool {
 	return true
 }
 
-// compiledServer is the basestation-side executor: it delivers one decoded
-// cut-edge element — or one origin's run of same-edge elements — with the
-// origin node's relocated state swapped in, as a compiled instance. The
-// relocated stateful operators (§2.1.1) are precomputed at compile time, so
-// swapping in a message's origin-node state touches only those operators
-// instead of scanning the whole graph per message. One compiled Program
+// compiledServer is the basestation-side executor: it delivers one
+// origin's run of decoded same-edge elements with the origin node's
+// relocated state swapped in, as a compiled instance. The relocated
+// stateful operators (§2.1.1) are precomputed at compile time, so swapping
+// in a run's origin-node state touches only those operators instead of
+// scanning the whole graph per message. One compiled Program
 // serves every shard; each shard gets its own Instance (recycled through
 // the Program's free list).
 type compiledServer struct {
@@ -730,22 +720,11 @@ func newCompiledServer(cfg *Config, prog *dataflow.Program) *compiledServer {
 	return srv
 }
 
-func (srv *compiledServer) deliver(m *message, val dataflow.Value) error {
-	srv.swapStates(m.nodeID)
-	return srv.inst.Push(m.edge.To, m.edge.ToPort, val)
-}
-
 // deliverBatch pushes one origin's run of same-edge elements in one
-// scheduler pass: the relocated-state swap happens once for the run and
+// scheduler pass: every relocated stateful operator is pointed at the
+// origin node's state table entry (§2.1.1) once for the run, and
 // batch-capable operators dispatch their BatchWork.
 func (srv *compiledServer) deliverBatch(nodeID int, e *dataflow.Edge, vals []dataflow.Value) error {
-	srv.swapStates(nodeID)
-	return srv.inst.PushBatch(e.To, e.ToPort, vals)
-}
-
-// swapStates points every relocated stateful operator at the origin
-// node's state table entry (§2.1.1).
-func (srv *compiledServer) swapStates(nodeID int) {
 	for _, op := range srv.relocated {
 		tbl := srv.states[op.ID()]
 		st, ok := tbl[nodeID]
@@ -755,6 +734,7 @@ func (srv *compiledServer) swapStates(nodeID int) {
 		}
 		srv.inst.SetState(op, st)
 	}
+	return srv.inst.PushBatch(e.To, e.ToPort, vals)
 }
 
 func (srv *compiledServer) emits() int { return int(srv.inst.Traversals()) }

@@ -164,22 +164,18 @@ type step struct {
 type progKind int
 
 const (
-	progRun        progKind = iota // compiled by Run, or by each session host
-	progShared                     // one CompilePartition pair for every Run or host
-	progPerElement                 // PerElementPrograms: no batch tables, the per-element loops
+	progRun    progKind = iota // compiled by Run, or by each session host
+	progShared                 // one CompilePartition pair for every Run or host
 )
 
-func (k progKind) String() string { return [...]string{"run", "shared", "per-element"}[k] }
+func (k progKind) String() string { return [...]string{"run", "shared"}[k] }
 
 // apply gives cfg k's Programs for its cut.
 func (k progKind) apply(cfg runtime.Config) (runtime.Config, error) {
 	cfg.NodeProgram, cfg.ServerProgram = nil, nil
 	var err error
-	switch k {
-	case progShared:
+	if k == progShared {
 		cfg.NodeProgram, cfg.ServerProgram, err = runtime.CompilePartition(cfg.Graph, cfg.OnNode)
-	case progPerElement:
-		cfg, err = runtime.PerElementPrograms(cfg)
 	}
 	return cfg, err
 }
@@ -302,7 +298,7 @@ func (c *schedCase) generate(seed int64, ref *outcome) schedule {
 		sc.steps = append(sc.steps, s)
 	}
 	sort.SliceStable(sc.steps, func(i, j int) bool { return sc.steps[i].at < sc.steps[j].at })
-	sc.progs, sc.raw = progKind(rng.Intn(3)), rng.Intn(2) == 0
+	sc.progs, sc.raw = progKind(rng.Intn(2)), rng.Intn(2) == 0
 	return sc
 }
 
@@ -310,7 +306,7 @@ func (c *schedCase) generate(seed int64, ref *outcome) schedule {
 func (c *schedCase) generateBatch(seed int64) schedule {
 	rng := rand.New(rand.NewSource(seed))
 	start := place{shards: []int{0, 1, 2, 3, 8, c.cfg.Nodes + 1}[rng.Intn(6)], workers: []int{1, 2, 4, 8}[rng.Intn(4)]}
-	return schedule{seed: seed, batch: true, start: start, progs: progKind(rng.Intn(3)),
+	return schedule{seed: seed, batch: true, start: start, progs: progKind(rng.Intn(2)),
 		traces: traceKind(rng.Intn(3)), concurrent: rng.Intn(2) == 1}
 }
 
@@ -1065,10 +1061,10 @@ func TestScheduleHarness(t *testing.T) {
 	// Each group's keys are required when it ran (-run may select one).
 	for group, keys := range map[string]string{
 		"schedules": `snapshot migrate replan loss-at-compute loss-at-deliver loss-at-checkpoint loss-at-close
-			replan+loss+snapshot sink-digests-compared session-programs=run session-programs=shared session-programs=per-element
+			replan+loss+snapshot sink-digests-compared session-programs=run session-programs=shared
 			raw=false raw=true`,
 		"batch-schedules": `replay unshardable-fallback shards=0 shards=1 shards=2 shards=3 shards=8 shards=nodes+1
-			workers=1 workers=2 workers=4 workers=8 programs=run programs=shared programs=per-element
+			workers=1 workers=2 workers=4 workers=8 programs=run programs=shared
 			traces=per-node traces=shared traces=own concurrent=false concurrent=true`,
 	} {
 		for _, k := range strings.Fields(keys) {

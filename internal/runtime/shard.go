@@ -40,17 +40,16 @@ type shardState struct {
 	rng     map[int]*netsim.LossSampler
 	res     Result
 
-	// batch enables batched delivery: the shard's messages are regrouped
-	// by origin (per-origin time order preserved — per-origin independence
-	// is exactly what makes the partition shardable, so regrouping across
-	// origins cannot change the Result) and each origin's runs of
-	// consecutive same-edge survivors flush through engine.deliverBatch in
-	// one scheduler pass. order/groups/vals are the regrouping scratch,
-	// reused across windows.
-	batch  bool
-	order  []int
-	groups map[int][]int
-	vals   []dataflow.Value
+	// regroup has deliver regroup the shard's messages by origin
+	// (per-origin time order preserved), which lengthens the runs it
+	// flushes. It is set exactly when the partition is shardable:
+	// per-origin independence is what makes regrouping across origins
+	// unable to change the Result. order/groups/vals are the delivery
+	// scratch, reused across windows.
+	regroup bool
+	order   []int
+	groups  map[int][]int
+	vals    []dataflow.Value
 }
 
 // samplers is the process's free list of LossSamplers (and their grown
@@ -93,7 +92,11 @@ func (sh *shardState) releaseSamplers() {
 // order) against the shard's engine at the given delivery ratio. Packets
 // are lost independently; an element is usable at the server only if every
 // fragment survives, and the server processes what the basestation would
-// decode (receive).
+// decode (receive). Each run of consecutive same-(origin, edge) survivors
+// goes through engine.deliverBatch in one scheduler pass: PushBatch is
+// Push per element in order, so a partition with global server state keeps
+// its arrival order, and a shardable one is first regrouped by origin
+// (first-appearance order).
 func (sh *shardState) deliver(msgs []message, ratio float64) (err error) {
 	// Server-side work functions can run on pool goroutines against
 	// client-supplied stream data; a panic there (wrong element type,
@@ -105,11 +108,55 @@ func (sh *shardState) deliver(msgs []message, ratio float64) (err error) {
 			err = workPanicError(r, "server")
 		}
 	}()
-	if sh.batch {
-		return sh.deliverBatched(msgs, ratio)
+	if !sh.regroup {
+		return sh.deliverRuns(msgs, nil, ratio)
 	}
+	if sh.groups == nil {
+		sh.groups = make(map[int][]int)
+	}
+	sh.order = sh.order[:0]
 	for i := range msgs {
-		m := &msgs[i]
+		g := sh.groups[msgs[i].nodeID]
+		if len(g) == 0 {
+			sh.order = append(sh.order, msgs[i].nodeID)
+		}
+		sh.groups[msgs[i].nodeID] = append(g, i)
+	}
+	for _, origin := range sh.order {
+		idxs := sh.groups[origin]
+		sh.groups[origin] = idxs[:0]
+		if err := sh.deliverRuns(msgs, idxs, ratio); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// deliverRuns receives msgs[idxs[k]] for every k in order — every message
+// in order when idxs is nil — and flushes each run of consecutive
+// same-(origin, edge) survivors through engine.deliverBatch.
+func (sh *shardState) deliverRuns(msgs []message, idxs []int, ratio float64) error {
+	vals := sh.vals[:0]
+	var origin int
+	var edge *dataflow.Edge
+	flush := func() error {
+		if len(vals) == 0 {
+			return nil
+		}
+		err := sh.engine.deliverBatch(origin, edge, vals)
+		clear(vals)
+		vals = vals[:0]
+		return err
+	}
+	n := len(msgs)
+	if idxs != nil {
+		n = len(idxs)
+	}
+	for k := 0; k < n; k++ {
+		m := &msgs[k]
+		if idxs != nil {
+			m = &msgs[idxs[k]]
+		}
 		val, ok, err := sh.receive(m, ratio)
 		if err != nil {
 			return err
@@ -118,11 +165,17 @@ func (sh *shardState) deliver(msgs []message, ratio float64) (err error) {
 			continue
 		}
 		sh.res.DeliveredBytes += dataflow.WireSize(val)
-		if err := sh.engine.deliver(m, val); err != nil {
-			return err
+		if m.nodeID != origin || m.edge != edge {
+			if err := flush(); err != nil {
+				return err
+			}
+			origin, edge = m.nodeID, m.edge
 		}
+		vals = append(vals, val)
 	}
-	return nil
+	err := flush()
+	sh.vals = vals[:0]
+	return err
 }
 
 // edgeStream is the reception state of one (origin, edge) stream — what
@@ -272,62 +325,6 @@ func offer(re *wire.Reassembler, enc []byte, seq uint16, payload int, got *wire.
 	return decoded, complete, nil
 }
 
-// deliverBatched regroups the shard's messages by origin (first-appearance
-// order, per-origin time order preserved) and flushes each origin's runs
-// of consecutive same-edge survivors as one batch: one relocated-state
-// swap and one scheduler pass per run instead of per element.
-func (sh *shardState) deliverBatched(msgs []message, ratio float64) error {
-	if sh.groups == nil {
-		sh.groups = make(map[int][]int)
-	}
-	sh.order = sh.order[:0]
-	for i := range msgs {
-		g := sh.groups[msgs[i].nodeID]
-		if len(g) == 0 {
-			sh.order = append(sh.order, msgs[i].nodeID)
-		}
-		sh.groups[msgs[i].nodeID] = append(g, i)
-	}
-	for _, origin := range sh.order {
-		idxs := sh.groups[origin]
-		sh.groups[origin] = idxs[:0]
-		vals := sh.vals[:0]
-		var curEdge *dataflow.Edge
-		flush := func() error {
-			if len(vals) == 0 {
-				return nil
-			}
-			err := sh.engine.deliverBatch(origin, curEdge, vals)
-			clear(vals)
-			vals = vals[:0]
-			return err
-		}
-		for _, i := range idxs {
-			m := &msgs[i]
-			val, ok, err := sh.receive(m, ratio)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			sh.res.DeliveredBytes += dataflow.WireSize(val)
-			if m.edge != curEdge {
-				if err := flush(); err != nil {
-					return err
-				}
-				curEdge = m.edge
-			}
-			vals = append(vals, val)
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		sh.vals = vals[:0]
-	}
-	return nil
-}
-
 // deliveryPlan is the server side of one run: the resolved shard set and
 // the worker budget for driving it.
 type deliveryPlan struct {
@@ -366,11 +363,6 @@ func newDeliveryPlan(cfg *Config) (*deliveryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Batched delivery needs a server Program with batch tables, and
-	// regroups messages by origin, which is sound exactly when the
-	// partition is shardable (per-origin independence); otherwise the
-	// shards run the per-element loop.
-	batch := prog.Options().Batch && independent
 	for i := 0; i < n; i++ {
 		d.shards = append(d.shards, &shardState{
 			seed:    cfg.Seed,
@@ -378,7 +370,7 @@ func newDeliveryPlan(cfg *Config) (*deliveryPlan, error) {
 			engine:  newCompiledServer(cfg, prog),
 			streams: make(map[reasmKey]*edgeStream),
 			rng:     make(map[int]*netsim.LossSampler),
-			batch:   batch,
+			regroup: independent,
 		})
 	}
 	return d, nil

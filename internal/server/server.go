@@ -200,30 +200,23 @@ func (s *Server) Stats() Snapshot {
 	return snap
 }
 
-// batchStats aggregates batch-hit counters across every cached compiled
-// Program, keyed by operator name. Instances fold their local counters
+// batchStats aggregates batch-hit counters across every cached partition
+// Program pair, keyed by operator name. Instances fold their local counters
 // into the Program at release, so the totals cover every simulation the
-// cache served (including shard-host sessions).
+// cache served (including shard-host sessions). Cached profiling Programs
+// keep no batch-hit counters.
 func (s *Server) batchStats() map[string]BatchSnapshot {
 	agg := make(map[string]BatchSnapshot)
-	fold := func(p *dataflow.Program) {
-		if p == nil {
+	s.cache.Each(func(val any) {
+		pp, ok := val.(*partitionPrograms)
+		if !ok {
 			return
 		}
-		for _, st := range p.BatchStats() {
+		for _, st := range append(pp.node.BatchStats(), pp.server.BatchStats()...) {
 			b := agg[st.Op.Name]
 			b.Batched += st.Batched
 			b.Total += st.Total
 			agg[st.Op.Name] = b
-		}
-	}
-	s.cache.Each(func(val any) {
-		switch v := val.(type) {
-		case *partitionPrograms:
-			fold(v.node)
-			fold(v.server)
-		case *dataflow.Program:
-			fold(v)
 		}
 	})
 	if len(agg) == 0 {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 	"wishbone/internal/runtime"
@@ -183,12 +182,12 @@ main = spin;
 }
 
 // TestMeteringFuelAcrossStrategies runs one wscript deployment through the
-// runtime's execution strategies — sequential, sharded+parallel, unbatched,
-// streaming on one worker and on four — and requires the consumed-fuel
-// and metered-call counters to be identical everywhere. Fuel is an
-// accounting surface tenants are billed on; it must not depend on how the
-// simulator schedules the work. Rate 4 / window 16 / duration 64 keeps
-// streaming ingestion event-identical to the batch path (see
+// runtime's execution strategies — sequential, sharded+parallel,
+// precompiled Programs, streaming on one worker and on four — and requires
+// the consumed-fuel and metered-call counters to be identical everywhere.
+// Fuel is an accounting surface tenants are billed on; it must not depend
+// on how the simulator schedules the work. Rate 4 / window 16 / duration
+// 64 keeps streaming ingestion event-identical to the batch path (see
 // TestStreamingMatchesBatchUniform).
 func TestMeteringFuelAcrossStrategies(t *testing.T) {
 	const src = `
@@ -257,19 +256,12 @@ main = feat;
 	}{
 		{"sequential", func(cfg *runtime.Config) { cfg.Workers = 1 }},
 		{"sharded", func(cfg *runtime.Config) { cfg.Workers = 4; cfg.Shards = 4 }},
-		{"unbatched", func(cfg *runtime.Config) {
-			// Programs without batch tables select the per-element loops.
+		{"precompiled", func(cfg *runtime.Config) {
 			cfg.Workers, cfg.Shards = 4, 4
-			side := func(nodeSide bool) *dataflow.Program {
-				p, err := dataflow.Compile(cfg.Graph, dataflow.CompileOptions{
-					Include: func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] == nodeSide },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
+			var err error
+			if cfg.NodeProgram, cfg.ServerProgram, err = runtime.CompilePartition(cfg.Graph, cfg.OnNode); err != nil {
+				t.Fatal(err)
 			}
-			cfg.NodeProgram, cfg.ServerProgram = side(true), side(false)
 		}},
 		{"stream-workers=1", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 1 }},
 		{"stream-workers=4", func(cfg *runtime.Config) { streaming(cfg); cfg.Shards = 3; cfg.Workers = 4 }},
