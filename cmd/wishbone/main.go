@@ -146,9 +146,8 @@ func main() {
 		return
 	}
 
-	// This command only prints Result- and Report-derived stats, never
-	// sink values, so the sink stays stateless (no RetainOutputs) and the
-	// graph stays shardable and distributable.
+	// This command prints Result- and Report-derived stats; the compiled
+	// sink is stateless, so the graph is shardable and distributable.
 	compiled, err := wscript.CompileOpts(string(src), wscript.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -65,7 +65,7 @@ func TestBatchedChannelParity(t *testing.T) {
 		counter = cost.Counter{}
 	}
 	got.trav = inst.Traversals()
-	inst.Reset(0) // folds the instance's batch-hit counters into the program
+	prog.ReleaseInstance(inst) // folds the instance's batch-hit counters into the program
 	stats := prog.BatchStats()
 	for _, s := range stats {
 		got.invokes[s.Op.Name] = int(s.Total)

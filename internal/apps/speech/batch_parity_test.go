@@ -55,7 +55,7 @@ func TestBatchedPipelineParity(t *testing.T) {
 	inst.SetCounter(&got.counter)
 	inst.InjectBatch(app.Pipeline[0], trace.Events)
 	got.trav = inst.Traversals()
-	inst.Reset(0) // folds the instance's batch-hit counters into the program
+	prog.ReleaseInstance(inst) // folds the instance's batch-hit counters into the program
 	stats := prog.BatchStats()
 	for _, s := range stats {
 		got.invokes[s.Op.Name] = int(s.Total)

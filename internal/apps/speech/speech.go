@@ -153,13 +153,3 @@ func (a *App) SampleTrace(seed int64, seconds float64) profile.Input {
 	}
 	return profile.Input{Source: a.Pipeline[0], Events: events, Rate: FrameRate}
 }
-
-// CutpointNames lists the pipeline stages in order; cutting after stage k
-// leaves stages 1..k on the node.
-func (a *App) CutpointNames() []string {
-	names := make([]string, len(a.Pipeline))
-	for i, op := range a.Pipeline {
-		names[i] = op.Name
-	}
-	return names
-}

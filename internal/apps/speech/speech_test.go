@@ -26,8 +26,8 @@ func TestGraphShape(t *testing.T) {
 	if n := app.Graph.NumOperators(); n != 9 {
 		t.Fatalf("operators=%d want 9", n)
 	}
-	if got := app.CutpointNames(); got[0] != "source" || got[len(got)-1] != "sink" {
-		t.Fatalf("pipeline order wrong: %v", got)
+	if first, last := app.Pipeline[0].Name, app.Pipeline[len(app.Pipeline)-1].Name; first != "source" || last != "sink" {
+		t.Fatalf("pipeline order wrong: %s … %s", first, last)
 	}
 	if _, err := dataflow.Classify(app.Graph, dataflow.Permissive); err != nil {
 		t.Fatal(err)

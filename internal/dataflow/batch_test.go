@@ -212,7 +212,7 @@ func TestBatchedParity(t *testing.T) {
 		}
 		r.trav = inst.Traversals()
 		if !profile {
-			inst.Reset(0) // folds the instance's batch-hit counters into the program
+			prog.ReleaseInstance(inst) // folds the instance's batch-hit counters into the program
 			for _, st := range prog.BatchStats() {
 				r.invokes[st.Op.Name] = int(st.Total)
 			}
@@ -275,7 +275,7 @@ func TestBatchedParity(t *testing.T) {
 		}
 		inst := prog.NewInstance(0)
 		inst.InjectBatch(src, events)
-		inst.Reset(0) // folds the instance's batch counters into the program
+		prog.ReleaseInstance(inst) // folds the instance's batch counters into the program
 		return prog.BatchStats()
 	}()
 	hit := false

@@ -72,17 +72,6 @@ type Classification struct {
 	Place map[int]Placement
 }
 
-// MovableCount returns the number of movable operators.
-func (c *Classification) MovableCount() int {
-	n := 0
-	for _, p := range c.Place {
-		if p == Movable {
-			n++
-		}
-	}
-	return n
-}
-
 // Classify determines each operator's placement constraint and propagates
 // constraints along the graph. It returns an error when an operator would
 // be pinned to both sides at once — a program with no feasible partition

@@ -72,8 +72,9 @@ type Program struct {
 	// Batch-hit accounting, indexed by operator ID (deployment Programs
 	// only): how many elements each operator processed in total and
 	// how many of those arrived through a BatchWork dispatch. Instances
-	// accumulate locally and fold in with atomics at Reset, so the totals
-	// aggregate across shards and recycled instances; read via BatchStats.
+	// accumulate locally and fold in with atomics at ReleaseInstance, so
+	// the totals aggregate across shards and reused instances; read via
+	// BatchStats.
 	statBatched []int64
 	statTotal   []int64
 	pos         []int32    // operator ID → schedule position, -1 if excluded
@@ -259,9 +260,8 @@ type BatchStat struct {
 
 // BatchStats snapshots the program's accumulated batch-hit counters, in
 // operator ID order, skipping operators that processed nothing. Instances
-// fold their local counters in when Reset (which ReleaseInstance does), so
-// a snapshot taken after a run's instances are released covers the whole
-// run. Profiling Programs keep no batch-hit counters and report nil.
+// fold their local counters in at ReleaseInstance, so a snapshot taken
+// after a run's instances are released covers the whole run. Profiling Programs keep no batch-hit counters and report nil.
 func (p *Program) BatchStats() []BatchStat {
 	if p.statTotal == nil {
 		return nil

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wishbone/internal/cost"
@@ -296,10 +297,10 @@ func TestCompiledInjectOnExcludedSourceCrossesBoundary(t *testing.T) {
 	}
 }
 
-// TestInstanceReset pins what the runtime's origin-sharded node phase
-// relies on when it resets one pinned Instance per node: Reset restores
-// pristine per-node state and identity and detaches the shared cost
-// counter, and SetCounter attaches it again.
+// TestInstanceReset pins what every node stage relies on when it releases
+// one node's Instance and acquires one for the next: the acquired instance
+// has pristine per-node state and identity and no shared cost counter,
+// and SetCounter attaches one again.
 func TestInstanceReset(t *testing.T) {
 	g, src := diamondGraph()
 	prog, err := Compile(g, CompileOptions{})
@@ -319,26 +320,108 @@ func TestInstanceReset(t *testing.T) {
 	in.Inject(src, 5)
 	in.Inject(src, 9) // dirty the stateful join across two events
 
-	in.Reset(7)
+	prog.ReleaseInstance(in)
+	if got := prog.AcquireInstance(7); got != in {
+		t.Fatal("AcquireInstance did not take the listed instance")
+	}
 	if in.NodeID() != 7 {
-		t.Fatalf("NodeID %d after Reset(7)", in.NodeID())
+		t.Fatalf("NodeID %d after AcquireInstance(7)", in.NodeID())
 	}
 	if in.Traversals() != 0 {
-		t.Fatalf("Traversals %d after Reset, want 0", in.Traversals())
+		t.Fatalf("Traversals %d after release, want 0", in.Traversals())
 	}
 	counter.Reset()
 	in.Inject(src, 1)
 	if counter.Total() != 0 {
-		t.Fatalf("reset instance charged %v to the counter it had before Reset", counter.Total())
+		t.Fatalf("acquired instance charged %v to the counter of its previous run", counter.Total())
 	}
 
-	in.Reset(7)
+	prog.ReleaseInstance(in)
+	in = prog.AcquireInstance(7)
 	in.SetCounter(counter)
 	in.Inject(src, 1)
 	if in.Traversals() != wantTrav {
-		t.Fatalf("reset instance traversed %d, fresh %d — stale state survived", in.Traversals(), wantTrav)
+		t.Fatalf("acquired instance traversed %d, fresh %d — stale state survived", in.Traversals(), wantTrav)
 	}
 	if counter.Total() != wantCost {
-		t.Fatalf("reset instance charged %v, fresh %v", counter.Total(), wantCost)
+		t.Fatalf("acquired instance charged %v, fresh %v", counter.Total(), wantCost)
 	}
+}
+
+// TestReleaseBuildsNoState pins the Instance lifecycle: operator state is
+// built once per take (NewInstance or AcquireInstance), never when an
+// Instance is released, and an Instance acquired after a release is as
+// pristine as a fresh one, for both kinds of Program.
+func TestReleaseBuildsNoState(t *testing.T) {
+	g, src := diamondGraph()
+	var join, tail *Operator
+	builds := 0
+	for _, op := range g.Operators() {
+		switch op.Name {
+		case "join":
+			join = op
+			newState := op.NewState
+			op.NewState = func() any { builds++; return newState() }
+		case "tail":
+			tail = op
+		}
+	}
+	// dirty leaves behind everything a run can: state, a shared counter,
+	// a Boundary hook, counted traversals and elements, measurements and
+	// a queued value (as a panic mid-event would).
+	dirty := func(in *Instance) {
+		if !in.p.opts.Profile {
+			in.SetCounter(&cost.Counter{})
+		}
+		in.Boundary = func(*Edge, Value) {}
+		in.Inject(src, 5)
+		in.EndEvent()
+		in.Inject(src, 9)
+		q := in.State(join).(*[2][]int)
+		q[0] = append(q[0], 42)
+		in.enqueue(int32(tail.ID()), 0, pair{1, 2})
+	}
+	for _, opts := range []CompileOptions{{}, {Profile: true}} {
+		prog, err := Compile(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pristine(prog.NewInstance(5))
+
+		builds = 0
+		in := prog.NewInstance(3)
+		dirty(in)
+		prog.ReleaseInstance(in)
+		again := prog.AcquireInstance(5)
+		if again != in {
+			t.Fatalf("profile %v: AcquireInstance did not take the listed instance", opts.Profile)
+		}
+		if got := pristine(again); got != want {
+			t.Errorf("profile %v: acquired after release:\n%s\nfresh:\n%s", opts.Profile, got, want)
+		}
+		dirty(again)
+		prog.ReleaseInstance(again)
+		if builds != 2 {
+			t.Errorf("profile %v: New → Release → Acquire → Release built state %d times, want 2 (one per take)", opts.Profile, builds)
+		}
+	}
+}
+
+// pristine renders what an Instance's next run can observe of it: its
+// identity, state, pending work, hooks and counters — not the capacity of
+// its queues, frame slabs or workspaces, which a listed Instance keeps warm.
+func pristine(in *Instance) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "node %d running %v boundary %v traversals %d heap %d scratch %d\n",
+		in.nodeID, in.running, in.Boundary != nil, in.traversals, len(in.heap), len(in.scratch))
+	for i := range in.ctxs {
+		c := &in.ctxs[i]
+		shared := c.Counter != nil && (in.opEvent == nil || c.Counter != &in.opEvent[i])
+		fmt.Fprintf(&b, "op %d: state %#v ctx %d %#v shared counter %v queued %d scheduled %v\n",
+			i, in.states[i], c.NodeID, c.State, shared, len(in.queues[i]), in.inHeap[i])
+	}
+	fmt.Fprintln(&b, in.batchElems, in.totalElems, in.opEvent, in.opTotal, in.opPeak, in.invocations,
+		in.opInEvent, len(in.opTouched), in.edgeBytes, in.edgeElems, in.edgePeak, in.eventBytes,
+		in.edgeSeen, len(in.edgeTouched))
+	return b.String()
 }

@@ -46,7 +46,7 @@ type Instance struct {
 	// it except through a cut edge, operator state or an operator that
 	// re-emits its input, which the Program's recycle table rules out, so
 	// a recycling operator's Frame slab restarts whenever epoch moves (a
-	// Reset needs no tick of its own: every Frame call is inside a run).
+	// reset needs no tick of its own: every Frame call is inside a run).
 	epoch uint64
 
 	// scratch gathers a multi-entry run into one contiguous slice for a
@@ -56,7 +56,7 @@ type Instance struct {
 	scratch []Value
 
 	// Batch-hit accounting (deployment Programs only), folded into the
-	// Program's shared counters at Reset.
+	// Program's shared counters at release.
 	batchElems []int64
 	totalElems []int64
 
@@ -86,25 +86,19 @@ type Instance struct {
 }
 
 // NewInstance returns a fresh execution instance of p acting as the given
-// node ID, with new state instances in every included stateful operator's
-// slot.
+// node ID, with new state in every included stateful operator's slot. It
+// allocates every dense table; AcquireInstance reuses a listed Instance's.
 func (p *Program) NewInstance(nodeID int) *Instance {
 	n := len(p.included)
 	in := &Instance{
 		p:      p,
-		nodeID: nodeID,
 		states: make([]any, n),
 		ctxs:   make([]Ctx, n),
 		emits:  make([]Emit, n),
 		queues: make([][]queued, n),
 		inHeap: make([]bool, n),
 	}
-	for _, id := range p.statefulIDs {
-		in.states[id] = p.newState[id]()
-	}
 	for i := range in.ctxs {
-		in.ctxs[i].NodeID = nodeID
-		in.ctxs[i].State = in.states[i]
 		if p.recycle[i] {
 			in.ctxs[i].epoch = &in.epoch
 		}
@@ -138,14 +132,15 @@ func (p *Program) NewInstance(nodeID int) *Instance {
 		in.eventBytes = make([]int64, ne)
 		in.edgeSeen = make([]bool, ne)
 	}
+	in.reset(nodeID)
 	return in
 }
 
-// AcquireInstance returns an Instance of p acting as nodeID, recycling a
-// previously Released one when available (Reset to pristine state) and
-// allocating otherwise. For programs with large operator tables — the
+// AcquireInstance returns an Instance of p acting as nodeID, with fresh
+// state built for it: a listed one from p's free list when there is one,
+// a NewInstance otherwise. For programs with large operator tables — the
 // 1.2k-operator EEG app compiles to per-Instance slices of that length —
-// recycling avoids reallocating every dense table (and regrowing every
+// reuse avoids reallocating every dense table (and regrowing every
 // recycled frame slab) per simulated node, per delivery shard, per
 // request. The caller must stop using the Instance once it Releases it.
 func (p *Program) AcquireInstance(nodeID int) *Instance {
@@ -153,20 +148,22 @@ func (p *Program) AcquireInstance(nodeID int) *Instance {
 	if !ok {
 		return p.NewInstance(nodeID)
 	}
-	in.rebind(nodeID)
+	in.reset(nodeID)
 	return in
 }
 
-// ReleaseInstance returns an Instance obtained from AcquireInstance (or
-// NewInstance) to p's free list, which keeps at most MaxListedInstances.
-// It Resets the instance immediately — a listed instance must not pin the
-// released run's Boundary closure, queued values, or state (potentially a
-// whole simulation's message stream) while it waits.
+// ReleaseInstance ends the run of an Instance obtained from
+// AcquireInstance (or NewInstance): it drops what the run left, so a
+// listed instance pins no Boundary closure, queued value or state
+// (potentially a whole simulation's message stream) while it waits, folds
+// its batch counters into p's BatchStats, and lists it on p's free list,
+// which keeps at most MaxListedInstances. It builds no state; the next
+// AcquireInstance does.
 func (p *Program) ReleaseInstance(in *Instance) {
 	if in == nil || in.p != p {
 		return
 	}
-	in.Reset(in.nodeID)
+	in.release()
 	p.insts.Put(in)
 }
 
@@ -174,44 +171,38 @@ func (p *Program) ReleaseInstance(in *Instance) {
 // AcquireInstance: at most MaxListedInstances.
 func (p *Program) ListedInstances() int { return p.insts.Len() }
 
-// rebind points a pristine listed instance (Reset at release time) at a
-// new node identity without re-creating its freshly-reset state.
-func (in *Instance) rebind(nodeID int) {
-	if in.nodeID == nodeID {
-		return
-	}
-	in.nodeID = nodeID
-	for i := range in.ctxs {
-		in.ctxs[i].NodeID = nodeID
-	}
-}
-
-// Reset restores the instance to the state NewInstance would produce for
-// nodeID: fresh state in every stateful slot, empty queues, zeroed
-// traversal and measurement counters, and no Boundary hook. Shared cost
-// counters installed with SetCounter are detached (profiling instances
-// keep their per-operator counters, zeroed).
-func (in *Instance) Reset(nodeID int) {
+// reset gives a pristine instance — new, or cleared by release — its node
+// identity and fresh state in every stateful slot. It is the one place an
+// Instance's operator state is built.
+func (in *Instance) reset(nodeID int) {
 	p := in.p
 	in.nodeID = nodeID
-	for i := range in.queues {
-		// Zero before truncating: a panic mid-event can leave queued
-		// Values behind, and a listed instance must not keep them
-		// reachable through the backing arrays.
-		q := in.queues[i]
-		for j := range q {
-			q[j] = queued{}
-		}
-		in.queues[i] = q[:0]
-		in.inHeap[i] = false
-		in.states[i] = nil
-	}
 	for _, id := range p.statefulIDs {
 		in.states[id] = p.newState[id]()
 	}
 	for i := range in.ctxs {
 		in.ctxs[i].NodeID = nodeID
 		in.ctxs[i].State = in.states[i]
+	}
+}
+
+// release drops what a run left: queued values, operator state, the
+// Boundary hook, scratch, a shared cost counter installed with SetCounter,
+// and the traversal and measurement counters (a profiling instance keeps
+// its per-operator counters, zeroed). The batch counters are folded into
+// the Program's shared ones first.
+func (in *Instance) release() {
+	p := in.p
+	for i := range in.queues {
+		// Zero before truncating: a panic mid-event can leave queued
+		// Values behind, and a listed instance must not keep them
+		// reachable through the backing arrays.
+		q := in.queues[i]
+		clear(q)
+		in.queues[i] = q[:0]
+		in.inHeap[i] = false
+		in.states[i] = nil
+		in.ctxs[i].State = nil
 		if !p.opts.Profile {
 			in.ctxs[i].Counter = nil
 		}
@@ -220,36 +211,28 @@ func (in *Instance) Reset(nodeID int) {
 	in.running = false
 	in.Boundary = nil
 	in.traversals = 0
-	for i := range in.scratch {
-		in.scratch[i] = nil
-	}
+	clear(in.scratch)
 	in.scratch = in.scratch[:0]
-	if in.totalElems != nil {
-		for i := range in.totalElems {
-			if in.totalElems[i] != 0 {
-				atomic.AddInt64(&p.statTotal[i], in.totalElems[i])
-				atomic.AddInt64(&p.statBatched[i], in.batchElems[i])
-				in.totalElems[i] = 0
-				in.batchElems[i] = 0
-			}
+	for i, n := range in.totalElems {
+		if n != 0 {
+			atomic.AddInt64(&p.statTotal[i], n)
+			atomic.AddInt64(&p.statBatched[i], in.batchElems[i])
+			in.totalElems[i] = 0
+			in.batchElems[i] = 0
 		}
 	}
 	if p.opts.Profile {
-		for i := range in.opEvent {
-			in.opEvent[i] = cost.Counter{}
-			in.opTotal[i] = cost.Counter{}
-			in.opPeak[i] = cost.Counter{}
-			in.invocations[i] = 0
-			in.opInEvent[i] = false
-		}
+		clear(in.opEvent)
+		clear(in.opTotal)
+		clear(in.opPeak)
+		clear(in.invocations)
+		clear(in.opInEvent)
 		in.opTouched = in.opTouched[:0]
-		for i := range in.edgeBytes {
-			in.edgeBytes[i] = 0
-			in.edgeElems[i] = 0
-			in.edgePeak[i] = 0
-			in.eventBytes[i] = 0
-			in.edgeSeen[i] = false
-		}
+		clear(in.edgeBytes)
+		clear(in.edgeElems)
+		clear(in.edgePeak)
+		clear(in.eventBytes)
+		clear(in.edgeSeen)
 		in.edgeTouched = in.edgeTouched[:0]
 	}
 }

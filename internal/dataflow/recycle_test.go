@@ -157,7 +157,8 @@ func TestFrameRecyclesOnlyInTheEngine(t *testing.T) {
 	}
 
 	frames = nil
-	inst.Reset(0)
+	p.ReleaseInstance(inst)
+	inst = p.AcquireInstance(0)
 	inst.InjectBatch(src, []dataflow.Value{in, in})
 	if &frames[0][0] == &frames[1][0] {
 		t.Error("engine: two frames of one run share storage")

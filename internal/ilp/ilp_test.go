@@ -19,6 +19,12 @@ func solveOrDie(t *testing.T, m *Model) *Result {
 	return res
 }
 
+// relax solves m's linear relaxation (integrality ignored): the status,
+// the solution in model space and the objective value.
+func relax(m *Model) (Status, []float64, float64, error) {
+	return (&relaxation{iterate: (*tableau).iterate}).solve(m)
+}
+
 func TestLPSimpleMin(t *testing.T) {
 	// min x + y  s.t. x + 2y >= 4, 3x + y >= 6, x,y >= 0
 	m := NewModel()
@@ -28,7 +34,7 @@ func TestLPSimpleMin(t *testing.T) {
 	m.SetObjCoef(y, 1)
 	m.AddConstraint("c1", []Term{{x, 1}, {y, 2}}, GE, 4)
 	m.AddConstraint("c2", []Term{{x, 3}, {y, 1}}, GE, 6)
-	st, sol, obj, err := SolveLP(m)
+	st, sol, obj, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
@@ -48,7 +54,7 @@ func TestLPMaximize(t *testing.T) {
 	m.SetObjCoef(y, 2)
 	m.AddConstraint("c1", []Term{{x, 1}, {y, 1}}, LE, 4)
 	m.AddConstraint("c2", []Term{{x, 1}, {y, 3}}, LE, 6)
-	st, sol, obj, err := SolveLP(m)
+	st, sol, obj, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
@@ -63,7 +69,7 @@ func TestLPBoundsShift(t *testing.T) {
 	x := m.AddVar("x", 2, 5, false)
 	m.SetObjCoef(x, 1)
 	m.AddConstraint("c", []Term{{x, 1}}, GE, 3)
-	st, sol, obj, err := SolveLP(m)
+	st, sol, obj, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
@@ -81,7 +87,7 @@ func TestLPUpperBoundActive(t *testing.T) {
 	m.SetObjCoef(x, 1)
 	m.SetObjCoef(y, 1)
 	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 10)
-	st, sol, obj, err := SolveLP(m)
+	st, sol, obj, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
@@ -94,7 +100,7 @@ func TestLPInfeasible(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar("x", 0, 1, false)
 	m.AddConstraint("lo", []Term{{x, 1}}, GE, 2)
-	st, _, _, err := SolveLP(m)
+	st, _, _, err := relax(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestLPUnbounded(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar("x", 0, math.Inf(1), false)
 	m.SetObjCoef(x, -1) // min -x, x unbounded above
-	st, _, _, err := SolveLP(m)
+	st, _, _, err := relax(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +131,7 @@ func TestLPEquality(t *testing.T) {
 	m.SetObjCoef(y, 1)
 	m.AddConstraint("sum", []Term{{x, 1}, {y, 1}}, EQ, 3)
 	m.AddConstraint("diff", []Term{{x, 1}, {y, -1}}, EQ, 1)
-	st, sol, _, err := SolveLP(m)
+	st, sol, _, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
@@ -353,7 +359,7 @@ func TestLPAgainstVertexEnum(t *testing.T) {
 				}
 			}
 		}
-		st, _, obj, err := SolveLP(m)
+		st, _, obj, err := relax(m)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -526,10 +526,3 @@ func (r *relaxation) solve(m *Model) (Status, []float64, float64, error) {
 		return StatusError, nil, 0, fmt.Errorf("ilp: simplex iteration limit exceeded")
 	}
 }
-
-// SolveLP solves the linear relaxation of m (ignoring integrality) and
-// returns the status, the solution (model space) and the objective value.
-func SolveLP(m *Model) (Status, []float64, float64, error) {
-	r := relaxation{iterate: (*tableau).iterate}
-	return r.solve(m)
-}

@@ -85,12 +85,6 @@ func (c *Churn) Alive(node int, t float64) bool {
 	return w.Alive(t)
 }
 
-// CrashTime returns the node's first crash instant.
-func (c *Churn) CrashTime(node int) float64 {
-	rng := rand.New(rand.NewSource(NodeSeed(c.Seed, node)))
-	return expDraw(rng, c.MeanUp)
-}
-
 // WalkerFor returns an incremental evaluator of one node's phase
 // schedule. Queries at nondecreasing times advance in O(intervals
 // crossed); a backward query restarts the replay from t=0, so any query

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -44,14 +45,15 @@ func TestChurnDeterminism(t *testing.T) {
 }
 
 // TestChurnPhases checks the model's shape: every node starts alive,
-// crashes at CrashTime, and with MeanDown=0 the crash is permanent.
+// crashes at its first up-time draw, and with MeanDown=0 the crash is
+// permanent.
 func TestChurnPhases(t *testing.T) {
 	perm := &Churn{Seed: 5, MeanUp: 2, MeanDown: 0}
 	for node := 0; node < 6; node++ {
 		if !perm.Alive(node, 0) {
 			t.Fatalf("node %d not alive at t=0", node)
 		}
-		ct := perm.CrashTime(node)
+		ct := expDraw(rand.New(rand.NewSource(NodeSeed(perm.Seed, node))), perm.MeanUp)
 		if ct <= 0 || math.IsInf(ct, 0) {
 			t.Fatalf("node %d crash time %g", node, ct)
 		}
@@ -68,7 +70,7 @@ func TestChurnPhases(t *testing.T) {
 	rejoin := &Churn{Seed: 5, MeanUp: 2, MeanDown: 0.5}
 	revived := false
 	for node := 0; node < 6 && !revived; node++ {
-		ct := rejoin.CrashTime(node)
+		ct := expDraw(rand.New(rand.NewSource(NodeSeed(rejoin.Seed, node))), rejoin.MeanUp)
 		for tq := ct; tq < ct+50; tq += 0.1 {
 			if rejoin.Alive(node, tq) {
 				revived = true

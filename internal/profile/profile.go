@@ -83,28 +83,19 @@ func CompileForProfiling(g *dataflow.Graph) (*dataflow.Program, error) {
 // CompileForProfiling). Run is equivalent to CompileForProfiling followed
 // by RunProgram; the reports are identical.
 func RunProgram(prog *dataflow.Program, inputs []Input) (*Report, error) {
-	rep, inst, err := RunProgramInstance(prog, inputs)
-	prog.ReleaseInstance(inst)
-	return rep, err
-}
-
-// RunProgramInstance is RunProgram exposing the Instance the trace executed
-// on, so callers can read per-instance operator state afterwards (e.g.
-// values a sink retained). The Instance comes from prog.AcquireInstance;
-// the caller may hand it back with prog.ReleaseInstance once done.
-func RunProgramInstance(prog *dataflow.Program, inputs []Input) (*Report, *dataflow.Instance, error) {
 	if !prog.Options().Profile {
-		return nil, nil, fmt.Errorf("profile: program was not compiled with CompileForProfiling")
+		return nil, fmt.Errorf("profile: program was not compiled with CompileForProfiling")
 	}
 	g := prog.Graph()
 	if prog.NumScheduled() != g.NumOperators() {
-		return nil, nil, fmt.Errorf("profile: program excludes operators; profiling needs the whole graph")
+		return nil, fmt.Errorf("profile: program excludes operators; profiling needs the whole graph")
 	}
 	rep, maxEvents, err := newReport(g, inputs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	inst := prog.AcquireInstance(0)
+	defer prog.ReleaseInstance(inst)
 	for i := 0; i < maxEvents; i++ {
 		for _, in := range inputs {
 			if i >= len(in.Events) {
@@ -132,7 +123,7 @@ func RunProgramInstance(prog *dataflow.Program, inputs []Input) (*Report, *dataf
 			rep.EdgePeak[e] = peak
 		}
 	}
-	return rep, inst, nil
+	return rep, nil
 }
 
 // newReport validates the profiling inputs and returns an empty report plus

@@ -32,26 +32,29 @@ func calledFrom(fn string) bool {
 // TestNodePanicSurfaces drives a graph whose node-side work function
 // panics on one origin through every spelling of the node stage. Each must
 // return the panic as an ErrBadArrival-wrapped error (keeping an error
-// panic value in the chain), hand every pooled node instance back, and
-// leave the process standing — the distinct-trace batch row runs the node
-// on a worker-pool goroutine, where an unrecovered panic kills the binary.
+// panic value in the chain), hand every node instance back to the node
+// Program's free list, and leave the process standing — the distinct-trace
+// batch row runs the node on a worker-pool goroutine, where an unrecovered
+// panic kills the binary.
 func TestNodePanicSurfaces(t *testing.T) {
 	const nodes, rate, duration, poisoned = 4, 4.0, 4.0, 1
 	errBoom := errors.New("boom")
 
 	// src → trip (node side, stateful) → sink (server). A negative sample
 	// trips; only the poisoned origin's trace holds one, in the second
-	// window. NewState runs once per pool release (ReleaseInstance resets
-	// the instance it takes back), which is how releases are counted.
+	// window. NewState runs once per node Instance taken from the node
+	// Program, and once more under NewInstance for each Instance the
+	// Program builds, which is how takes and builds are counted.
 	var boom any
-	var released atomic.Int64
+	var taken, built atomic.Int64
 	g := dataflow.New()
 	src := g.Add(&dataflow.Operator{Name: "src", NS: dataflow.NSNode, SideEffect: true})
 	trip := g.Add(&dataflow.Operator{
 		Name: "trip", NS: dataflow.NSNode, Stateful: true,
 		NewState: func() any {
-			if calledFrom(".ReleaseInstance") {
-				released.Add(1)
+			taken.Add(1)
+			if calledFrom(".NewInstance") {
+				built.Add(1)
 			}
 			return new(int)
 		},
@@ -146,18 +149,29 @@ func TestNodePanicSurfaces(t *testing.T) {
 		for _, b := range []any{"boom", errBoom} {
 			t.Run(fmt.Sprintf("%s/%T", row.name, b), func(t *testing.T) {
 				boom = b
-				released.Store(0)
+				taken.Store(0)
+				built.Store(0)
 				cfg := base
 				row.prep(&cfg)
-				err := row.run(cfg)
+				node, _, err := CompilePartition(g, cfg.OnNode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.NodeProgram = node
+				err = row.run(cfg)
 				if !errors.Is(err, ErrBadArrival) {
 					t.Fatalf("want an ErrBadArrival-wrapped error, got %v", err)
 				}
 				if e, ok := b.(error); ok && !errors.Is(err, e) {
 					t.Fatalf("the panicked error left the chain: %v", err)
 				}
-				if got := released.Load(); got != row.acquires {
-					t.Fatalf("%d node instances released, %d acquired", got, row.acquires)
+				if got := taken.Load(); got != row.acquires {
+					t.Fatalf("%d node instances taken, want %d", got, row.acquires)
+				}
+				// Fewer than MaxListedInstances are built, so the free
+				// list keeps every one that came back.
+				if got, want := node.ListedInstances(), int(built.Load()); got != want {
+					t.Fatalf("%d of %d node instances came back", got, want)
 				}
 			})
 		}

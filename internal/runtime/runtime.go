@@ -15,19 +15,22 @@
 //
 // Every run's node stage is one piece of code: a nodeSim per mote on a
 // compiled dataflow.Instance, fed under one recovery (nodeSim.feed) and
-// merged in node order (nodeSims.drain). Streaming runs hold the nodes in
-// ShardHosts (host.go) under one window loop, the Session (coordinator.go):
-// one in-process host over every origin, or one per origin subset across
-// processes. Batch Run adds its own instance economy (runNodes): shards
-// reset one pinned Instance for each of their nodes, and when every node is
-// offered the identical trace (Figures 9 and 10 driven with a shared
-// recording) the node phase runs once and its message stream is replayed
-// per node — node-side execution is a pure function of (program, partition,
-// platform, arrivals); dataflow.Ctx.NodeID says what that asks of work
-// functions. The server partition is a second compiled instance with a
-// precomputed relocated-operator table. The executable definition of the
-// semantics is the tree-walking dataflow.Executor; the package's tests
-// drive a whole deployment through it (RunReference, export_test.go).
+// merged in node order (nodeSims.drain). Every spelling takes a node's
+// Instance from the node Program's free list when the node starts and
+// hands it back when the node is done: streaming runs hold the nodes in
+// ShardHosts (host.go) under one window loop, the Session
+// (coordinator.go) — one in-process host over every origin, or one per
+// origin subset across processes — and release them at the end of the
+// run; batch Run (runNodes) releases each node's as soon as it is fed.
+// When every node is offered the identical trace (Figures 9 and 10 driven
+// with a shared recording) the node phase runs once and its message
+// stream is replayed per node — node-side execution is a pure function of
+// (program, partition, platform, arrivals); dataflow.Ctx.NodeID says what
+// that asks of work functions. The server partition is a second compiled
+// instance with a precomputed relocated-operator table. The executable
+// definition of the semantics is the tree-walking dataflow.Executor; the
+// package's tests drive a whole deployment through it (RunReference,
+// export_test.go).
 //
 // The server-side delivery loop shards by origin node (Config.Shards,
 // shard.go): state tables, reassembly streams and the packet-loss RNG are
@@ -540,14 +543,13 @@ func (ns *nodeSim) feedPassthrough(arrivals []arrival) {
 
 // runNodes is the batch node stage: it compiles the node partition once,
 // executes the replicas through dataflow.Instances and returns every
-// node's fed simulator in node order — with an instance economy of its own
-// rather than a ShardHost's recycled Instance per origin. Identical
-// replicas — every node offered the same trace — are simulated once and
-// their deterministic message streams replicated; distinct replicas run
-// sharded by origin on a bounded worker pool: shard s owns nodes n ≡ s
-// (mod shards) — the same origin partition the delivery loop uses — and
-// resets one pinned Instance for each of them instead of round-tripping
-// the Program's free list per node.
+// node's fed simulator in node order. Each node runs on an Instance
+// acquired for it and released once it is fed, as a ShardHost's nodes do
+// at the end of their run. Identical replicas — every node offered the
+// same trace — are simulated once and their deterministic message streams
+// replicated; distinct replicas run sharded by origin on a bounded worker
+// pool: shard s feeds nodes n ≡ s (mod shards), the same origin partition
+// the delivery loop uses.
 func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeSims, error) {
 	prog, err := resolveProgram(&cfg, true)
 	if err != nil {
@@ -555,6 +557,14 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 	}
 	passthrough := passthroughPartition(&cfg)
 	out := make(nodeSims, cfg.Nodes)
+	feedNode := func(n int) error {
+		inst := prog.AcquireInstance(n)
+		defer prog.ReleaseInstance(inst)
+		counter := &cost.Counter{}
+		inst.SetCounter(counter)
+		out[n] = newNodeSim(&cfg, inst, counter, n, passthrough)
+		return out[n].feed(&cfg, arrivals[n])
+	}
 
 	if identicalTraces(inputs) {
 		// Node-side simulation is a deterministic function of (program,
@@ -563,12 +573,7 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 		// and restamp its message stream per node (the replicas alias node
 		// 0's values, which delivery only reads). dataflow.Ctx.NodeID
 		// states what this asks of work functions.
-		inst := prog.AcquireInstance(0)
-		counter := &cost.Counter{}
-		inst.SetCounter(counter)
-		out[0] = newNodeSim(&cfg, inst, counter, 0, passthrough)
-		err := out[0].feed(&cfg, arrivals[0])
-		prog.ReleaseInstance(inst)
+		err := feedNode(0)
 		for n := 1; n < cfg.Nodes && err == nil; n++ {
 			ns, snd := *out[0], *out[0].s
 			snd.nodeID = n
@@ -588,14 +593,8 @@ func runNodes(cfg Config, inputs [][]profile.Input, arrivals [][]arrival) (nodeS
 	}
 	errs := make([]error, shards)
 	runPool(poolWorkers(&cfg, shards), shards, func(s int) {
-		inst := prog.AcquireInstance(s)
-		defer prog.ReleaseInstance(inst)
-		counter := &cost.Counter{}
 		for n := s; n < cfg.Nodes && errs[s] == nil; n += shards {
-			inst.Reset(n) // pristine per-node state, no free-list round-trip
-			inst.SetCounter(counter)
-			out[n] = newNodeSim(&cfg, inst, counter, n, passthrough)
-			errs[s] = out[n].feed(&cfg, arrivals[n])
+			errs[s] = feedNode(n)
 		}
 	})
 	return out, firstError(errs)

@@ -122,9 +122,9 @@ func buildEntry(spec wire.GraphSpec, limits wvm.Limits) (*entry, error) {
 		if spec.Source == "" {
 			return nil, fmt.Errorf("server: wscript spec has no source")
 		}
-		// RetainOutputs off: the server reads Result counters, never sink
-		// values, and a stateless sink keeps the graph shardable,
-		// streamable, and snapshotable. The meter outlives any one run —
+		// The compiled sink is stateless, which keeps the graph
+		// shardable, streamable and snapshotable; the server reads Result
+		// counters, never sink values. The meter outlives any one run —
 		// /v1/stats aggregates it per graph.
 		e.meter = &wvm.Meter{}
 		compiled, err := wscript.CompileOpts(spec.Source, wscript.Options{

@@ -27,12 +27,6 @@ type Options struct {
 	// Meter, when non-nil, accumulates fuel telemetry across all instances
 	// of this program.
 	Meter *wvm.Meter
-	// RetainOutputs makes the sink stateful, buffering every value that
-	// reaches it per instance (drained via Outputs). Hosts running long or
-	// snapshotted simulations should leave it off: the sink is then
-	// stateless, so server cuts stay shardable and snapshotable, and
-	// output counts remain observable via emit statistics.
-	RetainOutputs bool
 
 	// reference, which only this package's tests set (tree_test.go),
 	// installs the tree-walking oracle's work function on an iterate or
@@ -54,37 +48,6 @@ type Compiled struct {
 // was supplied in Options).
 func (c *Compiled) Meter() *wvm.Meter { return c.opts.Meter }
 
-// sinkState buffers values reaching the sink of one instance. Keeping it in
-// per-instance operator state (rather than a field on Compiled) lets
-// concurrent sessions share one cached Compiled without interleaving
-// outputs.
-type sinkState struct {
-	vals []any
-}
-
-// Outputs drains the values that reached the sink in inst, as plain Go
-// values (int64, float64, bool, string, []any). It returns nil unless the
-// program was compiled with RetainOutputs.
-func (c *Compiled) Outputs(inst *dataflow.Instance) []any {
-	st, ok := inst.State(c.Sink).(*sinkState)
-	if !ok || st == nil {
-		return nil
-	}
-	out := st.vals
-	st.vals = nil
-	return out
-}
-
-// hostValue converts a VM value into plain Go data.
-func hostValue(v any) any {
-	switch x := v.(type) {
-	case *wvm.Array, *wvm.Fifo:
-		return wvm.ToGo(x)
-	default:
-		return v
-	}
-}
-
 // elaborator is the compile-time graph-building context.
 type elaborator struct {
 	g       *dataflow.Graph
@@ -105,16 +68,9 @@ func (el *elaborator) spend(line int, units int64) error {
 	return nil
 }
 
-// Compile parses and partially evaluates a wscript program into a dataflow
-// graph with the default options: no limits, outputs retained (the
-// convenient shape for tests and in-process hosts).
-func Compile(src string) (*Compiled, error) {
-	return CompileOpts(src, Options{RetainOutputs: true})
-}
-
-// CompileOpts is Compile with explicit metering and sink options.
-// The program must bind `main` to a stream; a server-side sink is attached
-// to it.
+// CompileOpts parses and partially evaluates a wscript program into a
+// dataflow graph under the given metering options. The program must bind
+// `main` to a stream; a stateless server-side sink is attached to it.
 func CompileOpts(src string, opts Options) (*Compiled, error) {
 	prog, err := Parse(src)
 	if err != nil {
@@ -171,15 +127,6 @@ func CompileOpts(src string, opts Options) (*Compiled, error) {
 	sink := &dataflow.Operator{
 		Name: "main-sink", NS: dataflow.NSServer, SideEffect: true,
 		Work: func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {},
-	}
-	if opts.RetainOutputs {
-		sink.Stateful = true
-		sink.NewState = func() any { return &sinkState{} }
-		sink.Work = func(ctx *dataflow.Ctx, _ int, v dataflow.Value, emit dataflow.Emit) {
-			if st, ok := ctx.State.(*sinkState); ok && st != nil {
-				st.vals = append(st.vals, hostValue(v))
-			}
-		}
 	}
 	g.Add(sink)
 	g.Connect(mainStream.op, sink, 0)

@@ -77,7 +77,7 @@ func TestFifoErrors(t *testing.T) {
 		 main = bad;`,
 	}
 	for i, prog := range progs {
-		c, err := Compile(prog)
+		c, err := CompileOpts(prog, Options{})
 		if err != nil {
 			t.Fatalf("prog %d: %v", i, err)
 		}

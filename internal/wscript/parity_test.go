@@ -18,7 +18,6 @@ import (
 func engineRun(t *testing.T, src string, opts Options, n int, gen func(string, int) any) (out []any, rep *profile.Report, panicMsg string) {
 	t.Helper()
 	tree := opts.reference != nil
-	opts.RetainOutputs = true
 	c, err := CompileOpts(src, opts)
 	if err != nil {
 		t.Fatalf("compile (tree %v): %v\n%s", tree, err, src)
@@ -29,23 +28,16 @@ func engineRun(t *testing.T, src string, opts Options, n int, gen func(string, i
 	} else if inputs, err = c.Inputs(n, gen); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := profile.CompileForProfiling(c.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	collectSink(c, &out)
 	defer func() {
 		if r := recover(); r != nil {
-			panicMsg = fmt.Sprint(r)
+			out, rep, panicMsg = nil, nil, fmt.Sprint(r)
 		}
 	}()
-	r, inst, err := profile.RunProgramInstance(prog, inputs)
-	if err != nil {
+	if rep, err = profile.Run(c.Graph, inputs); err != nil {
 		t.Fatal(err)
 	}
-	if tree {
-		return treeOutputs(c.Outputs(inst)), r, ""
-	}
-	return c.Outputs(inst), r, ""
+	return out, rep, ""
 }
 
 // assertParity runs src under both engines and requires byte-identical

@@ -43,15 +43,8 @@ func treeInputs(c *Compiled, events int, gen func(source string, i int) any) []p
 	return inputs
 }
 
-// treeOutputs converts the interpreter's values retained at the sink into
-// plain Go data, as hostValue does for the VM's.
-func treeOutputs(vals []any) []any {
-	for i, v := range vals {
-		vals[i] = toGo(v)
-	}
-	return vals
-}
-
+// toGo converts an interpreter value into plain Go data, as wvm.ToGo does
+// for the VM's.
 func toGo(v value) any {
 	switch x := v.(type) {
 	case *arrayVal:

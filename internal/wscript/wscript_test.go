@@ -7,13 +7,14 @@ import (
 	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
+	"wishbone/internal/wvm"
 )
 
 // compileAndRun compiles src, feeds n events from gen into every source,
 // and returns the sink outputs.
 func compileAndRun(t *testing.T, src string, n int, gen func(name string, i int) any) []any {
 	t.Helper()
-	c, err := Compile(src)
+	c, err := CompileOpts(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,15 +22,26 @@ func compileAndRun(t *testing.T, src string, n int, gen func(name string, i int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := profile.CompileForProfiling(c.Graph)
-	if err != nil {
+	var out []any
+	collectSink(c, &out)
+	if _, err := profile.Run(c.Graph, inputs); err != nil {
 		t.Fatal(err)
 	}
-	_, inst, err := profile.RunProgramInstance(prog, inputs)
-	if err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// collectSink makes c's sink append every value reaching it to *out as
+// plain Go data (int64, float64, bool, string, []any), for either engine's
+// values. Install it before c's graph is compiled.
+func collectSink(c *Compiled, out *[]any) {
+	c.Sink.Work = func(_ *dataflow.Ctx, _ int, v dataflow.Value, _ dataflow.Emit) {
+		switch x := v.(type) {
+		case *wvm.Array, *wvm.Fifo:
+			*out = append(*out, wvm.ToGo(x))
+		default:
+			*out = append(*out, toGo(x))
+		}
 	}
-	return c.Outputs(inst)
 }
 
 func TestLexerBasics(t *testing.T) {
@@ -96,14 +108,14 @@ func TestCompileSimplePipeline(t *testing.T) {
 }
 
 func TestCompileRequiresMain(t *testing.T) {
-	_, err := Compile(`namespace Node { s = source("x", 1); }`)
+	_, err := CompileOpts(`namespace Node { s = source("x", 1); }`, Options{})
 	if err == nil || !strings.Contains(err.Error(), "main") {
 		t.Fatalf("err=%v, want missing-main error", err)
 	}
 }
 
 func TestCompileRequiresSourceInNode(t *testing.T) {
-	_, err := Compile(`s = source("x", 1); main = s;`)
+	_, err := CompileOpts(`s = source("x", 1); main = s;`, Options{})
 	if err == nil || !strings.Contains(err.Error(), "namespace Node") {
 		t.Fatalf("err=%v, want source-outside-node error", err)
 	}
@@ -202,7 +214,7 @@ namespace Node {
 }
 main = light;
 `
-	c, err := Compile(prog)
+	c, err := CompileOpts(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +245,7 @@ main = light;
 
 func TestEndToEndPartitionable(t *testing.T) {
 	// The compiled graph must classify and profile like hand-built ones.
-	c, err := Compile(scaleProg)
+	c, err := CompileOpts(scaleProg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +269,7 @@ namespace Node {
 }
 main = bad;
 `
-	c, err := Compile(prog)
+	c, err := CompileOpts(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package wvm
 
-import (
-	"fmt"
-
-	"wishbone/internal/wire"
-)
+import "fmt"
 
 // Opcode identifies one VM instruction. The ISA is a compact stack machine:
 // expressions leave exactly one value, statements leave none, and the three
@@ -226,111 +222,3 @@ const MaxCallDepth = 500
 
 // maxWhileIters matches the tree-walker's runaway-while guard.
 const maxWhileIters = 10_000_000
-
-// Encode serializes the program to a stable binary form. The format exists
-// so programs can be persisted, fuzzed, and rejected by Verify before any
-// execution; it reuses the snapshot wire primitives.
-func (p *Program) Encode() []byte {
-	w := wire.NewSnapshotWriter()
-	w.String(p.Name)
-	w.Uvarint(uint64(len(p.Consts)))
-	for _, c := range p.Consts {
-		EncodeValue(w, c)
-	}
-	w.Uvarint(uint64(len(p.Templates)))
-	for _, t := range p.Templates {
-		EncodeValue(w, t)
-	}
-	w.Uvarint(uint64(p.NumState))
-	w.Int(int64(p.Entry))
-	w.Int(int64(p.Init))
-	w.Uvarint(uint64(len(p.Funcs)))
-	for i := range p.Funcs {
-		f := &p.Funcs[i]
-		w.String(f.Name)
-		w.Uvarint(uint64(f.NumParams))
-		w.Uvarint(uint64(f.NumLocals))
-		w.Uvarint(uint64(f.NumWhiles))
-		w.Uvarint(uint64(len(f.Code)))
-		for j, ins := range f.Code {
-			w.Byte(byte(ins.Op))
-			w.Int(int64(ins.A))
-			w.Int(int64(ins.B))
-			w.Int(int64(f.Lines[j]))
-		}
-	}
-	return w.Bytes()
-}
-
-// Decode parses a serialized program. Decoding only checks framing; run
-// Verify before executing the result.
-func Decode(data []byte) (*Program, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, fmt.Errorf("wvm: %w", err)
-	}
-	p := &Program{}
-	p.Name = r.String()
-	nc := r.Uvarint()
-	if nc > uint64(len(data)) {
-		return nil, fmt.Errorf("wvm: constant pool length %d exceeds input", nc)
-	}
-	p.Consts = make([]Value, 0, nc)
-	for i := uint64(0); i < nc && r.Err() == nil; i++ {
-		v, err := DecodeValue(r)
-		if err != nil {
-			return nil, err
-		}
-		p.Consts = append(p.Consts, v)
-	}
-	nt := r.Uvarint()
-	if nt > uint64(len(data)) {
-		return nil, fmt.Errorf("wvm: template pool length %d exceeds input", nt)
-	}
-	p.Templates = make([]Value, 0, nt)
-	for i := uint64(0); i < nt && r.Err() == nil; i++ {
-		v, err := DecodeValue(r)
-		if err != nil {
-			return nil, err
-		}
-		p.Templates = append(p.Templates, v)
-	}
-	ns := r.Uvarint()
-	p.NumState = int(ns)
-	p.Entry = int(r.Int())
-	p.Init = int(r.Int())
-	nf := r.Uvarint()
-	if nf > uint64(len(data)) {
-		return nil, fmt.Errorf("wvm: function count %d exceeds input", nf)
-	}
-	p.Funcs = make([]Func, 0, nf)
-	for i := uint64(0); i < nf && r.Err() == nil; i++ {
-		var f Func
-		f.Name = r.String()
-		f.NumParams = int(r.Uvarint())
-		f.NumLocals = int(r.Uvarint())
-		f.NumWhiles = int(r.Uvarint())
-		n := r.Uvarint()
-		if n > uint64(len(data)) {
-			return nil, fmt.Errorf("wvm: code length %d exceeds input", n)
-		}
-		f.Code = make([]Instr, 0, n)
-		f.Lines = make([]int32, 0, n)
-		for j := uint64(0); j < n && r.Err() == nil; j++ {
-			op := Opcode(r.Byte())
-			a := int32(r.Int())
-			b := int32(r.Int())
-			line := int32(r.Int())
-			f.Code = append(f.Code, Instr{Op: op, A: a, B: b})
-			f.Lines = append(f.Lines, line)
-		}
-		p.Funcs = append(p.Funcs, f)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wvm: %w", err)
-	}
-	if ns > 1<<20 || uint64(p.NumState) != ns {
-		return nil, fmt.Errorf("wvm: unreasonable state slot count %d", ns)
-	}
-	return p, nil
-}

@@ -16,8 +16,9 @@ const (
 // operand: pool and slot indices in range, jump targets valid, argument
 // counts matching callee arity, and a consistent operand-stack depth at
 // every instruction (computed by worklist abstract interpretation, which
-// also fills in each function's MaxStack). Garbage — fuzzed bytes through
-// Decode, or a buggy compiler — is rejected here, before any execution.
+// also fills in each function's MaxStack). A malformed program — from a
+// buggy compiler, or a fuzzed edit of a good one — is rejected here, before
+// any execution.
 func (p *Program) Verify() error {
 	if len(p.Funcs) == 0 || len(p.Funcs) > maxFuncs {
 		return fmt.Errorf("wvm: verify: function count %d out of range", len(p.Funcs))

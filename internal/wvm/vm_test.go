@@ -118,43 +118,6 @@ func TestMemCapOnBuiltinAlloc(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := doubler()
-	p.Templates = []Value{&Array{Elems: []Value{int64(1), 2.5, "s", true, Unit{}}}}
-	p.NumState = 2
-	data := p.Encode()
-	q, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if q.Name != p.Name || q.NumState != 2 || q.Init != -1 || len(q.Templates) != 1 {
-		t.Fatalf("round-trip mangled program: %+v", q)
-	}
-	var got []Value
-	st := &State{}
-	if err := q.RunEntry(int64(5), Env{Emit: func(v Value) { got = append(got, v) }, State: st}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != int64(10) {
-		t.Fatalf("decoded program emitted %v", got)
-	}
-}
-
-func TestDecodeRejectsTruncation(t *testing.T) {
-	data := doubler().Encode()
-	for cut := 0; cut < len(data); cut++ {
-		if p, err := Decode(data[:cut]); err == nil {
-			// Framing may accept a prefix; the verifier must then reject.
-			if p.Verify() == nil && cut < len(data)-1 {
-				t.Fatalf("truncation at %d/%d yielded a verified program", cut, len(data))
-			}
-		}
-	}
-}
-
 func TestVerifyRejections(t *testing.T) {
 	mkProg := func(mutate func(*Program)) *Program {
 		p := doubler()
