@@ -42,8 +42,7 @@ func main() {
 		}
 		fmt.Printf("%-11s rate ×%.3f  cut after %-10s  node CPU %5.1f%%  radio %7.0f B/s\n",
 			plat.Name, dep.RateMultiple, cutAfter,
-			100*dep.Assignment.CPULoad*dep.RateMultiple,
-			dep.Assignment.NetLoad*dep.RateMultiple)
+			100*dep.Assignment.CPULoad, dep.Assignment.NetLoad)
 		if plat.Name == "TMoteSky" {
 			tmoteDep = dep
 		}

@@ -6,6 +6,7 @@ import (
 
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 )
 
 // TestBatchedChannelParity runs identical multi-window traces through the
@@ -31,7 +32,7 @@ func TestBatchedChannelParity(t *testing.T) {
 
 	app := NewWithChannels(2)
 	inputs := app.SampleTrace(3, 8) // 4 windows per channel
-	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex := reference.NewExecutor(app.Graph, 0)
 	ex.Include = include
 	ref := result{invokes: map[string]int{}}
 	ex.Boundary = capture(&ref)
@@ -128,7 +129,7 @@ func TestSVMBatchDeliveryParity(t *testing.T) {
 	}
 
 	app := NewWithChannels(2)
-	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex := reference.NewExecutor(app.Graph, 0)
 	ex.Include = include
 	var refMargins []string
 	var refCost cost.Counter

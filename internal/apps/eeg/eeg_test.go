@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
 )
@@ -107,7 +108,7 @@ func TestSeizureDetectorNeedsThreeConsecutive(t *testing.T) {
 	app := NewWithChannels(1)
 	detect := app.Detect
 	_ = g
-	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex := reference.NewExecutor(app.Graph, 0)
 	var alarms int
 	// Push margins straight into the detector's work function.
 	ctx := &dataflow.Ctx{State: ex.State(detect)}
@@ -145,8 +146,8 @@ func TestSingleChannelFitsOnTMoteAtBaseRate(t *testing.T) {
 
 func TestDetectStateIsolatedPerExecutor(t *testing.T) {
 	app := NewWithChannels(1)
-	ex1 := dataflow.NewExecutor(app.Graph, 1)
-	ex2 := dataflow.NewExecutor(app.Graph, 2)
+	ex1 := reference.NewExecutor(app.Graph, 1)
+	ex2 := reference.NewExecutor(app.Graph, 2)
 	st1 := ex1.State(app.Detect).(*detectState)
 	st2 := ex2.State(app.Detect).(*detectState)
 	st1.run = 2

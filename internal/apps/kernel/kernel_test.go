@@ -9,6 +9,7 @@ import (
 	"wishbone/internal/apps/speech"
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 	"wishbone/internal/profile"
 )
 
@@ -29,7 +30,7 @@ func kernelOps(t *testing.T, g *dataflow.Graph, inputs []profile.Input) []opCase
 	t.Helper()
 	seen := make(map[int]*opCase)
 	var order []*opCase
-	ex := dataflow.NewExecutor(g, 0)
+	ex := reference.NewExecutor(g, 0)
 	ex.OnEdge = func(e *dataflow.Edge, v dataflow.Value) {
 		if e.To.BatchWork == nil {
 			return

@@ -6,6 +6,7 @@ import (
 
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 )
 
 // TestBatchedPipelineParity runs the same audio trace through the compiled
@@ -31,7 +32,7 @@ func TestBatchedPipelineParity(t *testing.T) {
 	}
 
 	app := New()
-	ex := dataflow.NewExecutor(app.Graph, 0)
+	ex := reference.NewExecutor(app.Graph, 0)
 	ex.Include = include
 	ref := result{invokes: map[string]int{}}
 	ex.Boundary = capture(&ref)

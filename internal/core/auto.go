@@ -8,7 +8,8 @@ import (
 // AutoResult is the outcome of AutoPartitionWith.
 type AutoResult struct {
 	// Assignment is the chosen partition, nil when no rate in (0, hi] is
-	// feasible.
+	// feasible. Its CPULoad and NetLoad are at RateMultiple, the rate it
+	// was solved at (spec.Scaled(RateMultiple)).
 	Assignment *Assignment
 
 	// RateMultiple is the input-rate scale the assignment is valid at:

@@ -88,14 +88,6 @@ func (c *Counter) Add(op Op, n int) {
 	c.counts[op] += uint64(n)
 }
 
-// Count returns the number of recorded occurrences of op.
-func (c *Counter) Count(op Op) uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.counts[op]
-}
-
 // Counts returns a copy of all counts indexed by Op.
 func (c *Counter) Counts() [NumOps]uint64 {
 	if c == nil {

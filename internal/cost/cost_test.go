@@ -107,3 +107,11 @@ func TestTotalMatchesSum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Count returns the number of recorded occurrences of op.
+func (c *Counter) Count(op Op) uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.counts[op]
+}

@@ -12,10 +12,10 @@ import (
 // time — which is the point of the compiled engine.
 type CompileOptions struct {
 	// Include restricts the program to the operators for which it returns
-	// true. Unlike Executor.Include, the predicate is evaluated exactly once
-	// per operator during compilation; execution then follows precomputed
-	// fan-out tables with no per-element partition checks. A nil Include
-	// compiles the whole graph.
+	// true. Unlike reference.Executor.Include, the predicate is evaluated
+	// exactly once per operator during compilation; execution then follows
+	// precomputed fan-out tables with no per-element partition checks. A
+	// nil Include compiles the whole graph.
 	Include func(op *Operator) bool
 
 	// Profile compiles the profiler's measurement Program (§3): every

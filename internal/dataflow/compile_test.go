@@ -55,123 +55,6 @@ type pair [2]int
 
 func (pair) WireSize() int { return 16 }
 
-// trace records every delivery an engine makes, for order-sensitive parity.
-type trace struct {
-	onEdge   []string
-	boundary []string
-}
-
-func runLegacyTrace(g *Graph, src *Operator, include func(*Operator) bool, events []Value) *trace {
-	tr := &trace{}
-	ex := NewExecutor(g, 0)
-	ex.Include = include
-	ex.OnEdge = func(e *Edge, v Value) { tr.onEdge = append(tr.onEdge, fmt.Sprintf("%s=%v", e, v)) }
-	ex.Boundary = func(e *Edge, v Value) { tr.boundary = append(tr.boundary, fmt.Sprintf("%s=%v", e, v)) }
-	for _, v := range events {
-		ex.Inject(src, v)
-	}
-	return tr
-}
-
-func runCompiledBoundaryTrace(t *testing.T, g *Graph, src *Operator, include func(*Operator) bool, events []Value) *trace {
-	t.Helper()
-	prog, err := Compile(g, CompileOptions{Include: include})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &trace{}
-	inst := prog.NewInstance(0)
-	inst.Boundary = func(e *Edge, v Value) { tr.boundary = append(tr.boundary, fmt.Sprintf("%s=%v", e, v)) }
-	for _, v := range events {
-		inst.Inject(src, v)
-	}
-	return tr
-}
-
-func TestCompiledMatchesExecutorOnDiamond(t *testing.T) {
-	g, src := diamondGraph()
-	events := []Value{1, 2, 3, 4, 5}
-	include := func(op *Operator) bool { return op.NS == NSNode }
-
-	legacy := runLegacyTrace(g, src, include, events)
-	compiled := runCompiledBoundaryTrace(t, g, src, include, events)
-	if fmt.Sprint(legacy.boundary) != fmt.Sprint(compiled.boundary) {
-		t.Fatalf("boundary streams diverge:\nlegacy:   %v\ncompiled: %v",
-			legacy.boundary, compiled.boundary)
-	}
-	if len(legacy.boundary) != len(events) {
-		t.Fatalf("expected %d boundary crossings, got %d", len(events), len(legacy.boundary))
-	}
-}
-
-func TestCompiledTraversalsMatchOnEdgeCount(t *testing.T) {
-	g, src := diamondGraph()
-	events := []Value{7, 8, 9}
-	legacy := runLegacyTrace(g, src, nil, events)
-
-	prog, err := Compile(g, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := prog.NewInstance(0)
-	for _, v := range events {
-		inst.Inject(src, v)
-	}
-	if int(inst.Traversals()) != len(legacy.onEdge) {
-		t.Fatalf("compiled traversals %d, legacy OnEdge calls %d",
-			inst.Traversals(), len(legacy.onEdge))
-	}
-}
-
-func TestCompiledCountOpsMatchesExecutorCounters(t *testing.T) {
-	g, src := diamondGraph()
-	events := []Value{1, 2, 3}
-
-	// Legacy per-op totals via CounterFor.
-	counters := make(map[int]*cost.Counter)
-	invocations := make(map[int]int)
-	ex := NewExecutor(g, 0)
-	ex.CounterFor = func(op *Operator) *cost.Counter {
-		c, ok := counters[op.ID()]
-		if !ok {
-			c = &cost.Counter{}
-			counters[op.ID()] = c
-		}
-		invocations[op.ID()]++
-		return c
-	}
-	for _, v := range events {
-		ex.Inject(src, v)
-	}
-
-	prog, err := Compile(g, CompileOptions{Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := prog.NewInstance(0)
-	for _, v := range events {
-		inst.Inject(src, v)
-		inst.EndEvent()
-	}
-	for _, op := range g.Operators() {
-		id := op.ID()
-		want := counters[id]
-		got := inst.OpTotal(id)
-		if want == nil {
-			if got.Total() != 0 {
-				t.Fatalf("%s: compiled counted %v, legacy never invoked", op, got)
-			}
-			continue
-		}
-		if *got != *want {
-			t.Fatalf("%s: compiled %v, legacy %v", op, got, want)
-		}
-		if inst.Invocations(id) != invocations[id] {
-			t.Fatalf("%s: compiled invocations %d, legacy %d", op, inst.Invocations(id), invocations[id])
-		}
-	}
-}
-
 func TestCompiledStatePerInstance(t *testing.T) {
 	g := New()
 	src := g.Add(&Operator{Name: "src", NS: NSNode, SideEffect: true})
@@ -214,18 +97,6 @@ func TestCompiledPushExcludedReturnsError(t *testing.T) {
 		t.Fatalf("Push to included operator errored: %v", err)
 	}
 	_ = src
-}
-
-func TestExecutorPushExcludedReturnsError(t *testing.T) {
-	g, _ := diamondGraph()
-	ex := NewExecutor(g, 0)
-	ex.Include = func(op *Operator) bool { return op.NS == NSNode }
-	if err := ex.Push(g.ByName("sink"), 0, 1); err == nil {
-		t.Fatal("Push to excluded operator must error")
-	}
-	if err := ex.Push(g.ByName("a"), 0, 5); err != nil {
-		t.Fatalf("Push to included operator errored: %v", err)
-	}
 }
 
 func TestInjectBatchMatchesSequentialInjection(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"wishbone/internal/cost"
 )
 
 func diamond() (*Graph, []*Operator) {
@@ -151,66 +149,6 @@ func TestClassifyConflictDetected(t *testing.T) {
 	g.Chain(src, logOp, act)
 	if _, err := Classify(g, Permissive); err == nil {
 		t.Fatal("expected single-crossing conflict")
-	}
-}
-
-func TestExecutorDepthFirstAndBoundary(t *testing.T) {
-	g := New()
-	src := g.Add(&Operator{Name: "src", NS: NSNode, SideEffect: true})
-	double := g.Add(&Operator{Name: "double", NS: NSNode,
-		Work: func(ctx *Ctx, _ int, v Value, emit Emit) { emit(v.(int) * 2) }})
-	server := g.Add(&Operator{Name: "server", NS: NSServer, SideEffect: true,
-		Work: func(ctx *Ctx, _ int, v Value, emit Emit) {}})
-	g.Chain(src, double, server)
-
-	ex := NewExecutor(g, 0)
-	ex.Include = func(op *Operator) bool { return op.NS == NSNode }
-	var crossed []Value
-	ex.Boundary = func(e *Edge, v Value) { crossed = append(crossed, v) }
-	ex.Inject(src, 21)
-	if len(crossed) != 1 || crossed[0] != 42 {
-		t.Fatalf("boundary saw %v, want [42]", crossed)
-	}
-}
-
-func TestExecutorStatePerInstance(t *testing.T) {
-	g := New()
-	src := g.Add(&Operator{Name: "src", NS: NSNode, SideEffect: true})
-	counter := g.Add(&Operator{Name: "count", NS: NSNode, Stateful: true,
-		NewState: func() any { return new(int) },
-		Work: func(ctx *Ctx, _ int, v Value, emit Emit) {
-			n := ctx.State.(*int)
-			*n++
-			emit(*n)
-		}})
-	g.Connect(src, counter, 0)
-	ex1 := NewExecutor(g, 1)
-	ex2 := NewExecutor(g, 2)
-	var got []Value
-	ex1.OnEdge = func(e *Edge, v Value) {}
-	_ = got
-	ex1.Inject(src, 0)
-	ex1.Inject(src, 0)
-	ex2.Inject(src, 0)
-	if *(ex1.State(counter).(*int)) != 2 || *(ex2.State(counter).(*int)) != 1 {
-		t.Fatal("executor state must be per-instance")
-	}
-}
-
-func TestExecutorCounterWiring(t *testing.T) {
-	g := New()
-	src := g.Add(&Operator{Name: "src", NS: NSNode, SideEffect: true})
-	work := g.Add(&Operator{Name: "w", NS: NSNode,
-		Work: func(ctx *Ctx, _ int, v Value, emit Emit) {
-			ctx.Counter.Add(cost.Sqrt, 7)
-		}})
-	g.Connect(src, work, 0)
-	ex := NewExecutor(g, 0)
-	var c cost.Counter
-	ex.CounterFor = func(op *Operator) *cost.Counter { return &c }
-	ex.Inject(src, nil)
-	if c.Count(cost.Sqrt) != 7 {
-		t.Fatalf("counter saw %v", c.String())
 	}
 }
 

@@ -65,8 +65,9 @@ type Instance struct {
 	// them (matching Executor).
 	Boundary func(e *Edge, v Value)
 
-	// traversals counts internal edge deliveries (the Executor.OnEdge call
-	// count); the runtime's server side reads it via Traversals.
+	// traversals counts internal edge deliveries (the reference Executor's
+	// OnEdge call count); the runtime's server side reads it via
+	// Traversals.
 	traversals int64
 
 	// Profiling Programs only: per-operator cost and invocations
@@ -236,9 +237,6 @@ func (in *Instance) release() {
 		in.edgeTouched = in.edgeTouched[:0]
 	}
 }
-
-// NodeID returns the node identity this instance runs as.
-func (in *Instance) NodeID() int { return in.nodeID }
 
 // State returns the state slot for op (nil for stateless or excluded
 // operators).

@@ -7,6 +7,7 @@ import (
 	"wishbone/internal/apps/eeg"
 	"wishbone/internal/apps/speech"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 )
 
 // compileSides compiles both sides of a cut the way the runtime does.
@@ -149,7 +150,7 @@ func TestFrameRecyclesOnlyInTheEngine(t *testing.T) {
 	}
 
 	frames = nil
-	ex := dataflow.NewExecutor(g, 0)
+	ex := reference.NewExecutor(g, 0)
 	ex.Inject(src, in)
 	ex.Inject(src, in)
 	if &frames[0][0] == &frames[1][0] {

@@ -13,7 +13,6 @@ import (
 
 	"wishbone/internal/dist"
 	"wishbone/internal/runtime"
-	"wishbone/internal/server"
 )
 
 // freePort reserves an ephemeral port and releases it for the child
@@ -59,9 +58,8 @@ func TestDistMultiProcess(t *testing.T) {
 		urls[i] = fmt.Sprintf("http://127.0.0.1:%d", port)
 	}
 	for _, u := range urls {
-		c := server.NewClient(u, nil)
 		deadline := time.Now().Add(15 * time.Second)
-		for !c.Healthy(ctx) {
+		for !healthy(ctx, u) {
 			if time.Now().After(deadline) {
 				t.Fatalf("wbserved at %s never became healthy", u)
 			}
@@ -106,9 +104,8 @@ func startWbserved(t *testing.T, bin string) (string, *exec.Cmd) {
 		proc.Wait()
 	})
 	url := fmt.Sprintf("http://127.0.0.1:%d", port)
-	c := server.NewClient(url, nil)
 	deadline := time.Now().Add(15 * time.Second)
-	for !c.Healthy(ctx) {
+	for !healthy(ctx, url) {
 		if time.Now().After(deadline) {
 			t.Fatalf("wbserved at %s never became healthy", url)
 		}
@@ -168,4 +165,18 @@ func TestDistProcessKillRecovery(t *testing.T) {
 			t.Fatalf("killAfter=%d: post-kill result diverges:\nref: %+v\ngot: %+v", killAfter, *ref, *got)
 		}
 	}
+}
+
+// healthy reports whether the daemon at base answers /healthz.
+func healthy(ctx context.Context, base string) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }

@@ -305,17 +305,17 @@ func TestKernelsCountOperations(t *testing.T) {
 		x[i] = float64(i)
 	}
 	PowerSpectrumInto(&c, x, make([]Complex, 64), make([]float64, 32))
-	if c.Count(cost.FloatMul) == 0 || c.Count(cost.FloatAdd) == 0 {
+	if c.Counts()[cost.FloatMul] == 0 || c.Counts()[cost.FloatAdd] == 0 {
 		t.Fatal("FFT reported no float work")
 	}
 	c.Reset()
 	DCTIIInto(&c, x, 13, make([]float64, 13))
-	if c.Count(cost.Trig) != 13*64 {
-		t.Fatalf("DCT trig count %d, want %d", c.Count(cost.Trig), 13*64)
+	if c.Counts()[cost.Trig] != 13*64 {
+		t.Fatalf("DCT trig count %d, want %d", c.Counts()[cost.Trig], 13*64)
 	}
 	c.Reset()
 	Log10BlockInto(&c, x, make([]float64, 64))
-	if c.Count(cost.Log) != 64 {
-		t.Fatalf("log count %d, want 64", c.Count(cost.Log))
+	if c.Counts()[cost.Log] != 64 {
+		t.Fatalf("log count %d, want 64", c.Counts()[cost.Log])
 	}
 }

@@ -31,36 +31,6 @@ func NextPow2(n int) int {
 	return p
 }
 
-// FFT computes the in-place radix-2 decimation-in-time FFT of x. The length
-// of x must be a power of two; FFT panics otherwise. When inverse is true
-// it computes the unscaled inverse transform (callers divide by len(x)).
-// The speech pipeline does not call it: its frames are real, and
-// PowerSpectrum runs the same stages on them with the first two specialized.
-//
-// The permutation, every butterfly's twiddle and the call's operation
-// counts come from a cached per-size plan (plan.go). Its table holds the
-// twiddle recurrence's own iterates, so the output is bit-identical to
-// running the recurrence; the counter still records it and the trig
-// evaluations — the embedded device's work — so profiles are unaffected.
-func FFT(c *cost.Counter, x []Complex, inverse bool) {
-	n := len(x)
-	if n&(n-1) != 0 || n == 0 {
-		panic("dsp: FFT length must be a power of two")
-	}
-	p := fftPlanFor(n)
-	for i, j := range p.rev {
-		if i < int(j) {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	tw := p.fwd
-	if inverse {
-		tw = p.inv
-	}
-	butterflies(x, tw, 1)
-	c.AddCounter(&p.counts)
-}
-
 // butterflies runs the radix-2 stages of half-length h0, 2·h0, … on x,
 // whose earlier stages are done, reading each stage's twiddles from tw in
 // the plan's layout.

@@ -79,11 +79,6 @@ type FIRState struct {
 // (the paper's FIRFilter enqueues N−1 zeros at construction, Figure 1).
 func NewFIRState(n int) *FIRState { return &FIRState{taps: make([]float64, n)} }
 
-// Clone returns an independent copy of the state.
-func (s *FIRState) Clone() *FIRState {
-	return &FIRState{taps: append([]float64(nil), s.taps...), pos: s.pos}
-}
-
 // Snapshot returns a copy of the delay line and the write cursor — the
 // complete logical state, for serialization.
 func (s *FIRState) Snapshot() (taps []float64, pos int) {

@@ -134,9 +134,7 @@ func (h *nodeHeap) Pop() any {
 	return x
 }
 
-// Solve runs branch-and-bound on the model. Maximization models are
-// handled by the relaxation layer; the search logic always sees
-// minimization bounds.
+// Solve runs branch-and-bound on the model, minimizing its objective.
 //
 // The search is interruptible: it checks ctx between branch-and-bound
 // nodes. When interrupted — by cancellation, a ctx deadline, or MaxNodes —
@@ -156,13 +154,6 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 	if err := ctx.Err(); err != nil {
 		return &Result{Status: StatusError}, err
 	}
-	minimize := m.Direction() == Minimize
-	// Internal bound comparisons are on the minimization scale.
-	scale := 1.0
-	if !minimize {
-		scale = -1
-	}
-
 	res := &Result{Status: StatusInfeasible, BestBound: math.Inf(-1)}
 
 	lp := &relaxation{iterate: iterate}
@@ -183,7 +174,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 
 	var (
 		incumbent    []float64
-		incumbentObj = math.Inf(1) // minimization scale
+		incumbentObj = math.Inf(1)
 		h            = &nodeHeap{}
 	)
 	// tryIncumbent installs cand if it is feasible and improves.
@@ -197,7 +188,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		if v := fractionalVar(m, cand, intTol); v != -1 {
 			return
 		}
-		obj := scale * m.EvalObjective(cand)
+		obj := m.EvalObjective(cand)
 		if obj < incumbentObj-1e-12 {
 			incumbent = roundIntegers(m, cand, intTol)
 			incumbentObj = obj
@@ -205,11 +196,11 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		}
 	}
 
-	root := &bbNode{bound: scale * obj}
+	root := &bbNode{bound: obj}
 	// Root might already be integral.
 	if v := fractionalVar(m, x, intTol); v == -1 {
 		incumbent = roundIntegers(m, x, intTol)
-		incumbentObj = scale * m.EvalObjective(incumbent)
+		incumbentObj = m.EvalObjective(incumbent)
 		res.DiscoverTime = time.Since(start)
 	} else {
 		if opts.Rounder != nil {
@@ -257,7 +248,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		if status != StatusOptimal {
 			continue // infeasible subtree (unbounded cannot appear below a bounded root)
 		}
-		bound := scale * obj
+		bound := obj
 		if bound >= incumbentObj-1e-9 {
 			continue
 		}
@@ -270,7 +261,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		}
 		if fv == -1 {
 			cand := roundIntegers(work, x, intTol)
-			candObj := scale * m.EvalObjective(cand)
+			candObj := m.EvalObjective(cand)
 			if candObj < incumbentObj-1e-12 {
 				incumbent = cand
 				incumbentObj = candObj
@@ -312,7 +303,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 			best = n.bound
 		}
 	}
-	res.BestBound = scale * best
+	res.BestBound = best
 
 	if incumbent == nil {
 		if canceled {
@@ -327,7 +318,7 @@ func search(ctx context.Context, m *Model, opts Options, iterate func(*tableau, 
 		return res, nil
 	}
 	res.X = incumbent
-	res.Objective = scale * incumbentObj
+	res.Objective = incumbentObj
 	if proved || incumbentObj-best <= 1e-9 {
 		res.Status = StatusOptimal
 	} else {

@@ -45,21 +45,20 @@ func TestLPSimpleMin(t *testing.T) {
 }
 
 func TestLPMaximize(t *testing.T) {
-	// max 3x + 2y  s.t. x + y <= 4, x + 3y <= 6, 0 <= x,y
+	// max 3x + 2y  s.t. x + y <= 4, x + 3y <= 6, 0 <= x,y, as min −3x − 2y
 	m := NewModel()
 	x := m.AddVar("x", 0, math.Inf(1), false)
 	y := m.AddVar("y", 0, math.Inf(1), false)
-	m.SetDirection(Maximize)
-	m.SetObjCoef(x, 3)
-	m.SetObjCoef(y, 2)
+	m.SetObjCoef(x, -3)
+	m.SetObjCoef(y, -2)
 	m.AddConstraint("c1", []Term{{x, 1}, {y, 1}}, LE, 4)
 	m.AddConstraint("c2", []Term{{x, 1}, {y, 3}}, LE, 6)
 	st, sol, obj, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
-	if math.Abs(obj-12) > 1e-6 { // x=4, y=0
-		t.Fatalf("obj=%v want 12 (sol=%v)", obj, sol)
+	if math.Abs(obj+12) > 1e-6 { // x=4, y=0
+		t.Fatalf("obj=%v want -12 (sol=%v)", obj, sol)
 	}
 }
 
@@ -79,20 +78,19 @@ func TestLPBoundsShift(t *testing.T) {
 }
 
 func TestLPUpperBoundActive(t *testing.T) {
-	// max x + y with x <= 2, y <= 3 as variable bounds only.
+	// max x + y (min −x − y) with x <= 2, y <= 3 as variable bounds only.
 	m := NewModel()
 	x := m.AddVar("x", 0, 2, false)
 	y := m.AddVar("y", 0, 3, false)
-	m.SetDirection(Maximize)
-	m.SetObjCoef(x, 1)
-	m.SetObjCoef(y, 1)
+	m.SetObjCoef(x, -1)
+	m.SetObjCoef(y, -1)
 	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 10)
 	st, sol, obj, err := relax(m)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("status=%v err=%v", st, err)
 	}
-	if math.Abs(obj-5) > 1e-6 {
-		t.Fatalf("obj=%v want 5 (sol=%v)", obj, sol)
+	if math.Abs(obj+5) > 1e-6 {
+		t.Fatalf("obj=%v want -5 (sol=%v)", obj, sol)
 	}
 }
 
@@ -141,23 +139,22 @@ func TestLPEquality(t *testing.T) {
 }
 
 func TestILPKnapsack(t *testing.T) {
-	// max 10a + 13b + 7c  s.t. 3a + 4b + 2c <= 6, binary.
-	// Best: a+c (17, weight 5) vs b+c (20, weight 6) → b+c.
+	// max 10a + 13b + 7c  s.t. 3a + 4b + 2c <= 6, binary, as a minimization
+	// of the negation. Best: a+c (17, weight 5) vs b+c (20, weight 6) → b+c.
 	m := NewModel()
 	a := m.AddBinary("a")
 	b := m.AddBinary("b")
 	c := m.AddBinary("c")
-	m.SetDirection(Maximize)
-	m.SetObjCoef(a, 10)
-	m.SetObjCoef(b, 13)
-	m.SetObjCoef(c, 7)
+	m.SetObjCoef(a, -10)
+	m.SetObjCoef(b, -13)
+	m.SetObjCoef(c, -7)
 	m.AddConstraint("w", []Term{{a, 3}, {b, 4}, {c, 2}}, LE, 6)
 	res := solveOrDie(t, m)
 	if res.Status != StatusOptimal {
 		t.Fatalf("status=%v", res.Status)
 	}
-	if math.Abs(res.Objective-20) > 1e-6 {
-		t.Fatalf("obj=%v want 20 (x=%v)", res.Objective, res.X)
+	if math.Abs(res.Objective+20) > 1e-6 {
+		t.Fatalf("obj=%v want -20 (x=%v)", res.Objective, res.X)
 	}
 }
 
@@ -203,9 +200,9 @@ func TestILPTimesPopulated(t *testing.T) {
 }
 
 // bruteForceBinary enumerates all assignments of the binary variables and
-// returns the best feasible objective, or NaN if none is feasible. All
+// returns the least feasible objective, or NaN if none is feasible. All
 // variables of m must be binary.
-func bruteForceBinary(m *Model, minimize bool) float64 {
+func bruteForceBinary(m *Model) float64 {
 	n := m.NumVars()
 	best := math.NaN()
 	x := make([]float64, n)
@@ -222,7 +219,7 @@ func bruteForceBinary(m *Model, minimize bool) float64 {
 			continue
 		}
 		z := m.EvalObjective(x)
-		if math.IsNaN(best) || (minimize && z < best) || (!minimize && z > best) {
+		if math.IsNaN(best) || z < best {
 			best = z
 		}
 	}
@@ -230,7 +227,8 @@ func bruteForceBinary(m *Model, minimize bool) float64 {
 }
 
 // randomBinaryProgram draws a small binary program: 2..10 binaries, 1..5
-// LE/GE/EQ rows with small integer coefficients, either direction.
+// LE/GE/EQ rows with small integer coefficients, either direction (a
+// maximization as the minimization of its negated objective).
 func randomBinaryProgram(rng *rand.Rand) *Model {
 	n := 2 + rng.Intn(9) // 2..10 binaries
 	m := NewModel()
@@ -239,7 +237,9 @@ func randomBinaryProgram(rng *rand.Rand) *Model {
 		m.SetObjCoef(v, float64(rng.Intn(21)-10))
 	}
 	if rng.Intn(2) != 0 {
-		m.SetDirection(Maximize)
+		for j := range m.vars {
+			m.vars[j].obj = -m.vars[j].obj
+		}
 	}
 	nCons := 1 + rng.Intn(5)
 	for k := 0; k < nCons; k++ {
@@ -266,8 +266,7 @@ func TestILPAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 120; trial++ {
 		m := randomBinaryProgram(rng)
-		minimize := m.Direction() == Minimize
-		want := bruteForceBinary(m, minimize)
+		want := bruteForceBinary(m)
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		res, err := Solve(ctx, m, Options{})
 		cancel()

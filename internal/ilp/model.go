@@ -66,16 +66,6 @@ type Constraint struct {
 	Name  string
 }
 
-// Direction is the optimization direction.
-type Direction int
-
-const (
-	// Minimize the objective (the default).
-	Minimize Direction = iota
-	// Maximize the objective.
-	Maximize
-)
-
 type varInfo struct {
 	name    string
 	lo, hi  float64
@@ -83,12 +73,11 @@ type varInfo struct {
 	obj     float64
 }
 
-// Model is a mixed-integer linear program under construction. The zero
-// value is an empty minimization model ready for use.
+// Model is a mixed-integer linear program under construction; Solve
+// minimizes its objective. The zero value is an empty model ready for use.
 type Model struct {
 	vars        []varInfo
 	constraints []Constraint
-	dir         Direction
 }
 
 // NewModel returns an empty minimization model.
@@ -119,12 +108,6 @@ func (m *Model) SetBounds(v Var, lo, hi float64) {
 	m.vars[v].lo, m.vars[v].hi = lo, hi
 }
 
-// SetDirection sets the optimization direction.
-func (m *Model) SetDirection(d Direction) { m.dir = d }
-
-// Direction returns the optimization direction.
-func (m *Model) Direction() Direction { return m.dir }
-
 // SetObjCoef sets the objective coefficient of v.
 func (m *Model) SetObjCoef(v Var, c float64) { m.vars[v].obj = c }
 
@@ -150,7 +133,6 @@ func (m *Model) Clone() *Model {
 	c := &Model{
 		vars:        append([]varInfo(nil), m.vars...),
 		constraints: m.constraints, // immutable after creation
-		dir:         m.dir,
 	}
 	return c
 }

@@ -8,16 +8,16 @@ import (
 	"time"
 )
 
-// hardKnapsack builds a maximization knapsack with near-identical items —
-// slow to prove optimal, so limit options have something to limit.
+// hardKnapsack builds a knapsack with near-identical items, maximized as
+// the minimization of its negated value — slow to prove optimal, so limit
+// options have something to limit.
 func hardKnapsack(n int, seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := NewModel()
-	m.SetDirection(Maximize)
 	var terms []Term
 	for j := 0; j < n; j++ {
 		v := m.AddBinary("x")
-		m.SetObjCoef(v, 100+10*rng.Float64())
+		m.SetObjCoef(v, -(100 + 10*rng.Float64()))
 		terms = append(terms, Term{Var: v, Coef: 60 + 10*rng.Float64()})
 	}
 	m.AddConstraint("cap", terms, LE, 60*float64(n)/2)
@@ -77,10 +77,10 @@ func TestGapTolStopsEarly(t *testing.T) {
 		t.Fatal("gap-limited solve returned no incumbent")
 	}
 	// The gap-limited objective must be within 5% of the exact optimum
-	// (maximization: within 5% below).
+	// (a negated maximization: within 5% above).
 	if exact.Status == StatusOptimal {
-		if loose.Objective < exact.Objective*0.95-1e-6 {
-			t.Fatalf("gap solve %v too far below optimum %v", loose.Objective, exact.Objective)
+		if loose.Objective > exact.Objective*0.95+1e-6 {
+			t.Fatalf("gap solve %v too far above optimum %v", loose.Objective, exact.Objective)
 		}
 	}
 }
@@ -139,17 +139,16 @@ func TestUnsoundRounderIsHarmless(t *testing.T) {
 	m := NewModel()
 	a := m.AddBinary("a")
 	b := m.AddBinary("b")
-	m.SetDirection(Maximize)
-	m.SetObjCoef(a, 3)
-	m.SetObjCoef(b, 2)
+	m.SetObjCoef(a, -3)
+	m.SetObjCoef(b, -2)
 	m.AddConstraint("c", []Term{{a, 1}, {b, 1}}, LE, 1)
 	bad := func(mm *Model, x []float64) []float64 { return []float64{1, 1} } // violates c
 	res, err := Solve(context.Background(), m, Options{Rounder: bad})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusOptimal || math.Abs(res.Objective-3) > 1e-9 {
-		t.Fatalf("status=%v obj=%v, want optimal 3", res.Status, res.Objective)
+	if res.Status != StatusOptimal || math.Abs(res.Objective+3) > 1e-9 {
+		t.Fatalf("status=%v obj=%v, want optimal -3", res.Status, res.Objective)
 	}
 }
 
@@ -158,16 +157,15 @@ func TestBoundsTighterThanIntegrality(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar("x", 0, 3, true)
 	y := m.AddVar("y", 0, 3, true)
-	m.SetDirection(Maximize)
-	m.SetObjCoef(x, 2)
-	m.SetObjCoef(y, 3)
+	m.SetObjCoef(x, -2)
+	m.SetObjCoef(y, -3)
 	m.AddConstraint("c", []Term{{x, 2}, {y, 3}}, LE, 11)
 	res, err := Solve(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Best: y=3 (9 weight, obj 9) + x=1 (2 weight, obj 2) = 11.
-	if res.Status != StatusOptimal || math.Abs(res.Objective-11) > 1e-9 {
-		t.Fatalf("obj=%v status=%v want 11", res.Objective, res.Status)
+	// Best: y=3 (9 weight, obj −9) + x=1 (2 weight, obj −2) = −11.
+	if res.Status != StatusOptimal || math.Abs(res.Objective+11) > 1e-9 {
+		t.Fatalf("obj=%v status=%v want -11", res.Objective, res.Status)
 	}
 }

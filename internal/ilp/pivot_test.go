@@ -213,8 +213,10 @@ func mixedProgram(rng *rand.Rand) *Model {
 		v := m.AddVar("x", lo, lo+float64(1+rng.Intn(6)), rng.Intn(3) != 0)
 		m.SetObjCoef(v, float64(rng.Intn(21)-10)+rng.Float64())
 	}
-	if rng.Intn(2) == 0 {
-		m.SetDirection(Maximize)
+	if rng.Intn(2) == 0 { // maximize: minimize the negation
+		for j := range m.vars {
+			m.vars[j].obj = -m.vars[j].obj
+		}
 	}
 	for k := 0; k < 1+rng.Intn(2*n); k++ {
 		var terms []Term
@@ -316,9 +318,8 @@ func TestPivotDifferential(t *testing.T) {
 func gridProgram(rows, cols int) *Model {
 	rng := rand.New(rand.NewSource(11))
 	m := NewModel()
-	m.SetDirection(Maximize)
 	for j := 0; j < cols; j++ {
-		m.SetObjCoef(m.AddBinary("x"), 50+10*rng.Float64())
+		m.SetObjCoef(m.AddBinary("x"), -(50 + 10*rng.Float64()))
 	}
 	for i := 0; i < rows; i++ {
 		terms := make([]Term, cols)

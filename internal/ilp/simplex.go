@@ -63,7 +63,6 @@ type standard struct {
 	objConst float64
 	lo       []float64 // original lower bounds of structurals (for unshifting)
 	x        []float64 // model-space solution of the last solve
-	negate   bool      // true when the model was a maximization
 }
 
 // grow returns s resized to n, reallocating only when its capacity is short.
@@ -90,13 +89,6 @@ func standardize(m *Model, st *standard) error {
 
 	// z = Σ obj_j·x_j with x_j = lo_j + y_j, so in shifted space
 	// z = Σ obj_j·lo_j + Σ obj_j·y_j, and objConst is the first sum.
-	// Maximization becomes minimization of −z; the final objective is
-	// negated back in solveLP.
-	sign := 1.0
-	st.negate = m.dir == Maximize
-	if st.negate {
-		sign = -1
-	}
 
 	// Slacks (one per inequality row), right-hand sides with the lower
 	// bounds shifted in, and the rows that will need an artificial.
@@ -131,9 +123,9 @@ func standardize(m *Model, st *standard) error {
 	st.u = grow(st.u, w)
 	st.objConst = 0
 	for j, v := range m.vars {
-		st.c[j] = sign * v.obj
+		st.c[j] = v.obj
 		st.u[j] = v.hi - v.lo
-		st.objConst += sign * v.obj * v.lo
+		st.objConst += v.obj * v.lo
 	}
 	for j := ns; j < w; j++ {
 		st.c[j] = 0
@@ -494,9 +486,6 @@ func solveLP(st *standard, tb *tableau, iterate func(*tableau, []float64, int) l
 		obj += st.c[j] * y[j]
 	}
 	x := st.unshift(y)
-	if st.negate {
-		obj = -obj
-	}
 	return lpOptimal, x, obj
 }
 

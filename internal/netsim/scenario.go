@@ -77,14 +77,6 @@ type Churn struct {
 	MeanDown float64
 }
 
-// Alive reports whether node is up at simulated time t. Pure function:
-// the schedule replays from t=0 on every call. Callers on a hot path with
-// nondecreasing queries should hold a ChurnWalker instead.
-func (c *Churn) Alive(node int, t float64) bool {
-	w := c.WalkerFor(node)
-	return w.Alive(t)
-}
-
 // WalkerFor returns an incremental evaluator of one node's phase
 // schedule. Queries at nondecreasing times advance in O(intervals
 // crossed); a backward query restarts the replay from t=0, so any query
@@ -159,13 +151,6 @@ type Burst struct {
 	// (e.g. 0.5 halves reception during a burst). 1 disables the model;
 	// 0 blacks the channel out entirely during bursts.
 	BadFactor float64
-}
-
-// Bad reports the chain state at the given window index (the chain
-// starts good at window 0 and steps once per window). Pure replay; hot
-// paths should hold a BurstWalker.
-func (b *Burst) Bad(window int) bool {
-	return b.Walker().Bad(window)
 }
 
 // Walker returns an incremental evaluator of the chain. Nondecreasing

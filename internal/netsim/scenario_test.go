@@ -152,3 +152,18 @@ func TestScenarioValidate(t *testing.T) {
 		}
 	}
 }
+
+// Alive reports whether node is up at simulated time t. Pure function:
+// the schedule replays from t=0 on every call. Callers on a hot path with
+// nondecreasing queries should hold a ChurnWalker instead.
+func (c *Churn) Alive(node int, t float64) bool {
+	w := c.WalkerFor(node)
+	return w.Alive(t)
+}
+
+// Bad reports the chain state at the given window index (the chain
+// starts good at window 0 and steps once per window). Pure replay; hot
+// paths should hold a BurstWalker.
+func (b *Burst) Bad(window int) bool {
+	return b.Walker().Bad(window)
+}

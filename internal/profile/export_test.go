@@ -3,6 +3,7 @@ package profile
 import (
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 )
 
 // RunReference profiles the graph through the reference tree-walking
@@ -12,7 +13,7 @@ func RunReference(g *dataflow.Graph, inputs []Input) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := dataflow.NewExecutor(g, 0)
+	ex := reference.NewExecutor(g, 0)
 	// Wrap work functions by measuring counter deltas around each Push:
 	// the executor exposes a per-op counter; we snapshot totals around
 	// each injected event per op to find peaks per invocation.

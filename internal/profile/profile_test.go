@@ -149,10 +149,10 @@ func TestPeakTracksCostliestInvocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.OpPeak[spiky.ID()].Count(cost.FloatMul); got != 500 {
+	if got := rep.OpPeak[spiky.ID()].Counts()[cost.FloatMul]; got != 500 {
 		t.Fatalf("peak invocation %d fmul, want 500", got)
 	}
-	if got := rep.OpTotal[spiky.ID()].Count(cost.FloatMul); got != 530 {
+	if got := rep.OpTotal[spiky.ID()].Counts()[cost.FloatMul]; got != 530 {
 		t.Fatalf("total %d fmul, want 530", got)
 	}
 	costs := rep.CPUCosts(platform.TMoteSky())

@@ -314,7 +314,7 @@ func (s *Session) relocate(plan *Plan) error {
 	}
 	// Snapshot joined the last delivery and tore the old hosts down, so the
 	// reset discards no live state.
-	*s = Session{started: s.started, replan: s.replan, rec: s.rec, recoveries: s.recoveries}
+	*s = Session{started: s.started, replan: s.replan, rec: s.rec}
 	if err := s.resume(cfg, hosts, snap); err != nil {
 		for _, b := range hosts {
 			b.Driver.Abort()

@@ -84,11 +84,10 @@ type Session struct {
 
 	// Host-failure recovery (recovery.go): the armed policy, each host's
 	// last boundary checkpoint, and the window tail flushed since it.
-	rec        *DistRecovery
-	ckpts      [][]byte
-	tail       []distWindowRec
-	sinceCkpt  int
-	recoveries []RecoveryEvent
+	rec       *DistRecovery
+	ckpts     [][]byte
+	tail      []distWindowRec
+	sinceCkpt int
 
 	// ingest backs OfferRaw's zero-copy decode: raw JSON arrival values
 	// land in generational typed slabs instead of one allocation per

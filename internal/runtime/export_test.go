@@ -7,6 +7,7 @@ import (
 	"wishbone/internal/apps/eeg"
 	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
+	"wishbone/internal/dataflow/reference"
 	"wishbone/internal/netsim"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
@@ -77,7 +78,7 @@ func referenceNodes(cfg Config, scale float64) (nodeSims, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex := dataflow.NewExecutor(cfg.Graph, n)
+		ex := reference.NewExecutor(cfg.Graph, n)
 		ex.Include = func(op *dataflow.Operator) bool { return cfg.OnNode[op.ID()] }
 		counter := &cost.Counter{}
 		ex.CounterFor = func(op *dataflow.Operator) *cost.Counter { return counter }
@@ -213,7 +214,7 @@ func (c *codecReceiver) receive(m *message, ratio float64) (dataflow.Value, bool
 // with the original per-message scan over all operators.
 type legacyServer struct {
 	cfg        *Config
-	ex         *dataflow.Executor
+	ex         *reference.Executor
 	states     map[int]map[int]any
 	emitsCount int
 }
@@ -221,7 +222,7 @@ type legacyServer struct {
 func newLegacyServer(cfg *Config) *legacyServer {
 	srv := &legacyServer{
 		cfg:    cfg,
-		ex:     dataflow.NewExecutor(cfg.Graph, -1),
+		ex:     reference.NewExecutor(cfg.Graph, -1),
 		states: make(map[int]map[int]any),
 	}
 	srv.ex.Include = func(op *dataflow.Operator) bool { return !cfg.OnNode[op.ID()] }

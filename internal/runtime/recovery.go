@@ -86,9 +86,6 @@ func (s *Session) EnableRecovery(rec *DistRecovery) {
 	}
 }
 
-// Recoveries returns the recoveries performed so far, in order.
-func (s *Session) Recoveries() []RecoveryEvent { return s.recoveries }
-
 // recordWindow retains the window being flushed for replay (recovery
 // sessions only). hostArr is per-window scratch, so the batches copy.
 func (s *Session) recordWindow() {
@@ -217,7 +214,6 @@ func (s *Session) recoverHost(hi int, cause error, op string) (*WindowReport, er
 		Op:      op,
 		Cause:   cause.Error(),
 	}
-	s.recoveries = append(s.recoveries, ev)
 	if s.rec.OnRecover != nil {
 		s.rec.OnRecover(ev)
 	}

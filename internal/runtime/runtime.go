@@ -28,7 +28,7 @@
 // (program, partition, platform, arrivals); dataflow.Ctx.NodeID says what
 // that asks of work functions. The server partition is a second compiled
 // instance with a precomputed relocated-operator table. The executable
-// definition of the semantics is the tree-walking dataflow.Executor; the
+// definition of the semantics is the tree-walking reference.Executor; the
 // package's tests drive a whole deployment through it (RunReference,
 // export_test.go).
 //

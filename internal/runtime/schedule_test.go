@@ -575,12 +575,11 @@ func (r *runner) recovery() *runtime.DistRecovery {
 			d.arm(r.againOp, 1)
 		}
 		return d, nil
-	}}
+	}, OnRecover: func(ev runtime.RecoveryEvent) { r.out.recoveries = append(r.out.recoveries, ev) }}
 }
 
-// retire keeps what the current session recorded before it goes.
+// retire drops the current session.
 func (r *runner) retire() {
-	r.out.recoveries = append(r.out.recoveries, r.sess.Recoveries()...)
 	r.sess, r.seen = nil, 0
 }
 

@@ -47,10 +47,3 @@ func (t *StageTimings) OverlapSeconds() float64 {
 	}
 	return ov
 }
-
-// Reset zeroes the counters.
-func (t *StageTimings) Reset() {
-	t.nodeNS.Store(0)
-	t.deliveryNS.Store(0)
-	t.wallNS.Store(0)
-}

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"wishbone/internal/runtime"
 	"wishbone/internal/wire"
 )
 
@@ -132,17 +131,6 @@ func (c *Client) Simulate(ctx context.Context, req wire.SimulateRequest) (*wire.
 		return nil, err
 	}
 	return &out, nil
-}
-
-// SimulateResult is Simulate with the result converted to the in-process
-// runtime.Result type (byte-identical to a local runtime.Run — JSON
-// float64 round-trips are exact).
-func (c *Client) SimulateResult(ctx context.Context, req wire.SimulateRequest) (*runtime.Result, *wire.SimulateResponse, error) {
-	resp, err := c.Simulate(ctx, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return wireToResult(resp.Result), resp, nil
 }
 
 // postStream sends a streaming request body — the header, then one
@@ -303,37 +291,6 @@ func (c *Client) SimulateStream(ctx context.Context, req wire.SimulateStreamRequ
 	return &out, nil
 }
 
-// SimulateStreamSnapshot is SimulateStream ending in a snapshot instead
-// of a result: after the trace generator is exhausted it sends a
-// snapshot chunk, so the server freezes the session and returns its
-// state instead of simulating to Duration. Feed the returned bytes to a
-// later request's Resume field (on this or any other host) to continue.
-func (c *Client) SimulateStreamSnapshot(ctx context.Context, req wire.SimulateStreamRequest,
-	next func() ([]wire.ArrivalWire, bool)) ([]byte, error) {
-	var out wire.SimulateResponse
-	if err := c.postStream(ctx, "/v1/simulate/stream", req, next, true, &out); err != nil {
-		return nil, err
-	}
-	if len(out.Snapshot) == 0 {
-		return nil, fmt.Errorf("server returned no snapshot")
-	}
-	return out.Snapshot, nil
-}
-
-// ProfileStream profiles a graph against a client-supplied trace: the
-// header is sent first, then next is called repeatedly for arrival
-// batches (return false when the trace is exhausted), chunked exactly
-// like SimulateStream. The server measures operator costs and edge rates
-// from these arrivals instead of its synthetic trace.
-func (c *Client) ProfileStream(ctx context.Context, req wire.ProfileStreamRequest,
-	next func() ([]wire.ArrivalWire, bool)) (*wire.ProfileResponse, error) {
-	var out wire.ProfileResponse
-	if err := c.postStream(ctx, "/v1/profile/stream", req, next, false, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // ShardOpen opens a shard-host session for an origin subset of one
 // simulation (see internal/dist for the coordinator that drives these).
 func (c *Client) ShardOpen(ctx context.Context, req wire.ShardOpenRequest) (*wire.ShardOpenResponse, error) {
@@ -391,31 +348,4 @@ func (c *Client) ShardClose(ctx context.Context, session string) (*wire.ShardClo
 func (c *Client) ShardAbort(ctx context.Context, session string) error {
 	var out struct{}
 	return c.post(ctx, "/v1/shard/abort", wire.ShardSessionRequest{Session: session}, &out)
-}
-
-// Stats fetches the server's metrics snapshot.
-func (c *Client) Stats(ctx context.Context) (*Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out Snapshot
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Healthy reports whether /healthz answers.
-func (c *Client) Healthy(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }

@@ -1208,10 +1208,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	respond(w, s.Stats())
 }
 
-// resultToWire and wireToResult convert between runtime.Result and its
-// wire mirror (wire cannot import runtime). The two structs differ only in
-// their tags, so each is a pointer conversion — a field added to one side
-// alone stops compiling instead of being silently dropped.
+// resultToWire converts a runtime.Result to its wire mirror (wire cannot
+// import runtime). The two structs differ only in their tags, so it is a
+// pointer conversion — a field added to one side alone stops compiling
+// instead of being silently dropped.
 func resultToWire(r *wbruntime.Result) *wire.ResultWire { return (*wire.ResultWire)(r) }
-
-func wireToResult(w *wire.ResultWire) *wbruntime.Result { return (*wbruntime.Result)(w) }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"wishbone/internal/core"
+	"wishbone/internal/cost"
 	"wishbone/internal/dataflow"
 	"wishbone/internal/platform"
 	"wishbone/internal/profile"
@@ -87,7 +88,7 @@ func TestServerProfileParity(t *testing.T) {
 
 		// Round-trip the wire report into a full profile.Report and check
 		// structural equality too (maps, zero counters, presence).
-		decoded, err := resp.Report.Report(local.graph)
+		decoded, err := wireReport(resp.Report, local.graph)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +225,7 @@ func TestServerPartitionParity(t *testing.T) {
 		t.Fatalf("assignment differs:\nserver: %s\nlocal:  %s", got, want)
 	}
 	// The reconstructed assignment must verify against the local spec.
-	asg, err := resp.Assignment.Assignment(local.graph)
+	asg, err := wireAssignment(resp.Assignment, local.graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +591,7 @@ func TestServerSolverSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
-		asg, err := resp.Assignment.Assignment(local.graph)
+		asg, err := wireAssignment(resp.Assignment, local.graph)
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}
@@ -764,4 +765,99 @@ func TestServerRouteTable(t *testing.T) {
 			})
 		})
 	}
+}
+
+// wireReport reconstructs the profile.Report w carries against g, which
+// must be the graph (or a structurally identical rebuild of the graph) the
+// report was profiled on. The result is indistinguishable from an in-process
+// profile.Run: zero counters exist for every operator, and map entries
+// are present exactly where the profiler would have put them.
+func wireReport(w *wire.ReportWire, g *dataflow.Graph) (*profile.Report, error) {
+	rep := &profile.Report{
+		Graph:         g,
+		Seconds:       w.Seconds,
+		OpTotal:       make(map[int]*cost.Counter),
+		OpInvocations: make(map[int]int),
+		OpPeak:        make(map[int]*cost.Counter),
+		EdgeBytes:     make(map[*dataflow.Edge]int64),
+		EdgeElems:     make(map[*dataflow.Edge]int64),
+		EdgePeak:      make(map[*dataflow.Edge]int64),
+	}
+	for _, op := range g.Operators() {
+		rep.OpTotal[op.ID()] = &cost.Counter{}
+		rep.OpPeak[op.ID()] = &cost.Counter{}
+	}
+	for _, ow := range w.Ops {
+		if g.ByID(ow.ID) == nil {
+			return nil, fmt.Errorf("wire: report entry for unknown operator %d", ow.ID)
+		}
+		if ow.Invocations > 0 {
+			rep.OpInvocations[ow.ID] = ow.Invocations
+		}
+		rep.OpTotal[ow.ID].AddCounter(counterFrom(ow.Total))
+		rep.OpPeak[ow.ID].AddCounter(counterFrom(ow.Peak))
+	}
+	edges := g.Edges()
+	for _, ew := range w.Edges {
+		if ew.Edge < 0 || ew.Edge >= len(edges) {
+			return nil, fmt.Errorf("wire: report entry for unknown edge %d", ew.Edge)
+		}
+		e := edges[ew.Edge]
+		if ew.Seen {
+			rep.EdgeBytes[e] = ew.Bytes
+			rep.EdgeElems[e] = ew.Elems
+		}
+		if ew.Peak > 0 {
+			rep.EdgePeak[e] = ew.Peak
+		}
+	}
+	return rep, nil
+}
+
+// counterFrom rebuilds a cost.Counter from its dense counts.
+func counterFrom(counts [cost.NumOps]uint64) *cost.Counter {
+	c := &cost.Counter{}
+	for op, n := range counts {
+		for n > 0 {
+			step := n
+			if step > 1<<62 {
+				step = 1 << 62
+			}
+			c.Add(cost.Op(op), int(step))
+			n -= step
+		}
+	}
+	return c
+}
+
+// wireAssignment reconstructs the core.Assignment w carries against g.
+// Every operator gets an explicit OnNode entry (true or false), matching
+// what core.Partition produces in process.
+func wireAssignment(w *wire.AssignmentWire, g *dataflow.Graph) (*core.Assignment, error) {
+	a := &core.Assignment{
+		OnNode:        make(map[int]bool, g.NumOperators()),
+		Bidirectional: w.Bidirectional,
+		CPULoad:       w.CPULoad,
+		NetLoad:       w.NetLoad,
+		RAMLoad:       w.RAMLoad,
+		Objective:     w.Objective,
+		Stats:         w.Stats,
+	}
+	for _, op := range g.Operators() {
+		a.OnNode[op.ID()] = false
+	}
+	for _, id := range w.OnNode {
+		if g.ByID(id) == nil {
+			return nil, fmt.Errorf("wire: assignment places unknown operator %d on the node", id)
+		}
+		a.OnNode[id] = true
+	}
+	edges := g.Edges()
+	for _, i := range w.CutEdges {
+		if i < 0 || i >= len(edges) {
+			return nil, fmt.Errorf("wire: assignment cuts unknown edge %d", i)
+		}
+		a.CutEdges = append(a.CutEdges, edges[i])
+	}
+	return a, nil
 }

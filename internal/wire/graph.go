@@ -13,7 +13,6 @@ package wire
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 
 	"wishbone/internal/core"
@@ -155,69 +154,6 @@ func NewReportWire(r *profile.Report) *ReportWire {
 	return w
 }
 
-// Report reconstructs the profile.Report against g, which must be the
-// graph (or a structurally identical rebuild of the graph) the report was
-// profiled on. The result is indistinguishable from an in-process
-// profile.Run: zero counters exist for every operator, and map entries
-// are present exactly where the profiler would have put them.
-func (w *ReportWire) Report(g *dataflow.Graph) (*profile.Report, error) {
-	rep := &profile.Report{
-		Graph:         g,
-		Seconds:       w.Seconds,
-		OpTotal:       make(map[int]*cost.Counter),
-		OpInvocations: make(map[int]int),
-		OpPeak:        make(map[int]*cost.Counter),
-		EdgeBytes:     make(map[*dataflow.Edge]int64),
-		EdgeElems:     make(map[*dataflow.Edge]int64),
-		EdgePeak:      make(map[*dataflow.Edge]int64),
-	}
-	for _, op := range g.Operators() {
-		rep.OpTotal[op.ID()] = &cost.Counter{}
-		rep.OpPeak[op.ID()] = &cost.Counter{}
-	}
-	for _, ow := range w.Ops {
-		if g.ByID(ow.ID) == nil {
-			return nil, fmt.Errorf("wire: report entry for unknown operator %d", ow.ID)
-		}
-		if ow.Invocations > 0 {
-			rep.OpInvocations[ow.ID] = ow.Invocations
-		}
-		rep.OpTotal[ow.ID].AddCounter(counterFrom(ow.Total))
-		rep.OpPeak[ow.ID].AddCounter(counterFrom(ow.Peak))
-	}
-	edges := g.Edges()
-	for _, ew := range w.Edges {
-		if ew.Edge < 0 || ew.Edge >= len(edges) {
-			return nil, fmt.Errorf("wire: report entry for unknown edge %d", ew.Edge)
-		}
-		e := edges[ew.Edge]
-		if ew.Seen {
-			rep.EdgeBytes[e] = ew.Bytes
-			rep.EdgeElems[e] = ew.Elems
-		}
-		if ew.Peak > 0 {
-			rep.EdgePeak[e] = ew.Peak
-		}
-	}
-	return rep, nil
-}
-
-// counterFrom rebuilds a cost.Counter from its dense counts.
-func counterFrom(counts [cost.NumOps]uint64) *cost.Counter {
-	c := &cost.Counter{}
-	for op, n := range counts {
-		for n > 0 {
-			step := n
-			if step > 1<<62 {
-				step = 1 << 62
-			}
-			c.Add(cost.Op(op), int(step))
-			n -= step
-		}
-	}
-	return c
-}
-
 // AssignmentWire is the transportable form of a core.Assignment: on-node
 // operators by ID (sorted), cut edges by dense edge index, the loads and
 // solver stats, plus the producing backend's name and its proven
@@ -263,36 +199,4 @@ func NewAssignmentWire(g *dataflow.Graph, a *core.Assignment) *AssignmentWire {
 	}
 	sort.Ints(w.CutEdges)
 	return w
-}
-
-// Assignment reconstructs the core.Assignment against g. Every operator
-// gets an explicit OnNode entry (true or false), matching what
-// core.Partition produces in process.
-func (w *AssignmentWire) Assignment(g *dataflow.Graph) (*core.Assignment, error) {
-	a := &core.Assignment{
-		OnNode:        make(map[int]bool, g.NumOperators()),
-		Bidirectional: w.Bidirectional,
-		CPULoad:       w.CPULoad,
-		NetLoad:       w.NetLoad,
-		RAMLoad:       w.RAMLoad,
-		Objective:     w.Objective,
-		Stats:         w.Stats,
-	}
-	for _, op := range g.Operators() {
-		a.OnNode[op.ID()] = false
-	}
-	for _, id := range w.OnNode {
-		if g.ByID(id) == nil {
-			return nil, fmt.Errorf("wire: assignment places unknown operator %d on the node", id)
-		}
-		a.OnNode[id] = true
-	}
-	edges := g.Edges()
-	for _, i := range w.CutEdges {
-		if i < 0 || i >= len(edges) {
-			return nil, fmt.Errorf("wire: assignment cuts unknown edge %d", i)
-		}
-		a.CutEdges = append(a.CutEdges, edges[i])
-	}
-	return a, nil
 }

@@ -44,10 +44,6 @@ type Compiled struct {
 	opts Options
 }
 
-// Meter returns the fuel meter shared by every instance (nil unless one
-// was supplied in Options).
-func (c *Compiled) Meter() *wvm.Meter { return c.opts.Meter }
-
 // elaborator is the compile-time graph-building context.
 type elaborator struct {
 	g       *dataflow.Graph

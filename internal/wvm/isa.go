@@ -106,8 +106,6 @@ const (
 	// OpForStep increments local B (free, like the tree-walker's loop
 	// bookkeeping) and jumps back to A.
 	OpForStep
-
-	numOpcodes
 )
 
 var opcodeNames = [...]string{

@@ -55,9 +55,10 @@
 // once and runs one Instance per simulated node on a bounded worker pool
 // (or a single replayed instance when every node is offered the identical
 // trace). That is the only engine the binaries carry. The original
-// tree-walking dataflow.Executor remains as the executable definition of
-// the semantics, driven only from _test.go files: parity tests hold the
-// compiled engine's profiles and simulation results to it byte for byte.
+// tree-walking Executor remains as the executable definition of the
+// semantics in internal/dataflow/reference, which only _test.go files
+// import: parity tests hold the compiled engine's profiles and simulation
+// results to it byte for byte.
 //
 // # Partition service
 //
@@ -158,7 +159,9 @@ type Deployment struct {
 	Report *Report
 	// Spec is the partitioning problem (at full rate).
 	Spec *Spec
-	// Assignment is the chosen partition.
+	// Assignment is the chosen partition. Its CPULoad and NetLoad are
+	// already at RateMultiple: they were solved on the program scaled to
+	// that rate.
 	Assignment *Assignment
 	// RateMultiple is the input-rate scale the assignment is valid at:
 	// 1.0 when the program fits at full rate, less when the §4.3 binary
