@@ -16,27 +16,13 @@ func attachSnapshotCodecs(g *dataflow.Graph) {
 		}
 		switch op.NewState().(type) {
 		case *preemphState:
-			op.SaveState = func(st any) ([]byte, error) {
-				w := wire.NewSnapshotWriter()
-				w.F64(st.(*preemphState).prev)
-				return w.Bytes(), nil
-			}
-			op.LoadState = func(data []byte) (any, error) {
-				r, err := wire.NewSnapshotReader(data)
-				if err != nil {
-					return nil, err
-				}
-				return &preemphState{prev: r.F64()}, r.Err()
-			}
+			op.SaveState, op.LoadState = wire.StateHooks(func(c *wire.Codec, s *preemphState) {
+				c.F64(&s.prev)
+			})
 		case *prefiltState:
-			op.SaveState = func(st any) ([]byte, error) { return kernel.SaveFIR(st.(*prefiltState).fir), nil }
-			op.LoadState = func(data []byte) (any, error) {
-				fir, err := kernel.LoadFIR(data, len(prefiltCoeffs))
-				if err != nil {
-					return nil, err
-				}
-				return &prefiltState{fir: fir}, nil
-			}
+			op.SaveState, op.LoadState = wire.StateHooks(func(c *wire.Codec, s *prefiltState) {
+				kernel.WalkFIR(c, &s.fir, len(prefiltCoeffs))
+			})
 		}
 	}
 }

@@ -44,7 +44,6 @@ type fanout struct {
 	op   int32 // target operator ID
 	port int32 // target input port
 	edge int32 // dense edge index (position in Graph.Edges())
-	pos  int32 // target schedule position; -1 if the target is excluded
 }
 
 // Program is an immutable compiled form of a Graph (restricted to the
@@ -170,7 +169,6 @@ func Compile(g *Graph, opts CompileOptions) (*Program, error) {
 			op:   int32(e.To.ID()),
 			port: int32(e.ToPort),
 			edge: int32(ei),
-			pos:  p.pos[e.To.ID()],
 		}
 		if p.included[f.op] {
 			p.outInt[from] = append(p.outInt[from], f)

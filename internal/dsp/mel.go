@@ -12,7 +12,6 @@ import (
 type MelBank struct {
 	// filters[f] lists (bin, weight) pairs of filter f.
 	filters [][]melTap
-	nBins   int
 }
 
 type melTap struct {
@@ -37,7 +36,7 @@ func NewMelBank(nFilters, nBins int, sampleRate, lowHz, highHz float64) *MelBank
 		centers[i] = melToHz(mel)
 	}
 	binHz := sampleRate / 2 / float64(nBins)
-	mb := &MelBank{nBins: nBins, filters: make([][]melTap, nFilters)}
+	mb := &MelBank{filters: make([][]melTap, nFilters)}
 	for f := 0; f < nFilters; f++ {
 		lo, mid, hi := centers[f], centers[f+1], centers[f+2]
 		var taps []melTap
@@ -64,9 +63,9 @@ func NewMelBank(nFilters, nBins int, sampleRate, lowHz, highHz float64) *MelBank
 // NumFilters returns the number of filters in the bank.
 func (mb *MelBank) NumFilters() int { return len(mb.filters) }
 
-// Energies computes the filter-bank energies of a power spectrum with
-// mb.nBins bins into out (len(out) ≥ NumFilters()), each summed in float64
-// and rounded to float32.
+// Energies computes the filter-bank energies of a power spectrum with the
+// bank's nBins bins into out (len(out) ≥ NumFilters()), each summed in
+// float64 and rounded to float32.
 func (mb *MelBank) Energies(c *cost.Counter, spectrum, out []float32) {
 	out = out[:len(mb.filters)]
 	taps := 0

@@ -21,8 +21,8 @@ import (
 // counters, its per-origin node sides, and its delivery plan's state
 // (whose counters are the delivery-side accrual the host carries).
 type hostSnap struct {
-	msgsSent     int64
-	payloadBytes int64
+	msgsSent     int
+	payloadBytes int
 	origins      []int
 	sides        []nodeSnap // parallel to origins
 	shard        *ShardState
@@ -48,8 +48,8 @@ func (h *ShardHost) Checkpoint() ([]byte, error) {
 		return nil, err
 	}
 	hs := &hostSnap{
-		msgsSent:     int64(h.res.MsgsSent),
-		payloadBytes: int64(h.res.PayloadBytes),
+		msgsSent:     h.res.MsgsSent,
+		payloadBytes: h.res.PayloadBytes,
 		origins:      h.origins,
 		sides:        make([]nodeSnap, len(h.origins)),
 	}
@@ -64,55 +64,43 @@ func (h *ShardHost) Checkpoint() ([]byte, error) {
 	st.DeliveredBytes += h.res.DeliveredBytes
 	st.ServerEmits += h.res.ServerEmits
 	hs.shard = st
-	return encodeHostSnap(hs), nil
+	return encodeHostSnap(&h.cfg, hs)
 }
 
-func encodeHostSnap(hs *hostSnap) []byte {
-	w := wire.NewSnapshotWriter()
-	w.Int(hs.msgsSent)
-	w.Int(hs.payloadBytes)
-	w.Uvarint(uint64(len(hs.origins)))
-	for i, n := range hs.origins {
-		w.Int(int64(n))
-		encodeNodeSide(w, &hs.sides[i])
+// walk is the layout of a host blob: the send-side counters, every owned
+// origin's ID (checked against cfg.Nodes) and node side, then the
+// delivery state.
+func (hs *hostSnap) walk(c *wire.Codec, cfg *Config) {
+	c.Int(&hs.msgsSent)
+	c.Int(&hs.payloadBytes)
+	// One origin is at least its id, two float64s and four one-byte
+	// varints (counters and the two empty-section counts).
+	n := c.Len(len(hs.origins), 21)
+	if c.Decoding() {
+		hs.origins, hs.sides = make([]int, n), make([]nodeSnap, n)
 	}
-	hs.shard.save(w)
-	return w.Bytes()
+	nEdges := len(cfg.Graph.Edges())
+	for i := 0; i < n && c.Err() == nil; i++ {
+		c.Int(&hs.origins[i])
+		if c.Err() == nil && (hs.origins[i] < 0 || hs.origins[i] >= cfg.Nodes) {
+			c.Fail(fmt.Errorf("runtime: host snapshot origin %d outside [0,%d)", hs.origins[i], cfg.Nodes))
+		}
+		hs.sides[i].walk(c, nEdges)
+	}
+	if hs.shard == nil {
+		hs.shard = &ShardState{}
+	}
+	hs.shard.walk(c)
+}
+
+func encodeHostSnap(cfg *Config, hs *hostSnap) ([]byte, error) {
+	return wire.Encode(func(c *wire.Codec) { hs.walk(c, cfg) })
 }
 
 func decodeHostSnap(cfg *Config, data []byte) (*hostSnap, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, err
-	}
 	hs := &hostSnap{}
-	hs.msgsSent = r.Int()
-	hs.payloadBytes = r.Int()
-	// One origin is at least its id, two float64s and four one-byte
-	// varints (counters and the two empty-section counts).
-	nOrigins := r.Count(21)
-	nEdges := len(cfg.Graph.Edges())
-	for i := 0; i < nOrigins; i++ {
-		n := int(r.Int())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if n < 0 || n >= cfg.Nodes {
-			return nil, fmt.Errorf("runtime: host snapshot origin %d outside [0,%d)", n, cfg.Nodes)
-		}
-		side, err := decodeNodeSide(r, nEdges)
-		if err != nil {
-			return nil, err
-		}
-		hs.origins = append(hs.origins, n)
-		hs.sides = append(hs.sides, side)
-	}
-	hs.shard = loadShardState(r)
-	if err := r.Err(); err != nil {
+	if err := wire.Decode(data, func(c *wire.Codec) { hs.walk(c, cfg) }); err != nil {
 		return nil, err
-	}
-	if !r.Done() {
-		return nil, fmt.Errorf("runtime: trailing bytes after host snapshot")
 	}
 	return hs, nil
 }
@@ -155,8 +143,8 @@ func restoreHost(cfg Config, origins []int, hs *hostSnap) (*ShardHost, error) {
 	if !slices.Equal(hs.origins, h.origins) {
 		return abort(fmt.Errorf("runtime: host blob origin set %v does not match host origins %v", hs.origins, h.origins))
 	}
-	h.res.MsgsSent = int(hs.msgsSent)
-	h.res.PayloadBytes = int(hs.payloadBytes)
+	h.res.MsgsSent = hs.msgsSent
+	h.res.PayloadBytes = hs.payloadBytes
 	if err := h.applySides(hs.sides); err != nil {
 		return abort(err)
 	}
@@ -212,7 +200,9 @@ func HostShares(cfg Config, snapshot []byte, parts [][]int) ([][]byte, error) {
 		if len(origins) > 0 && (origins[0] < 0 || origins[len(origins)-1] >= snap.nodes) {
 			return nil, fmt.Errorf("runtime: origins %v outside [0,%d)", origins, snap.nodes)
 		}
-		shares[i] = encodeHostSnap(hostShare(snap, origins))
+		if shares[i], err = encodeHostSnap(&cfg, hostShare(snap, origins)); err != nil {
+			return nil, err
+		}
 	}
 	return shares, nil
 }
@@ -297,8 +287,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	snap.res.MsgsReceived, snap.res.DeliveredBytes, snap.res.ServerEmits = 0, 0, 0
 	for _, hs := range hostSnaps {
-		snap.res.MsgsSent += int(hs.msgsSent)
-		snap.res.PayloadBytes += int(hs.payloadBytes)
+		snap.res.MsgsSent += hs.msgsSent
+		snap.res.PayloadBytes += hs.payloadBytes
 		st.MsgsReceived += hs.shard.MsgsReceived
 		st.DeliveredBytes += hs.shard.DeliveredBytes
 		st.ServerEmits += hs.shard.ServerEmits
@@ -328,7 +318,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 		side.arrivals = snap.perNode[n].arrivals
 		snap.perNode[n] = *side
 	}
-	return encodeSessionSnap(snap), nil
+	return encodeSessionSnap(cfg.Graph, snap)
 }
 
 // ResumeSession rebuilds a Session on one in-process host from a
@@ -376,7 +366,12 @@ func (s *Session) resume(cfg Config, hosts []HostBinding, snap *sessionSnap) err
 	if s.rec != nil {
 		s.ckpts = make([][]byte, len(hosts))
 		for hi, b := range hosts {
-			s.ckpts[hi] = encodeHostSnap(hostShare(snap, slices.Sorted(slices.Values(b.Origins))))
+			ckpt, err := encodeHostSnap(&s.cfg, hostShare(snap, slices.Sorted(slices.Values(b.Origins))))
+			if err != nil {
+				s.release()
+				return err
+			}
+			s.ckpts[hi] = ckpt
 		}
 	}
 	return nil

@@ -85,17 +85,19 @@ func (r *receiveRig) key() reasmKey { return reasmKey{node: 0, edge: r.edge} }
 
 // frame is the stream's snapshot frame, as snapshotState writes it.
 func (r *receiveRig) frame() []byte {
-	w := wire.NewSnapshotWriter()
-	if _, err := r.sh.streams[r.key()].save(w, nil, r.sh.payload); err != nil {
+	frame, _, err := r.sh.streams[r.key()].save(nil, r.sh.payload)
+	if err != nil {
 		r.t.Fatal(err)
 	}
-	return w.Bytes()
+	return frame
 }
 
 func (r *receiveRig) oracleFrame() []byte {
-	w := wire.NewSnapshotWriter()
-	r.rx.reasm[r.key()].SaveSnapshot(w)
-	return w.Bytes()
+	frame, err := r.rx.reasm[r.key()].SaveSnapshot()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return frame
 }
 
 // wrapFrame is a 200-sample frame (15 TMote fragments) whose contents

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wishbone/internal/dataflow"
@@ -60,62 +61,32 @@ type OpState struct {
 	Data []byte
 }
 
-func (st *ShardState) save(w *wire.SnapshotWriter) {
-	w.Int(int64(st.MsgsReceived))
-	w.Int(int64(st.DeliveredBytes))
-	w.Int(int64(st.ServerEmits))
-	w.Uvarint(uint64(len(st.Origins)))
-	for i := range st.Origins {
-		o := &st.Origins[i]
-		w.Int(int64(o.Origin))
-		w.Uvarint(o.Draws)
-		w.Uvarint(uint64(len(o.Streams)))
-		for _, es := range o.Streams {
-			w.Uvarint(uint64(es.Edge))
-			w.Blob(es.Data)
-		}
-		saveOpStates(w, o.Ops)
-	}
-	saveOpStates(w, st.Server)
+// walk is the layout of a ShardState: the carried counters, then every
+// origin's loss-sampler position, reassembly streams and relocated
+// operator states, then the global Server states.
+func (st *ShardState) walk(c *wire.Codec) {
+	c.Int(&st.MsgsReceived)
+	c.Int(&st.DeliveredBytes)
+	c.Int(&st.ServerEmits)
+	wire.Slice(c, &st.Origins, 4, func(c *wire.Codec, o *OriginState) {
+		c.Int(&o.Origin)
+		c.Uint64(&o.Draws)
+		wire.Slice(c, &o.Streams, 2, func(c *wire.Codec, es *EdgeStream) {
+			c.Uint(&es.Edge)
+			c.Blob(&es.Data)
+		})
+		walkOpStates(c, &o.Ops)
+	})
+	walkOpStates(c, &st.Server)
 }
 
-func loadShardState(r *wire.SnapshotReader) *ShardState {
-	st := &ShardState{
-		MsgsReceived:   int(r.Int()),
-		DeliveredBytes: int(r.Int()),
-		ServerEmits:    int(r.Int()),
-	}
-	st.Origins = make([]OriginState, r.Count(4))
-	for i := range st.Origins {
-		o := &st.Origins[i]
-		o.Origin = int(r.Int())
-		o.Draws = r.Uvarint()
-		o.Streams = make([]EdgeStream, r.Count(2))
-		for j := range o.Streams {
-			o.Streams[j].Edge = int(r.Uvarint())
-			o.Streams[j].Data = append([]byte(nil), r.Blob()...)
-		}
-		o.Ops = loadOpStates(r)
-	}
-	st.Server = loadOpStates(r)
-	return st
-}
-
-func saveOpStates(w *wire.SnapshotWriter, ops []OpState) {
-	w.Uvarint(uint64(len(ops)))
-	for _, os := range ops {
-		w.Uvarint(uint64(os.Op))
-		w.Blob(os.Data)
-	}
-}
-
-func loadOpStates(r *wire.SnapshotReader) []OpState {
-	ops := make([]OpState, r.Count(2))
-	for i := range ops {
-		ops[i].Op = int(r.Uvarint())
-		ops[i].Data = append([]byte(nil), r.Blob()...)
-	}
-	return ops
+// walkOpStates is the layout of a list of operator states: each one's
+// operator ID and the blob its own LoadState hook reads.
+func walkOpStates(c *wire.Codec, ops *[]OpState) {
+	wire.Slice(c, ops, 2, func(c *wire.Codec, os *OpState) {
+		c.Uint(&os.Op)
+		c.Blob(&os.Data)
+	})
 }
 
 // checkSnapshotable verifies every stateful operator in the graph carries
@@ -177,13 +148,13 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 			originOf(id).Draws = sam.DrawCount()
 		}
 		for key, es := range sh.streams {
-			w := wire.NewSnapshotWriter()
+			var frame []byte
 			var err error
-			if enc, err = es.save(w, enc, sh.payload); err != nil {
+			if frame, enc, err = es.save(enc, sh.payload); err != nil {
 				return nil, err
 			}
 			originOf(key.node).Streams = append(originOf(key.node).Streams,
-				EdgeStream{Edge: eidx[key.edge], Data: w.Bytes()})
+				EdgeStream{Edge: eidx[key.edge], Data: frame})
 		}
 		for opID, tbl := range sh.engine.states {
 			op := cfg.Graph.ByID(opID)
@@ -215,38 +186,32 @@ func (d *deliveryPlan) snapshotState(cfg *Config) (*ShardState, error) {
 	return st, nil
 }
 
-// save writes the stream's frame — the one wire.Reassembler.SaveSnapshot
-// writes for the equivalent reassembler — from the encoding ownPartials
+// save encodes the stream's frame — the one wire.Reassembler.SaveSnapshot
+// encodes for the equivalent reassembler — from the encoding ownPartials
 // kept, or by marshalling a lazy partial's value into enc, which it
 // returns grown for the next stream.
-func (es *edgeStream) save(w *wire.SnapshotWriter, enc []byte, payload int) ([]byte, error) {
-	switch {
-	case es.re != nil:
-		es.re.SaveSnapshot(w)
-	case es.count == 0:
-		w.Bool(false)
-	case len(es.enc) > 0:
-		wire.SavePartialSnapshot(w, es.seq, es.count, es.enc, payload, &es.have)
-	default:
-		var err error
-		if enc, err = wire.AppendMarshal(enc[:0], es.value); err != nil {
-			return enc, err
-		}
-		wire.SavePartialSnapshot(w, es.seq, es.count, enc, payload, &es.have)
+func (es *edgeStream) save(enc []byte, payload int) (frame, grown []byte, err error) {
+	if es.re != nil {
+		frame, err = es.re.SaveSnapshot()
+		return frame, enc, err
 	}
-	return enc, nil
+	part := es.enc
+	if es.count > 0 && len(part) == 0 {
+		if enc, err = wire.AppendMarshal(enc[:0], es.value); err != nil {
+			return nil, enc, err
+		}
+		part = enc
+	}
+	frame, err = wire.SavePartialSnapshot(es.seq, es.count, part, payload, &es.have)
+	return frame, enc, err
 }
 
 // loadEdgeStream restores a stream from its frame. A restored partial is
 // bytes, not a value, so it stays in its Reassembler until the stream
 // moves past it (shardState.receive).
 func loadEdgeStream(data []byte) (*edgeStream, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, err
-	}
 	re := &wire.Reassembler{}
-	if err := re.LoadSnapshot(r); err != nil {
+	if err := re.LoadSnapshot(data); err != nil {
 		return nil, err
 	}
 	st := &edgeStream{}
@@ -340,7 +305,7 @@ func edgeIndexes(cfg *Config) map[*dataflow.Edge]int {
 func captureNodeSide(cfg *Config, prog *dataflow.Program, eidx map[*dataflow.Edge]int,
 	ns *nodeSim, inst *dataflow.Instance, side *nodeSnap) error {
 	side.busyUntil, side.busy = ns.busyUntil, ns.busy
-	side.inputEvents, side.processedEvents = int64(ns.inputEvents), int64(ns.processedEvents)
+	side.inputEvents, side.processedEvents = ns.inputEvents, ns.processedEvents
 	side.seqs = make([]seqSnap, 0, len(ns.s.seqs))
 	for e, q := range ns.s.seqs {
 		side.seqs = append(side.seqs, seqSnap{edge: eidx[e], seq: q})
@@ -366,10 +331,7 @@ func captureNodeSide(cfg *Config, prog *dataflow.Program, eidx map[*dataflow.Edg
 func captureAggregator(a *reduceAggregator, eidx map[*dataflow.Edge]int) ([]aggEdgeSnap, error) {
 	snaps := make([]aggEdgeSnap, 0, len(a.edgeOrder))
 	for _, e := range a.edgeOrder {
-		ae := aggEdgeSnap{edge: eidx[e], flushed: int64(a.flushed[e]), seq: a.seq[e]}
-		for _, c := range a.counts[e] {
-			ae.counts = append(ae.counts, int64(c))
-		}
+		ae := aggEdgeSnap{edge: eidx[e], counts: slices.Clone(a.counts[e]), flushed: a.flushed[e], seq: a.seq[e]}
 		for _, m := range a.pending[e] {
 			if m == nil {
 				ae.pending = append(ae.pending, pendSnap{})
@@ -542,7 +504,7 @@ func MigrateSnapshot(g *dataflow.Graph, data []byte, newOnNode map[int]bool) ([]
 	snap.agg = aggEdges
 
 	snap.onNode = onNodeIDs(g, newOnNode)
-	return encodeSessionSnap(snap), nil
+	return encodeSessionSnap(g, snap)
 }
 
 // sessionSnap is a Session snapshot held fully decoded — the working form
@@ -572,7 +534,7 @@ func (r *Result) counters() [7]*int {
 
 type nodeSnap struct {
 	busyUntil, busy              float64
-	inputEvents, processedEvents int64
+	inputEvents, processedEvents int
 	seqs                         []seqSnap
 	ops                          []OpState
 	arrivals                     []arrivalSnap
@@ -594,8 +556,8 @@ type arrivalSnap struct {
 
 type aggEdgeSnap struct {
 	edge    int
-	counts  []int64
-	flushed int64
+	counts  []int
+	flushed int
 	seq     uint16
 	pending []pendSnap
 }
@@ -606,40 +568,22 @@ type pendSnap struct {
 	blob    []byte
 }
 
-// decodeNodeSide reads one node side into its decoded form.
-func decodeNodeSide(r *wire.SnapshotReader, nEdges int) (nodeSnap, error) {
-	var ns nodeSnap
-	ns.busyUntil = r.F64()
-	ns.busy = r.F64()
-	ns.inputEvents = r.Int()
-	ns.processedEvents = r.Int()
-	ns.seqs = make([]seqSnap, r.Count(3))
-	for i := range ns.seqs {
-		ns.seqs[i].edge = int(r.Uvarint())
-		ns.seqs[i].seq = r.U16()
-		if err := r.Err(); err != nil {
-			return ns, err
+// walk is the layout of one node side: the simulator's busy horizon and
+// event counters, the sender sequences by dense edge index (of nEdges),
+// and the node's operator states. Arrivals are the session's to walk.
+func (ns *nodeSnap) walk(c *wire.Codec, nEdges int) {
+	c.F64(&ns.busyUntil)
+	c.F64(&ns.busy)
+	c.Int(&ns.inputEvents)
+	c.Int(&ns.processedEvents)
+	wire.Slice(c, &ns.seqs, 3, func(c *wire.Codec, se *seqSnap) {
+		c.Uint(&se.edge)
+		c.U16(&se.seq)
+		if c.Err() == nil && (se.edge < 0 || se.edge >= nEdges) {
+			c.Fail(fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", se.edge, nEdges))
 		}
-		if ns.seqs[i].edge < 0 || ns.seqs[i].edge >= nEdges {
-			return ns, fmt.Errorf("runtime: snapshot sender sequence on edge %d of %d", ns.seqs[i].edge, nEdges)
-		}
-	}
-	ns.ops = loadOpStates(r)
-	return ns, r.Err()
-}
-
-// encodeNodeSide writes one node side.
-func encodeNodeSide(w *wire.SnapshotWriter, ns *nodeSnap) {
-	w.F64(ns.busyUntil)
-	w.F64(ns.busy)
-	w.Int(ns.inputEvents)
-	w.Int(ns.processedEvents)
-	w.Uvarint(uint64(len(ns.seqs)))
-	for _, se := range ns.seqs {
-		w.Uvarint(uint64(se.edge))
-		w.U16(se.seq)
-	}
-	saveOpStates(w, ns.ops)
+	})
+	walkOpStates(c, &ns.ops)
 }
 
 // applyNodeSnap loads a decoded node side into a live simulator/instance
@@ -648,8 +592,8 @@ func applyNodeSnap(cfg *Config, prog *dataflow.Program, snap *nodeSnap, ns *node
 	edges := cfg.Graph.Edges()
 	ns.busyUntil = snap.busyUntil
 	ns.busy = snap.busy
-	ns.inputEvents = int(snap.inputEvents)
-	ns.processedEvents = int(snap.processedEvents)
+	ns.inputEvents = snap.inputEvents
+	ns.processedEvents = snap.processedEvents
 	if len(snap.seqs) > 0 {
 		ns.s.seqs = make(map[*dataflow.Edge]uint16, len(snap.seqs))
 		for _, se := range snap.seqs {
@@ -669,170 +613,88 @@ func applyNodeSnap(cfg *Config, prog *dataflow.Program, snap *nodeSnap, ns *node
 	return nil
 }
 
-func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
-		return nil, err
+// walk is the layout of a session snapshot: run identity, clock and
+// counters, every node's side and buffered arrivals, the reduce
+// aggregator's edges, then the delivery state. Decoding checks the graph's
+// structural hash, the node count and every dense edge index against g.
+func (snap *sessionSnap) walk(c *wire.Codec, g *dataflow.Graph) {
+	c.String(&snap.hash)
+	if c.Decoding() && c.Err() == nil && snap.hash != g.StructuralHash() {
+		c.Fail(fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)"))
 	}
-	snap := &sessionSnap{}
-	snap.hash = r.String()
-	if snap.hash != g.StructuralHash() {
-		return nil, fmt.Errorf("runtime: snapshot is of a different graph (structural hash mismatch)")
-	}
-	snap.onNode = make([]int, r.Count(1))
-	for i := range snap.onNode {
-		snap.onNode[i] = int(r.Uvarint())
-	}
-	snap.platform = r.String()
-	snap.nodes = int(r.Int())
-	snap.duration = r.F64()
-	snap.seed = r.Int()
-	snap.window = r.F64()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if snap.nodes <= 0 || snap.nodes > 1<<20 {
-		return nil, fmt.Errorf("runtime: snapshot node count %d", snap.nodes)
+	wire.Slice(c, &snap.onNode, 1, (*wire.Codec).Uint)
+	c.String(&snap.platform)
+	c.Int(&snap.nodes)
+	c.F64(&snap.duration)
+	c.Int64(&snap.seed)
+	c.F64(&snap.window)
+	if c.Err() == nil && (snap.nodes <= 0 || snap.nodes > 1<<20) {
+		c.Fail(fmt.Errorf("runtime: snapshot node count %d", snap.nodes))
 	}
 
-	snap.lastTime = r.F64()
-	snap.windowStart = r.F64()
-	snap.lastSpan = r.F64()
-	snap.peakBuffered = int(r.Int())
-	snap.totalAir = int(r.Int())
-	snap.ratioFirst = r.F64()
-	snap.ratioAir = r.F64()
-	snap.ratioUniform = r.Bool()
-	snap.sawWindow = r.Bool()
-	for _, c := range snap.res.counters() {
-		*c = int(r.Int())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	c.F64(&snap.lastTime)
+	c.F64(&snap.windowStart)
+	c.F64(&snap.lastSpan)
+	c.Int(&snap.peakBuffered)
+	c.Int(&snap.totalAir)
+	c.F64(&snap.ratioFirst)
+	c.F64(&snap.ratioAir)
+	c.Bool(&snap.ratioUniform)
+	c.Bool(&snap.sawWindow)
+	for _, p := range snap.res.counters() {
+		c.Int(p)
 	}
 
 	nEdges := len(g.Edges())
-	// perNode grows as sides decode rather than being sized from the header's
-	// node count, which no length prefix ties to the bytes that follow.
-	for n := 0; n < snap.nodes; n++ {
-		side, err := decodeNodeSide(r, nEdges)
-		if err != nil {
-			return nil, err
+	// The node sides are no counted section: their number is the header's
+	// node count, which no length prefix ties to the bytes that follow, so
+	// decoding grows perNode side by side instead of sizing it.
+	for n := 0; n < snap.nodes && c.Err() == nil; n++ {
+		if n == len(snap.perNode) {
+			snap.perNode = append(snap.perNode, nodeSnap{})
 		}
-		side.arrivals = make([]arrivalSnap, r.Count(10))
-		for i := range side.arrivals {
-			side.arrivals[i].t = r.F64()
-			side.arrivals[i].src = int(r.Uvarint())
-			side.arrivals[i].blob = append([]byte(nil), r.Blob()...)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		snap.perNode = append(snap.perNode, side)
+		side := &snap.perNode[n]
+		side.walk(c, nEdges)
+		wire.Slice(c, &side.arrivals, 10, func(c *wire.Codec, a *arrivalSnap) {
+			c.F64(&a.t)
+			c.Uint(&a.src)
+			c.Blob(&a.blob)
+		})
 	}
 
-	snap.agg = make([]aggEdgeSnap, r.Count(6))
-	for i := range snap.agg {
-		ae := &snap.agg[i]
-		ae.edge = int(r.Uvarint())
-		if err := r.Err(); err != nil {
-			return nil, err
+	wire.Slice(c, &snap.agg, 6, func(c *wire.Codec, ae *aggEdgeSnap) {
+		c.Uint(&ae.edge)
+		if c.Err() == nil && (ae.edge < 0 || ae.edge >= nEdges) {
+			c.Fail(fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ae.edge, nEdges))
 		}
-		if ae.edge < 0 || ae.edge >= nEdges {
-			return nil, fmt.Errorf("runtime: snapshot aggregator edge %d of %d", ae.edge, nEdges)
-		}
-		ae.counts = make([]int64, r.Count(1))
-		for j := range ae.counts {
-			ae.counts[j] = r.Int()
-		}
-		ae.flushed = r.Int()
-		ae.seq = r.U16()
-		ae.pending = make([]pendSnap, r.Count(1))
-		for j := range ae.pending {
-			p := &ae.pending[j]
-			p.present = r.Bool()
-			if !p.present {
-				continue
+		wire.Slice(c, &ae.counts, 1, (*wire.Codec).Int)
+		c.Int(&ae.flushed)
+		c.U16(&ae.seq)
+		wire.Slice(c, &ae.pending, 1, func(c *wire.Codec, p *pendSnap) {
+			c.Bool(&p.present)
+			if p.present {
+				c.F64(&p.time)
+				c.Blob(&p.blob)
 			}
-			p.time = r.F64()
-			p.blob = append([]byte(nil), r.Blob()...)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
+		})
+	})
 
-	snap.shard = loadShardState(r)
-	if err := r.Err(); err != nil {
-		return nil, err
+	if snap.shard == nil {
+		snap.shard = &ShardState{}
 	}
-	if !r.Done() {
-		return nil, fmt.Errorf("runtime: trailing bytes after session snapshot")
+	snap.shard.walk(c)
+}
+
+func decodeSessionSnap(g *dataflow.Graph, data []byte) (*sessionSnap, error) {
+	snap := &sessionSnap{}
+	if err := wire.Decode(data, func(c *wire.Codec) { snap.walk(c, g) }); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
 
-func encodeSessionSnap(snap *sessionSnap) []byte {
-	w := wire.NewSnapshotWriter()
-	w.String(snap.hash)
-	w.Uvarint(uint64(len(snap.onNode)))
-	for _, id := range snap.onNode {
-		w.Uvarint(uint64(id))
-	}
-	w.String(snap.platform)
-	w.Int(int64(snap.nodes))
-	w.F64(snap.duration)
-	w.Int(snap.seed)
-	w.F64(snap.window)
-
-	w.F64(snap.lastTime)
-	w.F64(snap.windowStart)
-	w.F64(snap.lastSpan)
-	w.Int(int64(snap.peakBuffered))
-	w.Int(int64(snap.totalAir))
-	w.F64(snap.ratioFirst)
-	w.F64(snap.ratioAir)
-	w.Bool(snap.ratioUniform)
-	w.Bool(snap.sawWindow)
-	for _, c := range snap.res.counters() {
-		w.Int(int64(*c))
-	}
-
-	for n := range snap.perNode {
-		ns := &snap.perNode[n]
-		encodeNodeSide(w, ns)
-		w.Uvarint(uint64(len(ns.arrivals)))
-		for _, a := range ns.arrivals {
-			w.F64(a.t)
-			w.Uvarint(uint64(a.src))
-			w.Blob(a.blob)
-		}
-	}
-
-	w.Uvarint(uint64(len(snap.agg)))
-	for i := range snap.agg {
-		ae := &snap.agg[i]
-		w.Uvarint(uint64(ae.edge))
-		w.Uvarint(uint64(len(ae.counts)))
-		for _, c := range ae.counts {
-			w.Int(c)
-		}
-		w.Int(ae.flushed)
-		w.U16(ae.seq)
-		w.Uvarint(uint64(len(ae.pending)))
-		for _, p := range ae.pending {
-			if !p.present {
-				w.Bool(false)
-				continue
-			}
-			w.Bool(true)
-			w.F64(p.time)
-			w.Blob(p.blob)
-		}
-	}
-
-	snap.shard.save(w)
-	return w.Bytes()
+func encodeSessionSnap(g *dataflow.Graph, snap *sessionSnap) ([]byte, error) {
+	return wire.Encode(func(c *wire.Codec) { snap.walk(c, g) })
 }
 
 // check validates a decoded snapshot's run identity against a run Config:
@@ -875,12 +737,8 @@ func restoreAggFromSnap(cfg *Config, a *reduceAggregator, snaps []aggEdgeSnap) e
 		ae := &snaps[i]
 		e := edges[ae.edge]
 		a.edgeOrder = append(a.edgeOrder, e)
-		counts := make([]int, len(ae.counts))
-		for j, c := range ae.counts {
-			counts[j] = int(c)
-		}
-		a.counts[e] = counts
-		a.flushed[e] = int(ae.flushed)
+		a.counts[e] = slices.Clone(ae.counts)
+		a.flushed[e] = ae.flushed
 		a.seq[e] = ae.seq
 		pend := make([]*message, 0, len(ae.pending))
 		for j := range ae.pending {

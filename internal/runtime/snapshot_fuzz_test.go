@@ -12,6 +12,7 @@ import (
 	"wishbone/internal/apps/speech"
 	"wishbone/internal/platform"
 	"wishbone/internal/wire"
+	"wishbone/internal/wscript"
 )
 
 // allocatedBy reports the heap bytes f allocates (the test runs f on its
@@ -52,15 +53,32 @@ func hostile(count uint64, prefix func(w *wire.SnapshotWriter)) []byte {
 	return w.Bytes()
 }
 
+// hostileScript has both kinds of wscript operator state: an iterate's
+// *wvm.State and a zip buffer.
+const hostileScript = `
+namespace Node {
+  a = source("a", 8);
+  b = source("b", 8);
+  sums = iterate p in zip(a, b) state { n = 0; } { n = n + 1; emit p[0] + p[1] + n; };
+}
+main = sums;
+`
+
 // TestSnapshotHostileCounts pins that no decoder sizes an allocation from
 // a count the remaining bytes cannot back: 1<<62 used to panic makeslice,
-// 1<<33 to allocate tens of gigabytes. Every section count of the session
-// and host formats gets both, and so does every count inside the built-in
-// apps' operator-state blobs, which their LoadState hooks decode on the
-// apply side of the same resume fields.
+// 1<<33 to allocate tens of gigabytes, 1<<20 (under the old wvm slot cap)
+// 16 MiB from a 5-byte wscript state. Every section count of the session
+// and host formats gets all three, and so does every count inside the
+// built-in apps' and wscript's operator-state blobs, which their LoadState
+// hooks decode on the apply side of the same resume fields.
 func TestSnapshotHostileCounts(t *testing.T) {
 	cfg := goldenConfig()
 	eegCfg := &Config{Graph: eeg.NewWithChannels(1).Graph}
+	script, err := wscript.CompileOpts(hostileScript, wscript.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsCfg := &Config{Graph: script.Graph}
 	opState := func(c *Config, stateType string) func(data []byte) error {
 		id := opWithState(t, c, stateType)
 		return func(data []byte) error {
@@ -72,19 +90,29 @@ func TestSnapshotHostileCounts(t *testing.T) {
 	one := func(w *wire.SnapshotWriter) { w.Uvarint(1) }
 	hash := cfg.Graph.StructuralHash()
 	nEdges := len(cfg.Graph.Edges())
+	// nested opens 64 wvm arrays (tag 5), each but the last claiming 1024
+	// elements, inside one state slot: every level used to presize its
+	// elements before the bytes behind them were read.
+	nested := func(w *wire.SnapshotWriter) {
+		for i := 0; i < 63; i++ {
+			w.Byte(5)
+			w.Uvarint(1024)
+		}
+		w.Byte(5)
+	}
 	nodeScalars := func(w *wire.SnapshotWriter) {
 		w.F64(0)
 		w.F64(0)
 		w.Int(0)
 		w.Int(0)
 	}
-	reader := func(data []byte) *wire.SnapshotReader {
-		r, err := wire.NewSnapshotReader(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+	// section decodes data as one section of the session and host
+	// layouts, walked on its own.
+	section := func(walk func(c *wire.Codec)) func(data []byte) error {
+		return func(data []byte) error { return wire.Decode(data, walk) }
 	}
+	nodeSide := section(func(c *wire.Codec) { new(nodeSnap).walk(c, nEdges) })
+	shardState := section(func(c *wire.Codec) { new(ShardState).walk(c) })
 	cases := []struct {
 		name   string
 		prefix func(w *wire.SnapshotWriter)
@@ -94,12 +122,9 @@ func TestSnapshotHostileCounts(t *testing.T) {
 			func(data []byte) error { _, err := decodeSessionSnap(cfg.Graph, data); return err }},
 		{"host origins", func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0) },
 			func(data []byte) error { _, err := decodeHostSnap(cfg, data); return err }},
-		{"node sequences", nodeScalars,
-			func(data []byte) error { _, err := decodeNodeSide(reader(data), nEdges); return err }},
-		{"node operator states", func(w *wire.SnapshotWriter) { nodeScalars(w); w.Uvarint(0) },
-			func(data []byte) error { _, err := decodeNodeSide(reader(data), nEdges); return err }},
-		{"shard origins", func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0); w.Int(0) },
-			func(data []byte) error { r := reader(data); loadShardState(r); return r.Err() }},
+		{"node sequences", nodeScalars, nodeSide},
+		{"node operator states", func(w *wire.SnapshotWriter) { nodeScalars(w); w.Uvarint(0) }, nodeSide},
+		{"shard origins", func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0); w.Int(0) }, shardState},
 		{"origin streams", func(w *wire.SnapshotWriter) {
 			w.Int(0)
 			w.Int(0)
@@ -107,10 +132,8 @@ func TestSnapshotHostileCounts(t *testing.T) {
 			w.Uvarint(1)
 			w.Int(0)
 			w.Uvarint(0)
-		},
-			func(data []byte) error { r := reader(data); loadShardState(r); return r.Err() }},
-		{"operator states", none,
-			func(data []byte) error { r := reader(data); loadOpStates(r); return r.Err() }},
+		}, shardState},
+		{"operator states", none, section(func(c *wire.Codec) { walkOpStates(c, new([]OpState)) })},
 		{"speech prefilt taps", none, opState(cfg, "*speech.prefiltState")},
 		{"eeg FIR taps", none, opState(eegCfg, "*eeg.firState")},
 		{"eeg zip2 blocks", none, opState(eegCfg, "*eeg.zip2State")},
@@ -119,9 +142,17 @@ func TestSnapshotHostileCounts(t *testing.T) {
 		{"eeg zip queue", one, opState(eegCfg, "*eeg.zipState")},
 		{"eeg zip feature vector", func(w *wire.SnapshotWriter) { w.Uvarint(1); w.Uvarint(1); w.Byte(1) },
 			opState(eegCfg, "*eeg.zipState")},
+		{"wscript state slots", func(w *wire.SnapshotWriter) { w.Uvarint(0) },
+			opState(wsCfg, "*wvm.State")},
+		{"wscript nested containers", func(w *wire.SnapshotWriter) { w.Uvarint(0); w.Uvarint(1); nested(w) },
+			opState(wsCfg, "*wvm.State")},
+		{"wscript zip queue", func(w *wire.SnapshotWriter) { w.Uvarint(0); w.Uvarint(2) },
+			opState(wsCfg, "*wscript.zipVMState")},
+		{"wscript zip nested containers", func(w *wire.SnapshotWriter) { w.Uvarint(0); w.Uvarint(2); w.Uvarint(1); nested(w) },
+			opState(wsCfg, "*wscript.zipVMState")},
 	}
 	for _, tc := range cases {
-		for _, count := range []uint64{1 << 62, 1 << 33} {
+		for _, count := range []uint64{1 << 62, 1 << 33, 1 << 20} {
 			data := hostile(count, tc.prefix)
 			var err error
 			alloc := allocatedBy(func() { err = tc.decode(data) })
@@ -129,7 +160,7 @@ func TestSnapshotHostileCounts(t *testing.T) {
 				t.Errorf("%s: count %d over %d bytes decoded without error", tc.name, count, len(data))
 			}
 			if alloc >= 1<<20 {
-				t.Errorf("%s: count %d allocated %d bytes before failing", tc.name, count, alloc)
+				t.Errorf("%s: count %d over %d bytes allocated %d bytes before failing", tc.name, count, len(data), alloc)
 			}
 		}
 	}
@@ -233,6 +264,15 @@ func loadStates(cfg *Config, states []*OpState) {
 // wire and a 40-byte pendSnap decoded; append growth can double that.
 func maxDecodeAlloc(n int) uint64 { return uint64(n)*96 + 64<<10 }
 
+// encoded returns an encoder's bytes; the encoders fail only on a state
+// no decoder accepted, so an error is a bug of the walk.
+func encoded(data []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
 func readGolden(f *testing.F, name string) []byte {
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
@@ -259,7 +299,7 @@ func FuzzDecodeSessionSnap(f *testing.F) {
 			f.Fatal(err)
 		}
 		withFIRState(f, cfg, carriedStates(snap.perNode, snap.shard), data)
-		f.Add(encodeSessionSnap(snap))
+		f.Add(encoded(encodeSessionSnap(g, snap)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var snap *sessionSnap
@@ -270,12 +310,12 @@ func FuzzDecodeSessionSnap(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := encodeSessionSnap(snap)
+		enc := encoded(encodeSessionSnap(g, snap))
 		again, err := decodeSessionSnap(g, enc)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
-		if !bytes.Equal(encodeSessionSnap(again), enc) {
+		if !bytes.Equal(encoded(encodeSessionSnap(g, again)), enc) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
 		loadStates(cfg, carriedStates(snap.perNode, snap.shard))
@@ -295,7 +335,7 @@ func FuzzDecodeHostSnap(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, origins := range PartitionOrigins(cfg.Nodes, 2) {
-		f.Add(encodeHostSnap(hostShare(snap, origins)))
+		f.Add(encoded(encodeHostSnap(cfg, hostShare(snap, origins))))
 	}
 	f.Add(hostile(1<<33, func(w *wire.SnapshotWriter) { w.Int(0); w.Int(0) }))
 	for _, data := range hostileFIRStates() {
@@ -304,7 +344,7 @@ func FuzzDecodeHostSnap(f *testing.F) {
 			f.Fatal(err)
 		}
 		withFIRState(f, cfg, carriedStates(hs.sides, hs.shard), data)
-		f.Add(encodeHostSnap(hs))
+		f.Add(encoded(encodeHostSnap(cfg, hs)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var hs *hostSnap
@@ -315,12 +355,12 @@ func FuzzDecodeHostSnap(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := encodeHostSnap(hs)
+		enc := encoded(encodeHostSnap(cfg, hs))
 		again, err := decodeHostSnap(cfg, enc)
 		if err != nil {
 			t.Fatalf("re-encoded host blob does not decode: %v", err)
 		}
-		if !bytes.Equal(encodeHostSnap(again), enc) {
+		if !bytes.Equal(encoded(encodeHostSnap(cfg, again)), enc) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
 		loadStates(cfg, carriedStates(hs.sides, hs.shard))

@@ -27,7 +27,6 @@ import (
 // Instance state slots (the VM engine), so entries execute fully
 // concurrently, like the built-in applications.
 type entry struct {
-	spec  wire.GraphSpec
 	key   string // canonical (spec ‖ structural-hash) content hash
 	graph *dataflow.Graph
 
@@ -46,14 +45,12 @@ type entry struct {
 	// callers must not mutate them.
 	traces func(spec wire.TraceSpec) []profile.Input
 
-	// limits and meter are the wscript VM's per-tenant budgets and
-	// consumed-fuel telemetry, bound into the graph's work functions at
-	// compile time; both are zero/nil for the built-in applications.
-	// Distinct limits build distinct entries (the cache key includes
-	// them), so one tenant's budget never constrains another's runs of
-	// the same program.
-	limits wvm.Limits
-	meter  *wvm.Meter
+	// meter is the wscript VM's consumed-fuel telemetry, bound with the
+	// per-tenant limits into the graph's work functions at compile time;
+	// nil for the built-in applications. Distinct limits build distinct
+	// entries (the cache key includes them), so one tenant's budget never
+	// constrains another's runs of the same program.
+	meter *wvm.Meter
 
 	clsOnce [2]sync.Once
 	cls     [2]*dataflow.Classification
@@ -91,7 +88,7 @@ func traceDefaults(t wire.TraceSpec) wire.TraceSpec {
 // compilation or full application elaboration (the 22-channel EEG app is
 // ~1.2k operators).
 func buildEntry(spec wire.GraphSpec, limits wvm.Limits) (*entry, error) {
-	e := &entry{spec: spec, limits: limits}
+	e := &entry{}
 	if !limits.Unlimited() && spec.App != "wscript" {
 		return nil, fmt.Errorf("server: execution limits apply only to wscript graphs (app %q has no VM work functions)", spec.App)
 	}

@@ -605,12 +605,16 @@ func TestSavePartialSnapshot(t *testing.T) {
 		if _, _, ok := r.Pending(); !ok {
 			continue // nothing offered: no partial to compare
 		}
-		want := NewSnapshotWriter()
-		r.SaveSnapshot(want)
-		got := NewSnapshotWriter()
-		SavePartialSnapshot(got, 65535, len(frags), enc, payload, &have)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("trial %d: partial frame\n% x\nwant\n% x", trial, got.Bytes(), want.Bytes())
+		want, err := r.SaveSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := SavePartialSnapshot(65535, len(frags), enc, payload, &have)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: partial frame\n% x\nwant\n% x", trial, got, want)
 		}
 	}
 }

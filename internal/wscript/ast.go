@@ -28,8 +28,6 @@ type Binding struct {
 	base
 	Name string
 	Expr Expr
-	// InNode is true when the binding appeared inside namespace Node {}.
-	InNode bool
 }
 
 // NamespaceDecl is `namespace Node { bindings }`.

@@ -303,52 +303,31 @@ type zipVMState struct {
 	fuelUsed uint64
 }
 
-func (z *zipVMState) save() ([]byte, error) {
-	w := wire.NewSnapshotWriter()
-	w.Uvarint(z.fuelUsed)
-	w.Uvarint(uint64(len(z.queues)))
-	for _, q := range z.queues {
-		w.Uvarint(uint64(len(q)))
-		for _, v := range q {
-			wvm.EncodeValue(w, v)
-		}
-	}
-	return w.Bytes(), nil
+// walk is the layout of a zip buffer: the fuel burned, then every port's
+// queue of values.
+func (z *zipVMState) walk(c *wire.Codec) {
+	c.Uint64(&z.fuelUsed)
+	wire.Slice(c, &z.queues, 1, func(c *wire.Codec, q *[]wvm.Value) {
+		wire.Slice(c, q, 1, wvm.WalkValue)
+	})
 }
 
+func (z *zipVMState) save() ([]byte, error) { return wire.Encode(z.walk) }
+
+// loadZipVMState decodes a zip buffer of wantPorts ports and rebuilds its
+// byte estimate.
 func loadZipVMState(data []byte, wantPorts int) (*zipVMState, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
+	st := &zipVMState{}
+	if err := wire.Decode(data, st.walk); err != nil {
 		return nil, fmt.Errorf("wscript: zip state: %w", err)
 	}
-	st := &zipVMState{fuelUsed: r.Uvarint()}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wscript: zip state: %w", err)
+	if len(st.queues) != wantPorts {
+		return nil, fmt.Errorf("wscript: zip state has %d ports, want %d", len(st.queues), wantPorts)
 	}
-	if int(n) != wantPorts {
-		return nil, fmt.Errorf("wscript: zip state has %d ports, want %d", n, wantPorts)
-	}
-	st.queues = make([][]wvm.Value, wantPorts)
-	for i := range st.queues {
-		qn := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("wscript: zip state: %w", err)
-		}
-		if qn > 1<<24 {
-			return nil, fmt.Errorf("wscript: zip queue length %d too large", qn)
-		}
-		for j := uint64(0); j < qn; j++ {
-			v, err := wvm.DecodeValue(r)
-			if err != nil {
-				return nil, fmt.Errorf("wscript: zip state: %w", err)
-			}
-			st.queues[i] = append(st.queues[i], v)
+	for _, q := range st.queues {
+		for _, v := range q {
 			st.bytes += 16 + wvm.SizeOf(v)
 		}
-	}
-	if !r.Done() {
-		return nil, fmt.Errorf("wscript: zip state has trailing bytes")
 	}
 	return st, nil
 }

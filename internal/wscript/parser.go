@@ -85,7 +85,7 @@ func (p *parser) parseItem() (Item, error) {
 	case p.acceptIdent("namespace"):
 		return p.parseNamespace()
 	default:
-		b, err := p.parseBinding(false)
+		b, err := p.parseBinding()
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func (p *parser) parseNamespace() (*NamespaceDecl, error) {
 	}
 	ns := &NamespaceDecl{base: base{name.line}}
 	for !p.accept("}") {
-		b, err := p.parseBinding(true)
+		b, err := p.parseBinding()
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func (p *parser) parseNamespace() (*NamespaceDecl, error) {
 	return ns, nil
 }
 
-func (p *parser) parseBinding(inNode bool) (*Binding, error) {
+func (p *parser) parseBinding() (*Binding, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func (p *parser) parseBinding(inNode bool) (*Binding, error) {
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return &Binding{base: base{name.line}, Name: name.text, Expr: e, InNode: inNode}, nil
+	return &Binding{base: base{name.line}, Name: name.text, Expr: e}, nil
 }
 
 func (p *parser) parseBlock() (*Block, error) {

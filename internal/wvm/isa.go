@@ -13,10 +13,8 @@ type Opcode uint8
 // produce byte-identical profiles. Every executed instruction additionally
 // burns one unit of fuel (builtins may add more).
 const (
-	// OpNop does nothing (padding; the compiler never emits it).
-	OpNop Opcode = iota
 	// OpConst pushes Consts[A]. Literals are free, as in the tree-walker.
-	OpConst
+	OpConst Opcode = iota
 	// OpUnit pushes the unit value.
 	OpUnit
 	// OpLoadC pushes Consts[A], charging Load 1 (a captured scalar read
@@ -34,8 +32,6 @@ const (
 	OpLoadLN
 	// OpStoreL pops into local slot A, charging Store 1.
 	OpStoreL
-	// OpStoreLN pops into local slot A with no charge.
-	OpStoreLN
 	// OpLoadS pushes state slot A, charging Load 1.
 	OpLoadS
 	// OpLoadSN pushes state slot A with no charge.
@@ -109,9 +105,9 @@ const (
 )
 
 var opcodeNames = [...]string{
-	OpNop: "nop", OpConst: "const", OpUnit: "unit", OpLoadC: "loadc",
+	OpConst: "const", OpUnit: "unit", OpLoadC: "loadc",
 	OpLoadT: "loadt", OpLoadL: "loadl", OpLoadLN: "loadln",
-	OpStoreL: "storel", OpStoreLN: "storeln", OpLoadS: "loads",
+	OpStoreL: "storel", OpLoadS: "loads",
 	OpLoadSN: "loadsn", OpStoreS: "stores", OpStoreSN: "storesn",
 	OpPop: "pop", OpJmp: "jmp", OpBranchF: "branchf", OpAnd: "and",
 	OpOr: "or", OpCkBool: "ckbool", OpNot: "not", OpNeg: "neg",
@@ -188,8 +184,6 @@ type Func struct {
 	// Lines maps each instruction to its wscript source line for error
 	// messages; len(Lines) == len(Code).
 	Lines []int32
-	// MaxStack is the operand-stack bound computed by Verify.
-	MaxStack int
 }
 
 // Program is a complete compiled operator body: an entry function invoked

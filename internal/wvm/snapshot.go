@@ -22,89 +22,88 @@ const (
 // maxDecodeDepth bounds nesting when decoding untrusted state payloads.
 const maxDecodeDepth = 64
 
-// EncodeValue appends one value to w in the snapshot wire format.
-// Floats are written bit-exactly, so a restored state continues the
-// computation byte-identically.
-func EncodeValue(w *wire.SnapshotWriter, v Value) {
-	switch x := v.(type) {
+// WalkValue is the snapshot layout of one value: a one-byte tag, then
+// the scalar (floats bit-exact, so a restored state continues the
+// computation byte-identically) or the container's counted elements.
+// Encoding a type without a tag fails the walk; decoding fails on a tag it
+// does not know or on nesting deeper than maxDecodeDepth.
+func WalkValue(c *wire.Codec, v *Value) { walkValue(c, v, 0) }
+
+func walkValue(c *wire.Codec, v *Value, depth int) {
+	if c.Decoding() && depth > maxDecodeDepth {
+		c.Fail(fmt.Errorf("wvm: value nesting exceeds %d", maxDecodeDepth))
+		return
+	}
+	var tag byte
+	switch (*v).(type) {
 	case Unit, nil:
-		w.Byte(tagUnit)
+		tag = tagUnit
 	case int64:
-		w.Byte(tagInt)
-		w.Int(x)
+		tag = tagInt
 	case float64:
-		w.Byte(tagFloat)
-		w.F64(x)
+		tag = tagFloat
 	case bool:
-		w.Byte(tagBool)
-		w.Bool(x)
+		tag = tagBool
 	case string:
-		w.Byte(tagString)
-		w.String(x)
+		tag = tagString
 	case *Array:
-		w.Byte(tagArray)
-		w.Uvarint(uint64(len(x.Elems)))
-		for _, e := range x.Elems {
-			EncodeValue(w, e)
-		}
+		tag = tagArray
 	case *Fifo:
-		w.Byte(tagFifo)
-		w.Uvarint(uint64(len(x.Elems)))
-		for _, e := range x.Elems {
-			EncodeValue(w, e)
-		}
+		tag = tagFifo
 	default:
-		panic(fmt.Sprintf("wvm: cannot serialize %T", v))
+		c.Fail(fmt.Errorf("wvm: cannot serialize %T", *v))
+		return
 	}
-}
-
-// DecodeValue reads one value written by EncodeValue.
-func DecodeValue(r *wire.SnapshotReader) (Value, error) {
-	return decodeValue(r, 0)
-}
-
-func decodeValue(r *wire.SnapshotReader, depth int) (Value, error) {
-	if depth > maxDecodeDepth {
-		return nil, fmt.Errorf("wvm: value nesting exceeds %d", maxDecodeDepth)
-	}
-	tag := r.Byte()
-	if err := r.Err(); err != nil {
-		return nil, err
+	c.Byte(&tag)
+	if c.Err() != nil {
+		return
 	}
 	switch tag {
 	case tagUnit:
-		return Unit{}, nil
+		if c.Decoding() {
+			*v = Unit{}
+		}
 	case tagInt:
-		return r.Int(), r.Err()
+		scalar(c, v, (*wire.Codec).Int64)
 	case tagFloat:
-		return r.F64(), r.Err()
+		scalar(c, v, (*wire.Codec).F64)
 	case tagBool:
-		return r.Bool(), r.Err()
+		scalar(c, v, (*wire.Codec).Bool)
 	case tagString:
-		return r.String(), r.Err()
-	case tagArray, tagFifo:
-		n := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return nil, err
+		scalar(c, v, (*wire.Codec).String)
+	case tagArray:
+		a, _ := (*v).(*Array)
+		if a == nil {
+			a = &Array{}
+			*v = a
 		}
-		if n > 1<<24 {
-			return nil, fmt.Errorf("wvm: container length %d too large", n)
+		walkValues(c, &a.Elems, depth+1)
+	case tagFifo:
+		f, _ := (*v).(*Fifo)
+		if f == nil {
+			f = &Fifo{}
+			*v = f
 		}
-		elems := make([]Value, 0, min(int(n), 1024))
-		for i := uint64(0); i < n; i++ {
-			e, err := decodeValue(r, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
-		}
-		if tag == tagArray {
-			return &Array{Elems: elems}, nil
-		}
-		return &Fifo{Elems: elems}, nil
+		walkValues(c, &f.Elems, depth+1)
 	default:
-		return nil, fmt.Errorf("wvm: unknown value tag %d", tag)
+		c.Fail(fmt.Errorf("wvm: unknown value tag %d", tag))
 	}
+}
+
+// scalar walks the T that *v holds; decoding stores the T it read, and
+// encoding leaves *v as it is.
+func scalar[T any](c *wire.Codec, v *Value, walk func(c *wire.Codec, x *T)) {
+	x, _ := (*v).(T)
+	walk(c, &x)
+	if c.Decoding() {
+		*v = x
+	}
+}
+
+// walkValues walks a counted run of values at one nesting depth; every
+// value is at least its tag byte.
+func walkValues(c *wire.Codec, vs *[]Value, depth int) {
+	wire.Slice(c, vs, 1, func(c *wire.Codec, v *Value) { walkValue(c, v, depth) })
 }
 
 // State is one operator instance's VM state: the state-variable slots plus
@@ -122,45 +121,20 @@ type State struct {
 	memBytes int64
 }
 
+func (s *State) walk(c *wire.Codec) {
+	c.Uint64(&s.FuelUsed)
+	walkValues(c, &s.Slots, 0)
+}
+
 // Save serializes the state with SaveState semantics: the restored
 // instance's future output is byte-identical to continuing with this one.
-func (s *State) Save() ([]byte, error) {
-	w := wire.NewSnapshotWriter()
-	w.Uvarint(s.FuelUsed)
-	w.Uvarint(uint64(len(s.Slots)))
-	for _, v := range s.Slots {
-		EncodeValue(w, v)
-	}
-	return w.Bytes(), nil
-}
+func (s *State) Save() ([]byte, error) { return wire.Encode(s.walk) }
 
 // LoadState restores a state serialized by Save.
 func LoadState(data []byte) (*State, error) {
-	r, err := wire.NewSnapshotReader(data)
-	if err != nil {
+	st := &State{}
+	if err := wire.Decode(data, st.walk); err != nil {
 		return nil, fmt.Errorf("wvm: state: %w", err)
-	}
-	st := &State{FuelUsed: r.Uvarint()}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("wvm: state: %w", err)
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("wvm: state slot count %d too large", n)
-	}
-	st.Slots = make([]Value, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := DecodeValue(r)
-		if err != nil {
-			return nil, fmt.Errorf("wvm: state slot %d: %w", i, err)
-		}
-		st.Slots = append(st.Slots, v)
-	}
-	if !r.Done() {
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("wvm: state: %w", err)
-		}
-		return nil, fmt.Errorf("wvm: state has trailing bytes")
 	}
 	st.memBytes = -1 // recompute lazily on first metered invocation
 	return st, nil

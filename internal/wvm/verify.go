@@ -15,8 +15,7 @@ const (
 // Verify statically checks the program so the interpreter can trust every
 // operand: pool and slot indices in range, jump targets valid, argument
 // counts matching callee arity, and a consistent operand-stack depth at
-// every instruction (computed by worklist abstract interpretation, which
-// also fills in each function's MaxStack). A malformed program — from a
+// every instruction (computed by worklist abstract interpretation). A malformed program — from a
 // buggy compiler, or a fuzzed edit of a good one — is rejected here, before
 // any execution.
 func (p *Program) Verify() error {
@@ -88,7 +87,7 @@ func (p *Program) verifyFunc(fi int) error {
 			if ins.A < 0 || int(ins.A) >= len(p.Templates) {
 				return fail(pc, "template %d out of range", ins.A)
 			}
-		case OpLoadL, OpLoadLN, OpStoreL, OpStoreLN:
+		case OpLoadL, OpLoadLN, OpStoreL:
 			if ins.A < 0 || int(ins.A) >= f.NumLocals {
 				return fail(pc, "local %d out of range", ins.A)
 			}
@@ -158,7 +157,7 @@ func (p *Program) verifyFunc(fi int) error {
 			if ins.B < 0 || int(ins.B) >= f.NumLocals {
 				return fail(pc, "local %d out of range", ins.B)
 			}
-		case OpNop, OpUnit, OpPop, OpNot, OpNeg, OpIndex, OpEmit, OpRet:
+		case OpUnit, OpPop, OpNot, OpNeg, OpIndex, OpEmit, OpRet:
 		default:
 			return fail(pc, "illegal opcode %d", ins.Op)
 		}
@@ -172,7 +171,6 @@ func (p *Program) verifyFunc(fi int) error {
 	for i := range depths {
 		depths[i] = -1
 	}
-	maxDepth := 0
 	work := []int{0}
 	depths[0] = 0
 	for len(work) > 0 {
@@ -186,9 +184,6 @@ func (p *Program) verifyFunc(fi int) error {
 			return fail(pc, "stack underflow (%d < %d)", d, need)
 		}
 		dAfter := d + after
-		if dAfter > maxDepth {
-			maxDepth = dAfter
-		}
 
 		var succs [2]int
 		n := 0
@@ -237,7 +232,6 @@ func (p *Program) verifyFunc(fi int) error {
 		work = append(work, succs[:n]...)
 	}
 
-	f.MaxStack = maxDepth
 	return nil
 }
 
@@ -247,7 +241,7 @@ func stackEffect(ins Instr) (need, delta int) {
 	switch ins.Op {
 	case OpConst, OpUnit, OpLoadC, OpLoadT, OpLoadL, OpLoadLN, OpLoadS, OpLoadSN:
 		return 0, 1
-	case OpStoreL, OpStoreLN, OpStoreS, OpStoreSN, OpPop, OpEmit, OpBranchF:
+	case OpStoreL, OpStoreS, OpStoreSN, OpPop, OpEmit, OpBranchF:
 		return 1, -1
 	case OpAnd, OpOr:
 		return 1, -1 // fallthrough path; jump path handled by caller
@@ -265,7 +259,7 @@ func stackEffect(ins Instr) (need, delta int) {
 		return 2, -2
 	case OpRet:
 		return 1, -1
-	default: // OpNop, OpJmp, OpWhileInit, OpWhileStep, OpForIter, OpForStep
+	default: // OpJmp, OpWhileInit, OpWhileStep, OpForIter, OpForStep
 		return 0, 0
 	}
 }

@@ -224,8 +224,6 @@ func (t *Thread) exec(fn int32, args []Value) error {
 		}
 
 		switch ins.Op {
-		case OpNop:
-
 		case OpConst:
 			t.push(t.prog.Consts[ins.A])
 
@@ -259,9 +257,6 @@ func (t *Thread) exec(fn int32, args []Value) error {
 
 		case OpStoreL:
 			t.count(cost.Store, 1)
-			t.stack[fr.base+ins.A] = t.pop()
-
-		case OpStoreLN:
 			t.stack[fr.base+ins.A] = t.pop()
 
 		case OpLoadS:

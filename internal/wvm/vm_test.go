@@ -1,6 +1,7 @@
 package wvm
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -159,6 +160,42 @@ func TestVerifyRejections(t *testing.T) {
 				t.Fatalf("err=%q, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestStateSnapshotRoundTrip walks every value kind through Save and
+// LoadState: the loaded state holds the same values and saves the same
+// bytes, and a value with no tag fails Save instead of panicking.
+func TestStateSnapshotRoundTrip(t *testing.T) {
+	st := &State{FuelUsed: 99, Slots: []Value{
+		Unit{}, nil, int64(-7), 2.5, true, "zip",
+		&Array{Elems: []Value{int64(1), &Fifo{Elems: []Value{"a", false}}}},
+		&Fifo{},
+	}}
+	blob, err := st.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := got.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatalf("re-saved state differs:\n% x\n% x", again, blob)
+	}
+	if got.FuelUsed != 99 || len(got.Slots) != len(st.Slots) || got.Slots[1] != (Unit{}) ||
+		got.Slots[2] != int64(-7) || got.Slots[5] != "zip" {
+		t.Fatalf("loaded %#v", got)
+	}
+	if inner := got.Slots[6].(*Array).Elems[1].(*Fifo); len(inner.Elems) != 2 || inner.Elems[0] != "a" {
+		t.Fatalf("nested fifo loaded as %#v", inner)
+	}
+	if _, err := (&State{Slots: []Value{struct{}{}}}).Save(); err == nil {
+		t.Fatal("a value with no snapshot tag saved")
 	}
 }
 
